@@ -2,8 +2,13 @@ GO ?= go
 
 # Alloc budgets for the hot-path benchmarks, enforced by cmd/benchgate.
 # NearestInto/ExtractInto/CandidatesInto with a reused buffer must stay
-# allocation-free. Substring-matched against benchmark names.
-HOTPATH_BUDGETS = HotPathNearest=0,HotPathExactNearest=0,HotPathSignature=0,HotPathTopK=0,HotPathCandidates=0,HotPathFusedExtract=0,HotPathGridIntegral=0,HotPathHistogram=0
+# allocation-free, and so must the video gate: a keyframe scan allocates
+# nothing and a push into a full library recycles the evicted buffer.
+# Substring-matched against benchmark names.
+HOTPATH_BUDGETS = HotPathNearest=0,HotPathExactNearest=0,HotPathSignature=0,HotPathTopK=0,HotPathCandidates=0,HotPathFusedExtract=0,HotPathGridIntegral=0,HotPathHistogram=0,HotPathKeyframeMatch=0,HotPathKeyframePush=0
+
+# Packages holding HotPath benchmarks.
+HOTPATH_PKGS = ./internal/lsh/ ./internal/feature/ ./internal/video/
 
 # The serving-scale regression gate: sharded store + micro-batched
 # inference must beat the single-mutex baseline by at least this
@@ -43,9 +48,9 @@ MIN_READSCALE_SPEEDUP = 2.0
 # rate versus the legacy float64 protocol.
 MIN_P2P_REDUCTION = 4.0
 
-.PHONY: check build test race vet fmt bench bench-hotpath bench-gate bench-throughput throughput-gate bench-overload overload-gate bench-lookup lookup-gate bench-quality quality-gate bench-readscale readscale-gate bench-p2p p2p-gate fault-matrix
+.PHONY: check build test race vet fmt bench bench-e2e-test bench-hotpath bench-gate bench-throughput throughput-gate bench-overload overload-gate bench-lookup lookup-gate bench-quality quality-gate bench-readscale readscale-gate bench-p2p p2p-gate fault-matrix
 
-check: vet fmt test race bench-gate throughput-gate overload-gate lookup-gate quality-gate readscale-gate p2p-gate fault-matrix
+check: vet fmt test race bench-e2e-test bench-gate throughput-gate overload-gate lookup-gate quality-gate readscale-gate p2p-gate fault-matrix
 
 build:
 	$(GO) build ./...
@@ -68,18 +73,25 @@ fmt:
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
 
+# The end-to-end benchmark harness is a module of its own (benchmarks/),
+# which the root ./... patterns never compile. It calls internal packages
+# directly, so vet and test it here: a signature change that breaks it
+# fails `make check`, not the next benchmark run.
+bench-e2e-test:
+	$(GO) -C benchmarks vet ./... && $(GO) -C benchmarks test ./...
+
 # Full hot-path benchmark run; records results in BENCH_hotpath.json and
 # enforces the allocation budgets.
 bench-hotpath:
 	$(GO) test -run '^$$' -bench 'HotPath|GridNaive' -benchmem \
-		./internal/lsh/ ./internal/feature/ | \
+		$(HOTPATH_PKGS) | \
 		$(GO) run ./cmd/benchgate -json BENCH_hotpath.json -budgets '$(HOTPATH_BUDGETS)'
 
 # Fast allocation gate for `make check`: short benchtime is enough to
 # measure allocs/op exactly (it is iteration-count independent).
 bench-gate:
 	$(GO) test -run '^$$' -bench HotPath -benchmem -benchtime 100x \
-		./internal/lsh/ ./internal/feature/ | \
+		$(HOTPATH_PKGS) | \
 		$(GO) run ./cmd/benchgate -budgets '$(HOTPATH_BUDGETS)'
 
 # Multi-session saturation benchmark: drives 16 concurrent streams

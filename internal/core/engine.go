@@ -582,9 +582,17 @@ func (e *Engine) process(im *vision.Image, imuWindow []imu.Sample, truth string,
 	}
 	// Sensor guards: structurally broken inputs are refused with typed
 	// errors; quality faults are routed past the gates they would fool.
+	// The guard's pass over the pixels also yields the frame's thumbnail,
+	// which the video gate matches and stores instead of summarising the
+	// frame again; unguarded frames are summarised here.
 	frameOK := true
-	if !e.cfg.DisableSensorGuards {
-		switch f := vision.CheckFrame(im, e.cfg.FrameGuard); {
+	var thumb vision.Thumb
+	if e.cfg.DisableSensorGuards {
+		if e.cfg.Mode == ModeApprox {
+			thumb.Fill(im)
+		}
+	} else {
+		switch f := vision.CheckFrameThumb(im, e.cfg.FrameGuard, &thumb); {
 		case f == vision.FrameOK:
 		case f.Structural():
 			e.stats.ObserveSensorFault("frame-" + f.String())
@@ -621,7 +629,7 @@ func (e *Engine) process(im *vision.Image, imuWindow []imu.Sample, truth string,
 	case ModeNaiveSkip:
 		res, err = e.processNaiveSkip(im, deadline)
 	default:
-		res, err = e.processApprox(im, imuWindow, imuOK, frameOK, deadline)
+		res, err = e.processApprox(im, &thumb, imuWindow, imuOK, frameOK, deadline)
 	}
 	if !deadline.IsZero() && err == nil {
 		e.stats.ObserveDeadlineCompletion(time.Now().Before(deadline))
@@ -758,7 +766,8 @@ func (e *Engine) processExact(im *vision.Image, deadline time.Time) (Result, err
 // the detector feed and the inertial gate; an untrusted (low-entropy)
 // frame skips the video gate, the cache gates, and every cache
 // mutation — its features would be meaningless — leaving only the DNN.
-func (e *Engine) processApprox(im *vision.Image, imuWindow []imu.Sample, imuOK, frameOK bool, deadline time.Time) (Result, error) {
+// thumb is im's thumbnail.
+func (e *Engine) processApprox(im *vision.Image, thumb *vision.Thumb, imuWindow []imu.Sample, imuOK, frameOK bool, deadline time.Time) (Result, error) {
 	// Brownout level snapshot: under sustained overload the controller
 	// disables the expensive reuse stages (first P2P, then the kNN
 	// vote), keeping the nearly-free IMU and video gates.
@@ -810,13 +819,13 @@ func (e *Engine) processApprox(im *vision.Image, imuWindow []imu.Sample, imuOK, 
 		}
 	}
 
-	// Gate 2: video locality. A cheap pixel diff against the recent
-	// recognized keyframes catches temporal locality the IMU missed —
-	// including panning back to a scene seen a few keyframes ago.
+	// Gate 2: video locality. A coarse-to-fine pixel diff against the
+	// recent recognized keyframes catches temporal locality the IMU
+	// missed — including panning back to a scene seen a few keyframes ago.
 	if frameOK && !revalidate && !e.cfg.DisableVideoGate && e.keyframes.Len() > 0 {
 		latency += e.cfg.Costs.DiffLatency
 		energy += e.cfg.Costs.DiffEnergyMJ
-		if kf, ok := e.keyframes.Match(im); ok {
+		if kf, ok := e.keyframes.MatchThumb(im, thumb); ok {
 			res := Result{
 				Label:      kf.Label,
 				Confidence: kf.Confidence,
@@ -892,7 +901,7 @@ func (e *Engine) processApprox(im *vision.Image, imuWindow []imu.Sample, imuOK, 
 				Latency:    latency,
 				EnergyMJ:   energy,
 			}
-			e.refreshScene(im, res.Label, res.Confidence)
+			e.refreshScene(im, thumb, res.Label, res.Confidence)
 			if e.quality != nil {
 				// The in-range neighbors backed this serve; an audit
 				// will confirm or refute them by ID.
@@ -965,7 +974,7 @@ func (e *Engine) processApprox(im *vision.Image, imuWindow []imu.Sample, imuOK, 
 					EnergyMJ:   energy,
 					PeerName:   hit.Peer,
 				}
-				e.refreshScene(im, res.Label, res.Confidence)
+				e.refreshScene(im, thumb, res.Label, res.Confidence)
 				if e.quality != nil {
 					// Audit the adopted entry: a peer's bad answer must
 					// accrue refutes here, not just on the peer.
@@ -1041,7 +1050,7 @@ func (e *Engine) processApprox(im *vision.Image, imuWindow []imu.Sample, imuOK, 
 		EnergyMJ:   energy,
 	}
 	if frameOK {
-		e.refreshScene(im, res.Label, res.Confidence)
+		e.refreshScene(im, thumb, res.Label, res.Confidence)
 	}
 	return res, nil
 }
@@ -1164,9 +1173,9 @@ func (e *Engine) repairContradicted(vec feature.Vector, freshLabel string, sc *f
 // refreshScene re-anchors the cheap gates after a verified recognition:
 // the frame joins the keyframe library and the rotation integrator
 // resets.
-func (e *Engine) refreshScene(im *vision.Image, label string, confidence float64) {
+func (e *Engine) refreshScene(im *vision.Image, thumb *vision.Thumb, label string, confidence float64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.keyframes.Push(im, label, confidence)
+	e.keyframes.PushThumb(im, thumb, label, confidence)
 	e.detector.Mark()
 }

@@ -463,7 +463,10 @@ func (e *Engine) healAfterRefute(im *vision.Image, vec feature.Vector, label str
 		}
 	}
 	if _, err := e.deps.Store.Insert(vec, label, confidence, "audit", savedCost); err == nil {
-		e.refreshScene(im, label, confidence)
+		// Off the frame path: no guard pass has summarised im here.
+		var thumb vision.Thumb
+		thumb.Fill(im)
+		e.refreshScene(im, &thumb, label, confidence)
 	}
 	e.mu.Lock()
 	if e.cfg.MaxReuseStreak > 0 && e.streak < e.cfg.MaxReuseStreak {

@@ -190,6 +190,38 @@ func TestSensorGuardsDisabled(t *testing.T) {
 	}
 }
 
+// Regression: with guards off, a frame whose pixel buffer is shorter
+// than its dimensions claim used to reach the video gate's diff kernel
+// and panic there with an index out of range. It now differs maximally
+// from every keyframe, is refused by feature extraction with an error,
+// and leaves the keyframe library as it was.
+func TestUnguardedShortPixelBufferDoesNotPanic(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.DisableSensorGuards = true
+	f := newFixture(t, cfg, nil)
+	proto, err := f.classes.Prototype(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.engine.Process(proto, movingWindow(0)); err != nil {
+		t.Fatal(err) // stores a keyframe for the short frame to meet
+	}
+	for _, n := range []int{0, 100, len(proto.Pix) - 1, len(proto.Pix) + 1} {
+		short := &vision.Image{W: proto.W, H: proto.H, Pix: make([]float64, n)}
+		copy(short.Pix, proto.Pix)
+		if res, err := f.engine.Process(short, movingWindow(100*time.Millisecond)); err == nil {
+			t.Fatalf("frame with %d of %d pixels served as %+v", n, len(proto.Pix), res)
+		}
+	}
+	res, err := f.engine.Process(proto, movingWindow(200*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Source != metrics.SourceVideo {
+		t.Fatalf("source after the malformed frames = %v, want video", res.Source)
+	}
+}
+
 // During a DNN outage the engine keeps answering from the cache at
 // halved confidence, trips the breaker, fast-fails while down, and
 // recovers on its own once the model heals.

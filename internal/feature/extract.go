@@ -79,6 +79,9 @@ func (g GridExtractor) validate(im *vision.Image) error {
 		return fmt.Errorf("feature: image %dx%d smaller than grid %dx%d",
 			im.W, im.H, g.Cols, g.Rows)
 	}
+	if len(im.Pix) != im.W*im.H {
+		return fmt.Errorf("feature: image %dx%d has %d pixels", im.W, im.H, len(im.Pix))
+	}
 	return nil
 }
 

@@ -179,13 +179,13 @@ func TestKeyframeLibraryBeatsSingleKeyOnPanCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := NewDiffGate(DefaultDiffGateConfig())
+	single, err := NewKeyframeLibrary(DefaultDiffGateConfig(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, s := range scenes {
 		lib.Push(s, fmt.Sprintf("s%d", i), 1)
-		single.SetKey(s)
+		single.Push(s, fmt.Sprintf("s%d", i), 1)
 	}
 	// Second pass over the cycle.
 	libHits, singleHits := 0, 0
@@ -193,7 +193,7 @@ func TestKeyframeLibraryBeatsSingleKeyOnPanCycle(t *testing.T) {
 		if _, ok := lib.Match(s); ok {
 			libHits++
 		}
-		if ok, _ := single.Similar(s); ok {
+		if _, ok := single.Match(s); ok {
 			singleHits++
 		}
 	}

@@ -260,52 +260,11 @@ func DefaultDiffGateConfig() DiffGateConfig {
 	return DiffGateConfig{Threshold: 0.13}
 }
 
-// DiffGate tracks the last recognized keyframe and answers "is this
-// frame close enough to reuse the keyframe's result?". DiffGate is not
-// safe for concurrent use; each device pipeline owns one.
-type DiffGate struct {
-	cfg DiffGateConfig
-	key *vision.Image
-}
-
-// NewDiffGate builds a gate with cfg.
-func NewDiffGate(cfg DiffGateConfig) (*DiffGate, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return &DiffGate{cfg: cfg}, nil
-}
-
-// Similar reports whether im is within threshold of the current
-// keyframe, along with the measured difference. With no keyframe set it
-// reports false and a difference of 1.
-func (g *DiffGate) Similar(im *vision.Image) (bool, float64) {
-	if g.key == nil || im == nil {
-		return false, 1
-	}
-	d := vision.MeanAbsDiff(g.key, im)
-	return d <= g.cfg.Threshold, d
-}
-
-// SetKey installs im as the new keyframe. The pipeline calls SetKey
-// whenever a fresh (non-gate) recognition result is produced.
-func (g *DiffGate) SetKey(im *vision.Image) {
-	if im == nil {
-		g.key = nil
-		return
-	}
-	g.key = im.Clone()
-}
-
-// HasKey reports whether a keyframe is installed.
-func (g *DiffGate) HasKey() bool { return g.key != nil }
-
-// Reset clears the keyframe.
-func (g *DiffGate) Reset() { g.key = nil }
-
 // Keyframe is one remembered scene anchor with its recognition result.
 type Keyframe struct {
-	// Image is the anchor frame.
+	// Image is the anchor frame. It points into a buffer the library
+	// owns and recycles: a Keyframe returned by Match may be read until
+	// the next Push or Reset on the library, no longer.
 	Image *vision.Image
 	// Label is the recognition result the anchor carries.
 	Label string
@@ -313,19 +272,43 @@ type Keyframe struct {
 	Confidence float64
 }
 
-// KeyframeLibrary extends the single-keyframe gate to remember the last
-// Capacity recognized scenes. A camera panning back to a recently seen
-// scene then matches its old keyframe directly — without feature
-// extraction or inference — which the single-keyframe gate cannot do.
-// KeyframeLibrary is not safe for concurrent use; each pipeline owns
-// one.
+// slot is one stored keyframe with the thumbnail that lets a scan
+// discard it without touching its pixels.
+type slot struct {
+	Keyframe
+	thumb vision.Thumb
+}
+
+// diff returns the exact vision.MeanAbsDiff between the slot's frame
+// and im when that is ≤ bound, and otherwise some value that is not —
+// decided from the two thumbnails when they suffice, from a prefix of
+// the pixels when that does, from all of them only for a frame that
+// (nearly) qualifies. th must be im's thumbnail, or empty.
+func (s *slot) diff(im *vision.Image, th *vision.Thumb, bound float64) float64 {
+	if s.thumb.Farther(th, bound) {
+		return math.Inf(1)
+	}
+	return vision.MeanAbsDiffBounded(s.Image, im, bound)
+}
+
+// KeyframeLibrary is the video locality gate: it remembers the last
+// Capacity recognized scenes and answers "is this frame close enough to
+// one of them to reuse its result?". A camera panning back to a
+// recently seen scene matches its old keyframe directly — without
+// feature extraction or inference — which a single last-keyframe gate
+// cannot do. KeyframeLibrary is not safe for concurrent use; each
+// pipeline owns one.
 type KeyframeLibrary struct {
 	cfg DiffGateConfig
 	// base keeps the configured threshold so SetStrictness scales from
 	// the original value, not compounding on itself.
 	base   DiffGateConfig
 	cap    int
-	frames []Keyframe // newest last
+	frames []*slot // newest last
+	// free holds displaced and evicted slots; Push copies the incoming
+	// frame into one instead of allocating. frames and free together
+	// never hold more than cap slots.
+	free []*slot
 }
 
 // NewKeyframeLibrary builds a library of at most capacity keyframes
@@ -356,16 +339,25 @@ func (l *KeyframeLibrary) SetStrictness(scale float64) {
 func (l *KeyframeLibrary) Len() int { return len(l.frames) }
 
 // Match returns the best-matching stored keyframe for im (smallest mean
-// absolute difference under the threshold) and whether one qualified.
+// absolute difference under the threshold; the newest among equals) and
+// whether one qualified.
 func (l *KeyframeLibrary) Match(im *vision.Image) (Keyframe, bool) {
+	var th vision.Thumb
+	th.Fill(im)
+	return l.MatchThumb(im, &th)
+}
+
+// MatchThumb is Match for a caller that already holds im's thumbnail
+// (vision.CheckFrameThumb or Thumb.Fill on this very frame). An empty
+// thumbnail is safe, only slower.
+func (l *KeyframeLibrary) MatchThumb(im *vision.Image, th *vision.Thumb) (Keyframe, bool) {
 	if im == nil {
 		return Keyframe{}, false
 	}
 	best := -1
 	bestDiff := l.cfg.Threshold
-	for i, kf := range l.frames {
-		d := vision.MeanAbsDiff(kf.Image, im)
-		if d <= bestDiff {
+	for i, s := range l.frames {
+		if d := s.diff(im, th, bestDiff); d <= bestDiff {
 			best = i
 			bestDiff = d
 		}
@@ -373,7 +365,7 @@ func (l *KeyframeLibrary) Match(im *vision.Image) (Keyframe, bool) {
 	if best < 0 {
 		return Keyframe{}, false
 	}
-	return l.frames[best], true
+	return l.frames[best].Keyframe, true
 }
 
 // Push remembers im with its recognition result, evicting the oldest
@@ -381,21 +373,47 @@ func (l *KeyframeLibrary) Match(im *vision.Image) (Keyframe, bool) {
 // im is displaced — it depicts the same visual scene, and the incoming
 // result is fresher evidence. (Keeping a same-scene keyframe with a
 // different label would let a stale recognition keep winning matches.)
+// The library keeps its own copy of the pixels. Frames without a result
+// or without a well-formed pixel buffer are ignored.
 func (l *KeyframeLibrary) Push(im *vision.Image, label string, confidence float64) {
-	if im == nil || label == "" {
-		return
-	}
-	kept := l.frames[:0]
-	for _, kf := range l.frames {
-		if vision.MeanAbsDiff(kf.Image, im) > l.cfg.Threshold {
-			kept = append(kept, kf)
-		}
-	}
-	l.frames = append(kept, Keyframe{Image: im.Clone(), Label: label, Confidence: confidence})
-	if len(l.frames) > l.cap {
-		l.frames = l.frames[len(l.frames)-l.cap:]
-	}
+	var th vision.Thumb
+	th.Fill(im)
+	l.PushThumb(im, &th, label, confidence)
 }
 
-// Reset clears the library.
-func (l *KeyframeLibrary) Reset() { l.frames = nil }
+// PushThumb is Push for a caller that already holds im's thumbnail; see
+// MatchThumb.
+func (l *KeyframeLibrary) PushThumb(im *vision.Image, th *vision.Thumb, label string, confidence float64) {
+	if label == "" || !im.WellFormed() {
+		return
+	}
+	thr := l.cfg.Threshold
+	kept := l.frames[:0]
+	for _, s := range l.frames {
+		if s.diff(im, th, thr) <= thr {
+			l.free = append(l.free, s)
+		} else {
+			kept = append(kept, s)
+		}
+	}
+	if len(kept) == l.cap {
+		l.free = append(l.free, kept[0])
+		kept = kept[:copy(kept, kept[1:])]
+	}
+	var s *slot
+	if n := len(l.free); n > 0 {
+		s, l.free = l.free[n-1], l.free[:n-1]
+	} else {
+		s = &slot{}
+	}
+	if s.Image == nil || len(s.Image.Pix) != len(im.Pix) {
+		s.Image = vision.NewImage(im.W, im.H)
+	}
+	s.Image.W, s.Image.H = im.W, im.H
+	copy(s.Image.Pix, im.Pix)
+	s.Label, s.Confidence, s.thumb = label, confidence, *th
+	l.frames = append(kept, s)
+}
+
+// Reset clears the library and drops its recycled buffers.
+func (l *KeyframeLibrary) Reset() { l.frames, l.free = nil, nil }

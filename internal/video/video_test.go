@@ -236,56 +236,6 @@ func TestDiffGateConfigValidate(t *testing.T) {
 			t.Errorf("threshold %v accepted", th)
 		}
 	}
-	if _, err := NewDiffGate(DiffGateConfig{}); err == nil {
-		t.Fatal("NewDiffGate accepted bad config")
-	}
-}
-
-func TestDiffGateLifecycle(t *testing.T) {
-	g, err := NewDiffGate(DefaultDiffGateConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.HasKey() {
-		t.Fatal("fresh gate has a key")
-	}
-	im := vision.NewImage(8, 8)
-	if ok, d := g.Similar(im); ok || d != 1 {
-		t.Fatal("no-key gate should report dissimilar")
-	}
-	g.SetKey(im)
-	if !g.HasKey() {
-		t.Fatal("key not installed")
-	}
-	if ok, d := g.Similar(im); !ok || d != 0 {
-		t.Fatalf("identical frame not similar: ok=%v d=%v", ok, d)
-	}
-	if ok, _ := g.Similar(nil); ok {
-		t.Fatal("nil frame similar")
-	}
-	g.Reset()
-	if g.HasKey() {
-		t.Fatal("Reset did not clear key")
-	}
-	g.SetKey(nil)
-	if g.HasKey() {
-		t.Fatal("SetKey(nil) should clear key")
-	}
-}
-
-func TestDiffGateKeyIsCopied(t *testing.T) {
-	g, err := NewDiffGate(DefaultDiffGateConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	im := vision.NewImage(4, 4)
-	g.SetKey(im)
-	for i := range im.Pix {
-		im.Pix[i] = 1 // mutate after SetKey
-	}
-	if ok, _ := g.Similar(im); ok {
-		t.Fatal("gate key aliases caller's image")
-	}
 }
 
 // Within-scene frames must pass the default gate; cross-scene frames
@@ -306,15 +256,15 @@ func TestDiffGateSeparatesScenes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := NewDiffGate(DefaultDiffGateConfig())
+	g, err := NewKeyframeLibrary(DefaultDiffGateConfig(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.SetKey(frames[0].Image)
+	g.Push(frames[0].Image, "key", 1)
 	samePass, sameN := 0, 0
 	crossPass, crossN := 0, 0
 	for _, f := range frames[1:] {
-		ok, _ := g.Similar(f.Image)
+		_, ok := g.Match(f.Image)
 		// Grade by class: reusing the key's label is correct exactly
 		// when the frame shows the same class.
 		if f.Class == frames[0].Class {

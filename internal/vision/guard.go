@@ -77,15 +77,41 @@ func (c FrameGuardConfig) Validate() error {
 }
 
 // CheckFrame inspects one frame and returns the first fault found, or
-// FrameOK. It is a single pass over the pixels, cheaper than the
-// frame-difference gate.
+// FrameOK. It is CheckFrameThumb without a use for the thumbnail.
 func CheckFrame(im *Image, cfg FrameGuardConfig) FrameFault {
+	var th Thumb
+	return CheckFrameThumb(im, cfg, &th)
+}
+
+// CheckFrameThumb is the engine's one pass over an incoming frame: it
+// returns the frame's fault verdict and leaves the frame's block-sum
+// thumbnail in th for the video gate (empty when the frame has no
+// well-formed pixel buffer). The pass costs about as much as one exact
+// frame diff; the gate's thumbnail bound then spares most of those.
+//
+// Non-finite pixels are detected through the sum of squares rather than
+// pixel by pixel: p*p is NaN or +Inf for such a pixel and adding
+// non-negative terms can never bring the sum back to a finite value.
+// Finite pixels whose squares overflow look the same, so a non-finite
+// sum falls back to the per-pixel scan before anything is decided.
+func CheckFrameThumb(im *Image, cfg FrameGuardConfig, th *Thumb) FrameFault {
 	if im == nil {
+		*th = Thumb{}
 		return FrameNil
 	}
-	if im.W <= 0 || im.H <= 0 || len(im.Pix) != im.W*im.H {
+	if !im.WellFormed() {
+		*th = Thumb{}
 		return FrameEmpty
 	}
+	sum, sumSq := th.fill(im)
+	if math.IsNaN(sumSq) || math.IsInf(sumSq, 0) {
+		return checkPixels(im, cfg)
+	}
+	return entropyVerdict(sum, sumSq, len(im.Pix), cfg)
+}
+
+// checkPixels is the pixel-by-pixel scan of a well-formed frame.
+func checkPixels(im *Image, cfg FrameGuardConfig) FrameFault {
 	var sum, sumSq float64
 	for _, p := range im.Pix {
 		if math.IsNaN(p) || math.IsInf(p, 0) {
@@ -94,8 +120,13 @@ func CheckFrame(im *Image, cfg FrameGuardConfig) FrameFault {
 		sum += p
 		sumSq += p * p
 	}
+	return entropyVerdict(sum, sumSq, len(im.Pix), cfg)
+}
+
+// entropyVerdict applies the low-entropy check to a frame's pixel sums.
+func entropyVerdict(sum, sumSq float64, pixels int, cfg FrameGuardConfig) FrameFault {
 	if cfg.MinStdDev > 0 {
-		n := float64(len(im.Pix))
+		n := float64(pixels)
 		mean := sum / n
 		variance := sumSq/n - mean*mean
 		if variance < 0 {

@@ -47,6 +47,13 @@ func (im *Image) Set(x, y int, v float64) {
 	im.Pix[y*im.W+x] = clamp01(v)
 }
 
+// WellFormed reports whether im has positive dimensions and a pixel
+// buffer of exactly W×H values — what every pixel loop assumes. A nil
+// image is not well formed.
+func (im *Image) WellFormed() bool {
+	return im != nil && im.W > 0 && im.H > 0 && len(im.Pix) == im.W*im.H
+}
+
 // Clone returns a deep copy of the image.
 func (im *Image) Clone() *Image {
 	out := NewImage(im.W, im.H)
@@ -56,16 +63,46 @@ func (im *Image) Clone() *Image {
 
 // MeanAbsDiff returns the mean absolute pixel difference between a and
 // b. It is the cheap frame-difference primitive used by the video
-// locality gate. Images of different sizes are maximally different.
+// locality gate. Images of different sizes, or whose pixel buffers differ
+// in length, are maximally different.
 func MeanAbsDiff(a, b *Image) float64 {
-	if a.W != b.W || a.H != b.H {
+	return MeanAbsDiffBounded(a, b, math.Inf(1))
+}
+
+// diffBlock is how many pixels MeanAbsDiffBounded sums between checks
+// of the running total against the bound.
+const diffBlock = 256
+
+// MeanAbsDiffBounded returns exactly MeanAbsDiff(a, b) when that is
+// ≤ bound; otherwise it returns some value that is not ≤ bound,
+// possibly after reading only a prefix of the pixels. Either way
+// `MeanAbsDiffBounded(a, b, bound) <= bound` decides exactly as
+// `MeanAbsDiff(a, b) <= bound` does: pixels are summed in the same
+// order, and the running sum of absolute values never decreases (it can
+// only turn NaN, which is not ≤ bound either), so a prefix whose mean
+// already exceeds the bound proves the total does.
+func MeanAbsDiffBounded(a, b *Image, bound float64) float64 {
+	if a.W != b.W || a.H != b.H || len(a.Pix) != len(b.Pix) {
 		return 1
 	}
+	n := float64(len(a.Pix))
+	pa, pb := a.Pix, b.Pix
 	var sum float64
-	for i := range a.Pix {
-		sum += math.Abs(a.Pix[i] - b.Pix[i])
+	for len(pa) > diffBlock {
+		qb := pb[:diffBlock]
+		for i, p := range pa[:diffBlock] {
+			sum += math.Abs(p - qb[i])
+		}
+		if d := sum / n; d > bound {
+			return d
+		}
+		pa, pb = pa[diffBlock:], pb[diffBlock:]
 	}
-	return sum / float64(len(a.Pix))
+	pb = pb[:len(pa)]
+	for i, p := range pa {
+		sum += math.Abs(p - pb[i])
+	}
+	return sum / n
 }
 
 func clamp01(v float64) float64 {
