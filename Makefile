@@ -1,11 +1,12 @@
 GO ?= go
 
 # Alloc budgets for the hot-path benchmarks, enforced by cmd/benchgate.
-# NearestInto/ExtractInto/CandidatesInto with a reused buffer must stay
-# allocation-free, and so must the video gate: a keyframe scan allocates
-# nothing and a push into a full library recycles the evicted buffer.
-# Substring-matched against benchmark names.
-HOTPATH_BUDGETS = HotPathNearest=0,HotPathExactNearest=0,HotPathSignature=0,HotPathTopK=0,HotPathCandidates=0,HotPathFusedExtract=0,HotPathGridIntegral=0,HotPathHistogram=0,HotPathKeyframeMatch=0,HotPathKeyframePush=0
+# NearestInto/NearestWithinInto/ExtractInto/CandidatesInto with a reused
+# buffer must stay allocation-free, and so must the kNN vote and the
+# video gate: a keyframe scan allocates nothing and a push into a full
+# library recycles the evicted buffer. Substring-matched against
+# benchmark names.
+HOTPATH_BUDGETS = HotPathNearest=0,HotPathNearestDescriptors=0,HotPathNearestWithinDescriptors=0,HotPathExactNearest=0,HotPathVote=0,HotPathSignature=0,HotPathTopK=0,HotPathCandidates=0,HotPathFusedExtract=0,HotPathGridIntegral=0,HotPathHistogram=0,HotPathKeyframeMatch=0,HotPathKeyframePush=0
 
 # Packages holding HotPath benchmarks.
 HOTPATH_PKGS = ./internal/lsh/ ./internal/feature/ ./internal/video/

@@ -66,6 +66,13 @@ func (s *SerializedStore) NearestInto(q feature.Vector, k int, dst []lsh.Neighbo
 	return s.inner.NearestInto(q, k, dst)
 }
 
+// NearestWithinInto searches within radius under the global mutex.
+func (s *SerializedStore) NearestWithinInto(q feature.Vector, k int, radius float64, dst []lsh.Neighbor) ([]lsh.Neighbor, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.inner.NearestWithinInto(q, k, radius, dst)
+}
+
 // Remove deletes id under the global mutex.
 func (s *SerializedStore) Remove(id lsh.ID) {
 	s.mu.Lock()

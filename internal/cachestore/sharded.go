@@ -3,6 +3,7 @@ package cachestore
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -227,11 +228,19 @@ func (s *ShardedStore) Nearest(q feature.Vector, k int) ([]lsh.Neighbor, error) 
 // per-shard top-k lists. Per-shard buffers come from a pool, so a
 // steady-state lookup with a caller-provided dst allocates nothing.
 func (s *ShardedStore) NearestInto(q feature.Vector, k int, dst []lsh.Neighbor) ([]lsh.Neighbor, error) {
+	return s.NearestWithinInto(q, k, math.Inf(1), dst)
+}
+
+// NearestWithinInto is NearestInto restricted to neighbors whose
+// Distance is at most radius (see Store.NearestWithinInto): every shard
+// searches within the radius, and the merge of in-range lists is the
+// in-range part of the merge.
+func (s *ShardedStore) NearestWithinInto(q feature.Vector, k int, radius float64, dst []lsh.Neighbor) ([]lsh.Neighbor, error) {
 	if len(s.shards) == 1 {
 		c := &s.counters[0]
 		c.lookups.Add(1)
 		c.enter()
-		out, err := s.shards[0].NearestInto(q, k, dst)
+		out, err := s.shards[0].NearestWithinInto(q, k, radius, dst)
 		c.exit()
 		return out, err
 	}
@@ -241,7 +250,7 @@ func (s *ShardedStore) NearestInto(q feature.Vector, k int, dst []lsh.Neighbor) 
 		c := &s.counters[i]
 		c.lookups.Add(1)
 		c.enter()
-		ns, err := sh.NearestInto(q, k, sc.bufs[i][:0])
+		ns, err := sh.NearestWithinInto(q, k, radius, sc.bufs[i][:0])
 		c.exit()
 		if err != nil {
 			return nil, err

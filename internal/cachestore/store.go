@@ -7,6 +7,7 @@ package cachestore
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -74,6 +75,10 @@ type Entry struct {
 	// Label refuses to resolve it, until a parole re-verification
 	// reinstates it.
 	Quarantined bool
+
+	// pos is the entry's position in its store's dense list (see
+	// Store.dense); always zero in the copies a store hands out.
+	pos int
 }
 
 // Config parameterizes a Store.
@@ -124,7 +129,11 @@ type Store struct {
 
 	mu      sync.RWMutex
 	entries map[lsh.ID]*Entry
-	nextID  lsh.ID
+	// dense lists the same entries in no particular order, kept compact
+	// by swap-delete (Entry.pos), so eviction's victim search walks a
+	// slice instead of iterating the map.
+	dense  []*Entry
+	nextID lsh.ID
 	// nlive/evictions/expiries are atomics so the observability reads
 	// (Len, Evictions, Expiries — polled by metrics scrapes and node
 	// printouts) never take the store lock. Only lock holders write
@@ -223,6 +232,8 @@ func (s *Store) Insert(vec feature.Vector, label string, confidence float64, sou
 	if err := s.index.Insert(id, e.Vec); err != nil {
 		return 0, fmt.Errorf("index insert: %w", err)
 	}
+	e.pos = len(s.dense)
+	s.dense = append(s.dense, e)
 	s.entries[id] = e
 	s.nlive.Add(1)
 	if s.cfg.TTL > 0 {
@@ -255,6 +266,7 @@ func (s *Store) Get(id lsh.ID) (Entry, bool) {
 func snapshotEntry(e *Entry) Entry {
 	out := *e
 	out.Vec = e.Vec.Clone()
+	out.pos = 0
 	return out
 }
 
@@ -293,11 +305,68 @@ func (s *Store) Nearest(q feature.Vector, k int) ([]lsh.Neighbor, error) {
 // lookup takes no store lock and performs no allocation, so read-mostly
 // lookups never contend with each other.
 func (s *Store) NearestInto(q feature.Vector, k int, dst []lsh.Neighbor) ([]lsh.Neighbor, error) {
+	return s.NearestWithinInto(q, k, math.Inf(1), dst)
+}
+
+// withinIndex is the optional radius-bounded search of an index (every
+// in-tree one has it): NearestInto cut at the first neighbor farther
+// than radius, which lets the scan skip out-of-range candidates early.
+type withinIndex interface {
+	NearestWithinInto(q feature.Vector, k int, radius float64, dst []lsh.Neighbor) ([]lsh.Neighbor, error)
+}
+
+// NearestWithinInto is NearestInto restricted to a search radius: it
+// returns exactly the neighbors NearestInto(q, k) would whose Distance
+// is at most radius (an infinite or NaN radius restricts nothing).
+// Callers that only act on in-range neighbors should say so here — the
+// index then stops scoring a candidate as soon as it is out of range.
+func (s *Store) NearestWithinInto(q feature.Vector, k int, radius float64, dst []lsh.Neighbor) ([]lsh.Neighbor, error) {
 	s.purgeExpired(s.clock.Now())
-	if ii, ok := s.index.(lsh.IntoIndex); ok {
-		return ii.NearestInto(q, k, dst)
+	var ns []lsh.Neighbor
+	var err error
+	switch ix := s.index.(type) {
+	case withinIndex:
+		return ix.NearestWithinInto(q, k, radius, dst)
+	case lsh.IntoIndex:
+		ns, err = ix.NearestInto(q, k, dst)
+	default:
+		ns, err = s.index.Nearest(q, k)
 	}
-	return s.index.Nearest(q, k)
+	return cutWithin(ns, radius), err
+}
+
+// cutWithin cuts an ascending neighbor list at the first neighbor
+// farther than radius: what a radius search returns, computed from an
+// unbounded one.
+func cutWithin(ns []lsh.Neighbor, radius float64) []lsh.Neighbor {
+	for i, n := range ns {
+		if n.Distance > radius {
+			return ns[:i]
+		}
+	}
+	return ns
+}
+
+// withinStore is the optional radius-bounded lookup of a store. Every
+// in-tree store has it; it is deliberately not part of Interface, so a
+// wrapper that embeds Interface without knowing the method falls back
+// instead of silently forwarding it.
+type withinStore interface {
+	NearestWithinInto(q feature.Vector, k int, radius float64, dst []lsh.Neighbor) ([]lsh.Neighbor, error)
+}
+
+// NearestWithinInto searches st for the k nearest neighbors of q within
+// radius, for callers that hold a store of unknown kind: through the
+// store's own NearestWithinInto when it has one (which lets the index
+// stop scoring out-of-range candidates early), else through NearestInto
+// with the result cut at the radius. Either way the result is exactly
+// NearestInto(q, k) up to the first neighbor farther than radius.
+func NearestWithinInto(st Interface, q feature.Vector, k int, radius float64, dst []lsh.Neighbor) ([]lsh.Neighbor, error) {
+	if ws, ok := st.(withinStore); ok {
+		return ws.NearestWithinInto(q, k, radius, dst)
+	}
+	ns, err := st.NearestInto(q, k, dst)
+	return cutWithin(ns, radius), err
 }
 
 // purgeExpired removes expired entries. The fast path is one atomic
@@ -399,8 +468,7 @@ func (s *Store) Parole(id lsh.ID, ok bool) ParoleOutcome {
 			// The index refused the vector it previously held (cannot
 			// happen with the in-tree indexes); drop the entry rather
 			// than keep a permanently unfindable one.
-			delete(s.entries, id)
-			s.nlive.Add(-1)
+			s.dropLocked(e)
 			s.qEvicted++
 			return ParoleEvicted
 		}
@@ -504,12 +572,26 @@ func (s *Store) Snapshot() []Entry {
 }
 
 func (s *Store) removeLocked(id lsh.ID) {
-	if _, ok := s.entries[id]; !ok {
+	e, ok := s.entries[id]
+	if !ok {
 		return
 	}
-	delete(s.entries, id)
-	s.nlive.Add(-1)
+	s.dropLocked(e)
 	s.index.Remove(id)
+}
+
+// dropLocked forgets e's bookkeeping — the map entry and its dense-list
+// position, which the list's last entry takes over — leaving the index
+// to the caller.
+func (s *Store) dropLocked(e *Entry) {
+	delete(s.entries, e.ID)
+	last := len(s.dense) - 1
+	moved := s.dense[last]
+	s.dense[e.pos] = moved
+	moved.pos = e.pos
+	s.dense[last] = nil
+	s.dense = s.dense[:last]
+	s.nlive.Add(-1)
 }
 
 func (s *Store) expiredLocked(e *Entry, now time.Time) bool {
@@ -539,6 +621,8 @@ func (s *Store) expireLocked(now time.Time) {
 }
 
 // victimLocked picks the entry to evict under the configured policy.
+// The (value, LastAccess, ID) order is total, so the victim does not
+// depend on the order entries are visited in.
 func (s *Store) victimLocked() (lsh.ID, bool) {
 	var (
 		victim lsh.ID
@@ -564,7 +648,7 @@ func (s *Store) victimLocked() (lsh.ID, bool) {
 		// Final tie-break by ID for determinism.
 		return cand.ID < incumbent.ID
 	}
-	for _, e := range s.entries {
+	for _, e := range s.dense {
 		if !found || worse(e, best) {
 			victim, best, found = e.ID, e, true
 		}

@@ -1,0 +1,305 @@
+package cachestore
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+	"time"
+
+	"approxcache/internal/feature"
+	"approxcache/internal/lsh"
+	"approxcache/internal/simclock"
+)
+
+// withinTestStore is what the radius-search tests drive.
+type withinTestStore interface {
+	Interface
+	NearestWithinInto(q feature.Vector, k int, radius float64, dst []lsh.Neighbor) ([]lsh.Neighbor, error)
+}
+
+var (
+	_ withinTestStore = (*Store)(nil)
+	_ withinTestStore = (*ShardedStore)(nil)
+	_ withinTestStore = (*SerializedStore)(nil)
+)
+
+// plainIndex hides every optional method of an index, NearestInto and
+// the radius search included, leaving lsh.Index alone.
+type plainIndex struct{ lsh.Index }
+
+// intoIndex hides the radius search but keeps NearestInto.
+type intoIndex struct{ lsh.IntoIndex }
+
+// viaHelper answers the radius search with the package-level
+// NearestWithinInto over a view of the store that hides the store's own
+// method: the fallback the engine and the peer service take when handed
+// a wrapped store.
+type viaHelper struct{ Interface }
+
+func (h viaHelper) NearestWithinInto(q feature.Vector, k int, radius float64, dst []lsh.Neighbor) ([]lsh.Neighbor, error) {
+	return NearestWithinInto(struct{ Interface }{h.Interface}, q, k, radius, dst)
+}
+
+// clusteredShardVecs draws unit vectors in tight clusters, so lookups
+// have several neighbors inside the vote radius and exact duplicates.
+func clusteredShardVecs(n int, seed int64) []feature.Vector {
+	r := rand.New(rand.NewSource(seed))
+	centers := make([]feature.Vector, 12)
+	for c := range centers {
+		v := make(feature.Vector, shardTestDim)
+		for d := range v {
+			v[d] = r.NormFloat64()
+		}
+		v.Normalize()
+		centers[c] = v
+	}
+	out := make([]feature.Vector, n)
+	for i := range out {
+		if i%9 == 8 {
+			out[i] = out[i-3].Clone() // exact duplicate: a distance tie
+			continue
+		}
+		v := centers[r.Intn(len(centers))].Clone()
+		for d := range v {
+			v[d] += r.NormFloat64() * 0.02
+		}
+		out[i] = v
+	}
+	return out
+}
+
+// checkStoreWithin compares NearestWithinInto against NearestInto cut at
+// the radius, at fixed radii and at every returned distance and its two
+// neighbouring floats.
+func checkStoreWithin(t *testing.T, name string, s withinTestStore, q feature.Vector, k int) {
+	t.Helper()
+	full, err := s.NearestInto(q, k, nil)
+	if err != nil {
+		t.Fatalf("%s: NearestInto: %v", name, err)
+	}
+	radii := []float64{0, 1e-9, 0.125, 0.25, 0.5, math.Inf(1), math.NaN(), -1}
+	for _, n := range full {
+		radii = append(radii, n.Distance, math.Nextafter(n.Distance, math.Inf(-1)), math.Nextafter(n.Distance, math.Inf(1)))
+	}
+	buf := make([]lsh.Neighbor, 0, k)
+	for _, r := range radii {
+		got, err := s.NearestWithinInto(q, k, r, buf)
+		if err != nil {
+			t.Fatalf("%s: NearestWithinInto(r=%v): %v", name, r, err)
+		}
+		want := full
+		for i, n := range full {
+			if n.Distance > r {
+				want = full[:i]
+				break
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s k=%d r=%v: got %v, want %v", name, k, r, got, want)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s k=%d r=%v rank %d: got %+v, want %+v", name, k, r, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestStoreNearestWithinEqualsTruncatedNearest is the radius search's
+// contract on every store shape — plain, sharded at 1/2/4/7 over the
+// classic and the tuned index, serialized, a store whose index has no
+// radius search of its own, and a store reached through the package
+// helper's fallback — under inserts, removals and evictions.
+func TestStoreNearestWithinEqualsTruncatedNearest(t *testing.T) {
+	clock := simclock.NewVirtual(time.Unix(0, 0))
+	const capacity = 160
+	newPlain := func(wrap func(*lsh.HyperplaneIndex) lsh.Index) *Store {
+		idx, err := lsh.NewHyperplane(shardTestDim, 8, 4, 99)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(Config{Capacity: capacity}, wrap(idx), clock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	stores := map[string]withinTestStore{
+		"store":       newPlain(func(x *lsh.HyperplaneIndex) lsh.Index { return x }),
+		"serialized":  NewSerialized(newPlain(func(x *lsh.HyperplaneIndex) lsh.Index { return x })),
+		"into-index":  newPlain(func(x *lsh.HyperplaneIndex) lsh.Index { return intoIndex{x} }),
+		"plain-index": newPlain(func(x *lsh.HyperplaneIndex) lsh.Index { return plainIndex{x} }),
+		"via-helper":  viaHelper{newPlain(func(x *lsh.HyperplaneIndex) lsh.Index { return x })},
+	}
+	for _, shards := range []int{1, 2, 4, 7} {
+		stores[fmt.Sprintf("sharded-%d", shards)] = newTestSharded(t, shards, capacity, clock)
+		stores[fmt.Sprintf("tuned-sharded-%d", shards)] = newTunedSharded(t, shards, capacity, clock)
+	}
+	vecs := clusteredShardVecs(260, 5)
+	for name, s := range stores {
+		rng := rand.New(rand.NewSource(6))
+		var ids []lsh.ID
+		for i, v := range vecs {
+			id, err := s.Insert(v, fmt.Sprintf("class-%d", i%7), 0.9, "dnn", time.Millisecond)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			ids = append(ids, id)
+			if i%5 == 4 {
+				s.Remove(ids[rng.Intn(len(ids))])
+			}
+			if i%6 != 0 {
+				continue
+			}
+			q := vecs[rng.Intn(i+1)].Clone()
+			if rng.Intn(2) == 0 {
+				q[rng.Intn(len(q))] += 0.03
+			}
+			for _, k := range []int{1, 4, 40} {
+				checkStoreWithin(t, name, s, q, k)
+			}
+		}
+		if s.Evictions() == 0 {
+			t.Fatalf("%s: workload never evicted", name)
+		}
+	}
+}
+
+// TestStoreNearestWithinPurgesExpired: the radius search honours TTL
+// expiry like NearestInto.
+func TestStoreNearestWithinPurgesExpired(t *testing.T) {
+	s, clk := newTestStore(t, Config{Capacity: 16, TTL: time.Second})
+	if _, err := s.Insert(vec(1, 0), "stale", 0.9, "local", 10*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(2 * time.Second)
+	ns, err := s.NearestWithinInto(vec(1, 0), 4, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ns) != 0 || s.Expiries() != 1 {
+		t.Fatalf("expired entry surfaced: %+v (expiries %d)", ns, s.Expiries())
+	}
+}
+
+// refVictim is eviction's specification: the minimum of the policy's
+// total order over all live entries, found without the dense list.
+func refVictim(s *Store) (lsh.ID, bool) {
+	var best *Entry
+	for _, e := range s.entries {
+		if best == nil {
+			best = e
+			continue
+		}
+		less := false
+		switch {
+		case s.cfg.Policy == LFU && e.Hits != best.Hits:
+			less = e.Hits < best.Hits
+		case s.cfg.Policy == CostAware &&
+			float64(e.SavedCost)*float64(e.Hits+1) != float64(best.SavedCost)*float64(best.Hits+1):
+			less = float64(e.SavedCost)*float64(e.Hits+1) < float64(best.SavedCost)*float64(best.Hits+1)
+		case !e.LastAccess.Equal(best.LastAccess):
+			less = e.LastAccess.Before(best.LastAccess)
+		default:
+			less = e.ID < best.ID
+		}
+		if less {
+			best = e
+		}
+	}
+	if best == nil {
+		return 0, false
+	}
+	return best.ID, true
+}
+
+// checkDense asserts the dense list mirrors the entry map exactly.
+func checkDense(t *testing.T, s *Store) {
+	t.Helper()
+	if len(s.dense) != len(s.entries) {
+		t.Fatalf("dense holds %d entries, map %d", len(s.dense), len(s.entries))
+	}
+	for i, e := range s.dense {
+		if e.pos != i {
+			t.Fatalf("dense[%d] (id %d) records position %d", i, e.ID, e.pos)
+		}
+		if s.entries[e.ID] != e {
+			t.Fatalf("dense[%d] (id %d) is not the map's entry", i, e.ID)
+		}
+	}
+}
+
+// TestVictimMatchesMapScan: under every policy, through touches,
+// removals, evictions, TTL expiry, quarantine and parole eviction, the
+// dense list stays in step with the entry map and picks the victim a
+// scan of the map picks.
+func TestVictimMatchesMapScan(t *testing.T) {
+	for _, policy := range []Policy{LRU, LFU, CostAware} {
+		t.Run(policy.String(), func(t *testing.T) {
+			s, clk := newTestStore(t, Config{
+				Capacity: 24, Policy: policy, TTL: 40 * time.Second,
+				QuarantineThreshold: 1, ParoleFailLimit: 1,
+			})
+			rng := rand.New(rand.NewSource(int64(policy)))
+			var ids []lsh.ID
+			for op := 0; op < 600; op++ {
+				clk.Advance(time.Duration(rng.Intn(3)) * 100 * time.Millisecond)
+				switch r := rng.Intn(12); {
+				case r < 6 || len(ids) == 0:
+					cost := time.Duration(1+rng.Intn(3)) * time.Millisecond
+					id, err := s.Insert(vec(rng.Float64(), rng.Float64()), "l", 0.9, "dnn", cost)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ids = append(ids, id)
+				case r < 9:
+					s.Touch(ids[rng.Intn(len(ids))])
+				case r == 9:
+					s.Remove(ids[rng.Intn(len(ids))])
+				case r == 10:
+					id := ids[rng.Intn(len(ids))]
+					if s.Refute(id) {
+						s.Parole(id, rng.Intn(2) == 0)
+					}
+				default:
+					clk.Advance(15 * time.Second)
+					if _, err := s.Nearest(vec(0.5, 0.5), 1); err != nil {
+						t.Fatal(err)
+					}
+				}
+				s.mu.Lock()
+				checkDense(t, s)
+				got, gok := s.victimLocked()
+				want, wok := refVictim(s)
+				s.mu.Unlock()
+				if got != want || gok != wok {
+					t.Fatalf("op %d: victim %d (%v), map scan picks %d (%v)", op, got, gok, want, wok)
+				}
+			}
+			if s.Evictions() == 0 || s.Expiries() == 0 {
+				t.Fatalf("workload too tame: %d evictions, %d expiries", s.Evictions(), s.Expiries())
+			}
+		})
+	}
+}
+
+// TestSnapshotsHideDensePosition: copies handed out never leak the
+// store's internal list position, so snapshots of equal stores compare
+// equal whatever order their lists are in.
+func TestSnapshotsHideDensePosition(t *testing.T) {
+	s, _ := newTestStore(t, Config{Capacity: 8})
+	for i := 0; i < 5; i++ {
+		if _, err := s.Insert(vec(float64(i), 0), "l", 0.9, "dnn", time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, e := range s.Snapshot() {
+		if e.pos != 0 {
+			t.Fatalf("snapshot of id %d leaks position %d", e.ID, e.pos)
+		}
+		if got, _ := s.Get(e.ID); got.pos != 0 {
+			t.Fatalf("Get(%d) leaks position %d", e.ID, got.pos)
+		}
+	}
+}

@@ -846,6 +846,10 @@ func (e *Engine) processApprox(im *vision.Image, thumb *vision.Thumb, imuWindow 
 	// buffer, so a steady-state frame allocates nothing here.
 	var vec feature.Vector
 	var sc *frameScratch
+	// looked is this frame's own lookup result when it covers everything
+	// cache repair would search for (see repairContradicted).
+	var looked []lsh.Neighbor
+	haveLooked := false
 	peers := e.peers()
 	if frameOK {
 		latency += e.cfg.Costs.FeatureLatency
@@ -871,11 +875,16 @@ func (e *Engine) processApprox(im *vision.Image, thumb *vision.Thumb, imuWindow 
 		if brownout >= admission.LevelFirstCandidate {
 			k = 1
 		}
-		ns, err := e.deps.Store.NearestInto(vec, k, sc.ns)
+		ns, err := cachestore.NearestWithinInto(e.deps.Store, vec, k, vote.MaxDistance, sc.ns)
 		if err != nil {
 			return Result{}, fmt.Errorf("nearest: %w", err)
 		}
 		sc.ns = ns[:0]
+		if k == e.cfg.Vote.K && vote.MaxDistance >= e.cfg.Vote.MaxDistance/2 {
+			// Nothing below writes the scratch buffer before repair
+			// runs, so ns stays valid until then.
+			looked, haveLooked = ns, true
+		}
 		var verdict lsh.Verdict
 		if brownout >= admission.LevelFirstCandidate {
 			// Deep brownout: skip the homogenized-kNN vote and serve the
@@ -1028,7 +1037,7 @@ func (e *Engine) processApprox(im *vision.Image, thumb *vision.Thumb, imuWindow 
 			// Cache repair: entries sitting where we just looked,
 			// carrying a different label, are contradicted by fresh
 			// evidence — purge them so they stop winning votes.
-			e.stats.ObserveRepairs(e.repairContradicted(vec, inf.Label, sc))
+			e.stats.ObserveRepairs(e.repairContradicted(vec, inf.Label, sc, looked, haveLooked))
 		}
 		if _, err := e.deps.Store.Insert(vec, inf.Label, inf.Confidence, "dnn", inf.Latency); err != nil {
 			return Result{}, fmt.Errorf("cache insert: %w", err)
@@ -1072,8 +1081,9 @@ func (e *Engine) serveDegraded(vec feature.Vector, sc *frameScratch, haveVec boo
 	if haveVec {
 		latency += e.cfg.Costs.LookupLatency
 		energy += e.cfg.Costs.LookupEnergyMJ
-		if ns, err := e.deps.Store.NearestInto(vec, 1, sc.ns); err == nil {
-			if len(ns) > 0 && ns[0].Distance <= fallbackRadiusFactor*e.cfg.Vote.MaxDistance {
+		radius := fallbackRadiusFactor * e.cfg.Vote.MaxDistance
+		if ns, err := cachestore.NearestWithinInto(e.deps.Store, vec, 1, radius, sc.ns); err == nil {
+			if len(ns) > 0 && ns[0].Distance <= radius {
 				if entry, ok := e.deps.Store.Get(ns[0].ID); ok {
 					e.deps.Store.Touch(entry.ID)
 					sc.ns = ns[:0]
@@ -1149,17 +1159,29 @@ func (e *Engine) serveShed(vec feature.Vector, sc *frameScratch, haveVec bool, l
 
 // repairContradicted removes cached entries within half the reuse
 // radius of vec whose label differs from freshLabel. Any such entry
-// would have claimed this very lookup, and the DNN just disagreed. The
-// frame's scratch buffer is reused for the neighbor scan.
-func (e *Engine) repairContradicted(vec feature.Vector, freshLabel string, sc *frameScratch) int {
-	ns, err := e.deps.Store.NearestInto(vec, e.cfg.Vote.K, sc.ns)
-	if err != nil {
-		return 0
+// would have claimed this very lookup, and the DNN just disagreed.
+//
+// "Where we just looked" is literal: when looked is set, ns is the
+// result of this frame's own lookup — the same query at the full vote
+// K and at least the repair radius — and is reused instead of scanning
+// the index a second time. Otherwise (the lookup was skipped by a
+// revalidation, ran at brownout k=1, or ran at a radius the quality
+// scale had shrunk below the repair radius) repair scans for itself,
+// into the frame's scratch buffer. Reuse sees the cache as of the
+// lookup: an entry another session inserted while this frame was in
+// inference is not repaired by it.
+func (e *Engine) repairContradicted(vec feature.Vector, freshLabel string, sc *frameScratch, ns []lsh.Neighbor, looked bool) int {
+	radius := e.cfg.Vote.MaxDistance / 2
+	if !looked {
+		var err error
+		if ns, err = cachestore.NearestWithinInto(e.deps.Store, vec, e.cfg.Vote.K, radius, sc.ns); err != nil {
+			return 0
+		}
+		sc.ns = ns[:0]
 	}
-	sc.ns = ns[:0]
 	removed := 0
 	for _, n := range ns {
-		if n.Distance > e.cfg.Vote.MaxDistance/2 {
+		if n.Distance > radius {
 			break // sorted by distance: the rest are farther
 		}
 		if label, ok := e.deps.Store.Label(n.ID); ok && label != freshLabel {

@@ -450,7 +450,7 @@ func (qc *qualityController) recalibrateLocked() {
 // at the end of its reuse streak.
 func (e *Engine) healAfterRefute(im *vision.Image, vec feature.Vector, label string, confidence float64, savedCost time.Duration) {
 	if !e.cfg.DisableRepair {
-		if ns, err := e.deps.Store.NearestInto(vec, e.cfg.Vote.K, nil); err == nil {
+		if ns, err := cachestore.NearestWithinInto(e.deps.Store, vec, e.cfg.Vote.K, e.cfg.Vote.MaxDistance, nil); err == nil {
 			for _, n := range ns {
 				if n.Distance > e.cfg.Vote.MaxDistance {
 					break // sorted by distance

@@ -169,6 +169,11 @@ func (a *AdaptiveIndex) NearestInto(q feature.Vector, k int, dst []Neighbor) ([]
 	return a.inner.Load().NearestInto(q, k, dst)
 }
 
+// NearestWithinInto is the radius-bounded NearestInto. Lock-free.
+func (a *AdaptiveIndex) NearestWithinInto(q feature.Vector, k int, radius float64, dst []Neighbor) ([]Neighbor, error) {
+	return a.inner.Load().NearestWithinInto(q, k, radius, dst)
+}
+
 // Candidates returns q's LSH candidate set. Lock-free.
 func (a *AdaptiveIndex) Candidates(q feature.Vector) ([]ID, error) {
 	return a.inner.Load().Candidates(q)

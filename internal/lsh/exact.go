@@ -90,6 +90,13 @@ func (x *ExactIndex) Nearest(q feature.Vector, k int) ([]Neighbor, error) {
 // NearestInto is Nearest writing into dst's backing array; with a
 // caller-reused dst of capacity ≥ k the scan allocates nothing.
 func (x *ExactIndex) NearestInto(q feature.Vector, k int, dst []Neighbor) ([]Neighbor, error) {
+	return x.NearestWithinInto(q, k, math.Inf(1), dst)
+}
+
+// NearestWithinInto is NearestInto restricted to neighbors whose
+// Distance is at most radius (see HyperplaneIndex.NearestWithinInto):
+// the same sweep, dropping each vector as soon as it is out of range.
+func (x *ExactIndex) NearestWithinInto(q feature.Vector, k int, radius float64, dst []Neighbor) ([]Neighbor, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("lsh: k must be positive, got %d", k)
 	}
@@ -100,17 +107,7 @@ func (x *ExactIndex) NearestInto(q feature.Vector, k int, dst []Neighbor) ([]Nei
 	var sel kSelector
 	sel.reset(k, dst[:0])
 	x.mu.RLock()
-	// Select on squared distances (same order), sqrt only the final k:
-	// saves one sqrt per scanned vector with bit-identical results.
-	for s := 0; s < len(x.slotID); s++ {
-		off := s * x.dim
-		v := feature.Vector(x.arena[off : off+x.dim : off+x.dim])
-		sel.add(Neighbor{ID: x.slotID[s], Distance: feature.MustSqEuclidean(q, v)})
-	}
+	scanSlots(q, x.arena, x.dim, x.slotID, nil, len(x.slotID), &sel, sqBound(radius))
 	x.mu.RUnlock()
-	out := sel.finish()
-	for i := range out {
-		out[i].Distance = math.Sqrt(out[i].Distance)
-	}
-	return out, nil
+	return finishWithin(&sel, radius), nil
 }

@@ -7,10 +7,12 @@ package lsh
 // tables, ~512 warm entries, k=4.
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"approxcache/internal/feature"
+	"approxcache/internal/vision"
 )
 
 func benchVecs(b *testing.B, n, dim int, seed int64) []feature.Vector {
@@ -182,4 +184,71 @@ func BenchmarkHotPathExactNearest(b *testing.B) {
 		}
 		dst = ns[:0]
 	}
+}
+
+// descriptorVecs renders n perturbed 48×48 frames of a 128-class
+// vocabulary and describes them with the default extractor: the vectors
+// real traffic indexes. They are all-positive and correlated, so — unlike
+// benchVecs' zero-mean Gaussians, which barely collide — a large share
+// of the index lands in every query's candidate set.
+func descriptorVecs(b *testing.B, n int, seed int64) []feature.Vector {
+	b.Helper()
+	classes, err := vision.NewClassSet(128, 48, 48, seed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(seed + 1))
+	ext := feature.DefaultExtractor()
+	out := make([]feature.Vector, n)
+	for i := range out {
+		im, err := classes.Render(i%classes.NumClasses(), vision.DefaultPerturbation(), r)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if out[i], err = ext.Extract(im); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return out
+}
+
+// benchNearestDescriptors is the photo-lookup shape: 244 indexed
+// descriptors, queried with fresh renders of the same vocabulary at
+// k=4 within radius. It reports the mean candidate-set size.
+func benchNearestDescriptors(b *testing.B, radius float64) {
+	vecs := descriptorVecs(b, 244+256, 9)
+	idx := warmIndex(b, vecs[:244])
+	queries := vecs[244:]
+	var ids []ID
+	cands := 0
+	for _, q := range queries {
+		var err error
+		if ids, err = idx.CandidatesInto(q, ids[:0]); err != nil {
+			b.Fatal(err)
+		}
+		cands += len(ids)
+	}
+	dst := make([]Neighbor, 0, 4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ns, err := idx.NearestWithinInto(queries[i%len(queries)], 4, radius, dst)
+		if err != nil {
+			b.Fatal(err)
+		}
+		dst = ns[:0]
+	}
+	b.ReportMetric(float64(cands)/float64(len(queries)), "candidates/op")
+}
+
+// BenchmarkHotPathNearestDescriptors is the unbounded lookup real
+// traffic pays for. Budget: 0 allocs/op.
+func BenchmarkHotPathNearestDescriptors(b *testing.B) {
+	benchNearestDescriptors(b, math.Inf(1))
+}
+
+// BenchmarkHotPathNearestWithinDescriptors is the same lookup bounded by
+// the vote radius, as the engine issues it. Budget: 0 allocs/op.
+func BenchmarkHotPathNearestWithinDescriptors(b *testing.B) {
+	benchNearestDescriptors(b, DefaultVoteConfig().MaxDistance)
 }

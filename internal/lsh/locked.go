@@ -61,6 +61,14 @@ func (l *Locked) NearestInto(q feature.Vector, k int, dst []Neighbor) ([]Neighbo
 	return l.inner.NearestInto(q, k, dst)
 }
 
+// NearestWithinInto is the radius-bounded NearestInto, under the read
+// lock.
+func (l *Locked) NearestWithinInto(q feature.Vector, k int, radius float64, dst []Neighbor) ([]Neighbor, error) {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return l.inner.NearestWithinInto(q, k, radius, dst)
+}
+
 // Candidates returns q's candidate set under the read lock.
 func (l *Locked) Candidates(q feature.Vector) ([]ID, error) {
 	l.mu.RLock()

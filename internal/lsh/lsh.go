@@ -10,7 +10,9 @@
 // chase inside distance loops), hyperplanes are one contiguous matrix
 // swept by a strided dot product, per-query candidate dedup is an
 // epoch-stamped visited array drawn from a pool, and ranking is bounded
-// top-k selection instead of a full sort.
+// top-k selection instead of a full sort, fed by one exact scan kernel
+// that stops scoring a candidate once the caller's radius or the running
+// k-th best rules it out (scan.go).
 //
 // Reads are also lock-free: writers publish immutable snapshots of the
 // bucket state through an atomic pointer and reclaim recycled arena
@@ -163,12 +165,6 @@ type indexView struct {
 	live    int
 }
 
-// slotVec returns slot s's vector as a view into the snapshot arena.
-func (v *indexView) slotVec(dim int, s int32) feature.Vector {
-	off := int(s) * dim
-	return feature.Vector(v.arena[off : off+dim : off+dim])
-}
-
 // slotCodes returns slot s's int8 code vector within the snapshot.
 func (v *indexView) slotCodes(dim int, s int32) []int8 {
 	off := int(s) * dim
@@ -242,6 +238,10 @@ type queryScratch struct {
 	heap    []probeSet
 	qcodes  []int8
 	approx  []Neighbor
+
+	// cands is the gathered candidate slot list of the query in flight
+	// (capacity: one entry per slot, like visited).
+	cands []int32
 }
 
 // ensureTuned sizes the tuned-pipeline scratch for an index with the
@@ -266,6 +266,9 @@ func (sc *queryScratch) begin(nslots int) {
 	if cap(sc.visited) < nslots {
 		sc.visited = make([]uint32, nslots)
 		sc.epoch = 0
+		// Every slot can be a candidate at most once: sized together, the
+		// gather never grows its list.
+		sc.cands = make([]int32, 0, nslots)
 	}
 	sc.visited = sc.visited[:nslots]
 	sc.epoch++
@@ -711,8 +714,23 @@ func (x *HyperplaneIndex) CandidatesInto(q feature.Vector, dst []ID) ([]ID, erro
 	defer x.scratch.Put(sc)
 	v, vi := x.pin(sc.stripe)
 	defer x.unpin(vi, sc.stripe)
-	sc.begin(len(v.slotID))
+	x.gather(v, q, sc)
 	out := dst[:0]
+	for _, slot := range sc.cands {
+		out = append(out, v.slotID[slot])
+	}
+	return out, nil
+}
+
+// gather fills sc.cands with the slots a lookup of q must score,
+// deduplicated, in first-collision order. The classic pipeline takes the
+// union of q's bucket in every table; a tuned one walks each table's
+// multi-probe bucket sequence and (optionally) rejects candidates on
+// packed-sketch Hamming distance before any float math. The caller has
+// pinned v.
+func (x *HyperplaneIndex) gather(v *indexView, q feature.Vector, sc *queryScratch) {
+	sc.begin(len(v.slotID))
+	cands := sc.cands[:0]
 	if !x.tun.enabled() {
 		for t := 0; t < x.tables; t++ {
 			sig := x.signature(t, q)
@@ -721,10 +739,11 @@ func (x *HyperplaneIndex) CandidatesInto(q feature.Vector, dst []ID) ([]ID, erro
 					continue
 				}
 				sc.visited[slot] = sc.epoch
-				out = append(out, v.slotID[slot])
+				cands = append(cands, slot)
 			}
 		}
-		return out, nil
+		sc.cands = cands
+		return
 	}
 	sc.ensureTuned(x.bits, x.dim)
 	var qsk [2]uint64
@@ -758,12 +777,37 @@ func (x *HyperplaneIndex) CandidatesInto(q feature.Vector, dst []ID) ([]ID, erro
 						continue
 					}
 				}
-				out = append(out, v.slotID[slot])
+				cands = append(cands, slot)
 			}
 		}
 		sc.heap = pg.heap[:0] // retain heap growth across tables/queries
 	}
-	return out, nil
+	sc.cands = cands
+}
+
+// prerank is the quantized stage of a tuned lookup: it scores every
+// gathered candidate with the int8 integer-dot kernel and narrows
+// sc.cands to the RerankK·k nearest by approximate distance, the only
+// ones that go on to pay an exact distance. It selects on (approximate
+// distance, slot): slots are assigned deterministically, so the keep-set
+// is stable across runs and reloads.
+func (x *HyperplaneIndex) prerank(v *indexView, q feature.Vector, k int, sc *queryScratch) {
+	var rsel kSelector
+	rsel.reset(x.tun.RerankK*k, sc.approx[:0])
+	qq := feature.QuantizeInto(q, sc.qcodes)
+	for _, slot := range sc.cands {
+		dot := feature.DotInt8(sc.qcodes, v.slotCodes(x.dim, slot))
+		rsel.add(Neighbor{
+			ID:       ID(slot),
+			Distance: feature.ApproxSqDistance(x.dim, qq, v.quant[slot], dot),
+		})
+	}
+	kept := rsel.finish()
+	sc.cands = sc.cands[:0]
+	for _, n := range kept {
+		sc.cands = append(sc.cands, int32(n.ID))
+	}
+	sc.approx = kept[:0] // retain selector growth for the next query
 }
 
 // Nearest returns up to k approximate nearest neighbors of q, drawn
@@ -777,6 +821,20 @@ func (x *HyperplaneIndex) Nearest(q feature.Vector, k int) ([]Neighbor, error) {
 // allocation: signatures, candidate dedup, distances, and top-k
 // selection all run on pooled or caller-owned memory.
 func (x *HyperplaneIndex) NearestInto(q feature.Vector, k int, dst []Neighbor) ([]Neighbor, error) {
+	return x.NearestWithinInto(q, k, math.Inf(1), dst)
+}
+
+// NearestWithinInto is NearestInto restricted to a search radius: it
+// returns exactly the neighbors of NearestInto(q, k) whose Distance is
+// at most radius (an infinite or NaN radius restricts nothing). Telling
+// the scan the radius lets it stop scoring a candidate as soon as its
+// partial distance is out of range (see scan.go), which is most of the
+// arithmetic when buckets are crowded with far vectors.
+//
+// The scan is the same for every pipeline: gather the candidate slots
+// (see gather), let the quantized stage narrow them when enabled, score
+// what is left exactly.
+func (x *HyperplaneIndex) NearestWithinInto(q feature.Vector, k int, radius float64, dst []Neighbor) ([]Neighbor, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("lsh: k must be positive, got %d", k)
 	}
@@ -786,129 +844,16 @@ func (x *HyperplaneIndex) NearestInto(q feature.Vector, k int, dst []Neighbor) (
 	}
 	sc := x.getScratch()
 	defer x.scratch.Put(sc)
-	if x.tun.enabled() {
-		return x.nearestTuned(q, k, dst, sc)
+	v, vi := x.pin(sc.stripe)
+	x.gather(v, q, sc)
+	if x.tun.Quantize {
+		x.prerank(v, q, k, sc)
 	}
-	// Classic exact-bucket path. Selection runs on squared distances —
-	// the same total order — and takes the square root only on the
-	// final k survivors, which is bit-identical to sqrt-per-candidate
-	// because MustSqEuclidean accumulates the same sum MustEuclidean
-	// does.
 	var sel kSelector
 	sel.reset(k, dst[:0])
-	v, vi := x.pin(sc.stripe)
-	sc.begin(len(v.slotID))
-	for t := 0; t < x.tables; t++ {
-		sig := x.signature(t, q)
-		for _, slot := range v.buckets[t][sig] {
-			if sc.visited[slot] == sc.epoch {
-				continue
-			}
-			sc.visited[slot] = sc.epoch
-			sel.add(Neighbor{
-				ID:       v.slotID[slot],
-				Distance: feature.MustSqEuclidean(q, v.slotVec(x.dim, slot)),
-			})
-		}
-	}
+	scanSlots(q, v.arena, x.dim, v.slotID, sc.cands, len(sc.cands), &sel, sqBound(radius))
 	x.unpin(vi, sc.stripe)
-	out := sel.finish()
-	for i := range out {
-		out[i].Distance = math.Sqrt(out[i].Distance)
-	}
-	return out, nil
-}
-
-// nearestTuned is the tuned candidate pipeline: per table, walk the
-// multi-probe bucket sequence; per candidate, dedup by slot epoch, then
-// (optionally) reject on packed-sketch Hamming distance before any
-// float math; score survivors either exactly (squared L2) or with the
-// int8 integer-dot kernel, in which case only the top RerankK·k
-// approximate candidates pay an exact distance. All stages run on
-// pooled scratch, so a warm lookup with caller-provided dst allocates
-// nothing.
-func (x *HyperplaneIndex) nearestTuned(q feature.Vector, k int, dst []Neighbor, sc *queryScratch) ([]Neighbor, error) {
-	var sel kSelector
-	sel.reset(k, dst[:0])
-	quantize := x.tun.Quantize
-	var rsel kSelector
-	if quantize {
-		rsel.reset(x.tun.RerankK*k, sc.approx[:0])
-	}
-	sc.ensureTuned(x.bits, x.dim)
-	v, vi := x.pin(sc.stripe)
-	sc.begin(len(v.slotID))
-	var qsk [2]uint64
-	words := x.sketchWords
-	if words > 0 {
-		x.sketchInto(q, qsk[:words])
-	}
-	var qq feature.Quant
-	if quantize {
-		qq = feature.QuantizeInto(q, sc.qcodes)
-	}
-	maxHam := x.tun.MaxHamming
-	var pg probeGen
-	for t := 0; t < x.tables; t++ {
-		sig := x.signatureMargins(t, q, sc.margins)
-		pg.init(sig, x.bits, sc.margins, sc.sorted, sc.order, sc.heap)
-		for p := 0; p < x.tun.Probes; p++ {
-			psig, ok := pg.next()
-			if !ok {
-				break
-			}
-			for _, slot := range v.buckets[t][psig] {
-				if sc.visited[slot] == sc.epoch {
-					continue
-				}
-				sc.visited[slot] = sc.epoch
-				if words > 0 {
-					// Inlined popcount Hamming; words is 1 or 2.
-					off := int(slot) * words
-					d := bits.OnesCount64(qsk[0] ^ v.sketch[off])
-					if words == 2 {
-						d += bits.OnesCount64(qsk[1] ^ v.sketch[off+1])
-					}
-					if d > maxHam {
-						continue
-					}
-				}
-				if quantize {
-					// The approximate stage selects on (approx distance,
-					// slot): slots are assigned deterministically, so the
-					// keep-set is stable across runs and reloads.
-					dot := feature.DotInt8(sc.qcodes, v.slotCodes(x.dim, slot))
-					rsel.add(Neighbor{
-						ID:       ID(slot),
-						Distance: feature.ApproxSqDistance(x.dim, qq, v.quant[slot], dot),
-					})
-				} else {
-					sel.add(Neighbor{
-						ID:       v.slotID[slot],
-						Distance: feature.MustSqEuclidean(q, v.slotVec(x.dim, slot)),
-					})
-				}
-			}
-		}
-		sc.heap = pg.heap[:0] // retain heap growth across tables/queries
-	}
-	if quantize {
-		kept := rsel.finish()
-		for _, n := range kept {
-			slot := int32(n.ID)
-			sel.add(Neighbor{
-				ID:       v.slotID[slot],
-				Distance: feature.MustSqEuclidean(q, v.slotVec(x.dim, slot)),
-			})
-		}
-		sc.approx = kept[:0] // retain selector growth for the next query
-	}
-	x.unpin(vi, sc.stripe)
-	out := sel.finish()
-	for i := range out {
-		out[i].Distance = math.Sqrt(out[i].Distance)
-	}
-	return out, nil
+	return finishWithin(&sel, radius), nil
 }
 
 // Stats describes index occupancy, used by the LSH ablation experiment.

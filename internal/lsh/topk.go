@@ -1,5 +1,7 @@
 package lsh
 
+import "math"
+
 // Bounded top-k selection for the query hot path. The previous
 // implementation collected every candidate and fully sorted the set per
 // query; for k ≪ candidates that is wasted work and a fresh allocation
@@ -75,6 +77,19 @@ func (s *kSelector) add(n Neighbor) {
 	for i := len(s.buf) - 1; i > 0 && neighborWorse(s.buf[i-1], s.buf[i]); i-- {
 		s.buf[i-1], s.buf[i] = s.buf[i], s.buf[i-1]
 	}
+}
+
+// bound returns the distance beyond which add refuses a neighbor
+// whatever its ID: the current worst of a full selection, +Inf while
+// there is still room.
+func (s *kSelector) bound() float64 {
+	switch {
+	case len(s.buf) < s.k:
+		return math.Inf(1)
+	case s.heaped:
+		return s.buf[0].Distance
+	}
+	return s.buf[len(s.buf)-1].Distance
 }
 
 // finish returns the selected neighbors in increasing (distance, ID)

@@ -1,9 +1,6 @@
 package lsh
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // VoteConfig parameterizes the homogenized-kNN acceptance decision.
 type VoteConfig struct {
@@ -70,11 +67,14 @@ func Vote(neighbors []Neighbor, labelOf func(ID) (string, bool), cfg VoteConfig)
 	}
 	const eps = 1e-6
 	type tally struct {
+		label  string
 		weight float64
-		votes  int
 		best   float64
 	}
-	tallies := make(map[string]*tally)
+	// At most K labels can be tallied; the usual K fits the stack array
+	// and a linear search over it beats hashing the label.
+	var stack [8]tally
+	tallies := stack[:0]
 	var totalWeight float64
 	considered := 0
 	for _, n := range neighbors {
@@ -92,13 +92,18 @@ func Vote(neighbors []Neighbor, labelOf func(ID) (string, bool), cfg VoteConfig)
 		}
 		considered++
 		w := 1 / (n.Distance + eps)
-		tl := tallies[label]
+		var tl *tally
+		for i := range tallies {
+			if tallies[i].label == label {
+				tl = &tallies[i]
+				break
+			}
+		}
 		if tl == nil {
-			tl = &tally{best: n.Distance}
-			tallies[label] = tl
+			tallies = append(tallies, tally{label: label, best: n.Distance})
+			tl = &tallies[len(tallies)-1]
 		}
 		tl.weight += w
-		tl.votes++
 		if n.Distance < tl.best {
 			tl.best = n.Distance
 		}
@@ -108,27 +113,29 @@ func Vote(neighbors []Neighbor, labelOf func(ID) (string, bool), cfg VoteConfig)
 		return Verdict{}, nil
 	}
 
-	labels := make([]string, 0, len(tallies))
-	for l := range tallies {
-		labels = append(labels, l)
+	// Winner and runner-up under (weight descending, label ascending).
+	ahead := func(a, b *tally) bool {
+		if a.weight != b.weight {
+			return a.weight > b.weight
+		}
+		return a.label < b.label
 	}
-	sort.Slice(labels, func(i, j int) bool {
-		wi, wj := tallies[labels[i]].weight, tallies[labels[j]].weight
-		if wi != wj {
-			return wi > wj
+	top := &tallies[0]
+	var second *tally
+	for i := 1; i < len(tallies); i++ {
+		switch tl := &tallies[i]; {
+		case ahead(tl, top):
+			top, second = tl, top
+		case second == nil || ahead(tl, second):
+			second = tl
 		}
-		return labels[i] < labels[j]
-	})
-	top := tallies[labels[0]]
-	if len(labels) > 1 && cfg.DominanceRatio > 1 {
-		second := tallies[labels[1]]
-		if top.weight < cfg.DominanceRatio*second.weight {
-			return Verdict{Votes: considered}, nil
-		}
+	}
+	if second != nil && cfg.DominanceRatio > 1 && top.weight < cfg.DominanceRatio*second.weight {
+		return Verdict{Votes: considered}, nil
 	}
 	return Verdict{
 		Accepted:     true,
-		Label:        labels[0],
+		Label:        top.label,
 		Confidence:   top.weight / totalWeight,
 		BestDistance: top.best,
 		Votes:        considered,

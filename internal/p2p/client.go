@@ -507,24 +507,24 @@ func (c *Client) QueryFrame(vec feature.Vector, budget time.Duration) (QueryOutc
 	if err != nil {
 		return QueryOutcome{}, fmt.Errorf("encode query: %w", err)
 	}
-	if c.cfg.CoalesceTTL > 0 {
-		if out, ok := c.cachedAnswer(key); ok {
-			c.wire.CoalesceCached()
-			return out, nil
-		}
+	out, fl, leader := c.replayOrJoin(key)
+	if fl == nil {
+		c.wire.CoalesceCached()
+		return out, nil
 	}
-	fl, leader := c.joinFlight(key)
 	if !leader {
 		<-fl.done
 		c.wire.CoalesceInFlight()
 		return fl.out, fl.err
 	}
-	out, err := c.queryAdmitted(vec, budget, admitted)
+	out, err = c.queryAdmitted(vec, budget, admitted)
 	fl.out, fl.err = out, err
-	c.finishFlight(key, fl)
+	// Publish the answer before retiring the flight: a caller arriving
+	// in between would find neither and query the peers a second time.
 	if err == nil && !out.Degraded && c.cfg.CoalesceTTL > 0 {
 		c.storeAnswer(key, out)
 	}
+	c.finishFlight(key, fl)
 	return out, err
 }
 
@@ -544,15 +544,27 @@ func queryKey(vec feature.Vector) (string, error) {
 	return key, nil
 }
 
-func (c *Client) joinFlight(key string) (*flight, bool) {
+// replayOrJoin resolves a query against the coalescing state in one
+// critical section: a cached answer still within its TTL (fl nil), else
+// the in-flight exchange to wait on, else a new flight the caller
+// leads. One section, so that a caller cannot miss the cache, then miss
+// the flight that stored the answer and retired in between.
+func (c *Client) replayOrJoin(key string) (out QueryOutcome, fl *flight, leader bool) {
+	now := c.clock.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if fl, ok := c.flights[key]; ok {
-		return fl, false
+	if e, ok := c.answers[key]; ok { // only ever filled with CoalesceTTL on
+		if !now.After(e.exp) {
+			return e.out, nil, false
+		}
+		delete(c.answers, key)
 	}
-	fl := &flight{done: make(chan struct{})}
+	if fl, ok := c.flights[key]; ok {
+		return QueryOutcome{}, fl, false
+	}
+	fl = &flight{done: make(chan struct{})}
 	c.flights[key] = fl
-	return fl, true
+	return QueryOutcome{}, fl, true
 }
 
 func (c *Client) finishFlight(key string, fl *flight) {
@@ -560,21 +572,6 @@ func (c *Client) finishFlight(key string, fl *flight) {
 	delete(c.flights, key)
 	c.mu.Unlock()
 	close(fl.done)
-}
-
-func (c *Client) cachedAnswer(key string) (QueryOutcome, bool) {
-	now := c.clock.Now()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.answers[key]
-	if !ok {
-		return QueryOutcome{}, false
-	}
-	if now.After(e.exp) {
-		delete(c.answers, key)
-		return QueryOutcome{}, false
-	}
-	return e.out, true
 }
 
 func (c *Client) storeAnswer(key string, out QueryOutcome) {

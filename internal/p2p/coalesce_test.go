@@ -2,6 +2,7 @@ package p2p
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -124,6 +125,83 @@ func TestCoalesceConcurrentDuplicates(t *testing.T) {
 	ws := cl.WireStats()
 	if got := ws.CoalescedInFlight + ws.CoalescedCached; got != n-1 {
 		t.Fatalf("coalesced %d of %d duplicates", got, n-1)
+	}
+}
+
+// hookClock calls hook before every reading of the clock.
+type hookClock struct {
+	simclock.Clock
+	hook func()
+}
+
+func (h *hookClock) Now() time.Time {
+	if h.hook != nil {
+		h.hook()
+	}
+	return h.Clock.Now()
+}
+
+// TestCoalesceLateDuplicateFindsFlightOrAnswer pins the hand-over from
+// in-flight coalescing to the answer cache: a duplicate that arrives
+// while the leader is publishing its answer (stopped here at the clock
+// reading that stamps the cached answer's expiry) must join the
+// leader's flight or replay its answer, never find neither and query
+// the peers a second time.
+func TestCoalesceLateDuplicateFindsFlightOrAnswer(t *testing.T) {
+	hc := &hookClock{}
+	cl, services, _ := newCoalesceCluster(t, func(c *ClientConfig) {
+		c.CoalesceTTL = time.Second
+		hc.Clock = c.Clock
+		c.Clock = hc
+	})
+	if _, err := services[0].Store().Insert(feature.Vector{1, 0}, "cat", 0.9, "dnn", time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	vec := feature.Vector{1, 0.01}
+	type answer struct {
+		out QueryOutcome
+		err error
+	}
+	late := make(chan answer, 1)
+	var fired atomic.Bool
+	var sentByLeader int64
+	hc.hook = func() {
+		sent := cl.WireStats().SentMsgs
+		if sent == 0 || !fired.CompareAndSwap(false, true) {
+			return // the leader has not queried its peers yet, or already stopped here
+		}
+		sentByLeader = sent
+		done := make(chan struct{})
+		go func() {
+			out, err := cl.QueryFrame(vec, 0)
+			late <- answer{out, err}
+			close(done)
+		}()
+		// Hold the leader until the duplicate has resolved: it either
+		// completes on its own (the bug: a second peer exchange) or
+		// blocks on the leader's flight, which this wait times out on.
+		select {
+		case <-done:
+		case <-time.After(50 * time.Millisecond):
+		}
+	}
+	first, err := cl.QueryFrame(vec, 0)
+	if err != nil || !first.Found {
+		t.Fatalf("leader: %+v, %v", first, err)
+	}
+	if !fired.Load() {
+		t.Fatal("the leader never read the clock after its peer exchange")
+	}
+	dup := <-late
+	if dup.err != nil || !dup.out.Found || dup.out.Hit.Label != "cat" {
+		t.Fatalf("duplicate: %+v, %v", dup.out, dup.err)
+	}
+	ws := cl.WireStats()
+	if got := ws.CoalescedInFlight + ws.CoalescedCached; got != 1 {
+		t.Fatalf("duplicate was not coalesced (in-flight %d, cached %d)", ws.CoalescedInFlight, ws.CoalescedCached)
+	}
+	if ws.SentMsgs != sentByLeader {
+		t.Fatalf("duplicate hit the wire: %d messages sent, leader sent %d", ws.SentMsgs, sentByLeader)
 	}
 }
 

@@ -89,7 +89,7 @@ func (s *Service) HandleQuery(q Query) (QueryResp, error) {
 	if k <= 0 || k > s.cfg.Vote.K {
 		k = s.cfg.Vote.K
 	}
-	ns, err := s.store.Nearest(q.Vec, k)
+	ns, err := cachestore.NearestWithinInto(s.store, q.Vec, k, s.cfg.Vote.MaxDistance, nil)
 	if err != nil {
 		return QueryResp{}, fmt.Errorf("nearest: %w", err)
 	}
@@ -127,7 +127,7 @@ func (s *Service) HandleGossip(g Gossip) error {
 	// Near-duplicate suppression: if an entry with the same label
 	// already sits within half the vote radius, the gossip adds no
 	// information.
-	ns, err := s.store.Nearest(g.Vec, 1)
+	ns, err := cachestore.NearestWithinInto(s.store, g.Vec, 1, s.cfg.Vote.MaxDistance/2, nil)
 	if err != nil {
 		return fmt.Errorf("nearest: %w", err)
 	}

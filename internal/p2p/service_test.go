@@ -1,6 +1,9 @@
 package p2p
 
 import (
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -235,5 +238,69 @@ func TestRadioEnergyModel(t *testing.T) {
 	}
 	if m.RTTCost(100, 50) != m.MessageCost(100)+m.MessageCost(50) {
 		t.Fatal("RTT cost should be the two message costs")
+	}
+}
+
+// TestServiceRadiusLookupDifferential: a service that can tell its store
+// the radius it filters by answers every query and admits every gossip
+// exactly like one whose store hides the radius search (the fallback a
+// wrapped store takes), and leaves an identical cache behind.
+func TestServiceRadiusLookupDifferential(t *testing.T) {
+	direct := newService(t)
+	hiddenStore := newStore(t, 16)
+	hidden, err := NewService(DefaultServiceConfig("node-b"), struct{ cachestore.Interface }{hiddenStore})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(12))
+	point := func() feature.Vector {
+		// A coarse lattice with jitter: near-duplicates, in-range and
+		// out-of-range neighbours all occur.
+		return feature.Vector{
+			float64(rng.Intn(4))*0.2 + rng.NormFloat64()*0.03,
+			float64(rng.Intn(4))*0.2 + rng.NormFloat64()*0.03,
+		}
+	}
+	labels := []string{"cat", "dog", "owl"}
+	found, dropped := 0, 0
+	for i := 0; i < 400; i++ {
+		if i%2 == 0 {
+			g := Gossip{Vec: point(), Label: labels[rng.Intn(len(labels))], Confidence: 0.4 + 0.6*rng.Float64(), SavedCost: time.Millisecond}
+			before := direct.Store().Len() + direct.Store().Evictions()
+			if err := direct.HandleGossip(g); err != nil {
+				t.Fatal(err)
+			}
+			if err := hidden.HandleGossip(g); err != nil {
+				t.Fatal(err)
+			}
+			if direct.Store().Len()+direct.Store().Evictions() == before {
+				dropped++
+			}
+			continue
+		}
+		q := Query{Vec: point(), K: uint8(rng.Intn(6))}
+		a, err := direct.HandleQuery(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := hidden.HandleQuery(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a != b {
+			t.Fatalf("query %d: direct %+v, hidden %+v", i, a, b)
+		}
+		if a.Found {
+			found++
+		}
+	}
+	if found == 0 || dropped == 0 {
+		t.Fatalf("workload too tame: %d answers found, %d gossips dropped", found, dropped)
+	}
+	a, b := direct.Store().Snapshot(), hiddenStore.Snapshot()
+	sort.Slice(a, func(i, j int) bool { return a[i].ID < a[j].ID })
+	sort.Slice(b, func(i, j int) bool { return b[i].ID < b[j].ID })
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("caches diverged: %d vs %d entries", len(a), len(b))
 	}
 }
