@@ -1,15 +1,16 @@
 GO ?= go
 
 # Alloc budgets for the hot-path benchmarks, enforced by cmd/benchgate.
-# NearestInto/NearestWithinInto/ExtractInto/CandidatesInto with a reused
-# buffer must stay allocation-free, and so must the kNN vote and the
-# video gate: a keyframe scan allocates nothing and a push into a full
-# library recycles the evicted buffer. Substring-matched against
-# benchmark names.
-HOTPATH_BUDGETS = HotPathNearest=0,HotPathNearestDescriptors=0,HotPathNearestWithinDescriptors=0,HotPathExactNearest=0,HotPathVote=0,HotPathSignature=0,HotPathTopK=0,HotPathCandidates=0,HotPathFusedExtract=0,HotPathGridIntegral=0,HotPathHistogram=0,HotPathKeyframeMatch=0,HotPathKeyframePush=0
+# NearestInto/NearestWithinInto/ExtractInto/ExtractThumbInto/
+# CandidatesInto with a reused buffer must stay allocation-free, and so
+# must the kNN vote, the video gate (a keyframe scan allocates nothing
+# and a push into a full library recycles the evicted buffer) and the
+# inertial gate (a sample into a full window takes a ring slot).
+# Substring-matched against benchmark names.
+HOTPATH_BUDGETS = HotPathNearest=0,HotPathNearestDescriptors=0,HotPathNearestWithinDescriptors=0,HotPathExactNearest=0,HotPathVote=0,HotPathSignature=0,HotPathTopK=0,HotPathCandidates=0,HotPathFusedExtract=0,HotPathExtractFromThumb=0,HotPathGridIntegral=0,HotPathHistogram=0,HotPathKeyframeMatch=0,HotPathKeyframePush=0,HotPathIMUObserve=0
 
 # Packages holding HotPath benchmarks.
-HOTPATH_PKGS = ./internal/lsh/ ./internal/feature/ ./internal/video/
+HOTPATH_PKGS = ./internal/lsh/ ./internal/feature/ ./internal/video/ ./internal/imu/
 
 # The serving-scale regression gate: sharded store + micro-batched
 # inference must beat the single-mutex baseline by at least this
@@ -37,9 +38,9 @@ MIN_SAVINGS_RETENTION = 0.6
 # The read-scalability gate (E24): the lock-free read path must beat
 # the RWMutex-wrapped baseline by this factor at 16 concurrent readers
 # on machines with >= 8 procs. benchgate relaxes the floor on smaller
-# machines (1.2x for 2-7 procs, no-regression 0.9x on a single proc)
+# machines (1.2x for 4-7 procs, no-regression 0.9x up to 3 procs)
 # because lock-freedom removes lock-word cache-line bouncing, and with
-# nothing running in parallel there is no bouncing to remove.
+# little running in parallel there is little bouncing to remove.
 MIN_READSCALE_SPEEDUP = 2.0
 
 # The P2P wire-protocol gate (E25): the compact comms stack (quantized

@@ -388,8 +388,9 @@ type Engine struct {
 // vector is safe to recycle because every downstream consumer (store
 // insert, peer query/gossip encoding) copies it before returning.
 type frameScratch struct {
-	vec feature.Vector
-	ns  []lsh.Neighbor
+	vec   feature.Vector
+	ns    []lsh.Neighbor
+	thumb vision.Thumb
 }
 
 func (e *Engine) getScratch() *frameScratch {
@@ -566,6 +567,12 @@ func (e *Engine) LastResult() (Result, bool) {
 // ErrBadFrame or ErrBadIMUWindow; lesser sensor faults are routed past
 // the gates they would fool. Use ProcessWithTruth in experiments so
 // accuracy is tracked.
+//
+// A frame's shape (nil, zero-sized, a pixel buffer that is not W×H) is
+// checked up front. Its pixels are checked by the first stage that reads
+// them: in ModeApprox that is after the inertial gate, so a frame that
+// gate answers is never read at all — a non-finite pixel in it goes
+// unnoticed, exactly as a covered lens always has (see ErrBadFrame).
 func (e *Engine) Process(im *vision.Image, imuWindow []imu.Sample) (Result, error) {
 	return e.process(im, imuWindow, "", false)
 }
@@ -575,35 +582,56 @@ func (e *Engine) ProcessWithTruth(im *vision.Image, imuWindow []imu.Sample, trut
 	return e.process(im, imuWindow, truth, true)
 }
 
+// guardFrame is a frame's one pass over its pixels: the frame guard's
+// verdict, and in th the thumbnail that the video gate matches and
+// stores and the extractor takes its grid half from, instead of each
+// summarising the frame again. Whoever is first to read a frame's pixels
+// calls it first. frameOK is false for a frame that is real but carries
+// no scene information (low entropy: recognizable by the DNN alone, at
+// best); a structurally broken frame is refused with ErrBadFrame. With
+// the guards disabled the frame is only summarised.
+func (e *Engine) guardFrame(im *vision.Image, th *vision.Thumb) (frameOK bool, err error) {
+	if e.cfg.DisableSensorGuards {
+		th.Fill(im)
+		return true, nil
+	}
+	f := vision.CheckFrameThumb(im, e.cfg.FrameGuard, th)
+	if f == vision.FrameOK {
+		return true, nil
+	}
+	e.stats.ObserveSensorFault("frame-" + f.String())
+	if f.Structural() {
+		return false, fmt.Errorf("%w: %s", ErrBadFrame, f)
+	}
+	return false, nil
+}
+
 func (e *Engine) process(im *vision.Image, imuWindow []imu.Sample, truth string, haveTruth bool) (Result, error) {
+	// Sensor guards: structurally broken inputs are refused with typed
+	// errors; quality faults are routed past the gates they would fool.
+	// A frame's shape is checked here, in O(1); its pixels by guardFrame,
+	// which ModeApprox defers until a stage is about to read them.
+	approx := e.cfg.Mode == ModeApprox
 	if im == nil {
 		e.stats.ObserveSensorFault("frame-" + vision.FrameNil.String())
 		return Result{}, fmt.Errorf("%w: nil image", ErrBadFrame)
 	}
-	// Sensor guards: structurally broken inputs are refused with typed
-	// errors; quality faults are routed past the gates they would fool.
-	// The guard's pass over the pixels also yields the frame's thumbnail,
-	// which the video gate matches and stores instead of summarising the
-	// frame again; unguarded frames are summarised here.
-	frameOK := true
-	var thumb vision.Thumb
-	if e.cfg.DisableSensorGuards {
-		if e.cfg.Mode == ModeApprox {
-			thumb.Fill(im)
+	if !e.cfg.DisableSensorGuards {
+		if !im.WellFormed() {
+			e.stats.ObserveSensorFault("frame-" + vision.FrameEmpty.String())
+			return Result{}, fmt.Errorf("%w: %s", ErrBadFrame, vision.FrameEmpty)
 		}
-	} else {
-		switch f := vision.CheckFrameThumb(im, e.cfg.FrameGuard, &thumb); {
-		case f == vision.FrameOK:
-		case f.Structural():
-			e.stats.ObserveSensorFault("frame-" + f.String())
-			return Result{}, fmt.Errorf("%w: %s", ErrBadFrame, f)
-		default: // low entropy: recognizable by the DNN alone, at best
-			e.stats.ObserveSensorFault("frame-" + f.String())
-			frameOK = false
+		if !approx {
+			// The baselines read every frame, so they guard every frame;
+			// a low-entropy frame is still theirs to classify.
+			var th vision.Thumb
+			if _, err := e.guardFrame(im, &th); err != nil {
+				return Result{}, err
+			}
 		}
 	}
 	imuOK := true
-	if e.cfg.Mode == ModeApprox && !e.cfg.DisableSensorGuards {
+	if approx && !e.cfg.DisableSensorGuards {
 		if wf := imu.CheckWindow(imuWindow, e.cfg.IMUGuard); wf != imu.WindowOK {
 			e.stats.ObserveSensorFault("imu-" + wf.String())
 			if wf == imu.WindowNonFinite {
@@ -629,7 +657,7 @@ func (e *Engine) process(im *vision.Image, imuWindow []imu.Sample, truth string,
 	case ModeNaiveSkip:
 		res, err = e.processNaiveSkip(im, deadline)
 	default:
-		res, err = e.processApprox(im, &thumb, imuWindow, imuOK, frameOK, deadline)
+		res, err = e.processApprox(im, imuWindow, imuOK, deadline)
 	}
 	if !deadline.IsZero() && err == nil {
 		e.stats.ObserveDeadlineCompletion(time.Now().Before(deadline))
@@ -761,13 +789,14 @@ func (e *Engine) processExact(im *vision.Image, deadline time.Time) (Result, err
 	}, nil
 }
 
-// processApprox runs the 4-gate pipeline. imuOK and frameOK report
-// which inputs the sensor guards trusted: an untrusted IMU window skips
-// the detector feed and the inertial gate; an untrusted (low-entropy)
-// frame skips the video gate, the cache gates, and every cache
-// mutation — its features would be meaningless — leaving only the DNN.
-// thumb is im's thumbnail.
-func (e *Engine) processApprox(im *vision.Image, thumb *vision.Thumb, imuWindow []imu.Sample, imuOK, frameOK bool, deadline time.Time) (Result, error) {
+// processApprox runs the 4-gate pipeline. imuOK reports whether the
+// sensor guard trusted the IMU window: an untrusted one skips the
+// detector feed and the inertial gate. The frame is guarded once the
+// inertial gate has passed on it (guardFrame): an untrusted
+// (low-entropy) frame skips the video gate, the cache gates, and every
+// cache mutation — its features would be meaningless — leaving only the
+// DNN.
+func (e *Engine) processApprox(im *vision.Image, imuWindow []imu.Sample, imuOK bool, deadline time.Time) (Result, error) {
 	// Brownout level snapshot: under sustained overload the controller
 	// disables the expensive reuse stages (first P2P, then the kNN
 	// vote), keeping the nearly-free IMU and video gates.
@@ -814,31 +843,45 @@ func (e *Engine) processApprox(im *vision.Image, thumb *vision.Thumb, imuWindow 
 				EnergyMJ:   energy,
 			}
 			e.mu.Unlock()
-			e.maybeAudit(im, res.Label, nil, deadline)
+			// Nothing has read the frame; an audit, if one falls due, is
+			// its first reader.
+			e.maybeAudit(im, false, res.Label, nil, deadline)
 			return res, nil
 		}
+	}
+	e.mu.Unlock()
+
+	// Every later stage reads the pixels, so this is where the frame pays
+	// for its one guarded pass over them.
+	var thumb vision.Thumb
+	frameOK, err := e.guardFrame(im, &thumb)
+	if err != nil {
+		return Result{}, err
 	}
 
 	// Gate 2: video locality. A coarse-to-fine pixel diff against the
 	// recent recognized keyframes catches temporal locality the IMU
 	// missed — including panning back to a scene seen a few keyframes ago.
-	if frameOK && !revalidate && !e.cfg.DisableVideoGate && e.keyframes.Len() > 0 {
-		latency += e.cfg.Costs.DiffLatency
-		energy += e.cfg.Costs.DiffEnergyMJ
-		if kf, ok := e.keyframes.MatchThumb(im, thumb); ok {
-			res := Result{
-				Label:      kf.Label,
-				Confidence: kf.Confidence,
-				Source:     metrics.SourceVideo,
-				Latency:    latency,
-				EnergyMJ:   energy,
+	if frameOK && !revalidate && !e.cfg.DisableVideoGate {
+		e.mu.Lock()
+		if e.keyframes.Len() > 0 {
+			latency += e.cfg.Costs.DiffLatency
+			energy += e.cfg.Costs.DiffEnergyMJ
+			if kf, ok := e.keyframes.MatchThumb(im, &thumb); ok {
+				res := Result{
+					Label:      kf.Label,
+					Confidence: kf.Confidence,
+					Source:     metrics.SourceVideo,
+					Latency:    latency,
+					EnergyMJ:   energy,
+				}
+				e.mu.Unlock()
+				e.maybeAudit(im, true, res.Label, nil, deadline)
+				return res, nil
 			}
-			e.mu.Unlock()
-			e.maybeAudit(im, res.Label, nil, deadline)
-			return res, nil
 		}
+		e.mu.Unlock()
 	}
-	e.mu.Unlock()
 
 	// Gate 3: local approximate cache. The feature vector and neighbor
 	// buffer come from the engine's scratch pool: the extractor writes
@@ -856,8 +899,12 @@ func (e *Engine) processApprox(im *vision.Image, thumb *vision.Thumb, imuWindow 
 		energy += e.cfg.Costs.FeatureEnergyMJ
 		sc = e.getScratch()
 		defer e.scratch.Put(sc)
-		var err error
-		vec, err = feature.ExtractInto(e.cfg.Extractor, im, sc.vec)
+		// The extractor sits behind an interface, and a pointer passed
+		// through one escapes: handing it the stack thumbnail would move
+		// that to the heap on every frame, so it gets a copy in the
+		// pooled scratch, which lives there already.
+		sc.thumb = thumb
+		vec, err = feature.ExtractThumbInto(e.cfg.Extractor, im, &sc.thumb, sc.vec)
 		if err != nil {
 			return Result{}, fmt.Errorf("extract: %w", err)
 		}
@@ -910,7 +957,7 @@ func (e *Engine) processApprox(im *vision.Image, thumb *vision.Thumb, imuWindow 
 				Latency:    latency,
 				EnergyMJ:   energy,
 			}
-			e.refreshScene(im, thumb, res.Label, res.Confidence)
+			e.refreshScene(im, &thumb, res.Label, res.Confidence)
 			if e.quality != nil {
 				// The in-range neighbors backed this serve; an audit
 				// will confirm or refute them by ID.
@@ -923,7 +970,7 @@ func (e *Engine) processApprox(im *vision.Image, thumb *vision.Thumb, imuWindow 
 					aud[an] = n.ID
 					an++
 				}
-				e.maybeAudit(im, res.Label, aud[:an], deadline)
+				e.maybeAudit(im, true, res.Label, aud[:an], deadline)
 			}
 			return res, nil
 		}
@@ -983,12 +1030,12 @@ func (e *Engine) processApprox(im *vision.Image, thumb *vision.Thumb, imuWindow 
 					EnergyMJ:   energy,
 					PeerName:   hit.Peer,
 				}
-				e.refreshScene(im, thumb, res.Label, res.Confidence)
+				e.refreshScene(im, &thumb, res.Label, res.Confidence)
 				if e.quality != nil {
 					// Audit the adopted entry: a peer's bad answer must
 					// accrue refutes here, not just on the peer.
 					aud := [1]lsh.ID{pid}
-					e.maybeAudit(im, res.Label, aud[:], deadline)
+					e.maybeAudit(im, true, res.Label, aud[:], deadline)
 				}
 				return res, nil
 			}
@@ -1059,7 +1106,7 @@ func (e *Engine) processApprox(im *vision.Image, thumb *vision.Thumb, imuWindow 
 		EnergyMJ:   energy,
 	}
 	if frameOK {
-		e.refreshScene(im, thumb, res.Label, res.Confidence)
+		e.refreshScene(im, &thumb, res.Label, res.Confidence)
 	}
 	return res, nil
 }
@@ -1130,14 +1177,16 @@ func (e *Engine) lastResultFresh() (Result, bool) {
 }
 
 // maybeAudit forwards a reuse serve to the quality controller's shadow
-// auditor. ids are the cache entries that backed the serve; the
-// controller copies them before returning, so scratch-backed slices
+// auditor. guarded says whether im has been through guardFrame; a frame
+// the inertial gate served has not, and the audit guards it before the
+// classifier reads it. ids are the cache entries that backed the serve;
+// the controller copies them before returning, so scratch-backed slices
 // are safe to pass.
-func (e *Engine) maybeAudit(im *vision.Image, served string, ids []lsh.ID, deadline time.Time) {
+func (e *Engine) maybeAudit(im *vision.Image, guarded bool, served string, ids []lsh.ID, deadline time.Time) {
 	if e.quality == nil {
 		return
 	}
-	e.quality.maybeAudit(e, im, served, ids, deadline)
+	e.quality.maybeAudit(e, im, guarded, served, ids, deadline)
 }
 
 // serveShed answers a frame that overload protection kept off the

@@ -264,8 +264,9 @@ func (qc *qualityController) drain() { qc.wg.Wait() }
 // (skipped while the node is browning out), deadline-budgeted (skipped
 // when the frame's remaining deadline is thinner than one inference —
 // the accelerator has no slack to spend on quality sampling), and
-// bounded in flight.
-func (qc *qualityController) maybeAudit(e *Engine, im *vision.Image, served string, ids []lsh.ID, deadline time.Time) {
+// bounded in flight. guarded is false for a frame no stage has read yet
+// (an inertial-gate serve): the audit that falls due on it guards it.
+func (qc *qualityController) maybeAudit(e *Engine, im *vision.Image, guarded bool, served string, ids []lsh.ID, deadline time.Time) {
 	if qc.ctrl != nil && qc.ctrl.Level() > admission.LevelFull {
 		return
 	}
@@ -301,13 +302,13 @@ func (qc *qualityController) maybeAudit(e *Engine, im *vision.Image, served stri
 	var own [maxAuditIDs]lsh.ID
 	n := copy(own[:], ids)
 	if qc.cfg.Synchronous {
-		qc.runAudit(e, im, served, own[:n], sampled)
+		qc.runAudit(e, im, guarded, served, own[:n], sampled)
 		return
 	}
 	qc.wg.Add(1)
 	go func() {
 		defer qc.wg.Done()
-		qc.runAudit(e, im, served, own[:n], sampled)
+		qc.runAudit(e, im, guarded, served, own[:n], sampled)
 		qc.mu.Lock()
 		qc.pending--
 		qc.mu.Unlock()
@@ -328,7 +329,19 @@ const maxAuditIDs = 8
 // The classifier is called directly, NOT through the engine's
 // watchdog: an audit is discretionary work, and its failures must not
 // trip the breaker that guards mandatory serving.
-func (qc *qualityController) runAudit(e *Engine, im *vision.Image, served string, ids []lsh.ID, sampled bool) {
+//
+// An unguarded frame (see maybeAudit) goes through the frame guard
+// first: the audit is its first reader, and a structurally broken frame
+// must reach neither the classifier nor, through healAfterRefute, the
+// extractor and the keyframe library. The fault is counted and the audit
+// skipped — no verdict.
+func (qc *qualityController) runAudit(e *Engine, im *vision.Image, guarded bool, served string, ids []lsh.ID, sampled bool) {
+	if !guarded {
+		var th vision.Thumb
+		if _, err := e.guardFrame(im, &th); err != nil {
+			return
+		}
+	}
 	inf, err := qc.clf.Infer(im)
 	if err != nil {
 		return // no verdict; the estimate only moves on evidence

@@ -15,8 +15,11 @@ import (
 // Typed pipeline errors. Callers match with errors.Is.
 var (
 	// ErrBadFrame: the frame is structurally unusable (nil, zero
-	// dimensions, non-finite pixels). The engine refuses it rather than
-	// feeding garbage to the gates or the cache.
+	// dimensions, a pixel buffer that does not match them, non-finite
+	// pixels). The engine refuses it rather than feeding garbage to the
+	// gates or the cache. A bad shape is refused on arrival; a non-finite
+	// pixel by the first stage that would read the pixels, so a frame the
+	// inertial gate answers without looking at it is served, not refused.
 	ErrBadFrame = errors.New("core: bad frame")
 	// ErrBadIMUWindow: the IMU window carries non-finite readings that
 	// would poison the motion statistics.

@@ -49,14 +49,18 @@ type diffFrame struct {
 }
 
 // diffRun is one engine's side of a differential: every Result in
-// order, the final store contents, and the repair, refuted-audit and
-// lookup counts.
+// order, the final store contents, the repair, audit and lookup counts,
+// and the scoreboard's sensor faults, energy and accuracy.
 type diffRun struct {
-	results []Result
-	entries []cachestore.Entry
-	repairs int
-	refuted int
-	lookups int
+	results  []Result
+	entries  []cachestore.Entry
+	repairs  int
+	audits   int
+	refuted  int
+	lookups  int
+	faults   map[string]int
+	energy   float64
+	accuracy float64
 }
 
 // runDiffSide plays frames through a fresh engine over a fresh store.
@@ -114,8 +118,10 @@ func runDiffSide(t *testing.T, cfg Config, classes *vision.ClassSet, capacity in
 	run.entries = raw.Snapshot()
 	sort.Slice(run.entries, func(i, j int) bool { return run.entries[i].ID < run.entries[j].ID })
 	run.repairs = eng.Stats().Repairs()
-	_, run.refuted = eng.Stats().Audits()
+	run.audits, run.refuted = eng.Stats().Audits()
 	run.lookups = counted.lookups
+	run.faults = eng.Stats().SensorFaults()
+	run.energy, run.accuracy = eng.Stats().EnergyMJ(), eng.Stats().Accuracy()
 	return run
 }
 
@@ -171,6 +177,18 @@ func churnStream(t *testing.T, n int) (*vision.ClassSet, []diffFrame) {
 	return classes, frames
 }
 
+// traceFrames pairs each frame of a generated workload with the IMU
+// samples received since the previous one.
+func traceFrames(w *trace.Workload) []diffFrame {
+	frames := make([]diffFrame, len(w.Frames))
+	prev := time.Duration(0)
+	for i, fr := range w.Frames {
+		frames[i] = diffFrame{img: fr.Image, win: w.IMUWindow(prev, fr.Offset), truth: dnn.LabelOf(fr.Class)}
+		prev = fr.Offset
+	}
+	return frames
+}
+
 // TestRadiusLookupDifferentialVideoTraces: the four standard IMU+video
 // traces (the E1 workload) give the same frame-by-frame results whether
 // or not the engine can bound its lookups by radius.
@@ -180,13 +198,7 @@ func TestRadiusLookupDifferentialVideoTraces(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		frames := make([]diffFrame, len(w.Frames))
-		prev := time.Duration(0)
-		for i, fr := range w.Frames {
-			frames[i] = diffFrame{img: fr.Image, win: w.IMUWindow(prev, fr.Offset), truth: dnn.LabelOf(fr.Class)}
-			prev = fr.Offset
-		}
-		diffEngines(t, DefaultConfig(), w.Classes, 128, frames, nil, nil)
+		diffEngines(t, DefaultConfig(), w.Classes, 128, traceFrames(w), nil, nil)
 	}
 }
 

@@ -42,6 +42,28 @@ func ExtractInto(e Extractor, im *vision.Image, dst Vector) (Vector, error) {
 	return append(dst[:0], v...), nil
 }
 
+// ThumbExtractor is implemented by extractors that can build (part of)
+// the descriptor from a frame's block-sum thumbnail instead of adding
+// the pixels up again — the engine already holds one, from the frame
+// guard's pass.
+type ThumbExtractor interface {
+	Extractor
+	// ExtractThumbInto is ExtractInto for a caller holding th, im's
+	// thumbnail (vision.CheckFrameThumb or Thumb.Fill on this very
+	// frame). The result is bit-identical to ExtractInto's; an empty or
+	// differently-sized thumbnail is safe, only slower.
+	ExtractThumbInto(im *vision.Image, th *vision.Thumb, dst Vector) (Vector, error)
+}
+
+// ExtractThumbInto runs e's thumbnail path when it has one, falling back
+// to ExtractInto otherwise.
+func ExtractThumbInto(e Extractor, im *vision.Image, th *vision.Thumb, dst Vector) (Vector, error) {
+	if te, ok := e.(ThumbExtractor); ok {
+		return te.ExtractThumbInto(im, th, dst)
+	}
+	return ExtractInto(e, im, dst)
+}
+
 // sizedBuf ensures dst has length n, reallocating only when capacity
 // falls short.
 func sizedBuf(dst Vector, n int) Vector {
@@ -162,9 +184,9 @@ func (g GridExtractor) ExtractInto(im *vision.Image, dst Vector) (Vector, error)
 }
 
 // extractNaiveInto is the direct per-cell summation the integral-image
-// path replaced. It is kept as the differential-testing reference and
-// as one leg of the fused combined pass (whose per-cell accumulation
-// order matches it bit for bit).
+// path replaced: the differential-testing reference, and the grid half
+// of the combined {grid, histogram} shape, whose cells have always been
+// summed in this order (vision.Thumb's block sums reproduce it for 8×8).
 func (g GridExtractor) extractNaiveInto(im *vision.Image, dst Vector) (Vector, error) {
 	if err := g.validate(im); err != nil {
 		return nil, err
@@ -229,16 +251,41 @@ func histBin(p, bins float64, n int) int {
 	return b
 }
 
+// intCountBins bounds the histogram width counted in integer stack
+// arrays; wider histograms (which do not occur in practice) count in
+// float64 directly. Must be a power of two so the count index can be
+// masked instead of bounds checked.
+const intCountBins = 256
+
 // ExtractInto computes the histogram into dst.
 func (h HistogramExtractor) ExtractInto(im *vision.Image, dst Vector) (Vector, error) {
 	if len(im.Pix) == 0 {
 		return nil, fmt.Errorf("feature: empty image")
 	}
 	out := sizedBuf(dst, h.Bins)
-	clear(out)
 	bins := float64(h.Bins)
-	for _, v := range im.Pix {
-		out[histBin(v, bins, len(out))]++
+	if h.Bins <= intCountBins {
+		// Integer counts convert to float64 exactly, so this is the float
+		// count bit for bit. Neighbouring pixels tend to share a bin, and
+		// an increment waits for the previous store to the same counter:
+		// alternate pixels count into separate arrays.
+		var even, odd [intCountBins]int32
+		pix, i := im.Pix, 0
+		for ; i+1 < len(pix); i += 2 {
+			even[histBin(pix[i], bins, h.Bins)&(intCountBins-1)]++
+			odd[histBin(pix[i+1], bins, h.Bins)&(intCountBins-1)]++
+		}
+		if i < len(pix) {
+			even[histBin(pix[i], bins, h.Bins)&(intCountBins-1)]++
+		}
+		for i := range out {
+			out[i] = float64(even[i] + odd[i])
+		}
+	} else {
+		clear(out)
+		for _, v := range im.Pix {
+			out[histBin(v, bins, len(out))]++
+		}
 	}
 	n := float64(len(im.Pix))
 	for i := range out {
@@ -255,13 +302,16 @@ type CombinedExtractor struct {
 	normalize bool
 	dim       int
 	name      string
-	// fusedGrid/fusedHist are set when parts is exactly {grid, hist}:
-	// the common pipeline shape, extracted in one fused pixel pass.
-	fusedGrid *GridExtractor
-	fusedHist *HistogramExtractor
+	// grid is set when parts is exactly {grid, hist}, the common pipeline
+	// shape: its grid half is summed cell by cell (extractNaiveInto's
+	// order), or copied from a thumbnail that already holds those sums.
+	grid *GridExtractor
 }
 
-var _ IntoExtractor = (*CombinedExtractor)(nil)
+var (
+	_ IntoExtractor  = (*CombinedExtractor)(nil)
+	_ ThumbExtractor = (*CombinedExtractor)(nil)
+)
 
 // NewCombinedExtractor concatenates parts. normalize selects unit-norm
 // output.
@@ -282,20 +332,15 @@ func NewCombinedExtractor(normalize bool, parts ...Extractor) (*CombinedExtracto
 	c := &CombinedExtractor{parts: parts, normalize: normalize, dim: dim, name: name}
 	if len(parts) == 2 {
 		if g, ok := parts[0].(GridExtractor); ok {
-			if h, ok := parts[1].(HistogramExtractor); ok && h.Bins <= fusedMaxBins {
-				c.fusedGrid, c.fusedHist = &g, &h
+			// A wider histogram has always meant the generic per-part path
+			// (integral-image grid); its bits stay as they were.
+			if h, ok := parts[1].(HistogramExtractor); ok && h.Bins <= intCountBins {
+				c.grid = &g
 			}
 		}
 	}
 	return c, nil
 }
-
-// fusedMaxBins bounds the histogram width the fused grid+histogram pass
-// handles with its stack-allocated count array; wider histograms (which
-// do not occur in practice) take the generic per-part path. Must be a
-// power of two so the count index can be masked instead of bounds
-// checked.
-const fusedMaxBins = 256
 
 // Dim returns the total dimensionality.
 func (c *CombinedExtractor) Dim() int { return c.dim }
@@ -308,121 +353,76 @@ func (c *CombinedExtractor) Extract(im *vision.Image) (Vector, error) {
 	return c.ExtractInto(im, nil)
 }
 
-// ExtractInto concatenates the part vectors into dst. The grid+histogram
-// shape used by the standard pipeline is computed in a single fused
-// pixel pass; other combinations delegate to each part's buffer-reusing
-// path, writing directly into dst's sub-ranges.
+// thumbShaped reports whether the grid half is a thumbnail's partition.
+func (c *CombinedExtractor) thumbShaped() bool {
+	return c.grid != nil && c.grid.Cols == vision.ThumbGrid && c.grid.Rows == vision.ThumbGrid
+}
+
+// ExtractInto concatenates the part vectors into dst. The default shape
+// (8×8 grid + histogram) summarises the frame into a thumbnail and takes
+// ExtractThumbInto's path, so a caller with and without a thumbnail get
+// the same bits from the same code.
 func (c *CombinedExtractor) ExtractInto(im *vision.Image, dst Vector) (Vector, error) {
+	var th vision.Thumb
+	if c.thumbShaped() {
+		th.Fill(im)
+	}
+	return c.extract(im, &th, dst)
+}
+
+// ExtractThumbInto is ExtractInto reading the grid half off th; see
+// ThumbExtractor. Any other shape, or a thumbnail that is not of a frame
+// this size, takes ExtractInto.
+func (c *CombinedExtractor) ExtractThumbInto(im *vision.Image, th *vision.Thumb, dst Vector) (Vector, error) {
+	if !c.thumbShaped() || !th.Covers(im) {
+		return c.ExtractInto(im, dst)
+	}
+	return c.extract(im, th, dst)
+}
+
+// extract writes the grid half of the {grid, hist} shape — cell means
+// from th's block sums when th covers im, summed from the pixels
+// otherwise — and delegates every other part to its buffer-reusing
+// path, writing directly into dst's sub-ranges.
+func (c *CombinedExtractor) extract(im *vision.Image, th *vision.Thumb, dst Vector) (Vector, error) {
 	out := sizedBuf(dst, c.dim)
-	if c.fusedGrid != nil {
-		if err := extractGridHistFused(im, *c.fusedGrid, *c.fusedHist, out); err != nil {
+	parts, off := c.parts, 0
+	if g := c.grid; g != nil {
+		parts, off = parts[1:], g.Dim()
+		if th.Covers(im) {
+			// A covering thumbnail only arrives when the grid is the
+			// thumbnail's own (thumbShaped).
+			if err := g.validate(im); err != nil {
+				return nil, err
+			}
+			const n = vision.ThumbGrid
+			for i, sum := range th.BlockSums() {
+				gx, gy := i%n, i/n
+				cw := (gx+1)*im.W/n - gx*im.W/n
+				ch := (gy+1)*im.H/n - gy*im.H/n
+				out[i] = sum / float64(ch*cw)
+			}
+		} else if _, err := g.extractNaiveInto(im, out[:0:off]); err != nil {
 			return nil, err
 		}
-	} else {
-		off := 0
-		for _, p := range c.parts {
-			pd := p.Dim()
-			sub, err := ExtractInto(p, im, out[off:off:off+pd])
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", p.Name(), err)
-			}
-			// A part may return its own storage (foreign extractor
-			// with an oversized result); fold it into place.
-			if &sub[0] != &out[off] {
-				copy(out[off:off+pd], sub)
-			}
-			off += pd
+	}
+	for _, p := range parts {
+		pd := p.Dim()
+		sub, err := ExtractInto(p, im, out[off:off:off+pd])
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", p.Name(), err)
 		}
+		// A part may return its own storage (foreign extractor
+		// with an oversized result); fold it into place.
+		if &sub[0] != &out[off] {
+			copy(out[off:off+pd], sub)
+		}
+		off += pd
 	}
 	if c.normalize {
 		out.Normalize()
 	}
 	return out, nil
-}
-
-// extractGridHistFused computes the grid cells and histogram bins in one
-// row-major pixel pass. Within each cell, pixels accumulate in the same
-// order as the naive per-cell loops, and the histogram sees pixels in
-// the same global order as the standalone extractor, so the fused result
-// is bit-identical to running the parts separately.
-func extractGridHistFused(im *vision.Image, g GridExtractor, h HistogramExtractor, out Vector) error {
-	if err := g.validate(im); err != nil {
-		return err
-	}
-	if len(im.Pix) == 0 {
-		return fmt.Errorf("feature: empty image")
-	}
-	gridDim := g.Cols * g.Rows
-	grid := out[:gridDim]
-	hist := out[gridDim : gridDim+h.Bins]
-	clear(grid)
-	clear(hist)
-	bins := float64(h.Bins)
-	// Histogram counts accumulate in an integer stack array: integer
-	// increments do not compete with the grid sums for floating-point
-	// ports, and integer counts convert to float64 exactly, so the final
-	// bins are identical to counting in float64 directly. Construction
-	// guarantees Bins <= fusedMaxBins.
-	var counts [fusedMaxBins]int32
-	colQ, colR := gridSteps(im.W, g.Cols)
-	gy, gyEnd := 0, im.H/g.Rows // row band 0 ends at 1*H/Rows
-	for y := 0; y < im.H; y++ {
-		for y >= gyEnd {
-			gy++
-			gyEnd = (gy + 1) * im.H / g.Rows
-		}
-		row := im.Pix[y*im.W : (y+1)*im.W]
-		cells := grid[gy*g.Cols : (gy+1)*g.Cols]
-		// Walk the row one cell-column segment at a time so the cell
-		// accumulator stays in a register and the per-pixel loop has no
-		// band-boundary check; segment boundaries are carry-stepped.
-		x0, xacc := 0, 0
-		for gx := 0; gx < g.Cols; gx++ {
-			x1 := x0 + colQ
-			if xacc += colR; xacc >= g.Cols {
-				x1++
-				xacc -= g.Cols
-			}
-			sum := cells[gx]
-			for _, p := range row[x0:x1] {
-				sum += p
-				counts[histBin(p, bins, h.Bins)&(fusedMaxBins-1)]++
-			}
-			cells[gx] = sum
-			x0 = x1
-		}
-	}
-	for i := range hist {
-		hist[i] = float64(counts[i])
-	}
-	// Cell heights and widths are stepped with exact carry arithmetic
-	// (gridSteps) instead of an integer division per cell; the divisors
-	// are the same values (gy+1)*H/Rows - gy*H/Rows etc. would produce.
-	hq, hr := gridSteps(im.H, g.Rows)
-	wq, wr := gridSteps(im.W, g.Cols)
-	i, yacc := 0, 0
-	for gy := 0; gy < g.Rows; gy++ {
-		hgt := hq
-		if yacc += hr; yacc >= g.Rows {
-			hgt++
-			yacc -= g.Rows
-		}
-		xacc := 0
-		for gx := 0; gx < g.Cols; gx++ {
-			w := wq
-			if xacc += wr; xacc >= g.Cols {
-				w++
-				xacc -= g.Cols
-			}
-			grid[i] /= float64(hgt * w)
-			i++
-		}
-	}
-	n := float64(len(im.Pix))
-	for i := range hist {
-		hist[i] /= n
-	}
-	return nil
 }
 
 // gridSteps returns the quotient and remainder used to step successive

@@ -23,8 +23,8 @@ func benchImage(b *testing.B, w, h int) *vision.Image {
 }
 
 // BenchmarkHotPathFusedExtract is the full default descriptor computed
-// by the fused single-pass path into a reused buffer. Budget: 0
-// allocs/op.
+// from the pixels alone into a reused buffer: thumbnail pass, grid half
+// off the thumbnail, histogram pass. Budget: 0 allocs/op.
 func BenchmarkHotPathFusedExtract(b *testing.B) {
 	e := DefaultExtractor().(IntoExtractor)
 	im := benchImage(b, 48, 48)
@@ -33,6 +33,26 @@ func BenchmarkHotPathFusedExtract(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		v, err := e.ExtractInto(im, dst)
+		if err != nil {
+			b.Fatal(err)
+		}
+		dst = v[:0]
+	}
+}
+
+// BenchmarkHotPathExtractFromThumb is the engine's call: the same
+// descriptor for a caller that already holds the frame's thumbnail, so
+// only the histogram reads the pixels. Budget: 0 allocs/op.
+func BenchmarkHotPathExtractFromThumb(b *testing.B) {
+	e := DefaultExtractor()
+	im := benchImage(b, 48, 48)
+	var th vision.Thumb
+	th.Fill(im)
+	dst := make(Vector, 0, e.Dim())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v, err := ExtractThumbInto(e, im, &th, dst)
 		if err != nil {
 			b.Fatal(err)
 		}

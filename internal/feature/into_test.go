@@ -2,8 +2,8 @@ package feature
 
 // Differential and buffer-contract tests for the ExtractInto hot path:
 // the integral-image grid against the naive per-cell reference, the
-// fused combined pass against running the parts separately, and the
-// dst-reuse semantics every IntoExtractor must honor.
+// combined {grid, hist} shape against running the parts separately, and
+// the dst-reuse semantics every IntoExtractor must honor.
 
 import (
 	"fmt"
@@ -60,47 +60,57 @@ func TestGridIntegralMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestFusedMatchesSeparateParts pins the fused grid+histogram pass to
-// running the naive grid and the standalone histogram separately. The
-// fused pass preserves both accumulation orders, so the match is exact.
+// refHistogram is the histogram as first written: float64 counters, one
+// pass in pixel order. The integer-counting pass must reproduce its bits.
+func refHistogram(im *vision.Image, bins int) Vector {
+	out := make(Vector, bins)
+	for _, p := range im.Pix {
+		out[histBin(p, float64(bins), bins)]++
+	}
+	for i := range out {
+		out[i] /= float64(len(im.Pix))
+	}
+	return out
+}
+
+// refCombined is the {grid, hist} descriptor computed part by part from
+// the references: naive per-cell grid, float-counted histogram.
+func refCombined(t testing.TB, im *vision.Image, g GridExtractor, bins int, normalize bool) Vector {
+	t.Helper()
+	gv, err := g.extractNaiveInto(im, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append(gv, refHistogram(im, bins)...)
+	if normalize {
+		want.Normalize()
+	}
+	return want
+}
+
+// TestFusedMatchesSeparateParts pins the combined {grid, hist} shape —
+// thumbnail-backed for the 8×8 grid, summed cell by cell for any other —
+// to the naive grid and the float-counted histogram run separately.
+// Both accumulation orders are preserved, so the match is exact.
 func TestFusedMatchesSeparateParts(t *testing.T) {
+	grids := []GridExtractor{{Cols: 8, Rows: 8}, {Cols: 16, Rows: 16}, {Cols: 7, Rows: 5}}
 	for _, c := range []struct{ w, h int }{{48, 48}, {53, 47}, {17, 31}} {
 		t.Run(fmt.Sprintf("%dx%d", c.w, c.h), func(t *testing.T) {
 			im := noisyImage(c.w, c.h, int64(c.w+c.h))
-			g := GridExtractor{Cols: 8, Rows: 8}
-			h := HistogramExtractor{Bins: 16}
-			for _, normalize := range []bool{false, true} {
-				comb, err := NewCombinedExtractor(normalize, g, h)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if comb.fusedGrid == nil {
-					t.Fatal("grid+hist shape not fused")
-				}
-				got, err := comb.ExtractInto(im, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				gv, err := g.extractNaiveInto(im, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				hv, err := h.ExtractInto(im, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := append(append(Vector{}, gv...), hv...)
-				if normalize {
-					want.Normalize()
-				}
-				if len(got) != len(want) {
-					t.Fatalf("len %d, want %d", len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("normalize=%v dim %d: fused %v, parts %v",
-							normalize, i, got[i], want[i])
+			for _, g := range grids {
+				for _, normalize := range []bool{false, true} {
+					comb, err := NewCombinedExtractor(normalize, g, HistogramExtractor{Bins: 16})
+					if err != nil {
+						t.Fatal(err)
 					}
+					if comb.grid == nil {
+						t.Fatalf("%s+hist shape not recognised", g.Name())
+					}
+					got, err := comb.ExtractInto(im, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					assertSameVector(t, got, refCombined(t, im, g, 16, normalize))
 				}
 			}
 		})
@@ -122,7 +132,7 @@ func TestCombinedGenericPathMatchesFused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if generic.fusedGrid != nil {
+	if generic.grid != nil {
 		t.Fatal("wrapper failed to defeat fusion")
 	}
 	a, err := fused.Extract(im)

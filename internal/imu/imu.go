@@ -223,11 +223,16 @@ type Detector struct {
 	cfg DetectorConfig
 	// base keeps the configured thresholds so SetStrictness scales from
 	// the original values, not compounding on itself.
-	base     DetectorConfig
-	window   []Sample
-	rotation float64
-	lastOff  time.Duration
-	started  bool
+	base DetectorConfig
+	// ring holds the window's samples, oldest at head, count of them in
+	// use, wrapping around. Its length is a power of two (index masking)
+	// and grows until it holds the busiest window seen; from then on a
+	// sample costs one slot write, however many it pushes out.
+	ring        []Sample
+	head, count int
+	rotation    float64
+	lastOff     time.Duration
+	started     bool
 }
 
 // NewDetector builds a detector with cfg.
@@ -264,15 +269,32 @@ func (d *Detector) Observe(s Sample) {
 	}
 	d.started = true
 	d.lastOff = s.Offset
-	d.window = append(d.window, s)
-	cutoff := s.Offset - d.cfg.Window
-	trim := 0
-	for trim < len(d.window) && d.window[trim].Offset < cutoff {
-		trim++
+	if d.count == len(d.ring) {
+		d.grow()
 	}
-	if trim > 0 {
-		d.window = append(d.window[:0], d.window[trim:]...)
+	mask := len(d.ring) - 1
+	d.ring[(d.head+d.count)&mask] = s
+	d.count++
+	for cutoff := s.Offset - d.cfg.Window; d.count > 0 && d.ring[d.head].Offset < cutoff; d.count-- {
+		d.head = (d.head + 1) & mask
 	}
+}
+
+// grow doubles the ring, unwrapping the window to its start.
+func (d *Detector) grow() {
+	ring := make([]Sample, max(16, 2*len(d.ring)))
+	older, newer := d.segments()
+	copy(ring[copy(ring, older):], newer)
+	d.ring, d.head = ring, 0
+}
+
+// segments returns the window as at most two runs of the ring, oldest
+// sample first.
+func (d *Detector) segments() (older, newer []Sample) {
+	if end := d.head + d.count; end > len(d.ring) {
+		return d.ring[d.head:], d.ring[:end-len(d.ring)]
+	}
+	return d.ring[d.head : d.head+d.count], nil
 }
 
 // ObserveAll feeds a batch of samples.
@@ -290,18 +312,23 @@ func (d *Detector) Mark() { d.rotation = 0 }
 // State returns the current assessment. With fewer than two samples in
 // the window the detector conservatively reports non-stationary.
 func (d *Detector) State() State {
-	st := State{RotationSinceMark: d.rotation, Samples: len(d.window)}
-	if len(d.window) < 2 {
+	st := State{RotationSinceMark: d.rotation, Samples: d.count}
+	if d.count < 2 {
 		return st
 	}
+	// Oldest to newest, whatever the ring's phase: the sums must not
+	// depend on where the window happens to wrap.
 	var sum, sumSq, gyro float64
-	for _, s := range d.window {
-		m := s.AccelMagnitude()
-		sum += m
-		sumSq += m * m
-		gyro += s.GyroMagnitude()
+	older, newer := d.segments()
+	for _, run := range [2][]Sample{older, newer} {
+		for i := range run {
+			m := run[i].AccelMagnitude()
+			sum += m
+			sumSq += m * m
+			gyro += run[i].GyroMagnitude()
+		}
 	}
-	n := float64(len(d.window))
+	n := float64(d.count)
 	mean := sum / n
 	st.AccelVariance = sumSq/n - mean*mean
 	if st.AccelVariance < 0 {

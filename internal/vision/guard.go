@@ -83,11 +83,14 @@ func CheckFrame(im *Image, cfg FrameGuardConfig) FrameFault {
 	return CheckFrameThumb(im, cfg, &th)
 }
 
-// CheckFrameThumb is the engine's one pass over an incoming frame: it
-// returns the frame's fault verdict and leaves the frame's block-sum
-// thumbnail in th for the video gate (empty when the frame has no
-// well-formed pixel buffer). The pass costs about as much as one exact
-// frame diff; the gate's thumbnail bound then spares most of those.
+// CheckFrameThumb is the engine's one pass over a frame's pixels, made
+// by the first stage that needs to read them (a frame the inertial gate
+// answers is never passed here): it returns the frame's fault verdict
+// and leaves the frame's block-sum thumbnail in th (empty when the frame
+// has no well-formed pixel buffer) for the video gate, whose thumbnail
+// bound spares most exact diffs, and for the extractor, whose 8×8 grid
+// is those block sums. The pass costs about as much as one exact frame
+// diff.
 //
 // Non-finite pixels are detected through the sum of squares rather than
 // pixel by pixel: p*p is NaN or +Inf for such a pixel and adding

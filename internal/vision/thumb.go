@@ -2,20 +2,22 @@ package vision
 
 import "math"
 
-// thumbGrid is the side of the block-sum thumbnail: a frame is cut into
-// thumbGrid×thumbGrid blocks whatever its size.
-const thumbGrid = 8
+// ThumbGrid is the side of the block-sum thumbnail: a frame is cut into
+// ThumbGrid×ThumbGrid blocks whatever its size.
+const ThumbGrid = 8
 
 // Thumb is a frame's block-sum thumbnail: the pixel sums of an 8×8
 // partition of the frame, taken in one pass over the pixels. Two
 // thumbnails of same-sized frames bound the frames' MeanAbsDiff from
 // below (Farther), which lets the video gate discard a keyframe in 64
-// operations instead of one per pixel. The zero value is the empty
-// thumbnail: it proves nothing, so every comparison against it falls
-// through to the exact pixel diff.
+// operations instead of one per pixel, and the sums are the 8×8 grid
+// descriptor's cell sums (BlockSums), so the extractor need not add the
+// pixels up again. The zero value is the empty thumbnail: it proves
+// nothing, so every comparison against it falls through to the exact
+// pixel diff.
 type Thumb struct {
 	w, h  int
-	cells [thumbGrid * thumbGrid]float64
+	cells [ThumbGrid * ThumbGrid]float64
 	// rms is the frame's root-mean-square pixel value. It bounds the
 	// mean absolute pixel from above and scales Farther's float slack,
 	// so the bound stays sound for pixels far outside [0, 1]; +Inf or
@@ -46,41 +48,56 @@ func (th *Thumb) Fill(im *Image) {
 	th.fill(im)
 }
 
+// Covers reports whether th is a non-empty thumbnail of a frame with
+// im's dimensions. It cannot tell whose pixels were summed: handing a
+// consumer the thumbnail of this very frame is the caller's job.
+func (th *Thumb) Covers(im *Image) bool {
+	return th.w != 0 && im != nil && th.w == im.W && th.h == im.H
+}
+
+// BlockSums returns the block sums, row-major; the caller must not
+// modify them. Block (cx, cy) holds the pixels with
+// cx*W/ThumbGrid ≤ x < (cx+1)*W/ThumbGrid (integer division, likewise in
+// y), added in row-major order in one chain starting from zero — the
+// partition and the order of feature.GridExtractor{8, 8}'s per-cell
+// summation, so the sums are that grid's cell sums bit for bit.
+func (th *Thumb) BlockSums() *[ThumbGrid * ThumbGrid]float64 { return &th.cells }
+
 // fill is the one pass over a well-formed frame that every per-frame
 // consumer shares: it writes the block sums and returns the pixel sum
-// and sum of squares the frame guard needs. Each block-row segment
-// accumulates into locals, so the floating-point adds form many short
-// independent chains instead of one chain as long as the frame.
+// and sum of squares the frame guard needs. A block's sum is one chain
+// across its rows (BlockSums pins the order), but the eight blocks of a
+// block row are independent chains, and the squares accumulate per
+// segment, so no chain is as long as the frame.
 func (th *Thumb) fill(im *Image) (sum, sumSq float64) {
 	w, h := im.W, im.H
-	var xb, yb [thumbGrid + 1]int
+	var xb, yb [ThumbGrid + 1]int
 	for k := range xb {
-		// Pixel x belongs to block x*thumbGrid/w: block k starts at
-		// ceil(k*w/thumbGrid). Narrow frames leave some blocks empty.
-		xb[k] = (k*w + thumbGrid - 1) / thumbGrid
-		yb[k] = (k*h + thumbGrid - 1) / thumbGrid
+		// Frames narrower than the grid leave some blocks empty.
+		xb[k] = k * w / ThumbGrid
+		yb[k] = k * h / ThumbGrid
 	}
 	th.w, th.h = w, h
-	for cy := 0; cy < thumbGrid; cy++ {
+	for cy := 0; cy < ThumbGrid; cy++ {
 		// A block row accumulates into a local array: the compiler cannot
 		// prove th.cells and im.Pix distinct, and would reload and store
 		// the cell on every segment.
-		var cells [thumbGrid]float64
+		var cells [ThumbGrid]float64
 		for y := yb[cy]; y < yb[cy+1]; y++ {
 			row := im.Pix[y*w : (y+1)*w]
 			var rowSq float64
 			for cx := range cells {
-				var c, q float64
+				c, q := cells[cx], 0.0
 				for _, p := range row[xb[cx]:xb[cx+1]] {
 					c += p
 					q += p * p
 				}
-				cells[cx] += c
+				cells[cx] = c
 				rowSq += q
 			}
 			sumSq += rowSq
 		}
-		copy(th.cells[cy*thumbGrid:], cells[:])
+		copy(th.cells[cy*ThumbGrid:], cells[:])
 	}
 	for _, c := range th.cells {
 		sum += c

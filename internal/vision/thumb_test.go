@@ -97,8 +97,58 @@ func thumbPairs(t *testing.T, rng *rand.Rand, w, h int) [][2]*Image {
 }
 
 // thumbSizes covers dimensions divisible by the thumbnail grid, not
-// divisible by it, smaller than it, and a single pixel.
-var thumbSizes = [][2]int{{48, 48}, {37, 29}, {16, 8}, {5, 3}, {1, 1}}
+// divisible by it, just above it, equal to it, smaller than it (some
+// blocks are empty), and a single pixel.
+var thumbSizes = [][2]int{{48, 48}, {37, 29}, {16, 8}, {9, 13}, {8, 8}, {5, 3}, {1, 1}}
+
+// The blocks partition the frame along the 8×8 grid descriptor's cell
+// boundaries (floor(k·W/8)): every pixel lands in exactly one block, the
+// one whose bounds contain it, at every size — which is what makes the
+// block-sum bound a bound and the sums the grid's cell sums.
+func TestThumbBlocksPartitionTheFrame(t *testing.T) {
+	for _, sz := range thumbSizes {
+		w, h := sz[0], sz[1]
+		ones := NewImage(w, h)
+		for i := range ones.Pix {
+			ones.Pix[i] = 1
+		}
+		for i, area := range thumbOf(ones).BlockSums() {
+			cx, cy := i%ThumbGrid, i/ThumbGrid
+			want := ((cx+1)*w/ThumbGrid - cx*w/ThumbGrid) * ((cy+1)*h/ThumbGrid - cy*h/ThumbGrid)
+			if area != float64(want) {
+				t.Fatalf("%dx%d block %d holds %v pixels, want %d", w, h, i, area, want)
+			}
+		}
+		for y := 0; y < h; y++ {
+			for x := 0; x < w; x++ {
+				im := NewImage(w, h)
+				im.Pix[y*w+x] = 1
+				for i, s := range thumbOf(im).BlockSums() {
+					cx, cy := i%ThumbGrid, i/ThumbGrid
+					inside := cx*w/ThumbGrid <= x && x < (cx+1)*w/ThumbGrid &&
+						cy*h/ThumbGrid <= y && y < (cy+1)*h/ThumbGrid
+					if (s == 1) != inside || (s != 0 && s != 1) {
+						t.Fatalf("%dx%d pixel (%d,%d): block %d sums to %v", w, h, x, y, i, s)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestThumbCovers(t *testing.T) {
+	im := NewImage(16, 8)
+	th := thumbOf(im)
+	var empty Thumb
+	switch {
+	case !th.Covers(im), !th.Covers(NewImage(16, 8)):
+		t.Fatal("thumbnail does not cover a frame of its own size")
+	case th.Covers(NewImage(8, 16)), th.Covers(NewImage(16, 9)), th.Covers(nil):
+		t.Fatal("thumbnail covers a frame of another size")
+	case empty.Covers(im), empty.Covers(&Image{}), empty.Covers(nil):
+		t.Fatal("the empty thumbnail covers something")
+	}
+}
 
 func TestThumbBoundNeverExceedsMeanAbsDiff(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
