@@ -5,12 +5,14 @@ GO ?= go
 # CandidatesInto with a reused buffer must stay allocation-free, and so
 # must the kNN vote, the video gate (a keyframe scan allocates nothing
 # and a push into a full library recycles the evicted buffer) and the
-# inertial gate (a sample into a full window takes a ring slot).
-# Substring-matched against benchmark names.
-HOTPATH_BUDGETS = HotPathNearest=0,HotPathNearestDescriptors=0,HotPathNearestWithinDescriptors=0,HotPathExactNearest=0,HotPathVote=0,HotPathSignature=0,HotPathTopK=0,HotPathCandidates=0,HotPathFusedExtract=0,HotPathExtractFromThumb=0,HotPathGridIntegral=0,HotPathHistogram=0,HotPathKeyframeMatch=0,HotPathKeyframePush=0,HotPathIMUObserve=0
+# inertial gate (a sample into a full window takes a ring slot). The
+# store's label read copies nothing; an insert into a full store may
+# allocate only what the index's bucket growth does (the store itself:
+# nothing). Substring-matched against benchmark names.
+HOTPATH_BUDGETS = HotPathNearest=0,HotPathNearestDescriptors=0,HotPathNearestWithinDescriptors=0,HotPathExactNearest=0,HotPathVote=0,HotPathSignature=0,HotPathTopK=0,HotPathCandidates=0,HotPathFusedExtract=0,HotPathExtractFromThumb=0,HotPathGridIntegral=0,HotPathHistogram=0,HotPathKeyframeMatch=0,HotPathKeyframePush=0,HotPathIMUObserve=0,HotPathStoreLabel=0,HotPathStoreInsertEvict=4
 
 # Packages holding HotPath benchmarks.
-HOTPATH_PKGS = ./internal/lsh/ ./internal/feature/ ./internal/video/ ./internal/imu/
+HOTPATH_PKGS = ./internal/lsh/ ./internal/feature/ ./internal/video/ ./internal/imu/ ./internal/cachestore/
 
 # The serving-scale regression gate: sharded store + micro-batched
 # inference must beat the single-mutex baseline by at least this
@@ -52,7 +54,19 @@ MIN_P2P_REDUCTION = 4.0
 
 .PHONY: check build test race vet fmt bench bench-e2e-test bench-hotpath bench-gate bench-throughput throughput-gate bench-overload overload-gate bench-lookup lookup-gate bench-quality quality-gate bench-readscale readscale-gate bench-p2p p2p-gate fault-matrix
 
-check: vet fmt test race bench-e2e-test bench-gate throughput-gate overload-gate lookup-gate quality-gate readscale-gate p2p-gate fault-matrix
+# Every gate `make check` runs, in order.
+CHECKS = vet fmt test race bench-e2e-test bench-gate throughput-gate overload-gate lookup-gate quality-gate readscale-gate p2p-gate fault-matrix
+
+# check runs every gate even after one fails and lists the failures at
+# the end, so a known-red gate cannot hide the gates behind it.
+check:
+	@failed=; \
+	for t in $(CHECKS); do \
+		echo "==> $$t"; \
+		$(MAKE) --no-print-directory $$t || failed="$$failed $$t"; \
+	done; \
+	if [ -n "$$failed" ]; then echo "make check: FAILED:$$failed"; exit 1; fi; \
+	echo "make check: all $(words $(CHECKS)) gates passed"
 
 build:
 	$(GO) build ./...

@@ -22,10 +22,23 @@ import (
 //
 // All implementations are safe for concurrent use and share the
 // snapshot wire format, so Export/Import round-trips across them.
+//
+// An Entry is a value assembled on the way out, never a view of store
+// memory: its bookkeeping comes from the store's entry table and its
+// vector is a fresh copy — read back from the index arena, which holds
+// the only copy of a live entry's vector. Reads that need no vector
+// (Label, Quarantined) therefore copy nothing.
+//
+// Three reads every in-tree store also offers are deliberately not part
+// of Interface, so a wrapper that embeds Interface without knowing them
+// hides them and callers fall back instead of silently forwarding:
+// reach them through the package functions NearestWithinInto, Answer
+// and QuarantinedEntries.
 type Interface interface {
 	// Insert stores a recognition result and returns its ID.
 	Insert(vec feature.Vector, label string, confidence float64, source string, savedCost time.Duration) (lsh.ID, error)
-	// Get returns a snapshot of the entry and whether it is live.
+	// Get returns a copy of the entry, vector included, and whether it
+	// is live.
 	Get(id lsh.ID) (Entry, bool)
 	// Touch records a cache hit on id.
 	Touch(id lsh.ID)
@@ -56,7 +69,7 @@ type Interface interface {
 	Expiries() int
 	// Stats returns an occupancy/churn summary.
 	Stats() StoreStats
-	// Snapshot returns copies of all live entries.
+	// Snapshot returns copies of all live entries, vectors included.
 	Snapshot() []Entry
 	// Export writes a checksummed snapshot; Import reads one back.
 	Export(w io.Writer) error

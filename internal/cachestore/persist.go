@@ -3,13 +3,14 @@ package cachestore
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -63,32 +64,53 @@ type wireSnapshot struct {
 	Entries []wireEntry `json:"entries"`
 }
 
-// writeSnapshot serializes entries to w: a header line carrying the
-// format version and the payload's CRC-32, then the JSON payload. The
-// caller provides a consistent, sorted entry set, so equal stores
-// produce byte-identical snapshots. Shared by every store shape.
-func writeSnapshot(w io.Writer, entries []Entry) error {
-	out := wireSnapshot{
-		Version: snapshotFormatVersion,
-		Entries: make([]wireEntry, 0, len(entries)),
-	}
-	for _, e := range entries {
-		out.Entries = append(out.Entries, wireEntry{
-			Vec:             e.Vec,
-			Label:           e.Label,
-			Confidence:      e.Confidence,
-			Source:          e.Source,
-			SavedCostMicros: e.SavedCost.Microseconds(),
-			Confirms:        e.Confirms,
-			Refutes:         e.Refutes,
-			ParoleFails:     e.ParoleFails,
-			Quarantined:     e.Quarantined,
-		})
-	}
-	payload, err := json.Marshal(out)
+// snapshotEncoder builds a snapshot payload one entry at a time, so a
+// writer never needs every entry's vector materialized at once. The
+// payload is byte for byte json.Marshal of a wireSnapshot holding the
+// same entries. The caller adds a consistent, sorted entry set, so equal
+// stores produce byte-identical snapshots. Shared by every store shape.
+type snapshotEncoder struct {
+	payload bytes.Buffer
+	entries int
+}
+
+func newSnapshotEncoder() *snapshotEncoder {
+	enc := &snapshotEncoder{}
+	fmt.Fprintf(&enc.payload, `{"version":%d,"entries":[`, snapshotFormatVersion)
+	return enc
+}
+
+// add appends e; e.Vec is only read during the call, so the caller may
+// reuse its backing array for the next entry.
+func (enc *snapshotEncoder) add(e Entry) error {
+	b, err := json.Marshal(wireEntry{
+		Vec:             e.Vec,
+		Label:           e.Label,
+		Confidence:      e.Confidence,
+		Source:          e.Source,
+		SavedCostMicros: e.SavedCost.Microseconds(),
+		Confirms:        e.Confirms,
+		Refutes:         e.Refutes,
+		ParoleFails:     e.ParoleFails,
+		Quarantined:     e.Quarantined,
+	})
 	if err != nil {
 		return fmt.Errorf("cachestore: export: %w", err)
 	}
+	if enc.entries > 0 {
+		enc.payload.WriteByte(',')
+	}
+	enc.payload.Write(b)
+	enc.entries++
+	return nil
+}
+
+// writeTo closes the payload and writes the snapshot: a header line
+// carrying the format version and the payload's CRC-32, then the JSON
+// payload.
+func (enc *snapshotEncoder) writeTo(w io.Writer) error {
+	enc.payload.WriteString("]}")
+	payload := enc.payload.Bytes()
 	if _, err := fmt.Fprintf(w, snapshotHeaderFmt,
 		snapshotFormatVersion, crc32.ChecksumIEEE(payload)); err != nil {
 		return fmt.Errorf("cachestore: export: %w", err)
@@ -133,12 +155,37 @@ func readSnapshot(r io.Reader) (wireSnapshot, error) {
 }
 
 // Export writes all live entries to w in the checksummed snapshot
-// format. The entry set is captured in one consistent read-locked pass
-// (concurrent inserts land either wholly before or wholly after it).
+// format. The entry set is encoded in one consistent read-locked pass
+// (concurrent inserts land either wholly before or wholly after it),
+// straight from the entry table: no intermediate Snapshot, one vector
+// buffer reused for every entry.
 func (s *Store) Export(w io.Writer) error {
-	entries := s.Snapshot()
-	sort.Slice(entries, func(i, j int) bool { return entries[i].ID < entries[j].ID })
-	return writeSnapshot(w, entries)
+	s.purgeExpired()
+	enc := newSnapshotEncoder()
+	if err := s.encodeInto(enc); err != nil {
+		return err
+	}
+	return enc.writeTo(w)
+}
+
+// encodeInto adds every record to enc in ID order under the read lock.
+func (s *Store) encodeInto(enc *snapshotEncoder) error {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	rows := make([]int32, len(s.recs))
+	for i := range rows {
+		rows[i] = int32(i)
+	}
+	slices.SortFunc(rows, func(a, b int32) int { return cmp.Compare(s.recs[a].id, s.recs[b].id) })
+	var vec feature.Vector
+	for _, i := range rows {
+		r := &s.recs[i]
+		vec = s.vecOf(r, vec)
+		if err := enc.add(r.entry(vec)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Import reads a snapshot from r and inserts its entries, subject to
@@ -178,18 +225,22 @@ func (s *Store) applyWireQuality(id lsh.ID, e wireEntry) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	live, ok := s.entries[id]
-	if !ok {
+	r := s.recLocked(id)
+	if r == nil {
 		return // evicted by a later entry of the same import
 	}
-	live.Confirms = e.Confirms
-	live.Refutes = e.Refutes
-	live.ParoleFails = e.ParoleFails
-	if e.Quarantined && !live.Quarantined {
-		live.Quarantined = true
-		s.qTotal++
-		s.index.Remove(id)
+	r.confirms = narrow(e.Confirms)
+	r.refutes = narrow(e.Refutes)
+	r.paroleFails = narrow(e.ParoleFails)
+	if e.Quarantined && !r.quarantined {
+		s.quarantineLocked(r)
 	}
+}
+
+// narrow clamps a counter read from a snapshot file into a record's
+// counter range.
+func narrow(n int) uint32 {
+	return uint32(min(max(int64(n), 0), math.MaxUint32))
 }
 
 // decodeV2 parses a headered snapshot: the header line names the

@@ -101,6 +101,22 @@ func (s *SerializedStore) Parole(id lsh.ID, ok bool) ParoleOutcome {
 	return s.inner.Parole(id, ok)
 }
 
+// Answer resolves id's served label and confidence under the global
+// mutex.
+func (s *SerializedStore) Answer(id lsh.ID) (label string, confidence float64, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.inner.Answer(id)
+}
+
+// QuarantinedEntries copies the quarantined entries under the global
+// mutex.
+func (s *SerializedStore) QuarantinedEntries() []Entry {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.inner.QuarantinedEntries()
+}
+
 // Quarantined reports quarantine state under the global mutex.
 func (s *SerializedStore) Quarantined(id lsh.ID) bool {
 	s.mu.Lock()

@@ -200,6 +200,25 @@ func (s *ShardedStore) Parole(id lsh.ID, ok bool) ParoleOutcome {
 	return s.shards[shard].Parole(local, ok)
 }
 
+// Answer resolves the global id to its served label and confidence.
+func (s *ShardedStore) Answer(id lsh.ID) (label string, confidence float64, ok bool) {
+	shard, local := s.split(id)
+	return s.shards[shard].Answer(local)
+}
+
+// QuarantinedEntries returns copies of the quarantined entries with
+// global IDs.
+func (s *ShardedStore) QuarantinedEntries() []Entry {
+	var out []Entry
+	for i, sh := range s.shards {
+		for _, e := range sh.QuarantinedEntries() {
+			e.ID = s.global(i, e.ID)
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
 // Quarantined reports whether the global id is quarantined.
 func (s *ShardedStore) Quarantined(id lsh.ID) bool {
 	shard, local := s.split(id)
@@ -365,7 +384,13 @@ func (s *ShardedStore) Snapshot() []Entry {
 func (s *ShardedStore) Export(w io.Writer) error {
 	entries := s.Snapshot()
 	sort.Slice(entries, func(i, j int) bool { return entries[i].ID < entries[j].ID })
-	return writeSnapshot(w, entries)
+	enc := newSnapshotEncoder()
+	for _, e := range entries {
+		if err := enc.add(e); err != nil {
+			return err
+		}
+	}
+	return enc.writeTo(w)
 }
 
 // Import reads a snapshot and inserts its entries, each routed to its

@@ -47,8 +47,9 @@ func (p Policy) String() string {
 	}
 }
 
-// Entry is one cached recognition result. Copies returned by the store
-// are snapshots; mutating them does not affect the cache.
+// Entry is one cached recognition result as the store hands it out: a
+// snapshot assembled from the entry table (see record), with its own
+// copy of the vector. Mutating one does not affect the cache.
 type Entry struct {
 	ID         lsh.ID
 	Vec        feature.Vector
@@ -75,10 +76,51 @@ type Entry struct {
 	// Label refuses to resolve it, until a parole re-verification
 	// reinstates it.
 	Quarantined bool
+}
 
-	// pos is the entry's position in its store's dense list (see
-	// Store.dense); always zero in the copies a store hands out.
-	pos int
+// record is one row of the entry table: an Entry's bookkeeping held by
+// value, timestamps as unix nanos, counters narrowed (they saturate).
+// It holds no vector: see Store.vecOf.
+type record struct {
+	id          lsh.ID
+	label       string
+	source      string
+	confidence  float64
+	savedCost   time.Duration
+	insertedAt  int64
+	lastAccess  int64
+	hits        uint32
+	confirms    uint32
+	refutes     uint32
+	paroleFails uint32
+	quarantined bool
+}
+
+// entry assembles r's snapshot around vec, which the caller obtained
+// from Store.vecOf.
+func (r *record) entry(vec feature.Vector) Entry {
+	return Entry{
+		ID:          r.id,
+		Vec:         vec,
+		Label:       r.label,
+		Confidence:  r.confidence,
+		Source:      r.source,
+		SavedCost:   r.savedCost,
+		InsertedAt:  time.Unix(0, r.insertedAt),
+		LastAccess:  time.Unix(0, r.lastAccess),
+		Hits:        int(r.hits),
+		Confirms:    int(r.confirms),
+		Refutes:     int(r.refutes),
+		ParoleFails: int(r.paroleFails),
+		Quarantined: r.quarantined,
+	}
+}
+
+// bump increments a narrowed counter, saturating instead of wrapping.
+func bump(c *uint32) {
+	if *c != math.MaxUint32 {
+		*c++
+	}
 }
 
 // Config parameterizes a Store.
@@ -127,12 +169,26 @@ type Store struct {
 	clock simclock.Clock
 	index lsh.Index
 
-	mu      sync.RWMutex
-	entries map[lsh.ID]*Entry
-	// dense lists the same entries in no particular order, kept compact
-	// by swap-delete (Entry.pos), so eviction's victim search walks a
-	// slice instead of iterating the map.
-	dense  []*Entry
+	// src is index's VectorSource side, nil when it has none (then every
+	// record keeps its own vector).
+	src lsh.VectorSource
+
+	mu sync.RWMutex
+	// recs is the entry table: every live entry's record, by value, in
+	// no particular order, kept compact by swap-delete so every scan
+	// (victim search, expiry, stats, snapshot) is one pass over
+	// contiguous memory. It grows with the entries actually held, never
+	// ahead to Capacity (see growLocked). slot maps an ID to its row.
+	recs []record
+	slot map[lsh.ID]int32
+	// owned holds the store's own copy of an entry's vector, only while
+	// the index cannot hand it back: while the entry is quarantined (it
+	// is out of the index), or always when the index is no
+	// lsh.VectorSource. A live entry on a VectorSource index is absent
+	// here — its vector is stored once, in the index arena. Kept beside
+	// the table rather than as a slice header in every row, since on the
+	// standard pipeline all but a handful of rows would hold nil.
+	owned  map[lsh.ID]feature.Vector
 	nextID lsh.ID
 	// nlive/evictions/expiries are atomics so the observability reads
 	// (Len, Evictions, Expiries — polled by metrics scrapes and node
@@ -147,7 +203,9 @@ type Store struct {
 	// is skipped entirely. It may run stale-low after a removal, which
 	// costs at most one wasted scan that then recomputes it.
 	minExpiry atomic.Int64
-	// Quarantine lifecycle counters (cumulative).
+	// Quarantine counters: the current population, then the cumulative
+	// lifecycle.
+	qActive  int // entries quarantined right now
 	qTotal   int // entries ever quarantined
 	qParoled int // quarantined entries reinstated by parole
 	qEvicted int // quarantined entries evicted at the parole-fail limit
@@ -170,12 +228,15 @@ func New(cfg Config, index lsh.Index, clock simclock.Clock) (*Store, error) {
 	if cfg.QuarantineThreshold > 0 && cfg.ParoleFailLimit == 0 {
 		cfg.ParoleFailLimit = 2
 	}
+	src, _ := index.(lsh.VectorSource)
 	return &Store{
-		cfg:     cfg,
-		clock:   clock,
-		index:   index,
-		entries: make(map[lsh.ID]*Entry, cfg.Capacity),
-		nextID:  1,
+		cfg:    cfg,
+		clock:  clock,
+		index:  index,
+		src:    src,
+		slot:   make(map[lsh.ID]int32),
+		owned:  make(map[lsh.ID]feature.Vector),
+		nextID: 1,
 	}, nil
 }
 
@@ -204,12 +265,12 @@ func (s *Store) Insert(vec feature.Vector, label string, confidence float64, sou
 	if label == "" {
 		return 0, fmt.Errorf("cachestore: empty label")
 	}
-	now := s.clock.Now()
+	now := s.clock.Now().UnixNano()
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.expireLocked(now)
-	for len(s.entries) >= s.cfg.Capacity {
+	for len(s.recs) >= s.cfg.Capacity {
 		victim, ok := s.victimLocked()
 		if !ok {
 			break
@@ -219,28 +280,33 @@ func (s *Store) Insert(vec feature.Vector, label string, confidence float64, sou
 	}
 	id := s.nextID
 	s.nextID++
-	e := &Entry{
-		ID:         id,
-		Vec:        vec.Clone(),
-		Label:      label,
-		Confidence: confidence,
-		Source:     source,
-		SavedCost:  savedCost,
-		InsertedAt: now,
-		LastAccess: now,
+	r := record{
+		id:         id,
+		label:      label,
+		source:     source,
+		confidence: confidence,
+		savedCost:  savedCost,
+		insertedAt: now,
+		lastAccess: now,
 	}
-	if err := s.index.Insert(id, e.Vec); err != nil {
+	if s.src == nil {
+		// The index cannot hand the vector back: keep a copy (and give
+		// the index that copy, never the caller's slice).
+		vec = vec.Clone()
+		s.owned[id] = vec
+	}
+	if err := s.index.Insert(id, vec); err != nil {
+		delete(s.owned, id)
 		return 0, fmt.Errorf("index insert: %w", err)
 	}
-	e.pos = len(s.dense)
-	s.dense = append(s.dense, e)
-	s.entries[id] = e
+	if len(s.recs) == cap(s.recs) {
+		s.growLocked()
+	}
+	s.slot[id] = int32(len(s.recs))
+	s.recs = append(s.recs, r)
 	s.nlive.Add(1)
 	if s.cfg.TTL > 0 {
-		exp := now.Add(s.cfg.TTL).UnixNano()
-		if exp == 0 {
-			exp = 1 // 0 means "no deadline"; off by 1ns conservative
-		}
+		exp := s.deadline(&r)
 		if m := s.minExpiry.Load(); m == 0 || exp < m {
 			s.minExpiry.Store(exp)
 		}
@@ -251,33 +317,65 @@ func (s *Store) Insert(vec feature.Vector, label string, confidence float64, sou
 // Get returns a snapshot of the entry and whether it is live (present
 // and unexpired). Get does not count as a use for eviction purposes.
 func (s *Store) Get(id lsh.ID) (Entry, bool) {
-	now := s.clock.Now()
+	now := s.expiryNow()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	e, ok := s.entries[id]
-	if !ok || s.expiredLocked(e, now) {
+	r := s.liveLocked(id, now)
+	if r == nil {
 		return Entry{}, false
 	}
-	return snapshotEntry(e), true
+	return r.entry(s.vecOf(r, nil)), true
 }
 
-// snapshotEntry copies e, including its feature vector, so callers can
-// never mutate store internals.
-func snapshotEntry(e *Entry) Entry {
-	out := *e
-	out.Vec = e.Vec.Clone()
-	out.pos = 0
-	return out
+// recLocked returns id's record, or nil. The pointer is into the entry
+// table: valid until the lock is released or the table changes shape.
+func (s *Store) recLocked(id lsh.ID) *record {
+	i, ok := s.slot[id]
+	if !ok {
+		return nil
+	}
+	return &s.recs[i]
+}
+
+// liveLocked is recLocked for reads that must not see an expired entry.
+func (s *Store) liveLocked(id lsh.ID, now int64) *record {
+	r := s.recLocked(id)
+	if r == nil || s.expired(r, now) {
+		return nil
+	}
+	return r
+}
+
+// growLocked makes room for one more row. Growth is geometric but
+// never past Capacity — the table cannot hold more — so a full store
+// carries no spare rows.
+func (s *Store) growLocked() {
+	n := len(s.recs)
+	grown := make([]record, n, min(max(n+n/2, 16), s.cfg.Capacity))
+	copy(grown, s.recs)
+	s.recs = grown
+}
+
+// vecOf copies r's vector into dst's backing array (which may be nil):
+// the store's own copy while it holds one, else the index's — the one
+// place that knows where an entry's vector lives. Caller holds mu.
+func (s *Store) vecOf(r *record, dst feature.Vector) feature.Vector {
+	if v, ok := s.owned[r.id]; ok {
+		return append(dst[:0], v...)
+	}
+	// Not owned: a VectorSource index holds r.id.
+	v, _ := s.src.VectorInto(r.id, dst)
+	return v
 }
 
 // Touch records a cache hit on id, updating recency and frequency.
 func (s *Store) Touch(id lsh.ID) {
-	now := s.clock.Now()
+	now := s.clock.Now().UnixNano()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e, ok := s.entries[id]; ok {
-		e.LastAccess = now
-		e.Hits++
+	if r := s.recLocked(id); r != nil {
+		r.lastAccess = now
+		bump(&r.hits)
 	}
 }
 
@@ -287,11 +385,44 @@ func (s *Store) Touch(id lsh.ID) {
 // held by callers (peer answers, in-flight votes) must not revive a
 // suspect label either.
 func (s *Store) Label(id lsh.ID) (string, bool) {
-	e, ok := s.Get(id)
-	if !ok || e.Quarantined {
+	now := s.expiryNow()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	r := s.liveLocked(id, now)
+	if r == nil || r.quarantined {
 		return "", false
 	}
-	return e.Label, true
+	return r.label, true
+}
+
+// Answer resolves id to the label and confidence it is served with, if
+// the entry is live: Get for callers that serve a candidate directly
+// and have no use for its vector.
+func (s *Store) Answer(id lsh.ID) (label string, confidence float64, ok bool) {
+	now := s.expiryNow()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	r := s.liveLocked(id, now)
+	if r == nil {
+		return "", 0, false
+	}
+	return r.label, r.confidence, true
+}
+
+// answerStore is the optional vector-free read of a store; like
+// withinStore, every in-tree store has it and Interface does not.
+type answerStore interface {
+	Answer(id lsh.ID) (label string, confidence float64, ok bool)
+}
+
+// Answer resolves id on a store of unknown kind: through the store's
+// own Answer when it has one, else through Get.
+func Answer(st Interface, id lsh.ID) (label string, confidence float64, ok bool) {
+	if as, has := st.(answerStore); has {
+		return as.Answer(id)
+	}
+	e, ok := st.Get(id)
+	return e.Label, e.Confidence, ok
 }
 
 // Nearest returns up to k neighbors of q among live entries, ordered by
@@ -321,7 +452,7 @@ type withinIndex interface {
 // Callers that only act on in-range neighbors should say so here — the
 // index then stops scoring a candidate as soon as it is out of range.
 func (s *Store) NearestWithinInto(q feature.Vector, k int, radius float64, dst []lsh.Neighbor) ([]lsh.Neighbor, error) {
-	s.purgeExpired(s.clock.Now())
+	s.purgeExpired()
 	var ns []lsh.Neighbor
 	var err error
 	switch ix := s.index.(type) {
@@ -373,12 +504,13 @@ func NearestWithinInto(st Interface, q feature.Vector, k int, radius float64, ds
 // load: until the clock passes the tracked earliest expiry deadline,
 // nothing can be expired and no lock is taken at all, so TTL-enabled
 // stores keep a fully lock-free lookup path between expiry events.
-func (s *Store) purgeExpired(now time.Time) {
+func (s *Store) purgeExpired() {
 	if s.cfg.TTL <= 0 {
 		return
 	}
+	now := s.clock.Now().UnixNano()
 	m := s.minExpiry.Load()
-	if m == 0 || now.UnixNano() <= m {
+	if m == 0 || now <= m {
 		return
 	}
 	s.mu.Lock()
@@ -399,13 +531,13 @@ func (s *Store) Remove(id lsh.ID) {
 func (s *Store) Confirm(id lsh.ID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.entries[id]
-	if !ok {
+	r := s.recLocked(id)
+	if r == nil {
 		return
 	}
-	e.Confirms++
-	if e.Refutes > 0 {
-		e.Refutes--
+	bump(&r.confirms)
+	if r.refutes > 0 {
+		r.refutes--
 	}
 }
 
@@ -417,18 +549,28 @@ func (s *Store) Confirm(id lsh.ID) {
 func (s *Store) Refute(id lsh.ID) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.entries[id]
-	if !ok || e.Quarantined {
+	r := s.recLocked(id)
+	if r == nil || r.quarantined {
 		return false
 	}
-	e.Refutes++
-	if s.cfg.QuarantineThreshold <= 0 || e.Refutes < s.cfg.QuarantineThreshold {
+	bump(&r.refutes)
+	if s.cfg.QuarantineThreshold <= 0 || int(r.refutes) < s.cfg.QuarantineThreshold {
 		return false
 	}
-	e.Quarantined = true
-	s.qTotal++
-	s.index.Remove(id)
+	s.quarantineLocked(r)
 	return true
+}
+
+// quarantineLocked pulls r out of the candidate index, first taking
+// over the vector the index is about to forget.
+func (s *Store) quarantineLocked(r *record) {
+	if s.src != nil {
+		s.owned[r.id] = s.vecOf(r, nil)
+	}
+	r.quarantined = true
+	s.qActive++
+	s.qTotal++
+	s.index.Remove(r.id)
 }
 
 // ParoleOutcome reports what a parole re-verification did to an entry.
@@ -455,27 +597,31 @@ const (
 func (s *Store) Parole(id lsh.ID, ok bool) ParoleOutcome {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, live := s.entries[id]
-	if !live || !e.Quarantined {
+	r := s.recLocked(id)
+	if r == nil || !r.quarantined {
 		return ParoleMissing
 	}
 	if ok {
-		e.Quarantined = false
-		e.Refutes = 0
-		e.ParoleFails = 0
 		s.qParoled++
-		if err := s.index.Insert(id, e.Vec); err != nil {
+		if err := s.index.Insert(id, s.owned[id]); err != nil {
 			// The index refused the vector it previously held (cannot
 			// happen with the in-tree indexes); drop the entry rather
 			// than keep a permanently unfindable one.
-			s.dropLocked(e)
+			s.dropLocked(s.slot[id])
 			s.qEvicted++
 			return ParoleEvicted
 		}
+		r.quarantined = false
+		r.refutes = 0
+		r.paroleFails = 0
+		s.qActive--
+		if s.src != nil {
+			delete(s.owned, id) // the index serves it again
+		}
 		return ParoleReinstated
 	}
-	e.ParoleFails++
-	if s.cfg.ParoleFailLimit > 0 && e.ParoleFails >= s.cfg.ParoleFailLimit {
+	bump(&r.paroleFails)
+	if s.cfg.ParoleFailLimit > 0 && int(r.paroleFails) >= s.cfg.ParoleFailLimit {
 		s.removeLocked(id)
 		s.qEvicted++
 		return ParoleEvicted
@@ -487,8 +633,49 @@ func (s *Store) Parole(id lsh.ID, ok bool) ParoleOutcome {
 func (s *Store) Quarantined(id lsh.ID) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	e, ok := s.entries[id]
-	return ok && e.Quarantined
+	r := s.recLocked(id)
+	return r != nil && r.quarantined
+}
+
+// QuarantinedEntries returns copies of the quarantined entries only —
+// what a parole sweep needs, without Snapshot's copy of everything
+// else.
+func (s *Store) QuarantinedEntries() []Entry {
+	s.purgeExpired()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.qActive == 0 {
+		return nil
+	}
+	out := make([]Entry, 0, s.qActive)
+	for i := range s.recs {
+		if r := &s.recs[i]; r.quarantined {
+			out = append(out, r.entry(s.vecOf(r, nil)))
+		}
+	}
+	return out
+}
+
+// quarantineLister is the optional quarantined-only snapshot of a store
+// (every in-tree store has it; Interface does not, see withinStore).
+type quarantineLister interface {
+	QuarantinedEntries() []Entry
+}
+
+// QuarantinedEntries lists the quarantined entries of a store of unknown
+// kind: through the store's own QuarantinedEntries when it has one, else
+// by filtering a full Snapshot.
+func QuarantinedEntries(st Interface) []Entry {
+	if ql, ok := st.(quarantineLister); ok {
+		return ql.QuarantinedEntries()
+	}
+	var out []Entry
+	for _, e := range st.Snapshot() {
+		if e.Quarantined {
+			out = append(out, e)
+		}
+	}
+	return out
 }
 
 // QuarantineStats summarizes quarantine activity.
@@ -508,17 +695,12 @@ type QuarantineStats struct {
 func (s *Store) QuarantineStats() QuarantineStats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	st := QuarantineStats{
+	return QuarantineStats{
+		Active:  s.qActive,
 		Total:   s.qTotal,
 		Paroled: s.qParoled,
 		Evicted: s.qEvicted,
 	}
-	for _, e := range s.entries {
-		if e.Quarantined {
-			st.Active++
-		}
-	}
-	return st
 }
 
 // StoreStats summarizes the store's occupancy and churn.
@@ -541,19 +723,20 @@ type StoreStats struct {
 // nothing expired runs entirely under the read lock, so periodic stats
 // scraping cannot stall the lookup path.
 func (s *Store) Stats() StoreStats {
-	s.purgeExpired(s.clock.Now())
+	s.purgeExpired()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	st := StoreStats{
-		Entries:   len(s.entries),
+		Entries:   len(s.recs),
 		Evictions: int(s.evictions.Load()),
 		Expiries:  int(s.expiries.Load()),
 		BySource:  make(map[string]int),
 	}
-	for _, e := range s.entries {
-		st.BySource[e.Source]++
-		st.TotalHits += e.Hits
-		st.SavedTotal += time.Duration(e.Hits) * e.SavedCost
+	for i := range s.recs {
+		r := &s.recs[i]
+		st.BySource[r.source]++
+		st.TotalHits += int(r.hits)
+		st.SavedTotal += time.Duration(r.hits) * r.savedCost
 	}
 	return st
 }
@@ -561,97 +744,122 @@ func (s *Store) Stats() StoreStats {
 // Snapshot returns copies of all live entries, for export/gossip. Like
 // Stats, it only needs the read lock unless entries have expired.
 func (s *Store) Snapshot() []Entry {
-	s.purgeExpired(s.clock.Now())
+	s.purgeExpired()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]Entry, 0, len(s.entries))
-	for _, e := range s.entries {
-		out = append(out, snapshotEntry(e))
+	out := make([]Entry, len(s.recs))
+	for i := range s.recs {
+		r := &s.recs[i]
+		out[i] = r.entry(s.vecOf(r, nil))
 	}
 	return out
 }
 
 func (s *Store) removeLocked(id lsh.ID) {
-	e, ok := s.entries[id]
+	i, ok := s.slot[id]
 	if !ok {
 		return
 	}
-	s.dropLocked(e)
+	s.dropLocked(i)
 	s.index.Remove(id)
 }
 
-// dropLocked forgets e's bookkeeping — the map entry and its dense-list
-// position, which the list's last entry takes over — leaving the index
-// to the caller.
-func (s *Store) dropLocked(e *Entry) {
-	delete(s.entries, e.ID)
-	last := len(s.dense) - 1
-	moved := s.dense[last]
-	s.dense[e.pos] = moved
-	moved.pos = e.pos
-	s.dense[last] = nil
-	s.dense = s.dense[:last]
+// dropLocked forgets row i's bookkeeping — its map entry and its row,
+// which the table's last record takes over — leaving the index to the
+// caller.
+func (s *Store) dropLocked(i int32) {
+	if s.recs[i].quarantined {
+		s.qActive--
+	}
+	id := s.recs[i].id
+	delete(s.slot, id)
+	delete(s.owned, id)
+	last := int32(len(s.recs) - 1)
+	if i != last {
+		s.recs[i] = s.recs[last]
+		s.slot[s.recs[i].id] = i
+	}
+	s.recs[last] = record{} // let go of its strings
+	s.recs = s.recs[:last]
 	s.nlive.Add(-1)
 }
 
-func (s *Store) expiredLocked(e *Entry, now time.Time) bool {
-	return s.cfg.TTL > 0 && now.Sub(e.InsertedAt) > s.cfg.TTL
+// expiryNow is the instant reads judge expiry at; the clock is only
+// consulted when entries can expire at all.
+func (s *Store) expiryNow() int64 {
+	if s.cfg.TTL <= 0 {
+		return 0
+	}
+	return s.clock.Now().UnixNano()
 }
 
-func (s *Store) expireLocked(now time.Time) {
+func (s *Store) expired(r *record, now int64) bool {
+	return s.cfg.TTL > 0 && now-r.insertedAt > int64(s.cfg.TTL)
+}
+
+// deadline is r's expiry instant in minExpiry's terms: unix nanos, with
+// 0 ("no deadline") nudged to 1ns, which is off by 1ns conservative.
+func (s *Store) deadline(r *record) int64 {
+	if exp := r.insertedAt + int64(s.cfg.TTL); exp != 0 {
+		return exp
+	}
+	return 1
+}
+
+func (s *Store) expireLocked(now int64) {
 	if s.cfg.TTL <= 0 {
 		return
 	}
 	var next int64 // earliest surviving deadline, unix nanos (0 = none)
-	for id, e := range s.entries {
-		if s.expiredLocked(e, now) {
-			s.removeLocked(id)
+	// Backwards, so the record a removal swaps into row i is one this
+	// walk has already judged.
+	for i := len(s.recs) - 1; i >= 0; i-- {
+		r := &s.recs[i]
+		if s.expired(r, now) {
+			s.removeLocked(r.id)
 			s.expiries.Add(1)
 			continue
 		}
-		exp := e.InsertedAt.Add(s.cfg.TTL).UnixNano()
-		if exp == 0 {
-			exp = 1
-		}
-		if next == 0 || exp < next {
+		if exp := s.deadline(r); next == 0 || exp < next {
 			next = exp
 		}
 	}
 	s.minExpiry.Store(next)
 }
 
-// victimLocked picks the entry to evict under the configured policy.
-// The (value, LastAccess, ID) order is total, so the victim does not
-// depend on the order entries are visited in.
+// victimLocked picks the entry to evict under the configured policy:
+// one pass over the table. The (value, lastAccess, id) order is total,
+// so the victim does not depend on the order rows are visited in.
 func (s *Store) victimLocked() (lsh.ID, bool) {
-	var (
-		victim lsh.ID
-		found  bool
-		best   *Entry
-	)
-	worse := func(cand, incumbent *Entry) bool {
-		switch s.cfg.Policy {
-		case LFU:
-			if cand.Hits != incumbent.Hits {
-				return cand.Hits < incumbent.Hits
-			}
-		case CostAware:
-			cv := float64(cand.SavedCost) * float64(cand.Hits+1)
-			iv := float64(incumbent.SavedCost) * float64(incumbent.Hits+1)
-			if cv != iv {
-				return cv < iv
-			}
-		}
-		if !cand.LastAccess.Equal(incumbent.LastAccess) {
-			return cand.LastAccess.Before(incumbent.LastAccess)
-		}
-		// Final tie-break by ID for determinism.
-		return cand.ID < incumbent.ID
+	if len(s.recs) == 0 {
+		return 0, false
 	}
-	for _, e := range s.dense {
-		if !found || worse(e, best) {
-			victim, best, found = e.ID, e, true
+	best := &s.recs[0]
+	for i := 1; i < len(s.recs); i++ {
+		if r := &s.recs[i]; s.worse(r, best) {
+			best = r
 		}
 	}
-	return victim, found
+	return best.id, true
+}
+
+// worse reports whether cand should be evicted before incumbent.
+func (s *Store) worse(cand, incumbent *record) bool {
+	switch s.cfg.Policy {
+	case LFU:
+		if cand.hits != incumbent.hits {
+			return cand.hits < incumbent.hits
+		}
+	case CostAware:
+		cv := float64(cand.savedCost) * (float64(cand.hits) + 1)
+		iv := float64(incumbent.savedCost) * (float64(incumbent.hits) + 1)
+		if cv != iv {
+			return cv < iv
+		}
+	}
+	if cand.lastAccess != incumbent.lastAccess {
+		return cand.lastAccess < incumbent.lastAccess
+	}
+	// Final tie-break by ID for determinism.
+	return cand.id < incumbent.id
 }

@@ -13,7 +13,14 @@ import (
 
 func newTestStore(t *testing.T, cfg Config) (*Store, *simclock.Virtual) {
 	t.Helper()
-	idx, err := lsh.NewExact(2)
+	return newTestStoreDim(t, cfg, 2)
+}
+
+// newTestStoreDim builds a store over an exact index of the given
+// dimensionality, on a virtual clock at the epoch.
+func newTestStoreDim(t *testing.T, cfg Config, dim int) (*Store, *simclock.Virtual) {
+	t.Helper()
+	idx, err := lsh.NewExact(dim)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -184,28 +186,14 @@ func TestStoreNearestWithinPurgesExpired(t *testing.T) {
 }
 
 // refVictim is eviction's specification: the minimum of the policy's
-// total order over all live entries, found without the dense list.
+// total order over all live entries, taken in map order and compared as
+// exported Entry values (time.Time stamps, int counters) rather than as
+// table rows.
 func refVictim(s *Store) (lsh.ID, bool) {
 	var best *Entry
-	for _, e := range s.entries {
-		if best == nil {
-			best = e
-			continue
-		}
-		less := false
-		switch {
-		case s.cfg.Policy == LFU && e.Hits != best.Hits:
-			less = e.Hits < best.Hits
-		case s.cfg.Policy == CostAware &&
-			float64(e.SavedCost)*float64(e.Hits+1) != float64(best.SavedCost)*float64(best.Hits+1):
-			less = float64(e.SavedCost)*float64(e.Hits+1) < float64(best.SavedCost)*float64(best.Hits+1)
-		case !e.LastAccess.Equal(best.LastAccess):
-			less = e.LastAccess.Before(best.LastAccess)
-		default:
-			less = e.ID < best.ID
-		}
-		if less {
-			best = e
+	for _, row := range s.slot {
+		if e := s.recs[row].entry(nil); best == nil || refWorse(s.cfg.Policy, &e, best) {
+			best = &e
 		}
 	}
 	if best == nil {
@@ -214,26 +202,46 @@ func refVictim(s *Store) (lsh.ID, bool) {
 	return best.ID, true
 }
 
-// checkDense asserts the dense list mirrors the entry map exactly.
-func checkDense(t *testing.T, s *Store) {
+// checkTable asserts the entry table's invariants: the ID map and the
+// rows mirror each other exactly, the quarantine gauge counts the
+// quarantined rows, and the store owns an entry's vector exactly while
+// the index cannot serve it.
+func checkTable(t *testing.T, s *Store) {
 	t.Helper()
-	if len(s.dense) != len(s.entries) {
-		t.Fatalf("dense holds %d entries, map %d", len(s.dense), len(s.entries))
+	if len(s.recs) != len(s.slot) || len(s.recs) != s.Len() {
+		t.Fatalf("table holds %d rows, map %d, Len %d", len(s.recs), len(s.slot), s.Len())
 	}
-	for i, e := range s.dense {
-		if e.pos != i {
-			t.Fatalf("dense[%d] (id %d) records position %d", i, e.ID, e.pos)
+	quarantined := 0
+	for i := range s.recs {
+		r := &s.recs[i]
+		if row, ok := s.slot[r.id]; !ok || int(row) != i {
+			t.Fatalf("row %d (id %d) is mapped to row %d (present %v)", i, r.id, row, ok)
 		}
-		if s.entries[e.ID] != e {
-			t.Fatalf("dense[%d] (id %d) is not the map's entry", i, e.ID)
+		if r.quarantined {
+			quarantined++
 		}
+		if _, owns := s.owned[r.id]; owns != (r.quarantined || s.src == nil) {
+			t.Fatalf("row %d (id %d, quarantined %v) on a VectorSource index %v: store owns its vector %v",
+				i, r.id, r.quarantined, s.src != nil, owns)
+		}
+	}
+	for id := range s.owned {
+		if _, ok := s.slot[id]; !ok {
+			t.Fatalf("store still owns the vector of departed id %d", id)
+		}
+	}
+	if quarantined != s.qActive {
+		t.Fatalf("%d quarantined rows, gauge says %d", quarantined, s.qActive)
+	}
+	if spare := s.recs[len(s.recs):cap(s.recs)]; len(spare) > 0 && spare[0] != (record{}) {
+		t.Fatalf("vacated row still holds %+v", spare[0])
 	}
 }
 
 // TestVictimMatchesMapScan: under every policy, through touches,
 // removals, evictions, TTL expiry, quarantine and parole eviction, the
-// dense list stays in step with the entry map and picks the victim a
-// scan of the map picks.
+// entry table keeps its invariants and picks the victim a scan of the
+// map picks.
 func TestVictimMatchesMapScan(t *testing.T) {
 	for _, policy := range []Policy{LRU, LFU, CostAware} {
 		t.Run(policy.String(), func(t *testing.T) {
@@ -269,7 +277,7 @@ func TestVictimMatchesMapScan(t *testing.T) {
 					}
 				}
 				s.mu.Lock()
-				checkDense(t, s)
+				checkTable(t, s)
 				got, gok := s.victimLocked()
 				want, wok := refVictim(s)
 				s.mu.Unlock()
@@ -284,22 +292,39 @@ func TestVictimMatchesMapScan(t *testing.T) {
 	}
 }
 
-// TestSnapshotsHideDensePosition: copies handed out never leak the
-// store's internal list position, so snapshots of equal stores compare
-// equal whatever order their lists are in.
-func TestSnapshotsHideDensePosition(t *testing.T) {
-	s, _ := newTestStore(t, Config{Capacity: 8})
-	for i := 0; i < 5; i++ {
-		if _, err := s.Insert(vec(float64(i), 0), "l", 0.9, "dnn", time.Millisecond); err != nil {
-			t.Fatal(err)
+// TestSnapshotsIndependentOfTableOrder: copies handed out carry nothing
+// of the table's layout, so stores holding the same entries in
+// different row orders produce equal snapshots.
+func TestSnapshotsIndependentOfTableOrder(t *testing.T) {
+	a, _ := newTestStore(t, Config{Capacity: 8})
+	b, _ := newTestStore(t, Config{Capacity: 8})
+	insert := func(s *Store, from, to int) {
+		t.Helper()
+		for i := from; i <= to; i++ {
+			if _, err := s.Insert(vec(float64(i), 0), "l", 0.9, "dnn", time.Millisecond); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	for _, e := range s.Snapshot() {
-		if e.pos != 0 {
-			t.Fatalf("snapshot of id %d leaks position %d", e.ID, e.pos)
-		}
-		if got, _ := s.Get(e.ID); got.pos != 0 {
-			t.Fatalf("Get(%d) leaks position %d", e.ID, got.pos)
+	// Both end up holding IDs {1,3,4,5,6}; a's removal moves row 6 into
+	// the gap, b's moves row 5.
+	insert(a, 1, 6)
+	a.Remove(2)
+	insert(b, 1, 5)
+	b.Remove(2)
+	insert(b, 6, 6)
+	if a.recs[1].id == b.recs[1].id {
+		t.Fatalf("tables ended up in the same order (row 1 holds id %d in both)", a.recs[1].id)
+	}
+	sa, sb := a.Snapshot(), b.Snapshot()
+	sort.Slice(sa, func(i, j int) bool { return sa[i].ID < sa[j].ID })
+	sort.Slice(sb, func(i, j int) bool { return sb[i].ID < sb[j].ID })
+	if !reflect.DeepEqual(sa, sb) {
+		t.Fatalf("snapshots differ:\n%+v\n%+v", sa, sb)
+	}
+	for _, e := range sa {
+		if got, ok := b.Get(e.ID); !ok || !reflect.DeepEqual(got, e) {
+			t.Fatalf("Get(%d) = %+v (%v), snapshot says %+v", e.ID, got, ok, e)
 		}
 	}
 }

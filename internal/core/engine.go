@@ -939,8 +939,8 @@ func (e *Engine) processApprox(im *vision.Image, imuWindow []imu.Sample, imuOK b
 			// verified — acceptable exactly because the alternative
 			// under this much pressure is shedding the frame entirely.
 			if len(ns) > 0 && ns[0].Distance <= vote.MaxDistance {
-				if entry, ok := e.deps.Store.Get(ns[0].ID); ok {
-					verdict = lsh.Verdict{Accepted: true, Label: entry.Label, Confidence: entry.Confidence}
+				if label, conf, ok := cachestore.Answer(e.deps.Store, ns[0].ID); ok {
+					verdict = lsh.Verdict{Accepted: true, Label: label, Confidence: conf}
 				}
 			}
 		} else if verdict, err = lsh.Vote(ns, e.deps.Store.Label, vote); err != nil {
@@ -1131,12 +1131,12 @@ func (e *Engine) serveDegraded(vec feature.Vector, sc *frameScratch, haveVec boo
 		radius := fallbackRadiusFactor * e.cfg.Vote.MaxDistance
 		if ns, err := cachestore.NearestWithinInto(e.deps.Store, vec, 1, radius, sc.ns); err == nil {
 			if len(ns) > 0 && ns[0].Distance <= radius {
-				if entry, ok := e.deps.Store.Get(ns[0].ID); ok {
-					e.deps.Store.Touch(entry.ID)
+				if label, conf, ok := cachestore.Answer(e.deps.Store, ns[0].ID); ok {
+					e.deps.Store.Touch(ns[0].ID)
 					sc.ns = ns[:0]
 					return Result{
-						Label:       entry.Label,
-						Confidence:  entry.Confidence * fallbackConfidence,
+						Label:       label,
+						Confidence:  conf * fallbackConfidence,
 						Source:      metrics.SourceFallback,
 						Latency:     latency,
 						EnergyMJ:    energy,

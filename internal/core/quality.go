@@ -381,10 +381,7 @@ func (qc *qualityController) runAudit(e *Engine, im *vision.Image, guarded bool,
 // candidate index, disagreement counts a parole failure (eviction at
 // the limit).
 func (qc *qualityController) paroleNear(vec feature.Vector, freshLabel string, radius float64) {
-	for _, en := range qc.store.Snapshot() {
-		if !en.Quarantined {
-			continue
-		}
+	for _, en := range cachestore.QuarantinedEntries(qc.store) {
 		d, err := feature.Euclidean(vec, en.Vec)
 		if err != nil || d > radius {
 			continue

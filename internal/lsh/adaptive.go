@@ -102,7 +102,10 @@ type AdaptiveIndex struct {
 	rebuilds atomic.Int64
 }
 
-var _ Index = (*AdaptiveIndex)(nil)
+var (
+	_ Index        = (*AdaptiveIndex)(nil)
+	_ VectorSource = (*AdaptiveIndex)(nil)
+)
 
 // NewAdaptive builds an adaptive index.
 func NewAdaptive(cfg AdaptiveConfig) (*AdaptiveIndex, error) {
@@ -156,6 +159,15 @@ func (a *AdaptiveIndex) Remove(id ID) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.inner.Load().Remove(id)
+}
+
+// VectorInto copies id's vector out of the current inner index. It
+// takes the writer mutex, so it reads either side of a rebuild, never
+// the middle of one.
+func (a *AdaptiveIndex) VectorInto(id ID, dst feature.Vector) (feature.Vector, bool) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.inner.Load().VectorInto(id, dst)
 }
 
 // Nearest returns up to k approximate nearest neighbors of q.

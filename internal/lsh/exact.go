@@ -24,7 +24,10 @@ type ExactIndex struct {
 	idSlot map[ID]int32
 }
 
-var _ IntoIndex = (*ExactIndex)(nil)
+var (
+	_ IntoIndex    = (*ExactIndex)(nil)
+	_ VectorSource = (*ExactIndex)(nil)
+)
 
 // NewExact builds an exact index over dim-dimensional vectors.
 func NewExact(dim int) (*ExactIndex, error) {
@@ -80,6 +83,18 @@ func (x *ExactIndex) Remove(id ID) {
 	x.arena = x.arena[:int(last)*x.dim]
 	x.slotID = x.slotID[:last]
 	delete(x.idSlot, id)
+}
+
+// VectorInto copies id's vector out of the arena (see VectorSource).
+func (x *ExactIndex) VectorInto(id ID, dst feature.Vector) (feature.Vector, bool) {
+	x.mu.RLock()
+	defer x.mu.RUnlock()
+	slot, ok := x.idSlot[id]
+	if !ok {
+		return dst[:0], false
+	}
+	off := int(slot) * x.dim
+	return append(dst[:0], x.arena[off:off+x.dim]...), true
 }
 
 // Nearest returns the true k nearest neighbors of q.

@@ -23,7 +23,10 @@ type Locked struct {
 	inner *HyperplaneIndex
 }
 
-var _ IntoIndex = (*Locked)(nil)
+var (
+	_ IntoIndex    = (*Locked)(nil)
+	_ VectorSource = (*Locked)(nil)
+)
 
 // NewLocked wraps idx behind a single RWMutex.
 func NewLocked(idx *HyperplaneIndex) *Locked {
@@ -45,6 +48,14 @@ func (l *Locked) Remove(id ID) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.inner.Remove(id)
+}
+
+// VectorInto copies id's vector out of the wrapped index under the read
+// lock.
+func (l *Locked) VectorInto(id ID, dst feature.Vector) (feature.Vector, bool) {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return l.inner.VectorInto(id, dst)
 }
 
 // Nearest returns up to k neighbors under the read lock.

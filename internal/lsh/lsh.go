@@ -69,6 +69,18 @@ type IntoIndex interface {
 	NearestInto(q feature.Vector, k int, dst []Neighbor) ([]Neighbor, error)
 }
 
+// VectorSource is implemented by indexes that can hand back the vector
+// they hold under an id (every in-tree one can). A caller that inserted
+// (id, v) need not keep its own copy of v: the index already has one.
+// It is deliberately not part of Index, so a wrapper that does not know
+// the method hides it and callers fall back to keeping their own copy.
+type VectorSource interface {
+	// VectorInto copies id's vector into dst's backing array (which may
+	// be nil) and reports whether id is indexed. The result is
+	// bit-identical to the vector last inserted under id.
+	VectorInto(id ID, dst feature.Vector) (feature.Vector, bool)
+}
+
 // HyperplaneIndex is a random-hyperplane (SimHash) LSH index. Each of
 // the L tables hashes a vector to a B-bit signature whose bits are the
 // signs of projections onto B random hyperplanes; a query is compared
@@ -145,7 +157,10 @@ type HyperplaneIndex struct {
 	idBuf   sync.Pool // *[]ID, gather buffer for Candidates
 }
 
-var _ IntoIndex = (*HyperplaneIndex)(nil)
+var (
+	_ IntoIndex    = (*HyperplaneIndex)(nil)
+	_ VectorSource = (*HyperplaneIndex)(nil)
+)
 
 // indexView is one published snapshot of the index: the active bucket
 // side plus the slice headers of every per-slot arena as of
@@ -620,6 +635,19 @@ func (x *HyperplaneIndex) Remove(id ID) {
 	if slot, ok := x.idSlot[id]; ok {
 		x.removeLocked(id, slot)
 	}
+}
+
+// VectorInto copies id's vector out of the arena. It takes the writer
+// mutex — idSlot is writer-owned, and under it no slot can be recycled
+// mid-copy — so it stays off the lock-free read path entirely.
+func (x *HyperplaneIndex) VectorInto(id ID, dst feature.Vector) (feature.Vector, bool) {
+	x.wmu.Lock()
+	defer x.wmu.Unlock()
+	slot, ok := x.idSlot[id]
+	if !ok {
+		return dst[:0], false
+	}
+	return append(dst[:0], x.slotVec(slot)...), true
 }
 
 // bucketShrinkMin is the smallest bucket capacity the shrink heuristic
