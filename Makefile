@@ -24,10 +24,10 @@ MIN_THROUGHPUT_SPEEDUP = 3.0
 # offered 4x its measured capacity.
 MIN_GOODPUT_RETENTION = 0.85
 
-# The lookup-pipeline gate: multi-probe + sketch + quantized candidate
-# scoring at T/2 tables must beat the exact-bucket pipeline at T tables
-# by at least this ns/op factor, at equal-or-better recall, with zero
-# warm-path allocations.
+# The lookup-pipeline gate: the multi-probe + sketch pipeline at T/2
+# tables must beat the exact-bucket pipeline at T tables by at least
+# this ns/op factor, at equal-or-better recall, with zero warm-path
+# allocations.
 MIN_LOOKUP_SPEEDUP = 1.3
 
 # The cache-quality gate (E23): under recurring injected label drift
@@ -37,14 +37,6 @@ MIN_LOOKUP_SPEEDUP = 1.3
 MIN_ACCURACY_RECOVERY = 0.95
 MIN_SAVINGS_RETENTION = 0.6
 
-# The read-scalability gate (E24): the lock-free read path must beat
-# the RWMutex-wrapped baseline by this factor at 16 concurrent readers
-# on machines with >= 8 procs. benchgate relaxes the floor on smaller
-# machines (1.2x for 4-7 procs, no-regression 0.9x up to 3 procs)
-# because lock-freedom removes lock-word cache-line bouncing, and with
-# little running in parallel there is little bouncing to remove.
-MIN_READSCALE_SPEEDUP = 2.0
-
 # The P2P wire-protocol gate (E25): the compact comms stack (quantized
 # codec v2 + delta digests + query coalescing + gossip batching) must
 # cut client wire bytes per session-frame by at least this factor at
@@ -52,10 +44,10 @@ MIN_READSCALE_SPEEDUP = 2.0
 # rate versus the legacy float64 protocol.
 MIN_P2P_REDUCTION = 4.0
 
-.PHONY: check build test race vet fmt bench bench-e2e-test bench-hotpath bench-gate bench-throughput throughput-gate bench-overload overload-gate bench-lookup lookup-gate bench-quality quality-gate bench-readscale readscale-gate bench-p2p p2p-gate fault-matrix
+.PHONY: check build test race vet fmt bench bench-e2e-test bench-hotpath bench-gate bench-throughput throughput-gate bench-overload overload-gate bench-lookup lookup-gate bench-quality quality-gate bench-p2p p2p-gate fault-matrix
 
 # Every gate `make check` runs, in order.
-CHECKS = vet fmt test race bench-e2e-test bench-gate throughput-gate overload-gate lookup-gate quality-gate readscale-gate p2p-gate fault-matrix
+CHECKS = vet fmt test race bench-e2e-test bench-gate throughput-gate overload-gate lookup-gate quality-gate p2p-gate fault-matrix
 
 # check runs every gate even after one fails and lists the failures at
 # the end, so a known-red gate cannot hide the gates behind it.
@@ -141,8 +133,8 @@ overload-gate:
 	$(GO) run ./cmd/benchgate -overload-json /tmp/BENCH_overload.gate.json -min-retention $(MIN_GOODPUT_RETENTION)
 
 # Lookup-bound hit-heavy benchmark: exact-bucket pipeline vs the
-# multi-probe + sketch + quantized pipeline over a warm 4096-entry
-# cache; records BENCH_lookup.json and enforces the lookup gate.
+# multi-probe + sketch pipeline over a warm 4096-entry cache; records
+# BENCH_lookup.json and enforces the lookup gate.
 bench-lookup:
 	$(GO) run ./cmd/approxbench -hitheavy -lookup-json BENCH_lookup.json
 	$(GO) run ./cmd/benchgate -lookup-json BENCH_lookup.json -min-lookup-speedup $(MIN_LOOKUP_SPEEDUP)
@@ -169,21 +161,6 @@ quality-gate:
 	$(GO) run ./cmd/approxbench -drift -quality-json /tmp/BENCH_quality.gate.json
 	$(GO) run ./cmd/benchgate -quality-json /tmp/BENCH_quality.gate.json \
 		-min-accuracy-recovery $(MIN_ACCURACY_RECOVERY) -min-savings-retention $(MIN_SAVINGS_RETENTION)
-
-# Read-scalability benchmark (E24): warmed 4096-entry index, reader
-# sweep 1 -> 32 over the lock-free path vs the RWMutex baseline;
-# records BENCH_readscale.json and enforces the parallelism-aware
-# speedup gate plus the zero-allocation warm-path budget.
-bench-readscale:
-	$(GO) run ./cmd/approxbench -readscale -readscale-json BENCH_readscale.json
-	$(GO) run ./cmd/benchgate -readscale-json BENCH_readscale.json -min-readscale-speedup $(MIN_READSCALE_SPEEDUP)
-
-# Fast read-scale gate for `make check`: re-runs the sweep (a few
-# seconds; passes are interleaved best-of so the ratio is stable) and
-# fails on regression or a warm-path allocation.
-readscale-gate:
-	$(GO) run ./cmd/approxbench -readscale -readscale-json /tmp/BENCH_readscale.gate.json
-	$(GO) run ./cmd/benchgate -readscale-json /tmp/BENCH_readscale.gate.json -min-readscale-speedup $(MIN_READSCALE_SPEEDUP)
 
 # P2P wire benchmark (E25): legacy v1 float64 protocol vs the compact
 # v2 stack on bandwidth-constrained links; records BENCH_p2p.json and

@@ -229,13 +229,11 @@ type Options struct {
 	// LSHTables preserves recall while halving signature arithmetic —
 	// see the lookup-tuning section of the README.
 	Probes int
-	// Sketch enables the packed-sketch + quantized scoring pipeline:
-	// each cached entry carries a 64-bit binary sign sketch (candidates
-	// are prefiltered by popcount Hamming distance before any float
-	// math) and an int8 quantized copy scored with an integer dot
-	// kernel; only the top few survivors pay a full-precision distance.
-	// Results stay deterministic; the final ranking is exact over the
-	// surviving candidates.
+	// Sketch enables the sketch prefilter: each cached entry carries a
+	// 64-bit binary sign sketch, and a lookup rejects candidates whose
+	// sketch is too far from the query's by popcount Hamming distance
+	// before any float math. Results stay deterministic; the final
+	// ranking is exact over the surviving candidates.
 	Sketch bool
 	// Seed drives the LSH hyperplanes (default 1).
 	Seed int64
@@ -437,7 +435,6 @@ func engineConfig(opts Options) core.Config {
 	}
 	if opts.Sketch {
 		cfg.IndexTuning.SketchBits = 64
-		cfg.IndexTuning.Quantize = true
 	}
 	return cfg
 }

@@ -1,5 +1,6 @@
-// Command approxbench runs the evaluation suite (experiments E1–E24 from
-// DESIGN.md) and prints the tables recorded in EXPERIMENTS.md.
+// Command approxbench runs the evaluation suite (experiments E1–E25 from
+// DESIGN.md; E24 is retired) and prints the tables recorded in
+// EXPERIMENTS.md.
 //
 // Usage:
 //
@@ -11,14 +12,12 @@
 //	approxbench -throughput     # multi-session saturation benchmark
 //	approxbench -overload       # open-loop overload sweep
 //	approxbench -drift          # label-drift cache-quality benchmark
-//	approxbench -readscale      # concurrent-reader scaling benchmark
 //
 // Independent experiments and sweep points run concurrently under
 // -parallel; tables are printed in suite order and are identical to a
 // serial run. -cpuprofile/-memprofile write pprof profiles so hot-path
 // work can be driven by data, and -mutexprofile/-blockprofile write
-// contention profiles so a scaling regression caught by the readscale
-// gate can be diagnosed from the same harness that measured it.
+// contention profiles from the same harness.
 //
 // -throughput drives concurrent synthetic client streams through the
 // architecture ladder (single-mutex store → session pool → sharded
@@ -39,12 +38,6 @@
 // recalibration), and writes tail accuracy, latency savings, and
 // quality-layer activity as JSON (default BENCH_quality.json) for
 // cmd/benchgate's accuracy-recovery and savings-retention gates.
-//
-// -readscale sweeps 1..32 concurrent readers over a warmed hit-heavy
-// cache through the lock-free epoch-published index and through the
-// same index behind a single RWMutex, and writes lookups/sec, p99
-// latency, and the speedup curve as JSON (default BENCH_readscale.json)
-// for cmd/benchgate's parallelism-aware scaling gate.
 package main
 
 import (
@@ -69,7 +62,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("approxbench", flag.ContinueOnError)
 	var (
-		exp      = fs.String("exp", "all", "experiment id (E1..E23), name, or \"all\"")
+		exp      = fs.String("exp", "all", "experiment id (E1..E25), name, or \"all\"")
 		frames   = fs.Int("frames", eval.DefaultScale().Frames, "per-device workload length in frames")
 		seed     = fs.Int64("seed", eval.DefaultScale().Seed, "root random seed")
 		format   = fs.String("format", "table", "output format: table | csv | markdown")
@@ -90,8 +83,6 @@ func run(args []string) error {
 		hitheavy = fs.Bool("hitheavy", false, "run the lookup-bound hit-heavy benchmark and exit")
 		luJSON   = fs.String("lookup-json", "BENCH_lookup.json", "with -hitheavy, write the report JSON here (empty = stdout only)")
 		entries  = fs.Int("entries", 0, "with -hitheavy, resident cache entries (0 = default 4096)")
-		rscale   = fs.Bool("readscale", false, "run the concurrent-reader scaling benchmark and exit")
-		rsJSON   = fs.String("readscale-json", "BENCH_readscale.json", "with -readscale, write the report JSON here (empty = stdout only)")
 		p2pBench = fs.Bool("p2p", false, "run the bandwidth-constrained peer wire benchmark and exit")
 		p2pJSON  = fs.String("p2p-json", "BENCH_p2p.json", "with -p2p, write the report JSON here (empty = stdout only)")
 		p2pFr    = fs.Int("p2p-frames", 0, "with -p2p, scene frames per mode (0 = default 400)")
@@ -122,12 +113,6 @@ func run(args []string) error {
 			Frames: *p2pFr,
 			Seed:   *seed,
 		}, *p2pJSON)
-	}
-	if *rscale {
-		return runReadScaleBench(eval.ReadScaleConfig{
-			Entries: *entries,
-			Seed:    *seed,
-		}, *rsJSON)
 	}
 	if *hitheavy {
 		return runLookupBench(eval.LookupConfig{
@@ -234,37 +219,6 @@ func writeProfile(name, path string) error {
 	return nil
 }
 
-// runReadScaleBench executes the concurrent-reader scaling sweep,
-// prints the speedup curve, and records the report for the readscale
-// gate.
-func runReadScaleBench(cfg eval.ReadScaleConfig, jsonPath string) error {
-	start := time.Now()
-	rep, err := eval.RunReadScale(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("readscale: %d entries, %d hit-heavy queries, dim %d, k=%d, GOMAXPROCS=%d\n",
-		rep.Entries, rep.Queries, rep.Dim, rep.K, rep.MaxProcs)
-	for _, pt := range rep.Points {
-		fmt.Printf("  %2d readers  lock-free %10.0f ops/s (p99 %6.1fµs)  locked %10.0f ops/s (p99 %6.1fµs)  speedup %.2fx\n",
-			pt.Readers, pt.LockFreeOps, pt.LockFreeP99Micros,
-			pt.LockedOps, pt.LockedP99Micros, pt.Speedup)
-	}
-	fmt.Printf("speedup at 16 readers: %.2fx, warm allocs/op %.0f, in %v\n",
-		rep.SpeedupAt16, rep.AllocsPerOp, time.Since(start).Round(time.Millisecond))
-	if jsonPath != "" {
-		blob, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", jsonPath)
-	}
-	return nil
-}
-
 // runThroughput executes the saturation benchmark, prints the
 // architecture ladder, and records the report for the regression gate.
 func runThroughput(cfg eval.ThroughputConfig, jsonPath string) error {
@@ -319,7 +273,7 @@ func runLookupBench(cfg eval.LookupConfig, jsonPath string) error {
 	for _, r := range rep.Results {
 		sketch := "off"
 		if r.SketchBits > 0 {
-			sketch = fmt.Sprintf("%db+int8", r.SketchBits)
+			sketch = fmt.Sprintf("%db", r.SketchBits)
 		}
 		fmt.Printf("  %-24s tables=%d probes=%d sketch=%-8s %9.0f ns/op  recall=%.3f  cand=%.0f  allocs=%.0f\n",
 			r.Name, r.Tables, r.Probes, sketch, r.NsPerOp, r.Recall, r.Candidates, r.AllocsPerOp)

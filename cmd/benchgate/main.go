@@ -36,10 +36,9 @@
 //	benchgate -lookup-json BENCH_lookup.json -min-lookup-speedup 1.3
 //
 // It reads the JSON written by `approxbench -hitheavy` and fails
-// unless the multi-probe + sketch + quantized pipeline beat the
-// exact-bucket baseline by at least -min-lookup-speedup ns/op AND
-// matched or beat its recall AND ran the warm path with zero heap
-// allocations.
+// unless the multi-probe + sketch pipeline beat the exact-bucket
+// baseline by at least -min-lookup-speedup ns/op AND matched or beat
+// its recall AND ran the warm path with zero heap allocations.
 //
 // A fifth mode gates the cache-quality (label-drift) report:
 //
@@ -51,22 +50,7 @@
 // the no-drift baseline's tail accuracy while retaining at least
 // -min-savings-retention of its latency savings.
 //
-// A sixth mode gates the read-scalability report:
-//
-//	benchgate -readscale-json BENCH_readscale.json -min-readscale-speedup 2.0
-//
-// It reads the JSON written by `approxbench -readscale` and fails
-// unless the lock-free read path beat the RWMutex baseline at 16
-// concurrent readers, with zero warm-path allocations. The required
-// speedup is parallelism-aware: -min-readscale-speedup applies on
-// machines with >= 8 procs (where lock-word cache-line bouncing is
-// the measured bottleneck), 2–7 procs require 1.2x, and a single-P
-// run — where both paths serialize on the scheduler, not the lock —
-// only requires no regression (0.9x). The report records the
-// GOMAXPROCS it measured under, so the gate always matches the
-// hardware the numbers came from.
-//
-// A seventh mode gates the P2P wire-protocol report:
+// A sixth mode gates the P2P wire-protocol report:
 //
 //	benchgate -p2p-json BENCH_p2p.json -min-bytes-reduction 4.0
 //
@@ -121,8 +105,6 @@ func run(args []string, in io.Reader, out io.Writer) error {
 		qJSON      = fs.String("quality-json", "", "gate a cache-quality (label-drift) report file instead of reading benchmarks from stdin")
 		minRecov   = fs.Float64("min-accuracy-recovery", 0.95, "with -quality-json, minimum protected tail accuracy as a fraction of the no-drift baseline")
 		minSavings = fs.Float64("min-savings-retention", 0.6, "with -quality-json, minimum protected latency savings as a fraction of the no-drift baseline")
-		rsJSON     = fs.String("readscale-json", "", "gate a read-scalability report file instead of reading benchmarks from stdin")
-		minRS      = fs.Float64("min-readscale-speedup", 2.0, "with -readscale-json, required lock-free speedup at 16 readers on >= 8 procs (scaled down automatically on smaller machines)")
 		p2pJSON    = fs.String("p2p-json", "", "gate a P2P wire-protocol report file instead of reading benchmarks from stdin")
 		minBytes   = fs.Float64("min-bytes-reduction", 4.0, "with -p2p-json, minimum required bytes/frame reduction of the compact protocol at the most constrained bandwidth")
 	)
@@ -131,9 +113,6 @@ func run(args []string, in io.Reader, out io.Writer) error {
 	}
 	if *p2pJSON != "" {
 		return checkP2P(*p2pJSON, *minBytes, out)
-	}
-	if *rsJSON != "" {
-		return checkReadScale(*rsJSON, *minRS, out)
 	}
 	if *tputJSON != "" {
 		return checkThroughput(*tputJSON, *minSpeedup, out)
@@ -388,77 +367,6 @@ func checkLookup(path string, minSpeedup float64, out io.Writer) error {
 	}
 	if rep.RecallTuned < rep.RecallBase {
 		return fmt.Errorf("tuned recall %.3f below exact-bucket recall %.3f", rep.RecallTuned, rep.RecallBase)
-	}
-	return nil
-}
-
-// readScaleReport mirrors the fields of eval.ReadScaleReport this gate
-// needs (benchgate stays stdlib-only, so it does not import eval).
-type readScaleReport struct {
-	Entries  int `json:"entries"`
-	MaxProcs int `json:"max_procs"`
-	Points   []struct {
-		Readers     int     `json:"readers"`
-		LockFreeOps float64 `json:"lockfree_ops_per_sec"`
-		LockedOps   float64 `json:"locked_ops_per_sec"`
-		Speedup     float64 `json:"speedup"`
-	} `json:"points"`
-	SpeedupAt16 float64 `json:"speedup_at_16"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
-}
-
-// readScaleFloor returns the required 16-reader speedup for a machine
-// with maxProcs schedulable procs, and what kind of bound that is.
-// Lock-freedom removes shared-lock cache-line bouncing between parallel
-// readers; with little or nothing running in parallel there is little
-// bouncing to remove, so the floor decays to a plain no-regression bound
-// on small machines. Two or three procs count as small: the 2-proc
-// reference host records 1.00–1.02×, run after run.
-func readScaleFloor(maxProcs int, minSpeedup float64) (floor float64, kind string) {
-	switch {
-	case maxProcs >= 8:
-		return minSpeedup, "full speedup, >= 8 procs"
-	case maxProcs >= 4:
-		return 1.2, "reduced speedup, 4-7 procs"
-	default:
-		return 0.9, "no regression, <= 3 procs"
-	}
-}
-
-// checkReadScale enforces the read-scalability gate on a report
-// written by `approxbench -readscale`.
-func checkReadScale(path string, minSpeedup float64, out io.Writer) error {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var rep readScaleReport
-	if err := json.Unmarshal(blob, &rep); err != nil {
-		return fmt.Errorf("%s: %v", path, err)
-	}
-	if len(rep.Points) == 0 {
-		return fmt.Errorf("%s: no points", path)
-	}
-	if rep.MaxProcs < 1 {
-		return fmt.Errorf("%s: report does not record max_procs", path)
-	}
-	for _, p := range rep.Points {
-		fmt.Fprintf(out, "%3d readers  lock-free %12.0f ops/s  locked %12.0f ops/s  speedup %.2fx\n",
-			p.Readers, p.LockFreeOps, p.LockedOps, p.Speedup)
-		if p.LockFreeOps <= 0 || p.LockedOps <= 0 {
-			return fmt.Errorf("%d readers: non-positive throughput (lock-free %.0f, locked %.0f)",
-				p.Readers, p.LockFreeOps, p.LockedOps)
-		}
-	}
-	floor, kind := readScaleFloor(rep.MaxProcs, minSpeedup)
-	fmt.Fprintf(out, "speedup at 16 readers %.2fx under GOMAXPROCS=%d (gate: >= %.2fx, %s), warm allocs/op %.0f\n",
-		rep.SpeedupAt16, rep.MaxProcs, floor, kind, rep.AllocsPerOp)
-	if rep.AllocsPerOp != 0 {
-		return fmt.Errorf("lock-free warm path allocates %.0f/op, budget is 0", rep.AllocsPerOp)
-	}
-	if rep.SpeedupAt16 < floor {
-		return fmt.Errorf("read-scale speedup %.2fx below required %.2fx at GOMAXPROCS=%d",
-			rep.SpeedupAt16, floor, rep.MaxProcs)
 	}
 	return nil
 }

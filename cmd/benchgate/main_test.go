@@ -1,7 +1,6 @@
 package main
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -215,101 +214,6 @@ func TestOverloadGateBadFile(t *testing.T) {
 		t.Fatal("empty points accepted")
 	}
 	if err := run([]string{"-overload-json", filepath.Join(t.TempDir(), "missing.json")},
-		strings.NewReader(""), &out); err == nil {
-		t.Fatal("missing report accepted")
-	}
-}
-
-func readScaleSample(maxProcs int, speedup, allocs float64) string {
-	return fmt.Sprintf(`{
-  "entries": 4096,
-  "max_procs": %d,
-  "points": [
-    {"readers": 1, "lockfree_ops_per_sec": 90000, "locked_ops_per_sec": 88000, "speedup": 1.02},
-    {"readers": 16, "lockfree_ops_per_sec": 200000, "locked_ops_per_sec": 80000, "speedup": %g}
-  ],
-  "speedup_at_16": %g,
-  "allocs_per_op": %g
-}`, maxProcs, speedup, speedup, allocs)
-}
-
-func TestReadScaleGatePass(t *testing.T) {
-	var out strings.Builder
-	// Stdin carries no benchmarks: the readscale mode must not read it.
-	err := run([]string{"-readscale-json", writeThroughput(t, readScaleSample(16, 2.5, 0))},
-		strings.NewReader(""), &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"16 readers", "2.50x", "GOMAXPROCS=16"} {
-		if !strings.Contains(out.String(), want) {
-			t.Fatalf("summary missing %q:\n%s", want, out.String())
-		}
-	}
-}
-
-func TestReadScaleGateFail(t *testing.T) {
-	var out strings.Builder
-	err := run([]string{"-readscale-json", writeThroughput(t, readScaleSample(16, 1.5, 0))},
-		strings.NewReader(""), &out)
-	if err == nil || !strings.Contains(err.Error(), "below required") {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestReadScaleGateAllocs(t *testing.T) {
-	var out strings.Builder
-	err := run([]string{"-readscale-json", writeThroughput(t, readScaleSample(16, 2.5, 3))},
-		strings.NewReader(""), &out)
-	if err == nil || !strings.Contains(err.Error(), "budget is 0") {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestReadScaleGateParallelismAware(t *testing.T) {
-	// 1.5x fails the full floor (2.0x by default, from 8 procs) but passes
-	// the reduced 4-7 proc floor of 1.2x; below 4 procs the gate is the
-	// no-regression bound of 0.9x, which the 2-proc reference host's
-	// 1.00x must pass.
-	cases := []struct {
-		procs   int
-		speedup float64
-		pass    bool
-	}{
-		{16, 1.5, false}, {8, 2.1, true},
-		{7, 1.5, true}, {4, 1.5, true}, {4, 1.1, false},
-		{3, 1.0, true}, {2, 1.0, true}, {2, 0.95, true}, {2, 0.8, false},
-		{1, 0.95, true}, {1, 0.8, false},
-	}
-	for _, c := range cases {
-		var out strings.Builder
-		err := run([]string{"-readscale-json", writeThroughput(t, readScaleSample(c.procs, c.speedup, 0))},
-			strings.NewReader(""), &out)
-		if (err == nil) != c.pass {
-			t.Errorf("%.2fx at %d procs: err = %v, want pass = %v", c.speedup, c.procs, err, c.pass)
-		}
-	}
-	var out strings.Builder
-	if err := run([]string{"-readscale-json", writeThroughput(t, readScaleSample(2, 1.0, 0))},
-		strings.NewReader(""), &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "gate: >= 0.90x, no regression, <= 3 procs") {
-		t.Fatalf("gate line does not name the bound it applied:\n%s", out.String())
-	}
-}
-
-func TestReadScaleGateBadFile(t *testing.T) {
-	var out strings.Builder
-	if err := run([]string{"-readscale-json", writeThroughput(t, "not json")},
-		strings.NewReader(""), &out); err == nil {
-		t.Fatal("corrupt report accepted")
-	}
-	if err := run([]string{"-readscale-json", writeThroughput(t, `{"speedup_at_16": 9, "max_procs": 8}`)},
-		strings.NewReader(""), &out); err == nil {
-		t.Fatal("empty points accepted")
-	}
-	if err := run([]string{"-readscale-json", filepath.Join(t.TempDir(), "missing.json")},
 		strings.NewReader(""), &out); err == nil {
 		t.Fatal("missing report accepted")
 	}

@@ -22,14 +22,12 @@ func randVec4(rng *rand.Rand) feature.Vector {
 	return v
 }
 
-// TestLockFreeStoreDifferential replays one interleaved workload —
+// TestStoreDifferentialWithSerialized replays one interleaved workload —
 // inserts, removes, lookups, touches, TTL expiry, quarantine and
-// parole — against a store over the lock-free index and against the
-// same store wrapped in SerializedStore (the fully serialized
-// correctness oracle), and requires element-identical observable state
-// at every step. The lock-free read path must be bit-identical to the
-// locked one.
-func TestLockFreeStoreDifferential(t *testing.T) {
+// parole — against a plain store and against the same store wrapped in
+// SerializedStore (the fully serialized correctness oracle), and
+// requires element-identical observable state at every step.
+func TestStoreDifferentialWithSerialized(t *testing.T) {
 	const dim = 4
 	cfg := Config{
 		Capacity:            48,
@@ -140,10 +138,10 @@ func TestLockFreeStoreDifferential(t *testing.T) {
 	}
 }
 
-// TestReadersDuringImportRace floods a warm lock-free store with
-// readers while Import bulk-inserts a snapshot on top of it. Run under
-// -race this checks the reader pipeline against the heaviest write
-// burst the store supports.
+// TestReadersDuringImportRace floods a warm store with readers while
+// Import bulk-inserts a snapshot on top of it. Run under -race this
+// checks the reader pipeline against the heaviest write burst the store
+// supports.
 func TestReadersDuringImportRace(t *testing.T) {
 	const dim = 4
 	mk := func(seed int64, capacity int) *Store {
@@ -203,7 +201,7 @@ func TestReadersDuringImportRace(t *testing.T) {
 // TestReadersDuringQuarantineRace drives lookups concurrent with
 // refute/quarantine/parole churn — the write path that removes slots
 // from the candidate index while readers are mid-pipeline. Under -race
-// this exercises grace-period reclamation through the store.
+// this exercises slot recycling through the store.
 func TestReadersDuringQuarantineRace(t *testing.T) {
 	const dim = 4
 	idx, err := lsh.NewHyperplane(dim, 6, 3, 42)

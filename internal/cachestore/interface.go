@@ -11,8 +11,9 @@ import (
 // Interface is the store contract the engine, the peer service, and
 // the facade program against. Three implementations exist:
 //
-//   - Store: one index under one RWMutex — the right shape for a
-//     single-stream device cache.
+//   - Store: one entry table under one RWMutex over one index (which
+//     has its own; lookups take only the index's read lock) — the right
+//     shape for a single-stream device cache.
 //   - ShardedStore: N lock-striped Store shards routed by LSH
 //     signature prefix — the serving-scale shape, where concurrent
 //     streams insert into disjoint shards instead of one mutex.

@@ -13,9 +13,8 @@ import (
 )
 
 // newTunedSharded builds a sharded store whose shards run the full
-// tuned pipeline (multi-probe, sketch prefilter, quantized scoring)
-// with a shared index seed, the shape core.Engine constructs when
-// IndexTuning is set.
+// tuned pipeline (multi-probe, sketch prefilter) with a shared index
+// seed, the shape core.Engine constructs when IndexTuning is set.
 func newTunedSharded(tb testing.TB, shards, capacity int, clock simclock.Clock) *ShardedStore {
 	tb.Helper()
 	tun := lsh.DefaultTuning()
@@ -34,14 +33,14 @@ func newTunedSharded(tb testing.TB, shards, capacity int, clock simclock.Clock) 
 }
 
 // TestTunedSnapshotRoundTrip pins the recompute-on-import contract
-// across shard counts: sketches and quantized codes are never
-// persisted — they are deterministic functions of (seed, vector), so a
-// store rebuilt from a snapshot must answer every lookup bit-for-bit
-// like the original, at 1, 2, 4, and 7 shards.
+// across shard counts: sketches are never persisted — they are
+// deterministic functions of (seed, vector), so a store rebuilt from a
+// snapshot must answer every lookup bit-for-bit like the original, at
+// 1, 2, 4, and 7 shards.
 func TestTunedSnapshotRoundTrip(t *testing.T) {
 	// Clustered, near-duplicate population: the regime where the sketch
-	// prefilter and quantized re-rank actually participate in results,
-	// so a recompute divergence would change answers.
+	// prefilter actually participates in results, so a recompute
+	// divergence would change answers.
 	rng := rand.New(rand.NewSource(31))
 	centers := make([]feature.Vector, 12)
 	for c := range centers {

@@ -433,8 +433,8 @@ func (s *Store) Nearest(q feature.Vector, k int) ([]lsh.Neighbor, error) {
 
 // NearestInto is Nearest writing into dst's backing array. With a
 // TTL-free store over an IntoIndex — the standard pipeline shape — a
-// lookup takes no store lock and performs no allocation, so read-mostly
-// lookups never contend with each other.
+// lookup takes no store lock, only the index's read lock, and performs
+// no allocation.
 func (s *Store) NearestInto(q feature.Vector, k int, dst []lsh.Neighbor) ([]lsh.Neighbor, error) {
 	return s.NearestWithinInto(q, k, math.Inf(1), dst)
 }
@@ -502,8 +502,8 @@ func NearestWithinInto(st Interface, q feature.Vector, k int, radius float64, ds
 
 // purgeExpired removes expired entries. The fast path is one atomic
 // load: until the clock passes the tracked earliest expiry deadline,
-// nothing can be expired and no lock is taken at all, so TTL-enabled
-// stores keep a fully lock-free lookup path between expiry events.
+// nothing can be expired and the store lock is not taken, so between
+// expiry events a TTL-enabled store's lookup path is the TTL-free one.
 func (s *Store) purgeExpired() {
 	if s.cfg.TTL <= 0 {
 		return

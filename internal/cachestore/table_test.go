@@ -225,20 +225,13 @@ var modelIndexes = []struct {
 }{
 	{"hyperplane", true, func() (lsh.Index, error) { return lsh.NewHyperplane(modelDim, 5, 3, 7) }},
 	{"tuned", true, func() (lsh.Index, error) {
-		return lsh.NewHyperplaneTuned(modelDim, 5, 2, 7, lsh.Tuning{Probes: 4, SketchBits: 64, Quantize: true})
+		return lsh.NewHyperplaneTuned(modelDim, 5, 2, 7, lsh.Tuning{Probes: 4, SketchBits: 64})
 	}},
 	{"exact", true, func() (lsh.Index, error) { return lsh.NewExact(modelDim) }},
 	{"adaptive", true, func() (lsh.Index, error) {
 		return lsh.NewAdaptive(lsh.AdaptiveConfig{
 			Dim: modelDim, Bits: 4, Tables: 2, Seed: 7, CheckEvery: 16, SkewThreshold: 0.3,
 		})
-	}},
-	{"locked", true, func() (lsh.Index, error) {
-		idx, err := lsh.NewHyperplane(modelDim, 5, 3, 7)
-		if err != nil {
-			return nil, err
-		}
-		return lsh.NewLocked(idx), nil
 	}},
 	{"hidden", false, func() (lsh.Index, error) {
 		idx, err := lsh.NewHyperplane(modelDim, 5, 3, 7)

@@ -68,8 +68,9 @@ func TestAllHaveUniqueIDs(t *testing.T) {
 			t.Fatalf("%s has no runner", e.ID)
 		}
 	}
-	if len(seen) != 25 {
-		t.Fatalf("suite has %d experiments, want 25", len(seen))
+	// E1–E25 without the retired E24.
+	if len(seen) != 24 || seen["E24"] {
+		t.Fatalf("suite has %d experiments (E24 present: %v), want 24 without E24", len(seen), seen["E24"])
 	}
 }
 

@@ -77,7 +77,7 @@ func All() []Experiment {
 		{ID: "E21", Name: "overload-resilience", Run: E21Overload},
 		{ID: "E22", Name: "lookup-pipeline", Run: E22Lookup},
 		{ID: "E23", Name: "cache-quality", Run: E23Quality},
-		{ID: "E24", Name: "read-scalability", Run: E24ReadScale},
+		// E24 (read-scalability) is retired; IDs are not renumbered.
 		{ID: "E25", Name: "p2p-wire", Run: E25P2PWire},
 	}
 }

@@ -22,9 +22,8 @@ import (
 // allocations for two index configurations:
 //
 //   - base:  the classic exact-bucket pipeline at bits × T tables;
-//   - tuned: the multi-probe + sketch + quantized pipeline at T/2
-//     tables, the configuration the tentpole claims reaches the same
-//     recall for less arithmetic.
+//   - tuned: the multi-probe + sketch pipeline at T/2 tables, which
+//     reaches the same recall for less arithmetic.
 //
 // The report is written to BENCH_lookup.json and enforced by
 // cmd/benchgate's lookup gate: tuned must beat base by a minimum ns/op
@@ -116,7 +115,6 @@ type LookupResult struct {
 	Tables     int     `json:"tables"`
 	Probes     int     `json:"probes"`
 	SketchBits int     `json:"sketch_bits"`
-	Quantize   bool    `json:"quantize"`
 	NsPerOp    float64 `json:"ns_per_op"`
 	// Recall is the fraction of exact top-k neighbors the
 	// configuration returned, averaged over all queries.
@@ -257,7 +255,6 @@ func measureLookup(cfg LookupConfig, ds *lookupDataset, idx *lsh.HyperplaneIndex
 		Tables:      idx.Tables(),
 		Probes:      tun.Probes,
 		SketchBits:  tun.SketchBits,
-		Quantize:    tun.Quantize,
 		Recall:      float64(hits) / float64(want),
 		AllocsPerOp: allocs,
 		Candidates:  float64(cands) / float64(len(ds.queries)),
@@ -325,10 +322,9 @@ func RunLookup(cfg LookupConfig) (LookupReport, error) {
 	// Both configurations run the production default: uncentered
 	// hyperplanes over all-positive descriptors. Their shared mean
 	// correlates table signatures, so buckets are crowded with
-	// cross-cluster junk — exactly the regime the sketch prefilter and
-	// quantized scoring exist for (the sketch's zero-sum hyperplanes
-	// are immune to the uniform-offset component that crowds the
-	// tables).
+	// cross-cluster junk — exactly the regime the sketch prefilter
+	// exists for (the sketch's zero-sum hyperplanes are immune to the
+	// uniform-offset component that crowds the tables).
 	base, err := lsh.NewHyperplane(cfg.Dim, cfg.Bits, cfg.Tables, cfg.Seed)
 	if err != nil {
 		return LookupReport{}, err
@@ -342,14 +338,11 @@ func RunLookup(cfg LookupConfig) (LookupReport, error) {
 
 	tuning := lsh.DefaultTuning()
 	tuning.Probes = cfg.Probes
-	// Widen the re-rank so quantization noise among a crowded cluster
-	// of near-duplicates cannot push a true neighbor out of the exact
-	// stage, and tighten the Hamming cut below the conservative
-	// default: near-duplicate neighbors land within a handful of
-	// sketch bits, while cross-cluster junk sits near bits/2, so 16/64
-	// still clears true neighbors by several sigma while rejecting
-	// most of the crowd before any integer math.
-	tuning.RerankK = 16
+	// Tighten the Hamming cut below the conservative default:
+	// near-duplicate neighbors land within a handful of sketch bits,
+	// while cross-cluster junk sits near bits/2, so 16/64 still clears
+	// true neighbors by several sigma while rejecting most of the crowd
+	// before any float math.
 	tuning.MaxHamming = 16
 	tunedTables := cfg.Tables / 2
 	if tunedTables < 1 {
@@ -363,7 +356,7 @@ func RunLookup(cfg LookupConfig) (LookupReport, error) {
 	if err != nil {
 		return LookupReport{}, fmt.Errorf("tuned: %w", err)
 	}
-	tunedRes.Name = "multiprobe-sketch-quant"
+	tunedRes.Name = "multiprobe-sketch"
 
 	baseRes.NsPerOp, tunedRes.NsPerOp, err = timeLookupPair(cfg, ds, base, tuned)
 	if err != nil {
@@ -381,7 +374,7 @@ func RunLookup(cfg LookupConfig) (LookupReport, error) {
 }
 
 // E22Lookup is the lookup-bound experiment: the before/after table for
-// the multi-probe + sketch + quantized candidate pipeline.
+// the multi-probe + sketch candidate pipeline.
 func E22Lookup(scale Scale) (Report, error) {
 	cfg := LookupConfig{Seed: scale.Seed}
 	if scale.Frames < DefaultScale().Frames {
@@ -397,14 +390,14 @@ func E22Lookup(scale Scale) (Report, error) {
 	}
 	out := Report{
 		ID:    "E22",
-		Title: "Lookup-bound candidate pipeline: exact-bucket vs multi-probe + sketch + quantized",
+		Title: "Lookup-bound candidate pipeline: exact-bucket vs multi-probe + sketch",
 		Headers: []string{"pipeline", "tables", "probes", "sketch", "ns/op",
 			"recall@k", "candidates", "allocs/op"},
 	}
 	for _, r := range rep.Results {
 		sketch := "-"
 		if r.SketchBits > 0 {
-			sketch = fmt.Sprintf("%db+int8", r.SketchBits)
+			sketch = fmt.Sprintf("%db", r.SketchBits)
 		}
 		out.Rows = append(out.Rows, []string{
 			r.Name, fmt.Sprintf("%d", r.Tables), fmt.Sprintf("%d", r.Probes),

@@ -2,35 +2,24 @@ package feature
 
 import "math"
 
-// Int8 quantization primitives for the approximate-cache candidate
-// pipeline. A resident vector is stored once in full float64 precision
-// (ground truth for the final re-rank) and once as an int8 code vector
-// with a per-vector affine map value ≈ offset + scale·code. Candidate
-// scoring then runs on the code vectors — an integer dot kernel over
-// one-eighth the memory — and only the surviving top few candidates
-// pay the full-precision distance.
+// Int8 quantization primitives for the v2 peer wire format (p2p codec2):
+// a vector travels as an int8 code vector with a per-vector affine map
+// value ≈ offset + scale·code, one-eighth the bytes of float64.
 //
 // All rounding is math.Round (half away from zero), fixed as part of
-// the on-disk/in-memory determinism contract: the same vector always
-// quantizes to the same codes on every platform.
+// the wire determinism contract: the same vector always quantizes to
+// the same codes on every platform.
 
 // QuantRange is the symmetric code range: codes live in
 // [-QuantRange, QuantRange]. 127 keeps the map invertible within int8
 // without ever producing -128.
 const QuantRange = 127
 
-// Quant describes one vector's affine quantization map plus the
-// precomputed terms the approximate-distance formula needs.
+// Quant describes one vector's affine quantization map.
 type Quant struct {
 	// Scale and Offset reconstruct values: v[i] ≈ Offset + Scale·code[i].
 	Scale  float64
 	Offset float64
-	// SumQ is Σ codes[i], used to fold the offsets into the integer dot.
-	SumQ int32
-	// NormSq is the EXACT squared L2 norm of the original float vector
-	// (not the reconstruction), so approximate distances stay anchored
-	// to true magnitudes.
-	NormSq float64
 }
 
 // QuantizeInto writes v's int8 codes into dst (which must have len(v))
@@ -57,7 +46,6 @@ func QuantizeInto(v Vector, dst []int8) Quant {
 	if q.Scale != 0 {
 		inv = 1 / q.Scale
 	}
-	var sum int32
 	for i, x := range v {
 		c := math.Round((x - q.Offset) * inv)
 		if c > QuantRange {
@@ -66,14 +54,7 @@ func QuantizeInto(v Vector, dst []int8) Quant {
 			c = -QuantRange
 		}
 		dst[i] = int8(c)
-		sum += int32(dst[i])
 	}
-	q.SumQ = sum
-	var n2 float64
-	for _, x := range v {
-		n2 += x * x
-	}
-	q.NormSq = n2
 	return q
 }
 
@@ -87,33 +68,6 @@ func DequantizeInto(dst Vector, codes []byte, scale, offset float64) {
 	for i := range dst {
 		dst[i] = offset + scale*float64(int8(codes[i]))
 	}
-}
-
-// DotInt8 returns the integer inner product Σ a[i]·b[i] of two code
-// vectors. Callers guarantee equal lengths (hot path).
-func DotInt8(a, b []int8) int32 {
-	var sum int32
-	b = b[:len(a)]
-	for i, x := range a {
-		sum += int32(x) * int32(b[i])
-	}
-	return sum
-}
-
-// ApproxSqDistance estimates ‖x−y‖² from two quantized vectors: the
-// exact norms, minus twice the reconstructed inner product
-//
-//	x·y ≈ n·ox·oy + ox·sy·Σqy + oy·sx·Σqx + sx·sy·(qx·qy)
-//
-// The integer dot is the only per-dimension work. The estimate can be
-// slightly negative for near-identical vectors; callers only compare
-// estimates, so no clamping is applied.
-func ApproxSqDistance(n int, qx, qy Quant, dot int32) float64 {
-	xy := float64(n)*qx.Offset*qy.Offset +
-		qx.Offset*qy.Scale*float64(qy.SumQ) +
-		qy.Offset*qx.Scale*float64(qx.SumQ) +
-		qx.Scale*qy.Scale*float64(dot)
-	return qx.NormSq + qy.NormSq - 2*xy
 }
 
 // MustSqEuclidean is MustEuclidean without the final square root, for

@@ -84,12 +84,12 @@ func DefaultAdaptiveConfig(dim int) AdaptiveConfig {
 // is the FoggyCache-style adaptive LSH: the index tracks the data
 // distribution instead of assuming a centered one.
 //
-// The read path is lock-free end to end: readers load the current
-// inner index through an atomic pointer and run the inner index's own
-// lock-free lookup; a rebuild constructs the replacement off to the
-// side and publishes it with one pointer store. Only writers take the
-// mutex, and a rebuild completes entirely under it, so no insert can
-// slip between the item snapshot and the swap.
+// Readers load the current inner index through an atomic pointer and
+// run its lookup (which takes that index's read lock); a rebuild
+// constructs the replacement off to the side and publishes it with one
+// pointer store. Only writers take the adaptive mutex, and a rebuild
+// completes entirely under it, so no insert can slip between the item
+// snapshot and the swap. Lock order: AdaptiveIndex.mu → inner mu.
 type AdaptiveIndex struct {
 	cfg AdaptiveConfig
 
@@ -121,19 +121,18 @@ func NewAdaptive(cfg AdaptiveConfig) (*AdaptiveIndex, error) {
 	return a, nil
 }
 
-// Rebuilds returns how many times the index has re-tuned itself.
-// Lock-free: stats polling can never stall a rebuild or a lookup.
+// Rebuilds returns how many times the index has re-tuned itself. It
+// takes no lock: stats polling can never stall a rebuild or a lookup.
 func (a *AdaptiveIndex) Rebuilds() int {
 	return int(a.rebuilds.Load())
 }
 
-// Len returns the number of indexed vectors. Lock-free.
+// Len returns the number of indexed vectors.
 func (a *AdaptiveIndex) Len() int {
 	return a.inner.Load().Len()
 }
 
 // Stats returns the current underlying occupancy statistics.
-// Lock-free: it pins the inner index's published snapshot.
 func (a *AdaptiveIndex) Stats() Stats {
 	return a.inner.Load().Stats()
 }
@@ -171,28 +170,26 @@ func (a *AdaptiveIndex) VectorInto(id ID, dst feature.Vector) (feature.Vector, b
 }
 
 // Nearest returns up to k approximate nearest neighbors of q.
-// Lock-free.
 func (a *AdaptiveIndex) Nearest(q feature.Vector, k int) ([]Neighbor, error) {
 	return a.inner.Load().Nearest(q, k)
 }
 
-// NearestInto is Nearest writing into dst's backing array. Lock-free.
+// NearestInto is Nearest writing into dst's backing array.
 func (a *AdaptiveIndex) NearestInto(q feature.Vector, k int, dst []Neighbor) ([]Neighbor, error) {
 	return a.inner.Load().NearestInto(q, k, dst)
 }
 
-// NearestWithinInto is the radius-bounded NearestInto. Lock-free.
+// NearestWithinInto is the radius-bounded NearestInto.
 func (a *AdaptiveIndex) NearestWithinInto(q feature.Vector, k int, radius float64, dst []Neighbor) ([]Neighbor, error) {
 	return a.inner.Load().NearestWithinInto(q, k, radius, dst)
 }
 
-// Candidates returns q's LSH candidate set. Lock-free.
+// Candidates returns q's LSH candidate set.
 func (a *AdaptiveIndex) Candidates(q feature.Vector) ([]ID, error) {
 	return a.inner.Load().Candidates(q)
 }
 
 // CandidatesInto is Candidates appending into dst's backing array.
-// Lock-free.
 func (a *AdaptiveIndex) CandidatesInto(q feature.Vector, dst []ID) ([]ID, error) {
 	return a.inner.Load().CandidatesInto(q, dst)
 }
@@ -245,12 +242,10 @@ type Item struct {
 	Vec feature.Vector
 }
 
-// Items returns copies of all indexed vectors. It takes the writer
-// mutex: idSlot is writer-owned state, and Items is only called from
-// write-side paths (rebuild, snapshot export).
+// Items returns copies of all indexed vectors.
 func (x *HyperplaneIndex) Items() []Item {
-	x.wmu.Lock()
-	defer x.wmu.Unlock()
+	x.mu.RLock()
+	defer x.mu.RUnlock()
 	out := make([]Item, 0, len(x.idSlot))
 	for id, slot := range x.idSlot {
 		out = append(out, Item{ID: id, Vec: x.slotVec(slot).Clone()})

@@ -130,8 +130,8 @@ func BenchmarkHotPathNearest(b *testing.B) {
 
 // BenchmarkHotPathNearestMultiProbe is the tuned-pipeline counterpart
 // of BenchmarkHotPathNearest: half the tables, multi-probe walk, sketch
-// prefilter, quantized scoring. Matched by the HotPathNearest
-// allocation budget, so the tuned path is pinned to 0 allocs/op too.
+// prefilter. Matched by the HotPathNearest allocation budget, so the
+// tuned path is pinned to 0 allocs/op too.
 func BenchmarkHotPathNearestMultiProbe(b *testing.B) {
 	vecs := benchVecs(b, 512, 80, 4)
 	tun := DefaultTuning()

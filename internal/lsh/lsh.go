@@ -14,11 +14,8 @@
 // that stops scoring a candidate once the caller's radius or the running
 // k-th best rules it out (scan.go).
 //
-// Reads are also lock-free: writers publish immutable snapshots of the
-// bucket state through an atomic pointer and reclaim recycled arena
-// memory only after a grace period (see epoch.go), so a lookup never
-// takes a mutex and concurrent readers never serialize on a shared
-// lock word.
+// Each index guards its state with one sync.RWMutex: a lookup holds the
+// read lock across gather + scan, a mutation holds the write lock.
 package lsh
 
 import (
@@ -27,7 +24,6 @@ import (
 	"math/bits"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 
 	"approxcache/internal/feature"
 )
@@ -99,8 +95,8 @@ type HyperplaneIndex struct {
 	center feature.Vector
 
 	// tun configures the candidate pipeline (multi-probe, sketch
-	// prefilter, quantized re-rank). The zero value keeps the classic
-	// exact-bucket path byte-for-byte.
+	// prefilter). The zero value keeps the classic exact-bucket path
+	// byte-for-byte.
 	tun Tuning
 	// sketchPlanes is the dedicated sketch hyperplane matrix (row b at
 	// [b*dim:(b+1)*dim]); sketchWords = SketchBits/64 is the packed
@@ -108,50 +104,27 @@ type HyperplaneIndex struct {
 	sketchPlanes []float64
 	sketchWords  int
 
-	// wmu serializes writers (insert/remove/import). Readers never
-	// touch it: they pin the published view below.
-	wmu sync.Mutex
-	// sides are the TWO bucket instances of the left-right scheme.
-	// sides[i][t] maps a table-t signature to the arena slots holding
+	// mu guards everything below: lookups hold it for reading across
+	// gather + scan, Insert/Remove for writing.
+	mu sync.RWMutex
+	// buckets[t] maps a table-t signature to the arena slots holding
 	// colliding vectors. Buckets hold slots, not IDs, so the distance
-	// loop reads the arena directly. Exactly one side is referenced by
-	// the published view at any time; the other is writer-private and
-	// receives each mutation first. The two sides never share bucket
-	// backing arrays (each grows its slices independently), so
-	// in-place swap-deletes on the writer-private side cannot be
-	// observed through the published one.
-	sides [2][]map[uint64][]int32
-	// active is the side the current view publishes (writer-owned).
-	active int
+	// loop reads the arena directly.
+	buckets []map[uint64][]int32
 	// arena holds slot s's vector at arena[s*dim:(s+1)*dim]. Freed
-	// slots are recycled through free — but only after the grace
-	// period proves no reader still holds a view referencing them;
-	// slotID/slotSig are parallel per-slot metadata (slotSig[s*tables+t]
-	// is slot s's signature in table t).
+	// slots are recycled through free; slotID/slotSig are parallel
+	// per-slot metadata (slotSig[s*tables+t] is slot s's signature in
+	// table t).
 	arena   []float64
 	slotID  []ID
 	slotSig []uint64
 	free    []int32
-	// Tuned-pipeline per-slot arenas, parallel to arena: sketch holds
-	// slot s's packed sketch at [s*sketchWords:(s+1)*sketchWords],
-	// codes its int8 quantized copy at [s*dim:(s+1)*dim], quant its
-	// quantization map. Empty when the corresponding mechanism is off.
+	// sketch holds slot s's packed sketch at
+	// [s*sketchWords:(s+1)*sketchWords]; empty when the sketch is off.
 	sketch []uint64
-	codes  []int8
-	quant  []feature.Quant
-	// idSlot maps an ID to its slot. Only Insert/Remove touch it; the
-	// query path never chases it.
+	// idSlot maps an ID to its slot. Only Insert/Remove/VectorInto touch
+	// it; the query path never chases it.
 	idSlot map[ID]int32
-
-	// view is the published snapshot every reader runs against; epoch
-	// counts publications (diagnostics and tests); arriveAt selects
-	// which read indicator new readers stamp (see epoch.go).
-	view     atomic.Pointer[indexView]
-	epoch    atomic.Uint64
-	arriveAt atomic.Uint32
-	readers  [2]readIndicator
-	// stripeSeq hands each new query scratch its indicator stripe.
-	stripeSeq atomic.Uint32
 
 	scratch sync.Pool // *queryScratch
 	idBuf   sync.Pool // *[]ID, gather buffer for Candidates
@@ -162,97 +135,21 @@ var (
 	_ VectorSource = (*HyperplaneIndex)(nil)
 )
 
-// indexView is one published snapshot of the index: the active bucket
-// side plus the slice headers of every per-slot arena as of
-// publication. All fields are immutable for the lifetime of the view
-// from a reader's perspective — the buckets maps are only mutated
-// again after the grace period drains every reader pinned to this
-// view, arena slots referenced by these buckets are only overwritten
-// after the same grace period, and growth reallocations leave the
-// captured backing arrays untouched.
-type indexView struct {
-	buckets []map[uint64][]int32
-	arena   []float64
-	slotID  []ID
-	sketch  []uint64
-	codes   []int8
-	quant   []feature.Quant
-	live    int
-}
-
-// slotCodes returns slot s's int8 code vector within the snapshot.
-func (v *indexView) slotCodes(dim int, s int32) []int8 {
-	off := int(s) * dim
-	return v.codes[off : off+dim : off+dim]
-}
-
-// pin stamps the read indicator and loads the current snapshot. The
-// arrival MUST precede the view load (see epoch.go invariant 1);
-// callers pass the same stripe to unpin.
-func (x *HyperplaneIndex) pin(stripe uint32) (*indexView, uint32) {
-	vi := x.arriveAt.Load()
-	x.readers[vi&1].arrive(stripe)
-	return x.view.Load(), vi
-}
-
-// unpin departs the indicator pinned by pin.
-func (x *HyperplaneIndex) unpin(vi, stripe uint32) {
-	x.readers[vi&1].depart(stripe)
-}
-
-// publishLocked runs one write round: apply mutate to the inactive
-// side, publish it as the new snapshot, advance the epoch, wait the
-// grace period for every reader of the old snapshot to depart, then
-// apply the same mutation to the retired side so both instances
-// converge. On return no reader holds the previous snapshot, so the
-// caller may recycle any slots the mutation retired. Caller holds wmu.
-func (x *HyperplaneIndex) publishLocked(mutate func(side []map[uint64][]int32)) {
-	next := 1 - x.active
-	mutate(x.sides[next])
-	x.view.Store(&indexView{
-		buckets: x.sides[next],
-		arena:   x.arena,
-		slotID:  x.slotID,
-		sketch:  x.sketch,
-		codes:   x.codes,
-		quant:   x.quant,
-		live:    len(x.idSlot),
-	})
-	x.epoch.Add(1)
-	x.active = next
-	// Grace period: drain the indicator new readers are no longer
-	// arriving at, flip arrivals, then drain the other. Every reader
-	// that could have loaded the previous snapshot arrived before the
-	// publish above and is therefore covered by one of the two waits.
-	vi := x.arriveAt.Load()
-	x.readers[1-vi&1].wait()
-	x.arriveAt.Store(1 - vi&1)
-	x.readers[vi&1].wait()
-	mutate(x.sides[1-next])
-}
-
 // queryScratch is the reusable per-query state: an epoch-stamped
 // visited array replacing the old per-query map[ID]struct{} dedup.
 // Each concurrent query checks out its own scratch from the pool.
 type queryScratch struct {
 	visited []uint32
 	epoch   uint32
-	// stripe is this scratch's read-indicator stripe (epoch.go).
-	// sync.Pool is per-P, so concurrent readers hold distinct
-	// scratches and therefore stamp distinct stripes.
-	stripe uint32
 
 	// Tuned-pipeline scratch, sized lazily on first tuned lookup:
 	// margins holds per-bit |projection| for the probed table, sorted
-	// and order back the probe generator's margin argsort, heap its
-	// perturbation-set frontier, qcodes the query's int8 codes, and
-	// approx the quantized-stage selection buffer.
+	// and order back the probe generator's margin argsort, and heap its
+	// perturbation-set frontier.
 	margins []float64
 	sorted  []float64
 	order   []int
 	heap    []probeSet
-	qcodes  []int8
-	approx  []Neighbor
 
 	// cands is the gathered candidate slot list of the query in flight
 	// (capacity: one entry per slot, like visited).
@@ -260,8 +157,8 @@ type queryScratch struct {
 }
 
 // ensureTuned sizes the tuned-pipeline scratch for an index with the
-// given signature width and dimensionality.
-func (sc *queryScratch) ensureTuned(bits, dim int) {
+// given signature width.
+func (sc *queryScratch) ensureTuned(bits int) {
 	if cap(sc.margins) < bits {
 		sc.margins = make([]float64, bits)
 		sc.sorted = make([]float64, bits)
@@ -270,10 +167,6 @@ func (sc *queryScratch) ensureTuned(bits, dim int) {
 	sc.margins = sc.margins[:bits]
 	sc.sorted = sc.sorted[:bits]
 	sc.order = sc.order[:bits]
-	if cap(sc.qcodes) < dim {
-		sc.qcodes = make([]int8, dim)
-	}
-	sc.qcodes = sc.qcodes[:dim]
 }
 
 // begin readies the scratch for one query over nslots slots.
@@ -306,11 +199,11 @@ func NewHyperplane(dim, bits, tables int, seed int64) (*HyperplaneIndex, error) 
 }
 
 // NewHyperplaneTuned is NewHyperplane with an explicit candidate
-// pipeline tuning (multi-probe, sketch prefilter, quantized re-rank).
-// A zero Tuning reproduces NewHyperplane exactly: the table hyperplanes
-// are drawn first and identically regardless of tuning, and the sketch
-// hyperplanes come from a separate RNG derived from seed, so enabling
-// the sketch never perturbs signatures.
+// pipeline tuning (multi-probe, sketch prefilter). A zero Tuning
+// reproduces NewHyperplane exactly: the table hyperplanes are drawn
+// first and identically regardless of tuning, and the sketch hyperplanes
+// come from a separate RNG derived from seed, so enabling the sketch
+// never perturbs signatures.
 func NewHyperplaneTuned(dim, bits, tables int, seed int64, tun Tuning) (*HyperplaneIndex, error) {
 	if dim <= 0 {
 		return nil, fmt.Errorf("lsh: dim must be positive, got %d", dim)
@@ -331,17 +224,14 @@ func NewHyperplaneTuned(dim, bits, tables int, seed int64, tun Tuning) (*Hyperpl
 		bits:        bits,
 		tables:      tables,
 		planes:      make([]float64, tables*bits*dim),
+		buckets:     make([]map[uint64][]int32, tables),
 		idSlot:      make(map[ID]int32),
 		tun:         tun,
 		sketchWords: tun.SketchBits / 64,
 	}
-	for side := range x.sides {
-		x.sides[side] = make([]map[uint64][]int32, tables)
-		for t := 0; t < tables; t++ {
-			x.sides[side][t] = make(map[uint64][]int32)
-		}
+	for t := range x.buckets {
+		x.buckets[t] = make(map[uint64][]int32)
 	}
-	x.view.Store(&indexView{buckets: x.sides[0]})
 	// Draw order (table, bit, dim) is part of the index's identity:
 	// the same seed must yield the same hyperplanes across versions.
 	for t := 0; t < tables; t++ {
@@ -400,15 +290,14 @@ func (x *HyperplaneIndex) Bits() int { return x.bits }
 // Tables returns the hash-table count.
 func (x *HyperplaneIndex) Tables() int { return x.tables }
 
-// Len returns the number of indexed vectors. Lock-free: the count is
-// an immutable field of the published snapshot.
+// Len returns the number of indexed vectors. Like ExactIndex.Len it
+// takes the read lock — uncontended that is two atomic operations and no
+// allocation — so it waits for a writer in progress.
 func (x *HyperplaneIndex) Len() int {
-	return x.view.Load().live
+	x.mu.RLock()
+	defer x.mu.RUnlock()
+	return len(x.idSlot)
 }
-
-// Epoch returns the number of snapshots published so far (one per
-// completed write round). Diagnostics and tests only.
-func (x *HyperplaneIndex) Epoch() uint64 { return x.epoch.Load() }
 
 // signature hashes v in table t. Caller must have validated dimensions.
 //
@@ -559,12 +448,6 @@ func (x *HyperplaneIndex) slotVec(s int32) feature.Vector {
 	return feature.Vector(x.arena[off : off+x.dim : off+x.dim])
 }
 
-// slotCodes returns slot s's int8 code vector as a view into the arena.
-func (x *HyperplaneIndex) slotCodes(s int32) []int8 {
-	off := int(s) * x.dim
-	return x.codes[off : off+x.dim : off+x.dim]
-}
-
 // allocSlotLocked returns a free arena slot, growing the arena if none
 // is available.
 func (x *HyperplaneIndex) allocSlotLocked() int32 {
@@ -580,10 +463,6 @@ func (x *HyperplaneIndex) allocSlotLocked() int32 {
 	if x.sketchWords > 0 {
 		x.sketch = append(x.sketch, make([]uint64, x.sketchWords)...)
 	}
-	if x.tun.Quantize {
-		x.codes = append(x.codes, make([]int8, x.dim)...)
-		x.quant = append(x.quant, feature.Quant{})
-	}
 	return s
 }
 
@@ -593,56 +472,43 @@ func (x *HyperplaneIndex) Insert(id ID, v feature.Vector) error {
 		return fmt.Errorf("lsh: insert dim %d, index dim %d: %w",
 			len(v), x.dim, feature.ErrDimensionMismatch)
 	}
-	x.wmu.Lock()
-	defer x.wmu.Unlock()
+	x.mu.Lock()
+	defer x.mu.Unlock()
 	if slot, exists := x.idSlot[id]; exists {
 		x.removeLocked(id, slot)
 	}
 	slot := x.allocSlotLocked()
-	// The slot is either brand-new (no published bucket can reference
-	// it yet) or recycled after a grace period (every reader that could
-	// have seen it has departed), so these writes race with nothing;
-	// the publish below is the release that makes them visible.
 	copy(x.arena[int(slot)*x.dim:], v)
 	x.slotID[slot] = id
 	vc := x.slotVec(slot)
 	for t := 0; t < x.tables; t++ {
-		x.slotSig[int(slot)*x.tables+t] = x.signature(t, vc)
+		sig := x.signature(t, vc)
+		x.slotSig[int(slot)*x.tables+t] = sig
+		x.buckets[t][sig] = append(x.buckets[t][sig], slot)
 	}
-	// Derived per-slot representations are recomputed, never stored:
-	// snapshot import re-inserts through this same path, so sketches and
-	// codes round-trip deterministically from (seed, vector) alone.
+	// The sketch is recomputed, never stored: snapshot import re-inserts
+	// through this same path, so it round-trips deterministically from
+	// (seed, vector) alone.
 	if x.sketchWords > 0 {
 		x.sketchInto(vc, x.slotSketch(slot))
 	}
-	if x.tun.Quantize {
-		x.quant[slot] = feature.QuantizeInto(vc, x.slotCodes(slot))
-	}
 	x.idSlot[id] = slot
-	x.publishLocked(func(side []map[uint64][]int32) {
-		for t := 0; t < x.tables; t++ {
-			sig := x.slotSig[int(slot)*x.tables+t]
-			side[t][sig] = append(side[t][sig], slot)
-		}
-	})
 	return nil
 }
 
 // Remove deletes id from all tables.
 func (x *HyperplaneIndex) Remove(id ID) {
-	x.wmu.Lock()
-	defer x.wmu.Unlock()
+	x.mu.Lock()
+	defer x.mu.Unlock()
 	if slot, ok := x.idSlot[id]; ok {
 		x.removeLocked(id, slot)
 	}
 }
 
-// VectorInto copies id's vector out of the arena. It takes the writer
-// mutex — idSlot is writer-owned, and under it no slot can be recycled
-// mid-copy — so it stays off the lock-free read path entirely.
+// VectorInto copies id's vector out of the arena (see VectorSource).
 func (x *HyperplaneIndex) VectorInto(id ID, dst feature.Vector) (feature.Vector, bool) {
-	x.wmu.Lock()
-	defer x.wmu.Unlock()
+	x.mu.RLock()
+	defer x.mu.RUnlock()
 	slot, ok := x.idSlot[id]
 	if !ok {
 		return dst[:0], false
@@ -654,54 +520,44 @@ func (x *HyperplaneIndex) VectorInto(id ID, dst feature.Vector) (feature.Vector,
 // bothers reallocating; below it the retained memory is trivial.
 const bucketShrinkMin = 16
 
-// removeLocked unlinks slot from both bucket sides (via one publish
-// round) and recycles it. The slot joins the free list only AFTER the
-// grace period inside publishLocked, so no reader can still hold a
-// view whose buckets reference it by the time a later insert
-// overwrites its arena memory. Caller holds wmu.
+// removeLocked unlinks slot from every table's bucket and puts it on the
+// free list. Caller holds mu for writing.
 func (x *HyperplaneIndex) removeLocked(id ID, slot int32) {
 	delete(x.idSlot, id)
-	x.publishLocked(func(side []map[uint64][]int32) {
-		for t := 0; t < x.tables; t++ {
-			sig := x.slotSig[int(slot)*x.tables+t]
-			bucket := side[t][sig]
-			for i, s := range bucket {
-				if s == slot {
-					last := len(bucket) - 1
-					bucket[i] = bucket[last]
-					bucket[last] = 0 // clear the swapped-from tail slot
-					bucket = bucket[:last]
-					break
-				}
-			}
-			switch {
-			case len(bucket) == 0:
-				delete(side[t], sig)
-			case cap(bucket) >= bucketShrinkMin && cap(bucket) >= 4*len(bucket):
-				// Long churny runs otherwise retain grossly over-capacity
-				// backing arrays for hot signatures.
-				shrunk := make([]int32, len(bucket))
-				copy(shrunk, bucket)
-				side[t][sig] = shrunk
-			default:
-				side[t][sig] = bucket
+	for t := 0; t < x.tables; t++ {
+		sig := x.slotSig[int(slot)*x.tables+t]
+		bucket := x.buckets[t][sig]
+		for i, s := range bucket {
+			if s == slot {
+				last := len(bucket) - 1
+				bucket[i] = bucket[last]
+				bucket[last] = 0 // clear the swapped-from tail slot
+				bucket = bucket[:last]
+				break
 			}
 		}
-	})
-	if poisonRetired.Load() {
-		x.poisonSlot(slot)
+		switch {
+		case len(bucket) == 0:
+			delete(x.buckets[t], sig)
+		case cap(bucket) >= bucketShrinkMin && cap(bucket) >= 4*len(bucket):
+			// Long churny runs otherwise retain grossly over-capacity
+			// backing arrays for hot signatures.
+			shrunk := make([]int32, len(bucket))
+			copy(shrunk, bucket)
+			x.buckets[t][sig] = shrunk
+		default:
+			x.buckets[t][sig] = bucket
+		}
 	}
 	x.free = append(x.free, slot)
 }
 
-// getScratch checks out per-query scratch state. A fresh scratch is
-// assigned the next read-indicator stripe round-robin; the pool is
-// per-P, so concurrent readers end up stamping distinct stripes.
+// getScratch checks out per-query scratch state.
 func (x *HyperplaneIndex) getScratch() *queryScratch {
 	if sc, ok := x.scratch.Get().(*queryScratch); ok {
 		return sc
 	}
-	return &queryScratch{stripe: x.stripeSeq.Add(1)}
+	return new(queryScratch)
 }
 
 // Candidates returns the deduplicated union of bucket contents that q
@@ -740,12 +596,12 @@ func (x *HyperplaneIndex) CandidatesInto(q feature.Vector, dst []ID) ([]ID, erro
 	}
 	sc := x.getScratch()
 	defer x.scratch.Put(sc)
-	v, vi := x.pin(sc.stripe)
-	defer x.unpin(vi, sc.stripe)
-	x.gather(v, q, sc)
+	x.mu.RLock()
+	defer x.mu.RUnlock()
+	x.gather(q, sc)
 	out := dst[:0]
 	for _, slot := range sc.cands {
-		out = append(out, v.slotID[slot])
+		out = append(out, x.slotID[slot])
 	}
 	return out, nil
 }
@@ -754,15 +610,15 @@ func (x *HyperplaneIndex) CandidatesInto(q feature.Vector, dst []ID) ([]ID, erro
 // deduplicated, in first-collision order. The classic pipeline takes the
 // union of q's bucket in every table; a tuned one walks each table's
 // multi-probe bucket sequence and (optionally) rejects candidates on
-// packed-sketch Hamming distance before any float math. The caller has
-// pinned v.
-func (x *HyperplaneIndex) gather(v *indexView, q feature.Vector, sc *queryScratch) {
-	sc.begin(len(v.slotID))
+// packed-sketch Hamming distance before any float math. The caller holds
+// mu.
+func (x *HyperplaneIndex) gather(q feature.Vector, sc *queryScratch) {
+	sc.begin(len(x.slotID))
 	cands := sc.cands[:0]
 	if !x.tun.enabled() {
 		for t := 0; t < x.tables; t++ {
 			sig := x.signature(t, q)
-			for _, slot := range v.buckets[t][sig] {
+			for _, slot := range x.buckets[t][sig] {
 				if sc.visited[slot] == sc.epoch {
 					continue
 				}
@@ -773,7 +629,7 @@ func (x *HyperplaneIndex) gather(v *indexView, q feature.Vector, sc *queryScratc
 		sc.cands = cands
 		return
 	}
-	sc.ensureTuned(x.bits, x.dim)
+	sc.ensureTuned(x.bits)
 	var qsk [2]uint64
 	words := x.sketchWords
 	if words > 0 {
@@ -789,7 +645,7 @@ func (x *HyperplaneIndex) gather(v *indexView, q feature.Vector, sc *queryScratc
 			if !ok {
 				break
 			}
-			for _, slot := range v.buckets[t][psig] {
+			for _, slot := range x.buckets[t][psig] {
 				if sc.visited[slot] == sc.epoch {
 					continue
 				}
@@ -797,9 +653,9 @@ func (x *HyperplaneIndex) gather(v *indexView, q feature.Vector, sc *queryScratc
 				if words > 0 {
 					// Inlined popcount Hamming; words is 1 or 2.
 					off := int(slot) * words
-					d := bits.OnesCount64(qsk[0] ^ v.sketch[off])
+					d := bits.OnesCount64(qsk[0] ^ x.sketch[off])
 					if words == 2 {
-						d += bits.OnesCount64(qsk[1] ^ v.sketch[off+1])
+						d += bits.OnesCount64(qsk[1] ^ x.sketch[off+1])
 					}
 					if d > maxHam {
 						continue
@@ -811,31 +667,6 @@ func (x *HyperplaneIndex) gather(v *indexView, q feature.Vector, sc *queryScratc
 		sc.heap = pg.heap[:0] // retain heap growth across tables/queries
 	}
 	sc.cands = cands
-}
-
-// prerank is the quantized stage of a tuned lookup: it scores every
-// gathered candidate with the int8 integer-dot kernel and narrows
-// sc.cands to the RerankK·k nearest by approximate distance, the only
-// ones that go on to pay an exact distance. It selects on (approximate
-// distance, slot): slots are assigned deterministically, so the keep-set
-// is stable across runs and reloads.
-func (x *HyperplaneIndex) prerank(v *indexView, q feature.Vector, k int, sc *queryScratch) {
-	var rsel kSelector
-	rsel.reset(x.tun.RerankK*k, sc.approx[:0])
-	qq := feature.QuantizeInto(q, sc.qcodes)
-	for _, slot := range sc.cands {
-		dot := feature.DotInt8(sc.qcodes, v.slotCodes(x.dim, slot))
-		rsel.add(Neighbor{
-			ID:       ID(slot),
-			Distance: feature.ApproxSqDistance(x.dim, qq, v.quant[slot], dot),
-		})
-	}
-	kept := rsel.finish()
-	sc.cands = sc.cands[:0]
-	for _, n := range kept {
-		sc.cands = append(sc.cands, int32(n.ID))
-	}
-	sc.approx = kept[:0] // retain selector growth for the next query
 }
 
 // Nearest returns up to k approximate nearest neighbors of q, drawn
@@ -860,8 +691,7 @@ func (x *HyperplaneIndex) NearestInto(q feature.Vector, k int, dst []Neighbor) (
 // arithmetic when buckets are crowded with far vectors.
 //
 // The scan is the same for every pipeline: gather the candidate slots
-// (see gather), let the quantized stage narrow them when enabled, score
-// what is left exactly.
+// (see gather), score them exactly.
 func (x *HyperplaneIndex) NearestWithinInto(q feature.Vector, k int, radius float64, dst []Neighbor) ([]Neighbor, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("lsh: k must be positive, got %d", k)
@@ -872,15 +702,12 @@ func (x *HyperplaneIndex) NearestWithinInto(q feature.Vector, k int, radius floa
 	}
 	sc := x.getScratch()
 	defer x.scratch.Put(sc)
-	v, vi := x.pin(sc.stripe)
-	x.gather(v, q, sc)
-	if x.tun.Quantize {
-		x.prerank(v, q, k, sc)
-	}
 	var sel kSelector
 	sel.reset(k, dst[:0])
-	scanSlots(q, v.arena, x.dim, v.slotID, sc.cands, len(sc.cands), &sel, sqBound(radius))
-	x.unpin(vi, sc.stripe)
+	x.mu.RLock()
+	x.gather(q, sc)
+	scanSlots(q, x.arena, x.dim, x.slotID, sc.cands, len(sc.cands), &sel, sqBound(radius))
+	x.mu.RUnlock()
 	return finishWithin(&sel, radius), nil
 }
 
@@ -895,17 +722,15 @@ type Stats struct {
 	MeanCandidateSet float64 // expected candidate-set size for an indexed item
 }
 
-// Stats returns occupancy statistics. Lock-free: it walks the
-// published snapshot under a pin, so stats polling never stalls
-// writers or other readers.
+// Stats returns occupancy statistics. It walks every bucket under the
+// read lock, so it delays writers for the length of the walk.
 func (x *HyperplaneIndex) Stats() Stats {
-	stripe := x.stripeSeq.Add(1)
-	v, vi := x.pin(stripe)
-	defer x.unpin(vi, stripe)
-	s := Stats{Items: v.live, Tables: x.tables, Bits: x.bits}
+	x.mu.RLock()
+	defer x.mu.RUnlock()
+	s := Stats{Items: len(x.idSlot), Tables: x.tables, Bits: x.bits}
 	var total int
 	for t := 0; t < x.tables; t++ {
-		for _, b := range v.buckets[t] {
+		for _, b := range x.buckets[t] {
 			s.Buckets++
 			total += len(b)
 			if len(b) > s.MaxBucket {
@@ -916,7 +741,7 @@ func (x *HyperplaneIndex) Stats() Stats {
 	if s.Buckets > 0 {
 		s.MeanBucket = float64(total) / float64(s.Buckets)
 	}
-	if v.live > 0 {
+	if s.Items > 0 {
 		// For each item, its candidate set is at least the sizes of
 		// its own buckets; use the mean bucket size per table as an
 		// estimate of per-query work.

@@ -122,16 +122,11 @@ func perturb(rng *rand.Rand, v feature.Vector, sigma float64) feature.Vector {
 
 // checkKeepSet asserts the pipeline's safety property on one seeded
 // hit-heavy dataset: any exact top-k neighbor that the multi-probe walk
-// surfaces as a candidate must survive the default Hamming prefilter
-// AND the quantized re-rank — i.e. the sketch/quant stages may only
-// drop junk, never a true neighbor the probes found.
+// surfaces as a candidate must survive the default Hamming prefilter —
+// i.e. the sketch stage may only drop junk, never a true neighbor the
+// probes found.
 func checkKeepSet(t *testing.T, seed int64, sigma, qsigma float64) {
 	t.Helper()
-	// Cluster size (8) stays under the default quantized keep width
-	// (RerankK·k = 16): the re-rank contract is that the int8 stage
-	// separates clusters, not that it ranks near-duplicates within one —
-	// sizing the keep width to the expected bucket crowd is the
-	// caller's tuning knob (see LookupConfig in internal/eval).
 	const (
 		dim      = 16
 		n        = 256
@@ -156,8 +151,8 @@ func checkKeepSet(t *testing.T, seed int64, sigma, qsigma float64) {
 		t.Fatal(err)
 	}
 	// Same seed, same probe walk, but a pass-everything Hamming
-	// threshold and no quantized stage: its candidate set is the raw
-	// multi-probe walk the prefilter must not over-trim.
+	// threshold: its candidate set is the raw multi-probe walk the
+	// prefilter must not over-trim.
 	rawCfg := Tuning{Probes: probes, SketchBits: tunedCfg.SketchBits}
 	rawCfg.MaxHamming = tunedCfg.SketchBits
 	raw, err := NewHyperplaneTuned(dim, bits, tables, seed, rawCfg)
@@ -198,7 +193,7 @@ func checkKeepSet(t *testing.T, seed int64, sigma, qsigma float64) {
 		}
 		for _, tr := range truth {
 			if inWalk[tr.ID] && !kept[tr.ID] {
-				t.Fatalf("seed %d sigma %g qsigma %g query %d: exact neighbor %d (dist %g) surfaced by the probe walk but dropped by prefilter/re-rank",
+				t.Fatalf("seed %d sigma %g qsigma %g query %d: exact neighbor %d (dist %g) surfaced by the probe walk but dropped by the prefilter",
 					seed, sigma, qsigma, qi, tr.ID, tr.Distance)
 			}
 		}
@@ -207,7 +202,7 @@ func checkKeepSet(t *testing.T, seed int64, sigma, qsigma float64) {
 }
 
 // TestPrefilterKeepSetProperty runs the keep-set property over several
-// seeds and spreads, pinning the default MaxHamming/RerankK choices.
+// seeds and spreads, pinning the default MaxHamming choice.
 func TestPrefilterKeepSetProperty(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42, 1234} {
 		checkKeepSet(t, seed, 0.03, 0.01)
@@ -394,7 +389,7 @@ func TestMultiProbeExhaustiveMatchesExact(t *testing.T) {
 }
 
 // TestTunedRecomputeOnReinsert pins the recompute-on-import contract:
-// sketches and quantized codes are pure functions of (seed, vector), so
+// sketches are pure functions of (seed, vector), so
 // an index whose arena slots were churned by remove/re-insert must
 // answer bit-identically to a freshly built one.
 func TestTunedRecomputeOnReinsert(t *testing.T) {
@@ -423,7 +418,7 @@ func TestTunedRecomputeOnReinsert(t *testing.T) {
 		}
 	}
 	// Churn half the population so re-inserted vectors land in recycled
-	// arena slots with stale sketch/code bytes behind them.
+	// arena slots with stale sketch bytes behind them.
 	for i := 0; i < n; i += 2 {
 		churned.Remove(ID(i))
 	}

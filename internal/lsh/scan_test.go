@@ -152,7 +152,6 @@ var (
 	_ withinIndex = (*HyperplaneIndex)(nil)
 	_ withinIndex = (*ExactIndex)(nil)
 	_ withinIndex = (*AdaptiveIndex)(nil)
-	_ withinIndex = (*Locked)(nil)
 )
 
 // withinTestIndexes builds one index of every kind over dim dimensions.
@@ -168,10 +167,6 @@ func withinTestIndexes(t testing.TB, dim int, seed int64) map[string]withinIndex
 	if err != nil {
 		t.Fatal(err)
 	}
-	lockedInner, err := NewHyperplane(dim, 6, 3, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
 	acfg := DefaultAdaptiveConfig(dim)
 	acfg.Bits, acfg.Tables, acfg.CheckEvery, acfg.Seed = 6, 3, 16, seed
 	probesOnly := Tuning{Probes: 3}
@@ -183,8 +178,7 @@ func withinTestIndexes(t testing.TB, dim int, seed int64) map[string]withinIndex
 		"sketch128":   must(NewHyperplaneTuned(dim, 6, 2, seed, sketch128)),
 		"exact":       must(NewExact(dim)),
 		"adaptive":    must(NewAdaptive(acfg)),
-		"locked":      NewLocked(lockedInner),
-		"quant-wide":  must(NewHyperplaneTuned(dim, 4, 2, seed, Tuning{Quantize: true, RerankK: 2})),
+		"sketch-wide": must(NewHyperplaneTuned(dim, 4, 2, seed, Tuning{SketchBits: 64})),
 		"one-table-1": must(NewHyperplane(dim, 1, 1, seed)),
 	}
 }

@@ -3,7 +3,10 @@ package lsh
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
+
+	"approxcache/internal/feature"
 )
 
 // stressIndex hammers idx with concurrent inserts, removes, and lookups.
@@ -85,9 +88,9 @@ func TestHyperplaneConcurrentStress(t *testing.T) {
 }
 
 func TestHyperplaneTunedConcurrentStress(t *testing.T) {
-	// The full tuned pipeline — multi-probe walks, sketch arena reads,
-	// quantized scoring — racing writers that grow and recycle the very
-	// arenas the readers walk.
+	// The full tuned pipeline — multi-probe walks, sketch arena reads —
+	// racing writers that grow and recycle the very arenas the readers
+	// walk.
 	tun := DefaultTuning()
 	tun.Probes = 4
 	idx, err := NewHyperplaneTuned(8, 6, 3, 42, tun)
@@ -116,6 +119,123 @@ func TestAdaptiveConcurrentStress(t *testing.T) {
 	stressIndex(t, idx, 8)
 }
 
+// churnVec is the vector the churn test inserts under id at version ver:
+// a pure function of both, so a reader can recompute it without sharing
+// memory with the writer.
+func churnVec(id ID, ver uint32, dim int) feature.Vector {
+	return randVec(rand.New(rand.NewSource(int64(id)<<32|int64(ver))), dim)
+}
+
+// TestChurnDistancesMatchLastInsert races writers that insert, replace
+// and remove against readers, and requires every returned neighbour's
+// Distance to equal the distance recomputed from the vector last inserted
+// under its ID. Each id is owned by one writer, which raises started[id]
+// before an Insert and done[id] after it, so the versions a lookup can
+// legally have seen are [done before the lookup, started after it]. A
+// slot read while stale, half-written or recycled for another id matches
+// no version in that window. Len and Stats run beside the writers too.
+func TestChurnDistancesMatchLastInsert(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		tun  Tuning
+	}{
+		{"classic", Tuning{}},
+		{"sketch", Tuning{Probes: 4, SketchBits: 64}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const (
+				dim     = 8
+				writers = 2
+				perW    = 32
+				ids     = writers * perW
+				readers = 4
+				ops     = 400
+			)
+			idx, err := NewHyperplaneTuned(dim, 6, 3, 42, tc.tun)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var started, done [ids]atomic.Uint32
+			for id := 0; id < ids; id++ {
+				started[id].Store(1)
+				if err := idx.Insert(ID(id), churnVec(ID(id), 1, dim)); err != nil {
+					t.Fatal(err)
+				}
+				done[id].Store(1)
+			}
+			var writing sync.WaitGroup
+			var stop atomic.Bool
+			for w := 0; w < writers; w++ {
+				writing.Add(1)
+				go func(w int) {
+					defer writing.Done()
+					rng := rand.New(rand.NewSource(int64(w)))
+					for i := 0; i < ops; i++ {
+						id := w*perW + rng.Intn(perW)
+						if rng.Float64() < 0.3 {
+							idx.Remove(ID(id)) // the next insert takes a recycled slot
+						}
+						ver := started[id].Add(1)
+						if err := idx.Insert(ID(id), churnVec(ID(id), ver, dim)); err != nil {
+							t.Error(err)
+							return
+						}
+						done[id].Store(ver)
+					}
+				}(w)
+			}
+			var reading sync.WaitGroup
+			for r := 0; r < readers; r++ {
+				reading.Add(1)
+				go func(r int) {
+					defer reading.Done()
+					rng := rand.New(rand.NewSource(int64(100 + r)))
+					dst := make([]Neighbor, 0, 8)
+					var lo [ids]uint32
+					for !stop.Load() {
+						q := randVec(rng, dim)
+						for id := range lo {
+							lo[id] = done[id].Load()
+						}
+						ns, err := idx.NearestInto(q, 4, dst)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						for _, n := range ns {
+							hi := started[n.ID].Load()
+							ok := false
+							for ver := lo[n.ID]; ver <= hi && !ok; ver++ {
+								ok = n.Distance == feature.MustEuclidean(q, churnVec(n.ID, ver, dim))
+							}
+							if !ok {
+								t.Errorf("id %d: distance %v matches no version in [%d,%d]",
+									n.ID, n.Distance, lo[n.ID], hi)
+								return
+							}
+						}
+						dst = ns[:0]
+						if n := idx.Len(); n > ids {
+							t.Errorf("Len = %d, want at most %d", n, ids)
+							return
+						}
+						if st := idx.Stats(); st.Items > ids || st.MaxBucket > ids {
+							t.Errorf("Stats = %+v, want at most %d items", st, ids)
+							return
+						}
+					}
+				}(r)
+			}
+			writing.Wait()
+			stop.Store(true)
+			reading.Wait()
+			if got := idx.Len(); got != ids {
+				t.Errorf("Len after churn = %d, want %d", got, ids)
+			}
+		})
+	}
+}
+
 // TestBucketShrinkAfterChurn verifies that removals both clear the
 // swapped-from tail slot and hand grossly over-capacity buckets back to
 // the allocator instead of pinning their high-water backing arrays.
@@ -137,20 +257,16 @@ func TestBucketShrinkAfterChurn(t *testing.T) {
 		idx.Remove(ID(i))
 	}
 	arenaLen := func() int {
-		idx.wmu.Lock()
-		defer idx.wmu.Unlock()
-		// The shrink invariant must hold on BOTH left-right sides: the
-		// retired side receives every mutation after the grace period.
-		for si := range idx.sides {
-			for t0, table := range idx.sides[si] {
-				for sig, bucket := range table {
-					if len(bucket) == 0 {
-						t.Errorf("side %d table %d sig %x: empty bucket retained", si, t0, sig)
-					}
-					if cap(bucket) >= bucketShrinkMin && cap(bucket) >= 4*len(bucket) {
-						t.Errorf("side %d table %d sig %x: bucket len %d cap %d not shrunk",
-							si, t0, sig, len(bucket), cap(bucket))
-					}
+		idx.mu.RLock()
+		defer idx.mu.RUnlock()
+		for t0, table := range idx.buckets {
+			for sig, bucket := range table {
+				if len(bucket) == 0 {
+					t.Errorf("table %d sig %x: empty bucket retained", t0, sig)
+				}
+				if cap(bucket) >= bucketShrinkMin && cap(bucket) >= 4*len(bucket) {
+					t.Errorf("table %d sig %x: bucket len %d cap %d not shrunk",
+						t0, sig, len(bucket), cap(bucket))
 				}
 			}
 		}
@@ -163,8 +279,8 @@ func TestBucketShrinkAfterChurn(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	idx.wmu.Lock()
-	defer idx.wmu.Unlock()
+	idx.mu.RLock()
+	defer idx.mu.RUnlock()
 	if len(idx.arena) > arenaLen {
 		t.Errorf("arena grew past high-water mark: %d floats, was %d", len(idx.arena), arenaLen)
 	}

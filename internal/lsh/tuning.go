@@ -4,11 +4,11 @@ import "fmt"
 
 // Tuning configures the candidate pipeline layered on top of the basic
 // exact-bucket LSH lookup. The zero value reproduces the classic
-// pipeline exactly: one probe per table, no sketch prefilter, no
-// quantized scoring. All three mechanisms are bit-deterministic — the
-// probe order is a fixed function of the query's hyperplane margins and
-// quantization rounding is fixed — so tuned indexes replay identically
-// across runs, shards, and snapshot round-trips.
+// pipeline exactly: one probe per table, no sketch prefilter. Both
+// mechanisms are bit-deterministic — the probe order is a fixed function
+// of the query's hyperplane margins, the sketch of (seed, vector) — so
+// tuned indexes replay identically across runs, shards, and snapshot
+// round-trips.
 type Tuning struct {
 	// Probes is the number of buckets examined per table: the query's
 	// own bucket plus Probes−1 perturbed buckets, visited in increasing
@@ -29,21 +29,9 @@ type Tuning struct {
 	// nearest neighbors survive (the property tests pin this), tight
 	// enough to reject most far candidates in crowded buckets.
 	MaxHamming int
-	// Quantize stores an int8 quantized copy of each resident vector
-	// (per-entry scale and offset) and scores surviving candidates with
-	// an integer dot kernel; only the best RerankK×k candidates pay the
-	// exact float64 distance.
-	Quantize bool
-	// RerankK is the re-rank width multiplier: the quantized stage
-	// keeps the top RerankK×k candidates by approximate distance for
-	// exact scoring. 0 selects the default (4).
-	RerankK int
 }
 
-// Default pipeline parameters.
 const (
-	// DefaultRerankK is the default re-rank width multiplier.
-	DefaultRerankK = 4
 	// defaultMaxHammingNum/Den set the default prefilter threshold to
 	// SketchBits·3/8 (24 of 64 bits): a sign-sketch Hamming distance of
 	// 3/8·bits corresponds to an angular gap of ~67°, far beyond any
@@ -53,10 +41,10 @@ const (
 )
 
 // DefaultTuning returns the recommended tuned pipeline: 8 probes per
-// table, a 64-bit sketch prefilter, and quantized scoring. Pair it with
-// half the tables the untuned index would use.
+// table and a 64-bit sketch prefilter. Pair it with half the tables the
+// untuned index would use.
 func DefaultTuning() Tuning {
-	return Tuning{Probes: 8, SketchBits: 64, Quantize: true}
+	return Tuning{Probes: 8, SketchBits: 64}
 }
 
 // Validate reports whether the tuning is usable.
@@ -75,12 +63,6 @@ func (t Tuning) Validate() error {
 	if t.MaxHamming > 0 && t.SketchBits == 0 {
 		return fmt.Errorf("lsh: MaxHamming set without SketchBits")
 	}
-	if t.RerankK < 0 {
-		return fmt.Errorf("lsh: RerankK must be non-negative, got %d", t.RerankK)
-	}
-	if t.RerankK > 0 && !t.Quantize {
-		return fmt.Errorf("lsh: RerankK set without Quantize")
-	}
 	return nil
 }
 
@@ -92,14 +74,11 @@ func (t Tuning) normalize() Tuning {
 	if t.SketchBits > 0 && t.MaxHamming == 0 {
 		t.MaxHamming = t.SketchBits * defaultMaxHammingNum / defaultMaxHammingDen
 	}
-	if t.Quantize && t.RerankK == 0 {
-		t.RerankK = DefaultRerankK
-	}
 	return t
 }
 
-// enabled reports whether any tuned mechanism is active (if not, the
+// enabled reports whether either tuned mechanism is active (if not, the
 // lookup path takes the exact-bucket fast path unchanged).
 func (t Tuning) enabled() bool {
-	return t.Probes > 1 || t.SketchBits > 0 || t.Quantize
+	return t.Probes > 1 || t.SketchBits > 0
 }

@@ -14,12 +14,9 @@ import (
 // into the caller's buffer, and reports ids it does not hold.
 func TestVectorIntoReturnsInsertedBits(t *testing.T) {
 	const dim = 6
-	hyper := func() *HyperplaneIndex {
-		x, err := NewHyperplaneTuned(dim, 4, 2, 3, Tuning{Probes: 2, SketchBits: 64, Quantize: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return x
+	hyper, err := NewHyperplaneTuned(dim, 4, 2, 3, Tuning{Probes: 2, SketchBits: 64})
+	if err != nil {
+		t.Fatal(err)
 	}
 	exact, err := NewExact(dim)
 	if err != nil {
@@ -30,7 +27,7 @@ func TestVectorIntoReturnsInsertedBits(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, idx := range map[string]Index{
-		"hyperplane": hyper(), "exact": exact, "adaptive": adaptive, "locked": NewLocked(hyper()),
+		"hyperplane": hyper, "exact": exact, "adaptive": adaptive,
 	} {
 		src := idx.(VectorSource)
 		rng := rand.New(rand.NewSource(9))
