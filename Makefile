@@ -9,10 +9,10 @@ GO ?= go
 # store's label read copies nothing; an insert into a full store may
 # allocate only what the index's bucket growth does (the store itself:
 # nothing). Substring-matched against benchmark names.
-HOTPATH_BUDGETS = HotPathNearest=0,HotPathNearestDescriptors=0,HotPathNearestWithinDescriptors=0,HotPathExactNearest=0,HotPathVote=0,HotPathSignature=0,HotPathTopK=0,HotPathCandidates=0,HotPathFusedExtract=0,HotPathExtractFromThumb=0,HotPathGridIntegral=0,HotPathHistogram=0,HotPathKeyframeMatch=0,HotPathKeyframePush=0,HotPathIMUObserve=0,HotPathStoreLabel=0,HotPathStoreInsertEvict=4
+HOTPATH_BUDGETS = HotPathNearest=0,HotPathNearestDescriptors=0,HotPathNearestWithinDescriptors=0,HotPathExactNearest=0,HotPathVote=0,HotPathSignature=0,HotPathTopK=0,HotPathCandidates=0,HotPathFusedExtract=0,HotPathExtractFromThumb=0,HotPathGridIntegral=0,HotPathHistogram=0,HotPathKeyframeMatch=0,HotPathKeyframePush=0,HotPathIMUObserve=0,HotPathStoreLabel=0,HotPathStoreInsertEvict=4,HotPathObserveFrame=0
 
 # Packages holding HotPath benchmarks.
-HOTPATH_PKGS = ./internal/lsh/ ./internal/feature/ ./internal/video/ ./internal/imu/ ./internal/cachestore/
+HOTPATH_PKGS = ./internal/lsh/ ./internal/feature/ ./internal/video/ ./internal/imu/ ./internal/cachestore/ ./internal/metrics/
 
 # The serving-scale regression gate: sharded store + micro-batched
 # inference must beat the single-mutex baseline by at least this

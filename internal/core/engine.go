@@ -440,7 +440,11 @@ func newEngine(cfg Config, deps Deps, stats *metrics.SessionStats, wd *watchdog,
 		}
 		s := stats
 		ctrl.SetTransitionHook(func(from, to admission.Level) {
-			s.ObserveBrownoutTransition(to > from)
+			ev := metrics.EventBrownoutLowered
+			if to > from {
+				ev = metrics.EventBrownoutRaised
+			}
+			s.Add(ev, 1)
 		})
 	}
 	// Normalize typed-nil stores: a nil *Store in the interface would
@@ -514,9 +518,9 @@ func (e *Engine) AdmissionSnapshot() (admission.Snapshot, bool) {
 // engine's session stats.
 type statsObserver struct{ s *metrics.SessionStats }
 
-func (o statsObserver) PeerTimeout(string)     { o.s.ObservePeerTimeout() }
-func (o statsObserver) BreakerTrip(string)     { o.s.ObserveBreakerTrip() }
-func (o statsObserver) BreakerRecovery(string) { o.s.ObserveBreakerRecovery() }
+func (o statsObserver) PeerTimeout(string)     { o.s.Add(metrics.EventPeerTimeout, 1) }
+func (o statsObserver) BreakerTrip(string)     { o.s.Add(metrics.EventBreakerTrip, 1) }
+func (o statsObserver) BreakerRecovery(string) { o.s.Add(metrics.EventBreakerRecovery, 1) }
 
 // SetPeers installs (or replaces) the peer client used by the P2P gate
 // and wires its resilience events (timeouts, breaker trips/recoveries)
@@ -660,7 +664,11 @@ func (e *Engine) process(im *vision.Image, imuWindow []imu.Sample, truth string,
 		res, err = e.processApprox(im, imuWindow, imuOK, deadline)
 	}
 	if !deadline.IsZero() && err == nil {
-		e.stats.ObserveDeadlineCompletion(time.Now().Before(deadline))
+		ev := metrics.EventLate
+		if time.Now().Before(deadline) {
+			ev = metrics.EventInDeadline
+		}
+		e.stats.Add(ev, 1)
 	}
 	if err != nil {
 		return Result{}, err
@@ -669,7 +677,7 @@ func (e *Engine) process(im *vision.Image, imuWindow []imu.Sample, truth string,
 	correct := haveTruth && res.Label == truth
 	e.stats.ObserveFrame(res.Source, res.Latency, res.EnergyMJ, correct)
 	if res.Degradation != DegradeNone {
-		e.stats.ObserveDegradedServe(res.Degradation.String())
+		e.stats.Add(metrics.EventDegradedServe, 1)
 	}
 	e.mu.Lock()
 	e.last = res
@@ -1003,7 +1011,7 @@ func (e *Engine) processApprox(im *vision.Image, imuWindow []imu.Sample, imuOK b
 				return Result{}, fmt.Errorf("peer query: %w", err)
 			}
 			if out.Degraded {
-				e.stats.ObserveDegradedFrame()
+				e.stats.Add(metrics.EventDegradedFrame, 1)
 			}
 			if out.Queried > 0 {
 				latency += out.Cost
@@ -1011,7 +1019,10 @@ func (e *Engine) processApprox(im *vision.Image, imuWindow []imu.Sample, imuOK b
 				// so the radio model charges the actual request size.
 				reqSize := peers.QueryWireSize(len(vec))
 				energy += e.cfg.Radio.RTTCost(reqSize, 32)
-				e.stats.ObservePeerQuery(out.Found)
+				e.stats.Add(metrics.EventPeerQuery, 1)
+				if out.Found {
+					e.stats.Add(metrics.EventPeerHit, 1)
+				}
 			}
 			if out.Found {
 				hit := out.Hit
@@ -1047,11 +1058,11 @@ func (e *Engine) processApprox(im *vision.Image, imuWindow []imu.Sample, imuOK b
 	// admission limiter refuses, is answered from the degradation ladder
 	// instead of occupying the accelerator.
 	if !deadline.IsZero() && !time.Now().Before(deadline) {
-		e.stats.ObserveExpiredDrop()
+		e.stats.Add(metrics.EventExpiredDrop, 1)
 		return e.serveShed(vec, sc, frameOK, latency, energy, DegradeDeadline, ErrDeadlineExceeded)
 	}
 	if e.ctrl != nil && !e.ctrl.TryAcquire() {
-		e.stats.ObserveShed()
+		e.stats.Add(metrics.EventShed, 1)
 		return e.serveShed(vec, sc, frameOK, latency, energy, DegradeOverload, ErrOverloadShed)
 	}
 	inf, penalty, ierr := e.wd.infer(im, deadline, e.jitterSeed)
@@ -1069,10 +1080,10 @@ func (e *Engine) processApprox(im *vision.Image, imuWindow []imu.Sample, imuOK b
 	if ierr != nil {
 		switch {
 		case errors.Is(ierr, dnn.ErrExpiredInQueue):
-			e.stats.ObserveExpiredDrop()
+			e.stats.Add(metrics.EventExpiredDrop, 1)
 			return e.serveShed(vec, sc, frameOK, latency, energy, DegradeDeadline, ierr)
 		case errors.Is(ierr, dnn.ErrQueueFull):
-			e.stats.ObserveShed()
+			e.stats.Add(metrics.EventShed, 1)
 			return e.serveShed(vec, sc, frameOK, latency, energy, DegradeOverload, ierr)
 		}
 		return e.serveDegraded(vec, sc, frameOK, latency, energy, ierr)
@@ -1084,7 +1095,7 @@ func (e *Engine) processApprox(im *vision.Image, imuWindow []imu.Sample, imuOK b
 			// Cache repair: entries sitting where we just looked,
 			// carrying a different label, are contradicted by fresh
 			// evidence — purge them so they stop winning votes.
-			e.stats.ObserveRepairs(e.repairContradicted(vec, inf.Label, sc, looked, haveLooked))
+			e.stats.Add(metrics.EventRepair, e.repairContradicted(vec, inf.Label, sc, looked, haveLooked))
 		}
 		if _, err := e.deps.Store.Insert(vec, inf.Label, inf.Confidence, "dnn", inf.Latency); err != nil {
 			return Result{}, fmt.Errorf("cache insert: %w", err)

@@ -251,7 +251,7 @@ func (qc *qualityController) consumeRefusal() bool {
 		return false
 	}
 	qc.refusal--
-	qc.stats.ObserveReuseRefusal()
+	qc.stats.Add(metrics.EventReuseRefusal, 1)
 	return true
 }
 
@@ -347,7 +347,10 @@ func (qc *qualityController) runAudit(e *Engine, im *vision.Image, guarded bool,
 		return // no verdict; the estimate only moves on evidence
 	}
 	agree := inf.Label == served
-	qc.stats.ObserveAudit(!agree)
+	qc.stats.Add(metrics.EventAudit, 1)
+	if !agree {
+		qc.stats.Add(metrics.EventAuditRefuted, 1)
+	}
 	// Audits cost energy (the DNN really ran) but never frame latency:
 	// the frame was already answered.
 	qc.stats.ObserveEnergy(inf.EnergyMJ)
@@ -355,7 +358,7 @@ func (qc *qualityController) runAudit(e *Engine, im *vision.Image, guarded bool,
 		if agree {
 			qc.store.Confirm(id)
 		} else if qc.store.Refute(id) {
-			qc.stats.ObserveQuarantine()
+			qc.stats.Add(metrics.EventQuarantine, 1)
 		}
 	}
 	// Fresh DNN evidence re-verifies quarantined entries caching the
@@ -388,9 +391,9 @@ func (qc *qualityController) paroleNear(vec feature.Vector, freshLabel string, r
 		}
 		switch qc.store.Parole(en.ID, en.Label == freshLabel) {
 		case cachestore.ParoleReinstated:
-			qc.stats.ObserveParole(true)
+			qc.stats.Add(metrics.EventParole, 1)
 		case cachestore.ParoleEvicted:
-			qc.stats.ObserveParole(false)
+			qc.stats.Add(metrics.EventParoleEvict, 1)
 		}
 	}
 }
@@ -444,11 +447,11 @@ func (qc *qualityController) recalibrateLocked() {
 			qc.samples = 0
 			qc.ewma = qc.cfg.TargetAccuracy
 		}
-		qc.stats.ObserveRecalibration(true)
+		qc.stats.Add(metrics.EventRecalTighten, 1)
 		qc.sinceMove = 0
 	case qc.ewma > qc.cfg.TargetAccuracy+qc.cfg.Hysteresis && s < 1:
 		qc.setScale(math.Min(1, s*qc.cfg.LoosenStep))
-		qc.stats.ObserveRecalibration(false)
+		qc.stats.Add(metrics.EventRecalLoosen, 1)
 		qc.sinceMove = 0
 	}
 }
@@ -467,7 +470,7 @@ func (e *Engine) healAfterRefute(im *vision.Image, vec feature.Vector, label str
 				}
 				if got, ok := e.deps.Store.Label(n.ID); ok && got != label {
 					e.deps.Store.Remove(n.ID)
-					e.stats.ObserveRepairs(1)
+					e.stats.Add(metrics.EventRepair, 1)
 				}
 			}
 		}

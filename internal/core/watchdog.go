@@ -191,7 +191,7 @@ func (w *watchdog) infer(im *vision.Image, deadline time.Time, jitterSeed uint64
 	w.mu.Lock()
 	if w.tripped && w.clock.Now().Sub(w.trippedAt) < w.cfg.Cooldown {
 		w.mu.Unlock()
-		w.stats.ObserveWatchdogFastFail()
+		w.stats.Add(metrics.EventWatchdogFastFail, 1)
 		return dnn.Inference{}, 0, fmt.Errorf("%w: breaker open", ErrClassifierDown)
 	}
 	// Either healthy, or the cooldown elapsed: let this call probe.
@@ -201,14 +201,14 @@ func (w *watchdog) infer(im *vision.Image, deadline time.Time, jitterSeed uint64
 	for attempt := 0; attempt <= w.cfg.MaxRetries; attempt++ {
 		if attempt > 0 {
 			penalty += w.cfg.RetryBackoff + w.retryJitter(jitterSeed, attempt)
-			w.stats.ObserveWatchdogRetry()
+			w.stats.Add(metrics.EventWatchdogRetry, 1)
 		}
 		var timedOut bool
 		var waited time.Duration
 		inf, lastErr, timedOut, waited = w.callOnce(im, deadline)
 		if timedOut {
 			penalty += waited
-			w.stats.ObserveWatchdogTimeout()
+			w.stats.Add(metrics.EventWatchdogTimeout, 1)
 			break // a wedged call will not un-wedge within a frame
 		}
 		if lastErr == nil {
@@ -300,7 +300,7 @@ func (w *watchdog) observeSuccess() {
 	defer w.mu.Unlock()
 	if w.tripped {
 		w.tripped = false
-		w.stats.ObserveWatchdogRecovery()
+		w.stats.Add(metrics.EventWatchdogRecovery, 1)
 	}
 	w.failures = 0
 }
@@ -319,7 +319,7 @@ func (w *watchdog) observeFailure() bool {
 	}
 	if !w.tripped {
 		w.tripped = true
-		w.stats.ObserveWatchdogTrip()
+		w.stats.Add(metrics.EventWatchdogTrip, 1)
 	}
 	w.trippedAt = w.clock.Now()
 	return true

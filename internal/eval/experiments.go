@@ -11,6 +11,7 @@ import (
 	"approxcache/internal/imu"
 	"approxcache/internal/lsh"
 	"approxcache/internal/metrics"
+	"approxcache/internal/simnet"
 	"approxcache/internal/trace"
 )
 
@@ -129,23 +130,20 @@ func E1Headline(s Scale) (Report, error) {
 		},
 	}
 	for _, sys := range systems {
-		var stats *metrics.SessionStats
+		var dev *device
+		var err error
 		if sys.peer {
-			group, err := e1Group(spec, sys.cfg, s)
-			if err != nil {
-				return Report{}, fmt.Errorf("%s: %w", sys.name, err)
-			}
-			stats = group["main"]
+			dev, err = e1Group(spec, sys.cfg, s)
 		} else {
-			var err error
-			stats, _, err = RunSingle(DeviceConfig{
+			dev, err = runSingle(DeviceConfig{
 				Name: "main", Spec: spec, Engine: sys.cfg, Seed: s.Seed,
 			})
-			if err != nil {
-				return Report{}, fmt.Errorf("%s: %w", sys.name, err)
-			}
 		}
-		sum := stats.Latency().Summary()
+		if err != nil {
+			return Report{}, fmt.Errorf("%s: %w", sys.name, err)
+		}
+		stats := dev.engine.Stats()
+		sum := dev.lat.summary()
 		if sys.name == "no-cache" {
 			baseMean = sum.Mean
 		}
@@ -166,8 +164,9 @@ func E1Headline(s Scale) (Report, error) {
 	return report, nil
 }
 
-// e1Group runs the main device plus two helpers sharing its class set.
-func e1Group(spec trace.Spec, cfg core.Config, s Scale) (map[string]*metrics.SessionStats, error) {
+// e1Group runs the main device plus two helpers sharing its class set
+// and returns the finished main device.
+func e1Group(spec trace.Spec, cfg core.Config, s Scale) (*device, error) {
 	classSeed := spec.Seed
 	main := spec
 	main.ClassSeed = classSeed
@@ -183,7 +182,11 @@ func e1Group(spec trace.Spec, cfg core.Config, s Scale) (map[string]*metrics.Ses
 			Seed:   s.Seed + int64(i+2),
 		})
 	}
-	return RunGroup(cfgs, s.Seed)
+	devices, err := runGroupLink(cfgs, s.Seed, simnet.DefaultLinkProfile())
+	if err != nil {
+		return nil, err
+	}
+	return devices[0], nil
 }
 
 // E2ThresholdSweep traces the accuracy/latency trade-off as the reuse
@@ -406,11 +409,11 @@ func E6Energy(s Scale) (Report, error) {
 	run := func(name string, cfg core.Config, peer bool) error {
 		var stats *metrics.SessionStats
 		if peer {
-			group, err := e1Group(spec, cfg, s)
+			main, err := e1Group(spec, cfg, s)
 			if err != nil {
 				return err
 			}
-			stats = group["main"]
+			stats = main.engine.Stats()
 		} else {
 			var err error
 			stats, _, err = RunSingle(DeviceConfig{Name: "main", Spec: spec, Engine: cfg, Seed: s.Seed})

@@ -448,21 +448,21 @@ func E15LatencyCDF(s Scale) (Report, error) {
 			"the cached systems are bimodal: sub-ms reuse for ~95% of frames, full inference cost in the tail",
 		},
 	}
-	var all []*metrics.SessionStats
+	var all []*device
 	for _, sys := range systems {
 		report.Headers = append(report.Headers, sys.name)
-		stats, _, err := RunSingle(DeviceConfig{
+		dev, err := runSingle(DeviceConfig{
 			Name: "main", Spec: spec, Engine: sys.cfg, Seed: s.Seed,
 		})
 		if err != nil {
 			return Report{}, fmt.Errorf("%s: %w", sys.name, err)
 		}
-		all = append(all, stats)
+		all = append(all, dev)
 	}
 	for _, p := range []float64{10, 25, 50, 75, 90, 95, 99, 100} {
 		row := []string{fmt.Sprintf("p%g", p)}
-		for _, stats := range all {
-			row = append(row, fmtDur(stats.Latency().Percentile(p)))
+		for _, dev := range all {
+			row = append(row, fmtDur(dev.lat.percentile(p)))
 		}
 		report.Rows = append(report.Rows, row)
 	}

@@ -443,17 +443,7 @@ func runOverloadPoint(cfg OverloadConfig, mode string, load, capacity float64,
 
 // durPctMS returns the p-th percentile of sorted latencies, in ms.
 func durPctMS(sorted []time.Duration, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(p/100*float64(len(sorted))+0.5) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return float64(sorted[i]) / float64(time.Millisecond)
+	return float64(nearestRank(sorted, p)) / float64(time.Millisecond)
 }
 
 // RunOverload measures both node configurations across the load sweep

@@ -76,6 +76,9 @@ type device struct {
 	corruptFrame func(frame int, im *vision.Image) *vision.Image
 	prev         time.Duration
 	next         int // next frame index
+	// lat holds every served frame's latency, for the tables that
+	// print exact percentiles.
+	lat exactRecorder
 }
 
 // buildDevice instantiates cfg on clock, optionally attached to net.
@@ -177,27 +180,36 @@ func (d *device) stepResult() (core.Result, bool, error) {
 	if err != nil {
 		return core.Result{}, false, fmt.Errorf("device %s frame %d: %w", d.name, fr.Index, err)
 	}
+	d.lat.record(res.Latency)
 	return res, true, nil
 }
 
 // RunSingle replays one device's workload to completion and returns its
 // stats and the device's store (nil outside approx mode).
 func RunSingle(cfg DeviceConfig) (*metrics.SessionStats, *cachestore.Store, error) {
+	dev, err := runSingle(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	return dev.engine.Stats(), dev.store, nil
+}
+
+// runSingle is RunSingle returning the finished device.
+func runSingle(cfg DeviceConfig) (*device, error) {
 	clock := simclock.NewVirtual(time.Unix(0, 0))
 	dev, err := buildDevice(cfg, clock, nil)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	for {
 		ok, err := dev.step()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if !ok {
-			break
+			return dev, nil
 		}
 	}
-	return dev.engine.Stats(), dev.store, nil
 }
 
 // RunGroup replays several devices on one shared simulated network
@@ -214,6 +226,20 @@ func RunGroup(cfgs []DeviceConfig, netSeed int64) (map[string]*metrics.SessionSt
 // RunGroupLink is RunGroup with an explicit link profile, used by the
 // degraded-network experiment.
 func RunGroupLink(cfgs []DeviceConfig, netSeed int64, link simnet.LinkProfile) (map[string]*metrics.SessionStats, error) {
+	devices, err := runGroupLink(cfgs, netSeed, link)
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[string]*metrics.SessionStats, len(devices))
+	for _, dev := range devices {
+		out[dev.name] = dev.engine.Stats()
+	}
+	return out, nil
+}
+
+// runGroupLink is RunGroupLink returning the finished devices, in cfgs
+// order.
+func runGroupLink(cfgs []DeviceConfig, netSeed int64, link simnet.LinkProfile) ([]*device, error) {
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("eval: empty device group")
 	}
@@ -266,11 +292,7 @@ func RunGroupLink(cfgs []DeviceConfig, netSeed int64, link simnet.LinkProfile) (
 			return nil, err
 		}
 	}
-	out := make(map[string]*metrics.SessionStats, len(devices))
-	for _, dev := range devices {
-		out[dev.name] = dev.engine.Stats()
-	}
-	return out, nil
+	return devices, nil
 }
 
 // RunScenario replays a serialized multi-device scenario with every

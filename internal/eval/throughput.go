@@ -336,19 +336,7 @@ func RunThroughputMode(cfg ThroughputConfig, mode string) (ThroughputResult, err
 		all = append(all, lat...)
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	pct := func(p float64) float64 {
-		if len(all) == 0 {
-			return 0
-		}
-		i := int(p/100*float64(len(all))+0.5) - 1
-		if i < 0 {
-			i = 0
-		}
-		if i >= len(all) {
-			i = len(all) - 1
-		}
-		return float64(all[i]) / float64(time.Millisecond)
-	}
+	pct := func(p float64) float64 { return durPctMS(all, p) }
 	res := ThroughputResult{
 		Mode:      mode,
 		Frames:    len(all),

@@ -1,14 +1,12 @@
 // Package metrics provides the measurement machinery shared by the
-// pipeline and the experiment harness: latency recorders with exact
-// percentiles, per-source hit accounting, and accuracy tracking.
+// pipeline and the experiment harness: a fixed-memory latency histogram
+// (exact count, mean, min and max; percentiles within 6.25 %), one
+// table of named event counters, per-source hit accounting, and
+// accuracy tracking. Nothing here grows with the number of frames
+// observed; exact percentiles live in internal/eval.
 package metrics
 
-import (
-	"fmt"
-	"sort"
-	"sync"
-	"time"
-)
+import "time"
 
 // Source identifies where a frame's recognition result came from. The
 // ordering reflects the pipeline's gate order, cheapest first.
@@ -36,9 +34,24 @@ const (
 	SourceShed Source = "shed"
 )
 
+// sourceOrder is every source in pipeline order; a source's position is
+// its slot in SessionStats' per-source table.
+var sourceOrder = [...]Source{SourceIMU, SourceVideo, SourceLocal, SourcePeer, SourceDNN, SourceFallback, SourceShed}
+
 // Sources lists all sources in pipeline order.
 func Sources() []Source {
-	return []Source{SourceIMU, SourceVideo, SourceLocal, SourcePeer, SourceDNN, SourceFallback, SourceShed}
+	return append([]Source(nil), sourceOrder[:]...)
+}
+
+// ordinal returns src's position in sourceOrder, or -1 for a source
+// this package does not define.
+func (src Source) ordinal() int {
+	for i, known := range sourceOrder {
+		if src == known {
+			return i
+		}
+	}
+	return -1
 }
 
 // ReuseSources lists the sources that count as cache hits.
@@ -46,176 +59,43 @@ func ReuseSources() []Source {
 	return []Source{SourceIMU, SourceVideo, SourceLocal, SourcePeer}
 }
 
-// LatencySummary is a set of summary statistics over recorded latencies.
-type LatencySummary struct {
-	Count int
-	Mean  time.Duration
-	P50   time.Duration
-	P90   time.Duration
-	P99   time.Duration
-	Max   time.Duration
-}
-
-// String formats the summary compactly.
-func (s LatencySummary) String() string {
-	return fmt.Sprintf("n=%d mean=%v p50=%v p90=%v p99=%v max=%v",
-		s.Count, s.Mean, s.P50, s.P90, s.P99, s.Max)
-}
-
-// LatencyRecorder accumulates latency samples and computes exact
-// percentiles. It is safe for concurrent use.
-type LatencyRecorder struct {
-	mu      sync.Mutex
-	samples []time.Duration
-	sorted  bool
-	total   time.Duration
-}
-
-// NewLatencyRecorder returns an empty recorder.
-func NewLatencyRecorder() *LatencyRecorder {
-	return &LatencyRecorder{}
-}
-
-// Record adds one sample. Negative samples are clamped to zero.
-func (r *LatencyRecorder) Record(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.samples = append(r.samples, d)
-	r.total += d
-	r.sorted = false
-}
-
-// Count returns the number of samples.
-func (r *LatencyRecorder) Count() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.samples)
-}
-
-// Mean returns the mean sample, or 0 with no samples.
-func (r *LatencyRecorder) Mean() time.Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.samples) == 0 {
-		return 0
-	}
-	return r.total / time.Duration(len(r.samples))
-}
-
-// Percentile returns the p-th percentile (p in [0,100]) using the
-// nearest-rank method, or 0 with no samples.
-func (r *LatencyRecorder) Percentile(p float64) time.Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.percentileLocked(p)
-}
-
-func (r *LatencyRecorder) percentileLocked(p float64) time.Duration {
-	n := len(r.samples)
-	if n == 0 {
-		return 0
-	}
-	if !r.sorted {
-		sort.Slice(r.samples, func(i, j int) bool { return r.samples[i] < r.samples[j] })
-		r.sorted = true
-	}
-	if p <= 0 {
-		return r.samples[0]
-	}
-	if p >= 100 {
-		return r.samples[n-1]
-	}
-	rank := int(p/100*float64(n)+0.5) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= n {
-		rank = n - 1
-	}
-	return r.samples[rank]
-}
-
-// Summary returns all summary statistics at once.
-func (r *LatencyRecorder) Summary() LatencySummary {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := len(r.samples)
-	if n == 0 {
-		return LatencySummary{}
-	}
-	s := LatencySummary{
-		Count: n,
-		Mean:  r.total / time.Duration(n),
-		P50:   r.percentileLocked(50),
-		P90:   r.percentileLocked(90),
-		P99:   r.percentileLocked(99),
-	}
-	s.Max = r.samples[n-1] // sorted by percentileLocked
-	return s
-}
-
 // SessionStats aggregates one device run: per-source hit counts,
-// latency, energy, and recognition accuracy. SessionStats is safe for
-// concurrent use.
+// latency, energy, recognition accuracy and every Event counter. Its
+// size is fixed at construction. SessionStats is safe for concurrent
+// use; one mutex (the latency recorder's) guards every field, so a
+// frame is recorded in one critical section and Frames, CountBySource
+// and Latency().Count() never disagree.
 type SessionStats struct {
-	mu             sync.Mutex
-	frames         int
-	hits           map[Source]int
-	correct        int
-	energyMJ       float64
-	peerQs         int
-	peerHits       int
-	peerTimeouts   int
-	breakerTrips   int
-	breakerRecover int
-	degradedFrames int
-	repairs        int
-	sensorFaults   map[string]int
-	degradedServes map[string]int
-	wdTimeouts     int
-	wdRetries      int
-	wdTrips        int
-	wdRecoveries   int
-	wdFastFails    int
-	sheds          int
-	expiredDrops   int
-	inDeadline     int
-	lateFrames     int
-	brownoutUp     int
-	brownoutDown   int
-	audits         int
-	auditRefutes   int
-	quarantines    int
-	paroles        int
-	paroleEvicts   int
-	recalTightens  int
-	recalLoosens   int
-	reuseRefusals  int
-	latencies      *LatencyRecorder
+	lat      LatencyRecorder // lat.mu guards the fields below too
+	counts   [NumEvents]int64
+	bySource [len(sourceOrder)]int64
+	energyMJ float64
+	// otherSources counts frames from sources outside sourceOrder; nil
+	// until one is observed (the engine never produces one).
+	otherSources map[Source]int
+	sensorFaults map[string]int
 }
 
 // NewSessionStats returns an empty aggregate.
 func NewSessionStats() *SessionStats {
-	return &SessionStats{
-		hits:           make(map[Source]int, 6),
-		sensorFaults:   make(map[string]int),
-		degradedServes: make(map[string]int),
-		latencies:      NewLatencyRecorder(),
-	}
+	return &SessionStats{sensorFaults: make(map[string]int)}
 }
 
 // ObserveFrame records the outcome of one frame.
 func (s *SessionStats) ObserveFrame(src Source, latency time.Duration, energyMJ float64, correct bool) {
-	s.latencies.Record(latency)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.frames++
-	s.hits[src]++
+	s.lat.mu.Lock()
+	defer s.lat.mu.Unlock()
+	s.lat.recordLocked(latency)
+	if i := src.ordinal(); i >= 0 {
+		s.bySource[i]++
+	} else {
+		if s.otherSources == nil {
+			s.otherSources = make(map[Source]int)
+		}
+		s.otherSources[src]++
+	}
 	if correct {
-		s.correct++
+		s.counts[EventCorrect]++
 	}
 	s.energyMJ += energyMJ
 }
@@ -224,89 +104,64 @@ func (s *SessionStats) ObserveFrame(src Source, latency time.Duration, energyMJ 
 // shadow audit's DNN re-run, which costs real energy but no frame
 // latency (the frame was already answered).
 func (s *SessionStats) ObserveEnergy(energyMJ float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.lat.mu.Lock()
+	defer s.lat.mu.Unlock()
 	s.energyMJ += energyMJ
 }
 
-// ObservePeerQuery records a P2P query round-trip and whether it hit.
-func (s *SessionStats) ObservePeerQuery(hit bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.peerQs++
-	if hit {
-		s.peerHits++
+// Add counts n occurrences of ev; n <= 0 is ignored.
+func (s *SessionStats) Add(ev Event, n int) {
+	if n <= 0 {
+		return
 	}
+	s.lat.mu.Lock()
+	defer s.lat.mu.Unlock()
+	s.counts[ev] += int64(n)
 }
 
-// ObservePeerTimeout records one peer exchange that overran its
-// deadline or the per-frame peer budget.
-func (s *SessionStats) ObservePeerTimeout() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.peerTimeouts++
+// ObserveSensorFault records one rejected or rerouted device input
+// (IMU window or camera frame) under EventSensorFault and its fault
+// class, e.g. "imu-stuck" or "frame-low-entropy".
+func (s *SessionStats) ObserveSensorFault(kind string) {
+	s.lat.mu.Lock()
+	defer s.lat.mu.Unlock()
+	s.counts[EventSensorFault]++
+	s.sensorFaults[kind]++
 }
 
-// ObserveBreakerTrip records one circuit-breaker trip (a peer excluded
-// from the fan-out after repeated failures).
-func (s *SessionStats) ObserveBreakerTrip() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.breakerTrips++
+// Counts returns a consistent copy of the whole event table, indexed by
+// Event.
+func (s *SessionStats) Counts() [NumEvents]int64 {
+	s.lat.mu.Lock()
+	defer s.lat.mu.Unlock()
+	return s.counts
 }
 
-// ObserveBreakerRecovery records one circuit closing again (a tripped
-// peer healed).
-func (s *SessionStats) ObserveBreakerRecovery() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.breakerRecover++
-}
-
-// ObserveDegradedFrame records one frame whose P2P gate was skipped
-// because every peer's circuit was open (local-only degradation).
-func (s *SessionStats) ObserveDegradedFrame() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.degradedFrames++
+// Count returns how often ev has been counted.
+func (s *SessionStats) Count(ev Event) int {
+	s.lat.mu.Lock()
+	defer s.lat.mu.Unlock()
+	return int(s.counts[ev])
 }
 
 // PeerTimeouts returns how many peer exchanges timed out.
-func (s *SessionStats) PeerTimeouts() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.peerTimeouts
-}
+func (s *SessionStats) PeerTimeouts() int { return s.Count(EventPeerTimeout) }
 
 // BreakerEvents returns (trips, recoveries) of the peer circuit
 // breaker.
 func (s *SessionStats) BreakerEvents() (trips, recoveries int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.breakerTrips, s.breakerRecover
+	c := s.Counts()
+	return int(c[EventBreakerTrip]), int(c[EventBreakerRecovery])
 }
 
 // DegradedFrames returns how many frames ran local-only because every
 // peer was tripped open.
-func (s *SessionStats) DegradedFrames() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.degradedFrames
-}
-
-// ObserveSensorFault records one rejected or rerouted device input
-// (IMU window or camera frame), keyed by fault class, e.g.
-// "imu-stuck" or "frame-low-entropy".
-func (s *SessionStats) ObserveSensorFault(kind string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sensorFaults[kind]++
-}
+func (s *SessionStats) DegradedFrames() int { return s.Count(EventDegradedFrame) }
 
 // SensorFaults returns a copy of the per-class sensor fault counts.
 func (s *SessionStats) SensorFaults() map[string]int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.lat.mu.Lock()
+	defer s.lat.mu.Unlock()
 	out := make(map[string]int, len(s.sensorFaults))
 	for k, v := range s.sensorFaults {
 		out[k] = v
@@ -315,282 +170,82 @@ func (s *SessionStats) SensorFaults() map[string]int {
 }
 
 // SensorFaultTotal returns the total count across all fault classes.
-func (s *SessionStats) SensorFaultTotal() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	total := 0
-	for _, v := range s.sensorFaults {
-		total += v
-	}
-	return total
-}
-
-// ObserveDegradedServe records one frame answered by the degradation
-// ladder instead of the full pipeline, keyed by ladder rung (e.g.
-// "cache-only", "last-result").
-func (s *SessionStats) ObserveDegradedServe(level string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.degradedServes[level]++
-}
-
-// DegradedServes returns a copy of the per-rung degraded serve counts.
-func (s *SessionStats) DegradedServes() map[string]int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]int, len(s.degradedServes))
-	for k, v := range s.degradedServes {
-		out[k] = v
-	}
-	return out
-}
+func (s *SessionStats) SensorFaultTotal() int { return s.Count(EventSensorFault) }
 
 // DegradedServeTotal returns the total frames served degraded.
-func (s *SessionStats) DegradedServeTotal() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	total := 0
-	for _, v := range s.degradedServes {
-		total += v
-	}
-	return total
-}
-
-// ObserveWatchdogTimeout records one classifier call killed by the
-// watchdog's per-call deadline.
-func (s *SessionStats) ObserveWatchdogTimeout() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.wdTimeouts++
-}
-
-// ObserveWatchdogRetry records one transient-error retry of the
-// classifier.
-func (s *SessionStats) ObserveWatchdogRetry() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.wdRetries++
-}
-
-// ObserveWatchdogTrip records the watchdog declaring the classifier
-// down after consecutive failures.
-func (s *SessionStats) ObserveWatchdogTrip() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.wdTrips++
-}
-
-// ObserveWatchdogRecovery records the classifier passing a probe after
-// a trip and returning to service.
-func (s *SessionStats) ObserveWatchdogRecovery() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.wdRecoveries++
-}
-
-// ObserveWatchdogFastFail records one classifier call rejected
-// immediately because the watchdog was tripped open.
-func (s *SessionStats) ObserveWatchdogFastFail() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.wdFastFails++
-}
+func (s *SessionStats) DegradedServeTotal() int { return s.Count(EventDegradedServe) }
 
 // WatchdogEvents returns the watchdog counters: per-call timeouts,
 // transient retries, trips, recoveries, and fast-fails while down.
 func (s *SessionStats) WatchdogEvents() (timeouts, retries, trips, recoveries, fastFails int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.wdTimeouts, s.wdRetries, s.wdTrips, s.wdRecoveries, s.wdFastFails
-}
-
-// ObserveShed records one frame shed by the admission controller — the
-// DNN fallback was refused and the frame was answered from the
-// degradation ladder instead.
-func (s *SessionStats) ObserveShed() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sheds++
+	c := s.Counts()
+	return int(c[EventWatchdogTimeout]), int(c[EventWatchdogRetry]), int(c[EventWatchdogTrip]),
+		int(c[EventWatchdogRecovery]), int(c[EventWatchdogFastFail])
 }
 
 // Sheds returns how many frames admission control shed.
-func (s *SessionStats) Sheds() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sheds
-}
-
-// ObserveExpiredDrop records one frame whose deadline expired in the
-// inference queue before the accelerator saw it (batcher stale-drop or
-// pre-submit deadline check).
-func (s *SessionStats) ObserveExpiredDrop() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.expiredDrops++
-}
+func (s *SessionStats) Sheds() int { return s.Count(EventShed) }
 
 // ExpiredDrops returns how many frames expired in the queue.
-func (s *SessionStats) ExpiredDrops() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.expiredDrops
-}
-
-// ObserveDeadlineCompletion records whether a deadline-carrying frame
-// finished within its budget.
-func (s *SessionStats) ObserveDeadlineCompletion(inDeadline bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if inDeadline {
-		s.inDeadline++
-	} else {
-		s.lateFrames++
-	}
-}
+func (s *SessionStats) ExpiredDrops() int { return s.Count(EventExpiredDrop) }
 
 // DeadlineCompletions returns (inDeadline, late) counts of frames that
 // carried a request deadline.
 func (s *SessionStats) DeadlineCompletions() (inDeadline, late int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.inDeadline, s.lateFrames
-}
-
-// ObserveBrownoutTransition records one brownout-ladder level change;
-// raised is true when the level went up (deeper degradation).
-func (s *SessionStats) ObserveBrownoutTransition(raised bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if raised {
-		s.brownoutUp++
-	} else {
-		s.brownoutDown++
-	}
+	c := s.Counts()
+	return int(c[EventInDeadline]), int(c[EventLate])
 }
 
 // BrownoutTransitions returns (raised, lowered) counts of brownout
 // level changes.
 func (s *SessionStats) BrownoutTransitions() (raised, lowered int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.brownoutUp, s.brownoutDown
-}
-
-// ObserveAudit records one completed shadow audit: a cache hit re-run
-// through the DNN off the latency path. refuted is true when the DNN
-// disagreed with the served label.
-func (s *SessionStats) ObserveAudit(refuted bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.audits++
-	if refuted {
-		s.auditRefutes++
-	}
+	c := s.Counts()
+	return int(c[EventBrownoutRaised]), int(c[EventBrownoutLowered])
 }
 
 // Audits returns (total, refuted) shadow-audit counts.
 func (s *SessionStats) Audits() (total, refuted int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.audits, s.auditRefutes
-}
-
-// ObserveQuarantine records one cache entry crossing the refute
-// threshold and being pulled from the candidate index.
-func (s *SessionStats) ObserveQuarantine() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.quarantines++
-}
-
-// ObserveParole records one re-verification of a quarantined entry:
-// reinstated back into the index, or evicted at the parole-fail limit.
-func (s *SessionStats) ObserveParole(reinstated bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if reinstated {
-		s.paroles++
-	} else {
-		s.paroleEvicts++
-	}
+	c := s.Counts()
+	return int(c[EventAudit]), int(c[EventAuditRefuted])
 }
 
 // QuarantineEvents returns (quarantines, paroles, evictions) of the
 // entry-quarantine state machine.
 func (s *SessionStats) QuarantineEvents() (quarantines, paroles, evictions int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.quarantines, s.paroles, s.paroleEvicts
-}
-
-// ObserveRecalibration records one gate-threshold move by the drift
-// controller; tightened is true when reuse got stricter.
-func (s *SessionStats) ObserveRecalibration(tightened bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if tightened {
-		s.recalTightens++
-	} else {
-		s.recalLoosens++
-	}
+	c := s.Counts()
+	return int(c[EventQuarantine]), int(c[EventParole]), int(c[EventParoleEvict])
 }
 
 // RecalibrationEvents returns (tightens, loosens) counts of gate
 // threshold moves.
 func (s *SessionStats) RecalibrationEvents() (tightens, loosens int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.recalTightens, s.recalLoosens
-}
-
-// ObserveReuseRefusal records one frame forced to revalidate because
-// the drift controller was refusing reuse at its strictest setting.
-func (s *SessionStats) ObserveReuseRefusal() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.reuseRefusals++
+	c := s.Counts()
+	return int(c[EventRecalTighten]), int(c[EventRecalLoosen])
 }
 
 // ReuseRefusals returns how many frames the drift controller refused
 // to serve from reuse.
-func (s *SessionStats) ReuseRefusals() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.reuseRefusals
-}
-
-// ObserveRepairs records n cache entries purged because a revalidation
-// contradicted them.
-func (s *SessionStats) ObserveRepairs(n int) {
-	if n <= 0 {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.repairs += n
-}
+func (s *SessionStats) ReuseRefusals() int { return s.Count(EventReuseRefusal) }
 
 // Repairs returns the total purged-entry count.
-func (s *SessionStats) Repairs() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.repairs
-}
+func (s *SessionStats) Repairs() int { return s.Count(EventRepair) }
 
 // Frames returns the number of observed frames.
-func (s *SessionStats) Frames() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.frames
-}
+func (s *SessionStats) Frames() int { return s.lat.Count() }
 
-// CountBySource returns a copy of the per-source frame counts.
+// CountBySource returns a fresh map of the per-source frame counts,
+// holding only sources that have been observed.
 func (s *SessionStats) CountBySource() map[Source]int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[Source]int, len(s.hits))
-	for k, v := range s.hits {
-		out[k] = v
+	s.lat.mu.Lock()
+	defer s.lat.mu.Unlock()
+	out := make(map[Source]int, len(sourceOrder))
+	for i, n := range s.bySource {
+		if n > 0 {
+			out[sourceOrder[i]] = int(n)
+		}
+	}
+	for src, n := range s.otherSources {
+		out[src] = n
 	}
 	return out
 }
@@ -598,38 +253,37 @@ func (s *SessionStats) CountBySource() map[Source]int {
 // HitRate returns the fraction of frames served without running the
 // DNN, or 0 with no frames.
 func (s *SessionStats) HitRate() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.frames == 0 {
+	s.lat.mu.Lock()
+	defer s.lat.mu.Unlock()
+	if s.lat.count == 0 {
 		return 0
 	}
-	return float64(s.frames-s.hits[SourceDNN]) / float64(s.frames)
+	return float64(int64(s.lat.count)-s.bySource[SourceDNN.ordinal()]) / float64(s.lat.count)
 }
 
 // Accuracy returns the fraction of frames whose final label matched
 // ground truth, or 0 with no frames.
 func (s *SessionStats) Accuracy() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.frames == 0 {
+	s.lat.mu.Lock()
+	defer s.lat.mu.Unlock()
+	if s.lat.count == 0 {
 		return 0
 	}
-	return float64(s.correct) / float64(s.frames)
+	return float64(s.counts[EventCorrect]) / float64(s.lat.count)
 }
 
 // EnergyMJ returns the total energy spent, in millijoules.
 func (s *SessionStats) EnergyMJ() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.lat.mu.Lock()
+	defer s.lat.mu.Unlock()
 	return s.energyMJ
 }
 
 // PeerQueries returns (queries, hits) of the P2P path.
 func (s *SessionStats) PeerQueries() (queries, hits int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.peerQs, s.peerHits
+	c := s.Counts()
+	return int(c[EventPeerQuery]), int(c[EventPeerHit])
 }
 
 // Latency returns the latency recorder.
-func (s *SessionStats) Latency() *LatencyRecorder { return s.latencies }
+func (s *SessionStats) Latency() *LatencyRecorder { return &s.lat }
