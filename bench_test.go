@@ -511,18 +511,6 @@ func BenchmarkExactNearest(b *testing.B) {
 	}
 }
 
-// BenchmarkDCTExtraction measures the pHash-style descriptor.
-func BenchmarkDCTExtraction(b *testing.B) {
-	im := benchImage(b)
-	ex := feature.DefaultDCTExtractor()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ex.Extract(im); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkDigestBuild measures peer-coverage digest construction over
 // a full cache snapshot.
 func BenchmarkDigestBuild(b *testing.B) {

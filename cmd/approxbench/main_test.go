@@ -1,9 +1,14 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+
+	"approxcache/internal/benchfile"
 )
 
 func TestRunList(t *testing.T) {
@@ -54,12 +59,14 @@ func TestRunBadFlag(t *testing.T) {
 	}
 }
 
+// TestRunThroughputTiny records E20 at small scale the way `make bench`
+// does at full scale: the typed report lands in the -json file with a
+// host stamp, and -cpuprofile covers the run (the gated benchmarks go
+// through the same code path as every other experiment).
 func TestRunThroughputTiny(t *testing.T) {
-	path := t.TempDir() + "/tp.json"
-	if err := run([]string{
-		"-throughput", "-streams", "4", "-tp-frames", "4",
-		"-throughput-json", path,
-	}); err != nil {
+	dir := t.TempDir()
+	path, prof := filepath.Join(dir, "BENCH_throughput.json"), filepath.Join(dir, "cpu.out")
+	if err := run([]string{"-exp", "E20", "-frames", "300", "-json", path, "-cpuprofile", prof}); err != nil {
 		t.Fatal(err)
 	}
 	blob, err := os.ReadFile(path)
@@ -70,5 +77,34 @@ func TestRunThroughputTiny(t *testing.T) {
 		if !strings.Contains(string(blob), want) {
 			t.Fatalf("report missing %s:\n%s", want, blob)
 		}
+	}
+	var rec struct {
+		Host    benchfile.Host `json:"host"`
+		Speedup float64        `json:"speedup"`
+	}
+	if err := json.Unmarshal(blob, &rec); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Host.GoVersion != runtime.Version() || rec.Host.NumCPU < 1 || rec.Host.GOMAXPROCS < 1 || rec.Host.Commit == "" {
+		t.Fatalf("host stamp = %+v", rec.Host)
+	}
+	if rec.Speedup <= 0 {
+		t.Fatalf("speedup = %v", rec.Speedup)
+	}
+	if st, err := os.Stat(prof); err != nil || st.Size() == 0 {
+		t.Fatalf("cpu profile not written: %v", err)
+	}
+}
+
+func TestRunJSONNeedsOneGatedExperiment(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "out.json")
+	if err := run([]string{"-json", path}); err == nil {
+		t.Fatal("-json with -exp all accepted")
+	}
+	if err := run([]string{"-exp", "E3", "-frames", "80", "-json", path}); err == nil {
+		t.Fatal("-json accepted for an experiment with no typed report")
+	}
+	if _, err := os.Stat(path); err == nil {
+		t.Fatal("a report file was written anyway")
 	}
 }

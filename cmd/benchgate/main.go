@@ -1,64 +1,27 @@
-// Command benchgate turns `go test -bench` output into a JSON record
-// and enforces allocation budgets on the hot-path benchmarks, so a PR
-// that quietly reintroduces per-query allocation fails `make check`
-// instead of shipping. It has no dependencies beyond the standard
-// library: benchmark output is piped in on stdin.
+// Command benchgate judges the repository's benchmark records. Every
+// threshold lives in this file: the gate rows below for the reports
+// `approxbench -exp E2x -json` writes, and the allocation budgets for
+// the hot-path `go test -bench` results.
 //
 // Usage:
 //
-//	go test -run '^$' -bench HotPath -benchmem ./... | \
-//	    benchgate -json BENCH_hotpath.json -budgets 'HotPathNearest=0,HotPathFusedExtract=0'
+//	benchgate FILE...
 //
-// Budgets name a benchmark (substring match, sub-benchmarks included)
-// and pin its maximum allowed allocs/op. A budgeted benchmark missing
-// from the input is an error — a silently deleted benchmark must not
-// pass the gate.
+// gates each file by its base name, so the checked-in root
+// BENCH_*.json and a re-measurement in a temp directory go through the
+// same rows. Every row of every file is evaluated and printed; the exit
+// status is non-zero if any failed, and the error names each failed
+// row. A row whose path is missing, an array with no elements, a file
+// that does not parse and a file name with no rows are all failures —
+// a report that lost a field must not pass.
 //
-// A second mode gates the serving-throughput report instead of
-// benchmark output:
+//	go test -run '^$' -bench HotPath -benchmem ./internal/... | \
+//	    benchgate -json BENCH_hotpath.json
 //
-//	benchgate -throughput-json BENCH_throughput.json -min-speedup 3.0
-//
-// It reads the JSON written by `approxbench -throughput` and fails
-// unless the sharded+batched architecture beat the single-mutex
-// baseline by at least -min-speedup. Stdin is not read in this mode.
-//
-// A third mode gates the overload-resilience report:
-//
-//	benchgate -overload-json BENCH_overload.json -min-retention 0.85
-//
-// It reads the JSON written by `approxbench -overload` and fails
-// unless the admission-protected node retained at least -min-retention
-// of its peak goodput at the highest offered load.
-//
-// A fourth mode gates the lookup-pipeline report:
-//
-//	benchgate -lookup-json BENCH_lookup.json -min-lookup-speedup 1.3
-//
-// It reads the JSON written by `approxbench -hitheavy` and fails
-// unless the multi-probe + sketch pipeline beat the exact-bucket
-// baseline by at least -min-lookup-speedup ns/op AND matched or beat
-// its recall AND ran the warm path with zero heap allocations.
-//
-// A fifth mode gates the cache-quality (label-drift) report:
-//
-//	benchgate -quality-json BENCH_quality.json \
-//	    -min-accuracy-recovery 0.95 -min-savings-retention 0.6
-//
-// It reads the JSON written by `approxbench -drift` and fails unless
-// the self-healing node recovered at least -min-accuracy-recovery of
-// the no-drift baseline's tail accuracy while retaining at least
-// -min-savings-retention of its latency savings.
-//
-// A sixth mode gates the P2P wire-protocol report:
-//
-//	benchgate -p2p-json BENCH_p2p.json -min-bytes-reduction 4.0
-//
-// It reads the JSON written by `approxbench -p2p` and fails unless the
-// compact protocol (quantized codec v2 + delta digests + coalescing +
-// gossip batching) cut wire bytes per frame by at least
-// -min-bytes-reduction at the most constrained bandwidth, without
-// losing any peer hit rate versus the legacy float64 protocol.
+// With no file arguments, benchgate reads `go test -bench` output on
+// stdin, optionally records it (with a host stamp) as -json, and
+// enforces the allocation budgets, so a PR that quietly reintroduces
+// per-query allocation fails `make check` instead of shipping.
 package main
 
 import (
@@ -68,9 +31,102 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
+
+	"approxcache/internal/benchfile"
 )
+
+// row is one gate: in the file named file, every number path selects
+// must stand in relation cmp to want — or, when wantPath is set, to the
+// one number wantPath selects in the same file. Paths are dotted member
+// names; name[*] selects every element of an array, name[N] one.
+type row struct {
+	file     string
+	path     string
+	cmp      string // ">=", ">" or "=="
+	want     float64
+	wantPath string
+	why      string
+}
+
+// rows is every report gate `make check` enforces. DESIGN.md's "Gates"
+// table lists them beside the experiment that feeds each file.
+var rows = []row{
+	{file: "BENCH_throughput.json", path: "results[*].fps", cmp: ">", want: 0,
+		why: "every rung of the architecture ladder ran"},
+	{file: "BENCH_throughput.json", path: "speedup", cmp: ">=", want: 3.0,
+		why: "sharded store + micro-batched inference must beat the single-mutex baseline by this frames/sec factor at 16 streams"},
+
+	{file: "BENCH_overload.json", path: "points[*].offered_rps", cmp: ">", want: 0,
+		why: "every load point of the sweep was offered traffic"},
+	{file: "BENCH_overload.json", path: "retention", cmp: ">=", want: 0.85,
+		why: "with deadlines + admission control on, the node must retain this fraction of its peak goodput at 4x its measured capacity"},
+
+	{file: "BENCH_lookup.json", path: "results[*].allocs_per_op", cmp: "==", want: 0,
+		why: "the warm lookup path allocates nothing in either pipeline"},
+	{file: "BENCH_lookup.json", path: "speedup", cmp: ">=", want: 1.3,
+		why: "multi-probe + sketch at T/2 tables must beat exact-bucket at T tables by this ns/op factor"},
+	{file: "BENCH_lookup.json", path: "recall_tuned", cmp: ">=", wantPath: "recall_base",
+		why: "the tuned pipeline's recall must not fall below the exact-bucket pipeline's"},
+
+	{file: "BENCH_quality.json", path: "runs[2].audits", cmp: ">", want: 0,
+		why: "the protected run (third) performed shadow audits — the quality layer engaged"},
+	{file: "BENCH_quality.json", path: "accuracy_recovery", cmp: ">=", want: 0.95,
+		why: "under recurring label drift the self-healing node must recover this fraction of the no-drift baseline's tail accuracy"},
+	{file: "BENCH_quality.json", path: "savings_retention", cmp: ">=", want: 0.6,
+		why: "while retaining this fraction of the baseline's latency savings"},
+
+	{file: "BENCH_p2p.json", path: "points[*].compact.bytes_per_frame", cmp: ">", want: 0,
+		why: "the compact protocol put bytes on the wire at every bandwidth"},
+	{file: "BENCH_p2p.json", path: "bytes_reduction", cmp: ">=", want: 4.0,
+		why: "codec v2 + delta digests + coalescing + gossip batching must cut wire bytes per frame by this factor at the most constrained link"},
+	{file: "BENCH_p2p.json", path: "hit_compact", cmp: ">=", wantPath: "hit_legacy",
+		why: "compression must not cost hits: compact peer hit rate at or above the legacy float64 protocol's"},
+}
+
+// hotpathFile is the record of the hot-path benchmarks; it is gated by
+// hotpathBudgets instead of rows.
+const hotpathFile = "BENCH_hotpath.json"
+
+// budget caps a hot-path benchmark's allocs/op. name is matched as a
+// substring of the benchmark name, sub-benchmarks included; a budget
+// that matches no benchmark is a failure — a silently deleted benchmark
+// must not pass the gate.
+type budget struct {
+	name      string
+	maxAllocs float64
+}
+
+// hotpathBudgets: NearestInto/NearestWithinInto/ExtractInto/
+// ExtractThumbInto/CandidatesInto with a reused buffer stay
+// allocation-free, and so do the kNN vote, the video gate (a keyframe
+// scan allocates nothing and a push into a full library recycles the
+// evicted buffer) and the inertial gate (a sample into a full window
+// takes a ring slot). The store's label read copies nothing; an insert
+// into a full store may allocate only what the index's bucket growth
+// does (the store itself: nothing).
+var hotpathBudgets = []budget{
+	{"HotPathNearest", 0},
+	{"HotPathNearestDescriptors", 0},
+	{"HotPathNearestWithinDescriptors", 0},
+	{"HotPathExactNearest", 0},
+	{"HotPathVote", 0},
+	{"HotPathSignature", 0},
+	{"HotPathTopK", 0},
+	{"HotPathCandidates", 0},
+	{"HotPathFusedExtract", 0},
+	{"HotPathExtractFromThumb", 0},
+	{"HotPathGrid", 0},
+	{"HotPathHistogram", 0},
+	{"HotPathKeyframeMatch", 0},
+	{"HotPathKeyframePush", 0},
+	{"HotPathIMUObserve", 0},
+	{"HotPathStoreLabel", 0},
+	{"HotPathStoreInsertEvict", 4},
+	{"HotPathObserveFrame", 0},
+}
 
 // Result is one parsed benchmark line.
 type Result struct {
@@ -84,6 +140,11 @@ type Result struct {
 	HasMem bool `json:"has_mem"`
 }
 
+// hotpathRecord is hotpathFile's shape (benchfile.Write adds "host").
+type hotpathRecord struct {
+	Results []Result `json:"results"`
+}
+
 func main() {
 	if err := run(os.Args[1:], os.Stdin, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "benchgate:", err)
@@ -93,38 +154,12 @@ func main() {
 
 func run(args []string, in io.Reader, out io.Writer) error {
 	fs := flag.NewFlagSet("benchgate", flag.ContinueOnError)
-	var (
-		jsonPath   = fs.String("json", "", "write parsed results to this file as JSON")
-		budgets    = fs.String("budgets", "", "comma-separated Name=maxAllocsPerOp gates")
-		tputJSON   = fs.String("throughput-json", "", "gate a throughput report file instead of reading benchmarks from stdin")
-		minSpeedup = fs.Float64("min-speedup", 3.0, "with -throughput-json, minimum required sharded+batched speedup over single-mutex")
-		olJSON     = fs.String("overload-json", "", "gate an overload report file instead of reading benchmarks from stdin")
-		minRetain  = fs.Float64("min-retention", 0.85, "with -overload-json, minimum required goodput retention at the highest offered load")
-		luJSON     = fs.String("lookup-json", "", "gate a lookup-pipeline report file instead of reading benchmarks from stdin")
-		minLookup  = fs.Float64("min-lookup-speedup", 1.3, "with -lookup-json, minimum required tuned-pipeline speedup over exact-bucket")
-		qJSON      = fs.String("quality-json", "", "gate a cache-quality (label-drift) report file instead of reading benchmarks from stdin")
-		minRecov   = fs.Float64("min-accuracy-recovery", 0.95, "with -quality-json, minimum protected tail accuracy as a fraction of the no-drift baseline")
-		minSavings = fs.Float64("min-savings-retention", 0.6, "with -quality-json, minimum protected latency savings as a fraction of the no-drift baseline")
-		p2pJSON    = fs.String("p2p-json", "", "gate a P2P wire-protocol report file instead of reading benchmarks from stdin")
-		minBytes   = fs.Float64("min-bytes-reduction", 4.0, "with -p2p-json, minimum required bytes/frame reduction of the compact protocol at the most constrained bandwidth")
-	)
+	jsonPath := fs.String("json", "", "with benchmark output on stdin, also record the parsed results (plus a host stamp) in this file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *p2pJSON != "" {
-		return checkP2P(*p2pJSON, *minBytes, out)
-	}
-	if *tputJSON != "" {
-		return checkThroughput(*tputJSON, *minSpeedup, out)
-	}
-	if *olJSON != "" {
-		return checkOverload(*olJSON, *minRetain, out)
-	}
-	if *luJSON != "" {
-		return checkLookup(*luJSON, *minLookup, out)
-	}
-	if *qJSON != "" {
-		return checkQuality(*qJSON, *minRecov, *minSavings, out)
+	if fs.NArg() > 0 {
+		return gateFiles(fs.Args(), out)
 	}
 	results, err := parseBench(in)
 	if err != nil {
@@ -134,18 +169,165 @@ func run(args []string, in io.Reader, out io.Writer) error {
 		return fmt.Errorf("no benchmark lines on stdin")
 	}
 	if *jsonPath != "" {
-		blob, err := json.MarshalIndent(results, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*jsonPath, append(blob, '\n'), 0o644); err != nil {
+		if err := benchfile.Write(*jsonPath, hotpathRecord{results}); err != nil {
 			return err
 		}
 	}
 	for _, r := range results {
 		fmt.Fprintf(out, "%-48s %12.1f ns/op %8.0f allocs/op\n", r.Name, r.NsPerOp, r.AllocsPerOp)
 	}
-	return checkBudgets(*budgets, results)
+	return checkBudgets(hotpathBudgets, results)
+}
+
+// gateFiles judges every file and reports every failure, not the first.
+func gateFiles(paths []string, out io.Writer) error {
+	var failed []string
+	for _, path := range paths {
+		for _, err := range gateFile(path, out) {
+			fmt.Fprintf(out, "FAIL  %v\n", err)
+			failed = append(failed, err.Error())
+		}
+	}
+	if len(failed) > 0 {
+		return fmt.Errorf("%d gate(s) failed:\n  %s", len(failed), strings.Join(failed, "\n  "))
+	}
+	return nil
+}
+
+// gateFile applies to path the gates its base name selects, printing
+// each row that holds and returning one error per row that does not.
+func gateFile(path string, out io.Writer) []error {
+	base := filepath.Base(path)
+	fail := func(err error) []error { return []error{fmt.Errorf("%s: %w", base, err)} }
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		return fail(err)
+	}
+	if base == hotpathFile {
+		var rec hotpathRecord
+		if err := json.Unmarshal(blob, &rec); err != nil {
+			return fail(err)
+		}
+		if err := checkBudgets(hotpathBudgets, rec.Results); err != nil {
+			return fail(err)
+		}
+		fmt.Fprintf(out, "ok    %s: %d allocation budgets hold over %d benchmarks\n", base, len(hotpathBudgets), len(rec.Results))
+		return nil
+	}
+	var doc any
+	if err := json.Unmarshal(blob, &doc); err != nil {
+		return fail(err)
+	}
+	var errs []error
+	matched := false
+	for _, r := range rows {
+		if r.file != base {
+			continue
+		}
+		matched = true
+		verdict, err := r.check(doc)
+		if err != nil {
+			errs = append(errs, fmt.Errorf("%s: %s: %w — %s", base, r.path, err, r.why))
+			continue
+		}
+		fmt.Fprintf(out, "ok    %s: %s — %s\n", base, verdict, r.why)
+	}
+	if !matched {
+		return fail(fmt.Errorf("no gate rows for this file name"))
+	}
+	return errs
+}
+
+// check evaluates r against a decoded report; verdict renders the
+// comparison that held.
+func (r row) check(doc any) (verdict string, err error) {
+	got, err := resolve(doc, r.path)
+	if err != nil {
+		return "", err
+	}
+	want, wantText := r.want, fmt.Sprintf("%g", r.want)
+	if r.wantPath != "" {
+		w, err := resolve(doc, r.wantPath)
+		if err != nil {
+			return "", fmt.Errorf("%s: %w", r.wantPath, err)
+		}
+		if len(w) != 1 {
+			return "", fmt.Errorf("%s selects %d values, want one", r.wantPath, len(w))
+		}
+		want, wantText = w[0], fmt.Sprintf("%s (%g)", r.wantPath, w[0])
+	}
+	for _, g := range got {
+		var holds bool
+		switch r.cmp {
+		case ">=":
+			holds = g >= want
+		case ">":
+			holds = g > want
+		case "==":
+			holds = g == want
+		default:
+			return "", fmt.Errorf("unknown comparator %q", r.cmp)
+		}
+		if !holds {
+			return "", fmt.Errorf("got %.4g, want %s %s", g, r.cmp, wantText)
+		}
+	}
+	shown := fmt.Sprintf("%.4g", got)
+	if len(got) == 1 {
+		shown = fmt.Sprintf("%.4g", got[0])
+	}
+	return fmt.Sprintf("%s = %s %s %s", r.path, shown, r.cmp, wantText), nil
+}
+
+// resolve returns every number path selects in doc. Nothing is
+// defaulted: a missing member, an empty or short array and a non-number
+// at the end of the path are errors.
+func resolve(doc any, path string) ([]float64, error) {
+	cur := []any{doc}
+	for _, seg := range strings.Split(path, ".") {
+		key, index, indexed := strings.Cut(strings.TrimSuffix(seg, "]"), "[")
+		var next []any
+		for _, v := range cur {
+			obj, ok := v.(map[string]any)
+			if !ok {
+				return nil, fmt.Errorf("%q: parent is not an object", key)
+			}
+			child, ok := obj[key]
+			if !ok {
+				return nil, fmt.Errorf("no member %q", key)
+			}
+			if !indexed {
+				next = append(next, child)
+				continue
+			}
+			arr, ok := child.([]any)
+			if !ok {
+				return nil, fmt.Errorf("%q is not an array", key)
+			}
+			if len(arr) == 0 {
+				return nil, fmt.Errorf("%q is empty", key)
+			}
+			if index == "*" {
+				next = append(next, arr...)
+				continue
+			}
+			n, err := strconv.Atoi(index)
+			if err != nil || n < 0 || n >= len(arr) {
+				return nil, fmt.Errorf("%q has no element [%s]", key, index)
+			}
+			next = append(next, arr[n])
+		}
+		cur = next
+	}
+	nums := make([]float64, len(cur))
+	for i, v := range cur {
+		f, ok := v.(float64)
+		if !ok {
+			return nil, fmt.Errorf("value %v is not a number", v)
+		}
+		nums[i] = f
+	}
+	return nums, nil
 }
 
 // parseBench extracts benchmark result lines from `go test -bench`
@@ -193,29 +375,13 @@ func parseBench(in io.Reader) ([]Result, error) {
 	return out, sc.Err()
 }
 
-// checkBudgets enforces Name=maxAllocs gates against results.
-func checkBudgets(spec string, results []Result) error {
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return nil
-	}
+// checkBudgets enforces budgets against results.
+func checkBudgets(budgets []budget, results []Result) error {
 	var failures []string
-	for _, gate := range strings.Split(spec, ",") {
-		gate = strings.TrimSpace(gate)
-		if gate == "" {
-			continue
-		}
-		name, limitStr, ok := strings.Cut(gate, "=")
-		if !ok {
-			return fmt.Errorf("bad budget %q (want Name=maxAllocs)", gate)
-		}
-		limit, err := strconv.ParseFloat(limitStr, 64)
-		if err != nil {
-			return fmt.Errorf("bad budget limit %q: %v", gate, err)
-		}
+	for _, b := range budgets {
 		matched := false
 		for _, r := range results {
-			if !strings.Contains(r.Name, name) {
+			if !strings.Contains(r.Name, b.name) {
 				continue
 			}
 			matched = true
@@ -224,269 +390,17 @@ func checkBudgets(spec string, results []Result) error {
 					fmt.Sprintf("%s: no allocs/op column (run with -benchmem)", r.Name))
 				continue
 			}
-			if r.AllocsPerOp > limit {
+			if r.AllocsPerOp > b.maxAllocs {
 				failures = append(failures,
-					fmt.Sprintf("%s: %.0f allocs/op exceeds budget %.0f", r.Name, r.AllocsPerOp, limit))
+					fmt.Sprintf("%s: %.0f allocs/op exceeds budget %.0f", r.Name, r.AllocsPerOp, b.maxAllocs))
 			}
 		}
 		if !matched {
-			failures = append(failures, fmt.Sprintf("budget %q matched no benchmark", name))
+			failures = append(failures, fmt.Sprintf("budget %q matched no benchmark", b.name))
 		}
 	}
 	if len(failures) > 0 {
 		return fmt.Errorf("allocation budget violations:\n  %s", strings.Join(failures, "\n  "))
-	}
-	return nil
-}
-
-// throughputReport mirrors the fields of eval.ThroughputReport this
-// gate needs (benchgate stays stdlib-only, so it does not import eval).
-type throughputReport struct {
-	Streams int `json:"streams"`
-	Frames  int `json:"frames_per_stream"`
-	Results []struct {
-		Mode string  `json:"mode"`
-		FPS  float64 `json:"fps"`
-	} `json:"results"`
-	Speedup float64 `json:"speedup"`
-}
-
-// checkThroughput enforces the serving-scale regression gate on a
-// report written by `approxbench -throughput`.
-func checkThroughput(path string, minSpeedup float64, out io.Writer) error {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var rep throughputReport
-	if err := json.Unmarshal(blob, &rep); err != nil {
-		return fmt.Errorf("%s: %v", path, err)
-	}
-	if len(rep.Results) == 0 {
-		return fmt.Errorf("%s: no results", path)
-	}
-	for _, r := range rep.Results {
-		fmt.Fprintf(out, "%-24s %10.1f fps\n", r.Mode, r.FPS)
-	}
-	fmt.Fprintf(out, "speedup %.2fx at %d streams (gate: >= %.2fx)\n",
-		rep.Speedup, rep.Streams, minSpeedup)
-	if rep.Speedup < minSpeedup {
-		return fmt.Errorf("throughput speedup %.2fx below required %.2fx", rep.Speedup, minSpeedup)
-	}
-	return nil
-}
-
-// overloadReport mirrors the fields of eval.OverloadReport this gate
-// needs (benchgate stays stdlib-only, so it does not import eval).
-type overloadReport struct {
-	Sessions    int     `json:"sessions"`
-	CapacityRPS float64 `json:"capacity_rps"`
-	Points      []struct {
-		Mode       string  `json:"mode"`
-		Load       float64 `json:"load"`
-		GoodputRPS float64 `json:"goodput_rps"`
-		P99MS      float64 `json:"p99_ms"`
-	} `json:"points"`
-	PeakGoodput  float64 `json:"peak_goodput_rps"`
-	GoodputAtMax float64 `json:"goodput_at_max_rps"`
-	Retention    float64 `json:"retention"`
-}
-
-// checkOverload enforces the overload-resilience regression gate on a
-// report written by `approxbench -overload`.
-func checkOverload(path string, minRetention float64, out io.Writer) error {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var rep overloadReport
-	if err := json.Unmarshal(blob, &rep); err != nil {
-		return fmt.Errorf("%s: %v", path, err)
-	}
-	if len(rep.Points) == 0 {
-		return fmt.Errorf("%s: no points", path)
-	}
-	for _, p := range rep.Points {
-		fmt.Fprintf(out, "%-12s %4gx %10.1f goodput/s %10.1f p99 ms\n",
-			p.Mode, p.Load, p.GoodputRPS, p.P99MS)
-	}
-	fmt.Fprintf(out, "goodput retention %.2f at %d sessions (gate: >= %.2f)\n",
-		rep.Retention, rep.Sessions, minRetention)
-	if rep.Retention < minRetention {
-		return fmt.Errorf("goodput retention %.2f below required %.2f (peak %.1f/s, at max load %.1f/s)",
-			rep.Retention, minRetention, rep.PeakGoodput, rep.GoodputAtMax)
-	}
-	return nil
-}
-
-// lookupReport mirrors the fields of eval.LookupReport this gate needs
-// (benchgate stays stdlib-only, so it does not import eval).
-type lookupReport struct {
-	Entries int `json:"entries"`
-	Queries int `json:"queries"`
-	Results []struct {
-		Name        string  `json:"name"`
-		Tables      int     `json:"tables"`
-		Probes      int     `json:"probes"`
-		NsPerOp     float64 `json:"ns_per_op"`
-		Recall      float64 `json:"recall"`
-		AllocsPerOp float64 `json:"allocs_per_op"`
-	} `json:"results"`
-	Speedup     float64 `json:"speedup"`
-	RecallBase  float64 `json:"recall_base"`
-	RecallTuned float64 `json:"recall_tuned"`
-}
-
-// checkLookup enforces the lookup-pipeline regression gate on a report
-// written by `approxbench -hitheavy`: the tuned pipeline must be
-// faster by at least minSpeedup, at equal-or-better recall, with zero
-// warm-path allocations in every configuration.
-func checkLookup(path string, minSpeedup float64, out io.Writer) error {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var rep lookupReport
-	if err := json.Unmarshal(blob, &rep); err != nil {
-		return fmt.Errorf("%s: %v", path, err)
-	}
-	if len(rep.Results) == 0 {
-		return fmt.Errorf("%s: no results", path)
-	}
-	for _, r := range rep.Results {
-		fmt.Fprintf(out, "%-24s tables=%d probes=%d %10.0f ns/op  recall=%.3f  allocs=%.0f\n",
-			r.Name, r.Tables, r.Probes, r.NsPerOp, r.Recall, r.AllocsPerOp)
-		if r.AllocsPerOp != 0 {
-			return fmt.Errorf("%s: %.0f warm-path allocs/op, budget is 0", r.Name, r.AllocsPerOp)
-		}
-	}
-	fmt.Fprintf(out, "lookup speedup %.2fx at recall %.3f vs %.3f over %d entries (gate: >= %.2fx, recall >= base)\n",
-		rep.Speedup, rep.RecallTuned, rep.RecallBase, rep.Entries, minSpeedup)
-	if rep.Speedup < minSpeedup {
-		return fmt.Errorf("lookup speedup %.2fx below required %.2fx", rep.Speedup, minSpeedup)
-	}
-	if rep.RecallTuned < rep.RecallBase {
-		return fmt.Errorf("tuned recall %.3f below exact-bucket recall %.3f", rep.RecallTuned, rep.RecallBase)
-	}
-	return nil
-}
-
-// p2pReport mirrors the fields of eval.P2PReport this gate needs
-// (benchgate stays stdlib-only, so it does not import eval).
-type p2pReport struct {
-	Nodes    int `json:"nodes"`
-	Sessions int `json:"sessions"`
-	Frames   int `json:"frames"`
-	Points   []struct {
-		BandwidthMBps float64 `json:"bandwidth_mbps"`
-		Legacy        p2pMode `json:"legacy"`
-		Compact       p2pMode `json:"compact"`
-		Reduction     float64 `json:"bytes_reduction"`
-	} `json:"points"`
-	ConstrainedMBps float64 `json:"constrained_mbps"`
-	BytesReduction  float64 `json:"bytes_reduction"`
-	HitLegacy       float64 `json:"hit_legacy"`
-	HitCompact      float64 `json:"hit_compact"`
-}
-
-type p2pMode struct {
-	Mode          string  `json:"mode"`
-	BytesPerFrame float64 `json:"bytes_per_frame"`
-	PeerHitRate   float64 `json:"peer_hit_rate"`
-	MeanLatencyMS float64 `json:"mean_latency_ms"`
-}
-
-// checkP2P enforces the wire-protocol regression gate on a report
-// written by `approxbench -p2p`: the compact protocol must cut
-// bytes/frame by at least minReduction at the most constrained link,
-// at equal-or-better peer hit rate.
-func checkP2P(path string, minReduction float64, out io.Writer) error {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var rep p2pReport
-	if err := json.Unmarshal(blob, &rep); err != nil {
-		return fmt.Errorf("%s: %v", path, err)
-	}
-	if len(rep.Points) == 0 {
-		return fmt.Errorf("%s: no points", path)
-	}
-	for _, p := range rep.Points {
-		for _, m := range []p2pMode{p.Legacy, p.Compact} {
-			fmt.Fprintf(out, "%6.2f MB/s %-11s %10.1f B/frame  hit=%.3f  mean=%.2f ms\n",
-				p.BandwidthMBps, m.Mode, m.BytesPerFrame, m.PeerHitRate, m.MeanLatencyMS)
-		}
-		if m := p.Compact; m.BytesPerFrame <= 0 {
-			return fmt.Errorf("%.2f MB/s: non-positive compact bytes/frame %.1f",
-				p.BandwidthMBps, m.BytesPerFrame)
-		}
-	}
-	fmt.Fprintf(out, "bytes/frame reduction %.1fx at %.2f MB/s (gate: >= %.1fx), hit rate %.3f -> %.3f\n",
-		rep.BytesReduction, rep.ConstrainedMBps, minReduction, rep.HitLegacy, rep.HitCompact)
-	if rep.BytesReduction < minReduction {
-		return fmt.Errorf("bytes/frame reduction %.1fx below required %.1fx", rep.BytesReduction, minReduction)
-	}
-	if rep.HitCompact < rep.HitLegacy {
-		return fmt.Errorf("compact peer hit rate %.3f below legacy %.3f — compression must not cost hits",
-			rep.HitCompact, rep.HitLegacy)
-	}
-	return nil
-}
-
-// qualityReport mirrors the fields of eval.QualityReport this gate
-// needs (benchgate stays stdlib-only, so it does not import eval).
-type qualityReport struct {
-	Frames     int `json:"frames"`
-	DriftFrame int `json:"drift_frame"`
-	Runs       []struct {
-		Name           string  `json:"name"`
-		TailAccuracy   float64 `json:"tail_accuracy"`
-		LatencySavings float64 `json:"latency_savings"`
-		Audits         int     `json:"audits"`
-		AuditRefutes   int     `json:"audit_refutes"`
-		Quarantines    int     `json:"quarantines"`
-	} `json:"runs"`
-	AccuracyRecovery    float64 `json:"accuracy_recovery"`
-	SavingsRetention    float64 `json:"savings_retention"`
-	UnprotectedAccuracy float64 `json:"unprotected_accuracy"`
-}
-
-// checkQuality enforces the cache-quality regression gate on a report
-// written by `approxbench -drift`: under injected label drift the
-// self-healing node must recover near-baseline accuracy without giving
-// the cache's latency advantage back.
-func checkQuality(path string, minRecovery, minRetention float64, out io.Writer) error {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var rep qualityReport
-	if err := json.Unmarshal(blob, &rep); err != nil {
-		return fmt.Errorf("%s: %v", path, err)
-	}
-	if len(rep.Runs) == 0 {
-		return fmt.Errorf("%s: no runs", path)
-	}
-	audited := false
-	for _, r := range rep.Runs {
-		fmt.Fprintf(out, "%-12s tail-acc=%.3f savings=%.3f audits=%d refutes=%d quar=%d\n",
-			r.Name, r.TailAccuracy, r.LatencySavings, r.Audits, r.AuditRefutes, r.Quarantines)
-		if r.Audits > 0 {
-			audited = true
-		}
-	}
-	fmt.Fprintf(out, "accuracy recovery %.3f (gate: >= %.2f), savings retention %.3f (gate: >= %.2f) over %d frames\n",
-		rep.AccuracyRecovery, minRecovery, rep.SavingsRetention, minRetention, rep.Frames)
-	if !audited {
-		return fmt.Errorf("no run performed any shadow audits — quality layer did not engage")
-	}
-	if rep.AccuracyRecovery < minRecovery {
-		return fmt.Errorf("accuracy recovery %.3f below required %.2f (unprotected contrast %.3f)",
-			rep.AccuracyRecovery, minRecovery, rep.UnprotectedAccuracy)
-	}
-	if rep.SavingsRetention < minRetention {
-		return fmt.Errorf("savings retention %.3f below required %.2f", rep.SavingsRetention, minRetention)
 	}
 	return nil
 }

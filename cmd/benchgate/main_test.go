@@ -1,8 +1,12 @@
 package main
 
 import (
+	"encoding/json"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -43,14 +47,14 @@ func TestParseBench(t *testing.T) {
 
 func TestCheckBudgetsPass(t *testing.T) {
 	rs, _ := parseBench(strings.NewReader(sample))
-	if err := checkBudgets("HotPathNearest=0,HotPathTopK=0,OldPath=5", rs); err != nil {
+	if err := checkBudgets([]budget{{"HotPathNearest", 0}, {"HotPathTopK", 0}, {"OldPath", 5}}, rs); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestCheckBudgetsExceeded(t *testing.T) {
 	rs, _ := parseBench(strings.NewReader(sample))
-	err := checkBudgets("OldPath=0", rs)
+	err := checkBudgets([]budget{{"OldPath", 0}}, rs)
 	if err == nil || !strings.Contains(err.Error(), "exceeds budget") {
 		t.Fatalf("err = %v", err)
 	}
@@ -58,45 +62,97 @@ func TestCheckBudgetsExceeded(t *testing.T) {
 
 func TestCheckBudgetsMissingBenchmark(t *testing.T) {
 	rs, _ := parseBench(strings.NewReader(sample))
-	if err := checkBudgets("Vanished=0", rs); err == nil {
+	if err := checkBudgets([]budget{{"Vanished", 0}}, rs); err == nil {
 		t.Fatal("missing benchmark passed the gate")
 	}
 }
 
 func TestCheckBudgetsUnmeasured(t *testing.T) {
 	rs, _ := parseBench(strings.NewReader(sample))
-	err := checkBudgets("NoMem=0", rs)
+	err := checkBudgets([]budget{{"NoMem", 0}}, rs)
 	if err == nil || !strings.Contains(err.Error(), "-benchmem") {
 		t.Fatalf("err = %v", err)
 	}
 }
 
+// TestCheckBudgetsBadSpec: the budgets and rows are Go literals now, so
+// a bad spec is a bad table — check the ones that ship.
 func TestCheckBudgetsBadSpec(t *testing.T) {
-	rs, _ := parseBench(strings.NewReader(sample))
-	if err := checkBudgets("NoEquals", rs); err == nil {
-		t.Fatal("bad spec accepted")
+	if len(hotpathBudgets) != 18 {
+		t.Fatalf("%d hot-path budgets, want the 18 carried over from the Makefile", len(hotpathBudgets))
 	}
-	if err := checkBudgets("X=notanumber", rs); err == nil {
-		t.Fatal("bad limit accepted")
+	seen := map[string]bool{}
+	for _, b := range hotpathBudgets {
+		if b.name == "" || b.maxAllocs < 0 || seen[b.name] {
+			t.Fatalf("bad budget %+v", b)
+		}
+		seen[b.name] = true
+	}
+	for _, r := range rows {
+		if r.file == "" || r.file == hotpathFile || r.path == "" || r.why == "" ||
+			(r.cmp != ">=" && r.cmp != ">" && r.cmp != "==") {
+			t.Fatalf("bad row %+v", r)
+		}
 	}
 }
 
+// hotpathSample is benchmark output with one allocation-free line per
+// shipped budget.
+func hotpathSample() string {
+	var b strings.Builder
+	for _, bud := range hotpathBudgets {
+		fmt.Fprintf(&b, "Benchmark%s-8 \t 1000\t 2100.5 ns/op\t 0 B/op\t 0 allocs/op\n", bud.name)
+	}
+	return b.String()
+}
+
 func TestRunWritesJSON(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bench.json")
+	path := filepath.Join(t.TempDir(), hotpathFile)
 	var out strings.Builder
-	if err := run([]string{"-json", path, "-budgets", "HotPathNearest=0"},
-		strings.NewReader(sample), &out); err != nil {
+	if err := run([]string{"-json", path}, strings.NewReader(hotpathSample()), &out); err != nil {
 		t.Fatal(err)
 	}
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(blob), `"HotPathNearest"`) {
-		t.Fatalf("json missing result: %s", blob)
+	var rec struct {
+		Host    map[string]any `json:"host"`
+		Results []Result       `json:"results"`
+	}
+	if err := json.Unmarshal(blob, &rec); err != nil {
+		t.Fatalf("%v\n%s", err, blob)
+	}
+	if len(rec.Results) != len(hotpathBudgets) || rec.Results[0].Name != "HotPathNearest" {
+		t.Fatalf("results = %+v", rec.Results)
+	}
+	for _, k := range []string{"go_version", "goos", "goarch", "num_cpu", "gomaxprocs", "commit"} {
+		if _, ok := rec.Host[k]; !ok {
+			t.Fatalf("host stamp lacks %q: %v", k, rec.Host)
+		}
 	}
 	if !strings.Contains(out.String(), "HotPathNearest") {
 		t.Fatalf("summary missing: %s", out.String())
+	}
+	// The recorded file goes back through the same budgets by name.
+	out.Reset()
+	if err := run([]string{path}, nil, &out); err != nil {
+		t.Fatal(err)
+	}
+	doctored := strings.Replace(string(blob), `"name": "HotPathVote",`, `"name": "HotPathVote", "allocs_per_op": 5,`, 1)
+	for name, body := range map[string]string{
+		"over budget":     doctored,
+		"benchmark gone":  strings.Replace(string(blob), `"HotPathVote"`, `"Renamed"`, 1),
+		"pre-host array":  `[{"name": "HotPathNearest", "has_mem": true}]`,
+		"results emptied": `{"host": {}, "results": []}`,
+		"malformed":       string(blob[:len(blob)/2]),
+	} {
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := run([]string{path}, nil, &out); err == nil || !strings.Contains(err.Error(), hotpathFile) {
+			t.Errorf("%s: err = %v", name, err)
+		}
 	}
 }
 
@@ -104,6 +160,47 @@ func TestRunEmptyInput(t *testing.T) {
 	var out strings.Builder
 	if err := run(nil, strings.NewReader("no benches here\n"), &out); err == nil {
 		t.Fatal("empty input accepted")
+	}
+	// Parsed benchmarks that leave a shipped budget unmatched fail too.
+	if err := run(nil, strings.NewReader(sample), &out); err == nil || !strings.Contains(err.Error(), "matched no benchmark") {
+		t.Fatalf("err = %v", err)
+	}
+}
+
+// gate writes body as dir/base and runs benchgate on it. Stdin is nil:
+// file mode must not read it.
+func gate(t *testing.T, base, body string) (string, error) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), base)
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	err := run([]string{path}, nil, &out)
+	return out.String(), err
+}
+
+// wantFailure asserts err names the row base:path.
+func wantFailure(t *testing.T, err error, base, path string) {
+	t.Helper()
+	if err == nil || !strings.Contains(err.Error(), base+": "+path+":") {
+		t.Fatalf("err = %v, want a failure of row %s: %s", err, base, path)
+	}
+}
+
+// badFiles are the shapes every report gate refuses: unparseable,
+// stripped of the array the rows range over, and absent.
+func badFiles(t *testing.T, base, withoutArray string) {
+	t.Helper()
+	if _, err := gate(t, base, "not json"); err == nil {
+		t.Fatal("corrupt report accepted")
+	}
+	if _, err := gate(t, base, withoutArray); err == nil {
+		t.Fatal("report without its array accepted")
+	}
+	var out strings.Builder
+	if err := run([]string{filepath.Join(t.TempDir(), base)}, nil, &out); err == nil {
+		t.Fatal("missing report accepted")
 	}
 }
 
@@ -117,62 +214,38 @@ const throughputSample = `{
   "speedup": 3.5
 }`
 
-func writeThroughput(t *testing.T, body string) string {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "tp.json")
-	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
 func TestThroughputGatePass(t *testing.T) {
-	var out strings.Builder
-	// Stdin carries no benchmarks: the throughput mode must not read it.
-	err := run([]string{"-throughput-json", writeThroughput(t, throughputSample), "-min-speedup", "3.0"},
-		strings.NewReader(""), &out)
+	out, err := gate(t, "BENCH_throughput.json", throughputSample)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"single-mutex", "pool-sharded-batched", "3.50x"} {
-		if !strings.Contains(out.String(), want) {
-			t.Fatalf("summary missing %q:\n%s", want, out.String())
+	for _, want := range []string{"results[*].fps = [100 350] > 0", "speedup = 3.5 >= 3"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("summary missing %q:\n%s", want, out)
 		}
 	}
 }
 
 func TestThroughputGateFail(t *testing.T) {
-	var out strings.Builder
-	err := run([]string{"-throughput-json", writeThroughput(t, throughputSample), "-min-speedup", "4.0"},
-		strings.NewReader(""), &out)
-	if err == nil || !strings.Contains(err.Error(), "below required") {
+	slow := strings.Replace(throughputSample, `"speedup": 3.5`, `"speedup": 2.99`, 1)
+	_, err := gate(t, "BENCH_throughput.json", slow)
+	wantFailure(t, err, "BENCH_throughput.json", "speedup")
+	if !strings.Contains(err.Error(), "got 2.99, want >= 3") {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestThroughputGateBadFile(t *testing.T) {
-	var out strings.Builder
-	if err := run([]string{"-throughput-json", writeThroughput(t, "not json")},
-		strings.NewReader(""), &out); err == nil {
-		t.Fatal("corrupt report accepted")
-	}
-	if err := run([]string{"-throughput-json", writeThroughput(t, `{"speedup": 9}`)},
-		strings.NewReader(""), &out); err == nil {
-		t.Fatal("empty results accepted")
-	}
-	if err := run([]string{"-throughput-json", filepath.Join(t.TempDir(), "missing.json")},
-		strings.NewReader(""), &out); err == nil {
-		t.Fatal("missing report accepted")
-	}
+	badFiles(t, "BENCH_throughput.json", `{"speedup": 9}`)
 }
 
 const overloadSample = `{
   "sessions": 8,
   "capacity_rps": 300.0,
   "points": [
-    {"mode": "resilient", "load": 1, "goodput_rps": 280.0, "p99_ms": 40.0},
-    {"mode": "resilient", "load": 4, "goodput_rps": 270.0, "p99_ms": 80.0},
-    {"mode": "unprotected", "load": 4, "goodput_rps": 90.0, "p99_ms": 1500.0}
+    {"mode": "resilient", "load": 1, "offered_rps": 300.0, "goodput_rps": 280.0, "p99_ms": 40.0},
+    {"mode": "resilient", "load": 4, "offered_rps": 1200.0, "goodput_rps": 270.0, "p99_ms": 80.0},
+    {"mode": "unprotected", "load": 4, "offered_rps": 1200.0, "goodput_rps": 90.0, "p99_ms": 1500.0}
   ],
   "peak_goodput_rps": 280.0,
   "goodput_at_max_rps": 270.0,
@@ -180,43 +253,23 @@ const overloadSample = `{
 }`
 
 func TestOverloadGatePass(t *testing.T) {
-	var out strings.Builder
-	// Stdin carries no benchmarks: the overload mode must not read it.
-	err := run([]string{"-overload-json", writeThroughput(t, overloadSample), "-min-retention", "0.85"},
-		strings.NewReader(""), &out)
+	out, err := gate(t, "BENCH_overload.json", overloadSample)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"resilient", "unprotected", "0.96"} {
-		if !strings.Contains(out.String(), want) {
-			t.Fatalf("summary missing %q:\n%s", want, out.String())
-		}
+	if want := "retention = 0.96 >= 0.85"; !strings.Contains(out, want) {
+		t.Fatalf("summary missing %q:\n%s", want, out)
 	}
 }
 
 func TestOverloadGateFail(t *testing.T) {
-	var out strings.Builder
-	err := run([]string{"-overload-json", writeThroughput(t, overloadSample), "-min-retention", "0.99"},
-		strings.NewReader(""), &out)
-	if err == nil || !strings.Contains(err.Error(), "below required") {
-		t.Fatalf("err = %v", err)
-	}
+	collapsed := strings.Replace(overloadSample, `"retention": 0.96`, `"retention": 0.84`, 1)
+	_, err := gate(t, "BENCH_overload.json", collapsed)
+	wantFailure(t, err, "BENCH_overload.json", "retention")
 }
 
 func TestOverloadGateBadFile(t *testing.T) {
-	var out strings.Builder
-	if err := run([]string{"-overload-json", writeThroughput(t, "not json")},
-		strings.NewReader(""), &out); err == nil {
-		t.Fatal("corrupt report accepted")
-	}
-	if err := run([]string{"-overload-json", writeThroughput(t, `{"retention": 1}`)},
-		strings.NewReader(""), &out); err == nil {
-		t.Fatal("empty points accepted")
-	}
-	if err := run([]string{"-overload-json", filepath.Join(t.TempDir(), "missing.json")},
-		strings.NewReader(""), &out); err == nil {
-		t.Fatal("missing report accepted")
-	}
+	badFiles(t, "BENCH_overload.json", `{"retention": 1}`)
 }
 
 const p2pSample = `{
@@ -238,51 +291,162 @@ const p2pSample = `{
 }`
 
 func TestP2PGatePass(t *testing.T) {
-	var out strings.Builder
-	// Stdin carries no benchmarks: the p2p mode must not read it.
-	err := run([]string{"-p2p-json", writeThroughput(t, p2pSample), "-min-bytes-reduction", "4.0"},
-		strings.NewReader(""), &out)
+	out, err := gate(t, "BENCH_p2p.json", p2pSample)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"legacy-v1", "compact-v2", "10.4x"} {
-		if !strings.Contains(out.String(), want) {
-			t.Fatalf("summary missing %q:\n%s", want, out.String())
+	for _, want := range []string{"bytes_reduction = 10.4 >= 4", "hit_compact = 0.98 >= hit_legacy (0.98)"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("summary missing %q:\n%s", want, out)
 		}
 	}
 }
 
 func TestP2PGateFailReduction(t *testing.T) {
-	var out strings.Builder
-	err := run([]string{"-p2p-json", writeThroughput(t, p2pSample), "-min-bytes-reduction", "20"},
-		strings.NewReader(""), &out)
-	if err == nil || !strings.Contains(err.Error(), "below required") {
-		t.Fatalf("err = %v", err)
-	}
+	fat := strings.Replace(p2pSample, `"bytes_reduction": 10.4,`, `"bytes_reduction": 3.9,`, 1)
+	_, err := gate(t, "BENCH_p2p.json", fat)
+	wantFailure(t, err, "BENCH_p2p.json", "bytes_reduction")
 }
 
 func TestP2PGateFailHitRate(t *testing.T) {
 	lossy := strings.Replace(p2pSample, `"hit_compact": 0.98`, `"hit_compact": 0.90`, 1)
-	var out strings.Builder
-	err := run([]string{"-p2p-json", writeThroughput(t, lossy)},
-		strings.NewReader(""), &out)
-	if err == nil || !strings.Contains(err.Error(), "must not cost hits") {
+	_, err := gate(t, "BENCH_p2p.json", lossy)
+	wantFailure(t, err, "BENCH_p2p.json", "hit_compact")
+	if !strings.Contains(err.Error(), "must not cost hits") {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestP2PGateBadFile(t *testing.T) {
+	badFiles(t, "BENCH_p2p.json", `{"bytes_reduction": 9, "hit_legacy": 1, "hit_compact": 1}`)
+}
+
+// TestRootFilesPass: the checked-in records pass the gates that ship,
+// and each carries the host it was measured on.
+func TestRootFilesPass(t *testing.T) {
+	files := map[string]bool{hotpathFile: true}
+	for _, r := range rows {
+		files[r.file] = true
+	}
+	onDisk, err := filepath.Glob("../../BENCH_*.json")
+	if err != nil || len(onDisk) != len(files) {
+		t.Fatalf("root BENCH files %v (err %v), gated files %v", onDisk, err, files)
+	}
 	var out strings.Builder
-	if err := run([]string{"-p2p-json", writeThroughput(t, "not json")},
-		strings.NewReader(""), &out); err == nil {
-		t.Fatal("corrupt report accepted")
+	if err := run(onDisk, nil, &out); err != nil {
+		t.Fatalf("%v\n%s", err, out.String())
 	}
-	if err := run([]string{"-p2p-json", writeThroughput(t, `{"bytes_reduction": 9}`)},
-		strings.NewReader(""), &out); err == nil {
-		t.Fatal("empty points accepted")
+	for _, path := range onDisk {
+		doc := load(t, path)
+		host, _ := doc["host"].(map[string]any)
+		for _, k := range []string{"go_version", "goos", "goarch", "num_cpu", "gomaxprocs", "commit"} {
+			if _, ok := host[k]; !ok {
+				t.Errorf("%s: host stamp lacks %q", path, k)
+			}
+		}
 	}
-	if err := run([]string{"-p2p-json", filepath.Join(t.TempDir(), "missing.json")},
-		strings.NewReader(""), &out); err == nil {
-		t.Fatal("missing report accepted")
+	if _, err := gate(t, "BENCH_unknown.json", `{"speedup": 99}`); err == nil || !strings.Contains(err.Error(), "no gate rows") {
+		t.Fatalf("a file name with no rows: err = %v", err)
 	}
+}
+
+// TestEveryRowRejects doctors a copy of the checked-in record once per
+// way a row can fail — the value just past the threshold, the member
+// gone, the array it ranges over emptied, the file cut short — and
+// expects the failure to name that row, with the other rows still run.
+func TestEveryRowRejects(t *testing.T) {
+	for _, r := range rows {
+		r := r
+		t.Run(r.file+"/"+r.path, func(t *testing.T) {
+			path := filepath.Join("../..", r.file)
+			threshold := r.want
+			if r.wantPath != "" {
+				threshold = load(t, path)[r.wantPath].(float64)
+			}
+			bad := map[string]float64{
+				">=": math.Nextafter(threshold, math.Inf(-1)),
+				">":  threshold,
+				"==": threshold + 1,
+			}[r.cmp]
+			cases := map[string]func(parent map[string]any, key string){
+				"past threshold": func(p map[string]any, k string) { p[k] = bad },
+				"member deleted": func(p map[string]any, k string) { delete(p, k) },
+				"not a number":   func(p map[string]any, k string) { p[k] = "fast" },
+			}
+			for name, edit := range cases {
+				doc := load(t, path)
+				edit(parentOf(t, doc, r.path))
+				out, err := gate(t, r.file, dump(t, doc))
+				wantFailure(t, err, r.file, r.path)
+				if others := strings.Count(out, "ok    "); others != rowsFor(r.file)-1 {
+					t.Errorf("%s: %d other rows reported ok, want %d:\n%s", name, others, rowsFor(r.file)-1, out)
+				}
+			}
+			if arr, _, ranged := strings.Cut(r.path, "["); ranged {
+				doc := load(t, path)
+				p, k := parentOf(t, doc, arr)
+				p[k] = []any{}
+				_, err := gate(t, r.file, dump(t, doc))
+				wantFailure(t, err, r.file, r.path)
+			}
+			blob, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := gate(t, r.file, string(blob[:len(blob)-2])); err == nil {
+				t.Error("truncated file accepted")
+			}
+		})
+	}
+}
+
+func rowsFor(file string) int {
+	n := 0
+	for _, r := range rows {
+		if r.file == file {
+			n++
+		}
+	}
+	return n
+}
+
+func load(t *testing.T, path string) map[string]any {
+	t.Helper()
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(blob, &doc); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return doc
+}
+
+func dump(t *testing.T, doc map[string]any) string {
+	t.Helper()
+	blob, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(blob)
+}
+
+// parentOf walks path to the object holding its last member, entering
+// element 0 of a [*] array and element N of a [N] one.
+func parentOf(t *testing.T, doc map[string]any, path string) (map[string]any, string) {
+	t.Helper()
+	segs := strings.Split(path, ".")
+	cur := doc
+	for _, seg := range segs[:len(segs)-1] {
+		key, index, indexed := strings.Cut(seg, "[")
+		next := cur[key]
+		if indexed {
+			n, _ := strconv.Atoi(strings.TrimSuffix(index, "]")) // "*" → 0
+			next = next.([]any)[n]
+		}
+		cur = next.(map[string]any)
+	}
+	key, _, _ := strings.Cut(segs[len(segs)-1], "[")
+	return cur, key
 }

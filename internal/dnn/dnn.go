@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"sync"
 	"time"
 
@@ -254,69 +253,6 @@ func (c *Classifier) Infer(im *vision.Image) (Inference, error) {
 		EnergyMJ:   c.profile.EnergyPerInference,
 		Correct:    correct,
 	}, nil
-}
-
-// Ranked is one entry of a top-K prediction.
-type Ranked struct {
-	// Label is the predicted class label.
-	Label string
-	// Score is a softmax-style share in (0,1]; scores over a top-K
-	// list sum to at most 1.
-	Score float64
-}
-
-// InferTopK returns the K most likely labels for im, best first, using
-// a softmax over negated prototype distances. Unlike Infer it does not
-// simulate latency/energy or inject label noise — it exposes the
-// classifier's raw ranking for consumers that post-process predictions
-// (e.g. confidence-aware admission policies).
-func (c *Classifier) InferTopK(im *vision.Image, k int) ([]Ranked, error) {
-	if im == nil {
-		return nil, fmt.Errorf("dnn: nil image")
-	}
-	if k <= 0 {
-		return nil, fmt.Errorf("dnn: k must be positive, got %d", k)
-	}
-	v, err := c.ex.Extract(im)
-	if err != nil {
-		return nil, fmt.Errorf("extract: %w", err)
-	}
-	type scored struct {
-		class int
-		dist  float64
-	}
-	all := make([]scored, len(c.protos))
-	for i, p := range c.protos {
-		all[i] = scored{class: i, dist: feature.MustEuclidean(v, p)}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].dist != all[j].dist {
-			return all[i].dist < all[j].dist
-		}
-		return all[i].class < all[j].class
-	})
-	if k > len(all) {
-		k = len(all)
-	}
-	// Softmax over negated distances with a temperature matched to
-	// typical inter-prototype spacing, normalized over ALL classes so
-	// scores are comparable across k.
-	const temperature = 0.05
-	var total float64
-	exps := make([]float64, len(all))
-	for i, s := range all {
-		exps[i] = math.Exp(-s.dist / temperature)
-		total += exps[i]
-	}
-	out := make([]Ranked, 0, k)
-	for i := 0; i < k; i++ {
-		score := 0.0
-		if total > 0 {
-			score = exps[i] / total
-		}
-		out = append(out, Ranked{Label: c.labels[all[i].class], Score: score})
-	}
-	return out, nil
 }
 
 // confidenceFromMargin maps the distance margin between the best and

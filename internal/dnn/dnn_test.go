@@ -248,59 +248,6 @@ func TestInferDeterministicWithSeed(t *testing.T) {
 	}
 }
 
-func TestInferTopK(t *testing.T) {
-	cs := testClasses(t)
-	c, err := NewClassifier(MobileNetV2, cs, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	proto, err := cs.Prototype(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.InferTopK(nil, 3); err == nil {
-		t.Fatal("nil image accepted")
-	}
-	if _, err := c.InferTopK(proto, 0); err == nil {
-		t.Fatal("k=0 accepted")
-	}
-	ranked, err := c.InferTopK(proto, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ranked) != 3 {
-		t.Fatalf("len = %d", len(ranked))
-	}
-	if ranked[0].Label != LabelOf(2) {
-		t.Fatalf("top label = %q", ranked[0].Label)
-	}
-	var sum float64
-	for i, r := range ranked {
-		if r.Score <= 0 || r.Score > 1 {
-			t.Fatalf("score %d = %v", i, r.Score)
-		}
-		if i > 0 && r.Score > ranked[i-1].Score {
-			t.Fatal("scores not descending")
-		}
-		sum += r.Score
-	}
-	if sum > 1+1e-9 {
-		t.Fatalf("scores sum to %v", sum)
-	}
-	// An exact prototype query is dominated by its own class.
-	if ranked[0].Score < 0.5 {
-		t.Fatalf("top score = %v on exact prototype", ranked[0].Score)
-	}
-	// k beyond the vocabulary clamps.
-	all, err := c.InferTopK(proto, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != cs.NumClasses() {
-		t.Fatalf("clamped len = %d", len(all))
-	}
-}
-
 func TestSingleClassNeverMisclassifies(t *testing.T) {
 	cs, err := vision.NewClassSet(1, 32, 32, 1)
 	if err != nil {

@@ -50,6 +50,10 @@ type Experiment struct {
 	Name string
 	// Run executes the experiment at the given scale.
 	Run func(Scale) (Report, error)
+	// WallClock marks an experiment that reports real elapsed time.
+	// RunExperiments runs these one at a time, with nothing else in
+	// flight, so another worker's load cannot move their numbers.
+	WallClock bool
 }
 
 // All returns the full experiment suite in order.
@@ -61,7 +65,7 @@ func All() []Experiment {
 		{ID: "E4", Name: "peer-sweep", Run: E4PeerSweep},
 		{ID: "E5", Name: "capacity-sweep", Run: E5CapacitySweep},
 		{ID: "E6", Name: "energy", Run: E6Energy},
-		{ID: "E7", Name: "lsh-ablation", Run: E7LSHAblation},
+		{ID: "E7", Name: "lsh-ablation", Run: E7LSHAblation, WallClock: true},
 		{ID: "E8", Name: "motion-gate", Run: E8MotionGate},
 		{ID: "E9", Name: "adaptive-lsh", Run: E9AdaptiveLSH},
 		{ID: "E10", Name: "model-sweep", Run: E10ModelSweep},
@@ -74,9 +78,9 @@ func All() []Experiment {
 		{ID: "E17", Name: "peer-churn", Run: E17PeerChurn},
 		{ID: "E18", Name: "chaos-resilience", Run: E18ChaosResilience},
 		{ID: "E19", Name: "device-faults", Run: E19DeviceFaults},
-		{ID: "E20", Name: "serving-throughput", Run: E20Throughput},
-		{ID: "E21", Name: "overload-resilience", Run: E21Overload},
-		{ID: "E22", Name: "lookup-pipeline", Run: E22Lookup},
+		{ID: "E20", Name: "serving-throughput", Run: E20Throughput, WallClock: true},
+		{ID: "E21", Name: "overload-resilience", Run: E21Overload, WallClock: true},
+		{ID: "E22", Name: "lookup-pipeline", Run: E22Lookup, WallClock: true},
 		{ID: "E23", Name: "cache-quality", Run: E23Quality},
 		// E24 (read-scalability) is retired; IDs are not renumbered.
 		{ID: "E25", Name: "p2p-wire", Run: E25P2PWire},

@@ -393,6 +393,7 @@ func E22Lookup(scale Scale) (Report, error) {
 		Title: "Lookup-bound candidate pipeline: exact-bucket vs multi-probe + sketch",
 		Headers: []string{"pipeline", "tables", "probes", "sketch", "ns/op",
 			"recall@k", "candidates", "allocs/op"},
+		Data: rep,
 	}
 	for _, r := range rep.Results {
 		sketch := "-"

@@ -523,6 +523,7 @@ func E21Overload(scale Scale) (Report, error) {
 		Title: "Overload resilience: open-loop load sweep, admission on vs off",
 		Headers: []string{"node", "load", "offered/s", "goodput/s", "p50 ms",
 			"p99 ms", "shed", "errors", "unfinished", "adm-limit", "brownout"},
+		Data: rep,
 	}
 	for _, p := range rep.Points {
 		limit, level := "-", "-"

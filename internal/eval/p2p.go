@@ -391,6 +391,7 @@ func E25P2PWire(s Scale) (Report, error) {
 			fmt.Sprintf("at %.2f MB/s: %.1fx bytes/frame reduction, hit rate %.3f -> %.3f",
 				rep.ConstrainedMBps, rep.BytesReduction, rep.HitLegacy, rep.HitCompact),
 		},
+		Data: rep,
 	}
 	for _, pt := range rep.Points {
 		for _, m := range []P2PModeResult{pt.Legacy, pt.Compact} {

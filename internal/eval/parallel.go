@@ -48,22 +48,37 @@ func parallelEach(n, workers int, fn func(i int) error) error {
 	return nil
 }
 
-// RunExperiments executes exps at scale s, fanning independent
-// experiments across s.Workers goroutines, and returns their reports in
-// the input order. Reports are identical to a serial run: parallelism
-// never reorders rows or perturbs the simulations.
+// RunExperiments executes exps at scale s and returns their reports in
+// the input order. Simulation experiments fan out across s.Workers
+// goroutines; their reports are identical to a serial run, since
+// parallelism never reorders rows or perturbs a simulation. Wall-clock
+// experiments run afterwards, one at a time, so the elapsed time they
+// report is never taken beside another experiment.
 func RunExperiments(exps []Experiment, s Scale) ([]Report, error) {
 	reports := make([]Report, len(exps))
-	err := parallelEach(len(exps), s.workers(), func(i int) error {
+	run := func(i int) error {
 		r, err := exps[i].Run(s)
 		if err != nil {
 			return fmt.Errorf("%s: %w", exps[i].ID, err)
 		}
 		reports[i] = r
 		return nil
-	})
-	if err != nil {
+	}
+	var sims, timed []int
+	for i, e := range exps {
+		if e.WallClock {
+			timed = append(timed, i)
+		} else {
+			sims = append(sims, i)
+		}
+	}
+	if err := parallelEach(len(sims), s.workers(), func(k int) error { return run(sims[k]) }); err != nil {
 		return nil, err
+	}
+	for _, i := range timed {
+		if err := run(i); err != nil {
+			return nil, err
+		}
 	}
 	return reports, nil
 }

@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestParallelEachRunsEveryIndex(t *testing.T) {
@@ -98,6 +100,55 @@ func TestRunExperimentsParallelMatchesSerial(t *testing.T) {
 		if !reflect.DeepEqual(got[i], want[i]) {
 			t.Fatalf("report %s differs between serial and parallel runs:\nserial:   %v\nparallel: %v",
 				want[i].ID, want[i], got[i])
+		}
+	}
+}
+
+// TestWallClockExperimentsRunAlone: under -parallel the simulations
+// still fan out, but an experiment that reports elapsed time must see
+// nothing else in flight from start to finish — that is what makes a
+// -json taken with -parallel the number a serial run would gate.
+func TestWallClockExperimentsRunAlone(t *testing.T) {
+	const sims = 4
+	var inflight atomic.Int32
+	var allSimsIn sync.WaitGroup
+	allSimsIn.Add(sims)
+	sim := func(id string) Experiment {
+		return Experiment{ID: id, Run: func(Scale) (Report, error) {
+			inflight.Add(1)
+			defer inflight.Add(-1)
+			// Hold until every simulation is in flight: the batch really
+			// runs sims-wide.
+			allSimsIn.Done()
+			allSimsIn.Wait()
+			return Report{ID: id}, nil
+		}}
+	}
+	wall := func(id string) Experiment {
+		return Experiment{ID: id, WallClock: true, Run: func(Scale) (Report, error) {
+			atStart := inflight.Add(1)
+			defer inflight.Add(-1)
+			// No event marks "nobody joined"; give a neighbour time to.
+			time.Sleep(10 * time.Millisecond)
+			if atEnd := inflight.Load(); atStart != 1 || atEnd != 1 {
+				return Report{}, fmt.Errorf("ran beside other experiments (%d in flight at start, %d at end)", atStart, atEnd)
+			}
+			return Report{ID: id}, nil
+		}}
+	}
+	exps := []Experiment{wall("W1"), sim("S1"), sim("S2"), wall("W2"), sim("S3"), sim("S4")}
+	reports, err := RunExperiments(exps, Scale{Frames: 1, Workers: sims})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range reports {
+		if r.ID != exps[i].ID {
+			t.Fatalf("report %d is %q, want %q (input order)", i, r.ID, exps[i].ID)
+		}
+	}
+	for _, id := range []string{"E7", "E20", "E21", "E22"} {
+		if e, err := ByID(id); err != nil || !e.WallClock {
+			t.Fatalf("%s not marked wall-clock (err %v)", id, err)
 		}
 	}
 }

@@ -308,6 +308,7 @@ func E23Quality(scale Scale) (Report, error) {
 		Title: "Cache quality under label drift: shadow audits + quarantine + recalibration",
 		Headers: []string{"node", "tail acc", "full acc", "tail ms", "savings",
 			"audits", "refutes", "quar", "parole", "refusals"},
+		Data: rep,
 	}
 	for _, r := range rep.Runs {
 		out.Rows = append(out.Rows, []string{

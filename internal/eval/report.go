@@ -23,6 +23,10 @@ type Report struct {
 	Rows [][]string
 	// Notes carry the expected shape and caveats.
 	Notes []string
+	// Data is the typed report the table was rendered from, for the
+	// experiments whose numbers a gate judges (E20–E23, E25); nil
+	// otherwise. `approxbench -json` writes it as the BENCH_*.json file.
+	Data any
 }
 
 // String renders the report as an aligned ASCII table.

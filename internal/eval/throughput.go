@@ -406,6 +406,7 @@ func E20Throughput(scale Scale) (Report, error) {
 		Title: "Serving throughput: store/scheduler architecture ladder",
 		Headers: []string{"architecture", "frames/sec", "p50 ms", "p95 ms",
 			"p99 ms", "dnn frames", "hit-rate", "contended ops", "avg batch"},
+		Data: rep,
 	}
 	for _, r := range rep.Results {
 		var contended int64

@@ -2,7 +2,6 @@ package feature
 
 import (
 	"fmt"
-	"sync"
 
 	"approxcache/internal/vision"
 )
@@ -112,82 +111,10 @@ func (g GridExtractor) Extract(im *vision.Image) (Vector, error) {
 	return g.ExtractInto(im, nil)
 }
 
-// satPool recycles summed-area-table buffers across extractions; SAT
-// size varies with frame size, so buffers grow to the largest frame
-// seen and are reused from there.
-var satPool = sync.Pool{New: func() any { return new([]float64) }}
-
-// ExtractInto computes per-cell mean luminance into dst using an
-// integral image (summed-area table): one sequential pass builds the
-// table, then every cell is four lookups — O(1) per cell regardless of
-// cell size, with the table drawn from a pool.
+// ExtractInto computes per-cell mean luminance into dst, summing each
+// cell's pixels row by row. CombinedExtractor's grid half and
+// vision.Thumb's block sums (for 8×8) reproduce this order bit for bit.
 func (g GridExtractor) ExtractInto(im *vision.Image, dst Vector) (Vector, error) {
-	if err := g.validate(im); err != nil {
-		return nil, err
-	}
-	out := sizedBuf(dst, g.Cols*g.Rows)
-	sp := satPool.Get().(*[]float64)
-	sat := *sp
-	// sat is (W+1)×(H+1) with a zero top row and left column, so cell
-	// sums need no border cases: sum(x0,y0,x1,y1) =
-	// sat[y1][x1] - sat[y0][x1] - sat[y1][x0] + sat[y0][x0].
-	stride := im.W + 1
-	need := stride * (im.H + 1)
-	if cap(sat) < need {
-		sat = make([]float64, need)
-	}
-	sat = sat[:need]
-	for x := 0; x < stride; x++ {
-		sat[x] = 0
-	}
-	for y := 0; y < im.H; y++ {
-		row := im.Pix[y*im.W : (y+1)*im.W]
-		above := sat[y*stride : (y+1)*stride]
-		cur := sat[(y+1)*stride : (y+2)*stride]
-		cur[0] = 0
-		var rowSum float64
-		for x, p := range row {
-			rowSum += p
-			cur[x+1] = above[x+1] + rowSum
-		}
-	}
-	// Cell boundaries are carry-stepped (see gridSteps) rather than
-	// computed with two integer divisions per cell.
-	hq, hr := gridSteps(im.H, g.Rows)
-	wq, wr := gridSteps(im.W, g.Cols)
-	i, y0, yacc := 0, 0, 0
-	for gy := 0; gy < g.Rows; gy++ {
-		y1 := y0 + hq
-		if yacc += hr; yacc >= g.Rows {
-			y1++
-			yacc -= g.Rows
-		}
-		top := sat[y0*stride : (y0+1)*stride]
-		bot := sat[y1*stride : (y1+1)*stride]
-		x0, xacc := 0, 0
-		for gx := 0; gx < g.Cols; gx++ {
-			x1 := x0 + wq
-			if xacc += wr; xacc >= g.Cols {
-				x1++
-				xacc -= g.Cols
-			}
-			sum := bot[x1] - top[x1] - bot[x0] + top[x0]
-			out[i] = sum / float64((y1-y0)*(x1-x0))
-			i++
-			x0 = x1
-		}
-		y0 = y1
-	}
-	*sp = sat
-	satPool.Put(sp)
-	return out, nil
-}
-
-// extractNaiveInto is the direct per-cell summation the integral-image
-// path replaced: the differential-testing reference, and the grid half
-// of the combined {grid, histogram} shape, whose cells have always been
-// summed in this order (vision.Thumb's block sums reproduce it for 8×8).
-func (g GridExtractor) extractNaiveInto(im *vision.Image, dst Vector) (Vector, error) {
 	if err := g.validate(im); err != nil {
 		return nil, err
 	}
@@ -303,8 +230,8 @@ type CombinedExtractor struct {
 	dim       int
 	name      string
 	// grid is set when parts is exactly {grid, hist}, the common pipeline
-	// shape: its grid half is summed cell by cell (extractNaiveInto's
-	// order), or copied from a thumbnail that already holds those sums.
+	// shape: its grid half can be copied from a thumbnail that already
+	// holds the cell sums.
 	grid *GridExtractor
 }
 
@@ -332,9 +259,7 @@ func NewCombinedExtractor(normalize bool, parts ...Extractor) (*CombinedExtracto
 	c := &CombinedExtractor{parts: parts, normalize: normalize, dim: dim, name: name}
 	if len(parts) == 2 {
 		if g, ok := parts[0].(GridExtractor); ok {
-			// A wider histogram has always meant the generic per-part path
-			// (integral-image grid); its bits stay as they were.
-			if h, ok := parts[1].(HistogramExtractor); ok && h.Bins <= intCountBins {
+			if _, ok := parts[1].(HistogramExtractor); ok {
 				c.grid = &g
 			}
 		}
@@ -380,31 +305,26 @@ func (c *CombinedExtractor) ExtractThumbInto(im *vision.Image, th *vision.Thumb,
 	return c.extract(im, th, dst)
 }
 
-// extract writes the grid half of the {grid, hist} shape — cell means
-// from th's block sums when th covers im, summed from the pixels
-// otherwise — and delegates every other part to its buffer-reusing
-// path, writing directly into dst's sub-ranges.
+// extract takes the grid half of the {grid, hist} shape from th's block
+// sums when th covers im, and delegates every other part to its
+// buffer-reusing path, writing directly into dst's sub-ranges.
 func (c *CombinedExtractor) extract(im *vision.Image, th *vision.Thumb, dst Vector) (Vector, error) {
 	out := sizedBuf(dst, c.dim)
 	parts, off := c.parts, 0
-	if g := c.grid; g != nil {
-		parts, off = parts[1:], g.Dim()
-		if th.Covers(im) {
-			// A covering thumbnail only arrives when the grid is the
-			// thumbnail's own (thumbShaped).
-			if err := g.validate(im); err != nil {
-				return nil, err
-			}
-			const n = vision.ThumbGrid
-			for i, sum := range th.BlockSums() {
-				gx, gy := i%n, i/n
-				cw := (gx+1)*im.W/n - gx*im.W/n
-				ch := (gy+1)*im.H/n - gy*im.H/n
-				out[i] = sum / float64(ch*cw)
-			}
-		} else if _, err := g.extractNaiveInto(im, out[:0:off]); err != nil {
+	// A covering thumbnail only arrives when the grid is the thumbnail's
+	// own (thumbShaped).
+	if g := c.grid; g != nil && th.Covers(im) {
+		if err := g.validate(im); err != nil {
 			return nil, err
 		}
+		const n = vision.ThumbGrid
+		for i, sum := range th.BlockSums() {
+			gx, gy := i%n, i/n
+			cw := (gx+1)*im.W/n - gx*im.W/n
+			ch := (gy+1)*im.H/n - gy*im.H/n
+			out[i] = sum / float64(ch*cw)
+		}
+		parts, off = parts[1:], g.Dim()
 	}
 	for _, p := range parts {
 		pd := p.Dim()
@@ -423,14 +343,6 @@ func (c *CombinedExtractor) extract(im *vision.Image, th *vision.Thumb, dst Vect
 		out.Normalize()
 	}
 	return out, nil
-}
-
-// gridSteps returns the quotient and remainder used to step successive
-// cell boundaries floor((i+1)*extent/cells) without dividing per cell:
-// each step advances by q, plus one more whenever the running remainder
-// accumulates past cells.
-func gridSteps(extent, cells int) (q, r int) {
-	return extent / cells, extent % cells
 }
 
 // DefaultExtractor returns the extractor used by the standard pipeline:

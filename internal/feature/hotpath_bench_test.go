@@ -60,36 +60,16 @@ func BenchmarkHotPathExtractFromThumb(b *testing.B) {
 	}
 }
 
-// BenchmarkHotPathGridIntegral is the summed-area-table grid path.
-// Budget: 0 allocs/op at steady state (the table comes from a pool).
-func BenchmarkHotPathGridIntegral(b *testing.B) {
+// BenchmarkHotPathGrid is the standalone per-cell grid pass. Budget: 0
+// allocs/op.
+func BenchmarkHotPathGrid(b *testing.B) {
 	g := GridExtractor{Cols: 8, Rows: 8}
 	im := benchImage(b, 48, 48)
 	dst := make(Vector, 0, g.Dim())
-	if _, err := g.ExtractInto(im, dst); err != nil {
-		b.Fatal(err) // warm the SAT pool before timing
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		v, err := g.ExtractInto(im, dst)
-		if err != nil {
-			b.Fatal(err)
-		}
-		dst = v[:0]
-	}
-}
-
-// BenchmarkGridNaive is the pre-integral-image per-cell summation, kept
-// as the speedup reference for EXPERIMENTS.md (not budget-gated).
-func BenchmarkGridNaive(b *testing.B) {
-	g := GridExtractor{Cols: 8, Rows: 8}
-	im := benchImage(b, 48, 48)
-	dst := make(Vector, 0, g.Dim())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v, err := g.extractNaiveInto(im, dst)
 		if err != nil {
 			b.Fatal(err)
 		}

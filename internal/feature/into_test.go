@@ -1,13 +1,11 @@
 package feature
 
 // Differential and buffer-contract tests for the ExtractInto hot path:
-// the integral-image grid against the naive per-cell reference, the
-// combined {grid, hist} shape against running the parts separately, and
-// the dst-reuse semantics every IntoExtractor must honor.
+// the combined {grid, hist} shape against running the parts separately,
+// and the dst-reuse semantics every IntoExtractor must honor.
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -21,43 +19,6 @@ func noisyImage(w, h int, seed int64) *vision.Image {
 		im.Pix[i] = rng.Float64()
 	}
 	return im
-}
-
-// TestGridIntegralMatchesNaive pins the summed-area-table path to the
-// naive per-cell summation within 1e-9, across shapes where cell sizes
-// divide unevenly (the carry-stepped boundary cases).
-func TestGridIntegralMatchesNaive(t *testing.T) {
-	cases := []struct{ w, h, cols, rows int }{
-		{48, 48, 8, 8},
-		{53, 47, 8, 8},
-		{53, 47, 7, 5},
-		{10, 10, 3, 3},
-		{64, 32, 16, 4},
-		{9, 7, 9, 7}, // one pixel per cell
-		{100, 3, 13, 3},
-	}
-	for _, c := range cases {
-		t.Run(fmt.Sprintf("%dx%d_grid%dx%d", c.w, c.h, c.cols, c.rows), func(t *testing.T) {
-			im := noisyImage(c.w, c.h, int64(c.w*c.h))
-			g := GridExtractor{Cols: c.cols, Rows: c.rows}
-			got, err := g.ExtractInto(im, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := g.extractNaiveInto(im, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("len %d, want %d", len(got), len(want))
-			}
-			for i := range got {
-				if math.Abs(got[i]-want[i]) > 1e-9 {
-					t.Fatalf("cell %d: integral %v vs naive %v", i, got[i], want[i])
-				}
-			}
-		})
-	}
 }
 
 // refHistogram is the histogram as first written: float64 counters, one
@@ -74,10 +35,10 @@ func refHistogram(im *vision.Image, bins int) Vector {
 }
 
 // refCombined is the {grid, hist} descriptor computed part by part from
-// the references: naive per-cell grid, float-counted histogram.
+// the references: standalone per-cell grid, float-counted histogram.
 func refCombined(t testing.TB, im *vision.Image, g GridExtractor, bins int, normalize bool) Vector {
 	t.Helper()
-	gv, err := g.extractNaiveInto(im, nil)
+	gv, err := g.ExtractInto(im, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +51,7 @@ func refCombined(t testing.TB, im *vision.Image, g GridExtractor, bins int, norm
 
 // TestFusedMatchesSeparateParts pins the combined {grid, hist} shape —
 // thumbnail-backed for the 8×8 grid, summed cell by cell for any other —
-// to the naive grid and the float-counted histogram run separately.
+// to the standalone grid and the float-counted histogram run separately.
 // Both accumulation orders are preserved, so the match is exact.
 func TestFusedMatchesSeparateParts(t *testing.T) {
 	grids := []GridExtractor{{Cols: 8, Rows: 8}, {Cols: 16, Rows: 16}, {Cols: 7, Rows: 5}}
@@ -119,7 +80,7 @@ func TestFusedMatchesSeparateParts(t *testing.T) {
 
 // TestCombinedGenericPathMatchesFused runs the same shape through the
 // generic per-part path (by defeating fusion with a wrapper) and checks
-// it agrees with the fused result to within the SAT tolerance.
+// it agrees with the thumbnail-backed result bit for bit.
 func TestCombinedGenericPathMatchesFused(t *testing.T) {
 	im := noisyImage(48, 48, 21)
 	g := GridExtractor{Cols: 8, Rows: 8}
@@ -143,11 +104,7 @@ func TestCombinedGenericPathMatchesFused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range a {
-		if math.Abs(a[i]-b[i]) > 1e-9 {
-			t.Fatalf("dim %d: fused %v, generic %v", i, a[i], b[i])
-		}
-	}
+	assertSameVector(t, b, a)
 }
 
 // wrapExtractor hides the concrete type so NewCombinedExtractor cannot

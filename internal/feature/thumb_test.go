@@ -32,7 +32,7 @@ func TestThumbBlockSumsAreGridCellSums(t *testing.T) {
 		// Out-of-range and negative pixels: the sums are not clamped.
 		im.Pix[0], im.Pix[len(im.Pix)-1] = -3.5, 1e6
 		sums := thumbOf(im).BlockSums()
-		means, err := g.extractNaiveInto(im, nil)
+		means, err := g.ExtractInto(im, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +51,7 @@ func TestThumbBlockSumsAreGridCellSums(t *testing.T) {
 					t.Fatalf("%dx%d block %d: thumbnail sum %v, cell sum %v", w, h, i, sums[i], sum)
 				}
 				if mean := sum / float64((y1-y0)*(x1-x0)); means[i] != mean {
-					t.Fatalf("%dx%d cell %d: naive grid %v, want %v", w, h, i, means[i], mean)
+					t.Fatalf("%dx%d cell %d: grid %v, want %v", w, h, i, means[i], mean)
 				}
 			}
 		}
@@ -204,7 +204,7 @@ func TestExtractThumbIntoFallsBack(t *testing.T) {
 		}
 		assertSameVector(t, got, want)
 	}
-	if !def.thumbShaped() || mustCombine(g8, HistogramExtractor{Bins: intCountBins + 1}).thumbShaped() {
+	if !def.thumbShaped() || mustCombine(GridExtractor{Cols: 4, Rows: 4}, h16).thumbShaped() {
 		t.Fatal("thumbnail shape misdetected")
 	}
 	// Frames the grid refuses are refused on either path, thumbnail or not.

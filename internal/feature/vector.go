@@ -54,25 +54,6 @@ func (v Vector) Normalize() {
 	}
 }
 
-// Normalized returns a unit-norm copy of v.
-func (v Vector) Normalized() Vector {
-	out := v.Clone()
-	out.Normalize()
-	return out
-}
-
-// Dot returns the inner product of a and b.
-func Dot(a, b Vector) (float64, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("%w: %d vs %d", ErrDimensionMismatch, len(a), len(b))
-	}
-	var sum float64
-	for i := range a {
-		sum += a[i] * b[i]
-	}
-	return sum, nil
-}
-
 // Euclidean returns the L2 distance between a and b.
 func Euclidean(a, b Vector) (float64, error) {
 	if len(a) != len(b) {
@@ -99,58 +80,4 @@ func MustEuclidean(a, b Vector) float64 {
 		sum += d * d
 	}
 	return math.Sqrt(sum)
-}
-
-// Cosine returns the cosine distance (1 - cosine similarity) between a
-// and b. Zero vectors are at distance 1 from everything.
-func Cosine(a, b Vector) (float64, error) {
-	dot, err := Dot(a, b)
-	if err != nil {
-		return 0, err
-	}
-	na, nb := a.Norm(), b.Norm()
-	if na == 0 || nb == 0 {
-		return 1, nil
-	}
-	sim := dot / (na * nb)
-	// Clamp against floating point drift outside [-1, 1].
-	if sim > 1 {
-		sim = 1
-	} else if sim < -1 {
-		sim = -1
-	}
-	return 1 - sim, nil
-}
-
-// Metric identifies a distance function over Vectors.
-type Metric int
-
-// Supported metrics.
-const (
-	MetricEuclidean Metric = iota + 1
-	MetricCosine
-)
-
-// String returns the metric name.
-func (m Metric) String() string {
-	switch m {
-	case MetricEuclidean:
-		return "euclidean"
-	case MetricCosine:
-		return "cosine"
-	default:
-		return fmt.Sprintf("Metric(%d)", int(m))
-	}
-}
-
-// Distance computes the metric's distance between a and b.
-func (m Metric) Distance(a, b Vector) (float64, error) {
-	switch m {
-	case MetricEuclidean:
-		return Euclidean(a, b)
-	case MetricCosine:
-		return Cosine(a, b)
-	default:
-		return 0, fmt.Errorf("feature: unknown metric %d", int(m))
-	}
 }

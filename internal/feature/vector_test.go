@@ -55,24 +55,6 @@ func TestNormalize(t *testing.T) {
 	}
 }
 
-func TestNormalizedDoesNotMutate(t *testing.T) {
-	v := Vector{3, 4}
-	u := v.Normalized()
-	if v[0] != 3 || v[1] != 4 {
-		t.Fatalf("Normalized mutated receiver: %v", v)
-	}
-	if !almostEqual(u.Norm(), 1, 1e-12) {
-		t.Fatalf("Normalized norm = %v, want 1", u.Norm())
-	}
-}
-
-func TestDotErrors(t *testing.T) {
-	_, err := Dot(Vector{1}, Vector{1, 2})
-	if !errors.Is(err, ErrDimensionMismatch) {
-		t.Fatalf("Dot mismatch err = %v, want ErrDimensionMismatch", err)
-	}
-}
-
 func TestEuclidean(t *testing.T) {
 	d, err := Euclidean(Vector{0, 0}, Vector{3, 4})
 	if err != nil {
@@ -89,45 +71,6 @@ func TestEuclidean(t *testing.T) {
 func TestMustEuclideanMismatchIsInf(t *testing.T) {
 	if d := MustEuclidean(Vector{1}, Vector{1, 2}); !math.IsInf(d, 1) {
 		t.Fatalf("MustEuclidean mismatch = %v, want +Inf", d)
-	}
-}
-
-func TestCosine(t *testing.T) {
-	tests := []struct {
-		name string
-		a, b Vector
-		want float64
-	}{
-		{"identical", Vector{1, 2}, Vector{1, 2}, 0},
-		{"orthogonal", Vector{1, 0}, Vector{0, 1}, 1},
-		{"opposite", Vector{1, 0}, Vector{-1, 0}, 2},
-		{"zero vs any", Vector{0, 0}, Vector{1, 1}, 1},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			got, err := Cosine(tt.a, tt.b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !almostEqual(got, tt.want, 1e-12) {
-				t.Errorf("Cosine = %v, want %v", got, tt.want)
-			}
-		})
-	}
-}
-
-func TestMetricString(t *testing.T) {
-	if MetricEuclidean.String() != "euclidean" || MetricCosine.String() != "cosine" {
-		t.Fatal("metric names wrong")
-	}
-	if Metric(99).String() != "Metric(99)" {
-		t.Fatalf("unknown metric string = %q", Metric(99).String())
-	}
-}
-
-func TestMetricDistanceUnknown(t *testing.T) {
-	if _, err := Metric(99).Distance(Vector{1}, Vector{1}); err == nil {
-		t.Fatal("unknown metric should error")
 	}
 }
 
@@ -167,24 +110,16 @@ func TestEuclideanMetricProperties(t *testing.T) {
 	}
 }
 
-// Property: normalizing any non-zero vector yields unit norm, and cosine
-// distance always lies in [0, 2].
-func TestNormalizeAndCosineRangeProperty(t *testing.T) {
+// Property: normalizing any non-zero vector yields unit norm.
+func TestNormalizeUnitNormProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rr := rand.New(rand.NewSource(seed))
-		n := 1 + rr.Intn(16)
-		a, b := randVec(rr, n), randVec(rr, n)
-		if a.Norm() > 0 {
-			u := a.Normalized()
-			if !almostEqual(u.Norm(), 1, 1e-9) {
-				return false
-			}
+		a := randVec(rr, 1+rr.Intn(16))
+		if a.Norm() == 0 {
+			return true
 		}
-		d, err := Cosine(a, b)
-		if err != nil {
-			return false
-		}
-		return d >= -1e-12 && d <= 2+1e-12
+		a.Normalize()
+		return almostEqual(a.Norm(), 1, 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -54,11 +54,6 @@ func (src Source) ordinal() int {
 	return -1
 }
 
-// ReuseSources lists the sources that count as cache hits.
-func ReuseSources() []Source {
-	return []Source{SourceIMU, SourceVideo, SourceLocal, SourcePeer}
-}
-
 // SessionStats aggregates one device run: per-source hit counts,
 // latency, energy, recognition accuracy and every Event counter. Its
 // size is fixed at construction. SessionStats is safe for concurrent

@@ -14,15 +14,6 @@ func TestSourcesOrder(t *testing.T) {
 	if len(ss) != 7 || ss[0] != SourceIMU || ss[4] != SourceDNN || ss[5] != SourceFallback || ss[6] != SourceShed {
 		t.Fatalf("Sources = %v", ss)
 	}
-	rs := ReuseSources()
-	if len(rs) != 4 {
-		t.Fatalf("ReuseSources = %v", rs)
-	}
-	for _, r := range rs {
-		if r == SourceDNN {
-			t.Fatal("DNN is not a reuse source")
-		}
-	}
 }
 
 func TestLatencyRecorderEmpty(t *testing.T) {

@@ -123,9 +123,6 @@ func parseRegime(name string) (imu.Regime, error) {
 	}
 }
 
-// RegimeName returns the wire name of r.
-func RegimeName(r imu.Regime) string { return r.String() }
-
 // Workload is a fully generated device input.
 type Workload struct {
 	// Spec is the generating description.

@@ -274,9 +274,3 @@ func TestClassSkew(t *testing.T) {
 		t.Fatal("skewed workload not concentrated")
 	}
 }
-
-func TestRegimeName(t *testing.T) {
-	if RegimeName(imu.Walking) != "walking" {
-		t.Fatal("RegimeName mismatch")
-	}
-}
