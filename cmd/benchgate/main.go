@@ -106,7 +106,8 @@ type budget struct {
 // evicted buffer) and the inertial gate (a sample into a full window
 // takes a ring slot). The store's label read copies nothing; an insert
 // into a full store may allocate only what the index's bucket growth
-// does (the store itself: nothing).
+// does (the store itself: nothing); a lookup fanned out over eight
+// shards merges in pooled buffers.
 var hotpathBudgets = []budget{
 	{"HotPathNearest", 0},
 	{"HotPathNearestDescriptors", 0},
@@ -125,6 +126,7 @@ var hotpathBudgets = []budget{
 	{"HotPathIMUObserve", 0},
 	{"HotPathStoreLabel", 0},
 	{"HotPathStoreInsertEvict", 4},
+	{"HotPathShardedNearest", 0},
 	{"HotPathObserveFrame", 0},
 }
 

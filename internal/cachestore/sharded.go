@@ -104,16 +104,21 @@ func NewSharded(cfg ShardedConfig, newIndex func(shard int) (lsh.Index, error), 
 		shards:   make([]*Store, cfg.Shards),
 		counters: make([]shardCounters, cfg.Shards),
 	}
+	idxs := make([]lsh.Index, cfg.Shards)
 	for i := range s.shards {
 		idx, err := newIndex(i)
 		if err != nil {
 			return nil, fmt.Errorf("cachestore: shard %d index: %w", i, err)
 		}
+		idxs[i] = idx
 		s.shards[i], err = New(perShard, idx, clock)
 		if err != nil {
 			return nil, err
 		}
 	}
+	// Every lookup hashes q in every shard: identically seeded shard
+	// indexes keep one hyperplane matrix and hash q once between them.
+	lsh.ShareFamily(idxs...)
 	s.merge.New = func() any {
 		return &mergeScratch{
 			bufs: make([][]lsh.Neighbor, cfg.Shards),

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -372,5 +373,46 @@ func TestSerializedStoreMatchesInner(t *testing.T) {
 	}
 	if n, err := s.Import(bytes.NewReader(buf.Bytes())); err != nil || n != 20 {
 		t.Fatalf("import n=%d err=%v", n, err)
+	}
+}
+
+// TestShardedStoreKeepsOneHyperplaneMatrix: NewSharded makes identically
+// seeded shard indexes share their hash family, so a node pays for one
+// hyperplane matrix, not one per shard — and goes on paying for one per
+// shard when the factory seeds them differently. (Which index points at
+// which matrix is lsh's TestShardsShareOneFamily; here the heap is the
+// witness.) The matrix is sized at 1 MiB so that it dwarfs everything
+// else a fresh store holds.
+func TestShardedStoreKeepsOneHyperplaneMatrix(t *testing.T) {
+	const (
+		dim, bits, tables = 128, 64, 16
+		matrix            = dim * bits * tables * 8
+		shards            = 8
+	)
+	settled := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	grown := func(seedOf func(shard int) int64) int64 {
+		before := settled()
+		s, err := NewSharded(ShardedConfig{
+			Config: Config{Capacity: 64, Policy: LRU}, Dim: dim, Shards: shards, RouterSeed: 1,
+		}, func(i int) (lsh.Index, error) { return lsh.NewHyperplane(dim, bits, tables, seedOf(i)) },
+			simclock.NewVirtual(time.Unix(0, 0)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := settled()
+		runtime.KeepAlive(s)
+		return int64(after) - int64(before)
+	}
+	if got := grown(func(int) int64 { return 7 }); got > 2*matrix {
+		t.Errorf("same-seed shards hold %d KiB, want about one %d KiB matrix", got>>10, matrix>>10)
+	}
+	if got := grown(func(i int) int64 { return int64(i + 1) }); got < (shards-1)*matrix {
+		t.Errorf("differently seeded shards hold %d KiB, want %d matrices of %d KiB", got>>10, shards, matrix>>10)
 	}
 }

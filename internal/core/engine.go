@@ -194,8 +194,8 @@ type Config struct {
 	// degradation ladder, typed SourceShed / DegradeOverload.
 	Admission admission.Config
 	// IndexTuning configures the LSH candidate pipeline (multi-probe
-	// sequence length, packed-sketch prefilter, quantized re-rank) of
-	// the cache store's index. The zero value keeps the classic
+	// sequence length, packed-sketch prefilter) of the cache store's
+	// index. The zero value keeps the classic
 	// exact-bucket pipeline. Consumed by the store constructor; the
 	// engine itself only sees lookup results.
 	IndexTuning lsh.Tuning

@@ -2,10 +2,8 @@ package dnn
 
 import (
 	"fmt"
-	"math"
 	"time"
 
-	"approxcache/internal/feature"
 	"approxcache/internal/vision"
 )
 
@@ -70,23 +68,11 @@ func (c *Classifier) InferBatch(ims []*vision.Image) ([]Inference, error) {
 		if im == nil {
 			return nil, fmt.Errorf("dnn: nil image at batch index %d", i)
 		}
-		v, err := c.ex.Extract(im)
+		best, conf, err := c.decide(im)
 		if err != nil {
-			return nil, fmt.Errorf("extract batch index %d: %w", i, err)
+			return nil, fmt.Errorf("batch index %d: %w", i, err)
 		}
-		best := -1
-		bestD, secondD := math.Inf(1), math.Inf(1)
-		for p, proto := range c.protos {
-			d := feature.MustEuclidean(v, proto)
-			switch {
-			case d < bestD:
-				secondD = bestD
-				best, bestD = p, d
-			case d < secondD:
-				secondD = d
-			}
-		}
-		decisions[i] = decision{best: best, conf: confidenceFromMargin(bestD, secondD)}
+		decisions[i] = decision{best: best, conf: conf}
 	}
 
 	n := len(ims)
@@ -100,8 +86,8 @@ func (c *Classifier) InferBatch(ims []*vision.Image) ([]Inference, error) {
 	noises := make([]noise, n)
 	for i := range noises {
 		noises[i].misclassify = c.rng.Float64() > c.profile.Top1Accuracy
-		if noises[i].misclassify && len(c.protos) > 1 {
-			noises[i].wrong = c.rng.Intn(len(c.protos) - 1)
+		if noises[i].misclassify && len(c.labels) > 1 {
+			noises[i].wrong = c.rng.Intn(len(c.labels) - 1)
 		}
 	}
 	c.mu.Unlock()
@@ -116,7 +102,7 @@ func (c *Classifier) InferBatch(ims []*vision.Image) ([]Inference, error) {
 		label := c.labels[decisions[i].best]
 		conf := decisions[i].conf
 		correct := true
-		if noises[i].misclassify && len(c.protos) > 1 {
+		if noises[i].misclassify && len(c.labels) > 1 {
 			wrong := noises[i].wrong
 			if wrong >= decisions[i].best {
 				wrong++

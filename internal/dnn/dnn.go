@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"approxcache/internal/feature"
+	"approxcache/internal/lsh"
 	"approxcache/internal/vision"
 )
 
@@ -136,8 +137,10 @@ type Classifier struct {
 	profile Profile
 	classes *vision.ClassSet
 	ex      feature.Extractor
-	protos  []feature.Vector
-	labels  []string
+	// protos holds class i's prototype descriptor under ID i; labels is
+	// parallel to it.
+	protos *lsh.ExactIndex
+	labels []string
 
 	mu  sync.Mutex
 	rng *rand.Rand
@@ -161,11 +164,15 @@ func NewClassifier(profile Profile, classes *vision.ClassSet, seed int64) (*Clas
 	if err != nil {
 		return nil, fmt.Errorf("build extractor: %w", err)
 	}
+	protos, err := lsh.NewExact(ex.Dim())
+	if err != nil {
+		return nil, fmt.Errorf("prototype index: %w", err)
+	}
 	c := &Classifier{
 		profile: profile,
 		classes: classes,
 		ex:      ex,
-		protos:  make([]feature.Vector, classes.NumClasses()),
+		protos:  protos,
 		labels:  make([]string, classes.NumClasses()),
 		rng:     rand.New(rand.NewSource(seed)),
 	}
@@ -178,7 +185,9 @@ func NewClassifier(profile Profile, classes *vision.ClassSet, seed int64) (*Clas
 		if err != nil {
 			return nil, fmt.Errorf("extract prototype %d: %w", i, err)
 		}
-		c.protos[i] = v
+		if err := protos.Insert(lsh.ID(i), v); err != nil {
+			return nil, fmt.Errorf("index prototype %d: %w", i, err)
+		}
 		c.labels[i] = LabelOf(i)
 	}
 	return c, nil
@@ -205,31 +214,18 @@ func (c *Classifier) Infer(im *vision.Image) (Inference, error) {
 	if im == nil {
 		return Inference{}, fmt.Errorf("dnn: nil image")
 	}
-	v, err := c.ex.Extract(im)
+	best, conf, err := c.decide(im)
 	if err != nil {
-		return Inference{}, fmt.Errorf("extract: %w", err)
+		return Inference{}, err
 	}
-	best := -1
-	bestD, secondD := math.Inf(1), math.Inf(1)
-	for i, p := range c.protos {
-		d := feature.MustEuclidean(v, p)
-		switch {
-		case d < bestD:
-			secondD = bestD
-			best, bestD = i, d
-		case d < secondD:
-			secondD = d
-		}
-	}
-	conf := confidenceFromMargin(bestD, secondD)
 
 	c.mu.Lock()
 	latency := c.profile.MeanLatency +
 		time.Duration(c.rng.NormFloat64()*float64(c.profile.LatencyJitter))
 	misclassify := c.rng.Float64() > c.profile.Top1Accuracy
 	var wrong int
-	if misclassify && len(c.protos) > 1 {
-		wrong = c.rng.Intn(len(c.protos) - 1)
+	if misclassify && len(c.labels) > 1 {
+		wrong = c.rng.Intn(len(c.labels) - 1)
 	}
 	c.mu.Unlock()
 
@@ -238,7 +234,7 @@ func (c *Classifier) Infer(im *vision.Image) (Inference, error) {
 	}
 	label := c.labels[best]
 	correct := true
-	if misclassify && len(c.protos) > 1 {
+	if misclassify && len(c.labels) > 1 {
 		if wrong >= best {
 			wrong++
 		}
@@ -253,6 +249,27 @@ func (c *Classifier) Infer(im *vision.Image) (Inference, error) {
 		EnergyMJ:   c.profile.EnergyPerInference,
 		Correct:    correct,
 	}, nil
+}
+
+// decide is the model's feature-space decision for im: the class whose
+// prototype is nearest its descriptor (the lower class on a tie) and the
+// confidence the margin to the runner-up gives. A class set has at
+// least one class, so there is always a nearest.
+func (c *Classifier) decide(im *vision.Image) (best int, conf float64, err error) {
+	v, err := c.ex.Extract(im)
+	if err != nil {
+		return 0, 0, fmt.Errorf("extract: %w", err)
+	}
+	var buf [2]lsh.Neighbor
+	ns, err := c.protos.NearestInto(v, len(buf), buf[:0])
+	if err != nil {
+		return 0, 0, fmt.Errorf("nearest prototype: %w", err)
+	}
+	second := math.Inf(1)
+	if len(ns) > 1 {
+		second = ns[1].Distance
+	}
+	return int(ns[0].ID), confidenceFromMargin(ns[0].Distance, second), nil
 }
 
 // confidenceFromMargin maps the distance margin between the best and

@@ -1,11 +1,13 @@
 package dnn
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
 	"time"
 
+	"approxcache/internal/feature"
 	"approxcache/internal/vision"
 )
 
@@ -131,6 +133,89 @@ func TestInferPerfectModelAlwaysCorrect(t *testing.T) {
 		}
 		if !inf.Correct {
 			t.Fatal("perfect model reported incorrect")
+		}
+	}
+}
+
+// TestDecisionMatchesPrototypeScan holds the indexed decision to the
+// top-2 scan it replaced (one feature.MustEuclidean per prototype, strict
+// less-than, so the lower class wins a tie): same class, same confidence
+// to the bit, for Infer and for every frame of InferBatch.
+func TestDecisionMatchesPrototypeScan(t *testing.T) {
+	cs, err := vision.NewClassSet(40, 64, 64, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perfect := MobileNetV2
+	perfect.Top1Accuracy = 1.0 // no label noise: Infer reports the decision itself
+	c, err := NewClassifier(perfect, cs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	protos := make([]feature.Vector, cs.NumClasses())
+	for i := range protos {
+		im, err := cs.Prototype(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if protos[i], err = c.ex.Extract(im); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scan := func(im *vision.Image) (string, float64) {
+		v, err := c.ex.Extract(im)
+		if err != nil {
+			t.Fatal(err)
+		}
+		best := -1
+		bestD, secondD := math.Inf(1), math.Inf(1)
+		for i, p := range protos {
+			d := feature.MustEuclidean(v, p)
+			switch {
+			case d < bestD:
+				secondD = bestD
+				best, bestD = i, d
+			case d < secondD:
+				secondD = d
+			}
+		}
+		return LabelOf(best), confidenceFromMargin(bestD, secondD)
+	}
+	rng := rand.New(rand.NewSource(5))
+	heavy := vision.DefaultPerturbation()
+	heavy.Noise *= 8 // push frames towards the class boundaries
+	var ims []*vision.Image
+	for trial := 0; trial < 200; trial++ {
+		p := vision.DefaultPerturbation()
+		if trial%2 == 1 {
+			p = heavy
+		}
+		im, err := cs.Render(trial%cs.NumClasses(), p, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ims = append(ims, im)
+	}
+	// A prototype itself: distance 0 to its class, confidence 1.
+	exact, err := cs.Prototype(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ims = append(ims, exact)
+	batch, err := c.InferBatch(ims)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, im := range ims {
+		label, conf := scan(im)
+		inf, err := c.Infer(im)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, got := range []Inference{inf, batch[i]} {
+			if got.Label != label || math.Float64bits(got.Confidence) != math.Float64bits(conf) {
+				t.Fatalf("frame %d: got (%s, %v), scan (%s, %v)", i, got.Label, got.Confidence, label, conf)
+			}
 		}
 	}
 }

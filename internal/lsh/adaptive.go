@@ -30,7 +30,7 @@ func NewHyperplaneCenteredTuned(dim, bits, tables int, seed int64, center featur
 			return nil, fmt.Errorf("lsh: center dim %d, index dim %d: %w",
 				len(center), dim, feature.ErrDimensionMismatch)
 		}
-		x.center = center.Clone()
+		x.fam.center = center.Clone()
 	}
 	return x, nil
 }

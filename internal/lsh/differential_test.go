@@ -280,7 +280,7 @@ func TestDifferentialSignatureChains(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				v := randVec(rng, dim)
 				for tb := 0; tb < 2; tb++ {
-					if got, want := arena.signature(tb, v), ref.signature(tb, v); got != want {
+					if got, want := arena.fam.signature(tb, v), ref.signature(tb, v); got != want {
 						t.Fatalf("table %d vec %d: signature %x, want %x", tb, i, got, want)
 					}
 				}

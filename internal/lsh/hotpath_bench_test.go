@@ -53,7 +53,7 @@ func BenchmarkHotPathSignature(b *testing.B) {
 	b.ResetTimer()
 	var sink uint64
 	for i := 0; i < b.N; i++ {
-		sink ^= idx.signature(i%idx.tables, vecs[0])
+		sink ^= idx.fam.signature(i%idx.tables, vecs[0])
 	}
 	_ = sink
 }

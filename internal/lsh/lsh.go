@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"math/rand"
 	"sync"
 
 	"approxcache/internal/feature"
@@ -86,27 +85,19 @@ type HyperplaneIndex struct {
 	bits   int
 	tables int
 
-	// planes is the flattened hyperplane matrix: hyperplane b of table
-	// t occupies planes[(t*bits+b)*dim : (t*bits+b+1)*dim], so a
-	// signature is one strided sweep over contiguous memory.
-	planes []float64
-	// center, when non-nil, is subtracted from vectors before
-	// projection (see NewHyperplaneCentered).
-	center feature.Vector
-
 	// tun configures the candidate pipeline (multi-probe, sketch
 	// prefilter). The zero value keeps the classic exact-bucket path
-	// byte-for-byte.
-	tun Tuning
-	// sketchPlanes is the dedicated sketch hyperplane matrix (row b at
-	// [b*dim:(b+1)*dim]); sketchWords = SketchBits/64 is the packed
-	// sketch width. Both are nil/0 when the sketch is off.
-	sketchPlanes []float64
-	sketchWords  int
+	// byte-for-byte. sketchWords = SketchBits/64 is the packed sketch
+	// width, 0 when the sketch is off.
+	tun         Tuning
+	sketchWords int
 
 	// mu guards everything below: lookups hold it for reading across
 	// gather + scan, Insert/Remove for writing.
 	mu sync.RWMutex
+	// fam is the hash function: hyperplanes, center and signature memo.
+	// It is replaced only by ShareFamily, and only by an equal one.
+	fam *hashFamily
 	// buckets[t] maps a table-t signature to the arena slots holding
 	// colliding vectors. Buckets hold slots, not IDs, so the distance
 	// loop reads the arena directly.
@@ -154,6 +145,8 @@ type queryScratch struct {
 	// cands is the gathered candidate slot list of the query in flight
 	// (capacity: one entry per slot, like visited).
 	cands []int32
+	// sigs is the query's signature in every table.
+	sigs []uint64
 }
 
 // ensureTuned sizes the tuned-pipeline scratch for an index with the
@@ -218,12 +211,11 @@ func NewHyperplaneTuned(dim, bits, tables int, seed int64, tun Tuning) (*Hyperpl
 		return nil, err
 	}
 	tun = tun.normalize()
-	rng := rand.New(rand.NewSource(seed))
 	x := &HyperplaneIndex{
 		dim:         dim,
 		bits:        bits,
 		tables:      tables,
-		planes:      make([]float64, tables*bits*dim),
+		fam:         newHashFamily(dim, bits, tables, seed, tun.SketchBits),
 		buckets:     make([]map[uint64][]int32, tables),
 		idSlot:      make(map[ID]int32),
 		tun:         tun,
@@ -232,54 +224,12 @@ func NewHyperplaneTuned(dim, bits, tables int, seed int64, tun Tuning) (*Hyperpl
 	for t := range x.buckets {
 		x.buckets[t] = make(map[uint64][]int32)
 	}
-	// Draw order (table, bit, dim) is part of the index's identity:
-	// the same seed must yield the same hyperplanes across versions.
-	for t := 0; t < tables; t++ {
-		for b := 0; b < bits; b++ {
-			row := x.planeRow(t, b)
-			for d := range row {
-				row[d] = rng.NormFloat64()
-			}
-		}
-	}
-	if tun.SketchBits > 0 {
-		srng := rand.New(rand.NewSource(seed ^ sketchSeedMix))
-		x.sketchPlanes = make([]float64, tun.SketchBits*dim)
-		for i := range x.sketchPlanes {
-			x.sketchPlanes[i] = srng.NormFloat64()
-		}
-		// Make every sketch hyperplane zero-sum: ⟨p, v⟩ is then
-		// invariant to a uniform offset of v. Image descriptors are
-		// all-positive, and without this their shared mean dominates
-		// every projection, correlating all sketch signs and defanging
-		// the Hamming prefilter. Zero-summing is a fixed, data-free
-		// transform, so sketches stay a deterministic function of
-		// (seed, SketchBits, v).
-		for b := 0; b < tun.SketchBits; b++ {
-			row := x.sketchPlanes[b*dim : (b+1)*dim]
-			var m float64
-			for _, p := range row {
-				m += p
-			}
-			m /= float64(dim)
-			for d := range row {
-				row[d] -= m
-			}
-		}
-	}
 	return x, nil
 }
 
 // TuningConfig returns the index's normalized candidate-pipeline
 // tuning.
 func (x *HyperplaneIndex) TuningConfig() Tuning { return x.tun }
-
-// planeRow returns hyperplane b of table t as a slice into the flat
-// matrix.
-func (x *HyperplaneIndex) planeRow(t, b int) []float64 {
-	off := (t*x.bits + b) * x.dim
-	return x.planes[off : off+x.dim : off+x.dim]
-}
 
 // Dim returns the index dimensionality.
 func (x *HyperplaneIndex) Dim() int { return x.dim }
@@ -305,21 +255,21 @@ func (x *HyperplaneIndex) Len() int {
 // independent chains, so interleaving them hides floating-point add
 // latency. Each chain still sums dimensions in ascending order, so
 // every bit is identical to the one-row-at-a-time computation.
-func (x *HyperplaneIndex) signature(t int, v feature.Vector) uint64 {
+func (f *hashFamily) signature(t int, v feature.Vector) uint64 {
 	var sig uint64
-	n := x.dim
+	n := f.dim
 	b := 0
-	for ; b+4 <= x.bits; b += 4 {
-		off := (t*x.bits + b) * n
-		r0 := x.planes[off : off+n : off+n]
+	for ; b+4 <= f.bits; b += 4 {
+		off := (t*f.bits + b) * n
+		r0 := f.planes[off : off+n : off+n]
 		// Re-slicing everything to len(r0) lets the compiler drop the
 		// per-dimension bounds checks inside the loop.
-		r1 := x.planes[off+n : off+2*n : off+2*n][:len(r0)]
-		r2 := x.planes[off+2*n : off+3*n : off+3*n][:len(r0)]
-		r3 := x.planes[off+3*n : off+4*n : off+4*n][:len(r0)]
+		r1 := f.planes[off+n : off+2*n : off+2*n][:len(r0)]
+		r2 := f.planes[off+2*n : off+3*n : off+3*n][:len(r0)]
+		r3 := f.planes[off+3*n : off+4*n : off+4*n][:len(r0)]
 		vs := v[:len(r0)]
 		var d0, d1, d2, d3 float64
-		if x.center == nil {
+		if f.center == nil {
 			for d, p0 := range r0 {
 				vv := vs[d]
 				d0 += p0 * vv
@@ -328,7 +278,7 @@ func (x *HyperplaneIndex) signature(t int, v feature.Vector) uint64 {
 				d3 += r3[d] * vv
 			}
 		} else {
-			ct := x.center[:len(r0)]
+			ct := f.center[:len(r0)]
 			for d, p0 := range r0 {
 				c := vs[d] - ct[d]
 				d0 += p0 * c
@@ -350,16 +300,16 @@ func (x *HyperplaneIndex) signature(t int, v feature.Vector) uint64 {
 			sig |= 1 << uint(b+3)
 		}
 	}
-	for ; b < x.bits; b++ {
-		row := x.planeRow(t, b)
+	for ; b < f.bits; b++ {
+		row := f.planeRow(t, b)
 		var dot float64
-		if x.center == nil {
+		if f.center == nil {
 			for d, p := range row {
 				dot += p * v[d]
 			}
 		} else {
 			for d, p := range row {
-				dot += p * (v[d] - x.center[d])
+				dot += p * (v[d] - f.center[d])
 			}
 		}
 		if dot >= 0 {
@@ -375,19 +325,19 @@ func (x *HyperplaneIndex) signature(t int, v feature.Vector) uint64 {
 // probe generator ranks bit flips by these margins. Bit values are
 // computed with the same four-chain accumulation as signature(), so the
 // returned signature is bit-identical to it.
-func (x *HyperplaneIndex) signatureMargins(t int, v feature.Vector, margins []float64) uint64 {
+func (f *hashFamily) signatureMargins(t int, v feature.Vector, margins []float64) uint64 {
 	var sig uint64
-	n := x.dim
+	n := f.dim
 	b := 0
-	for ; b+4 <= x.bits; b += 4 {
-		off := (t*x.bits + b) * n
-		r0 := x.planes[off : off+n : off+n]
-		r1 := x.planes[off+n : off+2*n : off+2*n][:len(r0)]
-		r2 := x.planes[off+2*n : off+3*n : off+3*n][:len(r0)]
-		r3 := x.planes[off+3*n : off+4*n : off+4*n][:len(r0)]
+	for ; b+4 <= f.bits; b += 4 {
+		off := (t*f.bits + b) * n
+		r0 := f.planes[off : off+n : off+n]
+		r1 := f.planes[off+n : off+2*n : off+2*n][:len(r0)]
+		r2 := f.planes[off+2*n : off+3*n : off+3*n][:len(r0)]
+		r3 := f.planes[off+3*n : off+4*n : off+4*n][:len(r0)]
 		vs := v[:len(r0)]
 		var d0, d1, d2, d3 float64
-		if x.center == nil {
+		if f.center == nil {
 			for d, p0 := range r0 {
 				vv := vs[d]
 				d0 += p0 * vv
@@ -396,7 +346,7 @@ func (x *HyperplaneIndex) signatureMargins(t int, v feature.Vector, margins []fl
 				d3 += r3[d] * vv
 			}
 		} else {
-			ct := x.center[:len(r0)]
+			ct := f.center[:len(r0)]
 			for d, p0 := range r0 {
 				c := vs[d] - ct[d]
 				d0 += p0 * c
@@ -422,16 +372,16 @@ func (x *HyperplaneIndex) signatureMargins(t int, v feature.Vector, margins []fl
 		margins[b+2] = math.Abs(d2)
 		margins[b+3] = math.Abs(d3)
 	}
-	for ; b < x.bits; b++ {
-		row := x.planeRow(t, b)
+	for ; b < f.bits; b++ {
+		row := f.planeRow(t, b)
 		var dot float64
-		if x.center == nil {
+		if f.center == nil {
 			for d, p := range row {
 				dot += p * v[d]
 			}
 		} else {
 			for d, p := range row {
-				dot += p * (v[d] - x.center[d])
+				dot += p * (v[d] - f.center[d])
 			}
 		}
 		if dot >= 0 {
@@ -481,16 +431,16 @@ func (x *HyperplaneIndex) Insert(id ID, v feature.Vector) error {
 	copy(x.arena[int(slot)*x.dim:], v)
 	x.slotID[slot] = id
 	vc := x.slotVec(slot)
-	for t := 0; t < x.tables; t++ {
-		sig := x.signature(t, vc)
-		x.slotSig[int(slot)*x.tables+t] = sig
+	sigs := x.slotSig[int(slot)*x.tables : (int(slot)+1)*x.tables]
+	x.fam.signatures(vc, sigs)
+	for t, sig := range sigs {
 		x.buckets[t][sig] = append(x.buckets[t][sig], slot)
 	}
 	// The sketch is recomputed, never stored: snapshot import re-inserts
 	// through this same path, so it round-trips deterministically from
 	// (seed, vector) alone.
 	if x.sketchWords > 0 {
-		x.sketchInto(vc, x.slotSketch(slot))
+		x.fam.sketchInto(vc, x.slotSketch(slot))
 	}
 	x.idSlot[id] = slot
 	return nil
@@ -616,8 +566,12 @@ func (x *HyperplaneIndex) gather(q feature.Vector, sc *queryScratch) {
 	sc.begin(len(x.slotID))
 	cands := sc.cands[:0]
 	if !x.tun.enabled() {
-		for t := 0; t < x.tables; t++ {
-			sig := x.signature(t, q)
+		if cap(sc.sigs) < x.tables {
+			sc.sigs = make([]uint64, x.tables)
+		}
+		sigs := sc.sigs[:x.tables]
+		x.fam.signatures(q, sigs)
+		for t, sig := range sigs {
 			for _, slot := range x.buckets[t][sig] {
 				if sc.visited[slot] == sc.epoch {
 					continue
@@ -633,12 +587,12 @@ func (x *HyperplaneIndex) gather(q feature.Vector, sc *queryScratch) {
 	var qsk [2]uint64
 	words := x.sketchWords
 	if words > 0 {
-		x.sketchInto(q, qsk[:words])
+		x.fam.sketchInto(q, qsk[:words])
 	}
 	maxHam := x.tun.MaxHamming
 	var pg probeGen
 	for t := 0; t < x.tables; t++ {
-		sig := x.signatureMargins(t, q, sc.margins)
+		sig := x.fam.signatureMargins(t, q, sc.margins)
 		pg.init(sig, x.bits, sc.margins, sc.sorted, sc.order, sc.heap)
 		for p := 0; p < x.tun.Probes; p++ {
 			psig, ok := pg.next()

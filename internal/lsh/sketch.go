@@ -38,29 +38,29 @@ func (x *HyperplaneIndex) slotSketch(s int32) []uint64 {
 }
 
 // sketchInto writes v's packed sign sketch into dst, which must have
-// x.sketchWords words. Like signature(), the projections run four
+// sketchBits/64 words. Like signature(), the projections run four
 // independent chains at a time with each chain summing dimensions in
 // ascending order, so sketches are a bit-deterministic function of
 // (seed, SketchBits, v).
-func (x *HyperplaneIndex) sketchInto(v []float64, dst []uint64) {
+func (f *hashFamily) sketchInto(v []float64, dst []uint64) {
 	for w := range dst {
 		dst[w] = 0
 	}
-	n := x.dim
-	nbits := x.tun.SketchBits
+	n := f.dim
+	nbits := f.sketchBits
 	setBit := func(b int) {
 		dst[b>>6] |= 1 << uint(b&63)
 	}
 	b := 0
 	for ; b+4 <= nbits; b += 4 {
 		off := b * n
-		r0 := x.sketchPlanes[off : off+n : off+n]
-		r1 := x.sketchPlanes[off+n : off+2*n : off+2*n][:len(r0)]
-		r2 := x.sketchPlanes[off+2*n : off+3*n : off+3*n][:len(r0)]
-		r3 := x.sketchPlanes[off+3*n : off+4*n : off+4*n][:len(r0)]
+		r0 := f.sketchPlanes[off : off+n : off+n]
+		r1 := f.sketchPlanes[off+n : off+2*n : off+2*n][:len(r0)]
+		r2 := f.sketchPlanes[off+2*n : off+3*n : off+3*n][:len(r0)]
+		r3 := f.sketchPlanes[off+3*n : off+4*n : off+4*n][:len(r0)]
 		vs := v[:len(r0)]
 		var d0, d1, d2, d3 float64
-		if x.center == nil {
+		if f.center == nil {
 			for d, p0 := range r0 {
 				vv := vs[d]
 				d0 += p0 * vv
@@ -69,7 +69,7 @@ func (x *HyperplaneIndex) sketchInto(v []float64, dst []uint64) {
 				d3 += r3[d] * vv
 			}
 		} else {
-			ct := x.center[:len(r0)]
+			ct := f.center[:len(r0)]
 			for d, p0 := range r0 {
 				c := vs[d] - ct[d]
 				d0 += p0 * c
@@ -93,15 +93,15 @@ func (x *HyperplaneIndex) sketchInto(v []float64, dst []uint64) {
 	}
 	for ; b < nbits; b++ {
 		off := b * n
-		row := x.sketchPlanes[off : off+n : off+n]
+		row := f.sketchPlanes[off : off+n : off+n]
 		var dot float64
-		if x.center == nil {
+		if f.center == nil {
 			for d, p := range row {
 				dot += p * v[d]
 			}
 		} else {
 			for d, p := range row {
-				dot += p * (v[d] - x.center[d])
+				dot += p * (v[d] - f.center[d])
 			}
 		}
 		if dot >= 0 {

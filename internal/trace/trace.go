@@ -8,6 +8,7 @@ package trace
 import (
 	"encoding/json"
 	"fmt"
+	"sort"
 	"time"
 
 	"approxcache/internal/imu"
@@ -137,18 +138,17 @@ type Workload struct {
 }
 
 // IMUWindow returns the IMU samples in (from, to], the samples a
-// pipeline would have received between two frames.
+// pipeline would have received between two frames. IMU is sorted by
+// offset, so the window is a sub-slice found by binary search: it
+// aliases w.IMU (capped, so an append cannot reach the next sample) and
+// is for reading only. An empty window is nil.
 func (w *Workload) IMUWindow(from, to time.Duration) []imu.Sample {
-	// Samples are sorted by offset; binary search would be overkill
-	// for experiment-scale traces, but avoid re-scanning from zero by
-	// a simple scan (called with monotonically increasing windows).
-	var out []imu.Sample
-	for _, s := range w.IMU {
-		if s.Offset > from && s.Offset <= to {
-			out = append(out, s)
-		}
+	lo := sort.Search(len(w.IMU), func(i int) bool { return w.IMU[i].Offset > from })
+	hi := sort.Search(len(w.IMU), func(i int) bool { return w.IMU[i].Offset > to })
+	if lo >= hi {
+		return nil
 	}
-	return out
+	return w.IMU[lo:hi:hi]
 }
 
 // Generate renders the workload described by spec.

@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -146,6 +148,44 @@ func TestIMUWindow(t *testing.T) {
 	}
 	if len(w.IMUWindow(time.Hour, 2*time.Hour)) != 0 {
 		t.Fatal("out-of-range window not empty")
+	}
+}
+
+// TestIMUWindowMatchesScan holds the binary-search window to the linear
+// scan it replaced, element for element, over windows that start and end
+// on, between, before and after sample offsets (and inverted ones).
+func TestIMUWindowMatchesScan(t *testing.T) {
+	w, err := Generate(smallSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan := func(from, to time.Duration) []imu.Sample {
+		var out []imu.Sample
+		for _, s := range w.IMU {
+			if s.Offset > from && s.Offset <= to {
+				out = append(out, s)
+			}
+		}
+		return out
+	}
+	end := w.IMU[len(w.IMU)-1].Offset + 50*time.Millisecond
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		from := time.Duration(rng.Int63n(int64(end)+int64(100*time.Millisecond))) - 50*time.Millisecond
+		to := from + time.Duration(rng.Int63n(int64(300*time.Millisecond))) - 20*time.Millisecond
+		if i%3 == 0 { // land exactly on sample offsets
+			from = w.IMU[rng.Intn(len(w.IMU))].Offset
+			to = w.IMU[rng.Intn(len(w.IMU))].Offset
+		}
+		got, want := w.IMUWindow(from, to), scan(from, to)
+		if (got == nil) != (want == nil) || !slices.Equal(got, want) {
+			t.Fatalf("IMUWindow(%v, %v) = %d samples (nil %v), scan %d (nil %v)",
+				from, to, len(got), got == nil, len(want), want == nil)
+		}
+		if cap(got) != len(got) {
+			t.Fatalf("IMUWindow(%v, %v): cap %d > len %d lets an append overwrite the stream",
+				from, to, cap(got), len(got))
+		}
 	}
 }
 
