@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"approxcache"
+	"approxcache/internal/feature"
+	"approxcache/internal/p2p"
 )
 
 func testWorkload(t *testing.T, frames int) *approxcache.Workload {
@@ -173,6 +175,48 @@ func TestSimNetworkPeering(t *testing.T) {
 	counts := b.Stats().CountBySource()
 	if counts[approxcache.SourcePeer] == 0 {
 		t.Fatalf("no peer hits on device B: %v", counts)
+	}
+}
+
+// TestFacadeMeshSpeaksCompactUnprobed: the public mesh path never
+// pings, and its very first query is the compact frame all the same.
+func TestFacadeMeshSpeaksCompactUnprobed(t *testing.T) {
+	w := testWorkload(t, 10)
+	net, err := approxcache.NewSimNetwork(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clients := map[string]*approxcache.PeerClient{}
+	for _, name := range []string{"dev-a", "dev-b"} {
+		client, err := newCache(t, w, approxcache.Options{}).JoinSimNetwork(net, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clients[name] = client
+	}
+	if err := approxcache.ConnectAll(clients); err != nil {
+		t.Fatal(err)
+	}
+	vec := make(feature.Vector, 80)
+	for i := range vec {
+		vec[i] = float64(i) / 80
+	}
+	ca := clients["dev-a"]
+	if _, err := ca.QueryFrame(vec, 0); err != nil {
+		t.Fatal(err)
+	}
+	// marker, kind, K, dim varint, float32 scale and offset, 80 int8
+	// codes — and the size the engine charges radio energy for.
+	const compact = 92
+	ws := ca.WireStats()
+	if q := ws.Kinds["query"]; q.SentMsgs != 1 || q.SentBytes != compact {
+		t.Fatalf("first query = %+v, want one %d-byte frame", q, compact)
+	}
+	if got := p2p.QueryWireSize(len(vec)); got != compact {
+		t.Fatalf("QueryWireSize(%d) = %d, the frame is %d bytes", len(vec), got, compact)
+	}
+	if ws.SentMsgs != 1 {
+		t.Fatalf("something besides the query was sent: %+v", ws.Kinds)
 	}
 }
 

@@ -279,8 +279,7 @@ const p2pSample = `{
   "points": [
     {
       "bandwidth_mbps": 0.5,
-      "legacy": {"mode": "legacy-v1", "bytes_per_frame": 1160.0, "peer_hit_rate": 0.98, "mean_latency_ms": 12.5},
-      "compact": {"mode": "compact-v2", "bytes_per_frame": 111.0, "peer_hit_rate": 0.98, "mean_latency_ms": 4.0},
+      "compact": {"bytes_per_frame": 111.0, "peer_hit_rate": 0.98, "mean_latency_ms": 4.0},
       "bytes_reduction": 10.4
     }
   ],

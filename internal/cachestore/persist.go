@@ -20,11 +20,9 @@ import (
 
 // snapshotFormatVersion guards against incompatible snapshot files.
 // Version 2 adds a checksummed header so a torn write (power loss
-// mid-save, truncated copy) is detected before any entry is trusted;
-// version 1 files (bare JSON) are still readable.
+// mid-save, truncated copy) is detected before any entry is trusted.
 const (
 	snapshotFormatVersion       = 2
-	snapshotLegacyVersion       = 1
 	snapshotMagic               = "approxcache-snapshot"
 	snapshotHeaderFmt           = snapshotMagic + " v%d crc32=%08x\n"
 	snapshotMaxHeaderLen        = 128
@@ -123,21 +121,11 @@ func (enc *snapshotEncoder) writeTo(w io.Writer) error {
 
 // readSnapshot decodes and fully validates a snapshot from r without
 // touching any store: the caller only sees entries that passed the
-// checksum (v2), strict JSON decoding, and per-entry validation, so
-// import is all-or-nothing. Headerless files are tried as legacy v1
-// bare JSON. Shared by every store shape.
+// checksum, strict JSON decoding, and per-entry validation, so import
+// is all-or-nothing. A file without the header line has no checksum to
+// trust and is corrupt. Shared by every store shape.
 func readSnapshot(r io.Reader) (wireSnapshot, error) {
-	br := bufio.NewReader(r)
-	peek, err := br.Peek(len(snapshotMagic))
-	if err != nil && !errors.Is(err, io.EOF) {
-		return wireSnapshot{}, fmt.Errorf("%w: %v", ErrCorruptSnapshot, err)
-	}
-	var in wireSnapshot
-	if string(peek) == snapshotMagic {
-		in, err = decodeV2(br)
-	} else {
-		in, err = decodeLegacy(br)
-	}
+	in, err := decodeV2(bufio.NewReader(r))
 	if err != nil {
 		return wireSnapshot{}, err
 	}
@@ -274,24 +262,6 @@ func decodeV2(br *bufio.Reader) (wireSnapshot, error) {
 	if in.Version != snapshotFormatVersion {
 		return in, fmt.Errorf("%w: payload version %d, want %d",
 			ErrCorruptSnapshot, in.Version, snapshotFormatVersion)
-	}
-	return in, nil
-}
-
-// decodeLegacy parses a headerless v1 snapshot: bare JSON with no
-// checksum to verify.
-func decodeLegacy(br *bufio.Reader) (wireSnapshot, error) {
-	var in wireSnapshot
-	payload, err := io.ReadAll(io.LimitReader(br, snapshotMaxPayloadMegabytes<<20))
-	if err != nil {
-		return in, fmt.Errorf("%w: %v", ErrCorruptSnapshot, err)
-	}
-	if err := decodeStrict(payload, &in); err != nil {
-		return in, err
-	}
-	if in.Version != snapshotLegacyVersion {
-		return in, fmt.Errorf("%w: version %d, want %d",
-			ErrCorruptSnapshot, in.Version, snapshotLegacyVersion)
 	}
 	return in, nil
 }

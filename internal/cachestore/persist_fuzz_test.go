@@ -47,13 +47,13 @@ func FuzzImport(f *testing.F) {
 	flip := append([]byte(nil), good...)
 	flip[len(flip)/2] ^= 0x01
 	f.Add(flip)                                   // bit rot
-	f.Add([]byte(`{"version":1,"entries":[]}`))   // legacy v1
+	f.Add([]byte(`{"version":1,"entries":[]}`))   // headerless: rejected
 	f.Add([]byte(`{"version":99,"entries":[]}`))  // future version
 	f.Add([]byte(snapshotMagic + " v2 crc32=zz")) // mangled header
 	f.Add([]byte(snapshotMagic + " v2 crc32=00000000\n{}"))
 	f.Add([]byte(strings.Repeat("A", 300))) // oversize junk header
 	f.Add([]byte{})
-	f.Add([]byte(`{"version":1,"entries":[{"vec":[1e999],"label":"x"}]}`))
+	f.Add([]byte(framed(`{"version":2,"entries":[{"vec":[1e999],"label":"x"}]}`)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dst := mkStore()

@@ -84,14 +84,14 @@ func TestImportErrors(t *testing.T) {
 	if _, err := dst.Import(strings.NewReader("{")); err == nil {
 		t.Fatal("bad json accepted")
 	}
-	if _, err := dst.Import(strings.NewReader(`{"version":99,"entries":[]}`)); err == nil {
+	if _, err := dst.Import(strings.NewReader(framed(`{"version":99,"entries":[]}`))); err == nil {
 		t.Fatal("wrong version accepted")
 	}
-	bad := `{"version":1,"entries":[{"vec":[],"label":"x"}]}`
+	bad := framed(`{"version":2,"entries":[{"vec":[],"label":"x"}]}`)
 	if _, err := dst.Import(strings.NewReader(bad)); err == nil {
 		t.Fatal("empty vector entry accepted")
 	}
-	bad = `{"version":1,"entries":[{"vec":[1,2],"label":""}]}`
+	bad = framed(`{"version":2,"entries":[{"vec":[1,2],"label":""}]}`)
 	if _, err := dst.Import(strings.NewReader(bad)); err == nil {
 		t.Fatal("empty label entry accepted")
 	}
@@ -101,11 +101,11 @@ func TestImportCorruptSnapshotLeavesStoreEmpty(t *testing.T) {
 	// One good entry followed by one bad: all-or-nothing validation
 	// must reject the whole file and insert nothing.
 	dst, _ := newTestStore(t, Config{Capacity: 8})
-	payload := `{"version":1,"entries":[
+	payload := `{"version":2,"entries":[
 		{"vec":[1,0],"label":"ok","confidence":1,"source":"dnn","savedCostMicros":1000},
 		{"vec":[],"label":"bad"}
 	]}`
-	n, err := dst.Import(strings.NewReader(payload))
+	n, err := dst.Import(strings.NewReader(framed(payload)))
 	if !errors.Is(err, ErrCorruptSnapshot) {
 		t.Fatalf("err = %v, want ErrCorruptSnapshot", err)
 	}

@@ -3,10 +3,19 @@ package cachestore
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"hash/crc32"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 )
+
+// framed puts a valid header on payload, so a test of what Import makes
+// of a payload is not stopped at the checksum.
+func framed(payload string) string {
+	return fmt.Sprintf(snapshotHeaderFmt, snapshotFormatVersion, crc32.ChecksumIEEE([]byte(payload))) + payload
+}
 
 func exportedSnapshot(t *testing.T) string {
 	t.Helper()
@@ -95,7 +104,7 @@ func TestImportRejectsNonFiniteVectors(t *testing.T) {
 	// JSON can't carry NaN directly, but 1e999 decodes to +Inf via
 	// legacy float parsing paths; guard the validation regardless.
 	dst, _ := newTestStore(t, Config{Capacity: 8})
-	bad := `{"version":1,"entries":[{"vec":[1,1e999],"label":"x","confidence":1,"source":"dnn"}]}`
+	bad := framed(`{"version":2,"entries":[{"vec":[1,1e999],"label":"x","confidence":1,"source":"dnn"}]}`)
 	if _, err := dst.Import(strings.NewReader(bad)); !errors.Is(err, ErrCorruptSnapshot) {
 		// Some decoders reject 1e999 outright; either way it must not land.
 		if err == nil {
@@ -107,28 +116,29 @@ func TestImportRejectsNonFiniteVectors(t *testing.T) {
 	}
 }
 
-func TestImportLegacyV1(t *testing.T) {
-	// Pre-header snapshots (bare JSON, version 1) still warm-start.
+func TestImportRejectsHeaderless(t *testing.T) {
+	// A pre-header snapshot (bare JSON, version 1) carries no checksum:
+	// it is corrupt like any other file without the magic.
 	legacy := `{"version":1,"entries":[
 		{"vec":[1,0],"label":"cat","confidence":0.9,"source":"dnn","savedCostMicros":1000}
 	]}`
 	dst, _ := newTestStore(t, Config{Capacity: 8})
+	if _, err := dst.Insert(vec(0, 1), "dog", 0.9, "dnn", time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	before := dst.Snapshot()
 	n, err := dst.Import(strings.NewReader(legacy))
-	if err != nil || n != 1 {
-		t.Fatalf("legacy import = %d, %v", n, err)
+	if !errors.Is(err, ErrCorruptSnapshot) || n != 0 {
+		t.Fatalf("headerless import = %d, %v, want ErrCorruptSnapshot", n, err)
 	}
-	ns, err := dst.Nearest(vec(1, 0), 1)
-	if err != nil || len(ns) == 0 {
-		t.Fatalf("legacy entry not indexed: %v", err)
-	}
-	if e, ok := dst.Get(ns[0].ID); !ok || e.Label != "cat" {
-		t.Fatalf("legacy entry = %+v", e)
+	if after := dst.Snapshot(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("rejected import changed the store: %+v -> %+v", before, after)
 	}
 }
 
 func TestImportTrailingGarbage(t *testing.T) {
 	dst, _ := newTestStore(t, Config{Capacity: 8})
-	withTrailer := `{"version":1,"entries":[]}{"version":1}`
+	withTrailer := framed(`{"version":2,"entries":[]}{"version":2}`)
 	if _, err := dst.Import(strings.NewReader(withTrailer)); !errors.Is(err, ErrCorruptSnapshot) {
 		t.Fatalf("trailing garbage accepted: %v", err)
 	}

@@ -1015,9 +1015,7 @@ func (e *Engine) processApprox(im *vision.Image, imuWindow []imu.Sample, imuOK b
 			}
 			if out.Queried > 0 {
 				latency += out.Cost
-				// The client knows which codec its peer set negotiated,
-				// so the radio model charges the actual request size.
-				reqSize := peers.QueryWireSize(len(vec))
+				reqSize := p2p.QueryWireSize(len(vec))
 				energy += e.cfg.Radio.RTTCost(reqSize, 32)
 				e.stats.Add(metrics.EventPeerQuery, 1)
 				if out.Found {
@@ -1104,7 +1102,7 @@ func (e *Engine) processApprox(im *vision.Image, imuWindow []imu.Sample, imuOK b
 			// Gossip is asynchronous on a real device: it costs radio
 			// energy but does not extend the frame's latency.
 			if _, err := peers.Gossip(vec, inf.Label, inf.Confidence, inf.Latency); err == nil {
-				size := peers.GossipWireSize(len(vec), len(inf.Label))
+				size := p2p.GossipWireSize(len(vec), len(inf.Label))
 				energy += e.cfg.Radio.MessageCost(size) * float64(len(peers.Peers()))
 			}
 		}

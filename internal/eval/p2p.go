@@ -14,14 +14,23 @@ import (
 	"approxcache/internal/simnet"
 )
 
-// E25 — bandwidth-constrained peer sharing. The compact comms stack
-// (wire codec v2's int8 quantized vectors, epoch-delta digests, query
-// coalescing, gossip batching) is measured against the legacy v1
-// float64 protocol on simulated links from a fraction of the default
-// 3 MB/s down. Both modes replay the identical workload on identical
-// deterministic links (no loss, no jitter), so bytes/frame, peer-query
-// latency, and peer hit rate are directly comparable; cmd/benchgate
-// gates the bytes/frame reduction at no hit-rate loss.
+// E25 — bandwidth-constrained peer sharing. The comms stack (the wire
+// codec's int8 quantized vectors, epoch-delta digests, query
+// coalescing, gossip batching) is measured on simulated links from a
+// fraction of the default 3 MB/s down, on deterministic links (no loss,
+// no jitter). cmd/benchgate gates bytes/frame against what the deleted
+// float64 protocol paid for the same workload, at no hit-rate loss.
+
+// The float64 protocol (fixed-width fields, 8 B per vector dimension,
+// full digest refetches, no coalescing or batching) as last measured at
+// commit 8eee810 on the default E25 config: 1 244 664 B sent + 151 630 B
+// received over 1 200 session-frames, every query a peer hit, identical
+// at all three bandwidths. PR 22 deleted that protocol; these figures
+// are its record, so a run at another config still divides by them.
+const (
+	legacyBytesPerFrame = (1244664 + 151630) / 1200.0 // 1163.58
+	legacyHitRate       = 1.0
+)
 
 // P2PConfig parameterizes the bandwidth-constrained peer benchmark.
 type P2PConfig struct {
@@ -99,9 +108,8 @@ func (c P2PConfig) Validate() error {
 	return nil
 }
 
-// P2PModeResult is one protocol mode's measurements at one bandwidth.
-type P2PModeResult struct {
-	Mode string `json:"mode"`
+// P2PResult is the measurements at one bandwidth.
+type P2PResult struct {
 	// BytesPerFrame is total client wire traffic (sent + received)
 	// divided by session-frames (Frames × Sessions).
 	BytesPerFrame float64 `json:"bytes_per_frame"`
@@ -122,13 +130,12 @@ type P2PModeResult struct {
 	DigestBytes int64 `json:"digest_bytes"`
 }
 
-// P2PPoint compares the two modes at one bandwidth.
+// P2PPoint is one bandwidth of the sweep.
 type P2PPoint struct {
-	BandwidthMBps  float64       `json:"bandwidth_mbps"`
-	Legacy         P2PModeResult `json:"legacy"`
-	Compact        P2PModeResult `json:"compact"`
-	BytesReduction float64       `json:"bytes_reduction"`
-	LatencySpeedup float64       `json:"latency_speedup"`
+	BandwidthMBps float64   `json:"bandwidth_mbps"`
+	Compact       P2PResult `json:"compact"`
+	// BytesReduction is legacyBytesPerFrame over Compact.BytesPerFrame.
+	BytesReduction float64 `json:"bytes_reduction"`
 }
 
 // P2PReport is the benchmark's JSON artifact (BENCH_p2p.json).
@@ -138,15 +145,17 @@ type P2PReport struct {
 	Frames   int        `json:"frames"`
 	Dim      int        `json:"dim"`
 	Points   []P2PPoint `json:"points"`
-	// Gate fields, measured at the most constrained bandwidth.
+	// Gate fields, measured at the most constrained bandwidth;
+	// HitLegacy is the legacyHitRate constant.
 	ConstrainedMBps float64 `json:"constrained_mbps"`
 	BytesReduction  float64 `json:"bytes_reduction"`
 	HitLegacy       float64 `json:"hit_legacy"`
 	HitCompact      float64 `json:"hit_compact"`
 }
 
-// p2pWorkload is the pre-generated deterministic workload both modes
-// replay: per-frame query vectors (shared by all sessions of a frame)
+// p2pWorkload is the pre-generated deterministic workload every
+// bandwidth replays: per-frame query vectors (shared by all sessions of
+// a frame)
 // and the gossip stream.
 type p2pWorkload struct {
 	queries    []feature.Vector
@@ -179,14 +188,9 @@ func perturb(center feature.Vector, rng *rand.Rand, sigma float64) feature.Vecto
 	return v
 }
 
-// runP2PMode replays the workload through one protocol mode on a fresh
-// deterministic network.
-func runP2PMode(cfg P2PConfig, bwMBps float64, compact bool, centers []feature.Vector, w p2pWorkload) (P2PModeResult, error) {
-	mode := "legacy-v1"
-	if compact {
-		mode = "compact-v2"
-	}
-	res := P2PModeResult{Mode: mode}
+// runP2P replays the workload on a fresh deterministic network.
+func runP2P(cfg P2PConfig, bwMBps float64, centers []feature.Vector, w p2pWorkload) (P2PResult, error) {
+	var res P2PResult
 	link := simnet.LinkProfile{
 		Latency:      6 * time.Millisecond,
 		BandwidthBps: int64(bwMBps * (1 << 20)),
@@ -214,9 +218,7 @@ func runP2PMode(cfg P2PConfig, bwMBps float64, compact bool, centers []feature.V
 				return res, err
 			}
 		}
-		svcCfg := p2p.DefaultServiceConfig(names[i])
-		svcCfg.WireV1Only = !compact
-		svc, err := p2p.NewService(svcCfg, st)
+		svc, err := p2p.NewService(p2p.DefaultServiceConfig(names[i]), st)
 		if err != nil {
 			return res, err
 		}
@@ -230,20 +232,15 @@ func runP2PMode(cfg P2PConfig, bwMBps float64, compact bool, centers []feature.V
 	}
 	ccfg := p2p.DefaultClientConfig()
 	ccfg.Clock = clock
-	if compact {
-		ccfg.CoalesceTTL = 150 * time.Millisecond
-		ccfg.GossipBatch = 8
-		ccfg.GossipFlush = 500 * time.Millisecond
-	} else {
-		ccfg.WireV1Only = true
-	}
+	ccfg.CoalesceTTL = 150 * time.Millisecond
+	ccfg.GossipBatch = 8
+	ccfg.GossipFlush = 500 * time.Millisecond
 	client, err := p2p.NewClient(ccfg, tr)
 	if err != nil {
 		return res, err
 	}
 	client.SetPeers(names)
-	// Roster-style warm-up: ping every peer (this is where the compact
-	// mode negotiates v2), then fetch initial digests.
+	// Roster-style warm-up: ping every peer, then fetch initial digests.
 	for _, peer := range names {
 		if _, _, err := client.Ping("main", peer); err != nil {
 			return res, fmt.Errorf("ping %s: %w", peer, err)
@@ -300,7 +297,7 @@ func runP2PMode(cfg P2PConfig, bwMBps float64, compact bool, centers []feature.V
 	res.AvgBatchItems = ws.AvgBatch()
 	for kind, ks := range ws.Kinds {
 		switch kind {
-		case "digest-req", "digest-resp", "digest-delta-req", "digest-delta-resp":
+		case "digest-delta-req", "digest-delta-resp":
 			res.DigestBytes += ks.SentBytes + ks.RecvBytes
 		}
 	}
@@ -314,8 +311,7 @@ func runP2PMode(cfg P2PConfig, bwMBps float64, compact bool, centers []feature.V
 	return res, nil
 }
 
-// RunP2P sweeps link bandwidth, replaying the same workload through
-// the legacy v1 protocol and the compact v2 stack.
+// RunP2P sweeps link bandwidth, replaying the same workload at each.
 func RunP2P(cfg P2PConfig) (P2PReport, error) {
 	cfg.defaults()
 	if err := cfg.Validate(); err != nil {
@@ -342,27 +338,20 @@ func RunP2P(cfg P2PConfig) (P2PReport, error) {
 	bws := append([]float64(nil), cfg.BandwidthsMBps...)
 	sort.Float64s(bws)
 	for _, bw := range bws {
-		legacy, err := runP2PMode(cfg, bw, false, centers, w)
+		compact, err := runP2P(cfg, bw, centers, w)
 		if err != nil {
-			return P2PReport{}, fmt.Errorf("legacy @ %.2f MB/s: %w", bw, err)
+			return P2PReport{}, fmt.Errorf("@ %.2f MB/s: %w", bw, err)
 		}
-		compact, err := runP2PMode(cfg, bw, true, centers, w)
-		if err != nil {
-			return P2PReport{}, fmt.Errorf("compact @ %.2f MB/s: %w", bw, err)
-		}
-		pt := P2PPoint{BandwidthMBps: bw, Legacy: legacy, Compact: compact}
+		pt := P2PPoint{BandwidthMBps: bw, Compact: compact}
 		if compact.BytesPerFrame > 0 {
-			pt.BytesReduction = legacy.BytesPerFrame / compact.BytesPerFrame
-		}
-		if compact.MeanLatencyMS > 0 {
-			pt.LatencySpeedup = legacy.MeanLatencyMS / compact.MeanLatencyMS
+			pt.BytesReduction = legacyBytesPerFrame / compact.BytesPerFrame
 		}
 		report.Points = append(report.Points, pt)
 	}
 	gate := report.Points[0] // most constrained bandwidth
 	report.ConstrainedMBps = gate.BandwidthMBps
 	report.BytesReduction = gate.BytesReduction
-	report.HitLegacy = gate.Legacy.PeerHitRate
+	report.HitLegacy = legacyHitRate
 	report.HitCompact = gate.Compact.PeerHitRate
 	return report, nil
 }
@@ -385,27 +374,25 @@ func E25P2PWire(s Scale) (Report, error) {
 		ID: "E25",
 		Title: fmt.Sprintf("Compact P2P wire protocol (%d peers, %d sessions, %d frames, dim %d)",
 			rep.Nodes, rep.Sessions, rep.Frames, rep.Dim),
-		Headers: []string{"bandwidth", "mode", "bytes/frame", "hit-rate", "mean-ms", "p95-ms", "coalesced", "batches"},
+		Headers: []string{"bandwidth", "bytes/frame", "hit-rate", "mean-ms", "p95-ms", "coalesced", "batches"},
 		Notes: []string{
-			"quantized codec v2 + delta digests + query coalescing + gossip batching vs the v1 float64 protocol",
-			fmt.Sprintf("at %.2f MB/s: %.1fx bytes/frame reduction, hit rate %.3f -> %.3f",
-				rep.ConstrainedMBps, rep.BytesReduction, rep.HitLegacy, rep.HitCompact),
+			"quantized codec + delta digests + query coalescing + gossip batching",
+			fmt.Sprintf("at %.2f MB/s: %.1fx fewer bytes/frame than the deleted float64 protocol's recorded %.1f (default config), hit rate %.3f -> %.3f",
+				rep.ConstrainedMBps, rep.BytesReduction, legacyBytesPerFrame, rep.HitLegacy, rep.HitCompact),
 		},
 		Data: rep,
 	}
 	for _, pt := range rep.Points {
-		for _, m := range []P2PModeResult{pt.Legacy, pt.Compact} {
-			report.Rows = append(report.Rows, []string{
-				fmt.Sprintf("%.2f MB/s", pt.BandwidthMBps),
-				m.Mode,
-				fmt.Sprintf("%.1f", m.BytesPerFrame),
-				fmt.Sprintf("%.3f", m.PeerHitRate),
-				fmt.Sprintf("%.2f", m.MeanLatencyMS),
-				fmt.Sprintf("%.2f", m.P95LatencyMS),
-				fmt.Sprintf("%d", m.CoalescedInFlight+m.CoalescedCached),
-				fmt.Sprintf("%d", m.Batches),
-			})
-		}
+		m := pt.Compact
+		report.Rows = append(report.Rows, []string{
+			fmt.Sprintf("%.2f MB/s", pt.BandwidthMBps),
+			fmt.Sprintf("%.1f", m.BytesPerFrame),
+			fmt.Sprintf("%.3f", m.PeerHitRate),
+			fmt.Sprintf("%.2f", m.MeanLatencyMS),
+			fmt.Sprintf("%.2f", m.P95LatencyMS),
+			fmt.Sprintf("%d", m.CoalescedInFlight+m.CoalescedCached),
+			fmt.Sprintf("%d", m.Batches),
+		})
 	}
 	return report, nil
 }

@@ -20,8 +20,8 @@ func TestRunP2P(t *testing.T) {
 	if rep.HitCompact < rep.HitLegacy {
 		t.Fatalf("compact hit rate %.3f dropped below legacy %.3f", rep.HitCompact, rep.HitLegacy)
 	}
-	if rep.HitLegacy == 0 {
-		t.Fatal("legacy peer hit rate is zero; workload is broken")
+	if rep.HitCompact == 0 {
+		t.Fatal("peer hit rate is zero; workload is broken")
 	}
 	pt := rep.Points[0]
 	if pt.Compact.CoalescedCached == 0 && pt.Compact.CoalescedInFlight == 0 {
@@ -30,14 +30,11 @@ func TestRunP2P(t *testing.T) {
 	if pt.Compact.Batches == 0 {
 		t.Fatal("compact mode never batched gossip")
 	}
-	if pt.Legacy.CoalescedCached != 0 || pt.Legacy.CoalescedInFlight != 0 || pt.Legacy.Batches != 0 {
-		t.Fatal("legacy mode must not coalesce or batch")
-	}
-	// A constrained link must not change what bytes are sent — only how
-	// long they take.
-	if rep.Points[0].Legacy.SentBytes != rep.Points[1].Legacy.SentBytes {
-		t.Fatalf("legacy bytes vary with bandwidth: %d vs %d",
-			rep.Points[0].Legacy.SentBytes, rep.Points[1].Legacy.SentBytes)
+	// A constrained link must not change how many messages are sent —
+	// only how long they take.
+	if rep.Points[0].Compact.Messages != rep.Points[1].Compact.Messages {
+		t.Fatalf("message count varies with bandwidth: %d vs %d",
+			rep.Points[0].Compact.Messages, rep.Points[1].Compact.Messages)
 	}
 }
 
@@ -61,8 +58,8 @@ func TestE25P2PWireShape(t *testing.T) {
 	if r.ID != "E25" {
 		t.Fatalf("id = %q", r.ID)
 	}
-	// Two rows (legacy + compact) per bandwidth point.
-	if len(r.Rows) == 0 || len(r.Rows)%2 != 0 {
+	// One row per bandwidth point.
+	if len(r.Rows) != 3 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
 	for _, row := range r.Rows {

@@ -79,10 +79,6 @@ type ClientConfig struct {
 	// flush timing. Nil selects the wall clock; experiments inject
 	// their virtual clock so these heal/expire in simulated time.
 	Clock simclock.Clock
-	// WireV1Only pins the client to the v1 float64 codec and disables
-	// version negotiation, emulating a legacy node for interop tests
-	// and the bandwidth baseline.
-	WireV1Only bool
 	// CoalesceTTL enables the peer-answer cache: a completed query
 	// outcome — positive or negative — is replayed at zero wire cost
 	// for identical vectors (same quantized code) arriving within the
@@ -91,9 +87,8 @@ type ClientConfig struct {
 	// identical queries joining one exchange) is always on.
 	CoalesceTTL time.Duration
 	// GossipBatch coalesces outgoing gossip into batches of up to
-	// this many items per flush; <=1 sends each gossip immediately.
-	// Batches reach v2 peers as one message; v1 peers still receive
-	// the items individually, just deferred to the flush.
+	// this many items per flush; <=1 sends each gossip immediately. A
+	// flush reaches each peer as one GossipBatch message.
 	GossipBatch int
 	// GossipFlush bounds how long a queued gossip item waits for its
 	// batch to fill (default 100ms when batching is enabled). Flushes
@@ -158,7 +153,6 @@ type Client struct {
 	mu       sync.Mutex
 	peers    []string
 	digests  map[string]Digest
-	versions map[string]int
 	deltas   map[string]*peerDigestState
 	flights  map[string]*flight
 	answers  map[string]answerEntry
@@ -218,7 +212,6 @@ func NewClient(cfg ClientConfig, transport Transport) (*Client, error) {
 		breaker:   breaker,
 		clock:     clock,
 		digests:   make(map[string]Digest),
-		versions:  make(map[string]int),
 		deltas:    make(map[string]*peerDigestState),
 		flights:   make(map[string]*flight),
 		answers:   make(map[string]answerEntry),
@@ -228,31 +221,6 @@ func NewClient(cfg ClientConfig, transport Transport) (*Client, error) {
 // WireStats returns this client's per-kind wire traffic and
 // coalescing/batching counters.
 func (c *Client) WireStats() metrics.WireStats { return c.wire.Snapshot() }
-
-// peerVersion returns the negotiated wire version for peer (0 when not
-// yet negotiated).
-func (c *Client) peerVersion(peer string) int {
-	if c.cfg.WireV1Only {
-		return WireV1
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.versions[peer]
-}
-
-func (c *Client) setPeerVersion(peer string, ver int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.versions[peer] = ver
-}
-
-// useV2 reports whether peer has negotiated the compact v2 codec.
-// Unknown peers get v1 — the codec every node speaks — so the hot path
-// never gambles a query on an unprobed peer; negotiation rides the
-// liveness pings (roster refresh, maintainer, ProbeOpen).
-func (c *Client) useV2(peer string) bool {
-	return c.peerVersion(peer) == WireV2
-}
 
 // encBufPool recycles encode buffers for the peer hot path.
 var encBufPool = sync.Pool{
@@ -307,45 +275,10 @@ func (c *Client) Breaker() *Breaker { return c.breaker }
 // subsequent Queries can skip the peer when it cannot possibly help.
 // Call it periodically (the digest staleness trade-off is the usual
 // one: a stale digest only costs missed hits or wasted queries).
-// Peers that negotiated wire v2 are asked for an epoch delta — only
-// the centroids added or removed since the last fetch cross the link —
-// while v1 peers ship the full digest every time.
+// The exchange is an epoch delta: the first fetch (or one the peer can
+// no longer serve a delta for) returns the full digest, later ones only
+// the centroids added or removed since, applied to the local mirror.
 func (c *Client) FetchDigest(peer string) (Digest, time.Duration, error) {
-	if c.useV2(peer) {
-		return c.fetchDigestDelta(peer)
-	}
-	req, err := Encode(DigestReq{})
-	if err != nil {
-		return Digest{}, 0, fmt.Errorf("encode digest req: %w", err)
-	}
-	c.wire.Sent(KindDigestReq.String(), len(req))
-	respB, rtt, err := c.transport.Call(peer, req)
-	if err != nil {
-		c.record(peer, rtt, err)
-		return Digest{}, rtt, err
-	}
-	msg, err := Decode(respB)
-	if err != nil {
-		c.record(peer, rtt, err)
-		return Digest{}, rtt, err
-	}
-	c.wire.Recv(msg.MsgKind().String(), len(respB))
-	resp, ok := msg.(DigestResp)
-	if !ok {
-		err := fmt.Errorf("%w: %v reply to digest req", ErrUnknownKind, msg.MsgKind())
-		c.record(peer, rtt, err)
-		return Digest{}, rtt, err
-	}
-	c.record(peer, rtt, nil)
-	c.mu.Lock()
-	c.digests[peer] = resp.Digest
-	c.mu.Unlock()
-	return resp.Digest, rtt, nil
-}
-
-// fetchDigestDelta refreshes peer's digest via the epoch-delta
-// protocol, applying added/removed centroids to the local mirror.
-func (c *Client) fetchDigestDelta(peer string) (Digest, time.Duration, error) {
 	c.mu.Lock()
 	st := c.deltas[peer]
 	if st == nil {
@@ -355,7 +288,7 @@ func (c *Client) fetchDigestDelta(peer string) (Digest, time.Duration, error) {
 	since := st.epoch
 	c.mu.Unlock()
 	bufp := getEncBuf()
-	req, err := AppendEncodeV2(*bufp, DigestDeltaReq{Since: since})
+	req, err := AppendEncode(*bufp, DigestDeltaReq{Since: since})
 	if err != nil {
 		putEncBuf(bufp)
 		return Digest{}, 0, fmt.Errorf("encode digest delta req: %w", err)
@@ -430,7 +363,8 @@ func (c *Client) digestAllows(peer string, vec feature.Vector) bool {
 	return false
 }
 
-// SetPeers replaces the peer set.
+// SetPeers replaces the peer set. A departed peer's cached digest and
+// delta-sync state stay until the caller's DropDigest.
 func (c *Client) SetPeers(peers []string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -528,8 +462,8 @@ func (c *Client) QueryFrame(vec feature.Vector, budget time.Duration) (QueryOutc
 	return out, err
 }
 
-// queryKey is the coalescing identity of a query: the quantized v2
-// vector encoding, so two vectors share a key exactly when they are
+// queryKey is the coalescing identity of a query: the quantized vector
+// encoding, so two vectors share a key exactly when they are
 // indistinguishable on the wire.
 func queryKey(vec feature.Vector) (string, error) {
 	bufp := getEncBuf()
@@ -594,40 +528,15 @@ func (c *Client) storeAnswer(key string, out QueryOutcome) {
 }
 
 // queryAdmitted runs the actual peer fan-out for one query, encoding
-// the request once per wire dialect from pooled buffers.
+// the request once into a pooled buffer.
 func (c *Client) queryAdmitted(vec feature.Vector, budget time.Duration, admitted []string) (QueryOutcome, error) {
-	q := Query{Vec: vec, K: uint8(c.cfg.K)}
-	var v1p, v2p *[]byte
-	defer func() {
-		if v1p != nil {
-			putEncBuf(v1p)
-		}
-		if v2p != nil {
-			putEncBuf(v2p)
-		}
-	}()
-	reqFor := func(peer string) ([]byte, error) {
-		if c.useV2(peer) {
-			if v2p == nil {
-				v2p = getEncBuf()
-				b, err := AppendEncodeV2(*v2p, q)
-				if err != nil {
-					return nil, err
-				}
-				*v2p = b
-			}
-			return *v2p, nil
-		}
-		if v1p == nil {
-			v1p = getEncBuf()
-			b, err := AppendEncode(*v1p, q)
-			if err != nil {
-				return nil, err
-			}
-			*v1p = b
-		}
-		return *v1p, nil
+	bufp := getEncBuf()
+	defer putEncBuf(bufp)
+	req, err := AppendEncode(*bufp, Query{Vec: vec, K: uint8(c.cfg.K)})
+	if err != nil {
+		return QueryOutcome{}, fmt.Errorf("encode query: %w", err)
 	}
+	*bufp = req
 	var out QueryOutcome
 	var maxRTT time.Duration
 	for _, peer := range admitted {
@@ -636,10 +545,6 @@ func (c *Client) queryAdmitted(vec feature.Vector, budget time.Duration, admitte
 			// half-open probe admission without an exchange.
 			c.breaker.OnSuccess(peer)
 			continue
-		}
-		req, err := reqFor(peer)
-		if err != nil {
-			return QueryOutcome{}, fmt.Errorf("encode query: %w", err)
 		}
 		c.wire.Sent(KindQuery.String(), len(req))
 		respB, rtt, callErr := c.transport.Call(peer, req)
@@ -701,8 +606,8 @@ func (c *Client) queryAdmitted(vec feature.Vector, budget time.Duration, admitte
 // With GossipBatch > 1 the item is queued instead of sent: the queue
 // flushes when it reaches GossipBatch items or the oldest item has
 // waited GossipFlush (checked lazily on enqueue and on QueryFrame, or
-// explicitly via FlushGossip). v2 peers receive the whole batch as one
-// message; v1 peers receive the items individually at the flush.
+// explicitly via FlushGossip). Each peer receives the whole batch as
+// one message.
 func (c *Client) Gossip(vec feature.Vector, label string, confidence float64, savedCost time.Duration) (time.Duration, error) {
 	item := Gossip{Vec: vec, Label: label, Confidence: confidence, SavedCost: savedCost}
 	if c.cfg.GossipBatch <= 1 {
@@ -770,10 +675,8 @@ func (c *Client) gossipFlushInterval() time.Duration {
 	return 100 * time.Millisecond
 }
 
-// deliverGossip fans the items out to admitted peers. A v2 peer gets
-// one frame (a GossipBatch when len(items) > 1); a v1 peer gets one
-// frame per item, sent back-to-back — its cost is the sum, which is
-// exactly the per-message overhead batching exists to avoid.
+// deliverGossip fans the items out to admitted peers, one frame per
+// peer: a Gossip for a single item, a GossipBatch for several.
 func (c *Client) deliverGossip(items []Gossip) (time.Duration, error) {
 	peers := c.Peers()
 	if len(peers) == 0 {
@@ -791,76 +694,28 @@ func (c *Client) deliverGossip(items []Gossip) (time.Duration, error) {
 	if len(admitted) == 0 {
 		return 0, nil
 	}
-	var v1p, v2p *[]byte
-	var v1msgs [][]byte
-	defer func() {
-		if v1p != nil {
-			putEncBuf(v1p)
-		}
-		if v2p != nil {
-			putEncBuf(v2p)
-		}
-	}()
+	var m Message = items[0]
+	if len(items) > 1 {
+		m = GossipBatch{Items: items}
+	}
+	bufp := getEncBuf()
+	defer putEncBuf(bufp)
+	payload, err := AppendEncode(*bufp, m)
+	if err != nil {
+		return 0, fmt.Errorf("encode gossip: %w", err)
+	}
+	*bufp = payload
 	var maxCost time.Duration
 	for _, peer := range admitted {
-		if c.useV2(peer) {
-			if v2p == nil {
-				v2p = getEncBuf()
-				var m Message
-				if len(items) == 1 {
-					m = items[0]
-				} else {
-					m = GossipBatch{Items: items}
-				}
-				b, err := AppendEncodeV2(*v2p, m)
-				if err != nil {
-					return maxCost, fmt.Errorf("encode gossip: %w", err)
-				}
-				*v2p = b
-			}
-			kind := KindGossip
-			if len(items) > 1 {
-				kind = KindGossipBatch
-			}
-			cost, ok := c.sendGossipPayload(peer, *v2p, kind)
-			if ok {
-				if len(items) > 1 {
-					c.wire.ObserveBatch(len(items))
-				}
-				if cost > maxCost {
-					maxCost = cost
-				}
-			}
+		cost, ok := c.sendGossipPayload(peer, payload, m.MsgKind())
+		if !ok {
 			continue
 		}
-		if v1msgs == nil {
-			v1p = getEncBuf()
-			buf := *v1p
-			offsets := make([]int, 0, len(items)+1)
-			offsets = append(offsets, 0)
-			for _, g := range items {
-				var err error
-				buf, err = AppendEncode(buf, g)
-				if err != nil {
-					return maxCost, fmt.Errorf("encode gossip: %w", err)
-				}
-				offsets = append(offsets, len(buf))
-			}
-			*v1p = buf
-			v1msgs = make([][]byte, len(items))
-			for i := range items {
-				v1msgs[i] = buf[offsets[i]:offsets[i+1]]
-			}
+		if len(items) > 1 {
+			c.wire.ObserveBatch(len(items))
 		}
-		var peerCost time.Duration
-		for _, payload := range v1msgs {
-			cost, ok := c.sendGossipPayload(peer, payload, KindGossip)
-			if ok {
-				peerCost += cost
-			}
-		}
-		if peerCost > maxCost {
-			maxCost = peerCost
+		if cost > maxCost {
+			maxCost = cost
 		}
 	}
 	return maxCost, nil
@@ -888,61 +743,10 @@ func (c *Client) sendGossipPayload(peer string, payload []byte, kind Kind) (time
 // Ping probes peer and returns its advertised identity and cache size.
 // The outcome feeds the health tracker and breaker, so background
 // roster refreshes double as recovery probes for open circuits.
-//
-// Pings also carry the wire-version negotiation: an unprobed peer is
-// pinged in v2 first; success pins it to the compact codec, while a
-// version rejection (the typed decode error a legacy node answers
-// with) silently retries in v1 and pins v1. Transient failures (loss,
-// crash, partition) leave the version undecided, so a later ping can
-// still upgrade. The hot path (QueryFrame, Gossip) never probes — it
-// speaks v1 to undecided peers — which keeps negotiation entirely on
-// the background liveness traffic.
 func (c *Client) Ping(self, peer string) (Pong, time.Duration, error) {
-	ver := c.peerVersion(peer)
-	if ver == WireV1 {
-		return c.pingVersion(self, peer, WireV1, false)
-	}
-	pong, rtt, err := c.pingVersion(self, peer, WireV2, ver == 0)
-	if err == nil {
-		c.setPeerVersion(peer, WireV2)
-		return pong, rtt, nil
-	}
-	if ver == 0 && versionRejection(err) {
-		pong, rtt, err := c.pingVersion(self, peer, WireV1, false)
-		if err == nil {
-			c.setPeerVersion(peer, WireV1)
-		}
-		return pong, rtt, err
-	}
-	return pong, rtt, err
-}
-
-// versionRejection reports whether a probe failure looks like a peer
-// that cannot speak v2 (a typed bad-response error in-process, or a
-// dropped connection from a real TCP node) rather than a transient
-// outage that says nothing about its dialect.
-func versionRejection(err error) bool {
-	switch Classify(err) {
-	case ErrClassBadResponse, ErrClassOther:
-		return true
-	}
-	return false
-}
-
-// pingVersion sends one ping in the given wire version. When probe is
-// set, a version rejection is not booked against the peer's health —
-// the fallback ping that follows will book the real outcome — so
-// negotiation never trips a healthy legacy peer's breaker.
-func (c *Client) pingVersion(self, peer string, ver int, probe bool) (Pong, time.Duration, error) {
 	bufp := getEncBuf()
 	defer putEncBuf(bufp)
-	var req []byte
-	var err error
-	if ver == WireV2 {
-		req, err = AppendEncodeV2(*bufp, Ping{From: self})
-	} else {
-		req, err = AppendEncode(*bufp, Ping{From: self})
-	}
+	req, err := AppendEncode(*bufp, Ping{From: self})
 	if err != nil {
 		return Pong{}, 0, fmt.Errorf("encode ping: %w", err)
 	}
@@ -950,16 +754,12 @@ func (c *Client) pingVersion(self, peer string, ver int, probe bool) (Pong, time
 	c.wire.Sent(KindPing.String(), len(req))
 	respB, rtt, err := c.transport.Call(peer, req)
 	if err != nil {
-		if !(probe && versionRejection(err)) {
-			c.record(peer, rtt, err)
-		}
+		c.record(peer, rtt, err)
 		return Pong{}, rtt, err
 	}
 	msg, err := Decode(respB)
 	if err != nil {
-		if !(probe && versionRejection(err)) {
-			c.record(peer, rtt, err)
-		}
+		c.record(peer, rtt, err)
 		return Pong{}, rtt, err
 	}
 	c.wire.Recv(msg.MsgKind().String(), len(respB))
@@ -1033,50 +833,6 @@ func (c *Client) Health() HealthSnapshot {
 		}
 	}
 	return snap
-}
-
-// QueryWireSize returns the v1-encoded size of a query for
-// dim-dimensional vectors, for energy accounting.
-func QueryWireSize(dim int) int { return 2 + 2 + 8*dim }
-
-// GossipWireSize returns the v1-encoded size of a gossip message
-// carrying a dim-dimensional vector and a label of labelLen bytes.
-func GossipWireSize(dim, labelLen int) int { return 1 + 2 + 8*dim + 2 + labelLen + 8 + 8 }
-
-// allPeersV2 reports whether every configured peer has negotiated v2
-// (false with no peers or any undecided peer).
-func (c *Client) allPeersV2() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.cfg.WireV1Only || len(c.peers) == 0 {
-		return false
-	}
-	for _, p := range c.peers {
-		if c.versions[p] != WireV2 {
-			return false
-		}
-	}
-	return true
-}
-
-// QueryWireSize returns the request size this client currently pays
-// for a dim-dimensional query: the compact v2 size once the whole peer
-// set speaks v2, the conservative v1 size otherwise. Energy accounting
-// uses it so the radio model tracks the negotiated codec.
-func (c *Client) QueryWireSize(dim int) int {
-	if c.allPeersV2() {
-		return QueryWireSizeV2(dim)
-	}
-	return QueryWireSize(dim)
-}
-
-// GossipWireSize is the per-peer gossip size counterpart of the
-// QueryWireSize method.
-func (c *Client) GossipWireSize(dim, labelLen int) int {
-	if c.allPeersV2() {
-		return GossipWireSizeV2(dim, labelLen)
-	}
-	return GossipWireSize(dim, labelLen)
 }
 
 // SimnetTransport adapts a simnet.Network as a Transport for node self.

@@ -210,12 +210,6 @@ func TestGossipBatchFlushWhenFull(t *testing.T) {
 		c.GossipBatch = 3
 		c.GossipFlush = time.Hour // only the size trigger may fire
 	})
-	// Negotiate v2 so the flush ships batch frames.
-	for _, p := range []string{"peer-a", "peer-b"} {
-		if _, _, err := cl.Ping("self", p); err != nil {
-			t.Fatal(err)
-		}
-	}
 	vecs := []feature.Vector{{1, 0}, {0, 1}, {1, 1}}
 	for i, v := range vecs {
 		cost, err := cl.Gossip(v, diffLabel(i), 0.9, time.Millisecond)
@@ -325,52 +319,5 @@ func TestGossipBatchQueueClonesVector(t *testing.T) {
 	}
 	if !resp.Found || resp.Label != "cat" {
 		t.Fatalf("aliased gossip corrupted the batch: %+v", resp)
-	}
-}
-
-// TestGossipBatchToV1Peers delivers queued items as per-item v1 frames
-// when a peer never negotiated v2.
-func TestGossipBatchToV1Peers(t *testing.T) {
-	net, err := simnet.New(simnet.LinkProfile{Latency: 2 * time.Millisecond}, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scfg := DefaultServiceConfig("legacy")
-	scfg.WireV1Only = true
-	svc, err := NewService(scfg, newStore(t, 32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := RegisterService(net, svc); err != nil {
-		t.Fatal(err)
-	}
-	tr, err := NewSimnetTransport("self", net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultClientConfig()
-	cfg.Clock = simclock.NewVirtual(time.Unix(0, 0))
-	cfg.GossipBatch = 2
-	cfg.GossipFlush = time.Hour
-	cl, err := NewClient(cfg, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl.SetPeers([]string{"legacy"})
-	if _, _, err := cl.Ping("self", "legacy"); err != nil { // pins v1
-		t.Fatal(err)
-	}
-	if _, err := cl.Gossip(feature.Vector{1, 0}, "cat", 0.9, time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.Gossip(feature.Vector{0, 1}, "dog", 0.9, time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if got := svc.Store().Len(); got != 2 {
-		t.Fatalf("legacy store len = %d", got)
-	}
-	// Per-item delivery: no batch frames counted.
-	if ws := cl.WireStats(); ws.Batches != 0 {
-		t.Fatalf("batches to a v1 peer = %d", ws.Batches)
 	}
 }

@@ -11,8 +11,8 @@ import (
 	"approxcache/internal/feature"
 )
 
-// Wire codec v2: the compact framing for bandwidth-constrained peer
-// links. A v2 frame is
+// The wire codec: one compact framing for bandwidth-constrained peer
+// links. A frame is
 //
 //	0xF2 | kind byte | payload
 //
@@ -22,30 +22,19 @@ import (
 //	uvarint dim | float32 scale | float32 offset | dim × int8 code
 //
 // — 1 byte per dimension plus a 9-byte header instead of 8 bytes per
-// dimension, an ~8× payload cut for the vector-carrying hot-path
-// messages. The receiver dequantizes (feature.DequantizeInto) before
+// dimension. The receiver dequantizes (feature.DequantizeInto) before
 // voting, so the homogenized kNN semantics are unchanged up to the
 // quantization step (≤ scale/2 per component). Scalars that must
 // round-trip exactly (confidences, distances) stay full float64.
 //
-// The marker byte 0xF2 can never open a v1 frame (v1 kind bytes are
-// small integers), so Decode dispatches on the first byte and v1 nodes
-// reject v2 frames with ErrUnknownKind — the signal the version
-// negotiation in Client.Ping uses to fall back to v1.
+// There is one dialect and no negotiation: a frame that does not open
+// with the marker is rejected with ErrWireVersion and nothing else.
 
-// wireV2Marker prefixes every v2 frame.
-const wireV2Marker byte = 0xF2
+// wireMarker opens every frame.
+const wireMarker byte = 0xF2
 
-// Wire protocol versions, as negotiated per peer.
-const (
-	// WireV1 is the float64 fixed-width codec every node speaks.
-	WireV1 = 1
-	// WireV2 is the quantized varint codec.
-	WireV2 = 2
-)
-
-// ErrWireVersion is returned when a node rejects a frame because of its
-// wire version (e.g. a WireV1Only service receiving a v2 frame).
+// ErrWireVersion is returned for a frame that does not open with the
+// wire marker: whatever the sender speaks, it is not this protocol.
 var ErrWireVersion = errors.New("p2p: unsupported wire version")
 
 // MaxGossipBatch bounds the items in one GossipBatch message.
@@ -53,7 +42,7 @@ const MaxGossipBatch = 64
 
 // DigestDeltaReq asks a peer for the digest changes since the epoch the
 // requester last saw (0 = never synced, always answered with a full
-// digest). v2-only.
+// digest).
 type DigestDeltaReq struct {
 	// Since is the requester's last-applied digest epoch.
 	Since uint64
@@ -72,7 +61,7 @@ type DigestCentroid struct {
 
 // DigestDeltaResp carries digest changes since a requested epoch, or a
 // full snapshot when the service cannot serve a delta (unknown or
-// too-old epoch). v2-only.
+// too-old epoch).
 type DigestDeltaResp struct {
 	// Epoch is the service's current digest epoch; the requester
 	// stores it and sends it back next time.
@@ -91,7 +80,7 @@ func (DigestDeltaResp) MsgKind() Kind { return KindDigestDeltaResp }
 
 // GossipBatch carries several coalesced gossip items in one frame, so a
 // burst of fresh inserts pays one message overhead per peer instead of
-// one per item. v2-only.
+// one per item.
 type GossipBatch struct {
 	Items []Gossip
 }
@@ -163,7 +152,7 @@ func readUvarint(b []byte) (uint64, []byte, error) {
 	return v, b[n:], nil
 }
 
-func appendStringV2(b []byte, s string) ([]byte, error) {
+func appendString(b []byte, s string) ([]byte, error) {
 	if len(s) > MaxLabelLen {
 		return nil, fmt.Errorf("p2p: string length %d exceeds %d", len(s), MaxLabelLen)
 	}
@@ -171,7 +160,7 @@ func appendStringV2(b []byte, s string) ([]byte, error) {
 	return append(b, s...), nil
 }
 
-func readStringV2(b []byte) (string, []byte, error) {
+func readString(b []byte) (string, []byte, error) {
 	n, b, err := readUvarint(b)
 	if err != nil {
 		return "", nil, err
@@ -185,14 +174,14 @@ func readStringV2(b []byte) (string, []byte, error) {
 	return string(b[:n]), b[n:], nil
 }
 
-// appendGossipBody appends one gossip item's v2 payload (shared by
-// Gossip and GossipBatch).
+// appendGossipBody appends one gossip item's payload (shared by Gossip
+// and GossipBatch).
 func appendGossipBody(b []byte, g Gossip) ([]byte, error) {
 	b, err := appendQuantVec(b, g.Vec)
 	if err != nil {
 		return nil, err
 	}
-	b, err = appendStringV2(b, g.Label)
+	b, err = appendString(b, g.Label)
 	if err != nil {
 		return nil, err
 	}
@@ -208,7 +197,7 @@ func readGossipBody(b []byte) (Gossip, []byte, error) {
 	if err != nil {
 		return Gossip{}, nil, err
 	}
-	g.Label, b, err = readStringV2(b)
+	g.Label, b, err = readString(b)
 	if err != nil {
 		return Gossip{}, nil, err
 	}
@@ -224,10 +213,10 @@ func readGossipBody(b []byte) (Gossip, []byte, error) {
 	return g, b, nil
 }
 
-// AppendEncodeV2 appends m in v2 framing. Every message kind has a v2
-// form; the v2-only kinds (delta digests, gossip batches) have no other.
-func AppendEncodeV2(b []byte, m Message) ([]byte, error) {
-	b = append(b, wireV2Marker, byte(m.MsgKind()))
+// AppendEncode appends m's wire encoding to buf and returns the
+// extended buffer (which may have been reallocated, as with append).
+func AppendEncode(b []byte, m Message) ([]byte, error) {
+	b = append(b, wireMarker, byte(m.MsgKind()))
 	var err error
 	switch v := m.(type) {
 	case Query:
@@ -235,7 +224,7 @@ func AppendEncodeV2(b []byte, m Message) ([]byte, error) {
 		return appendQuantVec(b, v.Vec)
 	case QueryResp:
 		b = append(b, boolByte(v.Found))
-		if b, err = appendStringV2(b, v.Label); err != nil {
+		if b, err = appendString(b, v.Label); err != nil {
 			return nil, err
 		}
 		b = appendFloat(b, v.Confidence)
@@ -257,26 +246,12 @@ func AppendEncodeV2(b []byte, m Message) ([]byte, error) {
 	case Ack:
 		return b, nil
 	case Ping:
-		return appendStringV2(b, v.From)
+		return appendString(b, v.From)
 	case Pong:
-		if b, err = appendStringV2(b, v.From); err != nil {
+		if b, err = appendString(b, v.From); err != nil {
 			return nil, err
 		}
 		return binary.AppendUvarint(b, uint64(v.Entries)), nil
-	case DigestReq:
-		return b, nil
-	case DigestResp:
-		if len(v.Digest.Centroids) > MaxDigestCentroids {
-			return nil, fmt.Errorf("p2p: digest has %d centroids, max %d",
-				len(v.Digest.Centroids), MaxDigestCentroids)
-		}
-		b = binary.AppendUvarint(b, uint64(len(v.Digest.Centroids)))
-		for _, c := range v.Digest.Centroids {
-			if b, err = appendQuantVec(b, c); err != nil {
-				return nil, err
-			}
-		}
-		return b, nil
 	case DigestDeltaReq:
 		return binary.AppendUvarint(b, v.Since), nil
 	case DigestDeltaResp:
@@ -304,12 +279,18 @@ func AppendEncodeV2(b []byte, m Message) ([]byte, error) {
 // width; the slack tolerates one full turnover.
 const maxDeltaEntries = 2 * MaxDigestCentroids
 
-// decodeV2 parses a v2 payload (marker already stripped).
-func decodeV2(b []byte) (Message, error) {
+// Decode parses a frame produced by AppendEncode.
+func Decode(b []byte) (Message, error) {
 	if len(b) == 0 {
 		return nil, ErrTruncated
 	}
-	kind, rest := Kind(b[0]), b[1:]
+	if b[0] != wireMarker {
+		return nil, fmt.Errorf("%w: frame opens with 0x%02x", ErrWireVersion, b[0])
+	}
+	if len(b) < 2 {
+		return nil, ErrTruncated
+	}
+	kind, rest := Kind(b[1]), b[2:]
 	switch kind {
 	case KindQuery:
 		if len(rest) < 1 {
@@ -329,7 +310,7 @@ func decodeV2(b []byte) (Message, error) {
 			return nil, ErrTruncated
 		}
 		found := rest[0] != 0
-		label, rest, err := readStringV2(rest[1:])
+		label, rest, err := readString(rest[1:])
 		if err != nil {
 			return nil, err
 		}
@@ -381,7 +362,7 @@ func decodeV2(b []byte) (Message, error) {
 		}
 		return Ack{}, nil
 	case KindPing:
-		from, rest, err := readStringV2(rest)
+		from, rest, err := readString(rest)
 		if err != nil {
 			return nil, err
 		}
@@ -390,7 +371,7 @@ func decodeV2(b []byte) (Message, error) {
 		}
 		return Ping{From: from}, nil
 	case KindPong:
-		from, rest, err := readStringV2(rest)
+		from, rest, err := readString(rest)
 		if err != nil {
 			return nil, err
 		}
@@ -405,32 +386,6 @@ func decodeV2(b []byte) (Message, error) {
 			return nil, err
 		}
 		return Pong{From: from, Entries: uint32(entries)}, nil
-	case KindDigestReq:
-		if err := expectEmpty(rest); err != nil {
-			return nil, err
-		}
-		return DigestReq{}, nil
-	case KindDigestResp:
-		n, rest, err := readUvarint(rest)
-		if err != nil {
-			return nil, err
-		}
-		if n > MaxDigestCentroids {
-			return nil, fmt.Errorf("p2p: digest declares %d centroids", n)
-		}
-		d := Digest{Centroids: make([]feature.Vector, 0, n)}
-		for i := uint64(0); i < n; i++ {
-			var c feature.Vector
-			c, rest, err = readQuantVec(rest)
-			if err != nil {
-				return nil, err
-			}
-			d.Centroids = append(d.Centroids, c)
-		}
-		if err := expectEmpty(rest); err != nil {
-			return nil, err
-		}
-		return DigestResp{Digest: d}, nil
 	case KindDigestDeltaReq:
 		since, rest, err := readUvarint(rest)
 		if err != nil {
@@ -494,8 +449,7 @@ func decodeV2(b []byte) (Message, error) {
 	}
 }
 
-// Wire-size estimators for the v2 codec, mirroring QueryWireSize and
-// GossipWireSize for energy accounting.
+// Wire-size estimators, for energy accounting.
 
 func uvarintLen(v uint64) int {
 	n := 1
@@ -506,7 +460,7 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
-// quantVecWireSize returns the encoded size of a dim-vector in v2 form.
+// quantVecWireSize returns the encoded size of a dim-vector.
 func quantVecWireSize(dim int) int {
 	if dim == 0 {
 		return 1
@@ -514,12 +468,13 @@ func quantVecWireSize(dim int) int {
 	return uvarintLen(uint64(dim)) + 8 + dim
 }
 
-// QueryWireSizeV2 returns the v2-encoded size of a query for
-// dim-dimensional vectors.
-func QueryWireSizeV2(dim int) int { return 2 + 1 + quantVecWireSize(dim) }
+// QueryWireSize returns the encoded size of a query for dim-dimensional
+// vectors.
+func QueryWireSize(dim int) int { return 2 + 1 + quantVecWireSize(dim) }
 
-// GossipWireSizeV2 returns the typical v2-encoded size of a standalone
-// gossip message (assumes a small SavedCost varint).
-func GossipWireSizeV2(dim, labelLen int) int {
+// GossipWireSize returns the typical encoded size of a standalone gossip
+// message carrying a dim-dimensional vector and a label of labelLen
+// bytes (assumes a small SavedCost varint).
+func GossipWireSize(dim, labelLen int) int {
 	return 2 + quantVecWireSize(dim) + uvarintLen(uint64(labelLen)) + labelLen + 8 + 5
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // Delta digests: instead of refetching a peer's full coverage digest on
-// every refresh, a v2 requester sends the epoch it last applied and the
+// every refresh, a requester sends the epoch it last applied and the
 // service answers with only the centroids added and removed since. The
 // service assigns each centroid value a stable ID, bumps its epoch
 // whenever the centroid set changes, and keeps a short ring of past

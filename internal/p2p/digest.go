@@ -90,58 +90,3 @@ func (d Digest) MayCover(vec feature.Vector, maxDistance, slack float64) bool {
 	}
 	return false
 }
-
-// encodeDigest serializes the digest: uint8 count, then per centroid a
-// uint16 dim and float64 components.
-func encodeDigest(b []byte, d Digest) ([]byte, error) {
-	if len(d.Centroids) > MaxDigestCentroids {
-		return nil, fmt.Errorf("p2p: digest has %d centroids, max %d",
-			len(d.Centroids), MaxDigestCentroids)
-	}
-	b = append(b, byte(len(d.Centroids)))
-	for _, c := range d.Centroids {
-		var err error
-		b, err = appendVec(b, c)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return b, nil
-}
-
-// decodeDigest parses a digest written by encodeDigest.
-func decodeDigest(b []byte) (Digest, []byte, error) {
-	if len(b) < 1 {
-		return Digest{}, nil, ErrTruncated
-	}
-	n := int(b[0])
-	b = b[1:]
-	if n > MaxDigestCentroids {
-		return Digest{}, nil, fmt.Errorf("p2p: digest declares %d centroids", n)
-	}
-	d := Digest{Centroids: make([]feature.Vector, 0, n)}
-	for i := 0; i < n; i++ {
-		var c feature.Vector
-		var err error
-		c, b, err = readVec(b)
-		if err != nil {
-			return Digest{}, nil, err
-		}
-		d.Centroids = append(d.Centroids, c)
-	}
-	return d, b, nil
-}
-
-// DigestReq asks a peer for its coverage digest.
-type DigestReq struct{}
-
-// MsgKind implements Message.
-func (DigestReq) MsgKind() Kind { return KindDigestReq }
-
-// DigestResp carries a peer's coverage digest.
-type DigestResp struct {
-	Digest Digest
-}
-
-// MsgKind implements Message.
-func (DigestResp) MsgKind() Kind { return KindDigestResp }

@@ -82,36 +82,33 @@ func TestBuildDigestCapsOutliers(t *testing.T) {
 }
 
 func TestDigestWireRoundTrip(t *testing.T) {
-	in := DigestResp{Digest: Digest{Centroids: []feature.Vector{
-		{1, 2, 3},
-		{-0.5, 0.25, 0.125},
-	}}}
+	in := DigestDeltaResp{Epoch: 3 << 32, Full: true, Added: []DigestCentroid{
+		{ID: 1, Vec: feature.Vector{1, 2, 3}},
+		{ID: 2, Vec: feature.Vector{-0.5, 0.25, 0.125}},
+	}}
 	b, err := Encode(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	msg, err := Decode(b)
+	out, ok := mustDecode(t, b).(DigestDeltaResp)
+	if !ok || !out.Full || out.Epoch != in.Epoch || len(out.Added) != 2 {
+		t.Fatalf("out = %+v", out)
+	}
+	var st peerDigestState
+	d, err := st.apply(out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, ok := msg.(DigestResp)
-	if !ok || len(out.Digest.Centroids) != 2 {
-		t.Fatalf("out = %+v", msg)
-	}
-	for i, c := range in.Digest.Centroids {
-		for j := range c {
-			if out.Digest.Centroids[i][j] != c[j] {
-				t.Fatal("centroid mismatch")
-			}
-		}
+	for i, c := range in.Added {
+		vecsClose(t, d.Centroids[i], c.Vec, quantTol(-0.5, 3))
 	}
 	// Request round trip.
-	rb, err := Encode(DigestReq{})
+	rb, err := Encode(DigestDeltaReq{Since: in.Epoch})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := mustDecode(t, rb).(DigestReq); !ok {
-		t.Fatal("digest req round trip failed")
+	if req, ok := mustDecode(t, rb).(DigestDeltaReq); !ok || req.Since != in.Epoch {
+		t.Fatalf("digest req round trip = %+v", req)
 	}
 	// Truncations rejected.
 	for cut := 1; cut < len(b); cut++ {
@@ -141,16 +138,17 @@ func TestServiceHandleDigestReq(t *testing.T) {
 	if _, err := svc.Store().Insert(feature.Vector{-1, 0}, "dog", 0.9, "dnn", time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := svc.HandleDigestReq(DigestReq{})
+	// A requester that never synced gets the full digest.
+	resp, err := svc.HandleDigestDelta(DigestDeltaReq{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Two tight groups → two centroids.
-	if len(resp.Digest.Centroids) != 2 {
-		t.Fatalf("centroids = %d", len(resp.Digest.Centroids))
+	if !resp.Full || len(resp.Added) != 2 {
+		t.Fatalf("resp = %+v", resp)
 	}
 	// Raw dispatch path works too.
-	req, err := Encode(DigestReq{})
+	req, err := Encode(DigestDeltaReq{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,8 +156,69 @@ func TestServiceHandleDigestReq(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := mustDecode(t, respB).(DigestResp); !ok {
-		t.Fatal("raw digest dispatch failed")
+	if raw, ok := mustDecode(t, respB).(DigestDeltaResp); !ok || !raw.Full || len(raw.Added) != 2 {
+		t.Fatalf("raw digest dispatch = %+v", raw)
+	}
+}
+
+// tapTransport hands every request straight to one service and keeps
+// the decoded replies.
+type tapTransport struct {
+	svc     *Service
+	replies []Message
+}
+
+func (t *tapTransport) Call(_ string, req []byte) ([]byte, time.Duration, error) {
+	resp, err := t.svc.HandleRaw("self", req)
+	if err != nil {
+		return nil, time.Millisecond, err
+	}
+	m, err := Decode(resp)
+	t.replies = append(t.replies, m)
+	return resp, time.Millisecond, err
+}
+
+func (t *tapTransport) Send(peer string, payload []byte) (time.Duration, error) {
+	_, rtt, err := t.Call(peer, payload)
+	return rtt, err
+}
+
+// TestFetchDigestUnprobedUsesDelta: a client that never pinged its peer
+// refreshes digests by epoch delta — a full snapshot first, then only
+// what changed.
+func TestFetchDigestUnprobedUsesDelta(t *testing.T) {
+	tap := &tapTransport{svc: newService(t)}
+	cl, err := NewClient(DefaultClientConfig(), tap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := tap.svc.Store()
+	if _, err := st.Insert(feature.Vector{1, 0}, "cat", 0.9, "dnn", time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	fetch := func(wantCentroids int) DigestDeltaResp {
+		t.Helper()
+		d, _, err := cl.FetchDigest("node-a")
+		if err != nil || len(d.Centroids) != wantCentroids {
+			t.Fatalf("fetch %d = %+v, %v", len(tap.replies), d, err)
+		}
+		resp, ok := tap.replies[len(tap.replies)-1].(DigestDeltaResp)
+		if !ok {
+			t.Fatalf("fetch %d answered with %v", len(tap.replies), tap.replies[len(tap.replies)-1].MsgKind())
+		}
+		return resp
+	}
+	if first := fetch(1); !first.Full || len(first.Added) != 1 {
+		t.Fatalf("first reply = %+v, want a full snapshot", first)
+	}
+	if same := fetch(1); same.Full || len(same.Added)+len(same.Removed) != 0 {
+		t.Fatalf("unchanged reply = %+v, want an empty delta", same)
+	}
+	if _, err := st.Insert(feature.Vector{-1, 0}, "dog", 0.9, "dnn", time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if delta := fetch(2); delta.Full || len(delta.Added) != 1 || len(delta.Removed) != 0 {
+		t.Fatalf("changed reply = %+v, want one added centroid", delta)
 	}
 }
 

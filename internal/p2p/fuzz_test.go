@@ -1,57 +1,57 @@
 package p2p
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
-	"time"
 
 	"approxcache/internal/feature"
 )
 
 // FuzzDecode exercises the wire decoder with arbitrary bytes: it must
-// never panic, and anything it accepts must re-encode and re-decode to
-// the same kind (round-trip stability).
+// never panic, anything it accepts must re-encode and re-decode to the
+// same kind (round-trip stability), and anything that does not open with
+// the wire marker must be rejected as ErrWireVersion by Decode and by a
+// service alike, unbooked.
 func FuzzDecode(f *testing.F) {
 	// Seed corpus: every message kind plus hostile shapes.
-	seeds := []Message{
-		Query{Vec: feature.Vector{1, 2, 3}, K: 4},
-		QueryResp{Found: true, Label: "class-1", Confidence: 0.5, Distance: 0.1},
-		Gossip{Vec: feature.Vector{0.5}, Label: "x", Confidence: 1, SavedCost: time.Second},
-		Ack{},
-		Ping{From: "a"},
-		Pong{From: "b", Entries: 7},
-		DigestReq{},
-		DigestResp{Digest: Digest{Centroids: []feature.Vector{{1, 0}, {0, 1}}}},
-	}
-	// v2-only kinds round out the corpus.
-	seeds = append(seeds,
-		DigestDeltaReq{Since: 1<<40 | 3},
-		DigestDeltaResp{Epoch: 1<<40 | 4, Removed: []uint64{2},
-			Added: []DigestCentroid{{ID: 9, Vec: feature.Vector{1, -1}}}},
-		GossipBatch{Items: []Gossip{{Vec: feature.Vector{1}, Label: "a", Confidence: 1}}},
-	)
-	for _, m := range seeds {
+	for _, m := range allKinds() {
 		b, err := Encode(m)
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(b)
-		// Every kind also seeds its v2 framing.
-		b2, err := AppendEncodeV2(nil, m)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(b2)
 	}
+	// The deleted float64 dialect's frames stay as rejection seeds.
+	for _, ff := range foreignFrames {
+		f.Add(ff.frame)
+	}
+	// The retired full-digest pair (kinds 7 and 8) in marker framing.
+	f.Add([]byte{wireMarker, 0x07})
+	f.Add([]byte{wireMarker, 0x08, 0x02, 0x02, 0x3b, 0x81, 0x02, 0x04, 0x3f, 0x00, 0x00, 0x00, 0x7f, 0x81,
+		0x02, 0x3b, 0x81, 0x02, 0x04, 0x3f, 0x00, 0x00, 0x00, 0x81, 0x7f})
 	f.Add([]byte{})
-	f.Add([]byte{0xFF, 0x00, 0x01})
-	f.Add([]byte{byte(KindQuery), 4, 0xFF, 0xFF})
-	f.Add([]byte{wireV2Marker})
-	f.Add([]byte{wireV2Marker, byte(KindQuery), 4, 0x80, 0x80, 0x80, 0x01})
+	f.Add([]byte{wireMarker})
+	f.Add([]byte{wireMarker, byte(KindQuery), 4, 0x80, 0x80, 0x80, 0x01})
 
+	svc := newService(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, err := Decode(data)
+		if len(data) > 0 && data[0] != wireMarker {
+			if !errors.Is(err, ErrWireVersion) {
+				t.Fatalf("unmarked frame: Decode = %v, %v", msg, err)
+			}
+			before := svc.WireStats()
+			if _, herr := svc.HandleRaw("fuzz", data); !errors.Is(herr, ErrWireVersion) ||
+				Classify(herr) != ErrClassBadResponse {
+				t.Fatalf("unmarked frame: HandleRaw = %v", herr)
+			}
+			if !reflect.DeepEqual(svc.WireStats(), before) {
+				t.Fatal("unmarked frame was booked in WireStats")
+			}
+			return
+		}
 		if err != nil {
 			return // rejection is fine; panics are not
 		}
@@ -66,20 +66,6 @@ func FuzzDecode(f *testing.F) {
 		if msg.MsgKind() != msg2.MsgKind() {
 			t.Fatalf("kind changed across round trip: %v vs %v",
 				msg.MsgKind(), msg2.MsgKind())
-		}
-		// Anything decodable must also survive v2 re-framing: the v2
-		// codec covers every kind, and quantization (lossy on vectors)
-		// must still be stable on kind and non-vector fields.
-		re2, err := AppendEncodeV2(nil, msg)
-		if err != nil {
-			t.Fatalf("decoded message failed to v2-encode: %v", err)
-		}
-		msg3, ver, err := DecodeWire(re2)
-		if err != nil {
-			t.Fatalf("v2 re-encoding failed to decode: %v", err)
-		}
-		if ver != WireV2 || msg3.MsgKind() != msg.MsgKind() {
-			t.Fatalf("v2 round trip changed kind/version: %v v%d", msg3.MsgKind(), ver)
 		}
 	})
 }

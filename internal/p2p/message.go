@@ -30,10 +30,11 @@ const (
 	KindAck
 	KindPing
 	KindPong
-	KindDigestReq
-	KindDigestResp
-	// v2-only kinds: these have no v1 encoding and are only sent to
-	// peers that negotiated wire v2.
+	// 7 and 8 stay retired (they were a full-digest request/response
+	// pair; DigestDeltaReq{Since: 0} is that request) so the kinds below
+	// keep their wire bytes.
+	_
+	_
 	KindDigestDeltaReq
 	KindDigestDeltaResp
 	KindGossipBatch
@@ -54,10 +55,6 @@ func (k Kind) String() string {
 		return "ping"
 	case KindPong:
 		return "pong"
-	case KindDigestReq:
-		return "digest-req"
-	case KindDigestResp:
-		return "digest-resp"
 	case KindDigestDeltaReq:
 		return "digest-delta-req"
 	case KindDigestDeltaResp:
@@ -156,197 +153,10 @@ const MaxVectorDim = 4096
 // MaxLabelLen bounds decoded label sizes.
 const MaxLabelLen = 256
 
-// Encode serializes m into a compact binary payload. It is a thin
-// wrapper over AppendEncode with a fresh buffer; hot paths pass a
-// pooled buffer to AppendEncode instead.
+// Encode serializes m into a fresh buffer. It is a thin wrapper over
+// AppendEncode; hot paths pass a pooled buffer to AppendEncode instead.
 func Encode(m Message) ([]byte, error) {
 	return AppendEncode(nil, m)
-}
-
-// AppendEncode appends m's wire encoding to buf and returns the
-// extended buffer (which may have been reallocated, as with append).
-// Classic kinds use the v1 framing — a kind byte followed by
-// fixed-width big-endian fields, vectors as a uint16 length plus
-// float64s, strings as a uint16 length plus raw bytes — so any peer can
-// decode them. The v2-only kinds (delta digests, gossip batches) have
-// no v1 form and are emitted in v2 framing; use AppendEncodeV2 to force
-// v2 framing for a negotiated peer.
-func AppendEncode(b []byte, m Message) ([]byte, error) {
-	switch v := m.(type) {
-	case Query:
-		b = append(b, byte(KindQuery), v.K)
-		return appendVec(b, v.Vec)
-	case QueryResp:
-		b = append(b, byte(KindQueryResp), boolByte(v.Found))
-		b, err := appendString(b, v.Label)
-		if err != nil {
-			return nil, err
-		}
-		b = appendFloat(b, v.Confidence)
-		b = appendFloat(b, v.Distance)
-		return b, nil
-	case Gossip:
-		b = append(b, byte(KindGossip))
-		b, err := appendVec(b, v.Vec)
-		if err != nil {
-			return nil, err
-		}
-		b, err = appendString(b, v.Label)
-		if err != nil {
-			return nil, err
-		}
-		b = appendFloat(b, v.Confidence)
-		b = binary.BigEndian.AppendUint64(b, uint64(v.SavedCost))
-		return b, nil
-	case Ack:
-		return append(b, byte(KindAck)), nil
-	case Ping:
-		b = append(b, byte(KindPing))
-		return appendString(b, v.From)
-	case Pong:
-		b = append(b, byte(KindPong))
-		b, err := appendString(b, v.From)
-		if err != nil {
-			return nil, err
-		}
-		return binary.BigEndian.AppendUint32(b, v.Entries), nil
-	case DigestReq:
-		return append(b, byte(KindDigestReq)), nil
-	case DigestResp:
-		b = append(b, byte(KindDigestResp))
-		return encodeDigest(b, v.Digest)
-	case DigestDeltaReq, DigestDeltaResp, GossipBatch:
-		return AppendEncodeV2(b, m)
-	default:
-		return nil, fmt.Errorf("p2p: cannot encode %T", m)
-	}
-}
-
-// Decode parses a payload produced by AppendEncode or AppendEncodeV2,
-// dispatching on the framing: a leading wireV2Marker selects the v2
-// codec, anything else is a v1 kind byte.
-func Decode(b []byte) (Message, error) {
-	m, _, err := DecodeWire(b)
-	return m, err
-}
-
-// DecodeWire is Decode plus the frame's wire version, so services can
-// answer in the requester's dialect.
-func DecodeWire(b []byte) (Message, int, error) {
-	if len(b) == 0 {
-		return nil, 0, ErrTruncated
-	}
-	if b[0] == wireV2Marker {
-		m, err := decodeV2(b[1:])
-		return m, WireV2, err
-	}
-	m, err := decodeV1(b)
-	return m, WireV1, err
-}
-
-// decodeV1 parses a v1-framed payload.
-func decodeV1(b []byte) (Message, error) {
-	kind, rest := Kind(b[0]), b[1:]
-	switch kind {
-	case KindQuery:
-		if len(rest) < 1 {
-			return nil, ErrTruncated
-		}
-		k := rest[0]
-		vec, rest, err := readVec(rest[1:])
-		if err != nil {
-			return nil, err
-		}
-		if err := expectEmpty(rest); err != nil {
-			return nil, err
-		}
-		return Query{Vec: vec, K: k}, nil
-	case KindQueryResp:
-		if len(rest) < 1 {
-			return nil, ErrTruncated
-		}
-		found := rest[0] != 0
-		label, rest, err := readString(rest[1:])
-		if err != nil {
-			return nil, err
-		}
-		conf, rest, err := readFloat(rest)
-		if err != nil {
-			return nil, err
-		}
-		dist, rest, err := readFloat(rest)
-		if err != nil {
-			return nil, err
-		}
-		if err := expectEmpty(rest); err != nil {
-			return nil, err
-		}
-		return QueryResp{Found: found, Label: label, Confidence: conf, Distance: dist}, nil
-	case KindGossip:
-		vec, rest, err := readVec(rest)
-		if err != nil {
-			return nil, err
-		}
-		label, rest, err := readString(rest)
-		if err != nil {
-			return nil, err
-		}
-		conf, rest, err := readFloat(rest)
-		if err != nil {
-			return nil, err
-		}
-		if len(rest) < 8 {
-			return nil, ErrTruncated
-		}
-		cost := time.Duration(binary.BigEndian.Uint64(rest))
-		if err := expectEmpty(rest[8:]); err != nil {
-			return nil, err
-		}
-		return Gossip{Vec: vec, Label: label, Confidence: conf, SavedCost: cost}, nil
-	case KindAck:
-		if err := expectEmpty(rest); err != nil {
-			return nil, err
-		}
-		return Ack{}, nil
-	case KindPing:
-		from, rest, err := readString(rest)
-		if err != nil {
-			return nil, err
-		}
-		if err := expectEmpty(rest); err != nil {
-			return nil, err
-		}
-		return Ping{From: from}, nil
-	case KindPong:
-		from, rest, err := readString(rest)
-		if err != nil {
-			return nil, err
-		}
-		if len(rest) < 4 {
-			return nil, ErrTruncated
-		}
-		entries := binary.BigEndian.Uint32(rest)
-		if err := expectEmpty(rest[4:]); err != nil {
-			return nil, err
-		}
-		return Pong{From: from, Entries: entries}, nil
-	case KindDigestReq:
-		if err := expectEmpty(rest); err != nil {
-			return nil, err
-		}
-		return DigestReq{}, nil
-	case KindDigestResp:
-		d, rest, err := decodeDigest(rest)
-		if err != nil {
-			return nil, err
-		}
-		if err := expectEmpty(rest); err != nil {
-			return nil, err
-		}
-		return DigestResp{Digest: d}, nil
-	default:
-		return nil, fmt.Errorf("%w: %d", ErrUnknownKind, uint8(kind))
-	}
 }
 
 func boolByte(v bool) byte {
@@ -365,59 +175,6 @@ func readFloat(b []byte) (float64, []byte, error) {
 		return 0, nil, ErrTruncated
 	}
 	return math.Float64frombits(binary.BigEndian.Uint64(b)), b[8:], nil
-}
-
-func appendVec(b []byte, v feature.Vector) ([]byte, error) {
-	if len(v) > MaxVectorDim {
-		return nil, fmt.Errorf("p2p: vector dim %d exceeds %d", len(v), MaxVectorDim)
-	}
-	b = binary.BigEndian.AppendUint16(b, uint16(len(v)))
-	for _, x := range v {
-		b = appendFloat(b, x)
-	}
-	return b, nil
-}
-
-func readVec(b []byte) (feature.Vector, []byte, error) {
-	if len(b) < 2 {
-		return nil, nil, ErrTruncated
-	}
-	n := int(binary.BigEndian.Uint16(b))
-	b = b[2:]
-	if n > MaxVectorDim {
-		return nil, nil, fmt.Errorf("p2p: vector dim %d exceeds %d", n, MaxVectorDim)
-	}
-	if len(b) < n*8 {
-		return nil, nil, ErrTruncated
-	}
-	v := make(feature.Vector, n)
-	for i := 0; i < n; i++ {
-		v[i] = math.Float64frombits(binary.BigEndian.Uint64(b[i*8:]))
-	}
-	return v, b[n*8:], nil
-}
-
-func appendString(b []byte, s string) ([]byte, error) {
-	if len(s) > MaxLabelLen {
-		return nil, fmt.Errorf("p2p: string length %d exceeds %d", len(s), MaxLabelLen)
-	}
-	b = binary.BigEndian.AppendUint16(b, uint16(len(s)))
-	return append(b, s...), nil
-}
-
-func readString(b []byte) (string, []byte, error) {
-	if len(b) < 2 {
-		return "", nil, ErrTruncated
-	}
-	n := int(binary.BigEndian.Uint16(b))
-	b = b[2:]
-	if n > MaxLabelLen {
-		return "", nil, fmt.Errorf("p2p: string length %d exceeds %d", n, MaxLabelLen)
-	}
-	if len(b) < n {
-		return "", nil, ErrTruncated
-	}
-	return string(b[:n]), b[n:], nil
 }
 
 func expectEmpty(b []byte) error {

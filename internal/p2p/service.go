@@ -19,10 +19,6 @@ type ServiceConfig struct {
 	// confidence, an admission filter against polluting the local
 	// cache with peers' uncertain results.
 	MinGossipConfidence float64
-	// WireV1Only makes the service reject v2-framed requests with
-	// ErrWireVersion, emulating a legacy node for interop tests and
-	// the bandwidth baseline.
-	WireV1Only bool
 }
 
 // Validate reports whether the configuration is usable.
@@ -148,21 +144,11 @@ func (s *Service) HandlePing(Ping) Pong {
 	return Pong{From: s.cfg.Name, Entries: uint32(s.store.Len())}
 }
 
-// HandleDigestReq summarizes the store's coverage for a requester. The
-// clustering radius is the vote's reuse radius: any query a centroid
-// covers at that scale could plausibly be answered. Quarantined
+// buildDigest clusters the store's entries into the current coverage
+// digest. The clustering radius is the vote's reuse radius: any query a
+// centroid covers at that scale could plausibly be answered. Quarantined
 // entries are withheld — advertising coverage this node itself refuses
 // to serve would send peers here for answers they cannot get.
-func (s *Service) HandleDigestReq(DigestReq) (DigestResp, error) {
-	d, err := s.buildDigest()
-	if err != nil {
-		return DigestResp{}, err
-	}
-	return DigestResp{Digest: d}, nil
-}
-
-// buildDigest clusters the store's non-quarantined entries into the
-// current coverage digest.
 func (s *Service) buildDigest() (Digest, error) {
 	entries := s.store.Snapshot()
 	vecs := make([]feature.Vector, 0, len(entries))
@@ -230,16 +216,11 @@ func (s *Service) HandleRaw(from string, payload []byte) ([]byte, error) {
 
 // HandleRawAppend is HandleRaw appending the response to buf, so
 // connection loops can reuse one response buffer across exchanges
-// instead of allocating per message. The response is answered in the
-// request's wire version: v2 requesters get v2 frames, everyone else
-// gets v1, which is what makes mixed-version meshes interoperate.
+// instead of allocating per message.
 func (s *Service) HandleRawAppend(from string, payload []byte, buf []byte) ([]byte, error) {
-	msg, ver, err := DecodeWire(payload)
+	msg, err := Decode(payload)
 	if err != nil {
 		return nil, fmt.Errorf("decode from %q: %w", from, err)
-	}
-	if ver == WireV2 && s.cfg.WireV1Only {
-		return nil, fmt.Errorf("p2p: %q sent a v2 frame to a v1-only node: %w", from, ErrWireVersion)
 	}
 	s.wire.Recv(msg.MsgKind().String(), len(payload))
 	var resp Message
@@ -262,12 +243,6 @@ func (s *Service) HandleRawAppend(from string, payload []byte, buf []byte) ([]by
 		resp = Ack{}
 	case Ping:
 		resp = s.HandlePing(m)
-	case DigestReq:
-		r, err := s.HandleDigestReq(m)
-		if err != nil {
-			return nil, err
-		}
-		resp = r
 	case DigestDeltaReq:
 		r, err := s.HandleDigestDelta(m)
 		if err != nil {
@@ -277,12 +252,7 @@ func (s *Service) HandleRawAppend(from string, payload []byte, buf []byte) ([]by
 	default:
 		return nil, fmt.Errorf("p2p: unexpected request kind %v", msg.MsgKind())
 	}
-	var out []byte
-	if ver == WireV2 {
-		out, err = AppendEncodeV2(buf, resp)
-	} else {
-		out, err = AppendEncode(buf, resp)
-	}
+	out, err := AppendEncode(buf, resp)
 	if err != nil {
 		return nil, fmt.Errorf("encode response: %w", err)
 	}

@@ -13,7 +13,7 @@ import (
 	"approxcache/internal/simclock"
 )
 
-func newStore(t *testing.T, capacity int) *cachestore.Store {
+func newStore(t testing.TB, capacity int) *cachestore.Store {
 	t.Helper()
 	idx, err := lsh.NewExact(2)
 	if err != nil {
@@ -27,7 +27,7 @@ func newStore(t *testing.T, capacity int) *cachestore.Store {
 	return s
 }
 
-func newService(t *testing.T) *Service {
+func newService(t testing.TB) *Service {
 	t.Helper()
 	svc, err := NewService(DefaultServiceConfig("node-a"), newStore(t, 16))
 	if err != nil {

@@ -61,8 +61,8 @@ func (c *Cache) JoinSimNetwork(net *SimNetwork, name string) (*PeerClient, error
 // membership epoch (SimNetwork.Epoch, bumped on every register and
 // unregister) has moved. ConnectAll is idempotent and cheap: each call
 // just replaces peer lists (sorted, so mesh formation is
-// deterministic), and re-running it never disturbs negotiated wire
-// versions, digests, or breaker state of peers that stayed. It errors
+// deterministic), and re-running it never disturbs the digests or
+// breaker state of peers that stayed. It errors
 // on an empty or single-entry map — a mesh of one cannot share
 // anything, and silently accepting it has historically hidden
 // setup-ordering bugs.
