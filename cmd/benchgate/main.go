@@ -107,7 +107,11 @@ type budget struct {
 // takes a ring slot). The store's label read copies nothing; an insert
 // into a full store may allocate only what the index's bucket growth
 // does (the store itself: nothing); a lookup fanned out over eight
-// shards merges in pooled buffers.
+// shards merges in pooled buffers. One frame through the whole engine
+// allocates nothing when the inertial gate, the video gate or the local
+// cache serves it; a miss allocates the 8 it did before the engine was
+// a stage list: the watchdog's call deadline (goroutine, channel,
+// timer) and the stub classifier's two.
 var hotpathBudgets = []budget{
 	{"HotPathNearest", 0},
 	{"HotPathNearestDescriptors", 0},
@@ -128,6 +132,10 @@ var hotpathBudgets = []budget{
 	{"HotPathStoreInsertEvict", 4},
 	{"HotPathShardedNearest", 0},
 	{"HotPathObserveFrame", 0},
+	{"HotPathEngineFrame/imu", 0},
+	{"HotPathEngineFrame/video", 0},
+	{"HotPathEngineFrame/local", 0},
+	{"HotPathEngineFrame/dnn", 8},
 }
 
 // Result is one parsed benchmark line.

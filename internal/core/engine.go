@@ -4,7 +4,8 @@
 // increasingly expensive gates — inertial (IMU), video locality
 // (frame difference), local approximate cache (LSH + homogenized kNN),
 // and peer-to-peer — falling back to DNN inference only when every
-// gate misses.
+// gate misses. Each gate is a stage of one ordered list an engine walks
+// per frame (stages.go); FrameRecord says which stage served a frame.
 //
 // The engine charges all simulated costs (gate compute, inference
 // latency, network RTTs) to an injected clock, so experiments replay a
@@ -13,9 +14,9 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"hash/fnv"
+	"reflect"
 	"sync"
 	"time"
 
@@ -53,20 +54,14 @@ const (
 	ModeNaiveSkip
 )
 
+var modeNames = [...]string{ModeNoCache: "no-cache", ModeExactCache: "exact-cache", ModeApprox: "approx-cache", ModeNaiveSkip: "naive-skip"}
+
 // String returns the mode name.
 func (m Mode) String() string {
-	switch m {
-	case ModeNoCache:
-		return "no-cache"
-	case ModeExactCache:
-		return "exact-cache"
-	case ModeApprox:
-		return "approx-cache"
-	case ModeNaiveSkip:
-		return "naive-skip"
-	default:
-		return fmt.Sprintf("Mode(%d)", int(m))
+	if m >= ModeNoCache && int(m) < len(modeNames) {
+		return modeNames[m]
 	}
+	return fmt.Sprintf("Mode(%d)", int(m))
 }
 
 // CostModel simulates the on-device compute cost of each cache-path
@@ -348,21 +343,14 @@ type Engine struct {
 	deps  Deps
 	stats *metrics.SessionStats
 	wd    *watchdog
-	// ctrl is the admission/brownout controller, shared pool-wide (nil
-	// when admission control is disabled).
-	ctrl *admission.Controller
-	// quality is the self-healing quality controller, shared pool-wide
-	// like the watchdog (nil when the quality layer is disabled).
+	// ctrl (admission/brownout) and quality (self-healing) are shared
+	// pool-wide like the watchdog; nil when disabled.
+	ctrl    *admission.Controller
 	quality *qualityController
-	// jitterSeed seeds this session's deterministic retry-jitter
-	// schedule, derived from the pool session index so sibling sessions
-	// never retry in lockstep.
+	// jitterSeed seeds this session's retry jitter (see jitterSeedFor).
 	jitterSeed uint64
-
-	// scratch pools per-frame working memory (feature vector, neighbor
-	// buffer) so the steady-state lookup path allocates nothing even
-	// under concurrent Process calls.
-	scratch sync.Pool
+	stages     []stage   // the frame pipeline, in order (see stageList)
+	frames     sync.Pool // of *frame: Process allocates nothing
 
 	mu        sync.RWMutex
 	detector  *imu.Detector
@@ -373,31 +361,12 @@ type Engine struct {
 	// serves degraded frames from this copy concurrently).
 	last    Result
 	hasLast bool
-	// lastAt stamps when last was set (engine clock), so the
-	// degradation ladder can age it out under LastResultTTL.
-	lastAt time.Time
-	streak int // consecutive frames served by reuse sources
-	// appliedScale is the quality controller's gate-strictness scale
-	// last pushed into the detector and keyframe library; the engine
-	// re-pushes only on change.
+	lastAt  time.Time // engine clock, for LastResultTTL
+	streak  int       // consecutive frames served by reuse sources
+	// appliedScale is the quality scale last pushed into the detector
+	// and keyframe library.
 	appliedScale float64
 	exact        map[uint64]exactEntry
-}
-
-// frameScratch is one frame's reusable working memory. The feature
-// vector is safe to recycle because every downstream consumer (store
-// insert, peer query/gossip encoding) copies it before returning.
-type frameScratch struct {
-	vec   feature.Vector
-	ns    []lsh.Neighbor
-	thumb vision.Thumb
-}
-
-func (e *Engine) getScratch() *frameScratch {
-	if sc, ok := e.scratch.Get().(*frameScratch); ok {
-		return sc
-	}
-	return &frameScratch{}
 }
 
 type exactEntry struct {
@@ -410,15 +379,11 @@ func New(cfg Config, deps Deps) (*Engine, error) {
 	return newEngine(cfg, deps, nil, nil, nil, nil, 0)
 }
 
-// newEngine builds an engine, optionally sharing session stats, a
-// classifier watchdog, an admission controller, and a quality
-// controller with sibling engines (the multi-session pool passes all
-// four so every stream feeds one scoreboard, one breaker, one overload
-// limiter, and one quality loop — they share the accelerator and cache
-// those protect). Nil stats/wd/ctrl/qc get fresh private instances
-// (ctrl only when cfg.Admission is enabled, qc only when cfg.Quality
-// is). session is the pool session index; it seeds the per-session
-// retry jitter.
+// newEngine builds an engine, optionally sharing session stats, the
+// watchdog, the admission controller and the quality controller with
+// sibling engines (a pool shares all four: its streams share the
+// accelerator and cache those protect). Nil ones get private instances
+// when cfg enables them. session, the pool index, seeds retry jitter.
 func newEngine(cfg Config, deps Deps, stats *metrics.SessionStats, wd *watchdog, ctrl *admission.Controller, qc *qualityController, session int) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -449,21 +414,11 @@ func newEngine(cfg Config, deps Deps, stats *metrics.SessionStats, wd *watchdog,
 	}
 	// Normalize typed-nil stores: a nil *Store in the interface would
 	// dodge the nil check below and crash on first use instead.
-	switch st := deps.Store.(type) {
-	case *cachestore.Store:
-		if st == nil {
-			deps.Store = nil
-		}
-	case *cachestore.ShardedStore:
-		if st == nil {
-			deps.Store = nil
-		}
-	case *cachestore.SerializedStore:
-		if st == nil {
-			deps.Store = nil
-		}
+	if v := reflect.ValueOf(deps.Store); v.Kind() == reflect.Pointer && v.IsNil() {
+		deps.Store = nil
 	}
-	e := &Engine{cfg: cfg, deps: deps, stats: stats, ctrl: ctrl, jitterSeed: jitterSeedFor(session), appliedScale: 1}
+	e := &Engine{cfg: cfg, deps: deps, stats: stats, ctrl: ctrl, jitterSeed: jitterSeedFor(session), appliedScale: 1,
+		stages: stageList(cfg, ctrl != nil || cfg.RequestDeadline > 0)}
 	if wd == nil {
 		wd = newWatchdog(cfg.Watchdog, deps.Classifier, deps.Clock, stats)
 	}
@@ -567,38 +522,89 @@ func (e *Engine) LastResult() (Result, bool) {
 
 // Process recognizes one frame. imuWindow carries the inertial samples
 // received since the previous frame (ignored outside ModeApprox; nil
-// is fine when unavailable). Structurally unusable inputs return
-// ErrBadFrame or ErrBadIMUWindow; lesser sensor faults are routed past
-// the gates they would fool. Use ProcessWithTruth in experiments so
-// accuracy is tracked.
-//
-// A frame's shape (nil, zero-sized, a pixel buffer that is not W×H) is
-// checked up front. Its pixels are checked by the first stage that reads
-// them: in ModeApprox that is after the inertial gate, so a frame that
-// gate answers is never read at all — a non-finite pixel in it goes
-// unnoticed, exactly as a covered lens always has (see ErrBadFrame).
+// is fine). Structurally unusable inputs return ErrBadFrame or
+// ErrBadIMUWindow; lesser sensor faults are routed past the gates they
+// would fool. A frame's shape is checked up front, its pixels by the
+// first stage that reads them: in ModeApprox that is after the inertial
+// gate, so a frame that gate answers is never read (see ErrBadFrame).
 func (e *Engine) Process(im *vision.Image, imuWindow []imu.Sample) (Result, error) {
-	return e.process(im, imuWindow, "", false)
+	return e.ProcessRecord(im, imuWindow, "", nil)
 }
 
 // ProcessWithTruth is Process plus ground-truth accuracy accounting.
 func (e *Engine) ProcessWithTruth(im *vision.Image, imuWindow []imu.Sample, truth string) (Result, error) {
-	return e.process(im, imuWindow, truth, true)
+	return e.ProcessRecord(im, imuWindow, truth, nil)
 }
 
-// guardFrame is a frame's one pass over its pixels: the frame guard's
-// verdict, and in th the thumbnail that the video gate matches and
-// stores and the extractor takes its grid half from, instead of each
-// summarising the frame again. Whoever is first to read a frame's pixels
-// calls it first. frameOK is false for a frame that is real but carries
-// no scene information (low entropy: recognizable by the DNN alone, at
-// best); a structurally broken frame is refused with ErrBadFrame. With
-// the guards disabled the frame is only summarised.
-func (e *Engine) guardFrame(im *vision.Image, th *vision.Thumb) (frameOK bool, err error) {
-	if e.cfg.DisableSensorGuards {
-		th.Fill(im)
-		return true, nil
+// ProcessRecord is ProcessWithTruth (an empty truth is none) that also
+// overwrites rec, unless nil, with the frame's FrameRecord.
+func (e *Engine) ProcessRecord(im *vision.Image, imuWindow []imu.Sample, truth string, rec *FrameRecord) (Result, error) {
+	if im == nil {
+		if rec != nil {
+			*rec = FrameRecord{}
+		}
+		e.stats.ObserveSensorFault("frame-" + vision.FrameNil.String())
+		return Result{}, fmt.Errorf("%w: nil image", ErrBadFrame)
 	}
+	f := e.newFrame(im, imuWindow)
+	defer e.frames.Put(f)
+	if e.cfg.RequestDeadline > 0 { // wall clock: queues and accelerators run in it
+		f.deadline = time.Now().Add(e.cfg.RequestDeadline)
+	}
+	var err error
+	for _, s := range e.stages {
+		var done bool
+		if done, err = s.try(e, f); done || err != nil {
+			break
+		}
+	}
+	if rec != nil {
+		*rec = f.rec
+	}
+	if err != nil {
+		return Result{}, err
+	}
+	if !f.deadline.IsZero() {
+		ev := metrics.EventLate
+		if time.Now().Before(f.deadline) {
+			ev = metrics.EventInDeadline
+		}
+		e.stats.Add(ev, 1)
+	}
+	res := f.res
+	res.Latency, res.EnergyMJ = f.rec.Totals()
+	e.finish(res, truth != "" && res.Label == truth)
+	return res, nil
+}
+
+// finish books a served frame and makes it the last result.
+func (e *Engine) finish(res Result, correct bool) {
+	e.deps.Clock.Sleep(res.Latency)
+	e.stats.ObserveFrame(res.Source, res.Latency, res.EnergyMJ, correct)
+	if res.Degradation != DegradeNone {
+		e.stats.Add(metrics.EventDegradedServe, 1)
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.last = res
+	e.hasLast = true
+	if res.Degradation == DegradeNone {
+		// A ladder answer replays history: it must not renew its age.
+		e.lastAt = e.deps.Clock.Now()
+	}
+	if res.Source == metrics.SourceDNN {
+		e.streak = 0
+	} else {
+		// Degraded serves too: the DNN is re-probed until it heals.
+		e.streak++
+	}
+}
+
+// guardFrame is the frame guard's verdict on im, leaving in th the
+// thumbnail the video gate and the extractor reuse. frameOK is false for
+// a real frame with no scene information (low entropy); a structurally
+// broken one is refused with ErrBadFrame.
+func (e *Engine) guardFrame(im *vision.Image, th *vision.Thumb) (frameOK bool, err error) {
 	f := vision.CheckFrameThumb(im, e.cfg.FrameGuard, th)
 	if f == vision.FrameOK {
 		return true, nil
@@ -608,143 +614,6 @@ func (e *Engine) guardFrame(im *vision.Image, th *vision.Thumb) (frameOK bool, e
 		return false, fmt.Errorf("%w: %s", ErrBadFrame, f)
 	}
 	return false, nil
-}
-
-func (e *Engine) process(im *vision.Image, imuWindow []imu.Sample, truth string, haveTruth bool) (Result, error) {
-	// Sensor guards: structurally broken inputs are refused with typed
-	// errors; quality faults are routed past the gates they would fool.
-	// A frame's shape is checked here, in O(1); its pixels by guardFrame,
-	// which ModeApprox defers until a stage is about to read them.
-	approx := e.cfg.Mode == ModeApprox
-	if im == nil {
-		e.stats.ObserveSensorFault("frame-" + vision.FrameNil.String())
-		return Result{}, fmt.Errorf("%w: nil image", ErrBadFrame)
-	}
-	if !e.cfg.DisableSensorGuards {
-		if !im.WellFormed() {
-			e.stats.ObserveSensorFault("frame-" + vision.FrameEmpty.String())
-			return Result{}, fmt.Errorf("%w: %s", ErrBadFrame, vision.FrameEmpty)
-		}
-		if !approx {
-			// The baselines read every frame, so they guard every frame;
-			// a low-entropy frame is still theirs to classify.
-			var th vision.Thumb
-			if _, err := e.guardFrame(im, &th); err != nil {
-				return Result{}, err
-			}
-		}
-	}
-	imuOK := true
-	if approx && !e.cfg.DisableSensorGuards {
-		if wf := imu.CheckWindow(imuWindow, e.cfg.IMUGuard); wf != imu.WindowOK {
-			e.stats.ObserveSensorFault("imu-" + wf.String())
-			if wf == imu.WindowNonFinite {
-				return Result{}, fmt.Errorf("%w: %s", ErrBadIMUWindow, wf)
-			}
-			imuOK = false
-		}
-	}
-	// The request deadline is wall-clock: queueing delay and accelerator
-	// occupancy — the things that blow it under overload — happen in
-	// real time, invisible to a virtual experiment clock.
-	var deadline time.Time
-	if e.cfg.RequestDeadline > 0 {
-		deadline = time.Now().Add(e.cfg.RequestDeadline)
-	}
-	var res Result
-	var err error
-	switch e.cfg.Mode {
-	case ModeNoCache:
-		res, err = e.processNoCache(im, deadline)
-	case ModeExactCache:
-		res, err = e.processExact(im, deadline)
-	case ModeNaiveSkip:
-		res, err = e.processNaiveSkip(im, deadline)
-	default:
-		res, err = e.processApprox(im, imuWindow, imuOK, deadline)
-	}
-	if !deadline.IsZero() && err == nil {
-		ev := metrics.EventLate
-		if time.Now().Before(deadline) {
-			ev = metrics.EventInDeadline
-		}
-		e.stats.Add(ev, 1)
-	}
-	if err != nil {
-		return Result{}, err
-	}
-	e.deps.Clock.Sleep(res.Latency)
-	correct := haveTruth && res.Label == truth
-	e.stats.ObserveFrame(res.Source, res.Latency, res.EnergyMJ, correct)
-	if res.Degradation != DegradeNone {
-		e.stats.Add(metrics.EventDegradedServe, 1)
-	}
-	e.mu.Lock()
-	e.last = res
-	e.hasLast = true
-	if res.Degradation == DegradeNone {
-		// Only non-degraded serves refresh the staleness stamp: a
-		// ladder answer is a replay of history, and letting a replay
-		// renew its own age would defeat LastResultTTL.
-		e.lastAt = e.deps.Clock.Now()
-	}
-	if res.Source == metrics.SourceDNN {
-		e.streak = 0
-	} else {
-		// Degraded serves extend the streak too, keeping revalidation
-		// pressure on: the pipeline re-probes the DNN (cheaply, through
-		// the breaker) every frame until it heals.
-		e.streak++
-	}
-	e.mu.Unlock()
-	return res, nil
-}
-
-func (e *Engine) processNoCache(im *vision.Image, deadline time.Time) (Result, error) {
-	inf, penalty, err := e.wd.infer(im, deadline, e.jitterSeed)
-	if err != nil {
-		return Result{}, fmt.Errorf("infer: %w", err)
-	}
-	return Result{
-		Label:      inf.Label,
-		Confidence: inf.Confidence,
-		Source:     metrics.SourceDNN,
-		Latency:    penalty + inf.Latency,
-		EnergyMJ:   inf.EnergyMJ,
-	}, nil
-}
-
-// processNaiveSkip reuses the last result blindly, inferring only every
-// SkipEvery-th frame. The reuse is attributed to SourceVideo (it is a
-// crude temporal-locality heuristic) so reports separate it from DNN
-// work. With the DNN down, a due inference degrades to repeating the
-// last result — the baseline has no cache to fall back on.
-func (e *Engine) processNaiveSkip(im *vision.Image, deadline time.Time) (Result, error) {
-	e.mu.Lock()
-	last, hasLast := e.last, e.hasLast // copied under the lock
-	skip := hasLast && (e.streak+1)%e.cfg.SkipEvery != 0
-	e.mu.Unlock()
-	if skip {
-		return Result{
-			Label:      last.Label,
-			Confidence: last.Confidence,
-			Source:     metrics.SourceVideo,
-			Latency:    e.cfg.Costs.IMUGateLatency,
-			EnergyMJ:   e.cfg.Costs.IMUGateEnergyMJ,
-		}, nil
-	}
-	res, err := e.processNoCache(im, deadline)
-	if err != nil && hasLast {
-		return Result{
-			Label:       last.Label,
-			Confidence:  last.Confidence * fallbackConfidence,
-			Source:      metrics.SourceFallback,
-			Latency:     e.cfg.Costs.IMUGateLatency,
-			EnergyMJ:    e.cfg.Costs.IMUGateEnergyMJ,
-			Degradation: DegradeLastResult,
-		}, nil
-	}
-	return res, err
 }
 
 // exactHashLevels quantizes pixels before hashing so that bit-identical
@@ -763,499 +632,4 @@ func exactHash(im *vision.Image) uint64 {
 		_, _ = h.Write(b[:])
 	}
 	return h.Sum64()
-}
-
-func (e *Engine) processExact(im *vision.Image, deadline time.Time) (Result, error) {
-	key := exactHash(im)
-	cost := e.cfg.Costs.DiffLatency // hashing is diff-class work
-	energy := e.cfg.Costs.DiffEnergyMJ
-	e.mu.Lock()
-	entry, ok := e.exact[key]
-	e.mu.Unlock()
-	if ok {
-		return Result{
-			Label:      entry.label,
-			Confidence: entry.confidence,
-			Source:     metrics.SourceLocal,
-			Latency:    cost,
-			EnergyMJ:   energy,
-		}, nil
-	}
-	inf, penalty, err := e.wd.infer(im, deadline, e.jitterSeed)
-	if err != nil {
-		return Result{}, fmt.Errorf("infer: %w", err)
-	}
-	e.mu.Lock()
-	e.exact[key] = exactEntry{label: inf.Label, confidence: inf.Confidence}
-	e.mu.Unlock()
-	return Result{
-		Label:      inf.Label,
-		Confidence: inf.Confidence,
-		Source:     metrics.SourceDNN,
-		Latency:    cost + penalty + inf.Latency,
-		EnergyMJ:   energy + inf.EnergyMJ,
-	}, nil
-}
-
-// processApprox runs the 4-gate pipeline. imuOK reports whether the
-// sensor guard trusted the IMU window: an untrusted one skips the
-// detector feed and the inertial gate. The frame is guarded once the
-// inertial gate has passed on it (guardFrame): an untrusted
-// (low-entropy) frame skips the video gate, the cache gates, and every
-// cache mutation — its features would be meaningless — leaving only the
-// DNN.
-func (e *Engine) processApprox(im *vision.Image, imuWindow []imu.Sample, imuOK bool, deadline time.Time) (Result, error) {
-	// Brownout level snapshot: under sustained overload the controller
-	// disables the expensive reuse stages (first P2P, then the kNN
-	// vote), keeping the nearly-free IMU and video gates.
-	brownout := admission.LevelFull
-	if e.ctrl != nil {
-		brownout = e.ctrl.Level()
-	}
-	// Quality layer: a reuse-refusal burst forces this frame to
-	// revalidate; the gate-strictness scale (1 when healthy) shrinks
-	// every reuse gate when shadow audits find accuracy drifting.
-	forcedReval := false
-	scale := 1.0
-	if e.quality != nil {
-		forcedReval = e.quality.consumeRefusal()
-		scale = e.quality.scale()
-	}
-	e.mu.Lock()
-	if e.quality != nil && scale != e.appliedScale {
-		e.detector.SetStrictness(scale)
-		e.keyframes.SetStrictness(scale)
-		e.appliedScale = scale
-	}
-	if imuOK {
-		e.detector.ObserveAll(imuWindow)
-	}
-	last, hasLast := e.last, e.hasLast
-	// Bounded staleness: once a reuse streak reaches the cap, force a
-	// fresh inference so a single wrong result cannot serve forever.
-	revalidate := forcedReval || (e.cfg.MaxReuseStreak > 0 && e.streak >= e.cfg.MaxReuseStreak)
-	var latency time.Duration
-	var energy float64
-
-	// Gate 1: inertial reuse. If the device has not moved since the
-	// last verified recognition, return it at near-zero cost.
-	if imuOK && !revalidate && !e.cfg.DisableIMUGate && hasLast {
-		latency += e.cfg.Costs.IMUGateLatency
-		energy += e.cfg.Costs.IMUGateEnergyMJ
-		if e.detector.AllowReuse() {
-			res := Result{
-				Label:      last.Label,
-				Confidence: last.Confidence,
-				Source:     metrics.SourceIMU,
-				Latency:    latency,
-				EnergyMJ:   energy,
-			}
-			e.mu.Unlock()
-			// Nothing has read the frame; an audit, if one falls due, is
-			// its first reader.
-			e.maybeAudit(im, false, res.Label, nil, deadline)
-			return res, nil
-		}
-	}
-	e.mu.Unlock()
-
-	// Every later stage reads the pixels, so this is where the frame pays
-	// for its one guarded pass over them.
-	var thumb vision.Thumb
-	frameOK, err := e.guardFrame(im, &thumb)
-	if err != nil {
-		return Result{}, err
-	}
-
-	// Gate 2: video locality. A coarse-to-fine pixel diff against the
-	// recent recognized keyframes catches temporal locality the IMU
-	// missed — including panning back to a scene seen a few keyframes ago.
-	if frameOK && !revalidate && !e.cfg.DisableVideoGate {
-		e.mu.Lock()
-		if e.keyframes.Len() > 0 {
-			latency += e.cfg.Costs.DiffLatency
-			energy += e.cfg.Costs.DiffEnergyMJ
-			if kf, ok := e.keyframes.MatchThumb(im, &thumb); ok {
-				res := Result{
-					Label:      kf.Label,
-					Confidence: kf.Confidence,
-					Source:     metrics.SourceVideo,
-					Latency:    latency,
-					EnergyMJ:   energy,
-				}
-				e.mu.Unlock()
-				e.maybeAudit(im, true, res.Label, nil, deadline)
-				return res, nil
-			}
-		}
-		e.mu.Unlock()
-	}
-
-	// Gate 3: local approximate cache. The feature vector and neighbor
-	// buffer come from the engine's scratch pool: the extractor writes
-	// into the reused vector and the index ranks into the reused
-	// buffer, so a steady-state frame allocates nothing here.
-	var vec feature.Vector
-	var sc *frameScratch
-	// looked is this frame's own lookup result when it covers everything
-	// cache repair would search for (see repairContradicted).
-	var looked []lsh.Neighbor
-	haveLooked := false
-	peers := e.peers()
-	if frameOK {
-		latency += e.cfg.Costs.FeatureLatency
-		energy += e.cfg.Costs.FeatureEnergyMJ
-		sc = e.getScratch()
-		defer e.scratch.Put(sc)
-		// The extractor sits behind an interface, and a pointer passed
-		// through one escapes: handing it the stack thumbnail would move
-		// that to the heap on every frame, so it gets a copy in the
-		// pooled scratch, which lives there already.
-		sc.thumb = thumb
-		vec, err = feature.ExtractThumbInto(e.cfg.Extractor, im, &sc.thumb, sc.vec)
-		if err != nil {
-			return Result{}, fmt.Errorf("extract: %w", err)
-		}
-		sc.vec = vec
-	}
-	if frameOK && !revalidate {
-		latency += e.cfg.Costs.LookupLatency
-		energy += e.cfg.Costs.LookupEnergyMJ
-		// The quality controller's strictness scale shrinks the reuse
-		// radius when live accuracy drifts below target (a stack copy;
-		// the configured policy is never mutated).
-		vote := e.cfg.Vote
-		vote.MaxDistance *= scale
-		k := vote.K
-		if brownout >= admission.LevelFirstCandidate {
-			k = 1
-		}
-		ns, err := cachestore.NearestWithinInto(e.deps.Store, vec, k, vote.MaxDistance, sc.ns)
-		if err != nil {
-			return Result{}, fmt.Errorf("nearest: %w", err)
-		}
-		sc.ns = ns[:0]
-		if k == e.cfg.Vote.K && vote.MaxDistance >= e.cfg.Vote.MaxDistance/2 {
-			// Nothing below writes the scratch buffer before repair
-			// runs, so ns stays valid until then.
-			looked, haveLooked = ns, true
-		}
-		var verdict lsh.Verdict
-		if brownout >= admission.LevelFirstCandidate {
-			// Deep brownout: skip the homogenized-kNN vote and serve the
-			// nearest in-range candidate directly. Cheaper and less
-			// verified — acceptable exactly because the alternative
-			// under this much pressure is shedding the frame entirely.
-			if len(ns) > 0 && ns[0].Distance <= vote.MaxDistance {
-				if label, conf, ok := cachestore.Answer(e.deps.Store, ns[0].ID); ok {
-					verdict = lsh.Verdict{Accepted: true, Label: label, Confidence: conf}
-				}
-			}
-		} else if verdict, err = lsh.Vote(ns, e.deps.Store.Label, vote); err != nil {
-			return Result{}, fmt.Errorf("vote: %w", err)
-		}
-		if verdict.Accepted {
-			if len(ns) > 0 {
-				e.deps.Store.Touch(ns[0].ID)
-			}
-			res := Result{
-				Label:      verdict.Label,
-				Confidence: verdict.Confidence,
-				Source:     metrics.SourceLocal,
-				Latency:    latency,
-				EnergyMJ:   energy,
-			}
-			e.refreshScene(im, &thumb, res.Label, res.Confidence)
-			if e.quality != nil {
-				// The in-range neighbors backed this serve; an audit
-				// will confirm or refute them by ID.
-				var aud [maxAuditIDs]lsh.ID
-				an := 0
-				for _, n := range ns {
-					if an == len(aud) || n.Distance > vote.MaxDistance {
-						break
-					}
-					aud[an] = n.ID
-					an++
-				}
-				e.maybeAudit(im, true, res.Label, aud[:an], deadline)
-			}
-			return res, nil
-		}
-
-		// Gate 4: peer-to-peer reuse, under a per-frame time budget so
-		// a dead or slow peer can never stall the frame past it. When
-		// every peer's circuit is open the gate is skipped at zero
-		// cost: the local gates and the DNN keep serving while the
-		// breaker re-probes peers on its backoff schedule. Brownout
-		// disables the gate first — it is the most expensive reuse
-		// stage and the node is already short on time.
-		budget := e.peerBudget()
-		peerTime := true
-		if !deadline.IsZero() {
-			// The peer budget cannot exceed what is left of the request
-			// deadline; with the budget gone the gate is skipped
-			// entirely (the fallback's deadline check sheds the frame).
-			// QueryFrame reads budget 0 as unbounded, so an exhausted
-			// deadline must skip, not cap to zero.
-			remaining := time.Until(deadline)
-			if remaining <= 0 {
-				peerTime = false
-			} else if budget == 0 || remaining < budget {
-				budget = remaining
-			}
-		}
-		if peers != nil && peerTime && brownout < admission.LevelNoPeer {
-			out, err := peers.QueryFrame(vec, budget)
-			if err != nil {
-				return Result{}, fmt.Errorf("peer query: %w", err)
-			}
-			if out.Degraded {
-				e.stats.Add(metrics.EventDegradedFrame, 1)
-			}
-			if out.Queried > 0 {
-				latency += out.Cost
-				reqSize := p2p.QueryWireSize(len(vec))
-				energy += e.cfg.Radio.RTTCost(reqSize, 32)
-				e.stats.Add(metrics.EventPeerQuery, 1)
-				if out.Found {
-					e.stats.Add(metrics.EventPeerHit, 1)
-				}
-			}
-			if out.Found {
-				hit := out.Hit
-				// Adopt the peer's answer locally so the next similar
-				// frame hits gate 3.
-				pid, err := e.deps.Store.Insert(vec, hit.Label, hit.Confidence, "peer",
-					e.deps.Classifier.Profile().MeanLatency)
-				if err != nil {
-					return Result{}, fmt.Errorf("adopt peer hit: %w", err)
-				}
-				res := Result{
-					Label:      hit.Label,
-					Confidence: hit.Confidence,
-					Source:     metrics.SourcePeer,
-					Latency:    latency,
-					EnergyMJ:   energy,
-					PeerName:   hit.Peer,
-				}
-				e.refreshScene(im, &thumb, res.Label, res.Confidence)
-				if e.quality != nil {
-					// Audit the adopted entry: a peer's bad answer must
-					// accrue refutes here, not just on the peer.
-					aud := [1]lsh.ID{pid}
-					e.maybeAudit(im, true, res.Label, aud[:], deadline)
-				}
-				return res, nil
-			}
-		}
-	}
-
-	// Fallback: run the DNN under the watchdog — but overload protection
-	// first. A frame that has already blown its deadline, or that the
-	// admission limiter refuses, is answered from the degradation ladder
-	// instead of occupying the accelerator.
-	if !deadline.IsZero() && !time.Now().Before(deadline) {
-		e.stats.Add(metrics.EventExpiredDrop, 1)
-		return e.serveShed(vec, sc, frameOK, latency, energy, DegradeDeadline, ErrDeadlineExceeded)
-	}
-	if e.ctrl != nil && !e.ctrl.TryAcquire() {
-		e.stats.Add(metrics.EventShed, 1)
-		return e.serveShed(vec, sc, frameOK, latency, energy, DegradeOverload, ErrOverloadShed)
-	}
-	inf, penalty, ierr := e.wd.infer(im, deadline, e.jitterSeed)
-	if e.ctrl != nil {
-		// Complete the admitted slot: queue refusals back the limit off
-		// as overflow; everything else reports whether the frame is
-		// still inside its budget (AIMD increase or backoff).
-		if dnn.IsOverloadError(ierr) {
-			e.ctrl.ReleaseOverflow()
-		} else {
-			e.ctrl.Release(deadline.IsZero() || time.Now().Before(deadline))
-		}
-	}
-	latency += penalty
-	if ierr != nil {
-		switch {
-		case errors.Is(ierr, dnn.ErrExpiredInQueue):
-			e.stats.Add(metrics.EventExpiredDrop, 1)
-			return e.serveShed(vec, sc, frameOK, latency, energy, DegradeDeadline, ierr)
-		case errors.Is(ierr, dnn.ErrQueueFull):
-			e.stats.Add(metrics.EventShed, 1)
-			return e.serveShed(vec, sc, frameOK, latency, energy, DegradeOverload, ierr)
-		}
-		return e.serveDegraded(vec, sc, frameOK, latency, energy, ierr)
-	}
-	latency += inf.Latency
-	energy += inf.EnergyMJ
-	if frameOK {
-		if !e.cfg.DisableRepair {
-			// Cache repair: entries sitting where we just looked,
-			// carrying a different label, are contradicted by fresh
-			// evidence — purge them so they stop winning votes.
-			e.stats.Add(metrics.EventRepair, e.repairContradicted(vec, inf.Label, sc, looked, haveLooked))
-		}
-		if _, err := e.deps.Store.Insert(vec, inf.Label, inf.Confidence, "dnn", inf.Latency); err != nil {
-			return Result{}, fmt.Errorf("cache insert: %w", err)
-		}
-		if peers != nil && !e.cfg.DisableGossip {
-			// Gossip is asynchronous on a real device: it costs radio
-			// energy but does not extend the frame's latency.
-			if _, err := peers.Gossip(vec, inf.Label, inf.Confidence, inf.Latency); err == nil {
-				size := p2p.GossipWireSize(len(vec), len(inf.Label))
-				energy += e.cfg.Radio.MessageCost(size) * float64(len(peers.Peers()))
-			}
-		}
-	}
-	res := Result{
-		Label:      inf.Label,
-		Confidence: inf.Confidence,
-		Source:     metrics.SourceDNN,
-		Latency:    latency,
-		EnergyMJ:   energy,
-	}
-	if frameOK {
-		e.refreshScene(im, &thumb, res.Label, res.Confidence)
-	}
-	return res, nil
-}
-
-// fallbackConfidence discounts degraded answers: the pipeline cannot
-// verify them, so it halves the confidence it reports.
-const fallbackConfidence = 0.5
-
-// fallbackRadiusFactor relaxes the cache acceptance radius for degraded
-// serving: with the DNN down, a merely-nearby answer beats none.
-const fallbackRadiusFactor = 2.0
-
-// serveDegraded walks the degradation ladder after a failed inference:
-// the nearest cached entry within a relaxed radius, then the last
-// served result, then — with nothing left to say — the error itself.
-// Degraded answers carry halved confidence, SourceFallback, and the
-// ladder level, so callers and metrics can tell them apart.
-func (e *Engine) serveDegraded(vec feature.Vector, sc *frameScratch, haveVec bool, latency time.Duration, energy float64, cause error) (Result, error) {
-	if haveVec {
-		latency += e.cfg.Costs.LookupLatency
-		energy += e.cfg.Costs.LookupEnergyMJ
-		radius := fallbackRadiusFactor * e.cfg.Vote.MaxDistance
-		if ns, err := cachestore.NearestWithinInto(e.deps.Store, vec, 1, radius, sc.ns); err == nil {
-			if len(ns) > 0 && ns[0].Distance <= radius {
-				if label, conf, ok := cachestore.Answer(e.deps.Store, ns[0].ID); ok {
-					e.deps.Store.Touch(ns[0].ID)
-					sc.ns = ns[:0]
-					return Result{
-						Label:       label,
-						Confidence:  conf * fallbackConfidence,
-						Source:      metrics.SourceFallback,
-						Latency:     latency,
-						EnergyMJ:    energy,
-						Degradation: DegradeCacheOnly,
-					}, nil
-				}
-			}
-			sc.ns = ns[:0]
-		}
-	}
-	if last, ok := e.lastResultFresh(); ok {
-		return Result{
-			Label:       last.Label,
-			Confidence:  last.Confidence * fallbackConfidence,
-			Source:      metrics.SourceFallback,
-			Latency:     latency,
-			EnergyMJ:    energy,
-			Degradation: DegradeLastResult,
-		}, nil
-	}
-	return Result{}, fmt.Errorf("recognition unavailable: %w", cause)
-}
-
-// lastResultFresh returns the last result for degraded serving, unless
-// LastResultTTL is set and the result has outlived it — a ladder that
-// would otherwise repeat arbitrarily ancient history falls through to
-// the next rung instead.
-func (e *Engine) lastResultFresh() (Result, bool) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if !e.hasLast {
-		return Result{}, false
-	}
-	if e.cfg.LastResultTTL > 0 && e.deps.Clock.Now().Sub(e.lastAt) > e.cfg.LastResultTTL {
-		return Result{}, false
-	}
-	return e.last, true
-}
-
-// maybeAudit forwards a reuse serve to the quality controller's shadow
-// auditor. guarded says whether im has been through guardFrame; a frame
-// the inertial gate served has not, and the audit guards it before the
-// classifier reads it. ids are the cache entries that backed the serve;
-// the controller copies them before returning, so scratch-backed slices
-// are safe to pass.
-func (e *Engine) maybeAudit(im *vision.Image, guarded bool, served string, ids []lsh.ID, deadline time.Time) {
-	if e.quality == nil {
-		return
-	}
-	e.quality.maybeAudit(e, im, guarded, served, ids, deadline)
-}
-
-// serveShed answers a frame that overload protection kept off the
-// accelerator — admission shed, queue overflow, or a blown deadline —
-// from the same ladder as serveDegraded, retyped metrics.SourceShed
-// with the overload marker so callers can tell load shedding apart from
-// classifier failure. Like every degraded serve, the answer is never a
-// silent drop: it is a typed, reduced-confidence result, or the typed
-// cause when the ladder is empty.
-func (e *Engine) serveShed(vec feature.Vector, sc *frameScratch, haveVec bool, latency time.Duration, energy float64, marker DegradationLevel, cause error) (Result, error) {
-	res, err := e.serveDegraded(vec, sc, haveVec, latency, energy, cause)
-	if err != nil {
-		return res, err
-	}
-	res.Source = metrics.SourceShed
-	res.Degradation = marker
-	return res, nil
-}
-
-// repairContradicted removes cached entries within half the reuse
-// radius of vec whose label differs from freshLabel. Any such entry
-// would have claimed this very lookup, and the DNN just disagreed.
-//
-// "Where we just looked" is literal: when looked is set, ns is the
-// result of this frame's own lookup — the same query at the full vote
-// K and at least the repair radius — and is reused instead of scanning
-// the index a second time. Otherwise (the lookup was skipped by a
-// revalidation, ran at brownout k=1, or ran at a radius the quality
-// scale had shrunk below the repair radius) repair scans for itself,
-// into the frame's scratch buffer. Reuse sees the cache as of the
-// lookup: an entry another session inserted while this frame was in
-// inference is not repaired by it.
-func (e *Engine) repairContradicted(vec feature.Vector, freshLabel string, sc *frameScratch, ns []lsh.Neighbor, looked bool) int {
-	radius := e.cfg.Vote.MaxDistance / 2
-	if !looked {
-		var err error
-		if ns, err = cachestore.NearestWithinInto(e.deps.Store, vec, e.cfg.Vote.K, radius, sc.ns); err != nil {
-			return 0
-		}
-		sc.ns = ns[:0]
-	}
-	removed := 0
-	for _, n := range ns {
-		if n.Distance > radius {
-			break // sorted by distance: the rest are farther
-		}
-		if label, ok := e.deps.Store.Label(n.ID); ok && label != freshLabel {
-			e.deps.Store.Remove(n.ID)
-			removed++
-		}
-	}
-	return removed
-}
-
-// refreshScene re-anchors the cheap gates after a verified recognition:
-// the frame joins the keyframe library and the rotation integrator
-// resets.
-func (e *Engine) refreshScene(im *vision.Image, thumb *vision.Thumb, label string, confidence float64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.keyframes.PushThumb(im, thumb, label, confidence)
-	e.detector.Mark()
 }

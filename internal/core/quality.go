@@ -87,43 +87,26 @@ func DefaultQualityConfig() QualityConfig {
 
 // withDefaults fills zero fields with the standard tuning.
 func (c QualityConfig) withDefaults() QualityConfig {
-	if c.AuditSampleEvery == 0 {
-		c.AuditSampleEvery = 16
-	}
-	if c.TargetAccuracy == 0 {
-		c.TargetAccuracy = 0.90
-	}
-	if c.Hysteresis == 0 {
-		c.Hysteresis = 0.03
-	}
-	if c.EWMAAlpha == 0 {
-		c.EWMAAlpha = 0.2
-	}
-	if c.MinSamples == 0 {
-		c.MinSamples = 8
-	}
-	if c.TightenStep == 0 {
-		c.TightenStep = 0.7
-	}
-	if c.LoosenStep == 0 {
-		c.LoosenStep = 1.15
-	}
-	if c.MinScale == 0 {
-		c.MinScale = 0.35
-	}
-	if c.CooldownAudits == 0 {
-		c.CooldownAudits = 4
-	}
-	if c.RefusalFrames == 0 {
-		c.RefusalFrames = 12
-	}
-	if c.AlarmAudits == 0 {
-		c.AlarmAudits = 24
-	}
-	if c.MaxPending == 0 {
-		c.MaxPending = 4
-	}
+	orDefault(&c.AuditSampleEvery, 16)
+	orDefault(&c.TargetAccuracy, 0.90)
+	orDefault(&c.Hysteresis, 0.03)
+	orDefault(&c.EWMAAlpha, 0.2)
+	orDefault(&c.MinSamples, 8)
+	orDefault(&c.TightenStep, 0.7)
+	orDefault(&c.LoosenStep, 1.15)
+	orDefault(&c.MinScale, 0.35)
+	orDefault(&c.CooldownAudits, 4)
+	orDefault(&c.RefusalFrames, 12)
+	orDefault(&c.AlarmAudits, 24)
+	orDefault(&c.MaxPending, 4)
 	return c
+}
+
+// orDefault sets *v to def when it is zero.
+func orDefault[T int | float64](v *T, def T) {
+	if *v == 0 {
+		*v = def
+	}
 }
 
 // Validate reports whether the configuration is usable.
@@ -267,6 +250,9 @@ func (qc *qualityController) drain() { qc.wg.Wait() }
 // bounded in flight. guarded is false for a frame no stage has read yet
 // (an inertial-gate serve): the audit that falls due on it guards it.
 func (qc *qualityController) maybeAudit(e *Engine, im *vision.Image, guarded bool, served string, ids []lsh.ID, deadline time.Time) {
+	if qc == nil {
+		return // the quality layer is off
+	}
 	if qc.ctrl != nil && qc.ctrl.Level() > admission.LevelFull {
 		return
 	}
@@ -320,21 +306,13 @@ func (qc *qualityController) maybeAudit(e *Engine, im *vision.Image, guarded boo
 const maxAuditIDs = 8
 
 // runAudit re-runs the DNN on a frame a cache hit answered and feeds
-// the comparison back into every layer: the live-accuracy estimate,
-// the supporting entries' confirm/refute counters (quarantining
-// repeat offenders), parole re-verification of quarantined neighbors,
-// and — on a refute — cache repair plus a forced revalidation so the
-// pipeline stops serving the discredited scene immediately.
-//
-// The classifier is called directly, NOT through the engine's
-// watchdog: an audit is discretionary work, and its failures must not
-// trip the breaker that guards mandatory serving.
-//
-// An unguarded frame (see maybeAudit) goes through the frame guard
-// first: the audit is its first reader, and a structurally broken frame
-// must reach neither the classifier nor, through healAfterRefute, the
-// extractor and the keyframe library. The fault is counted and the audit
-// skipped — no verdict.
+// the comparison back into every layer: the live-accuracy estimate, the
+// supporting entries' confirm/refute counters (quarantining repeat
+// offenders), parole of quarantined neighbours, and — on a refute —
+// repair plus a forced revalidation. The classifier is called directly,
+// not through the watchdog: a discretionary audit's failures must not
+// trip the breaker that guards serving. An unguarded frame (see
+// maybeAudit) is guarded first; a broken one is counted and skipped.
 func (qc *qualityController) runAudit(e *Engine, im *vision.Image, guarded bool, served string, ids []lsh.ID, sampled bool) {
 	if !guarded {
 		var th vision.Thumb
@@ -456,24 +434,13 @@ func (qc *qualityController) recalibrateLocked() {
 	}
 }
 
-// healAfterRefute is the engine-side half of a refuted audit: purge
-// live entries the fresh label contradicts, cache the fresh result,
-// re-anchor the cheap gates on it, and force the next frame to
-// revalidate so the discredited answer stops serving now rather than
-// at the end of its reuse streak.
+// healAfterRefute is the engine's half of a refuted audit: purge live
+// entries the fresh label contradicts, cache and re-anchor on it, and
+// force the next frame to revalidate.
 func (e *Engine) healAfterRefute(im *vision.Image, vec feature.Vector, label string, confidence float64, savedCost time.Duration) {
-	if !e.cfg.DisableRepair {
-		if ns, err := cachestore.NearestWithinInto(e.deps.Store, vec, e.cfg.Vote.K, e.cfg.Vote.MaxDistance, nil); err == nil {
-			for _, n := range ns {
-				if n.Distance > e.cfg.Vote.MaxDistance {
-					break // sorted by distance
-				}
-				if got, ok := e.deps.Store.Label(n.ID); ok && got != label {
-					e.deps.Store.Remove(n.ID)
-					e.stats.Add(metrics.EventRepair, 1)
-				}
-			}
-		}
+	if e.runs(StageRepair) {
+		n, _ := e.repairNear(vec, label, e.cfg.Vote.MaxDistance, nil, false)
+		e.stats.Add(metrics.EventRepair, n)
 	}
 	if _, err := e.deps.Store.Insert(vec, label, confidence, "audit", savedCost); err == nil {
 		// Off the frame path: no guard pass has summarised im here.

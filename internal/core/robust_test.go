@@ -12,6 +12,7 @@ import (
 	"approxcache/internal/lsh"
 	"approxcache/internal/metrics"
 	"approxcache/internal/simclock"
+	"approxcache/internal/testutil"
 	"approxcache/internal/vision"
 )
 
@@ -351,6 +352,31 @@ func TestWatchdogTimeoutBoundsHungCall(t *testing.T) {
 	if timeouts, _, _, _, _ := f.engine.Stats().WatchdogEvents(); timeouts != 1 {
 		t.Fatalf("timeouts = %d, want 1", timeouts)
 	}
+}
+
+// The call a timeout abandons keeps its goroutine until the wedged
+// classifier returns — and not a moment longer.
+func TestWatchdogAbandonedCallExitsOnRelease(t *testing.T) {
+	check := testutil.LeakGuard(t, 0)
+	cfg := DefaultConfig()
+	cfg.Watchdog = WatchdogConfig{CallTimeout: 30 * time.Millisecond, TripThreshold: 3, Cooldown: 500 * time.Millisecond}
+	f, faulty := newFaultyFixture(t, cfg, dnn.FaultPlan{
+		{From: 1, To: 2, Kind: dnn.FaultHang, Extra: time.Minute},
+	})
+	for c, class := range []int{4, 3} {
+		proto, err := f.classes.Prototype(class)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.engine.Process(proto, movingWindow(time.Duration(c)*100*time.Millisecond)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if timeouts, _, _, _, _ := f.engine.Stats().WatchdogEvents(); timeouts != 1 {
+		t.Fatalf("timeouts = %d, want 1 (no call was abandoned)", timeouts)
+	}
+	faulty.Release()
+	check()
 }
 
 // A transient error clears on the watchdog's immediate retry.

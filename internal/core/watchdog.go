@@ -66,22 +66,14 @@ const (
 	DegradeDeadline
 )
 
+var degradationNames = [...]string{"none", "cache-only", "last-result", "overload", "deadline"}
+
 // String returns the level name.
 func (d DegradationLevel) String() string {
-	switch d {
-	case DegradeNone:
-		return "none"
-	case DegradeCacheOnly:
-		return "cache-only"
-	case DegradeLastResult:
-		return "last-result"
-	case DegradeOverload:
-		return "overload"
-	case DegradeDeadline:
-		return "deadline"
-	default:
-		return fmt.Sprintf("DegradationLevel(%d)", int(d))
+	if d >= 0 && int(d) < len(degradationNames) {
+		return degradationNames[d]
 	}
+	return fmt.Sprintf("DegradationLevel(%d)", int(d))
 }
 
 // WatchdogConfig tunes the classifier supervisor. The zero value is a

@@ -419,8 +419,8 @@ func TestRepairReuseMatchesRescan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := reuse.repairContradicted(vec, "a", &frameScratch{}, ns, true)
-			want := rescan.repairContradicted(vec, "a", &frameScratch{}, nil, false)
+			got, _ := reuse.repairNear(vec, "a", cfg.Vote.MaxDistance/2, ns, true)
+			want, _ := rescan.repairNear(vec, "a", cfg.Vote.MaxDistance/2, nil, false)
 			if got != want {
 				t.Fatalf("trial %d query %d: reuse removed %d, rescan %d", trial, q, got, want)
 			}

@@ -208,6 +208,9 @@ type State struct {
 	// RotationSinceMark is the integrated |gyro| since the last Mark,
 	// in radians.
 	RotationSinceMark float64
+	// MaxRotation is the rotation bound in force: the configured one,
+	// scaled by SetStrictness.
+	MaxRotation float64
 	// AccelVariance is the accel-magnitude variance over the window.
 	AccelVariance float64
 	// GyroMean is the mean gyro magnitude over the window.
@@ -312,7 +315,7 @@ func (d *Detector) Mark() { d.rotation = 0 }
 // State returns the current assessment. With fewer than two samples in
 // the window the detector conservatively reports non-stationary.
 func (d *Detector) State() State {
-	st := State{RotationSinceMark: d.rotation, Samples: d.count}
+	st := State{RotationSinceMark: d.rotation, MaxRotation: d.cfg.MaxRotation, Samples: d.count}
 	if d.count < 2 {
 		return st
 	}
@@ -343,7 +346,9 @@ func (d *Detector) State() State {
 // AllowReuse reports whether the inertial gate permits reusing the last
 // recognition result: the device is stationary and has not rotated past
 // MaxRotation since the result was produced.
-func (d *Detector) AllowReuse() bool {
-	st := d.State()
-	return st.Stationary && st.RotationSinceMark <= d.cfg.MaxRotation && st.Samples >= 2
+func (d *Detector) AllowReuse() bool { return d.State().AllowsReuse() }
+
+// AllowsReuse is AllowReuse's verdict on an assessment already taken.
+func (st State) AllowsReuse() bool {
+	return st.Stationary && st.RotationSinceMark <= st.MaxRotation && st.Samples >= 2
 }

@@ -38,7 +38,7 @@ func (d *sliceDetector) observe(s Sample) {
 }
 
 func (d *sliceDetector) state() State {
-	st := State{RotationSinceMark: d.rotation, Samples: len(d.window)}
+	st := State{RotationSinceMark: d.rotation, MaxRotation: d.cfg.MaxRotation, Samples: len(d.window)}
 	if len(d.window) < 2 {
 		return st
 	}

@@ -101,7 +101,9 @@ func (ls *lockstep) match(im *vision.Image) bool {
 	if ls.guard {
 		var th vision.Thumb
 		vision.CheckFrameThumb(im, vision.FrameGuardConfig{}, &th)
-		got, ok = ls.lib.MatchThumb(im, &th)
+		var m MatchStats
+		got, m = ls.lib.MatchThumb(im, &th)
+		ok = m.Found
 	} else {
 		got, ok = ls.lib.Match(im)
 	}
@@ -471,7 +473,7 @@ func BenchmarkHotPathKeyframeMatch(b *testing.B) {
 			hits := 0
 			for i, im := range frames {
 				thumbs[i].Fill(im)
-				if _, ok := l.MatchThumb(im, &thumbs[i]); ok {
+				if _, m := l.MatchThumb(im, &thumbs[i]); m.Found {
 					hits++
 				}
 			}

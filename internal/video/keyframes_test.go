@@ -2,6 +2,7 @@ package video
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"approxcache/internal/vision"
@@ -71,6 +72,43 @@ func TestKeyframeMatchPicksClosest(t *testing.T) {
 	// Outside threshold of everything: no match.
 	if _, ok := l.Match(flatImage(8, 8, 0.99)); ok {
 		t.Fatal("far frame matched")
+	}
+}
+
+// TestMatchThumbStats: a scan reports the best difference against the
+// threshold and how many keyframes' pixels it read.
+func TestMatchThumbStats(t *testing.T) {
+	l, err := NewKeyframeLibrary(DefaultDiffGateConfig(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Push(flatImage(16, 16, 0.20), "dark", 1)
+	l.Push(flatImage(16, 16, 0.40), "mid", 1)
+	// A fine checkerboard with the mid keyframe's cell means: the
+	// thumbnails cannot rule that keyframe out, the pixels can.
+	checker := flatImage(16, 16, 0.2)
+	for i := range checker.Pix {
+		if (i/16+i%16)%2 == 0 {
+			checker.Pix[i] = 0.6
+		}
+	}
+	for _, tc := range []struct {
+		im    *vision.Image
+		found bool
+		diff  float64
+		exact int
+	}{
+		{flatImage(16, 16, 0.31), true, 0.09, 2},
+		{checker, false, 0.2, 1},
+		{flatImage(16, 16, 0.99), false, math.Inf(1), 0},
+	} {
+		var th vision.Thumb
+		th.Fill(tc.im)
+		_, m := l.MatchThumb(tc.im, &th)
+		if m.Found != tc.found || math.Abs(m.Diff-tc.diff) > 1e-9 && !math.IsInf(tc.diff, 1) ||
+			math.IsInf(tc.diff, 1) != math.IsInf(m.Diff, 1) || m.Exact != tc.exact || m.Threshold != DefaultDiffGateConfig().Threshold {
+			t.Errorf("MatchThumb = %+v, want found %v diff %v exact %d", m, tc.found, tc.diff, tc.exact)
+		}
 	}
 }
 

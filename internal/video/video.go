@@ -344,28 +344,53 @@ func (l *KeyframeLibrary) Len() int { return len(l.frames) }
 func (l *KeyframeLibrary) Match(im *vision.Image) (Keyframe, bool) {
 	var th vision.Thumb
 	th.Fill(im)
-	return l.MatchThumb(im, &th)
+	kf, m := l.MatchThumb(im, &th)
+	return kf, m.Found
+}
+
+// MatchStats describes one scan of the library.
+type MatchStats struct {
+	// Found reports whether a keyframe qualified.
+	Found bool
+	// Diff is the best keyframe's mean absolute difference from the
+	// frame when Found. Otherwise it is the smallest value any pixel
+	// comparison returned — above Threshold, and possibly only the bound
+	// a prefix of the pixels proved — or +Inf when no pixels were
+	// compared.
+	Diff float64
+	// Threshold is the match threshold in force.
+	Threshold float64
+	// Exact counts the keyframes whose pixels were compared; the rest
+	// were discarded on their thumbnails alone.
+	Exact int
 }
 
 // MatchThumb is Match for a caller that already holds im's thumbnail
-// (vision.CheckFrameThumb or Thumb.Fill on this very frame). An empty
-// thumbnail is safe, only slower.
-func (l *KeyframeLibrary) MatchThumb(im *vision.Image, th *vision.Thumb) (Keyframe, bool) {
+// (vision.CheckFrameThumb or Thumb.Fill on this very frame), reporting
+// how the scan went. An empty thumbnail is safe, only slower.
+func (l *KeyframeLibrary) MatchThumb(im *vision.Image, th *vision.Thumb) (Keyframe, MatchStats) {
+	m := MatchStats{Diff: math.Inf(1), Threshold: l.cfg.Threshold}
 	if im == nil {
-		return Keyframe{}, false
+		return Keyframe{}, m
 	}
 	best := -1
 	bestDiff := l.cfg.Threshold
 	for i, s := range l.frames {
-		if d := s.diff(im, th, bestDiff); d <= bestDiff {
-			best = i
-			bestDiff = d
+		if s.thumb.Farther(th, bestDiff) {
+			continue
 		}
+		m.Exact++
+		d := vision.MeanAbsDiffBounded(s.Image, im, bestDiff)
+		if d <= bestDiff {
+			best, bestDiff = i, d
+		}
+		m.Diff = min(m.Diff, d)
 	}
 	if best < 0 {
-		return Keyframe{}, false
+		return Keyframe{}, m
 	}
-	return l.frames[best].Keyframe, true
+	m.Found, m.Diff = true, bestDiff
+	return l.frames[best].Keyframe, m
 }
 
 // Push remembers im with its recognition result, evicting the oldest
