@@ -276,11 +276,10 @@ type Options struct {
 	// DisableSensorGuards switches the input guards off entirely;
 	// corrupt sensor data then flows into the gates unchecked.
 	DisableSensorGuards bool
-	// Shards splits the cache store into this many lock-striped shards
-	// routed by an LSH signature prefix, so concurrent sessions stop
-	// serializing on one store mutex. 0 or 1 keeps the single-shard
-	// store. Lookups remain exact: every shard hashes with the same
-	// seed, and cross-shard results merge in distance order.
+	// Shards is ignored: a cache, and a whole pool, is one store.
+	//
+	// Deprecated: kept only so existing callers compile; it goes with
+	// the benchmark harness's last use (ROADMAP 1(B)).
 	Shards int
 	// BatchSize enables micro-batched DNN inference in NewPool: up to
 	// BatchSize concurrent cache-miss classifications coalesce into one
@@ -440,9 +439,7 @@ func engineConfig(opts Options) core.Config {
 }
 
 // newStore builds the cache store Options describes: nil outside
-// ModeApprox, a single-mutex store by default, a sharded store when
-// opts.Shards > 1. Every shard hashes with the same seed, so sharded
-// lookups return exactly what an unsharded store would.
+// ModeApprox, else one store over one index.
 func newStore(cfg core.Config, opts Options, clock Clock) (cachestore.Interface, error) {
 	if cfg.Mode != ModeApprox {
 		return nil, nil
@@ -469,16 +466,20 @@ func newStore(cfg core.Config, opts Options, clock Clock) (cachestore.Interface,
 	}
 	dim := cfg.Extractor.Dim()
 	tuning := cfg.IndexTuning
-	newIndex := func(int) (lsh.Index, error) {
-		if opts.AdaptiveLSH {
-			acfg := lsh.DefaultAdaptiveConfig(dim)
-			acfg.Bits = bits
-			acfg.Tables = tables
-			acfg.Seed = seed
-			acfg.Tuning = tuning
-			return lsh.NewAdaptive(acfg)
-		}
-		return lsh.NewHyperplaneTuned(dim, bits, tables, seed, tuning)
+	var idx lsh.Index
+	var err error
+	if opts.AdaptiveLSH {
+		acfg := lsh.DefaultAdaptiveConfig(dim)
+		acfg.Bits = bits
+		acfg.Tables = tables
+		acfg.Seed = seed
+		acfg.Tuning = tuning
+		idx, err = lsh.NewAdaptive(acfg)
+	} else {
+		idx, err = lsh.NewHyperplaneTuned(dim, bits, tables, seed, tuning)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("approxcache: lsh index: %w", err)
 	}
 	scfg := cachestore.Config{
 		Capacity:            capacity,
@@ -489,22 +490,6 @@ func newStore(cfg core.Config, opts Options, clock Clock) (cachestore.Interface,
 	}
 	if opts.Quality.Enabled && scfg.QuarantineThreshold == 0 {
 		scfg.QuarantineThreshold = 2
-	}
-	if opts.Shards > 1 {
-		store, err := cachestore.NewSharded(cachestore.ShardedConfig{
-			Config:     scfg,
-			Dim:        dim,
-			Shards:     opts.Shards,
-			RouterSeed: seed,
-		}, newIndex, clock)
-		if err != nil {
-			return nil, fmt.Errorf("approxcache: store: %w", err)
-		}
-		return store, nil
-	}
-	idx, err := newIndex(0)
-	if err != nil {
-		return nil, fmt.Errorf("approxcache: lsh index: %w", err)
 	}
 	store, err := cachestore.New(scfg, idx, clock)
 	if err != nil {

@@ -315,9 +315,9 @@ func BenchmarkE19DeviceFaults(b *testing.B) {
 	}
 }
 
-// BenchmarkE20ServingThroughput regenerates the architecture ladder
-// and reports the sharded+batched frames/sec advantage over the
-// single-mutex baseline.
+// BenchmarkE20ServingThroughput regenerates the serving experiment and
+// reports the batched pool's frames/sec advantage over the unbatched
+// one.
 func BenchmarkE20ServingThroughput(b *testing.B) {
 	report := runExperiment(b, "E20")
 	parse := func(s string) float64 {

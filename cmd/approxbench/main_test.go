@@ -73,7 +73,7 @@ func TestRunThroughputTiny(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"single-mutex"`, `"pool-sharded-batched"`, `"speedup"`} {
+	for _, want := range []string{`"pool"`, `"pool-batched"`, `"speedup"`} {
 		if !strings.Contains(string(blob), want) {
 			t.Fatalf("report missing %s:\n%s", want, blob)
 		}

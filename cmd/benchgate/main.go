@@ -55,9 +55,9 @@ type row struct {
 // table lists them beside the experiment that feeds each file.
 var rows = []row{
 	{file: "BENCH_throughput.json", path: "results[*].fps", cmp: ">", want: 0,
-		why: "every rung of the architecture ladder ran"},
+		why: "both variants, unbatched and batched, ran"},
 	{file: "BENCH_throughput.json", path: "speedup", cmp: ">=", want: 3.0,
-		why: "sharded store + micro-batched inference must beat the single-mutex baseline by this frames/sec factor at 16 streams"},
+		why: "micro-batched inference must beat the same one-store pool unbatched by this frames/sec factor at 16 streams"},
 
 	{file: "BENCH_overload.json", path: "points[*].offered_rps", cmp: ">", want: 0,
 		why: "every load point of the sweep was offered traffic"},
@@ -106,8 +106,7 @@ type budget struct {
 // evicted buffer) and the inertial gate (a sample into a full window
 // takes a ring slot). The store's label read copies nothing; an insert
 // into a full store may allocate only what the index's bucket growth
-// does (the store itself: nothing); a lookup fanned out over eight
-// shards merges in pooled buffers. One frame through the whole engine
+// does (the store itself: nothing). One frame through the whole engine
 // allocates nothing when the inertial gate, the video gate or the local
 // cache serves it; a miss allocates the 8 it did before the engine was
 // a stage list: the watchdog's call deadline (goroutine, channel,
@@ -130,7 +129,6 @@ var hotpathBudgets = []budget{
 	{"HotPathIMUObserve", 0},
 	{"HotPathStoreLabel", 0},
 	{"HotPathStoreInsertEvict", 4},
-	{"HotPathShardedNearest", 0},
 	{"HotPathObserveFrame", 0},
 	{"HotPathEngineFrame/imu", 0},
 	{"HotPathEngineFrame/video", 0},

@@ -78,8 +78,8 @@ func TestCheckBudgetsUnmeasured(t *testing.T) {
 // TestCheckBudgetsBadSpec: the budgets and rows are Go literals now, so
 // a bad spec is a bad table — check the ones that ship.
 func TestCheckBudgetsBadSpec(t *testing.T) {
-	if len(hotpathBudgets) != 23 {
-		t.Fatalf("%d hot-path budgets, want the 18 carried over from the Makefile, the sharded lookup and four engine frames", len(hotpathBudgets))
+	if len(hotpathBudgets) != 22 {
+		t.Fatalf("%d hot-path budgets, want the 18 carried over from the Makefile and four engine frames", len(hotpathBudgets))
 	}
 	seen := map[string]bool{}
 	for _, b := range hotpathBudgets {
@@ -208,8 +208,8 @@ const throughputSample = `{
   "streams": 16,
   "frames_per_stream": 30,
   "results": [
-    {"mode": "single-mutex", "fps": 100.0},
-    {"mode": "pool-sharded-batched", "fps": 350.0}
+    {"mode": "pool", "fps": 100.0},
+    {"mode": "pool-batched", "fps": 350.0}
   ],
   "speedup": 3.5
 }`

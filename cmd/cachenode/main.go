@@ -12,10 +12,10 @@
 //	cachenode -addr 127.0.0.1:7071 -peers 127.0.0.1:7070 -frames 300
 //
 // A node can also serve many concurrent client sessions from one
-// process — a sharded cache store and (optionally) micro-batched
-// inference keep them from serializing on shared locks:
+// process: they share one cache store, and micro-batched inference
+// (optional) coalesces their concurrent misses:
 //
-//	cachenode -serve -sessions 16 -shards 8 -batch 8
+//	cachenode -serve -sessions 16 -batch 8
 package main
 
 import (
@@ -53,7 +53,6 @@ func run(args []string) error {
 		budget    = fs.Duration("peer-budget", 0, "per-frame peer time budget (0 = quarter of mean inference latency, negative = unbounded)")
 		snapshot  = fs.String("snapshot", "", "snapshot file: warm-start from it on boot, save back to it on exit (crash-safe atomic write)")
 		sessions  = fs.Int("sessions", 1, "concurrent client sessions sharing this node's cache")
-		shards    = fs.Int("shards", 0, "cache store shards (0 = auto: unsharded for one session, 8 for more)")
 		batch     = fs.Int("batch", 0, "micro-batch size for DNN inference across sessions (0 = unbatched)")
 		deadline  = fs.Duration("deadline", 0, "per-request wall-clock budget; blown requests are answered from the degradation ladder (0 = off)")
 		admit     = fs.Bool("admission", false, "enable AIMD admission control on the DNN fallback (sheds excess load under overload)")
@@ -69,7 +68,7 @@ func run(args []string) error {
 	if *sessions > 1 {
 		return runPool(poolParams{
 			name: *name, addr: *addr, peers: *peersFlag,
-			sessions: *sessions, shards: *shards, batch: *batch,
+			sessions: *sessions, batch: *batch,
 			frames: *frames, warm: *warm,
 			seed: *seed, classSeed: *classSeed,
 			profile: profile, serve: *serve, budget: *budget, snapshot: *snapshot,
@@ -89,7 +88,6 @@ func run(args []string) error {
 	opts := approxcache.Options{
 		Clock:           approxcache.NewVirtualClock(),
 		PeerBudget:      *budget,
-		Shards:          *shards,
 		RequestDeadline: *deadline,
 	}
 	if *admit {
@@ -193,7 +191,6 @@ func run(args []string) error {
 type poolParams struct {
 	name, addr, peers string
 	sessions          int
-	shards            int
 	batch             int
 	frames, warm      int
 	seed, classSeed   int64
@@ -206,13 +203,10 @@ type poolParams struct {
 }
 
 // runPool serves p.sessions concurrent client streams from one node:
-// every stream gets its own gate state, all streams share the (sharded)
-// cache store, the stats scoreboard, and a micro-batching inference
-// scheduler when -batch is set.
+// every stream gets its own gate state, all streams share the cache
+// store, the stats scoreboard, and a micro-batching inference scheduler
+// when -batch is set.
 func runPool(p poolParams) error {
-	if p.shards == 0 {
-		p.shards = 8
-	}
 	workloads := make([]*approxcache.Workload, p.sessions)
 	for i := range workloads {
 		spec := approxcache.StationaryHeavyWorkload(p.warm+p.frames, p.seed+int64(i)*101)
@@ -230,7 +224,6 @@ func runPool(p poolParams) error {
 	opts := approxcache.Options{
 		Clock:           approxcache.NewVirtualClock(),
 		PeerBudget:      p.budget,
-		Shards:          p.shards,
 		BatchSize:       p.batch,
 		RequestDeadline: p.deadline,
 	}
@@ -263,8 +256,8 @@ func runPool(p poolParams) error {
 			fmt.Fprintln(os.Stderr, "cachenode: close:", cerr)
 		}
 	}()
-	fmt.Printf("%s listening on %s (model %s, %d sessions, %d shards, batch %d)\n",
-		p.name, srv.Addr(), p.profile.Name, p.sessions, p.shards, p.batch)
+	fmt.Printf("%s listening on %s (model %s, %d sessions, batch %d)\n",
+		p.name, srv.Addr(), p.profile.Name, p.sessions, p.batch)
 
 	var client *approxcache.PeerClient
 	if p.peers != "" {
@@ -328,16 +321,9 @@ func runPool(p poolParams) error {
 	return nil
 }
 
-// printServingStats reports the multi-session layers: per-shard
-// occupancy/contention and the micro-batcher's coalescing.
+// printServingStats reports the multi-session layers: the
+// micro-batcher's coalescing and the admission limiter.
 func printServingStats(pool *approxcache.Pool) {
-	if shards := pool.ShardStats(); shards != nil {
-		fmt.Printf("shards (%d):\n", len(shards))
-		for _, sh := range shards {
-			fmt.Printf("  shard %d: %d entries, %d lookups, %d inserts, %d contended ops\n",
-				sh.Shard, sh.Entries, sh.Lookups, sh.Inserts, sh.Contended)
-		}
-	}
 	if bs, ok := pool.BatcherStats(); ok {
 		fmt.Printf("batcher: %d frames in %d batches (avg %.1f), %d full, %d deadline flushes",
 			bs.Frames, bs.Batches, bs.AvgSize(), bs.FullFlushes, bs.DeadlineFlushes)

@@ -61,7 +61,7 @@ func TestRunStandalone(t *testing.T) {
 
 func TestRunMultiSession(t *testing.T) {
 	if err := run([]string{
-		"-sessions", "4", "-shards", "4", "-batch", "4",
+		"-sessions", "4", "-batch", "4",
 		"-frames", "30", "-addr", "127.0.0.1:0",
 	}); err != nil {
 		t.Fatal(err)
@@ -70,7 +70,7 @@ func TestRunMultiSession(t *testing.T) {
 
 func TestRunMultiSessionSnapshot(t *testing.T) {
 	path := t.TempDir() + "/node.snap"
-	// First run saves the shared (sharded) store...
+	// First run saves the store its sessions share...
 	if err := run([]string{
 		"-sessions", "2", "-frames", "20", "-addr", "127.0.0.1:0",
 		"-snapshot", path,
@@ -80,8 +80,7 @@ func TestRunMultiSessionSnapshot(t *testing.T) {
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("snapshot not written: %v", err)
 	}
-	// ...and a single-session node warm-starts from it: the wire format
-	// carries entries, not shard topology.
+	// ...and a single-session node warm-starts from it.
 	if err := run([]string{
 		"-frames", "10", "-addr", "127.0.0.1:0",
 		"-snapshot", path,

@@ -2,6 +2,8 @@ package cachestore
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -20,6 +22,144 @@ func randVec4(rng *rand.Rand) feature.Vector {
 		v[i] = rng.NormFloat64()
 	}
 	return v
+}
+
+// SerializedStore funnels every operation — reads included — through
+// one exclusive mutex in front of a Store: the correctness oracle the
+// concurrent store is checked against. It wraps only the methods the
+// differential compares.
+type SerializedStore struct {
+	mu    sync.Mutex
+	inner *Store
+}
+
+// NewSerialized wraps inner behind a single exclusive mutex.
+func NewSerialized(inner *Store) *SerializedStore {
+	return &SerializedStore{inner: inner}
+}
+
+func (s *SerializedStore) Insert(vec feature.Vector, label string, confidence float64, source string, savedCost time.Duration) (lsh.ID, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.inner.Insert(vec, label, confidence, source, savedCost)
+}
+
+func (s *SerializedStore) Touch(id lsh.ID) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.inner.Touch(id)
+}
+
+func (s *SerializedStore) Label(id lsh.ID) (string, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.inner.Label(id)
+}
+
+func (s *SerializedStore) Nearest(q feature.Vector, k int) ([]lsh.Neighbor, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.inner.Nearest(q, k)
+}
+
+func (s *SerializedStore) NearestInto(q feature.Vector, k int, dst []lsh.Neighbor) ([]lsh.Neighbor, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.inner.NearestInto(q, k, dst)
+}
+
+func (s *SerializedStore) Remove(id lsh.ID) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.inner.Remove(id)
+}
+
+func (s *SerializedStore) Refute(id lsh.ID) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.inner.Refute(id)
+}
+
+func (s *SerializedStore) Parole(id lsh.ID, ok bool) ParoleOutcome {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.inner.Parole(id, ok)
+}
+
+func (s *SerializedStore) Len() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.inner.Len()
+}
+
+func (s *SerializedStore) Evictions() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.inner.Evictions()
+}
+
+func (s *SerializedStore) Expiries() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.inner.Expiries()
+}
+
+func (s *SerializedStore) Stats() StoreStats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.inner.Stats()
+}
+
+func (s *SerializedStore) Export(w io.Writer) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.inner.Export(w)
+}
+
+func (s *SerializedStore) Import(r io.Reader) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.inner.Import(r)
+}
+
+// TestSerializedStoreMatchesInner: the oracle is a transparent wrapper.
+func TestSerializedStoreMatchesInner(t *testing.T) {
+	clock := simclock.NewVirtual(time.Unix(0, 0))
+	idx, err := lsh.NewHyperplane(shardTestDim, 8, 4, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner, err := New(Config{Capacity: 64}, idx, clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSerialized(inner)
+	vecs := shardTestVecs(t, 20, 71)
+	for i, v := range vecs {
+		if _, err := s.Insert(v, fmt.Sprintf("c%d", i), 0.8, "dnn", time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.Len() != 20 || inner.Len() != 20 {
+		t.Fatalf("len %d/%d, want 20", s.Len(), inner.Len())
+	}
+	ns, err := s.Nearest(vecs[3], 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ns) != 1 {
+		t.Fatalf("got %d neighbors", len(ns))
+	}
+	if label, ok := s.Label(ns[0].ID); !ok || label != "c3" {
+		t.Fatalf("label %q ok=%v, want c3", label, ok)
+	}
+	var buf bytes.Buffer
+	if err := s.Export(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := s.Import(bytes.NewReader(buf.Bytes())); err != nil || n != 20 {
+		t.Fatalf("import n=%d err=%v", n, err)
+	}
 }
 
 // TestStoreDifferentialWithSerialized replays one interleaved workload —
@@ -48,13 +188,13 @@ func TestStoreDifferentialWithSerialized(t *testing.T) {
 	}
 	freeInner := mkStore()
 	free := Interface(freeInner)
-	oracle := Interface(NewSerialized(mkStore()))
+	oracle := NewSerialized(mkStore())
 
 	// Both stores share one virtual clock by construction: the two
 	// inner stores were created at the same instant and we advance
 	// both in lockstep below.
 	freeClk := freeInner.clock.(*simclock.Virtual)
-	oracleClk := oracle.(*SerializedStore).inner.clock.(*simclock.Virtual)
+	oracleClk := oracle.inner.clock.(*simclock.Virtual)
 
 	rng := rand.New(rand.NewSource(17))
 	ids := make([]lsh.ID, 0, 512)

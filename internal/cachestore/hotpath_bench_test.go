@@ -60,35 +60,3 @@ func BenchmarkHotPathStoreInsertEvict(b *testing.B) {
 		}
 	}
 }
-
-var benchNeighbors []lsh.Neighbor
-
-// BenchmarkHotPathShardedNearest is one frame's lookup on the serving
-// node: a radius search fanned out over eight identically seeded shards
-// (default index shape, 256 entries in all). Every shard needs the
-// query's signatures; sharing one hash family, the first computes them
-// and the other seven read its memo.
-func BenchmarkHotPathShardedNearest(b *testing.B) {
-	const dim, shards = 80, 8
-	s, err := NewSharded(ShardedConfig{
-		Config: Config{Capacity: 256, Policy: CostAware}, Dim: dim, Shards: shards, RouterSeed: 1,
-	}, func(int) (lsh.Index, error) { return lsh.NewHyperplane(dim, 12, 4, 1) },
-		simclock.NewVirtual(time.Unix(0, 0)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	vecs := randomDescriptors(256, dim, 1)
-	for _, v := range vecs {
-		if _, err := s.Insert(v, "label", 0.9, "dnn", time.Millisecond); err != nil {
-			b.Fatal(err)
-		}
-	}
-	dst := make([]lsh.Neighbor, 0, 8)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if benchNeighbors, err = s.NearestWithinInto(vecs[i%len(vecs)], 4, 0.25, dst); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -9,32 +9,26 @@ import (
 )
 
 // Interface is the store contract the engine, the peer service, and
-// the facade program against. Three implementations exist:
-//
-//   - Store: one entry table under one RWMutex over one index (which
-//     has its own; lookups take only the index's read lock) — the right
-//     shape for a single-stream device cache.
-//   - ShardedStore: N lock-striped Store shards routed by LSH
-//     signature prefix — the serving-scale shape, where concurrent
-//     streams insert into disjoint shards instead of one mutex.
-//   - SerializedStore: a Store behind a single exclusive mutex — the
-//     pre-sharding worst case, kept as the throughput-benchmark
-//     baseline.
-//
-// All implementations are safe for concurrent use and share the
-// snapshot wire format, so Export/Import round-trips across them.
+// the facade program against. Store is its one implementation: one
+// entry table under one RWMutex over one index (which has its own;
+// lookups take only the index's read lock), for a single device and for
+// a whole pool of sessions alike. It is safe for concurrent use.
 //
 // An Entry is a value assembled on the way out, never a view of store
 // memory: its bookkeeping comes from the store's entry table and its
 // vector is a fresh copy — read back from the index arena, which holds
 // the only copy of a live entry's vector. Reads that need no vector
-// (Label, Quarantined) therefore copy nothing.
+// (Label, Answer, Quarantined) therefore copy nothing.
 //
-// Three reads every in-tree store also offers are deliberately not part
-// of Interface, so a wrapper that embeds Interface without knowing them
-// hides them and callers fall back instead of silently forwarding:
-// reach them through the package functions NearestWithinInto, Answer
-// and QuarantinedEntries.
+// The radius search is deliberately not part of Interface: reach it
+// through the package function NearestWithinInto, which falls back to
+// NearestInto cut at the radius. The end-to-end harness under
+// benchmarks/ wraps the store in a type that embeds Interface and
+// overrides NearestInto to time it and capture what the kNN vote saw.
+// Were the radius search in Interface, it would be promoted past that
+// override: the capture would stay empty and every traced run would
+// report shadow mismatches. It joins Interface once the harness reads
+// the engine's frame record instead (ROADMAP 1(B)).
 type Interface interface {
 	// Insert stores a recognition result and returns its ID.
 	Insert(vec feature.Vector, label string, confidence float64, source string, savedCost time.Duration) (lsh.ID, error)
@@ -46,6 +40,9 @@ type Interface interface {
 	// Label resolves id to its label if live (shape of lsh.Vote's
 	// resolver).
 	Label(id lsh.ID) (string, bool)
+	// Answer resolves id to the label and confidence it is served with,
+	// if live: Get without the vector copy.
+	Answer(id lsh.ID) (label string, confidence float64, ok bool)
 	// Nearest returns up to k neighbors of q among live entries.
 	Nearest(q feature.Vector, k int) ([]lsh.Neighbor, error)
 	// NearestInto is Nearest appending into dst's backing array.
@@ -61,6 +58,9 @@ type Interface interface {
 	Parole(id lsh.ID, ok bool) ParoleOutcome
 	// Quarantined reports whether id is currently quarantined.
 	Quarantined(id lsh.ID) bool
+	// QuarantinedEntries returns copies of the quarantined entries only:
+	// the quarantined part of Snapshot.
+	QuarantinedEntries() []Entry
 	// QuarantineStats returns quarantine lifecycle counters.
 	QuarantineStats() QuarantineStats
 	// Len returns the live entry count.
@@ -77,8 +77,4 @@ type Interface interface {
 	Import(r io.Reader) (int, error)
 }
 
-var (
-	_ Interface = (*Store)(nil)
-	_ Interface = (*ShardedStore)(nil)
-	_ Interface = (*SerializedStore)(nil)
-)
+var _ Interface = (*Store)(nil)

@@ -12,9 +12,9 @@ import (
 	"approxcache/internal/simclock"
 )
 
-// newTunedSharded builds a sharded store whose shards run the full
-// tuned pipeline (multi-probe, sketch prefilter) with a shared index
-// seed, the shape core.Engine constructs when IndexTuning is set.
+// newTunedSharded builds a store through the deprecated NewSharded shim
+// over the full tuned pipeline (multi-probe, sketch prefilter), the
+// index core.Engine's default IndexTuning asks for.
 func newTunedSharded(tb testing.TB, shards, capacity int, clock simclock.Clock) *ShardedStore {
 	tb.Helper()
 	tun := lsh.DefaultTuning()
@@ -32,11 +32,11 @@ func newTunedSharded(tb testing.TB, shards, capacity int, clock simclock.Clock) 
 	return s
 }
 
-// TestTunedSnapshotRoundTrip pins the recompute-on-import contract
-// across shard counts: sketches are never persisted — they are
-// deterministic functions of (seed, vector), so a store rebuilt from a
-// snapshot must answer every lookup bit-for-bit like the original, at
-// 1, 2, 4, and 7 shards.
+// TestTunedSnapshotRoundTrip pins the recompute-on-import contract:
+// sketches are never persisted — they are deterministic functions of
+// (seed, vector), so a store rebuilt from a snapshot must answer every
+// lookup bit-for-bit like the original. The subtests build through the
+// shim at every shard count it once accepted, which must not matter.
 func TestTunedSnapshotRoundTrip(t *testing.T) {
 	// Clustered, near-duplicate population: the regime where the sketch
 	// prefilter actually participates in results, so a recompute
@@ -71,10 +71,7 @@ func TestTunedSnapshotRoundTrip(t *testing.T) {
 	for _, shards := range []int{1, 2, 4, 7} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			clock := simclock.NewVirtual(time.Unix(0, 0))
-			// Capacity n per shard: the similarity router sends whole
-			// clusters to one shard, so an even capacity split would
-			// overflow and evict before the snapshot is taken.
-			orig := newTunedSharded(t, shards, n*shards, clock)
+			orig := newTunedSharded(t, shards, n, clock)
 			for i, v := range vecs {
 				if _, err := orig.Insert(v, fmt.Sprintf("label-%d", i), 0.9, "dnn", time.Millisecond); err != nil {
 					t.Fatal(err)
@@ -85,7 +82,7 @@ func TestTunedSnapshotRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			restored := newTunedSharded(t, shards, n*shards, clock)
+			restored := newTunedSharded(t, shards, n, clock)
 			if got, err := restored.Import(bytes.NewReader(snap.Bytes())); err != nil || got != n {
 				t.Fatalf("import: %d entries, err %v; want %d, nil", got, err, n)
 			}

@@ -151,21 +151,22 @@ func TestQuarantineCountersProperty(t *testing.T) {
 }
 
 // TestQuarantineSnapshotDifferential: quarantine state round-trips
-// through the snapshot wire format into every store topology. A
-// quarantined entry must come back quarantined — and stay out of the
-// candidate set — whether the importer has 1, 2, 4, or 7 shards.
+// through the snapshot wire format. A quarantined entry must come back
+// quarantined — and stay out of the candidate set.
 func TestQuarantineSnapshotDifferential(t *testing.T) {
 	vecs := shardTestVecs(t, 40, 31)
-	src, err := NewSharded(ShardedConfig{
-		Config: Config{Capacity: 256, QuarantineThreshold: 1},
-		Dim:    shardTestDim,
-		Shards: 1,
-	}, func(int) (lsh.Index, error) {
-		return lsh.NewHyperplane(shardTestDim, 8, 4, 99)
-	}, simclock.NewVirtual(time.Unix(0, 0)))
-	if err != nil {
-		t.Fatal(err)
+	mk := func() *Store {
+		idx, err := lsh.NewHyperplane(shardTestDim, 8, 4, 99)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(Config{Capacity: 256, QuarantineThreshold: 1}, idx, simclock.NewVirtual(time.Unix(0, 0)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
 	}
+	src := mk()
 	quarantined := map[string]bool{}
 	for i, v := range vecs {
 		label := fmt.Sprintf("class-%d", i)
@@ -173,12 +174,11 @@ func TestQuarantineSnapshotDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := src
 		switch i % 3 {
 		case 0: // healthy, with some audit history
-			s.Confirm(id)
+			src.Confirm(id)
 		case 1: // quarantined
-			if !s.Refute(id) {
+			if !src.Refute(id) {
 				t.Fatalf("refute at threshold 1 did not quarantine %d", id)
 			}
 			quarantined[label] = true
@@ -189,59 +189,48 @@ func TestQuarantineSnapshotDifferential(t *testing.T) {
 	if err := src.Export(&snap); err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{1, 2, 4, 7} {
-		dst, err := NewSharded(ShardedConfig{
-			Config: Config{Capacity: 256, QuarantineThreshold: 1},
-			Dim:    shardTestDim,
-			Shards: shards,
-		}, func(int) (lsh.Index, error) {
-			return lsh.NewHyperplane(shardTestDim, 8, 4, 99)
-		}, simclock.NewVirtual(time.Unix(0, 0)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := dst.Import(bytes.NewReader(snap.Bytes())); err != nil {
-			t.Fatalf("shards=%d: import: %v", shards, err)
-		}
-		if dst.Len() != len(vecs) {
-			t.Fatalf("shards=%d: %d entries imported, want %d", shards, dst.Len(), len(vecs))
-		}
-		var got []string
-		for _, e := range dst.Snapshot() {
-			if e.Quarantined {
-				got = append(got, e.Label)
-				if _, ok := dst.Label(e.ID); ok {
-					t.Fatalf("shards=%d: Label resolved imported quarantined %q", shards, e.Label)
-				}
-				ns, err := dst.Nearest(e.Vec, dst.Len())
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, n := range ns {
-					if n.ID == e.ID {
-						t.Fatalf("shards=%d: imported quarantined %q in candidate set", shards, e.Label)
-					}
-				}
-			} else if e.Confidence > 0 && quarantined[e.Label] {
-				t.Fatalf("shards=%d: %q imported unquarantined", shards, e.Label)
+	dst := mk()
+	if _, err := dst.Import(bytes.NewReader(snap.Bytes())); err != nil {
+		t.Fatalf("import: %v", err)
+	}
+	if dst.Len() != len(vecs) {
+		t.Fatalf("%d entries imported, want %d", dst.Len(), len(vecs))
+	}
+	var got []string
+	for _, e := range dst.Snapshot() {
+		if e.Quarantined {
+			got = append(got, e.Label)
+			if _, ok := dst.Label(e.ID); ok {
+				t.Fatalf("Label resolved imported quarantined %q", e.Label)
 			}
-		}
-		var want []string
-		for l := range quarantined {
-			want = append(want, l)
-		}
-		sort.Strings(got)
-		sort.Strings(want)
-		if len(got) != len(want) {
-			t.Fatalf("shards=%d: %d quarantined after import, want %d", shards, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("shards=%d: quarantined set %v, want %v", shards, got, want)
+			ns, err := dst.Nearest(e.Vec, dst.Len())
+			if err != nil {
+				t.Fatal(err)
 			}
+			for _, n := range ns {
+				if n.ID == e.ID {
+					t.Fatalf("imported quarantined %q in candidate set", e.Label)
+				}
+			}
+		} else if e.Confidence > 0 && quarantined[e.Label] {
+			t.Fatalf("%q imported unquarantined", e.Label)
 		}
-		if st := dst.QuarantineStats(); st.Active != len(want) {
-			t.Fatalf("shards=%d: Active=%d, want %d", shards, st.Active, len(want))
+	}
+	var want []string
+	for l := range quarantined {
+		want = append(want, l)
+	}
+	sort.Strings(got)
+	sort.Strings(want)
+	if len(got) != len(want) {
+		t.Fatalf("%d quarantined after import, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("quarantined set %v, want %v", got, want)
 		}
+	}
+	if st := dst.QuarantineStats(); st.Active != len(want) {
+		t.Fatalf("Active=%d, want %d", st.Active, len(want))
 	}
 }

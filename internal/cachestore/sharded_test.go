@@ -2,9 +2,10 @@ package cachestore
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -32,9 +33,8 @@ func shardTestVecs(tb testing.TB, n int, seed int64) []feature.Vector {
 	return out
 }
 
-// newTestSharded builds a sharded store whose shards share index seed
-// 99 — the configuration under which sharded lookups must reproduce
-// unsharded results exactly.
+// newTestSharded builds a store through the deprecated NewSharded shim
+// over index seed 99. The shard count must not matter.
 func newTestSharded(tb testing.TB, shards, capacity int, clock simclock.Clock) *ShardedStore {
 	tb.Helper()
 	s, err := NewSharded(ShardedConfig{
@@ -50,77 +50,99 @@ func newTestSharded(tb testing.TB, shards, capacity int, clock simclock.Clock) *
 	return s
 }
 
+// TestShardedValidation: the shim rejects what New rejects and passes
+// the index constructor's error through.
 func TestShardedValidation(t *testing.T) {
 	clock := simclock.NewVirtual(time.Unix(0, 0))
-	bad := []ShardedConfig{
-		{Config: Config{Capacity: 0}, Dim: shardTestDim, Shards: 4},
-		{Config: Config{Capacity: 64}, Dim: shardTestDim, Shards: 0},
-		{Config: Config{Capacity: 64}, Dim: shardTestDim, Shards: 300},
-		{Config: Config{Capacity: 64}, Dim: 0, Shards: 4},
+	newIndex := func(int) (lsh.Index, error) { return lsh.NewHyperplane(shardTestDim, 8, 4, 99) }
+	if _, err := NewSharded(ShardedConfig{Config: Config{Capacity: 0}, Shards: 4}, newIndex, clock); err == nil {
+		t.Error("capacity 0: want error")
 	}
-	for i, cfg := range bad {
-		if _, err := NewSharded(cfg, func(int) (lsh.Index, error) {
-			return lsh.NewHyperplane(shardTestDim, 8, 4, 99)
-		}, clock); err == nil {
-			t.Errorf("config %d: want error", i)
-		}
+	if _, err := NewSharded(ShardedConfig{Config: Config{Capacity: 64}, Shards: 4}, newIndex, nil); err == nil {
+		t.Error("nil clock: want error")
 	}
-	if _, err := NewSharded(ShardedConfig{
-		Config: Config{Capacity: 64}, Dim: shardTestDim, Shards: 4,
-	}, nil, clock); err == nil {
-		t.Error("nil index constructor: want error")
+	boom := errors.New("boom")
+	if _, err := NewSharded(ShardedConfig{Config: Config{Capacity: 64}, Shards: 4},
+		func(int) (lsh.Index, error) { return nil, boom }, clock); !errors.Is(err, boom) {
+		t.Errorf("index constructor error: got %v, want %v", err, boom)
 	}
 }
 
-// TestShardedDifferential: on identical inserts with identical index
-// seeds, sharded NearestInto must return exactly what a single-shard
-// store returns — same labels, same distances, same order.
-func TestShardedDifferential(t *testing.T) {
-	vecs := shardTestVecs(t, 300, 21)
-	queries := shardTestVecs(t, 60, 22)
-	for _, shards := range []int{2, 4, 7} {
+// TestNewShardedCompatIsOneStore: whatever shard count it is given,
+// NewSharded builds its index once and is exactly New over that index —
+// same IDs, neighbours, quarantine verdicts, evictions and Export bytes
+// over a seeded sequence that overfills the store — and reports no
+// shards.
+func TestNewShardedCompatIsOneStore(t *testing.T) {
+	const capacity = 64
+	cfg := Config{Capacity: capacity, QuarantineThreshold: 1}
+	vecs := shardTestVecs(t, 200, 21)
+	queries := shardTestVecs(t, 40, 22)
+	newIndex := func() (lsh.Index, error) { return lsh.NewHyperplane(shardTestDim, 8, 4, 99) }
+	for _, shards := range []int{2, 4, 7, 8} {
 		clock := simclock.NewVirtual(time.Unix(0, 0))
-		single := newTestSharded(t, 1, 1024, clock)
-		sharded := newTestSharded(t, shards, 1024, clock)
+		calls := 0
+		compat, err := NewSharded(ShardedConfig{Config: cfg, Dim: shardTestDim, Shards: shards, RouterSeed: 7},
+			func(int) (lsh.Index, error) { calls++; return newIndex() }, clock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if calls != 1 {
+			t.Fatalf("shards=%d: index constructor called %d times, want 1", shards, calls)
+		}
+		if compat.ShardStats() != nil {
+			t.Fatalf("shards=%d: ShardStats = %v, want nil", shards, compat.ShardStats())
+		}
+		idx, err := newIndex()
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, err := New(cfg, idx, clock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(shards)))
 		for i, v := range vecs {
 			label := fmt.Sprintf("class-%d", i%17)
-			if _, err := single.Insert(v, label, 0.9, "dnn", time.Millisecond); err != nil {
-				t.Fatal(err)
+			a, errA := compat.Insert(v, label, 0.9, "dnn", time.Millisecond)
+			b, errB := plain.Insert(v, label, 0.9, "dnn", time.Millisecond)
+			if errA != nil || errB != nil || a != b {
+				t.Fatalf("shards=%d insert %d: id %d (%v), New gives %d (%v)", shards, i, a, errA, b, errB)
 			}
-			if _, err := sharded.Insert(v, label, 0.9, "dnn", time.Millisecond); err != nil {
-				t.Fatal(err)
+			switch rng.Intn(4) {
+			case 0:
+				q := queries[rng.Intn(len(queries))]
+				na, errA := compat.Nearest(q, 4)
+				nb, errB := plain.Nearest(q, 4)
+				if errA != nil || errB != nil || !slices.Equal(na, nb) {
+					t.Fatalf("shards=%d insert %d: neighbours %v (%v), New gives %v (%v)", shards, i, na, errA, nb, errB)
+				}
+			case 1:
+				if qa, qb := compat.Refute(a), plain.Refute(b); qa != qb {
+					t.Fatalf("shards=%d insert %d: refute quarantined %v, New %v", shards, i, qa, qb)
+				}
 			}
 		}
-		for qi, q := range queries {
-			a, err := single.Nearest(q, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := sharded.Nearest(q, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(a) != len(b) {
-				t.Fatalf("shards=%d query %d: %d vs %d results", shards, qi, len(a), len(b))
-			}
-			for i := range a {
-				if a[i].Distance != b[i].Distance {
-					t.Fatalf("shards=%d query %d rank %d: distance %v vs %v",
-						shards, qi, i, a[i].Distance, b[i].Distance)
-				}
-				la, _ := single.Label(a[i].ID)
-				lb, _ := sharded.Label(b[i].ID)
-				if la != lb {
-					t.Fatalf("shards=%d query %d rank %d: label %q vs %q",
-						shards, qi, i, la, lb)
-				}
-			}
+		// One store holds the whole capacity, not a per-shard share of it.
+		if compat.Len() != capacity || plain.Len() != capacity || compat.Evictions() != plain.Evictions() {
+			t.Fatalf("shards=%d: len %d, evictions %d; New: len %d, evictions %d",
+				shards, compat.Len(), compat.Evictions(), plain.Len(), plain.Evictions())
+		}
+		var ea, eb bytes.Buffer
+		if err := compat.Export(&ea); err != nil {
+			t.Fatal(err)
+		}
+		if err := plain.Export(&eb); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(ea.Bytes(), eb.Bytes()) {
+			t.Fatalf("shards=%d: Export differs from New's", shards)
 		}
 	}
 }
 
-// TestShardedIDsRoundTrip: global IDs decode back to live entries and
-// Get rewrites the entry ID to the global form.
+// TestShardedIDsRoundTrip: the IDs the shim hands out are unique and
+// resolve to their entries.
 func TestShardedIDsRoundTrip(t *testing.T) {
 	clock := simclock.NewVirtual(time.Unix(0, 0))
 	s := newTestSharded(t, 4, 256, clock)
@@ -163,33 +185,8 @@ func TestShardedIDsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestShardedPerShardEviction: filling past total capacity evicts
-// within shards rather than growing without bound.
-func TestShardedPerShardEviction(t *testing.T) {
-	clock := simclock.NewVirtual(time.Unix(0, 0))
-	s := newTestSharded(t, 4, 64, clock)
-	for i, v := range shardTestVecs(t, 200, 41) {
-		if _, err := s.Insert(v, fmt.Sprintf("c%d", i), 0.8, "dnn", time.Millisecond); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Per-shard capacity is 16; routing is not perfectly even, so the
-	// total sits at or below 64 with every shard individually bounded.
-	if got := s.Len(); got > 64 {
-		t.Fatalf("Len = %d, want <= 64", got)
-	}
-	if s.Evictions() == 0 {
-		t.Fatal("no evictions after 200 inserts into capacity 64")
-	}
-	for _, st := range s.ShardStats() {
-		if st.Entries > 16 {
-			t.Fatalf("shard %d holds %d entries, per-shard cap 16", st.Shard, st.Entries)
-		}
-	}
-}
-
-// TestShardedSnapshotRoundTrip: export from a sharded store, import
-// into both sharded and unsharded stores, entries survive intact.
+// TestShardedSnapshotRoundTrip: a snapshot exported from the shim's
+// store imports into the shim's and into New's, entries intact.
 func TestShardedSnapshotRoundTrip(t *testing.T) {
 	clock := simclock.NewVirtual(time.Unix(0, 0))
 	src := newTestSharded(t, 4, 256, clock)
@@ -205,7 +202,7 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 	}
 	exported := buf.Bytes()
 
-	// Sharded → sharded (different shard count).
+	// Shim → shim (another shard count).
 	dst := newTestSharded(t, 8, 256, clock)
 	n, err := dst.Import(bytes.NewReader(exported))
 	if err != nil {
@@ -215,7 +212,7 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("imported %d, dst len %d, want %d", n, dst.Len(), src.Len())
 	}
 
-	// Sharded → plain Store.
+	// Shim → plain Store.
 	idx, err := lsh.NewHyperplane(shardTestDim, 8, 4, 99)
 	if err != nil {
 		t.Fatal(err)
@@ -241,7 +238,7 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 		return out
 	}
 	want := labels(src.Snapshot())
-	for name, st := range map[string]Interface{"sharded8": dst, "plain": plain} {
+	for name, st := range map[string]Interface{"shim": dst, "plain": plain} {
 		got := labels(st.Snapshot())
 		if len(got) != len(want) {
 			t.Fatalf("%s: %d labels, want %d", name, len(got), len(want))
@@ -265,10 +262,10 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestShardedConcurrentStress hammers one sharded store from many
-// goroutines mixing Insert, NearestInto, Remove (forced eviction
-// pressure), and Export. Run under -race this is the data-race proof
-// for the serving path.
+// TestShardedConcurrentStress hammers the store a pool's sessions share
+// from many goroutines mixing Insert, NearestInto, Remove (forced
+// eviction pressure), and Export. Run under -race this is the data-race
+// proof for the serving path.
 func TestShardedConcurrentStress(t *testing.T) {
 	clock := simclock.NewVirtual(time.Unix(0, 0))
 	s := newTestSharded(t, 4, 128, clock)
@@ -314,7 +311,6 @@ func TestShardedConcurrentStress(t *testing.T) {
 						}
 					} else {
 						s.Stats()
-						s.ShardStats()
 					}
 				}
 			}
@@ -325,94 +321,7 @@ func TestShardedConcurrentStress(t *testing.T) {
 	if got := s.Len(); got > 128 {
 		t.Fatalf("Len = %d, want <= capacity 128", got)
 	}
-	var lookups, inserts int64
-	for _, st := range s.ShardStats() {
-		lookups += st.Lookups
-		inserts += st.Inserts
-	}
-	if lookups == 0 || inserts == 0 {
-		t.Fatalf("counters not advancing: lookups=%d inserts=%d", lookups, inserts)
-	}
-}
-
-// TestSerializedStoreMatchesInner: the single-mutex baseline is a
-// transparent wrapper.
-func TestSerializedStoreMatchesInner(t *testing.T) {
-	clock := simclock.NewVirtual(time.Unix(0, 0))
-	idx, err := lsh.NewHyperplane(shardTestDim, 8, 4, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inner, err := New(Config{Capacity: 64}, idx, clock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewSerialized(inner)
-	vecs := shardTestVecs(t, 20, 71)
-	for i, v := range vecs {
-		if _, err := s.Insert(v, fmt.Sprintf("c%d", i), 0.8, "dnn", time.Millisecond); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if s.Len() != 20 || inner.Len() != 20 {
-		t.Fatalf("len %d/%d, want 20", s.Len(), inner.Len())
-	}
-	ns, err := s.Nearest(vecs[3], 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ns) != 1 {
-		t.Fatalf("got %d neighbors", len(ns))
-	}
-	if label, ok := s.Label(ns[0].ID); !ok || label != "c3" {
-		t.Fatalf("label %q ok=%v, want c3", label, ok)
-	}
-	var buf bytes.Buffer
-	if err := s.Export(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := s.Import(bytes.NewReader(buf.Bytes())); err != nil || n != 20 {
-		t.Fatalf("import n=%d err=%v", n, err)
-	}
-}
-
-// TestShardedStoreKeepsOneHyperplaneMatrix: NewSharded makes identically
-// seeded shard indexes share their hash family, so a node pays for one
-// hyperplane matrix, not one per shard — and goes on paying for one per
-// shard when the factory seeds them differently. (Which index points at
-// which matrix is lsh's TestShardsShareOneFamily; here the heap is the
-// witness.) The matrix is sized at 1 MiB so that it dwarfs everything
-// else a fresh store holds.
-func TestShardedStoreKeepsOneHyperplaneMatrix(t *testing.T) {
-	const (
-		dim, bits, tables = 128, 64, 16
-		matrix            = dim * bits * tables * 8
-		shards            = 8
-	)
-	settled := func() uint64 {
-		runtime.GC()
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
-	grown := func(seedOf func(shard int) int64) int64 {
-		before := settled()
-		s, err := NewSharded(ShardedConfig{
-			Config: Config{Capacity: 64, Policy: LRU}, Dim: dim, Shards: shards, RouterSeed: 1,
-		}, func(i int) (lsh.Index, error) { return lsh.NewHyperplane(dim, bits, tables, seedOf(i)) },
-			simclock.NewVirtual(time.Unix(0, 0)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		after := settled()
-		runtime.KeepAlive(s)
-		return int64(after) - int64(before)
-	}
-	if got := grown(func(int) int64 { return 7 }); got > 2*matrix {
-		t.Errorf("same-seed shards hold %d KiB, want about one %d KiB matrix", got>>10, matrix>>10)
-	}
-	if got := grown(func(i int) int64 { return int64(i + 1) }); got < (shards-1)*matrix {
-		t.Errorf("differently seeded shards hold %d KiB, want %d matrices of %d KiB", got>>10, shards, matrix>>10)
+	if s.Evictions() == 0 {
+		t.Fatal("no evictions: the stress never filled the store")
 	}
 }

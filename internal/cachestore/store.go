@@ -409,22 +409,6 @@ func (s *Store) Answer(id lsh.ID) (label string, confidence float64, ok bool) {
 	return r.label, r.confidence, true
 }
 
-// answerStore is the optional vector-free read of a store; like
-// withinStore, every in-tree store has it and Interface does not.
-type answerStore interface {
-	Answer(id lsh.ID) (label string, confidence float64, ok bool)
-}
-
-// Answer resolves id on a store of unknown kind: through the store's
-// own Answer when it has one, else through Get.
-func Answer(st Interface, id lsh.ID) (label string, confidence float64, ok bool) {
-	if as, has := st.(answerStore); has {
-		return as.Answer(id)
-	}
-	e, ok := st.Get(id)
-	return e.Label, e.Confidence, ok
-}
-
 // Nearest returns up to k neighbors of q among live entries, ordered by
 // distance. Expired entries are removed before searching.
 func (s *Store) Nearest(q feature.Vector, k int) ([]lsh.Neighbor, error) {
@@ -451,6 +435,8 @@ type withinIndex interface {
 // is at most radius (an infinite or NaN radius restricts nothing).
 // Callers that only act on in-range neighbors should say so here — the
 // index then stops scoring a candidate as soon as it is out of range.
+// It is not part of Interface (see there for why): callers holding an
+// Interface reach it through the package function NearestWithinInto.
 func (s *Store) NearestWithinInto(q feature.Vector, k int, radius float64, dst []lsh.Neighbor) ([]lsh.Neighbor, error) {
 	s.purgeExpired()
 	var ns []lsh.Neighbor
@@ -478,8 +464,8 @@ func cutWithin(ns []lsh.Neighbor, radius float64) []lsh.Neighbor {
 	return ns
 }
 
-// withinStore is the optional radius-bounded lookup of a store. Every
-// in-tree store has it; it is deliberately not part of Interface, so a
+// withinStore is the optional radius-bounded lookup of a store. Store
+// has it; it is deliberately not part of Interface (see there), so a
 // wrapper that embeds Interface without knowing the method falls back
 // instead of silently forwarding it.
 type withinStore interface {
@@ -651,28 +637,6 @@ func (s *Store) QuarantinedEntries() []Entry {
 	for i := range s.recs {
 		if r := &s.recs[i]; r.quarantined {
 			out = append(out, r.entry(s.vecOf(r, nil)))
-		}
-	}
-	return out
-}
-
-// quarantineLister is the optional quarantined-only snapshot of a store
-// (every in-tree store has it; Interface does not, see withinStore).
-type quarantineLister interface {
-	QuarantinedEntries() []Entry
-}
-
-// QuarantinedEntries lists the quarantined entries of a store of unknown
-// kind: through the store's own QuarantinedEntries when it has one, else
-// by filtering a full Snapshot.
-func QuarantinedEntries(st Interface) []Entry {
-	if ql, ok := st.(quarantineLister); ok {
-		return ql.QuarantinedEntries()
-	}
-	var out []Entry
-	for _, e := range st.Snapshot() {
-		if e.Quarantined {
-			out = append(out, e)
 		}
 	}
 	return out

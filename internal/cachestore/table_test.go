@@ -602,44 +602,39 @@ func TestStoreBytesPerEntry(t *testing.T) {
 	}
 }
 
-// TestOptionalReadsMatchFallback: Answer and QuarantinedEntries give the
-// same result through a store's own method and through the fallback a
-// wrapper that hides it takes, on every store shape.
+// TestOptionalReadsMatchFallback: Answer and QuarantinedEntries, the
+// narrow reads, agree with the Get and Snapshot reads they stand in for.
 func TestOptionalReadsMatchFallback(t *testing.T) {
-	clk := simclock.NewVirtual(time.Unix(0, 0))
-	plain, _ := newTestStoreDim(t, Config{Capacity: 64, QuarantineThreshold: 1}, shardTestDim)
-	inner, _ := newTestStoreDim(t, Config{Capacity: 64, QuarantineThreshold: 1}, shardTestDim)
-	sharded, err := NewSharded(ShardedConfig{
-		Config: Config{Capacity: 192, QuarantineThreshold: 1}, Dim: shardTestDim, Shards: 3,
-	}, func(int) (lsh.Index, error) { return lsh.NewHyperplane(shardTestDim, 8, 4, 99) }, clk)
-	if err != nil {
-		t.Fatal(err)
+	st, _ := newTestStoreDim(t, Config{Capacity: 64, QuarantineThreshold: 1}, shardTestDim)
+	var ids []lsh.ID
+	for _, v := range shardTestVecs(t, 24, 3) {
+		id, err := st.Insert(v, fmt.Sprintf("l%d", len(ids)%5), 0.5+float64(len(ids))/100, "dnn", time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
 	}
-	for name, st := range map[string]Interface{"store": plain, "serialized": NewSerialized(inner), "sharded": sharded} {
-		var ids []lsh.ID
-		for _, v := range shardTestVecs(t, 24, 3) {
-			id, err := st.Insert(v, fmt.Sprintf("l%d", len(ids)%5), 0.5+float64(len(ids))/100, "dnn", time.Millisecond)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ids = append(ids, id)
+	for _, id := range ids[:6] {
+		st.Refute(id)
+	}
+	for _, id := range append(ids, 9999) {
+		l, c, ok := st.Answer(id)
+		e, eok := st.Get(id)
+		if l != e.Label || c != e.Confidence || ok != eok {
+			t.Fatalf("Answer(%d) = %q %v %v, Get %q %v %v", id, l, c, ok, e.Label, e.Confidence, eok)
 		}
-		for _, id := range ids[:6] {
-			st.Refute(id)
+	}
+	var want []Entry
+	for _, e := range st.Snapshot() {
+		if e.Quarantined {
+			want = append(want, e)
 		}
-		hidden := struct{ Interface }{st}
-		for _, id := range append(ids, 9999) {
-			l1, c1, ok1 := Answer(st, id)
-			l2, c2, ok2 := Answer(hidden, id)
-			if l1 != l2 || c1 != c2 || ok1 != ok2 {
-				t.Fatalf("%s: Answer(%d) = %q %v %v, via Get %q %v %v", name, id, l1, c1, ok1, l2, c2, ok2)
-			}
-		}
-		direct, fallback := QuarantinedEntries(st), QuarantinedEntries(hidden)
-		sort.Slice(fallback, func(i, j int) bool { return fallback[i].ID < fallback[j].ID })
-		sameEntries(t, name+": QuarantinedEntries", direct, fallback)
-		if len(direct) != 6 {
-			t.Fatalf("%s: listed %d quarantined entries, want 6", name, len(direct))
-		}
+	}
+	got := st.QuarantinedEntries()
+	sort.Slice(got, func(i, j int) bool { return got[i].ID < got[j].ID })
+	sort.Slice(want, func(i, j int) bool { return want[i].ID < want[j].ID })
+	sameEntries(t, "QuarantinedEntries", got, want)
+	if len(got) != 6 {
+		t.Fatalf("listed %d quarantined entries, want 6", len(got))
 	}
 }

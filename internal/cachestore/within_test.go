@@ -20,11 +20,7 @@ type withinTestStore interface {
 	NearestWithinInto(q feature.Vector, k int, radius float64, dst []lsh.Neighbor) ([]lsh.Neighbor, error)
 }
 
-var (
-	_ withinTestStore = (*Store)(nil)
-	_ withinTestStore = (*ShardedStore)(nil)
-	_ withinTestStore = (*SerializedStore)(nil)
-)
+var _ withinTestStore = (*Store)(nil)
 
 // plainIndex hides every optional method of an index, NearestInto and
 // the radius search included, leaving lsh.Index alone.
@@ -109,10 +105,9 @@ func checkStoreWithin(t *testing.T, name string, s withinTestStore, q feature.Ve
 }
 
 // TestStoreNearestWithinEqualsTruncatedNearest is the radius search's
-// contract on every store shape — plain, sharded at 1/2/4/7 over the
-// classic and the tuned index, serialized, a store whose index has no
-// radius search of its own, and a store reached through the package
-// helper's fallback — under inserts, removals and evictions.
+// contract over the classic and the tuned index, over an index with no
+// radius search of its own, and through the package helper's fallback —
+// under inserts, removals and evictions.
 func TestStoreNearestWithinEqualsTruncatedNearest(t *testing.T) {
 	clock := simclock.NewVirtual(time.Unix(0, 0))
 	const capacity = 160
@@ -129,14 +124,10 @@ func TestStoreNearestWithinEqualsTruncatedNearest(t *testing.T) {
 	}
 	stores := map[string]withinTestStore{
 		"store":       newPlain(func(x *lsh.HyperplaneIndex) lsh.Index { return x }),
-		"serialized":  NewSerialized(newPlain(func(x *lsh.HyperplaneIndex) lsh.Index { return x })),
+		"tuned":       newTunedSharded(t, 1, capacity, clock),
 		"into-index":  newPlain(func(x *lsh.HyperplaneIndex) lsh.Index { return intoIndex{x} }),
 		"plain-index": newPlain(func(x *lsh.HyperplaneIndex) lsh.Index { return plainIndex{x} }),
 		"via-helper":  viaHelper{newPlain(func(x *lsh.HyperplaneIndex) lsh.Index { return x })},
-	}
-	for _, shards := range []int{1, 2, 4, 7} {
-		stores[fmt.Sprintf("sharded-%d", shards)] = newTestSharded(t, shards, capacity, clock)
-		stores[fmt.Sprintf("tuned-sharded-%d", shards)] = newTunedSharded(t, shards, capacity, clock)
 	}
 	vecs := clusteredShardVecs(260, 5)
 	for name, s := range stores {

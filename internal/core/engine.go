@@ -305,10 +305,9 @@ type Deps struct {
 	Clock simclock.Clock
 	// Classifier is the fallback DNN. Required.
 	Classifier Classifier
-	// Store is the local cache store — any shape (single, sharded, or
-	// serialized). Required in ModeApprox. Beware assigning a typed
-	// nil pointer (e.g. a nil *cachestore.Store): it makes the
-	// interface non-nil but unusable.
+	// Store is the local cache store. Required in ModeApprox. Beware
+	// assigning a typed nil pointer (e.g. a nil *cachestore.Store): it
+	// makes the interface non-nil but unusable.
 	Store cachestore.Interface
 	// Peers queries nearby devices. Optional; nil disables the peer
 	// gate.

@@ -14,9 +14,9 @@ import (
 	"approxcache/internal/vision"
 )
 
-// newPoolFixture builds an n-session pool over a sharded store and a
+// newPoolFixture builds an n-session pool over one store and a
 // micro-batched classifier — the full serving-scale stack.
-func newPoolFixture(t *testing.T, n, shards int) (*Pool, *cachestore.ShardedStore, *vision.ClassSet) {
+func newPoolFixture(t *testing.T, n int) (*Pool, *cachestore.Store, *vision.ClassSet) {
 	t.Helper()
 	classes, err := vision.NewClassSet(6, 48, 48, 77)
 	if err != nil {
@@ -33,14 +33,11 @@ func newPoolFixture(t *testing.T, n, shards int) (*Pool, *cachestore.ShardedStor
 	}
 	t.Cleanup(batcher.Close)
 	cfg := DefaultConfig()
-	dim := cfg.Extractor.Dim()
-	store, err := cachestore.NewSharded(cachestore.ShardedConfig{
-		Config: cachestore.Config{Capacity: 256},
-		Dim:    dim,
-		Shards: shards,
-	}, func(int) (lsh.Index, error) {
-		return lsh.NewHyperplane(dim, 12, 4, 2)
-	}, clock)
+	idx, err := lsh.NewHyperplane(cfg.Extractor.Dim(), 12, 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := cachestore.New(cachestore.Config{Capacity: 256}, idx, clock)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +61,7 @@ func TestPoolValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var nilStore *cachestore.ShardedStore
+	var nilStore *cachestore.Store
 	if _, err := NewPool(2, DefaultConfig(), Deps{
 		Clock:      simclock.NewVirtual(time.Unix(0, 0)),
 		Classifier: classifier,
@@ -77,7 +74,7 @@ func TestPoolValidation(t *testing.T) {
 // TestPoolSharesInfrastructure: sessions share stats, watchdog, and
 // store but keep private gate state.
 func TestPoolSharesInfrastructure(t *testing.T) {
-	pool, store, _ := newPoolFixture(t, 4, 2)
+	pool, store, _ := newPoolFixture(t, 4)
 	if pool.Size() != 4 || len(pool.Sessions()) != 4 {
 		t.Fatalf("size %d/%d, want 4", pool.Size(), len(pool.Sessions()))
 	}
@@ -108,7 +105,7 @@ func TestPoolSharesInfrastructure(t *testing.T) {
 // without ever running the DNN on it.
 func TestPoolConcurrentStreams(t *testing.T) {
 	const sessions = 4
-	pool, store, classes := newPoolFixture(t, sessions, 2)
+	pool, store, classes := newPoolFixture(t, sessions)
 	var wg sync.WaitGroup
 	for s := 0; s < sessions; s++ {
 		wg.Add(1)
@@ -150,7 +147,7 @@ func TestPoolConcurrentStreams(t *testing.T) {
 // stream are unaffected by another stream's subsequent frames (the S2
 // shared-slice race, fixed by storing Result by value).
 func TestPoolDegradedServeIsolation(t *testing.T) {
-	pool, _, classes := newPoolFixture(t, 2, 2)
+	pool, _, classes := newPoolFixture(t, 2)
 	rng := rand.New(rand.NewSource(9))
 	im0, err := classes.Render(0, vision.DefaultPerturbation(), rng)
 	if err != nil {

@@ -362,7 +362,7 @@ func (qc *qualityController) runAudit(e *Engine, im *vision.Image, guarded bool,
 // candidate index, disagreement counts a parole failure (eviction at
 // the limit).
 func (qc *qualityController) paroleNear(vec feature.Vector, freshLabel string, radius float64) {
-	for _, en := range cachestore.QuarantinedEntries(qc.store) {
+	for _, en := range qc.store.QuarantinedEntries() {
 		d, err := feature.Euclidean(vec, en.Vec)
 		if err != nil || d > radius {
 			continue

@@ -400,7 +400,7 @@ func (e *Engine) tryLookup(f *frame) (bool, error) {
 	var verdict lsh.Verdict
 	if first {
 		if len(ns) > 0 && ns[0].Distance <= vote.MaxDistance {
-			if label, conf, ok := cachestore.Answer(e.deps.Store, ns[0].ID); ok {
+			if label, conf, ok := e.deps.Store.Answer(ns[0].ID); ok {
 				verdict = lsh.Verdict{Accepted: true, Label: label, Confidence: conf}
 			}
 		}
@@ -556,7 +556,7 @@ func (e *Engine) ladder(f *frame) (bool, error) {
 		if ns, err := cachestore.NearestWithinInto(e.deps.Store, f.vec, 1, radius, f.ns[:0]); err == nil {
 			f.ns = ns
 			if len(ns) > 0 && ns[0].Distance <= radius {
-				if label, conf, ok := cachestore.Answer(e.deps.Store, ns[0].ID); ok {
+				if label, conf, ok := e.deps.Store.Answer(ns[0].ID); ok {
 					e.deps.Store.Touch(ns[0].ID)
 					return f.serve(StageDNN, label, conf*fallbackConfidence, src, cacheOnly)
 				}

@@ -13,9 +13,9 @@ import (
 // The lookup-bound benchmark: a warm, heavily reused cache where the
 // serving cost is the index lookup itself, not the DNN. The E20
 // throughput benchmark is inference-bound by design (misses occupy a
-// serial accelerator), which makes store/index wins invisible — sharded
-// and single-mutex nodes post the same fps because both are waiting on
-// the model. This harness removes the model entirely: it builds the
+// serial accelerator), which makes store/index wins invisible — every
+// store shape it ever ran posted the same unbatched fps because all of
+// them wait on the model. This harness removes the model entirely: it builds the
 // index at cache steady state, drives queries that are small
 // perturbations of resident entries (the approximate-caching hit case),
 // and measures ns/op, recall against exact ground truth, and warm-path

@@ -197,7 +197,7 @@ type OverloadReport struct {
 type overloadNode struct {
 	pool    *core.Pool
 	batcher *dnn.Batcher
-	store   *cachestore.ShardedStore
+	store   *cachestore.Store
 }
 
 func (n *overloadNode) close() {
@@ -206,7 +206,8 @@ func (n *overloadNode) close() {
 	}
 }
 
-// buildOverloadNode assembles a sharded + micro-batched serving pool.
+// buildOverloadNode assembles a micro-batched serving pool over one
+// store.
 // The resilient mode adds request deadlines, admission control, and
 // the batcher's pending bound; the unprotected mode strips all three.
 func buildOverloadNode(cfg OverloadConfig, mode string, classifier *dnn.Classifier) (*overloadNode, error) {
@@ -222,14 +223,11 @@ func buildOverloadNode(cfg OverloadConfig, mode string, classifier *dnn.Classifi
 		return nil, fmt.Errorf("eval: unknown overload mode %q", mode)
 	}
 	clock := simclock.NewVirtual(time.Unix(0, 0))
-	dim := ecfg.Extractor.Dim()
-	store, err := cachestore.NewSharded(cachestore.ShardedConfig{
-		Config: cachestore.Config{Capacity: cfg.Capacity},
-		Dim:    dim,
-		Shards: 8,
-	}, func(int) (lsh.Index, error) {
-		return lsh.NewHyperplane(dim, 12, 4, cfg.Seed)
-	}, clock)
+	idx, err := lsh.NewHyperplane(ecfg.Extractor.Dim(), 12, 4, cfg.Seed)
+	if err != nil {
+		return nil, err
+	}
+	store, err := cachestore.New(cachestore.Config{Capacity: cfg.Capacity}, idx, clock)
 	if err != nil {
 		return nil, err
 	}

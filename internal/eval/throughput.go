@@ -17,7 +17,8 @@ import (
 )
 
 // The saturation benchmark: M concurrent synthetic client streams
-// against one serving node, comparing store/scheduler architectures.
+// against one serving node — one store shared by a pool of sessions —
+// with and without micro-batched inference.
 //
 // Most of this package replays workloads on a virtual clock, where
 // lock contention is invisible. Throughput under concurrency is a
@@ -26,24 +27,21 @@ import (
 // but the classifier is wrapped in an accelerator occupancy model — a
 // mutex held while REALLY sleeping a scaled-down share of the model's
 // simulated latency. One invocation at a time, like a physical NPU.
-// Architectures then differ honestly: a single-mutex store serializes
-// streams around both the store and the accelerator; sharding removes
-// store contention; micro-batching amortizes accelerator occupancy
-// across concurrent misses (one fixed invocation cost per batch
-// instead of per frame). The measured frames/sec ordering reflects the
-// mechanisms, not CPU-count luck, so it holds on a single-core CI box.
+// Unbatched, concurrent misses queue on the accelerator one by one;
+// micro-batching amortizes its occupancy across them (one fixed
+// invocation cost per batch instead of per frame). The measured
+// frames/sec ordering reflects the mechanism, not CPU-count luck, so it
+// holds on a single-core CI box.
 
 // Throughput mode names, in report order.
 const (
-	ModeSingleMutex = "single-mutex"
-	ModePool1Shard  = "pool-1shard"
-	ModePoolSharded = "pool-sharded"
-	ModePoolBatched = "pool-sharded-batched"
+	ModePool        = "pool"
+	ModePoolBatched = "pool-batched"
 )
 
-// ThroughputModes lists the benchmark's architecture variants.
+// ThroughputModes lists the benchmark's variants.
 func ThroughputModes() []string {
-	return []string{ModeSingleMutex, ModePool1Shard, ModePoolSharded, ModePoolBatched}
+	return []string{ModePool, ModePoolBatched}
 }
 
 // ThroughputConfig shapes the saturation benchmark.
@@ -52,8 +50,6 @@ type ThroughputConfig struct {
 	Streams int
 	// Frames is the per-stream frame count (default 30).
 	Frames int
-	// Shards is the sharded store's stripe count (default 8).
-	Shards int
 	// Classes is the synthetic vocabulary size (default 24).
 	Classes int
 	// Capacity is the node's total cache capacity (default 512).
@@ -81,9 +77,6 @@ func (c *ThroughputConfig) defaults() {
 	}
 	if c.Frames == 0 {
 		c.Frames = 30
-	}
-	if c.Shards == 0 {
-		c.Shards = 8
 	}
 	if c.Classes == 0 {
 		c.Classes = 24
@@ -119,9 +112,6 @@ type ThroughputResult struct {
 	P99MS     float64 `json:"p99_ms"`
 	DNNFrames int     `json:"dnn_frames"`
 	HitRate   float64 `json:"hit_rate"`
-	// Shards carries per-shard occupancy/contention counters (pool
-	// modes only).
-	Shards []metrics.ShardStat `json:"shards,omitempty"`
 	// Batcher carries scheduler counters (batched mode only).
 	Batcher *metrics.BatcherStats `json:"batcher,omitempty"`
 }
@@ -131,11 +121,10 @@ type ThroughputResult struct {
 type ThroughputReport struct {
 	Streams  int                `json:"streams"`
 	Frames   int                `json:"frames_per_stream"`
-	Shards   int                `json:"shards"`
 	MaxBatch int                `json:"max_batch"`
 	Results  []ThroughputResult `json:"results"`
-	// Speedup is sharded+batched frames/sec over single-mutex
-	// frames/sec — the number the regression gate enforces.
+	// Speedup is batched frames/sec over unbatched frames/sec — the
+	// number the regression gate enforces.
 	Speedup float64 `json:"speedup"`
 }
 
@@ -216,8 +205,7 @@ func throughputEngineConfig(maxStreak int) core.Config {
 	return cfg
 }
 
-// RunThroughputMode measures one architecture variant and returns its
-// result.
+// RunThroughputMode measures one variant and returns its result.
 func RunThroughputMode(cfg ThroughputConfig, mode string) (ThroughputResult, error) {
 	cfg.defaults()
 	classes, err := vision.NewClassSet(cfg.Classes, 48, 48, cfg.Seed)
@@ -235,71 +223,37 @@ func RunThroughputMode(cfg ThroughputConfig, mode string) (ThroughputResult, err
 	model := &occupiedModel{inner: classifier, scale: cfg.Scale}
 	clock := simclock.NewVirtual(time.Unix(0, 0))
 	ecfg := throughputEngineConfig(cfg.MaxReuseStreak)
-	dim := ecfg.Extractor.Dim()
-	newIndex := func(int) (lsh.Index, error) {
-		return lsh.NewHyperplane(dim, 12, 4, cfg.Seed)
-	}
 
-	var engines []*core.Engine
-	var sharded *cachestore.ShardedStore
+	var cls core.Classifier = model
 	var batcher *dnn.Batcher
-	var stats *metrics.SessionStats
 	switch mode {
-	case ModeSingleMutex:
-		// The pre-sharding architecture: every stream funnels through
-		// ONE engine over ONE exclusive-mutex store, unbatched.
-		idx, err := newIndex(0)
+	case ModePool:
+	case ModePoolBatched:
+		batcher, err = dnn.NewBatcher(cfg.Batcher, model)
 		if err != nil {
 			return ThroughputResult{}, err
 		}
-		inner, err := cachestore.New(cachestore.Config{Capacity: cfg.Capacity}, idx, clock)
-		if err != nil {
-			return ThroughputResult{}, err
-		}
-		eng, err := core.New(ecfg, core.Deps{
-			Clock: clock, Classifier: model, Store: cachestore.NewSerialized(inner),
-		})
-		if err != nil {
-			return ThroughputResult{}, err
-		}
-		stats = eng.Stats()
-		engines = make([]*core.Engine, cfg.Streams)
-		for i := range engines {
-			engines[i] = eng
-		}
-	case ModePool1Shard, ModePoolSharded, ModePoolBatched:
-		shards := cfg.Shards
-		if mode == ModePool1Shard {
-			shards = 1
-		}
-		sharded, err = cachestore.NewSharded(cachestore.ShardedConfig{
-			Config: cachestore.Config{Capacity: cfg.Capacity},
-			Dim:    dim,
-			Shards: shards,
-		}, newIndex, clock)
-		if err != nil {
-			return ThroughputResult{}, err
-		}
-		var cls core.Classifier = model
-		if mode == ModePoolBatched {
-			batcher, err = dnn.NewBatcher(cfg.Batcher, model)
-			if err != nil {
-				return ThroughputResult{}, err
-			}
-			defer batcher.Close()
-			cls = batcher
-		}
-		pool, err := core.NewPool(cfg.Streams, ecfg, core.Deps{
-			Clock: clock, Classifier: cls, Store: sharded,
-		})
-		if err != nil {
-			return ThroughputResult{}, err
-		}
-		stats = pool.Stats()
-		engines = pool.Sessions()
+		defer batcher.Close()
+		cls = batcher
 	default:
 		return ThroughputResult{}, fmt.Errorf("eval: unknown throughput mode %q", mode)
 	}
+	idx, err := lsh.NewHyperplane(ecfg.Extractor.Dim(), 12, 4, cfg.Seed)
+	if err != nil {
+		return ThroughputResult{}, err
+	}
+	store, err := cachestore.New(cachestore.Config{Capacity: cfg.Capacity}, idx, clock)
+	if err != nil {
+		return ThroughputResult{}, err
+	}
+	pool, err := core.NewPool(cfg.Streams, ecfg, core.Deps{
+		Clock: clock, Classifier: cls, Store: store,
+	})
+	if err != nil {
+		return ThroughputResult{}, err
+	}
+	stats := pool.Stats()
+	engines := pool.Sessions()
 
 	// Drive all streams concurrently, recording per-frame wall time.
 	perStream := make([][]time.Duration, cfg.Streams)
@@ -348,9 +302,6 @@ func RunThroughputMode(cfg ThroughputConfig, mode string) (ThroughputResult, err
 		DNNFrames: stats.CountBySource()[metrics.SourceDNN],
 		HitRate:   stats.HitRate(),
 	}
-	if sharded != nil {
-		res.Shards = sharded.ShardStats()
-	}
 	if batcher != nil {
 		st := batcher.Stats()
 		res.Batcher = &st
@@ -358,14 +309,13 @@ func RunThroughputMode(cfg ThroughputConfig, mode string) (ThroughputResult, err
 	return res, nil
 }
 
-// RunThroughput measures all four architecture variants and computes
-// the headline speedup (sharded+batched over single-mutex).
+// RunThroughput measures both variants and computes the headline
+// speedup (batched over unbatched).
 func RunThroughput(cfg ThroughputConfig) (ThroughputReport, error) {
 	cfg.defaults()
 	rep := ThroughputReport{
 		Streams:  cfg.Streams,
 		Frames:   cfg.Frames,
-		Shards:   cfg.Shards,
 		MaxBatch: cfg.Batcher.MaxBatch,
 	}
 	var base, best float64
@@ -376,7 +326,7 @@ func RunThroughput(cfg ThroughputConfig) (ThroughputReport, error) {
 		}
 		rep.Results = append(rep.Results, res)
 		switch mode {
-		case ModeSingleMutex:
+		case ModePool:
 			base = res.FPS
 		case ModePoolBatched:
 			best = res.FPS
@@ -388,12 +338,12 @@ func RunThroughput(cfg ThroughputConfig) (ThroughputReport, error) {
 	return rep, nil
 }
 
-// E20Throughput is the serving-scale experiment: the architecture
-// ladder from single-mutex to sharded+batched at a test-friendly size.
+// E20Throughput is the serving-scale experiment: one pool, unbatched
+// and micro-batched, at a test-friendly size.
 func E20Throughput(scale Scale) (Report, error) {
 	cfg := ThroughputConfig{Seed: scale.Seed}
 	if scale.Frames < DefaultScale().Frames {
-		// Small scale: fewer streams/frames, same architecture ladder.
+		// Small scale: fewer streams/frames, same variants.
 		cfg.Streams = 8
 		cfg.Frames = 12
 	}
@@ -403,30 +353,25 @@ func E20Throughput(scale Scale) (Report, error) {
 	}
 	out := Report{
 		ID:    "E20",
-		Title: "Serving throughput: store/scheduler architecture ladder",
-		Headers: []string{"architecture", "frames/sec", "p50 ms", "p95 ms",
-			"p99 ms", "dnn frames", "hit-rate", "contended ops", "avg batch"},
+		Title: "Serving throughput: one pool, unbatched vs micro-batched",
+		Headers: []string{"variant", "frames/sec", "p50 ms", "p95 ms",
+			"p99 ms", "dnn frames", "hit-rate", "avg batch"},
 		Data: rep,
 	}
 	for _, r := range rep.Results {
-		var contended int64
-		for _, sh := range r.Shards {
-			contended += sh.Contended
-		}
 		avgBatch := "-"
 		if r.Batcher != nil {
 			avgBatch = fmtF(r.Batcher.AvgSize())
 		}
 		out.Rows = append(out.Rows, []string{
 			r.Mode, fmtF(r.FPS), fmtF(r.P50MS), fmtF(r.P95MS), fmtF(r.P99MS),
-			fmt.Sprintf("%d", r.DNNFrames), fmtPct(r.HitRate),
-			fmt.Sprintf("%d", contended), avgBatch,
+			fmt.Sprintf("%d", r.DNNFrames), fmtPct(r.HitRate), avgBatch,
 		})
 	}
 	out.Notes = append(out.Notes,
 		fmt.Sprintf("%d streams × %d frames; accelerator occupancy model (serial, scaled %s)",
 			rep.Streams, rep.Frames, "1/15"),
-		fmt.Sprintf("speedup sharded+batched vs single-mutex: %.2fx", rep.Speedup),
+		fmt.Sprintf("speedup batched vs unbatched: %.2fx", rep.Speedup),
 	)
 	return out, nil
 }

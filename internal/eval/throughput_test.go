@@ -15,7 +15,6 @@ func fastThroughputConfig() ThroughputConfig {
 	return ThroughputConfig{
 		Streams: 4,
 		Frames:  6,
-		Shards:  4,
 		Classes: 8,
 		Seed:    42,
 		Scale:   1.0 / 2000,
@@ -52,17 +51,9 @@ func TestThroughputModesRun(t *testing.T) {
 			t.Fatalf("mode %s never ran the DNN", mode)
 		}
 		switch mode {
-		case ModeSingleMutex:
-			if res.Shards != nil || res.Batcher != nil {
-				t.Fatalf("single-mutex reported pool-only stats: %+v", res)
-			}
-		case ModePool1Shard:
-			if len(res.Shards) != 1 {
-				t.Fatalf("1-shard mode reported %d shards", len(res.Shards))
-			}
-		case ModePoolSharded:
-			if len(res.Shards) != cfg.Shards {
-				t.Fatalf("sharded mode reported %d shards, want %d", len(res.Shards), cfg.Shards)
+		case ModePool:
+			if res.Batcher != nil {
+				t.Fatalf("unbatched mode reported batcher stats: %+v", res)
 			}
 		case ModePoolBatched:
 			if res.Batcher == nil || res.Batcher.Frames == 0 {
@@ -83,7 +74,7 @@ func TestThroughputReport(t *testing.T) {
 	if rep.Speedup <= 0 {
 		t.Fatalf("speedup = %v, want > 0", rep.Speedup)
 	}
-	if rep.Streams != 4 || rep.Frames != 6 || rep.Shards != 4 || rep.MaxBatch != 4 {
+	if rep.Streams != 4 || rep.Frames != 6 || rep.MaxBatch != 4 {
 		t.Fatalf("report header wrong: %+v", rep)
 	}
 }
@@ -91,7 +82,7 @@ func TestThroughputReport(t *testing.T) {
 func TestThroughputDefaults(t *testing.T) {
 	var cfg ThroughputConfig
 	cfg.defaults()
-	if cfg.Streams != 16 || cfg.Frames != 30 || cfg.Shards != 8 {
+	if cfg.Streams != 16 || cfg.Frames != 30 {
 		t.Fatalf("defaults = %+v", cfg)
 	}
 	if cfg.Batcher.MaxBatch != 16 || cfg.Batcher.MaxWait != 5*time.Millisecond {

@@ -13,13 +13,9 @@ import (
 // hyperplanes, the sketch hyperplanes when the sketch is on, and the
 // projection center. Everything but the memo is immutable once the
 // family is built, and it is a deterministic function of (dim, bits,
-// tables, seed, sketchBits), so indexes built from the same five values
-// hash identically and may share one family (see ShareFamily) instead of
-// each keeping its own copy of the matrix. A family lives exactly as
-// long as the indexes that point at it; nothing else holds one.
+// tables, seed, sketchBits). Each index owns its family.
 type hashFamily struct {
 	dim, bits, tables int
-	seed              int64
 	sketchBits        int
 
 	// planes is the flattened hyperplane matrix: hyperplane b of table
@@ -35,15 +31,15 @@ type hashFamily struct {
 	center feature.Vector
 
 	// memo remembers the table signatures of the last few vectors
-	// hashed, so the indexes sharing the family hash a descriptor once
-	// per frame: the first shard's lookup fills a slot, the other
-	// shards' lookups and the frame's Insert read it.
+	// hashed, so a descriptor is hashed once per frame: the frame's
+	// lookup fills a slot and its Insert reads it.
 	memo     [memoSlots]memoSlot
 	memoNext atomic.Uint32 // round-robin fill cursor
 }
 
 // memoSlots is how many vectors a family remembers: one per frame in
-// flight on a node with a few cores, not a cache of past frames.
+// flight on a node with a few cores (pool sessions share one index),
+// not a cache of past frames.
 const memoSlots = 4
 
 // memoSlot is one remembered (vector, signatures) pair. mu is only ever
@@ -65,7 +61,7 @@ type memoSlot struct {
 // sketchBits). Arguments are validated by the caller.
 func newHashFamily(dim, bits, tables int, seed int64, sketchBits int) *hashFamily {
 	f := &hashFamily{
-		dim: dim, bits: bits, tables: tables, seed: seed, sketchBits: sketchBits,
+		dim: dim, bits: bits, tables: tables, sketchBits: sketchBits,
 		planes: make([]float64, tables*bits*dim),
 	}
 	// Draw order (table, bit, dim) is part of the index's identity:
@@ -100,14 +96,6 @@ func newHashFamily(dim, bits, tables int, seed int64, sketchBits int) *hashFamil
 		}
 	}
 	return f
-}
-
-// sameAs reports whether g hashes every vector exactly as f does.
-// Centered families never compare equal: their center is per index.
-func (f *hashFamily) sameAs(g *hashFamily) bool {
-	return f.center == nil && g.center == nil &&
-		f.dim == g.dim && f.bits == g.bits && f.tables == g.tables &&
-		f.seed == g.seed && f.sketchBits == g.sketchBits
 }
 
 // planeRow returns hyperplane b of table t as a slice into the flat
@@ -186,38 +174,4 @@ func sameBits(a, b []float64) bool {
 		}
 	}
 	return true
-}
-
-// ShareFamily makes the hyperplane indexes among idxs that hash
-// identically — same dim, bits, tables, seed and sketch width, no
-// center — point at one family, so N shards of a store keep one
-// hyperplane matrix instead of N and see each other's memoised
-// signatures. An AdaptiveIndex takes part with its current inner index
-// (a rebuild re-seeds and centers it, which gives it a family of its
-// own again). Indexes of any other type, and indexes that hash
-// differently from the first shareable one, are left alone. Lookup
-// results are unchanged: the adopted family is equal, bit for bit, to
-// the one it replaces.
-func ShareFamily(idxs ...Index) {
-	var shared *hashFamily
-	for _, idx := range idxs {
-		var x *HyperplaneIndex
-		switch v := idx.(type) {
-		case *HyperplaneIndex:
-			x = v
-		case *AdaptiveIndex:
-			x = v.inner.Load()
-		default:
-			continue
-		}
-		x.mu.Lock()
-		switch {
-		case x.fam.center != nil: // hashes like no other index
-		case shared == nil:
-			shared = x.fam
-		case x.fam.sameAs(shared):
-			x.fam = shared
-		}
-		x.mu.Unlock()
-	}
 }

@@ -10,109 +10,6 @@ import (
 	"approxcache/internal/feature"
 )
 
-// foreignIndex is an Index ShareFamily knows nothing about (what a
-// wrapper around a HyperplaneIndex looks like from outside).
-type foreignIndex struct{ Index }
-
-// TestShardsShareOneFamily: eight identically built shard indexes end
-// up on one hyperplane matrix — the same slice, by pointer — while an
-// index that hashes differently, is centered, or is of a foreign type
-// keeps its own.
-func TestShardsShareOneFamily(t *testing.T) {
-	const dim, bits, tables, seed = 80, 12, 4, 1
-	build := func(t *testing.T, tun Tuning) []*HyperplaneIndex {
-		t.Helper()
-		shards := make([]*HyperplaneIndex, 8)
-		for i := range shards {
-			x, err := NewHyperplaneTuned(dim, bits, tables, seed, tun)
-			if err != nil {
-				t.Fatal(err)
-			}
-			shards[i] = x
-		}
-		return shards
-	}
-	asIndexes := func(xs []*HyperplaneIndex) []Index {
-		out := make([]Index, len(xs))
-		for i, x := range xs {
-			out[i] = x
-		}
-		return out
-	}
-	t.Run("classic", func(t *testing.T) {
-		shards := build(t, Tuning{})
-		if &shards[0].fam.planes[0] == &shards[1].fam.planes[0] {
-			t.Fatal("fresh indexes already share a matrix")
-		}
-		ShareFamily(asIndexes(shards)...)
-		for i, x := range shards {
-			if x.fam != shards[0].fam || &x.fam.planes[0] != &shards[0].fam.planes[0] {
-				t.Fatalf("shard %d keeps its own hyperplanes", i)
-			}
-		}
-	})
-	t.Run("sketch", func(t *testing.T) {
-		shards := build(t, Tuning{Probes: 3, SketchBits: 64})
-		ShareFamily(asIndexes(shards)...)
-		for i, x := range shards {
-			if &x.fam.sketchPlanes[0] != &shards[0].fam.sketchPlanes[0] {
-				t.Fatalf("shard %d keeps its own sketch hyperplanes", i)
-			}
-		}
-	})
-	t.Run("adaptive", func(t *testing.T) {
-		cfg := DefaultAdaptiveConfig(dim)
-		a, err := NewAdaptive(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := NewAdaptive(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ShareFamily(a, b)
-		if a.inner.Load().fam != b.inner.Load().fam {
-			t.Fatal("adaptive shards keep their own hyperplanes")
-		}
-	})
-	t.Run("unshareable", func(t *testing.T) {
-		first, err := NewHyperplane(dim, bits, tables, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		otherSeed, _ := NewHyperplane(dim, bits, tables, seed+1)
-		otherBits, _ := NewHyperplane(dim, bits+1, tables, seed)
-		otherTables, _ := NewHyperplane(dim, bits, tables+1, seed)
-		otherDim, _ := NewHyperplane(dim+1, bits, tables, seed)
-		otherSketch, _ := NewHyperplaneTuned(dim, bits, tables, seed, Tuning{SketchBits: 64})
-		centered, _ := NewHyperplaneCentered(dim, bits, tables, seed, make(feature.Vector, dim))
-		twin, _ := NewHyperplane(dim, bits, tables, seed)
-		wrapped := foreignIndex{twin}
-		exact, _ := NewExact(dim)
-		// More probes hash the same: that one does share.
-		probes, _ := NewHyperplaneTuned(dim, bits, tables, seed, Tuning{Probes: 4})
-		ShareFamily(first, otherSeed, otherBits, otherTables, otherDim, otherSketch, centered, wrapped, exact, probes)
-		for name, x := range map[string]*HyperplaneIndex{
-			"seed": otherSeed, "bits": otherBits, "tables": otherTables, "dim": otherDim,
-			"sketch": otherSketch, "centered": centered, "foreign": twin,
-		} {
-			if x.fam == first.fam {
-				t.Errorf("index differing in %s adopted the family", name)
-			}
-		}
-		if probes.fam != first.fam {
-			t.Error("index differing only in probe count did not adopt the family")
-		}
-		// A centered index first in line is skipped, not adopted.
-		a, _ := NewHyperplane(dim, bits, tables, seed)
-		b, _ := NewHyperplane(dim, bits, tables, seed)
-		ShareFamily(centered, a, b)
-		if a.fam == centered.fam || a.fam != b.fam {
-			t.Error("a centered first index broke sharing among the rest")
-		}
-	})
-}
-
 // TestMemoisedSignaturesMatchDirect: whatever the memo holds, signatures
 // equals signature(t, v) in every table, and a slot answers only for a
 // vector equal to the remembered one bit for bit.
@@ -205,66 +102,55 @@ func TestMemoisedSignaturesMatchDirect(t *testing.T) {
 	}
 }
 
-// TestSharedFamilyConcurrentStress runs lookups and inserts on all eight
-// shards of one family at once, the way a serving node's sessions do:
-// every goroutine walks the same short list of descriptors, so memo
-// slots are filled, read and overwritten by different shards at the
-// same time. Run under -race. Afterwards every shard must hold exactly
-// the buckets an unshared twin fed the same inserts holds.
+// TestSharedFamilyConcurrentStress runs lookups and inserts on one
+// index from several goroutines at once, the way a pool's sessions do on
+// their node's one store: every goroutine walks the same short list of
+// descriptors, looking each up and then inserting it, so a memo slot one
+// goroutine's lookup fills is read or overwritten by another's lookup or
+// insert at the same time. Run under -race. Afterwards the index must
+// hold exactly the buckets a twin fed the same inserts from one
+// goroutine holds.
 func TestSharedFamilyConcurrentStress(t *testing.T) {
 	const (
 		dim, bits, tables, seed = 16, 8, 3, 5
-		shards                  = 8
-		perShard                = 40
+		sessions                = 8
+		nvecs                   = 40
 		rounds                  = 6
 	)
-	idxs := make([]Index, shards)
-	for i := range idxs {
-		x, err := NewHyperplane(dim, bits, tables, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		idxs[i] = x
+	x, err := NewHyperplane(dim, bits, tables, seed)
+	if err != nil {
+		t.Fatal(err)
 	}
-	ShareFamily(idxs...)
-	// vecOf(id) is the one vector ever stored under id, in any shard.
+	// vecs[id-1] is the one vector ever stored under id.
 	rng := rand.New(rand.NewSource(9))
-	vecs := make([]feature.Vector, perShard)
+	vecs := make([]feature.Vector, nvecs)
 	for i := range vecs {
 		vecs[i] = randVec(rng, dim)
 	}
 	var wg sync.WaitGroup
-	for s := 0; s < shards; s++ {
-		wg.Add(2)
-		go func(x *HyperplaneIndex) { // the shard's writer
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				for i, v := range vecs {
-					if err := x.Insert(ID(i+1), v); err != nil {
-						t.Error(err)
-						return
-					}
-				}
-			}
-		}(idxs[s].(*HyperplaneIndex))
-		go func(s int) { // a session: every query goes to every shard
+	for s := 0; s < sessions; s++ {
+		wg.Add(1)
+		go func(s int) {
 			defer wg.Done()
 			dst := make([]Neighbor, 0, 4)
 			for r := 0; r < rounds; r++ {
 				for i := range vecs {
-					q := vecs[(i+s)%len(vecs)]
-					for _, idx := range idxs {
-						ns, err := idx.(*HyperplaneIndex).NearestInto(q, 4, dst)
-						if err != nil {
-							t.Error(err)
+					j := (i + s) % len(vecs)
+					q := vecs[j]
+					ns, err := x.NearestInto(q, 4, dst)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					for _, n := range ns {
+						if want := feature.MustEuclidean(q, vecs[n.ID-1]); n.Distance != want {
+							t.Errorf("neighbor %d at %v, its vector is at %v", n.ID, n.Distance, want)
 							return
 						}
-						for _, n := range ns {
-							if want := feature.MustEuclidean(q, vecs[n.ID-1]); n.Distance != want {
-								t.Errorf("neighbor %d at %v, its vector is at %v", n.ID, n.Distance, want)
-								return
-							}
-						}
+					}
+					if err := x.Insert(ID(j+1), q); err != nil {
+						t.Error(err)
+						return
 					}
 				}
 			}
@@ -281,20 +167,17 @@ func TestSharedFamilyConcurrentStress(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for s, idx := range idxs {
-		x := idx.(*HyperplaneIndex)
-		for _, q := range vecs {
-			got, err := x.Candidates(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := twin.Candidates(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sameIDSet(got, want) {
-				t.Fatalf("shard %d: candidates %v, unshared twin %v", s, got, want)
-			}
+	for _, q := range vecs {
+		got, err := x.Candidates(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := twin.Candidates(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameIDSet(got, want) {
+			t.Fatalf("candidates %v, single-goroutine twin %v", got, want)
 		}
 	}
 }

@@ -92,12 +92,13 @@ type HyperplaneIndex struct {
 	tun         Tuning
 	sketchWords int
 
+	// fam is the hash function: hyperplanes, center and signature memo.
+	// Immutable but for the memo, which locks its own slots.
+	fam *hashFamily
+
 	// mu guards everything below: lookups hold it for reading across
 	// gather + scan, Insert/Remove for writing.
 	mu sync.RWMutex
-	// fam is the hash function: hyperplanes, center and signature memo.
-	// It is replaced only by ShareFamily, and only by an equal one.
-	fam *hashFamily
 	// buckets[t] maps a table-t signature to the arena slots holding
 	// colliding vectors. Buckets hold slots, not IDs, so the distance
 	// loop reads the arena directly.

@@ -17,7 +17,7 @@ import "math/bits"
 // subset is reachable exactly once and sets pop in non-decreasing
 // score, so the sequence is a deterministic function of the margins.
 // Ties (equal scores) break by the set's position mask, fixing the
-// order bit-for-bit across runs, shards, and snapshot reloads.
+// order bit-for-bit across runs and snapshot reloads.
 
 // probeSet is one perturbation set: a bitmask over margin-sorted
 // positions plus its summed-margin score.

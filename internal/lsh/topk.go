@@ -25,11 +25,6 @@ func neighborWorse(a, b Neighbor) bool {
 	return a.ID > b.ID
 }
 
-// NeighborWorse exposes the selection order for callers that merge
-// per-shard result lists: a cross-shard merge using the same total
-// order reproduces exactly what one unsharded index would return.
-func NeighborWorse(a, b Neighbor) bool { return neighborWorse(a, b) }
-
 // kSelector accumulates neighbors, retaining the k best. The zero value
 // is not usable; call reset first. buf never exceeds k entries, so a
 // caller-provided buffer of capacity k makes the whole selection

@@ -7,8 +7,7 @@ import "fmt"
 // pipeline exactly: one probe per table, no sketch prefilter. Both
 // mechanisms are bit-deterministic — the probe order is a fixed function
 // of the query's hyperplane margins, the sketch of (seed, vector) — so
-// tuned indexes replay identically across runs, shards, and snapshot
-// round-trips.
+// tuned indexes replay identically across runs and snapshot round-trips.
 type Tuning struct {
 	// Probes is the number of buckets examined per table: the query's
 	// own bucket plus Probes−1 perturbed buckets, visited in increasing

@@ -1,25 +1,9 @@
 package metrics
 
-// Serving-scale counters: per-shard occupancy/contention for the
-// sharded cache store and aggregate micro-batcher statistics. Both are
-// plain value snapshots — the live counters stay inside their owners
-// (cachestore.ShardedStore, dnn.Batcher) and are copied out here for
-// reporting, so the metrics package never holds locks on the hot path.
-
-// ShardStat is one shard's occupancy and contention snapshot.
-type ShardStat struct {
-	// Shard is the shard number in [0, shards).
-	Shard int
-	// Entries is the shard's live entry count.
-	Entries int
-	// Lookups and Inserts count operations routed to this shard.
-	Lookups int64
-	Inserts int64
-	// Contended counts operations that began while another operation
-	// was already in flight on the same shard — an approximation of
-	// how often the old single-mutex design would have blocked.
-	Contended int64
-}
+// Serving-scale counters: the micro-batcher's aggregate statistics, a
+// plain value snapshot — the live counters stay inside dnn.Batcher and
+// are copied out here for reporting, so the metrics package never holds
+// locks on the hot path.
 
 // BatcherStats summarizes a micro-batching scheduler's behavior.
 type BatcherStats struct {

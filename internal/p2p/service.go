@@ -45,9 +45,8 @@ func DefaultServiceConfig(name string) ServiceConfig {
 	}
 }
 
-// Service answers peer protocol messages against a local cache store
-// of any shape (single, sharded, or serialized). Service is safe for
-// concurrent use.
+// Service answers peer protocol messages against a local cache store.
+// Service is safe for concurrent use.
 type Service struct {
 	cfg    ServiceConfig
 	store  cachestore.Interface

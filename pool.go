@@ -10,10 +10,6 @@ import (
 	"approxcache/internal/simclock"
 )
 
-// ShardStat is one cache-store shard's occupancy and contention
-// counters.
-type ShardStat = metrics.ShardStat
-
 // BatcherStats summarizes the micro-batching scheduler's activity.
 type BatcherStats = metrics.BatcherStats
 
@@ -117,15 +113,6 @@ func (p *Pool) Len() int {
 		return 0
 	}
 	return p.store.Len()
-}
-
-// ShardStats returns per-shard occupancy and contention counters, or
-// nil when the pool runs on an unsharded store.
-func (p *Pool) ShardStats() []ShardStat {
-	if s, ok := p.store.(*cachestore.ShardedStore); ok {
-		return s.ShardStats()
-	}
-	return nil
 }
 
 // BatcherStats returns the micro-batching scheduler's counters; ok is

@@ -52,12 +52,11 @@ func TestNewPoolValidation(t *testing.T) {
 }
 
 // TestPoolConcurrentSessions drives the full serving-scale facade —
-// sharded store, micro-batcher, N concurrent streams — under -race.
+// one shared store, micro-batcher, N concurrent streams — under -race.
 func TestPoolConcurrentSessions(t *testing.T) {
 	const sessions = 4
 	w := testWorkload(t, 40)
 	p := newPool(t, sessions, w, approxcache.Options{
-		Shards:    4,
 		BatchSize: 4,
 		BatchWait: time.Millisecond,
 	})
@@ -88,17 +87,6 @@ func TestPoolConcurrentSessions(t *testing.T) {
 	if p.Len() == 0 {
 		t.Fatal("shared store is empty")
 	}
-	shards := p.ShardStats()
-	if len(shards) != 4 {
-		t.Fatalf("%d shard stats, want 4", len(shards))
-	}
-	var entries int
-	for _, sh := range shards {
-		entries += sh.Entries
-	}
-	if entries != p.Len() {
-		t.Fatalf("shard entries sum %d != store len %d", entries, p.Len())
-	}
 	bs, ok := p.BatcherStats()
 	if !ok || bs.Frames == 0 {
 		t.Fatalf("batcher stats = %+v ok=%v", bs, ok)
@@ -112,14 +100,11 @@ func TestPoolConcurrentSessions(t *testing.T) {
 }
 
 // TestPoolUnshardedUnbatched: the zero-valued serving options still
-// yield a working pool (single-shard store, no batcher).
+// yield a working pool (one store, no batcher).
 func TestPoolUnshardedUnbatched(t *testing.T) {
 	w := testWorkload(t, 10)
 	p := newPool(t, 2, w, approxcache.Options{})
 	replay(t, p.Session(0), w)
-	if p.ShardStats() != nil {
-		t.Fatal("unsharded pool reported shard stats")
-	}
 	if _, ok := p.BatcherStats(); ok {
 		t.Fatal("unbatched pool reported batcher stats")
 	}
@@ -142,7 +127,6 @@ func TestPoolShutdownRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	p, err := approxcache.NewPool(sessions, clf, approxcache.Options{
-		Shards:    4,
 		BatchSize: 4,
 		BatchWait: time.Millisecond,
 		Clock:     approxcache.NewVirtualClock(),
@@ -186,30 +170,67 @@ func TestPoolShutdownRace(t *testing.T) {
 	checkLeak()
 }
 
-// TestShardedSnapshotFacade: a sharded cache's snapshot warm-starts an
-// unsharded one and vice versa — the wire format carries entries, not
-// topology.
+// TestShardedSnapshotFacade: Options.Shards is deprecated and ignored,
+// so a cache built with it writes, byte for byte, the snapshot one built
+// without it writes, and each warm-starts the other.
 func TestShardedSnapshotFacade(t *testing.T) {
 	w := testWorkload(t, 60)
+	snapshot := func(c *approxcache.Cache) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := c.SaveSnapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
 	sharded := newCache(t, w, approxcache.Options{Shards: 4})
 	replay(t, sharded, w)
-	if sharded.Len() == 0 {
-		t.Fatal("sharded cache empty after replay")
-	}
-	var buf bytes.Buffer
-	if err := sharded.SaveSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
 	plain := newCache(t, w, approxcache.Options{})
-	if n, err := plain.LoadSnapshot(bytes.NewReader(buf.Bytes())); err != nil || n != sharded.Len() {
-		t.Fatalf("plain load = %d, %v; want %d", n, err, sharded.Len())
+	replay(t, plain, w)
+	if sharded.Len() == 0 {
+		t.Fatal("cache empty after replay")
 	}
-	var back bytes.Buffer
-	if err := plain.SaveSnapshot(&back); err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(snapshot(sharded), snapshot(plain)) {
+		t.Fatal("Shards: 4 changed the snapshot")
 	}
-	sharded2 := newCache(t, w, approxcache.Options{Shards: 8})
-	if n, err := sharded2.LoadSnapshot(&back); err != nil || n != plain.Len() {
-		t.Fatalf("sharded reload = %d, %v; want %d", n, err, plain.Len())
+	cold := newCache(t, w, approxcache.Options{Shards: 8})
+	if n, err := cold.LoadSnapshot(bytes.NewReader(snapshot(plain))); err != nil || n != plain.Len() {
+		t.Fatalf("load = %d, %v; want %d", n, err, plain.Len())
+	}
+}
+
+// TestPoolShardsOptionIsNoOp: a batched pool built with Shards serves,
+// frame for frame, exactly the Results one built without it serves,
+// with its sessions driven round-robin from one goroutine.
+func TestPoolShardsOptionIsNoOp(t *testing.T) {
+	const sessions = 4
+	w := testWorkload(t, 40)
+	serve := func(opts approxcache.Options) []approxcache.Result {
+		t.Helper()
+		p := newPool(t, sessions, w, opts)
+		var out []approxcache.Result
+		prev := time.Duration(0)
+		for _, fr := range w.Frames {
+			win := w.IMUWindow(prev, fr.Offset)
+			prev = fr.Offset
+			for s := 0; s < sessions; s++ {
+				res, err := p.Session(s).ProcessWithTruth(fr.Image, win, approxcache.LabelOf(fr.Class))
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, res)
+			}
+		}
+		return out
+	}
+	want := serve(approxcache.Options{BatchSize: sessions, BatchWait: time.Millisecond})
+	got := serve(approxcache.Options{Shards: 8, BatchSize: sessions, BatchWait: time.Millisecond})
+	if len(got) != len(want) {
+		t.Fatalf("%d results, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("frame %d: %+v, without Shards %+v", i, got[i], want[i])
+		}
 	}
 }
