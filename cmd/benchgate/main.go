@@ -101,7 +101,8 @@ type budget struct {
 
 // hotpathBudgets: NearestInto/NearestWithinInto/ExtractInto/
 // ExtractThumbInto/CandidatesInto with a reused buffer stay
-// allocation-free, and so do the kNN vote, the video gate (a keyframe
+// allocation-free, and so do the frame guard's pass (straight-line
+// kernel and loop), the kNN vote, the video gate (a keyframe
 // scan allocates nothing and a push into a full library recycles the
 // evicted buffer) and the inertial gate (a sample into a full window
 // takes a ring slot). The store's label read copies nothing; an insert
@@ -120,6 +121,7 @@ var hotpathBudgets = []budget{
 	{"HotPathSignature", 0},
 	{"HotPathTopK", 0},
 	{"HotPathCandidates", 0},
+	{"HotPathCheckFrame", 0},
 	{"HotPathFusedExtract", 0},
 	{"HotPathExtractFromThumb", 0},
 	{"HotPathGrid", 0},

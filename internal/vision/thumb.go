@@ -65,45 +65,117 @@ func (th *Thumb) BlockSums() *[ThumbGrid * ThumbGrid]float64 { return &th.cells 
 
 // fill is the one pass over a well-formed frame that every per-frame
 // consumer shares: it writes the block sums and returns the pixel sum
-// and sum of squares the frame guard needs. A block's sum is one chain
-// across its rows (BlockSums pins the order), but the eight blocks of a
-// block row are independent chains, and the squares accumulate per
-// segment, so no chain is as long as the frame.
+// and sum of squares the frame guard needs. Both kernels compute the
+// same bits (BlockSums pins the block sums' order; the squares add up
+// per segment from zero, then per row); a frame whose eight segments are
+// six pixels wide — the 48-px analysis resolution — takes the
+// straight-line one.
 func (th *Thumb) fill(im *Image) (sum, sumSq float64) {
-	w, h := im.W, im.H
-	var xb, yb [ThumbGrid + 1]int
+	if im.W == 6*ThumbGrid {
+		return th.fillWith(im, sumBlocks6)
+	}
+	return th.fillWith(im, sumBlocks)
+}
+
+// fillWith runs kernel over im and derives the pixel sum and rms from
+// what it wrote.
+func (th *Thumb) fillWith(im *Image, kernel func(*[ThumbGrid * ThumbGrid]float64, *Image) float64) (sum, sumSq float64) {
+	th.w, th.h = im.W, im.H
+	sumSq = kernel(&th.cells, im)
+	for _, c := range th.cells {
+		sum += c
+	}
+	th.rms = math.Sqrt(sumSq / float64(im.W*im.H))
+	return sum, sumSq
+}
+
+// blockRows returns the first row of each block row, and the end of the
+// last.
+func blockRows(h int) (yb [ThumbGrid + 1]int) {
+	for k := range yb {
+		yb[k] = k * h / ThumbGrid
+	}
+	return yb
+}
+
+// sumBlocks writes a well-formed frame of any width's block sums into
+// cells and returns its sum of squares. A block's sum is one chain
+// across its rows, but the eight blocks of a block row are independent
+// chains, and the squares accumulate per segment, so no chain is as long
+// as the frame.
+func sumBlocks(cells *[ThumbGrid * ThumbGrid]float64, im *Image) (sumSq float64) {
+	w, yb := im.W, blockRows(im.H)
+	var xb [ThumbGrid + 1]int
 	for k := range xb {
 		// Frames narrower than the grid leave some blocks empty.
 		xb[k] = k * w / ThumbGrid
-		yb[k] = k * h / ThumbGrid
 	}
-	th.w, th.h = w, h
 	for cy := 0; cy < ThumbGrid; cy++ {
 		// A block row accumulates into a local array: the compiler cannot
-		// prove th.cells and im.Pix distinct, and would reload and store
-		// the cell on every segment.
-		var cells [ThumbGrid]float64
+		// prove cells and im.Pix distinct, and would reload and store the
+		// cell on every segment.
+		var row8 [ThumbGrid]float64
 		for y := yb[cy]; y < yb[cy+1]; y++ {
 			row := im.Pix[y*w : (y+1)*w]
 			var rowSq float64
-			for cx := range cells {
-				c, q := cells[cx], 0.0
+			for cx := range row8 {
+				c, q := row8[cx], 0.0
 				for _, p := range row[xb[cx]:xb[cx+1]] {
 					c += p
 					q += p * p
 				}
-				cells[cx] = c
+				row8[cx] = c
 				rowSq += q
 			}
 			sumSq += rowSq
 		}
-		copy(th.cells[cy*ThumbGrid:], cells[:])
+		copy(cells[cy*ThumbGrid:], row8[:])
 	}
-	for _, c := range th.cells {
-		sum += c
+	return sumSq
+}
+
+// sumBlocks6 is sumBlocks for a frame exactly 48 pixels wide, so that
+// every segment is six pixels. sumBlocks spends most of such a frame on
+// loop control: 384 six-iteration loops, each loading its block's sum
+// from memory and storing it back. Here a block row's eight sums stay in
+// locals and a row is straight-line code with constant indices. Go
+// evaluates a+b+c as (a+b)+c, so c0 + r[0] + … + r[5] is sumBlocks'
+// chain, and sq6 its per-segment sum of squares from zero.
+func sumBlocks6(cells *[ThumbGrid * ThumbGrid]float64, im *Image) (sumSq float64) {
+	const w = 6 * ThumbGrid
+	yb := blockRows(im.H)
+	for cy := 0; cy < ThumbGrid; cy++ {
+		var c0, c1, c2, c3, c4, c5, c6, c7 float64
+		for y := yb[cy]; y < yb[cy+1]; y++ {
+			r := (*[w]float64)(im.Pix[y*w:])
+			c0 = c0 + r[0] + r[1] + r[2] + r[3] + r[4] + r[5]
+			c1 = c1 + r[6] + r[7] + r[8] + r[9] + r[10] + r[11]
+			c2 = c2 + r[12] + r[13] + r[14] + r[15] + r[16] + r[17]
+			c3 = c3 + r[18] + r[19] + r[20] + r[21] + r[22] + r[23]
+			c4 = c4 + r[24] + r[25] + r[26] + r[27] + r[28] + r[29]
+			c5 = c5 + r[30] + r[31] + r[32] + r[33] + r[34] + r[35]
+			c6 = c6 + r[36] + r[37] + r[38] + r[39] + r[40] + r[41]
+			c7 = c7 + r[42] + r[43] + r[44] + r[45] + r[46] + r[47]
+			sumSq += sq6(r[0:6]) + sq6(r[6:12]) + sq6(r[12:18]) + sq6(r[18:24]) +
+				sq6(r[24:30]) + sq6(r[30:36]) + sq6(r[36:42]) + sq6(r[42:48])
+		}
+		cells[cy*ThumbGrid+0] = c0
+		cells[cy*ThumbGrid+1] = c1
+		cells[cy*ThumbGrid+2] = c2
+		cells[cy*ThumbGrid+3] = c3
+		cells[cy*ThumbGrid+4] = c4
+		cells[cy*ThumbGrid+5] = c5
+		cells[cy*ThumbGrid+6] = c6
+		cells[cy*ThumbGrid+7] = c7
 	}
-	th.rms = math.Sqrt(sumSq / float64(w*h))
-	return sum, sumSq
+	return sumSq
+}
+
+// sq6 is the sum of squares of a six-pixel segment, one chain from
+// zero (0 + p*p is p*p: a square is never −0).
+func sq6(s []float64) float64 {
+	s = s[:6]
+	return s[0]*s[0] + s[1]*s[1] + s[2]*s[2] + s[3]*s[3] + s[4]*s[4] + s[5]*s[5]
 }
 
 // lowerBound returns Σ_blocks |S_t − S_o| / n, which in real arithmetic

@@ -1,6 +1,8 @@
 package vision
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -386,15 +388,168 @@ func TestCheckFrameThumbMatchesPixelScan(t *testing.T) {
 	}
 }
 
-func BenchmarkCheckFrame(b *testing.B) {
-	im := randomImage(rand.New(rand.NewSource(1)), 48, 48)
-	cfg := DefaultFrameGuardConfig()
-	var th Thumb
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if CheckFrameThumb(im, cfg, &th) != FrameOK {
-			b.Fatal("healthy frame refused")
+// refFill is the thumbnail by definition: each block's pixels added
+// block by block, and the squares in a pass of their own — per segment
+// from zero, per row, then across rows.
+func refFill(im *Image) (th Thumb, sum, sumSq float64) {
+	w, h := im.W, im.H
+	xb := func(k int) int { return k * w / ThumbGrid }
+	yb := func(k int) int { return k * h / ThumbGrid }
+	th.w, th.h = w, h
+	for cy := 0; cy < ThumbGrid; cy++ {
+		for cx := 0; cx < ThumbGrid; cx++ {
+			var c float64
+			for y := yb(cy); y < yb(cy+1); y++ {
+				for x := xb(cx); x < xb(cx+1); x++ {
+					c += im.Pix[y*w+x]
+				}
+			}
+			th.cells[cy*ThumbGrid+cx] = c
+			sum += c
 		}
+	}
+	for y := 0; y < h; y++ {
+		var rowSq float64
+		for cx := 0; cx < ThumbGrid; cx++ {
+			var q float64
+			for x := xb(cx); x < xb(cx+1); x++ {
+				q += im.Pix[y*w+x] * im.Pix[y*w+x]
+			}
+			rowSq += q
+		}
+		sumSq += rowSq
+	}
+	th.rms = math.Sqrt(sumSq / float64(w*h))
+	return th, sum, sumSq
+}
+
+// sameFloat compares bits. Two NaNs match whatever their payloads: when
+// both operands of an add are NaN, which payload survives depends on the
+// operand order the compiler picked, which no kernel pins.
+func sameFloat(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+}
+
+// checkThumbKernels fills im with the straight-line kernel (48-wide
+// frames only), the loop, whichever of the two fill picks, and the
+// reference, and requires the same thumbnail, pixel sum and sum of
+// squares from each, bit for bit.
+func checkThumbKernels(t *testing.T, name string, im *Image) {
+	t.Helper()
+	want, wantSum, wantSq := refFill(im)
+	kernels := map[string]func(*Thumb) (float64, float64){
+		"dispatched": func(th *Thumb) (float64, float64) { return th.fill(im) },
+		"loop":       func(th *Thumb) (float64, float64) { return th.fillWith(im, sumBlocks) },
+	}
+	if im.W == 6*ThumbGrid {
+		kernels["straight-line"] = func(th *Thumb) (float64, float64) { return th.fillWith(im, sumBlocks6) }
+	}
+	for kname, fill := range kernels {
+		var th Thumb
+		sum, sumSq := fill(&th)
+		same := th.w == want.w && th.h == want.h && sameFloat(th.rms, want.rms) &&
+			sameFloat(sum, wantSum) && sameFloat(sumSq, wantSq)
+		for i := range th.cells {
+			same = same && sameFloat(th.cells[i], want.cells[i])
+		}
+		if !same {
+			t.Fatalf("%dx%d %s: %s kernel (sum %v, sumSq %v, %+v) differs from the reference (sum %v, sumSq %v, %+v)",
+				im.W, im.H, name, kname, sum, sumSq, th, wantSum, wantSq, want)
+		}
+	}
+}
+
+// Both kernels must reproduce the reference thumbnail bit for bit on
+// every shape — the straight-line one on every 48-wide frame, including
+// heights not divisible by the grid and shorter than it — and on pixels
+// that stress rounding: signed zeros, denormals whose squares underflow,
+// magnitudes whose squares overflow, and a non-finite pixel at each end
+// and the middle of a segment. A non-finite sum of squares still sends
+// the guard to the per-pixel scan.
+func TestThumbFillMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	sizes := append([][2]int{{48, 1}, {48, 7}, {48, 8}, {48, 61}, {47, 48}, {49, 48}, {96, 48}}, thumbSizes...)
+	cfg := DefaultFrameGuardConfig()
+	for _, sz := range sizes {
+		w, h := sz[0], sz[1]
+		checkThumbKernels(t, "random", randomImage(rng, w, h))
+		classes := map[string]func() float64{
+			"negative zero": func() float64 { return math.Copysign(0, -1) },
+			"denormal":      func() float64 { return float64(rng.Intn(1<<20)-1<<19) * math.SmallestNonzeroFloat64 },
+			"1e200":         func() float64 { return (rng.Float64() - 0.5) * 1e200 },
+		}
+		for name, pixel := range classes {
+			im := NewImage(w, h)
+			for i := range im.Pix {
+				im.Pix[i] = pixel()
+			}
+			checkThumbKernels(t, name, im)
+			if got, want := CheckFrameThumb(im, cfg, new(Thumb)), refCheckFrame(im, cfg); got != want {
+				t.Fatalf("%dx%d %s: verdict %v, pixel scan says %v", w, h, name, got, want)
+			}
+		}
+		// One non-finite pixel, as the first, middle or last pixel of a
+		// segment, in every segment of the first, middle and last row.
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			for _, y := range []int{0, h / 2, h - 1} {
+				for cx := 0; cx < ThumbGrid; cx++ {
+					lo, hi := cx*w/ThumbGrid, (cx+1)*w/ThumbGrid
+					if lo == hi {
+						continue
+					}
+					for _, x := range []int{lo, (lo + hi - 1) / 2, hi - 1} {
+						im := randomImage(rng, w, h)
+						im.Pix[y*w+x] = v
+						checkThumbKernels(t, "non-finite", im)
+						if got := CheckFrameThumb(im, cfg, new(Thumb)); got != FrameNonFinite {
+							t.Fatalf("%dx%d: pixel %v at (%d,%d) judged %v", w, h, v, x, y, got)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzThumbFill runs arbitrary pixel bit patterns through both kernels
+// and the reference; its seed corpus runs under `go test`.
+func FuzzThumbFill(f *testing.F) {
+	// 48×48; 48×7 with +Inf then −0; 49×48 with MaxFloat64; 37×29 with
+	// a NaN then −Inf.
+	f.Add(uint8(47), uint8(47), []byte{})
+	f.Add(uint8(47), uint8(6), []byte{0, 0, 0, 0, 0, 0, 0xf0, 0x7f, 0, 0, 0, 0, 0, 0, 0, 0x80})
+	f.Add(uint8(48), uint8(47), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xef, 0x7f})
+	f.Add(uint8(36), uint8(28), []byte{1, 0, 0, 0, 0, 0, 0xf8, 0x7f, 0, 0, 0, 0, 0, 0, 0xf0, 0xff})
+	f.Fuzz(func(t *testing.T, w8, h8 uint8, raw []byte) {
+		// Widths 1–64 and 48 again at every height, so the straight-line
+		// kernel gets its share of inputs.
+		w, h := 1+int(w8)%64, 1+int(h8)%64
+		if w8 >= 192 {
+			w = 6 * ThumbGrid
+		}
+		im := randomImage(rand.New(rand.NewSource(int64(w)<<8|int64(h))), w, h)
+		for i := 0; i+8 <= len(raw) && i/8 < len(im.Pix); i += 8 {
+			im.Pix[i/8] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i:]))
+		}
+		checkThumbKernels(t, "fuzzed", im)
+	})
+}
+
+func BenchmarkHotPathCheckFrame(b *testing.B) {
+	// 48×48 is the analysis resolution (the straight-line kernel); 37×29
+	// takes the loop.
+	for _, sz := range [][2]int{{48, 48}, {37, 29}} {
+		b.Run(fmt.Sprintf("%dx%d", sz[0], sz[1]), func(b *testing.B) {
+			im := randomImage(rand.New(rand.NewSource(1)), sz[0], sz[1])
+			cfg := DefaultFrameGuardConfig()
+			var th Thumb
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if CheckFrameThumb(im, cfg, &th) != FrameOK {
+					b.Fatal("healthy frame refused")
+				}
+			}
+		})
 	}
 }
