@@ -79,8 +79,8 @@ gate:
 	$(call record,$$d,-benchtime 100x)
 
 # Device fault matrix (E19): every sensor fault class plus a DNN outage,
-# guards and watchdog toggled. The acceptance test asserts the shape;
-# this target prints the full table for inspection.
+# guards and watchdog toggled. The acceptance test (TestFaultMatrixAcceptance,
+# run by `test`) asserts the shape; this target prints the full table for
+# inspection.
 fault-matrix:
-	$(GO) test -run 'TestFaultMatrixAcceptance|TestE19Report' -count=1 ./internal/eval/
 	$(GO) run ./cmd/approxbench -exp E19 -frames 300

@@ -17,7 +17,7 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// Experiment benches: one per table/figure (E1–E8). Each runs the full
+// Experiment benches: one per table/figure (E1–E25). Each runs the full
 // experiment at a reduced scale and reports the headline metric of its
 // table via b.ReportMetric, so `go test -bench .` regenerates the whole
 // evaluation in miniature.

@@ -29,9 +29,18 @@ func TestRunBadFormat(t *testing.T) {
 	}
 }
 
+// TestRunBadFrames: a non-positive -frames is refused for every
+// experiment, the gated benchmarks (which pick their size from the
+// scale) included.
 func TestRunBadFrames(t *testing.T) {
-	if err := run([]string{"-exp", "E3", "-frames", "0"}); err == nil {
-		t.Fatal("zero frames accepted")
+	for _, args := range [][]string{
+		{"-exp", "E3", "-frames", "0"},
+		{"-exp", "E23", "-frames", "0"},
+		{"-exp", "E22", "-frames", "-1"},
+	} {
+		if err := run(args); err == nil {
+			t.Fatalf("%v accepted", args)
+		}
 	}
 }
 

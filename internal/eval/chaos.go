@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"time"
 
+	"approxcache/internal/cachestore"
 	"approxcache/internal/core"
 	"approxcache/internal/metrics"
 	"approxcache/internal/p2p"
@@ -19,59 +20,41 @@ import (
 // Chaos phase windows, delimited by the fault plan's crash and heal
 // offsets.
 const (
-	// PhasePre is before every peer crashes.
-	PhasePre = iota
-	// PhaseCrash is while every peer is down.
-	PhaseCrash
-	// PhaseHeal is after the scheduled heal.
-	PhaseHeal
+	// phasePre is before every peer crashes.
+	phasePre = iota
+	// phaseCrash is while every peer is down.
+	phaseCrash
+	// phaseHeal is after the scheduled heal.
+	phaseHeal
 	chaosPhases
 )
 
-// ChaosConfig sizes a chaos run.
-type ChaosConfig struct {
-	// Frames is the main device's workload length (default 240).
-	Frames int
-	// Peers is how many warm peers surround the main device (default 2).
-	Peers int
-	// Seed anchors all randomness (default 1).
-	Seed int64
-	// DeadCost is the radio timeout charged for exchanges with a
-	// crashed peer (default 80 ms) — what an unguarded client keeps
-	// paying, frame after frame.
-	DeadCost time.Duration
-	// Budget is the main device's per-frame P2P time budget (default
-	// 12 ms): just above the healthy link round trip (~10.6 ms at the
-	// 5 ms / 1 MB/s profile), so a live peer always answers in budget
-	// while trips and re-probes against dead peers cost at most the
-	// budget instead of DeadCost. Negative disables the budget — the
-	// fully unguarded configuration.
-	Budget time.Duration
-	// Breaker is the main device's breaker policy. The zero value
-	// selects the defaults; Disabled runs the unguarded baseline.
-	Breaker p2p.BreakerConfig
-}
+// The chaos run's shape.
+const (
+	// chaosMinFrames is the shortest workload whose phases are all
+	// populated.
+	chaosMinFrames = 30
+	// chaosPeers is how many warm peers surround the main device.
+	chaosPeers = 2
+	// chaosDeadCost is the radio timeout charged for exchanges with a
+	// crashed peer — what an unguarded client keeps paying, frame after
+	// frame.
+	chaosDeadCost = 80 * time.Millisecond
+	// chaosBudget is the guarded device's per-frame P2P time budget:
+	// just above the healthy link round trip (~10.6 ms at the 5 ms /
+	// 1 MB/s profile), so a live peer always answers in budget while
+	// trips and re-probes against dead peers cost at most the budget
+	// instead of chaosDeadCost.
+	chaosBudget = 12 * time.Millisecond
+	// chaosCapacity keeps the main device's local cache near-empty, so
+	// its gate composition is identical with and without peers (the
+	// local gate serves almost nothing either way) and the crash-window
+	// latency comparison isolates the resilience layer's own overhead.
+	chaosCapacity = 2
+)
 
-func (c *ChaosConfig) defaults() {
-	if c.Frames == 0 {
-		c.Frames = 240
-	}
-	if c.Peers == 0 {
-		c.Peers = 2
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.DeadCost == 0 {
-		c.DeadCost = 80 * time.Millisecond
-	}
-	if c.Budget == 0 {
-		c.Budget = 12 * time.Millisecond
-	}
-}
-
-// ChaosPhase aggregates one window of frames.
-type ChaosPhase struct {
+// chaosPhase aggregates one window of frames.
+type chaosPhase struct {
 	// Frames is how many frames fell in the window.
 	Frames int
 	// Mean is the window's mean frame latency.
@@ -80,13 +63,13 @@ type ChaosPhase struct {
 	PeerHits int
 }
 
-// ChaosResult is the outcome of one chaos run.
-type ChaosResult struct {
+// chaosResult is the outcome of one chaos run.
+type chaosResult struct {
 	// Baseline is the same device and workload with no peers at all —
 	// the latency the pipeline owes regardless of the network.
-	Baseline [chaosPhases]ChaosPhase
+	Baseline [chaosPhases]chaosPhase
 	// Run is the device under test: peers attached, fault plan active.
-	Run [chaosPhases]ChaosPhase
+	Run [chaosPhases]chaosPhase
 	// Stats is the run's session stats (trips, timeouts, degraded
 	// frames, hit sources).
 	Stats *metrics.SessionStats
@@ -94,15 +77,15 @@ type ChaosResult struct {
 	Health p2p.HealthSnapshot
 }
 
-// RunChaos warms cfg.Peers peer caches on the main device's exact
+// runChaos warms chaosPeers peer caches on the main device's exact
 // workload, then replays the main device while a FaultScheduler crashes
 // every peer ~40% in and restarts them ~70% in (offsets on the
 // workload's arrival timeline). A no-peers baseline run of the same
-// workload provides the reference latency per phase.
-func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
-	cfg.defaults()
-	if cfg.Frames < 30 {
-		return ChaosResult{}, fmt.Errorf("eval: chaos needs ≥ 30 frames, got %d", cfg.Frames)
+// workload provides the reference latency per phase. guarded selects
+// the default breaker and chaosBudget; unguarded disables both.
+func runChaos(s Scale, guarded bool) (chaosResult, error) {
+	if s.Frames < chaosMinFrames {
+		return chaosResult{}, fmt.Errorf("eval: chaos needs ≥ %d frames, got %d", chaosMinFrames, s.Frames)
 	}
 
 	// An all-panning route over a vocabulary much larger than the main
@@ -112,83 +95,69 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 	// phase. A stationary or handheld tail would be absorbed by the
 	// IMU gate — whose periodic revalidation frames bypass gate 4 by
 	// design — and post-heal peer reuse could never show up.
-	spec := trace.PanningSweep(cfg.Frames, cfg.Seed)
+	spec := trace.PanningSweep(s.Frames, s.Seed)
 	spec.NumClasses = 24
-	spec.Segments = []trace.SegmentSpec{{Regime: "panning", Frames: cfg.Frames}}
-	// A near-empty local cache keeps the main device's gate composition
-	// identical with and without peers (the local gate serves almost
-	// nothing either way), so the crash-window latency comparison
-	// isolates the resilience layer's own overhead.
-	const mainCapacity = 2
+	spec.Segments = []trace.SegmentSpec{{Regime: "panning", Frames: s.Frames}}
+	mainStore := cachestore.Config{Capacity: chaosCapacity, Policy: cachestore.CostAware}
 
+	var out chaosResult
+	baseDev, err := buildDevice(deviceConfig{
+		Name: "main", Spec: spec, Engine: core.DefaultConfig(), Store: mainStore, Seed: s.Seed,
+	}, simclock.NewVirtual(time.Unix(0, 0)), nil)
+	if err != nil {
+		return chaosResult{}, err
+	}
 	// Fault offsets on the arrival timeline (the replay pins the clock
 	// to each frame's arrival, so these fire mid-session for any
 	// pipeline speed).
-	w, err := trace.Generate(spec)
-	if err != nil {
-		return ChaosResult{}, err
-	}
-	crashAt := w.Frames[cfg.Frames*2/5].Offset
-	healAt := w.Frames[cfg.Frames*7/10].Offset
+	crashAt := baseDev.work.Frames[s.Frames*2/5].Offset
+	healAt := baseDev.work.Frames[s.Frames*7/10].Offset
 
-	classify := func(elapsed time.Duration) int {
-		switch {
-		case elapsed < crashAt:
-			return PhasePre
-		case elapsed < healAt:
-			return PhaseCrash
-		default:
-			return PhaseHeal
-		}
-	}
-
-	// replay runs dev's whole workload, pinning the clock to each
-	// frame's arrival offset and ticking the scheduler (if any) between
-	// frames.
-	replay := func(dev *device, clock *simclock.Virtual, sched *simnet.FaultScheduler) ([chaosPhases]ChaosPhase, error) {
+	// window replays dev's whole workload on its arrival timeline,
+	// ticking sched (if any) before each frame, and windows the results
+	// by the clock a frame starts at: its arrival, or later when the
+	// previous frame ran past it.
+	window := func(dev *device, sched *simnet.FaultScheduler) ([chaosPhases]chaosPhase, error) {
 		var sums [chaosPhases]time.Duration
-		var phases [chaosPhases]ChaosPhase
-		start := clock.Now()
-		for dev.next < len(dev.work.Frames) {
-			clock.Set(start.Add(dev.work.Frames[dev.next].Offset))
-			if sched != nil {
-				sched.Tick()
-			}
-			phase := classify(clock.Now().Sub(start))
-			res, ok, err := dev.stepResult()
-			if err != nil {
-				return phases, err
-			}
-			if !ok {
-				break
-			}
-			phases[phase].Frames++
-			sums[phase] += res.Latency
-			if res.Source == metrics.SourcePeer {
-				phases[phase].PeerHits++
-			}
-		}
+		var phases [chaosPhases]chaosPhase
+		start, phase := dev.clock.Now(), phasePre
+		err := dev.replay(hooks{
+			pin: true,
+			before: func(int, *frameInput) error {
+				if sched != nil {
+					sched.Tick()
+				}
+				switch elapsed := dev.clock.Now().Sub(start); {
+				case elapsed < crashAt:
+					phase = phasePre
+				case elapsed < healAt:
+					phase = phaseCrash
+				default:
+					phase = phaseHeal
+				}
+				return nil
+			},
+			after: func(_ int, _ *frameInput, res core.Result, err error) error {
+				if err != nil {
+					return err
+				}
+				phases[phase].Frames++
+				sums[phase] += res.Latency
+				if res.Source == metrics.SourcePeer {
+					phases[phase].PeerHits++
+				}
+				return nil
+			},
+		})
 		for i := range phases {
 			if phases[i].Frames > 0 {
 				phases[i].Mean = sums[i] / time.Duration(phases[i].Frames)
 			}
 		}
-		return phases, nil
+		return phases, err
 	}
-
-	var out ChaosResult
-
-	// No-peers baseline.
-	baseClock := simclock.NewVirtual(time.Unix(0, 0))
-	baseDev, err := buildDevice(DeviceConfig{
-		Name: "main", Spec: spec, Engine: core.DefaultConfig(),
-		Capacity: mainCapacity, Seed: cfg.Seed,
-	}, baseClock, nil)
-	if err != nil {
-		return ChaosResult{}, err
-	}
-	if out.Baseline, err = replay(baseDev, baseClock, nil); err != nil {
-		return ChaosResult{}, err
+	if out.Baseline, err = window(baseDev, nil); err != nil {
+		return chaosResult{}, err
 	}
 
 	// Faulted run: warm peers first (identical workload, so their
@@ -197,61 +166,50 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 	clock := simclock.NewVirtual(time.Unix(0, 0))
 	net, err := simnet.New(simnet.LinkProfile{
 		Latency: 5 * time.Millisecond, BandwidthBps: 1 << 20,
-	}, cfg.Seed)
+	}, s.Seed)
 	if err != nil {
-		return ChaosResult{}, err
+		return chaosResult{}, err
 	}
-	net.SetDeadCost(cfg.DeadCost)
-	peerNames := make([]string, cfg.Peers)
+	net.SetDeadCost(chaosDeadCost)
+	var plan simnet.FaultPlan
+	peerNames := make([]string, chaosPeers)
 	for i := range peerNames {
 		peerNames[i] = fmt.Sprintf("peer-%d", i)
-		peer, err := buildDevice(DeviceConfig{
-			Name: peerNames[i], Spec: spec, Engine: core.DefaultConfig(),
-			Seed: cfg.Seed,
+		peer, err := buildDevice(deviceConfig{
+			Name: peerNames[i], Spec: spec, Engine: core.DefaultConfig(), Seed: s.Seed,
 		}, clock, net)
 		if err != nil {
-			return ChaosResult{}, err
+			return chaosResult{}, err
 		}
-		for {
-			ok, err := peer.step()
-			if err != nil {
-				return ChaosResult{}, err
-			}
-			if !ok {
-				break
-			}
+		if err := peer.replay(hooks{}); err != nil {
+			return chaosResult{}, err
 		}
+		plan = append(plan,
+			simnet.FaultEvent{At: crashAt, Kind: simnet.FaultCrash, Node: simnet.NodeID(peerNames[i])},
+			simnet.FaultEvent{At: healAt, Kind: simnet.FaultRestart, Node: simnet.NodeID(peerNames[i])},
+		)
 	}
 	ccfg := p2p.DefaultClientConfig()
-	ccfg.Breaker = cfg.Breaker
+	ccfg.Breaker = p2p.BreakerConfig{Disabled: !guarded}
 	ecfg := core.DefaultConfig()
-	if cfg.Budget > 0 {
-		ecfg.PeerBudget = cfg.Budget
+	if guarded {
+		ecfg.PeerBudget = chaosBudget
 	} else {
 		ecfg.PeerBudgetFraction = -1 // unbounded
 	}
-	dev, err := buildDevice(DeviceConfig{
-		Name: "main", Spec: spec, Engine: ecfg,
-		Capacity: mainCapacity, Seed: cfg.Seed, Client: &ccfg,
+	dev, err := buildDevice(deviceConfig{
+		Name: "main", Spec: spec, Engine: ecfg, Store: mainStore, Seed: s.Seed, Client: &ccfg,
 	}, clock, net)
 	if err != nil {
-		return ChaosResult{}, err
+		return chaosResult{}, err
 	}
 	dev.client.SetPeers(peerNames)
-
-	var plan simnet.FaultPlan
-	for _, name := range peerNames {
-		plan = append(plan,
-			simnet.FaultEvent{At: crashAt, Kind: simnet.FaultCrash, Node: simnet.NodeID(name)},
-			simnet.FaultEvent{At: healAt, Kind: simnet.FaultRestart, Node: simnet.NodeID(name)},
-		)
-	}
 	sched, err := simnet.NewFaultScheduler(net, clock, plan)
 	if err != nil {
-		return ChaosResult{}, err
+		return chaosResult{}, err
 	}
-	if out.Run, err = replay(dev, clock, sched); err != nil {
-		return ChaosResult{}, err
+	if out.Run, err = window(dev, sched); err != nil {
+		return chaosResult{}, err
 	}
 	out.Stats = dev.engine.Stats()
 	out.Health = dev.client.Health()

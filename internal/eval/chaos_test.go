@@ -2,7 +2,6 @@ package eval
 
 import (
 	"testing"
-	"time"
 
 	"approxcache/internal/p2p"
 )
@@ -13,7 +12,7 @@ import (
 // scheduled heal the circuits must close and peer hits must resume,
 // with the breaker activity visible in the session stats.
 func TestChaosResilienceAcceptance(t *testing.T) {
-	res, err := RunChaos(ChaosConfig{Seed: 42, Frames: 400})
+	res, err := runChaos(Scale{Frames: 400, Seed: 42}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,15 +25,15 @@ func TestChaosResilienceAcceptance(t *testing.T) {
 
 	// Peers must actually matter before the crash, or the test proves
 	// nothing.
-	if res.Run[PhasePre].PeerHits == 0 {
+	if res.Run[phasePre].PeerHits == 0 {
 		t.Fatal("no peer hits before the crash")
 	}
 
 	// Degradation bound: crash-window latency within 10% of no-peers.
-	limit := res.Baseline[PhaseCrash].Mean + res.Baseline[PhaseCrash].Mean/10
-	if res.Run[PhaseCrash].Mean > limit {
+	limit := res.Baseline[phaseCrash].Mean + res.Baseline[phaseCrash].Mean/10
+	if res.Run[phaseCrash].Mean > limit {
 		t.Fatalf("crash-window mean %v exceeds baseline %v + 10%%",
-			res.Run[PhaseCrash].Mean, res.Baseline[PhaseCrash].Mean)
+			res.Run[phaseCrash].Mean, res.Baseline[phaseCrash].Mean)
 	}
 
 	// Breaker activity must be visible in session stats.
@@ -50,7 +49,7 @@ func TestChaosResilienceAcceptance(t *testing.T) {
 	}
 
 	// After the heal the circuits close and peer reuse resumes.
-	if res.Run[PhaseHeal].PeerHits == 0 {
+	if res.Run[phaseHeal].PeerHits == 0 {
 		t.Fatal("peer hits did not resume after the heal")
 	}
 	for _, ph := range res.Health.Peers {
@@ -69,17 +68,17 @@ func TestChaosResilienceAcceptance(t *testing.T) {
 // frame and blows well past the baseline-plus-10% bound the guarded
 // run meets.
 func TestChaosUnguardedPaysDeadCost(t *testing.T) {
-	res, err := RunChaos(ChaosConfig{Seed: 42, Breaker: p2p.BreakerConfig{Disabled: true}, Budget: -1})
+	res, err := runChaos(Scale{Frames: 240, Seed: 42}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Run[PhaseCrash].Frames == 0 {
+	if res.Run[phaseCrash].Frames == 0 {
 		t.Fatal("empty crash phase")
 	}
-	limit := res.Baseline[PhaseCrash].Mean + res.Baseline[PhaseCrash].Mean/10
-	if res.Run[PhaseCrash].Mean <= limit {
+	limit := res.Baseline[phaseCrash].Mean + res.Baseline[phaseCrash].Mean/10
+	if res.Run[phaseCrash].Mean <= limit {
 		t.Fatalf("unguarded crash-window mean %v unexpectedly within baseline %v + 10%%",
-			res.Run[PhaseCrash].Mean, res.Baseline[PhaseCrash].Mean)
+			res.Run[phaseCrash].Mean, res.Baseline[phaseCrash].Mean)
 	}
 	if trips, _ := res.Stats.BreakerEvents(); trips != 0 {
 		t.Fatalf("disabled breaker recorded %d trips", trips)
@@ -88,11 +87,11 @@ func TestChaosUnguardedPaysDeadCost(t *testing.T) {
 
 // TestChaosPhasesSumToWorkload sanity-checks the windowing.
 func TestChaosPhasesSumToWorkload(t *testing.T) {
-	res, err := RunChaos(ChaosConfig{Seed: 7, Frames: 60, DeadCost: 40 * time.Millisecond})
+	res, err := runChaos(Scale{Frames: 60, Seed: 7}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, phases := range [][3]ChaosPhase{res.Baseline, res.Run} {
+	for _, phases := range [][chaosPhases]chaosPhase{res.Baseline, res.Run} {
 		total := 0
 		for _, p := range phases {
 			total += p.Frames

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"approxcache/internal/core"
+	"approxcache/internal/simnet"
 	"approxcache/internal/trace"
 )
 
@@ -108,7 +109,7 @@ func TestReportCSV(t *testing.T) {
 }
 
 func TestRunSingleSmoke(t *testing.T) {
-	stats, store, err := RunSingle(DeviceConfig{
+	dev, err := runSingle(deviceConfig{
 		Name:   "dev",
 		Spec:   trace.StationaryHeavy(100, 1),
 		Engine: core.DefaultConfig(),
@@ -116,33 +117,33 @@ func TestRunSingleSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Frames() != 100 {
-		t.Fatalf("frames = %d", stats.Frames())
+	if n := dev.engine.Stats().Frames(); n != 100 {
+		t.Fatalf("frames = %d", n)
 	}
-	if store == nil || store.Len() == 0 {
+	if dev.store == nil || dev.store.Len() == 0 {
 		t.Fatal("store empty after run")
 	}
 }
 
 func TestRunSingleBaselineHasNoStore(t *testing.T) {
-	stats, store, err := RunSingle(DeviceConfig{
+	dev, err := runSingle(deviceConfig{
 		Name:   "dev",
 		Spec:   trace.StationaryHeavy(50, 1),
-		Engine: core.Config{Mode: core.ModeNoCache, Costs: core.DefaultCostModel()},
+		Engine: baseline(core.ModeNoCache),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if store != nil {
+	if dev.store != nil {
 		t.Fatal("baseline returned a store")
 	}
-	if stats.HitRate() != 0 {
+	if dev.engine.Stats().HitRate() != 0 {
 		t.Fatal("baseline produced hits")
 	}
 }
 
 func TestRunGroupValidation(t *testing.T) {
-	if _, err := RunGroup(nil, 1); err == nil {
+	if _, err := runGroup(nil, 1, simnet.DefaultLinkProfile()); err == nil {
 		t.Fatal("empty group accepted")
 	}
 }
@@ -153,10 +154,10 @@ func TestRunGroupPeersHelp(t *testing.T) {
 	specA.ClassSeed = shared
 	specB := trace.WalkingTour(150, 55)
 	specB.ClassSeed = shared
-	group, err := RunGroup([]DeviceConfig{
+	group, err := runGroup([]deviceConfig{
 		{Name: "a", Spec: specA, Engine: core.DefaultConfig(), Seed: 1},
 		{Name: "b", Spec: specB, Engine: core.DefaultConfig(), Seed: 2},
-	}, 3)
+	}, 3, simnet.DefaultLinkProfile())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,8 +165,8 @@ func TestRunGroupPeersHelp(t *testing.T) {
 		t.Fatalf("group = %v", group)
 	}
 	totalPeerTraffic := 0
-	for _, stats := range group {
-		q, _ := stats.PeerQueries()
+	for _, dev := range group {
+		q, _ := dev.engine.Stats().PeerQueries()
 		totalPeerTraffic += q
 	}
 	if totalPeerTraffic == 0 {

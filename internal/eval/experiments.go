@@ -42,13 +42,18 @@ func (s Scale) validate() error {
 	return nil
 }
 
+// small reports whether s is below the default size; the serving and
+// lookup benchmarks (E20–E23) then run their test-friendly shape.
+func (s Scale) small() bool { return s.Frames < DefaultScale().Frames }
+
 // Experiment is one runnable experiment.
 type Experiment struct {
-	// ID is "E1".."E8".
+	// ID is the experiment id, "E1" to "E25".
 	ID string
 	// Name is a short slug.
 	Name string
-	// Run executes the experiment at the given scale.
+	// Run executes the experiment at the given scale, which
+	// RunExperiments has validated.
 	Run func(Scale) (Report, error)
 	// WallClock marks an experiment that reports real elapsed time.
 	// RunExperiments runs these one at a time, with nothing else in
@@ -97,32 +102,64 @@ func ByID(id string) (Experiment, error) {
 	return Experiment{}, fmt.Errorf("eval: unknown experiment %q", id)
 }
 
+// baseline is the engine configuration of a system that does not
+// approximate: no-cache, exact-cache or naive-skip.
+func baseline(mode core.Mode) core.Config {
+	cfg := core.Config{Mode: mode, Costs: core.DefaultCostModel()}
+	if mode == core.ModeNaiveSkip {
+		cfg.SkipEvery = 20
+	}
+	return cfg
+}
+
+// system is one pipeline the stationary-heavy comparisons run.
+type system struct {
+	name string
+	cfg  core.Config
+	// peers runs the device beside two helpers sharing its vocabulary.
+	peers bool
+}
+
+// runStationary replays each system's main device on the
+// stationary-heavy workload and returns the finished devices in order.
+func runStationary(s Scale, systems []system) ([]*device, error) {
+	spec := trace.StationaryHeavy(s.Frames, s.Seed)
+	devs := make([]*device, len(systems))
+	for i, sys := range systems {
+		var err error
+		if sys.peers {
+			var group []*device
+			group, err = runGroup(crowd(spec, spec.Seed, 2, "helper", func(i int) trace.Spec {
+				return trace.StationaryHeavy(spec.TotalFrames(), s.Seed+int64(i+1)*17)
+			}, sys.cfg, s, 2), s.Seed, simnet.DefaultLinkProfile())
+			if err == nil {
+				devs[i] = group[0]
+			}
+		} else {
+			devs[i], err = runSingle(deviceConfig{Name: "main", Spec: spec, Engine: sys.cfg, Seed: s.Seed})
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", sys.name, err)
+		}
+	}
+	return devs, nil
+}
+
 // E1Headline reproduces the poster's headline claim: average latency of
 // standard mobile image recognition reduced by up to 94% with minimal
 // accuracy loss, on the reuse-friendly stationary-heavy workload.
 func E1Headline(s Scale) (Report, error) {
-	if err := s.validate(); err != nil {
+	systems := []system{
+		{name: "no-cache", cfg: baseline(core.ModeNoCache)},
+		{name: "exact-cache", cfg: baseline(core.ModeExactCache)},
+		{name: "naive-skip (1/20)", cfg: baseline(core.ModeNaiveSkip)},
+		{name: "approx (local)", cfg: core.DefaultConfig()},
+		{name: "approx (full, 2 peers)", cfg: core.DefaultConfig(), peers: true},
+	}
+	devs, err := runStationary(s, systems)
+	if err != nil {
 		return Report{}, err
 	}
-	spec := trace.StationaryHeavy(s.Frames, s.Seed)
-
-	type system struct {
-		name string
-		cfg  core.Config
-		peer bool
-	}
-	approx := core.DefaultConfig()
-	systems := []system{
-		{name: "no-cache", cfg: core.Config{Mode: core.ModeNoCache, Costs: core.DefaultCostModel()}},
-		{name: "exact-cache", cfg: core.Config{Mode: core.ModeExactCache, Costs: core.DefaultCostModel()}},
-		{name: "naive-skip (1/20)", cfg: core.Config{
-			Mode: core.ModeNaiveSkip, SkipEvery: 20, Costs: core.DefaultCostModel(),
-		}},
-		{name: "approx (local)", cfg: approx},
-		{name: "approx (full, 2 peers)", cfg: approx, peer: true},
-	}
-
-	var baseMean time.Duration
 	report := Report{
 		ID:      "E1",
 		Title:   "Average recognition latency by system (stationary-heavy workload)",
@@ -133,30 +170,16 @@ func E1Headline(s Scale) (Report, error) {
 			"naive-skip matches the inference budget but reuses blindly through scene changes (accuracy cost)",
 		},
 	}
-	for _, sys := range systems {
-		var dev *device
-		var err error
-		if sys.peer {
-			dev, err = e1Group(spec, sys.cfg, s)
-		} else {
-			dev, err = runSingle(DeviceConfig{
-				Name: "main", Spec: spec, Engine: sys.cfg, Seed: s.Seed,
-			})
-		}
-		if err != nil {
-			return Report{}, fmt.Errorf("%s: %w", sys.name, err)
-		}
+	baseMean := devs[0].lat.summary().Mean
+	for i, dev := range devs {
 		stats := dev.engine.Stats()
 		sum := dev.lat.summary()
-		if sys.name == "no-cache" {
-			baseMean = sum.Mean
-		}
 		reduction := "-"
-		if baseMean > 0 && sys.name != "no-cache" {
+		if baseMean > 0 && i > 0 {
 			reduction = fmtPct(1 - float64(sum.Mean)/float64(baseMean))
 		}
 		report.Rows = append(report.Rows, []string{
-			sys.name,
+			systems[i].name,
 			fmtDur(sum.Mean),
 			fmtDur(sum.P50),
 			fmtDur(sum.P99),
@@ -168,37 +191,9 @@ func E1Headline(s Scale) (Report, error) {
 	return report, nil
 }
 
-// e1Group runs the main device plus two helpers sharing its class set
-// and returns the finished main device.
-func e1Group(spec trace.Spec, cfg core.Config, s Scale) (*device, error) {
-	classSeed := spec.Seed
-	main := spec
-	main.ClassSeed = classSeed
-	cfgs := []DeviceConfig{{Name: "main", Spec: main, Engine: cfg, Seed: s.Seed}}
-	for i := 0; i < 2; i++ {
-		helper := trace.StationaryHeavy(spec.TotalFrames(), s.Seed+int64(i+1)*17)
-		helper.Name = fmt.Sprintf("helper-%d", i)
-		helper.ClassSeed = classSeed
-		cfgs = append(cfgs, DeviceConfig{
-			Name:   fmt.Sprintf("helper-%d", i),
-			Spec:   helper,
-			Engine: cfg,
-			Seed:   s.Seed + int64(i+2),
-		})
-	}
-	devices, err := runGroupLink(cfgs, s.Seed, simnet.DefaultLinkProfile())
-	if err != nil {
-		return nil, err
-	}
-	return devices[0], nil
-}
-
 // E2ThresholdSweep traces the accuracy/latency trade-off as the reuse
 // radius (the vote's MaxDistance) grows.
 func E2ThresholdSweep(s Scale) (Report, error) {
-	if err := s.validate(); err != nil {
-		return Report{}, err
-	}
 	spec := trace.HandheldMix(s.Frames, s.Seed)
 	report := Report{
 		ID:      "E2",
@@ -217,17 +212,15 @@ func E2ThresholdSweep(s Scale) (Report, error) {
 		// Isolate the feature-space decision: cheap gates off.
 		cfg.DisableIMUGate = true
 		cfg.DisableVideoGate = true
-		stats, _, err := RunSingle(DeviceConfig{
-			Name: "main", Spec: spec, Engine: cfg, Seed: s.Seed,
-		})
+		dev, err := runSingle(deviceConfig{Name: "main", Spec: spec, Engine: cfg, Seed: s.Seed})
 		if err != nil {
 			return fmt.Errorf("threshold %v: %w", th, err)
 		}
-		counts := stats.CountBySource()
+		stats := dev.engine.Stats()
 		rows[i] = []string{
 			fmtF(th),
 			fmtPct(stats.HitRate()),
-			fmt.Sprintf("%d", counts[metrics.SourceLocal]),
+			fmt.Sprintf("%d", stats.CountBySource()[metrics.SourceLocal]),
 			fmtPct(stats.Accuracy()),
 			fmtDur(stats.Latency().Mean()),
 		}
@@ -243,9 +236,6 @@ func E2ThresholdSweep(s Scale) (Report, error) {
 // E3HitBreakdown shows which reuse mechanism serves frames under each
 // motion profile.
 func E3HitBreakdown(s Scale) (Report, error) {
-	if err := s.validate(); err != nil {
-		return Report{}, err
-	}
 	// Source columns are derived from metrics.Sources() so the headers
 	// can never drift from the per-source cells appended below.
 	headers := []string{"workload"}
@@ -262,12 +252,11 @@ func E3HitBreakdown(s Scale) (Report, error) {
 		},
 	}
 	for _, spec := range trace.StandardSpecs(s.Frames, s.Seed) {
-		stats, _, err := RunSingle(DeviceConfig{
-			Name: "main", Spec: spec, Engine: core.DefaultConfig(), Seed: s.Seed,
-		})
+		dev, err := runSingle(deviceConfig{Name: "main", Spec: spec, Engine: core.DefaultConfig(), Seed: s.Seed})
 		if err != nil {
 			return Report{}, fmt.Errorf("%s: %w", spec.Name, err)
 		}
+		stats := dev.engine.Stats()
 		frames := float64(stats.Frames())
 		counts := stats.CountBySource()
 		row := []string{spec.Name}
@@ -283,9 +272,6 @@ func E3HitBreakdown(s Scale) (Report, error) {
 // E4PeerSweep measures the benefit of nearby devices: hit rate and
 // latency as the peer count grows.
 func E4PeerSweep(s Scale) (Report, error) {
-	if err := s.validate(); err != nil {
-		return Report{}, err
-	}
 	report := Report{
 		ID:      "E4",
 		Title:   "Benefit of nearby peers (walking-tour, shared vocabulary)",
@@ -296,37 +282,25 @@ func E4PeerSweep(s Scale) (Report, error) {
 	}
 	for _, peers := range []int{0, 1, 2, 4, 8} {
 		spec := trace.WalkingTour(s.Frames, s.Seed)
-		spec.ClassSeed = s.Seed + 999
 		spec.ClassSkew = 0.8 // popular exhibits: what peers share
-		cfgs := []DeviceConfig{{
-			Name: "main", Spec: spec, Engine: core.DefaultConfig(), Seed: s.Seed,
-		}}
-		for i := 0; i < peers; i++ {
-			helper := trace.WalkingTour(s.Frames, s.Seed+int64(i+1)*31)
-			helper.ClassSeed = spec.ClassSeed
-			helper.ClassSkew = spec.ClassSkew
-			helper.Name = fmt.Sprintf("peer-%d", i)
-			cfgs = append(cfgs, DeviceConfig{
-				Name:   fmt.Sprintf("peer-%d", i),
-				Spec:   helper,
-				Engine: core.DefaultConfig(),
-				Seed:   s.Seed + int64(i+5),
-			})
-		}
-		var stats *metrics.SessionStats
+		cfgs := crowd(spec, s.Seed+999, peers, "peer", func(i int) trace.Spec {
+			return trace.WalkingTour(s.Frames, s.Seed+int64(i+1)*31)
+		}, core.DefaultConfig(), s, 5)
+		var main *device
+		var err error
 		if peers == 0 {
-			var err error
-			stats, _, err = RunSingle(cfgs[0])
-			if err != nil {
-				return Report{}, err
-			}
+			main, err = runSingle(cfgs[0])
 		} else {
-			group, err := RunGroup(cfgs, s.Seed)
-			if err != nil {
-				return Report{}, err
+			var group []*device
+			group, err = runGroup(cfgs, s.Seed, simnet.DefaultLinkProfile())
+			if err == nil {
+				main = group[0]
 			}
-			stats = group["main"]
 		}
+		if err != nil {
+			return Report{}, err
+		}
+		stats := main.engine.Stats()
 		queries, hits := stats.PeerQueries()
 		report.Rows = append(report.Rows, []string{
 			fmt.Sprintf("%d", peers),
@@ -343,9 +317,6 @@ func E4PeerSweep(s Scale) (Report, error) {
 // E5CapacitySweep compares eviction policies across cache sizes on the
 // highest-pressure workload.
 func E5CapacitySweep(s Scale) (Report, error) {
-	if err := s.validate(); err != nil {
-		return Report{}, err
-	}
 	spec := trace.PanningSweep(s.Frames, s.Seed)
 	report := Report{
 		ID:      "E5",
@@ -355,36 +326,26 @@ func E5CapacitySweep(s Scale) (Report, error) {
 			"cost-aware eviction keeps the entries whose reuse saves the most inference time",
 		},
 	}
-	type point struct {
-		capacity int
-		policy   cachestore.Policy
-	}
-	var points []point
+	var points []cachestore.Config
 	for _, capacity := range []int{8, 16, 32, 64, 128} {
 		for _, policy := range []cachestore.Policy{cachestore.LRU, cachestore.LFU, cachestore.CostAware} {
-			points = append(points, point{capacity, policy})
+			points = append(points, cachestore.Config{Capacity: capacity, Policy: policy})
 		}
 	}
 	rows := make([][]string, len(points))
 	err := parallelEach(len(points), s.workers(), func(i int) error {
 		p := points[i]
-		stats, store, err := RunSingle(DeviceConfig{
-			Name:     "main",
-			Spec:     spec,
-			Engine:   core.DefaultConfig(),
-			Capacity: p.capacity,
-			Policy:   p.policy,
-			Seed:     s.Seed,
-		})
+		dev, err := runSingle(deviceConfig{Name: "main", Spec: spec, Engine: core.DefaultConfig(), Store: p, Seed: s.Seed})
 		if err != nil {
-			return fmt.Errorf("cap %d %v: %w", p.capacity, p.policy, err)
+			return fmt.Errorf("cap %d %v: %w", p.Capacity, p.Policy, err)
 		}
+		stats := dev.engine.Stats()
 		rows[i] = []string{
-			fmt.Sprintf("%d", p.capacity),
-			p.policy.String(),
+			fmt.Sprintf("%d", p.Capacity),
+			p.Policy.String(),
 			fmtPct(stats.HitRate()),
 			fmtDur(stats.Latency().Mean()),
-			fmt.Sprintf("%d", store.Evictions()),
+			fmt.Sprintf("%d", dev.store.Evictions()),
 		}
 		return nil
 	})
@@ -398,10 +359,16 @@ func E5CapacitySweep(s Scale) (Report, error) {
 // E6Energy compares per-frame energy across systems, including the
 // radio tax of P2P collaboration.
 func E6Energy(s Scale) (Report, error) {
-	if err := s.validate(); err != nil {
+	systems := []system{
+		{name: "no-cache", cfg: baseline(core.ModeNoCache)},
+		{name: "exact-cache", cfg: baseline(core.ModeExactCache)},
+		{name: "approx (local)", cfg: core.DefaultConfig()},
+		{name: "approx (full, 2 peers)", cfg: core.DefaultConfig(), peers: true},
+	}
+	devs, err := runStationary(s, systems)
+	if err != nil {
 		return Report{}, err
 	}
-	spec := trace.StationaryHeavy(s.Frames, s.Seed)
 	report := Report{
 		ID:      "E6",
 		Title:   "Energy per frame by system (stationary-heavy)",
@@ -410,41 +377,14 @@ func E6Energy(s Scale) (Report, error) {
 			"energy tracks latency: avoided inferences dominate; P2P adds a small radio tax on misses",
 		},
 	}
-	run := func(name string, cfg core.Config, peer bool) error {
-		var stats *metrics.SessionStats
-		if peer {
-			main, err := e1Group(spec, cfg, s)
-			if err != nil {
-				return err
-			}
-			stats = main.engine.Stats()
-		} else {
-			var err error
-			stats, _, err = RunSingle(DeviceConfig{Name: "main", Spec: spec, Engine: cfg, Seed: s.Seed})
-			if err != nil {
-				return err
-			}
-		}
-		perFrame := stats.EnergyMJ() / float64(stats.Frames())
+	for i, dev := range devs {
+		stats := dev.engine.Stats()
 		report.Rows = append(report.Rows, []string{
-			name,
-			fmtF(perFrame),
+			systems[i].name,
+			fmtF(stats.EnergyMJ() / float64(stats.Frames())),
 			fmtF(stats.EnergyMJ() / 1000),
 			fmtPct(stats.HitRate()),
 		})
-		return nil
-	}
-	if err := run("no-cache", core.Config{Mode: core.ModeNoCache, Costs: core.DefaultCostModel()}, false); err != nil {
-		return Report{}, err
-	}
-	if err := run("exact-cache", core.Config{Mode: core.ModeExactCache, Costs: core.DefaultCostModel()}, false); err != nil {
-		return Report{}, err
-	}
-	if err := run("approx (local)", core.DefaultConfig(), false); err != nil {
-		return Report{}, err
-	}
-	if err := run("approx (full, 2 peers)", core.DefaultConfig(), true); err != nil {
-		return Report{}, err
 	}
 	return report, nil
 }
@@ -452,50 +392,26 @@ func E6Energy(s Scale) (Report, error) {
 // E7LSHAblation grades the LSH index design: recall against exact
 // search, candidate-set size, and measured lookup time.
 func E7LSHAblation(s Scale) (Report, error) {
-	if err := s.validate(); err != nil {
-		return Report{}, err
-	}
-	const dim = 80
-	items := s.Frames // index size scales with the experiment
-	if items > 5000 {
-		items = 5000
-	}
-	queries := 200
+	const dim, queries = 80, 200
+	items := min(s.Frames, 5000) // index size scales with the experiment
 	rng := rand.New(rand.NewSource(s.Seed))
 	// Clustered vectors: same structure the cache indexes.
 	centers := make([]feature.Vector, 16)
 	for i := range centers {
 		centers[i] = randUnitVec(rng, dim)
 	}
-	makeVec := func() feature.Vector {
-		c := centers[rng.Intn(len(centers))]
-		v := c.Clone()
-		for d := range v {
-			v[d] += rng.NormFloat64() * 0.05
+	clustered := func(n int) []feature.Vector {
+		vs := make([]feature.Vector, n)
+		for i := range vs {
+			vs[i] = perturb(centers[rng.Intn(len(centers))], rng, 0.05)
 		}
-		v.Normalize()
-		return v
+		return vs
 	}
-	vecs := make([]feature.Vector, items)
-	exact, err := lsh.NewExact(dim)
+	vecs := clustered(items)
+	qs := clustered(queries)
+	truth, err := exactTruth(dim, vecs, qs, 1)
 	if err != nil {
 		return Report{}, err
-	}
-	for i := range vecs {
-		vecs[i] = makeVec()
-		if err := exact.Insert(lsh.ID(i), vecs[i]); err != nil {
-			return Report{}, err
-		}
-	}
-	qs := make([]feature.Vector, queries)
-	truth := make([]lsh.ID, queries)
-	for i := range qs {
-		qs[i] = makeVec()
-		ns, err := exact.Nearest(qs[i], 1)
-		if err != nil {
-			return Report{}, err
-		}
-		truth[i] = ns[0].ID
 	}
 
 	report := Report{
@@ -515,35 +431,16 @@ func E7LSHAblation(s Scale) (Report, error) {
 			if err != nil {
 				return Report{}, err
 			}
-			for i, v := range vecs {
-				if err := idx.Insert(lsh.ID(i), v); err != nil {
-					return Report{}, err
-				}
+			recall, cands, elapsed, err := probe(idx, vecs, qs, truth)
+			if err != nil {
+				return Report{}, err
 			}
-			hits := 0
-			var candTotal int
-			start := time.Now()
-			for i, q := range qs {
-				cands, err := idx.Candidates(q)
-				if err != nil {
-					return Report{}, err
-				}
-				candTotal += len(cands)
-				ns, err := idx.Nearest(q, 1)
-				if err != nil {
-					return Report{}, err
-				}
-				if len(ns) > 0 && ns[0].ID == truth[i] {
-					hits++
-				}
-			}
-			elapsed := time.Since(start) / time.Duration(queries)
 			report.Rows = append(report.Rows, []string{
 				fmt.Sprintf("%d", bits),
 				fmt.Sprintf("%d", tables),
-				fmtPct(float64(hits) / float64(queries)),
-				fmtF(float64(candTotal) / float64(queries)),
-				fmt.Sprintf("%.1fµs", float64(elapsed)/float64(time.Microsecond)),
+				fmtPct(recall),
+				fmtF(cands),
+				fmt.Sprintf("%.1fµs", float64(elapsed/queries)/float64(time.Microsecond)),
 			})
 		}
 	}
@@ -553,9 +450,6 @@ func E7LSHAblation(s Scale) (Report, error) {
 // E8MotionGate sweeps the inertial gate thresholds, trading reuse rate
 // against false reuse (IMU-served frames whose label was wrong).
 func E8MotionGate(s Scale) (Report, error) {
-	if err := s.validate(); err != nil {
-		return Report{}, err
-	}
 	report := Report{
 		ID:      "E8",
 		Title:   "Inertial gate threshold sweep (handheld-mix)",
@@ -577,17 +471,16 @@ func E8MotionGate(s Scale) (Report, error) {
 			GyroMeanThreshold: base.GyroMeanThreshold * scale,
 			MaxRotation:       base.MaxRotation * scale,
 		}
-		stats, _, err := RunSingle(DeviceConfig{
-			Name: "main", Spec: spec, Engine: cfg, Seed: s.Seed,
-		})
+		dev, err := runSingle(deviceConfig{Name: "main", Spec: spec, Engine: cfg, Seed: s.Seed})
 		if err != nil {
 			return fmt.Errorf("scale %v: %w", scale, err)
 		}
-		counts := stats.CountBySource()
+		stats := dev.engine.Stats()
+		imuHits := stats.CountBySource()[metrics.SourceIMU]
 		rows[i] = []string{
 			fmtF(scale),
-			fmt.Sprintf("%d", counts[metrics.SourceIMU]),
-			fmtPct(float64(counts[metrics.SourceIMU]) / float64(stats.Frames())),
+			fmt.Sprintf("%d", imuHits),
+			fmtPct(float64(imuHits) / float64(stats.Frames())),
 			fmtPct(stats.HitRate()),
 			fmtPct(stats.Accuracy()),
 			fmtDur(stats.Latency().Mean()),
@@ -601,6 +494,7 @@ func E8MotionGate(s Scale) (Report, error) {
 	return report, nil
 }
 
+// randUnitVec draws a direction uniformly at random.
 func randUnitVec(r *rand.Rand, dim int) feature.Vector {
 	v := make(feature.Vector, dim)
 	for i := range v {
@@ -608,4 +502,82 @@ func randUnitVec(r *rand.Rand, dim int) feature.Vector {
 	}
 	v.Normalize()
 	return v
+}
+
+// jitter returns center plus independent N(0, sigma²) noise on every
+// dimension.
+func jitter(center feature.Vector, rng *rand.Rand, sigma float64) feature.Vector {
+	v := center.Clone()
+	for d := range v {
+		v[d] += rng.NormFloat64() * sigma
+	}
+	return v
+}
+
+// perturb is jitter scaled back to unit length.
+func perturb(center feature.Vector, rng *rand.Rand, sigma float64) feature.Vector {
+	v := jitter(center, rng, sigma)
+	v.Normalize()
+	return v
+}
+
+// exactTruth returns each query's k exact nearest neighbours among vecs,
+// whose IDs are their positions.
+func exactTruth(dim int, vecs, queries []feature.Vector, k int) ([][]lsh.ID, error) {
+	exact, err := lsh.NewExact(dim)
+	if err != nil {
+		return nil, err
+	}
+	for i, v := range vecs {
+		if err := exact.Insert(lsh.ID(i), v); err != nil {
+			return nil, err
+		}
+	}
+	truth := make([][]lsh.ID, len(queries))
+	for i, q := range queries {
+		nn, err := exact.Nearest(q, k)
+		if err != nil {
+			return nil, err
+		}
+		for _, n := range nn {
+			truth[i] = append(truth[i], n.ID)
+		}
+	}
+	return truth, nil
+}
+
+// candIndex is an index that exposes its candidate sets.
+type candIndex interface {
+	lsh.Index
+	Candidates(feature.Vector) ([]lsh.ID, error)
+}
+
+// probe loads vecs into idx (IDs are positions), then asks it every
+// query: it returns recall@1 against truth, the mean candidate-set size
+// and the wall time of the query loop.
+func probe(idx candIndex, vecs, queries []feature.Vector, truth [][]lsh.ID) (recall, cands float64, elapsed time.Duration, err error) {
+	for i, v := range vecs {
+		if err := idx.Insert(lsh.ID(i), v); err != nil {
+			return 0, 0, 0, err
+		}
+	}
+	hits, total := 0, 0
+	start := time.Now()
+	for i, q := range queries {
+		cs, err := idx.Candidates(q)
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		total += len(cs)
+		ns, err := idx.Nearest(q, 1)
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		if len(ns) > 0 && ns[0].ID == truth[i][0] {
+			hits++
+		}
+	}
+	elapsed = time.Since(start)
+	n := float64(len(queries))
+	return float64(hits) / n, float64(total) / n, elapsed, nil
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"approxcache/internal/battery"
-	"approxcache/internal/cachestore"
 	"approxcache/internal/core"
 	"approxcache/internal/dnn"
 	"approxcache/internal/feature"
@@ -24,9 +23,6 @@ import (
 // descriptors, which are all-positive and therefore skew uncentered
 // hyperplane buckets.
 func E9AdaptiveLSH(s Scale) (Report, error) {
-	if err := s.validate(); err != nil {
-		return Report{}, err
-	}
 	// Descriptor-like vectors from actual rendered frames.
 	classes, err := vision.NewClassSet(8, 48, 48, s.Seed)
 	if err != nil {
@@ -34,76 +30,30 @@ func E9AdaptiveLSH(s Scale) (Report, error) {
 	}
 	ex := feature.DefaultExtractor()
 	rng := rand.New(rand.NewSource(s.Seed))
-	items := s.Frames
-	if items > 3000 {
-		items = 3000
+	rendered := func(n int) ([]feature.Vector, error) {
+		vs := make([]feature.Vector, n)
+		for i := range vs {
+			im, err := classes.Render(i%8, vision.DefaultPerturbation(), rng)
+			if err != nil {
+				return nil, err
+			}
+			if vs[i], err = ex.Extract(im); err != nil {
+				return nil, err
+			}
+		}
+		return vs, nil
 	}
-	vecs := make([]feature.Vector, items)
-	exact, err := lsh.NewExact(ex.Dim())
+	vecs, err := rendered(min(s.Frames, 3000))
 	if err != nil {
 		return Report{}, err
 	}
-	for i := range vecs {
-		im, err := classes.Render(i%8, vision.DefaultPerturbation(), rng)
-		if err != nil {
-			return Report{}, err
-		}
-		v, err := ex.Extract(im)
-		if err != nil {
-			return Report{}, err
-		}
-		vecs[i] = v
-		if err := exact.Insert(lsh.ID(i), v); err != nil {
-			return Report{}, err
-		}
+	qs, err := rendered(150)
+	if err != nil {
+		return Report{}, err
 	}
-	const queries = 150
-	qs := make([]feature.Vector, queries)
-	truth := make([]lsh.ID, queries)
-	for i := range qs {
-		im, err := classes.Render(i%8, vision.DefaultPerturbation(), rng)
-		if err != nil {
-			return Report{}, err
-		}
-		v, err := ex.Extract(im)
-		if err != nil {
-			return Report{}, err
-		}
-		qs[i] = v
-		ns, err := exact.Nearest(v, 1)
-		if err != nil {
-			return Report{}, err
-		}
-		truth[i] = ns[0].ID
-	}
-
-	type candIndex interface {
-		lsh.Index
-		Candidates(feature.Vector) ([]lsh.ID, error)
-		Stats() lsh.Stats
-	}
-	measure := func(idx candIndex) (recall float64, meanCand float64, st lsh.Stats, err error) {
-		for i, v := range vecs {
-			if err := idx.Insert(lsh.ID(i), v); err != nil {
-				return 0, 0, lsh.Stats{}, err
-			}
-		}
-		hits, cands := 0, 0
-		for i, q := range qs {
-			cs, err := idx.Candidates(q)
-			if err != nil {
-				return 0, 0, lsh.Stats{}, err
-			}
-			cands += len(cs)
-			ns, err := idx.Nearest(q, 1)
-			if err != nil {
-				return 0, 0, lsh.Stats{}, err
-			}
-			if len(ns) > 0 && ns[0].ID == truth[i] {
-				hits++
-			}
-		}
-		return float64(hits) / queries, float64(cands) / queries, idx.Stats(), nil
+	truth, err := exactTruth(ex.Dim(), vecs, qs, 1)
+	if err != nil {
+		return Report{}, err
 	}
 
 	plain, err := lsh.NewHyperplane(ex.Dim(), 12, 4, s.Seed)
@@ -125,11 +75,11 @@ func E9AdaptiveLSH(s Scale) (Report, error) {
 			"positive-orthant descriptors correlate hyperplane signs; centering on the data mean spreads buckets",
 		},
 	}
-	pRecall, pCand, pStats, err := measure(plain)
+	pRecall, pCand, _, err := probe(plain, vecs, qs, truth)
 	if err != nil {
 		return Report{}, err
 	}
-	aRecall, aCand, aStats, err := measure(adaptive)
+	aRecall, aCand, _, err := probe(adaptive, vecs, qs, truth)
 	if err != nil {
 		return Report{}, err
 	}
@@ -139,6 +89,7 @@ func E9AdaptiveLSH(s Scale) (Report, error) {
 		}
 		return float64(st.MaxBucket) / float64(st.Items)
 	}
+	pStats, aStats := plain.Stats(), adaptive.Stats()
 	report.Rows = append(report.Rows,
 		[]string{"plain", fmtPct(pRecall), fmtF(pCand),
 			fmt.Sprintf("%d", pStats.Buckets), fmtPct(share(pStats)), "0"},
@@ -153,9 +104,6 @@ func E9AdaptiveLSH(s Scale) (Report, error) {
 // models leave more latency and energy on the table for the cache to
 // save.
 func E10ModelSweep(s Scale) (Report, error) {
-	if err := s.validate(); err != nil {
-		return Report{}, err
-	}
 	spec := trace.StationaryHeavy(s.Frames, s.Seed)
 	report := Report{
 		ID:      "E10",
@@ -166,22 +114,19 @@ func E10ModelSweep(s Scale) (Report, error) {
 		},
 	}
 	for _, profile := range dnn.Profiles() {
-		base, _, err := RunSingle(DeviceConfig{
-			Name: "main", Spec: spec,
-			Engine:  core.Config{Mode: core.ModeNoCache, Costs: core.DefaultCostModel()},
-			Profile: profile, Seed: s.Seed,
+		baseDev, err := runSingle(deviceConfig{
+			Name: "main", Spec: spec, Engine: baseline(core.ModeNoCache), Profile: profile, Seed: s.Seed,
 		})
 		if err != nil {
 			return Report{}, fmt.Errorf("%s base: %w", profile.Name, err)
 		}
-		apx, _, err := RunSingle(DeviceConfig{
-			Name: "main", Spec: spec,
-			Engine:  core.DefaultConfig(),
-			Profile: profile, Seed: s.Seed,
+		apxDev, err := runSingle(deviceConfig{
+			Name: "main", Spec: spec, Engine: core.DefaultConfig(), Profile: profile, Seed: s.Seed,
 		})
 		if err != nil {
 			return Report{}, fmt.Errorf("%s approx: %w", profile.Name, err)
 		}
+		base, apx := baseDev.engine.Stats(), apxDev.engine.Stats()
 		bm, am := base.Latency().Mean(), apx.Latency().Mean()
 		report.Rows = append(report.Rows, []string{
 			profile.Name,
@@ -198,9 +143,6 @@ func E10ModelSweep(s Scale) (Report, error) {
 // E11Robustness stresses approximate matching with the aggressive
 // perturbation profile (more noise, bigger shifts, frequent occlusion).
 func E11Robustness(s Scale) (Report, error) {
-	if err := s.validate(); err != nil {
-		return Report{}, err
-	}
 	report := Report{
 		ID:    "E11",
 		Title: "Robustness to frame degradation (default vs hard perturbation)",
@@ -217,17 +159,11 @@ func E11Robustness(s Scale) (Report, error) {
 		for _, hard := range []bool{false, true} {
 			spec := base
 			spec.Hard = hard
-			stats, _, err := RunSingle(DeviceConfig{
-				Name: "main", Spec: spec, Engine: core.DefaultConfig(), Seed: s.Seed,
-			})
+			dev, err := runSingle(deviceConfig{Name: "main", Spec: spec, Engine: core.DefaultConfig(), Seed: s.Seed})
 			if err != nil {
 				return Report{}, fmt.Errorf("%s hard=%v: %w", spec.Name, hard, err)
 			}
-			baseStats, _, err := RunSingle(DeviceConfig{
-				Name: "main", Spec: spec,
-				Engine: core.Config{Mode: core.ModeNoCache, Costs: core.DefaultCostModel()},
-				Seed:   s.Seed,
-			})
+			baseDev, err := runSingle(deviceConfig{Name: "main", Spec: spec, Engine: baseline(core.ModeNoCache), Seed: s.Seed})
 			if err != nil {
 				return Report{}, fmt.Errorf("%s hard=%v base: %w", spec.Name, hard, err)
 			}
@@ -235,12 +171,13 @@ func E11Robustness(s Scale) (Report, error) {
 			if hard {
 				label = "hard"
 			}
+			stats := dev.engine.Stats()
 			report.Rows = append(report.Rows, []string{
 				spec.Name,
 				label,
 				fmtPct(stats.HitRate()),
 				fmtPct(stats.Accuracy()),
-				fmtPct(baseStats.Accuracy()),
+				fmtPct(baseDev.engine.Stats().Accuracy()),
 				fmtDur(stats.Latency().Mean()),
 			})
 		}
@@ -252,9 +189,6 @@ func E11Robustness(s Scale) (Report, error) {
 // gracefully the peer gate fails: collaboration should fade, never
 // hurt correctness.
 func E12LossyNetwork(s Scale) (Report, error) {
-	if err := s.validate(); err != nil {
-		return Report{}, err
-	}
 	report := Report{
 		ID:      "E12",
 		Title:   "Peer reuse under degraded wireless links (walking-tour, 2 helpers)",
@@ -267,26 +201,14 @@ func E12LossyNetwork(s Scale) (Report, error) {
 		link := simnet.DefaultLinkProfile()
 		link.LossProb = loss
 		spec := trace.WalkingTour(s.Frames, s.Seed)
-		spec.ClassSeed = s.Seed + 555
 		spec.ClassSkew = 0.8
-		cfgs := []DeviceConfig{{
-			Name: "main", Spec: spec, Engine: core.DefaultConfig(), Seed: s.Seed,
-		}}
-		for i := 0; i < 2; i++ {
-			helper := trace.WalkingTour(s.Frames, s.Seed+int64(i+1)*13)
-			helper.ClassSeed = spec.ClassSeed
-			helper.ClassSkew = spec.ClassSkew
-			helper.Name = fmt.Sprintf("helper-%d", i)
-			cfgs = append(cfgs, DeviceConfig{
-				Name: helper.Name, Spec: helper, Engine: core.DefaultConfig(),
-				Seed: s.Seed + int64(i+7),
-			})
-		}
-		group, err := RunGroupLink(cfgs, s.Seed, link)
+		group, err := runGroup(crowd(spec, s.Seed+555, 2, "helper", func(i int) trace.Spec {
+			return trace.WalkingTour(s.Frames, s.Seed+int64(i+1)*13)
+		}, core.DefaultConfig(), s, 7), s.Seed, link)
 		if err != nil {
 			return Report{}, fmt.Errorf("loss %v: %w", loss, err)
 		}
-		stats := group["main"]
+		stats := group[0].engine.Stats()
 		queries, hits := stats.PeerQueries()
 		report.Rows = append(report.Rows, []string{
 			fmtPct(loss),
@@ -304,13 +226,9 @@ func E12LossyNetwork(s Scale) (Report, error) {
 // holding disjoint content, the digest prefilter should cut per-query
 // network traffic sharply while preserving nearly every hit.
 func E16DigestFilter(s Scale) (Report, error) {
-	if err := s.validate(); err != nil {
-		return Report{}, err
-	}
 	const (
 		dim      = 16
 		peers    = 8
-		perPeer  = 24
 		queryCnt = 200
 	)
 	rng := rand.New(rand.NewSource(s.Seed))
@@ -318,60 +236,23 @@ func E16DigestFilter(s Scale) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	clock := simclock.NewVirtual(time.Unix(0, 0))
 	// Each peer owns one region of feature space.
 	centers := make([]feature.Vector, peers)
-	names := make([]string, peers)
-	for i := range centers {
-		c := make(feature.Vector, dim)
-		for d := range c {
-			c[d] = rng.NormFloat64()
-		}
-		c.Normalize()
-		centers[i] = c
-		names[i] = fmt.Sprintf("peer-%d", i)
-		idx, err := lsh.NewExact(dim)
-		if err != nil {
-			return Report{}, err
-		}
-		st, err := cachestore.New(cachestore.Config{Capacity: 64}, idx, clock)
-		if err != nil {
-			return Report{}, err
-		}
-		for j := 0; j < perPeer; j++ {
-			v := c.Clone()
-			for d := range v {
-				v[d] += rng.NormFloat64() * 0.03
-			}
-			v.Normalize()
-			if _, err := st.Insert(v, fmt.Sprintf("class-%d", i), 0.9, "dnn", time.Millisecond); err != nil {
-				return Report{}, err
-			}
-		}
-		svc, err := p2p.NewService(p2p.DefaultServiceConfig(names[i]), st)
-		if err != nil {
-			return Report{}, err
-		}
-		if err := p2p.RegisterService(net, svc); err != nil {
-			return Report{}, err
-		}
+	names, _, err := peerFleet(net, simclock.NewVirtual(time.Unix(0, 0)), peers, 64, 24, 0.03, rng,
+		func(i int) (feature.Vector, string) {
+			centers[i] = randUnitVec(rng, dim)
+			return centers[i], fmt.Sprintf("class-%d", i)
+		})
+	if err != nil {
+		return Report{}, err
 	}
 	queries := make([]feature.Vector, queryCnt)
 	for i := range queries {
-		v := centers[rng.Intn(peers)].Clone()
-		for d := range v {
-			v[d] += rng.NormFloat64() * 0.03
-		}
-		v.Normalize()
-		queries[i] = v
+		queries[i] = perturb(centers[rng.Intn(peers)], rng, 0.03)
 	}
 
 	run := func(useDigests bool) (hits, sent, skipped int, err error) {
-		tr, err := p2p.NewSimnetTransport("main", net)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		client, err := p2p.NewClient(p2p.DefaultClientConfig(), tr)
+		client, err := dial("main", net, p2p.DefaultClientConfig())
 		if err != nil {
 			return 0, 0, 0, err
 		}
@@ -428,17 +309,14 @@ func E16DigestFilter(s Scale) (Report, error) {
 // the cache's signature: a mass of sub-millisecond gate hits with an
 // inference-cost tail whose height is the miss rate.
 func E15LatencyCDF(s Scale) (Report, error) {
-	if err := s.validate(); err != nil {
-		return Report{}, err
+	systems := []system{
+		{name: "no-cache", cfg: baseline(core.ModeNoCache)},
+		{name: "naive-skip", cfg: baseline(core.ModeNaiveSkip)},
+		{name: "approx", cfg: core.DefaultConfig()},
 	}
-	spec := trace.StationaryHeavy(s.Frames, s.Seed)
-	systems := []struct {
-		name string
-		cfg  core.Config
-	}{
-		{"no-cache", core.Config{Mode: core.ModeNoCache, Costs: core.DefaultCostModel()}},
-		{"naive-skip", core.Config{Mode: core.ModeNaiveSkip, SkipEvery: 20, Costs: core.DefaultCostModel()}},
-		{"approx", core.DefaultConfig()},
+	devs, err := runStationary(s, systems)
+	if err != nil {
+		return Report{}, err
 	}
 	report := Report{
 		ID:      "E15",
@@ -448,20 +326,12 @@ func E15LatencyCDF(s Scale) (Report, error) {
 			"the cached systems are bimodal: sub-ms reuse for ~95% of frames, full inference cost in the tail",
 		},
 	}
-	var all []*device
 	for _, sys := range systems {
 		report.Headers = append(report.Headers, sys.name)
-		dev, err := runSingle(DeviceConfig{
-			Name: "main", Spec: spec, Engine: sys.cfg, Seed: s.Seed,
-		})
-		if err != nil {
-			return Report{}, fmt.Errorf("%s: %w", sys.name, err)
-		}
-		all = append(all, dev)
 	}
 	for _, p := range []float64{10, 25, 50, 75, 90, 95, 99, 100} {
 		row := []string{fmt.Sprintf("p%g", p)}
-		for _, dev := range all {
+		for _, dev := range devs {
 			row = append(row, fmtDur(dev.lat.percentile(p)))
 		}
 		report.Rows = append(report.Rows, row)
@@ -472,9 +342,6 @@ func E15LatencyCDF(s Scale) (Report, error) {
 // E14GateGrid completes the ablation story: every combination of the
 // cheap gates on/off, plus the keyframe-library size, on one workload.
 func E14GateGrid(s Scale) (Report, error) {
-	if err := s.validate(); err != nil {
-		return Report{}, err
-	}
 	spec := trace.HandheldMix(s.Frames, s.Seed)
 	report := Report{
 		ID:    "E14",
@@ -503,24 +370,21 @@ func E14GateGrid(s Scale) (Report, error) {
 		cfg.DisableIMUGate = v.noIMU
 		cfg.DisableVideoGate = v.noVideo
 		cfg.KeyframeCapacity = v.keyframes
-		stats, _, err := RunSingle(DeviceConfig{
-			Name: "main", Spec: spec, Engine: cfg, Seed: s.Seed,
-		})
+		dev, err := runSingle(deviceConfig{Name: "main", Spec: spec, Engine: cfg, Seed: s.Seed})
 		if err != nil {
 			return Report{}, fmt.Errorf("%s: %w", v.name, err)
 		}
-		frames := float64(stats.Frames())
+		stats := dev.engine.Stats()
+		row := []string{v.name}
 		counts := stats.CountBySource()
-		report.Rows = append(report.Rows, []string{
-			v.name,
-			fmtPct(float64(counts[metrics.SourceIMU]) / frames),
-			fmtPct(float64(counts[metrics.SourceVideo]) / frames),
-			fmtPct(float64(counts[metrics.SourceLocal]) / frames),
-			fmtPct(float64(counts[metrics.SourceDNN]) / frames),
+		for _, src := range []metrics.Source{metrics.SourceIMU, metrics.SourceVideo, metrics.SourceLocal, metrics.SourceDNN} {
+			row = append(row, fmtPct(float64(counts[src])/float64(stats.Frames())))
+		}
+		report.Rows = append(report.Rows, append(row,
 			fmtPct(stats.HitRate()),
 			fmtPct(stats.Accuracy()),
 			fmtDur(stats.Latency().Mean()),
-		})
+		))
 	}
 	return report, nil
 }
@@ -528,11 +392,15 @@ func E14GateGrid(s Scale) (Report, error) {
 // E13Battery translates per-frame energy into recognition time on one
 // charge of a typical phone battery.
 func E13Battery(s Scale) (Report, error) {
-	if err := s.validate(); err != nil {
+	phone := battery.TypicalPhone()
+	systems := []system{
+		{name: "no-cache", cfg: baseline(core.ModeNoCache)},
+		{name: "approx", cfg: core.DefaultConfig()},
+	}
+	devs, err := runStationary(s, systems)
+	if err != nil {
 		return Report{}, err
 	}
-	spec := trace.StationaryHeavy(s.Frames, s.Seed)
-	phone := battery.TypicalPhone()
 	report := Report{
 		ID:    "E13",
 		Title: "Continuous recognition on one battery charge (typical phone, 15 fps)",
@@ -544,31 +412,18 @@ func E13Battery(s Scale) (Report, error) {
 		},
 	}
 	var baseRuntime time.Duration
-	type system struct {
-		name string
-		cfg  core.Config
-	}
-	for _, sys := range []system{
-		{"no-cache", core.Config{Mode: core.ModeNoCache, Costs: core.DefaultCostModel()}},
-		{"approx", core.DefaultConfig()},
-	} {
-		stats, _, err := RunSingle(DeviceConfig{
-			Name: "main", Spec: spec, Engine: sys.cfg, Seed: s.Seed,
-		})
-		if err != nil {
-			return Report{}, fmt.Errorf("%s: %w", sys.name, err)
-		}
+	for i, dev := range devs {
+		stats := dev.engine.Stats()
 		perFrame := stats.EnergyMJ() / float64(stats.Frames())
-		runtime := phone.RuntimeOnCharge(perFrame, spec.FPS)
-		if sys.name == "no-cache" {
-			baseRuntime = runtime
-		}
+		runtime := phone.RuntimeOnCharge(perFrame, dev.work.Spec.FPS)
 		gain := "-"
-		if baseRuntime > 0 && sys.name != "no-cache" {
+		if i == 0 {
+			baseRuntime = runtime
+		} else if baseRuntime > 0 {
 			gain = fmt.Sprintf("%.1f×", float64(runtime)/float64(baseRuntime))
 		}
 		report.Rows = append(report.Rows, []string{
-			sys.name,
+			systems[i].name,
 			fmtF(perFrame),
 			fmt.Sprintf("%.0f", phone.FramesOnCharge(perFrame)),
 			runtime.Round(time.Minute).String(),
@@ -583,9 +438,6 @@ func E13Battery(s Scale) (Report, error) {
 // peer list keeps paying radio timeouts on dead peers. The maintained
 // roster re-probes between rounds and sheds them.
 func E17PeerChurn(s Scale) (Report, error) {
-	if err := s.validate(); err != nil {
-		return Report{}, err
-	}
 	const (
 		dim     = 16
 		peerCnt = 6
@@ -594,19 +446,10 @@ func E17PeerChurn(s Scale) (Report, error) {
 	)
 	rng := rand.New(rand.NewSource(s.Seed))
 	// Shared content region: every live peer can answer every query.
-	center := make(feature.Vector, dim)
-	for d := range center {
-		center[d] = rng.NormFloat64()
-	}
-	center.Normalize()
+	center := randUnitVec(rng, dim)
 	queries := make([]feature.Vector, perRnd)
 	for i := range queries {
-		v := center.Clone()
-		for d := range v {
-			v[d] += rng.NormFloat64() * 0.03
-		}
-		v.Normalize()
-		queries[i] = v
+		queries[i] = perturb(center, rng, 0.03)
 	}
 
 	run := func(maintained bool) (meanCost time.Duration, hits int, err error) {
@@ -616,41 +459,8 @@ func E17PeerChurn(s Scale) (Report, error) {
 		}
 		net.SetDeadCost(80 * time.Millisecond) // radio timeout on dead peers
 		clock := simclock.NewVirtual(time.Unix(0, 0))
-		names := make([]string, peerCnt)
-		services := make([]*p2p.Service, peerCnt)
-		register := func(i int) error {
-			return p2p.RegisterService(net, services[i])
-		}
-		for i := 0; i < peerCnt; i++ {
-			names[i] = fmt.Sprintf("peer-%d", i)
-			idx, err := lsh.NewExact(dim)
-			if err != nil {
-				return 0, 0, err
-			}
-			st, err := cachestore.New(cachestore.Config{Capacity: 64}, idx, clock)
-			if err != nil {
-				return 0, 0, err
-			}
-			for j := 0; j < 16; j++ {
-				v := center.Clone()
-				for d := range v {
-					v[d] += rng.NormFloat64() * 0.03
-				}
-				v.Normalize()
-				if _, err := st.Insert(v, "class-0", 0.9, "dnn", time.Millisecond); err != nil {
-					return 0, 0, err
-				}
-			}
-			svc, err := p2p.NewService(p2p.DefaultServiceConfig(names[i]), st)
-			if err != nil {
-				return 0, 0, err
-			}
-			services[i] = svc
-			if err := register(i); err != nil {
-				return 0, 0, err
-			}
-		}
-		tr, err := p2p.NewSimnetTransport("main", net)
+		names, services, err := peerFleet(net, clock, peerCnt, 64, 16, 0.03, rng,
+			func(int) (feature.Vector, string) { return center, "class-0" })
 		if err != nil {
 			return 0, 0, err
 		}
@@ -659,7 +469,7 @@ func E17PeerChurn(s Scale) (Report, error) {
 		// effect is measured by E18.
 		ccfg := p2p.DefaultClientConfig()
 		ccfg.Breaker.Disabled = true
-		client, err := p2p.NewClient(ccfg, tr)
+		client, err := dial("main", net, ccfg)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -676,7 +486,7 @@ func E17PeerChurn(s Scale) (Report, error) {
 		for round := 0; round < rounds; round++ {
 			// Churn: the previous casualty returns, a new one leaves.
 			if down >= 0 {
-				if err := register(down); err != nil {
+				if err := p2p.RegisterService(net, services[down]); err != nil {
 					return 0, 0, err
 				}
 			}
@@ -732,19 +542,12 @@ func E17PeerChurn(s Scale) (Report, error) {
 // bound the resilience layer must meet: crash-window mean within 10%
 // of the no-peers baseline.
 func E18ChaosResilience(s Scale) (Report, error) {
-	if err := s.validate(); err != nil {
-		return Report{}, err
-	}
-	frames := s.Frames
-	if frames < 30 {
-		frames = 30
-	}
-
+	s.Frames = max(s.Frames, chaosMinFrames)
 	report := Report{
 		ID: "E18",
 		Title: fmt.Sprintf(
 			"Chaos resilience: all peers crash 40%% in, heal 70%% in (%d frames, 80 ms dead-peer timeout)",
-			frames),
+			s.Frames),
 		Headers: []string{"client", "crash mean", "vs baseline", "peer-hits pre/heal",
 			"trips", "recoveries", "degraded frames"},
 		Notes: []string{
@@ -753,28 +556,25 @@ func E18ChaosResilience(s Scale) (Report, error) {
 		},
 	}
 	for _, guarded := range []bool{true, false} {
-		cfg := ChaosConfig{Frames: frames, Seed: s.Seed}
 		name := "guarded (breaker + budget)"
 		if !guarded {
-			cfg.Breaker = p2p.BreakerConfig{Disabled: true}
-			cfg.Budget = -1
 			name = "unguarded"
 		}
-		res, err := RunChaos(cfg)
+		res, err := runChaos(s, guarded)
 		if err != nil {
 			return Report{}, err
 		}
-		base := res.Baseline[PhaseCrash].Mean
+		base := res.Baseline[phaseCrash].Mean
 		over := "n/a"
 		if base > 0 {
-			over = fmtPct(float64(res.Run[PhaseCrash].Mean)/float64(base) - 1)
+			over = fmtPct(float64(res.Run[phaseCrash].Mean)/float64(base) - 1)
 		}
 		trips, recoveries := res.Stats.BreakerEvents()
 		report.Rows = append(report.Rows, []string{
 			name,
-			fmtDur(res.Run[PhaseCrash].Mean),
+			fmtDur(res.Run[phaseCrash].Mean),
 			over,
-			fmt.Sprintf("%d / %d", res.Run[PhasePre].PeerHits, res.Run[PhaseHeal].PeerHits),
+			fmt.Sprintf("%d / %d", res.Run[phasePre].PeerHits, res.Run[phaseHeal].PeerHits),
 			fmt.Sprintf("%d", trips),
 			fmt.Sprintf("%d", recoveries),
 			fmt.Sprintf("%d", res.Stats.DegradedFrames()),

@@ -14,10 +14,8 @@ import (
 
 	"approxcache/internal/core"
 	"approxcache/internal/dnn"
-	"approxcache/internal/imu"
 	"approxcache/internal/simclock"
 	"approxcache/internal/trace"
-	"approxcache/internal/vision"
 )
 
 // Fault-injection cadence: every injectEvery-th frame is corrupted,
@@ -27,8 +25,8 @@ const (
 	faultInjectEvery  = 3
 )
 
-// FaultScenario names one row of the matrix.
-type FaultScenario struct {
+// faultScenario names one row of the matrix.
+type faultScenario struct {
 	// Name labels the row.
 	Name string
 	// IMU, when non-zero, corrupts every faultInjectEvery-th frame's
@@ -46,8 +44,8 @@ type FaultScenario struct {
 	NoWatchdog bool
 }
 
-// FaultMatrixRow is the measured outcome of one scenario.
-type FaultMatrixRow struct {
+// faultRow is the measured outcome of one scenario.
+type faultRow struct {
 	// Name echoes the scenario.
 	Name string
 	// Frames is how many frames produced a result; Rejected is how
@@ -69,33 +67,30 @@ type FaultMatrixRow struct {
 	Timeouts, Retries, Trips, Recoveries, FastFails int
 }
 
-// DefaultFaultScenarios is the matrix E19 runs: a clean baseline, each
-// sensor fault class under the guards, the worst of them unguarded,
-// and a mid-session DNN outage with and without the watchdog.
-func DefaultFaultScenarios() []FaultScenario {
-	return []FaultScenario{
-		{Name: "clean"},
-		{Name: "imu-dropout (guarded)", IMU: trace.IMUDropout},
-		{Name: "imu-stuck (guarded)", IMU: trace.IMUStuck},
-		{Name: "imu-stuck (unguarded)", IMU: trace.IMUStuck, NoGuards: true},
-		{Name: "imu-saturate (guarded)", IMU: trace.IMUSaturate},
-		{Name: "frame-black (guarded)", Frame: trace.FrameBlack},
-		{Name: "frame-black (unguarded)", Frame: trace.FrameBlack, NoGuards: true},
-		{Name: "dnn-outage (watchdog)", Outage: true},
-		{Name: "dnn-outage (no watchdog)", Outage: true, NoWatchdog: true},
-	}
+// faultScenarios is the matrix E19 runs: a clean baseline, each sensor
+// fault class under the guards, the worst of them unguarded, and a
+// mid-session DNN outage with and without the watchdog.
+var faultScenarios = []faultScenario{
+	{Name: "clean"},
+	{Name: "imu-dropout (guarded)", IMU: trace.IMUDropout},
+	{Name: "imu-stuck (guarded)", IMU: trace.IMUStuck},
+	{Name: "imu-stuck (unguarded)", IMU: trace.IMUStuck, NoGuards: true},
+	{Name: "imu-saturate (guarded)", IMU: trace.IMUSaturate},
+	{Name: "frame-black (guarded)", Frame: trace.FrameBlack},
+	{Name: "frame-black (unguarded)", Frame: trace.FrameBlack, NoGuards: true},
+	{Name: "dnn-outage (watchdog)", Outage: true},
+	{Name: "dnn-outage (no watchdog)", Outage: true, NoWatchdog: true},
 }
 
-// RunFaultScenario replays a stationary-heavy workload of the given
-// length under one scenario and measures the outcome. Typed sensor
+// runFaultScenario replays a stationary-heavy workload of s.Frames
+// frames under one scenario and measures the outcome. Typed sensor
 // errors (ErrBadFrame, ErrBadIMUWindow) are counted as rejections, not
 // run failures: refusing a structurally unusable input is the guard
 // doing its job.
-func RunFaultScenario(sc FaultScenario, frames int, seed int64) (FaultMatrixRow, error) {
-	if frames < 30 {
-		return FaultMatrixRow{}, fmt.Errorf("eval: fault matrix needs ≥ 30 frames, got %d", frames)
+func runFaultScenario(sc faultScenario, s Scale) (faultRow, error) {
+	if s.Frames < 30 {
+		return faultRow{}, fmt.Errorf("eval: fault matrix needs ≥ 30 frames, got %d", s.Frames)
 	}
-	spec := trace.StationaryHeavy(frames, seed)
 	ecfg := core.DefaultConfig()
 	ecfg.DisableSensorGuards = sc.NoGuards
 	ecfg.Watchdog.Disabled = sc.NoWatchdog
@@ -105,77 +100,56 @@ func RunFaultScenario(sc FaultScenario, frames int, seed int64) (FaultMatrixRow,
 	// and stuck faults fit entirely inside the tolerances.
 	ecfg.IMUGuard.MaxGap = 25 * time.Millisecond
 	ecfg.IMUGuard.StuckRun = 5
-	dcfg := DeviceConfig{Name: "main", Spec: spec, Engine: ecfg, Seed: seed}
-
-	rng := rand.New(rand.NewSource(seed))
-	inject := func(frame int) bool {
-		return frame >= faultWarmupFrames && frame%faultInjectEvery == 0
-	}
-	if sc.IMU != 0 {
-		dcfg.CorruptIMU = func(frame int, win []imu.Sample) []imu.Sample {
-			if !inject(frame) {
-				return win
-			}
-			return trace.CorruptIMUWindow(win, sc.IMU, rng)
-		}
-	}
-	if sc.Frame != 0 {
-		dcfg.CorruptFrame = func(frame int, im *vision.Image) *vision.Image {
-			if !inject(frame) {
-				return im
-			}
-			return trace.CorruptFrame(im, sc.Frame, rng)
-		}
-	}
+	dcfg := deviceConfig{Name: "main", Spec: trace.StationaryHeavy(s.Frames, s.Seed), Engine: ecfg, Seed: s.Seed}
 	var faulty *dnn.FaultyClassifier
 	if sc.Outage {
-		dcfg.WrapClassifier = func(r dnn.Recognizer) core.Classifier {
-			// A nil plan cannot fail validation; the wrap is infallible.
-			fc, err := dnn.NewFaultyClassifier(r, nil)
-			if err != nil {
-				panic(err)
-			}
-			faulty = fc
-			return fc
+		dcfg.WrapClassifier = func(c *dnn.Classifier) (core.Classifier, error) {
+			var err error
+			faulty, err = dnn.NewFaultyClassifier(c, nil)
+			return faulty, err
 		}
 	}
-
-	clock := simclock.NewVirtual(time.Unix(0, 0))
-	dev, err := buildDevice(dcfg, clock, nil)
+	dev, err := buildDevice(dcfg, simclock.NewVirtual(time.Unix(0, 0)), nil)
 	if err != nil {
-		return FaultMatrixRow{}, err
+		return faultRow{}, err
 	}
-	downAt, healAt := frames*2/5, frames*7/10
 
-	row := FaultMatrixRow{Name: sc.Name}
+	rng := rand.New(rand.NewSource(s.Seed))
+	downAt, healAt := s.Frames*2/5, s.Frames*7/10
+	row := faultRow{Name: sc.Name}
 	var sum time.Duration
-	start := clock.Now()
-	for dev.next < len(dev.work.Frames) {
-		// Pin the clock to each frame's arrival so time-based policy
-		// (gate TTLs, the watchdog's breaker cooldown) runs on the
-		// real frame timeline, not the compressed sum of latencies.
-		clock.Set(start.Add(dev.work.Frames[dev.next].Offset))
-		if faulty != nil {
-			switch dev.next {
-			case downAt:
-				faulty.SetDown(true)
-			case healAt:
-				faulty.SetDown(false)
+	err = dev.replay(hooks{
+		pin: true,
+		before: func(i int, in *frameInput) error {
+			if faulty != nil && (i == downAt || i == healAt) {
+				faulty.SetDown(i == downAt)
 			}
-		}
-		res, ok, err := dev.stepResult()
-		if err != nil {
-			if errors.Is(err, core.ErrBadFrame) || errors.Is(err, core.ErrBadIMUWindow) {
+			if i < faultWarmupFrames || i%faultInjectEvery != 0 {
+				return nil
+			}
+			if sc.IMU != 0 {
+				in.win = trace.CorruptIMUWindow(in.win, sc.IMU, rng)
+			}
+			if sc.Frame != 0 {
+				in.im = trace.CorruptFrame(in.im, sc.Frame, rng)
+			}
+			return nil
+		},
+		after: func(_ int, _ *frameInput, res core.Result, err error) error {
+			switch {
+			case errors.Is(err, core.ErrBadFrame) || errors.Is(err, core.ErrBadIMUWindow):
 				row.Rejected++
-				continue
+			case err != nil:
+				return err
+			default:
+				row.Frames++
+				sum += res.Latency
 			}
-			return FaultMatrixRow{}, err
-		}
-		if !ok {
-			break
-		}
-		row.Frames++
-		sum += res.Latency
+			return nil
+		},
+	})
+	if err != nil {
+		return faultRow{}, err
 	}
 	if row.Frames > 0 {
 		row.Mean = sum / time.Duration(row.Frames)
@@ -188,11 +162,11 @@ func RunFaultScenario(sc FaultScenario, frames int, seed int64) (FaultMatrixRow,
 	return row, nil
 }
 
-// RunFaultMatrix runs every scenario at the given size.
-func RunFaultMatrix(scenarios []FaultScenario, frames int, seed int64) ([]FaultMatrixRow, error) {
-	rows := make([]FaultMatrixRow, 0, len(scenarios))
-	for _, sc := range scenarios {
-		row, err := RunFaultScenario(sc, frames, seed)
+// runFaultMatrix runs every scenario at scale s.
+func runFaultMatrix(s Scale) ([]faultRow, error) {
+	rows := make([]faultRow, 0, len(faultScenarios))
+	for _, sc := range faultScenarios {
+		row, err := runFaultScenario(sc, s)
 		if err != nil {
 			return nil, fmt.Errorf("eval: fault scenario %q: %w", sc.Name, err)
 		}
@@ -208,18 +182,12 @@ func RunFaultMatrix(scenarios []FaultScenario, frames int, seed int64) ([]FaultM
 // baseline, the outage row keeps serving (degraded, bounded latency,
 // zero run failures) and recovers after the heal.
 func E19DeviceFaults(s Scale) (Report, error) {
-	if err := s.validate(); err != nil {
-		return Report{}, err
-	}
-	frames := s.Frames
-	if frames < 30 {
-		frames = 30
-	}
+	s.Frames = max(s.Frames, 30)
 	report := Report{
 		ID: "E19",
 		Title: fmt.Sprintf(
 			"Device fault matrix: sensor corruption and DNN outage, guards and watchdog on/off (%d frames, fault every %d frames)",
-			frames, faultInjectEvery),
+			s.Frames, faultInjectEvery),
 		Headers: []string{"scenario", "frames", "rejected", "accuracy", "mean",
 			"sensor-faults", "degraded", "watchdog t/r/tr/rec/ff"},
 		Notes: []string{
@@ -228,7 +196,7 @@ func E19DeviceFaults(s Scale) (Report, error) {
 			"dnn-outage crashes the classifier 40% in and heals it at 70%: the watchdog trips, serves cache-only fallbacks, and recovers on heal",
 		},
 	}
-	rows, err := RunFaultMatrix(DefaultFaultScenarios(), frames, s.Seed)
+	rows, err := runFaultMatrix(s)
 	if err != nil {
 		return Report{}, err
 	}

@@ -11,14 +11,14 @@ import (
 // recovering on heal, and the guard counters are visible per row.
 func TestFaultMatrixAcceptance(t *testing.T) {
 	const frames = 150
-	rows, err := RunFaultMatrix(DefaultFaultScenarios(), frames, 42)
+	rows, err := runFaultMatrix(Scale{Frames: frames, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != len(DefaultFaultScenarios()) {
-		t.Fatalf("got %d rows, want %d", len(rows), len(DefaultFaultScenarios()))
+	if len(rows) != len(faultScenarios) {
+		t.Fatalf("got %d rows, want %d", len(rows), len(faultScenarios))
 	}
-	byName := make(map[string]FaultMatrixRow, len(rows))
+	byName := make(map[string]faultRow, len(rows))
 	for _, r := range rows {
 		if r.Frames+r.Rejected != frames {
 			t.Errorf("%s: %d served + %d rejected ≠ %d frames", r.Name, r.Frames, r.Rejected, frames)
@@ -95,8 +95,8 @@ func TestE19Report(t *testing.T) {
 	if rep.ID != "E19" {
 		t.Fatalf("report ID = %q", rep.ID)
 	}
-	if len(rep.Rows) != len(DefaultFaultScenarios()) {
-		t.Fatalf("report has %d rows, want %d", len(rep.Rows), len(DefaultFaultScenarios()))
+	if len(rep.Rows) != len(faultScenarios) {
+		t.Fatalf("report has %d rows, want %d", len(rep.Rows), len(faultScenarios))
 	}
 	if len(rep.Headers) == 0 || rep.Headers[0] != "scenario" {
 		t.Fatalf("report headers = %v", rep.Headers)
@@ -104,7 +104,7 @@ func TestE19Report(t *testing.T) {
 }
 
 func TestFaultScenarioRejectsTinyRuns(t *testing.T) {
-	if _, err := RunFaultScenario(FaultScenario{Name: "x"}, 10, 1); err == nil {
+	if _, err := runFaultScenario(faultScenario{Name: "x"}, Scale{Frames: 10, Seed: 1}); err == nil {
 		t.Fatal("accepted a 10-frame run")
 	}
 }

@@ -81,7 +81,7 @@ func TestExactRecorderAgainstReference(t *testing.T) {
 // A replayed device's exact recorder and its engine's histogram saw the
 // same frames: exact fields agree, percentiles within one sub-bucket.
 func TestDeviceRecorderMatchesEngineHistogram(t *testing.T) {
-	dev, err := runSingle(DeviceConfig{
+	dev, err := runSingle(deviceConfig{
 		Name: "main", Spec: trace.StationaryHeavy(300, 7), Engine: core.DefaultConfig(), Seed: 7,
 	})
 	if err != nil {

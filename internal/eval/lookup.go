@@ -29,85 +29,38 @@ import (
 // cmd/benchgate's lookup gate: tuned must beat base by a minimum ns/op
 // ratio at equal-or-better recall with zero warm-path allocations.
 
-// LookupConfig shapes the lookup-bound benchmark.
-type LookupConfig struct {
-	// Entries is the resident cache population (default 4096).
-	Entries int
-	// Dim is the feature dimensionality (default 80, matching the
-	// production extractor).
-	Dim int
-	// Clusters is the number of scene clusters the population is drawn
-	// from (default 64): entries within a cluster are near-duplicates,
+// The lookup benchmark's shape.
+const (
+	// lookupDim matches the production extractor.
+	lookupDim = 80
+	// lookupClusters is the number of scene clusters the population is
+	// drawn from: entries within a cluster are near-duplicates,
 	// reproducing the crowded buckets of a high-reuse cache.
-	Clusters int
-	// Queries is the number of distinct query vectors (default 256),
-	// each a small perturbation of a resident entry — the hit-heavy
-	// access pattern.
-	Queries int
-	// K is the kNN width (default 4, the homogenized-vote width).
-	K int
-	// Bits is the per-table signature width (default 12).
-	Bits int
-	// Tables is the BASE table count (default 4); the tuned
-	// configuration runs Tables/2.
-	Tables int
-	// Probes is the tuned configuration's per-table probe count
-	// (default 3 — the ns/op sweet spot on this workload; more probes
-	// buy recall the workload already saturates while flooding the
-	// candidate stage, and the probe sweep in the eval suite shows
-	// recall holds from 2 probes up).
-	Probes int
-	// Reps is how many timed passes over the query set each
-	// configuration gets (default 30).
-	Reps int
-	// ClusterSigma is the per-dimension spread of entries around their
-	// cluster center (default 0.02 — near-duplicate scenes).
-	ClusterSigma float64
-	// QuerySigma is the per-dimension perturbation between a query and
-	// the resident entry it reuses (default 0.01).
-	QuerySigma float64
-	// Seed anchors all randomness.
-	Seed int64
-}
-
-func (c *LookupConfig) defaults() {
-	if c.Entries == 0 {
-		c.Entries = 4096
-	}
-	if c.Dim == 0 {
-		c.Dim = 80
-	}
-	if c.Clusters == 0 {
-		c.Clusters = 64
-	}
-	if c.Queries == 0 {
-		c.Queries = 256
-	}
-	if c.K == 0 {
-		c.K = 4
-	}
-	if c.Bits == 0 {
-		c.Bits = 12
-	}
-	if c.Tables == 0 {
-		c.Tables = 4
-	}
-	if c.Probes == 0 {
-		c.Probes = 3
-	}
-	if c.Reps == 0 {
-		c.Reps = 30
-	}
-	if c.ClusterSigma == 0 {
-		c.ClusterSigma = 0.02
-	}
-	if c.QuerySigma == 0 {
-		c.QuerySigma = 0.01
-	}
-	if c.Seed == 0 {
-		c.Seed = 42
-	}
-}
+	lookupClusters = 64
+	// lookupK is the kNN width, the homogenized-vote width.
+	lookupK = 4
+	// lookupBits is the per-table signature width.
+	lookupBits = 12
+	// lookupTables is the BASE table count; the tuned configuration
+	// runs half as many.
+	lookupTables = 4
+	// lookupProbes is the tuned configuration's per-table probe count:
+	// the ns/op sweet spot on this workload; more probes buy recall the
+	// workload already saturates while flooding the candidate stage, and
+	// recall holds from 2 probes up.
+	lookupProbes = 3
+	// lookupMaxHamming tightens the tuned sketch's Hamming cut below the
+	// conservative default: near-duplicate neighbors land within a
+	// handful of sketch bits, while cross-cluster junk sits near bits/2,
+	// so 16/64 still clears true neighbors by several sigma while
+	// rejecting most of the crowd before any float math.
+	lookupMaxHamming = 16
+	// lookupClusterSigma is the per-dimension spread of entries around
+	// their cluster center (near-duplicate scenes); lookupQuerySigma the
+	// perturbation between a query and the resident entry it reuses.
+	lookupClusterSigma = 0.02
+	lookupQuerySigma   = 0.01
+)
 
 // LookupResult is one index configuration's measurement.
 type LookupResult struct {
@@ -152,76 +105,47 @@ type lookupDataset struct {
 	truth   [][]lsh.ID // exact top-k IDs per query
 }
 
-func buildLookupDataset(cfg LookupConfig) (*lookupDataset, error) {
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	centers := make([]feature.Vector, cfg.Clusters)
+func buildLookupDataset(seed int64, entries, queries int) (*lookupDataset, error) {
+	rng := rand.New(rand.NewSource(seed))
+	centers := make([]feature.Vector, lookupClusters)
 	for c := range centers {
-		centers[c] = make(feature.Vector, cfg.Dim)
+		centers[c] = make(feature.Vector, lookupDim)
 		for d := range centers[c] {
 			centers[c][d] = rng.Float64() // all-positive, like image descriptors
 		}
 	}
-	ds := &lookupDataset{vecs: make([]feature.Vector, cfg.Entries)}
+	ds := &lookupDataset{vecs: make([]feature.Vector, entries)}
 	for i := range ds.vecs {
-		center := centers[i%cfg.Clusters]
-		v := make(feature.Vector, cfg.Dim)
-		for d := range v {
-			v[d] = center[d] + rng.NormFloat64()*cfg.ClusterSigma
-		}
-		ds.vecs[i] = v
+		ds.vecs[i] = jitter(centers[i%lookupClusters], rng, lookupClusterSigma)
 	}
 	// Queries perturb resident entries: the hit-heavy case where the
 	// nearest neighbor is the reused cached result.
-	ds.queries = make([]feature.Vector, cfg.Queries)
+	ds.queries = make([]feature.Vector, queries)
 	for i := range ds.queries {
-		src := ds.vecs[rng.Intn(cfg.Entries)]
-		q := make(feature.Vector, cfg.Dim)
-		for d := range q {
-			q[d] = src[d] + rng.NormFloat64()*cfg.QuerySigma
-		}
-		ds.queries[i] = q
+		ds.queries[i] = jitter(ds.vecs[rng.Intn(entries)], rng, lookupQuerySigma)
 	}
-	exact, err := lsh.NewExact(cfg.Dim)
-	if err != nil {
-		return nil, err
-	}
-	for i, v := range ds.vecs {
-		if err := exact.Insert(lsh.ID(i), v); err != nil {
-			return nil, err
-		}
-	}
-	ds.truth = make([][]lsh.ID, cfg.Queries)
-	for i, q := range ds.queries {
-		nn, err := exact.Nearest(q, cfg.K)
-		if err != nil {
-			return nil, err
-		}
-		ids := make([]lsh.ID, len(nn))
-		for j, n := range nn {
-			ids[j] = n.ID
-		}
-		ds.truth[i] = ids
-	}
-	return ds, nil
+	var err error
+	ds.truth, err = exactTruth(lookupDim, ds.vecs, ds.queries, lookupK)
+	return ds, err
 }
 
 // measureLookup loads ds into idx and measures recall, warm
 // allocations, and mean candidate-set size. Timing happens separately
 // in timeLookupPair so both configurations sample the same machine
 // conditions.
-func measureLookup(cfg LookupConfig, ds *lookupDataset, idx *lsh.HyperplaneIndex) (LookupResult, error) {
+func measureLookup(ds *lookupDataset, idx *lsh.HyperplaneIndex) (LookupResult, error) {
 	for i, v := range ds.vecs {
 		if err := idx.Insert(lsh.ID(i), v); err != nil {
 			return LookupResult{}, err
 		}
 	}
-	buf := make([]lsh.Neighbor, 0, cfg.K)
-	idBuf := make([]lsh.ID, 0, cfg.Entries)
+	buf := make([]lsh.Neighbor, 0, lookupK)
+	idBuf := make([]lsh.ID, 0, len(ds.vecs))
 
 	// Recall + candidate stats (untimed pass).
 	var hits, want, cands int
 	for i, q := range ds.queries {
-		nn, err := idx.NearestInto(q, cfg.K, buf)
+		nn, err := idx.NearestInto(q, lookupK, buf)
 		if err != nil {
 			return LookupResult{}, err
 		}
@@ -245,7 +169,7 @@ func measureLookup(cfg LookupConfig, ds *lookupDataset, idx *lsh.HyperplaneIndex
 	// steady-state lookup must not allocate.
 	q0 := ds.queries[0]
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := idx.NearestInto(q0, cfg.K, buf); err != nil {
+		if _, err := idx.NearestInto(q0, lookupK, buf); err != nil {
 			panic(err)
 		}
 	})
@@ -261,7 +185,7 @@ func measureLookup(cfg LookupConfig, ds *lookupDataset, idx *lsh.HyperplaneIndex
 	}, nil
 }
 
-// timeLookupPair runs the timed passes for both configurations in
+// timeLookupPair runs reps timed passes for both configurations in
 // strict alternation. The per-op figure is the MINIMUM over passes:
 // each pass is hundreds of lookups (long enough to average
 // micro-jitter), and the minimum discards passes inflated by transient
@@ -270,12 +194,12 @@ func measureLookup(cfg LookupConfig, ds *lookupDataset, idx *lsh.HyperplaneIndex
 // guarantees both configurations sample the same windows, so the
 // RATIO — the number the gate enforces — stays stable even when
 // absolute timings wander.
-func timeLookupPair(cfg LookupConfig, ds *lookupDataset, a, b *lsh.HyperplaneIndex) (nsA, nsB float64, err error) {
-	buf := make([]lsh.Neighbor, 0, cfg.K)
+func timeLookupPair(ds *lookupDataset, reps int, a, b *lsh.HyperplaneIndex) (nsA, nsB float64, err error) {
+	buf := make([]lsh.Neighbor, 0, lookupK)
 	pass := func(idx *lsh.HyperplaneIndex) (time.Duration, error) {
 		start := time.Now()
 		for _, q := range ds.queries {
-			if _, err := idx.NearestInto(q, cfg.K, buf); err != nil {
+			if _, err := idx.NearestInto(q, lookupK, buf); err != nil {
 				return 0, err
 			}
 		}
@@ -283,7 +207,7 @@ func timeLookupPair(cfg LookupConfig, ds *lookupDataset, a, b *lsh.HyperplaneInd
 	}
 	const maxDur = time.Duration(1<<63 - 1)
 	bestA, bestB := maxDur, maxDur
-	for rep := 0; rep < cfg.Reps; rep++ {
+	for rep := 0; rep < reps; rep++ {
 		da, err := pass(a)
 		if err != nil {
 			return 0, 0, err
@@ -292,32 +216,26 @@ func timeLookupPair(cfg LookupConfig, ds *lookupDataset, a, b *lsh.HyperplaneInd
 		if err != nil {
 			return 0, 0, err
 		}
-		if da < bestA {
-			bestA = da
-		}
-		if db < bestB {
-			bestB = db
-		}
+		bestA, bestB = min(bestA, da), min(bestB, db)
 	}
 	n := float64(len(ds.queries))
 	return float64(bestA.Nanoseconds()) / n, float64(bestB.Nanoseconds()) / n, nil
 }
 
-// RunLookup measures the base and tuned index configurations over the
-// same dataset and computes the headline speedup.
-func RunLookup(cfg LookupConfig) (LookupReport, error) {
-	cfg.defaults()
-	ds, err := buildLookupDataset(cfg)
+// runLookup measures the base and tuned index configurations over the
+// same dataset and computes the headline speedup: 4 096 entries, 256
+// queries and 30 timed passes, or a quarter-size population, 128
+// queries and 8 passes at a small scale.
+func runLookup(s Scale) (LookupReport, error) {
+	entries, queries, reps := 4096, 256, 30
+	if s.small() {
+		entries, queries, reps = 1024, 128, 8
+	}
+	ds, err := buildLookupDataset(s.Seed, entries, queries)
 	if err != nil {
 		return LookupReport{}, err
 	}
-	rep := LookupReport{
-		Entries: cfg.Entries,
-		Dim:     cfg.Dim,
-		Queries: cfg.Queries,
-		K:       cfg.K,
-		Bits:    cfg.Bits,
-	}
+	rep := LookupReport{Entries: entries, Dim: lookupDim, Queries: queries, K: lookupK, Bits: lookupBits}
 
 	// Both configurations run the production default: uncentered
 	// hyperplanes over all-positive descriptors. Their shared mean
@@ -325,46 +243,34 @@ func RunLookup(cfg LookupConfig) (LookupReport, error) {
 	// cross-cluster junk — exactly the regime the sketch prefilter
 	// exists for (the sketch's zero-sum hyperplanes are immune to the
 	// uniform-offset component that crowds the tables).
-	base, err := lsh.NewHyperplane(cfg.Dim, cfg.Bits, cfg.Tables, cfg.Seed)
+	base, err := lsh.NewHyperplane(lookupDim, lookupBits, lookupTables, s.Seed)
 	if err != nil {
 		return LookupReport{}, err
 	}
-	baseRes, err := measureLookup(cfg, ds, base)
+	baseRes, err := measureLookup(ds, base)
 	if err != nil {
 		return LookupReport{}, fmt.Errorf("base: %w", err)
 	}
 	baseRes.Name = "exact-bucket"
-	rep.Results = append(rep.Results, baseRes)
 
 	tuning := lsh.DefaultTuning()
-	tuning.Probes = cfg.Probes
-	// Tighten the Hamming cut below the conservative default:
-	// near-duplicate neighbors land within a handful of sketch bits,
-	// while cross-cluster junk sits near bits/2, so 16/64 still clears
-	// true neighbors by several sigma while rejecting most of the crowd
-	// before any float math.
-	tuning.MaxHamming = 16
-	tunedTables := cfg.Tables / 2
-	if tunedTables < 1 {
-		tunedTables = 1
-	}
-	tuned, err := lsh.NewHyperplaneTuned(cfg.Dim, cfg.Bits, tunedTables, cfg.Seed, tuning)
+	tuning.Probes = lookupProbes
+	tuning.MaxHamming = lookupMaxHamming
+	tuned, err := lsh.NewHyperplaneTuned(lookupDim, lookupBits, lookupTables/2, s.Seed, tuning)
 	if err != nil {
 		return LookupReport{}, err
 	}
-	tunedRes, err := measureLookup(cfg, ds, tuned)
+	tunedRes, err := measureLookup(ds, tuned)
 	if err != nil {
 		return LookupReport{}, fmt.Errorf("tuned: %w", err)
 	}
 	tunedRes.Name = "multiprobe-sketch"
 
-	baseRes.NsPerOp, tunedRes.NsPerOp, err = timeLookupPair(cfg, ds, base, tuned)
+	baseRes.NsPerOp, tunedRes.NsPerOp, err = timeLookupPair(ds, reps, base, tuned)
 	if err != nil {
 		return LookupReport{}, err
 	}
-	rep.Results[0] = baseRes
-	rep.Results = append(rep.Results, tunedRes)
-
+	rep.Results = []LookupResult{baseRes, tunedRes}
 	if tunedRes.NsPerOp > 0 {
 		rep.Speedup = baseRes.NsPerOp / tunedRes.NsPerOp
 	}
@@ -375,16 +281,8 @@ func RunLookup(cfg LookupConfig) (LookupReport, error) {
 
 // E22Lookup is the lookup-bound experiment: the before/after table for
 // the multi-probe + sketch candidate pipeline.
-func E22Lookup(scale Scale) (Report, error) {
-	cfg := LookupConfig{Seed: scale.Seed}
-	if scale.Frames < DefaultScale().Frames {
-		// Small scale: a quarter-size population, same pipeline shapes.
-		cfg.Entries = 1024
-		cfg.Queries = 128
-		cfg.Reps = 8
-	}
-	cfg.defaults() // so the notes below report the effective shape
-	rep, err := RunLookup(cfg)
+func E22Lookup(s Scale) (Report, error) {
+	rep, err := runLookup(s)
 	if err != nil {
 		return Report{}, err
 	}
@@ -408,7 +306,7 @@ func E22Lookup(scale Scale) (Report, error) {
 	}
 	out.Notes = append(out.Notes,
 		fmt.Sprintf("%d entries (%d clusters) × %d hit-heavy queries, dim %d, k=%d",
-			rep.Entries, cfg.Clusters, rep.Queries, rep.Dim, rep.K),
+			rep.Entries, lookupClusters, rep.Queries, rep.Dim, rep.K),
 		fmt.Sprintf("speedup tuned vs base: %.2fx at recall %.3f vs %.3f",
 			rep.Speedup, rep.RecallTuned, rep.RecallBase),
 	)

@@ -8,12 +8,8 @@ import (
 	"time"
 
 	"approxcache/internal/admission"
-	"approxcache/internal/cachestore"
-	"approxcache/internal/core"
 	"approxcache/internal/dnn"
-	"approxcache/internal/lsh"
 	"approxcache/internal/metrics"
-	"approxcache/internal/simclock"
 	"approxcache/internal/vision"
 )
 
@@ -38,108 +34,35 @@ import (
 //     queue. Excess load piles up; every queued frame completes
 //     eventually but long after its answer stopped being useful.
 //
-// The regression gate (cmd/benchgate -overload-json) enforces that the
-// resilient node retains its goodput at the highest load multiplier:
-// goodput@4× ≥ 0.85 × peak goodput across the sweep.
+// The regression gate (cmd/benchgate) enforces that the resilient node
+// retains its goodput at the highest load multiplier: goodput@4× ≥
+// 0.85 × peak goodput across the sweep.
 
 // Overload mode names, in report order.
 const (
 	OverloadResilient   = "resilient"
-	OverloadUnprotected = "unprotected"
+	overloadUnprotected = "unprotected"
 )
 
-// OverloadModes lists the benchmark's node configurations.
-func OverloadModes() []string {
-	return []string{OverloadResilient, OverloadUnprotected}
-}
+const (
+	// overloadDeadline is the per-request budget; the resilient node
+	// enforces it, and the harness judges BOTH nodes' completions
+	// against it.
+	overloadDeadline = 80 * time.Millisecond
+	// overloadSlowdown converts simulated inference latency to real
+	// accelerator occupancy (1/5 — slower than E20's 1/15, so capacity
+	// is low enough for the generator to comfortably outrun it).
+	overloadSlowdown = 5
+)
 
-// OverloadConfig shapes the overload benchmark.
-type OverloadConfig struct {
-	// Sessions is the serving pool size (default 8).
-	Sessions int
-	// Loads are the offered-load multipliers of measured capacity
-	// (default 0.5, 1, 2, 4).
-	Loads []float64
-	// Window is how long each load point offers traffic (default 700ms).
-	Window time.Duration
-	// Deadline is the per-request budget; the resilient node enforces
-	// it, and the harness judges BOTH nodes' completions against it
-	// (default 80ms).
-	Deadline time.Duration
-	// Scale converts simulated inference latency to real accelerator
-	// occupancy (default 1/5 — slower than E20's 1/15, so capacity is
-	// low enough for the generator to comfortably outrun it).
-	Scale float64
-	// Classes is the synthetic vocabulary size (default 24).
-	Classes int
-	// Capacity is the node's cache capacity (default 512).
-	Capacity int
-	// Seed anchors all randomness.
-	Seed int64
-	// Profile is the model profile (default MobileNetV2).
-	Profile dnn.Profile
-	// Batcher is the micro-batching policy (default: 4 frames or 2ms;
-	// the unprotected mode removes its pending bound).
-	Batcher dnn.BatcherConfig
-	// Admission is the resilient node's limiter policy (default
-	// admission.DefaultConfig).
-	Admission admission.Config
-	// MaxReuseStreak bounds reuse before forced revalidation (default
-	// 2, keeping the DNN fallback hot under load).
-	MaxReuseStreak int
-	// Calibration is the closed-loop capacity measurement duration
-	// (default 250ms).
-	Calibration time.Duration
-	// DrainTimeout bounds how long a load point waits for stragglers
-	// after the offered window closes; requests still in flight past it
-	// are counted unfinished (default 2s).
-	DrainTimeout time.Duration
-}
-
-func (c *OverloadConfig) defaults() {
-	if c.Sessions == 0 {
-		c.Sessions = 8
-	}
-	if len(c.Loads) == 0 {
-		c.Loads = []float64{0.5, 1, 2, 4}
-	}
-	if c.Window == 0 {
-		c.Window = 700 * time.Millisecond
-	}
-	if c.Deadline == 0 {
-		c.Deadline = 80 * time.Millisecond
-	}
-	if c.Scale == 0 {
-		c.Scale = 1.0 / 5
-	}
-	if c.Classes == 0 {
-		c.Classes = 24
-	}
-	if c.Capacity == 0 {
-		c.Capacity = 512
-	}
-	if c.Seed == 0 {
-		c.Seed = 42
-	}
-	if c.Profile.Name == "" {
-		c.Profile = dnn.MobileNetV2
-	}
-	if c.Batcher.MaxBatch == 0 {
-		c.Batcher = dnn.BatcherConfig{MaxBatch: 4, MaxWait: 2 * time.Millisecond}
-	}
-	if !c.Admission.Enabled {
-		c.Admission = admission.DefaultConfig()
-	}
-	if c.MaxReuseStreak == 0 {
-		c.MaxReuseStreak = 2
-	}
-	if c.Calibration == 0 {
-		c.Calibration = 250 * time.Millisecond
-	}
-	if c.DrainTimeout == 0 {
-		c.DrainTimeout = 2 * time.Second
-	}
-}
+var (
+	// overloadLoads are the offered-load multipliers of measured
+	// capacity.
+	overloadLoads = []float64{0.5, 1, 2, 4}
+	// overloadBatcher is the micro-batching policy; the unprotected
+	// mode removes its pending bound.
+	overloadBatcher = dnn.BatcherConfig{MaxBatch: 4, MaxWait: 2 * time.Millisecond}
+)
 
 // OverloadPoint is one (mode, load multiplier) measurement.
 type OverloadPoint struct {
@@ -192,126 +115,107 @@ type OverloadReport struct {
 	UnprotectedP99MS float64 `json:"unprotected_p99_ms"`
 }
 
-// overloadNode is one freshly built serving node (every load point
-// gets its own, so backlog from one point cannot pollute the next).
-type overloadNode struct {
-	pool    *core.Pool
-	batcher *dnn.Batcher
-	store   *cachestore.Store
+// overloadSweep is one E21 run: the request population every node
+// serves and the sweep's size, which the scale picks.
+type overloadSweep struct {
+	seed    int64
+	classes *vision.ClassSet
+	// images are three perturbed variants per class, cycled by the
+	// generator; klass[i] is images[i]'s class. Rendering is pure CPU
+	// cost that must not pollute the serving measurement.
+	images []*vision.Image
+	klass  []int
+	// sessions is the serving pool size; each load point offers
+	// traffic for window after a calibration-long capacity measurement,
+	// and waits at most drain for stragglers (requests still in flight
+	// past it are counted unfinished).
+	sessions                   int
+	window, calibration, drain time.Duration
 }
 
-func (n *overloadNode) close() {
-	if n.batcher != nil {
-		n.batcher.Close()
+func newOverloadSweep(s Scale) (*overloadSweep, error) {
+	sw := &overloadSweep{seed: s.Seed, sessions: 8,
+		window: 700 * time.Millisecond, calibration: 250 * time.Millisecond, drain: 2 * time.Second}
+	if s.small() {
+		sw.sessions, sw.window, sw.calibration, sw.drain = 4, 250*time.Millisecond, 150*time.Millisecond, time.Second
 	}
+	var err error
+	if sw.classes, err = vision.NewClassSet(servingClasses, 48, 48, s.Seed); err != nil {
+		return nil, err
+	}
+	rng := rand.New(rand.NewSource(s.Seed))
+	for i := 0; i < 3*servingClasses; i++ {
+		c := i % servingClasses
+		im, err := sw.classes.Render(c, vision.DefaultPerturbation(), rng)
+		if err != nil {
+			return nil, fmt.Errorf("render image %d: %w", i, err)
+		}
+		sw.images = append(sw.images, im)
+		sw.klass = append(sw.klass, c)
+	}
+	return sw, nil
 }
 
-// buildOverloadNode assembles a micro-batched serving pool over one
-// store.
-// The resilient mode adds request deadlines, admission control, and
-// the batcher's pending bound; the unprotected mode strips all three.
-func buildOverloadNode(cfg OverloadConfig, mode string, classifier *dnn.Classifier) (*overloadNode, error) {
-	ecfg := throughputEngineConfig(cfg.MaxReuseStreak)
-	bcfg := cfg.Batcher
+// node builds a fresh micro-batched serving node (every load point gets
+// its own, so backlog from one point cannot pollute the next) and warms
+// its cache with one entry per request image, bypassing the engine: a
+// cold cache would make every load point start with a miss flood that
+// measures warm-up, not overload behavior. The entries carry the true
+// labels — exactly what a prior serving epoch would have cached. The
+// resilient mode adds request deadlines, admission control, and the
+// batcher's pending bound; the unprotected mode strips all three.
+func (sw *overloadSweep) node(mode string) (*device, *dnn.Batcher, error) {
+	ecfg := servingEngineConfig()
+	bcfg := overloadBatcher
 	switch mode {
 	case OverloadResilient:
-		ecfg.RequestDeadline = cfg.Deadline
-		ecfg.Admission = cfg.Admission
-	case OverloadUnprotected:
+		ecfg.RequestDeadline = overloadDeadline
+		ecfg.Admission = admission.DefaultConfig()
+	case overloadUnprotected:
 		bcfg.MaxPending = -1
 	default:
-		return nil, fmt.Errorf("eval: unknown overload mode %q", mode)
+		return nil, nil, fmt.Errorf("eval: unknown overload mode %q", mode)
 	}
-	clock := simclock.NewVirtual(time.Unix(0, 0))
-	idx, err := lsh.NewHyperplane(ecfg.Extractor.Dim(), 12, 4, cfg.Seed)
+	node, batcher, err := servingNode(sw.classes, sw.sessions, ecfg, overloadSlowdown, bcfg, sw.seed)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	store, err := cachestore.New(cachestore.Config{Capacity: cfg.Capacity}, idx, clock)
-	if err != nil {
-		return nil, err
-	}
-	model := &occupiedModel{inner: classifier, scale: cfg.Scale}
-	batcher, err := dnn.NewBatcher(bcfg, model)
-	if err != nil {
-		return nil, err
-	}
-	pool, err := core.NewPool(cfg.Sessions, ecfg, core.Deps{
-		Clock: clock, Classifier: batcher, Store: store,
-	})
-	if err != nil {
-		batcher.Close()
-		return nil, err
-	}
-	return &overloadNode{pool: pool, batcher: batcher, store: store}, nil
-}
-
-// renderOverloadImages pre-renders the request population: three
-// perturbed variants per class, cycled by the generator. Rendering is
-// pure CPU cost that must not pollute the serving measurement.
-func renderOverloadImages(cfg OverloadConfig, classes *vision.ClassSet) ([]*vision.Image, []int, error) {
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	n := 3 * cfg.Classes
-	images := make([]*vision.Image, n)
-	klass := make([]int, n)
-	for i := range images {
-		c := i % cfg.Classes
-		im, err := classes.Render(c, vision.DefaultPerturbation(), rng)
+	for i, im := range sw.images {
+		vec, err := ecfg.Extractor.Extract(im)
+		if err == nil {
+			_, err = node.store.Insert(vec, dnn.LabelOf(sw.klass[i]), 0.9, "dnn", dnn.MobileNetV2.MeanLatency)
+		}
 		if err != nil {
-			return nil, nil, fmt.Errorf("render image %d: %w", i, err)
-		}
-		images[i] = im
-		klass[i] = c
-	}
-	return images, klass, nil
-}
-
-// warmStore seeds a node's cache with one entry per request image,
-// bypassing the engine: a cold cache would make every load point start
-// with a miss flood that measures warm-up, not overload behavior. The
-// entries carry the true labels — exactly what a prior serving epoch
-// would have cached.
-func warmStore(cfg OverloadConfig, node *overloadNode, images []*vision.Image, klass []int) error {
-	ex := throughputEngineConfig(cfg.MaxReuseStreak).Extractor
-	for i, im := range images {
-		vec, err := ex.Extract(im)
-		if err != nil {
-			return err
-		}
-		if _, err := node.store.Insert(vec, dnn.LabelOf(klass[i]), 0.9, "dnn",
-			cfg.Profile.MeanLatency); err != nil {
-			return err
+			batcher.Close()
+			return nil, nil, err
 		}
 	}
-	return nil
+	return node, batcher, nil
 }
 
-// calibrateCapacity measures the node's sustainable service rate with
-// a CLOSED loop: cfg.Sessions streams each driving frames back to
-// back, so the node is busy but never backlogged. The open-loop sweep
-// offers multiples of this rate.
-func calibrateCapacity(cfg OverloadConfig, classifier *dnn.Classifier, images []*vision.Image, klass []int) (float64, error) {
-	node, err := buildOverloadNode(cfg, OverloadUnprotected, classifier)
+// calibrate measures the node's sustainable service rate with a CLOSED
+// loop: every session drives frames back to back, so the node is busy
+// but never backlogged. The open-loop sweep offers multiples of this
+// rate.
+func (sw *overloadSweep) calibrate() (float64, error) {
+	node, batcher, err := sw.node(overloadUnprotected)
 	if err != nil {
 		return 0, err
 	}
-	defer node.close()
-	if err := warmStore(cfg, node, images, klass); err != nil {
-		return 0, err
-	}
+	defer batcher.Close()
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	done := 0
 	start := time.Now()
-	until := start.Add(cfg.Calibration)
-	for s := 0; s < cfg.Sessions; s++ {
+	until := start.Add(sw.calibration)
+	for s := 0; s < sw.sessions; s++ {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
 			eng := node.pool.Session(s)
 			n := 0
 			for i := 0; time.Now().Before(until); i++ {
-				if _, err := eng.Process(images[(s*31+i)%len(images)], nil); err == nil {
+				if _, err := eng.Process(sw.images[(s*31+i)%len(sw.images)], nil); err == nil {
 					n++
 				}
 			}
@@ -335,20 +239,14 @@ type overloadOutcome struct {
 	err     error
 }
 
-// runOverloadPoint offers load×capacity req/s to a fresh node for one
-// window and scores every completion against the deadline.
-func runOverloadPoint(cfg OverloadConfig, mode string, load, capacity float64,
-	classifier *dnn.Classifier, images []*vision.Image, klass []int) (OverloadPoint, error) {
-	node, err := buildOverloadNode(cfg, mode, classifier)
+// point offers load×capacity req/s to a fresh node for one window and
+// scores every completion against the deadline.
+func (sw *overloadSweep) point(mode string, load, capacity float64) (OverloadPoint, error) {
+	node, batcher, err := sw.node(mode)
 	if err != nil {
 		return OverloadPoint{}, err
 	}
-	if err := warmStore(cfg, node, images, klass); err != nil {
-		node.close()
-		return OverloadPoint{}, err
-	}
-	rate := load * capacity
-	interval := time.Duration(float64(time.Second) / rate)
+	interval := time.Duration(float64(time.Second) / (load * capacity))
 
 	var mu sync.Mutex
 	var outcomes []overloadOutcome
@@ -356,7 +254,7 @@ func runOverloadPoint(cfg OverloadConfig, mode string, load, capacity float64,
 	offered := 0
 	start := time.Now()
 	next := start
-	for time.Since(start) < cfg.Window {
+	for time.Since(start) < sw.window {
 		if d := time.Until(next); d > 0 {
 			time.Sleep(d)
 		}
@@ -369,8 +267,7 @@ func runOverloadPoint(cfg OverloadConfig, mode string, load, capacity float64,
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			eng := node.pool.Session(i % cfg.Sessions)
-			res, perr := eng.Process(images[i%len(images)], nil)
+			res, perr := node.pool.Session(i%sw.sessions).Process(sw.images[i%len(sw.images)], nil)
 			o := overloadOutcome{latency: time.Since(t0), source: res.Source, err: perr}
 			mu.Lock()
 			outcomes = append(outcomes, o)
@@ -384,16 +281,11 @@ func runOverloadPoint(cfg OverloadConfig, mode string, load, capacity float64,
 	// finish in the background against this point's private node.
 	drained := make(chan struct{})
 	go func() { wg.Wait(); close(drained) }()
-	timedOut := false
 	select {
 	case <-drained:
-	case <-time.After(cfg.DrainTimeout):
-		timedOut = true
-	}
-	if timedOut {
-		go func() { <-drained; node.close() }()
-	} else {
-		node.close()
+		batcher.Close()
+	case <-time.After(sw.drain):
+		go func() { <-drained; batcher.Close() }()
 	}
 
 	mu.Lock()
@@ -419,7 +311,7 @@ func runOverloadPoint(cfg OverloadConfig, mode string, load, capacity float64,
 			lats = append(lats, o.latency)
 		default:
 			lats = append(lats, o.latency)
-			if o.latency <= cfg.Deadline {
+			if o.latency <= overloadDeadline {
 				pt.Good++
 			}
 		}
@@ -433,65 +325,44 @@ func runOverloadPoint(cfg OverloadConfig, mode string, load, capacity float64,
 		pt.BrownoutLevel = snap.Level.String()
 		pt.BrownoutRaised = snap.Transitions
 	}
-	bs := node.batcher.Stats()
+	bs := batcher.Stats()
 	pt.ExpiredDrops = bs.ExpiredDrops
 	pt.QueueOverflows = bs.Overflows
 	return pt, nil
 }
 
-// durPctMS returns the p-th percentile of sorted latencies, in ms.
-func durPctMS(sorted []time.Duration, p float64) float64 {
-	return float64(nearestRank(sorted, p)) / float64(time.Millisecond)
-}
-
-// RunOverload measures both node configurations across the load sweep
-// and computes the headline retention number.
-func RunOverload(cfg OverloadConfig) (OverloadReport, error) {
-	cfg.defaults()
-	classes, err := vision.NewClassSet(cfg.Classes, 48, 48, cfg.Seed)
+// runOverload measures both node configurations across the load sweep
+// at scale s and computes the headline retention number.
+func runOverload(s Scale) (OverloadReport, error) {
+	sw, err := newOverloadSweep(s)
 	if err != nil {
 		return OverloadReport{}, err
 	}
-	images, klass, err := renderOverloadImages(cfg, classes)
-	if err != nil {
-		return OverloadReport{}, err
-	}
-	classifier, err := dnn.NewClassifier(cfg.Profile, classes, cfg.Seed)
-	if err != nil {
-		return OverloadReport{}, err
-	}
-	capacity, err := calibrateCapacity(cfg, classifier, images, klass)
+	capacity, err := sw.calibrate()
 	if err != nil {
 		return OverloadReport{}, err
 	}
 	rep := OverloadReport{
-		Sessions:    cfg.Sessions,
-		DeadlineMS:  float64(cfg.Deadline) / float64(time.Millisecond),
-		WindowMS:    float64(cfg.Window) / float64(time.Millisecond),
+		Sessions:    sw.sessions,
+		DeadlineMS:  float64(overloadDeadline) / float64(time.Millisecond),
+		WindowMS:    float64(sw.window) / float64(time.Millisecond),
 		CapacityRPS: capacity,
 	}
-	maxLoad := cfg.Loads[0]
-	for _, l := range cfg.Loads {
-		if l > maxLoad {
-			maxLoad = l
-		}
-	}
-	for _, mode := range OverloadModes() {
-		for _, load := range cfg.Loads {
-			pt, err := runOverloadPoint(cfg, mode, load, capacity, classifier, images, klass)
+	maxLoad := overloadLoads[len(overloadLoads)-1]
+	for _, mode := range []string{OverloadResilient, overloadUnprotected} {
+		for _, load := range overloadLoads {
+			pt, err := sw.point(mode, load, capacity)
 			if err != nil {
 				return OverloadReport{}, fmt.Errorf("%s ×%g: %w", mode, load, err)
 			}
 			rep.Points = append(rep.Points, pt)
 			if mode == OverloadResilient {
-				if pt.GoodputRPS > rep.PeakGoodput {
-					rep.PeakGoodput = pt.GoodputRPS
-				}
-				if pt.Load == maxLoad {
+				rep.PeakGoodput = max(rep.PeakGoodput, pt.GoodputRPS)
+				if load == maxLoad {
 					rep.GoodputAtMax = pt.GoodputRPS
 					rep.ResilientP99MS = pt.P99MS
 				}
-			} else if pt.Load == maxLoad {
+			} else if load == maxLoad {
 				rep.UnprotectedP99MS = pt.P99MS
 			}
 		}
@@ -503,16 +374,10 @@ func RunOverload(cfg OverloadConfig) (OverloadReport, error) {
 }
 
 // E21Overload is the overload-resilience experiment: the open-loop
-// load sweep over both node configurations at a test-friendly size.
-func E21Overload(scale Scale) (Report, error) {
-	cfg := OverloadConfig{Seed: scale.Seed}
-	if scale.Frames < DefaultScale().Frames {
-		cfg.Sessions = 4
-		cfg.Window = 250 * time.Millisecond
-		cfg.Calibration = 150 * time.Millisecond
-		cfg.DrainTimeout = time.Second
-	}
-	rep, err := RunOverload(cfg)
+// load sweep over both node configurations, at a test-friendly size
+// when scaled down.
+func E21Overload(s Scale) (Report, error) {
+	rep, err := runOverload(s)
 	if err != nil {
 		return Report{}, err
 	}

@@ -6,27 +6,9 @@ import (
 	"time"
 )
 
-func TestOverloadDefaults(t *testing.T) {
-	var cfg OverloadConfig
-	cfg.defaults()
-	if cfg.Sessions != 8 || len(cfg.Loads) != 4 || cfg.Loads[3] != 4 {
-		t.Fatalf("defaults = %+v", cfg)
-	}
-	if cfg.Deadline != 80*time.Millisecond || cfg.Window != 700*time.Millisecond {
-		t.Fatalf("defaults = %+v", cfg)
-	}
-	if !cfg.Admission.Enabled {
-		t.Fatal("defaults left admission disabled")
-	}
-	if cfg.Batcher.MaxBatch != 4 {
-		t.Fatalf("batcher defaults = %+v", cfg.Batcher)
-	}
-}
-
 func TestOverloadUnknownMode(t *testing.T) {
-	var cfg OverloadConfig
-	cfg.defaults()
-	if _, err := buildOverloadNode(cfg, "warp-drive", nil); err == nil {
+	var sw overloadSweep
+	if _, _, err := sw.node("warp-drive"); err == nil {
 		t.Fatal("unknown mode accepted")
 	}
 }
@@ -55,7 +37,7 @@ func TestE21Small(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := 2 * 4; len(rep.Rows) != want {
+	if want := 2 * len(overloadLoads); len(rep.Rows) != want {
 		t.Fatalf("%d rows, want %d", len(rep.Rows), want)
 	}
 	var foundRetention bool
@@ -68,7 +50,7 @@ func TestE21Small(t *testing.T) {
 		t.Fatalf("notes missing retention: %v", rep.Notes)
 	}
 	for _, row := range rep.Rows {
-		if row[0] != OverloadResilient && row[0] != OverloadUnprotected {
+		if row[0] != OverloadResilient && row[0] != overloadUnprotected {
 			t.Fatalf("unknown mode in row: %v", row)
 		}
 	}

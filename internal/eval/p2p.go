@@ -32,81 +32,30 @@ const (
 	legacyHitRate       = 1.0
 )
 
-// P2PConfig parameterizes the bandwidth-constrained peer benchmark.
-type P2PConfig struct {
-	// Nodes is how many peer services populate the mesh.
-	Nodes int
-	// Sessions is how many pool sessions observe each scene frame:
+// The E25 workload's shape.
+const (
+	// p2pNodes is how many peer services populate the mesh.
+	p2pNodes = 4
+	// p2pSessions is how many pool sessions observe each scene frame:
 	// they issue the identical query vector, which is exactly the
 	// duplicate traffic coalescing exists to absorb.
-	Sessions int
-	// Frames is the scene-frame count per run.
-	Frames int
-	// Dim is the feature dimension.
-	Dim int
-	// PerNode is the warm cache entries per peer.
-	PerNode int
-	// GossipEvery inserts (and gossips) one fresh result every N
-	// frames.
-	GossipEvery int
-	// DigestEvery refreshes every peer's coverage digest every N
-	// frames.
-	DigestEvery int
-	// BandwidthsMBps is the link-bandwidth sweep, most constrained
-	// first.
-	BandwidthsMBps []float64
-	// Seed drives all randomness.
-	Seed int64
-}
+	p2pSessions = 3
+	// p2pFrames is the scene-frame count per run (Scale.Frames when
+	// that is smaller).
+	p2pFrames = 400
+	p2pDim    = 32
+	// p2pPerNode is the warm cache entries per peer.
+	p2pPerNode = 48
+	// p2pGossipEvery inserts (and gossips) one fresh result every N
+	// frames; p2pDigestEvery refreshes every peer's coverage digest
+	// every N frames.
+	p2pGossipEvery = 4
+	p2pDigestEvery = 50
+)
 
-func (c *P2PConfig) defaults() {
-	if c.Nodes == 0 {
-		c.Nodes = 4
-	}
-	if c.Sessions == 0 {
-		c.Sessions = 3
-	}
-	if c.Frames == 0 {
-		c.Frames = 400
-	}
-	if c.Dim == 0 {
-		c.Dim = 32
-	}
-	if c.PerNode == 0 {
-		c.PerNode = 48
-	}
-	if c.GossipEvery == 0 {
-		c.GossipEvery = 4
-	}
-	if c.DigestEvery == 0 {
-		c.DigestEvery = 50
-	}
-	if len(c.BandwidthsMBps) == 0 {
-		c.BandwidthsMBps = []float64{0.5, 1, 3}
-	}
-	if c.Seed == 0 {
-		c.Seed = 42
-	}
-}
-
-// Validate reports whether the configuration is usable.
-func (c P2PConfig) Validate() error {
-	if c.Nodes < 2 {
-		return fmt.Errorf("eval: p2p needs >= 2 nodes, got %d", c.Nodes)
-	}
-	if c.Sessions < 1 || c.Frames < 1 || c.Dim < 1 || c.PerNode < 1 {
-		return fmt.Errorf("eval: p2p sessions/frames/dim/per-node must be positive")
-	}
-	if c.GossipEvery < 1 || c.DigestEvery < 1 {
-		return fmt.Errorf("eval: p2p gossip/digest intervals must be positive")
-	}
-	for _, bw := range c.BandwidthsMBps {
-		if bw <= 0 {
-			return fmt.Errorf("eval: p2p bandwidth must be positive, got %v", bw)
-		}
-	}
-	return nil
-}
+// p2pBandwidths is the link-bandwidth sweep in MB/s, most constrained
+// first.
+var p2pBandwidths = []float64{0.5, 1, 3}
 
 // P2PResult is the measurements at one bandwidth.
 type P2PResult struct {
@@ -153,25 +102,56 @@ type P2PReport struct {
 	HitCompact      float64 `json:"hit_compact"`
 }
 
+// peerFleet registers n warm peers on net, named peer-0 … peer-(n-1).
+// Peer i is an exact-index store of the given capacity, pre-filled with
+// perNode unit-length perturbations (σ sigma) of the vector scene(i)
+// returns under its label, behind a p2p service.
+func peerFleet(net *simnet.Network, clock simclock.Clock, n, capacity, perNode int, sigma float64, rng *rand.Rand,
+	scene func(i int) (feature.Vector, string)) ([]string, []*p2p.Service, error) {
+	names := make([]string, n)
+	services := make([]*p2p.Service, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("peer-%d", i)
+		center, label := scene(i)
+		idx, err := lsh.NewExact(len(center))
+		if err != nil {
+			return nil, nil, err
+		}
+		st, err := cachestore.New(cachestore.Config{Capacity: capacity}, idx, clock)
+		if err != nil {
+			return nil, nil, err
+		}
+		for j := 0; j < perNode; j++ {
+			if _, err := st.Insert(perturb(center, rng, sigma), label, 0.9, "dnn", time.Millisecond); err != nil {
+				return nil, nil, err
+			}
+		}
+		if services[i], err = p2p.NewService(p2p.DefaultServiceConfig(names[i]), st); err != nil {
+			return nil, nil, err
+		}
+		if err := p2p.RegisterService(net, services[i]); err != nil {
+			return nil, nil, err
+		}
+	}
+	return names, services, nil
+}
+
 // p2pWorkload is the pre-generated deterministic workload every
 // bandwidth replays: per-frame query vectors (shared by all sessions of
-// a frame)
-// and the gossip stream.
+// a frame) and the gossip stream.
 type p2pWorkload struct {
 	queries    []feature.Vector
 	gossipVecs []feature.Vector
 	gossipLbls []string
 }
 
-func buildP2PWorkload(cfg P2PConfig, centers []feature.Vector, rng *rand.Rand) p2pWorkload {
+func buildP2PWorkload(frames int, centers []feature.Vector, rng *rand.Rand) p2pWorkload {
 	var w p2pWorkload
-	w.queries = make([]feature.Vector, cfg.Frames)
-	for f := 0; f < cfg.Frames; f++ {
-		node := rng.Intn(cfg.Nodes)
-		v := perturb(centers[node], rng, 0.02)
-		w.queries[f] = v
-		if (f+1)%cfg.GossipEvery == 0 {
-			g := rng.Intn(cfg.Nodes)
+	w.queries = make([]feature.Vector, frames)
+	for f := 0; f < frames; f++ {
+		w.queries[f] = perturb(centers[rng.Intn(p2pNodes)], rng, 0.02)
+		if (f+1)%p2pGossipEvery == 0 {
+			g := rng.Intn(p2pNodes)
 			w.gossipVecs = append(w.gossipVecs, perturb(centers[g], rng, 0.02))
 			w.gossipLbls = append(w.gossipLbls, fmt.Sprintf("class-%d", g))
 		}
@@ -179,54 +159,21 @@ func buildP2PWorkload(cfg P2PConfig, centers []feature.Vector, rng *rand.Rand) p
 	return w
 }
 
-func perturb(center feature.Vector, rng *rand.Rand, sigma float64) feature.Vector {
-	v := center.Clone()
-	for d := range v {
-		v[d] += rng.NormFloat64() * sigma
-	}
-	v.Normalize()
-	return v
-}
-
-// runP2P replays the workload on a fresh deterministic network.
-func runP2P(cfg P2PConfig, bwMBps float64, centers []feature.Vector, w p2pWorkload) (P2PResult, error) {
+// runP2PAt replays the workload on a fresh deterministic network at
+// one bandwidth.
+func runP2PAt(seed int64, bwMBps float64, centers []feature.Vector, w p2pWorkload) (P2PResult, error) {
 	var res P2PResult
 	link := simnet.LinkProfile{
 		Latency:      6 * time.Millisecond,
 		BandwidthBps: int64(bwMBps * (1 << 20)),
 	}
-	net, err := simnet.New(link, cfg.Seed)
+	net, err := simnet.New(link, seed)
 	if err != nil {
 		return res, err
 	}
 	clock := simclock.NewVirtual(time.Unix(0, 0))
-	rng := rand.New(rand.NewSource(cfg.Seed + 1))
-	names := make([]string, cfg.Nodes)
-	for i := 0; i < cfg.Nodes; i++ {
-		names[i] = fmt.Sprintf("peer-%d", i)
-		idx, err := lsh.NewExact(cfg.Dim)
-		if err != nil {
-			return res, err
-		}
-		st, err := cachestore.New(cachestore.Config{Capacity: 4 * cfg.PerNode}, idx, clock)
-		if err != nil {
-			return res, err
-		}
-		for j := 0; j < cfg.PerNode; j++ {
-			v := perturb(centers[i], rng, 0.02)
-			if _, err := st.Insert(v, fmt.Sprintf("class-%d", i), 0.9, "dnn", time.Millisecond); err != nil {
-				return res, err
-			}
-		}
-		svc, err := p2p.NewService(p2p.DefaultServiceConfig(names[i]), st)
-		if err != nil {
-			return res, err
-		}
-		if err := p2p.RegisterService(net, svc); err != nil {
-			return res, err
-		}
-	}
-	tr, err := p2p.NewSimnetTransport("main", net)
+	names, _, err := peerFleet(net, clock, p2pNodes, 4*p2pPerNode, p2pPerNode, 0.02, rand.New(rand.NewSource(seed+1)),
+		func(i int) (feature.Vector, string) { return centers[i], fmt.Sprintf("class-%d", i) })
 	if err != nil {
 		return res, err
 	}
@@ -235,7 +182,7 @@ func runP2P(cfg P2PConfig, bwMBps float64, centers []feature.Vector, w p2pWorklo
 	ccfg.CoalesceTTL = 150 * time.Millisecond
 	ccfg.GossipBatch = 8
 	ccfg.GossipFlush = 500 * time.Millisecond
-	client, err := p2p.NewClient(ccfg, tr)
+	client, err := dial("main", net, ccfg)
 	if err != nil {
 		return res, err
 	}
@@ -250,15 +197,15 @@ func runP2P(cfg P2PConfig, bwMBps float64, centers []feature.Vector, w p2pWorklo
 		}
 	}
 
-	sessionFrames := cfg.Frames * cfg.Sessions
+	frames := len(w.queries)
+	sessionFrames := frames * p2pSessions
 	costs := make([]time.Duration, 0, sessionFrames)
 	hits := 0
 	gossipIdx := 0
-	for f := 0; f < cfg.Frames; f++ {
+	for f := 0; f < frames; f++ {
 		clock.Advance(33 * time.Millisecond)
-		vec := w.queries[f]
-		for s := 0; s < cfg.Sessions; s++ {
-			out, err := client.QueryFrame(vec, 0)
+		for s := 0; s < p2pSessions; s++ {
+			out, err := client.QueryFrame(w.queries[f], 0)
 			if err != nil {
 				return res, err
 			}
@@ -267,13 +214,13 @@ func runP2P(cfg P2PConfig, bwMBps float64, centers []feature.Vector, w p2pWorklo
 			}
 			costs = append(costs, out.Cost)
 		}
-		if (f+1)%cfg.GossipEvery == 0 && gossipIdx < len(w.gossipVecs) {
+		if (f+1)%p2pGossipEvery == 0 && gossipIdx < len(w.gossipVecs) {
 			if _, err := client.Gossip(w.gossipVecs[gossipIdx], w.gossipLbls[gossipIdx], 0.9, 5*time.Millisecond); err != nil {
 				return res, err
 			}
 			gossipIdx++
 		}
-		if (f+1)%cfg.DigestEvery == 0 {
+		if (f+1)%p2pDigestEvery == 0 {
 			for _, peer := range names {
 				if _, _, err := client.FetchDigest(peer); err != nil {
 					return res, fmt.Errorf("digest refresh %s: %w", peer, err)
@@ -311,34 +258,23 @@ func runP2P(cfg P2PConfig, bwMBps float64, centers []feature.Vector, w p2pWorklo
 	return res, nil
 }
 
-// RunP2P sweeps link bandwidth, replaying the same workload at each.
-func RunP2P(cfg P2PConfig) (P2PReport, error) {
-	cfg.defaults()
-	if err := cfg.Validate(); err != nil {
-		return P2PReport{}, err
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	centers := make([]feature.Vector, cfg.Nodes)
+// runP2P sweeps link bandwidth, replaying the same workload at each.
+func runP2P(s Scale) (P2PReport, error) {
+	rng := rand.New(rand.NewSource(s.Seed))
+	centers := make([]feature.Vector, p2pNodes)
 	for i := range centers {
-		c := make(feature.Vector, cfg.Dim)
-		for d := range c {
-			c[d] = rng.NormFloat64()
-		}
-		c.Normalize()
-		centers[i] = c
+		centers[i] = randUnitVec(rng, p2pDim)
 	}
-	w := buildP2PWorkload(cfg, centers, rng)
+	w := buildP2PWorkload(min(s.Frames, p2pFrames), centers, rng)
 
 	report := P2PReport{
-		Nodes:    cfg.Nodes,
-		Sessions: cfg.Sessions,
-		Frames:   cfg.Frames,
-		Dim:      cfg.Dim,
+		Nodes:    p2pNodes,
+		Sessions: p2pSessions,
+		Frames:   len(w.queries),
+		Dim:      p2pDim,
 	}
-	bws := append([]float64(nil), cfg.BandwidthsMBps...)
-	sort.Float64s(bws)
-	for _, bw := range bws {
-		compact, err := runP2P(cfg, bw, centers, w)
+	for _, bw := range p2pBandwidths {
+		compact, err := runP2PAt(s.Seed, bw, centers, w)
 		if err != nil {
 			return P2PReport{}, fmt.Errorf("@ %.2f MB/s: %w", bw, err)
 		}
@@ -356,17 +292,9 @@ func RunP2P(cfg P2PConfig) (P2PReport, error) {
 	return report, nil
 }
 
-// E25P2PWire is the experiment-registry wrapper around RunP2P.
+// E25P2PWire is the bandwidth-constrained peer-sharing experiment.
 func E25P2PWire(s Scale) (Report, error) {
-	if err := s.validate(); err != nil {
-		return Report{}, err
-	}
-	cfg := P2PConfig{Seed: s.Seed}
-	cfg.defaults()
-	if s.Frames < cfg.Frames {
-		cfg.Frames = s.Frames
-	}
-	rep, err := RunP2P(cfg)
+	rep, err := runP2P(s)
 	if err != nil {
 		return Report{}, err
 	}

@@ -3,12 +3,11 @@ package eval
 import "testing"
 
 func TestRunP2P(t *testing.T) {
-	cfg := P2PConfig{Frames: 120, BandwidthsMBps: []float64{0.5, 3}, Seed: 7}
-	rep, err := RunP2P(cfg)
+	rep, err := runP2P(Scale{Frames: 120, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Points) != 2 {
+	if len(rep.Points) != len(p2pBandwidths) {
 		t.Fatalf("points = %d", len(rep.Points))
 	}
 	if rep.ConstrainedMBps != 0.5 {
@@ -32,20 +31,10 @@ func TestRunP2P(t *testing.T) {
 	}
 	// A constrained link must not change how many messages are sent —
 	// only how long they take.
-	if rep.Points[0].Compact.Messages != rep.Points[1].Compact.Messages {
-		t.Fatalf("message count varies with bandwidth: %d vs %d",
-			rep.Points[0].Compact.Messages, rep.Points[1].Compact.Messages)
-	}
-}
-
-func TestRunP2PValidate(t *testing.T) {
-	bad := []P2PConfig{
-		{Nodes: 1, Sessions: 1, Frames: 1, Dim: 1, PerNode: 1, GossipEvery: 1, DigestEvery: 1, BandwidthsMBps: []float64{1}},
-		{Nodes: 2, Sessions: 1, Frames: 1, Dim: 1, PerNode: 1, GossipEvery: 1, DigestEvery: 1, BandwidthsMBps: []float64{-1}},
-	}
-	for i, cfg := range bad {
-		if err := cfg.Validate(); err == nil {
-			t.Fatalf("config %d validated", i)
+	for _, pt := range rep.Points[1:] {
+		if pt.Compact.Messages != rep.Points[0].Compact.Messages {
+			t.Fatalf("message count varies with bandwidth: %d vs %d",
+				rep.Points[0].Compact.Messages, pt.Compact.Messages)
 		}
 	}
 }

@@ -48,13 +48,16 @@ func parallelEach(n, workers int, fn func(i int) error) error {
 	return nil
 }
 
-// RunExperiments executes exps at scale s and returns their reports in
-// the input order. Simulation experiments fan out across s.Workers
-// goroutines; their reports are identical to a serial run, since
-// parallelism never reorders rows or perturbs a simulation. Wall-clock
-// experiments run afterwards, one at a time, so the elapsed time they
-// report is never taken beside another experiment.
+// RunExperiments validates s, executes exps at that scale and returns
+// their reports in the input order. Simulation experiments fan out
+// across s.Workers goroutines; their reports are identical to a serial
+// run, since parallelism never reorders rows or perturbs a simulation.
+// Wall-clock experiments run afterwards, one at a time, so the elapsed
+// time they report is never taken beside another experiment.
 func RunExperiments(exps []Experiment, s Scale) ([]Report, error) {
+	if err := s.validate(); err != nil {
+		return nil, err
+	}
 	reports := make([]Report, len(exps))
 	run := func(i int) error {
 		r, err := exps[i].Run(s)

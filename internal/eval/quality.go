@@ -7,7 +7,6 @@ import (
 	"approxcache/internal/cachestore"
 	"approxcache/internal/core"
 	"approxcache/internal/dnn"
-	"approxcache/internal/lsh"
 	"approxcache/internal/simclock"
 	"approxcache/internal/trace"
 )
@@ -43,74 +42,33 @@ import (
 // Quality run names, in report order.
 const (
 	QualityBaseline    = "baseline"
-	QualityUnprotected = "unprotected"
+	qualityUnprotected = "unprotected"
 	QualityProtected   = "protected"
 )
 
-// QualityBenchConfig shapes the drift benchmark.
-type QualityBenchConfig struct {
-	// Frames is the workload length (default 1800).
-	Frames int
-	// DriftFrame is the drift onset (default Frames/3).
-	DriftFrame int
-	// DriftEvery repeats the rotation every this many frames after the
-	// onset (default Frames/8). Drift is recurring because concept
-	// drift is: a single rotation is healed for free by the streak
-	// cap's scheduled revalidation, but ongoing drift keeps re-poisoning
-	// the cache, so steady-state accuracy measures how FAST a node
-	// heals, not whether it eventually does.
-	DriftEvery int
-	// Shift rotates the label space by this many classes per episode
-	// (default 3).
-	Shift int
-	// Seed anchors all randomness.
-	Seed int64
-	// Capacity is the node's cache capacity (default 256).
-	Capacity int
-	// Profile is the model profile (default MobileNetV2).
-	Profile dnn.Profile
-	// Quality is the protected run's layer tuning. Zero fields default
-	// to a bench-friendly shape: synchronous audits (deterministic on
-	// the virtual clock), dense sampling (every 4th reuse) so recovery
-	// is measurable at bench scale.
-	Quality core.QualityConfig
-	// QuarantineThreshold is the protected run's store threshold
-	// (default 1: an audit verdict is the full DNN speaking, so one
-	// refute is already strong evidence under injected drift).
-	QuarantineThreshold int
-}
-
-func (c *QualityBenchConfig) defaults() {
-	if c.Frames == 0 {
-		c.Frames = 1800
-	}
-	if c.DriftFrame == 0 {
-		c.DriftFrame = c.Frames / 3
-	}
-	if c.DriftEvery == 0 {
-		c.DriftEvery = c.Frames / 8
-	}
-	if c.Shift == 0 {
-		c.Shift = 3
-	}
-	if c.Seed == 0 {
-		c.Seed = 42
-	}
-	if c.Capacity == 0 {
-		c.Capacity = 256
-	}
-	if c.Profile.Name == "" {
-		c.Profile = dnn.MobileNetV2
-	}
-	c.Quality.Enabled = true
-	c.Quality.Synchronous = true
-	if c.Quality.AuditSampleEvery == 0 {
-		c.Quality.AuditSampleEvery = 4
-	}
-	if c.QuarantineThreshold == 0 {
-		c.QuarantineThreshold = 1
-	}
-}
+// The drift benchmark's shape. It runs qualityFrames frames (600 at a
+// small scale); drift starts a third of the way in and recurs every
+// eighth of the run. Drift is recurring because concept drift is: a
+// single rotation is healed for free by the streak cap's scheduled
+// revalidation, but ongoing drift keeps re-poisoning the cache, so
+// steady-state accuracy measures how FAST a node heals, not whether it
+// eventually does.
+const (
+	qualityFrames = 1800
+	// qualityShift rotates the label space by this many classes per
+	// episode.
+	qualityShift = 3
+	// qualityCapacity is the node's cache: LRU, a zero store policy.
+	qualityCapacity = 256
+	// qualityAuditEvery has the protected run audit every 4th reuse,
+	// synchronously (deterministic on the virtual clock): dense
+	// sampling, so recovery is measurable at bench scale.
+	qualityAuditEvery = 4
+	// qualityQuarantine is the protected store's quarantine threshold:
+	// an audit verdict is the full DNN speaking, so one refute is
+	// already strong evidence under injected drift.
+	qualityQuarantine = 1
+)
 
 // QualityRun is one node's measured outcome.
 type QualityRun struct {
@@ -156,119 +114,115 @@ type QualityReport struct {
 	UnprotectedAccuracy float64 `json:"unprotected_accuracy"`
 }
 
-// runQualityNode replays the workload against one freshly built node.
-// drift injects the label rotation at cfg.DriftFrame; protect turns
-// the quality layer (and store quarantine) on.
-func runQualityNode(cfg QualityBenchConfig, drift, protect bool) (QualityRun, error) {
-	spec := trace.StationaryHeavy(cfg.Frames, cfg.Seed)
-	w, err := trace.Generate(spec)
-	if err != nil {
-		return QualityRun{}, err
-	}
-	classifier, err := dnn.NewClassifier(cfg.Profile, w.Classes, cfg.Seed)
-	if err != nil {
-		return QualityRun{}, err
-	}
-	faulty, err := dnn.NewFaultyClassifier(classifier, nil)
-	if err != nil {
-		return QualityRun{}, err
-	}
-	clock := simclock.NewVirtual(time.Unix(0, 0))
+// runQualityNode replays a stationary-heavy workload of the given
+// length against one freshly built node. drift injects the recurring
+// label rotation; protect turns the quality layer (and store
+// quarantine) on.
+func runQualityNode(frames int, seed int64, drift, protect bool) (QualityRun, error) {
+	spec := trace.StationaryHeavy(frames, seed)
 	ecfg := core.DefaultConfig()
-	scfg := cachestore.Config{Capacity: cfg.Capacity}
+	scfg := cachestore.Config{Capacity: qualityCapacity}
 	if protect {
-		ecfg.Quality = cfg.Quality
-		scfg.QuarantineThreshold = cfg.QuarantineThreshold
+		ecfg.Quality = core.QualityConfig{Enabled: true, Synchronous: true, AuditSampleEvery: qualityAuditEvery}
+		scfg.QuarantineThreshold = qualityQuarantine
 	}
-	idx, err := lsh.NewHyperplane(ecfg.Extractor.Dim(), 12, 4, cfg.Seed)
-	if err != nil {
-		return QualityRun{}, err
-	}
-	store, err := cachestore.New(scfg, idx, clock)
-	if err != nil {
-		return QualityRun{}, err
-	}
-	eng, err := core.New(ecfg, core.Deps{Clock: clock, Classifier: faulty, Store: store})
+	var faulty *dnn.FaultyClassifier
+	dev, err := buildDevice(deviceConfig{
+		Name: "main", Spec: spec, Engine: ecfg, Store: scfg, Seed: seed,
+		WrapClassifier: func(c *dnn.Classifier) (core.Classifier, error) {
+			var err error
+			faulty, err = dnn.NewFaultyClassifier(c, nil)
+			return faulty, err
+		},
+	}, simclock.NewVirtual(time.Unix(0, 0)), nil)
 	if err != nil {
 		return QualityRun{}, err
 	}
 
-	tailStart := cfg.Frames - cfg.Frames/3
-	var prev time.Duration
+	driftAt, driftEvery, tailStart := frames/3, frames/8, frames-frames/3
 	tailCorrect, tailFrames, fullCorrect := 0, 0, 0
 	var tailLatency time.Duration
 	shift := 0
 	relabel := func(s string) string { return s }
-	for i, fr := range w.Frames {
-		if drift && i >= cfg.DriftFrame && (i-cfg.DriftFrame)%cfg.DriftEvery == 0 {
-			// Another drift episode: the rotation compounds. Install it
-			// at the classifier's CURRENT call number (retries and
-			// shadow audits included), open-ended until the next one.
-			shift += cfg.Shift
-			relabel = dnn.ShiftRelabel(shift, spec.NumClasses)
-			if err := faulty.SetFaultPlan(dnn.FaultPlan{{
-				From: faulty.Calls(), To: 1 << 30,
-				Kind: dnn.FaultDrift, Relabel: relabel,
-			}}); err != nil {
-				return QualityRun{}, err
+	err = dev.replay(hooks{
+		before: func(i int, in *frameInput) error {
+			if drift && i >= driftAt && (i-driftAt)%driftEvery == 0 {
+				// Another drift episode: the rotation compounds. Install
+				// it at the classifier's CURRENT call number (retries and
+				// shadow audits included), open-ended until the next one.
+				shift += qualityShift
+				relabel = dnn.ShiftRelabel(shift, spec.NumClasses)
+				if err := faulty.SetFaultPlan(dnn.FaultPlan{{
+					From: faulty.Calls(), To: 1 << 30,
+					Kind: dnn.FaultDrift, Relabel: relabel,
+				}}); err != nil {
+					return err
+				}
 			}
-		}
-		// Model drift, not model error: truth follows the drifted
-		// model, so everything cached before each episode is wrong
-		// after it.
-		truth := relabel(dnn.LabelOf(fr.Class))
-		win := w.IMUWindow(prev, fr.Offset)
-		prev = fr.Offset
-		res, err := eng.ProcessWithTruth(fr.Image, win, truth)
-		if err != nil {
-			return QualityRun{}, fmt.Errorf("frame %d: %w", i, err)
-		}
-		if res.Label == truth {
-			fullCorrect++
+			// Model drift, not model error: truth follows the drifted
+			// model, so everything cached before each episode is wrong
+			// after it.
+			in.truth = relabel(in.truth)
+			return nil
+		},
+		after: func(i int, in *frameInput, res core.Result, err error) error {
+			if err != nil {
+				return err
+			}
+			if res.Label == in.truth {
+				fullCorrect++
+			}
 			if i >= tailStart {
-				tailCorrect++
+				tailFrames++
+				tailLatency += res.Latency
+				if res.Label == in.truth {
+					tailCorrect++
+				}
 			}
-		}
-		if i >= tailStart {
-			tailFrames++
-			tailLatency += res.Latency
-		}
+			return nil
+		},
+	})
+	if err != nil {
+		return QualityRun{}, err
 	}
-	eng.DrainAudits()
+	dev.engine.DrainAudits()
 
-	run := QualityRun{Name: QualityBaseline, Frames: cfg.Frames}
+	run := QualityRun{Name: QualityBaseline, Frames: frames}
 	switch {
 	case drift && protect:
 		run.Name = QualityProtected
 	case drift:
-		run.Name = QualityUnprotected
+		run.Name = qualityUnprotected
 	}
 	run.TailAccuracy = float64(tailCorrect) / float64(tailFrames)
-	run.FullAccuracy = float64(fullCorrect) / float64(cfg.Frames)
+	run.FullAccuracy = float64(fullCorrect) / float64(frames)
 	meanTail := time.Duration(int64(tailLatency) / int64(tailFrames))
 	run.TailMeanLatencyMS = float64(meanTail) / float64(time.Millisecond)
-	run.LatencySavings = 1 - float64(meanTail)/float64(cfg.Profile.MeanLatency)
-	stats := eng.Stats()
+	run.LatencySavings = 1 - float64(meanTail)/float64(dnn.MobileNetV2.MeanLatency)
+	stats := dev.engine.Stats()
 	run.Audits, run.AuditRefutes = stats.Audits()
 	run.Quarantines, run.Paroles, run.ParoleEvictions = stats.QuarantineEvents()
 	run.RecalTightens, run.RecalLoosens = stats.RecalibrationEvents()
 	run.ReuseRefusals = stats.ReuseRefusals()
-	if snap, ok := eng.QualitySnapshot(); ok {
+	if snap, ok := dev.engine.QualitySnapshot(); ok {
 		run.LiveAccuracy = snap.LiveAccuracy
 	}
 	return run, nil
 }
 
-// RunQuality measures all three runs and computes the headline
+// runQuality measures all three runs and computes the headline
 // recovery and retention numbers.
-func RunQuality(cfg QualityBenchConfig) (QualityReport, error) {
-	cfg.defaults()
-	rep := QualityReport{Frames: cfg.Frames, DriftFrame: cfg.DriftFrame, Shift: cfg.Shift}
+func runQuality(s Scale) (QualityReport, error) {
+	frames := qualityFrames
+	if s.small() {
+		frames = 600
+	}
+	rep := QualityReport{Frames: frames, DriftFrame: frames / 3, Shift: qualityShift}
 	var base, prot QualityRun
 	for _, r := range []struct {
 		drift, protect bool
 	}{{false, false}, {true, false}, {true, true}} {
-		run, err := runQualityNode(cfg, r.drift, r.protect)
+		run, err := runQualityNode(frames, s.Seed, r.drift, r.protect)
 		if err != nil {
 			return QualityReport{}, fmt.Errorf("%v/%v: %w", r.drift, r.protect, err)
 		}
@@ -278,7 +232,7 @@ func RunQuality(cfg QualityBenchConfig) (QualityReport, error) {
 			base = run
 		case QualityProtected:
 			prot = run
-		case QualityUnprotected:
+		case qualityUnprotected:
 			rep.UnprotectedAccuracy = run.TailAccuracy
 		}
 	}
@@ -294,12 +248,8 @@ func RunQuality(cfg QualityBenchConfig) (QualityReport, error) {
 // E23Quality is the cache-quality experiment: injected label drift
 // with and without the self-healing layer, at a test-friendly size
 // when scaled down.
-func E23Quality(scale Scale) (Report, error) {
-	cfg := QualityBenchConfig{Seed: scale.Seed}
-	if scale.Frames < DefaultScale().Frames {
-		cfg.Frames = 600
-	}
-	rep, err := RunQuality(cfg)
+func E23Quality(s Scale) (Report, error) {
+	rep, err := runQuality(s)
 	if err != nil {
 		return Report{}, err
 	}

@@ -1,8 +1,10 @@
 // Package eval is the experiment harness: it builds the workloads,
-// engines, and device groups for experiments E1–E8 (see DESIGN.md),
-// runs them on virtual clocks, and renders the tables and series the
-// evaluation reports. cmd/approxbench is its CLI front end and
-// bench_test.go its testing.B front end.
+// nodes, and device groups for experiments E1–E25 (E24 is retired; see
+// DESIGN.md), runs them on virtual clocks (real ones for the serving
+// and lookup benchmarks), and renders the tables and series the
+// evaluation reports. Every experiment takes a Scale and nothing else.
+// cmd/approxbench is its CLI front end and bench_test.go its testing.B
+// front end.
 package eval
 
 import (
@@ -13,7 +15,7 @@ import (
 
 // Report is one rendered experiment result: a titled table plus notes.
 type Report struct {
-	// ID is the experiment id ("E1"..."E8").
+	// ID is the experiment id, "E1" to "E25".
 	ID string
 	// Title describes what the table shows.
 	Title string

@@ -10,7 +10,6 @@ import (
 	"approxcache/internal/cachestore"
 	"approxcache/internal/core"
 	"approxcache/internal/dnn"
-	"approxcache/internal/lsh"
 	"approxcache/internal/metrics"
 	"approxcache/internal/simclock"
 	"approxcache/internal/vision"
@@ -35,71 +34,30 @@ import (
 
 // Throughput mode names, in report order.
 const (
-	ModePool        = "pool"
-	ModePoolBatched = "pool-batched"
+	modePool        = "pool"
+	modePoolBatched = "pool-batched"
 )
 
-// ThroughputModes lists the benchmark's variants.
-func ThroughputModes() []string {
-	return []string{ModePool, ModePoolBatched}
-}
+// The serving node both serving benchmarks (E20, E21) build.
+const (
+	// servingClasses is the synthetic vocabulary size.
+	servingClasses = 24
+	// servingCapacity is the node's cache: LRU, a zero store policy.
+	servingCapacity = 512
+	// servingStreak bounds reuse before forced revalidation. 2 keeps
+	// the DNN hot — these are saturation benchmarks of the serving
+	// layer, not best-case hit-rate demos.
+	servingStreak = 2
+)
 
-// ThroughputConfig shapes the saturation benchmark.
-type ThroughputConfig struct {
-	// Streams is the number of concurrent client streams (default 16).
-	Streams int
-	// Frames is the per-stream frame count (default 30).
-	Frames int
-	// Classes is the synthetic vocabulary size (default 24).
-	Classes int
-	// Capacity is the node's total cache capacity (default 512).
-	Capacity int
-	// Seed anchors all randomness.
-	Seed int64
-	// Scale converts simulated inference latency to real accelerator
-	// occupancy: realSleep = Scale × simulatedLatency. Default 1/15
-	// (a 120 ms simulated inference occupies the accelerator 8 ms).
-	Scale float64
-	// Profile is the model profile (default MobileNetV2).
-	Profile dnn.Profile
-	// Batcher is the micro-batching policy for the batched mode
-	// (default: 16 frames or 5 ms).
-	Batcher dnn.BatcherConfig
-	// MaxReuseStreak bounds reuse before forced revalidation. The
-	// default (2) keeps the DNN hot — this is a saturation benchmark
-	// of the serving layer, not a best-case hit-rate demo.
-	MaxReuseStreak int
-}
+// throughputSlowdown converts simulated inference latency to real
+// accelerator occupancy: an invocation occupies the accelerator for
+// 1/throughputSlowdown of its simulated latency (a 120 ms simulated
+// inference, 8 ms).
+const throughputSlowdown = 15
 
-func (c *ThroughputConfig) defaults() {
-	if c.Streams == 0 {
-		c.Streams = 16
-	}
-	if c.Frames == 0 {
-		c.Frames = 30
-	}
-	if c.Classes == 0 {
-		c.Classes = 24
-	}
-	if c.Capacity == 0 {
-		c.Capacity = 512
-	}
-	if c.Seed == 0 {
-		c.Seed = 42
-	}
-	if c.Scale == 0 {
-		c.Scale = 1.0 / 15
-	}
-	if c.Profile.Name == "" {
-		c.Profile = dnn.MobileNetV2
-	}
-	if c.Batcher.MaxBatch == 0 {
-		c.Batcher = dnn.BatcherConfig{MaxBatch: 16, MaxWait: 5 * time.Millisecond}
-	}
-	if c.MaxReuseStreak == 0 {
-		c.MaxReuseStreak = 2
-	}
-}
+// throughputBatcher is the batched mode's micro-batching policy.
+var throughputBatcher = dnn.BatcherConfig{MaxBatch: 16, MaxWait: 5 * time.Millisecond}
 
 // ThroughputResult is one architecture variant's measurement.
 type ThroughputResult struct {
@@ -128,6 +86,15 @@ type ThroughputReport struct {
 	Speedup float64 `json:"speedup"`
 }
 
+// throughputShape is the streams × frames-per-stream E20 runs at s:
+// 16 × 30, or 8 × 12 at a small scale.
+func throughputShape(s Scale) (streams, frames int) {
+	if s.small() {
+		return 8, 12
+	}
+	return 16, 30
+}
+
 // streamWorkload is one stream's pre-rendered frames (rendering is
 // pure CPU cost that would otherwise pollute the serving measurement).
 type streamWorkload struct {
@@ -135,13 +102,13 @@ type streamWorkload struct {
 	truths []string
 }
 
-func renderStreams(cfg ThroughputConfig, classes *vision.ClassSet) ([]streamWorkload, error) {
-	out := make([]streamWorkload, cfg.Streams)
+func renderStreams(seed int64, streams, frames int, classes *vision.ClassSet) ([]streamWorkload, error) {
+	out := make([]streamWorkload, streams)
 	for s := range out {
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(s)*7919))
-		out[s].images = make([]*vision.Image, cfg.Frames)
-		out[s].truths = make([]string, cfg.Frames)
-		for i := 0; i < cfg.Frames; i++ {
+		rng := rand.New(rand.NewSource(seed + int64(s)*7919))
+		out[s].images = make([]*vision.Image, frames)
+		out[s].truths = make([]string, frames)
+		for i := 0; i < frames; i++ {
 			class := (s + i) % classes.NumClasses()
 			im, err := classes.Render(class, vision.DefaultPerturbation(), rng)
 			if err != nil {
@@ -155,13 +122,13 @@ func renderStreams(cfg ThroughputConfig, classes *vision.ClassSet) ([]streamWork
 }
 
 // occupiedModel models a serial accelerator: one invocation at a time,
-// really occupying it for Scale × simulated latency. Batched
+// really occupying it for 1/slowdown of the simulated latency. Batched
 // invocations occupy it once for the whole batch — the amortization
 // micro-batching exists to exploit.
 type occupiedModel struct {
-	inner *dnn.Classifier
-	scale float64
-	mu    sync.Mutex
+	inner    *dnn.Classifier
+	slowdown int
+	mu       sync.Mutex
 }
 
 func (m *occupiedModel) Profile() dnn.Profile { return m.inner.Profile() }
@@ -173,7 +140,7 @@ func (m *occupiedModel) Infer(im *vision.Image) (dnn.Inference, error) {
 	if err != nil {
 		return inf, err
 	}
-	time.Sleep(time.Duration(m.scale * float64(inf.Latency)))
+	time.Sleep(inf.Latency / time.Duration(m.slowdown))
 	return inf, nil
 }
 
@@ -188,96 +155,101 @@ func (m *occupiedModel) InferBatch(ims []*vision.Image) ([]dnn.Inference, error)
 	for _, inf := range infs {
 		occupancy += inf.Latency // per-frame amortized shares sum to the batch cost
 	}
-	time.Sleep(time.Duration(m.scale * float64(occupancy)))
+	time.Sleep(occupancy / time.Duration(m.slowdown))
 	return infs, nil
 }
 
-// throughputEngineConfig is the serving-node pipeline: gates that
-// reason about one camera's motion are off (streams here are
-// independent synthetic clients), so every frame exercises the cache
-// lookup and, on a miss, the classifier — the two layers under test.
-func throughputEngineConfig(maxStreak int) core.Config {
+// servingEngineConfig is the serving-node pipeline: gates that reason
+// about one camera's motion are off (streams here are independent
+// synthetic clients), so every frame exercises the cache lookup and,
+// on a miss, the classifier — the two layers under test.
+func servingEngineConfig() core.Config {
 	cfg := core.DefaultConfig()
 	cfg.DisableIMUGate = true
 	cfg.DisableVideoGate = true
 	cfg.DisableSensorGuards = true
-	cfg.MaxReuseStreak = maxStreak
+	cfg.MaxReuseStreak = servingStreak
 	return cfg
 }
 
-// RunThroughputMode measures one variant and returns its result.
-func RunThroughputMode(cfg ThroughputConfig, mode string) (ThroughputResult, error) {
-	cfg.defaults()
-	classes, err := vision.NewClassSet(cfg.Classes, 48, 48, cfg.Seed)
-	if err != nil {
-		return ThroughputResult{}, err
-	}
-	streams, err := renderStreams(cfg, classes)
-	if err != nil {
-		return ThroughputResult{}, err
-	}
-	classifier, err := dnn.NewClassifier(cfg.Profile, classes, cfg.Seed)
-	if err != nil {
-		return ThroughputResult{}, err
-	}
-	model := &occupiedModel{inner: classifier, scale: cfg.Scale}
-	clock := simclock.NewVirtual(time.Unix(0, 0))
-	ecfg := throughputEngineConfig(cfg.MaxReuseStreak)
-
-	var cls core.Classifier = model
+// servingNode builds a serving node of n sessions sharing one store and
+// one classifier behind the accelerator occupancy model, micro-batched
+// by bcfg unless it is the zero value. The caller closes the returned
+// batcher.
+func servingNode(classes *vision.ClassSet, n int, ecfg core.Config, slowdown int, bcfg dnn.BatcherConfig, seed int64) (*device, *dnn.Batcher, error) {
 	var batcher *dnn.Batcher
-	switch mode {
-	case ModePool:
-	case ModePoolBatched:
-		batcher, err = dnn.NewBatcher(cfg.Batcher, model)
-		if err != nil {
-			return ThroughputResult{}, err
+	node, err := buildDevice(deviceConfig{
+		Name: "node", Classes: classes, Sessions: n, Engine: ecfg,
+		Store: cachestore.Config{Capacity: servingCapacity}, Seed: seed,
+		WrapClassifier: func(c *dnn.Classifier) (core.Classifier, error) {
+			model := &occupiedModel{inner: c, slowdown: slowdown}
+			if bcfg == (dnn.BatcherConfig{}) {
+				return model, nil
+			}
+			var err error
+			batcher, err = dnn.NewBatcher(bcfg, model)
+			return batcher, err
+		},
+	}, simclock.NewVirtual(time.Unix(0, 0)), nil)
+	if err != nil {
+		if batcher != nil {
+			batcher.Close()
 		}
-		defer batcher.Close()
-		cls = batcher
+		return nil, nil, err
+	}
+	return node, batcher, nil
+}
+
+// runThroughputMode measures one variant at scale s.
+func runThroughputMode(s Scale, mode string) (ThroughputResult, error) {
+	var bcfg dnn.BatcherConfig
+	switch mode {
+	case modePool:
+	case modePoolBatched:
+		bcfg = throughputBatcher
 	default:
 		return ThroughputResult{}, fmt.Errorf("eval: unknown throughput mode %q", mode)
 	}
-	idx, err := lsh.NewHyperplane(ecfg.Extractor.Dim(), 12, 4, cfg.Seed)
+	streams, frames := throughputShape(s)
+	classes, err := vision.NewClassSet(servingClasses, 48, 48, s.Seed)
 	if err != nil {
 		return ThroughputResult{}, err
 	}
-	store, err := cachestore.New(cachestore.Config{Capacity: cfg.Capacity}, idx, clock)
+	work, err := renderStreams(s.Seed, streams, frames, classes)
 	if err != nil {
 		return ThroughputResult{}, err
 	}
-	pool, err := core.NewPool(cfg.Streams, ecfg, core.Deps{
-		Clock: clock, Classifier: cls, Store: store,
-	})
+	node, batcher, err := servingNode(classes, streams, servingEngineConfig(), throughputSlowdown, bcfg, s.Seed)
 	if err != nil {
 		return ThroughputResult{}, err
 	}
-	stats := pool.Stats()
-	engines := pool.Sessions()
+	if batcher != nil {
+		defer batcher.Close()
+	}
 
 	// Drive all streams concurrently, recording per-frame wall time.
-	perStream := make([][]time.Duration, cfg.Streams)
+	perStream := make([][]time.Duration, streams)
 	var wg sync.WaitGroup
 	var firstErr error
 	var errOnce sync.Once
 	start := time.Now()
-	for s := 0; s < cfg.Streams; s++ {
+	for st := 0; st < streams; st++ {
 		wg.Add(1)
-		go func(s int) {
+		go func(st int) {
 			defer wg.Done()
-			lat := make([]time.Duration, 0, cfg.Frames)
-			eng := engines[s]
-			w := streams[s]
-			for i := 0; i < cfg.Frames; i++ {
+			lat := make([]time.Duration, 0, frames)
+			eng := node.pool.Session(st)
+			w := work[st]
+			for i := 0; i < frames; i++ {
 				t0 := time.Now()
 				if _, err := eng.ProcessWithTruth(w.images[i], nil, w.truths[i]); err != nil {
-					errOnce.Do(func() { firstErr = fmt.Errorf("stream %d frame %d: %w", s, i, err) })
+					errOnce.Do(func() { firstErr = fmt.Errorf("stream %d frame %d: %w", st, i, err) })
 					return
 				}
 				lat = append(lat, time.Since(t0))
 			}
-			perStream[s] = lat
-		}(s)
+			perStream[st] = lat
+		}(st)
 	}
 	wg.Wait()
 	wall := time.Since(start)
@@ -290,15 +262,15 @@ func RunThroughputMode(cfg ThroughputConfig, mode string) (ThroughputResult, err
 		all = append(all, lat...)
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	pct := func(p float64) float64 { return durPctMS(all, p) }
+	stats := node.pool.Stats()
 	res := ThroughputResult{
 		Mode:      mode,
 		Frames:    len(all),
 		WallMS:    float64(wall) / float64(time.Millisecond),
 		FPS:       float64(len(all)) / wall.Seconds(),
-		P50MS:     pct(50),
-		P95MS:     pct(95),
-		P99MS:     pct(99),
+		P50MS:     durPctMS(all, 50),
+		P95MS:     durPctMS(all, 95),
+		P99MS:     durPctMS(all, 99),
 		DNNFrames: stats.CountBySource()[metrics.SourceDNN],
 		HitRate:   stats.HitRate(),
 	}
@@ -309,45 +281,33 @@ func RunThroughputMode(cfg ThroughputConfig, mode string) (ThroughputResult, err
 	return res, nil
 }
 
-// RunThroughput measures both variants and computes the headline
-// speedup (batched over unbatched).
-func RunThroughput(cfg ThroughputConfig) (ThroughputReport, error) {
-	cfg.defaults()
-	rep := ThroughputReport{
-		Streams:  cfg.Streams,
-		Frames:   cfg.Frames,
-		MaxBatch: cfg.Batcher.MaxBatch,
-	}
-	var base, best float64
-	for _, mode := range ThroughputModes() {
-		res, err := RunThroughputMode(cfg, mode)
+// runThroughput measures both variants at scale s and computes the
+// headline speedup (batched over unbatched).
+func runThroughput(s Scale) (ThroughputReport, error) {
+	rep := ThroughputReport{MaxBatch: throughputBatcher.MaxBatch}
+	rep.Streams, rep.Frames = throughputShape(s)
+	for _, mode := range []string{modePool, modePoolBatched} {
+		res, err := runThroughputMode(s, mode)
 		if err != nil {
 			return ThroughputReport{}, fmt.Errorf("mode %s: %w", mode, err)
 		}
 		rep.Results = append(rep.Results, res)
-		switch mode {
-		case ModePool:
-			base = res.FPS
-		case ModePoolBatched:
-			best = res.FPS
-		}
 	}
-	if base > 0 {
-		rep.Speedup = best / base
+	if base := rep.Results[0].FPS; base > 0 {
+		rep.Speedup = rep.Results[1].FPS / base
 	}
 	return rep, nil
 }
 
+// durPctMS returns the p-th percentile of sorted latencies, in ms.
+func durPctMS(sorted []time.Duration, p float64) float64 {
+	return float64(nearestRank(sorted, p)) / float64(time.Millisecond)
+}
+
 // E20Throughput is the serving-scale experiment: one pool, unbatched
-// and micro-batched, at a test-friendly size.
-func E20Throughput(scale Scale) (Report, error) {
-	cfg := ThroughputConfig{Seed: scale.Seed}
-	if scale.Frames < DefaultScale().Frames {
-		// Small scale: fewer streams/frames, same variants.
-		cfg.Streams = 8
-		cfg.Frames = 12
-	}
-	rep, err := RunThroughput(cfg)
+// and micro-batched, at a test-friendly size when scaled down.
+func E20Throughput(s Scale) (Report, error) {
+	rep, err := runThroughput(s)
 	if err != nil {
 		return Report{}, err
 	}
@@ -369,8 +329,8 @@ func E20Throughput(scale Scale) (Report, error) {
 		})
 	}
 	out.Notes = append(out.Notes,
-		fmt.Sprintf("%d streams × %d frames; accelerator occupancy model (serial, scaled %s)",
-			rep.Streams, rep.Frames, "1/15"),
+		fmt.Sprintf("%d streams × %d frames; accelerator occupancy model (serial, scaled 1/%d)",
+			rep.Streams, rep.Frames, throughputSlowdown),
 		fmt.Sprintf("speedup batched vs unbatched: %.2fx", rep.Speedup),
 	)
 	return out, nil

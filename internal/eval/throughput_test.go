@@ -2,43 +2,72 @@ package eval
 
 import (
 	"strings"
+	"sync"
 	"testing"
-	"time"
-
-	"approxcache/internal/dnn"
 )
 
-// fastThroughputConfig keeps the saturation harness test-sized: few
-// streams, few frames, and a near-zero occupancy scale so real sleeps
-// stay in the microseconds.
-func fastThroughputConfig() ThroughputConfig {
-	return ThroughputConfig{
-		Streams: 4,
-		Frames:  6,
-		Classes: 8,
-		Seed:    42,
-		Scale:   1.0 / 2000,
-		Batcher: dnn.BatcherConfig{MaxBatch: 4, MaxWait: time.Millisecond},
-	}
-}
+// smallE20 runs E20 once at small scale for every test that reads it:
+// the run sleeps real accelerator occupancy, which makes it the slowest
+// in the package.
+var smallE20 = sync.OnceValues(func() (Report, error) { return E20Throughput(SmallScale()) })
 
 func TestThroughputModeUnknown(t *testing.T) {
-	if _, err := RunThroughputMode(fastThroughputConfig(), "warp-drive"); err == nil {
+	if _, err := runThroughputMode(SmallScale(), "warp-drive"); err == nil {
 		t.Fatal("unknown mode accepted")
 	}
 }
 
+// smallE20Report is E20's typed report from the shared small-scale run.
+func smallE20Report(t *testing.T) ThroughputReport {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("E20 sleeps real accelerator occupancy")
+	}
+	r, err := smallE20()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, ok := r.Data.(ThroughputReport)
+	if !ok {
+		t.Fatalf("E20 data is %T, want ThroughputReport", r.Data)
+	}
+	return rep
+}
+
+// TestThroughputReport checks E20's typed report header: the shape it
+// ran, the speedup, and one result per mode, in order.
+func TestThroughputReport(t *testing.T) {
+	rep := smallE20Report(t)
+	streams, frames := throughputShape(SmallScale())
+	if rep.Streams != streams || rep.Frames != frames || rep.MaxBatch != throughputBatcher.MaxBatch {
+		t.Fatalf("report header wrong: %+v", rep)
+	}
+	if rep.Speedup <= 0 {
+		t.Fatalf("speedup = %v, want > 0", rep.Speedup)
+	}
+	modes := []string{modePool, modePoolBatched}
+	if len(rep.Results) != len(modes) {
+		t.Fatalf("%d results, want %d", len(rep.Results), len(modes))
+	}
+	for i, mode := range modes {
+		if rep.Results[i].Mode != mode {
+			t.Fatalf("result %d is mode %q, want %q", i, rep.Results[i].Mode, mode)
+		}
+	}
+}
+
+// TestThroughputModesRun checks each mode's result in E20's report:
+// every frame of every stream served with sane timing, the DNN ran, and
+// only the batched mode carries batcher stats.
 func TestThroughputModesRun(t *testing.T) {
-	cfg := fastThroughputConfig()
-	for _, mode := range ThroughputModes() {
-		res, err := RunThroughputMode(cfg, mode)
-		if err != nil {
-			t.Fatalf("mode %s: %v", mode, err)
-		}
-		if res.Mode != mode {
-			t.Fatalf("mode label %q, want %q", res.Mode, mode)
-		}
-		if want := cfg.Streams * cfg.Frames; res.Frames != want {
+	rep := smallE20Report(t)
+	streams, frames := throughputShape(SmallScale())
+	if len(rep.Results) == 0 {
+		t.Fatal("no mode results")
+	}
+	for _, res := range rep.Results {
+		mode := res.Mode
+		if want := streams * frames; res.Frames != want {
 			t.Fatalf("mode %s processed %d frames, want %d", mode, res.Frames, want)
 		}
 		if res.FPS <= 0 || res.WallMS <= 0 {
@@ -50,63 +79,24 @@ func TestThroughputModesRun(t *testing.T) {
 		if res.DNNFrames == 0 {
 			t.Fatalf("mode %s never ran the DNN", mode)
 		}
-		switch mode {
-		case ModePool:
-			if res.Batcher != nil {
-				t.Fatalf("unbatched mode reported batcher stats: %+v", res)
-			}
-		case ModePoolBatched:
-			if res.Batcher == nil || res.Batcher.Frames == 0 {
-				t.Fatalf("batched mode missing batcher stats: %+v", res)
-			}
+		if batched := res.Batcher != nil && res.Batcher.Frames > 0; batched != (mode == modePoolBatched) {
+			t.Fatalf("mode %s batcher stats = %+v", mode, res.Batcher)
 		}
 	}
 }
 
-func TestThroughputReport(t *testing.T) {
-	rep, err := RunThroughput(fastThroughputConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Results) != len(ThroughputModes()) {
-		t.Fatalf("%d results, want %d", len(rep.Results), len(ThroughputModes()))
-	}
-	if rep.Speedup <= 0 {
-		t.Fatalf("speedup = %v, want > 0", rep.Speedup)
-	}
-	if rep.Streams != 4 || rep.Frames != 6 || rep.MaxBatch != 4 {
-		t.Fatalf("report header wrong: %+v", rep)
-	}
-}
-
-func TestThroughputDefaults(t *testing.T) {
-	var cfg ThroughputConfig
-	cfg.defaults()
-	if cfg.Streams != 16 || cfg.Frames != 30 {
-		t.Fatalf("defaults = %+v", cfg)
-	}
-	if cfg.Batcher.MaxBatch != 16 || cfg.Batcher.MaxWait != 5*time.Millisecond {
-		t.Fatalf("batcher defaults = %+v", cfg.Batcher)
-	}
-	if cfg.MaxReuseStreak != 2 || cfg.Scale != 1.0/15 {
-		t.Fatalf("defaults = %+v", cfg)
-	}
-}
-
-// TestE20Small runs the registered experiment at small scale. The
-// small-scale path still sleeps real accelerator time, so this is the
-// slowest test in the package — but it is the only end-to-end check
-// that the experiment table renders.
+// TestE20Small checks the rendered E20 table: one row per mode and the
+// speedup note.
 func TestE20Small(t *testing.T) {
 	if testing.Short() {
 		t.Skip("E20 sleeps real accelerator occupancy")
 	}
-	rep, err := E20Throughput(SmallScale())
+	rep, err := smallE20()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Rows) != len(ThroughputModes()) {
-		t.Fatalf("%d rows, want %d", len(rep.Rows), len(ThroughputModes()))
+	if len(rep.Rows) != 2 {
+		t.Fatalf("%d rows, want 2", len(rep.Rows))
 	}
 	var foundSpeedup bool
 	for _, n := range rep.Notes {
