@@ -111,7 +111,9 @@ type budget struct {
 // allocates nothing when the inertial gate, the video gate or the local
 // cache serves it; a miss allocates the 8 it did before the engine was
 // a stage list: the watchdog's call deadline (goroutine, channel,
-// timer) and the stub classifier's two.
+// timer) and the stub classifier's two. One peer query over three
+// in-process peers (client and services both) may allocate no more than
+// the 30 it did before the peer table was one record per peer.
 var hotpathBudgets = []budget{
 	{"HotPathNearest", 0},
 	{"HotPathNearestDescriptors", 0},
@@ -136,6 +138,7 @@ var hotpathBudgets = []budget{
 	{"HotPathEngineFrame/video", 0},
 	{"HotPathEngineFrame/local", 0},
 	{"HotPathEngineFrame/dnn", 8},
+	{"HotPathQueryFrame", 30},
 }
 
 // Result is one parsed benchmark line.

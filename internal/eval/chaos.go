@@ -190,7 +190,7 @@ func runChaos(s Scale, guarded bool) (chaosResult, error) {
 		)
 	}
 	ccfg := p2p.DefaultClientConfig()
-	ccfg.Breaker = p2p.BreakerConfig{Disabled: !guarded}
+	ccfg.DisableBreaker = !guarded
 	ecfg := core.DefaultConfig()
 	if guarded {
 		ecfg.PeerBudget = chaosBudget

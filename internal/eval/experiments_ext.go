@@ -468,7 +468,7 @@ func E17PeerChurn(s Scale) (Report, error) {
 		// roster maintenance alone buys; the resilience layer's own
 		// effect is measured by E18.
 		ccfg := p2p.DefaultClientConfig()
-		ccfg.Breaker.Disabled = true
+		ccfg.DisableBreaker = true
 		client, err := dial("main", net, ccfg)
 		if err != nil {
 			return 0, 0, err

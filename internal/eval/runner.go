@@ -42,9 +42,9 @@ type deviceConfig struct {
 	Profile dnn.Profile
 	// Seed drives the device's classifier and LSH index.
 	Seed int64
-	// Client, when non-nil, overrides the peer-client policy (breaker,
-	// budget, health smoothing). The clock is always bound to the
-	// run's virtual clock regardless.
+	// Client, when non-nil, overrides the peer-client configuration
+	// (E18's unguarded run turns the breaker off). The clock is always
+	// bound to the run's virtual clock regardless.
 	Client *p2p.ClientConfig
 	// WrapClassifier, when non-nil, wraps the device's classifier
 	// before the engine sees it — the hook that interposes a

@@ -3,195 +3,185 @@ package p2p
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"testing"
 	"time"
 
-	"approxcache/internal/simclock"
+	"approxcache/internal/feature"
 	"approxcache/internal/simnet"
 )
 
-func newTestBreaker(t *testing.T, clock simclock.Clock) *Breaker {
+// The circuit runs at the fixed policy: 3 failures trip it, the first
+// open interval is 250 ms ± 20 % (200–300 ms), and each failed probe
+// doubles it up to 10 s.
+
+var t0 = time.Unix(0, 0)
+
+// trip fails a closed circuit three times at now.
+func trip(t *testing.T, c *circuit, now time.Time, rng *rand.Rand) {
 	t.Helper()
-	b, err := NewBreaker(BreakerConfig{JitterFrac: -1}, clock)
-	if err != nil {
-		t.Fatal(err)
+	for i := 0; i < failureThreshold; i++ {
+		if got := c.onFailure(now, rng); got != (i == failureThreshold-1) {
+			t.Fatalf("failure %d: tripped = %v", i+1, got)
+		}
 	}
-	return b
 }
 
 func TestBreakerTripsAfterConsecutiveFailures(t *testing.T) {
-	clock := simclock.NewVirtual(time.Unix(0, 0))
-	b := newTestBreaker(t, clock)
-
-	if !b.Allow("p") {
+	var c circuit
+	if !c.allow(t0) {
 		t.Fatal("fresh peer not allowed")
 	}
-	if b.OnFailure("p") {
-		t.Fatal("tripped on first failure")
-	}
-	if b.OnFailure("p") {
-		t.Fatal("tripped on second failure")
-	}
-	if !b.OnFailure("p") {
-		t.Fatal("did not trip on third failure")
-	}
-	if b.Allow("p") {
+	trip(t, &c, t0, rand.New(rand.NewSource(1)))
+	if c.allow(t0) {
 		t.Fatal("open circuit allowed traffic")
 	}
-	if got := b.State("p"); got != StateOpen {
+	if got := c.read(t0); got != StateOpen {
 		t.Fatalf("state = %v, want open", got)
-	}
-	trips, recoveries := b.Counts()
-	if trips != 1 || recoveries != 0 {
-		t.Fatalf("counts = (%d,%d), want (1,0)", trips, recoveries)
 	}
 }
 
 func TestBreakerSuccessResetsFailureCount(t *testing.T) {
-	clock := simclock.NewVirtual(time.Unix(0, 0))
-	b := newTestBreaker(t, clock)
-	b.OnFailure("p")
-	b.OnFailure("p")
-	b.OnSuccess("p")
-	if b.OnFailure("p") || b.OnFailure("p") {
+	var c circuit
+	rng := rand.New(rand.NewSource(1))
+	c.onFailure(t0, rng)
+	c.onFailure(t0, rng)
+	if c.onSuccess() {
+		t.Fatal("success on a closed circuit counted as a recovery")
+	}
+	if c.onFailure(t0, rng) || c.onFailure(t0, rng) {
 		t.Fatal("tripped before threshold after a reset")
 	}
-	if got := b.State("p"); got != StateClosed {
+	if got := c.read(t0); got != StateClosed {
 		t.Fatalf("state = %v, want closed", got)
 	}
 }
 
 func TestBreakerHalfOpenProbeAndRecovery(t *testing.T) {
-	clock := simclock.NewVirtual(time.Unix(0, 0))
-	b := newTestBreaker(t, clock)
-	for i := 0; i < 3; i++ {
-		b.OnFailure("p")
-	}
-	if b.Allow("p") {
+	var c circuit
+	trip(t, &c, t0, rand.New(rand.NewSource(1)))
+	if c.allow(t0.Add(199 * time.Millisecond)) {
 		t.Fatal("open circuit allowed before backoff")
 	}
-	clock.Advance(251 * time.Millisecond)
-	if got := b.State("p"); got != StateHalfOpen {
+	now := t0.Add(301 * time.Millisecond)
+	if got := c.read(now); got != StateHalfOpen {
 		t.Fatalf("state after backoff = %v, want half-open", got)
 	}
-	if !b.Allow("p") {
+	// admits only looks: asking twice still leaves the probe unclaimed.
+	if !c.admits(now) || !c.admits(now) || !c.allow(now) {
 		t.Fatal("half-open did not admit a probe")
 	}
-	if b.Allow("p") {
+	if c.admits(now) || c.allow(now) {
 		t.Fatal("second concurrent probe admitted")
 	}
-	if !b.OnSuccess("p") {
+	if !c.onSuccess() {
 		t.Fatal("probe success did not count as recovery")
 	}
-	if got := b.State("p"); got != StateClosed {
+	if got := c.read(now); got != StateClosed {
 		t.Fatalf("state after recovery = %v, want closed", got)
-	}
-	_, recoveries := b.Counts()
-	if recoveries != 1 {
-		t.Fatalf("recoveries = %d, want 1", recoveries)
 	}
 }
 
 func TestBreakerFailedProbeDoublesBackoff(t *testing.T) {
-	clock := simclock.NewVirtual(time.Unix(0, 0))
-	b := newTestBreaker(t, clock)
-	for i := 0; i < 3; i++ {
-		b.OnFailure("p")
-	}
-	clock.Advance(251 * time.Millisecond)
-	if !b.Allow("p") {
+	var c circuit
+	rng := rand.New(rand.NewSource(1))
+	trip(t, &c, t0, rng)
+	now := t0.Add(301 * time.Millisecond)
+	if !c.allow(now) {
 		t.Fatal("no probe admitted")
 	}
-	if !b.OnFailure("p") {
+	if !c.onFailure(now, rng) {
 		t.Fatal("failed probe did not re-trip")
 	}
-	// Backoff doubled to 500 ms: after 251 ms it is still open...
-	clock.Advance(251 * time.Millisecond)
-	if b.Allow("p") {
+	// Backoff doubled to 500 ms ± 20 %: still open after 399 ms...
+	if c.allow(now.Add(399 * time.Millisecond)) {
 		t.Fatal("re-opened circuit allowed before doubled backoff")
 	}
-	// ...but after the full 500 ms a probe is admitted again.
-	clock.Advance(250 * time.Millisecond)
-	if !b.Allow("p") {
+	// ...but after 601 ms a probe is admitted again.
+	if !c.allow(now.Add(601 * time.Millisecond)) {
 		t.Fatal("no probe after doubled backoff")
 	}
 }
 
 func TestBreakerBackoffCapped(t *testing.T) {
-	clock := simclock.NewVirtual(time.Unix(0, 0))
-	b, err := NewBreaker(BreakerConfig{
-		BaseBackoff: 100 * time.Millisecond,
-		MaxBackoff:  200 * time.Millisecond,
-		JitterFrac:  -1,
-	}, clock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		b.OnFailure("p")
-	}
-	// Fail many probes; backoff must never exceed MaxBackoff.
-	for i := 0; i < 6; i++ {
-		clock.Advance(201 * time.Millisecond)
-		if !b.Allow("p") {
-			t.Fatalf("probe %d not admitted within MaxBackoff", i)
+	var c circuit
+	rng := rand.New(rand.NewSource(1))
+	now := t0
+	trip(t, &c, now, rng)
+	// Fail many probes; the backoff must stop doubling at 10 s, so a
+	// probe is always admitted within 10 s + 20 %.
+	for i := 0; i < 10; i++ {
+		now = now.Add(maxBackoff * 6 / 5)
+		if !c.allow(now) {
+			t.Fatalf("probe %d not admitted within the capped backoff", i)
 		}
-		b.OnFailure("p")
+		c.onFailure(now, rng)
+		if c.backoff > maxBackoff {
+			t.Fatalf("probe %d: backoff %v above the cap", i, c.backoff)
+		}
+	}
+	if c.backoff != maxBackoff {
+		t.Fatalf("backoff = %v, want the %v cap", c.backoff, maxBackoff)
+	}
+	if c.allow(now.Add(maxBackoff*4/5 - time.Millisecond)) {
+		t.Fatal("capped backoff shorter than 10 s - 20 %")
 	}
 }
 
+// TestBreakerOpenListsTrippedPeers: the health snapshot names every
+// tripped peer open and leaves the healthy one closed.
 func TestBreakerOpenListsTrippedPeers(t *testing.T) {
-	clock := simclock.NewVirtual(time.Unix(0, 0))
-	b := newTestBreaker(t, clock)
-	for i := 0; i < 3; i++ {
-		b.OnFailure("b")
-		b.OnFailure("a")
+	cl, _, net, _ := newResilientCluster(t, 3)
+	net.Crash("peer-b")
+	net.Crash("peer-a")
+	for i := 0; i < failureThreshold; i++ {
+		cl.QueryFrame(feature.Vector{1, float64(i)}, 0)
 	}
-	b.OnSuccess("c")
-	open := b.Open()
-	if len(open) != 2 || open[0] != "a" || open[1] != "b" {
-		t.Fatalf("open = %v, want [a b]", open)
+	want := map[string]BreakerState{"peer-a": StateOpen, "peer-b": StateOpen, "peer-c": StateClosed}
+	snap := cl.Health()
+	if len(snap.Peers) != len(want) || snap.Trips != 2 {
+		t.Fatalf("snapshot = %+v, want 3 peers and 2 trips", snap)
+	}
+	for _, ph := range snap.Peers {
+		if ph.State != want[ph.Peer] {
+			t.Fatalf("%s state = %v, want %v", ph.Peer, ph.State, want[ph.Peer])
+		}
 	}
 }
 
 func TestBreakerDisabled(t *testing.T) {
-	b, err := NewBreaker(BreakerConfig{Disabled: true}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl, _, net, _ := newResilientCluster(t, 1, func(c *ClientConfig) { c.DisableBreaker = true })
+	net.Crash("peer-a")
 	for i := 0; i < 10; i++ {
-		if b.OnFailure("p") {
-			t.Fatal("disabled breaker tripped")
+		out, err := cl.QueryFrame(feature.Vector{1, float64(i)}, 0)
+		if err != nil || out.Queried != 1 || out.Degraded {
+			t.Fatalf("query %d through a disabled breaker: %+v, %v", i, out, err)
 		}
 	}
-	if !b.Allow("p") || b.State("p") != StateClosed {
-		t.Fatal("disabled breaker blocked traffic")
+	snap := cl.Health()
+	if snap.Trips != 0 || snap.Degraded || snap.Peers[0].State != StateClosed || snap.Peers[0].Failures != 10 {
+		t.Fatalf("disabled breaker snapshot = %+v", snap)
 	}
 }
 
 func TestBreakerJitterStaysInBounds(t *testing.T) {
-	clock := simclock.NewVirtual(time.Unix(0, 0))
-	b, err := NewBreaker(BreakerConfig{
-		BaseBackoff: 100 * time.Millisecond,
-		JitterFrac:  0.2,
-		Seed:        7,
-	}, clock)
-	if err != nil {
-		t.Fatal(err)
+	rng := rand.New(rand.NewSource(7))
+	seen := map[time.Time]bool{}
+	for i := 0; i < 50; i++ {
+		var c circuit
+		trip(t, &c, t0, rng)
+		// The open interval lies within [200 ms, 300 ms].
+		if c.allow(t0.Add(199 * time.Millisecond)) {
+			t.Fatal("allowed below jitter lower bound")
+		}
+		seen[c.openUntil] = true
+		if !c.allow(t0.Add(301 * time.Millisecond)) {
+			t.Fatal("not allowed past jitter upper bound")
+		}
 	}
-	for i := 0; i < 3; i++ {
-		b.OnFailure("p")
-	}
-	// Open interval is within [80ms, 120ms]: definitely open at 79 ms,
-	// definitely probing at 121 ms.
-	clock.Advance(79 * time.Millisecond)
-	if b.Allow("p") {
-		t.Fatal("allowed below jitter lower bound")
-	}
-	clock.Advance(42 * time.Millisecond)
-	if !b.Allow("p") {
-		t.Fatal("not allowed past jitter upper bound")
+	if len(seen) < 40 {
+		t.Fatalf("only %d distinct open intervals in 50 trips: jitter is not spreading", len(seen))
 	}
 }
 

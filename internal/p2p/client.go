@@ -3,6 +3,8 @@ package p2p
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"sort"
 	"sync"
 	"time"
 
@@ -49,32 +51,10 @@ type Observer interface {
 	BreakerRecovery(peer string)
 }
 
-// ClientConfig parameterizes the querying side.
+// ClientConfig parameterizes the querying side. The peer policy itself
+// — k, the answer radius, gossip attempts, health smoothing and the
+// breaker's threshold, backoffs and jitter — is fixed (peertable.go).
 type ClientConfig struct {
-	// K is the neighbor count requested from each peer.
-	K int
-	// MaxDistance filters peer answers: hits farther than this are
-	// ignored (the requester applies its own reuse radius).
-	MaxDistance float64
-	// GossipFanout caps how many peers each fresh result is shared
-	// with. Zero shares with all peers.
-	GossipFanout int
-	// GossipAttempts is the per-peer delivery attempt bound for
-	// gossip, including the first try. Zero selects the default (2).
-	// Retries happen off the recognition hot path: their backoff is
-	// not charged to the frame.
-	GossipAttempts int
-	// QueryBudget is the default per-query time budget applied by
-	// Query: answers arriving later are discarded (and charged to the
-	// peer as a timeout), and the charged cost is capped at the
-	// budget. Zero disables the cap. The engine overrides it per frame
-	// via QueryFrame with a budget derived from DNN latency.
-	QueryBudget time.Duration
-	// Health tunes the per-peer health EWMAs (zero value = defaults).
-	Health HealthConfig
-	// Breaker tunes the per-peer circuit breaker (zero value =
-	// defaults). Set Breaker.Disabled to bypass it entirely.
-	Breaker BreakerConfig
 	// Clock drives breaker backoff, coalesce-cache expiry, and gossip
 	// flush timing. Nil selects the wall clock; experiments inject
 	// their virtual clock so these heal/expire in simulated time.
@@ -95,25 +75,14 @@ type ClientConfig struct {
 	// are lazy — checked on enqueue and on each QueryFrame — plus
 	// explicit via FlushGossip, which the maintainer loop calls.
 	GossipFlush time.Duration
+	// DisableBreaker turns the circuit breaker off: every peer is
+	// always admitted and reads closed. The chaos and churn
+	// experiments' unguarded baselines set it.
+	DisableBreaker bool
 }
 
 // Validate reports whether the configuration is usable.
 func (c ClientConfig) Validate() error {
-	if c.K <= 0 || c.K > 255 {
-		return fmt.Errorf("p2p: client K must be in [1,255], got %d", c.K)
-	}
-	if c.MaxDistance <= 0 {
-		return fmt.Errorf("p2p: client MaxDistance must be positive, got %v", c.MaxDistance)
-	}
-	if c.GossipFanout < 0 {
-		return fmt.Errorf("p2p: GossipFanout must be non-negative, got %d", c.GossipFanout)
-	}
-	if c.GossipAttempts < 0 {
-		return fmt.Errorf("p2p: GossipAttempts must be non-negative, got %d", c.GossipAttempts)
-	}
-	if c.QueryBudget < 0 {
-		return fmt.Errorf("p2p: QueryBudget must be non-negative, got %v", c.QueryBudget)
-	}
 	if c.CoalesceTTL < 0 {
 		return fmt.Errorf("p2p: CoalesceTTL must be non-negative, got %v", c.CoalesceTTL)
 	}
@@ -123,54 +92,51 @@ func (c ClientConfig) Validate() error {
 	if c.GossipFlush < 0 {
 		return fmt.Errorf("p2p: GossipFlush must be non-negative, got %v", c.GossipFlush)
 	}
-	if err := c.Health.Validate(); err != nil {
-		return err
-	}
-	return c.Breaker.Validate()
+	return nil
 }
 
-// DefaultClientConfig returns the standard querying policy.
-func DefaultClientConfig() ClientConfig {
-	return ClientConfig{K: 4, MaxDistance: 0.25, GossipFanout: 0, GossipAttempts: 2}
-}
+// DefaultClientConfig returns the standard querying policy: wall clock,
+// no answer cache, unbatched gossip, breaker on.
+func DefaultClientConfig() ClientConfig { return ClientConfig{} }
 
 // Client queries and gossips to a set of peers over a Transport.
 //
 // Client is the guarded side of the P2P reuse path: every exchange
-// feeds a per-peer health tracker, and a circuit breaker excludes
-// misbehaving peers from the fan-out until a backed-off half-open
-// probe shows them healthy again. When every peer is open the client
-// degrades to local-only operation at zero cost instead of stalling
-// the frame. Client is safe for concurrent use.
+// feeds the peer's record in one table — its health and its circuit
+// breaker, which excludes a misbehaving peer from the fan-out until a
+// backed-off half-open probe shows it healthy again. When every peer is
+// open the client degrades to local-only operation at zero cost instead
+// of stalling the frame. One mutex guards the table and everything
+// else; Client is safe for concurrent use.
 type Client struct {
 	cfg       ClientConfig
 	transport Transport
-	health    *HealthTracker
-	breaker   *Breaker
 	clock     simclock.Clock
 	wire      metrics.WireTally
 
-	mu       sync.Mutex
-	peers    []string
-	digests  map[string]Digest
-	deltas   map[string]*peerDigestState
-	flights  map[string]*flight
-	answers  map[string]answerEntry
-	answerQ  []string
-	pending  []Gossip
-	due      time.Time
-	skipped  int
-	degraded int
-	observer Observer
+	mu sync.Mutex
+	// order is the configured peer set, in asking order; table holds the
+	// record of every peer configured or contacted so far.
+	order             []string
+	table             map[string]*peer
+	rng               *rand.Rand // breaker jitter, drawn in trip order
+	trips, recoveries int
+	degraded          int
+	skipped           int
+	flights           map[string]*flight
+	answers           map[string]answerEntry
+	answerQ           []string
+	pending           []Gossip
+	due               time.Time
+	observer          Observer
 }
 
 // flight is one in-progress peer-set query that concurrent identical
-// queries join instead of duplicating. out/err are written before done
-// is closed, so followers read them race-free.
+// queries join instead of duplicating. out is written before done is
+// closed, so followers read it race-free.
 type flight struct {
 	done chan struct{}
 	out  QueryOutcome
-	err  error
 }
 
 // answerEntry is one TTL'd cached peer answer.
@@ -190,17 +156,6 @@ func NewClient(cfg ClientConfig, transport Transport) (*Client, error) {
 	if transport == nil {
 		return nil, fmt.Errorf("p2p: nil transport")
 	}
-	if cfg.GossipAttempts == 0 {
-		cfg.GossipAttempts = 2
-	}
-	health, err := NewHealthTracker(cfg.Health)
-	if err != nil {
-		return nil, err
-	}
-	breaker, err := NewBreaker(cfg.Breaker, cfg.Clock)
-	if err != nil {
-		return nil, err
-	}
 	clock := cfg.Clock
 	if clock == nil {
 		clock = simclock.Real{}
@@ -208,11 +163,9 @@ func NewClient(cfg ClientConfig, transport Transport) (*Client, error) {
 	return &Client{
 		cfg:       cfg,
 		transport: transport,
-		health:    health,
-		breaker:   breaker,
 		clock:     clock,
-		digests:   make(map[string]Digest),
-		deltas:    make(map[string]*peerDigestState),
+		table:     make(map[string]*peer),
+		rng:       rand.New(rand.NewSource(1)),
 		flights:   make(map[string]*flight),
 		answers:   make(map[string]answerEntry),
 	}, nil
@@ -242,34 +195,105 @@ func (c *Client) SetObserver(o Observer) {
 	c.observer = o
 }
 
-// getObserver snapshots the observer.
-func (c *Client) getObserver() Observer {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.observer
-}
-
-// record books one exchange outcome into the health tracker, breaker,
-// and observer. It returns the failure class of err.
-func (c *Client) record(peer string, rtt time.Duration, err error) ErrClass {
-	class := Classify(err)
-	c.health.Observe(peer, rtt, class)
-	obs := c.getObserver()
-	if class.Failure() {
-		if class == ErrClassTimeout && obs != nil {
-			obs.PeerTimeout(peer)
-		}
-		if c.breaker.OnFailure(peer) && obs != nil {
-			obs.BreakerTrip(peer)
-		}
-	} else if c.breaker.OnSuccess(peer) && obs != nil {
-		obs.BreakerRecovery(peer)
+// peerLocked returns name's record, creating it on first mention.
+func (c *Client) peerLocked(name string) *peer {
+	p := c.table[name]
+	if p == nil {
+		p = &peer{}
+		c.table[name] = p
 	}
-	return class
+	return p
 }
 
-// Breaker exposes the client's circuit breaker (for tests and tools).
-func (c *Client) Breaker() *Breaker { return c.breaker }
+// succeedLocked books a success on p's circuit and reports whether it
+// closed an open or half-open one.
+func (c *Client) succeedLocked(p *peer) bool {
+	if c.cfg.DisableBreaker || !p.circuit.onSuccess() {
+		return false
+	}
+	c.recoveries++
+	return true
+}
+
+// stateLocked is p's circuit state at now.
+func (c *Client) stateLocked(p *peer, now time.Time) BreakerState {
+	if c.cfg.DisableBreaker {
+		return StateClosed
+	}
+	return p.circuit.read(now)
+}
+
+// record books one exchange outcome into the peer's health and circuit
+// in one critical section, then tells the observer.
+func (c *Client) record(name string, rtt time.Duration, err error) {
+	class := Classify(err)
+	var now time.Time
+	if class.Failure() {
+		now = c.clock.Now()
+	}
+	c.mu.Lock()
+	p := c.peerLocked(name)
+	p.health.observe(rtt, class)
+	var tripped, recovered bool
+	switch {
+	case c.cfg.DisableBreaker:
+	case class.Failure():
+		if tripped = p.circuit.onFailure(now, c.rng); tripped {
+			c.trips++
+		}
+	default:
+		recovered = c.succeedLocked(p)
+	}
+	obs := c.observer
+	c.mu.Unlock()
+	if obs == nil {
+		return
+	}
+	if class == ErrClassTimeout {
+		obs.PeerTimeout(name)
+	}
+	if tripped {
+		obs.BreakerTrip(name)
+	}
+	if recovered {
+		obs.BreakerRecovery(name)
+	}
+}
+
+// admitLocked appends to dst every configured peer whose circuit admits
+// a call at now, claiming half-open probes: the caller must contact
+// every peer it returns. With vec non-nil, a peer whose digest rules
+// vec out is skipped instead, and a probe it was admitted as resolves
+// as a success without an exchange.
+func (c *Client) admitLocked(dst []string, now time.Time, vec feature.Vector) []string {
+	for _, name := range c.order {
+		p := c.table[name]
+		if !c.cfg.DisableBreaker && !p.circuit.allow(now) {
+			continue
+		}
+		if vec != nil && !p.digestAllows(vec) {
+			c.skipped++
+			c.succeedLocked(p)
+			continue
+		}
+		dst = append(dst, name)
+	}
+	return dst
+}
+
+// degradedLocked reports whether peers are configured but no circuit
+// would admit a call at now.
+func (c *Client) degradedLocked(now time.Time) bool {
+	if c.cfg.DisableBreaker {
+		return false
+	}
+	for _, name := range c.order {
+		if c.table[name].circuit.admits(now) {
+			return false
+		}
+	}
+	return len(c.order) > 0
+}
 
 // FetchDigest asks peer for its coverage digest and caches it, so
 // subsequent Queries can skip the peer when it cannot possibly help.
@@ -278,14 +302,9 @@ func (c *Client) Breaker() *Breaker { return c.breaker }
 // The exchange is an epoch delta: the first fetch (or one the peer can
 // no longer serve a delta for) returns the full digest, later ones only
 // the centroids added or removed since, applied to the local mirror.
-func (c *Client) FetchDigest(peer string) (Digest, time.Duration, error) {
+func (c *Client) FetchDigest(name string) (Digest, time.Duration, error) {
 	c.mu.Lock()
-	st := c.deltas[peer]
-	if st == nil {
-		st = &peerDigestState{}
-		c.deltas[peer] = st
-	}
-	since := st.epoch
+	since := c.peerLocked(name).mirror.epoch
 	c.mu.Unlock()
 	bufp := getEncBuf()
 	req, err := AppendEncode(*bufp, DigestDeltaReq{Since: since})
@@ -294,46 +313,47 @@ func (c *Client) FetchDigest(peer string) (Digest, time.Duration, error) {
 		return Digest{}, 0, fmt.Errorf("encode digest delta req: %w", err)
 	}
 	c.wire.Sent(KindDigestDeltaReq.String(), len(req))
-	respB, rtt, err := c.transport.Call(peer, req)
+	respB, rtt, err := c.transport.Call(name, req)
 	*bufp = req[:0]
 	putEncBuf(bufp)
-	if err != nil {
-		c.record(peer, rtt, err)
-		return Digest{}, rtt, err
+	var msg Message
+	if err == nil {
+		msg, err = Decode(respB)
 	}
-	msg, err := Decode(respB)
 	if err != nil {
-		c.record(peer, rtt, err)
+		c.record(name, rtt, err)
 		return Digest{}, rtt, err
 	}
 	c.wire.Recv(msg.MsgKind().String(), len(respB))
 	resp, ok := msg.(DigestDeltaResp)
 	if !ok {
 		err := fmt.Errorf("%w: %v reply to digest delta req", ErrUnknownKind, msg.MsgKind())
-		c.record(peer, rtt, err)
+		c.record(name, rtt, err)
 		return Digest{}, rtt, err
 	}
-	c.record(peer, rtt, nil)
+	c.record(name, rtt, nil)
 	c.mu.Lock()
-	d, applyErr := st.apply(resp)
-	if applyErr == nil {
-		c.digests[peer] = d
+	p := c.table[name]
+	d, err := p.mirror.apply(resp)
+	if err == nil {
+		p.digest = d
 	}
 	c.mu.Unlock()
-	if applyErr != nil {
-		return Digest{}, rtt, applyErr
+	if err != nil {
+		return Digest{}, rtt, err
 	}
 	return d, rtt, nil
 }
 
 // DropDigest forgets a cached digest and its delta-sync state (e.g.
 // after the peer churns; a reincarnated peer starts from a full
-// snapshot).
-func (c *Client) DropDigest(peer string) {
+// snapshot). The peer's health and circuit stay.
+func (c *Client) DropDigest(name string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	delete(c.digests, peer)
-	delete(c.deltas, peer)
+	if p := c.table[name]; p != nil {
+		p.mirror, p.digest = peerDigestState{}, Digest{}
+	}
 }
 
 // SkippedQueries returns how many per-peer queries digests avoided.
@@ -343,39 +363,26 @@ func (c *Client) SkippedQueries() int {
 	return c.skipped
 }
 
-// digestAllows reports whether peer should be queried for vec: true
-// when no digest is cached, or when the digest says the peer may cover
-// the query.
-func (c *Client) digestAllows(peer string, vec feature.Vector) bool {
-	c.mu.Lock()
-	d, ok := c.digests[peer]
-	c.mu.Unlock()
-	if !ok {
-		return true
-	}
-	// Slack of one reuse radius absorbs cluster spread.
-	if d.MayCover(vec, c.cfg.MaxDistance, c.cfg.MaxDistance) {
-		return true
-	}
-	c.mu.Lock()
-	c.skipped++
-	c.mu.Unlock()
-	return false
-}
-
-// SetPeers replaces the peer set. A departed peer's cached digest and
-// delta-sync state stay until the caller's DropDigest.
+// SetPeers replaces the peer set. A departed peer keeps its record —
+// health, circuit, cached digest — until the caller's DropDigest drops
+// the digest; it is no longer asked.
 func (c *Client) SetPeers(peers []string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.peers = append(c.peers[:0:0], peers...)
+	for _, p := range c.table {
+		p.configured = false
+	}
+	c.order = append(c.order[:0:0], peers...)
+	for _, name := range c.order {
+		c.peerLocked(name).configured = true
+	}
 }
 
 // Peers returns a copy of the current peer set.
 func (c *Client) Peers() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append([]string(nil), c.peers...)
+	return append([]string(nil), c.order...)
 }
 
 // QueryOutcome is the result of one budgeted peer-set query.
@@ -396,12 +403,12 @@ type QueryOutcome struct {
 	Degraded bool
 }
 
-// Query asks every admitted peer for vec and returns the best in-range
-// answer, applying the configured default budget. found is false when
-// no peer produced an acceptable hit; cost still reflects the time
-// spent asking. See QueryFrame for the full outcome.
+// Query asks every admitted peer for vec without a time budget and
+// returns the best in-range answer. found is false when no peer
+// produced an acceptable hit; cost still reflects the time spent
+// asking. See QueryFrame for the full outcome.
 func (c *Client) Query(vec feature.Vector) (hit RemoteHit, cost time.Duration, found bool, err error) {
-	out, err := c.QueryFrame(vec, c.cfg.QueryBudget)
+	out, err := c.QueryFrame(vec, 0)
 	return out.Hit, out.Cost, out.Found, err
 }
 
@@ -418,104 +425,75 @@ func (c *Client) Query(vec feature.Vector) (hit RemoteHit, cost time.Duration, f
 // quantized vector code join one in-flight exchange, and (with
 // CoalesceTTL set) a completed outcome is replayed at zero cost for
 // the TTL — replays report Cost 0 and Queried 0, since nothing hit
-// the wire.
+// the wire. Only the caller that leads the exchange claims half-open
+// probes, so a replay or a follower never strands one.
 func (c *Client) QueryFrame(vec feature.Vector, budget time.Duration) (QueryOutcome, error) {
 	c.flushDueGossip()
-	peers := c.Peers()
-	if len(peers) == 0 {
+	// The encoded request is also the coalescing key: two vectors share
+	// it exactly when they are indistinguishable on the wire.
+	bufp := getEncBuf()
+	defer putEncBuf(bufp)
+	req, encErr := AppendEncode(*bufp, Query{Vec: vec, K: queryK})
+	if encErr == nil {
+		*bufp = req
+	}
+	now := c.clock.Now()
+	c.mu.Lock()
+	switch {
+	case len(c.order) == 0:
+		c.mu.Unlock()
 		return QueryOutcome{}, nil
-	}
-	admitted := peers[:0:0]
-	for _, peer := range peers {
-		if c.breaker.Allow(peer) {
-			admitted = append(admitted, peer)
-		}
-	}
-	if len(admitted) == 0 {
-		c.mu.Lock()
+	case c.degradedLocked(now):
 		c.degraded++
 		c.mu.Unlock()
 		return QueryOutcome{Degraded: true}, nil
+	case encErr != nil:
+		c.mu.Unlock()
+		return QueryOutcome{}, fmt.Errorf("encode query: %w", encErr)
 	}
-	key, err := queryKey(vec)
-	if err != nil {
-		return QueryOutcome{}, fmt.Errorf("encode query: %w", err)
+	if e, ok := c.answers[string(req)]; ok { // only ever filled with CoalesceTTL on
+		if !now.After(e.exp) {
+			c.mu.Unlock()
+			c.wire.CoalesceCached()
+			return e.out, nil
+		}
+		delete(c.answers, string(req))
 	}
-	out, fl, leader := c.replayOrJoin(key)
-	if fl == nil {
-		c.wire.CoalesceCached()
-		return out, nil
-	}
-	if !leader {
+	if fl, ok := c.flights[string(req)]; ok {
+		c.mu.Unlock()
 		<-fl.done
 		c.wire.CoalesceInFlight()
-		return fl.out, fl.err
+		return fl.out, nil
 	}
-	out, err = c.queryAdmitted(vec, budget, admitted)
-	fl.out, fl.err = out, err
-	// Publish the answer before retiring the flight: a caller arriving
-	// in between would find neither and query the peers a second time.
-	if err == nil && !out.Degraded && c.cfg.CoalesceTTL > 0 {
-		c.storeAnswer(key, out)
-	}
-	c.finishFlight(key, fl)
-	return out, err
-}
-
-// queryKey is the coalescing identity of a query: the quantized vector
-// encoding, so two vectors share a key exactly when they are
-// indistinguishable on the wire.
-func queryKey(vec feature.Vector) (string, error) {
-	bufp := getEncBuf()
-	b, err := appendQuantVec(*bufp, vec)
-	if err != nil {
-		putEncBuf(bufp)
-		return "", err
-	}
-	key := string(b)
-	*bufp = b[:0]
-	putEncBuf(bufp)
-	return key, nil
-}
-
-// replayOrJoin resolves a query against the coalescing state in one
-// critical section: a cached answer still within its TTL (fl nil), else
-// the in-flight exchange to wait on, else a new flight the caller
-// leads. One section, so that a caller cannot miss the cache, then miss
-// the flight that stored the answer and retired in between.
-func (c *Client) replayOrJoin(key string) (out QueryOutcome, fl *flight, leader bool) {
-	now := c.clock.Now()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.answers[key]; ok { // only ever filled with CoalesceTTL on
-		if !now.After(e.exp) {
-			return e.out, nil, false
-		}
-		delete(c.answers, key)
-	}
-	if fl, ok := c.flights[key]; ok {
-		return QueryOutcome{}, fl, false
-	}
-	fl = &flight{done: make(chan struct{})}
+	key := string(req)
+	fl := &flight{done: make(chan struct{})}
 	c.flights[key] = fl
-	return QueryOutcome{}, fl, true
-}
+	var buf [8]string
+	targets := c.admitLocked(buf[:0], now, vec)
+	c.mu.Unlock()
 
-func (c *Client) finishFlight(key string, fl *flight) {
+	fl.out = c.ask(req, budget, targets)
+	var exp time.Time
+	if c.cfg.CoalesceTTL > 0 {
+		exp = c.clock.Now().Add(c.cfg.CoalesceTTL)
+	}
+	// Publish the answer and retire the flight in one section: a caller
+	// arriving in between would find neither and ask the peers again.
 	c.mu.Lock()
+	if c.cfg.CoalesceTTL > 0 {
+		c.storeAnswerLocked(key, fl.out, exp)
+	}
 	delete(c.flights, key)
 	c.mu.Unlock()
 	close(fl.done)
+	return fl.out, nil
 }
 
-func (c *Client) storeAnswer(key string, out QueryOutcome) {
+func (c *Client) storeAnswerLocked(key string, out QueryOutcome, exp time.Time) {
 	// Replays are free: nothing hits the wire, so the cached outcome
 	// carries no cost and counts no queried peers.
 	out.Cost = 0
 	out.Queried = 0
-	exp := c.clock.Now().Add(c.cfg.CoalesceTTL)
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if _, exists := c.answers[key]; !exists {
 		if len(c.answerQ) >= maxAnswerCache {
 			oldest := c.answerQ[0]
@@ -527,59 +505,39 @@ func (c *Client) storeAnswer(key string, out QueryOutcome) {
 	c.answers[key] = answerEntry{out: out, exp: exp}
 }
 
-// queryAdmitted runs the actual peer fan-out for one query, encoding
-// the request once into a pooled buffer.
-func (c *Client) queryAdmitted(vec feature.Vector, budget time.Duration, admitted []string) (QueryOutcome, error) {
-	bufp := getEncBuf()
-	defer putEncBuf(bufp)
-	req, err := AppendEncode(*bufp, Query{Vec: vec, K: uint8(c.cfg.K)})
-	if err != nil {
-		return QueryOutcome{}, fmt.Errorf("encode query: %w", err)
-	}
-	*bufp = req
+// ask sends the encoded query req to each target in turn and keeps the
+// best in-range answer.
+func (c *Client) ask(req []byte, budget time.Duration, targets []string) QueryOutcome {
 	var out QueryOutcome
-	var maxRTT time.Duration
-	for _, peer := range admitted {
-		if !c.digestAllows(peer, vec) {
-			// The peer's digest says it cannot help. Resolve a
-			// half-open probe admission without an exchange.
-			c.breaker.OnSuccess(peer)
-			continue
-		}
+	for _, name := range targets {
 		c.wire.Sent(KindQuery.String(), len(req))
-		respB, rtt, callErr := c.transport.Call(peer, req)
-		if rtt > maxRTT {
-			maxRTT = rtt
-		}
-		if callErr == nil && budget > 0 && rtt > budget {
+		respB, rtt, err := c.transport.Call(name, req)
+		out.Cost = max(out.Cost, rtt)
+		if err == nil && budget > 0 && rtt > budget {
 			// The answer exists but arrived after the frame's peer
 			// deadline: discard it and charge the overrun.
-			callErr = fmt.Errorf("%w: %v > %v from %s", ErrBudgetExceeded, rtt, budget, peer)
+			err = fmt.Errorf("%w: %v > %v from %s", ErrBudgetExceeded, rtt, budget, name)
 		}
 		out.Queried++
 		var msg Message
-		if callErr == nil {
-			var decErr error
-			msg, decErr = Decode(respB)
-			if decErr != nil {
-				callErr = decErr
-			} else {
+		if err == nil {
+			if msg, err = Decode(respB); err == nil {
 				c.wire.Recv(msg.MsgKind().String(), len(respB))
 			}
 		}
-		if c.record(peer, rtt, callErr); callErr != nil {
+		if c.record(name, rtt, err); err != nil {
 			// A lost or failed exchange is a per-peer miss, not a
 			// query failure: the requester simply proceeds with the
 			// answers it has.
 			continue
 		}
 		resp, ok := msg.(QueryResp)
-		if !ok || !resp.Found || resp.Distance > c.cfg.MaxDistance {
+		if !ok || !resp.Found || resp.Distance > maxDistance {
 			continue
 		}
 		if !out.Found || resp.Distance < out.Hit.Distance {
 			out.Hit = RemoteHit{
-				Peer:       peer,
+				Peer:       name,
 				Label:      resp.Label,
 				Confidence: resp.Confidence,
 				Distance:   resp.Distance,
@@ -588,162 +546,16 @@ func (c *Client) queryAdmitted(vec feature.Vector, budget time.Duration, admitte
 			out.Found = true
 		}
 	}
-	out.Cost = maxRTT
 	if budget > 0 && out.Cost > budget {
 		out.Cost = budget
 	}
-	return out, nil
-}
-
-// Gossip shares a fresh recognition result with up to GossipFanout
-// admitted peers (all peers when zero). Gossip is fire-and-forget:
-// per-peer failures are ignored after GossipAttempts bounded retries,
-// peers with open circuits are skipped, and the returned cost is the
-// slowest successful delivery (sends proceed concurrently on a real
-// radio). Retry pacing happens off the recognition hot path, so no
-// backoff is charged to the returned cost.
-//
-// With GossipBatch > 1 the item is queued instead of sent: the queue
-// flushes when it reaches GossipBatch items or the oldest item has
-// waited GossipFlush (checked lazily on enqueue and on QueryFrame, or
-// explicitly via FlushGossip). Each peer receives the whole batch as
-// one message.
-func (c *Client) Gossip(vec feature.Vector, label string, confidence float64, savedCost time.Duration) (time.Duration, error) {
-	item := Gossip{Vec: vec, Label: label, Confidence: confidence, SavedCost: savedCost}
-	if c.cfg.GossipBatch <= 1 {
-		return c.deliverGossip([]Gossip{item})
-	}
-	// Queued items outlive the caller's frame, whose vector buffer may
-	// be reused; take a private copy.
-	item.Vec = vec.Clone()
-	now := c.clock.Now()
-	c.mu.Lock()
-	c.pending = append(c.pending, item)
-	if len(c.pending) == 1 {
-		c.due = now.Add(c.gossipFlushInterval())
-	}
-	flush := len(c.pending) >= c.cfg.GossipBatch || !now.Before(c.due)
-	var items []Gossip
-	if flush {
-		items = c.pending
-		c.pending = nil
-	}
-	c.mu.Unlock()
-	if !flush {
-		return 0, nil
-	}
-	return c.deliverGossip(items)
-}
-
-// FlushGossip delivers any queued gossip immediately. The maintainer
-// loop calls it so queued items never outlive a maintenance interval.
-func (c *Client) FlushGossip() (time.Duration, error) {
-	c.mu.Lock()
-	items := c.pending
-	c.pending = nil
-	c.mu.Unlock()
-	if len(items) == 0 {
-		return 0, nil
-	}
-	return c.deliverGossip(items)
-}
-
-// flushDueGossip flushes the queue if its deadline has passed; called
-// from QueryFrame so batching never needs a background timer.
-func (c *Client) flushDueGossip() {
-	c.mu.Lock()
-	if len(c.pending) == 0 {
-		c.mu.Unlock()
-		return
-	}
-	due := !c.clock.Now().Before(c.due)
-	var items []Gossip
-	if due {
-		items = c.pending
-		c.pending = nil
-	}
-	c.mu.Unlock()
-	if due {
-		c.deliverGossip(items) //nolint:errcheck // fire-and-forget
-	}
-}
-
-func (c *Client) gossipFlushInterval() time.Duration {
-	if c.cfg.GossipFlush > 0 {
-		return c.cfg.GossipFlush
-	}
-	return 100 * time.Millisecond
-}
-
-// deliverGossip fans the items out to admitted peers, one frame per
-// peer: a Gossip for a single item, a GossipBatch for several.
-func (c *Client) deliverGossip(items []Gossip) (time.Duration, error) {
-	peers := c.Peers()
-	if len(peers) == 0 {
-		return 0, nil
-	}
-	admitted := peers[:0:0]
-	for _, peer := range peers {
-		if c.breaker.Allow(peer) {
-			admitted = append(admitted, peer)
-		}
-	}
-	if c.cfg.GossipFanout > 0 && len(admitted) > c.cfg.GossipFanout {
-		admitted = admitted[:c.cfg.GossipFanout]
-	}
-	if len(admitted) == 0 {
-		return 0, nil
-	}
-	var m Message = items[0]
-	if len(items) > 1 {
-		m = GossipBatch{Items: items}
-	}
-	bufp := getEncBuf()
-	defer putEncBuf(bufp)
-	payload, err := AppendEncode(*bufp, m)
-	if err != nil {
-		return 0, fmt.Errorf("encode gossip: %w", err)
-	}
-	*bufp = payload
-	var maxCost time.Duration
-	for _, peer := range admitted {
-		cost, ok := c.sendGossipPayload(peer, payload, m.MsgKind())
-		if !ok {
-			continue
-		}
-		if len(items) > 1 {
-			c.wire.ObserveBatch(len(items))
-		}
-		if cost > maxCost {
-			maxCost = cost
-		}
-	}
-	return maxCost, nil
-}
-
-// sendGossipPayload delivers one gossip frame with the bounded retry
-// policy, booking health and wire stats. ok reports delivery.
-func (c *Client) sendGossipPayload(peer string, payload []byte, kind Kind) (time.Duration, bool) {
-	for attempt := 0; attempt < c.cfg.GossipAttempts; attempt++ {
-		c.wire.Sent(kind.String(), len(payload))
-		cost, sendErr := c.transport.Send(peer, payload)
-		c.record(peer, cost, sendErr)
-		if sendErr == nil {
-			return cost, true
-		}
-		// Only transient loss is worth a retry; a crashed or
-		// partitioned peer fails the same way immediately.
-		if !errors.Is(sendErr, simnet.ErrLost) {
-			break
-		}
-	}
-	return 0, false
+	return out
 }
 
 // Ping probes peer and returns its advertised identity and cache size.
-// The outcome feeds the health tracker and breaker, so background
-// roster refreshes double as recovery probes for open circuits.
-func (c *Client) Ping(self, peer string) (Pong, time.Duration, error) {
+// The outcome feeds the peer's health and circuit, so background roster
+// refreshes double as recovery probes for open circuits.
+func (c *Client) Ping(self, name string) (Pong, time.Duration, error) {
 	bufp := getEncBuf()
 	defer putEncBuf(bufp)
 	req, err := AppendEncode(*bufp, Ping{From: self})
@@ -752,47 +564,31 @@ func (c *Client) Ping(self, peer string) (Pong, time.Duration, error) {
 	}
 	*bufp = req[:0]
 	c.wire.Sent(KindPing.String(), len(req))
-	respB, rtt, err := c.transport.Call(peer, req)
-	if err != nil {
-		c.record(peer, rtt, err)
-		return Pong{}, rtt, err
+	respB, rtt, err := c.transport.Call(name, req)
+	var msg Message
+	if err == nil {
+		msg, err = Decode(respB)
 	}
-	msg, err := Decode(respB)
 	if err != nil {
-		c.record(peer, rtt, err)
+		c.record(name, rtt, err)
 		return Pong{}, rtt, err
 	}
 	c.wire.Recv(msg.MsgKind().String(), len(respB))
 	pong, ok := msg.(Pong)
 	if !ok {
 		err := fmt.Errorf("%w: %v reply to ping", ErrUnknownKind, msg.MsgKind())
-		c.record(peer, rtt, err)
+		c.record(name, rtt, err)
 		return Pong{}, rtt, err
 	}
-	c.record(peer, rtt, nil)
+	c.record(name, rtt, nil)
 	return pong, rtt, nil
-}
-
-// ProbeOpen pings every peer whose circuit is currently open,
-// identifying as self. It is the explicit background re-probe hook:
-// call it from a maintenance loop to heal circuits without waiting for
-// the hot path to trip over them. It returns how many probes
-// succeeded (each success closes that peer's circuit).
-func (c *Client) ProbeOpen(self string) int {
-	recovered := 0
-	for _, peer := range c.breaker.Open() {
-		if _, _, err := c.Ping(self, peer); err == nil {
-			recovered++
-		}
-	}
-	return recovered
 }
 
 // HealthSnapshot is a point-in-time view of the client's resilience
 // state.
 type HealthSnapshot struct {
-	// Peers holds per-peer health, sorted by name, with breaker
-	// states filled in.
+	// Peers holds every configured or contacted peer once, sorted by
+	// name, breaker state included.
 	Peers []PeerHealth
 	// Trips and Recoveries count breaker transitions so far.
 	Trips, Recoveries int
@@ -804,34 +600,29 @@ type HealthSnapshot struct {
 	Degraded bool
 }
 
-// Health returns a snapshot of per-peer health and breaker state.
+// Health returns a snapshot of per-peer health and breaker state, read
+// in one critical section so it cannot tear.
 func (c *Client) Health() HealthSnapshot {
-	var snap HealthSnapshot
-	snap.Peers = c.health.Snapshot()
-	seen := make(map[string]bool, len(snap.Peers))
-	for i := range snap.Peers {
-		snap.Peers[i].State = c.breaker.State(snap.Peers[i].Peer)
-		seen[snap.Peers[i].Peer] = true
-	}
-	peers := c.Peers()
-	for _, peer := range peers {
-		if !seen[peer] {
-			snap.Peers = append(snap.Peers, PeerHealth{Peer: peer, State: c.breaker.State(peer)})
-		}
-	}
-	snap.Trips, snap.Recoveries = c.breaker.Counts()
+	now := c.clock.Now()
 	c.mu.Lock()
-	snap.DegradedQueries = c.degraded
-	c.mu.Unlock()
-	if len(peers) > 0 {
-		snap.Degraded = true
-		for _, peer := range peers {
-			if c.breaker.State(peer) != StateOpen {
-				snap.Degraded = false
-				break
-			}
+	snap := HealthSnapshot{
+		Peers:           make([]PeerHealth, 0, len(c.table)),
+		Trips:           c.trips,
+		Recoveries:      c.recoveries,
+		DegradedQueries: c.degraded,
+		Degraded:        len(c.order) > 0,
+	}
+	for name, p := range c.table {
+		state := c.stateLocked(p, now)
+		if p.configured && state != StateOpen {
+			snap.Degraded = false
+		}
+		if p.configured || p.health.sampled {
+			snap.Peers = append(snap.Peers, p.health.snapshot(name, state))
 		}
 	}
+	c.mu.Unlock()
+	sort.Slice(snap.Peers, func(i, j int) bool { return snap.Peers[i].Peer < snap.Peers[j].Peer })
 	return snap
 }
 

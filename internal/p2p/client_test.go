@@ -49,10 +49,10 @@ func TestClientConfigValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := []ClientConfig{
-		{K: 0, MaxDistance: 1},
-		{K: 256, MaxDistance: 1},
-		{K: 4},
-		{K: 4, MaxDistance: 1, GossipFanout: -1},
+		{CoalesceTTL: -time.Second},
+		{GossipBatch: -1},
+		{GossipBatch: MaxGossipBatch + 1},
+		{GossipFlush: -time.Millisecond},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -168,44 +168,25 @@ func TestClientGossipReachesPeers(t *testing.T) {
 	}
 }
 
+// TestClientGossipFanout: gossip fans out to every admitted peer — all
+// of them while healthy, none whose circuit is open.
 func TestClientGossipFanout(t *testing.T) {
-	net, err := simnet.New(simnet.LinkProfile{Latency: time.Millisecond}, 1)
-	if err != nil {
-		t.Fatal(err)
+	cl, services, net, _ := newResilientCluster(t, 3)
+	net.Crash("peer-c")
+	for i := 0; i < failureThreshold; i++ {
+		cl.QueryFrame(feature.Vector{0, float64(i + 1)}, 0)
 	}
-	var services []*Service
-	var names []string
-	for _, name := range []string{"p1", "p2", "p3"} {
-		svc, err := NewService(DefaultServiceConfig(name), newStore(t, 8))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := RegisterService(net, svc); err != nil {
-			t.Fatal(err)
-		}
-		services = append(services, svc)
-		names = append(names, name)
-	}
-	tr, err := NewSimnetTransport("self", net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultClientConfig()
-	cfg.GossipFanout = 2
-	cl, err := NewClient(cfg, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl.SetPeers(names)
+	net.Restart("peer-c")
 	if _, err := cl.Gossip(feature.Vector{1, 0}, "cat", 0.9, time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	total := 0
-	for _, svc := range services {
-		total += svc.Store().Len()
+	for i, want := range []int{1, 1, 0} {
+		if got := services[i].Store().Len(); got != want {
+			t.Fatalf("peer %d holds %d gossiped entries, want %d", i, got, want)
+		}
 	}
-	if total != 2 {
-		t.Fatalf("fanout 2 delivered to %d peers", total)
+	if ph := peerHealth(t, cl, "peer-c"); ph.State != StateOpen || ph.Failures+ph.Successes != failureThreshold {
+		t.Fatalf("gossip reached the open peer: %+v", ph)
 	}
 }
 

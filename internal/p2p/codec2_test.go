@@ -407,7 +407,7 @@ func TestQuantizedVoteDifferential(t *testing.T) {
 	disagree, found := 0, 0
 	for q := 0; q < queries; q++ {
 		vec := perturbed(rng, rng.Intn(len(centers)))
-		exact, err := svc.HandleQuery(Query{Vec: vec, K: uint8(DefaultClientConfig().K)})
+		exact, err := svc.HandleQuery(Query{Vec: vec, K: queryK})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,7 +9,7 @@ import (
 	"approxcache/internal/simnet"
 )
 
-func newRosterCluster(t *testing.T, n int) (*Roster, *Client, []*Service, func(i int)) {
+func newRosterCluster(t *testing.T, n int) (*Roster, *Client, []*Service, *simnet.Network) {
 	t.Helper()
 	cl, services, net := newSimCluster(t, n)
 	clock := simclock.NewVirtual(time.Unix(0, 0))
@@ -18,8 +18,7 @@ func newRosterCluster(t *testing.T, n int) (*Roster, *Client, []*Service, func(i
 		t.Fatal(err)
 	}
 	roster.Add(cl.Peers()...)
-	kill := func(i int) { net.Unregister(simnet.NodeID(services[i].Name())) }
-	return roster, cl, services, kill
+	return roster, cl, services, net
 }
 
 func TestNewRosterValidation(t *testing.T) {
@@ -96,18 +95,33 @@ func TestRosterBestPrefersWarmPeers(t *testing.T) {
 }
 
 func TestRosterDeadPeerExcluded(t *testing.T) {
-	roster, _, _, kill := newRosterCluster(t, 2)
+	roster, cl, _, net := newRosterCluster(t, 2)
 	roster.Refresh()
-	kill(0) // peer-a disappears
-	roster.Refresh()
+	net.Crash("peer-a") // peer-a disappears
+	for i := 0; i < failureThreshold; i++ {
+		roster.Refresh()
+	}
 	info, _ := roster.Info("peer-a")
-	if info.Alive || info.Failures == 0 {
+	if info.Alive || info.Failures != failureThreshold {
 		t.Fatalf("dead peer still alive: %+v", info)
 	}
 	for _, name := range roster.Best(0) {
 		if name == "peer-a" {
 			t.Fatal("dead peer ranked")
 		}
+	}
+	// The failed pings tripped peer-a's circuit. Refresh pings every
+	// known peer whatever its circuit, so once peer-a is back the next
+	// round heals the circuit without waiting out the backoff.
+	if got := peerHealth(t, cl, "peer-a").State; got != StateOpen {
+		t.Fatalf("peer-a state after %d failed pings = %v, want open", failureThreshold, got)
+	}
+	net.Restart("peer-a")
+	if alive := roster.Refresh(); alive != 2 {
+		t.Fatalf("alive after restart = %d, want 2", alive)
+	}
+	if got := peerHealth(t, cl, "peer-a").State; got != StateClosed {
+		t.Fatalf("peer-a state after a successful refresh = %v, want closed", got)
 	}
 }
 

@@ -4,15 +4,12 @@ import (
 	"errors"
 	"net"
 	"os"
-	"sort"
-	"sync"
-	"time"
 
 	"approxcache/internal/simnet"
 )
 
-// ErrClass is a coarse failure taxonomy for peer exchanges. The health
-// tracker and circuit breaker key their policies off it: timeouts and
+// ErrClass is a coarse failure taxonomy for peer exchanges. A peer's
+// health record and circuit key their policies off it: timeouts and
 // unreachable peers are strong down signals, a single lost message on a
 // lossy radio link is weak evidence.
 type ErrClass int
@@ -91,153 +88,4 @@ func Classify(err error) ErrClass {
 		return ErrClassUnreachable
 	}
 	return ErrClassOther
-}
-
-// HealthConfig tunes the per-peer health EWMAs.
-type HealthConfig struct {
-	// Alpha is the EWMA smoothing factor in (0,1]; higher weights
-	// recent samples more. Zero selects the default (0.3).
-	Alpha float64
-}
-
-// Validate reports whether the configuration is usable.
-func (c HealthConfig) Validate() error {
-	if c.Alpha < 0 || c.Alpha > 1 {
-		return errors.New("p2p: health Alpha must be in [0,1]")
-	}
-	return nil
-}
-
-// DefaultHealthConfig returns the standard smoothing policy.
-func DefaultHealthConfig() HealthConfig { return HealthConfig{Alpha: 0.3} }
-
-// PeerHealth is a snapshot of one peer's observed behaviour.
-type PeerHealth struct {
-	// Peer names the peer.
-	Peer string
-	// Successes and Failures count completed exchanges by outcome.
-	Successes, Failures int
-	// ConsecFailures counts failures since the last success.
-	ConsecFailures int
-	// Timeouts counts deadline/budget overruns.
-	Timeouts int
-	// LatencyEWMA is the smoothed round-trip time of exchanges.
-	LatencyEWMA time.Duration
-	// SuccessEWMA is the smoothed success rate in [0,1].
-	SuccessEWMA float64
-	// LastClass is the most recent exchange's failure class.
-	LastClass ErrClass
-	// State is the peer's circuit-breaker state.
-	State BreakerState
-}
-
-// peerHealth is the mutable tracker state for one peer.
-type peerHealth struct {
-	successes, failures int
-	consecFailures      int
-	timeouts            int
-	latencyEWMA         float64 // nanoseconds
-	successEWMA         float64
-	sampled             bool
-	lastClass           ErrClass
-}
-
-// HealthTracker records per-peer exchange outcomes and latency EWMAs.
-// It is the observational half of the resilience layer; the Breaker is
-// the policy half. HealthTracker is safe for concurrent use.
-type HealthTracker struct {
-	cfg HealthConfig
-
-	mu    sync.Mutex
-	peers map[string]*peerHealth
-}
-
-// NewHealthTracker builds a tracker with cfg (zero fields defaulted).
-func NewHealthTracker(cfg HealthConfig) (*HealthTracker, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Alpha == 0 {
-		cfg.Alpha = DefaultHealthConfig().Alpha
-	}
-	return &HealthTracker{cfg: cfg, peers: make(map[string]*peerHealth)}, nil
-}
-
-// Observe records one exchange with peer: its round-trip time and
-// failure class (ErrClassNone for success).
-func (t *HealthTracker) Observe(peer string, rtt time.Duration, class ErrClass) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	p := t.peers[peer]
-	if p == nil {
-		p = &peerHealth{}
-		t.peers[peer] = p
-	}
-	alpha := t.cfg.Alpha
-	outcome := 1.0
-	if class.Failure() {
-		outcome = 0.0
-		p.failures++
-		p.consecFailures++
-		if class == ErrClassTimeout {
-			p.timeouts++
-		}
-	} else {
-		p.successes++
-		p.consecFailures = 0
-	}
-	if !p.sampled {
-		p.latencyEWMA = float64(rtt)
-		p.successEWMA = outcome
-		p.sampled = true
-	} else {
-		p.latencyEWMA += alpha * (float64(rtt) - p.latencyEWMA)
-		p.successEWMA += alpha * (outcome - p.successEWMA)
-	}
-	p.lastClass = class
-}
-
-// Forget drops all state for peer (e.g. after it leaves the roster).
-func (t *HealthTracker) Forget(peer string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	delete(t.peers, peer)
-}
-
-// Peer returns the snapshot for one peer, if observed. The breaker
-// State field is left at its zero value; Client.Health fills it.
-func (t *HealthTracker) Peer(name string) (PeerHealth, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	p, ok := t.peers[name]
-	if !ok {
-		return PeerHealth{}, false
-	}
-	return snapshotHealth(name, p), true
-}
-
-// Snapshot returns all observed peers, sorted by name. Breaker State
-// fields are zero; Client.Health fills them.
-func (t *HealthTracker) Snapshot() []PeerHealth {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]PeerHealth, 0, len(t.peers))
-	for name, p := range t.peers {
-		out = append(out, snapshotHealth(name, p))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Peer < out[j].Peer })
-	return out
-}
-
-func snapshotHealth(name string, p *peerHealth) PeerHealth {
-	return PeerHealth{
-		Peer:           name,
-		Successes:      p.successes,
-		Failures:       p.failures,
-		ConsecFailures: p.consecFailures,
-		Timeouts:       p.timeouts,
-		LatencyEWMA:    time.Duration(p.latencyEWMA),
-		SuccessEWMA:    p.successEWMA,
-		LastClass:      p.lastClass,
-	}
 }

@@ -7,18 +7,12 @@ import (
 )
 
 func TestHealthTrackerCounts(t *testing.T) {
-	h, err := NewHealthTracker(HealthConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Observe("p", 10*time.Millisecond, ErrClassNone)
-	h.Observe("p", 12*time.Millisecond, ErrClassTimeout)
-	h.Observe("p", 8*time.Millisecond, ErrClassLost)
-	ph, ok := h.Peer("p")
-	if !ok {
-		t.Fatal("peer not tracked")
-	}
-	if ph.Successes != 1 || ph.Failures != 2 || ph.ConsecFailures != 2 {
+	var h health
+	h.observe(10*time.Millisecond, ErrClassNone)
+	h.observe(12*time.Millisecond, ErrClassTimeout)
+	h.observe(8*time.Millisecond, ErrClassLost)
+	ph := h.snapshot("p", StateClosed)
+	if ph.Peer != "p" || ph.Successes != 1 || ph.Failures != 2 || ph.ConsecFailures != 2 {
 		t.Fatalf("counts = %+v", ph)
 	}
 	if ph.Timeouts != 1 {
@@ -27,64 +21,27 @@ func TestHealthTrackerCounts(t *testing.T) {
 	if ph.LastClass != ErrClassLost {
 		t.Fatalf("last class = %v, want lost", ph.LastClass)
 	}
-	h.Observe("p", 10*time.Millisecond, ErrClassNone)
-	ph, _ = h.Peer("p")
-	if ph.ConsecFailures != 0 {
+	h.observe(10*time.Millisecond, ErrClassNone)
+	if ph = h.snapshot("p", StateClosed); ph.ConsecFailures != 0 {
 		t.Fatalf("success did not reset consecutive failures: %d", ph.ConsecFailures)
 	}
 }
 
 func TestHealthTrackerEWMA(t *testing.T) {
-	h, err := NewHealthTracker(HealthConfig{Alpha: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	var h health
 	// First sample initializes the EWMAs directly.
-	h.Observe("p", 10*time.Millisecond, ErrClassNone)
-	ph, _ := h.Peer("p")
-	if ph.LatencyEWMA != 10*time.Millisecond || ph.SuccessEWMA != 1 {
+	h.observe(10*time.Millisecond, ErrClassNone)
+	if ph := h.snapshot("p", StateClosed); ph.LatencyEWMA != 10*time.Millisecond || ph.SuccessEWMA != 1 {
 		t.Fatalf("after first sample: %+v", ph)
 	}
-	// Second sample blends: latency (10+20)/2 = 15 ms, success (1+0)/2 = 0.5.
-	h.Observe("p", 20*time.Millisecond, ErrClassTimeout)
-	ph, _ = h.Peer("p")
-	if ph.LatencyEWMA != 15*time.Millisecond {
-		t.Fatalf("latency EWMA = %v, want 15ms", ph.LatencyEWMA)
+	// Second sample blends at α = 0.3: latency 10 + 0.3·(20−10) = 13 ms,
+	// success 1 + 0.3·(0−1) = 0.7.
+	h.observe(20*time.Millisecond, ErrClassTimeout)
+	ph := h.snapshot("p", StateClosed)
+	if d := ph.LatencyEWMA - 13*time.Millisecond; d < -time.Microsecond || d > time.Microsecond {
+		t.Fatalf("latency EWMA = %v, want 13ms", ph.LatencyEWMA)
 	}
-	if math.Abs(ph.SuccessEWMA-0.5) > 1e-9 {
-		t.Fatalf("success EWMA = %v, want 0.5", ph.SuccessEWMA)
-	}
-}
-
-func TestHealthTrackerSnapshotSortedAndForget(t *testing.T) {
-	h, err := NewHealthTracker(HealthConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Observe("b", time.Millisecond, ErrClassNone)
-	h.Observe("a", time.Millisecond, ErrClassNone)
-	h.Observe("c", time.Millisecond, ErrClassNone)
-	snap := h.Snapshot()
-	if len(snap) != 3 || snap[0].Peer != "a" || snap[1].Peer != "b" || snap[2].Peer != "c" {
-		t.Fatalf("snapshot = %+v", snap)
-	}
-	h.Forget("b")
-	if _, ok := h.Peer("b"); ok {
-		t.Fatal("forgotten peer still tracked")
-	}
-	if len(h.Snapshot()) != 2 {
-		t.Fatal("forget did not shrink snapshot")
-	}
-}
-
-func TestHealthConfigValidate(t *testing.T) {
-	if err := (HealthConfig{Alpha: -0.1}).Validate(); err == nil {
-		t.Fatal("negative alpha accepted")
-	}
-	if err := (HealthConfig{Alpha: 1.5}).Validate(); err == nil {
-		t.Fatal("alpha > 1 accepted")
-	}
-	if err := DefaultHealthConfig().Validate(); err != nil {
-		t.Fatal(err)
+	if math.Abs(ph.SuccessEWMA-0.7) > 1e-9 {
+		t.Fatalf("success EWMA = %v, want 0.7", ph.SuccessEWMA)
 	}
 }

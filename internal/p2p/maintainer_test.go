@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"approxcache/internal/feature"
+	"approxcache/internal/simnet"
 )
 
 func TestMaintainerConfigValidate(t *testing.T) {
@@ -72,7 +73,7 @@ func TestMaintainerRefreshesDigests(t *testing.T) {
 }
 
 func TestMaintainerPeriodicRefresh(t *testing.T) {
-	roster, cl, services, kill := newRosterCluster(t, 2)
+	roster, cl, services, net := newRosterCluster(t, 2)
 	m, err := StartMaintainer(MaintainerConfig{Interval: 5 * time.Millisecond, Fanout: 0}, roster)
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +84,7 @@ func TestMaintainerPeriodicRefresh(t *testing.T) {
 	}
 	// Kill a peer; the loop must drop it from the client within a few
 	// intervals.
-	kill(0)
+	net.Unregister(simnet.NodeID(services[0].Name()))
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
 		if peers := cl.Peers(); len(peers) == 1 && peers[0] == services[1].Name() {

@@ -231,7 +231,7 @@ func TestTCPCallSilentPeerTimesOut(t *testing.T) {
 	// A peer that accepts the connection and then never responds is
 	// the nastiest failure mode: without an I/O deadline the call
 	// would hang forever. The deadline must fire, and the error must
-	// classify as a timeout so the health tracker charges the right
+	// classify as a timeout so the peer's health record charges the right
 	// failure class.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

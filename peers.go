@@ -157,8 +157,9 @@ type PeerMaintainer = p2p.Maintainer
 // interval the roster is re-probed, the client's peer set re-ranked to
 // the fanout best peers, and (when refreshDigests) each selected peer's
 // coverage digest refreshed so queries can skip peers that cannot help.
-// Probe outcomes also feed the client's health tracker and circuit
-// breaker, so maintenance doubles as background recovery probing.
+// Probe outcomes feed each peer's health and circuit in the client's
+// peer table, and a successful ping closes an open circuit, so
+// maintenance doubles as background recovery probing.
 func StartPeerMaintainer(roster *PeerRoster, interval time.Duration, fanout int, refreshDigests bool) (*PeerMaintainer, error) {
 	return p2p.StartMaintainer(p2p.MaintainerConfig{
 		Interval:       interval,
