@@ -98,20 +98,9 @@ type (
 	PeerClient = p2p.Client
 	// PeerServer serves the peer protocol over TCP.
 	PeerServer = p2p.TCPServer
-	// WatchdogConfig tunes the classifier watchdog: per-call timeout,
-	// bounded retry, and the consecutive-failure breaker.
-	WatchdogConfig = core.WatchdogConfig
 	// DegradationLevel names how far down the degradation ladder a
 	// frame's answer came from (see Result.Degradation).
 	DegradationLevel = core.DegradationLevel
-	// IMUGuardConfig tunes the inertial-window validity guard.
-	IMUGuardConfig = imu.GuardConfig
-	// FrameGuardConfig tunes the camera-frame validity guard.
-	FrameGuardConfig = vision.FrameGuardConfig
-	// AdmissionConfig tunes the AIMD overload limiter gating the DNN
-	// fallback (see Options.Admission). The zero value is disabled;
-	// DefaultAdmissionConfig returns sensible serving defaults.
-	AdmissionConfig = admission.Config
 	// AdmissionSnapshot is a point-in-time view of the overload
 	// limiter: current limit, in-flight count, shed/late counters, and
 	// the brownout level.
@@ -119,11 +108,6 @@ type (
 	// AdmissionLevel is the brownout degradation level the limiter is
 	// operating at (full, no-peer, first-candidate).
 	AdmissionLevel = admission.Level
-	// QualityConfig tunes the self-healing quality layer: shadow
-	// audits, entry quarantine, and drift-adaptive gate recalibration
-	// (see Options.Quality). The zero value is disabled;
-	// DefaultQualityConfig returns sensible defaults, enabled.
-	QualityConfig = core.QualityConfig
 	// QualitySnapshot is a point-in-time view of the quality layer:
 	// live hit-accuracy estimate, sample count, gate scale, and any
 	// pending reuse-refusal frames.
@@ -264,15 +248,6 @@ type Options struct {
 	// Peers installs a peer client at construction. JoinSimNetwork /
 	// DialPeers can add one later.
 	Peers *PeerClient
-	// Watchdog overrides the classifier watchdog policy (per-call
-	// timeout, bounded retry, consecutive-failure breaker). The zero
-	// value keeps the defaults; set Watchdog.Disabled to run the
-	// classifier unguarded.
-	Watchdog WatchdogConfig
-	// IMUGuard and FrameGuard override the sensor guard thresholds.
-	// Zero values keep the defaults.
-	IMUGuard   IMUGuardConfig
-	FrameGuard FrameGuardConfig
 	// DisableSensorGuards switches the input guards off entirely;
 	// corrupt sensor data then flows into the gates unchecked.
 	DisableSensorGuards bool
@@ -286,16 +261,11 @@ type Options struct {
 	// batched invocation, amortizing the model's fixed per-invocation
 	// cost. 0 or 1 runs unbatched. Requires a classifier implementing
 	// BatchClassifier (the simulated classifier does). Ignored by New —
-	// a single session has no concurrent misses to coalesce.
+	// a single session has no concurrent misses to coalesce. A pending
+	// batch waits at most 5 ms for more frames, and at most 8×BatchSize
+	// inferences are in flight; excess submissions are refused with a
+	// typed overload error the degradation ladder absorbs.
 	BatchSize int
-	// BatchWait caps how long a pending micro-batch waits for more
-	// frames before dispatching anyway (default 5ms).
-	BatchWait time.Duration
-	// BatchPending bounds the micro-batcher's in-flight inferences
-	// (queued plus dispatched); excess submissions are refused with a
-	// typed overload error the degradation ladder absorbs. 0 keeps the
-	// default (8×BatchSize); negative removes the bound.
-	BatchPending int
 	// RequestDeadline is the per-request wall-clock budget. A frame
 	// that blows it is answered from the degradation ladder (typed
 	// SourceShed / DegradeDeadline) instead of occupying the
@@ -305,44 +275,26 @@ type Options struct {
 	// accelerator occupancy are wall-clock phenomena.
 	RequestDeadline time.Duration
 	// Admission enables the AIMD overload limiter gating the DNN
-	// fallback. The zero value is disabled; start from
-	// DefaultAdmissionConfig. Shed frames are answered from the
-	// degradation ladder, typed SourceShed / DegradeOverload. Under
-	// sustained pressure the limiter also browns out the expensive
-	// reuse machinery (peer queries first, then the kNN vote).
-	Admission AdmissionConfig
-	// Quality enables the self-healing quality layer: a sampled
-	// fraction of reuse hits is shadow-audited against the classifier,
-	// refuted entries are quarantined and repaired, and the reuse gates
-	// recalibrate to hold a live-accuracy target under drift. The zero
-	// value is disabled; start from DefaultQualityConfig.
-	Quality QualityConfig
-	// QuarantineThreshold quarantines a cache entry once its audits
-	// leave it with this many more refutes than confirms (0 keeps the
-	// store default of 2; only meaningful with Quality enabled).
-	QuarantineThreshold int
-	// ParoleFailLimit evicts a quarantined entry after this many failed
-	// parole re-verifications (0 keeps the store default of 2).
-	ParoleFailLimit int
+	// fallback: the concurrency limit starts at 8, grows by one per
+	// window of in-deadline completions up to 64, and halves on a
+	// deadline miss or queue overflow down to 1. Shed frames are
+	// answered from the degradation ladder, typed SourceShed /
+	// DegradeOverload. Under sustained pressure the limiter also browns
+	// out the expensive reuse machinery (peer queries first, then the
+	// kNN vote).
+	Admission bool
+	// Quality enables the self-healing quality layer: every 16th reuse
+	// hit is shadow-audited against the classifier, an entry whose
+	// audits leave it with 2 more refutes than confirms is quarantined
+	// (and evicted after 2 failed paroles), and the reuse gates
+	// recalibrate to hold 90% live accuracy under drift. Audits run
+	// asynchronously; call DrainAudits before reading final statistics.
+	Quality bool
 	// LastResultTTL bounds how stale the degradation ladder's
 	// last-result answer may be: past the TTL the rung falls through to
 	// the typed availability error instead of replaying an old label.
 	// Zero (the default) keeps the last result usable indefinitely.
 	LastResultTTL time.Duration
-}
-
-// DefaultAdmissionConfig returns the standard overload limiter
-// configuration, enabled. Assign it to Options.Admission to turn
-// admission control on.
-func DefaultAdmissionConfig() AdmissionConfig {
-	return admission.DefaultConfig()
-}
-
-// DefaultQualityConfig returns the standard self-healing quality layer
-// configuration, enabled. Assign it to Options.Quality to turn shadow
-// audits, quarantine, and gate recalibration on.
-func DefaultQualityConfig() QualityConfig {
-	return core.DefaultQualityConfig()
 }
 
 // Cache is the user-facing approximate recognition cache.
@@ -358,7 +310,10 @@ func New(classifier Classifier, opts Options) (*Cache, error) {
 	if classifier == nil {
 		return nil, fmt.Errorf("approxcache: nil classifier")
 	}
-	cfg := engineConfig(opts)
+	cfg, err := engineConfig(opts)
+	if err != nil {
+		return nil, err
+	}
 	clock := opts.Clock
 	if clock == nil {
 		clock = simclock.Real{}
@@ -379,8 +334,22 @@ func New(classifier Classifier, opts Options) (*Cache, error) {
 	return &Cache{engine: engine, store: store, clock: clock, cfg: cfg}, nil
 }
 
-// engineConfig translates Options into the pipeline configuration.
-func engineConfig(opts Options) core.Config {
+// engineConfig translates Options into the pipeline configuration,
+// refusing a negative value in a field that documents no meaning for
+// one.
+func engineConfig(opts Options) (core.Config, error) {
+	switch {
+	case opts.RequestDeadline < 0:
+		return core.Config{}, fmt.Errorf("approxcache: negative RequestDeadline %v", opts.RequestDeadline)
+	case opts.KeyframeCapacity < 0:
+		return core.Config{}, fmt.Errorf("approxcache: negative KeyframeCapacity %d", opts.KeyframeCapacity)
+	case opts.TTL < 0:
+		return core.Config{}, fmt.Errorf("approxcache: negative TTL %v", opts.TTL)
+	case opts.BatchSize < 0:
+		return core.Config{}, fmt.Errorf("approxcache: negative BatchSize %d", opts.BatchSize)
+	case opts.LastResultTTL < 0:
+		return core.Config{}, fmt.Errorf("approxcache: negative LastResultTTL %v", opts.LastResultTTL)
+	}
 	cfg := core.DefaultConfig()
 	if opts.Mode != 0 {
 		cfg.Mode = opts.Mode
@@ -411,31 +380,18 @@ func engineConfig(opts Options) core.Config {
 		cfg.PeerBudget = 0
 		cfg.PeerBudgetFraction = -1
 	}
-	if opts.Watchdog != (WatchdogConfig{}) {
-		cfg.Watchdog = opts.Watchdog
-	}
-	if opts.IMUGuard != (IMUGuardConfig{}) {
-		cfg.IMUGuard = opts.IMUGuard
-	}
-	if opts.FrameGuard != (FrameGuardConfig{}) {
-		cfg.FrameGuard = opts.FrameGuard
-	}
 	cfg.DisableSensorGuards = opts.DisableSensorGuards
-	if opts.RequestDeadline > 0 {
-		cfg.RequestDeadline = opts.RequestDeadline
-	}
+	cfg.RequestDeadline = opts.RequestDeadline
 	cfg.Admission = opts.Admission
-	cfg.Quality = opts.Quality
-	if opts.LastResultTTL > 0 {
-		cfg.LastResultTTL = opts.LastResultTTL
-	}
+	cfg.Quality.Enabled = opts.Quality
+	cfg.LastResultTTL = opts.LastResultTTL
 	if opts.Probes > 1 {
 		cfg.IndexTuning.Probes = opts.Probes
 	}
 	if opts.Sketch {
 		cfg.IndexTuning.SketchBits = 64
 	}
-	return cfg
+	return cfg, nil
 }
 
 // newStore builds the cache store Options describes: nil outside
@@ -481,14 +437,8 @@ func newStore(cfg core.Config, opts Options, clock Clock) (cachestore.Interface,
 	if err != nil {
 		return nil, fmt.Errorf("approxcache: lsh index: %w", err)
 	}
-	scfg := cachestore.Config{
-		Capacity:            capacity,
-		Policy:              policy,
-		TTL:                 opts.TTL,
-		QuarantineThreshold: opts.QuarantineThreshold,
-		ParoleFailLimit:     opts.ParoleFailLimit,
-	}
-	if opts.Quality.Enabled && scfg.QuarantineThreshold == 0 {
+	scfg := cachestore.Config{Capacity: capacity, Policy: policy, TTL: opts.TTL}
+	if opts.Quality {
 		scfg.QuarantineThreshold = 2
 	}
 	store, err := cachestore.New(scfg, idx, clock)

@@ -20,12 +20,18 @@ func testWorkload(t *testing.T, frames int) *approxcache.Workload {
 	return w
 }
 
-func newCache(t *testing.T, w *approxcache.Workload, opts approxcache.Options) *approxcache.Cache {
+func testClassifier(t *testing.T, w *approxcache.Workload) approxcache.Classifier {
 	t.Helper()
 	clf, err := approxcache.NewSimulatedClassifier(approxcache.MobileNetV2, w, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return clf
+}
+
+func newCache(t *testing.T, w *approxcache.Workload, opts approxcache.Options) *approxcache.Cache {
+	t.Helper()
+	clf := testClassifier(t, w)
 	if opts.Clock == nil {
 		opts.Clock = approxcache.NewVirtualClock()
 	}

@@ -60,6 +60,18 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	switch {
+	case *frames < 0:
+		return fmt.Errorf("-frames must be non-negative, got %d", *frames)
+	case *warm < 0:
+		return fmt.Errorf("-warm must be non-negative, got %d", *warm)
+	case *batch < 0:
+		return fmt.Errorf("-batch must be non-negative, got %d", *batch)
+	case *deadline < 0:
+		return fmt.Errorf("-deadline must be non-negative, got %v", *deadline)
+	case *sessions < 1:
+		return fmt.Errorf("-sessions must be at least 1, got %d", *sessions)
+	}
 
 	profile, err := profileByName(*model)
 	if err != nil {
@@ -89,9 +101,7 @@ func run(args []string) error {
 		Clock:           approxcache.NewVirtualClock(),
 		PeerBudget:      *budget,
 		RequestDeadline: *deadline,
-	}
-	if *admit {
-		opts.Admission = approxcache.DefaultAdmissionConfig()
+		Admission:       *admit,
 	}
 	cache, err := approxcache.New(classifier, opts)
 	if err != nil {
@@ -226,9 +236,7 @@ func runPool(p poolParams) error {
 		PeerBudget:      p.budget,
 		BatchSize:       p.batch,
 		RequestDeadline: p.deadline,
-	}
-	if p.admission {
-		opts.Admission = approxcache.DefaultAdmissionConfig()
+		Admission:       p.admission,
 	}
 	pool, err := approxcache.NewPool(p.sessions, classifier, opts)
 	if err != nil {

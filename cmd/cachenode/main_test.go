@@ -2,6 +2,7 @@ package main
 
 import (
 	"os"
+	"strings"
 	"testing"
 )
 
@@ -47,9 +48,24 @@ func TestRunBadModel(t *testing.T) {
 	}
 }
 
+// TestRunBadFlag: an unknown flag, and a negative count or duration
+// (or fewer than one session), is refused before any workload is built.
 func TestRunBadFlag(t *testing.T) {
-	if err := run([]string{"-bogus"}); err == nil {
-		t.Fatal("bad flag accepted")
+	for _, args := range [][]string{
+		{"-bogus"},
+		{"-frames", "-3"},
+		{"-warm", "-5", "-frames", "10"},
+		{"-sessions", "2", "-warm", "-5", "-frames", "10"},
+		{"-batch", "-4", "-frames", "10"},
+		{"-sessions", "2", "-batch", "-4", "-frames", "10"},
+		{"-deadline", "-1s", "-frames", "10"},
+		{"-sessions", "0", "-frames", "10"},
+	} {
+		t.Run(strings.Join(args, " "), func(t *testing.T) {
+			if err := run(args); err == nil {
+				t.Fatalf("run(%q) accepted", args)
+			}
+		})
 	}
 }
 

@@ -58,117 +58,34 @@ func (l Level) String() string {
 	}
 }
 
-// Config tunes the controller. The zero value is DISABLED — overload
-// protection is opt-in so existing deployments keep their behaviour.
-type Config struct {
-	// Enabled turns the controller on.
-	Enabled bool
-	// MinLimit is the concurrency floor the limiter can never back off
-	// below (default 1). At least one fallback inference is always
-	// admitted, so the pipeline keeps probing the accelerator.
-	MinLimit int
-	// MaxLimit caps additive growth (default 64).
-	MaxLimit int
-	// InitialLimit is the starting concurrency limit (default 8).
-	InitialLimit int
-	// Increase is the additive step per in-deadline completion, applied
-	// as Increase/limit so the limit grows by about Increase per full
-	// window of completions (default 1).
-	Increase float64
-	// Backoff multiplies the limit on a deadline miss or queue overflow
-	// (default 0.5). Must be in (0, 1).
-	Backoff float64
-	// BackoffCooldown is the minimum number of completions between two
+// The controller's one policy.
+const (
+	// minLimit is the concurrency floor: at least one fallback inference
+	// is always admitted, so the pipeline keeps probing the accelerator.
+	minLimit = 1
+	// maxLimit caps additive growth.
+	maxLimit = 64
+	// initialLimit is the starting concurrency limit.
+	initialLimit = 8
+	// increase is the additive step per in-deadline completion, applied
+	// as increase/limit so the limit grows by about increase per full
+	// window of completions.
+	increase = 1.0
+	// backoff multiplies the limit on a deadline miss or queue overflow.
+	backoff = 0.5
+	// backoffCooldown is the minimum number of completions between two
 	// multiplicative backoffs, so one late burst costs one halving, not
-	// one per frame in the burst (default 2).
-	BackoffCooldown int
-	// BrownoutRaiseAfter is how many consecutive pressure events (sheds
+	// one per frame in the burst.
+	backoffCooldown = 2
+	// brownoutRaiseAfter is how many consecutive pressure events (sheds
 	// or backoffs with the limit at its floor) raise the brownout level
-	// one rung (default 8).
-	BrownoutRaiseAfter int
-	// BrownoutLowerAfter is how many consecutive calm events
+	// one rung.
+	brownoutRaiseAfter = 8
+	// brownoutLowerAfter is how many consecutive calm events
 	// (in-deadline completions with the limit off the floor) lower it
-	// one rung (default 64 — recovery is deliberately slower than
-	// degradation).
-	BrownoutLowerAfter int
-}
-
-// DefaultConfig returns an enabled controller with production defaults.
-func DefaultConfig() Config {
-	return Config{
-		Enabled:            true,
-		MinLimit:           1,
-		MaxLimit:           64,
-		InitialLimit:       8,
-		Increase:           1,
-		Backoff:            0.5,
-		BackoffCooldown:    2,
-		BrownoutRaiseAfter: 8,
-		BrownoutLowerAfter: 64,
-	}
-}
-
-// withDefaults fills zero fields of an enabled config.
-func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.MinLimit == 0 {
-		c.MinLimit = d.MinLimit
-	}
-	if c.MaxLimit == 0 {
-		c.MaxLimit = d.MaxLimit
-	}
-	if c.InitialLimit == 0 {
-		c.InitialLimit = d.InitialLimit
-	}
-	if c.Increase == 0 {
-		c.Increase = d.Increase
-	}
-	if c.Backoff == 0 {
-		c.Backoff = d.Backoff
-	}
-	if c.BackoffCooldown == 0 {
-		c.BackoffCooldown = d.BackoffCooldown
-	}
-	if c.BrownoutRaiseAfter == 0 {
-		c.BrownoutRaiseAfter = d.BrownoutRaiseAfter
-	}
-	if c.BrownoutLowerAfter == 0 {
-		c.BrownoutLowerAfter = d.BrownoutLowerAfter
-	}
-	return c
-}
-
-// Validate reports whether the configuration is usable. A disabled
-// config is always valid.
-func (c Config) Validate() error {
-	if !c.Enabled {
-		return nil
-	}
-	c = c.withDefaults()
-	if c.MinLimit < 1 {
-		return fmt.Errorf("admission: MinLimit must be >= 1, got %d", c.MinLimit)
-	}
-	if c.MaxLimit < c.MinLimit {
-		return fmt.Errorf("admission: MaxLimit %d below MinLimit %d", c.MaxLimit, c.MinLimit)
-	}
-	if c.InitialLimit < c.MinLimit || c.InitialLimit > c.MaxLimit {
-		return fmt.Errorf("admission: InitialLimit %d outside [%d, %d]",
-			c.InitialLimit, c.MinLimit, c.MaxLimit)
-	}
-	if c.Increase <= 0 {
-		return fmt.Errorf("admission: Increase must be positive, got %v", c.Increase)
-	}
-	if c.Backoff <= 0 || c.Backoff >= 1 {
-		return fmt.Errorf("admission: Backoff must be in (0,1), got %v", c.Backoff)
-	}
-	if c.BackoffCooldown < 1 {
-		return fmt.Errorf("admission: BackoffCooldown must be >= 1, got %d", c.BackoffCooldown)
-	}
-	if c.BrownoutRaiseAfter < 1 || c.BrownoutLowerAfter < 1 {
-		return fmt.Errorf("admission: brownout hysteresis counts must be >= 1")
-	}
-	return nil
-}
+	// one rung — recovery is deliberately slower than degradation.
+	brownoutLowerAfter = 64
+)
 
 // Snapshot is a point-in-time copy of the controller's state and
 // counters, safe to hand to reports and printouts.
@@ -193,7 +110,7 @@ type Snapshot struct {
 	Level Level `json:"level"`
 	// Transitions counts brownout level changes in either direction.
 	Transitions int64 `json:"transitions"`
-	// AtFloor reports whether the limit sits at MinLimit.
+	// AtFloor reports whether the limit sits at its floor of 1.
 	AtFloor bool `json:"at_floor"`
 }
 
@@ -201,8 +118,6 @@ type Snapshot struct {
 // for concurrent use; one controller is shared by every session of a
 // serving pool, because they share the accelerator it protects.
 type Controller struct {
-	cfg Config
-
 	mu       sync.Mutex
 	limit    float64
 	inflight int
@@ -222,22 +137,12 @@ type Controller struct {
 	onTransition func(from, to Level)
 }
 
-// New builds a controller. A nil return with nil error means the config
-// is disabled — callers treat a nil controller as "no admission
-// control".
-func New(cfg Config) (*Controller, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if !cfg.Enabled {
-		return nil, nil
-	}
-	cfg = cfg.withDefaults()
+// New builds a controller at its initial limit.
+func New() *Controller {
 	return &Controller{
-		cfg:          cfg,
-		limit:        float64(cfg.InitialLimit),
-		sinceBackoff: cfg.BackoffCooldown, // the first miss may back off immediately
-	}, nil
+		limit:        initialLimit,
+		sinceBackoff: backoffCooldown, // the first miss may back off immediately
+	}
 }
 
 // SetTransitionHook installs a callback invoked (under the controller
@@ -274,10 +179,7 @@ func (c *Controller) Release(inDeadline bool) {
 	c.releaseLocked()
 	if inDeadline {
 		c.inDeadline++
-		c.limit += c.cfg.Increase / c.limit
-		if ceil := float64(c.cfg.MaxLimit); c.limit > ceil {
-			c.limit = ceil
-		}
+		c.limit = min(c.limit+increase/c.limit, maxLimit)
 		c.calmLocked()
 		return
 	}
@@ -306,11 +208,8 @@ func (c *Controller) releaseLocked() {
 // backoffLocked applies a multiplicative decrease, rate-limited by the
 // cooldown, and records pressure for the brownout ladder.
 func (c *Controller) backoffLocked() {
-	if c.sinceBackoff >= c.cfg.BackoffCooldown {
-		c.limit *= c.cfg.Backoff
-		if floor := float64(c.cfg.MinLimit); c.limit < floor {
-			c.limit = floor
-		}
+	if c.sinceBackoff >= backoffCooldown {
+		c.limit = max(c.limit*backoff, minLimit)
 		c.backoffs++
 		c.sinceBackoff = 0
 	}
@@ -322,12 +221,12 @@ func (c *Controller) backoffLocked() {
 // floor — a backoff from a high limit is normal congestion control, not
 // brownout territory.
 func (c *Controller) pressureLocked() {
-	if c.limitLocked() > c.cfg.MinLimit {
+	if c.limitLocked() > minLimit {
 		return
 	}
 	c.calmRun = 0
 	c.pressureRun++
-	if c.pressureRun >= c.cfg.BrownoutRaiseAfter && c.level < maxLevel {
+	if c.pressureRun >= brownoutRaiseAfter && c.level < maxLevel {
 		c.setLevelLocked(c.level + 1)
 		c.pressureRun = 0
 	}
@@ -336,12 +235,12 @@ func (c *Controller) pressureLocked() {
 // calmLocked records one calm event: in-deadline completions with the
 // limit off the floor. Sustained calm lowers the brownout level.
 func (c *Controller) calmLocked() {
-	if c.limitLocked() <= c.cfg.MinLimit {
+	if c.limitLocked() <= minLimit {
 		return
 	}
 	c.pressureRun = 0
 	c.calmRun++
-	if c.calmRun >= c.cfg.BrownoutLowerAfter && c.level > LevelFull {
+	if c.calmRun >= brownoutLowerAfter && c.level > LevelFull {
 		c.setLevelLocked(c.level - 1)
 		c.calmRun = 0
 	}
@@ -357,11 +256,7 @@ func (c *Controller) setLevelLocked(to Level) {
 }
 
 func (c *Controller) limitLocked() int {
-	l := int(c.limit)
-	if l < c.cfg.MinLimit {
-		l = c.cfg.MinLimit
-	}
-	return l
+	return max(int(c.limit), minLimit)
 }
 
 // Level returns the current brownout rung.
@@ -393,6 +288,6 @@ func (c *Controller) Snapshot() Snapshot {
 		Backoffs:    c.backoffs,
 		Level:       c.level,
 		Transitions: c.transitions,
-		AtFloor:     c.limitLocked() <= c.cfg.MinLimit,
+		AtFloor:     c.limitLocked() <= minLimit,
 	}
 }

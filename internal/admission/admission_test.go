@@ -5,54 +5,18 @@ import (
 	"testing"
 )
 
-func mustNew(t *testing.T, cfg Config) *Controller {
-	t.Helper()
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c == nil {
-		t.Fatal("enabled config returned nil controller")
-	}
-	return c
-}
-
-func TestDisabledConfigYieldsNilController(t *testing.T) {
-	c, err := New(Config{})
-	if err != nil || c != nil {
-		t.Fatalf("New(zero) = %v, %v; want nil, nil", c, err)
-	}
-}
-
-func TestConfigValidation(t *testing.T) {
-	bad := []Config{
-		{Enabled: true, MinLimit: -1},
-		{Enabled: true, MaxLimit: 2, InitialLimit: 5},
-		{Enabled: true, Backoff: 1.5},
-		{Enabled: true, Increase: -1},
-		{Enabled: true, MinLimit: 4, MaxLimit: 2},
-		{Enabled: true, BackoffCooldown: -3},
-	}
-	for i, cfg := range bad {
-		if _, err := New(cfg); err == nil {
-			t.Errorf("config %d accepted: %+v", i, cfg)
+func TestLimitEnforced(t *testing.T) {
+	c := New()
+	for i := 0; i < initialLimit; i++ {
+		if !c.TryAcquire() {
+			t.Fatalf("acquire %d shed below the initial limit", i)
 		}
 	}
-	if err := (Config{}).Validate(); err != nil {
-		t.Errorf("disabled config rejected: %v", err)
-	}
-}
-
-func TestLimitEnforced(t *testing.T) {
-	c := mustNew(t, Config{Enabled: true, InitialLimit: 2, MinLimit: 1, MaxLimit: 4})
-	if !c.TryAcquire() || !c.TryAcquire() {
-		t.Fatal("first two acquires should be admitted")
-	}
 	if c.TryAcquire() {
-		t.Fatal("third acquire above limit 2 should be shed")
+		t.Fatalf("acquire above limit %d should be shed", initialLimit)
 	}
 	snap := c.Snapshot()
-	if snap.Admitted != 2 || snap.Shed != 1 || snap.Inflight != 2 {
+	if snap.Admitted != initialLimit || snap.Shed != 1 || snap.Inflight != initialLimit {
 		t.Fatalf("snapshot = %+v", snap)
 	}
 	c.Release(true)
@@ -61,39 +25,74 @@ func TestLimitEnforced(t *testing.T) {
 	}
 }
 
-func TestAdditiveIncrease(t *testing.T) {
-	c := mustNew(t, Config{Enabled: true, InitialLimit: 2, MaxLimit: 4})
-	// Each in-deadline completion adds 1/limit; after enough
-	// completions the limit reaches the cap and stops.
+// The limit starts at 8 and never leaves [1, 64], however long success
+// or failure runs.
+func TestLimitStartsAtEightStaysInBounds(t *testing.T) {
+	c := New()
+	if got := c.Limit(); got != 8 {
+		t.Fatalf("initial limit = %d, want 8", got)
+	}
+	check := func(phase string, i int) {
+		t.Helper()
+		if l := c.Limit(); l < 1 || l > 64 {
+			t.Fatalf("%s step %d: limit %d outside [1, 64]", phase, i, l)
+		}
+	}
+	for i := 0; i < 5000; i++ {
+		c.TryAcquire()
+		c.Release(true)
+		check("success", i)
+	}
+	if got := c.Limit(); got != 64 {
+		t.Fatalf("limit after sustained success = %d, want the cap 64", got)
+	}
 	for i := 0; i < 100; i++ {
+		c.TryAcquire()
+		c.Release(false)
+		check("failure", i)
+	}
+	if got := c.Limit(); got != 1 {
+		t.Fatalf("limit after sustained misses = %d, want the floor 1", got)
+	}
+}
+
+func TestAdditiveIncrease(t *testing.T) {
+	c := New()
+	// Each in-deadline completion adds 1/limit, so one window of about
+	// limit completions grows the limit by one slot: 8 → 9 takes 9
+	// (8 × 1/8.x falls just short).
+	n := 0
+	for c.Limit() == initialLimit && n < 100 {
 		if !c.TryAcquire() {
-			t.Fatalf("acquire %d shed below limit", i)
+			t.Fatalf("acquire %d shed below limit", n)
 		}
 		c.Release(true)
+		n++
 	}
-	if got := c.Limit(); got != 4 {
-		t.Fatalf("limit after sustained success = %d, want cap 4", got)
+	if got := c.Limit(); got != initialLimit+1 || n != 9 {
+		t.Fatalf("limit %d after %d successes, want %d after 9", got, n, initialLimit+1)
 	}
 }
 
 func TestMultiplicativeBackoff(t *testing.T) {
-	c := mustNew(t, Config{
-		Enabled: true, InitialLimit: 16, MaxLimit: 32,
-		Backoff: 0.5, BackoffCooldown: 1,
-	})
+	c := New()
 	if !c.TryAcquire() {
-		t.Fatal("shed at limit 16")
+		t.Fatal("shed at the initial limit")
 	}
 	c.Release(false) // deadline miss
-	if got := c.Limit(); got != 8 {
-		t.Fatalf("limit after one miss = %d, want 8", got)
-	}
-	if !c.TryAcquire() {
-		t.Fatal("shed at limit 8")
-	}
-	c.ReleaseOverflow() // queue overflow is an equal backoff signal
 	if got := c.Limit(); got != 4 {
-		t.Fatalf("limit after overflow = %d, want 4", got)
+		t.Fatalf("limit after one miss = %d, want 4", got)
+	}
+	// Queue overflow is an equal backoff signal, once the cooldown of
+	// two completions has passed.
+	for i := 0; i < backoffCooldown; i++ {
+		if !c.TryAcquire() {
+			t.Fatalf("shed at limit %d", c.Limit())
+		}
+		c.ReleaseOverflow()
+	}
+	if got := c.Limit(); got != 2 {
+		t.Fatalf("limit after overflow = %d, want 2", got)
 	}
 	// Repeated misses never push the limit below the floor.
 	for i := 0; i < 10; i++ {
@@ -106,56 +105,78 @@ func TestMultiplicativeBackoff(t *testing.T) {
 }
 
 func TestBackoffCooldownRateLimitsDecrease(t *testing.T) {
-	c := mustNew(t, Config{
-		Enabled: true, InitialLimit: 16, MaxLimit: 32,
-		Backoff: 0.5, BackoffCooldown: 3,
-	})
-	// Three admitted requests, all late, released back-to-back: only
-	// the first may back off (cooldown 3 completions).
-	for i := 0; i < 3; i++ {
+	c := New()
+	// Two admitted requests, both late, released back-to-back: only the
+	// first may back off (cooldown of two completions).
+	for i := 0; i < 2; i++ {
 		if !c.TryAcquire() {
 			t.Fatalf("acquire %d shed", i)
 		}
 	}
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 2; i++ {
 		c.Release(false)
 	}
 	if got := c.Snapshot().Backoffs; got != 1 {
 		t.Fatalf("backoffs applied = %d, want 1 (cooldown)", got)
 	}
-	if got := c.Limit(); got != 8 {
-		t.Fatalf("limit = %d, want one halving to 8", got)
+	if got := c.Limit(); got != 4 {
+		t.Fatalf("limit = %d, want one halving to 4", got)
 	}
 }
 
+// toFloor backs c off to its floor with late completions and returns
+// how many it took. The backoff that lands on the floor is the first
+// brownout pressure event.
+func toFloor(t *testing.T, c *Controller) int {
+	t.Helper()
+	for n := 1; n <= 20; n++ {
+		if !c.TryAcquire() {
+			t.Fatalf("late completion %d shed at limit %d", n, c.Limit())
+		}
+		c.Release(false)
+		if c.Limit() == minLimit {
+			return n
+		}
+	}
+	t.Fatalf("limit %d never reached the floor", c.Limit())
+	return 0
+}
+
 func TestBrownoutRaisesUnderFloorPressureAndRecovers(t *testing.T) {
-	c := mustNew(t, Config{
-		Enabled: true, InitialLimit: 1, MinLimit: 1, MaxLimit: 8,
-		BrownoutRaiseAfter: 4, BrownoutLowerAfter: 4,
-		Backoff: 0.5, BackoffCooldown: 1,
-	})
+	c := New()
 	var transitions [][2]Level
 	c.SetTransitionHook(func(from, to Level) {
 		transitions = append(transitions, [2]Level{from, to})
 	})
-	// Occupy the single slot, then shed 8 requests at the floor: the
-	// ladder should climb both rungs.
-	if !c.TryAcquire() {
-		t.Fatal("initial acquire shed")
+	// 8 → 4 → 2 → 1, one halving per two completions.
+	if n := toFloor(t, c); n != 5 {
+		t.Fatalf("reached the floor after %d late completions, want 5", n)
 	}
-	for i := 0; i < 8; i++ {
+	// Occupy the single slot, then shed at the floor: each shed is one
+	// more pressure event, and every 8th raises the ladder one rung.
+	if !c.TryAcquire() {
+		t.Fatal("acquire at the floor shed")
+	}
+	for shed := 1; shed <= 15; shed++ {
 		if c.TryAcquire() {
-			t.Fatalf("acquire %d admitted above floor limit", i)
+			t.Fatalf("acquire %d admitted above floor limit", shed)
+		}
+		want := LevelFull
+		switch {
+		case shed >= 15:
+			want = LevelFirstCandidate
+		case shed >= 7:
+			want = LevelNoPeer
+		}
+		if got := c.Level(); got != want {
+			t.Fatalf("level after %d sheds at the floor = %v, want %v", shed, got, want)
 		}
 	}
-	if got := c.Level(); got != LevelFirstCandidate {
-		t.Fatalf("level under sustained floor pressure = %v, want %v", got, LevelFirstCandidate)
-	}
 	c.Release(true)
-	// Calm: in-deadline completions. The first completions grow the
-	// limit off the floor; once off the floor they count as calm and
-	// step the ladder back down to full.
-	for i := 0; i < 40 && c.Level() != LevelFull; i++ {
+	// Calm: in-deadline completions. The first grows the limit off the
+	// floor; from then on each counts as calm, and every 64th steps the
+	// ladder back down.
+	for i := 0; i < 200 && c.Level() != LevelFull; i++ {
 		if !c.TryAcquire() {
 			t.Fatalf("calm acquire %d shed", i)
 		}
@@ -184,19 +205,25 @@ func TestBrownoutRaisesUnderFloorPressureAndRecovers(t *testing.T) {
 }
 
 func TestBackoffAboveFloorIsNotBrownoutPressure(t *testing.T) {
-	c := mustNew(t, Config{
-		Enabled: true, InitialLimit: 32, MaxLimit: 64,
-		Backoff: 0.5, BackoffCooldown: 1,
-		BrownoutRaiseAfter: 2,
-	})
-	// Two misses halve 32 -> 16 -> 8; the limit never touches the
-	// floor, so the brownout ladder must not move.
-	for i := 0; i < 2; i++ {
+	c := New()
+	// Sheds at the initial limit and misses that halve 8 → 4 → 2 never
+	// touch the floor, so the brownout ladder must not move.
+	for i := 0; i < initialLimit; i++ {
 		c.TryAcquire()
+	}
+	for i := 0; i < 3*brownoutRaiseAfter; i++ {
+		if c.TryAcquire() {
+			t.Fatalf("acquire %d above the limit admitted", i)
+		}
+	}
+	for i := 0; i < 3; i++ {
 		c.Release(false)
 	}
+	if got := c.Limit(); got != 2 {
+		t.Fatalf("limit after three misses = %d, want 2", got)
+	}
 	if got := c.Level(); got != LevelFull {
-		t.Fatalf("level after above-floor backoffs = %v, want full", got)
+		t.Fatalf("level after above-floor pressure = %v, want full", got)
 	}
 }
 
@@ -215,7 +242,7 @@ func TestLevelString(t *testing.T) {
 }
 
 func TestControllerConcurrency(t *testing.T) {
-	c := mustNew(t, Config{Enabled: true, InitialLimit: 4, MaxLimit: 16})
+	c := New()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -245,7 +272,7 @@ func TestControllerConcurrency(t *testing.T) {
 		t.Fatalf("admitted %d != completions %d+%d+%d",
 			snap.Admitted, snap.InDeadline, snap.Late, snap.Overflows)
 	}
-	if snap.Limit < 1 || snap.Limit > 16 {
-		t.Fatalf("limit %d outside [1,16]", snap.Limit)
+	if snap.Limit < minLimit || snap.Limit > maxLimit {
+		t.Fatalf("limit %d outside [%d,%d]", snap.Limit, minLimit, maxLimit)
 	}
 }

@@ -17,7 +17,7 @@ import (
 // removal), failed parole holds then evicts, successful parole
 // reinstates with cleared counters.
 func TestQuarantineLifecycle(t *testing.T) {
-	s, _ := newTestStore(t, Config{Capacity: 8, QuarantineThreshold: 2, ParoleFailLimit: 2})
+	s, _ := newTestStore(t, Config{Capacity: 8, QuarantineThreshold: 2})
 	id, err := s.Insert(vec(1, 0), "door", 0.9, "dnn", time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +82,7 @@ func TestQuarantineLifecycle(t *testing.T) {
 func TestQuarantineCountersProperty(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42, 1234} {
 		rng := rand.New(rand.NewSource(seed))
-		s, _ := newTestStore(t, Config{Capacity: 32, QuarantineThreshold: 2, ParoleFailLimit: 3})
+		s, _ := newTestStore(t, Config{Capacity: 32, QuarantineThreshold: 2})
 		var ids []lsh.ID
 		pick := func() (lsh.ID, bool) {
 			if len(ids) == 0 {

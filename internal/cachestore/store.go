@@ -137,11 +137,11 @@ type Config struct {
 	// Zero disables quarantine: refutes are still counted but never
 	// act.
 	QuarantineThreshold int
-	// ParoleFailLimit evicts a quarantined entry after this many
-	// failed parole re-verifications. Zero keeps the default (2)
-	// when quarantine is enabled.
-	ParoleFailLimit int
 }
+
+// paroleFailLimit evicts a quarantined entry after this many failed
+// parole re-verifications.
+const paroleFailLimit = 2
 
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
@@ -150,9 +150,6 @@ func (c Config) Validate() error {
 	}
 	if c.QuarantineThreshold < 0 {
 		return fmt.Errorf("cachestore: quarantine threshold must be non-negative, got %d", c.QuarantineThreshold)
-	}
-	if c.ParoleFailLimit < 0 {
-		return fmt.Errorf("cachestore: parole fail limit must be non-negative, got %d", c.ParoleFailLimit)
 	}
 	switch c.Policy {
 	case 0, LRU, LFU, CostAware:
@@ -224,9 +221,6 @@ func New(cfg Config, index lsh.Index, clock simclock.Clock) (*Store, error) {
 	}
 	if cfg.Policy == 0 {
 		cfg.Policy = LRU
-	}
-	if cfg.QuarantineThreshold > 0 && cfg.ParoleFailLimit == 0 {
-		cfg.ParoleFailLimit = 2
 	}
 	src, _ := index.(lsh.VectorSource)
 	return &Store{
@@ -578,7 +572,7 @@ const (
 // Parole records the outcome of re-verifying a quarantined entry
 // against a fresh DNN result. ok reinstates the entry into the
 // candidate index with cleared audit counters; !ok counts a parole
-// failure and evicts the entry once ParoleFailLimit failures
+// failure and evicts the entry once paroleFailLimit failures
 // accumulate.
 func (s *Store) Parole(id lsh.ID, ok bool) ParoleOutcome {
 	s.mu.Lock()
@@ -607,7 +601,7 @@ func (s *Store) Parole(id lsh.ID, ok bool) ParoleOutcome {
 		return ParoleReinstated
 	}
 	bump(&r.paroleFails)
-	if s.cfg.ParoleFailLimit > 0 && int(r.paroleFails) >= s.cfg.ParoleFailLimit {
+	if r.paroleFails >= paroleFailLimit {
 		s.removeLocked(id)
 		s.qEvicted++
 		return ParoleEvicted

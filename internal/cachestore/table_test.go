@@ -33,9 +33,6 @@ type refStore struct {
 }
 
 func newRefStore(cfg Config) *refStore {
-	if cfg.QuarantineThreshold > 0 && cfg.ParoleFailLimit == 0 {
-		cfg.ParoleFailLimit = 2
-	}
 	return &refStore{cfg: cfg, entries: make(map[lsh.ID]*Entry), nextID: 1}
 }
 
@@ -131,7 +128,7 @@ func (m *refStore) parole(id lsh.ID, ok bool) ParoleOutcome {
 		return ParoleReinstated
 	}
 	e.ParoleFails++
-	if e.ParoleFails >= m.cfg.ParoleFailLimit {
+	if e.ParoleFails >= paroleFailLimit {
 		delete(m.entries, id)
 		m.q.Evicted++
 		return ParoleEvicted
@@ -485,7 +482,7 @@ func TestTableReadersRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{Capacity: 32, QuarantineThreshold: 1, ParoleFailLimit: 2}, idx, simclock.NewVirtual(time.Unix(0, 0)))
+	s, err := New(Config{Capacity: 32, QuarantineThreshold: 1}, idx, simclock.NewVirtual(time.Unix(0, 0)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -238,7 +238,7 @@ func TestVictimMatchesMapScan(t *testing.T) {
 		t.Run(policy.String(), func(t *testing.T) {
 			s, clk := newTestStore(t, Config{
 				Capacity: 24, Policy: policy, TTL: 40 * time.Second,
-				QuarantineThreshold: 1, ParoleFailLimit: 1,
+				QuarantineThreshold: 1,
 			})
 			rng := rand.New(rand.NewSource(int64(policy)))
 			var ids []lsh.ID
@@ -258,7 +258,8 @@ func TestVictimMatchesMapScan(t *testing.T) {
 					s.Remove(ids[rng.Intn(len(ids))])
 				case r == 10:
 					id := ids[rng.Intn(len(ids))]
-					if s.Refute(id) {
+					// Up to two paroles: two failures evict the entry.
+					for i := 0; i < 2 && (s.Refute(id) || s.Quarantined(id)); i++ {
 						s.Parole(id, rng.Intn(2) == 0)
 					}
 				default:
@@ -276,8 +277,9 @@ func TestVictimMatchesMapScan(t *testing.T) {
 					t.Fatalf("op %d: victim %d (%v), map scan picks %d (%v)", op, got, gok, want, wok)
 				}
 			}
-			if s.Evictions() == 0 || s.Expiries() == 0 {
-				t.Fatalf("workload too tame: %d evictions, %d expiries", s.Evictions(), s.Expiries())
+			if s.Evictions() == 0 || s.Expiries() == 0 || s.QuarantineStats().Evicted == 0 {
+				t.Fatalf("workload too tame: %d evictions, %d expiries, %d parole evictions",
+					s.Evictions(), s.Expiries(), s.QuarantineStats().Evicted)
 			}
 		})
 	}

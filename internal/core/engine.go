@@ -170,10 +170,9 @@ type Config struct {
 	// DisableSensorGuards turns both input guards off (ablation). Nil
 	// frames still error: nothing downstream can use them.
 	DisableSensorGuards bool
-	// Watchdog supervises the classifier: call deadline, bounded retry,
-	// failure breaker with a degraded-serving fallback. The zero value
-	// is a transparent passthrough.
-	Watchdog WatchdogConfig
+	// DisableWatchdog runs the classifier unsupervised (ablation): no
+	// call deadline, no retry, no failure breaker (see watchdog.go).
+	DisableWatchdog bool
 	// RequestDeadline is the per-request wall-clock budget. A frame that
 	// blows it is answered from the degradation ladder (typed
 	// metrics.SourceShed / DegradeDeadline) instead of occupying the
@@ -183,11 +182,11 @@ type Config struct {
 	// virtual experiment clock cannot see. Zero (the default) disables
 	// deadlines.
 	RequestDeadline time.Duration
-	// Admission configures the AIMD overload limiter gating the DNN
-	// fallback path (see internal/admission). The zero value is
-	// disabled; frames shed by the limiter are answered from the
-	// degradation ladder, typed SourceShed / DegradeOverload.
-	Admission admission.Config
+	// Admission turns on the AIMD overload limiter gating the DNN
+	// fallback path (see internal/admission). Frames shed by the
+	// limiter are answered from the degradation ladder, typed
+	// SourceShed / DegradeOverload.
+	Admission bool
 	// IndexTuning configures the LSH candidate pipeline (multi-probe
 	// sequence length, packed-sketch prefilter) of the cache store's
 	// index. The zero value keeps the classic
@@ -222,7 +221,6 @@ func DefaultConfig() Config {
 		PeerBudgetFraction: 0.25,
 		IMUGuard:           imu.DefaultGuardConfig(),
 		FrameGuard:         vision.DefaultFrameGuardConfig(),
-		Watchdog:           DefaultWatchdogConfig(),
 	}
 }
 
@@ -236,9 +234,6 @@ func (c Config) Validate() error {
 	if c.Mode == ModeNaiveSkip && c.SkipEvery <= 0 {
 		return fmt.Errorf("core: naive-skip needs positive SkipEvery, got %d", c.SkipEvery)
 	}
-	if err := c.Watchdog.Validate(); err != nil {
-		return err
-	}
 	if c.RequestDeadline < 0 {
 		return fmt.Errorf("core: RequestDeadline must be non-negative, got %v", c.RequestDeadline)
 	}
@@ -246,9 +241,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: LastResultTTL must be non-negative, got %v", c.LastResultTTL)
 	}
 	if err := c.Quality.Validate(); err != nil {
-		return err
-	}
-	if err := c.Admission.Validate(); err != nil {
 		return err
 	}
 	if err := c.IndexTuning.Validate(); err != nil {
@@ -396,12 +388,8 @@ func newEngine(cfg Config, deps Deps, stats *metrics.SessionStats, wd *watchdog,
 	if stats == nil {
 		stats = metrics.NewSessionStats()
 	}
-	if ctrl == nil && cfg.Admission.Enabled {
-		var err error
-		ctrl, err = admission.New(cfg.Admission)
-		if err != nil {
-			return nil, err
-		}
+	if ctrl == nil && cfg.Admission {
+		ctrl = admission.New()
 		s := stats
 		ctrl.SetTransitionHook(func(from, to admission.Level) {
 			ev := metrics.EventBrownoutLowered
@@ -419,7 +407,7 @@ func newEngine(cfg Config, deps Deps, stats *metrics.SessionStats, wd *watchdog,
 	e := &Engine{cfg: cfg, deps: deps, stats: stats, ctrl: ctrl, jitterSeed: jitterSeedFor(session), appliedScale: 1,
 		stages: stageList(cfg, ctrl != nil || cfg.RequestDeadline > 0)}
 	if wd == nil {
-		wd = newWatchdog(cfg.Watchdog, deps.Classifier, deps.Clock, stats)
+		wd = newWatchdog(cfg.DisableWatchdog, deps.Classifier, deps.Clock, stats)
 	}
 	e.wd = wd
 	if deps.Peers != nil {

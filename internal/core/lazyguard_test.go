@@ -97,9 +97,7 @@ func standardStreams(t *testing.T) []diffStream {
 // without the audit path (which reads frames the gates did not).
 func TestLazyGuardMatchesEagerGuardOnCleanInput(t *testing.T) {
 	audited := DefaultConfig()
-	audited.Quality = DefaultQualityConfig()
-	audited.Quality.Synchronous = true
-	audited.Quality.AuditSampleEvery = 3
+	audited.Quality = QualityConfig{Enabled: true, Synchronous: true, AuditSampleEvery: 3}
 	imuServed := 0
 	for _, st := range standardStreams(t) {
 		name := st.name
@@ -254,9 +252,7 @@ func TestIMUServedFramesAreNeverRead(t *testing.T) {
 	}
 	frames := traceFrames(w)
 	cfg := DefaultConfig()
-	cfg.Quality = DefaultQualityConfig()
-	cfg.Quality.Synchronous = true
-	cfg.Quality.AuditSampleEvery = 4
+	cfg.Quality = QualityConfig{Enabled: true, Synchronous: true, AuditSampleEvery: 4}
 	run := func(poison map[int]bool) ([]Result, *metrics.SessionStats) {
 		clock := simclock.NewVirtual(time.Unix(0, 0))
 		clf, err := dnn.NewClassifier(perfectProfile(), w.Classes, 1)

@@ -81,17 +81,16 @@ func seedLastResult(e *Engine, label string) {
 // Two pool sessions must not retry a sick classifier in lockstep: their
 // deterministic jitter schedules have to diverge.
 func TestRetryJitterSchedulesDiverge(t *testing.T) {
-	w := &watchdog{cfg: WatchdogConfig{RetryJitter: 10 * time.Millisecond}}
 	a, b := jitterSeedFor(0), jitterSeedFor(1)
 	if a == b {
 		t.Fatal("adjacent sessions got the same jitter seed")
 	}
 	identical := true
 	for attempt := 0; attempt < 6; attempt++ {
-		ja, jb := w.retryJitter(a, attempt), w.retryJitter(b, attempt)
+		ja, jb := retryPause(a, attempt), retryPause(b, attempt)
 		for _, j := range []time.Duration{ja, jb} {
-			if j < 0 || j >= w.cfg.RetryJitter {
-				t.Fatalf("attempt %d jitter %v outside [0, %v)", attempt, j, w.cfg.RetryJitter)
+			if j < 0 || j >= retryJitter {
+				t.Fatalf("attempt %d jitter %v outside [0, %v)", attempt, j, retryJitter)
 			}
 		}
 		if ja != jb {
@@ -102,13 +101,8 @@ func TestRetryJitterSchedulesDiverge(t *testing.T) {
 		t.Fatal("sessions 0 and 1 share an identical retry schedule")
 	}
 	// The schedule is deterministic: same seed, same pauses.
-	if w.retryJitter(a, 3) != w.retryJitter(a, 3) {
+	if retryPause(a, 3) != retryPause(a, 3) {
 		t.Fatal("jitter is not deterministic")
-	}
-	// Jitter off means no extra pause at all.
-	off := &watchdog{cfg: WatchdogConfig{}}
-	if off.retryJitter(a, 1) != 0 {
-		t.Fatal("disabled jitter still pauses")
 	}
 }
 
@@ -184,13 +178,22 @@ func TestDeadlineCompletionAccounting(t *testing.T) {
 	}
 }
 
-// admissionConfig pins the limiter at one slot so a single blocked
-// inference saturates it.
-func admissionConfig(raiseAfter int) admission.Config {
-	return admission.Config{
-		Enabled: true, MinLimit: 1, MaxLimit: 1, InitialLimit: 1,
-		Increase: 1, Backoff: 0.5, BackoffCooldown: 1,
-		BrownoutRaiseAfter: raiseAfter, BrownoutLowerAfter: 1000,
+// admissionInitialLimit is the limiter's starting concurrency limit.
+const admissionInitialLimit = 8
+
+// brownOut drives ctrl to the first-candidate rung the way a saturated
+// inference queue does: every admitted inference comes back as an
+// overflow, which halves the limit to its floor (8 → 1) and from there
+// counts as brownout pressure.
+func brownOut(t *testing.T, ctrl *admission.Controller) {
+	t.Helper()
+	for i := 0; i < 40 && ctrl.Level() != admission.LevelFirstCandidate; i++ {
+		if ctrl.TryAcquire() {
+			ctrl.ReleaseOverflow()
+		}
+	}
+	if got := ctrl.Level(); got != admission.LevelFirstCandidate {
+		t.Fatalf("brownout level %v, want first-candidate", got)
 	}
 }
 
@@ -207,13 +210,13 @@ func waitInflight(t *testing.T, e *Engine, n int) {
 	t.Fatalf("limiter never reached %d in-flight", n)
 }
 
-// With the limiter's only slot held by a blocked inference, further
-// DNN-needing frames must shed: a typed error on a cold ladder, a
-// typed SourceShed/DegradeOverload result on a warm one.
+// With every slot of the limiter's initial limit held by a blocked
+// inference, further DNN-needing frames must shed: a typed error on a
+// cold ladder, a typed SourceShed/DegradeOverload result on a warm one.
 func TestAdmissionRefusalShedsTyped(t *testing.T) {
 	cfg := overloadConfig()
-	cfg.Watchdog.Disabled = true
-	cfg.Admission = admissionConfig(1000)
+	cfg.DisableWatchdog = true
+	cfg.Admission = true
 	classes, err := vision.NewClassSet(6, 48, 48, 77)
 	if err != nil {
 		t.Fatal(err)
@@ -230,12 +233,14 @@ func TestAdmissionRefusalShedsTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	hold := make(chan error, 1)
-	go func() {
-		_, err := f.engine.Process(proto, nil)
-		hold <- err
-	}()
-	waitInflight(t, f.engine, 1)
+	hold := make(chan error, admissionInitialLimit)
+	for i := 0; i < admissionInitialLimit; i++ {
+		go func() {
+			_, err := f.engine.Process(proto, nil)
+			hold <- err
+		}()
+	}
+	waitInflight(t, f.engine, admissionInitialLimit)
 
 	if _, err := f.engine.Process(proto, nil); !errors.Is(err, ErrOverloadShed) {
 		t.Fatalf("cold-ladder error = %v, want ErrOverloadShed", err)
@@ -253,13 +258,25 @@ func TestAdmissionRefusalShedsTyped(t *testing.T) {
 	}
 
 	close(blocked.release)
-	if err := <-hold; err != nil {
-		t.Fatalf("held inference failed: %v", err)
+	for i := 0; i < admissionInitialLimit; i++ {
+		if err := <-hold; err != nil {
+			t.Fatalf("held inference failed: %v", err)
+		}
 	}
 	snap, ok := f.engine.AdmissionSnapshot()
-	if !ok || snap.Admitted != 1 || snap.Shed != 2 || snap.Inflight != 0 {
+	if !ok || snap.Admitted != admissionInitialLimit || snap.Shed != 2 || snap.Inflight != 0 {
 		t.Fatalf("snapshot = %+v", snap)
 	}
+}
+
+// fullClassifier refuses every inference the way a saturated batcher
+// queue does.
+type fullClassifier struct{ inner *dnn.Classifier }
+
+func (c fullClassifier) Profile() dnn.Profile { return c.inner.Profile() }
+
+func (fullClassifier) Infer(*vision.Image) (dnn.Inference, error) {
+	return dnn.Inference{}, dnn.ErrQueueFull
 }
 
 // Sustained pressure at the limiter floor browns out the vote: the
@@ -267,8 +284,7 @@ func TestAdmissionRefusalShedsTyped(t *testing.T) {
 // of running the homogenized-kNN acceptance.
 func TestBrownoutServesFirstCandidate(t *testing.T) {
 	cfg := overloadConfig()
-	cfg.Watchdog.Disabled = true
-	cfg.Admission = admissionConfig(1)
+	cfg.Admission = true
 	classes, err := vision.NewClassSet(6, 48, 48, 77)
 	if err != nil {
 		t.Fatal(err)
@@ -277,34 +293,30 @@ func TestBrownoutServesFirstCandidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocked := &blockingClassifier{inner: inner, release: make(chan struct{})}
-	f := newOverloadFixture(t, cfg, blocked)
-	proto, err := classes.Prototype(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	hold := make(chan error, 1)
-	go func() {
-		_, err := f.engine.Process(proto, nil)
-		hold <- err
-	}()
-	waitInflight(t, f.engine, 1)
-
-	// Two refusals at the floor raise the brownout ladder twice:
-	// full → no-peer → first-candidate.
+	f := newOverloadFixture(t, cfg, fullClassifier{inner})
 	other, err := classes.Prototype(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ {
-		if _, err := f.engine.Process(other, nil); !errors.Is(err, ErrOverloadShed) {
-			t.Fatalf("refusal %d error = %v, want ErrOverloadShed", i, err)
+
+	// Every refused inference is an overflow: five halve the limit to
+	// its floor (8 → 4 → 2 → 1, one halving per two completions), the
+	// fifth is the first pressure event there, and every 8th pressure
+	// event raises the ladder one rung: full → no-peer → first-candidate.
+	for i := 1; i <= 20; i++ {
+		if _, err := f.engine.Process(other, nil); !errors.Is(err, dnn.ErrQueueFull) {
+			t.Fatalf("refusal %d error = %v, want ErrQueueFull", i, err)
 		}
-	}
-	snap, ok := f.engine.AdmissionSnapshot()
-	if !ok || snap.Level != admission.LevelFirstCandidate {
-		t.Fatalf("brownout level = %v, want first-candidate", snap.Level)
+		want := admission.LevelFull
+		switch {
+		case i >= 20:
+			want = admission.LevelFirstCandidate
+		case i >= 12:
+			want = admission.LevelNoPeer
+		}
+		if snap, ok := f.engine.AdmissionSnapshot(); !ok || snap.Level != want {
+			t.Fatalf("after %d refusals: brownout level %v, want %v", i, snap.Level, want)
+		}
 	}
 	raised, lowered := f.engine.Stats().BrownoutTransitions()
 	if raised != 2 || lowered != 0 {
@@ -326,10 +338,5 @@ func TestBrownoutServesFirstCandidate(t *testing.T) {
 	}
 	if res.Source != metrics.SourceLocal || res.Label != "first-cand" {
 		t.Fatalf("brownout serve = %s/%q, want local/first-cand", res.Source, res.Label)
-	}
-
-	close(blocked.release)
-	if err := <-hold; err != nil {
-		t.Fatalf("held inference failed: %v", err)
 	}
 }

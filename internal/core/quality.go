@@ -15,135 +15,79 @@ import (
 	"approxcache/internal/vision"
 )
 
-// QualityConfig configures the self-healing cache-quality layer: a
+// QualityConfig switches on the self-healing cache-quality layer: a
 // shadow auditor that re-runs a sampled fraction of cache hits through
 // the DNN off the latency path, per-entry confirm/refute bookkeeping
 // feeding the store's quarantine machinery, and a drift-adaptive
 // controller that tightens or loosens every reuse gate to hold a live
-// hit-accuracy target.
+// hit-accuracy target. Everything but the sampling period is the fixed
+// policy below.
 type QualityConfig struct {
 	// Enabled turns the quality layer on. The zero value is off: no
 	// audits, no recalibration, zero overhead on the serving path.
 	Enabled bool
-	// AuditSampleEvery audits every Nth reuse-served frame (default
+	// AuditSampleEvery audits every Nth reuse-served frame (0 means
 	// 16). Audits are skipped while the node is browning out or the
 	// frame's request deadline is nearly spent — quality sampling
 	// must never compete with overload survival.
 	AuditSampleEvery int
-	// TargetAccuracy is the live hit-accuracy SLO the recalibration
-	// controller defends (default 0.90).
-	TargetAccuracy float64
-	// Hysteresis is the dead band around the target (default 0.03):
-	// the controller only moves when the estimate leaves
-	// [target-h, target+h], so it cannot oscillate on noise.
-	Hysteresis float64
-	// EWMAAlpha weights each new audit in the live-accuracy estimate
-	// (default 0.2).
-	EWMAAlpha float64
-	// MinSamples is how many audits the controller needs before it
-	// trusts the estimate enough to act (default 8).
-	MinSamples int
-	// TightenStep and LoosenStep are the multiplicative moves applied
-	// to the gate-strictness scale (defaults 0.7 and 1.15). The scale
-	// multiplies the kNN reuse radius and the IMU/video gate
-	// thresholds, so tightening shrinks every gate at once.
-	TightenStep float64
-	LoosenStep  float64
-	// MinScale floors the strictness scale (default 0.35). A
-	// controller already at the floor that still misses the target
-	// stops trusting reuse entirely and refuses it for RefusalFrames
-	// frames (every frame revalidates through the DNN, or through the
-	// degradation ladder when the DNN is unavailable).
-	MinScale float64
-	// CooldownAudits is how many audits must pass between consecutive
-	// scale moves (default 4), giving each move time to show up in
-	// the estimate before the next.
-	CooldownAudits int
-	// RefusalFrames is the length of a reuse-refusal burst (default
-	// 12).
-	RefusalFrames int
-	// AlarmAudits is the burst length entered after a refuted audit
-	// (default 24): that many subsequent reuse serves are ALL audited
-	// instead of sampled. One refute usually means an era of entries
-	// just went stale together (model update, scene meaning changed),
-	// so the controller sweeps the neighborhood densely while
-	// suspicion is hot instead of waiting out the sampling period per
-	// poisoned scene.
-	AlarmAudits int
-	// MaxPending bounds in-flight asynchronous audits (default 4);
-	// sampling skips while the bound is reached.
-	MaxPending int
 	// Synchronous runs audits inline on the serving goroutine instead
 	// of asynchronously. Audit latency is still never charged to the
 	// frame; experiments on a virtual clock use this for determinism.
 	Synchronous bool
 }
 
-// DefaultQualityConfig returns the quality layer's standard tuning,
-// enabled. Assign it to Config.Quality to turn the layer on.
-func DefaultQualityConfig() QualityConfig {
-	return QualityConfig{Enabled: true}.withDefaults()
-}
-
-// withDefaults fills zero fields with the standard tuning.
-func (c QualityConfig) withDefaults() QualityConfig {
-	orDefault(&c.AuditSampleEvery, 16)
-	orDefault(&c.TargetAccuracy, 0.90)
-	orDefault(&c.Hysteresis, 0.03)
-	orDefault(&c.EWMAAlpha, 0.2)
-	orDefault(&c.MinSamples, 8)
-	orDefault(&c.TightenStep, 0.7)
-	orDefault(&c.LoosenStep, 1.15)
-	orDefault(&c.MinScale, 0.35)
-	orDefault(&c.CooldownAudits, 4)
-	orDefault(&c.RefusalFrames, 12)
-	orDefault(&c.AlarmAudits, 24)
-	orDefault(&c.MaxPending, 4)
-	return c
-}
-
-// orDefault sets *v to def when it is zero.
-func orDefault[T int | float64](v *T, def T) {
-	if *v == 0 {
-		*v = def
-	}
-}
+// The quality controller's one policy.
+const (
+	// defaultAuditSampleEvery is the sampling period when
+	// AuditSampleEvery is zero.
+	defaultAuditSampleEvery = 16
+	// targetAccuracy is the live hit-accuracy SLO the recalibration
+	// controller defends.
+	targetAccuracy = 0.90
+	// hysteresis is the dead band around the target: the controller
+	// only moves when the estimate leaves [target-h, target+h], so it
+	// cannot oscillate on noise.
+	hysteresis = 0.03
+	// ewmaAlpha weights each new audit in the live-accuracy estimate.
+	ewmaAlpha = 0.2
+	// minSamples is how many sampled audits the controller needs before
+	// it trusts the estimate enough to act.
+	minSamples = 8
+	// tightenStep and loosenStep are the multiplicative moves applied to
+	// the gate-strictness scale. The scale multiplies the kNN reuse
+	// radius and the IMU/video gate thresholds, so tightening shrinks
+	// every gate at once.
+	tightenStep = 0.7
+	loosenStep  = 1.15
+	// minScale floors the strictness scale. A controller already at the
+	// floor that still misses the target stops trusting reuse entirely
+	// and refuses it for refusalFrames frames (every frame revalidates
+	// through the DNN, or through the degradation ladder when the DNN
+	// is unavailable).
+	minScale = 0.35
+	// cooldownAudits is how many audits must pass between consecutive
+	// scale moves, giving each move time to show up in the estimate
+	// before the next.
+	cooldownAudits = 4
+	// refusalFrames is the length of a reuse-refusal burst.
+	refusalFrames = 12
+	// alarmAudits is the burst length entered after a refuted audit:
+	// that many subsequent reuse serves are ALL audited instead of
+	// sampled. One refute usually means an era of entries just went
+	// stale together (model update, scene meaning changed), so the
+	// controller sweeps the neighborhood densely while suspicion is hot
+	// instead of waiting out the sampling period per poisoned scene.
+	alarmAudits = 24
+	// maxPending bounds in-flight asynchronous audits; sampling skips
+	// while the bound is reached.
+	maxPending = 4
+)
 
 // Validate reports whether the configuration is usable.
 func (c QualityConfig) Validate() error {
-	if !c.Enabled {
-		return nil
-	}
-	c = c.withDefaults()
-	if c.AuditSampleEvery < 1 {
-		return fmt.Errorf("core: AuditSampleEvery must be positive, got %d", c.AuditSampleEvery)
-	}
-	if c.TargetAccuracy <= 0 || c.TargetAccuracy > 1 {
-		return fmt.Errorf("core: TargetAccuracy must be in (0,1], got %v", c.TargetAccuracy)
-	}
-	if c.Hysteresis < 0 || c.Hysteresis >= c.TargetAccuracy {
-		return fmt.Errorf("core: Hysteresis must be in [0, target), got %v", c.Hysteresis)
-	}
-	if c.EWMAAlpha <= 0 || c.EWMAAlpha > 1 {
-		return fmt.Errorf("core: EWMAAlpha must be in (0,1], got %v", c.EWMAAlpha)
-	}
-	if c.TightenStep <= 0 || c.TightenStep >= 1 {
-		return fmt.Errorf("core: TightenStep must be in (0,1), got %v", c.TightenStep)
-	}
-	if c.LoosenStep <= 1 {
-		return fmt.Errorf("core: LoosenStep must exceed 1, got %v", c.LoosenStep)
-	}
-	if c.MinScale <= 0 || c.MinScale > 1 {
-		return fmt.Errorf("core: MinScale must be in (0,1], got %v", c.MinScale)
-	}
-	if c.RefusalFrames < 1 {
-		return fmt.Errorf("core: RefusalFrames must be positive, got %d", c.RefusalFrames)
-	}
-	if c.AlarmAudits < 0 {
-		return fmt.Errorf("core: AlarmAudits must be non-negative, got %d", c.AlarmAudits)
-	}
-	if c.MaxPending < 1 {
-		return fmt.Errorf("core: MaxPending must be positive, got %d", c.MaxPending)
+	if c.Enabled && c.AuditSampleEvery < 0 {
+		return fmt.Errorf("core: AuditSampleEvery must be non-negative, got %d", c.AuditSampleEvery)
 	}
 	return nil
 }
@@ -193,8 +137,11 @@ type qualityController struct {
 }
 
 func newQualityController(cfg QualityConfig, clf Classifier, store cachestore.Interface, stats *metrics.SessionStats, ctrl *admission.Controller) *qualityController {
+	if cfg.AuditSampleEvery == 0 {
+		cfg.AuditSampleEvery = defaultAuditSampleEvery
+	}
 	qc := &qualityController{
-		cfg:   cfg.withDefaults(),
+		cfg:   cfg,
 		clf:   clf,
 		store: store,
 		stats: stats,
@@ -273,7 +220,7 @@ func (qc *qualityController) maybeAudit(e *Engine, im *vision.Image, guarded boo
 		qc.alarm--
 	}
 	if due && !qc.cfg.Synchronous {
-		if qc.pending >= qc.cfg.MaxPending {
+		if qc.pending >= maxPending {
 			due = false
 		} else {
 			qc.pending++
@@ -385,7 +332,7 @@ func (qc *qualityController) observeVerdict(agree, sampled bool) {
 	if !agree {
 		// A refute rarely comes alone — a whole era of entries likely
 		// went stale with it. Audit densely while suspicion is hot.
-		qc.alarm = qc.cfg.AlarmAudits
+		qc.alarm = alarmAudits
 	}
 	if !sampled {
 		return
@@ -394,7 +341,7 @@ func (qc *qualityController) observeVerdict(agree, sampled bool) {
 	if agree {
 		v = 1
 	}
-	qc.ewma = (1-qc.cfg.EWMAAlpha)*qc.ewma + qc.cfg.EWMAAlpha*v
+	qc.ewma = (1-ewmaAlpha)*qc.ewma + ewmaAlpha*v
 	qc.samples++
 	qc.recalibrateLocked()
 }
@@ -408,27 +355,27 @@ func (qc *qualityController) observeVerdict(agree, sampled bool) {
 // is down) — and restarts the estimate, because the flush it just
 // ordered invalidates everything the old estimate measured.
 func (qc *qualityController) recalibrateLocked() {
-	if qc.samples < qc.cfg.MinSamples {
+	if qc.samples < minSamples {
 		return
 	}
 	qc.sinceMove++
-	if qc.sinceMove < qc.cfg.CooldownAudits {
+	if qc.sinceMove < cooldownAudits {
 		return
 	}
 	s := qc.scale()
 	switch {
-	case qc.ewma < qc.cfg.TargetAccuracy-qc.cfg.Hysteresis:
-		if s > qc.cfg.MinScale {
-			qc.setScale(math.Max(qc.cfg.MinScale, s*qc.cfg.TightenStep))
+	case qc.ewma < targetAccuracy-hysteresis:
+		if s > minScale {
+			qc.setScale(math.Max(minScale, s*tightenStep))
 		} else {
-			qc.refusal = qc.cfg.RefusalFrames
+			qc.refusal = refusalFrames
 			qc.samples = 0
-			qc.ewma = qc.cfg.TargetAccuracy
+			qc.ewma = targetAccuracy
 		}
 		qc.stats.Add(metrics.EventRecalTighten, 1)
 		qc.sinceMove = 0
-	case qc.ewma > qc.cfg.TargetAccuracy+qc.cfg.Hysteresis && s < 1:
-		qc.setScale(math.Min(1, s*qc.cfg.LoosenStep))
+	case qc.ewma > targetAccuracy+hysteresis && s < 1:
+		qc.setScale(math.Min(1, s*loosenStep))
 		qc.stats.Add(metrics.EventRecalLoosen, 1)
 		qc.sinceMove = 0
 	}

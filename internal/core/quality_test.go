@@ -8,6 +8,7 @@ import (
 	"approxcache/internal/cachestore"
 	"approxcache/internal/dnn"
 	"approxcache/internal/lsh"
+	"approxcache/internal/metrics"
 	"approxcache/internal/simclock"
 	"approxcache/internal/testutil"
 	"approxcache/internal/vision"
@@ -60,28 +61,13 @@ func newQualityFixture(t *testing.T, quality QualityConfig) *qualityFixture {
 }
 
 func TestQualityConfigValidate(t *testing.T) {
-	if err := (QualityConfig{}).Validate(); err != nil {
-		t.Fatalf("disabled config must validate: %v", err)
-	}
-	if err := DefaultQualityConfig().Validate(); err != nil {
-		t.Fatalf("default config must validate: %v", err)
-	}
-	bad := []QualityConfig{
-		{Enabled: true, AuditSampleEvery: -1},
-		{Enabled: true, TargetAccuracy: 1.2},
-		{Enabled: true, Hysteresis: 0.95},
-		{Enabled: true, EWMAAlpha: 2},
-		{Enabled: true, TightenStep: 1.5},
-		{Enabled: true, LoosenStep: 0.5},
-		{Enabled: true, MinScale: -0.1},
-		{Enabled: true, RefusalFrames: -1},
-		{Enabled: true, AlarmAudits: -1},
-		{Enabled: true, MaxPending: -1},
-	}
-	for i, cfg := range bad {
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("bad config %d validated", i)
+	for _, ok := range []QualityConfig{{}, {Enabled: true}, {AuditSampleEvery: -1}} {
+		if err := ok.Validate(); err != nil {
+			t.Errorf("%+v rejected: %v", ok, err)
 		}
+	}
+	if err := (QualityConfig{Enabled: true, AuditSampleEvery: -1}).Validate(); err == nil {
+		t.Error("negative AuditSampleEvery validated")
 	}
 }
 
@@ -179,6 +165,25 @@ func TestShadowAuditDetectsDriftAndHeals(t *testing.T) {
 	}
 }
 
+// TestRecalibrationWaitsForMinSamples: however bad the sampled audits,
+// the controller does not act before the 8th, and from there waits out
+// the 4-audit cooldown before its first move (the 11th), a 0.7× tighten.
+func TestRecalibrationWaitsForMinSamples(t *testing.T) {
+	stats := metrics.NewSessionStats()
+	qc := newQualityController(QualityConfig{Enabled: true}, nil, nil, stats, nil)
+	for i := 1; i <= minSamples+cooldownAudits-1; i++ {
+		qc.observeVerdict(false, true)
+		tightens, _ := stats.RecalibrationEvents()
+		moved := tightens > 0 || qc.scale() != 1
+		if first := i == minSamples+cooldownAudits-1; moved != first {
+			t.Fatalf("sampled refute %d: moved = %v (scale %v, %d tightens), want %v", i, moved, qc.scale(), tightens, first)
+		}
+	}
+	if got := qc.scale(); got != tightenStep {
+		t.Fatalf("scale after the first move = %v, want %v", got, tightenStep)
+	}
+}
+
 // TestAuditsRaceInsertsEvictions drives concurrent sessions over a
 // tiny store (constant eviction churn) with asynchronous audits and a
 // classifier that drifts mid-run, under -race: audits, heals, paroles,
@@ -187,7 +192,7 @@ func TestShadowAuditDetectsDriftAndHeals(t *testing.T) {
 func TestAuditsRaceInsertsEvictions(t *testing.T) {
 	checkLeak := testutil.LeakGuard(t, 2)
 	fx := newQualityFixture(t, QualityConfig{
-		Enabled: true, AuditSampleEvery: 1, MaxPending: 8,
+		Enabled: true, AuditSampleEvery: 1,
 	})
 	frames := make([]*vision.Image, 6)
 	for i := range frames {

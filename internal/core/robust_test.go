@@ -227,13 +227,7 @@ func TestUnguardedShortPixelBufferDoesNotPanic(t *testing.T) {
 // halved confidence, trips the breaker, fast-fails while down, and
 // recovers on its own once the model heals.
 func TestWatchdogOutageDegradesAndRecovers(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Watchdog = WatchdogConfig{
-		MaxRetries:    0,
-		TripThreshold: 3,
-		Cooldown:      500 * time.Millisecond,
-	}
-	f, faulty := newFaultyFixture(t, cfg, nil)
+	f, faulty := newFaultyFixture(t, DefaultConfig(), nil)
 
 	// Warm the cache with one healthy recognition per class.
 	protos := make([]*vision.Image, 3)
@@ -311,14 +305,11 @@ func TestWatchdogOutageDegradesAndRecovers(t *testing.T) {
 }
 
 // A wedged classifier call is cut off at the wall-clock deadline and
-// the frame degrades to the last result instead of stalling.
+// the frame degrades to the last result instead of stalling. The
+// request deadline caps the watchdog's 1 s call timeout.
 func TestWatchdogTimeoutBoundsHungCall(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Watchdog = WatchdogConfig{
-		CallTimeout:   30 * time.Millisecond,
-		TripThreshold: 3,
-		Cooldown:      500 * time.Millisecond,
-	}
+	cfg.RequestDeadline = 100 * time.Millisecond
 	// Call 1 hangs far past the deadline.
 	f, faulty := newFaultyFixture(t, cfg, dnn.FaultPlan{
 		{From: 1, To: 2, Kind: dnn.FaultHang, Extra: 10 * time.Second},
@@ -340,13 +331,13 @@ func TestWatchdogTimeoutBoundsHungCall(t *testing.T) {
 	if err != nil {
 		t.Fatalf("hung frame errored: %v", err)
 	}
-	if el := time.Since(start); el > 5*time.Second {
-		t.Fatalf("hung call stalled the frame for %v", el)
+	if el := time.Since(start); el >= callTimeout {
+		t.Fatalf("hung call stalled the frame for %v, past the deadline", el)
 	}
 	if res.Source != metrics.SourceFallback {
 		t.Fatalf("hung frame source = %v, want fallback", res.Source)
 	}
-	if res.Latency < cfg.Watchdog.CallTimeout {
+	if res.Latency < cfg.RequestDeadline/2 {
 		t.Fatalf("timeout not charged: latency = %v", res.Latency)
 	}
 	if timeouts, _, _, _, _ := f.engine.Stats().WatchdogEvents(); timeouts != 1 {
@@ -359,7 +350,7 @@ func TestWatchdogTimeoutBoundsHungCall(t *testing.T) {
 func TestWatchdogAbandonedCallExitsOnRelease(t *testing.T) {
 	check := testutil.LeakGuard(t, 0)
 	cfg := DefaultConfig()
-	cfg.Watchdog = WatchdogConfig{CallTimeout: 30 * time.Millisecond, TripThreshold: 3, Cooldown: 500 * time.Millisecond}
+	cfg.RequestDeadline = 30 * time.Millisecond
 	f, faulty := newFaultyFixture(t, cfg, dnn.FaultPlan{
 		{From: 1, To: 2, Kind: dnn.FaultHang, Extra: time.Minute},
 	})
@@ -381,12 +372,7 @@ func TestWatchdogAbandonedCallExitsOnRelease(t *testing.T) {
 
 // A transient error clears on the watchdog's immediate retry.
 func TestWatchdogRetriesTransientError(t *testing.T) {
-	cfg := Config{Mode: ModeNoCache, Watchdog: WatchdogConfig{
-		MaxRetries:    1,
-		RetryBackoff:  10 * time.Millisecond,
-		TripThreshold: 3,
-	}}
-	f, _ := newFaultyFixture(t, cfg, dnn.FaultPlan{
+	f, _ := newFaultyFixture(t, Config{Mode: ModeNoCache}, dnn.FaultPlan{
 		{From: 0, To: 1, Kind: dnn.FaultError},
 	})
 	proto, err := f.classes.Prototype(0)
@@ -400,7 +386,7 @@ func TestWatchdogRetriesTransientError(t *testing.T) {
 	if res.Source != metrics.SourceDNN {
 		t.Fatalf("source = %v", res.Source)
 	}
-	if res.Latency < cfg.Watchdog.RetryBackoff {
+	if res.Latency < retryBackoff {
 		t.Fatalf("backoff not charged: latency = %v", res.Latency)
 	}
 	if _, retries, trips, _, _ := f.engine.Stats().WatchdogEvents(); retries != 1 || trips != 0 {
@@ -411,8 +397,7 @@ func TestWatchdogRetriesTransientError(t *testing.T) {
 // The naive-skip baseline has no cache: a due inference during an
 // outage repeats the last answer at reduced confidence.
 func TestNaiveSkipDegradesToLastResult(t *testing.T) {
-	cfg := Config{Mode: ModeNaiveSkip, SkipEvery: 2, Costs: DefaultCostModel(),
-		Watchdog: WatchdogConfig{TripThreshold: 1}}
+	cfg := Config{Mode: ModeNaiveSkip, SkipEvery: 2, Costs: DefaultCostModel()}
 	f, faulty := newFaultyFixture(t, cfg, nil)
 	proto, err := f.classes.Prototype(0)
 	if err != nil {
@@ -450,25 +435,28 @@ func TestNaiveSkipDegradesToLastResult(t *testing.T) {
 func TestLastResultTTLExpiresLadderRung(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.LastResultTTL = time.Second
-	cfg.Watchdog = WatchdogConfig{TripThreshold: 1, Cooldown: time.Hour}
 	f, faulty := newFaultyFixture(t, cfg, nil)
 	proto, err := f.classes.Prototype(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Cold outage with only a seeded last result: the cache is empty,
-	// so the ladder reaches the last-result rung directly.
+	// so the ladder reaches the last-result rung directly, on every
+	// frame up to and including the one that trips the breaker.
 	faulty.SetDown(true)
 	seedLastResult(f.engine, "seeded")
-	res, err := f.engine.Process(proto, movingWindow(0))
-	if err != nil {
-		t.Fatalf("in-TTL outage frame: %v", err)
-	}
-	if res.Label != "seeded" || res.Degradation != DegradeLastResult {
-		t.Fatalf("in-TTL fallback = %+v", res)
+	for i := 0; i < tripThreshold; i++ {
+		res, err := f.engine.Process(proto, movingWindow(time.Duration(i)*100*time.Millisecond))
+		if err != nil {
+			t.Fatalf("in-TTL outage frame %d: %v", i, err)
+		}
+		if res.Label != "seeded" || res.Degradation != DegradeLastResult {
+			t.Fatalf("in-TTL fallback %d = %+v", i, res)
+		}
 	}
 	// Serving from the ladder does not refresh the stamp: once the
-	// seeded recognition ages past the TTL, the rung falls through.
+	// seeded recognition ages past the TTL, the rung falls through (the
+	// same advance lets the breaker probe, and the probe fails).
 	f.clock.Advance(2 * time.Second)
 	if _, err := f.engine.Process(proto, movingWindow(time.Hour)); !errors.Is(err, ErrClassifierDown) {
 		t.Fatalf("stale outage frame error = %v, want ErrClassifierDown", err)
@@ -476,18 +464,29 @@ func TestLastResultTTLExpiresLadderRung(t *testing.T) {
 }
 
 // With an empty cache, no last result, and a down DNN there is nothing
-// left to serve: the error names the classifier.
+// left to serve: the error carries the classifier's failure, and names
+// the classifier down from the third consecutive failure on — two do
+// not trip the breaker, three do.
 func TestOutageWithNothingToServeErrors(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Watchdog = WatchdogConfig{TripThreshold: 1, Cooldown: time.Minute}
-	f, faulty := newFaultyFixture(t, cfg, nil)
+	f, faulty := newFaultyFixture(t, DefaultConfig(), nil)
 	faulty.SetDown(true)
 	proto, err := f.classes.Prototype(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.engine.Process(proto, movingWindow(0)); !errors.Is(err, ErrClassifierDown) {
-		t.Fatalf("cold outage error = %v, want ErrClassifierDown", err)
+	for i := 1; i <= tripThreshold; i++ {
+		_, err := f.engine.Process(proto, movingWindow(0))
+		if err == nil {
+			t.Fatalf("cold outage frame %d served", i)
+		}
+		tripped, wantTrips := i == tripThreshold, 0
+		if tripped {
+			wantTrips = 1
+		}
+		_, _, trips, _, _ := f.engine.Stats().WatchdogEvents()
+		if errors.Is(err, ErrClassifierDown) != tripped || trips != wantTrips {
+			t.Fatalf("failure %d: error %v, %d trips; want the breaker open only from failure %d", i, err, trips, tripThreshold)
+		}
 	}
 	// The breaker is now open: the next attempt fast-fails.
 	if _, err := f.engine.Process(proto, movingWindow(100*time.Millisecond)); !errors.Is(err, ErrClassifierDown) {
@@ -498,6 +497,51 @@ func TestOutageWithNothingToServeErrors(t *testing.T) {
 	}
 }
 
+// An open breaker fast-fails without touching the classifier until the
+// 500 ms cooldown has elapsed on the engine clock: at cooldown − 1 ns
+// the call still fast-fails, at the cooldown it probes.
+func TestWatchdogCooldownBoundary(t *testing.T) {
+	classes, err := vision.NewClassSet(2, 48, 48, 77)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner, err := dnn.NewClassifier(perfectProfile(), classes, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulty, err := dnn.NewFaultyClassifier(inner, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulty.SetDown(true)
+	clock := simclock.NewVirtual(time.Unix(0, 0))
+	stats := metrics.NewSessionStats()
+	w := newWatchdog(false, faulty, clock, stats)
+	im, err := classes.Prototype(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < tripThreshold; i++ {
+		w.infer(im, time.Time{}, jitterSeedFor(0))
+	}
+	if _, _, trips, _, _ := stats.WatchdogEvents(); trips != 1 {
+		t.Fatalf("trips = %d after %d failures, want 1", trips, tripThreshold)
+	}
+	calls := faulty.Calls()
+	clock.Advance(cooldown - time.Nanosecond)
+	if _, _, err := w.infer(im, time.Time{}, jitterSeedFor(0)); !errors.Is(err, ErrClassifierDown) || faulty.Calls() != calls {
+		t.Fatalf("at cooldown-1ns: error %v, %d classifier calls; want a fast-fail", err, faulty.Calls()-calls)
+	}
+	clock.Advance(time.Nanosecond)
+	faulty.SetDown(false)
+	if _, _, err := w.infer(im, time.Time{}, jitterSeedFor(0)); err != nil || faulty.Calls() != calls+1 {
+		t.Fatalf("at cooldown: error %v, %d classifier calls; want one probe", err, faulty.Calls()-calls)
+	}
+	if _, _, _, recoveries, fastFails := stats.WatchdogEvents(); recoveries != 1 || fastFails != 1 {
+		t.Fatalf("recoveries = %d, fast-fails = %d, want 1 and 1", recoveries, fastFails)
+	}
+}
+
 func TestDegradationLevelStrings(t *testing.T) {
 	if DegradeNone.String() != "none" || DegradeCacheOnly.String() != "cache-only" ||
 		DegradeLastResult.String() != "last-result" {
@@ -505,22 +549,5 @@ func TestDegradationLevelStrings(t *testing.T) {
 	}
 	if got := DegradationLevel(9).String(); got != "DegradationLevel(9)" {
 		t.Fatalf("unknown level string %q", got)
-	}
-}
-
-func TestWatchdogConfigValidate(t *testing.T) {
-	if err := DefaultWatchdogConfig().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := []WatchdogConfig{
-		{CallTimeout: -1},
-		{MaxRetries: -1},
-		{RetryBackoff: -1},
-		{Cooldown: -1},
-	}
-	for i, c := range bad {
-		if err := c.Validate(); err == nil {
-			t.Fatalf("bad watchdog config %d accepted", i)
-		}
 	}
 }

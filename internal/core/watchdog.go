@@ -76,84 +76,47 @@ func (d DegradationLevel) String() string {
 	return fmt.Sprintf("DegradationLevel(%d)", int(d))
 }
 
-// WatchdogConfig tunes the classifier supervisor. The zero value is a
-// transparent passthrough (no timeout, no retries, never trips), so
-// configs built before the watchdog existed keep their behaviour.
-type WatchdogConfig struct {
-	// Disabled bypasses the watchdog entirely (ablation).
-	Disabled bool
-	// CallTimeout bounds one classifier call on the wall clock; a call
-	// exceeding it counts as failed and its frame is charged the
-	// timeout. Timeouts are not retried — a wedged delegate will not
-	// un-wedge in a frame budget. Zero disables the bound.
-	CallTimeout time.Duration
-	// MaxRetries is how many times a *failed* (not timed-out) call is
+// The watchdog's one policy, tuned for a ~100 ms-class model: a 1 s
+// call deadline (10× the expected cost), one quick retry, and a breaker
+// that opens after 3 straight failures and re-probes every 500 ms.
+const (
+	// callTimeout bounds one classifier call on the wall clock (capped
+	// by the request deadline); a call exceeding it counts as failed and
+	// its frame is charged the timeout. Timeouts are not retried — a
+	// wedged delegate will not un-wedge in a frame budget.
+	callTimeout = time.Second
+	// maxRetries is how many times a failed (not timed-out) call is
 	// retried before the frame gives up. Transient faults — an OOM-
 	// killed delegate, a thermal abort — often clear immediately.
-	MaxRetries int
-	// RetryBackoff is the simulated pause charged to the frame before
+	maxRetries = 1
+	// retryBackoff is the simulated pause charged to the frame before
 	// each retry.
-	RetryBackoff time.Duration
-	// RetryJitter is the maximum extra pause added to each retry's
-	// backoff, derived deterministically from the session's jitter seed
-	// and the attempt number. Pool sessions therefore spread their
-	// retries instead of hammering a recovering classifier in lockstep,
-	// while single-session runs stay reproducible. Zero disables jitter.
-	RetryJitter time.Duration
-	// TripThreshold is how many consecutive failed calls open the
-	// breaker. While open, calls fast-fail without touching the
-	// classifier until Cooldown elapses on the engine clock, then one
-	// probe is let through. Zero or negative never trips.
-	TripThreshold int
-	// Cooldown is how long (engine clock) the breaker stays open
+	retryBackoff = 20 * time.Millisecond
+	// retryJitter bounds the extra pause added to each retry's backoff,
+	// derived deterministically from the session's jitter seed and the
+	// attempt number. Pool sessions therefore spread their retries
+	// instead of hammering a recovering classifier in lockstep, while
+	// single-session runs stay reproducible.
+	retryJitter = 10 * time.Millisecond
+	// tripThreshold consecutive failed calls open the breaker. While
+	// open, calls fast-fail without touching the classifier until
+	// cooldown elapses on the engine clock, then one probe is let
+	// through.
+	tripThreshold = 3
+	// cooldown is how long (engine clock) the breaker stays open
 	// between probes.
-	Cooldown time.Duration
-}
-
-// DefaultWatchdogConfig returns supervision tuned for a ~100 ms-class
-// model: a 1 s call deadline (10× the expected cost), one quick retry,
-// and a breaker that opens after 3 straight failures and re-probes
-// every 500 ms.
-func DefaultWatchdogConfig() WatchdogConfig {
-	return WatchdogConfig{
-		CallTimeout:   time.Second,
-		MaxRetries:    1,
-		RetryBackoff:  20 * time.Millisecond,
-		RetryJitter:   10 * time.Millisecond,
-		TripThreshold: 3,
-		Cooldown:      500 * time.Millisecond,
-	}
-}
-
-// Validate reports whether the configuration is usable.
-func (c WatchdogConfig) Validate() error {
-	if c.CallTimeout < 0 {
-		return fmt.Errorf("core: watchdog CallTimeout must be non-negative, got %v", c.CallTimeout)
-	}
-	if c.MaxRetries < 0 {
-		return fmt.Errorf("core: watchdog MaxRetries must be non-negative, got %d", c.MaxRetries)
-	}
-	if c.RetryBackoff < 0 {
-		return fmt.Errorf("core: watchdog RetryBackoff must be non-negative, got %v", c.RetryBackoff)
-	}
-	if c.RetryJitter < 0 {
-		return fmt.Errorf("core: watchdog RetryJitter must be non-negative, got %v", c.RetryJitter)
-	}
-	if c.Cooldown < 0 {
-		return fmt.Errorf("core: watchdog Cooldown must be non-negative, got %v", c.Cooldown)
-	}
-	return nil
-}
+	cooldown = 500 * time.Millisecond
+)
 
 // watchdog supervises the classifier: per-call wall-clock deadline,
 // bounded retry for transient errors, and a consecutive-failure breaker
 // with engine-clock cooldown and half-open probing. It reports every
 // event to the session stats. Safe for concurrent use.
 type watchdog struct {
-	cfg   WatchdogConfig
-	inner Classifier
-	clock simclock.Clock
-	stats *metrics.SessionStats
+	disabled bool // bypass supervision entirely (ablation)
+	inner    Classifier
+	clock    simclock.Clock
+	stats    *metrics.SessionStats
 
 	mu        sync.Mutex
 	failures  int // consecutive failed calls
@@ -161,8 +124,8 @@ type watchdog struct {
 	trippedAt time.Time // engine clock
 }
 
-func newWatchdog(cfg WatchdogConfig, inner Classifier, clock simclock.Clock, stats *metrics.SessionStats) *watchdog {
-	return &watchdog{cfg: cfg, inner: inner, clock: clock, stats: stats}
+func newWatchdog(disabled bool, inner Classifier, clock simclock.Clock, stats *metrics.SessionStats) *watchdog {
+	return &watchdog{disabled: disabled, inner: inner, clock: clock, stats: stats}
 }
 
 // infer runs one supervised classification. penalty is the simulated
@@ -176,12 +139,12 @@ func newWatchdog(cfg WatchdogConfig, inner Classifier, clock simclock.Clock, sta
 // the session's deterministic retry-jitter schedule; the watchdog is
 // shared pool-wide, so the seed travels with the call.
 func (w *watchdog) infer(im *vision.Image, deadline time.Time, jitterSeed uint64) (inf dnn.Inference, penalty time.Duration, err error) {
-	if w.cfg.Disabled {
+	if w.disabled {
 		inf, err = w.call(im, deadline)
 		return inf, 0, err
 	}
 	w.mu.Lock()
-	if w.tripped && w.clock.Now().Sub(w.trippedAt) < w.cfg.Cooldown {
+	if w.tripped && w.clock.Now().Sub(w.trippedAt) < cooldown {
 		w.mu.Unlock()
 		w.stats.Add(metrics.EventWatchdogFastFail, 1)
 		return dnn.Inference{}, 0, fmt.Errorf("%w: breaker open", ErrClassifierDown)
@@ -190,9 +153,9 @@ func (w *watchdog) infer(im *vision.Image, deadline time.Time, jitterSeed uint64
 	w.mu.Unlock()
 
 	var lastErr error
-	for attempt := 0; attempt <= w.cfg.MaxRetries; attempt++ {
+	for attempt := 0; attempt <= maxRetries; attempt++ {
 		if attempt > 0 {
-			penalty += w.cfg.RetryBackoff + w.retryJitter(jitterSeed, attempt)
+			penalty += retryBackoff + retryPause(jitterSeed, attempt)
 			w.stats.Add(metrics.EventWatchdogRetry, 1)
 		}
 		var timedOut bool
@@ -231,42 +194,33 @@ func (w *watchdog) call(im *vision.Image, deadline time.Time) (dnn.Inference, er
 	return w.inner.Infer(im)
 }
 
-// retryJitter returns the deterministic extra pause for one retry,
-// in [0, RetryJitter), derived from the session seed and attempt via a
+// retryPause returns the deterministic extra pause for one retry, in
+// [0, retryJitter), derived from the session seed and attempt via a
 // splitmix64-style mix so distinct sessions get divergent schedules.
-func (w *watchdog) retryJitter(seed uint64, attempt int) time.Duration {
-	if w.cfg.RetryJitter <= 0 {
-		return 0
-	}
+func retryPause(seed uint64, attempt int) time.Duration {
 	x := seed + 0x9e3779b97f4a7c15*uint64(attempt+1)
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 27
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
-	return time.Duration(x % uint64(w.cfg.RetryJitter))
+	return time.Duration(x % uint64(retryJitter))
 }
 
 // callOnce runs a single classifier call under the wall-clock timeout:
-// CallTimeout, capped by the time remaining until the request deadline.
+// callTimeout, capped by the time remaining until the request deadline.
 // On timeout the call's goroutine is abandoned (it exits when the inner
 // call eventually returns; the buffered channel never blocks it) and
 // waited reports the bound actually charged.
 func (w *watchdog) callOnce(im *vision.Image, deadline time.Time) (dnn.Inference, error, bool, time.Duration) {
-	timeout := w.cfg.CallTimeout
+	timeout := callTimeout
 	if !deadline.IsZero() {
 		remaining := time.Until(deadline)
 		if remaining <= 0 {
 			// The budget is already gone; don't occupy the accelerator.
 			return dnn.Inference{}, dnn.ErrExpiredInQueue, false, 0
 		}
-		if timeout <= 0 || remaining < timeout {
-			timeout = remaining
-		}
-	}
-	if timeout <= 0 {
-		inf, err := w.call(im, deadline)
-		return inf, err, false, 0
+		timeout = min(timeout, remaining)
 	}
 	type outcome struct {
 		inf dnn.Inference
@@ -303,10 +257,7 @@ func (w *watchdog) observeFailure() bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.failures++
-	if w.cfg.TripThreshold <= 0 {
-		return false
-	}
-	if w.failures < w.cfg.TripThreshold && !w.tripped {
+	if w.failures < tripThreshold && !w.tripped {
 		return false
 	}
 	if !w.tripped {

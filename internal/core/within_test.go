@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"approxcache/internal/admission"
 	"approxcache/internal/cachestore"
 	"approxcache/internal/dnn"
 	"approxcache/internal/feature"
@@ -274,9 +273,7 @@ func TestRadiusLookupDifferentialChurn(t *testing.T) {
 	// are the frame path's and the count above holds.
 	pinnedScale := func(scale float64) (Config, func(*Engine)) {
 		cfg := DefaultConfig()
-		cfg.Quality = DefaultQualityConfig()
-		cfg.Quality.Synchronous = true
-		cfg.Quality.AuditSampleEvery = 1 << 30
+		cfg.Quality = QualityConfig{Enabled: true, Synchronous: true, AuditSampleEvery: 1 << 30}
 		return cfg, func(e *Engine) { e.quality.setScale(scale) }
 	}
 
@@ -293,9 +290,7 @@ func TestRadiusLookupDifferentialChurn(t *testing.T) {
 	t.Run("quality-audits-heal", func(t *testing.T) {
 		// Audits on: refuted ones run healAfterRefute's radius search.
 		cfg := DefaultConfig()
-		cfg.Quality = DefaultQualityConfig()
-		cfg.Quality.Synchronous = true
-		cfg.Quality.AuditSampleEvery = 2
+		cfg.Quality = QualityConfig{Enabled: true, Synchronous: true, AuditSampleEvery: 2}
 		run := diffEngines(t, cfg, classes, 128, frames, poison, nil)
 		if run.refuted == 0 {
 			t.Fatal("no audit was refuted: heal never ran")
@@ -304,20 +299,11 @@ func TestRadiusLookupDifferentialChurn(t *testing.T) {
 
 	t.Run("brownout-first-candidate", func(t *testing.T) {
 		cfg := DefaultConfig()
-		cfg.Admission = admissionConfig(1)
-		// Saturate the one-slot limiter and take two refusals: the ladder
-		// climbs to first-candidate and, pinned at its floor, stays there.
-		raise := func(e *Engine) {
-			if !e.ctrl.TryAcquire() {
-				t.Fatal("limiter refused its first slot")
-			}
-			e.ctrl.TryAcquire()
-			e.ctrl.TryAcquire()
-			e.ctrl.Release(true)
-			if got := e.ctrl.Level(); got != admission.LevelFirstCandidate {
-				t.Fatalf("brownout level %v, want first-candidate", got)
-			}
-		}
+		cfg.Admission = true
+		// Brown the limiter out before the first frame: the run starts at
+		// first-candidate, and calm completions lower it again only after
+		// 64 of them per rung.
+		raise := func(e *Engine) { brownOut(t, e.ctrl) }
 		check(t, cfg, raise, nil, false)
 	})
 
@@ -326,11 +312,18 @@ func TestRadiusLookupDifferentialChurn(t *testing.T) {
 		// the degradation ladder, whose cache rung searches at twice the
 		// vote radius.
 		cfg := DefaultConfig()
-		cfg.Admission = admissionConfig(1000)
+		cfg.Admission = true
 		const warm = 300
 		hold := func(e *Engine) {
-			if e.Stats().Frames() == warm && !e.ctrl.TryAcquire() {
-				t.Fatal("limiter refused the holding slot")
+			if e.Stats().Frames() != warm {
+				return
+			}
+			held := 0
+			for e.ctrl.TryAcquire() {
+				held++
+			}
+			if held == 0 {
+				t.Fatal("limiter refused every holding slot")
 			}
 		}
 		run := diffEngines(t, cfg, classes, 128, frames, poison, hold)

@@ -103,9 +103,10 @@ func ByID(id string) (Experiment, error) {
 }
 
 // baseline is the engine configuration of a system that does not
-// approximate: no-cache, exact-cache or naive-skip.
+// approximate: no-cache, exact-cache or naive-skip. Baselines call the
+// classifier unsupervised; every experiment runs them on a healthy one.
 func baseline(mode core.Mode) core.Config {
-	cfg := core.Config{Mode: mode, Costs: core.DefaultCostModel()}
+	cfg := core.Config{Mode: mode, Costs: core.DefaultCostModel(), DisableWatchdog: true}
 	if mode == core.ModeNaiveSkip {
 		cfg.SkipEvery = 20
 	}

@@ -93,7 +93,7 @@ func runFaultScenario(sc faultScenario, s Scale) (faultRow, error) {
 	}
 	ecfg := core.DefaultConfig()
 	ecfg.DisableSensorGuards = sc.NoGuards
-	ecfg.Watchdog.Disabled = sc.NoWatchdog
+	ecfg.DisableWatchdog = sc.NoWatchdog
 	// The default guard thresholds suit second-scale windows; the
 	// per-frame gating windows here (15 fps camera, 100 Hz IMU → ~6
 	// samples each) need thresholds sized to that geometry or dropout

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"approxcache/internal/admission"
 	"approxcache/internal/dnn"
 	"approxcache/internal/metrics"
 	"approxcache/internal/vision"
@@ -170,7 +169,7 @@ func (sw *overloadSweep) node(mode string) (*device, *dnn.Batcher, error) {
 	switch mode {
 	case OverloadResilient:
 		ecfg.RequestDeadline = overloadDeadline
-		ecfg.Admission = admission.DefaultConfig()
+		ecfg.Admission = true
 	case overloadUnprotected:
 		bcfg.MaxPending = -1
 	default:

@@ -53,6 +53,9 @@ func TestTTLOption(t *testing.T) {
 	if c.Stats().Frames() != 150 {
 		t.Fatalf("frames = %d", c.Stats().Frames())
 	}
+	if _, err := approxcache.New(testClassifier(t, w), approxcache.Options{TTL: -time.Second}); err == nil {
+		t.Fatal("negative TTL accepted")
+	}
 }
 
 func TestKeyframeCapacityOption(t *testing.T) {
@@ -61,6 +64,9 @@ func TestKeyframeCapacityOption(t *testing.T) {
 	replay(t, c, w)
 	if c.Stats().Frames() != 100 {
 		t.Fatalf("frames = %d", c.Stats().Frames())
+	}
+	if _, err := approxcache.New(testClassifier(t, w), approxcache.Options{KeyframeCapacity: -1}); err == nil {
+		t.Fatal("negative KeyframeCapacity accepted")
 	}
 }
 
@@ -112,4 +118,59 @@ func TestEvictionPolicyOption(t *testing.T) {
 			t.Fatalf("policy %v exceeded capacity", policy)
 		}
 	}
+}
+
+// TestNegativeOptionsRejected: New and NewPool refuse a negative value
+// in a field that documents no meaning for one, instead of quietly
+// running on the default; the documented negatives still disable their
+// bounds.
+func TestNegativeOptionsRejected(t *testing.T) {
+	w := testWorkload(t, 10)
+	clf := testClassifier(t, w)
+	for name, opts := range map[string]approxcache.Options{
+		"RequestDeadline":  {RequestDeadline: -time.Second},
+		"KeyframeCapacity": {KeyframeCapacity: -1},
+		"TTL":              {TTL: -time.Second},
+		"BatchSize":        {BatchSize: -1},
+		"LastResultTTL":    {LastResultTTL: -time.Second},
+	} {
+		if _, err := approxcache.New(clf, opts); err == nil {
+			t.Errorf("New accepted a negative %s", name)
+		}
+		if _, err := approxcache.NewPool(2, clf, opts); err == nil {
+			t.Errorf("NewPool accepted a negative %s", name)
+		}
+	}
+	documented := approxcache.Options{MaxReuseStreak: -1, PeerBudget: -time.Second}
+	if _, err := approxcache.New(clf, documented); err != nil {
+		t.Errorf("New refused the documented negatives: %v", err)
+	}
+	p, err := approxcache.NewPool(2, clf, documented)
+	if err != nil {
+		t.Fatalf("NewPool refused the documented negatives: %v", err)
+	}
+	p.Close()
+}
+
+// TestControllerSwitches: the admission limiter and the quality layer
+// are off unless their switch is set, and on they start from their
+// fixed policy — the limiter at 8, the quality layer at full trust.
+func TestControllerSwitches(t *testing.T) {
+	w := testWorkload(t, 10)
+	off := newCache(t, w, approxcache.Options{})
+	if _, ok := off.AdmissionSnapshot(); ok {
+		t.Fatal("admission limiter on by default")
+	}
+	if _, ok := off.QualitySnapshot(); ok {
+		t.Fatal("quality layer on by default")
+	}
+	on := newCache(t, w, approxcache.Options{Admission: true, Quality: true})
+	if snap, ok := on.AdmissionSnapshot(); !ok || snap.Limit != 8 || snap.Level != approxcache.AdmissionFull {
+		t.Fatalf("admission snapshot = %+v, %v; want limit 8 at full", snap, ok)
+	}
+	if snap, ok := on.QualitySnapshot(); !ok || snap.Scale != 1 || snap.LiveAccuracy != 1 {
+		t.Fatalf("quality snapshot = %+v, %v; want scale 1 at accuracy 1", snap, ok)
+	}
+	replay(t, on, w)
+	on.DrainAudits()
 }

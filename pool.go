@@ -45,7 +45,10 @@ func NewPool(sessions int, classifier Classifier, opts Options) (*Pool, error) {
 	if sessions <= 0 {
 		return nil, fmt.Errorf("approxcache: pool needs at least 1 session, got %d", sessions)
 	}
-	cfg := engineConfig(opts)
+	cfg, err := engineConfig(opts)
+	if err != nil {
+		return nil, err
+	}
 	clock := opts.Clock
 	if clock == nil {
 		clock = simclock.Real{}
@@ -62,15 +65,10 @@ func NewPool(sessions int, classifier Classifier, opts Options) (*Pool, error) {
 			return nil, fmt.Errorf("approxcache: BatchSize %d needs a BatchClassifier, %T cannot batch",
 				opts.BatchSize, classifier)
 		}
-		bcfg := dnn.BatcherConfig{
-			MaxBatch:   opts.BatchSize,
-			MaxWait:    opts.BatchWait,
-			MaxPending: opts.BatchPending,
-		}
-		if bcfg.MaxWait <= 0 {
-			bcfg.MaxWait = dnn.DefaultBatcherConfig().MaxWait
-		}
-		batcher, err = dnn.NewBatcher(bcfg, bc)
+		batcher, err = dnn.NewBatcher(dnn.BatcherConfig{
+			MaxBatch: opts.BatchSize,
+			MaxWait:  dnn.DefaultBatcherConfig().MaxWait,
+		}, bc)
 		if err != nil {
 			return nil, fmt.Errorf("approxcache: batcher: %w", err)
 		}

@@ -58,7 +58,6 @@ func TestPoolConcurrentSessions(t *testing.T) {
 	w := testWorkload(t, 40)
 	p := newPool(t, sessions, w, approxcache.Options{
 		BatchSize: 4,
-		BatchWait: time.Millisecond,
 	})
 	if p.Size() != sessions || len(p.Sessions()) != sessions {
 		t.Fatalf("size = %d, want %d", p.Size(), sessions)
@@ -128,7 +127,6 @@ func TestPoolShutdownRace(t *testing.T) {
 	}
 	p, err := approxcache.NewPool(sessions, clf, approxcache.Options{
 		BatchSize: 4,
-		BatchWait: time.Millisecond,
 		Clock:     approxcache.NewVirtualClock(),
 	})
 	if err != nil {
@@ -223,8 +221,8 @@ func TestPoolShardsOptionIsNoOp(t *testing.T) {
 		}
 		return out
 	}
-	want := serve(approxcache.Options{BatchSize: sessions, BatchWait: time.Millisecond})
-	got := serve(approxcache.Options{Shards: 8, BatchSize: sessions, BatchWait: time.Millisecond})
+	want := serve(approxcache.Options{BatchSize: sessions})
+	got := serve(approxcache.Options{Shards: 8, BatchSize: sessions})
 	if len(got) != len(want) {
 		t.Fatalf("%d results, want %d", len(got), len(want))
 	}
