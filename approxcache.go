@@ -74,8 +74,6 @@ type (
 	Result = core.Result
 	// Source identifies which pipeline stage served a frame.
 	Source = metrics.Source
-	// Mode selects the caching strategy.
-	Mode = core.Mode
 	// Stats aggregates a session's hits, latency, energy, accuracy.
 	Stats = metrics.SessionStats
 	// LatencySummary summarizes recorded latencies.
@@ -86,8 +84,6 @@ type (
 	VirtualClock = simclock.Virtual
 	// VoteConfig tunes the homogenized-kNN acceptance policy.
 	VoteConfig = lsh.VoteConfig
-	// EvictionPolicy selects the cache eviction policy.
-	EvictionPolicy = cachestore.Policy
 	// ActivityClassifier infers the device's motion regime from raw
 	// IMU samples (the inverse of the trace generator); context-aware
 	// policies build on it.
@@ -142,13 +138,8 @@ var (
 	ErrBatcherClosed = dnn.ErrBatcherClosed
 )
 
-// Re-exported mode, source, eviction, and regime constants.
+// Re-exported source, degradation, admission, and regime constants.
 const (
-	ModeNoCache    = core.ModeNoCache
-	ModeExactCache = core.ModeExactCache
-	ModeApprox     = core.ModeApprox
-	ModeNaiveSkip  = core.ModeNaiveSkip
-
 	SourceIMU      = metrics.SourceIMU
 	SourceVideo    = metrics.SourceVideo
 	SourceLocal    = metrics.SourceLocal
@@ -167,10 +158,6 @@ const (
 	AdmissionNoPeer         = admission.LevelNoPeer
 	AdmissionFirstCandidate = admission.LevelFirstCandidate
 
-	EvictLRU       = cachestore.LRU
-	EvictLFU       = cachestore.LFU
-	EvictCostAware = cachestore.CostAware
-
 	RegimeStationary = imu.Stationary
 	RegimeHandheld   = imu.Handheld
 	RegimeWalking    = imu.Walking
@@ -186,71 +173,27 @@ var (
 )
 
 // Options configures a Cache. The zero value selects the full
-// approximate pipeline with production defaults.
+// approximate pipeline with production defaults; every Cache keeps a
+// cost-aware store over a 12-bit × 4-table LSH index.
 type Options struct {
-	// Mode selects the strategy. Defaults to ModeApprox; the other
-	// modes are evaluation baselines.
-	Mode Mode
 	// Capacity is the maximum number of cached entries (default 256).
 	Capacity int
-	// Eviction selects the eviction policy (default cost-aware).
-	Eviction EvictionPolicy
 	// TTL expires entries this long after insertion (0 = never).
 	TTL time.Duration
 	// Vote overrides the homogenized-kNN acceptance policy.
 	Vote VoteConfig
-	// LSHBits and LSHTables shape the LSH index (defaults 12 and 4).
-	LSHBits, LSHTables int
-	// AdaptiveLSH enables the self-rebalancing index: when bucket
-	// occupancy skews (image descriptors are all-positive, which
-	// correlates hyperplane signs), the index rebuilds itself centered
-	// on the observed data mean.
-	AdaptiveLSH bool
-	// Probes sets how many buckets each LSH table examines per lookup:
-	// the query's own bucket plus Probes−1 perturbed buckets visited in
-	// increasing hyperplane-margin cost (multi-probe LSH). 0 or 1 keeps
-	// the classic single-bucket probe. With Probes ≈ 8, halving
-	// LSHTables preserves recall while halving signature arithmetic —
-	// see the lookup-tuning section of the README.
-	Probes int
-	// Sketch enables the sketch prefilter: each cached entry carries a
-	// 64-bit binary sign sketch, and a lookup rejects candidates whose
-	// sketch is too far from the query's by popcount Hamming distance
-	// before any float math. Results stay deterministic; the final
-	// ranking is exact over the surviving candidates.
-	Sketch bool
-	// Seed drives the LSH hyperplanes (default 1).
-	Seed int64
 	// Clock supplies time; defaults to the wall clock. Experiments
 	// pass NewVirtualClock so simulated latency replays instantly.
 	Clock Clock
-	// DisableIMUGate, DisableVideoGate, and DisableGossip switch off
-	// individual reuse mechanisms (used by the ablation experiments).
-	DisableIMUGate   bool
-	DisableVideoGate bool
-	DisableGossip    bool
 	// MaxReuseStreak bounds how many consecutive frames may be served
 	// by reuse before a forced revalidation inference. 0 keeps the
 	// default (20); negative disables the bound.
 	MaxReuseStreak int
-	// SkipEvery, in ModeNaiveSkip, runs the DNN on every SkipEvery-th
-	// frame (default 20, matching the approx pipeline's inference
-	// budget). Ignored in other modes.
-	SkipEvery int
-	// KeyframeCapacity is how many recent recognized scenes the video
-	// gate remembers (default 4). 1 reproduces a single-keyframe gate.
-	KeyframeCapacity int
 	// PeerBudget caps the time a frame may spend waiting on peers;
 	// late answers are discarded and charged to the peer as timeouts.
 	// Zero derives the budget as a quarter of the classifier's mean
 	// inference latency; negative disables the cap.
 	PeerBudget time.Duration
-	// Peers installs a peer client at construction. JoinSimNetwork /
-	// DialPeers can add one later.
-	Peers *PeerClient
-	// DisableSensorGuards switches the input guards off entirely;
-	// corrupt sensor data then flows into the gates unchecked.
-	DisableSensorGuards bool
 	// Shards is ignored: a cache, and a whole pool, is one store.
 	//
 	// Deprecated: kept only so existing callers compile; it goes with
@@ -302,7 +245,6 @@ type Cache struct {
 	engine *core.Engine
 	store  cachestore.Interface
 	clock  Clock
-	cfg    core.Config
 }
 
 // New builds a Cache fronting classifier.
@@ -326,12 +268,11 @@ func New(classifier Classifier, opts Options) (*Cache, error) {
 		Clock:      clock,
 		Classifier: classifier,
 		Store:      store,
-		Peers:      opts.Peers,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("approxcache: %w", err)
 	}
-	return &Cache{engine: engine, store: store, clock: clock, cfg: cfg}, nil
+	return &Cache{engine: engine, store: store, clock: clock}, nil
 }
 
 // engineConfig translates Options into the pipeline configuration,
@@ -341,8 +282,6 @@ func engineConfig(opts Options) (core.Config, error) {
 	switch {
 	case opts.RequestDeadline < 0:
 		return core.Config{}, fmt.Errorf("approxcache: negative RequestDeadline %v", opts.RequestDeadline)
-	case opts.KeyframeCapacity < 0:
-		return core.Config{}, fmt.Errorf("approxcache: negative KeyframeCapacity %d", opts.KeyframeCapacity)
 	case opts.TTL < 0:
 		return core.Config{}, fmt.Errorf("approxcache: negative TTL %v", opts.TTL)
 	case opts.BatchSize < 0:
@@ -351,93 +290,34 @@ func engineConfig(opts Options) (core.Config, error) {
 		return core.Config{}, fmt.Errorf("approxcache: negative LastResultTTL %v", opts.LastResultTTL)
 	}
 	cfg := core.DefaultConfig()
-	if opts.Mode != 0 {
-		cfg.Mode = opts.Mode
-	}
 	if opts.Vote != (VoteConfig{}) {
 		cfg.Vote = opts.Vote
 	}
-	cfg.DisableIMUGate = opts.DisableIMUGate
-	cfg.DisableVideoGate = opts.DisableVideoGate
-	cfg.DisableGossip = opts.DisableGossip
 	if opts.MaxReuseStreak > 0 {
 		cfg.MaxReuseStreak = opts.MaxReuseStreak
 	} else if opts.MaxReuseStreak < 0 {
 		cfg.MaxReuseStreak = 0
 	}
-	if cfg.Mode == ModeNaiveSkip {
-		cfg.SkipEvery = opts.SkipEvery
-		if cfg.SkipEvery == 0 {
-			cfg.SkipEvery = 20
-		}
-	}
-	if opts.KeyframeCapacity > 0 {
-		cfg.KeyframeCapacity = opts.KeyframeCapacity
-	}
-	if opts.PeerBudget > 0 {
-		cfg.PeerBudget = opts.PeerBudget
-	} else if opts.PeerBudget < 0 {
-		cfg.PeerBudget = 0
-		cfg.PeerBudgetFraction = -1
-	}
-	cfg.DisableSensorGuards = opts.DisableSensorGuards
+	cfg.PeerBudget = opts.PeerBudget
 	cfg.RequestDeadline = opts.RequestDeadline
 	cfg.Admission = opts.Admission
 	cfg.Quality.Enabled = opts.Quality
 	cfg.LastResultTTL = opts.LastResultTTL
-	if opts.Probes > 1 {
-		cfg.IndexTuning.Probes = opts.Probes
-	}
-	if opts.Sketch {
-		cfg.IndexTuning.SketchBits = 64
-	}
 	return cfg, nil
 }
 
-// newStore builds the cache store Options describes: nil outside
-// ModeApprox, else one store over one index.
+// newStore builds the cache store Options describes: one cost-aware
+// store over a 12-bit × 4-table single-probe LSH index.
 func newStore(cfg core.Config, opts Options, clock Clock) (cachestore.Interface, error) {
-	if cfg.Mode != ModeApprox {
-		return nil, nil
-	}
 	capacity := opts.Capacity
 	if capacity == 0 {
 		capacity = 256
 	}
-	policy := opts.Eviction
-	if policy == 0 {
-		policy = EvictCostAware
-	}
-	bits := opts.LSHBits
-	if bits == 0 {
-		bits = 12
-	}
-	tables := opts.LSHTables
-	if tables == 0 {
-		tables = 4
-	}
-	seed := opts.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	dim := cfg.Extractor.Dim()
-	tuning := cfg.IndexTuning
-	var idx lsh.Index
-	var err error
-	if opts.AdaptiveLSH {
-		acfg := lsh.DefaultAdaptiveConfig(dim)
-		acfg.Bits = bits
-		acfg.Tables = tables
-		acfg.Seed = seed
-		acfg.Tuning = tuning
-		idx, err = lsh.NewAdaptive(acfg)
-	} else {
-		idx, err = lsh.NewHyperplaneTuned(dim, bits, tables, seed, tuning)
-	}
+	idx, err := lsh.NewHyperplaneTuned(cfg.Extractor.Dim(), 12, 4, 1, cfg.IndexTuning)
 	if err != nil {
 		return nil, fmt.Errorf("approxcache: lsh index: %w", err)
 	}
-	scfg := cachestore.Config{Capacity: capacity, Policy: policy, TTL: opts.TTL}
+	scfg := cachestore.Config{Capacity: capacity, Policy: cachestore.CostAware, TTL: opts.TTL}
 	if opts.Quality {
 		scfg.QuarantineThreshold = 2
 	}
@@ -477,54 +357,29 @@ func (c *Cache) QualitySnapshot() (QualitySnapshot, bool) {
 	return c.engine.QualitySnapshot()
 }
 
-// QuarantineStats returns the store's quarantine lifecycle counters
-// (zero value outside ModeApprox).
-func (c *Cache) QuarantineStats() QuarantineStats {
-	if c.store == nil {
-		return QuarantineStats{}
-	}
-	return c.store.QuarantineStats()
-}
+// QuarantineStats returns the store's quarantine lifecycle counters.
+func (c *Cache) QuarantineStats() QuarantineStats { return c.store.QuarantineStats() }
 
 // DrainAudits blocks until every in-flight shadow audit has completed.
 // Call before reading final statistics when Options.Quality runs
 // asynchronous audits.
 func (c *Cache) DrainAudits() { c.engine.DrainAudits() }
 
-// Mode returns the configured strategy.
-func (c *Cache) Mode() Mode { return c.engine.Mode() }
-
 // LastResult returns the most recent recognition, if any.
 func (c *Cache) LastResult() (Result, bool) { return c.engine.LastResult() }
 
-// Len returns the number of live cache entries (0 outside ModeApprox).
-func (c *Cache) Len() int {
-	if c.store == nil {
-		return 0
-	}
-	return c.store.Len()
-}
+// Len returns the number of live cache entries.
+func (c *Cache) Len() int { return c.store.Len() }
 
 // Evictions returns how many entries were evicted under capacity
-// pressure (0 outside ModeApprox).
-func (c *Cache) Evictions() int {
-	if c.store == nil {
-		return 0
-	}
-	return c.store.Evictions()
-}
+// pressure.
+func (c *Cache) Evictions() int { return c.store.Evictions() }
 
 // StoreStats summarizes cache occupancy and churn.
 type StoreStats = cachestore.StoreStats
 
-// StoreStats returns occupancy/churn details of the cache store (zero
-// value outside ModeApprox).
-func (c *Cache) StoreStats() StoreStats {
-	if c.store == nil {
-		return StoreStats{}
-	}
-	return c.store.Stats()
-}
+// StoreStats returns occupancy/churn details of the cache store.
+func (c *Cache) StoreStats() StoreStats { return c.store.Stats() }
 
 // NewVirtualClock returns a deterministic clock starting at the Unix
 // epoch, for experiments.

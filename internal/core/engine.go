@@ -125,8 +125,6 @@ type Config struct {
 	KeyframeCapacity int
 	// Costs simulates stage compute costs.
 	Costs CostModel
-	// Radio prices P2P traffic for energy accounting.
-	Radio p2p.RadioEnergyModel
 	// DisableIMUGate turns the inertial gate off (ablation).
 	DisableIMUGate bool
 	// DisableVideoGate turns the frame-difference gate off (ablation).
@@ -151,14 +149,11 @@ type Config struct {
 	// gate. Peer answers arriving later are discarded (the peer is
 	// charged a timeout) and the gate's cost is clipped to the budget,
 	// so a slow or dead peer can never stall a frame past it. Zero
-	// derives the budget from PeerBudgetFraction.
+	// sets the budget to a quarter of the classifier's mean inference
+	// latency — the cache must stay cheaper than the work it avoids
+	// (~25 ms against a 100 ms-class model). Negative disables the
+	// budget entirely.
 	PeerBudget time.Duration
-	// PeerBudgetFraction, when PeerBudget is zero, sets the budget to
-	// this fraction of the classifier's mean inference latency — the
-	// cache must stay cheaper than the work it avoids. The default
-	// (0.25) allows ~25 ms against a 100 ms-class model. Negative
-	// disables the budget entirely.
-	PeerBudgetFraction float64
 	// IMUGuard validates each frame's IMU window before it feeds the
 	// motion detector; faulty windows are routed past the inertial gate
 	// (see imu.CheckWindow). The zero value checks only for corrupt
@@ -209,18 +204,16 @@ type Config struct {
 // DefaultConfig returns the standard pipeline configuration.
 func DefaultConfig() Config {
 	return Config{
-		Mode:               ModeApprox,
-		Extractor:          feature.DefaultExtractor(),
-		Vote:               lsh.DefaultVoteConfig(),
-		IMU:                imu.DefaultDetectorConfig(),
-		Diff:               video.DefaultDiffGateConfig(),
-		Costs:              DefaultCostModel(),
-		Radio:              p2p.DefaultRadioEnergyModel(),
-		MaxReuseStreak:     20,
-		KeyframeCapacity:   4,
-		PeerBudgetFraction: 0.25,
-		IMUGuard:           imu.DefaultGuardConfig(),
-		FrameGuard:         vision.DefaultFrameGuardConfig(),
+		Mode:             ModeApprox,
+		Extractor:        feature.DefaultExtractor(),
+		Vote:             lsh.DefaultVoteConfig(),
+		IMU:              imu.DefaultDetectorConfig(),
+		Diff:             video.DefaultDiffGateConfig(),
+		Costs:            DefaultCostModel(),
+		MaxReuseStreak:   20,
+		KeyframeCapacity: 4,
+		IMUGuard:         imu.DefaultGuardConfig(),
+		FrameGuard:       vision.DefaultFrameGuardConfig(),
 	}
 }
 
@@ -272,9 +265,6 @@ func (c Config) Validate() error {
 	}
 	if c.KeyframeCapacity <= 0 {
 		return fmt.Errorf("core: KeyframeCapacity must be positive, got %d", c.KeyframeCapacity)
-	}
-	if c.PeerBudget < 0 {
-		return fmt.Errorf("core: PeerBudget must be non-negative, got %v", c.PeerBudget)
 	}
 	return c.Costs.Validate()
 }
@@ -478,12 +468,11 @@ func (e *Engine) SetPeers(p *p2p.Client) {
 
 // peerBudget returns the per-frame time budget for the P2P gate.
 func (e *Engine) peerBudget() time.Duration {
-	if e.cfg.PeerBudget > 0 {
+	switch {
+	case e.cfg.PeerBudget > 0:
 		return e.cfg.PeerBudget
-	}
-	if e.cfg.PeerBudgetFraction > 0 {
-		mean := e.deps.Classifier.Profile().MeanLatency
-		return time.Duration(e.cfg.PeerBudgetFraction * float64(mean))
+	case e.cfg.PeerBudget == 0:
+		return e.deps.Classifier.Profile().MeanLatency / 4
 	}
 	return 0
 }

@@ -332,6 +332,26 @@ func TestApproxVideoGateWhenIMUDisabled(t *testing.T) {
 	}
 }
 
+// TestAblationTogglesChangeSourceMix replays the stationary-heavy
+// workload with and without the inertial gate: the gate serves frames
+// when on, none when off, and the video gate absorbs what it served.
+func TestAblationTogglesChangeSourceMix(t *testing.T) {
+	spec := trace.StationaryHeavy(150, 3)
+	full := replayWorkload(t, DefaultConfig(), spec, nil, cachestore.Config{}).CountBySource()
+	cfg := DefaultConfig()
+	cfg.DisableIMUGate = true
+	noIMU := replayWorkload(t, cfg, spec, nil, cachestore.Config{}).CountBySource()
+	if full[metrics.SourceIMU] == 0 {
+		t.Fatal("full pipeline produced no IMU hits on stationary-heavy workload")
+	}
+	if noIMU[metrics.SourceIMU] != 0 {
+		t.Fatal("disabled IMU gate still produced IMU hits")
+	}
+	if noIMU[metrics.SourceVideo] <= full[metrics.SourceVideo] {
+		t.Fatalf("video gate did not absorb IMU-gated frames: full %v, no-imu %v", full, noIMU)
+	}
+}
+
 func TestApproxLocalCacheAcrossMovement(t *testing.T) {
 	// Both cheap gates disabled: similar frames must hit the
 	// feature-space cache instead.

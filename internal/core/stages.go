@@ -431,6 +431,9 @@ func (e *Engine) tryLookup(f *frame) (bool, error) {
 	return f.serve(StageLookup, verdict.Label, verdict.Confidence, metrics.SourceLocal, DegradeNone)
 }
 
+// radio prices peer traffic for the session's energy accounting.
+var radio = p2p.DefaultRadioEnergyModel()
+
 // tryPeer asks nearby devices within a per-frame budget. Brownout
 // drops it first: it is the dearest reuse, on a node short of time.
 func (e *Engine) tryPeer(f *frame) (bool, error) {
@@ -459,7 +462,7 @@ func (e *Engine) tryPeer(f *frame) (bool, error) {
 	f.rec.PeerQueried, f.rec.PeerFound = out.Queried, out.Found
 	if out.Queried > 0 {
 		f.rec.PeerCost = out.Cost
-		f.charge(StagePeer, out.Cost, e.cfg.Radio.RTTCost(p2p.QueryWireSize(len(f.vec)), 32))
+		f.charge(StagePeer, out.Cost, radio.RTTCost(p2p.QueryWireSize(len(f.vec)), 32))
 		e.stats.Add(metrics.EventPeerQuery, 1)
 		if out.Found {
 			e.stats.Add(metrics.EventPeerHit, 1)
@@ -618,7 +621,7 @@ func (e *Engine) tryGossip(f *frame) (bool, error) {
 	}
 	if _, err := f.peers.Gossip(f.vec, f.inf.Label, f.inf.Confidence, f.inf.Latency); err == nil {
 		size := p2p.GossipWireSize(len(f.vec), len(f.inf.Label))
-		f.charge(StageGossip, 0, e.cfg.Radio.MessageCost(size)*float64(len(f.peers.Peers())))
+		f.charge(StageGossip, 0, radio.MessageCost(size)*float64(len(f.peers.Peers())))
 	}
 	return f.mark(StageGossip, OutcomePassed)
 }

@@ -195,7 +195,7 @@ func runChaos(s Scale, guarded bool) (chaosResult, error) {
 	if guarded {
 		ecfg.PeerBudget = chaosBudget
 	} else {
-		ecfg.PeerBudgetFraction = -1 // unbounded
+		ecfg.PeerBudget = -1 // unbounded
 	}
 	dev, err := buildDevice(deviceConfig{
 		Name: "main", Spec: spec, Engine: ecfg, Store: mainStore, Seed: s.Seed, Client: &ccfg,

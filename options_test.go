@@ -7,43 +7,6 @@ import (
 	"approxcache"
 )
 
-func TestNaiveSkipOption(t *testing.T) {
-	w := testWorkload(t, 100)
-	c := newCache(t, w, approxcache.Options{Mode: approxcache.ModeNaiveSkip, SkipEvery: 5})
-	replay(t, c, w)
-	counts := c.Stats().CountBySource()
-	dnn := counts[approxcache.SourceDNN]
-	// SkipEvery=5 → roughly one inference in five.
-	if dnn < 15 || dnn > 25 {
-		t.Fatalf("dnn runs = %d, want ~20", dnn)
-	}
-	if c.Mode() != approxcache.ModeNaiveSkip {
-		t.Fatalf("mode = %v", c.Mode())
-	}
-}
-
-func TestNaiveSkipDefaultBudget(t *testing.T) {
-	w := testWorkload(t, 100)
-	c := newCache(t, w, approxcache.Options{Mode: approxcache.ModeNaiveSkip})
-	replay(t, c, w)
-	// Default SkipEvery=20 → ~5 inferences per 100 frames.
-	if dnn := c.Stats().CountBySource()[approxcache.SourceDNN]; dnn < 4 || dnn > 8 {
-		t.Fatalf("dnn runs = %d, want ~5", dnn)
-	}
-}
-
-func TestAdaptiveLSHOption(t *testing.T) {
-	w := testWorkload(t, 150)
-	c := newCache(t, w, approxcache.Options{AdaptiveLSH: true})
-	replay(t, c, w)
-	if c.Stats().HitRate() < 0.5 {
-		t.Fatalf("adaptive hit rate = %v", c.Stats().HitRate())
-	}
-	if c.Len() == 0 {
-		t.Fatal("adaptive cache stayed empty")
-	}
-}
-
 func TestTTLOption(t *testing.T) {
 	w := testWorkload(t, 150)
 	// A TTL far below the trace length: entries expire mid-run and
@@ -55,18 +18,6 @@ func TestTTLOption(t *testing.T) {
 	}
 	if _, err := approxcache.New(testClassifier(t, w), approxcache.Options{TTL: -time.Second}); err == nil {
 		t.Fatal("negative TTL accepted")
-	}
-}
-
-func TestKeyframeCapacityOption(t *testing.T) {
-	w := testWorkload(t, 100)
-	c := newCache(t, w, approxcache.Options{KeyframeCapacity: 1})
-	replay(t, c, w)
-	if c.Stats().Frames() != 100 {
-		t.Fatalf("frames = %d", c.Stats().Frames())
-	}
-	if _, err := approxcache.New(testClassifier(t, w), approxcache.Options{KeyframeCapacity: -1}); err == nil {
-		t.Fatal("negative KeyframeCapacity accepted")
 	}
 }
 
@@ -85,38 +36,26 @@ func TestMaxReuseStreakDisabled(t *testing.T) {
 	}
 }
 
+// TestVoteOverride runs the panning sweep, whose scene changes get past
+// the inertial and video gates to the kNN vote: a near-zero radius
+// accepts fewer local hits than the default vote.
 func TestVoteOverride(t *testing.T) {
-	w := testWorkload(t, 100)
+	w, err := approxcache.GenerateWorkload(approxcache.StandardWorkloads(200, 3)[3])
+	if err != nil {
+		t.Fatal(err)
+	}
 	strict := newCache(t, w, approxcache.Options{
-		DisableIMUGate:   true,
-		DisableVideoGate: true,
 		Vote: approxcache.VoteConfig{
 			K: 4, MaxDistance: 0.01, DominanceRatio: 2, MinVotes: 1,
 		},
 	})
 	replay(t, strict, w)
-	loose := newCache(t, w, approxcache.Options{
-		DisableIMUGate:   true,
-		DisableVideoGate: true,
-	})
+	loose := newCache(t, w, approxcache.Options{})
 	replay(t, loose, w)
 	s := strict.Stats().CountBySource()[approxcache.SourceLocal]
 	l := loose.Stats().CountBySource()[approxcache.SourceLocal]
 	if s >= l {
 		t.Fatalf("strict vote local hits %d not below default %d", s, l)
-	}
-}
-
-func TestEvictionPolicyOption(t *testing.T) {
-	for _, policy := range []approxcache.EvictionPolicy{
-		approxcache.EvictLRU, approxcache.EvictLFU, approxcache.EvictCostAware,
-	} {
-		w := testWorkload(t, 80)
-		c := newCache(t, w, approxcache.Options{Eviction: policy, Capacity: 8})
-		replay(t, c, w)
-		if c.Len() > 8 {
-			t.Fatalf("policy %v exceeded capacity", policy)
-		}
 	}
 }
 
@@ -128,11 +67,10 @@ func TestNegativeOptionsRejected(t *testing.T) {
 	w := testWorkload(t, 10)
 	clf := testClassifier(t, w)
 	for name, opts := range map[string]approxcache.Options{
-		"RequestDeadline":  {RequestDeadline: -time.Second},
-		"KeyframeCapacity": {KeyframeCapacity: -1},
-		"TTL":              {TTL: -time.Second},
-		"BatchSize":        {BatchSize: -1},
-		"LastResultTTL":    {LastResultTTL: -time.Second},
+		"RequestDeadline": {RequestDeadline: -time.Second},
+		"TTL":             {TTL: -time.Second},
+		"BatchSize":       {BatchSize: -1},
+		"LastResultTTL":   {LastResultTTL: -time.Second},
 	} {
 		if _, err := approxcache.New(clf, opts); err == nil {
 			t.Errorf("New accepted a negative %s", name)

@@ -28,11 +28,7 @@ func (c *Cache) clientConfig() p2p.ClientConfig {
 // JoinSimNetwork exposes this cache's store to peers on net under name
 // and installs a peer client on the pipeline. Use ConnectAll (or
 // client.SetPeers) to point the returned client at the other nodes.
-// The cache must be in ModeApprox.
 func (c *Cache) JoinSimNetwork(net *SimNetwork, name string) (*PeerClient, error) {
-	if c.store == nil {
-		return nil, fmt.Errorf("approxcache: peer sharing requires ModeApprox")
-	}
 	if net == nil {
 		return nil, fmt.Errorf("approxcache: nil network")
 	}
@@ -169,12 +165,9 @@ func StartPeerMaintainer(roster *PeerRoster, interval time.Duration, fanout int,
 }
 
 // ServeTCP exposes this cache's store to peers over real TCP on addr
-// (e.g. "127.0.0.1:0"), identifying as name in pings. The cache must be
-// in ModeApprox. Close the returned server when done.
+// (e.g. "127.0.0.1:0"), identifying as name in pings. Close the returned
+// server when done.
 func (c *Cache) ServeTCP(name, addr string) (*PeerServer, error) {
-	if c.store == nil {
-		return nil, fmt.Errorf("approxcache: peer sharing requires ModeApprox")
-	}
 	svc, err := p2p.NewService(p2p.DefaultServiceConfig(name), c.store)
 	if err != nil {
 		return nil, fmt.Errorf("approxcache: peer service: %w", err)
@@ -187,12 +180,8 @@ func (c *Cache) ServeTCP(name, addr string) (*PeerServer, error) {
 }
 
 // DialPeers installs a TCP peer client pointing at addrs
-// ("host:port"), enabling the P2P gate against live nodes. The cache
-// must be in ModeApprox.
+// ("host:port"), enabling the P2P gate against live nodes.
 func (c *Cache) DialPeers(addrs ...string) (*PeerClient, error) {
-	if c.store == nil {
-		return nil, fmt.Errorf("approxcache: peer sharing requires ModeApprox")
-	}
 	tr, err := p2p.NewTCPTransport(2*time.Second, 5*time.Second)
 	if err != nil {
 		return nil, fmt.Errorf("approxcache: transport: %w", err)

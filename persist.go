@@ -16,26 +16,19 @@ import (
 var ErrCorruptSnapshot = cachestore.ErrCorruptSnapshot
 
 // SaveSnapshot writes the cache's live entries to w as JSON, so a later
-// session (or another device) can warm-start from them. The cache must
-// be in ModeApprox.
+// session (or another device) can warm-start from them.
 func (c *Cache) SaveSnapshot(w io.Writer) error {
-	if c.store == nil {
-		return fmt.Errorf("approxcache: snapshots require ModeApprox")
-	}
 	return c.store.Export(w)
 }
 
 // LoadSnapshot reads a snapshot from r into the cache, subject to its
 // capacity and eviction policy, and returns how many entries were
-// inserted. The cache must be in ModeApprox.
+// inserted.
 //
 // The snapshot is validated in full before anything is inserted: a
 // corrupt or truncated file returns ErrCorruptSnapshot and leaves the
 // cache exactly as it was.
 func (c *Cache) LoadSnapshot(r io.Reader) (int, error) {
-	if c.store == nil {
-		return 0, fmt.Errorf("approxcache: snapshots require ModeApprox")
-	}
 	return c.store.Import(r)
 }
 
@@ -46,9 +39,6 @@ func (c *Cache) LoadSnapshot(r io.Reader) (int, error) {
 // — never a torn file. Stray temporaries from interrupted saves are
 // ignored by loads and overwritten by the next save's unique name.
 func (c *Cache) SaveSnapshotFile(path string) (err error) {
-	if c.store == nil {
-		return fmt.Errorf("approxcache: snapshots require ModeApprox")
-	}
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
@@ -81,9 +71,6 @@ func (c *Cache) SaveSnapshotFile(path string) (err error) {
 // (0, nil), the cold-start case — while a corrupt one returns
 // ErrCorruptSnapshot and leaves the cache untouched.
 func (c *Cache) LoadSnapshotFile(path string) (int, error) {
-	if c.store == nil {
-		return 0, fmt.Errorf("approxcache: snapshots require ModeApprox")
-	}
 	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {

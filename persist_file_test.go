@@ -15,7 +15,7 @@ import (
 
 func TestSaveSnapshotFileRoundTrip(t *testing.T) {
 	w := testWorkload(t, 40)
-	warm := newCache(t, w, approxcache.Options{DisableGossip: true})
+	warm := newCache(t, w, approxcache.Options{})
 	replay(t, warm, w)
 	if warm.Len() == 0 {
 		t.Fatal("warm cache is empty")
@@ -58,7 +58,7 @@ func TestLoadSnapshotFileMissingIsColdStart(t *testing.T) {
 // replaced atomically or not at all.
 func TestKillDuringSaveLeavesPreviousSnapshotLoadable(t *testing.T) {
 	w := testWorkload(t, 40)
-	warm := newCache(t, w, approxcache.Options{DisableGossip: true})
+	warm := newCache(t, w, approxcache.Options{})
 	replay(t, warm, w)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "cache.snap")
@@ -98,7 +98,7 @@ func TestKillDuringSaveLeavesPreviousSnapshotLoadable(t *testing.T) {
 // locking too).
 func TestSaveSnapshotDuringProcessing(t *testing.T) {
 	w := testWorkload(t, 120)
-	c := newCache(t, w, approxcache.Options{DisableGossip: true})
+	c := newCache(t, w, approxcache.Options{})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {

@@ -78,7 +78,6 @@ func NewPool(sessions int, classifier Classifier, opts Options) (*Pool, error) {
 		Clock:      clock,
 		Classifier: cls,
 		Store:      store,
-		Peers:      opts.Peers,
 	})
 	if err != nil {
 		if batcher != nil {
@@ -88,7 +87,7 @@ func NewPool(sessions int, classifier Classifier, opts Options) (*Pool, error) {
 	}
 	caches := make([]*Cache, sessions)
 	for i := range caches {
-		caches[i] = &Cache{engine: pool.Session(i), store: store, clock: clock, cfg: cfg}
+		caches[i] = &Cache{engine: pool.Session(i), store: store, clock: clock}
 	}
 	return &Pool{pool: pool, sessions: caches, store: store, batcher: batcher}, nil
 }
@@ -106,12 +105,7 @@ func (p *Pool) Sessions() []*Cache { return p.sessions }
 func (p *Pool) Stats() *Stats { return p.pool.Stats() }
 
 // Len returns the number of live entries in the shared store.
-func (p *Pool) Len() int {
-	if p.store == nil {
-		return 0
-	}
-	return p.store.Len()
-}
+func (p *Pool) Len() int { return p.store.Len() }
 
 // BatcherStats returns the micro-batching scheduler's counters; ok is
 // false when batching is disabled.
