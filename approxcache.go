@@ -313,7 +313,7 @@ func newStore(cfg core.Config, opts Options, clock Clock) (cachestore.Interface,
 	if capacity == 0 {
 		capacity = 256
 	}
-	idx, err := lsh.NewHyperplaneTuned(cfg.Extractor.Dim(), 12, 4, 1, cfg.IndexTuning)
+	idx, err := lsh.NewHyperplane(cfg.Extractor.Dim(), 12, 4, 1)
 	if err != nil {
 		return nil, fmt.Errorf("approxcache: lsh index: %w", err)
 	}

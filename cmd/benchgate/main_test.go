@@ -272,6 +272,46 @@ func TestOverloadGateBadFile(t *testing.T) {
 	badFiles(t, "BENCH_overload.json", `{"retention": 1}`)
 }
 
+const lookupSample = `{
+  "dim": 80,
+  "k": 4,
+  "results": [
+    {"entries": 256, "name": "flat-scan", "ns_per_op": 9000.0, "recall": 1.0, "allocs_per_op": 0},
+    {"entries": 256, "name": "lsh-12x4", "ns_per_op": 6500.0, "recall": 0.98, "allocs_per_op": 0},
+    {"entries": 1024, "name": "flat-scan", "ns_per_op": 30000.0, "recall": 1.0, "allocs_per_op": 0},
+    {"entries": 1024, "name": "lsh-12x4", "ns_per_op": 17000.0, "recall": 0.99, "allocs_per_op": 0}
+  ],
+  "speedup": 1.76,
+  "speedup_256": 1.38
+}`
+
+func TestLookupGatePass(t *testing.T) {
+	out, err := gate(t, "BENCH_lookup.json", lookupSample)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"speedup = 1.76 >= 1.3", "results[*].recall = [1 0.98 1 0.99] >= 0.95"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("summary missing %q:\n%s", want, out)
+		}
+	}
+}
+
+func TestLookupGateFail(t *testing.T) {
+	for _, c := range []struct{ old, new, row string }{
+		{`"speedup": 1.76`, `"speedup": 1.29`, "speedup"},
+		{`"recall": 0.98`, `"recall": 0.94`, "results[*].recall"},
+		{`"recall": 0.99, "allocs_per_op": 0`, `"recall": 0.99, "allocs_per_op": 1`, "results[*].allocs_per_op"},
+	} {
+		_, err := gate(t, "BENCH_lookup.json", strings.Replace(lookupSample, c.old, c.new, 1))
+		wantFailure(t, err, "BENCH_lookup.json", c.row)
+	}
+}
+
+func TestLookupGateBadFile(t *testing.T) {
+	badFiles(t, "BENCH_lookup.json", `{"speedup": 9}`)
+}
+
 const p2pSample = `{
   "nodes": 4,
   "sessions": 3,

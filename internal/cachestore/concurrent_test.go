@@ -391,66 +391,3 @@ func TestReadersDuringQuarantineRace(t *testing.T) {
 	stop.Store(true)
 	wg.Wait()
 }
-
-// TestReadersDuringAdaptiveRebuildRace points readers at a store whose
-// index is an AdaptiveIndex and forces rebuilds under them: skewed
-// all-positive data piles into few buckets, so inserts keep triggering
-// re-centering rebuilds that swap the whole index out from under the
-// read path.
-func TestReadersDuringAdaptiveRebuildRace(t *testing.T) {
-	const dim = 4
-	adaptive, err := lsh.NewAdaptive(lsh.AdaptiveConfig{
-		Dim: dim, Bits: 6, Tables: 2, Seed: 42,
-		CheckEvery: 16, SkewThreshold: 0.3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(Config{Capacity: 512}, adaptive, simclock.NewVirtual(time.Unix(0, 0)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	skewed := func(rng *rand.Rand) feature.Vector {
-		v := make(feature.Vector, dim)
-		for i := range v {
-			v[i] = 50 + rng.Float64() // off-origin: correlated signs
-		}
-		return v
-	}
-	rng := rand.New(rand.NewSource(8))
-	for i := 0; i < 64; i++ {
-		if _, err := s.Insert(skewed(rng), "x", 0.9, "dnn", time.Millisecond); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	for r := 0; r < 3; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			rrng := rand.New(rand.NewSource(int64(400 + r)))
-			dst := make([]lsh.Neighbor, 0, 8)
-			for !stop.Load() {
-				ns, err := s.NearestInto(skewed(rrng), 3, dst)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				dst = ns[:0]
-				runtime.Gosched()
-			}
-		}(r)
-	}
-	for i := 0; i < 256; i++ {
-		if _, err := s.Insert(skewed(rng), "x", 0.9, "dnn", time.Millisecond); err != nil {
-			t.Error(err)
-			break
-		}
-	}
-	if adaptive.Rebuilds() == 0 {
-		t.Log("no rebuild triggered; race coverage reduced this run")
-	}
-	stop.Store(true)
-	wg.Wait()
-}

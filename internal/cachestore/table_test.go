@@ -221,24 +221,16 @@ var modelIndexes = []struct {
 	build  func() (lsh.Index, error)
 }{
 	{"hyperplane", true, func() (lsh.Index, error) { return lsh.NewHyperplane(modelDim, 5, 3, 7) }},
-	{"tuned", true, func() (lsh.Index, error) {
-		return lsh.NewHyperplaneTuned(modelDim, 5, 2, 7, lsh.Tuning{Probes: 4, SketchBits: 64})
-	}},
 	{"exact", true, func() (lsh.Index, error) { return lsh.NewExact(modelDim) }},
-	{"adaptive", true, func() (lsh.Index, error) {
-		return lsh.NewAdaptive(lsh.AdaptiveConfig{
-			Dim: modelDim, Bits: 4, Tables: 2, Seed: 7, CheckEvery: 16, SkewThreshold: 0.3,
-		})
-	}},
 	{"hidden", false, func() (lsh.Index, error) {
 		idx, err := lsh.NewHyperplane(modelDim, 5, 3, 7)
 		return plainIndex{idx}, err
 	}},
 }
 
-// modelVec draws an all-positive vector far from the origin (so the
-// adaptive index sees skewed buckets and rebuilds), near one of a few
-// centers (so lookups find neighbors).
+// modelVec draws an all-positive vector far from the origin (so
+// hyperplane buckets are skewed), near one of a few centers (so lookups
+// find neighbors).
 func modelVec(rng *rand.Rand) feature.Vector {
 	v := make(feature.Vector, modelDim)
 	c := float64(rng.Intn(4))
@@ -254,7 +246,7 @@ func modelVec(rng *rand.Rand) feature.Vector {
 // Label, Answer, Snapshot, Export bytes, counters, the eviction victim —
 // to agree after each step, with vectors bit-identical to what was
 // inserted however often their entry moved between the index and the
-// table (quarantine, parole, slot recycling, an adaptive rebuild).
+// table (quarantine, parole, slot recycling).
 func TestStoreMatchesModel(t *testing.T) {
 	for _, ix := range modelIndexes {
 		for _, policy := range []Policy{LRU, LFU, CostAware} {
@@ -456,9 +448,6 @@ func runModel(t *testing.T, build func() (lsh.Index, error), source bool, policy
 		outcomes[ParoleReinstated] == 0 || outcomes[ParoleHeld] == 0 || outcomes[ParoleEvicted] == 0 {
 		t.Fatalf("workload too tame: %d evictions, %d expiries, %d exports, %d quarantines, parole outcomes %v",
 			m.evictions, m.expiries, exports, quarantines, outcomes)
-	}
-	if a, ok := idx.(*lsh.AdaptiveIndex); ok && a.Rebuilds() == 0 {
-		t.Fatal("the adaptive index never rebuilt: no migration was exercised")
 	}
 }
 

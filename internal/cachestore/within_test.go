@@ -105,7 +105,7 @@ func checkStoreWithin(t *testing.T, name string, s withinTestStore, q feature.Ve
 }
 
 // TestStoreNearestWithinEqualsTruncatedNearest is the radius search's
-// contract over the classic and the tuned index, over an index with no
+// contract over the plain index, over an index with no
 // radius search of its own, and through the package helper's fallback —
 // under inserts, removals and evictions.
 func TestStoreNearestWithinEqualsTruncatedNearest(t *testing.T) {
@@ -124,7 +124,6 @@ func TestStoreNearestWithinEqualsTruncatedNearest(t *testing.T) {
 	}
 	stores := map[string]withinTestStore{
 		"store":       newPlain(func(x *lsh.HyperplaneIndex) lsh.Index { return x }),
-		"tuned":       newTunedSharded(t, 1, capacity, clock),
 		"into-index":  newPlain(func(x *lsh.HyperplaneIndex) lsh.Index { return intoIndex{x} }),
 		"plain-index": newPlain(func(x *lsh.HyperplaneIndex) lsh.Index { return plainIndex{x} }),
 		"via-helper":  viaHelper{newPlain(func(x *lsh.HyperplaneIndex) lsh.Index { return x })},

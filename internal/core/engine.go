@@ -182,11 +182,11 @@ type Config struct {
 	// limiter are answered from the degradation ladder, typed
 	// SourceShed / DegradeOverload.
 	Admission bool
-	// IndexTuning configures the LSH candidate pipeline (multi-probe
-	// sequence length, packed-sketch prefilter) of the cache store's
-	// index. The zero value keeps the classic
-	// exact-bucket pipeline. Consumed by the store constructor; the
-	// engine itself only sees lookup results.
+	// IndexTuning selects nothing: every store's index is the plain
+	// exact-bucket LSH index.
+	//
+	// Deprecated: kept only so existing callers compile; it goes with
+	// the benchmark harness's last use (ROADMAP 1(B)).
 	IndexTuning lsh.Tuning
 	// Quality configures the self-healing quality layer: shadow audits
 	// of cache hits, entry quarantine, and drift-adaptive gate
@@ -234,9 +234,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: LastResultTTL must be non-negative, got %v", c.LastResultTTL)
 	}
 	if err := c.Quality.Validate(); err != nil {
-		return err
-	}
-	if err := c.IndexTuning.Validate(); err != nil {
 		return err
 	}
 	if err := c.FrameGuard.Validate(); err != nil {

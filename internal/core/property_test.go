@@ -188,41 +188,3 @@ func TestEngineWithTinyStore(t *testing.T) {
 		t.Fatalf("frames = %d", stats.Frames())
 	}
 }
-
-// The adaptive index is a drop-in replacement for the plain one.
-func TestEngineWithAdaptiveIndex(t *testing.T) {
-	spec := trace.HandheldMix(150, 11)
-	w, err := trace.Generate(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clock := simclock.NewVirtual(time.Unix(0, 0))
-	classifier, err := dnn.NewClassifier(dnn.MobileNetV2, w.Classes, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	idx, err := lsh.NewAdaptive(lsh.DefaultAdaptiveConfig(cfg.Extractor.Dim()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	store, err := cachestore.New(cachestore.Config{Capacity: 128}, idx, clock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := New(cfg, Deps{Clock: clock, Classifier: classifier, Store: store})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev := time.Duration(0)
-	for _, fr := range w.Frames {
-		win := w.IMUWindow(prev, fr.Offset)
-		prev = fr.Offset
-		if _, err := eng.ProcessWithTruth(fr.Image, win, dnn.LabelOf(fr.Class)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if eng.Stats().HitRate() < 0.5 {
-		t.Fatalf("adaptive-index hit rate = %v", eng.Stats().HitRate())
-	}
-}

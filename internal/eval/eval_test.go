@@ -69,9 +69,10 @@ func TestAllHaveUniqueIDs(t *testing.T) {
 			t.Fatalf("%s has no runner", e.ID)
 		}
 	}
-	// E1–E25 without the retired E24.
-	if len(seen) != 24 || seen["E24"] {
-		t.Fatalf("suite has %d experiments (E24 present: %v), want 24 without E24", len(seen), seen["E24"])
+	// E1–E25 without the retired E9 and E24.
+	if len(seen) != 23 || seen["E9"] || seen["E24"] {
+		t.Fatalf("suite has %d experiments (E9 present: %v, E24 present: %v), want 23 without E9 and E24",
+			len(seen), seen["E9"], seen["E24"])
 	}
 }
 
@@ -366,24 +367,6 @@ func TestE8MotionGateShape(t *testing.T) {
 	}
 	if last < first {
 		t.Fatalf("imu hits fell as thresholds loosened: %d -> %d", first, last)
-	}
-}
-
-func TestE9AdaptiveLSHShape(t *testing.T) {
-	r, err := E9AdaptiveLSH(tinyScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) != 2 {
-		t.Fatalf("rows = %d", len(r.Rows))
-	}
-	plainShare := parsePct(t, r.Rows[0][4])
-	adaptShare := parsePct(t, r.Rows[1][4])
-	if adaptShare >= plainShare {
-		t.Fatalf("adaptive max-bucket share %v not below plain %v", adaptShare, plainShare)
-	}
-	if r.Rows[1][5] == "0" {
-		t.Fatal("adaptive index never rebuilt on descriptor data")
 	}
 }
 

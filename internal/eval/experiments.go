@@ -72,7 +72,7 @@ func All() []Experiment {
 		{ID: "E6", Name: "energy", Run: E6Energy},
 		{ID: "E7", Name: "lsh-ablation", Run: E7LSHAblation, WallClock: true},
 		{ID: "E8", Name: "motion-gate", Run: E8MotionGate},
-		{ID: "E9", Name: "adaptive-lsh", Run: E9AdaptiveLSH},
+		// E9 (adaptive-lsh) is retired; IDs are not renumbered.
 		{ID: "E10", Name: "model-sweep", Run: E10ModelSweep},
 		{ID: "E11", Name: "robustness", Run: E11Robustness},
 		{ID: "E12", Name: "lossy-network", Run: E12LossyNetwork},

@@ -9,96 +9,12 @@ import (
 	"approxcache/internal/core"
 	"approxcache/internal/dnn"
 	"approxcache/internal/feature"
-	"approxcache/internal/lsh"
 	"approxcache/internal/metrics"
 	"approxcache/internal/p2p"
 	"approxcache/internal/simclock"
 	"approxcache/internal/simnet"
 	"approxcache/internal/trace"
-	"approxcache/internal/vision"
 )
-
-// E9AdaptiveLSH compares the plain hyperplane index against the
-// adaptive (data-centered, self-rebalancing) index on real image
-// descriptors, which are all-positive and therefore skew uncentered
-// hyperplane buckets.
-func E9AdaptiveLSH(s Scale) (Report, error) {
-	// Descriptor-like vectors from actual rendered frames.
-	classes, err := vision.NewClassSet(8, 48, 48, s.Seed)
-	if err != nil {
-		return Report{}, err
-	}
-	ex := feature.DefaultExtractor()
-	rng := rand.New(rand.NewSource(s.Seed))
-	rendered := func(n int) ([]feature.Vector, error) {
-		vs := make([]feature.Vector, n)
-		for i := range vs {
-			im, err := classes.Render(i%8, vision.DefaultPerturbation(), rng)
-			if err != nil {
-				return nil, err
-			}
-			if vs[i], err = ex.Extract(im); err != nil {
-				return nil, err
-			}
-		}
-		return vs, nil
-	}
-	vecs, err := rendered(min(s.Frames, 3000))
-	if err != nil {
-		return Report{}, err
-	}
-	qs, err := rendered(150)
-	if err != nil {
-		return Report{}, err
-	}
-	truth, err := exactTruth(ex.Dim(), vecs, qs, 1)
-	if err != nil {
-		return Report{}, err
-	}
-
-	plain, err := lsh.NewHyperplane(ex.Dim(), 12, 4, s.Seed)
-	if err != nil {
-		return Report{}, err
-	}
-	acfg := lsh.DefaultAdaptiveConfig(ex.Dim())
-	acfg.Seed = s.Seed
-	adaptive, err := lsh.NewAdaptive(acfg)
-	if err != nil {
-		return Report{}, err
-	}
-
-	report := Report{
-		ID:      "E9",
-		Title:   "Adaptive vs plain LSH on real image descriptors (all-positive vectors)",
-		Headers: []string{"index", "recall@1", "mean-candidates", "buckets", "max-bucket-share", "rebuilds"},
-		Notes: []string{
-			"positive-orthant descriptors correlate hyperplane signs; centering on the data mean spreads buckets",
-		},
-	}
-	pRecall, pCand, _, err := probe(plain, vecs, qs, truth)
-	if err != nil {
-		return Report{}, err
-	}
-	aRecall, aCand, _, err := probe(adaptive, vecs, qs, truth)
-	if err != nil {
-		return Report{}, err
-	}
-	share := func(st lsh.Stats) float64 {
-		if st.Items == 0 {
-			return 0
-		}
-		return float64(st.MaxBucket) / float64(st.Items)
-	}
-	pStats, aStats := plain.Stats(), adaptive.Stats()
-	report.Rows = append(report.Rows,
-		[]string{"plain", fmtPct(pRecall), fmtF(pCand),
-			fmt.Sprintf("%d", pStats.Buckets), fmtPct(share(pStats)), "0"},
-		[]string{"adaptive", fmtPct(aRecall), fmtF(aCand),
-			fmt.Sprintf("%d", aStats.Buckets), fmtPct(share(aStats)),
-			fmt.Sprintf("%d", adaptive.Rebuilds())},
-	)
-	return report, nil
-}
 
 // E10ModelSweep measures the benefit across the model zoo: heavier
 // models leave more latency and energy on the table for the cache to

@@ -27,7 +27,6 @@ var parentGolden = map[string]string{
 	"E5":  "42677e2eba2becb36890235f0258e8f16cfbb574799b0f39e2000b43d8c6e2ef",
 	"E6":  "ae44abe22a09809d435445deefcfdd9b6697eecc3ce3e77844490219e4fe3524",
 	"E8":  "2dff83d789e1b623f7e09ea0e712388af47c3c9a69d8ca9fcd201f2bd1375dfa",
-	"E9":  "5db579186b4bf89ef4c1110787be7984e04dfe22ea915271f237ceaf389cf327",
 	"E10": "a03d16d5583f4dfde9c7b2f41b456cc5cd590ffcb32bb471ac824365f448e230",
 	"E11": "3e3347b5e22d84bc0b0b8cef10ecf123b56bbdc59b7523600d71bfc866d20faf",
 	"E12": "0b31ec27b752c8aaf553ce5b6929fbb7c92779b20f5f0dc0117f557dfe8cd870",

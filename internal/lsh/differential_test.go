@@ -19,13 +19,12 @@ import (
 type refIndex struct {
 	dim, bits, tables int
 	planes            [][]feature.Vector // [table][bit]
-	center            feature.Vector
 	buckets           []map[uint64][]ID
 	vecs              map[ID]feature.Vector
 	sigs              map[ID][]uint64
 }
 
-func newRefIndex(dim, bits, tables int, seed int64, center feature.Vector) *refIndex {
+func newRefIndex(dim, bits, tables int, seed int64) *refIndex {
 	rng := rand.New(rand.NewSource(seed))
 	x := &refIndex{
 		dim:     dim,
@@ -47,9 +46,6 @@ func newRefIndex(dim, bits, tables int, seed int64, center feature.Vector) *refI
 			x.planes[t][b] = p
 		}
 	}
-	if center != nil {
-		x.center = center.Clone()
-	}
 	return x
 }
 
@@ -57,14 +53,8 @@ func (x *refIndex) signature(t int, v feature.Vector) uint64 {
 	var sig uint64
 	for b, plane := range x.planes[t] {
 		var dot float64
-		if x.center == nil {
-			for d := range plane {
-				dot += plane[d] * v[d]
-			}
-		} else {
-			for d := range plane {
-				dot += plane[d] * (v[d] - x.center[d])
-			}
+		for d := range plane {
+			dot += plane[d] * v[d]
 		}
 		if dot >= 0 {
 			sig |= 1 << uint(b)
@@ -154,8 +144,7 @@ func randVec(rng *rand.Rand, dim int) feature.Vector {
 	return v
 }
 
-func diffWorkload(t *testing.T, center feature.Vector) {
-	t.Helper()
+func TestDifferentialVsReference(t *testing.T) {
 	const (
 		dim    = 16
 		bits   = 6
@@ -163,17 +152,11 @@ func diffWorkload(t *testing.T, center feature.Vector) {
 		seed   = 99
 		ops    = 4000
 	)
-	var arena *HyperplaneIndex
-	var err error
-	if center == nil {
-		arena, err = NewHyperplane(dim, bits, tables, seed)
-	} else {
-		arena, err = NewHyperplaneCentered(dim, bits, tables, seed, center)
-	}
+	arena, err := NewHyperplane(dim, bits, tables, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := newRefIndex(dim, bits, tables, seed, center)
+	ref := newRefIndex(dim, bits, tables, seed)
 
 	rng := rand.New(rand.NewSource(1234))
 	var live []ID
@@ -252,18 +235,6 @@ func sameIDSet(a, b []ID) bool {
 	return true
 }
 
-func TestDifferentialVsReference(t *testing.T) {
-	diffWorkload(t, nil)
-}
-
-func TestDifferentialVsReferenceCentered(t *testing.T) {
-	center := make(feature.Vector, 16)
-	for d := range center {
-		center[d] = 0.5
-	}
-	diffWorkload(t, center)
-}
-
 // TestDifferentialSignatureChains pins the interleaved signature
 // computation to the one-row-at-a-time reference across bit widths that
 // exercise both the 4-wide chains and the remainder loop.
@@ -276,7 +247,7 @@ func TestDifferentialSignatureChains(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref := newRefIndex(dim, bits, 2, 7, nil)
+			ref := newRefIndex(dim, bits, 2, 7)
 			for i := 0; i < 50; i++ {
 				v := randVec(rng, dim)
 				for tb := 0; tb < 2; tb++ {

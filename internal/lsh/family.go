@@ -10,25 +10,16 @@ import (
 )
 
 // hashFamily is the hash function of a HyperplaneIndex: the table
-// hyperplanes, the sketch hyperplanes when the sketch is on, and the
-// projection center. Everything but the memo is immutable once the
-// family is built, and it is a deterministic function of (dim, bits,
-// tables, seed, sketchBits). Each index owns its family.
+// hyperplanes and a signature memo. Everything but the memo is
+// immutable once the family is built, and it is a deterministic
+// function of (dim, bits, tables, seed). Each index owns its family.
 type hashFamily struct {
 	dim, bits, tables int
-	sketchBits        int
 
 	// planes is the flattened hyperplane matrix: hyperplane b of table
 	// t occupies planes[(t*bits+b)*dim : (t*bits+b+1)*dim], so a
 	// signature is one strided sweep over contiguous memory.
 	planes []float64
-	// sketchPlanes is the dedicated sketch hyperplane matrix (row b at
-	// [b*dim:(b+1)*dim]); nil when the sketch is off.
-	sketchPlanes []float64
-	// center, when non-nil, is subtracted from vectors before
-	// projection (see NewHyperplaneCentered). A centered family belongs
-	// to the one index it was built for.
-	center feature.Vector
 
 	// memo remembers the table signatures of the last few vectors
 	// hashed, so a descriptor is hashed once per frame: the frame's
@@ -57,11 +48,11 @@ type memoSlot struct {
 	sigs  []uint64  // one per table
 }
 
-// newHashFamily draws the family for (dim, bits, tables, seed,
-// sketchBits). Arguments are validated by the caller.
-func newHashFamily(dim, bits, tables int, seed int64, sketchBits int) *hashFamily {
+// newHashFamily draws the family for (dim, bits, tables, seed).
+// Arguments are validated by the caller.
+func newHashFamily(dim, bits, tables int, seed int64) *hashFamily {
 	f := &hashFamily{
-		dim: dim, bits: bits, tables: tables, sketchBits: sketchBits,
+		dim: dim, bits: bits, tables: tables,
 		planes: make([]float64, tables*bits*dim),
 	}
 	// Draw order (table, bit, dim) is part of the index's identity:
@@ -69,31 +60,6 @@ func newHashFamily(dim, bits, tables int, seed int64, sketchBits int) *hashFamil
 	rng := rand.New(rand.NewSource(seed))
 	for i := range f.planes {
 		f.planes[i] = rng.NormFloat64()
-	}
-	if sketchBits > 0 {
-		srng := rand.New(rand.NewSource(seed ^ sketchSeedMix))
-		f.sketchPlanes = make([]float64, sketchBits*dim)
-		for i := range f.sketchPlanes {
-			f.sketchPlanes[i] = srng.NormFloat64()
-		}
-		// Make every sketch hyperplane zero-sum: ⟨p, v⟩ is then
-		// invariant to a uniform offset of v. Image descriptors are
-		// all-positive, and without this their shared mean dominates
-		// every projection, correlating all sketch signs and defanging
-		// the Hamming prefilter. Zero-summing is a fixed, data-free
-		// transform, so sketches stay a deterministic function of
-		// (seed, SketchBits, v).
-		for b := 0; b < sketchBits; b++ {
-			row := f.sketchPlanes[b*dim : (b+1)*dim]
-			var m float64
-			for _, p := range row {
-				m += p
-			}
-			m /= float64(dim)
-			for d := range row {
-				row[d] -= m
-			}
-		}
 	}
 	return f
 }
@@ -107,21 +73,17 @@ func (f *hashFamily) planeRow(t, b int) []float64 {
 
 // signatures writes v's signature in every table into sigs[0:tables]:
 // sigs[t] == signature(t, v), bit for bit, read from the memo when a
-// slot holds exactly v and computed (and remembered) otherwise. A
-// centered family always computes. Caller must have validated
-// dimensions.
+// slot holds exactly v and computed (and remembered) otherwise. Caller
+// must have validated dimensions.
 func (f *hashFamily) signatures(v feature.Vector, sigs []uint64) {
 	sigs = sigs[:f.tables]
-	memo := f.center == nil
-	if memo && f.memoLoad(v, sigs) {
+	if f.memoLoad(v, sigs) {
 		return
 	}
 	for t := range sigs {
 		sigs[t] = f.signature(t, v)
 	}
-	if memo {
-		f.memoStore(v, sigs)
-	}
+	f.memoStore(v, sigs)
 }
 
 // memoLoad copies v's remembered signatures into sigs and reports

@@ -16,7 +16,7 @@ import (
 func TestMemoisedSignaturesMatchDirect(t *testing.T) {
 	const dim, bits, tables = 24, 16, 5
 	rng := rand.New(rand.NewSource(11))
-	f := newHashFamily(dim, bits, tables, 3, 0)
+	f := newHashFamily(dim, bits, tables, 3)
 	direct := func(v feature.Vector) []uint64 {
 		out := make([]uint64, tables)
 		for tb := range out {
@@ -85,21 +85,6 @@ func TestMemoisedSignaturesMatchDirect(t *testing.T) {
 	nan[0] = math.NaN()
 	check(nan, false, "NaN in the first component")
 	check(nan, false, "NaN in the first component, again")
-
-	// A centered family never consults or fills the memo.
-	c := newHashFamily(dim, bits, tables, 3, 0)
-	c.center = randVec(rng, dim)
-	got := make([]uint64, tables)
-	c.signatures(base, got)
-	c.signatures(base, got)
-	for tb := range got {
-		if got[tb] != c.signature(tb, base) {
-			t.Fatalf("centered table %d: signatures %x, direct %x", tb, got[tb], c.signature(tb, base))
-		}
-	}
-	if c.memoLoad(base, got) {
-		t.Fatal("centered family filled its memo")
-	}
 }
 
 // TestSharedFamilyConcurrentStress runs lookups and inserts on one

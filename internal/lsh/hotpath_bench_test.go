@@ -128,38 +128,6 @@ func BenchmarkHotPathNearest(b *testing.B) {
 	}
 }
 
-// BenchmarkHotPathNearestMultiProbe is the tuned-pipeline counterpart
-// of BenchmarkHotPathNearest: half the tables, multi-probe walk, sketch
-// prefilter. Matched by the HotPathNearest allocation budget, so the
-// tuned path is pinned to 0 allocs/op too.
-func BenchmarkHotPathNearestMultiProbe(b *testing.B) {
-	vecs := benchVecs(b, 512, 80, 4)
-	tun := DefaultTuning()
-	tun.Probes = 4
-	idx, err := NewHyperplaneTuned(80, 12, 2, 5, tun)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i, v := range vecs {
-		if err := idx.Insert(ID(i), v); err != nil {
-			b.Fatal(err)
-		}
-	}
-	dst := make([]Neighbor, 0, 4)
-	if _, err := idx.NearestInto(vecs[0], 4, dst); err != nil {
-		b.Fatal(err) // warm the scratch pool before timing
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ns, err := idx.NearestInto(vecs[i%len(vecs)], 4, dst)
-		if err != nil {
-			b.Fatal(err)
-		}
-		dst = ns[:0]
-	}
-}
-
 // BenchmarkHotPathExactNearest is the linear-scan baseline under the
 // same shape: dense arena sweep with top-k selection. Budget: 0
 // allocs/op.

@@ -21,7 +21,6 @@ package lsh
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"sync"
 
 	"approxcache/internal/feature"
@@ -85,14 +84,7 @@ type HyperplaneIndex struct {
 	bits   int
 	tables int
 
-	// tun configures the candidate pipeline (multi-probe, sketch
-	// prefilter). The zero value keeps the classic exact-bucket path
-	// byte-for-byte. sketchWords = SketchBits/64 is the packed sketch
-	// width, 0 when the sketch is off.
-	tun         Tuning
-	sketchWords int
-
-	// fam is the hash function: hyperplanes, center and signature memo.
+	// fam is the hash function: hyperplanes and signature memo.
 	// Immutable but for the memo, which locks its own slots.
 	fam *hashFamily
 
@@ -111,9 +103,6 @@ type HyperplaneIndex struct {
 	slotID  []ID
 	slotSig []uint64
 	free    []int32
-	// sketch holds slot s's packed sketch at
-	// [s*sketchWords:(s+1)*sketchWords]; empty when the sketch is off.
-	sketch []uint64
 	// idSlot maps an ID to its slot. Only Insert/Remove/VectorInto touch
 	// it; the query path never chases it.
 	idSlot map[ID]int32
@@ -134,33 +123,11 @@ type queryScratch struct {
 	visited []uint32
 	epoch   uint32
 
-	// Tuned-pipeline scratch, sized lazily on first tuned lookup:
-	// margins holds per-bit |projection| for the probed table, sorted
-	// and order back the probe generator's margin argsort, and heap its
-	// perturbation-set frontier.
-	margins []float64
-	sorted  []float64
-	order   []int
-	heap    []probeSet
-
 	// cands is the gathered candidate slot list of the query in flight
 	// (capacity: one entry per slot, like visited).
 	cands []int32
 	// sigs is the query's signature in every table.
 	sigs []uint64
-}
-
-// ensureTuned sizes the tuned-pipeline scratch for an index with the
-// given signature width.
-func (sc *queryScratch) ensureTuned(bits int) {
-	if cap(sc.margins) < bits {
-		sc.margins = make([]float64, bits)
-		sc.sorted = make([]float64, bits)
-		sc.order = make([]int, bits)
-	}
-	sc.margins = sc.margins[:bits]
-	sc.sorted = sc.sorted[:bits]
-	sc.order = sc.order[:bits]
 }
 
 // begin readies the scratch for one query over nslots slots.
@@ -186,19 +153,9 @@ const MaxSignatureBits = 64
 
 // NewHyperplane builds an LSH index over dim-dimensional vectors with
 // bits hyperplanes per table and tables hash tables, seeding all
-// hyperplanes deterministically from seed. The candidate pipeline is
-// the classic one: exact-bucket probing, full-precision distances.
+// hyperplanes deterministically from seed. A lookup probes the query's
+// own bucket in every table and scores the union at full precision.
 func NewHyperplane(dim, bits, tables int, seed int64) (*HyperplaneIndex, error) {
-	return NewHyperplaneTuned(dim, bits, tables, seed, Tuning{})
-}
-
-// NewHyperplaneTuned is NewHyperplane with an explicit candidate
-// pipeline tuning (multi-probe, sketch prefilter). A zero Tuning
-// reproduces NewHyperplane exactly: the table hyperplanes are drawn
-// first and identically regardless of tuning, and the sketch hyperplanes
-// come from a separate RNG derived from seed, so enabling the sketch
-// never perturbs signatures.
-func NewHyperplaneTuned(dim, bits, tables int, seed int64, tun Tuning) (*HyperplaneIndex, error) {
 	if dim <= 0 {
 		return nil, fmt.Errorf("lsh: dim must be positive, got %d", dim)
 	}
@@ -208,29 +165,19 @@ func NewHyperplaneTuned(dim, bits, tables int, seed int64, tun Tuning) (*Hyperpl
 	if tables <= 0 {
 		return nil, fmt.Errorf("lsh: tables must be positive, got %d", tables)
 	}
-	if err := tun.Validate(); err != nil {
-		return nil, err
-	}
-	tun = tun.normalize()
 	x := &HyperplaneIndex{
-		dim:         dim,
-		bits:        bits,
-		tables:      tables,
-		fam:         newHashFamily(dim, bits, tables, seed, tun.SketchBits),
-		buckets:     make([]map[uint64][]int32, tables),
-		idSlot:      make(map[ID]int32),
-		tun:         tun,
-		sketchWords: tun.SketchBits / 64,
+		dim:     dim,
+		bits:    bits,
+		tables:  tables,
+		fam:     newHashFamily(dim, bits, tables, seed),
+		buckets: make([]map[uint64][]int32, tables),
+		idSlot:  make(map[ID]int32),
 	}
 	for t := range x.buckets {
 		x.buckets[t] = make(map[uint64][]int32)
 	}
 	return x, nil
 }
-
-// TuningConfig returns the index's normalized candidate-pipeline
-// tuning.
-func (x *HyperplaneIndex) TuningConfig() Tuning { return x.tun }
 
 // Dim returns the index dimensionality.
 func (x *HyperplaneIndex) Dim() int { return x.dim }
@@ -270,23 +217,12 @@ func (f *hashFamily) signature(t int, v feature.Vector) uint64 {
 		r3 := f.planes[off+3*n : off+4*n : off+4*n][:len(r0)]
 		vs := v[:len(r0)]
 		var d0, d1, d2, d3 float64
-		if f.center == nil {
-			for d, p0 := range r0 {
-				vv := vs[d]
-				d0 += p0 * vv
-				d1 += r1[d] * vv
-				d2 += r2[d] * vv
-				d3 += r3[d] * vv
-			}
-		} else {
-			ct := f.center[:len(r0)]
-			for d, p0 := range r0 {
-				c := vs[d] - ct[d]
-				d0 += p0 * c
-				d1 += r1[d] * c
-				d2 += r2[d] * c
-				d3 += r3[d] * c
-			}
+		for d, p0 := range r0 {
+			vv := vs[d]
+			d0 += p0 * vv
+			d1 += r1[d] * vv
+			d2 += r2[d] * vv
+			d3 += r3[d] * vv
 		}
 		if d0 >= 0 {
 			sig |= 1 << uint(b)
@@ -304,91 +240,12 @@ func (f *hashFamily) signature(t int, v feature.Vector) uint64 {
 	for ; b < f.bits; b++ {
 		row := f.planeRow(t, b)
 		var dot float64
-		if f.center == nil {
-			for d, p := range row {
-				dot += p * v[d]
-			}
-		} else {
-			for d, p := range row {
-				dot += p * (v[d] - f.center[d])
-			}
+		for d, p := range row {
+			dot += p * v[d]
 		}
 		if dot >= 0 {
 			sig |= 1 << uint(b)
 		}
-	}
-	return sig
-}
-
-// signatureMargins is signature() that additionally records each bit's
-// margin — the |dot product| against its hyperplane, i.e. how close the
-// query came to landing on the other side — into margins[0:bits]. The
-// probe generator ranks bit flips by these margins. Bit values are
-// computed with the same four-chain accumulation as signature(), so the
-// returned signature is bit-identical to it.
-func (f *hashFamily) signatureMargins(t int, v feature.Vector, margins []float64) uint64 {
-	var sig uint64
-	n := f.dim
-	b := 0
-	for ; b+4 <= f.bits; b += 4 {
-		off := (t*f.bits + b) * n
-		r0 := f.planes[off : off+n : off+n]
-		r1 := f.planes[off+n : off+2*n : off+2*n][:len(r0)]
-		r2 := f.planes[off+2*n : off+3*n : off+3*n][:len(r0)]
-		r3 := f.planes[off+3*n : off+4*n : off+4*n][:len(r0)]
-		vs := v[:len(r0)]
-		var d0, d1, d2, d3 float64
-		if f.center == nil {
-			for d, p0 := range r0 {
-				vv := vs[d]
-				d0 += p0 * vv
-				d1 += r1[d] * vv
-				d2 += r2[d] * vv
-				d3 += r3[d] * vv
-			}
-		} else {
-			ct := f.center[:len(r0)]
-			for d, p0 := range r0 {
-				c := vs[d] - ct[d]
-				d0 += p0 * c
-				d1 += r1[d] * c
-				d2 += r2[d] * c
-				d3 += r3[d] * c
-			}
-		}
-		if d0 >= 0 {
-			sig |= 1 << uint(b)
-		}
-		if d1 >= 0 {
-			sig |= 1 << uint(b+1)
-		}
-		if d2 >= 0 {
-			sig |= 1 << uint(b+2)
-		}
-		if d3 >= 0 {
-			sig |= 1 << uint(b+3)
-		}
-		margins[b] = math.Abs(d0)
-		margins[b+1] = math.Abs(d1)
-		margins[b+2] = math.Abs(d2)
-		margins[b+3] = math.Abs(d3)
-	}
-	for ; b < f.bits; b++ {
-		row := f.planeRow(t, b)
-		var dot float64
-		if f.center == nil {
-			for d, p := range row {
-				dot += p * v[d]
-			}
-		} else {
-			for d, p := range row {
-				dot += p * (v[d] - f.center[d])
-			}
-		}
-		if dot >= 0 {
-			sig |= 1 << uint(b)
-		}
-		margins[b] = math.Abs(dot)
 	}
 	return sig
 }
@@ -411,9 +268,6 @@ func (x *HyperplaneIndex) allocSlotLocked() int32 {
 	x.arena = append(x.arena, make([]float64, x.dim)...)
 	x.slotID = append(x.slotID, 0)
 	x.slotSig = append(x.slotSig, make([]uint64, x.tables)...)
-	if x.sketchWords > 0 {
-		x.sketch = append(x.sketch, make([]uint64, x.sketchWords)...)
-	}
 	return s
 }
 
@@ -431,17 +285,10 @@ func (x *HyperplaneIndex) Insert(id ID, v feature.Vector) error {
 	slot := x.allocSlotLocked()
 	copy(x.arena[int(slot)*x.dim:], v)
 	x.slotID[slot] = id
-	vc := x.slotVec(slot)
 	sigs := x.slotSig[int(slot)*x.tables : (int(slot)+1)*x.tables]
-	x.fam.signatures(vc, sigs)
+	x.fam.signatures(x.slotVec(slot), sigs)
 	for t, sig := range sigs {
 		x.buckets[t][sig] = append(x.buckets[t][sig], slot)
-	}
-	// The sketch is recomputed, never stored: snapshot import re-inserts
-	// through this same path, so it round-trips deterministically from
-	// (seed, vector) alone.
-	if x.sketchWords > 0 {
-		x.fam.sketchInto(vc, x.slotSketch(slot))
 	}
 	x.idSlot[id] = slot
 	return nil
@@ -535,11 +382,8 @@ func (x *HyperplaneIndex) Candidates(q feature.Vector) ([]ID, error) {
 // CandidatesInto is Candidates appending into dst's backing array (which
 // may be nil). With a caller-reused dst of sufficient capacity the whole
 // gather performs no allocation: the dedup state is pooled and the IDs
-// land in caller-owned memory.
-//
-// Under a tuned pipeline the gather walks the full multi-probe sequence
-// and applies the sketch prefilter, so the returned set is exactly the
-// population NearestInto would score.
+// land in caller-owned memory. The returned set is exactly the
+// population NearestInto scores.
 func (x *HyperplaneIndex) CandidatesInto(q feature.Vector, dst []ID) ([]ID, error) {
 	if len(q) != x.dim {
 		return nil, fmt.Errorf("lsh: query dim %d, index dim %d: %w",
@@ -557,69 +401,25 @@ func (x *HyperplaneIndex) CandidatesInto(q feature.Vector, dst []ID) ([]ID, erro
 	return out, nil
 }
 
-// gather fills sc.cands with the slots a lookup of q must score,
-// deduplicated, in first-collision order. The classic pipeline takes the
-// union of q's bucket in every table; a tuned one walks each table's
-// multi-probe bucket sequence and (optionally) rejects candidates on
-// packed-sketch Hamming distance before any float math. The caller holds
-// mu.
+// gather fills sc.cands with the slots a lookup of q must score: the
+// union of q's bucket in every table, deduplicated, in first-collision
+// order. The caller holds mu.
 func (x *HyperplaneIndex) gather(q feature.Vector, sc *queryScratch) {
 	sc.begin(len(x.slotID))
+	if cap(sc.sigs) < x.tables {
+		sc.sigs = make([]uint64, x.tables)
+	}
+	sigs := sc.sigs[:x.tables]
+	x.fam.signatures(q, sigs)
 	cands := sc.cands[:0]
-	if !x.tun.enabled() {
-		if cap(sc.sigs) < x.tables {
-			sc.sigs = make([]uint64, x.tables)
-		}
-		sigs := sc.sigs[:x.tables]
-		x.fam.signatures(q, sigs)
-		for t, sig := range sigs {
-			for _, slot := range x.buckets[t][sig] {
-				if sc.visited[slot] == sc.epoch {
-					continue
-				}
-				sc.visited[slot] = sc.epoch
-				cands = append(cands, slot)
+	for t, sig := range sigs {
+		for _, slot := range x.buckets[t][sig] {
+			if sc.visited[slot] == sc.epoch {
+				continue
 			}
+			sc.visited[slot] = sc.epoch
+			cands = append(cands, slot)
 		}
-		sc.cands = cands
-		return
-	}
-	sc.ensureTuned(x.bits)
-	var qsk [2]uint64
-	words := x.sketchWords
-	if words > 0 {
-		x.fam.sketchInto(q, qsk[:words])
-	}
-	maxHam := x.tun.MaxHamming
-	var pg probeGen
-	for t := 0; t < x.tables; t++ {
-		sig := x.fam.signatureMargins(t, q, sc.margins)
-		pg.init(sig, x.bits, sc.margins, sc.sorted, sc.order, sc.heap)
-		for p := 0; p < x.tun.Probes; p++ {
-			psig, ok := pg.next()
-			if !ok {
-				break
-			}
-			for _, slot := range x.buckets[t][psig] {
-				if sc.visited[slot] == sc.epoch {
-					continue
-				}
-				sc.visited[slot] = sc.epoch
-				if words > 0 {
-					// Inlined popcount Hamming; words is 1 or 2.
-					off := int(slot) * words
-					d := bits.OnesCount64(qsk[0] ^ x.sketch[off])
-					if words == 2 {
-						d += bits.OnesCount64(qsk[1] ^ x.sketch[off+1])
-					}
-					if d > maxHam {
-						continue
-					}
-				}
-				cands = append(cands, slot)
-			}
-		}
-		sc.heap = pg.heap[:0] // retain heap growth across tables/queries
 	}
 	sc.cands = cands
 }
@@ -644,9 +444,6 @@ func (x *HyperplaneIndex) NearestInto(q feature.Vector, k int, dst []Neighbor) (
 // the scan the radius lets it stop scoring a candidate as soon as its
 // partial distance is out of range (see scan.go), which is most of the
 // arithmetic when buckets are crowded with far vectors.
-//
-// The scan is the same for every pipeline: gather the candidate slots
-// (see gather), score them exactly.
 func (x *HyperplaneIndex) NearestWithinInto(q feature.Vector, k int, radius float64, dst []Neighbor) ([]Neighbor, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("lsh: k must be positive, got %d", k)

@@ -151,7 +151,6 @@ type withinIndex interface {
 var (
 	_ withinIndex = (*HyperplaneIndex)(nil)
 	_ withinIndex = (*ExactIndex)(nil)
-	_ withinIndex = (*AdaptiveIndex)(nil)
 )
 
 // withinTestIndexes builds one index of every kind over dim dimensions.
@@ -163,22 +162,9 @@ func withinTestIndexes(t testing.TB, dim int, seed int64) map[string]withinIndex
 		}
 		return x
 	}
-	classic, err := NewHyperplane(dim, 6, 3, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	acfg := DefaultAdaptiveConfig(dim)
-	acfg.Bits, acfg.Tables, acfg.CheckEvery, acfg.Seed = 6, 3, 16, seed
-	probesOnly := Tuning{Probes: 3}
-	sketch128 := Tuning{Probes: 2, SketchBits: 128}
 	return map[string]withinIndex{
-		"classic":     classic,
-		"tuned":       must(NewHyperplaneTuned(dim, 6, 2, seed, DefaultTuning())),
-		"probes":      must(NewHyperplaneTuned(dim, 6, 2, seed, probesOnly)),
-		"sketch128":   must(NewHyperplaneTuned(dim, 6, 2, seed, sketch128)),
+		"classic":     must(NewHyperplane(dim, 6, 3, seed)),
 		"exact":       must(NewExact(dim)),
-		"adaptive":    must(NewAdaptive(acfg)),
-		"sketch-wide": must(NewHyperplaneTuned(dim, 4, 2, seed, Tuning{SketchBits: 64})),
 		"one-table-1": must(NewHyperplane(dim, 1, 1, seed)),
 	}
 }

@@ -87,32 +87,8 @@ func TestHyperplaneConcurrentStress(t *testing.T) {
 	stressIndex(t, idx, 8)
 }
 
-func TestHyperplaneTunedConcurrentStress(t *testing.T) {
-	// The full tuned pipeline — multi-probe walks, sketch arena reads —
-	// racing writers that grow and recycle the very arenas the readers
-	// walk.
-	tun := DefaultTuning()
-	tun.Probes = 4
-	idx, err := NewHyperplaneTuned(8, 6, 3, 42, tun)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stressIndex(t, idx, 8)
-}
-
 func TestExactConcurrentStress(t *testing.T) {
 	idx, err := NewExact(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stressIndex(t, idx, 8)
-}
-
-func TestAdaptiveConcurrentStress(t *testing.T) {
-	idx, err := NewAdaptive(AdaptiveConfig{
-		Dim: 8, Bits: 6, Tables: 3, Seed: 42,
-		CheckEvery: 64, SkewThreshold: 0.5,
-	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,105 +111,98 @@ func churnVec(id ID, ver uint32, dim int) feature.Vector {
 // slot read while stale, half-written or recycled for another id matches
 // no version in that window. Len and Stats run beside the writers too.
 func TestChurnDistancesMatchLastInsert(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		tun  Tuning
-	}{
-		{"classic", Tuning{}},
-		{"sketch", Tuning{Probes: 4, SketchBits: 64}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			const (
-				dim     = 8
-				writers = 2
-				perW    = 32
-				ids     = writers * perW
-				readers = 4
-				ops     = 400
-			)
-			idx, err := NewHyperplaneTuned(dim, 6, 3, 42, tc.tun)
-			if err != nil {
+	// classic is the plain single-probe index.
+	t.Run("classic", func(t *testing.T) {
+		const (
+			dim     = 8
+			writers = 2
+			perW    = 32
+			ids     = writers * perW
+			readers = 4
+			ops     = 400
+		)
+		idx, err := NewHyperplane(dim, 6, 3, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var started, done [ids]atomic.Uint32
+		for id := 0; id < ids; id++ {
+			started[id].Store(1)
+			if err := idx.Insert(ID(id), churnVec(ID(id), 1, dim)); err != nil {
 				t.Fatal(err)
 			}
-			var started, done [ids]atomic.Uint32
-			for id := 0; id < ids; id++ {
-				started[id].Store(1)
-				if err := idx.Insert(ID(id), churnVec(ID(id), 1, dim)); err != nil {
-					t.Fatal(err)
+			done[id].Store(1)
+		}
+		var writing sync.WaitGroup
+		var stop atomic.Bool
+		for w := 0; w < writers; w++ {
+			writing.Add(1)
+			go func(w int) {
+				defer writing.Done()
+				rng := rand.New(rand.NewSource(int64(w)))
+				for i := 0; i < ops; i++ {
+					id := w*perW + rng.Intn(perW)
+					if rng.Float64() < 0.3 {
+						idx.Remove(ID(id)) // the next insert takes a recycled slot
+					}
+					ver := started[id].Add(1)
+					if err := idx.Insert(ID(id), churnVec(ID(id), ver, dim)); err != nil {
+						t.Error(err)
+						return
+					}
+					done[id].Store(ver)
 				}
-				done[id].Store(1)
-			}
-			var writing sync.WaitGroup
-			var stop atomic.Bool
-			for w := 0; w < writers; w++ {
-				writing.Add(1)
-				go func(w int) {
-					defer writing.Done()
-					rng := rand.New(rand.NewSource(int64(w)))
-					for i := 0; i < ops; i++ {
-						id := w*perW + rng.Intn(perW)
-						if rng.Float64() < 0.3 {
-							idx.Remove(ID(id)) // the next insert takes a recycled slot
-						}
-						ver := started[id].Add(1)
-						if err := idx.Insert(ID(id), churnVec(ID(id), ver, dim)); err != nil {
-							t.Error(err)
-							return
-						}
-						done[id].Store(ver)
+			}(w)
+		}
+		var reading sync.WaitGroup
+		for r := 0; r < readers; r++ {
+			reading.Add(1)
+			go func(r int) {
+				defer reading.Done()
+				rng := rand.New(rand.NewSource(int64(100 + r)))
+				dst := make([]Neighbor, 0, 8)
+				var lo [ids]uint32
+				for !stop.Load() {
+					q := randVec(rng, dim)
+					for id := range lo {
+						lo[id] = done[id].Load()
 					}
-				}(w)
-			}
-			var reading sync.WaitGroup
-			for r := 0; r < readers; r++ {
-				reading.Add(1)
-				go func(r int) {
-					defer reading.Done()
-					rng := rand.New(rand.NewSource(int64(100 + r)))
-					dst := make([]Neighbor, 0, 8)
-					var lo [ids]uint32
-					for !stop.Load() {
-						q := randVec(rng, dim)
-						for id := range lo {
-							lo[id] = done[id].Load()
+					ns, err := idx.NearestInto(q, 4, dst)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					for _, n := range ns {
+						hi := started[n.ID].Load()
+						ok := false
+						for ver := lo[n.ID]; ver <= hi && !ok; ver++ {
+							ok = n.Distance == feature.MustEuclidean(q, churnVec(n.ID, ver, dim))
 						}
-						ns, err := idx.NearestInto(q, 4, dst)
-						if err != nil {
-							t.Error(err)
-							return
-						}
-						for _, n := range ns {
-							hi := started[n.ID].Load()
-							ok := false
-							for ver := lo[n.ID]; ver <= hi && !ok; ver++ {
-								ok = n.Distance == feature.MustEuclidean(q, churnVec(n.ID, ver, dim))
-							}
-							if !ok {
-								t.Errorf("id %d: distance %v matches no version in [%d,%d]",
-									n.ID, n.Distance, lo[n.ID], hi)
-								return
-							}
-						}
-						dst = ns[:0]
-						if n := idx.Len(); n > ids {
-							t.Errorf("Len = %d, want at most %d", n, ids)
-							return
-						}
-						if st := idx.Stats(); st.Items > ids || st.MaxBucket > ids {
-							t.Errorf("Stats = %+v, want at most %d items", st, ids)
+						if !ok {
+							t.Errorf("id %d: distance %v matches no version in [%d,%d]",
+								n.ID, n.Distance, lo[n.ID], hi)
 							return
 						}
 					}
-				}(r)
-			}
-			writing.Wait()
-			stop.Store(true)
-			reading.Wait()
-			if got := idx.Len(); got != ids {
-				t.Errorf("Len after churn = %d, want %d", got, ids)
-			}
-		})
-	}
+					dst = ns[:0]
+					if n := idx.Len(); n > ids {
+						t.Errorf("Len = %d, want at most %d", n, ids)
+						return
+					}
+					if st := idx.Stats(); st.Items > ids || st.MaxBucket > ids {
+						t.Errorf("Stats = %+v, want at most %d items", st, ids)
+						return
+					}
+				}
+			}(r)
+		}
+		writing.Wait()
+		stop.Store(true)
+		reading.Wait()
+		if got := idx.Len(); got != ids {
+			t.Errorf("Len after churn = %d, want %d", got, ids)
+		}
+	})
 }
 
 // TestBucketShrinkAfterChurn verifies that removals both clear the
