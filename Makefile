@@ -1,7 +1,7 @@
 GO ?= go
 
 # Packages holding HotPath benchmarks.
-HOTPATH_PKGS = ./internal/lsh/ ./internal/vision/ ./internal/feature/ ./internal/video/ ./internal/imu/ ./internal/cachestore/ ./internal/metrics/ ./internal/core/ ./internal/p2p/
+HOTPATH_PKGS = ./internal/lsh/ ./internal/vision/ ./internal/feature/ ./internal/video/ ./internal/imu/ ./internal/cachestore/ ./internal/metrics/ ./internal/core/ ./internal/p2p/ ./internal/dnn/
 
 # The gated reports approxbench records, as name:experiment — E20
 # writes BENCH_throughput.json, and so on. What each file must show

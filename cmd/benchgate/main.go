@@ -109,9 +109,10 @@ type budget struct {
 // into a full store may allocate only what the index's bucket growth
 // does (the store itself: nothing). One frame through the whole engine
 // allocates nothing when the inertial gate, the video gate or the local
-// cache serves it; a miss allocates the 8 it did before the engine was
-// a stage list: the watchdog's call deadline (goroutine, channel,
-// timer) and the stub classifier's two. One peer query over three
+// cache serves it; a miss allocates only the 6 of the watchdog's call
+// deadline (goroutine, channel, timer), and the simulated classifier's
+// decision allocates nothing at any vocabulary size. One peer query
+// over three
 // in-process peers (client and services both) may allocate no more than
 // the 30 it did before the peer table was one record per peer.
 var hotpathBudgets = []budget{
@@ -137,7 +138,8 @@ var hotpathBudgets = []budget{
 	{"HotPathEngineFrame/imu", 0},
 	{"HotPathEngineFrame/video", 0},
 	{"HotPathEngineFrame/local", 0},
-	{"HotPathEngineFrame/dnn", 8},
+	{"HotPathEngineFrame/dnn", 6},
+	{"HotPathClassifierDecide", 0},
 	{"HotPathQueryFrame", 30},
 }
 

@@ -92,8 +92,7 @@ func nextWindow(win []imu.Sample) {
 // BenchmarkHotPathEngineFrame is one frame through the whole engine in
 // each steady state, its record filled into a reused one. The reuse
 // paths allocate nothing; a miss allocates what the watchdog's call
-// deadline does (goroutine, channel, timer) and the stub classifier's
-// two.
+// deadline does (goroutine, channel, timer).
 func BenchmarkHotPathEngineFrame(b *testing.B) {
 	for _, c := range engineFrameCases {
 		b.Run(c.name, func(b *testing.B) {

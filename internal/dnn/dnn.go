@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"approxcache/internal/feature"
-	"approxcache/internal/lsh"
 	"approxcache/internal/vision"
 )
 
@@ -136,14 +135,24 @@ type Inference struct {
 type Classifier struct {
 	profile Profile
 	classes *vision.ClassSet
-	ex      feature.Extractor
-	// protos holds class i's prototype descriptor under ID i; labels is
+	ex      *feature.CombinedExtractor
+	// protos holds class i's prototype descriptor in row i; labels is
 	// parallel to it.
-	protos *lsh.ExactIndex
+	protos *protoTable
 	labels []string
+	// scratch pools the per-call buffers of decide.
+	scratch sync.Pool
 
 	mu  sync.Mutex
 	rng *rand.Rand
+}
+
+// decideScratch is one decide call's working memory: the descriptor,
+// its projection and the per-class lower bounds.
+type decideScratch struct {
+	v  feature.Vector
+	pq coords
+	lb []float64
 }
 
 // NewClassifier builds a classifier for classes under profile, seeding
@@ -164,31 +173,32 @@ func NewClassifier(profile Profile, classes *vision.ClassSet, seed int64) (*Clas
 	if err != nil {
 		return nil, fmt.Errorf("build extractor: %w", err)
 	}
-	protos, err := lsh.NewExact(ex.Dim())
-	if err != nil {
-		return nil, fmt.Errorf("prototype index: %w", err)
-	}
 	c := &Classifier{
 		profile: profile,
 		classes: classes,
 		ex:      ex,
-		protos:  protos,
 		labels:  make([]string, classes.NumClasses()),
 		rng:     rand.New(rand.NewSource(seed)),
 	}
-	for i := 0; i < classes.NumClasses(); i++ {
+	protos := make([][]float64, classes.NumClasses())
+	for i := range protos {
 		proto, err := classes.Prototype(i)
 		if err != nil {
 			return nil, err
 		}
-		v, err := ex.Extract(proto)
-		if err != nil {
+		if protos[i], err = ex.Extract(proto); err != nil {
 			return nil, fmt.Errorf("extract prototype %d: %w", i, err)
 		}
-		if err := protos.Insert(lsh.ID(i), v); err != nil {
-			return nil, fmt.Errorf("index prototype %d: %w", i, err)
-		}
 		c.labels[i] = LabelOf(i)
+	}
+	if c.protos, err = newProtoTable(protos, ex.Dim()); err != nil {
+		return nil, err
+	}
+	c.scratch.New = func() any {
+		return &decideScratch{
+			v:  make(feature.Vector, ex.Dim()),
+			lb: make([]float64, c.protos.n),
+		}
 	}
 	return c, nil
 }
@@ -254,22 +264,22 @@ func (c *Classifier) Infer(im *vision.Image) (Inference, error) {
 // decide is the model's feature-space decision for im: the class whose
 // prototype is nearest its descriptor (the lower class on a tie) and the
 // confidence the margin to the runner-up gives. A class set has at
-// least one class, so there is always a nearest.
+// least one class, so there is always a nearest. A frame whose
+// descriptor is not finite has no nearest class and is refused.
 func (c *Classifier) decide(im *vision.Image) (best int, conf float64, err error) {
-	v, err := c.ex.Extract(im)
+	s := c.scratch.Get().(*decideScratch)
+	defer c.scratch.Put(s)
+	v, err := c.ex.ExtractInto(im, s.v)
 	if err != nil {
 		return 0, 0, fmt.Errorf("extract: %w", err)
 	}
-	var buf [2]lsh.Neighbor
-	ns, err := c.protos.NearestInto(v, len(buf), buf[:0])
-	if err != nil {
-		return 0, 0, fmt.Errorf("nearest prototype: %w", err)
+	for _, x := range v {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return 0, 0, fmt.Errorf("dnn: non-finite descriptor")
+		}
 	}
-	second := math.Inf(1)
-	if len(ns) > 1 {
-		second = ns[1].Distance
-	}
-	return int(ns[0].ID), confidenceFromMargin(ns[0].Distance, second), nil
+	best, d1, d2 := c.protos.nearest2(v, &s.pq, s.lb)
+	return best, confidenceFromMargin(math.Sqrt(d1), math.Sqrt(d2)), nil
 }
 
 // confidenceFromMargin maps the distance margin between the best and

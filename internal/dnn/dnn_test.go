@@ -3,6 +3,7 @@ package dnn
 import (
 	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -109,6 +110,35 @@ func TestInferNilImage(t *testing.T) {
 	}
 }
 
+// TestInferRefusesNonFiniteDescriptor: a frame whose descriptor is not
+// finite has no nearest class, so Infer and InferBatch refuse it as they
+// refuse a nil frame, and a batch names the frame.
+func TestInferRefusesNonFiniteDescriptor(t *testing.T) {
+	cs := testClasses(t)
+	c, err := NewClassifier(MobileNetV2, cs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := cs.Prototype(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad := good.Clone()
+		bad.Pix[17] = x
+		if _, err := c.Infer(bad); err == nil || !strings.Contains(err.Error(), "non-finite") {
+			t.Fatalf("pixel %v: Infer err = %v", x, err)
+		}
+		_, err := c.InferBatch([]*vision.Image{good, bad})
+		if err == nil || !strings.Contains(err.Error(), "batch index 1") || !strings.Contains(err.Error(), "non-finite") {
+			t.Fatalf("pixel %v: InferBatch err = %v", x, err)
+		}
+	}
+	if _, err := c.Infer(good); err != nil {
+		t.Fatalf("a finite frame after refused ones: %v", err)
+	}
+}
+
 func TestInferPerfectModelAlwaysCorrect(t *testing.T) {
 	cs := testClasses(t)
 	perfect := MobileNetV2
@@ -137,12 +167,19 @@ func TestInferPerfectModelAlwaysCorrect(t *testing.T) {
 	}
 }
 
-// TestDecisionMatchesPrototypeScan holds the indexed decision to the
-// top-2 scan it replaced (one feature.MustEuclidean per prototype, strict
+// TestDecisionMatchesPrototypeScan holds the classifier's decision to the
+// plain top-2 scan (one feature.MustEuclidean per prototype, strict
 // less-than, so the lower class wins a tie): same class, same confidence
-// to the bit, for Infer and for every frame of InferBatch.
+// to the bit, for Infer and for every frame of InferBatch. 40 classes
+// scan plainly; 512 take the projected filter-and-refine search.
 func TestDecisionMatchesPrototypeScan(t *testing.T) {
-	cs, err := vision.NewClassSet(40, 64, 64, 9)
+	for _, n := range []int{40, 512} {
+		t.Run(strconv.Itoa(n), func(t *testing.T) { testDecisionMatchesScan(t, n) })
+	}
+}
+
+func testDecisionMatchesScan(t *testing.T, numClasses int) {
+	cs, err := vision.NewClassSet(numClasses, 64, 64, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,6 +188,9 @@ func TestDecisionMatchesPrototypeScan(t *testing.T) {
 	c, err := NewClassifier(perfect, cs, 2)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if projected := c.protos.coords != nil; projected != (numClasses >= 231) {
+		t.Fatalf("%d classes: projected = %v", numClasses, projected)
 	}
 	protos := make([]feature.Vector, cs.NumClasses())
 	for i := range protos {
