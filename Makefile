@@ -9,10 +9,13 @@ HOTPATH_PKGS = ./internal/lsh/ ./internal/vision/ ./internal/feature/ ./internal
 # cmd/benchgate/main.go, nowhere else.
 REPORTS = throughput:E20 overload:E21 lookup:E22 quality:E23 p2p:E25
 
-.PHONY: check build test race vet fmt bench gate bench-e2e-test fault-matrix
+# How long `make fuzz` runs each fuzz target.
+FUZZTIME ?= 3s
+
+.PHONY: check build test race vet fmt bench gate bench-e2e-test fault-matrix fuzz
 
 # Every step `make check` runs, in order.
-CHECKS = vet fmt test race bench-e2e-test gate fault-matrix
+CHECKS = vet fmt test race bench-e2e-test gate fault-matrix fuzz
 
 # check runs every step even after one fails and lists the failures at
 # the end, so a red step cannot hide the steps behind it (and `gate`
@@ -84,3 +87,19 @@ gate:
 # inspection.
 fault-matrix:
 	$(GO) run ./cmd/approxbench -exp E19 -frames 300
+
+# Bounded fuzz soak: every Fuzz* target in the module, found by
+# `go test -list` (so a new target joins without editing this file),
+# runs for FUZZTIME on two workers. A failing input is written under
+# the package's testdata/fuzz/ and fails the step.
+fuzz:
+	@list=$$($(GO) test -list '^Fuzz' ./...) || { echo "$$list"; exit 1; }; \
+	targets=$$(echo "$$list" | awk '/^Fuzz/ {f[n++]=$$1} /^ok/ {for (i=0;i<n;i++) print $$2 ":" f[i]; n=0}'); \
+	if [ -z "$$targets" ]; then echo "fuzz: no Fuzz targets found"; exit 1; fi; \
+	n=0; for t in $$targets; do \
+		pkg=$${t%%:*}; fn=$${t#*:}; \
+		echo "fuzz $$fn ($$pkg, $(FUZZTIME))"; \
+		$(GO) test -run '^$$' -fuzz "^$$fn\$$" -fuzztime $(FUZZTIME) -parallel 2 $$pkg || exit 1; \
+		n=$$((n+1)); \
+	done; \
+	echo "fuzz: $$n targets passed"

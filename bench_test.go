@@ -245,7 +245,7 @@ func BenchmarkE16DigestFilter(b *testing.B) {
 }
 
 // BenchmarkE17PeerChurn regenerates the churn table and reports the
-// query-cost reduction of a maintained roster.
+// query-cost reduction of re-probing the peer set every round.
 func BenchmarkE17PeerChurn(b *testing.B) {
 	report := runExperiment(b, "E17")
 	static, err := strconv.ParseFloat(strings.TrimSuffix(report.Rows[0][1], "ms"), 64)

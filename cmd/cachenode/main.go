@@ -135,24 +135,8 @@ func run(args []string) error {
 
 	var client *approxcache.PeerClient
 	if *peersFlag != "" {
-		addrs := splitComma(*peersFlag)
-		client, err = cache.DialPeers(addrs...)
-		if err != nil {
+		if client, err = joinPeers(cache, *name, splitComma(*peersFlag)); err != nil {
 			return err
-		}
-		// Rank peers by liveness and cache warmth before starting.
-		roster, err := approxcache.NewPeerRoster(*name, client, approxcache.NewVirtualClock())
-		if err != nil {
-			return err
-		}
-		roster.Add(addrs...)
-		best := roster.ApplyBest(0)
-		fmt.Printf("peering with %v (%d alive)\n", addrs, len(best))
-		for _, peer := range best {
-			if info, ok := roster.Info(peer); ok {
-				fmt.Printf("  %s: %d cached entries, rtt %v\n",
-					peer, info.Entries, info.RTT.Round(10*time.Microsecond))
-			}
 		}
 	}
 
@@ -195,6 +179,23 @@ func run(args []string) error {
 		fmt.Printf("saved %d entries to %s\n", cache.Len(), *snapshot)
 	}
 	return nil
+}
+
+// joinPeers dials addrs from cache, then probes them once so the peer
+// gate asks only the peers that answered, warmest first, and prints
+// what each advertised.
+func joinPeers(cache *approxcache.Cache, name string, addrs []string) (*approxcache.PeerClient, error) {
+	client, err := cache.DialPeers(addrs...)
+	if err != nil {
+		return nil, err
+	}
+	ranked := client.Probe(name, addrs)
+	fmt.Printf("peering with %v (%d alive)\n", addrs, len(ranked))
+	for _, p := range ranked {
+		fmt.Printf("  %s: %d cached entries, rtt %v\n",
+			p.Name, p.Entries, p.RTT.Round(10*time.Microsecond))
+	}
+	return client, nil
 }
 
 // poolParams carries the multi-session serving configuration.
@@ -271,11 +272,9 @@ func runPool(p poolParams) error {
 	if p.peers != "" {
 		// The peer gate rides on session 0; every session still benefits
 		// because peer answers land in the shared store.
-		client, err = front.DialPeers(splitComma(p.peers)...)
-		if err != nil {
+		if client, err = joinPeers(front, p.name, splitComma(p.peers)); err != nil {
 			return err
 		}
-		fmt.Printf("session 0 peering with %v\n", splitComma(p.peers))
 	}
 
 	total := p.warm + p.frames

@@ -2,8 +2,11 @@ package main
 
 import (
 	"os"
+	"reflect"
 	"strings"
 	"testing"
+
+	"approxcache"
 )
 
 func TestSplitComma(t *testing.T) {
@@ -113,5 +116,50 @@ func TestRunWithUnreachablePeer(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatalf("unreachable peer broke the node: %v", err)
+	}
+}
+
+func TestRunMultiSessionWithUnreachablePeer(t *testing.T) {
+	// The pool path probes -peers too: a dead address must leave session
+	// 0 running local-only, not fail the node.
+	err := run([]string{
+		"-sessions", "2", "-frames", "30", "-addr", "127.0.0.1:0",
+		"-peers", "127.0.0.1:1",
+	})
+	if err != nil {
+		t.Fatalf("unreachable peer broke the node: %v", err)
+	}
+}
+
+// newTestCache builds a small standalone cache on a virtual clock.
+func newTestCache(t *testing.T) *approxcache.Cache {
+	t.Helper()
+	w, err := approxcache.GenerateWorkload(approxcache.StationaryHeavyWorkload(10, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	classifier, err := approxcache.NewSimulatedClassifier(approxcache.MobileNetV2, w, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache, err := approxcache.New(classifier, approxcache.Options{Clock: approxcache.NewVirtualClock()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cache
+}
+
+func TestJoinPeersDropsUnreachable(t *testing.T) {
+	srv, err := newTestCache(t).ServeTCP("live", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	client, err := joinPeers(newTestCache(t), "me", []string{"127.0.0.1:1", srv.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := client.Peers(), []string{srv.Addr()}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("peer set = %v, want only the live peer %v", got, want)
 	}
 }

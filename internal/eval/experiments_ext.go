@@ -349,10 +349,11 @@ func E13Battery(s Scale) (Report, error) {
 	return report, nil
 }
 
-// E17PeerChurn measures why live roster maintenance matters: peers come
-// and go (devices leave the neighborhood), and a requester with a stale
-// peer list keeps paying radio timeouts on dead peers. The maintained
-// roster re-probes between rounds and sheds them.
+// E17PeerChurn measures why re-probing the peer set matters: peers
+// come and go (devices leave the neighborhood), and a requester with a
+// stale peer list keeps paying radio timeouts on dead peers. The
+// maintained client re-probes between rounds (Client.Probe) and sheds
+// them.
 func E17PeerChurn(s Scale) (Report, error) {
 	const (
 		dim     = 16
@@ -381,8 +382,8 @@ func E17PeerChurn(s Scale) (Report, error) {
 			return 0, 0, err
 		}
 		// The breaker is disabled here so the experiment isolates what
-		// roster maintenance alone buys; the resilience layer's own
-		// effect is measured by E18.
+		// re-probing alone buys; the resilience layer's own effect is
+		// measured by E18.
 		ccfg := p2p.DefaultClientConfig()
 		ccfg.DisableBreaker = true
 		client, err := dial("main", net, ccfg)
@@ -390,11 +391,6 @@ func E17PeerChurn(s Scale) (Report, error) {
 			return 0, 0, err
 		}
 		client.SetPeers(names)
-		roster, err := p2p.NewRoster("main", client, clock)
-		if err != nil {
-			return 0, 0, err
-		}
-		roster.Add(names...)
 
 		var total time.Duration
 		n := 0
@@ -409,7 +405,7 @@ func E17PeerChurn(s Scale) (Report, error) {
 			down = round % peerCnt
 			net.Unregister(simnet.NodeID(names[down]))
 			if maintained {
-				roster.ApplyBest(0)
+				client.Probe("main", names)
 			}
 			for _, q := range queries {
 				_, cost, found, err := client.Query(q)

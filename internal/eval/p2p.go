@@ -187,7 +187,7 @@ func runP2PAt(seed int64, bwMBps float64, centers []feature.Vector, w p2pWorkloa
 		return res, err
 	}
 	client.SetPeers(names)
-	// Roster-style warm-up: ping every peer, then fetch initial digests.
+	// Warm-up: ping every peer, then fetch its initial digest.
 	for _, peer := range names {
 		if _, _, err := client.Ping("main", peer); err != nil {
 			return res, fmt.Errorf("ping %s: %w", peer, err)

@@ -72,8 +72,8 @@ type ClientConfig struct {
 	GossipBatch int
 	// GossipFlush bounds how long a queued gossip item waits for its
 	// batch to fill (default 100ms when batching is enabled). Flushes
-	// are lazy — checked on enqueue and on each QueryFrame — plus
-	// explicit via FlushGossip, which the maintainer loop calls.
+	// are lazy — checked on enqueue and on each QueryFrame — or
+	// explicit via FlushGossip (E25 calls it after its last frame).
 	GossipFlush time.Duration
 	// DisableBreaker turns the circuit breaker off: every peer is
 	// always admitted and reads closed. The chaos and churn
@@ -363,9 +363,10 @@ func (c *Client) SkippedQueries() int {
 	return c.skipped
 }
 
-// SetPeers replaces the peer set. A departed peer keeps its record —
-// health, circuit, cached digest — until the caller's DropDigest drops
-// the digest; it is no longer asked.
+// SetPeers replaces the peer set (Probe calls it with the peers that
+// answered). A departed peer is no longer asked but keeps its record —
+// health, circuit, last pong, cached digest — until DropDigest drops
+// the digest.
 func (c *Client) SetPeers(peers []string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -553,8 +554,9 @@ func (c *Client) ask(req []byte, budget time.Duration, targets []string) QueryOu
 }
 
 // Ping probes peer and returns its advertised identity and cache size.
-// The outcome feeds the peer's health and circuit, so background roster
-// refreshes double as recovery probes for open circuits.
+// The outcome feeds the peer's health and circuit whatever the
+// circuit's state, so a successful ping closes an open circuit; a pong
+// also records its entry count and RTT on the peer's record.
 func (c *Client) Ping(self, name string) (Pong, time.Duration, error) {
 	bufp := getEncBuf()
 	defer putEncBuf(bufp)
@@ -581,7 +583,58 @@ func (c *Client) Ping(self, name string) (Pong, time.Duration, error) {
 		return Pong{}, rtt, err
 	}
 	c.record(name, rtt, nil)
+	c.mu.Lock()
+	p := c.table[name]
+	p.entries, p.pingRTT = pong.Entries, rtt
+	c.mu.Unlock()
 	return pong, rtt, nil
+}
+
+// Probed is one peer that answered a Probe: the cache occupancy its
+// pong advertised and the ping's round-trip time.
+type Probed struct {
+	Name    string
+	Entries uint32
+	RTT     time.Duration
+}
+
+// Probe pings each candidate once, in name order, skipping empty
+// names, self and duplicates, then points the client at the peers that
+// answered, warmest first: more advertised entries, then lower RTT,
+// then name. It returns them in that order. Every ping goes out
+// whatever the peer's circuit state, so a probe also heals open
+// circuits off the hot path.
+func (c *Client) Probe(self string, candidates []string) []Probed {
+	names := append([]string(nil), candidates...)
+	sort.Strings(names)
+	var answered []string
+	for i, name := range names {
+		if name == "" || name == self || (i > 0 && name == names[i-1]) {
+			continue
+		}
+		if _, _, err := c.Ping(self, name); err == nil {
+			answered = append(answered, name)
+		}
+	}
+	out := make([]Probed, len(answered))
+	c.mu.Lock()
+	for i, name := range answered {
+		p := c.table[name]
+		out[i] = Probed{Name: name, Entries: p.entries, RTT: p.pingRTT}
+	}
+	c.mu.Unlock()
+	// answered is in name order, so a stable sort breaks full ties by name.
+	sort.SliceStable(out, func(i, j int) bool {
+		if out[i].Entries != out[j].Entries {
+			return out[i].Entries > out[j].Entries
+		}
+		return out[i].RTT < out[j].RTT
+	})
+	for i, p := range out {
+		answered[i] = p.Name
+	}
+	c.SetPeers(answered)
+	return out
 }
 
 // HealthSnapshot is a point-in-time view of the client's resilience

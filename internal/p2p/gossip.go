@@ -48,8 +48,10 @@ func (c *Client) Gossip(vec feature.Vector, label string, confidence float64, sa
 	return c.deliverGossip(items)
 }
 
-// FlushGossip delivers any queued gossip immediately. The maintainer
-// loop calls it so queued items never outlive a maintenance interval.
+// FlushGossip delivers any queued gossip immediately. Flushes are
+// otherwise lazy (on enqueue and on QueryFrame); a caller that stops
+// querying calls it so no item stays queued, as E25 does after its last
+// frame.
 func (c *Client) FlushGossip() (time.Duration, error) {
 	c.mu.Lock()
 	items := c.pending

@@ -81,13 +81,17 @@ type PeerHealth struct {
 }
 
 // peer is everything a client knows about one peer, guarded by the
-// client's mutex: how its exchanges went, its circuit, and the mirror
-// of its coverage digest.
+// client's mutex: how its exchanges went, its circuit, what its last
+// pong advertised, and the mirror of its coverage digest.
 type peer struct {
 	health  health
 	circuit circuit
 	// configured marks a peer in the client's current peer set.
 	configured bool
+	// entries is the cache occupancy the peer's last pong advertised,
+	// pingRTT that ping's round-trip time; Probe ranks peers by them.
+	entries uint32
+	pingRTT time.Duration
 	// mirror is the delta-synced digest state; digest is its flattened
 	// form, meaningful once mirror.centroids is non-nil.
 	mirror peerDigestState

@@ -83,13 +83,6 @@ func ConnectAll(clients map[string]*PeerClient) error {
 	return nil
 }
 
-// PeerRoster tracks peer liveness and warmth via protocol pings and
-// ranks peers so clients query the most useful caches first.
-type PeerRoster = p2p.Roster
-
-// PeerInfo is a roster's view of one peer.
-type PeerInfo = p2p.PeerInfo
-
 // PeerHealth is the resilience layer's view of one peer: success and
 // latency EWMAs, failure classification, and circuit-breaker state.
 type PeerHealth = p2p.PeerHealth
@@ -136,32 +129,6 @@ const (
 // with event offsets measured from clock.Now().
 func NewFaultScheduler(net *SimNetwork, clock Clock, plan FaultPlan) (*FaultScheduler, error) {
 	return simnet.NewFaultScheduler(net, clock, plan)
-}
-
-// NewPeerRoster builds a roster probing through client, identifying as
-// self in pings and timestamping liveness with clock.
-func NewPeerRoster(self string, client *PeerClient, clock Clock) (*PeerRoster, error) {
-	return p2p.NewRoster(self, client, clock)
-}
-
-// PeerMaintainer periodically refreshes a roster (and optionally peer
-// coverage digests) in the background and re-points the client at the
-// best peers. Stop it with Shutdown.
-type PeerMaintainer = p2p.Maintainer
-
-// StartPeerMaintainer launches background roster maintenance: every
-// interval the roster is re-probed, the client's peer set re-ranked to
-// the fanout best peers, and (when refreshDigests) each selected peer's
-// coverage digest refreshed so queries can skip peers that cannot help.
-// Probe outcomes feed each peer's health and circuit in the client's
-// peer table, and a successful ping closes an open circuit, so
-// maintenance doubles as background recovery probing.
-func StartPeerMaintainer(roster *PeerRoster, interval time.Duration, fanout int, refreshDigests bool) (*PeerMaintainer, error) {
-	return p2p.StartMaintainer(p2p.MaintainerConfig{
-		Interval:       interval,
-		Fanout:         fanout,
-		RefreshDigests: refreshDigests,
-	}, roster)
 }
 
 // ServeTCP exposes this cache's store to peers over real TCP on addr
