@@ -26,19 +26,6 @@ var _ withinTestStore = (*Store)(nil)
 // the radius search included, leaving lsh.Index alone.
 type plainIndex struct{ lsh.Index }
 
-// intoIndex hides the radius search but keeps NearestInto.
-type intoIndex struct{ lsh.IntoIndex }
-
-// viaHelper answers the radius search with the package-level
-// NearestWithinInto over a view of the store that hides the store's own
-// method: the fallback the engine and the peer service take when handed
-// a wrapped store.
-type viaHelper struct{ Interface }
-
-func (h viaHelper) NearestWithinInto(q feature.Vector, k int, radius float64, dst []lsh.Neighbor) ([]lsh.Neighbor, error) {
-	return NearestWithinInto(struct{ Interface }{h.Interface}, q, k, radius, dst)
-}
-
 // clusteredShardVecs draws unit vectors in tight clusters, so lookups
 // have several neighbors inside the vote radius and exact duplicates.
 func clusteredShardVecs(n int, seed int64) []feature.Vector {
@@ -105,9 +92,11 @@ func checkStoreWithin(t *testing.T, name string, s withinTestStore, q feature.Ve
 }
 
 // TestStoreNearestWithinEqualsTruncatedNearest is the radius search's
-// contract over the plain index, over an index with no
-// radius search of its own, and through the package helper's fallback —
-// under inserts, removals and evictions.
+// contract over the plain index and over an index with neither a radius
+// search nor NearestInto of its own, under inserts, removals and
+// evictions. (An index that hides only the radius search, and the
+// package helper's fallback over a wrapped store, are the hidden axis of
+// the engine model in internal/core.)
 func TestStoreNearestWithinEqualsTruncatedNearest(t *testing.T) {
 	clock := simclock.NewVirtual(time.Unix(0, 0))
 	const capacity = 160
@@ -124,9 +113,7 @@ func TestStoreNearestWithinEqualsTruncatedNearest(t *testing.T) {
 	}
 	stores := map[string]withinTestStore{
 		"store":       newPlain(func(x *lsh.HyperplaneIndex) lsh.Index { return x }),
-		"into-index":  newPlain(func(x *lsh.HyperplaneIndex) lsh.Index { return intoIndex{x} }),
 		"plain-index": newPlain(func(x *lsh.HyperplaneIndex) lsh.Index { return plainIndex{x} }),
-		"via-helper":  viaHelper{newPlain(func(x *lsh.HyperplaneIndex) lsh.Index { return x })},
 	}
 	vecs := clusteredShardVecs(260, 5)
 	for name, s := range stores {

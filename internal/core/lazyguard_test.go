@@ -2,141 +2,24 @@ package core
 
 // The frame guard is lazy: a frame's pixels are guarded by the first
 // stage that reads them, and the guard's thumbnail feeds the descriptor.
-// These tests hold that to the eager order it replaced — identical
-// behaviour on clean input — pin what changed on malformed input, and
-// show that a frame the inertial gate serves is never read.
+// The engine model (model_test.go) holds the engine to the eager order it
+// replaced; these tests pin what changed on malformed input and show
+// that a frame the inertial gate serves is never read.
 
 import (
 	"errors"
-	"fmt"
 	"math"
-	"reflect"
 	"testing"
 	"time"
 
 	"approxcache/internal/cachestore"
 	"approxcache/internal/dnn"
-	"approxcache/internal/feature"
 	"approxcache/internal/lsh"
 	"approxcache/internal/metrics"
 	"approxcache/internal/simclock"
 	"approxcache/internal/trace"
 	"approxcache/internal/vision"
 )
-
-// refExtractor is the default descriptor (8×8 grid of cell means, 16-bin
-// histogram, unit norm) written out longhand from the pixels: cell by
-// cell, float counters, no thumbnail, and none of the optional methods,
-// so an engine over it takes every fallback.
-type refExtractor struct{}
-
-func (refExtractor) Dim() int     { return 80 }
-func (refExtractor) Name() string { return "ref-grid8x8+hist16" }
-
-func (refExtractor) Extract(im *vision.Image) (feature.Vector, error) {
-	if !im.WellFormed() || im.W < 8 || im.H < 8 {
-		return nil, fmt.Errorf("ref extractor: unusable frame")
-	}
-	out := make(feature.Vector, 80)
-	for gy := 0; gy < 8; gy++ {
-		y0, y1 := gy*im.H/8, (gy+1)*im.H/8
-		for gx := 0; gx < 8; gx++ {
-			x0, x1 := gx*im.W/8, (gx+1)*im.W/8
-			var sum float64
-			for y := y0; y < y1; y++ {
-				for x := x0; x < x1; x++ {
-					sum += im.Pix[y*im.W+x]
-				}
-			}
-			out[gy*8+gx] = sum / float64((y1-y0)*(x1-x0))
-		}
-	}
-	for _, p := range im.Pix {
-		b := int(p * 16)
-		if b < 0 {
-			b = 0
-		} else if b > 15 {
-			b = 15
-		}
-		out[64+b]++
-	}
-	for i := 64; i < 80; i++ {
-		out[i] /= float64(len(im.Pix))
-	}
-	out.Normalize()
-	return out, nil
-}
-
-// diffStream is a named differential input.
-type diffStream struct {
-	name    string
-	classes *vision.ClassSet
-	frames  []diffFrame
-}
-
-// standardStreams returns the four standard IMU+video traces and a churn
-// photo stream.
-func standardStreams(t *testing.T) []diffStream {
-	t.Helper()
-	var out []diffStream
-	for _, spec := range trace.StandardSpecs(240, 3) {
-		w, err := trace.Generate(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, diffStream{spec.Name, w.Classes, traceFrames(w)})
-	}
-	classes, frames := churnStream(t, 500)
-	return append(out, diffStream{"churn", classes, frames})
-}
-
-// TestLazyGuardMatchesEagerGuardOnCleanInput runs every stream through
-// the engine and through the order it had before — each frame guarded
-// before any gate sees it, the descriptor summed from the pixels — and
-// requires the same results, scoreboard and final cache, with and
-// without the audit path (which reads frames the gates did not).
-func TestLazyGuardMatchesEagerGuardOnCleanInput(t *testing.T) {
-	audited := DefaultConfig()
-	audited.Quality = QualityConfig{Enabled: true, Synchronous: true, AuditSampleEvery: 3}
-	imuServed := 0
-	for _, st := range standardStreams(t) {
-		name := st.name
-		for variant, cfg := range map[string]Config{"default": DefaultConfig(), "audited": audited} {
-			lazy := runDiffSide(t, cfg, st.classes, 128, st.frames, false, nil, nil)
-			eager := cfg
-			eager.Extractor = refExtractor{}
-			next := 0
-			guardFirst := func(e *Engine) {
-				if f := vision.CheckFrame(st.frames[next].img, e.cfg.FrameGuard); f != vision.FrameOK {
-					t.Fatalf("%s frame %d is not clean: %v", name, next, f)
-				}
-				next++
-			}
-			ref := runDiffSide(t, eager, st.classes, 128, st.frames, false, nil, guardFirst)
-			for i := range lazy.results {
-				if lazy.results[i] != ref.results[i] {
-					t.Fatalf("%s/%s frame %d: lazy %+v, eager %+v", name, variant, i, lazy.results[i], ref.results[i])
-				}
-				if lazy.results[i].Source == metrics.SourceIMU {
-					imuServed++
-				}
-			}
-			if !reflect.DeepEqual(lazy, ref) {
-				lazy.results, ref.results, lazy.entries, ref.entries = nil, nil, nil, nil
-				t.Fatalf("%s/%s: scoreboard or cache differ:\nlazy  %+v\neager %+v", name, variant, lazy, ref)
-			}
-			if len(lazy.faults) != 0 {
-				t.Fatalf("%s/%s: clean input counted sensor faults %v", name, variant, lazy.faults)
-			}
-			if variant == "audited" && lazy.audits == 0 {
-				t.Fatalf("%s: no audit ran", name)
-			}
-		}
-	}
-	if imuServed == 0 {
-		t.Fatal("no frame was served by the inertial gate")
-	}
-}
 
 func nanFrame(im *vision.Image) *vision.Image {
 	bad := im.Clone()

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 
@@ -77,57 +76,6 @@ func replayWorkload(t *testing.T, cfg Config, spec trace.Spec, peers *p2p.Client
 		}
 	}
 	return eng.Stats()
-}
-
-// randomSpec builds a random but valid workload spec.
-func randomSpec(r *rand.Rand) trace.Spec {
-	regimes := []string{"stationary", "handheld", "walking", "panning"}
-	n := 1 + r.Intn(4)
-	segs := make([]trace.SegmentSpec, n)
-	for i := range segs {
-		segs[i] = trace.SegmentSpec{
-			Regime: regimes[r.Intn(len(regimes))],
-			Frames: 10 + r.Intn(40),
-		}
-	}
-	return trace.Spec{
-		Name:       "random",
-		FPS:        5 + r.Intn(25),
-		IMURateHz:  50 + r.Intn(100),
-		NumClasses: 2 + r.Intn(8),
-		ImageW:     48,
-		ImageH:     48,
-		Segments:   segs,
-		Seed:       r.Int63n(1 << 30),
-		ClassSkew:  r.Float64(),
-	}
-}
-
-// Session-level invariants hold over arbitrary workloads: per-source
-// counts sum to the frame total, rates are in [0,1], and the engine
-// never errors.
-func TestEngineInvariantsOnRandomWorkloads(t *testing.T) {
-	r := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 8; trial++ {
-		spec := randomSpec(r)
-		stats := replayWorkload(t, DefaultConfig(), spec, nil, cachestore.Config{})
-		if stats.Frames() != spec.TotalFrames() {
-			t.Fatalf("trial %d: frames %d, want %d", trial, stats.Frames(), spec.TotalFrames())
-		}
-		total := 0
-		for _, n := range stats.CountBySource() {
-			total += n
-		}
-		if total != stats.Frames() {
-			t.Fatalf("trial %d: source counts sum %d != frames %d", trial, total, stats.Frames())
-		}
-		if hr := stats.HitRate(); hr < 0 || hr > 1 {
-			t.Fatalf("trial %d: hit rate %v", trial, hr)
-		}
-		if acc := stats.Accuracy(); acc < 0 || acc > 1 {
-			t.Fatalf("trial %d: accuracy %v", trial, acc)
-		}
-	}
 }
 
 // The engine keeps serving when every peer is unreachable: the peer

@@ -1,11 +1,19 @@
 package core
 
 import (
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
+	"approxcache/internal/cachestore"
 	"approxcache/internal/dnn"
+	"approxcache/internal/feature"
+	"approxcache/internal/lsh"
 	"approxcache/internal/metrics"
+	"approxcache/internal/simclock"
+	"approxcache/internal/vision"
 )
 
 // poisonCache inserts a wrong-label entry exactly where the prototype's
@@ -108,5 +116,97 @@ func TestRepairDoesNotPurgeAgreeingEntries(t *testing.T) {
 	}
 	if got := f.engine.Stats().Repairs(); got != 0 {
 		t.Fatalf("agreeing entry purged: repairs = %d", got)
+	}
+}
+
+// TestRepairReuseMatchesRescan pins repair's reuse rule at the function
+// itself: on twin caches, repairing from the frame's own lookup — taken
+// at the vote K and any radius from half the vote radius up, truncated
+// by the store or not — removes exactly what repairing from a fresh scan
+// removes.
+func TestRepairReuseMatchesRescan(t *testing.T) {
+	cfg := DefaultConfig()
+	dim := cfg.Extractor.Dim()
+	rng := rand.New(rand.NewSource(8))
+	// Tight clusters of mixed labels around a few centers.
+	centers := make([]feature.Vector, 6)
+	for c := range centers {
+		centers[c] = make(feature.Vector, dim)
+		for d := range centers[c] {
+			centers[c][d] = rng.Float64()
+		}
+	}
+	near := func(c int, sigma float64) feature.Vector {
+		v := centers[c].Clone()
+		for d := range v {
+			v[d] += rng.NormFloat64() * sigma
+		}
+		return v
+	}
+	newTwin := func(hide bool) (*Engine, *cachestore.Store) {
+		clock := simclock.NewVirtual(time.Unix(0, 0))
+		idx, err := lsh.NewHyperplane(dim, 12, 4, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := cachestore.New(cachestore.Config{Capacity: 512}, idx, clock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		classes, err := vision.NewClassSet(4, 48, 48, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clf, err := dnn.NewClassifier(perfectProfile(), classes, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var store cachestore.Interface = raw
+		if hide {
+			store = hideWithin{raw}
+		}
+		eng, err := New(cfg, Deps{Clock: clock, Classifier: clf, Store: store})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng, raw
+	}
+	removedTotal := 0
+	for trial := 0; trial < 60; trial++ {
+		hide := trial%3 == 2
+		reuse, reuseStore := newTwin(hide)
+		rescan, rescanStore := newTwin(false)
+		for i := 0; i < 40; i++ {
+			v := near(rng.Intn(len(centers)), 0.004+0.006*rng.Float64())
+			label := []string{"a", "b", "c"}[rng.Intn(3)]
+			for _, s := range []*cachestore.Store{reuseStore, rescanStore} {
+				if _, err := s.Insert(v, label, 0.9, "dnn", time.Millisecond); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for q := 0; q < 8; q++ {
+			vec := near(rng.Intn(len(centers)), 0.005)
+			radius := cfg.Vote.MaxDistance * (0.5 + 0.5*rng.Float64())
+			ns, err := cachestore.NearestWithinInto(reuse.deps.Store, vec, cfg.Vote.K, radius, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _ := reuse.repairNear(vec, "a", cfg.Vote.MaxDistance/2, ns, true)
+			want, _ := rescan.repairNear(vec, "a", cfg.Vote.MaxDistance/2, nil, false)
+			if got != want {
+				t.Fatalf("trial %d query %d: reuse removed %d, rescan %d", trial, q, got, want)
+			}
+			removedTotal += got
+		}
+		a, b := reuseStore.Snapshot(), rescanStore.Snapshot()
+		sort.Slice(a, func(i, j int) bool { return a[i].ID < a[j].ID })
+		sort.Slice(b, func(i, j int) bool { return b[i].ID < b[j].ID })
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("trial %d: caches diverged (%d vs %d entries)", trial, len(a), len(b))
+		}
+	}
+	if removedTotal == 0 {
+		t.Fatal("nothing was ever repaired")
 	}
 }

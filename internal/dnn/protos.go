@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"approxcache/internal/feature"
 )
 
 // The classifier's nearest-prototype search. The prototypes are fixed
@@ -37,10 +39,6 @@ const boundSlack = 1e-9
 // the identity's. It keeps ‖B‖² within projRows·gramTol of 1, far below
 // boundSlack.
 const gramTol = 1e-12
-
-// scanBlock is how many dimensions a distance accumulates between
-// abandon checks (the exact index's block).
-const scanBlock = 16
 
 // coords are one vector's projRows coordinates in the basis, in groups
 // of four: a bound is four interleaved sums over fixed-size arrays.
@@ -259,9 +257,11 @@ func (t *protoTable) nearest2(q []float64, pq *coords, lb []float64) (best int, 
 			i1 = i
 		}
 	}
-	sel := top2{best: i0, second: -1, d1: sqDist(q, t.row(i0), math.Inf(1)), d2: math.Inf(1)}
+	d0, _ := feature.SqDist(q, t.row(i0), math.Inf(1))
+	sel := top2{best: i0, second: -1, d1: d0, d2: math.Inf(1)}
 	if i1 >= 0 {
-		sel.offer(i1, sqDist(q, t.row(i1), math.Inf(1)))
+		d, _ := feature.SqDist(q, t.row(i1), math.Inf(1))
+		sel.offer(i1, d)
 	}
 	// Refine every class the bounds cannot rule out, four at a time. A
 	// sum abandoned past the runner-up is still offered: it is larger
@@ -274,7 +274,7 @@ func (t *protoTable) nearest2(q []float64, pq *coords, lb []float64) (best int, 
 		}
 		group[n] = i
 		if n++; n == len(group) {
-			s0, s1, s2, s3 := sqDist4(q, t.row(group[0]), t.row(group[1]), t.row(group[2]), t.row(group[3]), sel.d2)
+			s0, s1, s2, s3, _ := feature.SqDist4(q, t.row(group[0]), t.row(group[1]), t.row(group[2]), t.row(group[3]), sel.d2)
 			sel.offer(group[0], s0)
 			sel.offer(group[1], s1)
 			sel.offer(group[2], s2)
@@ -283,7 +283,8 @@ func (t *protoTable) nearest2(q []float64, pq *coords, lb []float64) (best int, 
 		}
 	}
 	for _, i := range group[:n] {
-		sel.offer(i, sqDist(q, t.row(i), sel.d2))
+		d, _ := feature.SqDist(q, t.row(i), sel.d2)
+		sel.offer(i, d)
 	}
 	return sel.best, sel.d1, sel.d2
 }
@@ -304,53 +305,6 @@ func (s *top2) offer(i int, d float64) {
 	case d < s.d2 || d == s.d2 && i < s.second:
 		s.second, s.d2 = i, d
 	}
-}
-
-// sqDist is the squared Euclidean distance from q to p summed in
-// ascending dimension order — bit-identical to feature.MustSqEuclidean
-// and to the exact index's scan. It gives up after any block of
-// scanBlock dimensions once the partial sum exceeds bound, returning
-// that partial sum: the full sum could only be larger.
-func sqDist(q, p []float64, bound float64) float64 {
-	var s float64
-	for base := 0; base < len(q); base += scanBlock {
-		end := min(base+scanBlock, len(q))
-		qb := q[base:end]
-		pb := p[base:end][:len(qb)]
-		for d, x := range qb {
-			t := x - pb[d]
-			s += t * t
-		}
-		if s > bound {
-			break
-		}
-	}
-	return s
-}
-
-// sqDist4 is sqDist for four prototypes in interleaved chains, which
-// hide each other's latency. It gives up only once all four partial
-// sums exceed bound.
-func sqDist4(q, p0, p1, p2, p3 []float64, bound float64) (s0, s1, s2, s3 float64) {
-	for base := 0; base < len(q); base += scanBlock {
-		end := min(base+scanBlock, len(q))
-		qb := q[base:end]
-		b0 := p0[base:end][:len(qb)]
-		b1 := p1[base:end][:len(qb)]
-		b2 := p2[base:end][:len(qb)]
-		b3 := p3[base:end][:len(qb)]
-		for d, x := range qb {
-			t0, t1, t2, t3 := x-b0[d], x-b1[d], x-b2[d], x-b3[d]
-			s0 += t0 * t0
-			s1 += t1 * t1
-			s2 += t2 * t2
-			s3 += t3 * t3
-		}
-		if s0 > bound && s1 > bound && s2 > bound && s3 > bound {
-			break
-		}
-	}
-	return s0, s1, s2, s3
 }
 
 // dot is the inner product of two equally long vectors, summed in four

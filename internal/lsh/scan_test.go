@@ -44,7 +44,7 @@ func TestSqDist4MatchesMustSqEuclidean(t *testing.T) {
 			for i := range a {
 				a[i] = scanTestVec(rng, dim, nonFinite)
 			}
-			s0, s1, s2, s3, ok := sqDist4(q, a[0], a[1], a[2], a[3], math.Inf(1))
+			s0, s1, s2, s3, ok := feature.SqDist4(q, a[0], a[1], a[2], a[3], math.Inf(1))
 			if !ok {
 				t.Fatalf("dim %d: abandoned at an infinite bound", dim)
 			}
@@ -87,7 +87,7 @@ func TestSqDist4AbandonIsSound(t *testing.T) {
 			case 3:
 				bound = float64(dim) * rng.Float64() / 6
 			}
-			if got, ok := sqDist1(q, a[0], bound); !ok {
+			if got, ok := feature.SqDist(q, a[0], bound); !ok {
 				abandoned1++
 				if full[0] <= bound {
 					t.Fatalf("dim %d trial %d: single chain abandoned, yet distance %v is within bound %v",
@@ -96,7 +96,7 @@ func TestSqDist4AbandonIsSound(t *testing.T) {
 			} else if !sameFloat(got, full[0]) {
 				t.Fatalf("dim %d trial %d single chain: got %v, want %v", dim, trial, got, full[0])
 			}
-			s0, s1, s2, s3, ok := sqDist4(q, a[0], a[1], a[2], a[3], bound)
+			s0, s1, s2, s3, ok := feature.SqDist4(q, a[0], a[1], a[2], a[3], bound)
 			if !ok {
 				abandoned++
 				for i, f := range full {
