@@ -82,8 +82,6 @@ type (
 	Clock = simclock.Clock
 	// VirtualClock is a deterministic manually-advanced clock.
 	VirtualClock = simclock.Virtual
-	// VoteConfig tunes the homogenized-kNN acceptance policy.
-	VoteConfig = lsh.VoteConfig
 	// ActivityClassifier infers the device's motion regime from raw
 	// IMU samples (the inverse of the trace generator); context-aware
 	// policies build on it.
@@ -178,16 +176,14 @@ var (
 type Options struct {
 	// Capacity is the maximum number of cached entries (default 256).
 	Capacity int
-	// TTL expires entries this long after insertion (0 = never).
-	TTL time.Duration
-	// Vote overrides the homogenized-kNN acceptance policy.
-	Vote VoteConfig
 	// Clock supplies time; defaults to the wall clock. Experiments
 	// pass NewVirtualClock so simulated latency replays instantly.
 	Clock Clock
 	// MaxReuseStreak bounds how many consecutive frames may be served
 	// by reuse before a forced revalidation inference. 0 keeps the
-	// default (20); negative disables the bound.
+	// default (20); negative disables the bound. It is the one knob
+	// that trades reuse error for hit rate: a wrong label inherited by
+	// a stationary stretch lives at most this many frames.
 	MaxReuseStreak int
 	// PeerBudget caps the time a frame may spend waiting on peers;
 	// late answers are discarded and charged to the peer as timeouts.
@@ -233,11 +229,6 @@ type Options struct {
 	// recalibrate to hold 90% live accuracy under drift. Audits run
 	// asynchronously; call DrainAudits before reading final statistics.
 	Quality bool
-	// LastResultTTL bounds how stale the degradation ladder's
-	// last-result answer may be: past the TTL the rung falls through to
-	// the typed availability error instead of replaying an old label.
-	// Zero (the default) keeps the last result usable indefinitely.
-	LastResultTTL time.Duration
 }
 
 // Cache is the user-facing approximate recognition cache.
@@ -249,50 +240,32 @@ type Cache struct {
 
 // New builds a Cache fronting classifier.
 func New(classifier Classifier, opts Options) (*Cache, error) {
-	if classifier == nil {
-		return nil, fmt.Errorf("approxcache: nil classifier")
-	}
-	cfg, err := engineConfig(opts)
+	cfg, deps, err := prepare(classifier, opts)
 	if err != nil {
 		return nil, err
 	}
-	clock := opts.Clock
-	if clock == nil {
-		clock = simclock.Real{}
-	}
-	store, err := newStore(cfg, opts, clock)
-	if err != nil {
-		return nil, err
-	}
-	engine, err := core.New(cfg, core.Deps{
-		Clock:      clock,
-		Classifier: classifier,
-		Store:      store,
-	})
+	engine, err := core.New(cfg, deps)
 	if err != nil {
 		return nil, fmt.Errorf("approxcache: %w", err)
 	}
-	return &Cache{engine: engine, store: store, clock: clock}, nil
+	return &Cache{engine: engine, store: deps.Store, clock: deps.Clock}, nil
 }
 
-// engineConfig translates Options into the pipeline configuration,
-// refusing a negative value in a field that documents no meaning for
-// one.
-func engineConfig(opts Options) (core.Config, error) {
+// prepare is what New and NewPool share: it translates Options into the
+// pipeline configuration, refusing a negative value in a field that
+// documents no meaning for one, and builds the engine's dependencies —
+// the clock (the wall clock by default) and one cost-aware store over a
+// 12-bit × 4-table single-probe LSH index.
+func prepare(classifier Classifier, opts Options) (core.Config, core.Deps, error) {
 	switch {
+	case classifier == nil:
+		return core.Config{}, core.Deps{}, fmt.Errorf("approxcache: nil classifier")
 	case opts.RequestDeadline < 0:
-		return core.Config{}, fmt.Errorf("approxcache: negative RequestDeadline %v", opts.RequestDeadline)
-	case opts.TTL < 0:
-		return core.Config{}, fmt.Errorf("approxcache: negative TTL %v", opts.TTL)
+		return core.Config{}, core.Deps{}, fmt.Errorf("approxcache: negative RequestDeadline %v", opts.RequestDeadline)
 	case opts.BatchSize < 0:
-		return core.Config{}, fmt.Errorf("approxcache: negative BatchSize %d", opts.BatchSize)
-	case opts.LastResultTTL < 0:
-		return core.Config{}, fmt.Errorf("approxcache: negative LastResultTTL %v", opts.LastResultTTL)
+		return core.Config{}, core.Deps{}, fmt.Errorf("approxcache: negative BatchSize %d", opts.BatchSize)
 	}
 	cfg := core.DefaultConfig()
-	if opts.Vote != (VoteConfig{}) {
-		cfg.Vote = opts.Vote
-	}
 	if opts.MaxReuseStreak > 0 {
 		cfg.MaxReuseStreak = opts.MaxReuseStreak
 	} else if opts.MaxReuseStreak < 0 {
@@ -302,30 +275,28 @@ func engineConfig(opts Options) (core.Config, error) {
 	cfg.RequestDeadline = opts.RequestDeadline
 	cfg.Admission = opts.Admission
 	cfg.Quality.Enabled = opts.Quality
-	cfg.LastResultTTL = opts.LastResultTTL
-	return cfg, nil
-}
 
-// newStore builds the cache store Options describes: one cost-aware
-// store over a 12-bit × 4-table single-probe LSH index.
-func newStore(cfg core.Config, opts Options, clock Clock) (cachestore.Interface, error) {
+	clock := opts.Clock
+	if clock == nil {
+		clock = simclock.Real{}
+	}
 	capacity := opts.Capacity
 	if capacity == 0 {
 		capacity = 256
 	}
 	idx, err := lsh.NewHyperplane(cfg.Extractor.Dim(), 12, 4, 1)
 	if err != nil {
-		return nil, fmt.Errorf("approxcache: lsh index: %w", err)
+		return core.Config{}, core.Deps{}, fmt.Errorf("approxcache: lsh index: %w", err)
 	}
-	scfg := cachestore.Config{Capacity: capacity, Policy: cachestore.CostAware, TTL: opts.TTL}
+	scfg := cachestore.Config{Capacity: capacity, Policy: cachestore.CostAware}
 	if opts.Quality {
 		scfg.QuarantineThreshold = 2
 	}
 	store, err := cachestore.New(scfg, idx, clock)
 	if err != nil {
-		return nil, fmt.Errorf("approxcache: store: %w", err)
+		return core.Config{}, core.Deps{}, fmt.Errorf("approxcache: store: %w", err)
 	}
-	return store, nil
+	return cfg, core.Deps{Clock: clock, Classifier: classifier, Store: store}, nil
 }
 
 // Process recognizes one frame, charging all costs to the cache's
@@ -394,7 +365,12 @@ func NewSimulatedClassifier(profile ModelProfile, w *Workload, seed int64) (Clas
 	if w == nil {
 		return nil, fmt.Errorf("approxcache: nil workload")
 	}
-	return dnn.NewClassifier(profile, w.Classes, seed)
+	clf, err := dnn.NewClassifier(profile, w.Classes, seed)
+	if err != nil {
+		// A nil *dnn.Classifier would make a non-nil Classifier.
+		return nil, err
+	}
+	return clf, nil
 }
 
 // LabelOf returns the canonical label for workload class index c.

@@ -67,6 +67,22 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestNewSimulatedClassifierErrorIsNil: a refused profile returns a nil
+// Classifier, so New refuses it rather than panicking on the first frame.
+func TestNewSimulatedClassifierErrorIsNil(t *testing.T) {
+	w := testWorkload(t, 10)
+	clf, err := approxcache.NewSimulatedClassifier(approxcache.ModelProfile{}, w, 1)
+	if err == nil {
+		t.Fatal("empty profile accepted")
+	}
+	if clf != nil {
+		t.Fatalf("classifier = %#v alongside %v, want nil", clf, err)
+	}
+	if _, err := approxcache.New(clf, approxcache.Options{}); err == nil {
+		t.Fatal("New accepted the refused classifier")
+	}
+}
+
 func TestDefaultsAndAccessors(t *testing.T) {
 	w := testWorkload(t, 10)
 	c := newCache(t, w, approxcache.Options{})

@@ -48,7 +48,7 @@ const (
 	// ModeApprox is the full approximate-caching pipeline.
 	ModeApprox
 	// ModeNaiveSkip reuses the last result unconditionally and runs
-	// the DNN only every SkipEvery-th frame. It matches the approx
+	// the DNN only every naiveSkipEvery-th frame. It matches the approx
 	// pipeline's inference budget without any sensing, so it isolates
 	// what the gates buy: reuse that *stops* at scene changes.
 	ModeNaiveSkip
@@ -64,47 +64,26 @@ func (m Mode) String() string {
 	return fmt.Sprintf("Mode(%d)", int(m))
 }
 
-// CostModel simulates the on-device compute cost of each cache-path
-// stage. Latencies are charged to the engine clock; energies (in
-// millijoules) accumulate in the session stats.
-type CostModel struct {
-	IMUGateLatency time.Duration
-	DiffLatency    time.Duration
-	FeatureLatency time.Duration
-	LookupLatency  time.Duration
+// The simulated on-device compute cost of each cache-path stage,
+// calibrated to a mid-range smartphone CPU: the whole cache path costs
+// single-digit milliseconds against ~100 ms-class inference. Latencies
+// are charged to the engine clock; energies (in millijoules) accumulate
+// in the session stats.
+const (
+	imuGateLatency = 200 * time.Microsecond
+	diffLatency    = time.Millisecond
+	featureLatency = 4 * time.Millisecond
+	lookupLatency  = time.Millisecond
 
-	IMUGateEnergyMJ float64
-	DiffEnergyMJ    float64
-	FeatureEnergyMJ float64
-	LookupEnergyMJ  float64
-}
+	imuGateEnergyMJ = 0.05
+	diffEnergyMJ    = 0.3
+	featureEnergyMJ = 1.2
+	lookupEnergyMJ  = 0.3
+)
 
-// DefaultCostModel returns stage costs calibrated to a mid-range
-// smartphone CPU: the whole cache path costs single-digit milliseconds
-// against ~100 ms-class inference.
-func DefaultCostModel() CostModel {
-	return CostModel{
-		IMUGateLatency:  200 * time.Microsecond,
-		DiffLatency:     1 * time.Millisecond,
-		FeatureLatency:  4 * time.Millisecond,
-		LookupLatency:   1 * time.Millisecond,
-		IMUGateEnergyMJ: 0.05,
-		DiffEnergyMJ:    0.3,
-		FeatureEnergyMJ: 1.2,
-		LookupEnergyMJ:  0.3,
-	}
-}
-
-// Validate reports whether the model is usable.
-func (c CostModel) Validate() error {
-	if c.IMUGateLatency < 0 || c.DiffLatency < 0 || c.FeatureLatency < 0 || c.LookupLatency < 0 {
-		return fmt.Errorf("core: negative stage latency")
-	}
-	if c.IMUGateEnergyMJ < 0 || c.DiffEnergyMJ < 0 || c.FeatureEnergyMJ < 0 || c.LookupEnergyMJ < 0 {
-		return fmt.Errorf("core: negative stage energy")
-	}
-	return nil
-}
+// naiveSkipEvery is ModeNaiveSkip's period: it infers on every 20th
+// frame and reuses the last result on the others.
+const naiveSkipEvery = 20
 
 // Config parameterizes an Engine.
 type Config struct {
@@ -123,20 +102,10 @@ type Config struct {
 	// gate remembers; panning back to any of them reuses its result
 	// directly. 1 reproduces a single-keyframe gate. Default 4.
 	KeyframeCapacity int
-	// Costs simulates stage compute costs.
-	Costs CostModel
 	// DisableIMUGate turns the inertial gate off (ablation).
 	DisableIMUGate bool
 	// DisableVideoGate turns the frame-difference gate off (ablation).
 	DisableVideoGate bool
-	// DisableGossip stops sharing fresh results with peers.
-	DisableGossip bool
-	// DisableRepair stops purging cached entries that a fresh
-	// inference contradicts (ablation).
-	DisableRepair bool
-	// SkipEvery, in ModeNaiveSkip, runs the DNN on every SkipEvery-th
-	// frame and reuses the last result otherwise. Ignored elsewhere.
-	SkipEvery int
 	// MaxReuseStreak bounds staleness: after this many consecutive
 	// reuse-served frames the pipeline forces a fresh inference (a
 	// quality-control revalidation), so one wrong inference cannot
@@ -209,7 +178,6 @@ func DefaultConfig() Config {
 		Vote:             lsh.DefaultVoteConfig(),
 		IMU:              imu.DefaultDetectorConfig(),
 		Diff:             video.DefaultDiffGateConfig(),
-		Costs:            DefaultCostModel(),
 		MaxReuseStreak:   20,
 		KeyframeCapacity: 4,
 		IMUGuard:         imu.DefaultGuardConfig(),
@@ -224,9 +192,6 @@ func (c Config) Validate() error {
 	default:
 		return fmt.Errorf("core: unknown mode %d", int(c.Mode))
 	}
-	if c.Mode == ModeNaiveSkip && c.SkipEvery <= 0 {
-		return fmt.Errorf("core: naive-skip needs positive SkipEvery, got %d", c.SkipEvery)
-	}
 	if c.RequestDeadline < 0 {
 		return fmt.Errorf("core: RequestDeadline must be non-negative, got %v", c.RequestDeadline)
 	}
@@ -240,7 +205,7 @@ func (c Config) Validate() error {
 		return err
 	}
 	if c.Mode != ModeApprox {
-		return c.Costs.Validate()
+		return nil
 	}
 	if err := c.IMUGuard.Validate(); err != nil {
 		return err
@@ -263,7 +228,7 @@ func (c Config) Validate() error {
 	if c.KeyframeCapacity <= 0 {
 		return fmt.Errorf("core: KeyframeCapacity must be positive, got %d", c.KeyframeCapacity)
 	}
-	return c.Costs.Validate()
+	return nil
 }
 
 // Classifier is the expensive recognition computation the cache fronts.

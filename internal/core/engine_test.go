@@ -104,7 +104,6 @@ func TestConfigValidate(t *testing.T) {
 		func() Config { c := DefaultConfig(); c.Vote.K = 0; return c }(),
 		func() Config { c := DefaultConfig(); c.IMU.Window = 0; return c }(),
 		func() Config { c := DefaultConfig(); c.Diff.Threshold = 0; return c }(),
-		func() Config { c := DefaultConfig(); c.Costs.DiffLatency = -1; return c }(),
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -211,11 +210,7 @@ func TestExactCacheHitsIdenticalFramesOnly(t *testing.T) {
 }
 
 func TestNaiveSkipMode(t *testing.T) {
-	if err := (Config{Mode: ModeNaiveSkip, Costs: DefaultCostModel()}).Validate(); err == nil {
-		t.Fatal("naive-skip without SkipEvery accepted")
-	}
-	cfg := Config{Mode: ModeNaiveSkip, SkipEvery: 3, Costs: DefaultCostModel()}
-	f := newFixture(t, cfg, nil)
+	f := newFixture(t, Config{Mode: ModeNaiveSkip}, nil)
 	p0, err := f.classes.Prototype(0)
 	if err != nil {
 		t.Fatal(err)
@@ -224,20 +219,24 @@ func TestNaiveSkipMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// SkipEvery=3: infer, reuse, reuse, infer, reuse, reuse, ...
-	var sources []metrics.Source
-	frames := []*vision.Image{p0, p1, p1, p1, p1, p1, p1}
-	for _, im := range frames {
+	// Every naiveSkipEvery-th frame infers, the rest reuse, whatever the
+	// scene: p0 once, then p1.
+	var sources, want []metrics.Source
+	for i := 0; i <= 2*naiveSkipEvery; i++ {
+		im := p1
+		if i == 0 {
+			im = p0
+		}
 		res, err := f.engine.Process(im, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sources = append(sources, res.Source)
-	}
-	want := []metrics.Source{
-		metrics.SourceDNN, metrics.SourceVideo, metrics.SourceVideo,
-		metrics.SourceDNN, metrics.SourceVideo, metrics.SourceVideo,
-		metrics.SourceDNN,
+		if i%naiveSkipEvery == 0 {
+			want = append(want, metrics.SourceDNN)
+		} else {
+			want = append(want, metrics.SourceVideo)
+		}
 	}
 	for i := range want {
 		if sources[i] != want[i] {
@@ -248,8 +247,7 @@ func TestNaiveSkipMode(t *testing.T) {
 }
 
 func TestNaiveSkipBlindReuseIsWrongAcrossScenes(t *testing.T) {
-	cfg := Config{Mode: ModeNaiveSkip, SkipEvery: 10, Costs: DefaultCostModel()}
-	f := newFixture(t, cfg, nil)
+	f := newFixture(t, Config{Mode: ModeNaiveSkip}, nil)
 	p0, err := f.classes.Prototype(0)
 	if err != nil {
 		t.Fatal(err)
@@ -349,6 +347,21 @@ func TestAblationTogglesChangeSourceMix(t *testing.T) {
 	}
 	if noIMU[metrics.SourceVideo] <= full[metrics.SourceVideo] {
 		t.Fatalf("video gate did not absorb IMU-gated frames: full %v, no-imu %v", full, noIMU)
+	}
+}
+
+// TestVoteOverride runs the panning sweep, whose scene changes get past
+// the inertial and video gates to the kNN vote: a near-zero radius
+// accepts fewer local hits than the default vote.
+func TestVoteOverride(t *testing.T) {
+	spec := trace.StandardSpecs(200, 3)[3]
+	store := cachestore.Config{Capacity: 256, Policy: cachestore.CostAware}
+	strict := DefaultConfig()
+	strict.Vote = lsh.VoteConfig{K: 4, MaxDistance: 0.01, DominanceRatio: 2, MinVotes: 1}
+	s := replayWorkload(t, strict, spec, nil, store).CountBySource()[metrics.SourceLocal]
+	l := replayWorkload(t, DefaultConfig(), spec, nil, store).CountBySource()[metrics.SourceLocal]
+	if s >= l {
+		t.Fatalf("strict vote local hits %d not below default %d", s, l)
 	}
 }
 
@@ -553,17 +566,6 @@ func TestApproxGossipWarmsPeers(t *testing.T) {
 		if svc.Store().Len() != 1 {
 			t.Fatalf("peer %d not warmed by gossip", i)
 		}
-	}
-	// Gossip disabled: peers stay cold.
-	cfg2 := cfg
-	cfg2.DisableGossip = true
-	client2, services2 := newPeerCluster(t, 1, cfg.Extractor.Dim())
-	f2 := newFixture(t, cfg2, client2)
-	if _, err := f2.engine.Process(proto, movingWindow(0)); err != nil {
-		t.Fatal(err)
-	}
-	if services2[0].Store().Len() != 0 {
-		t.Fatal("gossip sent despite DisableGossip")
 	}
 }
 

@@ -32,19 +32,17 @@ import (
 // digest was recorded with today's input at the commit before the
 // cooldown became a constant.
 var parentGoldens = map[string]string{
-	"default":        "2f913117f9f03f4daee242f8d9c974957f48da70ca5a003fe1cf9044d4f7da71",
-	"no-imu-gate":    "8af8b2ff6178c35a7047c225bd7414d199e6e1c59eb69e12911add152bf36c67",
-	"no-video-gate":  "74f9965f83bba01a69f82efa8b660e205f16529e01697a4a1c6bd30e5b5de346",
-	"no-gates":       "157b980d0cde9bbc6161d21da054ca738be55fcba62ac9e3987c78938784bc30",
-	"no-repair":      "3524e01b6fe143f2aae3f9aa0224c01608ed4407786f4bafca1498c469f0b1fa",
-	"keyframes-1":    "d3c1044698171834c5b596d14ff6c0bc0d9fd52eabcb2037a840338992f6c3f5",
-	"streak-1":       "bbcd37b55dc93038b23a27a8e538a6a10178aa64a3410d4950c7f55b1a0ad247",
-	"quality-drift":  "2df3e7980f79f7d9548f801615d1024c0c164e5380e2882c9c2035b53c4497c0",
-	"dnn-faults":     "7a53401d20763015d41c77963bde087a1f6fecd6ce34de1766ca8baf877a44ca",
-	"sensor-faults":  "3249654b4d6fe5d1bd96697c98e357b56afcb9682e4f2b6d288955bcbe3bd880",
-	"unguarded":      "5e7d39d6742588f302bc5f0292dce578766351e1419f09d8192c533a8930f668",
-	"mesh-gossip":    "367e56417c08d9430ee2a429b106a594e59c7a4eb6481530467aaa6a02518f70",
-	"mesh-no-gossip": "60bc8e3a54a55dc6d0304a0c7a8065a6893ecbfe9729aea97973f12c3980382a",
+	"default":       "2f913117f9f03f4daee242f8d9c974957f48da70ca5a003fe1cf9044d4f7da71",
+	"no-imu-gate":   "8af8b2ff6178c35a7047c225bd7414d199e6e1c59eb69e12911add152bf36c67",
+	"no-video-gate": "74f9965f83bba01a69f82efa8b660e205f16529e01697a4a1c6bd30e5b5de346",
+	"no-gates":      "157b980d0cde9bbc6161d21da054ca738be55fcba62ac9e3987c78938784bc30",
+	"keyframes-1":   "d3c1044698171834c5b596d14ff6c0bc0d9fd52eabcb2037a840338992f6c3f5",
+	"streak-1":      "bbcd37b55dc93038b23a27a8e538a6a10178aa64a3410d4950c7f55b1a0ad247",
+	"quality-drift": "2df3e7980f79f7d9548f801615d1024c0c164e5380e2882c9c2035b53c4497c0",
+	"dnn-faults":    "7a53401d20763015d41c77963bde087a1f6fecd6ce34de1766ca8baf877a44ca",
+	"sensor-faults": "3249654b4d6fe5d1bd96697c98e357b56afcb9682e4f2b6d288955bcbe3bd880",
+	"unguarded":     "5e7d39d6742588f302bc5f0292dce578766351e1419f09d8192c533a8930f668",
+	"mesh-gossip":   "367e56417c08d9430ee2a429b106a594e59c7a4eb6481530467aaa6a02518f70",
 }
 
 // goldenRow is one configuration of the golden matrix.
@@ -60,17 +58,16 @@ type goldenRow struct {
 	mesh bool
 }
 
-// goldenRows is the matrix: the gate and repair switches, keyframe and
-// streak bounds, the quality layer under drift, a classifier outage
-// through the watchdog and both ladder rungs, sensor faults with and
-// without the guards, and a two-device mesh with and without gossip.
+// goldenRows is the matrix: the gate switches, keyframe and streak
+// bounds, the quality layer under drift, a classifier outage through the
+// watchdog and both ladder rungs, sensor faults with and without the
+// guards, and a two-device mesh.
 func goldenRows() []goldenRow {
 	return []goldenRow{
 		{name: "default"},
 		{name: "no-imu-gate", cfg: func(c *Config) { c.DisableIMUGate = true }},
 		{name: "no-video-gate", cfg: func(c *Config) { c.DisableVideoGate = true }},
 		{name: "no-gates", cfg: func(c *Config) { c.DisableIMUGate, c.DisableVideoGate = true, true }},
-		{name: "no-repair", cfg: func(c *Config) { c.DisableRepair = true }},
 		{name: "keyframes-1", cfg: func(c *Config) { c.KeyframeCapacity = 1 }},
 		{name: "streak-1", cfg: func(c *Config) { c.MaxReuseStreak = 1 }},
 		{name: "quality-drift", cfg: func(c *Config) {
@@ -97,7 +94,6 @@ func goldenRows() []goldenRow {
 		{name: "sensor-faults", inject: injectSensorFaults(true)},
 		{name: "unguarded", cfg: func(c *Config) { c.DisableSensorGuards = true }, inject: injectSensorFaults(false)},
 		{name: "mesh-gossip", mesh: true},
-		{name: "mesh-no-gossip", cfg: func(c *Config) { c.DisableGossip = true }, mesh: true},
 	}
 }
 
@@ -252,8 +248,7 @@ func goldenRun(t *testing.T, row goldenRow, streams []diffStream, process proces
 }
 
 // goldenMesh builds two engines whose stores serve each other over a
-// lossy simnet, each engine querying (and, unless disabled, gossiping
-// to) the other.
+// lossy simnet, each engine querying and gossiping to the other.
 func goldenMesh(t *testing.T, row goldenRow, classes *vision.ClassSet) []goldenDevice {
 	t.Helper()
 	net, err := simnet.New(simnet.DefaultLinkProfile(), 5)
@@ -354,8 +349,6 @@ func checkGoldenCoverage(t *testing.T, row goldenRow, seen map[string]int) {
 	switch row.name {
 	case "default", "keyframes-1", "streak-1":
 		need = append(need, "imu", "video", "local")
-	case "no-repair":
-		need = []string{"dnn", "imu", "video", "local"}
 	case "no-imu-gate":
 		need = append(need, "video", "local")
 	case "no-video-gate":
@@ -372,15 +365,12 @@ func checkGoldenCoverage(t *testing.T, row goldenRow, seen map[string]int) {
 			"fault:imu-stuck", "fault:imu-non-finite")
 	case "unguarded":
 		need = append(need, "error:extract")
-	case "mesh-gossip", "mesh-no-gossip":
+	case "mesh-gossip":
 		need = append(need, "peer", "event:peer-query", "event:peer-hit")
 	}
 	for _, k := range need {
 		if seen[k] == 0 {
 			t.Errorf("row %s never produced %q (saw %v)", row.name, k, seen)
 		}
-	}
-	if row.name == "no-repair" && seen["event:repair"] != 0 {
-		t.Errorf("row no-repair repaired %d entries", seen["event:repair"])
 	}
 }

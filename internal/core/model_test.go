@@ -51,7 +51,7 @@ type modelCell struct {
 	policy cachestore.Policy
 	exact  bool   // lsh.ExactIndex instead of the 12-bit × 4-table hyperplane index
 	hidden bool   // the radius search hidden from the engine (hideWithin) and the store (hiddenIndex)
-	off    string // the Disable* switch set: "", "imu-gate", "video-gate", "guards", "repair"
+	off    string // the Disable* switch set: "", "imu-gate", "video-gate", "guards"
 	// scale is the quality layer's gate strictness, audits off, until a
 	// strictness op changes it; 0 leaves the layer off.
 	scale float64
@@ -105,8 +105,6 @@ func (c modelCell) config() Config {
 		cfg.DisableVideoGate = true
 	case "guards":
 		cfg.DisableSensorGuards = true
-	case "repair":
-		cfg.DisableRepair = true
 	}
 	if c.scale != 0 {
 		cfg.Quality = QualityConfig{Enabled: true, Synchronous: true, AuditSampleEvery: 1 << 30}
@@ -128,7 +126,7 @@ func modelGrid() []modelCell {
 	for _, p := range []cachestore.Policy{cachestore.LRU, cachestore.LFU, cachestore.CostAware} {
 		for _, exact := range []bool{false, true} {
 			for _, hidden := range []bool{false, true} {
-				for _, off := range []string{"", "imu-gate", "video-gate", "guards", "repair"} {
+				for _, off := range []string{"", "imu-gate", "video-gate", "guards"} {
 					cells = append(cells, modelCell{policy: p, exact: exact, hidden: hidden, off: off})
 				}
 			}
@@ -136,7 +134,9 @@ func modelGrid() []modelCell {
 	}
 	cells = append(cells, modelCell{policy: cachestore.CostAware, scale: 0.4},
 		modelCell{policy: cachestore.LRU, exact: true, hidden: true, scale: 0.5})
-	for _, extra := range []string{"audits", "admission", "brownout", "peers"} {
+	// peers first: there TestEngineModel runs it on the churn stream,
+	// whose evictions send lookups on to the peers.
+	for _, extra := range []string{"peers", "audits", "admission", "brownout"} {
 		cells = append(cells, modelCell{policy: cachestore.CostAware, extra: extra})
 	}
 	return cells
@@ -667,7 +667,7 @@ func (r *refEngine) refresh(im *vision.Image, label string, confidence float64) 
 }
 
 func (r *refEngine) process(in diffFrame) (res Result, rec FrameRecord, err error) {
-	c, im, costs := r.cfg, in.img, r.cfg.Costs
+	c, im := r.cfg, in.img
 	charge := func(s Stage, latency time.Duration, energy float64) {
 		rec.Stages[s].Latency += latency
 		rec.Stages[s].EnergyMJ += energy
@@ -733,7 +733,7 @@ func (r *refEngine) process(in diffFrame) (res Result, rec FrameRecord, err erro
 		if imuOK && !reval && r.hasLast {
 			st := r.det.State()
 			rec.Stationary, rec.Rotation, rec.MaxRotation = st.Stationary, st.RotationSinceMark, st.MaxRotation
-			charge(StageIMU, costs.IMUGateLatency, costs.IMUGateEnergyMJ)
+			charge(StageIMU, imuGateLatency, imuGateEnergyMJ)
 			rec.Stages[StageIMU].Outcome = OutcomePassed
 			if st.AllowsReuse() {
 				return serve(StageIMU, r.last.Label, r.last.Confidence, metrics.SourceIMU, DegradeNone)
@@ -772,7 +772,7 @@ func (r *refEngine) process(in diffFrame) (res Result, rec FrameRecord, err erro
 				minDiff = math.Min(minDiff, d)
 			}
 			rec.KeyframeDiff, rec.DiffThreshold, rec.ExactDiffs = minDiff, threshold, len(r.kfs)
-			charge(StageVideo, costs.DiffLatency, costs.DiffEnergyMJ)
+			charge(StageVideo, diffLatency, diffEnergyMJ)
 			rec.Stages[StageVideo].Outcome = OutcomePassed
 			if best >= 0 {
 				kf := r.kfs[best]
@@ -790,7 +790,7 @@ func (r *refEngine) process(in diffFrame) (res Result, rec FrameRecord, err erro
 			rec.Stages[StageExtract].Outcome = 0
 			return res, rec, err
 		}
-		charge(StageExtract, costs.FeatureLatency, costs.FeatureEnergyMJ)
+		charge(StageExtract, featureLatency, featureEnergyMJ)
 		rec.Stages[StageExtract].Outcome = OutcomePassed
 	}
 
@@ -808,7 +808,7 @@ func (r *refEngine) process(in diffFrame) (res Result, rec FrameRecord, err erro
 		if err != nil {
 			return res, rec, err
 		}
-		charge(StageLookup, costs.LookupLatency, costs.LookupEnergyMJ)
+		charge(StageLookup, lookupLatency, lookupEnergyMJ)
 		rec.Accepted, rec.VoteConfidence = v.Accepted, v.Confidence
 		rec.Stages[StageLookup].Outcome = OutcomePassed
 		if v.Accepted {
@@ -827,16 +827,15 @@ func (r *refEngine) process(in diffFrame) (res Result, rec FrameRecord, err erro
 		charge(StageDNN, inf.Latency, inf.EnergyMJ)
 		rec.Stages[StageDNN].Outcome, rec.Served = OutcomeServed, StageDNN
 		if frameOK {
-			if !c.DisableRepair { // a rescan at half the vote radius
-				for _, n := range r.nearest(vec, c.Vote.K, c.Vote.MaxDistance/2) {
-					if label, ok := r.store.Label(n.ID); ok && label != inf.Label {
-						r.store.Remove(n.ID)
-						rec.Repairs++
-					}
+			// Repair: a rescan at half the vote radius.
+			for _, n := range r.nearest(vec, c.Vote.K, c.Vote.MaxDistance/2) {
+				if label, ok := r.store.Label(n.ID); ok && label != inf.Label {
+					r.store.Remove(n.ID)
+					rec.Repairs++
 				}
-				r.events[metrics.EventRepair] += int64(rec.Repairs)
-				rec.Stages[StageRepair].Outcome = OutcomePassed
 			}
+			r.events[metrics.EventRepair] += int64(rec.Repairs)
+			rec.Stages[StageRepair].Outcome = OutcomePassed
 			if _, err := r.store.Insert(vec, inf.Label, inf.Confidence, "dnn", inf.Latency); err != nil {
 				return res, rec, err
 			}
@@ -850,7 +849,7 @@ func (r *refEngine) process(in diffFrame) (res Result, rec FrameRecord, err erro
 	// The ladder: a cached entry at twice the vote radius, else the last
 	// result within LastResultTTL, else the failure.
 	if frameOK {
-		charge(StageDNN, costs.LookupLatency, costs.LookupEnergyMJ)
+		charge(StageDNN, lookupLatency, lookupEnergyMJ)
 		if ns := r.nearest(vec, 1, fallbackRadiusFactor*c.Vote.MaxDistance); len(ns) > 0 {
 			if label, conf, ok := r.store.Answer(ns[0].ID); ok {
 				r.store.Touch(ns[0].ID)

@@ -385,10 +385,8 @@ func (qc *qualityController) recalibrateLocked() {
 // entries the fresh label contradicts, cache and re-anchor on it, and
 // force the next frame to revalidate.
 func (e *Engine) healAfterRefute(im *vision.Image, vec feature.Vector, label string, confidence float64, savedCost time.Duration) {
-	if e.runs(StageRepair) {
-		n, _ := e.repairNear(vec, label, e.cfg.Vote.MaxDistance, nil, false)
-		e.stats.Add(metrics.EventRepair, n)
-	}
+	n, _ := e.repairNear(vec, label, e.cfg.Vote.MaxDistance, nil, false)
+	e.stats.Add(metrics.EventRepair, n)
 	if _, err := e.deps.Store.Insert(vec, label, confidence, "audit", savedCost); err == nil {
 		// Off the frame path: no guard pass has summarised im here.
 		var thumb vision.Thumb

@@ -105,10 +105,9 @@ func TestPipelineMembership(t *testing.T) {
 		{func(*Config) {}, []Stage{StageSkip, StageExact, StageAdmission},
 			[]Stage{StageSensors, StageIMU, StageFrame, StageVideo, StageRepair, StageGossip}},
 		{func(c *Config) { c.DisableIMUGate, c.DisableVideoGate = true, true }, []Stage{StageIMU, StageVideo}, []Stage{StageLookup}},
-		{func(c *Config) { c.DisableRepair, c.DisableGossip = true, true }, []Stage{StageRepair, StageGossip}, []Stage{StageInsert}},
 		{func(c *Config) { c.DisableSensorGuards = true }, []Stage{StageSensors, StageFrame}, []Stage{StageIMU}},
 		{func(c *Config) { c.RequestDeadline = time.Second }, nil, []Stage{StageAdmission}},
-		{func(c *Config) { c.Mode = ModeNaiveSkip; c.SkipEvery = 2 }, []Stage{StageIMU, StageLookup}, []Stage{StageFrame, StageSkip, StageDNN}},
+		{func(c *Config) { c.Mode = ModeNaiveSkip }, []Stage{StageIMU, StageLookup}, []Stage{StageFrame, StageSkip, StageDNN}},
 	} {
 		cfg := DefaultConfig()
 		tc.cfg(&cfg)

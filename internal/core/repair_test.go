@@ -75,28 +75,6 @@ func TestRepairPurgesContradictedEntries(t *testing.T) {
 	}
 }
 
-func TestRepairDisabled(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.DisableIMUGate = true
-	cfg.DisableVideoGate = true
-	cfg.DisableRepair = true
-	cfg.MaxReuseStreak = 1
-	f := newFixture(t, cfg, nil)
-	poisonCache(t, f, cfg, 1, "poison")
-	proto, err := f.classes.Prototype(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := f.engine.ProcessWithTruth(proto, nil, dnn.LabelOf(1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := f.engine.Stats().Repairs(); got != 0 {
-		t.Fatalf("repairs = %d with repair disabled", got)
-	}
-}
-
 func TestRepairDoesNotPurgeAgreeingEntries(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.DisableIMUGate = true

@@ -397,8 +397,7 @@ func TestWatchdogRetriesTransientError(t *testing.T) {
 // The naive-skip baseline has no cache: a due inference during an
 // outage repeats the last answer at reduced confidence.
 func TestNaiveSkipDegradesToLastResult(t *testing.T) {
-	cfg := Config{Mode: ModeNaiveSkip, SkipEvery: 2, Costs: DefaultCostModel()}
-	f, faulty := newFaultyFixture(t, cfg, nil)
+	f, faulty := newFaultyFixture(t, Config{Mode: ModeNaiveSkip}, nil)
 	proto, err := f.classes.Prototype(0)
 	if err != nil {
 		t.Fatal(err)
@@ -409,7 +408,7 @@ func TestNaiveSkipDegradesToLastResult(t *testing.T) {
 	}
 	faulty.SetDown(true)
 	sawFallback := false
-	for i := 0; i < 4; i++ {
+	for i := 0; i < naiveSkipEvery; i++ {
 		res, err := f.engine.Process(proto, nil)
 		if err != nil {
 			t.Fatalf("outage frame %d: %v", i, err)

@@ -147,9 +147,9 @@ func stageList(cfg Config, admit bool) []stage {
 	add(true, StagePeer, (*Engine).tryPeer)
 	add(admit, StageAdmission, (*Engine).tryAdmission)
 	add(true, StageDNN, (*Engine).tryDNN)
-	add(!cfg.DisableRepair, StageRepair, (*Engine).tryRepair)
+	add(true, StageRepair, (*Engine).tryRepair)
 	add(true, StageInsert, (*Engine).tryInsert)
-	add(!cfg.DisableGossip, StageGossip, (*Engine).tryGossip)
+	add(true, StageGossip, (*Engine).tryGossip)
 	return list
 }
 
@@ -278,7 +278,7 @@ func (e *Engine) tryIMU(f *frame, gate bool) (bool, error) {
 	if gate && f.imuOK && !f.revalidate && e.hasLast {
 		st := e.detector.State()
 		f.rec.Stationary, f.rec.Rotation, f.rec.MaxRotation = st.Stationary, st.RotationSinceMark, st.MaxRotation
-		f.charge(StageIMU, e.cfg.Costs.IMUGateLatency, e.cfg.Costs.IMUGateEnergyMJ)
+		f.charge(StageIMU, imuGateLatency, imuGateEnergyMJ)
 		outcome = OutcomePassed
 		if st.AllowsReuse() {
 			outcome = OutcomeServed
@@ -309,24 +309,24 @@ func (e *Engine) tryFrame(f *frame) (bool, error) {
 	return f.mark(StageFrame, OutcomePassed)
 }
 
-// trySkip reuses the last result blindly but on every SkipEvery-th
+// trySkip reuses the last result blindly but on every naiveSkipEvery-th
 // frame, as SourceVideo (a crude temporal-locality heuristic).
 func (e *Engine) trySkip(f *frame) (bool, error) {
 	e.mu.Lock()
 	f.last, f.hasLast = e.last, e.hasLast
-	skip := f.hasLast && (e.streak+1)%e.cfg.SkipEvery != 0
+	skip := f.hasLast && (e.streak+1)%naiveSkipEvery != 0
 	e.mu.Unlock()
 	if !skip {
 		return f.mark(StageSkip, OutcomePassed)
 	}
-	f.charge(StageSkip, e.cfg.Costs.IMUGateLatency, e.cfg.Costs.IMUGateEnergyMJ)
+	f.charge(StageSkip, imuGateLatency, imuGateEnergyMJ)
 	return f.serve(StageSkip, f.last.Label, f.last.Confidence, metrics.SourceVideo, DegradeNone)
 }
 
 // tryExact memoizes under a quantized-pixel hash (diff-class work).
 func (e *Engine) tryExact(f *frame) (bool, error) {
 	f.exactKey = exactHash(f.im)
-	f.charge(StageExact, e.cfg.Costs.DiffLatency, e.cfg.Costs.DiffEnergyMJ)
+	f.charge(StageExact, diffLatency, diffEnergyMJ)
 	e.mu.Lock()
 	entry, ok := e.exact[f.exactKey]
 	e.mu.Unlock()
@@ -351,7 +351,7 @@ func (e *Engine) tryVideo(f *frame) (bool, error) {
 	kf, m := e.keyframes.MatchThumb(f.im, th)
 	e.mu.Unlock()
 	f.rec.KeyframeDiff, f.rec.DiffThreshold, f.rec.ExactDiffs = m.Diff, m.Threshold, m.Exact
-	f.charge(StageVideo, e.cfg.Costs.DiffLatency, e.cfg.Costs.DiffEnergyMJ)
+	f.charge(StageVideo, diffLatency, diffEnergyMJ)
 	if !m.Found {
 		return f.mark(StageVideo, OutcomePassed)
 	}
@@ -370,7 +370,7 @@ func (e *Engine) tryExtract(f *frame) (bool, error) {
 		return false, fmt.Errorf("extract: %w", err)
 	}
 	f.vec = vec
-	f.charge(StageExtract, e.cfg.Costs.FeatureLatency, e.cfg.Costs.FeatureEnergyMJ)
+	f.charge(StageExtract, featureLatency, featureEnergyMJ)
 	return f.mark(StageExtract, OutcomePassed)
 }
 
@@ -407,7 +407,7 @@ func (e *Engine) tryLookup(f *frame) (bool, error) {
 	} else if verdict, err = lsh.Vote(ns, e.deps.Store.Label, vote); err != nil {
 		return false, fmt.Errorf("vote: %w", err)
 	}
-	f.charge(StageLookup, e.cfg.Costs.LookupLatency, e.cfg.Costs.LookupEnergyMJ)
+	f.charge(StageLookup, lookupLatency, lookupEnergyMJ)
 	f.rec.Accepted, f.rec.VoteConfidence = verdict.Accepted, verdict.Confidence
 	if !verdict.Accepted {
 		return f.mark(StageLookup, OutcomePassed)
@@ -554,7 +554,7 @@ func (e *Engine) ladder(f *frame) (bool, error) {
 		src, cacheOnly, lastResult = metrics.SourceShed, f.shed, f.shed
 	}
 	if f.frameOK {
-		f.charge(StageDNN, e.cfg.Costs.LookupLatency, e.cfg.Costs.LookupEnergyMJ)
+		f.charge(StageDNN, lookupLatency, lookupEnergyMJ)
 		radius := fallbackRadiusFactor * e.cfg.Vote.MaxDistance
 		if ns, err := cachestore.NearestWithinInto(e.deps.Store, f.vec, 1, radius, f.ns[:0]); err == nil {
 			f.ns = ns
@@ -582,7 +582,7 @@ func (e *Engine) tryBaselineDNN(f *frame) (bool, error) {
 	inf, penalty, err := e.wd.infer(f.im, f.deadline, e.jitterSeed)
 	if err != nil {
 		if f.hasLast {
-			f.charge(StageDNN, e.cfg.Costs.IMUGateLatency, e.cfg.Costs.IMUGateEnergyMJ)
+			f.charge(StageDNN, imuGateLatency, imuGateEnergyMJ)
 			return f.serve(StageDNN, f.last.Label, f.last.Confidence*fallbackConfidence, metrics.SourceFallback, DegradeLastResult)
 		}
 		return false, fmt.Errorf("infer: %w", err)

@@ -106,11 +106,7 @@ func ByID(id string) (Experiment, error) {
 // approximate: no-cache, exact-cache or naive-skip. Baselines call the
 // classifier unsupervised; every experiment runs them on a healthy one.
 func baseline(mode core.Mode) core.Config {
-	cfg := core.Config{Mode: mode, Costs: core.DefaultCostModel(), DisableWatchdog: true}
-	if mode == core.ModeNaiveSkip {
-		cfg.SkipEvery = 20
-	}
-	return cfg
+	return core.Config{Mode: mode, DisableWatchdog: true}
 }
 
 // system is one pipeline the stationary-heavy comparisons run.

@@ -13,12 +13,6 @@ import (
 type ServiceConfig struct {
 	// Name identifies this node in Pings/Pongs and logs.
 	Name string
-	// Vote is the acceptance policy applied when answering queries.
-	Vote lsh.VoteConfig
-	// MinGossipConfidence drops incoming gossip below this
-	// confidence, an admission filter against polluting the local
-	// cache with peers' uncertain results.
-	MinGossipConfidence float64
 }
 
 // Validate reports whether the configuration is usable.
@@ -26,24 +20,22 @@ func (c ServiceConfig) Validate() error {
 	if c.Name == "" {
 		return fmt.Errorf("p2p: service needs a name")
 	}
-	if err := c.Vote.Validate(); err != nil {
-		return err
-	}
-	if c.MinGossipConfidence < 0 || c.MinGossipConfidence > 1 {
-		return fmt.Errorf("p2p: MinGossipConfidence must be in [0,1], got %v",
-			c.MinGossipConfidence)
-	}
 	return nil
 }
 
-// DefaultServiceConfig returns the standard serving policy for name.
+// DefaultServiceConfig returns the serving configuration for name.
 func DefaultServiceConfig(name string) ServiceConfig {
-	return ServiceConfig{
-		Name:                name,
-		Vote:                lsh.DefaultVoteConfig(),
-		MinGossipConfidence: 0.5,
-	}
+	return ServiceConfig{Name: name}
 }
+
+// serviceVote is the acceptance policy a service applies when answering
+// queries: the engine's own default vote.
+var serviceVote = lsh.DefaultVoteConfig()
+
+// minGossipConfidence drops incoming gossip below it, an admission
+// filter against polluting the local cache with peers' uncertain
+// results.
+const minGossipConfidence = 0.5
 
 // Service answers peer protocol messages against a local cache store.
 // Service is safe for concurrent use.
@@ -81,17 +73,17 @@ func (s *Service) HandleQuery(q Query) (QueryResp, error) {
 		return QueryResp{}, fmt.Errorf("p2p: empty query vector")
 	}
 	k := int(q.K)
-	if k <= 0 || k > s.cfg.Vote.K {
-		k = s.cfg.Vote.K
+	if k <= 0 || k > serviceVote.K {
+		k = serviceVote.K
 	}
-	ns, err := cachestore.NearestWithinInto(s.store, q.Vec, k, s.cfg.Vote.MaxDistance, nil)
+	ns, err := cachestore.NearestWithinInto(s.store, q.Vec, k, serviceVote.MaxDistance, nil)
 	if err != nil {
 		return QueryResp{}, fmt.Errorf("nearest: %w", err)
 	}
 	// Quarantined entries are withheld from the index, so ns cannot
 	// contain them, and the Label callback refuses them besides: a
 	// suspect answer must not escape to the swarm through either path.
-	verdict, err := lsh.Vote(ns, s.store.Label, s.cfg.Vote)
+	verdict, err := lsh.Vote(ns, s.store.Label, serviceVote)
 	if err != nil {
 		return QueryResp{}, fmt.Errorf("vote: %w", err)
 	}
@@ -116,17 +108,17 @@ func (s *Service) HandleGossip(g Gossip) error {
 	if g.Label == "" {
 		return fmt.Errorf("p2p: empty gossip label")
 	}
-	if g.Confidence < s.cfg.MinGossipConfidence {
+	if g.Confidence < minGossipConfidence {
 		return nil // silently dropped by admission policy
 	}
 	// Near-duplicate suppression: if an entry with the same label
 	// already sits within half the vote radius, the gossip adds no
 	// information.
-	ns, err := cachestore.NearestWithinInto(s.store, g.Vec, 1, s.cfg.Vote.MaxDistance/2, nil)
+	ns, err := cachestore.NearestWithinInto(s.store, g.Vec, 1, serviceVote.MaxDistance/2, nil)
 	if err != nil {
 		return fmt.Errorf("nearest: %w", err)
 	}
-	if len(ns) == 1 && ns[0].Distance < s.cfg.Vote.MaxDistance/2 {
+	if len(ns) == 1 && ns[0].Distance < serviceVote.MaxDistance/2 {
 		if label, ok := s.store.Label(ns[0].ID); ok && label == g.Label {
 			return nil
 		}
@@ -162,7 +154,7 @@ func (s *Service) buildDigest() (Digest, error) {
 	if suppressed > 0 {
 		metrics.QuarantineSuppressed.Add(suppressed)
 	}
-	d, err := BuildDigest(vecs, s.cfg.Vote.MaxDistance, MaxDigestCentroids)
+	d, err := BuildDigest(vecs, serviceVote.MaxDistance, MaxDigestCentroids)
 	if err != nil {
 		return Digest{}, fmt.Errorf("build digest: %w", err)
 	}

@@ -40,16 +40,8 @@ func TestServiceConfigValidate(t *testing.T) {
 	if err := DefaultServiceConfig("x").Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := []ServiceConfig{
-		{Vote: lsh.DefaultVoteConfig()}, // no name
-		{Name: "a"},                     // bad vote
-		{Name: "a", Vote: lsh.DefaultVoteConfig(), MinGossipConfidence: -0.1},    // neg conf
-		{Name: "a", Vote: lsh.DefaultVoteConfig(), MinGossipConfidence: 1.00001}, // >1
-	}
-	for i, cfg := range bad {
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("bad config %d accepted", i)
-		}
+	if err := (ServiceConfig{}).Validate(); err == nil {
+		t.Error("a service without a name accepted")
 	}
 }
 

@@ -8,13 +8,17 @@ import (
 	"testing"
 	"time"
 
+	"approxcache/internal/cachestore"
 	"approxcache/internal/core"
+	"approxcache/internal/dnn"
+	"approxcache/internal/p2p"
 )
 
-// TestKnobCensus lists every settable leaf value of Options and
-// core.Config by reflection and compares the list with the one checked
-// in under testdata/knobs, so that adding, removing or renaming a knob
-// is a deliberate, reviewed edit of that file.
+// TestKnobCensus lists every settable leaf value of Options and of every
+// config struct the non-test code builds by reflection and compares each
+// list with the one checked in under testdata/knobs, so that adding,
+// removing or renaming a knob is a deliberate, reviewed edit of that
+// file.
 func TestKnobCensus(t *testing.T) {
 	for _, c := range []struct {
 		file string
@@ -22,6 +26,10 @@ func TestKnobCensus(t *testing.T) {
 	}{
 		{"testdata/knobs/Options.txt", reflect.TypeOf(Options{})},
 		{"testdata/knobs/core.Config.txt", reflect.TypeOf(core.Config{})},
+		{"testdata/knobs/p2p.ServiceConfig.txt", reflect.TypeOf(p2p.ServiceConfig{})},
+		{"testdata/knobs/p2p.ClientConfig.txt", reflect.TypeOf(p2p.ClientConfig{})},
+		{"testdata/knobs/cachestore.Config.txt", reflect.TypeOf(cachestore.Config{})},
+		{"testdata/knobs/dnn.BatcherConfig.txt", reflect.TypeOf(dnn.BatcherConfig{})},
 	} {
 		data, err := os.ReadFile(c.file)
 		if err != nil {

@@ -7,20 +7,6 @@ import (
 	"approxcache"
 )
 
-func TestTTLOption(t *testing.T) {
-	w := testWorkload(t, 150)
-	// A TTL far below the trace length: entries expire mid-run and
-	// the pipeline keeps working.
-	c := newCache(t, w, approxcache.Options{TTL: time.Second})
-	replay(t, c, w)
-	if c.Stats().Frames() != 150 {
-		t.Fatalf("frames = %d", c.Stats().Frames())
-	}
-	if _, err := approxcache.New(testClassifier(t, w), approxcache.Options{TTL: -time.Second}); err == nil {
-		t.Fatal("negative TTL accepted")
-	}
-}
-
 func TestMaxReuseStreakDisabled(t *testing.T) {
 	w := testWorkload(t, 150)
 	unbounded := newCache(t, w, approxcache.Options{MaxReuseStreak: -1})
@@ -36,29 +22,6 @@ func TestMaxReuseStreakDisabled(t *testing.T) {
 	}
 }
 
-// TestVoteOverride runs the panning sweep, whose scene changes get past
-// the inertial and video gates to the kNN vote: a near-zero radius
-// accepts fewer local hits than the default vote.
-func TestVoteOverride(t *testing.T) {
-	w, err := approxcache.GenerateWorkload(approxcache.StandardWorkloads(200, 3)[3])
-	if err != nil {
-		t.Fatal(err)
-	}
-	strict := newCache(t, w, approxcache.Options{
-		Vote: approxcache.VoteConfig{
-			K: 4, MaxDistance: 0.01, DominanceRatio: 2, MinVotes: 1,
-		},
-	})
-	replay(t, strict, w)
-	loose := newCache(t, w, approxcache.Options{})
-	replay(t, loose, w)
-	s := strict.Stats().CountBySource()[approxcache.SourceLocal]
-	l := loose.Stats().CountBySource()[approxcache.SourceLocal]
-	if s >= l {
-		t.Fatalf("strict vote local hits %d not below default %d", s, l)
-	}
-}
-
 // TestNegativeOptionsRejected: New and NewPool refuse a negative value
 // in a field that documents no meaning for one, instead of quietly
 // running on the default; the documented negatives still disable their
@@ -68,9 +31,7 @@ func TestNegativeOptionsRejected(t *testing.T) {
 	clf := testClassifier(t, w)
 	for name, opts := range map[string]approxcache.Options{
 		"RequestDeadline": {RequestDeadline: -time.Second},
-		"TTL":             {TTL: -time.Second},
 		"BatchSize":       {BatchSize: -1},
-		"LastResultTTL":   {LastResultTTL: -time.Second},
 	} {
 		if _, err := approxcache.New(clf, opts); err == nil {
 			t.Errorf("New accepted a negative %s", name)

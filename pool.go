@@ -7,7 +7,6 @@ import (
 	"approxcache/internal/core"
 	"approxcache/internal/dnn"
 	"approxcache/internal/metrics"
-	"approxcache/internal/simclock"
 )
 
 // BatcherStats summarizes the micro-batching scheduler's activity.
@@ -39,25 +38,13 @@ type Pool struct {
 // NewPool builds a pool of sessions concurrent recognition sessions
 // fronting classifier.
 func NewPool(sessions int, classifier Classifier, opts Options) (*Pool, error) {
-	if classifier == nil {
-		return nil, fmt.Errorf("approxcache: nil classifier")
-	}
 	if sessions <= 0 {
 		return nil, fmt.Errorf("approxcache: pool needs at least 1 session, got %d", sessions)
 	}
-	cfg, err := engineConfig(opts)
+	cfg, deps, err := prepare(classifier, opts)
 	if err != nil {
 		return nil, err
 	}
-	clock := opts.Clock
-	if clock == nil {
-		clock = simclock.Real{}
-	}
-	store, err := newStore(cfg, opts, clock)
-	if err != nil {
-		return nil, err
-	}
-	cls := classifier
 	var batcher *dnn.Batcher
 	if opts.BatchSize > 1 {
 		bc, ok := classifier.(BatchClassifier)
@@ -72,13 +59,9 @@ func NewPool(sessions int, classifier Classifier, opts Options) (*Pool, error) {
 		if err != nil {
 			return nil, fmt.Errorf("approxcache: batcher: %w", err)
 		}
-		cls = batcher
+		deps.Classifier = batcher
 	}
-	pool, err := core.NewPool(sessions, cfg, core.Deps{
-		Clock:      clock,
-		Classifier: cls,
-		Store:      store,
-	})
+	pool, err := core.NewPool(sessions, cfg, deps)
 	if err != nil {
 		if batcher != nil {
 			batcher.Close()
@@ -87,9 +70,9 @@ func NewPool(sessions int, classifier Classifier, opts Options) (*Pool, error) {
 	}
 	caches := make([]*Cache, sessions)
 	for i := range caches {
-		caches[i] = &Cache{engine: pool.Session(i), store: store, clock: clock}
+		caches[i] = &Cache{engine: pool.Session(i), store: deps.Store, clock: deps.Clock}
 	}
-	return &Pool{pool: pool, sessions: caches, store: store, batcher: batcher}, nil
+	return &Pool{pool: pool, sessions: caches, store: deps.Store, batcher: batcher}, nil
 }
 
 // Size returns the number of sessions.
