@@ -24,11 +24,13 @@ import (
 	"os"
 	"os/signal"
 	"sort"
+	"strings"
 	"sync"
 	"syscall"
 	"time"
 
 	"approxcache"
+	"approxcache/internal/dnn"
 )
 
 func main() {
@@ -73,46 +75,45 @@ func run(args []string) error {
 		return fmt.Errorf("-sessions must be at least 1, got %d", *sessions)
 	}
 
-	profile, err := profileByName(*model)
+	profile, err := dnn.ProfileByName(*model)
 	if err != nil {
 		return err
 	}
-	if *sessions > 1 {
-		return runPool(poolParams{
-			name: *name, addr: *addr, peers: *peersFlag,
-			sessions: *sessions, batch: *batch,
-			frames: *frames, warm: *warm,
-			seed: *seed, classSeed: *classSeed,
-			profile: profile, serve: *serve, budget: *budget, snapshot: *snapshot,
-			deadline: *deadline, admission: *admit,
-		})
+	// Session i replays its own stationary-heavy stream; every stream
+	// draws from the shared vocabulary.
+	workloads := make([]*approxcache.Workload, *sessions)
+	for i := range workloads {
+		spec := approxcache.StationaryHeavyWorkload(*warm+*frames, *seed+int64(i)*101)
+		spec.ClassSeed = *classSeed
+		if workloads[i], err = approxcache.GenerateWorkload(spec); err != nil {
+			return fmt.Errorf("workload %d: %w", i, err)
+		}
 	}
-	spec := approxcache.StationaryHeavyWorkload(*warm+*frames, *seed)
-	spec.ClassSeed = *classSeed
-	w, err := approxcache.GenerateWorkload(spec)
-	if err != nil {
-		return fmt.Errorf("workload: %w", err)
-	}
-	classifier, err := approxcache.NewSimulatedClassifier(profile, w, *seed)
+	classifier, err := approxcache.NewSimulatedClassifier(profile, workloads[0], *seed)
 	if err != nil {
 		return fmt.Errorf("classifier: %w", err)
 	}
-	opts := approxcache.Options{
+	pool, err := approxcache.NewPool(*sessions, classifier, approxcache.Options{
 		Clock:           approxcache.NewVirtualClock(),
 		PeerBudget:      *budget,
+		BatchSize:       *batch,
 		RequestDeadline: *deadline,
 		Admission:       *admit,
-	}
-	cache, err := approxcache.New(classifier, opts)
+	})
 	if err != nil {
 		return err
 	}
+	defer pool.Close()
+	// Session 0 fronts the node: it loads and saves the snapshot,
+	// answers peers and runs the peer gate. Every session shares its
+	// store, so all of them benefit.
+	front := pool.Session(0)
 
 	if *snapshot != "" {
 		// Recovery on start: a missing file is a cold start, a corrupt
 		// one (torn write from a crash mid-save) is reported but not
 		// fatal — the node just starts cold.
-		n, lerr := cache.LoadSnapshotFile(*snapshot)
+		n, lerr := front.LoadSnapshotFile(*snapshot)
 		switch {
 		case lerr != nil:
 			fmt.Fprintf(os.Stderr, "cachenode: snapshot %s unusable (%v), starting cold\n", *snapshot, lerr)
@@ -121,7 +122,7 @@ func run(args []string) error {
 		}
 	}
 
-	srv, err := cache.ServeTCP(*name, *addr)
+	srv, err := front.ServeTCP(*name, *addr)
 	if err != nil {
 		return err
 	}
@@ -130,42 +131,31 @@ func run(args []string) error {
 			fmt.Fprintln(os.Stderr, "cachenode: close:", cerr)
 		}
 	}()
-	fmt.Printf("%s listening on %s (model %s, %d classes)\n",
-		*name, srv.Addr(), profile.Name, spec.NumClasses)
+	fmt.Printf("%s listening on %s (model %s, %d classes, %d sessions, batch %d)\n",
+		*name, srv.Addr(), profile.Name, workloads[0].Spec.NumClasses, *sessions, *batch)
 
 	var client *approxcache.PeerClient
 	if *peersFlag != "" {
-		if client, err = joinPeers(cache, *name, splitComma(*peersFlag)); err != nil {
+		addrs := strings.FieldsFunc(*peersFlag, func(r rune) bool { return r == ',' })
+		if client, err = joinPeers(front, *name, addrs); err != nil {
 			return err
 		}
 	}
 
-	replay := func(frames []approxcache.Frame, label string) error {
-		prev := time.Duration(0)
-		start := time.Now()
-		for _, fr := range frames {
-			win := w.IMUWindow(prev, fr.Offset)
-			prev = fr.Offset
-			if _, err := cache.ProcessWithTruth(fr.Image, win, approxcache.LabelOf(fr.Class)); err != nil {
-				return fmt.Errorf("frame %d: %w", fr.Index, err)
-			}
-		}
-		fmt.Printf("%s: processed %d frames in %v wall time\n",
-			label, len(frames), time.Since(start).Round(time.Millisecond))
-		return nil
-	}
+	// Every session finishes its warm-up before the timed run starts.
 	if *warm > 0 {
-		if err := replay(w.Frames[:*warm], "warmup"); err != nil {
+		if err := replay(pool, workloads, 0, *warm, "warmup"); err != nil {
 			return err
 		}
 	}
 	if *frames > 0 {
-		if err := replay(w.Frames[*warm:], "run"); err != nil {
+		if err := replay(pool, workloads, *warm, *warm+*frames, "run"); err != nil {
 			return err
 		}
 	}
 
-	printStats(cache, client)
+	printStats(front, client)
+	printServingStats(pool)
 	if *serve {
 		fmt.Println("serving peers; ctrl-c to exit")
 		sig := make(chan os.Signal, 1)
@@ -173,11 +163,50 @@ func run(args []string) error {
 		<-sig
 	}
 	if *snapshot != "" {
-		if serr := cache.SaveSnapshotFile(*snapshot); serr != nil {
+		if serr := front.SaveSnapshotFile(*snapshot); serr != nil {
 			return fmt.Errorf("save snapshot: %w", serr)
 		}
-		fmt.Printf("saved %d entries to %s\n", cache.Len(), *snapshot)
+		fmt.Printf("saved %d entries to %s\n", front.Len(), *snapshot)
 	}
+	return nil
+}
+
+// replay drives frames [from, to) of every session's workload through
+// its session, one goroutine per session, and prints the wall time
+// until the last session finished.
+func replay(pool *approxcache.Pool, workloads []*approxcache.Workload, from, to int, label string) error {
+	start := time.Now()
+	var wg sync.WaitGroup
+	errs := make([]error, len(workloads))
+	for s, w := range workloads {
+		wg.Add(1)
+		go func(s int, w *approxcache.Workload) {
+			defer wg.Done()
+			c := pool.Session(s)
+			prev := time.Duration(0)
+			if from > 0 {
+				prev = w.Frames[from-1].Offset
+			}
+			for _, fr := range w.Frames[from:to] {
+				win := w.IMUWindow(prev, fr.Offset)
+				prev = fr.Offset
+				if _, err := c.ProcessWithTruth(fr.Image, win, approxcache.LabelOf(fr.Class)); err != nil {
+					errs[s] = fmt.Errorf("session %d frame %d: %w", s, fr.Index, err)
+					return
+				}
+			}
+		}(s, w)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	wall := time.Since(start)
+	fmt.Printf("%s: %d sessions × %d frames in %v wall time (%.1f frames/sec)\n",
+		label, len(workloads), to-from, wall.Round(time.Microsecond),
+		float64(len(workloads)*(to-from))/wall.Seconds())
 	return nil
 }
 
@@ -196,136 +225,6 @@ func joinPeers(cache *approxcache.Cache, name string, addrs []string) (*approxca
 			p.Name, p.Entries, p.RTT.Round(10*time.Microsecond))
 	}
 	return client, nil
-}
-
-// poolParams carries the multi-session serving configuration.
-type poolParams struct {
-	name, addr, peers string
-	sessions          int
-	batch             int
-	frames, warm      int
-	seed, classSeed   int64
-	profile           approxcache.ModelProfile
-	serve             bool
-	budget            time.Duration
-	snapshot          string
-	deadline          time.Duration
-	admission         bool
-}
-
-// runPool serves p.sessions concurrent client streams from one node:
-// every stream gets its own gate state, all streams share the cache
-// store, the stats scoreboard, and a micro-batching inference scheduler
-// when -batch is set.
-func runPool(p poolParams) error {
-	workloads := make([]*approxcache.Workload, p.sessions)
-	for i := range workloads {
-		spec := approxcache.StationaryHeavyWorkload(p.warm+p.frames, p.seed+int64(i)*101)
-		spec.ClassSeed = p.classSeed
-		w, err := approxcache.GenerateWorkload(spec)
-		if err != nil {
-			return fmt.Errorf("workload %d: %w", i, err)
-		}
-		workloads[i] = w
-	}
-	classifier, err := approxcache.NewSimulatedClassifier(p.profile, workloads[0], p.seed)
-	if err != nil {
-		return fmt.Errorf("classifier: %w", err)
-	}
-	opts := approxcache.Options{
-		Clock:           approxcache.NewVirtualClock(),
-		PeerBudget:      p.budget,
-		BatchSize:       p.batch,
-		RequestDeadline: p.deadline,
-		Admission:       p.admission,
-	}
-	pool, err := approxcache.NewPool(p.sessions, classifier, opts)
-	if err != nil {
-		return err
-	}
-	defer pool.Close()
-	front := pool.Session(0)
-
-	if p.snapshot != "" {
-		n, lerr := front.LoadSnapshotFile(p.snapshot)
-		switch {
-		case lerr != nil:
-			fmt.Fprintf(os.Stderr, "cachenode: snapshot %s unusable (%v), starting cold\n", p.snapshot, lerr)
-		case n > 0:
-			fmt.Printf("warm-started %d shared entries from %s\n", n, p.snapshot)
-		}
-	}
-
-	srv, err := front.ServeTCP(p.name, p.addr)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if cerr := srv.Close(); cerr != nil {
-			fmt.Fprintln(os.Stderr, "cachenode: close:", cerr)
-		}
-	}()
-	fmt.Printf("%s listening on %s (model %s, %d sessions, batch %d)\n",
-		p.name, srv.Addr(), p.profile.Name, p.sessions, p.batch)
-
-	var client *approxcache.PeerClient
-	if p.peers != "" {
-		// The peer gate rides on session 0; every session still benefits
-		// because peer answers land in the shared store.
-		if client, err = joinPeers(front, p.name, splitComma(p.peers)); err != nil {
-			return err
-		}
-	}
-
-	total := p.warm + p.frames
-	if total > 0 {
-		start := time.Now()
-		var wg sync.WaitGroup
-		errs := make([]error, p.sessions)
-		for s := 0; s < p.sessions; s++ {
-			wg.Add(1)
-			go func(s int) {
-				defer wg.Done()
-				c := pool.Session(s)
-				w := workloads[s]
-				prev := time.Duration(0)
-				for _, fr := range w.Frames {
-					win := w.IMUWindow(prev, fr.Offset)
-					prev = fr.Offset
-					if _, err := c.ProcessWithTruth(fr.Image, win, approxcache.LabelOf(fr.Class)); err != nil {
-						errs[s] = fmt.Errorf("session %d frame %d: %w", s, fr.Index, err)
-						return
-					}
-				}
-			}(s)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
-		wall := time.Since(start)
-		fmt.Printf("run: %d sessions × %d frames in %v wall time (%.1f frames/sec)\n",
-			p.sessions, total, wall.Round(time.Millisecond),
-			float64(p.sessions*total)/wall.Seconds())
-	}
-
-	printStats(front, client)
-	printServingStats(pool)
-	if p.serve {
-		fmt.Println("serving peers; ctrl-c to exit")
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		<-sig
-	}
-	if p.snapshot != "" {
-		if serr := front.SaveSnapshotFile(p.snapshot); serr != nil {
-			return fmt.Errorf("save snapshot: %w", serr)
-		}
-		fmt.Printf("saved %d entries to %s\n", front.Len(), p.snapshot)
-	}
-	return nil
 }
 
 // printServingStats reports the multi-session layers: the
@@ -405,20 +304,6 @@ func printStats(cache *approxcache.Cache, client *approxcache.PeerClient) {
 		ss.SavedTotal.Round(time.Millisecond))
 }
 
-func profileByName(name string) (approxcache.ModelProfile, error) {
-	for _, p := range []approxcache.ModelProfile{
-		approxcache.MobileNetV2,
-		approxcache.SqueezeNet,
-		approxcache.InceptionV3,
-		approxcache.ResNet50,
-	} {
-		if p.Name == name {
-			return p, nil
-		}
-	}
-	return approxcache.ModelProfile{}, fmt.Errorf("unknown model %q", name)
-}
-
 func sortedFaultKinds(m map[string]int) []string {
 	kinds := make([]string, 0, len(m))
 	for k := range m {
@@ -426,18 +311,4 @@ func sortedFaultKinds(m map[string]int) []string {
 	}
 	sort.Strings(kinds)
 	return kinds
-}
-
-func splitComma(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == ',' {
-			if i > start {
-				out = append(out, s[start:i])
-			}
-			start = i + 1
-		}
-	}
-	return out
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"reflect"
 	"strings"
@@ -8,42 +9,6 @@ import (
 
 	"approxcache"
 )
-
-func TestSplitComma(t *testing.T) {
-	tests := []struct {
-		in   string
-		want []string
-	}{
-		{"", nil},
-		{"a", []string{"a"}},
-		{"a,b", []string{"a", "b"}},
-		{"a,,b,", []string{"a", "b"}},
-		{",x", []string{"x"}},
-	}
-	for _, tt := range tests {
-		got := splitComma(tt.in)
-		if len(got) != len(tt.want) {
-			t.Fatalf("splitComma(%q) = %v, want %v", tt.in, got, tt.want)
-		}
-		for i := range got {
-			if got[i] != tt.want[i] {
-				t.Fatalf("splitComma(%q) = %v, want %v", tt.in, got, tt.want)
-			}
-		}
-	}
-}
-
-func TestProfileByName(t *testing.T) {
-	for _, name := range []string{"mobilenet-v2", "squeezenet", "inception-v3", "resnet-50"} {
-		p, err := profileByName(name)
-		if err != nil || p.Name != name {
-			t.Fatalf("%s: %+v, %v", name, p, err)
-		}
-	}
-	if _, err := profileByName("gpt-4"); err == nil {
-		t.Fatal("unknown model accepted")
-	}
-}
 
 func TestRunBadModel(t *testing.T) {
 	if err := run([]string{"-model", "nope"}); err == nil {
@@ -75,6 +40,46 @@ func TestRunBadFlag(t *testing.T) {
 func TestRunStandalone(t *testing.T) {
 	if err := run([]string{"-frames", "40", "-warm", "20", "-addr", "127.0.0.1:0"}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// captureStdout returns what fn printed to os.Stdout, and fn's error.
+func captureStdout(t *testing.T, fn func() error) (string, error) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	printed := make(chan string)
+	go func() {
+		data, _ := io.ReadAll(r)
+		printed <- string(data)
+	}()
+	stdout := os.Stdout
+	os.Stdout = w
+	ferr := fn()
+	os.Stdout = stdout
+	w.Close()
+	return <-printed, ferr
+}
+
+// TestRunMultiSessionWarmup: every session replays its -warm frames
+// before the timed run, which counts only -frames, and both timing
+// lines show the wall time below a millisecond.
+func TestRunMultiSessionWarmup(t *testing.T) {
+	out, err := captureStdout(t, func() error {
+		return run([]string{"-sessions", "2", "-warm", "20", "-frames", "40", "-addr", "127.0.0.1:0"})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"\nwarmup: 2 sessions × 20 frames in ", "\nrun: 2 sessions × 40 frames in "} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output lacks %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, " in 0s wall time") {
+		t.Errorf("wall time rounded to zero:\n%s", out)
 	}
 }
 
@@ -120,8 +125,8 @@ func TestRunWithUnreachablePeer(t *testing.T) {
 }
 
 func TestRunMultiSessionWithUnreachablePeer(t *testing.T) {
-	// The pool path probes -peers too: a dead address must leave session
-	// 0 running local-only, not fail the node.
+	// With several sessions a dead address must leave session 0 running
+	// local-only too, not fail the node.
 	err := run([]string{
 		"-sessions", "2", "-frames", "30", "-addr", "127.0.0.1:0",
 		"-peers", "127.0.0.1:1",

@@ -1,6 +1,6 @@
-// Command tracegen generates workload trace specs as JSON and prints
-// ground-truth summaries, so experiment inputs can be inspected and
-// replayed bit-exactly.
+// Command tracegen prints workload trace specs as JSON, with
+// ground-truth summaries and rendered frames, so the inputs the
+// experiments generate can be inspected.
 //
 // Usage:
 //
@@ -37,26 +37,9 @@ func run(args []string) error {
 		summary = fs.Bool("summary", false, "generate the workload and print a ground-truth summary")
 		render  = fs.String("render", "", "render every Nth frame as PNG into this directory (single workload only)")
 		every   = fs.Int("every", 15, "frame stride for -render")
-		crowd   = fs.Int("crowd", 0, "emit a multi-device crowd scenario with this many devices instead of single workloads")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *crowd > 0 {
-		sc := trace.CrowdScenario(*crowd, *frames, *seed)
-		data, err := trace.EncodeScenario(sc)
-		if err != nil {
-			return err
-		}
-		if *out != "" {
-			if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s (%d bytes)\n", *out, len(data)+1)
-			return nil
-		}
-		fmt.Println(string(data))
-		return nil
 	}
 	specs, err := selectSpecs(*workload, *frames, *seed)
 	if err != nil {

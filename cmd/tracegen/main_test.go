@@ -89,24 +89,3 @@ func TestRunOutUnwritable(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 }
-
-func TestRunCrowdScenario(t *testing.T) {
-	if err := run([]string{"-crowd", "3", "-frames", "60"}); err != nil {
-		t.Fatal(err)
-	}
-	out := filepath.Join(t.TempDir(), "crowd.json")
-	if err := run([]string{"-crowd", "2", "-frames", "45", "-out", out}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc, err := trace.DecodeScenario(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sc.Devices) != 2 {
-		t.Fatalf("devices = %d", len(sc.Devices))
-	}
-}

@@ -6,7 +6,6 @@ package battery
 
 import (
 	"fmt"
-	"sync"
 	"time"
 )
 
@@ -78,51 +77,3 @@ func (p Profile) RuntimeOnCharge(energyPerFrameMJ float64, fps int) time.Duratio
 	frames := p.FramesOnCharge(energyPerFrameMJ)
 	return time.Duration(frames / float64(fps) * float64(time.Second))
 }
-
-// Meter tracks a live discharge. Meter is safe for concurrent use.
-type Meter struct {
-	profile Profile
-
-	mu      sync.Mutex
-	spentMJ float64
-}
-
-// NewMeter builds a discharge meter over profile.
-func NewMeter(profile Profile) (*Meter, error) {
-	if err := profile.Validate(); err != nil {
-		return nil, err
-	}
-	return &Meter{profile: profile}, nil
-}
-
-// Drain records spending mj millijoules. Negative values are ignored.
-func (m *Meter) Drain(mj float64) {
-	if mj <= 0 {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.spentMJ += mj
-}
-
-// SpentMJ returns the energy drained so far.
-func (m *Meter) SpentMJ() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.spentMJ
-}
-
-// Remaining returns the fraction of the recognition budget left,
-// clamped to [0, 1].
-func (m *Meter) Remaining() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	left := 1 - m.spentMJ/m.profile.BudgetMJ()
-	if left < 0 {
-		return 0
-	}
-	return left
-}
-
-// Empty reports whether the budget is exhausted.
-func (m *Meter) Empty() bool { return m.Remaining() == 0 }

@@ -2,9 +2,7 @@ package battery
 
 import (
 	"math"
-	"sync"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -50,76 +48,5 @@ func TestFramesAndRuntimeOnCharge(t *testing.T) {
 	}
 	if p.RuntimeOnCharge(100, 0) != 0 {
 		t.Fatal("zero fps should give zero runtime")
-	}
-}
-
-func TestMeterLifecycle(t *testing.T) {
-	if _, err := NewMeter(Profile{}); err == nil {
-		t.Fatal("bad profile accepted")
-	}
-	m, err := NewMeter(Profile{Name: "x", CapacityMAh: 1, VoltageV: 1, RecognitionShare: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Budget: 1 × 3.6 × 1 × 1000 = 3600 mJ.
-	if m.Remaining() != 1 || m.Empty() {
-		t.Fatal("fresh meter not full")
-	}
-	m.Drain(1800)
-	if got := m.Remaining(); math.Abs(got-0.5) > 1e-9 {
-		t.Fatalf("remaining = %v", got)
-	}
-	m.Drain(-50) // ignored
-	if m.SpentMJ() != 1800 {
-		t.Fatalf("spent = %v", m.SpentMJ())
-	}
-	m.Drain(1e9)
-	if !m.Empty() || m.Remaining() != 0 {
-		t.Fatal("overdrained meter not empty")
-	}
-}
-
-func TestMeterConcurrent(t *testing.T) {
-	m, err := NewMeter(TypicalPhone())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				m.Drain(1)
-			}
-		}()
-	}
-	wg.Wait()
-	if m.SpentMJ() != 8000 {
-		t.Fatalf("spent = %v", m.SpentMJ())
-	}
-}
-
-// Property: remaining is always in [0,1] and non-increasing under
-// drains.
-func TestMeterMonotoneProperty(t *testing.T) {
-	f := func(drains []float64) bool {
-		m, err := NewMeter(TypicalPhone())
-		if err != nil {
-			return false
-		}
-		prev := m.Remaining()
-		for _, d := range drains {
-			m.Drain(d)
-			cur := m.Remaining()
-			if cur < 0 || cur > 1 || cur > prev {
-				return false
-			}
-			prev = cur
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
 	}
 }

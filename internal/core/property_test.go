@@ -47,8 +47,8 @@ func replayWorkload(t *testing.T, cfg Config, spec trace.Spec, peers *p2p.Client
 		t.Fatal(err)
 	}
 	labels := make(map[string]bool)
-	for _, l := range classifier.Labels() {
-		labels[l] = true
+	for c := 0; c < w.Classes.NumClasses(); c++ {
+		labels[dnn.LabelOf(c)] = true
 	}
 	prev := time.Duration(0)
 	for _, fr := range w.Frames {

@@ -209,13 +209,6 @@ func LabelOf(c int) string { return fmt.Sprintf("class-%d", c) }
 // Profile returns the classifier's cost/quality profile.
 func (c *Classifier) Profile() Profile { return c.profile }
 
-// Labels returns the label vocabulary in class order.
-func (c *Classifier) Labels() []string {
-	out := make([]string, len(c.labels))
-	copy(out, c.labels)
-	return out
-}
-
 // Infer classifies im, simulating latency, energy, and top-1 error.
 // It performs real feature computation (so wall-clock benchmarks remain
 // meaningful) but reports the profile's simulated cost, which callers

@@ -75,30 +75,6 @@ func TestNewClassifierValidation(t *testing.T) {
 	}
 }
 
-func TestLabels(t *testing.T) {
-	cs := testClasses(t)
-	c, err := NewClassifier(MobileNetV2, cs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	labels := c.Labels()
-	if len(labels) != 6 {
-		t.Fatalf("labels = %v", labels)
-	}
-	for i, l := range labels {
-		if l != LabelOf(i) {
-			t.Fatalf("label %d = %q", i, l)
-		}
-		if !strings.HasPrefix(l, "class-") {
-			t.Fatalf("unexpected label form %q", l)
-		}
-	}
-	labels[0] = "mutated"
-	if c.Labels()[0] == "mutated" {
-		t.Fatal("Labels exposes internal slice")
-	}
-}
-
 func TestInferNilImage(t *testing.T) {
 	cs := testClasses(t)
 	c, err := NewClassifier(MobileNetV2, cs, 1)

@@ -12,6 +12,9 @@ import (
 
 func tinyScale() Scale { return Scale{Frames: 200, Seed: 42} }
 
+// smallScale is approxbench -frames 300.
+func smallScale() Scale { return Scale{Frames: 300, Seed: 42} }
+
 // parsePct converts a rendered "93.4%" cell back to a float.
 func parsePct(t *testing.T, cell string) float64 {
 	t.Helper()
@@ -39,7 +42,7 @@ func TestScaleValidate(t *testing.T) {
 	if err := DefaultScale().validate(); err != nil {
 		t.Fatal(err)
 	}
-	if err := SmallScale().validate(); err != nil {
+	if err := smallScale().validate(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -172,31 +175,6 @@ func TestRunGroupPeersHelp(t *testing.T) {
 	}
 	if totalPeerTraffic == 0 {
 		t.Fatal("no peer queries in a group run")
-	}
-}
-
-func TestRunScenario(t *testing.T) {
-	sc := trace.CrowdScenario(3, 90, 5)
-	group, err := RunScenario(sc, core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(group) != 3 {
-		t.Fatalf("group = %d devices", len(group))
-	}
-	queries := 0
-	for name, stats := range group {
-		if stats.Frames() != 90 {
-			t.Fatalf("%s frames = %d", name, stats.Frames())
-		}
-		q, _ := stats.PeerQueries()
-		queries += q
-	}
-	if queries == 0 {
-		t.Fatal("scenario produced no peer traffic")
-	}
-	if _, err := RunScenario(trace.Scenario{}, core.DefaultConfig()); err == nil {
-		t.Fatal("invalid scenario accepted")
 	}
 }
 

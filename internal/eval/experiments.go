@@ -3,7 +3,6 @@ package eval
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"approxcache/internal/cachestore"
 	"approxcache/internal/core"
@@ -15,8 +14,8 @@ import (
 	"approxcache/internal/trace"
 )
 
-// Scale controls experiment size so the same code serves the CLI
-// (full) and the benchmarks (small).
+// Scale controls experiment size so the same code serves the CLI at
+// full size and tests at small ones.
 type Scale struct {
 	// Frames is the per-device workload length.
 	Frames int
@@ -31,9 +30,6 @@ type Scale struct {
 
 // DefaultScale is the size used by cmd/approxbench.
 func DefaultScale() Scale { return Scale{Frames: 2000, Seed: 42} }
-
-// SmallScale is a fast size for tests and benchmarks.
-func SmallScale() Scale { return Scale{Frames: 300, Seed: 42} }
 
 func (s Scale) validate() error {
 	if s.Frames <= 0 {
@@ -70,7 +66,7 @@ func All() []Experiment {
 		{ID: "E4", Name: "peer-sweep", Run: E4PeerSweep},
 		{ID: "E5", Name: "capacity-sweep", Run: E5CapacitySweep},
 		{ID: "E6", Name: "energy", Run: E6Energy},
-		{ID: "E7", Name: "lsh-ablation", Run: E7LSHAblation, WallClock: true},
+		{ID: "E7", Name: "lsh-ablation", Run: E7LSHAblation},
 		{ID: "E8", Name: "motion-gate", Run: E8MotionGate},
 		// E9 (adaptive-lsh) is retired; IDs are not renumbered.
 		{ID: "E10", Name: "model-sweep", Run: E10ModelSweep},
@@ -387,7 +383,7 @@ func E6Energy(s Scale) (Report, error) {
 }
 
 // E7LSHAblation grades the LSH index design: recall against exact
-// search, candidate-set size, and measured lookup time.
+// search and candidate-set size.
 func E7LSHAblation(s Scale) (Report, error) {
 	const dim, queries = 80, 200
 	items := min(s.Frames, 5000) // index size scales with the experiment
@@ -414,33 +410,35 @@ func E7LSHAblation(s Scale) (Report, error) {
 	report := Report{
 		ID:      "E7",
 		Title:   "LSH design ablation (recall@1 vs exact search, clustered 80-d vectors)",
-		Headers: []string{"bits", "tables", "recall@1", "mean-candidates", "lookup"},
+		Headers: []string{"bits", "tables", "recall@1", "mean-candidates"},
 		Notes: []string{
-			"more tables recover recall lost to narrower buckets; lookup time tracks candidate volume",
+			"more tables recover recall lost to narrower buckets; lookup cost tracks candidate volume (E22 and HotPathNearest time it)",
 		},
 	}
-	// This grid stays serial even when Scale.Workers allows more: the
-	// lookup column is a wall-clock measurement, and concurrent sweep
-	// points would contend for cores and skew it.
-	for _, bits := range []int{8, 12, 16, 20} {
-		for _, tables := range []int{1, 2, 4, 8} {
-			idx, err := lsh.NewHyperplane(dim, bits, tables, s.Seed)
-			if err != nil {
-				return Report{}, err
-			}
-			recall, cands, elapsed, err := probe(idx, vecs, qs, truth)
-			if err != nil {
-				return Report{}, err
-			}
-			report.Rows = append(report.Rows, []string{
-				fmt.Sprintf("%d", bits),
-				fmt.Sprintf("%d", tables),
-				fmtPct(recall),
-				fmtF(cands),
-				fmt.Sprintf("%.1fµs", float64(elapsed/queries)/float64(time.Microsecond)),
-			})
+	bitsGrid, tablesGrid := []int{8, 12, 16, 20}, []int{1, 2, 4, 8}
+	rows := make([][]string, len(bitsGrid)*len(tablesGrid))
+	err = parallelEach(len(rows), s.workers(), func(i int) error {
+		bits, tables := bitsGrid[i/len(tablesGrid)], tablesGrid[i%len(tablesGrid)]
+		idx, err := lsh.NewHyperplane(dim, bits, tables, s.Seed)
+		if err != nil {
+			return err
 		}
+		recall, cands, err := probe(idx, vecs, qs, truth)
+		if err != nil {
+			return err
+		}
+		rows[i] = []string{
+			fmt.Sprintf("%d", bits),
+			fmt.Sprintf("%d", tables),
+			fmtPct(recall),
+			fmtF(cands),
+		}
+		return nil
+	})
+	if err != nil {
+		return Report{}, err
 	}
+	report.Rows = rows
 	return report, nil
 }
 
@@ -550,31 +548,29 @@ type candIndex interface {
 }
 
 // probe loads vecs into idx (IDs are positions), then asks it every
-// query: it returns recall@1 against truth, the mean candidate-set size
-// and the wall time of the query loop.
-func probe(idx candIndex, vecs, queries []feature.Vector, truth [][]lsh.ID) (recall, cands float64, elapsed time.Duration, err error) {
+// query: it returns recall@1 against truth and the mean candidate-set
+// size.
+func probe(idx candIndex, vecs, queries []feature.Vector, truth [][]lsh.ID) (recall, cands float64, err error) {
 	for i, v := range vecs {
 		if err := idx.Insert(lsh.ID(i), v); err != nil {
-			return 0, 0, 0, err
+			return 0, 0, err
 		}
 	}
 	hits, total := 0, 0
-	start := time.Now()
 	for i, q := range queries {
 		cs, err := idx.Candidates(q)
 		if err != nil {
-			return 0, 0, 0, err
+			return 0, 0, err
 		}
 		total += len(cs)
 		ns, err := idx.Nearest(q, 1)
 		if err != nil {
-			return 0, 0, 0, err
+			return 0, 0, err
 		}
 		if len(ns) > 0 && ns[0].ID == truth[i][0] {
 			hits++
 		}
 	}
-	elapsed = time.Since(start)
 	n := float64(len(queries))
-	return float64(hits) / n, float64(total) / n, elapsed, nil
+	return float64(hits) / n, float64(total) / n, nil
 }

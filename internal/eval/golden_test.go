@@ -13,12 +13,17 @@ import (
 // the byte; re-record a digest only by running this file at the commit
 // before a change that means to move it, never by pasting the new hash.
 //
-// The wall-clock experiments (E7, E20, E21, E22) are not pinned: their
+// The wall-clock experiments (E20, E21, E22) are not pinned: their
 // tables carry elapsed time. E16 and E25 are: the digest epochs their
 // peers serve carry the process-wide service generation, whose varint
 // width changes at the 8th and the 1 024th service a process builds,
 // and by E16 this run (alone or after the whole package) is always past
 // the first step and far short of the second.
+//
+// E7 is pinned since it lost its lookup-time column. Its digest was
+// recorded from the new table once its recall@1 and mean-candidates
+// columns had matched the previous table's byte for byte at tinyScale,
+// smallScale and DefaultScale.
 var parentGolden = map[string]string{
 	"E1":  "7cf46084a15cd4b3383f39a037e6a41cbb1c995ba43ed213953060937dcecd24",
 	"E2":  "cf7ca93c6bb09b84d54aaa5359415f1cb87876278d3b83a43bd5856b48196a21",
@@ -26,6 +31,7 @@ var parentGolden = map[string]string{
 	"E4":  "7f23212a02e8ba3b8646f519a88b67fc6bfe79908631945c3c5213ec4cb0b8cb",
 	"E5":  "42677e2eba2becb36890235f0258e8f16cfbb574799b0f39e2000b43d8c6e2ef",
 	"E6":  "ae44abe22a09809d435445deefcfdd9b6697eecc3ce3e77844490219e4fe3524",
+	"E7":  "ff3698e70e0b4baebdcebb8f17361cf40dad35757293fbe5bfdfc3949527949d",
 	"E8":  "2dff83d789e1b623f7e09ea0e712388af47c3c9a69d8ca9fcd201f2bd1375dfa",
 	"E10": "a03d16d5583f4dfde9c7b2f41b456cc5cd590ffcb32bb471ac824365f448e230",
 	"E11": "3e3347b5e22d84bc0b0b8cef10ecf123b56bbdc59b7523600d71bfc866d20faf",
@@ -41,7 +47,7 @@ var parentGolden = map[string]string{
 	"E25": "19c0bfbe0427188a1b34d792896363bfe262d569bdbe1ad2b0fa1b1e81477cc0",
 }
 
-// parentGoldenE18Small is E18's table at SmallScale, recorded the same
+// parentGoldenE18Small is E18's table at smallScale, recorded the same
 // way. At 300 frames some frames overrun the next one's arrival, so the
 // phase a frame is windowed into depends on the clock it starts at, not
 // only on its arrival offset; tinyScale never shows the difference.
@@ -65,9 +71,9 @@ func TestSimulatedReportsMatchParentGolden(t *testing.T) {
 		}
 		check(e.ID, r, parentGolden[e.ID])
 	}
-	r, err := E18ChaosResilience(SmallScale())
+	r, err := E18ChaosResilience(smallScale())
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("E18 at SmallScale", r, parentGoldenE18Small)
+	check("E18 at smallScale", r, parentGoldenE18Small)
 }

@@ -39,7 +39,7 @@ import (
 
 // Overload mode names, in report order.
 const (
-	OverloadResilient   = "resilient"
+	overloadResilient   = "resilient"
 	overloadUnprotected = "unprotected"
 )
 
@@ -167,7 +167,7 @@ func (sw *overloadSweep) node(mode string) (*device, *dnn.Batcher, error) {
 	ecfg := servingEngineConfig()
 	bcfg := overloadBatcher
 	switch mode {
-	case OverloadResilient:
+	case overloadResilient:
 		ecfg.RequestDeadline = overloadDeadline
 		ecfg.Admission = true
 	case overloadUnprotected:
@@ -348,14 +348,14 @@ func runOverload(s Scale) (OverloadReport, error) {
 		CapacityRPS: capacity,
 	}
 	maxLoad := overloadLoads[len(overloadLoads)-1]
-	for _, mode := range []string{OverloadResilient, overloadUnprotected} {
+	for _, mode := range []string{overloadResilient, overloadUnprotected} {
 		for _, load := range overloadLoads {
 			pt, err := sw.point(mode, load, capacity)
 			if err != nil {
 				return OverloadReport{}, fmt.Errorf("%s ×%g: %w", mode, load, err)
 			}
 			rep.Points = append(rep.Points, pt)
-			if mode == OverloadResilient {
+			if mode == overloadResilient {
 				rep.PeakGoodput = max(rep.PeakGoodput, pt.GoodputRPS)
 				if load == maxLoad {
 					rep.GoodputAtMax = pt.GoodputRPS

@@ -33,7 +33,7 @@ func TestE21Small(t *testing.T) {
 	if testing.Short() {
 		t.Skip("E21 offers real wall-clock load")
 	}
-	rep, err := E21Overload(SmallScale())
+	rep, err := E21Overload(smallScale())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestE21Small(t *testing.T) {
 		t.Fatalf("notes missing retention: %v", rep.Notes)
 	}
 	for _, row := range rep.Rows {
-		if row[0] != OverloadResilient && row[0] != overloadUnprotected {
+		if row[0] != overloadResilient && row[0] != overloadUnprotected {
 			t.Fatalf("unknown mode in row: %v", row)
 		}
 	}

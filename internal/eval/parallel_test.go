@@ -146,7 +146,7 @@ func TestWallClockExperimentsRunAlone(t *testing.T) {
 			t.Fatalf("report %d is %q, want %q (input order)", i, r.ID, exps[i].ID)
 		}
 	}
-	for _, id := range []string{"E7", "E20", "E21", "E22"} {
+	for _, id := range []string{"E20", "E21", "E22"} {
 		if e, err := ByID(id); err != nil || !e.WallClock {
 			t.Fatalf("%s not marked wall-clock (err %v)", id, err)
 		}

@@ -41,9 +41,9 @@ import (
 
 // Quality run names, in report order.
 const (
-	QualityBaseline    = "baseline"
+	qualityBaseline    = "baseline"
 	qualityUnprotected = "unprotected"
-	QualityProtected   = "protected"
+	qualityProtected   = "protected"
 )
 
 // The drift benchmark's shape. It runs qualityFrames frames (600 at a
@@ -187,10 +187,10 @@ func runQualityNode(frames int, seed int64, drift, protect bool) (QualityRun, er
 	}
 	dev.engine.DrainAudits()
 
-	run := QualityRun{Name: QualityBaseline, Frames: frames}
+	run := QualityRun{Name: qualityBaseline, Frames: frames}
 	switch {
 	case drift && protect:
-		run.Name = QualityProtected
+		run.Name = qualityProtected
 	case drift:
 		run.Name = qualityUnprotected
 	}
@@ -228,9 +228,9 @@ func runQuality(s Scale) (QualityReport, error) {
 		}
 		rep.Runs = append(rep.Runs, run)
 		switch run.Name {
-		case QualityBaseline:
+		case qualityBaseline:
 			base = run
-		case QualityProtected:
+		case qualityProtected:
 			prot = run
 		case qualityUnprotected:
 			rep.UnprotectedAccuracy = run.TailAccuracy

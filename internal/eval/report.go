@@ -3,8 +3,7 @@
 // DESIGN.md), runs them on virtual clocks (real ones for the serving
 // and lookup benchmarks), and renders the tables and series the
 // evaluation reports. Every experiment takes a Scale and nothing else.
-// cmd/approxbench is its CLI front end and bench_test.go its testing.B
-// front end.
+// cmd/approxbench is its one front end.
 package eval
 
 import (

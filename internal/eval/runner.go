@@ -9,7 +9,6 @@ import (
 	"approxcache/internal/dnn"
 	"approxcache/internal/imu"
 	"approxcache/internal/lsh"
-	"approxcache/internal/metrics"
 	"approxcache/internal/p2p"
 	"approxcache/internal/simclock"
 	"approxcache/internal/simnet"
@@ -312,31 +311,4 @@ func crowd(spec trace.Spec, classSeed int64, n int, name string, helper func(i i
 		cfgs = append(cfgs, deviceConfig{Name: h.Name, Spec: h, Engine: engine, Seed: s.Seed + seedOff + int64(i)})
 	}
 	return cfgs
-}
-
-// RunScenario replays a serialized multi-device scenario with every
-// device running the same engine configuration.
-func RunScenario(sc trace.Scenario, engine core.Config) (map[string]*metrics.SessionStats, error) {
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	specs := sc.DeviceSpecs()
-	cfgs := make([]deviceConfig, 0, len(specs))
-	for i, spec := range specs {
-		cfgs = append(cfgs, deviceConfig{
-			Name:   spec.Name,
-			Spec:   spec,
-			Engine: engine,
-			Seed:   spec.Seed + int64(i),
-		})
-	}
-	devices, err := runGroup(cfgs, sc.NetSeed, simnet.DefaultLinkProfile())
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]*metrics.SessionStats, len(devices))
-	for _, dev := range devices {
-		out[dev.name] = dev.engine.Stats()
-	}
-	return out, nil
 }

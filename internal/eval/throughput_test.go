@@ -9,10 +9,10 @@ import (
 // smallE20 runs E20 once at small scale for every test that reads it:
 // the run sleeps real accelerator occupancy, which makes it the slowest
 // in the package.
-var smallE20 = sync.OnceValues(func() (Report, error) { return E20Throughput(SmallScale()) })
+var smallE20 = sync.OnceValues(func() (Report, error) { return E20Throughput(smallScale()) })
 
 func TestThroughputModeUnknown(t *testing.T) {
-	if _, err := runThroughputMode(SmallScale(), "warp-drive"); err == nil {
+	if _, err := runThroughputMode(smallScale(), "warp-drive"); err == nil {
 		t.Fatal("unknown mode accepted")
 	}
 }
@@ -38,7 +38,7 @@ func smallE20Report(t *testing.T) ThroughputReport {
 // ran, the speedup, and one result per mode, in order.
 func TestThroughputReport(t *testing.T) {
 	rep := smallE20Report(t)
-	streams, frames := throughputShape(SmallScale())
+	streams, frames := throughputShape(smallScale())
 	if rep.Streams != streams || rep.Frames != frames || rep.MaxBatch != throughputBatcher.MaxBatch {
 		t.Fatalf("report header wrong: %+v", rep)
 	}
@@ -61,7 +61,7 @@ func TestThroughputReport(t *testing.T) {
 // only the batched mode carries batcher stats.
 func TestThroughputModesRun(t *testing.T) {
 	rep := smallE20Report(t)
-	streams, frames := throughputShape(SmallScale())
+	streams, frames := throughputShape(smallScale())
 	if len(rep.Results) == 0 {
 		t.Fatal("no mode results")
 	}

@@ -81,14 +81,6 @@ type GridExtractor struct {
 
 var _ IntoExtractor = GridExtractor{}
 
-// NewGridExtractor returns a grid extractor, validating the grid shape.
-func NewGridExtractor(cols, rows int) (GridExtractor, error) {
-	if cols <= 0 || rows <= 0 {
-		return GridExtractor{}, fmt.Errorf("feature: grid must be positive, got %dx%d", cols, rows)
-	}
-	return GridExtractor{Cols: cols, Rows: rows}, nil
-}
-
 // Dim returns Cols*Rows.
 func (g GridExtractor) Dim() int { return g.Cols * g.Rows }
 
@@ -96,6 +88,9 @@ func (g GridExtractor) Dim() int { return g.Cols * g.Rows }
 func (g GridExtractor) Name() string { return fmt.Sprintf("grid%dx%d", g.Cols, g.Rows) }
 
 func (g GridExtractor) validate(im *vision.Image) error {
+	if g.Cols <= 0 || g.Rows <= 0 {
+		return fmt.Errorf("feature: grid must be positive, got %dx%d", g.Cols, g.Rows)
+	}
 	if im.W < g.Cols || im.H < g.Rows {
 		return fmt.Errorf("feature: image %dx%d smaller than grid %dx%d",
 			im.W, im.H, g.Cols, g.Rows)
@@ -146,14 +141,6 @@ type HistogramExtractor struct {
 
 var _ IntoExtractor = HistogramExtractor{}
 
-// NewHistogramExtractor returns a histogram extractor with bins buckets.
-func NewHistogramExtractor(bins int) (HistogramExtractor, error) {
-	if bins <= 0 {
-		return HistogramExtractor{}, fmt.Errorf("feature: bins must be positive, got %d", bins)
-	}
-	return HistogramExtractor{Bins: bins}, nil
-}
-
 // Dim returns the number of bins.
 func (h HistogramExtractor) Dim() int { return h.Bins }
 
@@ -186,6 +173,9 @@ const intCountBins = 256
 
 // ExtractInto computes the histogram into dst.
 func (h HistogramExtractor) ExtractInto(im *vision.Image, dst Vector) (Vector, error) {
+	if h.Bins <= 0 {
+		return nil, fmt.Errorf("feature: bins must be positive, got %d", h.Bins)
+	}
 	if len(im.Pix) == 0 {
 		return nil, fmt.Errorf("feature: empty image")
 	}

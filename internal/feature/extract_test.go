@@ -17,14 +17,15 @@ func testClassSet(t *testing.T) *vision.ClassSet {
 }
 
 func TestGridExtractorValidation(t *testing.T) {
-	if _, err := NewGridExtractor(0, 8); err == nil {
+	im := vision.NewImage(16, 16)
+	if _, err := (GridExtractor{Cols: 0, Rows: 8}).Extract(im); err == nil {
 		t.Fatal("zero cols should error")
 	}
-	if _, err := NewGridExtractor(8, -1); err == nil {
+	if _, err := (GridExtractor{Cols: 8, Rows: -1}).Extract(im); err == nil {
 		t.Fatal("negative rows should error")
 	}
-	g, err := NewGridExtractor(8, 8)
-	if err != nil {
+	g := GridExtractor{Cols: 8, Rows: 8}
+	if _, err := g.Extract(im); err != nil {
 		t.Fatal(err)
 	}
 	if g.Dim() != 64 {
@@ -82,14 +83,11 @@ func TestGridExtractorNonDivisibleSize(t *testing.T) {
 }
 
 func TestHistogramExtractor(t *testing.T) {
-	if _, err := NewHistogramExtractor(0); err == nil {
+	im := vision.NewImage(2, 2)
+	if _, err := (HistogramExtractor{}).Extract(im); err == nil {
 		t.Fatal("zero bins should error")
 	}
-	h, err := NewHistogramExtractor(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	im := vision.NewImage(2, 2)
+	h := HistogramExtractor{Bins: 4}
 	im.Pix = []float64{0.1, 0.3, 0.6, 1.0} // bins 0,1,2,3 (1.0 clamps to last)
 	v, err := h.Extract(im)
 	if err != nil {

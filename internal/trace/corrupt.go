@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"approxcache/internal/imu"
-	"approxcache/internal/video"
 	"approxcache/internal/vision"
 )
 
@@ -132,31 +131,6 @@ func (f FrameFault) String() string {
 	default:
 		return fmt.Sprintf("FrameFault(%d)", int(f))
 	}
-}
-
-// SwapScenes returns a copy of w in which, from frame index fromFrame
-// onward, the true class behind every scene is rotated by shift (mod
-// the workload's class count) while the rendered images stay exactly
-// as they were. This is world drift as the cache experiences it: the
-// same-looking scenes silently change meaning, so every result cached
-// before the swap is wrong afterwards — and nothing on the device
-// errors, slows down, or looks different. The input workload is never
-// mutated (frame records are copied; immutable images are shared).
-func SwapScenes(w *Workload, fromFrame, shift int) *Workload {
-	out := &Workload{Spec: w.Spec, Classes: w.Classes, IMU: w.IMU}
-	out.Frames = make([]video.Frame, len(w.Frames))
-	copy(out.Frames, w.Frames)
-	n := w.Spec.NumClasses
-	if n <= 0 {
-		return out
-	}
-	for i := range out.Frames {
-		if out.Frames[i].Index < fromFrame {
-			continue
-		}
-		out.Frames[i].Class = ((out.Frames[i].Class+shift)%n + n) % n
-	}
-	return out
 }
 
 // CorruptFrame returns a corrupted copy of im under fault.

@@ -1,9 +1,16 @@
 package approxcache
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
+	"path"
+	"path/filepath"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -77,4 +84,123 @@ func setDiff(a, b []string) []string {
 		}
 	}
 	return out
+}
+
+// TestExportCensus lists every exported top-level func of the internal
+// packages that no non-test Go file references — in this module or in
+// the benchmark harness under benchmarks/ — and compares the list with
+// testdata/knobs/test-only-funcs.txt, so that an export only tests call
+// is a deliberate, reviewed edit of that file. Methods are out of
+// scope: they may exist to satisfy an interface.
+func TestExportCensus(t *testing.T) {
+	const file = "testdata/knobs/test-only-funcs.txt"
+	data, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, line := range strings.Split(string(data), "\n") {
+		fields := strings.Fields(line)
+		if len(fields) == 0 {
+			continue
+		}
+		if len(fields) < 2 {
+			t.Errorf("%s: %q gives no reason it stays", file, fields[0])
+		}
+		want = append(want, fields[0])
+	}
+	got, err := testOnlyFuncs(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if missing, extra := setDiff(want, got), setDiff(got, want); len(missing)+len(extra) > 0 {
+		t.Errorf("%d exported funcs have no non-test caller, %s lists %d\n  now called or gone: %v\n  new:  %v",
+			len(got), file, len(want), missing, extra)
+	}
+}
+
+// testOnlyFuncs parses every non-test Go file under root and returns,
+// sorted, the exported top-level funcs of root/internal/* ("pkg.Name")
+// that no such file references: by import path and name from another
+// package, by bare name from its own.
+func testOnlyFuncs(root string) ([]string, error) {
+	const prefix = "approxcache/internal/"
+	defined := map[string]bool{}
+	used := map[string]bool{}
+	err := filepath.WalkDir(root, func(file string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); file != root && (name == "testdata" || strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(file, ".go") || strings.HasSuffix(file, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, filepath.Dir(file))
+		if err != nil {
+			return err
+		}
+		pkg, internal := strings.CutPrefix(filepath.ToSlash(rel), "internal/")
+		if !internal {
+			pkg = "" // bare names outside internal/* name no internal func
+		}
+		imports := map[string]string{} // local name → internal package
+		for _, imp := range f.Imports {
+			p, _ := strconv.Unquote(imp.Path.Value)
+			if ipkg, ok := strings.CutPrefix(p, prefix); ok {
+				name := path.Base(p)
+				if imp.Name != nil {
+					name = imp.Name.Name
+				}
+				imports[name] = ipkg
+			}
+		}
+		var visit func(n ast.Node) bool
+		visit = func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl: // its name is a definition, not a use
+				if n.Recv == nil && n.Name.IsExported() && pkg != "" {
+					defined[pkg+"."+n.Name.Name] = true
+				}
+				if n.Recv != nil {
+					ast.Inspect(n.Recv, visit)
+				}
+				ast.Inspect(n.Type, visit)
+				if n.Body != nil {
+					ast.Inspect(n.Body, visit)
+				}
+				return false
+			case *ast.SelectorExpr: // Sel is a member, never a bare func
+				if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
+					used[imports[x.Name]+"."+n.Sel.Name] = true
+					return false
+				}
+				ast.Inspect(n.X, visit)
+				return false
+			case *ast.Ident:
+				if pkg != "" {
+					used[pkg+"."+n.Name] = true
+				}
+			}
+			return true
+		}
+		ast.Inspect(f, visit)
+		return nil
+	})
+	var out []string
+	for name := range defined {
+		if !used[name] {
+			out = append(out, name)
+		}
+	}
+	sort.Strings(out)
+	return out, err
 }
