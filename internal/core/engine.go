@@ -554,20 +554,10 @@ func (e *Engine) guardFrame(im *vision.Image, th *vision.Thumb) (frameOK bool, e
 	return false, nil
 }
 
-// exactHashLevels quantizes pixels before hashing so that bit-identical
-// renders (and only those, in practice) collide.
-const exactHashLevels = 64
-
+// exactHash keys a frame by its bytes, so only bit-identical renders
+// collide.
 func exactHash(im *vision.Image) uint64 {
 	h := fnv.New64a()
-	var b [1]byte
-	for _, p := range im.Pix {
-		q := int(p * exactHashLevels)
-		if q >= exactHashLevels {
-			q = exactHashLevels - 1
-		}
-		b[0] = byte(q)
-		_, _ = h.Write(b[:])
-	}
+	_, _ = h.Write(im.Pix)
 	return h.Sum64()
 }

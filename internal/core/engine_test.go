@@ -199,7 +199,7 @@ func TestExactCacheHitsIdenticalFramesOnly(t *testing.T) {
 	}
 	// A perturbed frame of the same class misses the exact cache.
 	other := proto.Clone()
-	other.Pix[0] = 1 - other.Pix[0]
+	other.Pix[0] = vision.MaxLevel - other.Pix[0]
 	res3, err := f.engine.Process(other, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -8,7 +8,6 @@ package core
 
 import (
 	"errors"
-	"math"
 	"testing"
 	"time"
 
@@ -21,16 +20,10 @@ import (
 	"approxcache/internal/vision"
 )
 
-func nanFrame(im *vision.Image) *vision.Image {
-	bad := im.Clone()
-	bad.Pix[len(bad.Pix)/3] = math.NaN()
-	return bad
-}
-
-// TestLazyGuardMalformedFrames pins what a malformed frame meets: a bad
-// shape is refused whatever the device is doing; a non-finite pixel is
-// refused by whichever stage would read it — which is every frame except
-// one the inertial gate answers.
+// TestLazyGuardMalformedFrames pins what a faulty frame meets: a bad
+// shape is refused whatever the device is doing; a low-entropy frame is
+// flagged by whichever stage would read it — which is every frame except
+// one the inertial gate answers — and goes to the DNN alone.
 func TestLazyGuardMalformedFrames(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxReuseStreak = 4
@@ -39,7 +32,7 @@ func TestLazyGuardMalformedFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := nanFrame(proto)
+	flat := flatFrame(proto)
 	faults := func() map[string]int { return f.engine.Stats().SensorFaults() }
 	at := time.Duration(0)
 	step := func(im *vision.Image, moving bool) (Result, error) {
@@ -50,23 +43,19 @@ func TestLazyGuardMalformedFrames(t *testing.T) {
 		return f.engine.Process(im, stationaryWindow(at))
 	}
 
-	// First frame: nothing to reuse, so the frame is read.
-	if _, err := step(bad, false); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("NaN first frame: err = %v, want ErrBadFrame", err)
-	}
 	first, err := step(proto, false)
 	if err != nil || first.Source != metrics.SourceDNN {
 		t.Fatalf("clean first frame: %+v, %v", first, err)
 	}
 	// Device at rest: the inertial gate answers without reading the frame.
 	for i := 0; i < 2; i++ {
-		res, err := step(bad, false)
+		res, err := step(flat, false)
 		if err != nil || res.Source != metrics.SourceIMU || res.Label != first.Label {
-			t.Fatalf("NaN frame at rest: %+v, %v; want the last result from the inertial gate", res, err)
+			t.Fatalf("flat frame at rest: %+v, %v; want the last result from the inertial gate", res, err)
 		}
 	}
-	if got := faults(); got["frame-non-finite"] != 1 || len(got) != 1 {
-		t.Fatalf("faults after serving NaN frames at rest = %v, want the first frame's only", got)
+	if got := faults(); len(got) != 0 {
+		t.Fatalf("faults after serving flat frames at rest = %v, want none", got)
 	}
 	// A bad shape is refused even at rest.
 	for _, im := range []*vision.Image{
@@ -87,44 +76,43 @@ func TestLazyGuardMalformedFrames(t *testing.T) {
 			t.Fatalf("clean frame at rest: %+v, %v", res, err)
 		}
 	}
-	if _, err := step(bad, false); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("NaN frame on a forced revalidation: err = %v, want ErrBadFrame", err)
+	if res, err := step(flat, false); err != nil || res.Source != metrics.SourceDNN {
+		t.Fatalf("flat frame on a forced revalidation: %+v, %v; want the DNN", res, err)
 	}
-	if res, err := step(proto, false); err != nil || res.Source != metrics.SourceDNN {
-		t.Fatalf("revalidation after the refused frame: %+v, %v", res, err)
+	if got := faults()["frame-low-entropy"]; got != 1 {
+		t.Fatalf("frame-low-entropy = %d after the revalidation, want 1", got)
 	}
 	// Device moving: the inertial gate passes, the next stage reads.
-	if _, err := step(bad, true); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("NaN frame while moving: err = %v, want ErrBadFrame", err)
+	if res, err := step(flat, true); err != nil || res.Source != metrics.SourceDNN {
+		t.Fatalf("flat frame while moving: %+v, %v; want the DNN", res, err)
 	}
-	if got := faults()["frame-non-finite"]; got != 3 {
-		t.Fatalf("frame-non-finite = %d, want 3", got)
+	if got := faults()["frame-low-entropy"]; got != 2 {
+		t.Fatalf("frame-low-entropy = %d, want 2", got)
 	}
-	if got, want := f.engine.Stats().Frames(), 6; got != want {
+	if got, want := f.engine.Stats().Frames(), 7; got != want {
 		t.Fatalf("frames observed = %d, want %d (refused frames are not served)", got, want)
 	}
 }
 
-// guardedClassifier fails the test when it is handed a frame with a
-// non-finite pixel: whatever reaches the classifier — serving or audit —
-// must have been through the frame guard.
+// guardedClassifier fails the test when it is handed a low-entropy
+// frame: in TestIMUServedFramesAreNeverRead such frames reach the engine
+// only where the inertial gate serves them, so whatever reaches the
+// classifier — serving or audit — must have been through the frame guard
+// and passed it.
 type guardedClassifier struct {
 	Classifier
 	t *testing.T
 }
 
 func (g guardedClassifier) Infer(im *vision.Image) (dnn.Inference, error) {
-	for _, p := range im.Pix {
-		if math.IsNaN(p) || math.IsInf(p, 0) {
-			g.t.Error("an unguarded frame reached the classifier")
-			break
-		}
+	if vision.CheckFrame(im, vision.DefaultFrameGuardConfig()) != vision.FrameOK {
+		g.t.Error("an unguarded frame reached the classifier")
 	}
 	return g.Classifier.Infer(im)
 }
 
 // TestIMUServedFramesAreNeverRead replays a mostly-stationary trace with
-// the pixels of every frame the inertial gate served replaced by NaN.
+// every frame the inertial gate served replaced by a flat one.
 // Nothing may change: same results, no fault — except where an audit was
 // sampled onto such a frame, which must guard it, count the fault and
 // skip, handing the classifier nothing.
@@ -158,10 +146,7 @@ func TestIMUServedFramesAreNeverRead(t *testing.T) {
 		for i, fr := range frames {
 			im := fr.img
 			if poison[i] {
-				im = vision.NewImage(im.W, im.H)
-				for j := range im.Pix {
-					im.Pix[j] = math.NaN()
-				}
+				im = flatFrame(im)
 			}
 			if results[i], err = eng.Process(im, fr.win); err != nil {
 				t.Fatalf("frame %d (poisoned=%v): %v", i, poison[i], err)
@@ -194,7 +179,7 @@ func TestIMUServedFramesAreNeverRead(t *testing.T) {
 	if skipped <= 0 {
 		t.Fatalf("no audit fell on a poisoned frame (%d audits clean, %d poisoned)", cleanAudits, audits)
 	}
-	if faults := stats.SensorFaults(); faults["frame-non-finite"] != skipped || len(faults) != 1 {
-		t.Fatalf("sensor faults %v, want frame-non-finite = %d skipped audits and nothing else", faults, skipped)
+	if faults := stats.SensorFaults(); faults["frame-low-entropy"] != skipped || len(faults) != 1 {
+		t.Fatalf("sensor faults %v, want frame-low-entropy = %d skipped audits and nothing else", faults, skipped)
 	}
 }

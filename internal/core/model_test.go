@@ -146,7 +146,7 @@ func modelGrid() []modelCell {
 // it or act beside the frame path.
 const (
 	opFrame      = iota // next frame, skipping arg%3 frames
-	opBadFrame          // next frame corrupted: NaN, black, flat, short buffer, nil
+	opBadFrame          // next frame corrupted: black, flat, short buffer, nil
 	opBadIMU            // next frame with its window stuck, non-monotonic, dropped out or non-finite
 	opAdvance           // clock jump past TTL or LastResultTTL
 	opClassifier        // classifier down, up, transient error, hang; limiter held
@@ -332,20 +332,18 @@ func (refExtractor) Extract(im *vision.Image) (feature.Vector, error) {
 		y0, y1 := gy*im.H/8, (gy+1)*im.H/8
 		for gx := 0; gx < 8; gx++ {
 			x0, x1 := gx*im.W/8, (gx+1)*im.W/8
-			var sum float64
+			var sum int
 			for y := y0; y < y1; y++ {
 				for x := x0; x < x1; x++ {
-					sum += im.Pix[y*im.W+x]
+					sum += int(im.Pix[y*im.W+x])
 				}
 			}
-			out[gy*8+gx] = sum / float64((y1-y0)*(x1-x0))
+			out[gy*8+gx] = float64(sum) / float64(vision.MaxLevel*(y1-y0)*(x1-x0))
 		}
 	}
 	for _, p := range im.Pix {
-		b := int(p * 16)
-		if b < 0 {
-			b = 0
-		} else if b > 15 {
+		b := int(p) * 16 / vision.MaxLevel
+		if b > 15 {
 			b = 15
 		}
 		out[64+b]++
@@ -952,20 +950,14 @@ func (h *modelHarness) step(i int, o modelOp) {
 		h.frame(i, o, h.input(arg%3))
 	case opBadFrame:
 		in := h.input(0)
-		kind := arg % 5
-		if kind == 0 && h.cfg.DisableSensorGuards {
-			kind = 2 // unguarded NaN pixels have no specified outcome
-		}
-		switch kind {
+		switch arg % 4 {
 		case 0:
-			in.img = trace.CorruptFrame(in.img, trace.FrameNonFinite, rand.New(rand.NewSource(int64(arg))))
+			in.img = trace.CorruptFrame(in.img, trace.FrameBlack)
 		case 1:
-			in.img = trace.CorruptFrame(in.img, trace.FrameBlack, nil)
+			in.img = trace.CorruptFrame(in.img, trace.FrameFlat)
 		case 2:
-			in.img = trace.CorruptFrame(in.img, trace.FrameFlat, nil)
-		case 3:
 			in.img = &vision.Image{W: in.img.W, H: in.img.H, Pix: in.img.Pix[:len(in.img.Pix)-1]}
-		case 4:
+		case 3:
 			in.img = nil
 		}
 		h.frame(i, o, in)

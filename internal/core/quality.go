@@ -259,11 +259,12 @@ const maxAuditIDs = 8
 // repair plus a forced revalidation. The classifier is called directly,
 // not through the watchdog: a discretionary audit's failures must not
 // trip the breaker that guards serving. An unguarded frame (see
-// maybeAudit) is guarded first; a broken one is counted and skipped.
+// maybeAudit) is guarded first; one without scene information is
+// counted and skipped, as the cache stages skip it.
 func (qc *qualityController) runAudit(e *Engine, im *vision.Image, guarded bool, served string, ids []lsh.ID, sampled bool) {
 	if !guarded {
 		var th vision.Thumb
-		if _, err := e.guardFrame(im, &th); err != nil {
+		if ok, _ := e.guardFrame(im, &th); !ok {
 			return
 		}
 	}

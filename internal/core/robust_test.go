@@ -76,10 +76,9 @@ func TestProcessTypedErrors(t *testing.T) {
 	if _, err := f.engine.Process(nil, stationaryWindow(0)); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("nil frame error = %v, want ErrBadFrame", err)
 	}
-	bad := proto.Clone()
-	bad.Pix[7] = math.NaN()
-	if _, err := f.engine.Process(bad, stationaryWindow(0)); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("NaN frame error = %v, want ErrBadFrame", err)
+	short := &vision.Image{W: proto.W, H: proto.H, Pix: proto.Pix[:7]}
+	if _, err := f.engine.Process(short, stationaryWindow(0)); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("short frame error = %v, want ErrBadFrame", err)
 	}
 	win := stationaryWindow(0)
 	win[3].Gyro[1] = math.Inf(1)
@@ -87,7 +86,7 @@ func TestProcessTypedErrors(t *testing.T) {
 		t.Fatalf("Inf window error = %v, want ErrBadIMUWindow", err)
 	}
 	faults := f.engine.Stats().SensorFaults()
-	if faults["frame-nil"] != 1 || faults["frame-non-finite"] != 1 || faults["imu-non-finite"] != 1 {
+	if faults["frame-nil"] != 1 || faults["frame-empty"] != 1 || faults["imu-non-finite"] != 1 {
 		t.Fatalf("sensor fault counters = %v", faults)
 	}
 	if f.engine.Stats().Frames() != 0 {
@@ -135,7 +134,7 @@ func TestLowEntropyFrameBypassesCache(t *testing.T) {
 	f := newFixture(t, DefaultConfig(), nil)
 	flat := vision.NewImage(48, 48)
 	for i := range flat.Pix {
-		flat.Pix[i] = 0.5
+		flat.Pix[i] = 128
 	}
 	before := f.store.Len()
 	res, err := f.engine.Process(flat, movingWindow(0))
@@ -208,7 +207,7 @@ func TestUnguardedShortPixelBufferDoesNotPanic(t *testing.T) {
 		t.Fatal(err) // stores a keyframe for the short frame to meet
 	}
 	for _, n := range []int{0, 100, len(proto.Pix) - 1, len(proto.Pix) + 1} {
-		short := &vision.Image{W: proto.W, H: proto.H, Pix: make([]float64, n)}
+		short := &vision.Image{W: proto.W, H: proto.H, Pix: make([]uint8, n)}
 		copy(short.Pix, proto.Pix)
 		if res, err := f.engine.Process(short, movingWindow(100*time.Millisecond)); err == nil {
 			t.Fatalf("frame with %d of %d pixels served as %+v", n, len(proto.Pix), res)

@@ -86,9 +86,28 @@ func TestInferNilImage(t *testing.T) {
 	}
 }
 
+// poisoned is the classifier's own extractor, except that a frame whose
+// first pixel is marked gets x as its first descriptor dimension. It
+// has no ExtractInto, so its Extract is what runs.
+type poisoned struct {
+	feature.Extractor
+	x float64
+}
+
+const poisonMark = 0xab
+
+func (p poisoned) Extract(im *vision.Image) (feature.Vector, error) {
+	v, err := p.Extractor.Extract(im)
+	if err == nil && im.Pix[0] == poisonMark {
+		v[0] = p.x
+	}
+	return v, err
+}
+
 // TestInferRefusesNonFiniteDescriptor: a frame whose descriptor is not
 // finite has no nearest class, so Infer and InferBatch refuse it as they
-// refuse a nil frame, and a batch names the frame.
+// refuse a nil frame, and a batch names the frame. A byte frame's own
+// descriptor is always finite, so the test poisons the extractor.
 func TestInferRefusesNonFiniteDescriptor(t *testing.T) {
 	cs := testClasses(t)
 	c, err := NewClassifier(MobileNetV2, cs, 1)
@@ -99,15 +118,22 @@ func TestInferRefusesNonFiniteDescriptor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if good.Pix[0] == poisonMark {
+		t.Fatal("the good frame carries the poison mark")
+	}
+	bad := good.Clone()
+	bad.Pix[0] = poisonMark
+	own := c.ex
 	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		bad := good.Clone()
-		bad.Pix[17] = x
+		if c.ex, err = feature.NewCombinedExtractor(false, poisoned{own, x}); err != nil {
+			t.Fatal(err)
+		}
 		if _, err := c.Infer(bad); err == nil || !strings.Contains(err.Error(), "non-finite") {
-			t.Fatalf("pixel %v: Infer err = %v", x, err)
+			t.Fatalf("descriptor %v: Infer err = %v", x, err)
 		}
 		_, err := c.InferBatch([]*vision.Image{good, bad})
 		if err == nil || !strings.Contains(err.Error(), "batch index 1") || !strings.Contains(err.Error(), "non-finite") {
-			t.Fatalf("pixel %v: InferBatch err = %v", x, err)
+			t.Fatalf("descriptor %v: InferBatch err = %v", x, err)
 		}
 	}
 	if _, err := c.Infer(good); err != nil {

@@ -131,7 +131,7 @@ func runFaultScenario(sc faultScenario, s Scale) (faultRow, error) {
 				in.win = trace.CorruptIMUWindow(in.win, sc.IMU, rng)
 			}
 			if sc.Frame != 0 {
-				in.im = trace.CorruptFrame(in.im, sc.Frame, rng)
+				in.im = trace.CorruptFrame(in.im, sc.Frame)
 			}
 			return nil
 		},

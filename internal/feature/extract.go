@@ -106,9 +106,9 @@ func (g GridExtractor) Extract(im *vision.Image) (Vector, error) {
 	return g.ExtractInto(im, nil)
 }
 
-// ExtractInto computes per-cell mean luminance into dst, summing each
-// cell's pixels row by row. CombinedExtractor's grid half and
-// vision.Thumb's block sums (for 8×8) reproduce this order bit for bit.
+// ExtractInto computes per-cell mean luminance into dst: each cell's
+// integer pixel sum, divided once (cellMean). CombinedExtractor's grid
+// half divides vision.Thumb's block sums (for 8×8), so the two agree.
 func (g GridExtractor) ExtractInto(im *vision.Image, dst Vector) (Vector, error) {
 	if err := g.validate(im); err != nil {
 		return nil, err
@@ -120,17 +120,22 @@ func (g GridExtractor) ExtractInto(im *vision.Image, dst Vector) (Vector, error)
 		for gx := 0; gx < g.Cols; gx++ {
 			x0 := gx * im.W / g.Cols
 			x1 := (gx + 1) * im.W / g.Cols
-			var sum float64
+			var sum int
 			for y := y0; y < y1; y++ {
 				row := im.Pix[y*im.W : y*im.W+im.W]
 				for x := x0; x < x1; x++ {
-					sum += row[x]
+					sum += int(row[x])
 				}
 			}
-			out[gy*g.Cols+gx] = sum / float64((y1-y0)*(x1-x0))
+			out[gy*g.Cols+gx] = cellMean(sum, (y1-y0)*(x1-x0))
 		}
 	}
 	return out, nil
+}
+
+// cellMean is the mean intensity of area pixels whose levels sum to sum.
+func cellMean(sum, area int) float64 {
+	return float64(sum) / float64(vision.MaxLevel*area)
 }
 
 // HistogramExtractor computes a normalized intensity histogram. It is
@@ -152,26 +157,9 @@ func (h HistogramExtractor) Extract(im *vision.Image) (Vector, error) {
 	return h.ExtractInto(im, nil)
 }
 
-// histBin maps an intensity to its histogram bin, clamping out-of-range
-// values to the edge bins. bins is float64(n) hoisted by the caller.
-func histBin(p, bins float64, n int) int {
-	b := int(p * bins)
-	if uint(b) >= uint(n) {
-		if b < 0 {
-			return 0
-		}
-		return n - 1
-	}
-	return b
-}
-
-// intCountBins bounds the histogram width counted in integer stack
-// arrays; wider histograms (which do not occur in practice) count in
-// float64 directly. Must be a power of two so the count index can be
-// masked instead of bounds checked.
-const intCountBins = 256
-
-// ExtractInto computes the histogram into dst.
+// ExtractInto computes the histogram into dst: the 256 levels are
+// counted, then level k folds into bin ⌊k·bins/255⌋, white into the last
+// (for 16 and 32 bins, k>>4 and k>>3).
 func (h HistogramExtractor) ExtractInto(im *vision.Image, dst Vector) (Vector, error) {
 	if h.Bins <= 0 {
 		return nil, fmt.Errorf("feature: bins must be positive, got %d", h.Bins)
@@ -179,30 +167,22 @@ func (h HistogramExtractor) ExtractInto(im *vision.Image, dst Vector) (Vector, e
 	if len(im.Pix) == 0 {
 		return nil, fmt.Errorf("feature: empty image")
 	}
+	// Neighbouring pixels tend to share a level, and an increment waits
+	// for the previous store to the same counter: alternate pixels count
+	// into separate arrays.
+	var even, odd [vision.MaxLevel + 1]int32
+	pix, i := im.Pix, 0
+	for ; i+1 < len(pix); i += 2 {
+		even[pix[i]]++
+		odd[pix[i+1]]++
+	}
+	if i < len(pix) {
+		even[pix[i]]++
+	}
 	out := sizedBuf(dst, h.Bins)
-	bins := float64(h.Bins)
-	if h.Bins <= intCountBins {
-		// Integer counts convert to float64 exactly, so this is the float
-		// count bit for bit. Neighbouring pixels tend to share a bin, and
-		// an increment waits for the previous store to the same counter:
-		// alternate pixels count into separate arrays.
-		var even, odd [intCountBins]int32
-		pix, i := im.Pix, 0
-		for ; i+1 < len(pix); i += 2 {
-			even[histBin(pix[i], bins, h.Bins)&(intCountBins-1)]++
-			odd[histBin(pix[i+1], bins, h.Bins)&(intCountBins-1)]++
-		}
-		if i < len(pix) {
-			even[histBin(pix[i], bins, h.Bins)&(intCountBins-1)]++
-		}
-		for i := range out {
-			out[i] = float64(even[i] + odd[i])
-		}
-	} else {
-		clear(out)
-		for _, v := range im.Pix {
-			out[histBin(v, bins, len(out))]++
-		}
+	clear(out)
+	for k := range even {
+		out[min(k*h.Bins/vision.MaxLevel, h.Bins-1)] += float64(even[k] + odd[k])
 	}
 	n := float64(len(im.Pix))
 	for i := range out {
@@ -312,7 +292,7 @@ func (c *CombinedExtractor) extract(im *vision.Image, th *vision.Thumb, dst Vect
 			gx, gy := i%n, i/n
 			cw := (gx+1)*im.W/n - gx*im.W/n
 			ch := (gy+1)*im.H/n - gy*im.H/n
-			out[i] = sum / float64(ch*cw)
+			out[i] = cellMean(sum, ch*cw)
 		}
 		parts, off = parts[1:], g.Dim()
 	}

@@ -46,7 +46,7 @@ func TestGridExtractorTooSmallImage(t *testing.T) {
 func TestGridExtractorUniformImage(t *testing.T) {
 	im := vision.NewImage(32, 32)
 	for i := range im.Pix {
-		im.Pix[i] = 0.5
+		im.Pix[i] = 51
 	}
 	g := GridExtractor{Cols: 4, Rows: 4}
 	v, err := g.Extract(im)
@@ -57,8 +57,8 @@ func TestGridExtractorUniformImage(t *testing.T) {
 		t.Fatalf("len = %d, want 16", len(v))
 	}
 	for i, x := range v {
-		if !almostEqual(x, 0.5, 1e-12) {
-			t.Fatalf("cell %d = %v, want 0.5", i, x)
+		if x != 0.2 {
+			t.Fatalf("cell %d = %v, want 0.2", i, x)
 		}
 	}
 }
@@ -68,7 +68,7 @@ func TestGridExtractorNonDivisibleSize(t *testing.T) {
 	// cover the image exactly once.
 	im := vision.NewImage(10, 10)
 	for i := range im.Pix {
-		im.Pix[i] = 1
+		im.Pix[i] = vision.MaxLevel
 	}
 	g := GridExtractor{Cols: 3, Rows: 3}
 	v, err := g.Extract(im)
@@ -76,7 +76,7 @@ func TestGridExtractorNonDivisibleSize(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, x := range v {
-		if !almostEqual(x, 1, 1e-12) {
+		if x != 1 {
 			t.Fatalf("cell %d = %v, want 1", i, x)
 		}
 	}
@@ -88,7 +88,7 @@ func TestHistogramExtractor(t *testing.T) {
 		t.Fatal("zero bins should error")
 	}
 	h := HistogramExtractor{Bins: 4}
-	im.Pix = []float64{0.1, 0.3, 0.6, 1.0} // bins 0,1,2,3 (1.0 clamps to last)
+	im.Pix = []uint8{26, 77, 153, 255} // bins 0,1,2,3 (white joins the last)
 	v, err := h.Extract(im)
 	if err != nil {
 		t.Fatal(err)

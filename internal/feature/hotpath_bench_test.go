@@ -15,10 +15,7 @@ import (
 func benchImage(b *testing.B, w, h int) *vision.Image {
 	b.Helper()
 	im := vision.NewImage(w, h)
-	r := rand.New(rand.NewSource(3))
-	for i := range im.Pix {
-		im.Pix[i] = r.Float64()
-	}
+	rand.New(rand.NewSource(3)).Read(im.Pix)
 	return im
 }
 

@@ -14,19 +14,17 @@ import (
 
 func noisyImage(w, h int, seed int64) *vision.Image {
 	im := vision.NewImage(w, h)
-	rng := rand.New(rand.NewSource(seed))
-	for i := range im.Pix {
-		im.Pix[i] = rng.Float64()
-	}
+	rand.New(rand.NewSource(seed)).Read(im.Pix)
 	return im
 }
 
-// refHistogram is the histogram as first written: float64 counters, one
-// pass in pixel order. The integer-counting pass must reproduce its bits.
+// refHistogram is the histogram by definition: float64 counters, one
+// pass in pixel order, level k in bin floor(k·bins/255) and white in the
+// last. The level-counting pass must reproduce its bits.
 func refHistogram(im *vision.Image, bins int) Vector {
 	out := make(Vector, bins)
 	for _, p := range im.Pix {
-		out[histBin(p, float64(bins), bins)]++
+		out[min(int(p)*bins/vision.MaxLevel, bins-1)]++
 	}
 	for i := range out {
 		out[i] /= float64(len(im.Pix))

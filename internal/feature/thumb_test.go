@@ -6,7 +6,6 @@ package feature
 // took, and everything that cannot use a thumbnail falls back.
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -22,15 +21,14 @@ func thumbOf(im *vision.Image) *vision.Thumb {
 }
 
 // TestThumbBlockSumsAreGridCellSums: same partition (floor boundaries),
-// same per-cell order (one chain, row-major), so not a bit differs —
-// including sizes the grid does not divide.
+// integer sums, so not a bit differs — including sizes the grid does not
+// divide.
 func TestThumbBlockSumsAreGridCellSums(t *testing.T) {
 	g := GridExtractor{Cols: 8, Rows: 8}
 	for _, sz := range [][2]int{{48, 48}, {37, 29}, {9, 13}, {8, 8}} {
 		w, h := sz[0], sz[1]
 		im := noisyImage(w, h, int64(w*131+h))
-		// Out-of-range and negative pixels: the sums are not clamped.
-		im.Pix[0], im.Pix[len(im.Pix)-1] = -3.5, 1e6
+		im.Pix[0], im.Pix[len(im.Pix)-1] = 0, vision.MaxLevel
 		sums := thumbOf(im).BlockSums()
 		means, err := g.ExtractInto(im, nil)
 		if err != nil {
@@ -40,17 +38,17 @@ func TestThumbBlockSumsAreGridCellSums(t *testing.T) {
 			y0, y1 := gy*h/8, (gy+1)*h/8
 			for gx := 0; gx < 8; gx++ {
 				x0, x1 := gx*w/8, (gx+1)*w/8
-				var sum float64
+				var sum int
 				for y := y0; y < y1; y++ {
 					for x := x0; x < x1; x++ {
-						sum += im.Pix[y*w+x]
+						sum += int(im.Pix[y*w+x])
 					}
 				}
 				i := gy*8 + gx
 				if sums[i] != sum {
 					t.Fatalf("%dx%d block %d: thumbnail sum %v, cell sum %v", w, h, i, sums[i], sum)
 				}
-				if mean := sum / float64((y1-y0)*(x1-x0)); means[i] != mean {
+				if mean := float64(sum) / float64(vision.MaxLevel*(y1-y0)*(x1-x0)); means[i] != mean {
 					t.Fatalf("%dx%d cell %d: grid %v, want %v", w, h, i, means[i], mean)
 				}
 			}
@@ -59,9 +57,8 @@ func TestThumbBlockSumsAreGridCellSums(t *testing.T) {
 }
 
 // thumbFrames yields frames that stress the equivalence: noise, renders,
-// uniform frames, pixels outside [0, 1] (the histogram clamps them, the
-// grid does not), non-finite pixels, and runs of equal pixels (the
-// histogram's split counters).
+// black and white frames, a single full-scale pixel, and runs of equal
+// pixels (the histogram's split counters).
 func thumbFrames(t testing.TB, w, h int, seed int64) []*vision.Image {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -77,25 +74,24 @@ func thumbFrames(t testing.TB, w, h int, seed int64) []*vision.Image {
 		}
 		frames = append(frames, im)
 	}
-	wild := noisyImage(w, h, seed+1)
-	for i := range wild.Pix {
-		wild.Pix[i] = (wild.Pix[i] - 0.5) * 4
+	white := vision.NewImage(w, h)
+	for i := range white.Pix {
+		white.Pix[i] = vision.MaxLevel
 	}
-	frames = append(frames, wild)
-	for _, v := range []float64{1, -0.25, 1e300, math.NaN(), math.Inf(1), math.Inf(-1)} {
+	frames = append(frames, white)
+	for _, v := range []uint8{0, 1, 254, vision.MaxLevel} {
 		im := noisyImage(w, h, seed+2)
 		im.Pix[rng.Intn(len(im.Pix))] = v
 		frames = append(frames, im)
 	}
 	steps := vision.NewImage(w, h)
 	for i := range steps.Pix {
-		steps.Pix[i] = float64(i/5%4) / 4
+		steps.Pix[i] = uint8(i / 5 % 4 * 64)
 	}
 	return append(frames, steps)
 }
 
-// sameBits compares vectors bit for bit, so NaN dimensions (a non-finite
-// pixel poisons its cell, and the norm) count as equal to themselves.
+// sameBits compares vectors bit for bit.
 func sameBits(a, b Vector) bool {
 	if len(a) != len(b) {
 		return false
@@ -142,10 +138,11 @@ func TestExtractThumbIntoMatchesExtractInto(t *testing.T) {
 	}
 }
 
-// The histogram's integer split counters against float counting, at
-// widths on both sides of intCountBins and an odd pixel count.
+// The histogram's level counts, folded into bins, against float counting
+// pixel by pixel, at widths below, at and above the 256 levels and an
+// odd pixel count.
 func TestHistogramIntegerCountsMatchFloat(t *testing.T) {
-	for _, bins := range []int{1, 16, 255, intCountBins, intCountBins + 1, 1000} {
+	for _, bins := range []int{1, 10, 16, 32, 255, 256, 257, 1000} {
 		for _, sz := range [][2]int{{48, 48}, {7, 9}, {1, 1}} {
 			for i, im := range thumbFrames(t, sz[0], sz[1], int64(bins)) {
 				got, err := HistogramExtractor{Bins: bins}.ExtractInto(im, nil)
@@ -186,7 +183,7 @@ func TestExtractThumbIntoFallsBack(t *testing.T) {
 		{"thumbnail of a 24x96 frame", def, thumbOf(noisyImage(24, 96, 9))},
 		{"grid 4x4", mustCombine(GridExtractor{Cols: 4, Rows: 4}, h16), own},
 		{"grid 16x16", mustCombine(GridExtractor{Cols: 16, Rows: 16}, h16), own},
-		{"wide histogram", mustCombine(g8, HistogramExtractor{Bins: intCountBins + 1}), own},
+		{"wide histogram", mustCombine(g8, HistogramExtractor{Bins: 257}), own},
 		{"grid alone", mustCombine(g8), own},
 		{"three parts", mustCombine(g8, h16, h16), own},
 		{"foreign part", mustCombine(wrapExtractor{g8}, h16), own},
@@ -210,7 +207,7 @@ func TestExtractThumbIntoFallsBack(t *testing.T) {
 	// Frames the grid refuses are refused on either path, thumbnail or not.
 	for _, bad := range []*vision.Image{
 		vision.NewImage(5, 3),
-		{W: 48, H: 48, Pix: make([]float64, 48*48-1)},
+		{W: 48, H: 48, Pix: make([]uint8, 48*48-1)},
 		{},
 	} {
 		if _, err := def.ExtractInto(bad, nil); err == nil {
@@ -225,9 +222,8 @@ func TestExtractThumbIntoFallsBack(t *testing.T) {
 	}
 }
 
-// FuzzExtractThumbInto decodes a frame (dimensions, then pixels as raw
-// float64 bits, so NaN, ±Inf and denormals all occur) and checks the
-// thumbnail path against the part-by-part reference.
+// FuzzExtractThumbInto decodes a frame (dimensions, then pixel bytes)
+// and checks the thumbnail path against the part-by-part reference.
 func FuzzExtractThumbInto(f *testing.F) {
 	f.Add(uint8(8), uint8(8), []byte{})
 	f.Add(uint8(9), uint8(13), []byte{0, 0, 0, 0, 0, 0, 0xf0, 0x7f, 1, 2, 3, 4, 5, 6, 7, 8})
@@ -236,9 +232,7 @@ func FuzzExtractThumbInto(f *testing.F) {
 	f.Fuzz(func(t *testing.T, w8, h8 uint8, raw []byte) {
 		w, h := 8+int(w8)%57, 8+int(h8)%57
 		im := noisyImage(w, h, int64(w)<<8|int64(h))
-		for i := 0; i+8 <= len(raw) && i/8 < len(im.Pix); i += 8 {
-			im.Pix[i/8] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i:]))
-		}
+		copy(im.Pix, raw)
 		comb, err := NewCombinedExtractor(len(raw)%2 == 0, g, HistogramExtractor{Bins: 16})
 		if err != nil {
 			t.Fatal(err)

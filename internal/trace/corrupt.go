@@ -115,8 +115,6 @@ const (
 	// FrameFlat replaces the frame with a uniform mid-gray (sensor
 	// readout fault).
 	FrameFlat
-	// FrameNonFinite plants NaN pixels (corrupt camera buffer).
-	FrameNonFinite
 )
 
 // String returns the fault name.
@@ -126,28 +124,20 @@ func (f FrameFault) String() string {
 		return "frame-black"
 	case FrameFlat:
 		return "frame-flat"
-	case FrameNonFinite:
-		return "frame-non-finite"
 	default:
 		return fmt.Sprintf("FrameFault(%d)", int(f))
 	}
 }
 
 // CorruptFrame returns a corrupted copy of im under fault.
-func CorruptFrame(im *vision.Image, fault FrameFault, rng *rand.Rand) *vision.Image {
+func CorruptFrame(im *vision.Image, fault FrameFault) *vision.Image {
 	out := im.Clone()
 	switch fault {
 	case FrameBlack:
-		for i := range out.Pix {
-			out.Pix[i] = 0
-		}
+		clear(out.Pix)
 	case FrameFlat:
 		for i := range out.Pix {
-			out.Pix[i] = 0.5
-		}
-	case FrameNonFinite:
-		for k := 0; k < 3 && len(out.Pix) > 0; k++ {
-			out.Pix[rng.Intn(len(out.Pix))] = math.NaN()
+			out.Pix[i] = 128
 		}
 	}
 	return out

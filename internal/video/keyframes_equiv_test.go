@@ -403,9 +403,9 @@ func TestKeyframeLibraryIgnoresMalformedFrames(t *testing.T) {
 	}
 	l.Push(flatImage(8, 8, 0.5), "a", 1)
 	for _, n := range []int{0, 63, 65} {
-		bad := &vision.Image{W: 8, H: 8, Pix: make([]float64, n)}
+		bad := &vision.Image{W: 8, H: 8, Pix: make([]uint8, n)}
 		for i := range bad.Pix {
-			bad.Pix[i] = 0.5
+			bad.Pix[i] = 128
 		}
 		if _, ok := l.Match(bad); ok {
 			t.Fatalf("frame with %d of 64 pixels matched", n)

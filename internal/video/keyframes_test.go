@@ -8,10 +8,11 @@ import (
 	"approxcache/internal/vision"
 )
 
+// flatImage is a uniform frame of intensity v, quantized.
 func flatImage(w, h int, v float64) *vision.Image {
 	im := vision.NewImage(w, h)
 	for i := range im.Pix {
-		im.Pix[i] = v
+		im.Pix[i] = uint8(math.Round(v * vision.MaxLevel))
 	}
 	return im
 }
@@ -89,7 +90,7 @@ func TestMatchThumbStats(t *testing.T) {
 	checker := flatImage(16, 16, 0.2)
 	for i := range checker.Pix {
 		if (i/16+i%16)%2 == 0 {
-			checker.Pix[i] = 0.6
+			checker.Pix[i] = 153 // 0.6
 		}
 	}
 	for _, tc := range []struct {
@@ -98,7 +99,7 @@ func TestMatchThumbStats(t *testing.T) {
 		diff  float64
 		exact int
 	}{
-		{flatImage(16, 16, 0.31), true, 0.09, 2},
+		{flatImage(16, 16, 0.31), true, (102 - 79) / 255.0, 2},
 		{checker, false, 0.2, 1},
 		{flatImage(16, 16, 0.99), false, math.Inf(1), 0},
 	} {

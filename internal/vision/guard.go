@@ -7,10 +7,10 @@ import (
 
 // FrameFault classifies what is wrong with a camera frame. The reuse
 // gates assume well-formed frames: a nil or dimension-less frame cannot
-// be processed at all, a NaN pixel poisons every feature downstream,
-// and an all-black / near-uniform frame (lens covered, sensor fault)
-// carries no scene information — caching its features would cluster
-// every such frame together and serve one stale label for all of them.
+// be processed at all, and an all-black / near-uniform frame (lens
+// covered, sensor fault) carries no scene information — caching its
+// features would cluster every such frame together and serve one stale
+// label for all of them.
 type FrameFault int
 
 // Frame fault classes.
@@ -22,8 +22,6 @@ const (
 	// FrameEmpty: zero dimensions or a pixel buffer that does not match
 	// them.
 	FrameEmpty
-	// FrameNonFinite: a pixel is NaN or ±Inf.
-	FrameNonFinite
 	// FrameLowEntropy: the frame is (near-)uniform — all-black, all-
 	// white, or otherwise informationless.
 	FrameLowEntropy
@@ -38,8 +36,6 @@ func (f FrameFault) String() string {
 		return "nil"
 	case FrameEmpty:
 		return "empty"
-	case FrameNonFinite:
-		return "non-finite"
 	case FrameLowEntropy:
 		return "low-entropy"
 	default:
@@ -50,7 +46,7 @@ func (f FrameFault) String() string {
 // Structural reports whether the fault makes the frame unprocessable
 // (as opposed to a degraded-but-real capture like a covered lens).
 func (f FrameFault) Structural() bool {
-	return f == FrameNil || f == FrameEmpty || f == FrameNonFinite
+	return f == FrameNil || f == FrameEmpty
 }
 
 // FrameGuardConfig tunes the frame guard.
@@ -89,14 +85,12 @@ func CheckFrame(im *Image, cfg FrameGuardConfig) FrameFault {
 // and leaves the frame's block-sum thumbnail in th (empty when the frame
 // has no well-formed pixel buffer) for the video gate, whose thumbnail
 // bound spares most exact diffs, and for the extractor, whose 8×8 grid
-// is those block sums. The pass costs about as much as one exact frame
-// diff.
-//
-// Non-finite pixels are detected through the sum of squares rather than
-// pixel by pixel: p*p is NaN or +Inf for such a pixel and adding
-// non-negative terms can never bring the sum back to a finite value.
-// Finite pixels whose squares overflow look the same, so a non-finite
-// sum falls back to the per-pixel scan before anything is decided.
+// is those block sums. The low-entropy check needs the sum of squares,
+// which the pass does not take: the block sums bound it from below
+// (Thumb.squareBound), and the verdict only grows more lenient as it
+// grows, so only a frame whose blocks alone do not show enough contrast
+// — a covered lens, a fine texture — pays a second pass for the exact
+// sum.
 func CheckFrameThumb(im *Image, cfg FrameGuardConfig, th *Thumb) FrameFault {
 	if im == nil {
 		*th = Thumb{}
@@ -106,36 +100,30 @@ func CheckFrameThumb(im *Image, cfg FrameGuardConfig, th *Thumb) FrameFault {
 		*th = Thumb{}
 		return FrameEmpty
 	}
-	sum, sumSq := th.fill(im)
-	if math.IsNaN(sumSq) || math.IsInf(sumSq, 0) {
-		return checkPixels(im, cfg)
+	sum, n := th.fill(im), len(im.Pix)
+	if entropyVerdict(sum, th.squareBound(), n, cfg) == FrameOK {
+		return FrameOK
 	}
-	return entropyVerdict(sum, sumSq, len(im.Pix), cfg)
+	return entropyVerdict(sum, sumSquares(im.Pix), n, cfg)
 }
 
-// checkPixels is the pixel-by-pixel scan of a well-formed frame.
-func checkPixels(im *Image, cfg FrameGuardConfig) FrameFault {
-	var sum, sumSq float64
-	for _, p := range im.Pix {
-		if math.IsNaN(p) || math.IsInf(p, 0) {
-			return FrameNonFinite
-		}
-		sum += p
-		sumSq += p * p
+// sumSquares returns Σp² over the pixels.
+func sumSquares(pix []uint8) int {
+	var s int
+	for _, p := range pix {
+		s += int(p) * int(p)
 	}
-	return entropyVerdict(sum, sumSq, len(im.Pix), cfg)
+	return s
 }
 
-// entropyVerdict applies the low-entropy check to a frame's pixel sums.
-func entropyVerdict(sum, sumSq float64, pixels int, cfg FrameGuardConfig) FrameFault {
+// entropyVerdict applies the low-entropy check to a frame's pixel sum
+// and sum of squares, both in 8-bit levels: the standard deviation in
+// intensity units is √(n·Σp² − (Σp)²) / (255·n).
+func entropyVerdict(sum, sumSq, pixels int, cfg FrameGuardConfig) FrameFault {
 	if cfg.MinStdDev > 0 {
 		n := float64(pixels)
-		mean := sum / n
-		variance := sumSq/n - mean*mean
-		if variance < 0 {
-			variance = 0
-		}
-		if math.Sqrt(variance) < cfg.MinStdDev {
+		spread := max(n*float64(sumSq)-float64(sum)*float64(sum), 0)
+		if math.Sqrt(spread)/(MaxLevel*n) < cfg.MinStdDev {
 			return FrameLowEntropy
 		}
 	}

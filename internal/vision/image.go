@@ -8,43 +8,67 @@
 // frames with exactly that structure — a deterministic prototype image
 // per class, perturbed per frame by noise, global brightness shifts,
 // small translations, and occlusion patches — with a controllable
-// difficulty knob.
+// difficulty knob. A frame is what a phone camera's luma plane holds,
+// one byte per pixel, so every kernel over pixels is exact integer
+// arithmetic.
 package vision
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
 )
 
-// Image is a dense grayscale frame with pixel intensities in [0, 1].
-// Pixels are stored row-major.
+// MaxLevel is the brightest 8-bit luma value: a pixel p has intensity
+// p/MaxLevel in [0, 1].
+const MaxLevel = 255
+
+// Image is a dense grayscale frame of 8-bit luma values, row-major.
 type Image struct {
 	W, H int
-	Pix  []float64
+	Pix  []uint8
 }
 
-// NewImage allocates a zeroed W×H image.
+// NewImage allocates a zeroed (black) W×H image.
 func NewImage(w, h int) *Image {
-	return &Image{W: w, H: h, Pix: make([]float64, w*h)}
+	return &Image{W: w, H: h, Pix: make([]uint8, w*h)}
 }
 
-// At returns the pixel at (x, y). Out-of-bounds reads return 0 so that
-// shifted sampling does not need border special-casing.
+// At returns the intensity of the pixel at (x, y), in [0, 1].
+// Out-of-bounds reads return 0 so that shifted sampling does not need
+// border special-casing.
 func (im *Image) At(x, y int) float64 {
 	if x < 0 || y < 0 || x >= im.W || y >= im.H {
 		return 0
 	}
-	return im.Pix[y*im.W+x]
+	return intensity[im.Pix[y*im.W+x]]
 }
 
-// Set writes the pixel at (x, y), clamping the value to [0, 1].
-// Out-of-bounds writes are ignored.
+// intensity is p/255 for every level p.
+var intensity = func() (t [MaxLevel + 1]float64) {
+	for p := range t {
+		t[p] = float64(p) / MaxLevel
+	}
+	return t
+}()
+
+// Set writes intensity v to the pixel at (x, y), quantized as Render
+// quantizes. Out-of-bounds writes are ignored.
 func (im *Image) Set(x, y int, v float64) {
 	if x < 0 || y < 0 || x >= im.W || y >= im.H {
 		return
 	}
-	im.Pix[y*im.W+x] = clamp01(v)
+	im.Pix[y*im.W+x] = quantize(v)
+}
+
+// quantize maps an intensity to its nearest level, halves up, after
+// clamping to [0, 1]; NaN maps to 0.
+func quantize(v float64) uint8 {
+	if !(v > 0) {
+		return 0
+	}
+	return uint8(min(v, 1)*MaxLevel + 0.5)
 }
 
 // WellFormed reports whether im has positive dimensions and a pixel
@@ -62,57 +86,85 @@ func (im *Image) Clone() *Image {
 }
 
 // MeanAbsDiff returns the mean absolute pixel difference between a and
-// b. It is the cheap frame-difference primitive used by the video
-// locality gate. Images of different sizes, or whose pixel buffers differ
-// in length, are maximally different.
+// b, in intensity units: the integer sum of |a−b| over 255·n. It is the
+// cheap frame-difference primitive used by the video locality gate.
+// Images of different sizes, or whose pixel buffers differ in length,
+// are maximally different.
 func MeanAbsDiff(a, b *Image) float64 {
 	return MeanAbsDiffBounded(a, b, math.Inf(1))
 }
 
 // diffBlock is how many pixels MeanAbsDiffBounded sums between checks
-// of the running total against the bound.
+// against the bound: few enough that absDiffSum's four 16-bit lanes,
+// each gathering ≤ 4·255 per sixteen pixels, total less than 2¹⁶.
 const diffBlock = 256
 
 // MeanAbsDiffBounded returns exactly MeanAbsDiff(a, b) when that is
 // ≤ bound; otherwise it returns some value that is not ≤ bound,
-// possibly after reading only a prefix of the pixels. Either way
-// `MeanAbsDiffBounded(a, b, bound) <= bound` decides exactly as
-// `MeanAbsDiff(a, b) <= bound` does: pixels are summed in the same
-// order, and the running sum of absolute values never decreases (it can
-// only turn NaN, which is not ≤ bound either), so a prefix whose mean
-// already exceeds the bound proves the total does.
+// possibly after reading only a prefix of the pixels. The sum of |a−b|
+// is an exact integer, and its mean, meanDiff(sum, n), never decreases
+// as the sum grows, so a prefix whose mean already exceeds the bound
+// proves the total's does.
 func MeanAbsDiffBounded(a, b *Image, bound float64) float64 {
 	if a.W != b.W || a.H != b.H || len(a.Pix) != len(b.Pix) {
 		return 1
 	}
-	n := float64(len(a.Pix))
+	n := len(a.Pix)
 	pa, pb := a.Pix, b.Pix
-	var sum float64
+	var sum int
 	for len(pa) > diffBlock {
-		qb := pb[:diffBlock]
-		for i, p := range pa[:diffBlock] {
-			sum += math.Abs(p - qb[i])
-		}
-		if d := sum / n; d > bound {
+		sum += absDiffSum(pa[:diffBlock], pb[:diffBlock])
+		if d := meanDiff(sum, n); d > bound {
 			return d
 		}
 		pa, pb = pa[diffBlock:], pb[diffBlock:]
 	}
-	pb = pb[:len(pa)]
-	for i, p := range pa {
-		sum += math.Abs(p - pb[i])
-	}
-	return sum / n
+	return meanDiff(sum+absDiffSum(pa, pb), n)
 }
 
-func clamp01(v float64) float64 {
-	if v < 0 {
-		return 0
+// meanDiff is the mean of n pixel differences that sum to sum.
+func meanDiff(sum, n int) float64 {
+	return float64(sum) / float64(MaxLevel*n)
+}
+
+// SWAR masks over four 16-bit lanes: each lane's low byte, 256, and 1.
+const (
+	laneLow  = 0x00ff00ff00ff00ff
+	laneBias = 0x0100010001000100
+	laneOne  = 0x0001000100010001
+)
+
+// absDiffSum returns Σ|a[i]−b[i]| over at most diffBlock pixels; b is
+// at least as long as a. Sixteen pixels go through two 64-bit words at a
+// time (SWAR): each word's even and odd bytes spread into 16-bit lanes,
+// where 256+a−b forms without a borrow between lanes, and absLanes
+// turns it into |a−b|.
+func absDiffSum(a, b []uint8) int {
+	b = b[:len(a)]
+	var lanes uint64
+	for len(a) >= 16 {
+		a0, b0 := binary.LittleEndian.Uint64(a), binary.LittleEndian.Uint64(b)
+		a1, b1 := binary.LittleEndian.Uint64(a[8:]), binary.LittleEndian.Uint64(b[8:])
+		lanes += absLanes((a0&laneLow|laneBias)-(b0&laneLow)) +
+			absLanes((a0>>8&laneLow|laneBias)-(b0>>8&laneLow)) +
+			absLanes((a1&laneLow|laneBias)-(b1&laneLow)) +
+			absLanes((a1>>8&laneLow|laneBias)-(b1>>8&laneLow))
+		a, b = a[16:], b[16:]
 	}
-	if v > 1 {
-		return 1
+	// Multiplying by laneOne adds the four lanes into the top one.
+	sum := int(lanes * laneOne >> 48)
+	for i, p := range a {
+		sum += max(int(p)-int(b[i]), int(b[i])-int(p))
 	}
-	return v
+	return sum
+}
+
+// absLanes maps four 16-bit lanes holding 256+d, d in [−255, 255], to
+// |d|: bit 8 is set exactly when d ≥ 0, and the low byte is then d; a
+// negative d's low byte is 256+d, whose complement plus one is −d.
+func absLanes(v uint64) uint64 {
+	neg := (v >> 8 & laneOne) ^ laneOne
+	return (v&laneLow ^ neg*0xff) + neg
 }
 
 // ClassSet holds the deterministic prototype image for each object
@@ -178,7 +230,7 @@ func smoothField(w, h int, rng *rand.Rand) *Image {
 			c11 := ctrl[(y0+1)*(grid+1)+x0+1]
 			top := c00*(1-fx) + c10*fx
 			bot := c01*(1-fx) + c11*fx
-			im.Pix[y*w+x] = top*(1-fy) + bot*fy
+			im.Pix[y*w+x] = quantize(top*(1-fy) + bot*fy)
 		}
 	}
 	return im
@@ -221,7 +273,9 @@ func HardPerturbation() Perturbation {
 }
 
 // Render draws one frame of class c under perturbation p, using rng for
-// all randomness so that workloads replay deterministically.
+// all randomness so that workloads replay deterministically. A pixel's
+// intensity — shifted, brightened, noised — is quantized once, as a
+// camera's ADC would; an occlusion patch then darkens the bytes.
 func (cs *ClassSet) Render(c int, p Perturbation, rng *rand.Rand) (*Image, error) {
 	proto, err := cs.Prototype(c)
 	if err != nil {
@@ -243,7 +297,7 @@ func (cs *ClassSet) Render(c int, p Perturbation, rng *rand.Rand) (*Image, error
 			if p.Noise > 0 {
 				v += rng.NormFloat64() * p.Noise
 			}
-			out.Pix[y*cs.w+x] = clamp01(v)
+			out.Pix[y*cs.w+x] = quantize(v)
 		}
 	}
 	if p.OcclusionProb > 0 && rng.Float64() < p.OcclusionProb {
@@ -253,7 +307,8 @@ func (cs *ClassSet) Render(c int, p Perturbation, rng *rand.Rand) (*Image, error
 }
 
 // occlude darkens a random rectangular patch covering up to ~1/16 of the
-// frame, emulating a hand or passer-by entering the field of view.
+// frame to a fifth of its level (rounded: p/5 is never a half),
+// emulating a hand or passer-by entering the field of view.
 func occlude(im *Image, rng *rand.Rand) {
 	pw := im.W/8 + rng.Intn(im.W/8+1)
 	ph := im.H/8 + rng.Intn(im.H/8+1)
@@ -261,7 +316,7 @@ func occlude(im *Image, rng *rand.Rand) {
 	py := rng.Intn(im.H - ph + 1)
 	for y := py; y < py+ph; y++ {
 		for x := px; x < px+pw; x++ {
-			im.Pix[y*im.W+x] *= 0.2
+			im.Pix[y*im.W+x] = uint8((int(im.Pix[y*im.W+x]) + 2) / 5)
 		}
 	}
 }

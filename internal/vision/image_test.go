@@ -21,8 +21,8 @@ func TestNewImageZeroed(t *testing.T) {
 
 func TestAtSetBounds(t *testing.T) {
 	im := NewImage(2, 2)
-	im.Set(0, 0, 0.5)
-	if im.At(0, 0) != 0.5 {
+	im.Set(0, 0, 0.6)
+	if im.At(0, 0) != 0.6 {
 		t.Fatalf("At(0,0) = %v", im.At(0, 0))
 	}
 	// Out of bounds reads return 0; writes are ignored.
@@ -50,12 +50,34 @@ func TestSetClamps(t *testing.T) {
 	}
 }
 
+// Set quantizes as a camera's ADC does: round(v·255) after clamping to
+// [0, 1], halves up, NaN to black; At reads p/255 back, so
+// every level round-trips.
+func TestSetQuantizes(t *testing.T) {
+	im := NewImage(1, 1)
+	for k := 0; k <= MaxLevel; k++ {
+		im.Set(0, 0, float64(k)/MaxLevel)
+		if im.Pix[0] != uint8(k) || im.At(0, 0) != float64(k)/MaxLevel {
+			t.Fatalf("level %d stored as %d, read as %v", k, im.Pix[0], im.At(0, 0))
+		}
+	}
+	for _, tc := range []struct {
+		v    float64
+		want uint8
+	}{{0.5, 128}, {0.5 / MaxLevel, 1}, {0.49 / MaxLevel, 0}, {1 - 0.49/MaxLevel, MaxLevel},
+		{math.NaN(), 0}, {math.Inf(1), MaxLevel}, {math.Inf(-1), 0}, {math.Copysign(0, -1), 0}} {
+		if im.Set(0, 0, tc.v); im.Pix[0] != tc.want {
+			t.Fatalf("Set(%v) stored %d, want %d", tc.v, im.Pix[0], tc.want)
+		}
+	}
+}
+
 func TestCloneIndependent(t *testing.T) {
 	im := NewImage(2, 2)
-	im.Set(1, 1, 0.7)
+	im.Set(1, 1, 0.6)
 	c := im.Clone()
-	c.Set(1, 1, 0.1)
-	if im.At(1, 1) != 0.7 {
+	c.Set(1, 1, 0.2)
+	if im.At(1, 1) != 0.6 {
 		t.Fatal("clone aliases original")
 	}
 }
@@ -67,7 +89,7 @@ func TestMeanAbsDiff(t *testing.T) {
 		t.Fatalf("identical diff = %v", d)
 	}
 	for i := range b.Pix {
-		b.Pix[i] = 1
+		b.Pix[i] = MaxLevel
 	}
 	if d := MeanAbsDiff(a, b); d != 1 {
 		t.Fatalf("max diff = %v, want 1", d)
@@ -196,8 +218,8 @@ func TestRenderStaysCloseToPrototype(t *testing.T) {
 	}
 }
 
-// Property: every rendered pixel stays in [0,1] under arbitrary
-// perturbation profiles.
+// Property: every rendered frame is well formed and its intensities stay
+// in [0,1] under arbitrary perturbation profiles.
 func TestRenderPixelRangeProperty(t *testing.T) {
 	cs, err := NewClassSet(2, 24, 24, 3)
 	if err != nil {
@@ -215,12 +237,14 @@ func TestRenderPixelRangeProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for _, v := range im.Pix {
-			if v < 0 || v > 1 {
-				return false
+		for y := 0; y < im.H; y++ {
+			for x := 0; x < im.W; x++ {
+				if v := im.At(x, y); v < 0 || v > 1 {
+					return false
+				}
 			}
 		}
-		return true
+		return im.WellFormed()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

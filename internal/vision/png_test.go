@@ -2,7 +2,9 @@ package vision
 
 import (
 	"bytes"
-	"math"
+	"image"
+	"image/color"
+	"image/png"
 	"strings"
 	"testing"
 )
@@ -40,14 +42,49 @@ func TestPNGRoundTrip(t *testing.T) {
 	if back.W != 32 || back.H != 32 {
 		t.Fatalf("size = %dx%d", back.W, back.H)
 	}
-	var worst float64
+	if !bytes.Equal(back.Pix, src.Pix) {
+		t.Fatal("round trip changed pixels")
+	}
+}
+
+// Every level survives a round trip bit for bit — white too, which the
+// float-pixel encoder wrote as 254 — and a non-gray PNG is read as luma.
+func TestPNGRoundTripAllLevels(t *testing.T) {
+	src := NewImage(16, 16)
 	for i := range src.Pix {
-		if d := math.Abs(src.Pix[i] - back.Pix[i]); d > worst {
-			worst = d
+		src.Pix[i] = uint8(i)
+	}
+	var buf bytes.Buffer
+	if err := EncodePNG(&buf, src); err != nil {
+		t.Fatal(err)
+	}
+	back, err := DecodePNG(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.W != src.W || back.H != src.H || !bytes.Equal(back.Pix, src.Pix) {
+		t.Fatalf("round trip: %dx%d %v, want %dx%d %v", back.W, back.H, back.Pix, src.W, src.H, src.Pix)
+	}
+
+	rgba := image.NewRGBA(image.Rect(0, 0, 257, 1))
+	for k := 0; k <= MaxLevel; k++ {
+		rgba.Set(k, 0, color.RGBA{uint8(k), uint8(k), uint8(k), 0xff})
+	}
+	rgba.Set(256, 0, color.RGBA{0xff, 0, 0, 0xff})
+	buf.Reset()
+	if err := png.Encode(&buf, rgba); err != nil {
+		t.Fatal(err)
+	}
+	if back, err = DecodePNG(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k <= MaxLevel; k++ {
+		if back.Pix[k] != uint8(k) {
+			t.Fatalf("RGB gray %d decoded as %d", k, back.Pix[k])
 		}
 	}
-	if worst > 1.0/100 {
-		t.Fatalf("round-trip error %v too large", worst)
+	if back.Pix[256] != 76 {
+		t.Fatalf("pure red decoded as %d, want round(0.299·255) = 76", back.Pix[256])
 	}
 }
 
