@@ -115,7 +115,8 @@ type (
 // Typed input and availability errors surfaced by Process.
 var (
 	// ErrBadFrame reports a structurally unusable camera frame (nil,
-	// empty, or non-finite pixels). The frame is refused outright.
+	// empty, or a pixel buffer that does not match its dimensions). The
+	// frame is refused outright.
 	ErrBadFrame = core.ErrBadFrame
 	// ErrBadIMUWindow reports non-finite inertial data. The window is
 	// refused outright; recoverable IMU faults are instead routed past

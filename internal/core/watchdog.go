@@ -15,11 +15,10 @@ import (
 // Typed pipeline errors. Callers match with errors.Is.
 var (
 	// ErrBadFrame: the frame is structurally unusable (nil, zero
-	// dimensions, a pixel buffer that does not match them, non-finite
-	// pixels). The engine refuses it rather than feeding garbage to the
-	// gates or the cache. A bad shape is refused on arrival; a non-finite
-	// pixel by the first stage that would read the pixels, so a frame the
-	// inertial gate answers without looking at it is served, not refused.
+	// dimensions, or a pixel buffer that does not match them). The engine
+	// refuses it on arrival rather than feeding garbage to the gates or
+	// the cache. Pixels are 8-bit, so every value is a reading: a frame
+	// of the right shape is never refused.
 	ErrBadFrame = errors.New("core: bad frame")
 	// ErrBadIMUWindow: the IMU window carries non-finite readings that
 	// would poison the motion statistics.

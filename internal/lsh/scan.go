@@ -18,8 +18,10 @@ import (
 //
 // (The one exception is a stored vector with a NaN component behind a
 // block that already exceeded the bound: its NaN total is never
-// reached. Stored vectors are finite in every supported pipeline — the
-// frame guard refuses non-finite pixels.)
+// reached. Stored vectors are finite in every supported pipeline:
+// descriptors are built from 8-bit frames, a peer's vectors are
+// dequantized from a scale and offset p2p.Decode checks are finite, and
+// cachestore's Import refuses non-finite vectors.)
 
 // radiusSlack widens the squared pruning bound so that rounding in
 // radius² or in the final square root can never prune a neighbor whose

@@ -120,7 +120,8 @@ func appendQuantVec(b []byte, v feature.Vector) ([]byte, error) {
 }
 
 // readQuantVec parses a quantized vector, dequantizing into a fresh
-// float64 vector.
+// float64 vector. A finite float32 scale and offset keep every
+// dequantized component finite.
 func readQuantVec(b []byte) (feature.Vector, []byte, error) {
 	n64, b, err := readUvarint(b)
 	if err != nil {
@@ -138,6 +139,9 @@ func readQuantVec(b []byte) (feature.Vector, []byte, error) {
 	}
 	scale := float64(math.Float32frombits(binary.BigEndian.Uint32(b)))
 	offset := float64(math.Float32frombits(binary.BigEndian.Uint32(b[4:])))
+	if !finite(scale) || !finite(offset) {
+		return nil, nil, ErrNonFinite
+	}
 	v := make(feature.Vector, n)
 	feature.DequantizeInto(v, b[8:8+n], scale, offset)
 	return v, b[8+n:], nil

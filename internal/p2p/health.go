@@ -76,7 +76,8 @@ func Classify(err error) ErrClass {
 		errors.Is(err, simnet.ErrUnknownNode):
 		return ErrClassUnreachable
 	case errors.Is(err, ErrTruncated), errors.Is(err, ErrUnknownKind),
-		errors.Is(err, ErrFrameTooLarge), errors.Is(err, ErrWireVersion):
+		errors.Is(err, ErrFrameTooLarge), errors.Is(err, ErrWireVersion),
+		errors.Is(err, ErrNonFinite):
 		return ErrClassBadResponse
 	}
 	var nerr net.Error

@@ -145,6 +145,11 @@ var (
 	ErrTruncated = errors.New("p2p: truncated message")
 	// ErrUnknownKind is returned for unrecognized discriminators.
 	ErrUnknownKind = errors.New("p2p: unknown message kind")
+	// ErrNonFinite is returned for a NaN or infinite confidence,
+	// distance, or quantization scale or offset: no honest peer sends
+	// one, and one admitted would poison the store (a NaN entry cannot
+	// be exported).
+	ErrNonFinite = errors.New("p2p: non-finite float")
 )
 
 // MaxVectorDim bounds decoded vector sizes as a hostile-input guard.
@@ -170,12 +175,19 @@ func appendFloat(b []byte, f float64) []byte {
 	return binary.BigEndian.AppendUint64(b, math.Float64bits(f))
 }
 
+// readFloat parses a float64 that must be finite.
 func readFloat(b []byte) (float64, []byte, error) {
 	if len(b) < 8 {
 		return 0, nil, ErrTruncated
 	}
-	return math.Float64frombits(binary.BigEndian.Uint64(b)), b[8:], nil
+	f := math.Float64frombits(binary.BigEndian.Uint64(b))
+	if !finite(f) {
+		return 0, nil, ErrNonFinite
+	}
+	return f, b[8:], nil
 }
+
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
 func expectEmpty(b []byte) error {
 	if len(b) != 0 {

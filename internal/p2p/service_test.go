@@ -1,6 +1,10 @@
 package p2p
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -294,5 +298,65 @@ func TestServiceRadiusLookupDifferential(t *testing.T) {
 	sort.Slice(b, func(i, j int) bool { return b[i].ID < b[j].ID })
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("caches diverged: %d vs %d entries", len(a), len(b))
+	}
+}
+
+// TestNonFiniteFloatsRefusedAtDecode: a gossip frame with a NaN
+// confidence, or with a NaN or infinite quantization scale or offset
+// patched in, and a query response with a NaN confidence or infinite
+// distance are refused at decode as a bad response. Admitted, any of
+// them would leave a NaN in the store that Export cannot write.
+func TestNonFiniteFloatsRefusedAtDecode(t *testing.T) {
+	svc := newService(t)
+	nan, err := Encode(Gossip{Vec: feature.Vector{1, 0}, Label: "cat", Confidence: math.NaN()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := [][]byte{nan}
+	// marker, kind, dim 2, then the float32 scale and offset.
+	for _, patch := range []struct {
+		at int
+		f  float32
+	}{{3, float32(math.NaN())}, {3, float32(math.Inf(1))}, {7, float32(math.Inf(-1))}} {
+		b, err := Encode(Gossip{Vec: feature.Vector{0, 1}, Label: "dog", Confidence: 0.9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.BigEndian.PutUint32(b[patch.at:], math.Float32bits(patch.f))
+		frames = append(frames, b)
+	}
+	for i, b := range frames {
+		if _, err := svc.HandleRaw("node-b", b); !errors.Is(err, ErrNonFinite) || Classify(err) != ErrClassBadResponse {
+			t.Fatalf("frame %d: HandleRaw = %v (class %v), want ErrNonFinite as a bad response", i, err, Classify(err))
+		}
+	}
+	for _, r := range []QueryResp{
+		{Found: true, Label: "cat", Confidence: math.NaN(), Distance: 0.1},
+		{Found: true, Label: "cat", Confidence: 0.9, Distance: math.Inf(1)},
+	} {
+		b, err := Encode(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Decode(b); !errors.Is(err, ErrNonFinite) {
+			t.Fatalf("Decode(%+v) = %v, want ErrNonFinite", r, err)
+		}
+	}
+	if n := svc.Store().Len(); n != 0 {
+		t.Fatalf("refused frames left %d entries in the store", n)
+	}
+	ok, err := Encode(Gossip{Vec: feature.Vector{0, 1}, Label: "dog", Confidence: 0.9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.HandleRaw("node-b", ok); err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := svc.Store().Export(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := newStore(t, 16).Import(&snap); err != nil || n != 1 {
+		t.Fatalf("Import = %d, %v; want the one admitted entry", n, err)
 	}
 }
