@@ -12,10 +12,10 @@ REPORTS = throughput:E20 overload:E21 lookup:E22 quality:E23 p2p:E25
 # How long `make fuzz` runs each fuzz target.
 FUZZTIME ?= 3s
 
-.PHONY: check build test race vet fmt bench gate bench-e2e-test fault-matrix fuzz
+.PHONY: check build test race vet fmt bench gate bench-e2e-test fault-matrix fuzz census
 
 # Every step `make check` runs, in order.
-CHECKS = vet fmt test race bench-e2e-test gate fault-matrix fuzz
+CHECKS = vet fmt test race bench-e2e-test gate fault-matrix fuzz census
 
 # check runs every step even after one fails and lists the failures at
 # the end, so a red step cannot hide the steps behind it (and `gate`
@@ -103,3 +103,11 @@ fuzz:
 		n=$$((n+1)); \
 	done; \
 	echo "fuzz: $$n targets passed"
+
+# Function census: build every program (commands, examples, the
+# benchmark harness) with coverage, run each through a fixed script and
+# fail on any function outside cmd/, examples/ and benchmarks/ that no
+# run entered unless testdata/knobs/unreached.txt (or test-only-funcs.txt)
+# gives the reason it stays. Works in a directory of its own (mktemp -d).
+census:
+	@GO=$(GO) bash scripts/census.sh

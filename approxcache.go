@@ -337,15 +337,8 @@ func (c *Cache) QuarantineStats() QuarantineStats { return c.store.QuarantineSta
 // asynchronous audits.
 func (c *Cache) DrainAudits() { c.engine.DrainAudits() }
 
-// LastResult returns the most recent recognition, if any.
-func (c *Cache) LastResult() (Result, bool) { return c.engine.LastResult() }
-
 // Len returns the number of live cache entries.
 func (c *Cache) Len() int { return c.store.Len() }
-
-// Evictions returns how many entries were evicted under capacity
-// pressure.
-func (c *Cache) Evictions() int { return c.store.Evictions() }
 
 // StoreStats summarizes cache occupancy and churn.
 type StoreStats = cachestore.StoreStats
@@ -385,13 +378,6 @@ func NewActivityClassifier() (*ActivityClassifier, error) {
 
 // GenerateWorkload renders the workload described by spec.
 func GenerateWorkload(spec WorkloadSpec) (*Workload, error) { return trace.Generate(spec) }
-
-// StandardWorkloads returns the four canonical workload specs
-// (stationary-heavy, handheld-mix, walking-tour, panning-sweep) at the
-// given frame budget.
-func StandardWorkloads(frames int, seed int64) []WorkloadSpec {
-	return trace.StandardSpecs(frames, seed)
-}
 
 // StationaryHeavyWorkload returns the poster's best-case workload spec.
 func StationaryHeavyWorkload(frames int, seed int64) WorkloadSpec {

@@ -8,6 +8,7 @@ import (
 	"approxcache"
 	"approxcache/internal/feature"
 	"approxcache/internal/p2p"
+	"approxcache/internal/trace"
 )
 
 func testWorkload(t *testing.T, frames int) *approxcache.Workload {
@@ -86,11 +87,8 @@ func TestNewSimulatedClassifierErrorIsNil(t *testing.T) {
 func TestDefaultsAndAccessors(t *testing.T) {
 	w := testWorkload(t, 10)
 	c := newCache(t, w, approxcache.Options{})
-	if c.Len() != 0 || c.Evictions() != 0 {
+	if c.Len() != 0 || c.StoreStats().Evictions != 0 {
 		t.Fatal("fresh cache not empty")
-	}
-	if _, ok := c.LastResult(); ok {
-		t.Fatal("fresh cache has a last result")
 	}
 }
 
@@ -146,8 +144,7 @@ func TestVirtualClockAdvances(t *testing.T) {
 func TestCapacityAndEvictions(t *testing.T) {
 	// A panning sweep changes scenes every few frames, producing
 	// enough distinct insertions to pressure a 4-entry cache.
-	spec := approxcache.StandardWorkloads(300, 3)[3]
-	w, err := approxcache.GenerateWorkload(spec)
+	w, err := approxcache.GenerateWorkload(trace.PanningSweep(300, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +153,7 @@ func TestCapacityAndEvictions(t *testing.T) {
 	if c.Len() > 4 {
 		t.Fatalf("cache len %d exceeds capacity", c.Len())
 	}
-	if c.Evictions() == 0 {
+	if c.StoreStats().Evictions == 0 {
 		t.Fatal("tiny cache never evicted")
 	}
 }
@@ -261,17 +258,12 @@ func TestLateJoinerBecomesReachable(t *testing.T) {
 	if err := approxcache.ConnectAll(clients); err != nil {
 		t.Fatal(err)
 	}
-	epoch := net.Epoch()
 
-	// A third device joins after the mesh formed. Membership must be
-	// observable via the epoch so callers know to re-wire.
+	// A third device joins after the mesh formed.
 	c := newCache(t, w, opts)
 	cc, err := c.JoinSimNetwork(net, "dev-c")
 	if err != nil {
 		t.Fatal(err)
-	}
-	if net.Epoch() == epoch {
-		t.Fatal("late join did not bump the mesh epoch")
 	}
 	for name, cl := range clients {
 		for _, p := range cl.Peers() {

@@ -266,13 +266,6 @@ func (c *Controller) Level() Level {
 	return c.level
 }
 
-// Limit returns the current concurrency limit.
-func (c *Controller) Limit() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.limitLocked()
-}
-
 // Snapshot returns a copy of the controller's state and counters.
 func (c *Controller) Snapshot() Snapshot {
 	c.mu.Lock()

@@ -29,12 +29,12 @@ func TestLimitEnforced(t *testing.T) {
 // or failure runs.
 func TestLimitStartsAtEightStaysInBounds(t *testing.T) {
 	c := New()
-	if got := c.Limit(); got != 8 {
+	if got := c.Snapshot().Limit; got != 8 {
 		t.Fatalf("initial limit = %d, want 8", got)
 	}
 	check := func(phase string, i int) {
 		t.Helper()
-		if l := c.Limit(); l < 1 || l > 64 {
+		if l := c.Snapshot().Limit; l < 1 || l > 64 {
 			t.Fatalf("%s step %d: limit %d outside [1, 64]", phase, i, l)
 		}
 	}
@@ -43,7 +43,7 @@ func TestLimitStartsAtEightStaysInBounds(t *testing.T) {
 		c.Release(true)
 		check("success", i)
 	}
-	if got := c.Limit(); got != 64 {
+	if got := c.Snapshot().Limit; got != 64 {
 		t.Fatalf("limit after sustained success = %d, want the cap 64", got)
 	}
 	for i := 0; i < 100; i++ {
@@ -51,7 +51,7 @@ func TestLimitStartsAtEightStaysInBounds(t *testing.T) {
 		c.Release(false)
 		check("failure", i)
 	}
-	if got := c.Limit(); got != 1 {
+	if got := c.Snapshot().Limit; got != 1 {
 		t.Fatalf("limit after sustained misses = %d, want the floor 1", got)
 	}
 }
@@ -62,14 +62,14 @@ func TestAdditiveIncrease(t *testing.T) {
 	// limit completions grows the limit by one slot: 8 → 9 takes 9
 	// (8 × 1/8.x falls just short).
 	n := 0
-	for c.Limit() == initialLimit && n < 100 {
+	for c.Snapshot().Limit == initialLimit && n < 100 {
 		if !c.TryAcquire() {
 			t.Fatalf("acquire %d shed below limit", n)
 		}
 		c.Release(true)
 		n++
 	}
-	if got := c.Limit(); got != initialLimit+1 || n != 9 {
+	if got := c.Snapshot().Limit; got != initialLimit+1 || n != 9 {
 		t.Fatalf("limit %d after %d successes, want %d after 9", got, n, initialLimit+1)
 	}
 }
@@ -80,18 +80,18 @@ func TestMultiplicativeBackoff(t *testing.T) {
 		t.Fatal("shed at the initial limit")
 	}
 	c.Release(false) // deadline miss
-	if got := c.Limit(); got != 4 {
+	if got := c.Snapshot().Limit; got != 4 {
 		t.Fatalf("limit after one miss = %d, want 4", got)
 	}
 	// Queue overflow is an equal backoff signal, once the cooldown of
 	// two completions has passed.
 	for i := 0; i < backoffCooldown; i++ {
 		if !c.TryAcquire() {
-			t.Fatalf("shed at limit %d", c.Limit())
+			t.Fatalf("shed at limit %d", c.Snapshot().Limit)
 		}
 		c.ReleaseOverflow()
 	}
-	if got := c.Limit(); got != 2 {
+	if got := c.Snapshot().Limit; got != 2 {
 		t.Fatalf("limit after overflow = %d, want 2", got)
 	}
 	// Repeated misses never push the limit below the floor.
@@ -99,7 +99,7 @@ func TestMultiplicativeBackoff(t *testing.T) {
 		c.TryAcquire()
 		c.Release(false)
 	}
-	if got := c.Limit(); got != 1 {
+	if got := c.Snapshot().Limit; got != 1 {
 		t.Fatalf("limit after sustained misses = %d, want floor 1", got)
 	}
 }
@@ -119,7 +119,7 @@ func TestBackoffCooldownRateLimitsDecrease(t *testing.T) {
 	if got := c.Snapshot().Backoffs; got != 1 {
 		t.Fatalf("backoffs applied = %d, want 1 (cooldown)", got)
 	}
-	if got := c.Limit(); got != 4 {
+	if got := c.Snapshot().Limit; got != 4 {
 		t.Fatalf("limit = %d, want one halving to 4", got)
 	}
 }
@@ -131,14 +131,14 @@ func toFloor(t *testing.T, c *Controller) int {
 	t.Helper()
 	for n := 1; n <= 20; n++ {
 		if !c.TryAcquire() {
-			t.Fatalf("late completion %d shed at limit %d", n, c.Limit())
+			t.Fatalf("late completion %d shed at limit %d", n, c.Snapshot().Limit)
 		}
 		c.Release(false)
-		if c.Limit() == minLimit {
+		if c.Snapshot().Limit == minLimit {
 			return n
 		}
 	}
-	t.Fatalf("limit %d never reached the floor", c.Limit())
+	t.Fatalf("limit %d never reached the floor", c.Snapshot().Limit)
 	return 0
 }
 
@@ -219,7 +219,7 @@ func TestBackoffAboveFloorIsNotBrownoutPressure(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		c.Release(false)
 	}
-	if got := c.Limit(); got != 2 {
+	if got := c.Snapshot().Limit; got != 2 {
 		t.Fatalf("limit after three misses = %d, want 2", got)
 	}
 	if got := c.Level(); got != LevelFull {

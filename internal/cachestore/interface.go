@@ -18,7 +18,7 @@ import (
 // memory: its bookkeeping comes from the store's entry table and its
 // vector is a fresh copy — read back from the index arena, which holds
 // the only copy of a live entry's vector. Reads that need no vector
-// (Label, Answer, Quarantined) therefore copy nothing.
+// (Label, Answer) therefore copy nothing.
 //
 // The radius search is deliberately not part of Interface: reach it
 // through the package function NearestWithinInto, which falls back to
@@ -32,16 +32,13 @@ import (
 type Interface interface {
 	// Insert stores a recognition result and returns its ID.
 	Insert(vec feature.Vector, label string, confidence float64, source string, savedCost time.Duration) (lsh.ID, error)
-	// Get returns a copy of the entry, vector included, and whether it
-	// is live.
-	Get(id lsh.ID) (Entry, bool)
 	// Touch records a cache hit on id.
 	Touch(id lsh.ID)
 	// Label resolves id to its label if live (shape of lsh.Vote's
 	// resolver).
 	Label(id lsh.ID) (string, bool)
 	// Answer resolves id to the label and confidence it is served with,
-	// if live: Get without the vector copy.
+	// if live.
 	Answer(id lsh.ID) (label string, confidence float64, ok bool)
 	// Nearest returns up to k neighbors of q among live entries.
 	Nearest(q feature.Vector, k int) ([]lsh.Neighbor, error)
@@ -56,8 +53,6 @@ type Interface interface {
 	Refute(id lsh.ID) bool
 	// Parole records the outcome of re-verifying a quarantined entry.
 	Parole(id lsh.ID, ok bool) ParoleOutcome
-	// Quarantined reports whether id is currently quarantined.
-	Quarantined(id lsh.ID) bool
 	// QuarantinedEntries returns copies of the quarantined entries only:
 	// the quarantined part of Snapshot.
 	QuarantinedEntries() []Entry
@@ -65,9 +60,8 @@ type Interface interface {
 	QuarantineStats() QuarantineStats
 	// Len returns the live entry count.
 	Len() int
-	// Evictions and Expiries count removals by cause.
+	// Evictions counts entries capacity pressure removed.
 	Evictions() int
-	Expiries() int
 	// Stats returns an occupancy/churn summary.
 	Stats() StoreStats
 	// Snapshot returns copies of all live entries, vectors included.

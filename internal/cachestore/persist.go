@@ -148,7 +148,6 @@ func readSnapshot(r io.Reader) (wireSnapshot, error) {
 // straight from the entry table: no intermediate Snapshot, one vector
 // buffer reused for every entry.
 func (s *Store) Export(w io.Writer) error {
-	s.purgeExpired()
 	enc := newSnapshotEncoder()
 	if err := s.encodeInto(enc); err != nil {
 		return err

@@ -39,7 +39,7 @@ func TestExportImportRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, ok := dst.Get(ns[0].ID)
+	e, ok := dst.get(ns[0].ID)
 	if !ok || e.Label != "cat" || e.Confidence != 0.9 || e.SavedCost != 120*time.Millisecond {
 		t.Fatalf("entry = %+v", e)
 	}

@@ -26,7 +26,7 @@ func TestQuarantineLifecycle(t *testing.T) {
 	if !s.Refute(id) {
 		t.Fatal("second outstanding refute must quarantine")
 	}
-	if !s.Quarantined(id) {
+	if e, _ := s.get(id); !e.Quarantined {
 		t.Fatal("entry not marked quarantined")
 	}
 	if _, ok := s.Label(id); ok {
@@ -41,7 +41,7 @@ func TestQuarantineLifecycle(t *testing.T) {
 	if out := s.Parole(id, true); out != ParoleReinstated {
 		t.Fatalf("parole = %v, want reinstated", out)
 	}
-	e, ok := s.Get(id)
+	e, ok := s.get(id)
 	if !ok || e.Quarantined || e.Refutes != 0 || e.ParoleFails != 0 {
 		t.Fatalf("reinstated entry = %+v", e)
 	}
@@ -57,7 +57,7 @@ func TestQuarantineLifecycle(t *testing.T) {
 	if out := s.Parole(id, false); out != ParoleEvicted {
 		t.Fatalf("parole = %v, want evicted", out)
 	}
-	if _, ok := s.Get(id); ok {
+	if _, ok := s.get(id); ok {
 		t.Fatal("evicted entry still live")
 	}
 	st := s.QuarantineStats()

@@ -1,7 +1,8 @@
 // Package cachestore implements the in-memory store behind the
 // approximate cache: feature-keyed entries, capacity-bounded eviction
-// (LRU, LFU, or cost-aware), and TTL expiry. Entries are mirrored into a
-// nearest-neighbor index (internal/lsh) so lookups are approximate while
+// (LRU, LFU, or cost-aware) and audit quarantine. Entries never expire:
+// they leave by eviction, removal or failed parole. They are mirrored into
+// a nearest-neighbor index (internal/lsh) so lookups are approximate while
 // bookkeeping stays exact.
 package cachestore
 
@@ -129,9 +130,6 @@ type Config struct {
 	Capacity int
 	// Policy selects the eviction policy. Defaults to LRU when zero.
 	Policy Policy
-	// TTL expires entries this long after insertion. Zero disables
-	// expiry.
-	TTL time.Duration
 	// QuarantineThreshold quarantines an entry once its outstanding
 	// refute count (refutes minus forgiven ones) reaches this value.
 	// Zero disables quarantine: refutes are still counted but never
@@ -159,7 +157,7 @@ func (c Config) Validate() error {
 	}
 }
 
-// Store is a capacity-bounded, TTL-aware entry store mirrored into a
+// Store is a capacity-bounded entry store mirrored into a
 // nearest-neighbor index. Store is safe for concurrent use.
 type Store struct {
 	cfg   Config
@@ -173,7 +171,7 @@ type Store struct {
 	mu sync.RWMutex
 	// recs is the entry table: every live entry's record, by value, in
 	// no particular order, kept compact by swap-delete so every scan
-	// (victim search, expiry, stats, snapshot) is one pass over
+	// (victim search, stats, snapshot) is one pass over
 	// contiguous memory. It grows with the entries actually held, never
 	// ahead to Capacity (see growLocked). slot maps an ID to its row.
 	recs []record
@@ -187,19 +185,11 @@ type Store struct {
 	// standard pipeline all but a handful of rows would hold nil.
 	owned  map[lsh.ID]feature.Vector
 	nextID lsh.ID
-	// nlive/evictions/expiries are atomics so the observability reads
-	// (Len, Evictions, Expiries — polled by metrics scrapes and node
-	// printouts) never take the store lock. Only lock holders write
-	// them.
+	// nlive/evictions are atomics so the observability reads (Len,
+	// Evictions — polled by metrics scrapes and node printouts) never
+	// take the store lock. Only lock holders write them.
 	nlive     atomic.Int64
 	evictions atomic.Int64
-	expiries  atomic.Int64
-	// minExpiry is the earliest InsertedAt+TTL over live entries as
-	// unix nanos (0 = none). Lookups consult it lock-free: until the
-	// clock passes it, nothing can be expired and the TTL purge scan
-	// is skipped entirely. It may run stale-low after a removal, which
-	// costs at most one wasted scan that then recomputes it.
-	minExpiry atomic.Int64
 	// Quarantine counters: the current population, then the cumulative
 	// lifecycle.
 	qActive  int // entries quarantined right now
@@ -245,11 +235,6 @@ func (s *Store) Evictions() int {
 	return int(s.evictions.Load())
 }
 
-// Expiries returns how many entries TTL expiry has removed. Lock-free.
-func (s *Store) Expiries() int {
-	return int(s.expiries.Load())
-}
-
 // Insert stores a new recognition result and returns its ID, evicting
 // per policy if the store is full.
 func (s *Store) Insert(vec feature.Vector, label string, confidence float64, source string, savedCost time.Duration) (lsh.ID, error) {
@@ -263,7 +248,6 @@ func (s *Store) Insert(vec feature.Vector, label string, confidence float64, sou
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.expireLocked(now)
 	for len(s.recs) >= s.cfg.Capacity {
 		victim, ok := s.victimLocked()
 		if !ok {
@@ -299,26 +283,7 @@ func (s *Store) Insert(vec feature.Vector, label string, confidence float64, sou
 	s.slot[id] = int32(len(s.recs))
 	s.recs = append(s.recs, r)
 	s.nlive.Add(1)
-	if s.cfg.TTL > 0 {
-		exp := s.deadline(&r)
-		if m := s.minExpiry.Load(); m == 0 || exp < m {
-			s.minExpiry.Store(exp)
-		}
-	}
 	return id, nil
-}
-
-// Get returns a snapshot of the entry and whether it is live (present
-// and unexpired). Get does not count as a use for eviction purposes.
-func (s *Store) Get(id lsh.ID) (Entry, bool) {
-	now := s.expiryNow()
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	r := s.liveLocked(id, now)
-	if r == nil {
-		return Entry{}, false
-	}
-	return r.entry(s.vecOf(r, nil)), true
 }
 
 // recLocked returns id's record, or nil. The pointer is into the entry
@@ -329,15 +294,6 @@ func (s *Store) recLocked(id lsh.ID) *record {
 		return nil
 	}
 	return &s.recs[i]
-}
-
-// liveLocked is recLocked for reads that must not see an expired entry.
-func (s *Store) liveLocked(id lsh.ID, now int64) *record {
-	r := s.recLocked(id)
-	if r == nil || s.expired(r, now) {
-		return nil
-	}
-	return r
 }
 
 // growLocked makes room for one more row. Growth is geometric but
@@ -379,10 +335,9 @@ func (s *Store) Touch(id lsh.ID) {
 // held by callers (peer answers, in-flight votes) must not revive a
 // suspect label either.
 func (s *Store) Label(id lsh.ID) (string, bool) {
-	now := s.expiryNow()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	r := s.liveLocked(id, now)
+	r := s.recLocked(id)
 	if r == nil || r.quarantined {
 		return "", false
 	}
@@ -390,13 +345,12 @@ func (s *Store) Label(id lsh.ID) (string, bool) {
 }
 
 // Answer resolves id to the label and confidence it is served with, if
-// the entry is live: Get for callers that serve a candidate directly
-// and have no use for its vector.
+// the entry is live, for callers that serve a candidate directly and
+// have no use for its vector.
 func (s *Store) Answer(id lsh.ID) (label string, confidence float64, ok bool) {
-	now := s.expiryNow()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	r := s.liveLocked(id, now)
+	r := s.recLocked(id)
 	if r == nil {
 		return "", 0, false
 	}
@@ -404,15 +358,14 @@ func (s *Store) Answer(id lsh.ID) (label string, confidence float64, ok bool) {
 }
 
 // Nearest returns up to k neighbors of q among live entries, ordered by
-// distance. Expired entries are removed before searching.
+// distance.
 func (s *Store) Nearest(q feature.Vector, k int) ([]lsh.Neighbor, error) {
 	return s.NearestInto(q, k, nil)
 }
 
-// NearestInto is Nearest writing into dst's backing array. With a
-// TTL-free store over an IntoIndex — the standard pipeline shape — a
-// lookup takes no store lock, only the index's read lock, and performs
-// no allocation.
+// NearestInto is Nearest writing into dst's backing array. Over an
+// IntoIndex — the standard pipeline shape — a lookup takes no store
+// lock, only the index's read lock, and performs no allocation.
 func (s *Store) NearestInto(q feature.Vector, k int, dst []lsh.Neighbor) ([]lsh.Neighbor, error) {
 	return s.NearestWithinInto(q, k, math.Inf(1), dst)
 }
@@ -432,7 +385,6 @@ type withinIndex interface {
 // It is not part of Interface (see there for why): callers holding an
 // Interface reach it through the package function NearestWithinInto.
 func (s *Store) NearestWithinInto(q feature.Vector, k int, radius float64, dst []lsh.Neighbor) ([]lsh.Neighbor, error) {
-	s.purgeExpired()
 	var ns []lsh.Neighbor
 	var err error
 	switch ix := s.index.(type) {
@@ -478,24 +430,6 @@ func NearestWithinInto(st Interface, q feature.Vector, k int, radius float64, ds
 	}
 	ns, err := st.NearestInto(q, k, dst)
 	return cutWithin(ns, radius), err
-}
-
-// purgeExpired removes expired entries. The fast path is one atomic
-// load: until the clock passes the tracked earliest expiry deadline,
-// nothing can be expired and the store lock is not taken, so between
-// expiry events a TTL-enabled store's lookup path is the TTL-free one.
-func (s *Store) purgeExpired() {
-	if s.cfg.TTL <= 0 {
-		return
-	}
-	now := s.clock.Now().UnixNano()
-	m := s.minExpiry.Load()
-	if m == 0 || now <= m {
-		return
-	}
-	s.mu.Lock()
-	s.expireLocked(now)
-	s.mu.Unlock()
 }
 
 // Remove deletes id from the store and index.
@@ -609,19 +543,10 @@ func (s *Store) Parole(id lsh.ID, ok bool) ParoleOutcome {
 	return ParoleHeld
 }
 
-// Quarantined reports whether id is currently quarantined.
-func (s *Store) Quarantined(id lsh.ID) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	r := s.recLocked(id)
-	return r != nil && r.quarantined
-}
-
 // QuarantinedEntries returns copies of the quarantined entries only —
 // what a parole sweep needs, without Snapshot's copy of everything
 // else.
 func (s *Store) QuarantinedEntries() []Entry {
-	s.purgeExpired()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.qActive == 0 {
@@ -665,9 +590,8 @@ func (s *Store) QuarantineStats() QuarantineStats {
 type StoreStats struct {
 	// Entries is the live entry count.
 	Entries int
-	// Evictions and Expiries count removals by cause.
+	// Evictions counts entries capacity pressure removed.
 	Evictions int
-	Expiries  int
 	// BySource counts live entries by their recorded source.
 	BySource map[string]int
 	// TotalHits sums the hit counters of live entries.
@@ -677,17 +601,14 @@ type StoreStats struct {
 	SavedTotal time.Duration
 }
 
-// Stats returns an occupancy/churn summary. A snapshot of a store with
-// nothing expired runs entirely under the read lock, so periodic stats
-// scraping cannot stall the lookup path.
+// Stats returns an occupancy/churn summary. It runs entirely under the
+// read lock, so periodic stats scraping cannot stall the lookup path.
 func (s *Store) Stats() StoreStats {
-	s.purgeExpired()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	st := StoreStats{
 		Entries:   len(s.recs),
 		Evictions: int(s.evictions.Load()),
-		Expiries:  int(s.expiries.Load()),
 		BySource:  make(map[string]int),
 	}
 	for i := range s.recs {
@@ -700,9 +621,8 @@ func (s *Store) Stats() StoreStats {
 }
 
 // Snapshot returns copies of all live entries, for export/gossip. Like
-// Stats, it only needs the read lock unless entries have expired.
+// Stats, it only needs the read lock.
 func (s *Store) Snapshot() []Entry {
-	s.purgeExpired()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	out := make([]Entry, len(s.recs))
@@ -740,49 +660,6 @@ func (s *Store) dropLocked(i int32) {
 	s.recs[last] = record{} // let go of its strings
 	s.recs = s.recs[:last]
 	s.nlive.Add(-1)
-}
-
-// expiryNow is the instant reads judge expiry at; the clock is only
-// consulted when entries can expire at all.
-func (s *Store) expiryNow() int64 {
-	if s.cfg.TTL <= 0 {
-		return 0
-	}
-	return s.clock.Now().UnixNano()
-}
-
-func (s *Store) expired(r *record, now int64) bool {
-	return s.cfg.TTL > 0 && now-r.insertedAt > int64(s.cfg.TTL)
-}
-
-// deadline is r's expiry instant in minExpiry's terms: unix nanos, with
-// 0 ("no deadline") nudged to 1ns, which is off by 1ns conservative.
-func (s *Store) deadline(r *record) int64 {
-	if exp := r.insertedAt + int64(s.cfg.TTL); exp != 0 {
-		return exp
-	}
-	return 1
-}
-
-func (s *Store) expireLocked(now int64) {
-	if s.cfg.TTL <= 0 {
-		return
-	}
-	var next int64 // earliest surviving deadline, unix nanos (0 = none)
-	// Backwards, so the record a removal swaps into row i is one this
-	// walk has already judged.
-	for i := len(s.recs) - 1; i >= 0; i-- {
-		r := &s.recs[i]
-		if s.expired(r, now) {
-			s.removeLocked(r.id)
-			s.expiries.Add(1)
-			continue
-		}
-		if exp := s.deadline(r); next == 0 || exp < next {
-			next = exp
-		}
-	}
-	s.minExpiry.Store(next)
 }
 
 // victimLocked picks the entry to evict under the configured policy:

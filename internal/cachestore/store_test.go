@@ -27,6 +27,18 @@ func newTestStore(t *testing.T, cfg Config) (*Store, *simclock.Virtual) {
 
 func vec(x, y float64) feature.Vector { return feature.Vector{x, y} }
 
+// get is id's entry as every read assembles one — bookkeeping from the
+// table, a fresh copy of the vector — and whether it is live.
+func (s *Store) get(id lsh.ID) (Entry, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	r := s.recLocked(id)
+	if r == nil {
+		return Entry{}, false
+	}
+	return r.entry(s.vecOf(r, nil)), true
+}
+
 func TestConfigValidate(t *testing.T) {
 	tests := []struct {
 		name string
@@ -86,10 +98,10 @@ func TestLRUEviction(t *testing.T) {
 	if _, err := s.Insert(vec(1, 1), "c", 1, "dnn", time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Get(id2); ok {
+	if _, ok := s.get(id2); ok {
 		t.Fatal("LRU should have evicted id2")
 	}
-	if _, ok := s.Get(id1); !ok {
+	if _, ok := s.get(id1); !ok {
 		t.Fatal("recently used id1 evicted")
 	}
 	if s.Evictions() != 1 {
@@ -110,10 +122,10 @@ func TestLFUEviction(t *testing.T) {
 	if _, err := s.Insert(vec(1, 1), "c", 1, "dnn", time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Get(id2); ok {
+	if _, ok := s.get(id2); ok {
 		t.Fatal("LFU should evict least-frequently-used id2")
 	}
-	if _, ok := s.Get(id1); !ok {
+	if _, ok := s.get(id1); !ok {
 		t.Fatal("frequently used id1 evicted")
 	}
 }
@@ -129,10 +141,10 @@ func TestCostAwareEviction(t *testing.T) {
 	if _, err := s.Insert(vec(1, 1), "c", 1, "dnn", 100*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Get(cheap); ok {
+	if _, ok := s.get(cheap); ok {
 		t.Fatal("cost-aware should evict the cheap entry")
 	}
-	if _, ok := s.Get(expensive); !ok {
+	if _, ok := s.get(expensive); !ok {
 		t.Fatal("expensive entry evicted")
 	}
 }

@@ -33,27 +33,11 @@ type refStore struct {
 	entries   map[lsh.ID]*Entry
 	nextID    lsh.ID
 	evictions int
-	expiries  int
 	q         QuarantineStats // Total, Paroled, Evicted; Active is derived
 }
 
 func newRefStore(cfg Config) *refStore {
 	return &refStore{cfg: cfg, entries: make(map[lsh.ID]*Entry), nextID: 1}
-}
-
-func (m *refStore) expired(e *Entry, now time.Time) bool {
-	return m.cfg.TTL > 0 && now.Sub(e.InsertedAt) > m.cfg.TTL
-}
-
-// purge is what every purging operation of the store (Insert, Nearest,
-// Snapshot, Stats, Export, QuarantinedEntries) does first.
-func (m *refStore) purge(now time.Time) {
-	for id, e := range m.entries {
-		if m.expired(e, now) {
-			delete(m.entries, id)
-			m.expiries++
-		}
-	}
 }
 
 // refWorse is the eviction order as the pointer-per-entry store defined
@@ -86,7 +70,6 @@ func (m *refStore) victim() lsh.ID {
 }
 
 func (m *refStore) insert(now time.Time, v feature.Vector, label string, conf float64, source string, cost time.Duration) lsh.ID {
-	m.purge(now)
 	for len(m.entries) >= m.cfg.Capacity {
 		delete(m.entries, m.victim())
 		m.evictions++
@@ -100,12 +83,9 @@ func (m *refStore) insert(now time.Time, v feature.Vector, label string, conf fl
 	return id
 }
 
-func (m *refStore) get(id lsh.ID, now time.Time) (*Entry, bool) {
+func (m *refStore) get(id lsh.ID) (*Entry, bool) {
 	e, ok := m.entries[id]
-	if !ok || m.expired(e, now) {
-		return nil, false
-	}
-	return e, true
+	return e, ok
 }
 
 // nearest is a brute-force top-k over the live, unquarantined entries,
@@ -377,7 +357,7 @@ const (
 	opRefute
 	opParole
 	opRemove
-	opLookup // NearestInto, Nearest and NearestWithinInto, after a clock step of up to 11 s
+	opLookup // NearestInto, Nearest and NearestWithinInto
 	opExport // Export, then carry on with a new store that imported it
 )
 
@@ -444,13 +424,13 @@ func (o *modelOp) vec() feature.Vector {
 
 // modelKeys is what every grid cell's run must reach: among them a
 // lookup at a radius equal to a returned distance ("lookup:boundary"),
-// one that purged ("lookup:purged"), an import that carried a
-// quarantined entry, and a lookup while that entry is still held.
-var modelKeys = []string{"evict", "expire", "export", "quarantine", "parole:reinstated", "parole:held",
-	"parole:evicted", "lookup:boundary", "lookup:purged", "import:quarantined", "import:continued"}
+// an import that carried a quarantined entry, and a lookup while that
+// entry is still held.
+var modelKeys = []string{"evict", "export", "quarantine", "parole:reinstated", "parole:held",
+	"parole:evicted", "lookup:boundary", "import:quarantined", "import:continued"}
 
 // runModel drives ops through the store and the plain-map reference in
-// lockstep and requires every observable — Get, Label, Answer, the
+// lockstep and requires every observable — an entry by ID, Label, Answer, the
 // three lookups, Snapshot, QuarantinedEntries, Stats, Export bytes,
 // counters, the eviction victim — to agree after each step, with
 // vectors bit-identical to what was inserted however often their entry
@@ -458,7 +438,7 @@ var modelKeys = []string{"evict", "expire", "export", "quarantine", "parole:rein
 // store that imported it. It returns the tally of what it reached.
 func runModel(t *testing.T, cell modelCell, ops []modelOp) map[string]int {
 	ix := modelIndexes[cell.index]
-	cfg := Config{Capacity: cell.capacity, Policy: cell.policy, TTL: 30 * time.Second, QuarantineThreshold: 2}
+	cfg := Config{Capacity: cell.capacity, Policy: cell.policy, QuarantineThreshold: 2}
 	clk := simclock.NewVirtual(time.Unix(0, 0))
 	newStore := func() *Store {
 		idx, err := ix.build()
@@ -477,7 +457,7 @@ func runModel(t *testing.T, cell modelCell, ops []modelOp) map[string]int {
 	s, m := newStore(), newRefStore(cfg)
 	_, into := s.index.(lsh.IntoIndex)
 	reached := map[string]int{}
-	bank := func() { reached["evict"] += m.evictions; reached["expire"] += m.expiries }
+	bank := func() { reached["evict"] += m.evictions }
 	labels := []string{"cat", "dog", "bus"}
 	var ids, carried []lsh.ID // carried: quarantined when the last import brought them
 	dst := make([]lsh.Neighbor, 0, 40)
@@ -507,7 +487,7 @@ func runModel(t *testing.T, cell modelCell, ops []modelOp) map[string]int {
 			label, src := labels[op.intn(len(labels))], []string{"dnn", "peer"}[op.intn(2)]
 			conf, cost := 0.5+float64(op.intn(256))/512, time.Duration(1+op.intn(3))*time.Millisecond
 			var victim lsh.ID
-			if m.purge(now); len(m.entries) >= cfg.Capacity {
+			if len(m.entries) >= cfg.Capacity {
 				victim = m.victim()
 			}
 			want := m.insert(now, v, label, conf, src, cost)
@@ -515,23 +495,21 @@ func runModel(t *testing.T, cell modelCell, ops []modelOp) map[string]int {
 			if err != nil || id != want {
 				t.Fatalf("op %d: Insert = %d, %v; model assigns %d", i, id, err, want)
 			}
-			if _, alive := s.Get(victim); victim != 0 && alive {
+			if _, alive := s.get(victim); victim != 0 && alive {
 				t.Fatalf("op %d: model evicts %d, the store kept it", i, victim)
 			}
 			v[0] = math.NaN() // the caller's slice is the caller's again
 			ids = append(ids, id)
 		case kind == opGet:
 			id := pick()
-			got, ok := s.Get(id)
-			want, wok := m.get(id, now)
+			got, ok := s.get(id)
+			want, wok := m.get(id)
 			if ok != wok || (ok && !sameEntry(got, *want)) {
-				t.Fatalf("op %d: Get(%d) = %+v (%v), model %+v (%v)", i, id, got, ok, want, wok)
+				t.Fatalf("op %d: get(%d) = %+v (%v), model %+v (%v)", i, id, got, ok, want, wok)
 			}
 			if ok {
 				got.Vec[0] = -1 // so is a copy the store handed out
 				reached["get"]++
-			} else if _, held := m.entries[id]; held {
-				reached["get:expired"]++
 			}
 		case kind == opLabel:
 			id := pick()
@@ -540,7 +518,7 @@ func runModel(t *testing.T, cell modelCell, ops []modelOp) map[string]int {
 			}
 			label, ok := s.Label(id)
 			alabel, aconf, aok := s.Answer(id)
-			want, wok := m.get(id, now)
+			want, wok := m.get(id)
 			if aok != wok || (aok && (alabel != want.Label || aconf != want.Confidence)) {
 				t.Fatalf("op %d: Answer(%d) = %q %v (%v), model %+v (%v)", i, id, alabel, aconf, aok, want, wok)
 			}
@@ -568,7 +546,7 @@ func runModel(t *testing.T, cell modelCell, ops []modelOp) map[string]int {
 		case kind == opRefute:
 			id := pickLive(func(e *Entry) bool { return !e.Quarantined })
 			got, want := s.Refute(id), m.refute(id)
-			if got != want || s.Quarantined(id) != (m.entries[id] != nil && m.entries[id].Quarantined) {
+			if e, _ := s.get(id); got != want || e.Quarantined != (m.entries[id] != nil && m.entries[id].Quarantined) {
 				t.Fatalf("op %d: Refute(%d) = %v, model %v", i, id, got, want)
 			}
 			if got {
@@ -589,14 +567,7 @@ func runModel(t *testing.T, cell modelCell, ops []modelOp) map[string]int {
 				reached["remove"]++
 			}
 		case kind == opLookup:
-			clk.Advance(time.Duration(op.intn(12)) * time.Second)
-			now = clk.Now()
 			q, k := op.vec(), []int{1, 4, 40}[op.intn(3)]
-			expired := m.expiries
-			m.purge(now)
-			if m.expiries > expired {
-				reached["lookup:purged"]++
-			}
 			ns, err := s.NearestInto(q, k, dst)
 			if err != nil {
 				t.Fatal(err)
@@ -638,7 +609,6 @@ func runModel(t *testing.T, cell modelCell, ops []modelOp) map[string]int {
 			if err := s.Export(&b); err != nil {
 				t.Fatal(err)
 			}
-			m.purge(now)
 			if want := m.exportBytes(t); !bytes.Equal(b.Bytes(), want) {
 				t.Fatalf("op %d: Export wrote\n%s\nthe model's entries marshal to\n%s", i, b.Bytes(), want)
 			}
@@ -666,12 +636,11 @@ func runModel(t *testing.T, cell modelCell, ops []modelOp) map[string]int {
 		if vok != (len(m.entries) > 0) || (vok && victim != m.victim()) {
 			t.Fatalf("op %d: victim %d (%v), model picks %d of %d", i, victim, vok, m.victim(), len(m.entries))
 		}
-		if s.Len() != len(m.entries) || s.Evictions() != m.evictions || s.Expiries() != m.expiries {
-			t.Fatalf("op %d: len/evictions/expiries %d/%d/%d, model %d/%d/%d", i,
-				s.Len(), s.Evictions(), s.Expiries(), len(m.entries), m.evictions, m.expiries)
+		if s.Len() != len(m.entries) || s.Evictions() != m.evictions {
+			t.Fatalf("op %d: len/evictions %d/%d, model %d/%d", i,
+				s.Len(), s.Evictions(), len(m.entries), m.evictions)
 		}
-		if full { // these purge, so not every step
-			m.purge(now)
+		if full { // these copy every entry, so not every step
 			snap := s.Snapshot()
 			sameEntries(t, fmt.Sprintf("op %d: Snapshot", i), snap, m.sorted(nil))
 			for _, e := range snap {
@@ -682,7 +651,7 @@ func runModel(t *testing.T, cell modelCell, ops []modelOp) map[string]int {
 			if got, want := s.QuarantineStats(), m.quarantineStats(); got != want {
 				t.Fatalf("op %d: quarantine stats %+v, model %+v", i, got, want)
 			}
-			want := StoreStats{Entries: len(m.entries), Evictions: m.evictions, Expiries: m.expiries, BySource: map[string]int{}}
+			want := StoreStats{Entries: len(m.entries), Evictions: m.evictions, BySource: map[string]int{}}
 			for _, e := range m.entries {
 				want.BySource[e.Source]++
 				want.TotalHits += e.Hits
@@ -777,12 +746,11 @@ func raceVec(id lsh.ID) feature.Vector {
 	return v
 }
 
-// runRace runs four readers — Get, Label, Answer, NearestInto,
+// runRace runs four readers — get, Label, Answer, NearestInto,
 // NearestWithinInto, Snapshot, Stats, Len — against two writers that
 // keep the store at capacity while they insert, quarantine, parole,
-// remove, export, import into the live store and jump the clock past
-// the TTL: every move of a vector between the index arena and the
-// table. Every vector a reader is handed must be raceVec of its ID, so
+// remove, export and import into the live store: every move of a vector
+// between the index arena and the table. Every vector a reader is handed must be raceVec of its ID, so
 // the writers assign IDs (Insert, Import) only under claim. The writers
 // take the IDs up to ids between them; runRace returns what they did,
 // by kind.
@@ -792,7 +760,7 @@ func runRace(t *testing.T, ids int) map[string]int {
 		t.Fatal(err)
 	}
 	clk := simclock.NewVirtual(time.Unix(0, 0))
-	s, err := New(Config{Capacity: 32, TTL: time.Minute, QuarantineThreshold: 1}, idx, clk)
+	s, err := New(Config{Capacity: 32, QuarantineThreshold: 1}, idx, clk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -842,10 +810,10 @@ func runRace(t *testing.T, ids int) map[string]int {
 				top := lsh.ID(latest.Load())
 				var got []Entry
 				for id := top - 7; id <= top+4; id++ { // the newest IDs, and those an import may be adding
-					if e, ok := s.Get(id); ok {
+					if e, ok := s.get(id); ok {
 						got = append(got, e)
 						if e.ID != id {
-							t.Errorf("Get(%d) handed out entry %d", id, e.ID)
+							t.Errorf("get(%d) handed out entry %d", id, e.ID)
 							return
 						}
 					}
@@ -923,10 +891,6 @@ func runRace(t *testing.T, ids int) map[string]int {
 					err = errors.Join(err, s.Export(io.Discard))
 					did["export"]++
 				}
-				if id%400 == 0 {
-					clk.Advance(time.Minute + time.Second)
-					did["ttl-jump"]++
-				}
 				if err != nil {
 					t.Error(err)
 					return
@@ -940,7 +904,7 @@ func runRace(t *testing.T, ids int) map[string]int {
 	s.mu.Lock()
 	checkTable(t, s)
 	s.mu.Unlock()
-	out := map[string]int{"evict": s.Evictions(), "expire": s.Expiries()}
+	out := map[string]int{"evict": s.Evictions()}
 	for _, w := range did {
 		for k, n := range w {
 			out[k] += n
@@ -952,7 +916,7 @@ func runRace(t *testing.T, ids int) map[string]int {
 // TestTableReadersRace is the race runner at full length. Run under
 // -race.
 func TestTableReadersRace(t *testing.T) {
-	raceScenario(t, 3000, "insert", "import", "export", "quarantine", "parole", "remove", "ttl-jump", "expire", "evict")
+	raceScenario(t, 3000, "insert", "import", "export", "quarantine", "parole", "remove", "evict")
 }
 
 // raceScenario runs the race runner, which must reach every key of want.
@@ -965,7 +929,7 @@ func raceScenario(t *testing.T, ids int, want ...string) {
 // its own; it is now a run of the model or of the race runner that must
 // reach that corner.
 
-// Get hands out a copy of the entry, Touch counts a hit at the current
+// An entry read by ID is a copy, Touch counts a hit at the current
 // time, Label resolves live unquarantined entries, absent IDs nothing.
 func TestInsertGetTouch(t *testing.T) { modelScenario(t, cells(LRU, exact), "get", "touch") }
 func TestLabelCallback(t *testing.T) {
@@ -980,19 +944,11 @@ func TestSnapshotsIndependentOfTableOrder(t *testing.T) {
 	modelScenario(t, cells(LFU, hyperplane), "snapshot", "remove", "evict")
 }
 func TestStats(t *testing.T) {
-	modelScenario(t, cells(CostAware, hyperplane), "snapshot", "evict", "expire")
+	modelScenario(t, cells(CostAware, hyperplane), "snapshot", "evict")
 }
 
 // A removed entry is gone, and removing it again changes nothing.
 func TestRemove(t *testing.T) { modelScenario(t, cells(LRU, hidden), "remove") }
-
-// An expired entry leaves Get, the live count and every lookup, which
-// purges first with the radius search or without.
-func TestTTLExpiry(t *testing.T)                { modelScenario(t, cells(LRU, exact), "get:expired", "expire") }
-func TestNearestIntoPurgesExpired(t *testing.T) { modelScenario(t, cells(LRU, exact), "lookup:purged") }
-func TestStoreNearestWithinPurgesExpired(t *testing.T) {
-	modelScenario(t, cells(LRU, hidden), "lookup:purged")
-}
 
 // A lookup on the exact index is the brute-force top-k by (distance,
 // ID); NearestInto writes into the dst it is given and equals Nearest;
@@ -1021,7 +977,7 @@ func TestVictimMatchesMapScan(t *testing.T) {
 	}
 }
 func TestStoreDifferentialWithSerialized(t *testing.T) {
-	modelScenario(t, cells(LRU, hyperplane), "remove", "quarantine", "parole:reinstated", "lookup:purged")
+	modelScenario(t, cells(LRU, hyperplane), "remove", "quarantine", "parole:reinstated")
 }
 
 // Audit counters, the quarantine gauge, every parole outcome and the
@@ -1045,13 +1001,13 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 }
 
 // Readers race inserts; imports; quarantine and parole; eviction,
-// removal, export and expiry.
+// removal and export.
 func TestConcurrentAccess(t *testing.T)            { raceScenario(t, 300, "insert", "evict") }
 func TestStoreConcurrentAccess(t *testing.T)       { raceScenario(t, 300, "insert", "remove") }
 func TestReadersDuringImportRace(t *testing.T)     { raceScenario(t, 300, "import") }
 func TestReadersDuringQuarantineRace(t *testing.T) { raceScenario(t, 300, "quarantine", "parole") }
 func TestShardedConcurrentStress(t *testing.T) {
-	raceScenario(t, 500, "evict", "remove", "export", "expire")
+	raceScenario(t, 500, "evict", "remove", "export")
 }
 
 // randomDescriptors draws n uniform-random dim-d vectors: all-positive

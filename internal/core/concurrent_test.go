@@ -9,7 +9,7 @@ import (
 )
 
 // TestEngineConcurrentProcess drives Process from several goroutines
-// while others read LastResult and stats. Run under -race this
+// while others read the last result and stats. Run under -race this
 // validates the engine's read/write lock split and the pooled per-frame
 // scratch buffers (each concurrent frame must get its own vector and
 // neighbor buffer, never a teammate's).
@@ -47,7 +47,7 @@ func TestEngineConcurrentProcess(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				fx.engine.LastResult()
+				fx.engine.lastResult()
 				fx.engine.Stats().HitRate()
 				if fx.store != nil {
 					fx.store.Stats()

@@ -16,7 +16,6 @@ package core
 import (
 	"fmt"
 	"hash/fnv"
-	"reflect"
 	"sync"
 	"time"
 
@@ -162,12 +161,6 @@ type Config struct {
 	// recalibration. The zero value is disabled. Only meaningful in
 	// ModeApprox.
 	Quality QualityConfig
-	// LastResultTTL bounds how stale a last-served result the
-	// degradation ladder may repeat: past the TTL the last-result rung
-	// falls through to the next rung (a typed error) instead of
-	// parroting ancient history. Measured on the engine clock. Zero
-	// (the default) keeps the rung unbounded, matching prior behavior.
-	LastResultTTL time.Duration
 }
 
 // DefaultConfig returns the standard pipeline configuration.
@@ -194,9 +187,6 @@ func (c Config) Validate() error {
 	}
 	if c.RequestDeadline < 0 {
 		return fmt.Errorf("core: RequestDeadline must be non-negative, got %v", c.RequestDeadline)
-	}
-	if c.LastResultTTL < 0 {
-		return fmt.Errorf("core: LastResultTTL must be non-negative, got %v", c.LastResultTTL)
 	}
 	if err := c.Quality.Validate(); err != nil {
 		return err
@@ -304,8 +294,7 @@ type Engine struct {
 	// serves degraded frames from this copy concurrently).
 	last    Result
 	hasLast bool
-	lastAt  time.Time // engine clock, for LastResultTTL
-	streak  int       // consecutive frames served by reuse sources
+	streak  int // consecutive frames served by reuse sources
 	// appliedScale is the quality scale last pushed into the detector
 	// and keyframe library.
 	appliedScale float64
@@ -353,7 +342,7 @@ func newEngine(cfg Config, deps Deps, stats *metrics.SessionStats, wd *watchdog,
 	}
 	// Normalize typed-nil stores: a nil *Store in the interface would
 	// dodge the nil check below and crash on first use instead.
-	if v := reflect.ValueOf(deps.Store); v.Kind() == reflect.Pointer && v.IsNil() {
+	if s, ok := deps.Store.(*cachestore.Store); ok && s == nil {
 		deps.Store = nil
 	}
 	e := &Engine{cfg: cfg, deps: deps, stats: stats, ctrl: ctrl, jitterSeed: jitterSeedFor(session), appliedScale: 1,
@@ -446,18 +435,6 @@ func (e *Engine) peers() *p2p.Client {
 	return e.deps.Peers
 }
 
-// Mode returns the engine's mode.
-func (e *Engine) Mode() Mode { return e.cfg.Mode }
-
-// LastResult returns a copy of the most recent result, if any. The
-// copy is taken under the read lock and Result carries no slice-backed
-// fields, so callers never alias engine-internal state.
-func (e *Engine) LastResult() (Result, bool) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.last, e.hasLast
-}
-
 // Process recognizes one frame. imuWindow carries the inertial samples
 // received since the previous frame (ignored outside ModeApprox; nil
 // is fine). Structurally unusable inputs return ErrBadFrame or
@@ -526,10 +503,6 @@ func (e *Engine) finish(res Result, correct bool) {
 	defer e.mu.Unlock()
 	e.last = res
 	e.hasLast = true
-	if res.Degradation == DegradeNone {
-		// A ladder answer replays history: it must not renew its age.
-		e.lastAt = e.deps.Clock.Now()
-	}
 	if res.Source == metrics.SourceDNN {
 		e.streak = 0
 	} else {

@@ -459,15 +459,15 @@ func TestKeyframeLibraryServesPanBack(t *testing.T) {
 }
 
 // newPeerCluster builds n peer services on a simnet and returns a
-// client connected to all of them.
-func newPeerCluster(t *testing.T, n int, extractorDim int) (*p2p.Client, []*p2p.Service) {
+// client connected to all of them, and the services' stores.
+func newPeerCluster(t *testing.T, n int, extractorDim int) (*p2p.Client, []*cachestore.Store) {
 	t.Helper()
 	net, err := simnet.New(simnet.LinkProfile{Latency: 5 * time.Millisecond}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	clock := simclock.NewVirtual(time.Unix(0, 0))
-	var services []*p2p.Service
+	var stores []*cachestore.Store
 	var names []string
 	for i := 0; i < n; i++ {
 		idx, err := lsh.NewExact(extractorDim)
@@ -486,7 +486,7 @@ func newPeerCluster(t *testing.T, n int, extractorDim int) (*p2p.Client, []*p2p.
 		if err := p2p.RegisterService(net, svc); err != nil {
 			t.Fatal(err)
 		}
-		services = append(services, svc)
+		stores = append(stores, st)
 		names = append(names, name)
 	}
 	tr, err := p2p.NewSimnetTransport("device", net)
@@ -498,14 +498,14 @@ func newPeerCluster(t *testing.T, n int, extractorDim int) (*p2p.Client, []*p2p.
 		t.Fatal(err)
 	}
 	cl.SetPeers(names)
-	return cl, services
+	return cl, stores
 }
 
 func TestApproxPeerHitAndAdoption(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.DisableIMUGate = true
 	cfg.DisableVideoGate = true
-	client, services := newPeerCluster(t, 1, cfg.Extractor.Dim())
+	client, stores := newPeerCluster(t, 1, cfg.Extractor.Dim())
 	f := newFixture(t, cfg, client)
 	proto, err := f.classes.Prototype(5)
 	if err != nil {
@@ -516,7 +516,7 @@ func TestApproxPeerHitAndAdoption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := services[0].Store().Insert(vec, "class-5", 0.95, "dnn", 120*time.Millisecond); err != nil {
+	if _, err := stores[0].Insert(vec, "class-5", 0.95, "dnn", 120*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	res, err := f.engine.ProcessWithTruth(proto, movingWindow(0), dnn.LabelOf(5))
@@ -549,7 +549,7 @@ func TestApproxPeerHitAndAdoption(t *testing.T) {
 
 func TestApproxGossipWarmsPeers(t *testing.T) {
 	cfg := DefaultConfig()
-	client, services := newPeerCluster(t, 2, cfg.Extractor.Dim())
+	client, stores := newPeerCluster(t, 2, cfg.Extractor.Dim())
 	f := newFixture(t, cfg, client)
 	proto, err := f.classes.Prototype(0)
 	if err != nil {
@@ -562,8 +562,8 @@ func TestApproxGossipWarmsPeers(t *testing.T) {
 	if res.Source != metrics.SourceDNN {
 		t.Fatalf("source = %v", res.Source)
 	}
-	for i, svc := range services {
-		if svc.Store().Len() != 1 {
+	for i, st := range stores {
+		if st.Len() != 1 {
 			t.Fatalf("peer %d not warmed by gossip", i)
 		}
 	}
@@ -631,9 +631,17 @@ func TestHeadlineLatencyReduction(t *testing.T) {
 	}
 }
 
+// lastResult is the engine's last result, read under its lock as the
+// ladder reads it.
+func (e *Engine) lastResult() (Result, bool) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.last, e.hasLast
+}
+
 func TestLastResult(t *testing.T) {
 	f := newFixture(t, Config{Mode: ModeNoCache}, nil)
-	if _, ok := f.engine.LastResult(); ok {
+	if _, ok := f.engine.lastResult(); ok {
 		t.Fatal("fresh engine has a last result")
 	}
 	proto, err := f.classes.Prototype(0)
@@ -643,12 +651,9 @@ func TestLastResult(t *testing.T) {
 	if _, err := f.engine.Process(proto, nil); err != nil {
 		t.Fatal(err)
 	}
-	res, ok := f.engine.LastResult()
+	res, ok := f.engine.lastResult()
 	if !ok || res.Label == "" {
 		t.Fatalf("last result = %+v ok=%v", res, ok)
-	}
-	if f.engine.Mode() != ModeNoCache {
-		t.Fatal("mode accessor wrong")
 	}
 }
 

@@ -32,7 +32,9 @@ import (
 // digest was recorded with today's input at the commit before the
 // cooldown became a constant. Every digest was re-recorded on the tree
 // that made frames 8-bit luma: that moved every frame's pixels, and with
-// them every decision downstream.
+// them every decision downstream. The dnn-faults row once bounded the
+// last result's age at 150 ms; since the last result no longer ages, its
+// digest is the one the commit before produced with that bound at zero.
 var parentGoldens = map[string]string{
 	"default":       "480b6fd52e4fa102740a8d56b5a546fbbdbee3f34684a4e7d1166997b55bc4c4",
 	"no-imu-gate":   "8ab3cc5dd2f591f379a10fab6289d12bc02d4dca1131f86fce823daf518630fd",
@@ -41,7 +43,7 @@ var parentGoldens = map[string]string{
 	"keyframes-1":   "9aa699e4a65ce53c73a2a79a44c06803207fab210ce71c6707d5733322bbfe0a",
 	"streak-1":      "3085f3072eb0769dd05963472462aa58645454fa755c74c687223be6efad3a6a",
 	"quality-drift": "683735eedac6c2f5b20e4d6479193450bd21743a66765384ec689b249d557180",
-	"dnn-faults":    "814f8786ef632febe32fdec4875025df1a523dc7cce213ad4eb879a09d156a76",
+	"dnn-faults":    "627c0ddc57dfbb5dc0fad966f6905b6d98de5a155549d2f2cb997ad69430afb6",
 	"sensor-faults": "c009d0da5e0d9201d907904a10dfdab2f402129d690ce153a2dac4fe02075168",
 	"unguarded":     "8c4c68e85f134c8068fe1bf537d1f7aa7748cbc26f0a3052806d65e4fed695f0",
 	"mesh-gossip":   "c2a5d76869be16a254d10a8293102c02cf3d30f57000621c4cca2be2fbaf16b5",
@@ -77,9 +79,7 @@ func goldenRows() []goldenRow {
 		}, plan: func(n int) dnn.FaultPlan {
 			return dnn.FaultPlan{{From: 25, To: 1 << 30, Kind: dnn.FaultDrift, Relabel: dnn.ShiftRelabel(1, n)}}
 		}},
-		{name: "dnn-faults", cfg: func(c *Config) {
-			c.LastResultTTL = 150 * time.Millisecond
-		}, plan: func(int) dnn.FaultPlan {
+		{name: "dnn-faults", plan: func(int) dnn.FaultPlan {
 			return dnn.FaultPlan{
 				{From: 5, To: 6, Kind: dnn.FaultError},
 				{From: 20, To: 26, Kind: dnn.FaultError},
@@ -358,7 +358,7 @@ func checkGoldenCoverage(t *testing.T, row goldenRow, seen map[string]int) {
 	case "quality-drift":
 		need = append(need, "event:audit-refuted", "event:quarantine", "event:reuse-refusal")
 	case "dnn-faults":
-		need = append(need, "degrade:cache-only", "degrade:last-result", "error:recognition unavailable",
+		need = append(need, "degrade:cache-only", "degrade:last-result",
 			"event:watchdog-retry", "event:watchdog-trip", "event:watchdog-recovery", "event:watchdog-fast-fail")
 	case "sensor-faults":
 		need = append(need, "fault:frame-low-entropy", "fault:frame-empty",

@@ -36,14 +36,12 @@ import (
 	"approxcache/internal/vision"
 )
 
-// The store and ladder bounds every model cell runs under: small enough
-// that eviction, expiry, revalidation and both ladder rungs happen
-// within a few dozen frames.
+// The store and streak bounds every model cell runs under: small enough
+// that eviction, revalidation and both ladder rungs happen within a few
+// dozen frames.
 const (
-	modelCapacity      = 8
-	modelTTL           = 4 * time.Second
-	modelLastResultTTL = time.Second
-	modelStreak        = 6
+	modelCapacity = 8
+	modelStreak   = 6
 )
 
 // modelCell is one configuration of the grid.
@@ -97,7 +95,6 @@ func (c modelCell) config() Config {
 	if c.streak != 0 {
 		cfg.MaxReuseStreak = c.streak
 	}
-	cfg.LastResultTTL = modelLastResultTTL
 	switch c.off {
 	case "imu-gate":
 		cfg.DisableIMUGate = true
@@ -148,7 +145,7 @@ const (
 	opFrame      = iota // next frame, skipping arg%3 frames
 	opBadFrame          // next frame corrupted: black, flat, short buffer, nil
 	opBadIMU            // next frame with its window stuck, non-monotonic, dropped out or non-finite
-	opAdvance           // clock jump past TTL or LastResultTTL
+	opAdvance           // clock jump of 4 s or 1 s: breaker cooldowns and revalidation read the clock
 	opClassifier        // classifier down, up, transient error, hang; limiter held
 	opVerdict           // Confirm, Refute, Parole ok, Parole fail on an entry
 	opPlant             // a wrong label cached at the next frame's descriptor
@@ -381,7 +378,7 @@ func newModelParts(t *testing.T, cell modelCell, classes *vision.ClassSet) *mode
 		capacity = cell.capacity
 	}
 	p := &modelParts{clock: simclock.NewVirtual(time.Unix(0, 0)), exact: cell.exact, hide: cell.hidden,
-		ccfg: cachestore.Config{Capacity: capacity, Policy: cell.policy, TTL: modelTTL, QuarantineThreshold: 1}}
+		ccfg: cachestore.Config{Capacity: capacity, Policy: cell.policy, QuarantineThreshold: 1}}
 	// A sloppy model: wrong labels get cached, later lookups land among
 	// mixed labels, votes fail, and the fresh inference repairs them.
 	profile := dnn.MobileNetV2
@@ -431,7 +428,7 @@ type hiddenIndex struct{ lsh.IntoIndex }
 
 // seenStore is the engine's view of its store. It counts lookups, and
 // holds every entry the engine resolves to being live and trusted —
-// the hook for "a quarantined or expired entry is never served".
+// the hook for "a quarantined entry is never served".
 type seenStore struct {
 	*cachestore.Store
 	t       *testing.T
@@ -465,8 +462,8 @@ func (s *seenStore) resolved(id lsh.ID, label string, ok bool) {
 	if !ok {
 		return
 	}
-	if e, live := s.Store.Get(id); !live || e.Quarantined {
-		s.t.Errorf("entry %d resolved to %q while live=%v quarantined=%v", id, label, live, e.Quarantined)
+	if _, trusted := s.Store.Label(id); !trusted {
+		s.t.Errorf("entry %d resolved to %q while gone or quarantined", id, label)
 	}
 	s.labels[label] = true
 }
@@ -559,7 +556,6 @@ type refEngine struct {
 
 	last    Result
 	hasLast bool
-	lastAt  time.Time
 	streak  int
 
 	failures  int // the watchdog's consecutive failed calls
@@ -685,9 +681,6 @@ func (r *refEngine) process(in diffFrame) (res Result, rec FrameRecord, err erro
 			r.events[metrics.EventDegradedServe]++
 		}
 		r.last, r.hasLast = res, true
-		if d == DegradeNone {
-			r.lastAt = r.clock.Now()
-		}
 		if src == metrics.SourceDNN {
 			r.streak = 0
 		} else {
@@ -845,7 +838,7 @@ func (r *refEngine) process(in diffFrame) (res Result, rec FrameRecord, err erro
 	}
 
 	// The ladder: a cached entry at twice the vote radius, else the last
-	// result within LastResultTTL, else the failure.
+	// result, else the failure.
 	if frameOK {
 		charge(StageDNN, lookupLatency, lookupEnergyMJ)
 		if ns := r.nearest(vec, 1, fallbackRadiusFactor*c.Vote.MaxDistance); len(ns) > 0 {
@@ -855,7 +848,7 @@ func (r *refEngine) process(in diffFrame) (res Result, rec FrameRecord, err erro
 			}
 		}
 	}
-	if r.hasLast && r.clock.Now().Sub(r.lastAt) <= c.LastResultTTL {
+	if r.hasLast {
 		return serve(StageDNN, r.last.Label, r.last.Confidence*fallbackConfidence, metrics.SourceFallback, DegradeLastResult)
 	}
 	rec.Stages[StageDNN].Outcome = OutcomeRefused
@@ -897,7 +890,6 @@ type modelHarness struct {
 	reuseRun int
 	last     Result
 	hasLast  bool
-	lastAt   time.Time
 }
 
 func newModelHarness(t *testing.T, cell modelCell, st diffStream, start int) *modelHarness {
@@ -970,10 +962,7 @@ func (h *modelHarness) step(i int, o modelOp) {
 		in.win = trace.CorruptIMUWindow(in.win, faults[arg%len(faults)], rand.New(rand.NewSource(int64(arg))))
 		h.frame(i, o, in)
 	case opAdvance:
-		d := modelTTL + time.Millisecond
-		if arg%2 == 1 {
-			d = modelLastResultTTL + time.Millisecond
-		}
+		d := []time.Duration{4*time.Second + time.Millisecond, time.Second + time.Millisecond}[arg%2]
 		for _, m := range h.machines() {
 			m.parts().clock.Advance(d)
 		}
@@ -1091,7 +1080,6 @@ func (h *modelHarness) roundTrip(i int, o modelOp, p *modelParts) {
 // the engine's invariants.
 func (h *modelHarness) frame(i int, o modelOp, in diffFrame) {
 	h.t.Helper()
-	before := h.eng.clock.Now()
 	keyframes, audits := h.eng.eng.keyframes.Len(), h.eng.eng.Stats().Count(metrics.EventAudit)
 	res, rec, err := h.eng.process(in)
 	if h.ref != nil {
@@ -1109,7 +1097,7 @@ func (h *modelHarness) frame(i int, o modelOp, in diffFrame) {
 			h.fatalf(i, o, "record\n got %+v\nwant %+v", rec, wrec)
 		}
 	}
-	h.invariants(i, o, res, rec, err, before, audits != h.eng.eng.Stats().Count(metrics.EventAudit))
+	h.invariants(i, o, res, rec, err, audits != h.eng.eng.Stats().Count(metrics.EventAudit))
 	if err != nil {
 		h.reached["error:"+errClass(err)]++
 	} else {
@@ -1151,11 +1139,11 @@ func isReuse(src metrics.Source) bool {
 
 // invariants holds the engine's frame to what every configuration
 // promises.
-func (h *modelHarness) invariants(i int, o modelOp, res Result, rec FrameRecord, err error, before time.Time, audited bool) {
+func (h *modelHarness) invariants(i int, o modelOp, res Result, rec FrameRecord, err error, audited bool) {
 	e, seen := h.eng.eng, h.eng.seen
 	checkRecord(h.t, e, &rec, res, err)
-	if rec.Stages[StageDNN].Outcome == OutcomeRefused && h.hasLast && before.Sub(h.lastAt) <= h.cfg.LastResultTTL {
-		h.fatalf(i, o, "the ladder refused with a last result %v old", before.Sub(h.lastAt))
+	if rec.Stages[StageDNN].Outcome == OutcomeRefused && h.hasLast {
+		h.fatalf(i, o, "the ladder refused with a last result to serve")
 	}
 	if err != nil {
 		return
@@ -1176,7 +1164,7 @@ func (h *modelHarness) invariants(i int, o modelOp, res Result, rec FrameRecord,
 	}
 	// The ladder steps down only from a failed or refused inference: its
 	// cache rung serves an entry it resolved, its last-result rung the
-	// previous answer, halved, within LastResultTTL.
+	// previous answer, halved.
 	switch res.Degradation {
 	case DegradeNone:
 		if res.Source == metrics.SourceFallback || res.Source == metrics.SourceShed {
@@ -1187,7 +1175,7 @@ func (h *modelHarness) invariants(i int, o modelOp, res Result, rec FrameRecord,
 			h.fatalf(i, o, "degraded answer %+v served by %s", res, rec.Served)
 		}
 		if !seen.labels[res.Label] && !(h.hasLast && res.Label == h.last.Label &&
-			res.Confidence == h.last.Confidence*fallbackConfidence && before.Sub(h.lastAt) <= h.cfg.LastResultTTL) {
+			res.Confidence == h.last.Confidence*fallbackConfidence) {
 			h.fatalf(i, o, "degraded answer %+v is neither a resolved entry nor the last result %+v", res, h.last)
 		}
 	}
@@ -1195,9 +1183,6 @@ func (h *modelHarness) invariants(i int, o modelOp, res Result, rec FrameRecord,
 		h.fatalf(i, o, "local answer %q resolved from no live entry", res.Label)
 	}
 	h.last, h.hasLast = res, true
-	if res.Degradation == DegradeNone {
-		h.lastAt = h.eng.clock.Now()
-	}
 	// Work done: the frame's lookup, the ladder's, and a repair's own
 	// rescan exactly when the frame's lookup cannot stand in for it — it
 	// did not run, took fewer than K neighbours or a radius under half
@@ -1238,9 +1223,8 @@ func (h *modelHarness) compareState(i int, o modelOp) {
 		if sa, sb := sortedSnapshot(a.store), sortedSnapshot(b.store); !reflect.DeepEqual(sa, sb) {
 			h.fatalf(i, o, "stores differ: %d entries, reference %d", len(sa), len(sb))
 		}
-		if a.store.Evictions() != b.store.Evictions() || a.store.Expiries() != b.store.Expiries() {
-			h.fatalf(i, o, "evictions/expiries %d/%d, reference %d/%d",
-				a.store.Evictions(), a.store.Expiries(), b.store.Evictions(), b.store.Expiries())
+		if a.store.Evictions() != b.store.Evictions() {
+			h.fatalf(i, o, "evictions %d, reference %d", a.store.Evictions(), b.store.Evictions())
 		}
 		ca, fa := h.eng.counts()
 		cb, fb := h.ref.counts()
@@ -1296,7 +1280,6 @@ func runModel(t *testing.T, cell modelCell, st diffStream, start int, ops []mode
 	}
 	s := h.eng.store
 	h.reached["store:evictions"] += s.Evictions()
-	h.reached["store:expiries"] += s.Expiries()
 	h.reached["store:quarantined"] += s.QuarantineStats().Total
 	return h.reached
 }
@@ -1324,7 +1307,7 @@ func TestEngineModel(t *testing.T) {
 		"error:bad-frame", "error:bad-imu-window", "error:refused",
 		"event:repair", "event:sensor-fault", "event:watchdog-retry", "event:watchdog-trip",
 		"event:watchdog-recovery", "event:watchdog-fast-fail", "event:audit", "event:audit-refuted",
-		"store:evictions", "store:expiries", "store:quarantined", "op:strictness"} {
+		"store:evictions", "store:quarantined", "op:strictness"} {
 		if reached[k] == 0 {
 			t.Errorf("the grid never reached %s", k)
 		}

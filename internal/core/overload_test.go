@@ -74,7 +74,6 @@ func seedLastResult(e *Engine, label string) {
 	e.mu.Lock()
 	e.last = Result{Label: label, Confidence: 0.9, Source: metrics.SourceDNN}
 	e.hasLast = true
-	e.lastAt = e.deps.Clock.Now()
 	e.mu.Unlock()
 }
 

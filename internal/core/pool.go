@@ -55,9 +55,6 @@ func NewPool(n int, cfg Config, deps Deps) (*Pool, error) {
 	return p, nil
 }
 
-// Size returns the number of sessions.
-func (p *Pool) Size() int { return len(p.engines) }
-
 // Session returns stream i's engine.
 func (p *Pool) Session(i int) *Engine { return p.engines[i] }
 

@@ -75,11 +75,11 @@ func TestPoolValidation(t *testing.T) {
 // store but keep private gate state.
 func TestPoolSharesInfrastructure(t *testing.T) {
 	pool, store, _ := newPoolFixture(t, 4)
-	if pool.Size() != 4 || len(pool.Sessions()) != 4 {
-		t.Fatalf("size %d/%d, want 4", pool.Size(), len(pool.Sessions()))
+	if len(pool.engines) != 4 || len(pool.Sessions()) != 4 {
+		t.Fatalf("size %d/%d, want 4", len(pool.engines), len(pool.Sessions()))
 	}
 	first := pool.Session(0)
-	for i := 1; i < pool.Size(); i++ {
+	for i := 1; i < len(pool.engines); i++ {
 		e := pool.Session(i)
 		if e.stats != first.stats {
 			t.Fatalf("session %d has private stats", i)
@@ -143,7 +143,7 @@ func TestPoolConcurrentStreams(t *testing.T) {
 	}
 }
 
-// TestPoolDegradedServeIsolation: LastResult copies returned to one
+// TestPoolDegradedServeIsolation: last-result copies returned to one
 // stream are unaffected by another stream's subsequent frames (the S2
 // shared-slice race, fixed by storing Result by value).
 func TestPoolDegradedServeIsolation(t *testing.T) {
@@ -158,9 +158,9 @@ func TestPoolDegradedServeIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, ok := eng.LastResult()
+	snap, ok := eng.lastResult()
 	if !ok || snap.Label != res.Label {
-		t.Fatalf("LastResult = %+v ok=%v, want %q", snap, ok, res.Label)
+		t.Fatalf("last result = %+v ok=%v, want %q", snap, ok, res.Label)
 	}
 	// Process a different class; the earlier copy must not change.
 	im1, err := classes.Render(1, vision.HardPerturbation(), rng)
@@ -171,6 +171,6 @@ func TestPoolDegradedServeIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if snap.Label != res.Label {
-		t.Fatalf("earlier LastResult copy mutated to %q", snap.Label)
+		t.Fatalf("earlier last-result copy mutated to %q", snap.Label)
 	}
 }

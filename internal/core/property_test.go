@@ -108,22 +108,6 @@ func TestEngineSurvivesDeadPeers(t *testing.T) {
 	}
 }
 
-// A TTL-bound store expires entries mid-run without breaking the
-// pipeline; expired entries simply stop serving.
-func TestEngineWithTTLStore(t *testing.T) {
-	spec := trace.StationaryHeavy(150, 3)
-	stats := replayWorkload(t, DefaultConfig(), spec, nil, cachestore.Config{
-		Capacity: 128,
-		TTL:      2 * time.Second, // well below the 10 s workload
-	})
-	if stats.Frames() != 150 {
-		t.Fatalf("frames = %d", stats.Frames())
-	}
-	if stats.HitRate() == 0 {
-		t.Fatal("TTL store produced no hits at all")
-	}
-}
-
 // A tiny store forces constant eviction churn; the pipeline must stay
 // correct (labels in vocabulary, accounting intact).
 func TestEngineWithTinyStore(t *testing.T) {

@@ -427,40 +427,6 @@ func TestNaiveSkipDegradesToLastResult(t *testing.T) {
 	}
 }
 
-// TestLastResultTTLExpiresLadderRung: with LastResultTTL set, the
-// degradation ladder's last-result rung only serves answers younger
-// than the TTL — a stale label is worse than an honest error.
-func TestLastResultTTLExpiresLadderRung(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.LastResultTTL = time.Second
-	f, faulty := newFaultyFixture(t, cfg, nil)
-	proto, err := f.classes.Prototype(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Cold outage with only a seeded last result: the cache is empty,
-	// so the ladder reaches the last-result rung directly, on every
-	// frame up to and including the one that trips the breaker.
-	faulty.SetDown(true)
-	seedLastResult(f.engine, "seeded")
-	for i := 0; i < tripThreshold; i++ {
-		res, err := f.engine.Process(proto, movingWindow(time.Duration(i)*100*time.Millisecond))
-		if err != nil {
-			t.Fatalf("in-TTL outage frame %d: %v", i, err)
-		}
-		if res.Label != "seeded" || res.Degradation != DegradeLastResult {
-			t.Fatalf("in-TTL fallback %d = %+v", i, res)
-		}
-	}
-	// Serving from the ladder does not refresh the stamp: once the
-	// seeded recognition ages past the TTL, the rung falls through (the
-	// same advance lets the breaker probe, and the probe fails).
-	f.clock.Advance(2 * time.Second)
-	if _, err := f.engine.Process(proto, movingWindow(time.Hour)); !errors.Is(err, ErrClassifierDown) {
-		t.Fatalf("stale outage frame error = %v, want ErrClassifierDown", err)
-	}
-}
-
 // With an empty cache, no last result, and a down DNN there is nothing
 // left to serve: the error carries the classifier's failure, and names
 // the classifier down from the third consecutive failure on — two do

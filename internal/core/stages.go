@@ -545,9 +545,9 @@ const fallbackConfidence = 0.5
 const fallbackRadiusFactor = 2.0
 
 // ladder answers a frame the DNN did not: the nearest cached entry in a
-// relaxed radius, else the last result within LastResultTTL, else the
-// cause. Answers carry halved confidence, and SourceFallback with the
-// rung — or, when shed, SourceShed with the shed's marker.
+// relaxed radius, else the last result, else the cause. Answers carry
+// halved confidence, and SourceFallback with the rung — or, when shed,
+// SourceShed with the shed's marker.
 func (e *Engine) ladder(f *frame) (bool, error) {
 	src, cacheOnly, lastResult := metrics.SourceFallback, DegradeCacheOnly, DegradeLastResult
 	if f.shed != DegradeNone {
@@ -567,7 +567,7 @@ func (e *Engine) ladder(f *frame) (bool, error) {
 		}
 	}
 	e.mu.RLock()
-	last, ok := e.last, e.hasLast && (e.cfg.LastResultTTL <= 0 || e.deps.Clock.Now().Sub(e.lastAt) <= e.cfg.LastResultTTL)
+	last, ok := e.last, e.hasLast
 	e.mu.RUnlock()
 	if ok {
 		return f.serve(StageDNN, last.Label, last.Confidence*fallbackConfidence, src, lastResult)

@@ -1,6 +1,8 @@
 package eval
 
 import (
+	"encoding/csv"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -99,16 +101,29 @@ func TestReportString(t *testing.T) {
 	}
 }
 
+// TestReportCSV pins the bytes of a simple report, and requires every
+// cell a CSV reader gets back from CSV() to be the cell that went in,
+// whatever it holds: a comma, a quote, a newline, a carriage return
+// (last in its row, where an unquoted one reads as part of the line
+// ending), a leading space or tab.
 func TestReportCSV(t *testing.T) {
 	r := Report{
 		ID:      "EX",
 		Headers: []string{"a", "b"},
 		Rows:    [][]string{{"1", `has,comma`}, {`has"quote`, "2"}},
 	}
-	csv := r.CSV()
 	want := "a,b\n1,\"has,comma\"\n\"has\"\"quote\",2\n"
-	if csv != want {
-		t.Fatalf("csv = %q, want %q", csv, want)
+	if got := r.CSV(); got != want {
+		t.Fatalf("csv = %q, want %q", got, want)
+	}
+	r.Rows = append(r.Rows, []string{"two\nlines", "ends in CR\r"}, []string{" leading space", "\tleading tab"},
+		[]string{"", "mid\rCR"})
+	got, err := csv.NewReader(strings.NewReader(r.CSV())).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := append([][]string{r.Headers}, r.Rows...); !reflect.DeepEqual(got, want) {
+		t.Fatalf("read back %q, want %q", got, want)
 	}
 }
 

@@ -7,6 +7,7 @@
 package eval
 
 import (
+	"encoding/csv"
 	"fmt"
 	"strings"
 	"time"
@@ -80,22 +81,13 @@ func (r Report) String() string {
 }
 
 // CSV renders the report as RFC 4180 CSV (header row first). Notes are
-// omitted; cells containing commas or quotes are quoted.
+// omitted.
 func (r Report) CSV() string {
 	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, cell := range cells {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(csvEscape(cell))
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(r.Headers)
-	for _, row := range r.Rows {
-		writeRow(row)
-	}
+	w := csv.NewWriter(&b)
+	// A strings.Builder never fails a write.
+	_ = w.Write(r.Headers)
+	_ = w.WriteAll(r.Rows)
 	return b.String()
 }
 
@@ -129,14 +121,6 @@ func (r Report) Markdown() string {
 		fmt.Fprintf(&b, "\n> %s\n", n)
 	}
 	return b.String()
-}
-
-// csvEscape quotes a cell when needed.
-func csvEscape(cell string) string {
-	if !strings.ContainsAny(cell, ",\"\n") {
-		return cell
-	}
-	return `"` + strings.ReplaceAll(cell, `"`, `""`) + `"`
 }
 
 // fmtDur renders a duration at millisecond precision for tables.

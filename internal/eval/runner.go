@@ -174,9 +174,9 @@ type frameInput struct {
 // hooks customise a replay frame by frame; every field is optional.
 type hooks struct {
 	// pin sets the clock to each frame's arrival offset (from where the
-	// replay started) before the frame, so time-based policy — gate
-	// TTLs, breaker cooldowns, fault schedules — runs on the real frame
-	// timeline, not the compressed sum of latencies.
+	// replay started) before the frame, so time-based policy — peer
+	// answer TTLs, breaker cooldowns, fault schedules — runs on the real
+	// frame timeline, not the compressed sum of latencies.
 	pin bool
 	// before runs ahead of frame i and may rewrite its inputs: corrupt
 	// the image or IMU window, relabel the truth, toggle a fault. An

@@ -30,9 +30,6 @@ func (v Vector) Clone() Vector {
 	return out
 }
 
-// Dim returns the dimensionality of v.
-func (v Vector) Dim() int { return len(v) }
-
 // Norm returns the L2 norm of v.
 func (v Vector) Norm() float64 {
 	var sum float64

@@ -17,8 +17,8 @@ func TestVectorClone(t *testing.T) {
 	if v[0] != 1 {
 		t.Fatalf("clone aliases original: v=%v", v)
 	}
-	if c.Dim() != 3 {
-		t.Fatalf("clone dim = %d, want 3", c.Dim())
+	if len(c) != 3 {
+		t.Fatalf("clone dim = %d, want 3", len(c))
 	}
 }
 

@@ -115,9 +115,6 @@ func NewGenerator(rateHz int, seed int64) (*Generator, error) {
 	return &Generator{rateHz: rateHz, rng: rand.New(rand.NewSource(seed))}, nil
 }
 
-// RateHz returns the sample rate.
-func (g *Generator) RateHz() int { return g.rateHz }
-
 // Generate produces dur worth of samples in regime r, starting at
 // offset start. Samples are spaced 1/rate apart.
 func (g *Generator) Generate(r Regime, start, dur time.Duration) ([]Sample, error) {

@@ -51,8 +51,8 @@ func TestNewGeneratorValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.RateHz() != 100 {
-		t.Fatalf("RateHz = %d", g.RateHz())
+	if g.rateHz != 100 {
+		t.Fatalf("rate = %d Hz", g.rateHz)
 	}
 }
 

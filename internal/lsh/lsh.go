@@ -179,15 +179,6 @@ func NewHyperplane(dim, bits, tables int, seed int64) (*HyperplaneIndex, error) 
 	return x, nil
 }
 
-// Dim returns the index dimensionality.
-func (x *HyperplaneIndex) Dim() int { return x.dim }
-
-// Bits returns the per-table signature width.
-func (x *HyperplaneIndex) Bits() int { return x.bits }
-
-// Tables returns the hash-table count.
-func (x *HyperplaneIndex) Tables() int { return x.tables }
-
 // Len returns the number of indexed vectors. Like ExactIndex.Len it
 // takes the read lock — uncontended that is two atomic operations and no
 // allocation — so it waits for a writer in progress.
@@ -461,43 +452,4 @@ func (x *HyperplaneIndex) NearestWithinInto(q feature.Vector, k int, radius floa
 	scanSlots(q, x.arena, x.dim, x.slotID, sc.cands, len(sc.cands), &sel, sqBound(radius))
 	x.mu.RUnlock()
 	return finishWithin(&sel, radius), nil
-}
-
-// Stats describes index occupancy, used by the LSH ablation experiment.
-type Stats struct {
-	Items            int
-	Tables           int
-	Bits             int
-	Buckets          int
-	MaxBucket        int
-	MeanBucket       float64
-	MeanCandidateSet float64 // expected candidate-set size for an indexed item
-}
-
-// Stats returns occupancy statistics. It walks every bucket under the
-// read lock, so it delays writers for the length of the walk.
-func (x *HyperplaneIndex) Stats() Stats {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	s := Stats{Items: len(x.idSlot), Tables: x.tables, Bits: x.bits}
-	var total int
-	for t := 0; t < x.tables; t++ {
-		for _, b := range x.buckets[t] {
-			s.Buckets++
-			total += len(b)
-			if len(b) > s.MaxBucket {
-				s.MaxBucket = len(b)
-			}
-		}
-	}
-	if s.Buckets > 0 {
-		s.MeanBucket = float64(total) / float64(s.Buckets)
-	}
-	if s.Items > 0 {
-		// For each item, its candidate set is at least the sizes of
-		// its own buckets; use the mean bucket size per table as an
-		// estimate of per-query work.
-		s.MeanCandidateSet = s.MeanBucket * float64(x.tables)
-	}
-	return s
 }

@@ -423,14 +423,27 @@ func TestExactBucketRecallGrowsWithTables(t *testing.T) {
 	}
 }
 
+// occupancy is the index's bucket count over all tables and its largest
+// bucket, read under the index lock.
+func (x *HyperplaneIndex) occupancy() (buckets, largest int) {
+	x.mu.RLock()
+	defer x.mu.RUnlock()
+	for _, table := range x.buckets {
+		for _, b := range table {
+			buckets++
+			largest = max(largest, len(b))
+		}
+	}
+	return buckets, largest
+}
+
 func TestStats(t *testing.T) {
 	x, err := NewHyperplane(8, 6, 3, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := x.Stats()
-	if s.Items != 0 || s.Buckets != 0 {
-		t.Fatalf("empty stats = %+v", s)
+	if b, _ := x.occupancy(); x.Len() != 0 || b != 0 {
+		t.Fatalf("empty index: %d items in %d buckets", x.Len(), b)
 	}
 	r := rand.New(rand.NewSource(7))
 	for i := 0; i < 40; i++ {
@@ -438,15 +451,15 @@ func TestStats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s = x.Stats()
-	if s.Items != 40 {
-		t.Fatalf("Items = %d", s.Items)
+	if x.Len() != 40 {
+		t.Fatalf("Len = %d", x.Len())
 	}
-	if s.Tables != 3 || s.Bits != 6 {
-		t.Fatalf("shape = %+v", s)
+	if len(x.buckets) != 3 || x.bits != 6 {
+		t.Fatalf("shape = %d tables × %d bits", len(x.buckets), x.bits)
 	}
-	if s.Buckets == 0 || s.MaxBucket == 0 || s.MeanBucket <= 0 {
-		t.Fatalf("occupancy not populated: %+v", s)
+	// Every item sits in one bucket of each table.
+	if b, largest := x.occupancy(); b == 0 || b > 3*40 || largest == 0 {
+		t.Fatalf("occupancy: %d buckets, largest %d", b, largest)
 	}
 }
 

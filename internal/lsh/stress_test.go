@@ -189,8 +189,8 @@ func TestChurnDistancesMatchLastInsert(t *testing.T) {
 						t.Errorf("Len = %d, want at most %d", n, ids)
 						return
 					}
-					if st := idx.Stats(); st.Items > ids || st.MaxBucket > ids {
-						t.Errorf("Stats = %+v, want at most %d items", st, ids)
+					if _, largest := idx.occupancy(); largest > ids {
+						t.Errorf("largest bucket holds %d, want at most %d", largest, ids)
 						return
 					}
 				}

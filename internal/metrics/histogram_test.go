@@ -11,6 +11,14 @@ import (
 	"unsafe"
 )
 
+// Record adds one sample to a recorder of the tests' own: the engine
+// records through SessionStats.ObserveFrame.
+func (r *LatencyRecorder) Record(d time.Duration) {
+	r.mu.Lock()
+	r.recordLocked(d)
+	r.mu.Unlock()
+}
+
 // checkAgainstExact records samples into a fresh recorder and into a
 // sorted slice (the exact nearest-rank recorder this type replaced) and
 // asserts the histogram's contract: Count, Mean, min and Max exact,

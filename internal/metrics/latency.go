@@ -77,13 +77,7 @@ func bucketMax(i int) time.Duration {
 	return time.Duration(uint64(subBuckets+i&(subBuckets-1)+1)<<shift - 1)
 }
 
-// Record adds one sample. Negative samples are clamped to zero.
-func (r *LatencyRecorder) Record(d time.Duration) {
-	r.mu.Lock()
-	r.recordLocked(d)
-	r.mu.Unlock()
-}
-
+// recordLocked adds one sample. Negative samples are clamped to zero.
 func (r *LatencyRecorder) recordLocked(d time.Duration) {
 	if d < 0 {
 		d = 0

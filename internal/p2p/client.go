@@ -345,17 +345,6 @@ func (c *Client) FetchDigest(name string) (Digest, time.Duration, error) {
 	return d, rtt, nil
 }
 
-// DropDigest forgets a cached digest and its delta-sync state (e.g.
-// after the peer churns; a reincarnated peer starts from a full
-// snapshot). The peer's health and circuit stay.
-func (c *Client) DropDigest(name string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if p := c.table[name]; p != nil {
-		p.mirror, p.digest = peerDigestState{}, Digest{}
-	}
-}
-
 // SkippedQueries returns how many per-peer queries digests avoided.
 func (c *Client) SkippedQueries() int {
 	c.mu.Lock()

@@ -94,10 +94,10 @@ func TestClientQueryHitsBestPeer(t *testing.T) {
 	cl, services, _ := newSimCluster(t, 2)
 	// Peer a has a far entry with a different label; peer b has a
 	// close entry. The client must pick peer b's answer.
-	if _, err := services[0].Store().Insert(feature.Vector{1, 0.2}, "dog", 0.9, "dnn", time.Millisecond); err != nil {
+	if _, err := services[0].store.Insert(feature.Vector{1, 0.2}, "dog", 0.9, "dnn", time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := services[1].Store().Insert(feature.Vector{1, 0.01}, "cat", 0.9, "dnn", time.Millisecond); err != nil {
+	if _, err := services[1].store.Insert(feature.Vector{1, 0.01}, "cat", 0.9, "dnn", time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	hit, cost, found, err := cl.Query(feature.Vector{1, 0})
@@ -114,7 +114,7 @@ func TestClientQueryHitsBestPeer(t *testing.T) {
 
 func TestClientQueryMissWhenAllFar(t *testing.T) {
 	cl, services, _ := newSimCluster(t, 2)
-	if _, err := services[0].Store().Insert(feature.Vector{-1, 0}, "dog", 0.9, "dnn", time.Millisecond); err != nil {
+	if _, err := services[0].store.Insert(feature.Vector{-1, 0}, "dog", 0.9, "dnn", time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	_, cost, found, err := cl.Query(feature.Vector{1, 0})
@@ -131,7 +131,7 @@ func TestClientQueryMissWhenAllFar(t *testing.T) {
 
 func TestClientQuerySurvivesDeadPeer(t *testing.T) {
 	cl, services, net := newSimCluster(t, 2)
-	if _, err := services[1].Store().Insert(feature.Vector{1, 0}, "cat", 0.9, "dnn", time.Millisecond); err != nil {
+	if _, err := services[1].store.Insert(feature.Vector{1, 0}, "cat", 0.9, "dnn", time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	net.Unregister("peer-a")
@@ -154,7 +154,7 @@ func TestClientGossipReachesPeers(t *testing.T) {
 		t.Fatalf("gossip cost = %v", cost)
 	}
 	for i, svc := range services {
-		if svc.Store().Len() != 1 {
+		if svc.store.Len() != 1 {
 			t.Fatalf("peer %d did not receive gossip", i)
 		}
 	}
@@ -181,7 +181,7 @@ func TestClientGossipFanout(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, want := range []int{1, 1, 0} {
-		if got := services[i].Store().Len(); got != want {
+		if got := services[i].store.Len(); got != want {
 			t.Fatalf("peer %d holds %d gossiped entries, want %d", i, got, want)
 		}
 	}
@@ -201,7 +201,7 @@ func TestClientGossipNoPeers(t *testing.T) {
 
 func TestClientPing(t *testing.T) {
 	cl, services, _ := newSimCluster(t, 1)
-	if _, err := services[0].Store().Insert(feature.Vector{1, 0}, "cat", 0.9, "dnn", time.Millisecond); err != nil {
+	if _, err := services[0].store.Insert(feature.Vector{1, 0}, "cat", 0.9, "dnn", time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	pong, rtt, err := cl.Ping("self", "peer-a")

@@ -53,7 +53,7 @@ func TestCoalesceTTLCacheReplaysFree(t *testing.T) {
 	cl, services, clock := newCoalesceCluster(t, func(c *ClientConfig) {
 		c.CoalesceTTL = 150 * time.Millisecond
 	})
-	if _, err := services[0].Store().Insert(feature.Vector{1, 0}, "cat", 0.9, "dnn", time.Millisecond); err != nil {
+	if _, err := services[0].store.Insert(feature.Vector{1, 0}, "cat", 0.9, "dnn", time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	vec := feature.Vector{1, 0.01}
@@ -98,7 +98,7 @@ func TestCoalesceConcurrentDuplicates(t *testing.T) {
 	cl, services, _ := newCoalesceCluster(t, func(c *ClientConfig) {
 		c.CoalesceTTL = time.Second
 	})
-	if _, err := services[0].Store().Insert(feature.Vector{1, 0}, "cat", 0.9, "dnn", time.Millisecond); err != nil {
+	if _, err := services[0].store.Insert(feature.Vector{1, 0}, "cat", 0.9, "dnn", time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	const n = 16
@@ -154,7 +154,7 @@ func TestCoalesceLateDuplicateFindsFlightOrAnswer(t *testing.T) {
 		hc.Clock = c.Clock
 		c.Clock = hc
 	})
-	if _, err := services[0].Store().Insert(feature.Vector{1, 0}, "cat", 0.9, "dnn", time.Millisecond); err != nil {
+	if _, err := services[0].store.Insert(feature.Vector{1, 0}, "cat", 0.9, "dnn", time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	vec := feature.Vector{1, 0.01}
@@ -221,7 +221,7 @@ func TestGossipBatchFlushWhenFull(t *testing.T) {
 				t.Fatalf("queued gossip %d charged cost %v", i, cost)
 			}
 			for si, svc := range services {
-				if svc.Store().Len() != 0 {
+				if svc.store.Len() != 0 {
 					t.Fatalf("peer %d saw gossip before the batch filled", si)
 				}
 			}
@@ -230,7 +230,7 @@ func TestGossipBatchFlushWhenFull(t *testing.T) {
 		}
 	}
 	for si, svc := range services {
-		if got := svc.Store().Len(); got != 3 {
+		if got := svc.store.Len(); got != 3 {
 			t.Fatalf("peer %d store len = %d after batch flush", si, got)
 		}
 	}
@@ -251,7 +251,7 @@ func TestGossipBatchFlushWhenDue(t *testing.T) {
 	if _, err := cl.Gossip(feature.Vector{1, 0}, "cat", 0.9, time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if services[0].Store().Len() != 0 {
+	if services[0].store.Len() != 0 {
 		t.Fatal("gossip delivered before due time")
 	}
 	clock.Advance(150 * time.Millisecond)
@@ -260,7 +260,7 @@ func TestGossipBatchFlushWhenDue(t *testing.T) {
 		t.Fatal(err)
 	}
 	for si, svc := range services {
-		if svc.Store().Len() != 1 {
+		if svc.store.Len() != 1 {
 			t.Fatalf("peer %d missing due-flushed gossip", si)
 		}
 	}
@@ -282,7 +282,7 @@ func TestFlushGossipExplicit(t *testing.T) {
 		t.Fatal("explicit flush charged nothing")
 	}
 	for si, svc := range services {
-		if svc.Store().Len() != 1 {
+		if svc.store.Len() != 1 {
 			t.Fatalf("peer %d missing flushed gossip", si)
 		}
 	}
@@ -308,7 +308,7 @@ func TestGossipBatchQueueClonesVector(t *testing.T) {
 	if _, err := cl.Gossip(scratch, "dog", 0.9, time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	st := services[0].Store()
+	st := services[0].store
 	if st.Len() != 2 {
 		t.Fatalf("store len = %d", st.Len())
 	}

@@ -109,14 +109,23 @@ func appendQuantVec(b []byte, v feature.Vector) ([]byte, error) {
 	}
 	codes = codes[:len(v)]
 	q := feature.QuantizeInto(v, codes)
-	b = binary.BigEndian.AppendUint32(b, math.Float32bits(float32(q.Scale)))
-	b = binary.BigEndian.AppendUint32(b, math.Float32bits(float32(q.Offset)))
+	b = binary.BigEndian.AppendUint32(b, math.Float32bits(narrowFloat32(q.Scale)))
+	b = binary.BigEndian.AppendUint32(b, math.Float32bits(narrowFloat32(q.Offset)))
 	for _, c := range codes {
 		b = append(b, byte(c))
 	}
 	*sp = codes[:0]
 	qcodePool.Put(sp)
 	return b, nil
+}
+
+// narrowFloat32 is float32(x) saturating at ±MaxFloat32. A decoded
+// vector's components reach |offset| + 128·|scale|, past float32's range
+// when the frame's scale or offset is near it; saturating re-encodes
+// such a vector with a finite scale and offset, which Decode accepts,
+// where a plain conversion overflows to an infinity Decode refuses.
+func narrowFloat32(x float64) float32 {
+	return float32(max(-math.MaxFloat32, min(x, math.MaxFloat32)))
 }
 
 // readQuantVec parses a quantized vector, dequantizing into a fresh

@@ -129,13 +129,13 @@ func mustDecode(t *testing.T, b []byte) Message {
 
 func TestServiceHandleDigestReq(t *testing.T) {
 	svc := newService(t)
-	if _, err := svc.Store().Insert(feature.Vector{1, 0}, "cat", 0.9, "dnn", time.Millisecond); err != nil {
+	if _, err := svc.store.Insert(feature.Vector{1, 0}, "cat", 0.9, "dnn", time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.Store().Insert(feature.Vector{1, 0.01}, "cat", 0.9, "dnn", time.Millisecond); err != nil {
+	if _, err := svc.store.Insert(feature.Vector{1, 0.01}, "cat", 0.9, "dnn", time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.Store().Insert(feature.Vector{-1, 0}, "dog", 0.9, "dnn", time.Millisecond); err != nil {
+	if _, err := svc.store.Insert(feature.Vector{-1, 0}, "dog", 0.9, "dnn", time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	// A requester that never synced gets the full digest.
@@ -192,7 +192,7 @@ func TestFetchDigestUnprobedUsesDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := tap.svc.Store()
+	st := tap.svc.store
 	if _, err := st.Insert(feature.Vector{1, 0}, "cat", 0.9, "dnn", time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
@@ -225,10 +225,10 @@ func TestFetchDigestUnprobedUsesDelta(t *testing.T) {
 func TestClientDigestPrefilter(t *testing.T) {
 	cl, services, _ := newSimCluster(t, 2)
 	// peer-a only knows about the region near (1,0); peer-b near (0,1).
-	if _, err := services[0].Store().Insert(feature.Vector{1, 0}, "cat", 0.9, "dnn", time.Millisecond); err != nil {
+	if _, err := services[0].store.Insert(feature.Vector{1, 0}, "cat", 0.9, "dnn", time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := services[1].Store().Insert(feature.Vector{0, 1}, "dog", 0.9, "dnn", time.Millisecond); err != nil {
+	if _, err := services[1].store.Insert(feature.Vector{0, 1}, "dog", 0.9, "dnn", time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	for _, peer := range cl.Peers() {
@@ -248,19 +248,11 @@ func TestClientDigestPrefilter(t *testing.T) {
 	if cl.SkippedQueries() != 1 {
 		t.Fatalf("skipped = %d, want 1", cl.SkippedQueries())
 	}
-	// Dropping the digest restores full fan-out.
-	cl.DropDigest("peer-a")
-	if _, _, _, err := cl.Query(feature.Vector{0, 1.01}); err != nil {
-		t.Fatal(err)
-	}
-	if cl.SkippedQueries() != 1 {
-		t.Fatalf("skipped after drop = %d, want still 1", cl.SkippedQueries())
-	}
 }
 
 func TestClientQueryWithoutDigestsUnchanged(t *testing.T) {
 	cl, services, _ := newSimCluster(t, 2)
-	if _, err := services[1].Store().Insert(feature.Vector{0, 1}, "dog", 0.9, "dnn", time.Millisecond); err != nil {
+	if _, err := services[1].store.Insert(feature.Vector{0, 1}, "dog", 0.9, "dnn", time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, found, err := cl.Query(feature.Vector{0, 1}); err != nil || !found {

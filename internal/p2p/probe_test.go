@@ -12,7 +12,7 @@ import (
 func warm(t *testing.T, svc *Service, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		if _, err := svc.Store().Insert(
+		if _, err := svc.store.Insert(
 			feature.Vector{float64(i), 1}, "x", 0.9, "dnn", time.Millisecond); err != nil {
 			t.Fatal(err)
 		}

@@ -85,7 +85,7 @@ func (o *countObserver) BreakerRecovery(string) {
 
 func TestClientBreakerExcludesCrashedPeer(t *testing.T) {
 	cl, services, net, _ := newResilientCluster(t, 2)
-	if _, err := services[1].Store().Insert(feature.Vector{1, 0}, "cat", 0.9, "dnn", time.Millisecond); err != nil {
+	if _, err := services[1].store.Insert(feature.Vector{1, 0}, "cat", 0.9, "dnn", time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	net.SetDeadCost(100 * time.Millisecond)
@@ -158,7 +158,7 @@ func TestClientDegradedWhenAllPeersOpen(t *testing.T) {
 
 func TestClientBreakerRecoversAfterHeal(t *testing.T) {
 	cl, services, net, clock := newResilientCluster(t, 1)
-	if _, err := services[0].Store().Insert(feature.Vector{1, 0}, "cat", 0.9, "dnn", time.Millisecond); err != nil {
+	if _, err := services[0].store.Insert(feature.Vector{1, 0}, "cat", 0.9, "dnn", time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	net.Crash("peer-a")
@@ -225,7 +225,7 @@ func TestClientProbeOpenHealsCircuit(t *testing.T) {
 
 func TestClientQueryBudgetDiscardsLateAnswer(t *testing.T) {
 	cl, services, _, _ := newResilientCluster(t, 1)
-	if _, err := services[0].Store().Insert(feature.Vector{1, 0}, "cat", 0.9, "dnn", time.Millisecond); err != nil {
+	if _, err := services[0].store.Insert(feature.Vector{1, 0}, "cat", 0.9, "dnn", time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	obs := &countObserver{}

@@ -6,7 +6,6 @@ import (
 	"approxcache/internal/cachestore"
 	"approxcache/internal/feature"
 	"approxcache/internal/lsh"
-	"approxcache/internal/metrics"
 )
 
 // ServiceConfig parameterizes a peer's serving side.
@@ -43,7 +42,6 @@ type Service struct {
 	cfg    ServiceConfig
 	store  cachestore.Interface
 	digest *digestEpochs
-	wire   metrics.WireTally
 }
 
 // NewService builds a service over store.
@@ -57,14 +55,8 @@ func NewService(cfg ServiceConfig, store cachestore.Interface) (*Service, error)
 	return &Service{cfg: cfg, store: store, digest: newDigestEpochs()}, nil
 }
 
-// WireStats returns this service's per-kind wire traffic totals.
-func (s *Service) WireStats() metrics.WireStats { return s.wire.Snapshot() }
-
 // Name returns the node name.
 func (s *Service) Name() string { return s.cfg.Name }
-
-// Store returns the backing cache store.
-func (s *Service) Store() cachestore.Interface { return s.store }
 
 // HandleQuery answers a cache query with a homogenized-kNN vote over
 // the local store.
@@ -143,16 +135,10 @@ func (s *Service) HandlePing(Ping) Pong {
 func (s *Service) buildDigest() (Digest, error) {
 	entries := s.store.Snapshot()
 	vecs := make([]feature.Vector, 0, len(entries))
-	var suppressed int64
 	for _, e := range entries {
-		if e.Quarantined {
-			suppressed++
-			continue
+		if !e.Quarantined {
+			vecs = append(vecs, e.Vec)
 		}
-		vecs = append(vecs, e.Vec)
-	}
-	if suppressed > 0 {
-		metrics.QuarantineSuppressed.Add(suppressed)
 	}
 	d, err := BuildDigest(vecs, serviceVote.MaxDistance, MaxDigestCentroids)
 	if err != nil {
@@ -213,7 +199,6 @@ func (s *Service) HandleRawAppend(from string, payload []byte, buf []byte) ([]by
 	if err != nil {
 		return nil, fmt.Errorf("decode from %q: %w", from, err)
 	}
-	s.wire.Recv(msg.MsgKind().String(), len(payload))
 	var resp Message
 	switch m := msg.(type) {
 	case Query:
@@ -247,7 +232,6 @@ func (s *Service) HandleRawAppend(from string, payload []byte, buf []byte) ([]by
 	if err != nil {
 		return nil, fmt.Errorf("encode response: %w", err)
 	}
-	s.wire.Sent(resp.MsgKind().String(), len(out)-len(buf))
 	return out, nil
 }
 

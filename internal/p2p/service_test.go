@@ -60,7 +60,7 @@ func TestNewServiceValidation(t *testing.T) {
 
 func TestHandleQueryHitAndMiss(t *testing.T) {
 	svc := newService(t)
-	if _, err := svc.Store().Insert(feature.Vector{1, 0}, "cat", 0.9, "dnn", time.Millisecond); err != nil {
+	if _, err := svc.store.Insert(feature.Vector{1, 0}, "cat", 0.9, "dnn", time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	// Near query: hit.
@@ -87,7 +87,7 @@ func TestHandleQueryHitAndMiss(t *testing.T) {
 
 func TestHandleQueryKClamped(t *testing.T) {
 	svc := newService(t)
-	if _, err := svc.Store().Insert(feature.Vector{1, 0}, "cat", 0.9, "dnn", time.Millisecond); err != nil {
+	if _, err := svc.store.Insert(feature.Vector{1, 0}, "cat", 0.9, "dnn", time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	// K=0 and K=200 both fall back to the service's vote K.
@@ -110,8 +110,8 @@ func TestHandleGossipAdmission(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if svc.Store().Len() != 1 {
-		t.Fatalf("store len = %d", svc.Store().Len())
+	if svc.store.Len() != 1 {
+		t.Fatalf("store len = %d", svc.store.Len())
 	}
 	// Low-confidence gossip is silently dropped.
 	if err := svc.HandleGossip(Gossip{
@@ -119,7 +119,7 @@ func TestHandleGossipAdmission(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if svc.Store().Len() != 1 {
+	if svc.store.Len() != 1 {
 		t.Fatal("low-confidence gossip admitted")
 	}
 	// Near-duplicate same-label gossip is suppressed.
@@ -128,7 +128,7 @@ func TestHandleGossipAdmission(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if svc.Store().Len() != 1 {
+	if svc.store.Len() != 1 {
 		t.Fatal("near-duplicate gossip admitted")
 	}
 	// Same position, different label: admitted (conflicting evidence
@@ -138,7 +138,7 @@ func TestHandleGossipAdmission(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if svc.Store().Len() != 2 {
+	if svc.store.Len() != 2 {
 		t.Fatal("conflicting-label gossip suppressed")
 	}
 	// Validation errors.
@@ -152,7 +152,7 @@ func TestHandleGossipAdmission(t *testing.T) {
 
 func TestHandlePing(t *testing.T) {
 	svc := newService(t)
-	if _, err := svc.Store().Insert(feature.Vector{1, 0}, "cat", 0.9, "dnn", time.Millisecond); err != nil {
+	if _, err := svc.store.Insert(feature.Vector{1, 0}, "cat", 0.9, "dnn", time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	pong := svc.HandlePing(Ping{From: "node-b"})
@@ -163,7 +163,7 @@ func TestHandlePing(t *testing.T) {
 
 func TestHandleRawDispatch(t *testing.T) {
 	svc := newService(t)
-	if _, err := svc.Store().Insert(feature.Vector{1, 0}, "cat", 0.9, "dnn", time.Millisecond); err != nil {
+	if _, err := svc.store.Insert(feature.Vector{1, 0}, "cat", 0.9, "dnn", time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	// Query via raw path.
@@ -262,14 +262,14 @@ func TestServiceRadiusLookupDifferential(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		if i%2 == 0 {
 			g := Gossip{Vec: point(), Label: labels[rng.Intn(len(labels))], Confidence: 0.4 + 0.6*rng.Float64(), SavedCost: time.Millisecond}
-			before := direct.Store().Len() + direct.Store().Evictions()
+			before := direct.store.Len() + direct.store.Evictions()
 			if err := direct.HandleGossip(g); err != nil {
 				t.Fatal(err)
 			}
 			if err := hidden.HandleGossip(g); err != nil {
 				t.Fatal(err)
 			}
-			if direct.Store().Len()+direct.Store().Evictions() == before {
+			if direct.store.Len()+direct.store.Evictions() == before {
 				dropped++
 			}
 			continue
@@ -293,7 +293,7 @@ func TestServiceRadiusLookupDifferential(t *testing.T) {
 	if found == 0 || dropped == 0 {
 		t.Fatalf("workload too tame: %d answers found, %d gossips dropped", found, dropped)
 	}
-	a, b := direct.Store().Snapshot(), hiddenStore.Snapshot()
+	a, b := direct.store.Snapshot(), hiddenStore.Snapshot()
 	sort.Slice(a, func(i, j int) bool { return a[i].ID < a[j].ID })
 	sort.Slice(b, func(i, j int) bool { return b[i].ID < b[j].ID })
 	if !reflect.DeepEqual(a, b) {
@@ -342,7 +342,7 @@ func TestNonFiniteFloatsRefusedAtDecode(t *testing.T) {
 			t.Fatalf("Decode(%+v) = %v, want ErrNonFinite", r, err)
 		}
 	}
-	if n := svc.Store().Len(); n != 0 {
+	if n := svc.store.Len(); n != 0 {
 		t.Fatalf("refused frames left %d entries in the store", n)
 	}
 	ok, err := Encode(Gossip{Vec: feature.Vector{0, 1}, Label: "dog", Confidence: 0.9})
@@ -353,7 +353,7 @@ func TestNonFiniteFloatsRefusedAtDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	var snap bytes.Buffer
-	if err := svc.Store().Export(&snap); err != nil {
+	if err := svc.store.Export(&snap); err != nil {
 		t.Fatal(err)
 	}
 	if n, err := newStore(t, 16).Import(&snap); err != nil || n != 1 {

@@ -80,7 +80,7 @@ func TestNewTCPTransportValidation(t *testing.T) {
 
 func TestTCPQueryRoundTrip(t *testing.T) {
 	srv, svc := startServer(t)
-	if _, err := svc.Store().Insert(feature.Vector{1, 0}, "cat", 0.9, "dnn", time.Millisecond); err != nil {
+	if _, err := svc.store.Insert(feature.Vector{1, 0}, "cat", 0.9, "dnn", time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	tr := newTCPClient(t)
@@ -112,8 +112,8 @@ func TestTCPGossipAndPing(t *testing.T) {
 	if _, err := cl.Gossip(feature.Vector{1, 0}, "dog", 0.8, 50*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if svc.Store().Len() != 1 {
-		t.Fatalf("gossip not admitted, store len = %d", svc.Store().Len())
+	if svc.store.Len() != 1 {
+		t.Fatalf("gossip not admitted, store len = %d", svc.store.Len())
 	}
 	pong, _, err := cl.Ping("me", srv.Addr())
 	if err != nil {
@@ -126,7 +126,7 @@ func TestTCPGossipAndPing(t *testing.T) {
 
 func TestTCPConnectionReuse(t *testing.T) {
 	srv, svc := startServer(t)
-	if _, err := svc.Store().Insert(feature.Vector{1, 0}, "cat", 0.9, "dnn", time.Millisecond); err != nil {
+	if _, err := svc.store.Insert(feature.Vector{1, 0}, "cat", 0.9, "dnn", time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	tr := newTCPClient(t)
@@ -149,7 +149,7 @@ func TestTCPConnectionReuse(t *testing.T) {
 
 func TestTCPConcurrentClients(t *testing.T) {
 	srv, svc := startServer(t)
-	if _, err := svc.Store().Insert(feature.Vector{1, 0}, "cat", 0.9, "dnn", time.Millisecond); err != nil {
+	if _, err := svc.store.Insert(feature.Vector{1, 0}, "cat", 0.9, "dnn", time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	req, err := Encode(Query{Vec: feature.Vector{1, 0}, K: 4})
@@ -215,7 +215,7 @@ func TestTCPServerDropsGarbageConnection(t *testing.T) {
 		t.Fatal("garbage frame got a response")
 	}
 	// Server must still serve subsequent well-formed traffic.
-	if _, err := svc.Store().Insert(feature.Vector{1, 0}, "cat", 0.9, "dnn", time.Millisecond); err != nil {
+	if _, err := svc.store.Insert(feature.Vector{1, 0}, "cat", 0.9, "dnn", time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	req, err := Encode(Query{Vec: feature.Vector{1, 0}, K: 4})

@@ -34,13 +34,6 @@ func (n *Network) Restart(id NodeID) {
 	delete(n.crashed, id)
 }
 
-// Crashed reports whether id is currently crashed.
-func (n *Network) Crashed(id NodeID) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.crashed[id]
-}
-
 // SetNodeFault degrades every link touching id by extraLatency and
 // extraLoss (stacked on the link profile, loss capped below 1).
 // Zero/zero clears the fault.
@@ -249,13 +242,6 @@ func (s *FaultScheduler) Tick() int {
 		applied++
 	}
 	return applied
-}
-
-// Done reports whether every event has been applied.
-func (s *FaultScheduler) Done() bool {
-	s.muSched.Lock()
-	defer s.muSched.Unlock()
-	return s.next >= len(s.plan)
 }
 
 // apply executes one (already validated) event.

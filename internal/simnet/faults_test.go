@@ -19,7 +19,7 @@ func TestCrashAndRestart(t *testing.T) {
 	}
 	n.SetDeadCost(80 * time.Millisecond)
 	n.Crash("b")
-	if !n.Crashed("b") {
+	if !n.crashed["b"] {
 		t.Fatal("Crashed not reported")
 	}
 	if _, rtt, err := n.Call("a", "b", []byte("hi")); !errors.Is(err, ErrCrashed) {
@@ -31,7 +31,7 @@ func TestCrashAndRestart(t *testing.T) {
 		t.Fatalf("send err = %v", err)
 	}
 	n.Restart("b")
-	if n.Crashed("b") {
+	if n.crashed["b"] {
 		t.Fatal("restart did not clear crash")
 	}
 	resp, _, err := n.Call("a", "b", []byte("hi"))
@@ -210,27 +210,27 @@ func TestFaultSchedulerReplaysPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sched.Tick() != 0 || n.Crashed("b") {
+	if sched.Tick() != 0 || n.crashed["b"] {
 		t.Fatal("events fired before their offsets")
 	}
 	clock.Advance(150 * time.Millisecond)
 	if got := sched.Tick(); got != 1 {
 		t.Fatalf("tick applied %d events, want 1", got)
 	}
-	if !n.Crashed("b") {
+	if !n.crashed["b"] {
 		t.Fatal("crash event not applied")
 	}
-	if sched.Done() {
+	if sched.next == len(sched.plan) {
 		t.Fatal("scheduler done with events pending")
 	}
 	clock.Advance(100 * time.Millisecond)
 	if got := sched.Tick(); got != 1 {
 		t.Fatalf("second tick applied %d events, want 1", got)
 	}
-	if n.Crashed("b") {
+	if n.crashed["b"] {
 		t.Fatal("restart event not applied")
 	}
-	if !sched.Done() {
+	if sched.next != len(sched.plan) {
 		t.Fatal("scheduler not done after final event")
 	}
 	if sched.Tick() != 0 {
@@ -258,7 +258,7 @@ func TestFaultSchedulerSameOffsetOrder(t *testing.T) {
 	if got := sched.Tick(); got != 2 {
 		t.Fatalf("tick applied %d events, want 2", got)
 	}
-	if n.Crashed("b") {
+	if n.crashed["b"] {
 		t.Fatal("same-offset events applied out of declared order")
 	}
 }

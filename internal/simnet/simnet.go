@@ -94,7 +94,6 @@ type Network struct {
 	deadCost  time.Duration
 	delivers  int
 	losses    int
-	epoch     uint64
 }
 
 // faultOverlay is injected link degradation stacked on a link profile.
@@ -134,7 +133,6 @@ func (n *Network) Register(id NodeID, h Handler) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.nodes[id] = h
-	n.epoch++
 	return nil
 }
 
@@ -143,28 +141,6 @@ func (n *Network) Unregister(id NodeID) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	delete(n.nodes, id)
-	n.epoch++
-}
-
-// Epoch returns the mesh-membership epoch: it bumps on every Register
-// and Unregister, so mesh-formation helpers (ConnectAll) can cheaply
-// detect late joiners and leavers and callers can skip re-wiring when
-// nothing changed.
-func (n *Network) Epoch() uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.epoch
-}
-
-// Nodes returns the registered node ids in unspecified order.
-func (n *Network) Nodes() []NodeID {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make([]NodeID, 0, len(n.nodes))
-	for id := range n.nodes {
-		out = append(out, id)
-	}
-	return out
 }
 
 // SetLink overrides the profile of the directed link a→b.

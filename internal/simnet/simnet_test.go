@@ -241,12 +241,12 @@ func TestNodesAndUnregister(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(n.Nodes()) != 3 {
-		t.Fatalf("nodes = %v", n.Nodes())
+	if len(n.nodes) != 3 {
+		t.Fatalf("nodes = %v", n.nodes)
 	}
 	n.Unregister("n1")
-	if len(n.Nodes()) != 2 {
-		t.Fatalf("nodes after unregister = %v", n.Nodes())
+	if len(n.nodes) != 2 {
+		t.Fatalf("nodes after unregister = %v", n.nodes)
 	}
 }
 

@@ -439,6 +439,3 @@ func (l *KeyframeLibrary) PushThumb(im *vision.Image, th *vision.Thumb, label st
 	s.Label, s.Confidence, s.thumb = label, confidence, *th
 	l.frames = append(kept, s)
 }
-
-// Reset clears the library and drops its recycled buffers.
-func (l *KeyframeLibrary) Reset() { l.frames, l.free = nil, nil }

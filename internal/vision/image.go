@@ -53,15 +53,6 @@ var intensity = func() (t [MaxLevel + 1]float64) {
 	return t
 }()
 
-// Set writes intensity v to the pixel at (x, y), quantized as Render
-// quantizes. Out-of-bounds writes are ignored.
-func (im *Image) Set(x, y int, v float64) {
-	if x < 0 || y < 0 || x >= im.W || y >= im.H {
-		return
-	}
-	im.Pix[y*im.W+x] = quantize(v)
-}
-
 // quantize maps an intensity to its nearest level, halves up, after
 // clamping to [0, 1]; NaN maps to 0.
 func quantize(v float64) uint8 {
@@ -195,9 +186,6 @@ func NewClassSet(numClasses, w, h int, seed int64) (*ClassSet, error) {
 
 // NumClasses returns the number of classes in the set.
 func (cs *ClassSet) NumClasses() int { return len(cs.prototypes) }
-
-// Size returns the frame dimensions.
-func (cs *ClassSet) Size() (w, h int) { return cs.w, cs.h }
 
 // Prototype returns the canonical image for class c. The returned image
 // must not be modified; use Clone first.

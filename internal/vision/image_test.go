@@ -113,9 +113,8 @@ func TestNewClassSetValidation(t *testing.T) {
 	if cs.NumClasses() != 3 {
 		t.Fatalf("NumClasses = %d", cs.NumClasses())
 	}
-	w, h := cs.Size()
-	if w != 16 || h != 16 {
-		t.Fatalf("Size = %dx%d", w, h)
+	if cs.w != 16 || cs.h != 16 {
+		t.Fatalf("frame size = %dx%d", cs.w, cs.h)
 	}
 }
 

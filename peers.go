@@ -101,36 +101,6 @@ const (
 	BreakerHalfOpen = p2p.StateHalfOpen
 )
 
-// FaultPlan schedules faults (crash, partition, latency spike, loss
-// burst, corrupt responses, heal) against a SimNetwork for chaos
-// experiments.
-type FaultPlan = simnet.FaultPlan
-
-// FaultEvent is one scheduled fault.
-type FaultEvent = simnet.FaultEvent
-
-// FaultScheduler replays a FaultPlan on a clock; Tick it between
-// frames.
-type FaultScheduler = simnet.FaultScheduler
-
-// Fault kinds for FaultEvent.
-const (
-	FaultCrash        = simnet.FaultCrash
-	FaultRestart      = simnet.FaultRestart
-	FaultPartition    = simnet.FaultPartition
-	FaultHeal         = simnet.FaultHeal
-	FaultLatencySpike = simnet.FaultLatencySpike
-	FaultLossBurst    = simnet.FaultLossBurst
-	FaultCorrupt      = simnet.FaultCorrupt
-	FaultClear        = simnet.FaultClear
-)
-
-// NewFaultScheduler builds a scheduler replaying plan against net,
-// with event offsets measured from clock.Now().
-func NewFaultScheduler(net *SimNetwork, clock Clock, plan FaultPlan) (*FaultScheduler, error) {
-	return simnet.NewFaultScheduler(net, clock, plan)
-}
-
 // ServeTCP exposes this cache's store to peers over real TCP on addr
 // (e.g. "127.0.0.1:0"), identifying as name in pings. Close the returned
 // server when done.

@@ -3,7 +3,6 @@ package approxcache
 import (
 	"fmt"
 
-	"approxcache/internal/cachestore"
 	"approxcache/internal/core"
 	"approxcache/internal/dnn"
 	"approxcache/internal/metrics"
@@ -31,7 +30,6 @@ type BatchClassifier = dnn.BatchClassifier
 type Pool struct {
 	pool     *core.Pool
 	sessions []*Cache
-	store    cachestore.Interface
 	batcher  *dnn.Batcher
 }
 
@@ -72,23 +70,11 @@ func NewPool(sessions int, classifier Classifier, opts Options) (*Pool, error) {
 	for i := range caches {
 		caches[i] = &Cache{engine: pool.Session(i), store: deps.Store, clock: deps.Clock}
 	}
-	return &Pool{pool: pool, sessions: caches, store: deps.Store, batcher: batcher}, nil
+	return &Pool{pool: pool, sessions: caches, batcher: batcher}, nil
 }
-
-// Size returns the number of sessions.
-func (p *Pool) Size() int { return len(p.sessions) }
 
 // Session returns session i's cache handle.
 func (p *Pool) Session(i int) *Cache { return p.sessions[i] }
-
-// Sessions returns all session handles, in index order.
-func (p *Pool) Sessions() []*Cache { return p.sessions }
-
-// Stats returns the scoreboard shared by every session.
-func (p *Pool) Stats() *Stats { return p.pool.Stats() }
-
-// Len returns the number of live entries in the shared store.
-func (p *Pool) Len() int { return p.store.Len() }
 
 // BatcherStats returns the micro-batching scheduler's counters; ok is
 // false when batching is disabled.

@@ -59,9 +59,6 @@ func TestPoolConcurrentSessions(t *testing.T) {
 	p := newPool(t, sessions, w, approxcache.Options{
 		BatchSize: 4,
 	})
-	if p.Size() != sessions || len(p.Sessions()) != sessions {
-		t.Fatalf("size = %d, want %d", p.Size(), sessions)
-	}
 	var wg sync.WaitGroup
 	for s := 0; s < sessions; s++ {
 		wg.Add(1)
@@ -80,10 +77,10 @@ func TestPoolConcurrentSessions(t *testing.T) {
 		}(s)
 	}
 	wg.Wait()
-	if got := p.Stats().Frames(); got != sessions*len(w.Frames) {
+	if got := p.Session(0).Stats().Frames(); got != sessions*len(w.Frames) {
 		t.Fatalf("shared scoreboard saw %d frames, want %d", got, sessions*len(w.Frames))
 	}
-	if p.Len() == 0 {
+	if p.Session(0).Len() == 0 {
 		t.Fatal("shared store is empty")
 	}
 	bs, ok := p.BatcherStats()
@@ -92,7 +89,7 @@ func TestPoolConcurrentSessions(t *testing.T) {
 	}
 	// Every session's stats handle is the shared scoreboard.
 	for s := 0; s < sessions; s++ {
-		if p.Session(s).Stats() != p.Stats() {
+		if p.Session(s).Stats() != p.Session(0).Stats() {
 			t.Fatalf("session %d has a private scoreboard", s)
 		}
 	}
@@ -107,7 +104,7 @@ func TestPoolUnshardedUnbatched(t *testing.T) {
 	if _, ok := p.BatcherStats(); ok {
 		t.Fatal("unbatched pool reported batcher stats")
 	}
-	if p.Len() == 0 {
+	if p.Session(1).Len() == 0 {
 		t.Fatal("store empty after replay")
 	}
 }
