@@ -74,7 +74,10 @@ type (
 	Result = core.Result
 	// Source identifies which pipeline stage served a frame.
 	Source = metrics.Source
-	// Stats aggregates a session's hits, latency, energy, accuracy.
+	// Stats aggregates a session's hits, latency, energy, accuracy and
+	// the events its frames raised. A controller's own counts live in
+	// its snapshot instead: PeerClient.Health, AdmissionSnapshot,
+	// QuarantineStats.
 	Stats = metrics.SessionStats
 	// LatencySummary summarizes recorded latencies.
 	LatencySummary = metrics.LatencySummary
@@ -314,7 +317,8 @@ func (c *Cache) ProcessWithTruth(im *Image, imuWindow []IMUSample, truth string)
 	return c.engine.ProcessWithTruth(im, imuWindow, truth)
 }
 
-// Stats returns the session statistics.
+// Stats returns the session statistics (see the Stats type for what
+// they leave to the controllers' snapshots).
 func (c *Cache) Stats() *Stats { return c.engine.Stats() }
 
 // AdmissionSnapshot returns the overload limiter's state; ok is false

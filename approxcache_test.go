@@ -310,9 +310,11 @@ func TestTCPPeering(t *testing.T) {
 	replay(t, server, w)
 
 	client := newCache(t, w, approxcache.Options{Clock: clock})
-	if _, err := client.DialPeers(srv.Addr()); err != nil {
+	peers, err := client.DialPeers(srv.Addr())
+	if err != nil {
 		t.Fatal(err)
 	}
+	defer peers.Close()
 	replay(t, client, w)
 	counts := client.Stats().CountBySource()
 	if counts[approxcache.SourcePeer] == 0 {

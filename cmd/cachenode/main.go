@@ -140,6 +140,7 @@ func run(args []string) error {
 		if client, err = joinPeers(front, *name, addrs); err != nil {
 			return err
 		}
+		defer client.Close()
 	}
 
 	// Every session finishes its warm-up before the timed run starts.
@@ -257,9 +258,9 @@ func printStats(cache *approxcache.Cache, client *approxcache.PeerClient) {
 		counts[approxcache.SourceDNN], counts[approxcache.SourceFallback],
 		counts[approxcache.SourceShed])
 	if sheds, drops := stats.Sheds(), stats.ExpiredDrops(); sheds > 0 || drops > 0 {
-		up, down := stats.BrownoutTransitions()
-		fmt.Printf("overload: %d shed, %d expired in queue, brownout %d up / %d down\n",
-			sheds, drops, up, down)
+		// The admission line below carries the brownout level and its
+		// transitions.
+		fmt.Printf("overload: %d shed, %d expired in queue\n", sheds, drops)
 	}
 	if inDeadline, late := stats.DeadlineCompletions(); inDeadline+late > 0 {
 		fmt.Printf("deadlines: %d in-deadline, %d late\n", inDeadline, late)
@@ -280,12 +281,17 @@ func printStats(cache *approxcache.Cache, client *approxcache.PeerClient) {
 	if q > 0 {
 		fmt.Printf("peer queries: %d (%d hits)\n", q, h)
 	}
-	if trips, recoveries := stats.BreakerEvents(); trips > 0 || stats.PeerTimeouts() > 0 || stats.DegradedFrames() > 0 {
-		fmt.Printf("resilience: %d timeouts, %d breaker trips, %d recoveries, %d degraded frames\n",
-			stats.PeerTimeouts(), trips, recoveries, stats.DegradedFrames())
-	}
 	if client != nil {
-		for _, p := range client.Health().Peers {
+		health := client.Health()
+		timeouts := 0
+		for _, p := range health.Peers {
+			timeouts += p.Timeouts
+		}
+		if health.Trips > 0 || timeouts > 0 || health.DegradedQueries > 0 {
+			fmt.Printf("resilience: %d timeouts, %d breaker trips, %d recoveries, %d degraded queries\n",
+				timeouts, health.Trips, health.Recoveries, health.DegradedQueries)
+		}
+		for _, p := range health.Peers {
 			fmt.Printf("  peer %s: %s, %d ok / %d failed, rtt ewma %v\n",
 				p.Peer, p.State, p.Successes, p.Failures, p.LatencyEWMA.Round(10*time.Microsecond))
 		}

@@ -94,6 +94,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	defer client.Close()
 	pong, rtt, err := client.Ping("node-b", srv.Addr())
 	if err != nil {
 		return fmt.Errorf("ping: %w", err)

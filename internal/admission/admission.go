@@ -134,7 +134,6 @@ type Controller struct {
 	calmRun      int // consecutive calm events
 	level        Level
 	transitions  int64
-	onTransition func(from, to Level)
 }
 
 // New builds a controller at its initial limit.
@@ -143,15 +142,6 @@ func New() *Controller {
 		limit:        initialLimit,
 		sinceBackoff: backoffCooldown, // the first miss may back off immediately
 	}
-}
-
-// SetTransitionHook installs a callback invoked (under the controller
-// lock — keep it cheap) on every brownout level change. Used to feed
-// session stats.
-func (c *Controller) SetTransitionHook(fn func(from, to Level)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.onTransition = fn
 }
 
 // TryAcquire claims one in-flight slot. False means the request must be
@@ -247,12 +237,8 @@ func (c *Controller) calmLocked() {
 }
 
 func (c *Controller) setLevelLocked(to Level) {
-	from := c.level
 	c.level = to
 	c.transitions++
-	if c.onTransition != nil {
-		c.onTransition(from, to)
-	}
 }
 
 func (c *Controller) limitLocked() int {

@@ -1,6 +1,7 @@
 package admission
 
 import (
+	"slices"
 	"sync"
 	"testing"
 )
@@ -144,10 +145,6 @@ func toFloor(t *testing.T, c *Controller) int {
 
 func TestBrownoutRaisesUnderFloorPressureAndRecovers(t *testing.T) {
 	c := New()
-	var transitions [][2]Level
-	c.SetTransitionHook(func(from, to Level) {
-		transitions = append(transitions, [2]Level{from, to})
-	})
 	// 8 → 4 → 2 → 1, one halving per two completions.
 	if n := toFloor(t, c); n != 5 {
 		t.Fatalf("reached the floor after %d late completions, want 5", n)
@@ -168,39 +165,31 @@ func TestBrownoutRaisesUnderFloorPressureAndRecovers(t *testing.T) {
 		case shed >= 7:
 			want = LevelNoPeer
 		}
-		if got := c.Level(); got != want {
-			t.Fatalf("level after %d sheds at the floor = %v, want %v", shed, got, want)
+		if got, n := c.Level(), c.Snapshot().Transitions; got != want || n != int64(want) {
+			t.Fatalf("after %d sheds at the floor: level %v after %d transitions, want %v after %d",
+				shed, got, n, want, int(want))
 		}
 	}
 	c.Release(true)
 	// Calm: in-deadline completions. The first grows the limit off the
 	// floor; from then on each counts as calm, and every 64th steps the
-	// ladder back down.
+	// ladder back down, one rung and one transition at a time.
+	levels := []Level{c.Level()}
 	for i := 0; i < 200 && c.Level() != LevelFull; i++ {
 		if !c.TryAcquire() {
 			t.Fatalf("calm acquire %d shed", i)
 		}
 		c.Release(true)
-	}
-	if got := c.Level(); got != LevelFull {
-		t.Fatalf("level after sustained calm = %v, want %v", got, LevelFull)
-	}
-	want := [][2]Level{
-		{LevelFull, LevelNoPeer},
-		{LevelNoPeer, LevelFirstCandidate},
-		{LevelFirstCandidate, LevelNoPeer},
-		{LevelNoPeer, LevelFull},
-	}
-	if len(transitions) != len(want) {
-		t.Fatalf("transitions = %v, want %v", transitions, want)
-	}
-	for i := range want {
-		if transitions[i] != want[i] {
-			t.Fatalf("transition %d = %v, want %v", i, transitions[i], want[i])
+		if got := c.Level(); got != levels[len(levels)-1] {
+			levels = append(levels, got)
+			if n := c.Snapshot().Transitions; n != int64(len(levels)+1) {
+				t.Fatalf("level %v after %d transitions, want %d", got, n, len(levels)+1)
+			}
 		}
 	}
-	if got := c.Snapshot().Transitions; got != int64(len(want)) {
-		t.Fatalf("transition counter = %d, want %d", got, len(want))
+	want := []Level{LevelFirstCandidate, LevelNoPeer, LevelFull}
+	if !slices.Equal(levels, want) {
+		t.Fatalf("levels under sustained calm = %v, want %v", levels, want)
 	}
 }
 

@@ -516,31 +516,26 @@ func (s *Store) Parole(id lsh.ID, ok bool) ParoleOutcome {
 		return ParoleMissing
 	}
 	if ok {
-		s.qParoled++
-		if err := s.index.Insert(id, s.owned[id]); err != nil {
-			// The index refused the vector it previously held (cannot
-			// happen with the in-tree indexes); drop the entry rather
-			// than keep a permanently unfindable one.
-			s.dropLocked(s.slot[id])
-			s.qEvicted++
-			return ParoleEvicted
+		if err := s.index.Insert(id, s.owned[id]); err == nil {
+			r.quarantined = false
+			r.refutes = 0
+			r.paroleFails = 0
+			s.qActive--
+			s.qParoled++
+			if s.src != nil {
+				delete(s.owned, id) // the index serves it again
+			}
+			return ParoleReinstated
 		}
-		r.quarantined = false
-		r.refutes = 0
-		r.paroleFails = 0
-		s.qActive--
-		if s.src != nil {
-			delete(s.owned, id) // the index serves it again
-		}
-		return ParoleReinstated
+		// The index refused the vector it previously held (cannot
+		// happen with the in-tree indexes); evict the entry rather
+		// than keep a permanently unfindable one.
+	} else if bump(&r.paroleFails); r.paroleFails < paroleFailLimit {
+		return ParoleHeld
 	}
-	bump(&r.paroleFails)
-	if r.paroleFails >= paroleFailLimit {
-		s.removeLocked(id)
-		s.qEvicted++
-		return ParoleEvicted
-	}
-	return ParoleHeld
+	s.removeLocked(id)
+	s.qEvicted++
+	return ParoleEvicted
 }
 
 // QuarantinedEntries returns copies of the quarantined entries only —

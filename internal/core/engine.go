@@ -331,14 +331,6 @@ func newEngine(cfg Config, deps Deps, stats *metrics.SessionStats, wd *watchdog,
 	}
 	if ctrl == nil && cfg.Admission {
 		ctrl = admission.New()
-		s := stats
-		ctrl.SetTransitionHook(func(from, to admission.Level) {
-			ev := metrics.EventBrownoutLowered
-			if to > from {
-				ev = metrics.EventBrownoutRaised
-			}
-			s.Add(ev, 1)
-		})
 	}
 	// Normalize typed-nil stores: a nil *Store in the interface would
 	// dodge the nil check below and crash on first use instead.
@@ -351,9 +343,6 @@ func newEngine(cfg Config, deps Deps, stats *metrics.SessionStats, wd *watchdog,
 		wd = newWatchdog(cfg.DisableWatchdog, deps.Classifier, deps.Clock, stats)
 	}
 	e.wd = wd
-	if deps.Peers != nil {
-		deps.Peers.SetObserver(statsObserver{s: e.stats})
-	}
 	if cfg.Mode == ModeExactCache {
 		e.exact = make(map[uint64]exactEntry)
 	}
@@ -397,21 +386,10 @@ func (e *Engine) AdmissionSnapshot() (admission.Snapshot, bool) {
 	return e.ctrl.Snapshot(), true
 }
 
-// statsObserver forwards the peer client's resilience events into the
-// engine's session stats.
-type statsObserver struct{ s *metrics.SessionStats }
-
-func (o statsObserver) PeerTimeout(string)     { o.s.Add(metrics.EventPeerTimeout, 1) }
-func (o statsObserver) BreakerTrip(string)     { o.s.Add(metrics.EventBreakerTrip, 1) }
-func (o statsObserver) BreakerRecovery(string) { o.s.Add(metrics.EventBreakerRecovery, 1) }
-
-// SetPeers installs (or replaces) the peer client used by the P2P gate
-// and wires its resilience events (timeouts, breaker trips/recoveries)
-// into the session stats. Passing nil disables the gate.
+// SetPeers installs (or replaces) the peer client used by the P2P gate;
+// its resilience counts stay in its own Health snapshot. Passing nil
+// disables the gate.
 func (e *Engine) SetPeers(p *p2p.Client) {
-	if p != nil {
-		p.SetObserver(statsObserver{s: e.stats})
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.deps.Peers = p

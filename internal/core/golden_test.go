@@ -35,18 +35,23 @@ import (
 // them every decision downstream. The dnn-faults row once bounded the
 // last result's age at 150 ms; since the last result no longer ages, its
 // digest is the one the commit before produced with that bound at zero.
+// Every digest was last re-recorded when nine controller counts (peer
+// timeouts, breaker trips and recoveries, degraded frames, brownout
+// raises and lowers, quarantines, paroles, parole evictions) left the
+// event table: each is the one the commit before produced with those
+// nine slots dropped from its counts line.
 var parentGoldens = map[string]string{
-	"default":       "480b6fd52e4fa102740a8d56b5a546fbbdbee3f34684a4e7d1166997b55bc4c4",
-	"no-imu-gate":   "8ab3cc5dd2f591f379a10fab6289d12bc02d4dca1131f86fce823daf518630fd",
-	"no-video-gate": "7cc310fa7abb10ba1094c936550316df7506fa126add6cbc1a2b064ce6340d88",
-	"no-gates":      "bf51e9dca01e7221f6bc998e5550b0938cc9eb36073b8abc22ab9cbd0565a03f",
-	"keyframes-1":   "9aa699e4a65ce53c73a2a79a44c06803207fab210ce71c6707d5733322bbfe0a",
-	"streak-1":      "3085f3072eb0769dd05963472462aa58645454fa755c74c687223be6efad3a6a",
-	"quality-drift": "683735eedac6c2f5b20e4d6479193450bd21743a66765384ec689b249d557180",
-	"dnn-faults":    "627c0ddc57dfbb5dc0fad966f6905b6d98de5a155549d2f2cb997ad69430afb6",
-	"sensor-faults": "c009d0da5e0d9201d907904a10dfdab2f402129d690ce153a2dac4fe02075168",
-	"unguarded":     "8c4c68e85f134c8068fe1bf537d1f7aa7748cbc26f0a3052806d65e4fed695f0",
-	"mesh-gossip":   "c2a5d76869be16a254d10a8293102c02cf3d30f57000621c4cca2be2fbaf16b5",
+	"default":       "06c94a574d268447374f79b6fdfac1fb8a4ec3c69b5716801d69cf75f30f4bad",
+	"no-imu-gate":   "9c02607f38a20aa56680ffb237a04932656822dba9f059616ee2dda0a2caee95",
+	"no-video-gate": "af632ee23cf7c881abe4144b0b2d7053a0e83f752c10327b2ddad2ea231cafbb",
+	"no-gates":      "716fbb607d238ffe2e7c6041900c2951193a83f35262fad88386650f5b20d5ad",
+	"keyframes-1":   "a07c5d16ca2302387db0d2d48a9a296084bf8a54972e5533a07ed6a4a016a9f3",
+	"streak-1":      "f0ff099680a5489445ea3e54fec5ab9eda2ea106cda2c8bd4781657a305d1390",
+	"quality-drift": "c4546fb82cfc3d90769e0e43980a374a764a1f729134292c4b2a1ab2468d7026",
+	"dnn-faults":    "1cf2a8da56f448a9d0d39ad3a993e420ff614674902e149c54123ef2919041aa",
+	"sensor-faults": "ccf642d002316c2fc7477dc8d4bef80855556b3dd3e9144ac6d2c6b8c998b00e",
+	"unguarded":     "28535254d0dbae07c77ccc30a6f49bd77c6269505152baf62281d6b4ff487f41",
+	"mesh-gossip":   "9d271b9619248e0afab8a629bfe92c3f2bb3994731482077352680eafde68907",
 }
 
 // goldenRow is one configuration of the golden matrix.
@@ -200,7 +205,7 @@ func processWithTruth(e *Engine, f diffFrame) (Result, error) {
 // goldenRun plays every stream through the row's engine(s) with process
 // and returns the transcript's hash and a tally of what the run reached:
 // result sources and degradation levels, error prefixes, nonzero event
-// counters and sensor-fault classes.
+// counters, sensor-fault classes and store quarantines.
 func goldenRun(t *testing.T, row goldenRow, streams []diffStream, process processFunc) (string, map[string]int) {
 	t.Helper()
 	h := sha256.New()
@@ -242,6 +247,7 @@ func goldenRun(t *testing.T, row goldenRow, streams []diffStream, process proces
 			for k, n := range dev.engine.Stats().SensorFaults() {
 				seen["fault:"+k] += n
 			}
+			seen["store:quarantined"] += dev.store.QuarantineStats().Total
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil)), seen
@@ -356,7 +362,7 @@ func checkGoldenCoverage(t *testing.T, row goldenRow, seen map[string]int) {
 	case "no-gates":
 		need = append(need, "local")
 	case "quality-drift":
-		need = append(need, "event:audit-refuted", "event:quarantine", "event:reuse-refusal")
+		need = append(need, "event:audit-refuted", "store:quarantined", "event:reuse-refusal")
 	case "dnn-faults":
 		need = append(need, "degrade:cache-only", "degrade:last-result",
 			"event:watchdog-retry", "event:watchdog-trip", "event:watchdog-recovery", "event:watchdog-fast-fail")

@@ -317,9 +317,8 @@ func TestBrownoutServesFirstCandidate(t *testing.T) {
 			t.Fatalf("after %d refusals: brownout level %v, want %v", i, snap.Level, want)
 		}
 	}
-	raised, lowered := f.engine.Stats().BrownoutTransitions()
-	if raised != 2 || lowered != 0 {
-		t.Fatalf("brownout transitions = %d up / %d down, want 2/0", raised, lowered)
+	if snap, _ := f.engine.AdmissionSnapshot(); snap.Transitions != 2 {
+		t.Fatalf("brownout transitions = %d, want 2", snap.Transitions)
 	}
 
 	// A cached candidate at distance zero is served straight from the

@@ -283,8 +283,8 @@ func (qc *qualityController) runAudit(e *Engine, im *vision.Image, guarded bool,
 	for _, id := range ids {
 		if agree {
 			qc.store.Confirm(id)
-		} else if qc.store.Refute(id) {
-			qc.stats.Add(metrics.EventQuarantine, 1)
+		} else {
+			qc.store.Refute(id)
 		}
 	}
 	// Fresh DNN evidence re-verifies quarantined entries caching the
@@ -315,12 +315,7 @@ func (qc *qualityController) paroleNear(vec feature.Vector, freshLabel string, r
 		if err != nil || d > radius {
 			continue
 		}
-		switch qc.store.Parole(en.ID, en.Label == freshLabel) {
-		case cachestore.ParoleReinstated:
-			qc.stats.Add(metrics.EventParole, 1)
-		case cachestore.ParoleEvicted:
-			qc.stats.Add(metrics.EventParoleEvict, 1)
-		}
+		qc.store.Parole(en.ID, en.Label == freshLabel)
 	}
 }
 

@@ -456,9 +456,6 @@ func (e *Engine) tryPeer(f *frame) (bool, error) {
 	if err != nil {
 		return false, fmt.Errorf("peer query: %w", err)
 	}
-	if out.Degraded {
-		e.stats.Add(metrics.EventDegradedFrame, 1)
-	}
 	f.rec.PeerQueried, f.rec.PeerFound = out.Queried, out.Found
 	if out.Queried > 0 {
 		f.rec.PeerCost = out.Cost

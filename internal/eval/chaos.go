@@ -70,10 +70,8 @@ type chaosResult struct {
 	Baseline [chaosPhases]chaosPhase
 	// Run is the device under test: peers attached, fault plan active.
 	Run [chaosPhases]chaosPhase
-	// Stats is the run's session stats (trips, timeouts, degraded
-	// frames, hit sources).
-	Stats *metrics.SessionStats
-	// Health is the client's final health snapshot.
+	// Health is the client's final health snapshot: per-peer state,
+	// breaker trips and recoveries, degraded queries.
 	Health p2p.HealthSnapshot
 }
 
@@ -211,7 +209,6 @@ func runChaos(s Scale, guarded bool) (chaosResult, error) {
 	if out.Run, err = window(dev, sched); err != nil {
 		return chaosResult{}, err
 	}
-	out.Stats = dev.engine.Stats()
 	out.Health = dev.client.Health()
 	return out, nil
 }

@@ -10,7 +10,7 @@ import (
 // every peer crashed mid-session, the guarded pipeline's mean frame
 // latency must stay within 10% of the no-peers baseline, and after the
 // scheduled heal the circuits must close and peer hits must resume,
-// with the breaker activity visible in the session stats.
+// with the breaker activity visible in the client's health snapshot.
 func TestChaosResilienceAcceptance(t *testing.T) {
 	res, err := runChaos(Scale{Frames: 400, Seed: 42}, true)
 	if err != nil {
@@ -36,16 +36,15 @@ func TestChaosResilienceAcceptance(t *testing.T) {
 			res.Run[phaseCrash].Mean, res.Baseline[phaseCrash].Mean)
 	}
 
-	// Breaker activity must be visible in session stats.
-	trips, recoveries := res.Stats.BreakerEvents()
-	if trips == 0 {
-		t.Fatal("no breaker trips recorded in session stats")
+	// Breaker activity must be visible in the client's health.
+	if res.Health.Trips == 0 {
+		t.Fatal("no breaker trips recorded")
 	}
-	if recoveries == 0 {
-		t.Fatal("no breaker recoveries recorded in session stats")
+	if res.Health.Recoveries == 0 {
+		t.Fatal("no breaker recoveries recorded")
 	}
-	if res.Stats.DegradedFrames() == 0 {
-		t.Fatal("no degraded frames recorded during the crash window")
+	if res.Health.DegradedQueries == 0 {
+		t.Fatal("no degraded queries recorded during the crash window")
 	}
 
 	// After the heal the circuits close and peer reuse resumes.
@@ -80,8 +79,8 @@ func TestChaosUnguardedPaysDeadCost(t *testing.T) {
 		t.Fatalf("unguarded crash-window mean %v unexpectedly within baseline %v + 10%%",
 			res.Run[phaseCrash].Mean, res.Baseline[phaseCrash].Mean)
 	}
-	if trips, _ := res.Stats.BreakerEvents(); trips != 0 {
-		t.Fatalf("disabled breaker recorded %d trips", trips)
+	if res.Health.Trips != 0 {
+		t.Fatalf("disabled breaker recorded %d trips", res.Health.Trips)
 	}
 }
 

@@ -481,15 +481,16 @@ func E18ChaosResilience(s Scale) (Report, error) {
 		if base > 0 {
 			over = fmtPct(float64(res.Run[phaseCrash].Mean)/float64(base) - 1)
 		}
-		trips, recoveries := res.Stats.BreakerEvents()
 		report.Rows = append(report.Rows, []string{
 			name,
 			fmtDur(res.Run[phaseCrash].Mean),
 			over,
 			fmt.Sprintf("%d / %d", res.Run[phasePre].PeerHits, res.Run[phaseHeal].PeerHits),
-			fmt.Sprintf("%d", trips),
-			fmt.Sprintf("%d", recoveries),
-			fmt.Sprintf("%d", res.Stats.DegradedFrames()),
+			fmt.Sprintf("%d", res.Health.Trips),
+			fmt.Sprintf("%d", res.Health.Recoveries),
+			// The engine is the client's only caller: one degraded
+			// query per degraded frame.
+			fmt.Sprintf("%d", res.Health.DegradedQueries),
 		})
 	}
 	return report, nil

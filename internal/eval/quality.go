@@ -201,7 +201,8 @@ func runQualityNode(frames int, seed int64, drift, protect bool) (QualityRun, er
 	run.LatencySavings = 1 - float64(meanTail)/float64(dnn.MobileNetV2.MeanLatency)
 	stats := dev.engine.Stats()
 	run.Audits, run.AuditRefutes = stats.Audits()
-	run.Quarantines, run.Paroles, run.ParoleEvictions = stats.QuarantineEvents()
+	q := dev.store.QuarantineStats()
+	run.Quarantines, run.Paroles, run.ParoleEvictions = q.Total, q.Paroled, q.Evicted
 	run.RecalTightens, run.RecalLoosens = stats.RecalibrationEvents()
 	run.ReuseRefusals = stats.ReuseRefusals()
 	if snap, ok := dev.engine.QualitySnapshot(); ok {

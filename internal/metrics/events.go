@@ -3,8 +3,16 @@ package metrics
 // Event names one scalar counter of a session. SessionStats keeps them
 // all in one table indexed by Event, so a writer is Add(event, n), a
 // reader Count(event), and Counts together with Event.String is every
-// counter by name — the data source a live introspection endpoint
-// needs.
+// counter by name.
+//
+// Each fact is counted once, by whoever keeps it. An Event is raised on
+// the frame path: by the engine, its watchdog or its quality loop. A
+// controller that keeps its own lifetime counts is read from its own
+// snapshot and is not mirrored here: the peer client's timeouts, breaker
+// trips and recoveries and degraded queries (p2p.Client.Health), the
+// admission controller's brownout transitions (admission Snapshot) and
+// the store's quarantines, paroles and parole evictions
+// (QuarantineStats).
 type Event uint8
 
 // Session events, grouped by the subsystem that raises them.
@@ -26,16 +34,6 @@ const (
 	// that found a result.
 	EventPeerQuery
 	EventPeerHit
-	// EventPeerTimeout: a peer exchange that overran its deadline or
-	// the per-frame peer budget.
-	EventPeerTimeout
-	// EventBreakerTrip / EventBreakerRecovery: a peer excluded from the
-	// fan-out after repeated failures, and a tripped peer healing.
-	EventBreakerTrip
-	EventBreakerRecovery
-	// EventDegradedFrame: a frame whose P2P gate was skipped because
-	// every peer's circuit was open.
-	EventDegradedFrame
 
 	// Classifier watchdog: a call killed by the per-call deadline, a
 	// transient-error retry, the classifier declared down, a probe
@@ -56,23 +54,12 @@ const (
 	// finished within, or past, its budget.
 	EventInDeadline
 	EventLate
-	// EventBrownoutRaised / EventBrownoutLowered: a brownout-ladder
-	// level change towards deeper, or shallower, degradation.
-	EventBrownoutRaised
-	EventBrownoutLowered
 
 	// EventAudit / EventAuditRefuted: a completed shadow audit (a cache
 	// hit re-run through the DNN off the latency path), and one where
 	// the DNN disagreed with the served label.
 	EventAudit
 	EventAuditRefuted
-	// EventQuarantine: an entry crossing the refute threshold and
-	// leaving the candidate index.
-	EventQuarantine
-	// EventParole / EventParoleEvict: a quarantined entry reinstated on
-	// re-verification, or evicted at the parole-fail limit.
-	EventParole
-	EventParoleEvict
 	// EventRecalTighten / EventRecalLoosen: the drift controller moving
 	// the gate thresholds stricter, or looser.
 	EventRecalTighten
@@ -92,10 +79,6 @@ var eventNames = [NumEvents]string{
 	EventDegradedServe:    "degraded-serve",
 	EventPeerQuery:        "peer-query",
 	EventPeerHit:          "peer-hit",
-	EventPeerTimeout:      "peer-timeout",
-	EventBreakerTrip:      "breaker-trip",
-	EventBreakerRecovery:  "breaker-recovery",
-	EventDegradedFrame:    "degraded-frame",
 	EventWatchdogTimeout:  "watchdog-timeout",
 	EventWatchdogRetry:    "watchdog-retry",
 	EventWatchdogTrip:     "watchdog-trip",
@@ -105,13 +88,8 @@ var eventNames = [NumEvents]string{
 	EventExpiredDrop:      "expired-drop",
 	EventInDeadline:       "in-deadline",
 	EventLate:             "late",
-	EventBrownoutRaised:   "brownout-raised",
-	EventBrownoutLowered:  "brownout-lowered",
 	EventAudit:            "audit",
 	EventAuditRefuted:     "audit-refuted",
-	EventQuarantine:       "quarantine",
-	EventParole:           "parole",
-	EventParoleEvict:      "parole-evict",
 	EventRecalTighten:     "recal-tighten",
 	EventRecalLoosen:      "recal-loosen",
 	EventReuseRefusal:     "reuse-refusal",

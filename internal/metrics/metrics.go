@@ -3,7 +3,10 @@
 // (exact count, mean, min and max; percentiles within 6.25 %), one
 // table of named event counters, per-source hit accounting, and
 // accuracy tracking. Nothing here grows with the number of frames
-// observed; exact percentiles live in internal/eval.
+// observed; exact percentiles live in internal/eval. The event table
+// holds what the frame path raises; a controller's lifetime counts
+// (peer breaker, admission brownout, store quarantine) live only in
+// that controller's snapshot.
 package metrics
 
 import "time"
@@ -139,20 +142,6 @@ func (s *SessionStats) Count(ev Event) int {
 	return int(s.counts[ev])
 }
 
-// PeerTimeouts returns how many peer exchanges timed out.
-func (s *SessionStats) PeerTimeouts() int { return s.Count(EventPeerTimeout) }
-
-// BreakerEvents returns (trips, recoveries) of the peer circuit
-// breaker.
-func (s *SessionStats) BreakerEvents() (trips, recoveries int) {
-	c := s.Counts()
-	return int(c[EventBreakerTrip]), int(c[EventBreakerRecovery])
-}
-
-// DegradedFrames returns how many frames ran local-only because every
-// peer was tripped open.
-func (s *SessionStats) DegradedFrames() int { return s.Count(EventDegradedFrame) }
-
 // SensorFaults returns a copy of the per-class sensor fault counts.
 func (s *SessionStats) SensorFaults() map[string]int {
 	s.lat.mu.Lock()
@@ -191,24 +180,10 @@ func (s *SessionStats) DeadlineCompletions() (inDeadline, late int) {
 	return int(c[EventInDeadline]), int(c[EventLate])
 }
 
-// BrownoutTransitions returns (raised, lowered) counts of brownout
-// level changes.
-func (s *SessionStats) BrownoutTransitions() (raised, lowered int) {
-	c := s.Counts()
-	return int(c[EventBrownoutRaised]), int(c[EventBrownoutLowered])
-}
-
 // Audits returns (total, refuted) shadow-audit counts.
 func (s *SessionStats) Audits() (total, refuted int) {
 	c := s.Counts()
 	return int(c[EventAudit]), int(c[EventAuditRefuted])
-}
-
-// QuarantineEvents returns (quarantines, paroles, evictions) of the
-// entry-quarantine state machine.
-func (s *SessionStats) QuarantineEvents() (quarantines, paroles, evictions int) {
-	c := s.Counts()
-	return int(c[EventQuarantine]), int(c[EventParole]), int(c[EventParoleEvict])
 }
 
 // RecalibrationEvents returns (tightens, loosens) counts of gate

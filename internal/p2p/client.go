@@ -3,6 +3,7 @@ package p2p
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"sort"
 	"sync"
@@ -36,19 +37,6 @@ type RemoteHit struct {
 	Distance float64
 	// RTT is the round-trip time of the winning exchange.
 	RTT time.Duration
-}
-
-// Observer receives resilience events as the client produces them, so
-// the pipeline's session stats can surface them. All methods may be
-// called concurrently; a nil observer is never invoked.
-type Observer interface {
-	// PeerTimeout fires when an exchange with peer overran its
-	// deadline or the per-frame budget.
-	PeerTimeout(peer string)
-	// BreakerTrip fires when peer's circuit trips (or re-trips) open.
-	BreakerTrip(peer string)
-	// BreakerRecovery fires when peer's circuit closes again.
-	BreakerRecovery(peer string)
 }
 
 // ClientConfig parameterizes the querying side. The peer policy itself
@@ -128,7 +116,6 @@ type Client struct {
 	answerQ           []string
 	pending           []Gossip
 	due               time.Time
-	observer          Observer
 }
 
 // flight is one in-progress peer-set query that concurrent identical
@@ -171,6 +158,16 @@ func NewClient(cfg ClientConfig, transport Transport) (*Client, error) {
 	}, nil
 }
 
+// Close releases the transport's resources — a TCPTransport's pooled
+// connections — when the transport is an io.Closer; any other transport
+// holds nothing to release. Calls after Close re-dial.
+func (c *Client) Close() error {
+	if cl, ok := c.transport.(io.Closer); ok {
+		return cl.Close()
+	}
+	return nil
+}
+
 // WireStats returns this client's per-kind wire traffic and
 // coalescing/batching counters.
 func (c *Client) WireStats() metrics.WireStats { return c.wire.Snapshot() }
@@ -187,14 +184,6 @@ func putEncBuf(p *[]byte) {
 	encBufPool.Put(p)
 }
 
-// SetObserver installs (or, with nil, removes) the resilience-event
-// sink. The engine installs its session stats here.
-func (c *Client) SetObserver(o Observer) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.observer = o
-}
-
 // peerLocked returns name's record, creating it on first mention.
 func (c *Client) peerLocked(name string) *peer {
 	p := c.table[name]
@@ -205,14 +194,12 @@ func (c *Client) peerLocked(name string) *peer {
 	return p
 }
 
-// succeedLocked books a success on p's circuit and reports whether it
-// closed an open or half-open one.
-func (c *Client) succeedLocked(p *peer) bool {
-	if c.cfg.DisableBreaker || !p.circuit.onSuccess() {
-		return false
+// succeedLocked books a success on p's circuit, counting a recovery
+// when it closed an open or half-open one.
+func (c *Client) succeedLocked(p *peer) {
+	if !c.cfg.DisableBreaker && p.circuit.onSuccess() {
+		c.recoveries++
 	}
-	c.recoveries++
-	return true
 }
 
 // stateLocked is p's circuit state at now.
@@ -224,7 +211,7 @@ func (c *Client) stateLocked(p *peer, now time.Time) BreakerState {
 }
 
 // record books one exchange outcome into the peer's health and circuit
-// in one critical section, then tells the observer.
+// in one critical section.
 func (c *Client) record(name string, rtt time.Duration, err error) {
 	class := Classify(err)
 	var now time.Time
@@ -232,31 +219,17 @@ func (c *Client) record(name string, rtt time.Duration, err error) {
 		now = c.clock.Now()
 	}
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	p := c.peerLocked(name)
 	p.health.observe(rtt, class)
-	var tripped, recovered bool
 	switch {
 	case c.cfg.DisableBreaker:
 	case class.Failure():
-		if tripped = p.circuit.onFailure(now, c.rng); tripped {
+		if p.circuit.onFailure(now, c.rng) {
 			c.trips++
 		}
 	default:
-		recovered = c.succeedLocked(p)
-	}
-	obs := c.observer
-	c.mu.Unlock()
-	if obs == nil {
-		return
-	}
-	if class == ErrClassTimeout {
-		obs.PeerTimeout(name)
-	}
-	if tripped {
-		obs.BreakerTrip(name)
-	}
-	if recovered {
-		obs.BreakerRecovery(name)
+		c.succeedLocked(p)
 	}
 }
 

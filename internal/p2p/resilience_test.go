@@ -69,20 +69,6 @@ func peerHealth(t *testing.T, cl *Client, name string) PeerHealth {
 	return PeerHealth{}
 }
 
-// countObserver tallies resilience events.
-type countObserver struct {
-	mu                          sync.Mutex
-	timeouts, trips, recoveries int
-}
-
-func (o *countObserver) PeerTimeout(string) { o.mu.Lock(); o.timeouts++; o.mu.Unlock() }
-func (o *countObserver) BreakerTrip(string) { o.mu.Lock(); o.trips++; o.mu.Unlock() }
-func (o *countObserver) BreakerRecovery(string) {
-	o.mu.Lock()
-	o.recoveries++
-	o.mu.Unlock()
-}
-
 func TestClientBreakerExcludesCrashedPeer(t *testing.T) {
 	cl, services, net, _ := newResilientCluster(t, 2)
 	if _, err := services[1].store.Insert(feature.Vector{1, 0}, "cat", 0.9, "dnn", time.Millisecond); err != nil {
@@ -228,9 +214,6 @@ func TestClientQueryBudgetDiscardsLateAnswer(t *testing.T) {
 	if _, err := services[0].store.Insert(feature.Vector{1, 0}, "cat", 0.9, "dnn", time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	obs := &countObserver{}
-	cl.SetObserver(obs)
-
 	// One RTT on this cluster is ≥ 10 ms; a 1 ms budget discards the
 	// answer and charges the peer a timeout.
 	out, err := cl.QueryFrame(feature.Vector{1, 0}, time.Millisecond)
@@ -243,11 +226,8 @@ func TestClientQueryBudgetDiscardsLateAnswer(t *testing.T) {
 	if out.Cost != time.Millisecond {
 		t.Fatalf("cost = %v, want capped at budget", out.Cost)
 	}
-	if ph := peerHealth(t, cl, "peer-a"); ph.Timeouts != 1 {
-		t.Fatalf("peer health = %+v, want 1 timeout", ph)
-	}
-	if obs.timeouts != 1 {
-		t.Fatalf("observer timeouts = %d, want 1", obs.timeouts)
+	if ph := peerHealth(t, cl, "peer-a"); ph.Timeouts != 1 || ph.Failures != 1 || ph.State != StateClosed {
+		t.Fatalf("peer health = %+v, want 1 timeout, 1 failure, circuit closed", ph)
 	}
 
 	// A generous budget admits the same answer.
@@ -260,19 +240,57 @@ func TestClientQueryBudgetDiscardsLateAnswer(t *testing.T) {
 	}
 }
 
+// TestClientObserverEvents: a trip and the half-open probe that heals
+// it each count once in the client's Health snapshot, the one place
+// that keeps them.
 func TestClientObserverEvents(t *testing.T) {
 	cl, _, net, clock := newResilientCluster(t, 1)
-	obs := &countObserver{}
-	cl.SetObserver(obs)
 	net.Crash("peer-a")
 	for i := 0; i < 3; i++ {
 		cl.QueryFrame(feature.Vector{1, 0}, 0)
 	}
 	net.Restart("peer-a")
 	clock.Advance(301 * time.Millisecond)
-	cl.QueryFrame(feature.Vector{1, 0}, 0)
-	if obs.trips != 1 || obs.recoveries != 1 {
-		t.Fatalf("observer trips/recoveries = %d/%d, want 1/1", obs.trips, obs.recoveries)
+	for i := 0; i < 2; i++ {
+		cl.QueryFrame(feature.Vector{1, 0}, 0)
+	}
+	if snap := cl.Health(); snap.Trips != 1 || snap.Recoveries != 1 || snap.Peers[0].Failures != 3 {
+		t.Fatalf("health = %+v, want 1 trip, 1 recovery, 3 failures", snap)
+	}
+}
+
+// TestClientDigestSkipResolvesHalfOpenProbe: a half-open probe claimed
+// for a peer whose digest then rules the vector out resolves as a
+// success without an exchange. That closes the circuit and counts one
+// recovery, no more.
+func TestClientDigestSkipResolvesHalfOpenProbe(t *testing.T) {
+	cl, services, net, clock := newResilientCluster(t, 1)
+	if _, err := services[0].store.Insert(feature.Vector{1, 0}, "cat", 0.9, "dnn", time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := cl.FetchDigest("peer-a"); err != nil {
+		t.Fatal(err)
+	}
+	net.Crash("peer-a")
+	for i := 0; i < failureThreshold; i++ {
+		cl.QueryFrame(feature.Vector{1, 0}, 0)
+	}
+	if got := peerHealth(t, cl, "peer-a").State; got != StateOpen {
+		t.Fatalf("state = %v, want open", got)
+	}
+	clock.Advance(301 * time.Millisecond)
+	for i := 0; i < 2; i++ {
+		out, err := cl.QueryFrame(feature.Vector{0, 1}, 0)
+		if err != nil || out.Queried != 0 || out.Degraded {
+			t.Fatalf("query %d = %+v, %v; want the peer skipped by its digest", i, out, err)
+		}
+	}
+	snap := cl.Health()
+	if snap.Trips != 1 || snap.Recoveries != 1 || snap.Peers[0].State != StateClosed {
+		t.Fatalf("health = %+v, want 1 trip, 1 recovery, circuit closed", snap)
+	}
+	if got := cl.SkippedQueries(); got != 2 {
+		t.Fatalf("skipped = %d, want 2", got)
 	}
 }
 

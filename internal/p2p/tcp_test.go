@@ -147,6 +147,39 @@ func TestTCPConnectionReuse(t *testing.T) {
 	}
 }
 
+// TestClientCloseReleasesPooledConnection: closing a client over TCP
+// closes its pooled connection, which the server sees end.
+func TestClientCloseReleasesPooledConnection(t *testing.T) {
+	srv, _ := startServer(t)
+	tr, err := NewTCPTransport(time.Second, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := NewClient(DefaultClientConfig(), tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := cl.Ping("self", srv.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	open := func() int {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		return len(srv.conns)
+	}
+	if n := open(); n != 1 {
+		t.Fatalf("server holds %d connections after a ping, want 1", n)
+	}
+	if err := cl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(2 * time.Second); open() > 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("server still holds the connection after the client closed")
+		}
+	}
+}
+
 func TestTCPConcurrentClients(t *testing.T) {
 	srv, svc := startServer(t)
 	if _, err := svc.store.Insert(feature.Vector{1, 0}, "cat", 0.9, "dnn", time.Millisecond); err != nil {

@@ -53,9 +53,9 @@ func (c *Cache) JoinSimNetwork(net *SimNetwork, name string) (*PeerClient, error
 
 // ConnectAll points every client at all the *other* named nodes,
 // forming a full mesh. A client added later is invisible to the mesh
-// until ConnectAll runs again — so re-run it whenever the network's
-// membership epoch (SimNetwork.Epoch, bumped on every register and
-// unregister) has moved. ConnectAll is idempotent and cheap: each call
+// until ConnectAll runs again — so re-run it with the full map after
+// joining or dropping a node (PeerClient.Peers shows each client's
+// current list). ConnectAll is idempotent and cheap: each call
 // just replaces peer lists (sorted, so mesh formation is
 // deterministic), and re-running it never disturbs the digests or
 // breaker state of peers that stayed. It errors
@@ -117,7 +117,8 @@ func (c *Cache) ServeTCP(name, addr string) (*PeerServer, error) {
 }
 
 // DialPeers installs a TCP peer client pointing at addrs
-// ("host:port"), enabling the P2P gate against live nodes.
+// ("host:port"), enabling the P2P gate against live nodes. The client
+// pools one connection per peer; Close it when the cache is done.
 func (c *Cache) DialPeers(addrs ...string) (*PeerClient, error) {
 	tr, err := p2p.NewTCPTransport(2*time.Second, 5*time.Second)
 	if err != nil {
