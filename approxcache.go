@@ -85,10 +85,6 @@ type (
 	Clock = simclock.Clock
 	// VirtualClock is a deterministic manually-advanced clock.
 	VirtualClock = simclock.Virtual
-	// ActivityClassifier infers the device's motion regime from raw
-	// IMU samples (the inverse of the trace generator); context-aware
-	// policies build on it.
-	ActivityClassifier = imu.ActivityClassifier
 	// SimNetwork is a simulated device-to-device wireless network.
 	SimNetwork = simnet.Network
 	// PeerClient queries and gossips to nearby devices.
@@ -373,12 +369,6 @@ func NewSimulatedClassifier(profile ModelProfile, w *Workload, seed int64) (Clas
 
 // LabelOf returns the canonical label for workload class index c.
 func LabelOf(c int) string { return dnn.LabelOf(c) }
-
-// NewActivityClassifier builds a motion-activity classifier with the
-// default thresholds.
-func NewActivityClassifier() (*ActivityClassifier, error) {
-	return imu.NewActivityClassifier(imu.DefaultActivityConfig())
-}
 
 // GenerateWorkload renders the workload described by spec.
 func GenerateWorkload(spec WorkloadSpec) (*Workload, error) { return trace.Generate(spec) }

@@ -3,10 +3,8 @@ package approxcache_test
 import (
 	"math/rand"
 	"testing"
-	"time"
 
 	"approxcache/internal/feature"
-	"approxcache/internal/imu"
 	"approxcache/internal/lsh"
 	"approxcache/internal/p2p"
 )
@@ -51,30 +49,6 @@ func BenchmarkDigestBuild(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := p2p.BuildDigest(vecs, 0.25, 16); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkActivityClassify measures motion-regime inference over a
-// full 2 s window.
-func BenchmarkActivityClassify(b *testing.B) {
-	gen, err := imu.NewGenerator(100, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	samples, err := gen.Generate(imu.Walking, 0, 2*time.Second)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ac, err := imu.NewActivityClassifier(imu.DefaultActivityConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	ac.ObserveAll(samples)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if r, _ := ac.Classify(); r != imu.Walking {
-			b.Fatal("misclassified benchmark window")
 		}
 	}
 }

@@ -17,9 +17,17 @@ func TestRunList(t *testing.T) {
 	}
 }
 
+// TestRunUnknownExperiment: an id or name the suite does not have is
+// refused, a retired one included.
 func TestRunUnknownExperiment(t *testing.T) {
-	if err := run([]string{"-exp", "E99"}); err == nil {
-		t.Fatal("unknown experiment accepted")
+	for _, args := range [][]string{
+		{"-exp", "E99"},
+		{"-exp", "E13"},
+		{"-exp", "battery"},
+	} {
+		if err := run(args); err == nil {
+			t.Fatalf("%v accepted", args)
+		}
 	}
 }
 
@@ -51,13 +59,13 @@ func TestRunSingleExperimentTable(t *testing.T) {
 }
 
 func TestRunSingleExperimentCSV(t *testing.T) {
-	if err := run([]string{"-exp", "E13", "-frames", "80", "-format", "csv"}); err != nil {
+	if err := run([]string{"-exp", "E6", "-frames", "80", "-format", "csv"}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunByName(t *testing.T) {
-	if err := run([]string{"-exp", "battery", "-frames", "80"}); err != nil {
+	if err := run([]string{"-exp", "energy", "-frames", "80"}); err != nil {
 		t.Fatal(err)
 	}
 }

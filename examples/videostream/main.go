@@ -19,21 +19,6 @@ func main() {
 	}
 }
 
-// dominantActivity formats the most frequently inferred activity and
-// its share of the phase's frames.
-func dominantActivity(counts map[string]int, frames int) string {
-	best, n := "unknown", 0
-	for name, c := range counts {
-		if c > n {
-			best, n = name, c
-		}
-	}
-	if n == 0 || frames == 0 {
-		return "unknown"
-	}
-	return fmt.Sprintf("%s (%d%%)", best, n*100/frames)
-}
-
 func run() error {
 	// A camera session with distinct phases: examine an object, pan
 	// across the room, walk to the next room, examine again.
@@ -67,19 +52,12 @@ func run() error {
 		return err
 	}
 
-	// Track per-phase behaviour to show the gates trading off, and run
-	// the activity classifier alongside to show the device can infer
-	// its own motion context from raw IMU data.
-	activity, err := approxcache.NewActivityClassifier()
-	if err != nil {
-		return err
-	}
+	// Track per-phase behaviour to show the gates trading off.
 	type phase struct {
-		name     string
-		sources  map[approxcache.Source]int
-		inferred map[string]int
-		latency  time.Duration
-		frames   int
+		name    string
+		sources map[approxcache.Source]int
+		latency time.Duration
+		frames  int
 	}
 	phases := []*phase{}
 	var cur *phase
@@ -89,19 +67,14 @@ func run() error {
 	for _, frame := range workload.Frames {
 		if frame.Regime != lastRegime {
 			cur = &phase{
-				name:     frame.Regime.String(),
-				sources:  map[approxcache.Source]int{},
-				inferred: map[string]int{},
+				name:    frame.Regime.String(),
+				sources: map[approxcache.Source]int{},
 			}
 			phases = append(phases, cur)
 			lastRegime = frame.Regime
 		}
 		win := workload.IMUWindow(prev, frame.Offset)
 		prev = frame.Offset
-		activity.ObserveAll(win)
-		if regime, _ := activity.Classify(); regime != 0 {
-			cur.inferred[regime.String()]++
-		}
 		res, err := cache.ProcessWithTruth(frame.Image, win, approxcache.LabelOf(frame.Class))
 		if err != nil {
 			return err
@@ -111,18 +84,17 @@ func run() error {
 		cur.frames++
 	}
 
-	fmt.Printf("%-12s %8s %8s %8s %8s %8s %12s  %s\n",
-		"phase", "imu", "video", "local", "peer", "dnn", "mean-latency", "inferred-activity")
+	fmt.Printf("%-12s %8s %8s %8s %8s %8s %12s\n",
+		"phase", "imu", "video", "local", "peer", "dnn", "mean-latency")
 	for _, p := range phases {
-		fmt.Printf("%-12s %8d %8d %8d %8d %8d %12v  %s\n",
+		fmt.Printf("%-12s %8d %8d %8d %8d %8d %12v\n",
 			p.name,
 			p.sources[approxcache.SourceIMU],
 			p.sources[approxcache.SourceVideo],
 			p.sources[approxcache.SourceLocal],
 			p.sources[approxcache.SourcePeer],
 			p.sources[approxcache.SourceDNN],
-			(p.latency / time.Duration(p.frames)).Round(10*time.Microsecond),
-			dominantActivity(p.inferred, p.frames))
+			(p.latency / time.Duration(p.frames)).Round(10*time.Microsecond))
 	}
 	stats := cache.Stats()
 	fmt.Printf("\noverall: hit rate %.1f%%, accuracy %.1f%%, mean latency %v (InceptionV3 alone: %v)\n",

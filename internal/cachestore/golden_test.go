@@ -20,8 +20,11 @@ import (
 // It was first recorded at the last commit that stored one
 // heap-allocated Entry (with its own vector clone) per cached result, and
 // re-recorded when TTL expiry went: at the commit before, with the TTL
-// set to zero and the expiry count left out of the printed stats.
-const parentGolden = "127410e5bfb8bccf23b990e7b7405a8eb793764705f96c22781d68ee74714ea3"
+// set to zero and the expiry count left out of the printed stats. It
+// was re-recorded once more when Parole stopped returning an outcome:
+// at the commit before, printing QuarantineStats after each parole in
+// place of the outcome.
+const parentGolden = "d6edbad628585bd7b9f690793e1b64722145d08c6fb4be6ea5838f6fa6f008ef"
 
 // goldenTranscript runs a fixed, seeded operation sequence through a
 // store over the default index shape, and renders everything a caller
@@ -76,7 +79,8 @@ func goldenTranscript(t *testing.T) []byte {
 			id := pick()
 			s.Refute(id)
 			if e, _ := s.get(id); e.Quarantined {
-				fmt.Fprintf(&out, "parole %d %d\n", id, s.Parole(id, rng.Intn(2) == 0))
+				s.Parole(id, rng.Intn(2) == 0)
+				fmt.Fprintf(&out, "parole %d %+v\n", id, s.QuarantineStats())
 			}
 		case r == 13:
 			s.Remove(pick())

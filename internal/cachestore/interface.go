@@ -48,11 +48,10 @@ type Interface interface {
 	Remove(id lsh.ID)
 	// Confirm records a shadow-audit agreement on id.
 	Confirm(id lsh.ID)
-	// Refute records a shadow-audit disagreement on id; reports
-	// whether this call quarantined the entry.
-	Refute(id lsh.ID) bool
+	// Refute records a shadow-audit disagreement on id.
+	Refute(id lsh.ID)
 	// Parole records the outcome of re-verifying a quarantined entry.
-	Parole(id lsh.ID, ok bool) ParoleOutcome
+	Parole(id lsh.ID, ok bool)
 	// QuarantinedEntries returns copies of the quarantined entries only:
 	// the quarantined part of Snapshot.
 	QuarantinedEntries() []Entry

@@ -459,20 +459,17 @@ func (s *Store) Confirm(id lsh.ID) {
 // outstanding refute count reaches the quarantine threshold, the entry
 // is pulled from the candidate index: it stops appearing in Nearest
 // results and kNN votes until a parole re-verification reinstates it.
-// Refute reports whether this call quarantined the entry.
-func (s *Store) Refute(id lsh.ID) bool {
+func (s *Store) Refute(id lsh.ID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	r := s.recLocked(id)
 	if r == nil || r.quarantined {
-		return false
+		return
 	}
 	bump(&r.refutes)
-	if s.cfg.QuarantineThreshold <= 0 || int(r.refutes) < s.cfg.QuarantineThreshold {
-		return false
+	if s.cfg.QuarantineThreshold > 0 && int(r.refutes) >= s.cfg.QuarantineThreshold {
+		s.quarantineLocked(r)
 	}
-	s.quarantineLocked(r)
-	return true
 }
 
 // quarantineLocked pulls r out of the candidate index, first taking
@@ -487,33 +484,17 @@ func (s *Store) quarantineLocked(r *record) {
 	s.index.Remove(r.id)
 }
 
-// ParoleOutcome reports what a parole re-verification did to an entry.
-type ParoleOutcome int
-
-const (
-	// ParoleMissing: the entry is gone or was never quarantined.
-	ParoleMissing ParoleOutcome = iota
-	// ParoleReinstated: the re-verification agreed; the entry is back
-	// in the candidate index with cleared audit counters.
-	ParoleReinstated
-	// ParoleHeld: the re-verification disagreed; still quarantined.
-	ParoleHeld
-	// ParoleEvicted: the re-verification disagreed once too often;
-	// the entry has been removed for good.
-	ParoleEvicted
-)
-
 // Parole records the outcome of re-verifying a quarantined entry
 // against a fresh DNN result. ok reinstates the entry into the
 // candidate index with cleared audit counters; !ok counts a parole
 // failure and evicts the entry once paroleFailLimit failures
 // accumulate.
-func (s *Store) Parole(id lsh.ID, ok bool) ParoleOutcome {
+func (s *Store) Parole(id lsh.ID, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	r := s.recLocked(id)
 	if r == nil || !r.quarantined {
-		return ParoleMissing
+		return
 	}
 	if ok {
 		if err := s.index.Insert(id, s.owned[id]); err == nil {
@@ -525,17 +506,16 @@ func (s *Store) Parole(id lsh.ID, ok bool) ParoleOutcome {
 			if s.src != nil {
 				delete(s.owned, id) // the index serves it again
 			}
-			return ParoleReinstated
+			return
 		}
 		// The index refused the vector it previously held (cannot
 		// happen with the in-tree indexes); evict the entry rather
 		// than keep a permanently unfindable one.
 	} else if bump(&r.paroleFails); r.paroleFails < paroleFailLimit {
-		return ParoleHeld
+		return
 	}
 	s.removeLocked(id)
 	s.qEvicted++
-	return ParoleEvicted
 }
 
 // QuarantinedEntries returns copies of the quarantined entries only —

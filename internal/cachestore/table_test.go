@@ -104,37 +104,33 @@ func (m *refStore) nearest(q feature.Vector, k int) []lsh.Neighbor {
 	return out[:min(k, len(out))]
 }
 
-func (m *refStore) refute(id lsh.ID) bool {
+func (m *refStore) refute(id lsh.ID) {
 	e, ok := m.entries[id]
 	if !ok || e.Quarantined {
-		return false
+		return
 	}
 	e.Refutes++
-	if m.cfg.QuarantineThreshold <= 0 || e.Refutes < m.cfg.QuarantineThreshold {
-		return false
+	if m.cfg.QuarantineThreshold > 0 && e.Refutes >= m.cfg.QuarantineThreshold {
+		e.Quarantined = true
+		m.q.Total++
 	}
-	e.Quarantined = true
-	m.q.Total++
-	return true
 }
 
-func (m *refStore) parole(id lsh.ID, ok bool) ParoleOutcome {
+func (m *refStore) parole(id lsh.ID, ok bool) {
 	e, live := m.entries[id]
 	if !live || !e.Quarantined {
-		return ParoleMissing
+		return
 	}
 	if ok {
 		e.Quarantined, e.Refutes, e.ParoleFails = false, 0, 0
 		m.q.Paroled++
-		return ParoleReinstated
+		return
 	}
 	e.ParoleFails++
 	if e.ParoleFails >= paroleFailLimit {
 		delete(m.entries, id)
 		m.q.Evicted++
-		return ParoleEvicted
 	}
-	return ParoleHeld
 }
 
 func (m *refStore) quarantineStats() QuarantineStats {
@@ -545,20 +541,27 @@ func runModel(t *testing.T, cell modelCell, ops []modelOp) map[string]int {
 			}
 		case kind == opRefute:
 			id := pickLive(func(e *Entry) bool { return !e.Quarantined })
-			got, want := s.Refute(id), m.refute(id)
-			if e, _ := s.get(id); got != want || e.Quarantined != (m.entries[id] != nil && m.entries[id].Quarantined) {
-				t.Fatalf("op %d: Refute(%d) = %v, model %v", i, id, got, want)
-			}
-			if got {
+			before := s.QuarantineStats()
+			s.Refute(id)
+			m.refute(id)
+			after := checkVerdict(t, fmt.Sprintf("op %d: Refute(%d)", i, id), s, m, id)
+			if after.Total > before.Total {
 				reached["quarantine"]++
 			}
 		case kind == opParole:
 			id, ok := pickLive(func(e *Entry) bool { return e.Quarantined }), op.intn(3) == 0
-			got, want := s.Parole(id, ok), m.parole(id, ok)
-			if got != want {
-				t.Fatalf("op %d: Parole(%d, %v) = %v, model %v", i, id, ok, got, want)
+			before := s.QuarantineStats()
+			s.Parole(id, ok)
+			m.parole(id, ok)
+			after := checkVerdict(t, fmt.Sprintf("op %d: Parole(%d, %v)", i, id, ok), s, m, id)
+			switch e, live := s.get(id); {
+			case after.Paroled > before.Paroled:
+				reached["parole:reinstated"]++
+			case after.Evicted > before.Evicted:
+				reached["parole:evicted"]++
+			case live && e.Quarantined:
+				reached["parole:held"]++
 			}
-			reached["parole:"+[]string{"missing", "reinstated", "held", "evicted"}[got]]++
 		case kind == opRemove:
 			id := pick()
 			s.Remove(id)
@@ -665,6 +668,21 @@ func runModel(t *testing.T, cell modelCell, ops []modelOp) map[string]int {
 	}
 	bank()
 	return reached
+}
+
+// checkVerdict requires the entry id and the quarantine counts to agree
+// with the model after a refute or a parole, and returns the counts.
+func checkVerdict(t *testing.T, what string, s *Store, m *refStore, id lsh.ID) QuarantineStats {
+	t.Helper()
+	got, want := s.QuarantineStats(), m.quarantineStats()
+	if got != want {
+		t.Fatalf("%s: quarantine stats %+v, model %+v", what, got, want)
+	}
+	e, ok := s.get(id)
+	if we, wok := m.get(id); ok != wok || (ok && !sameEntry(e, *we)) {
+		t.Fatalf("%s: entry %+v (%v), model %+v (%v)", what, e, ok, we, wok)
+	}
+	return got
 }
 
 // modelOps is the length of a grid run.
@@ -877,9 +895,11 @@ func runRace(t *testing.T, ids int) map[string]int {
 					did["insert"]++
 				}
 				claim.Unlock()
-				if id%3 == 0 && s.Refute(id-2) {
-					did["quarantine"]++
-					if s.Parole(id-2, id%2 == 0) != ParoleMissing {
+				if id%3 == 0 {
+					s.Refute(id - 2)
+					if e, ok := s.get(id - 2); ok && e.Quarantined {
+						did["quarantine"]++
+						s.Parole(id-2, id%2 == 0)
 						did["parole"]++
 					}
 				}

@@ -74,10 +74,10 @@ func TestAllHaveUniqueIDs(t *testing.T) {
 			t.Fatalf("%s has no runner", e.ID)
 		}
 	}
-	// E1–E25 without the retired E9 and E24.
-	if len(seen) != 23 || seen["E9"] || seen["E24"] {
-		t.Fatalf("suite has %d experiments (E9 present: %v, E24 present: %v), want 23 without E9 and E24",
-			len(seen), seen["E9"], seen["E24"])
+	// E1–E25 without the retired E9, E13 and E24.
+	if len(seen) != 22 || seen["E9"] || seen["E13"] || seen["E24"] {
+		t.Fatalf("suite has %d experiments (E9 present: %v, E13 present: %v, E24 present: %v), want 22 without E9, E13 and E24",
+			len(seen), seen["E9"], seen["E13"], seen["E24"])
 	}
 }
 
@@ -394,27 +394,6 @@ func TestE11RobustnessShape(t *testing.T) {
 		if hard > def+0.05 {
 			t.Fatalf("%s: hard hit rate %v above default %v", r.Rows[i][0], hard, def)
 		}
-	}
-}
-
-func TestE13BatteryShape(t *testing.T) {
-	r, err := E13Battery(tinyScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) != 2 {
-		t.Fatalf("rows = %d", len(r.Rows))
-	}
-	base, err := strconv.ParseFloat(r.Rows[0][2], 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	apx, err := strconv.ParseFloat(r.Rows[1][2], 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if apx < 5*base {
-		t.Fatalf("approx frames/charge %v not ≫ no-cache %v", apx, base)
 	}
 }
 

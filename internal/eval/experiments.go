@@ -72,7 +72,7 @@ func All() []Experiment {
 		{ID: "E10", Name: "model-sweep", Run: E10ModelSweep},
 		{ID: "E11", Name: "robustness", Run: E11Robustness},
 		{ID: "E12", Name: "lossy-network", Run: E12LossyNetwork},
-		{ID: "E13", Name: "battery", Run: E13Battery},
+		// E13 (battery) is retired; IDs are not renumbered.
 		{ID: "E14", Name: "gate-grid", Run: E14GateGrid},
 		{ID: "E15", Name: "latency-cdf", Run: E15LatencyCDF},
 		{ID: "E16", Name: "digest-filter", Run: E16DigestFilter},

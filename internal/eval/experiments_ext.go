@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"time"
 
-	"approxcache/internal/battery"
 	"approxcache/internal/core"
 	"approxcache/internal/dnn"
 	"approxcache/internal/feature"
@@ -301,50 +300,6 @@ func E14GateGrid(s Scale) (Report, error) {
 			fmtPct(stats.Accuracy()),
 			fmtDur(stats.Latency().Mean()),
 		))
-	}
-	return report, nil
-}
-
-// E13Battery translates per-frame energy into recognition time on one
-// charge of a typical phone battery.
-func E13Battery(s Scale) (Report, error) {
-	phone := battery.TypicalPhone()
-	systems := []system{
-		{name: "no-cache", cfg: baseline(core.ModeNoCache)},
-		{name: "approx", cfg: core.DefaultConfig()},
-	}
-	devs, err := runStationary(s, systems)
-	if err != nil {
-		return Report{}, err
-	}
-	report := Report{
-		ID:    "E13",
-		Title: "Continuous recognition on one battery charge (typical phone, 15 fps)",
-		Headers: []string{"system", "energy/frame (mJ)", "frames/charge", "runtime/charge",
-			"vs no-cache"},
-		Notes: []string{
-			fmt.Sprintf("battery: %.0f mAh × %.2f V, %.0f%% budgeted to recognition",
-				phone.CapacityMAh, phone.VoltageV, phone.RecognitionShare*100),
-		},
-	}
-	var baseRuntime time.Duration
-	for i, dev := range devs {
-		stats := dev.engine.Stats()
-		perFrame := stats.EnergyMJ() / float64(stats.Frames())
-		runtime := phone.RuntimeOnCharge(perFrame, dev.work.Spec.FPS)
-		gain := "-"
-		if i == 0 {
-			baseRuntime = runtime
-		} else if baseRuntime > 0 {
-			gain = fmt.Sprintf("%.1f×", float64(runtime)/float64(baseRuntime))
-		}
-		report.Rows = append(report.Rows, []string{
-			systems[i].name,
-			fmtF(perFrame),
-			fmt.Sprintf("%.0f", phone.FramesOnCharge(perFrame)),
-			runtime.Round(time.Minute).String(),
-			gain,
-		})
 	}
 	return report, nil
 }

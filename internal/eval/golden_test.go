@@ -39,7 +39,6 @@ var parentGolden = map[string]string{
 	"E10": "a03d16d5583f4dfde9c7b2f41b456cc5cd590ffcb32bb471ac824365f448e230",
 	"E11": "5494cfdb18fa0763e8f6eb2f9b593ad1c6add30f67e2d05bb61dfd3bef14fd34",
 	"E12": "0b31ec27b752c8aaf553ce5b6929fbb7c92779b20f5f0dc0117f557dfe8cd870",
-	"E13": "6ff1ba1a2e4c9e4190f1cd85b23ed0ba71a683b9a7a9422aa12ac6cbcf0e63ee",
 	"E14": "79480743928a568b3a3d3cf0e4ed92d2b140aff476421d49ad6e5c595e42ad95",
 	"E15": "67f600171f73fa8b37fc99f7d6c77e8bd131af9a5a0122a28d2fbe936b108f69",
 	"E16": "780d52e918a43c07deb0b5ccf28c9cfb065943636f5984b03a332d0462b7a124",
