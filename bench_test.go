@@ -41,18 +41,6 @@ func BenchmarkLSHInsert(b *testing.B) {
 	}
 }
 
-// BenchmarkDigestBuild measures peer-coverage digest construction over
-// a full cache snapshot.
-func BenchmarkDigestBuild(b *testing.B) {
-	vecs := benchVectors(256, 80, 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p2p.BuildDigest(vecs, 0.25, 16); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkCodecRoundTrip measures peer-message encode+decode.
 func BenchmarkCodecRoundTrip(b *testing.B) {
 	vec := benchVectors(1, 80, 7)[0]

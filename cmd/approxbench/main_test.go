@@ -24,6 +24,8 @@ func TestRunUnknownExperiment(t *testing.T) {
 		{"-exp", "E99"},
 		{"-exp", "E13"},
 		{"-exp", "battery"},
+		{"-exp", "E16"},
+		{"-exp", "digest-filter"},
 	} {
 		if err := run(args); err == nil {
 			t.Fatalf("%v accepted", args)

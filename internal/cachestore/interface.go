@@ -52,8 +52,8 @@ type Interface interface {
 	Refute(id lsh.ID)
 	// Parole records the outcome of re-verifying a quarantined entry.
 	Parole(id lsh.ID, ok bool)
-	// QuarantinedEntries returns copies of the quarantined entries only:
-	// the quarantined part of Snapshot.
+	// QuarantinedEntries returns copies of the quarantined entries only,
+	// vectors included.
 	QuarantinedEntries() []Entry
 	// QuarantineStats returns quarantine lifecycle counters.
 	QuarantineStats() QuarantineStats
@@ -63,8 +63,6 @@ type Interface interface {
 	Evictions() int
 	// Stats returns an occupancy/churn summary.
 	Stats() StoreStats
-	// Snapshot returns copies of all live entries, vectors included.
-	Snapshot() []Entry
 	// Export writes a checksummed snapshot; Import reads one back.
 	Export(w io.Writer) error
 	Import(r io.Reader) (int, error)

@@ -74,10 +74,10 @@ func TestAllHaveUniqueIDs(t *testing.T) {
 			t.Fatalf("%s has no runner", e.ID)
 		}
 	}
-	// E1–E25 without the retired E9, E13 and E24.
-	if len(seen) != 22 || seen["E9"] || seen["E13"] || seen["E24"] {
-		t.Fatalf("suite has %d experiments (E9 present: %v, E13 present: %v, E24 present: %v), want 22 without E9, E13 and E24",
-			len(seen), seen["E9"], seen["E13"], seen["E24"])
+	// E1–E25 without the retired E9, E13, E16 and E24.
+	if len(seen) != 21 || seen["E9"] || seen["E13"] || seen["E16"] || seen["E24"] {
+		t.Fatalf("suite has %d experiments (E9 present: %v, E13 present: %v, E16 present: %v, E24 present: %v), want 21 without E9, E13, E16 and E24",
+			len(seen), seen["E9"], seen["E13"], seen["E16"], seen["E24"])
 	}
 }
 
@@ -413,40 +413,6 @@ func TestE12LossyNetworkShape(t *testing.T) {
 		if acc := parsePct(t, row[4]); acc < 0.7 {
 			t.Fatalf("loss %s: accuracy %v", row[0], acc)
 		}
-	}
-}
-
-func TestE16DigestFilterShape(t *testing.T) {
-	r, err := E16DigestFilter(tinyScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) != 2 {
-		t.Fatalf("rows = %d", len(r.Rows))
-	}
-	noDigHits, err := strconv.Atoi(r.Rows[0][1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	digHits, err := strconv.Atoi(r.Rows[1][1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	noDigMsgs, err := strconv.Atoi(r.Rows[0][2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	digMsgs, err := strconv.Atoi(r.Rows[1][2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Digests must preserve nearly all hits at a fraction of the
-	// traffic.
-	if digHits*100 < noDigHits*95 {
-		t.Fatalf("digests lost hits: %d vs %d", digHits, noDigHits)
-	}
-	if digMsgs*2 > noDigMsgs {
-		t.Fatalf("digests did not halve traffic: %d vs %d", digMsgs, noDigMsgs)
 	}
 }
 

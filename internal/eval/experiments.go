@@ -75,7 +75,7 @@ func All() []Experiment {
 		// E13 (battery) is retired; IDs are not renumbered.
 		{ID: "E14", Name: "gate-grid", Run: E14GateGrid},
 		{ID: "E15", Name: "latency-cdf", Run: E15LatencyCDF},
-		{ID: "E16", Name: "digest-filter", Run: E16DigestFilter},
+		// E16 (peer-coverage filter) is retired; IDs are not renumbered.
 		{ID: "E17", Name: "peer-churn", Run: E17PeerChurn},
 		{ID: "E18", Name: "chaos-resilience", Run: E18ChaosResilience},
 		{ID: "E19", Name: "device-faults", Run: E19DeviceFaults},

@@ -137,88 +137,6 @@ func E12LossyNetwork(s Scale) (Report, error) {
 	return report, nil
 }
 
-// E16DigestFilter measures the peer-coverage digest: with many peers
-// holding disjoint content, the digest prefilter should cut per-query
-// network traffic sharply while preserving nearly every hit.
-func E16DigestFilter(s Scale) (Report, error) {
-	const (
-		dim      = 16
-		peers    = 8
-		queryCnt = 200
-	)
-	rng := rand.New(rand.NewSource(s.Seed))
-	net, err := simnet.New(simnet.LinkProfile{Latency: 5 * time.Millisecond}, s.Seed)
-	if err != nil {
-		return Report{}, err
-	}
-	// Each peer owns one region of feature space.
-	centers := make([]feature.Vector, peers)
-	names, _, err := peerFleet(net, simclock.NewVirtual(time.Unix(0, 0)), peers, 64, 24, 0.03, rng,
-		func(i int) (feature.Vector, string) {
-			centers[i] = randUnitVec(rng, dim)
-			return centers[i], fmt.Sprintf("class-%d", i)
-		})
-	if err != nil {
-		return Report{}, err
-	}
-	queries := make([]feature.Vector, queryCnt)
-	for i := range queries {
-		queries[i] = perturb(centers[rng.Intn(peers)], rng, 0.03)
-	}
-
-	run := func(useDigests bool) (hits, sent, skipped int, err error) {
-		client, err := dial("main", net, p2p.DefaultClientConfig())
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		client.SetPeers(names)
-		if useDigests {
-			for _, peer := range names {
-				if _, _, err := client.FetchDigest(peer); err != nil {
-					return 0, 0, 0, err
-				}
-			}
-		}
-		before, _ := net.Stats()
-		for _, q := range queries {
-			_, _, found, err := client.Query(q)
-			if err != nil {
-				return 0, 0, 0, err
-			}
-			if found {
-				hits++
-			}
-		}
-		after, _ := net.Stats()
-		return hits, after - before, client.SkippedQueries(), nil
-	}
-	report := Report{
-		ID:      "E16",
-		Title:   "Peer coverage digests (8 peers with disjoint content, 200 queries)",
-		Headers: []string{"mode", "peer-hits", "messages", "queries-skipped"},
-		Notes: []string{
-			"digests let the requester skip peers that cannot answer; hits are preserved at a fraction of the traffic",
-		},
-	}
-	for _, useDigests := range []bool{false, true} {
-		hits, msgs, skipped, err := run(useDigests)
-		if err != nil {
-			return Report{}, err
-		}
-		mode := "no digests"
-		if useDigests {
-			mode = "with digests"
-		}
-		report.Rows = append(report.Rows, []string{
-			mode,
-			fmt.Sprintf("%d", hits),
-			fmt.Sprintf("%d", msgs),
-			fmt.Sprintf("%d", skipped),
-		})
-	}
-	return report, nil
-}
-
 // E15LatencyCDF renders the latency distribution (figure-style series):
 // one row per percentile, one column per system. The distribution is
 // the cache's signature: a mass of sub-millisecond gate hits with an

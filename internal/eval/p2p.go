@@ -15,14 +15,15 @@ import (
 )
 
 // E25 — bandwidth-constrained peer sharing. The comms stack (the wire
-// codec's int8 quantized vectors, epoch-delta digests, query
-// coalescing, gossip batching) is measured on simulated links from a
+// codec's int8 quantized vectors, query coalescing, gossip batching) is
+// measured on simulated links from a
 // fraction of the default 3 MB/s down, on deterministic links (no loss,
 // no jitter). cmd/benchgate gates bytes/frame against what the deleted
 // float64 protocol paid for the same workload, at no hit-rate loss.
 
 // The float64 protocol (fixed-width fields, 8 B per vector dimension,
-// full digest refetches, no coalescing or batching) as last measured at
+// a full peer-coverage refetch every 50 frames, no coalescing or
+// batching) as last measured at
 // commit 8eee810 on the default E25 config: 1 244 664 B sent + 151 630 B
 // received over 1 200 session-frames, every query a peer hit, identical
 // at all three bandwidths. PR 22 deleted that protocol; these figures
@@ -47,10 +48,8 @@ const (
 	// p2pPerNode is the warm cache entries per peer.
 	p2pPerNode = 48
 	// p2pGossipEvery inserts (and gossips) one fresh result every N
-	// frames; p2pDigestEvery refreshes every peer's coverage digest
-	// every N frames.
+	// frames.
 	p2pGossipEvery = 4
-	p2pDigestEvery = 50
 )
 
 // p2pBandwidths is the link-bandwidth sweep in MB/s, most constrained
@@ -75,8 +74,6 @@ type P2PResult struct {
 	CoalescedCached   int64   `json:"coalesced_cached"`
 	Batches           int64   `json:"batches"`
 	AvgBatchItems     float64 `json:"avg_batch_items"`
-	// DigestBytes is the digest-refresh share of the traffic.
-	DigestBytes int64 `json:"digest_bytes"`
 }
 
 // P2PPoint is one bandwidth of the sweep.
@@ -187,13 +184,10 @@ func runP2PAt(seed int64, bwMBps float64, centers []feature.Vector, w p2pWorkloa
 		return res, err
 	}
 	client.SetPeers(names)
-	// Warm-up: ping every peer, then fetch its initial digest.
+	// Warm-up: ping every peer.
 	for _, peer := range names {
 		if _, _, err := client.Ping("main", peer); err != nil {
 			return res, fmt.Errorf("ping %s: %w", peer, err)
-		}
-		if _, _, err := client.FetchDigest(peer); err != nil {
-			return res, fmt.Errorf("digest %s: %w", peer, err)
 		}
 	}
 
@@ -220,13 +214,6 @@ func runP2PAt(seed int64, bwMBps float64, centers []feature.Vector, w p2pWorkloa
 			}
 			gossipIdx++
 		}
-		if (f+1)%p2pDigestEvery == 0 {
-			for _, peer := range names {
-				if _, _, err := client.FetchDigest(peer); err != nil {
-					return res, fmt.Errorf("digest refresh %s: %w", peer, err)
-				}
-			}
-		}
 	}
 	if _, err := client.FlushGossip(); err != nil {
 		return res, err
@@ -242,12 +229,6 @@ func runP2PAt(seed int64, bwMBps float64, centers []feature.Vector, w p2pWorkloa
 	res.CoalescedCached = ws.CoalescedCached
 	res.Batches = ws.Batches
 	res.AvgBatchItems = ws.AvgBatch()
-	for kind, ks := range ws.Kinds {
-		switch kind {
-		case "digest-delta-req", "digest-delta-resp":
-			res.DigestBytes += ks.SentBytes + ks.RecvBytes
-		}
-	}
 	var total time.Duration
 	for _, c := range costs {
 		total += c
@@ -304,7 +285,7 @@ func E25P2PWire(s Scale) (Report, error) {
 			rep.Nodes, rep.Sessions, rep.Frames, rep.Dim),
 		Headers: []string{"bandwidth", "bytes/frame", "hit-rate", "mean-ms", "p95-ms", "coalesced", "batches"},
 		Notes: []string{
-			"quantized codec + delta digests + query coalescing + gossip batching",
+			"quantized codec + query coalescing + gossip batching",
 			fmt.Sprintf("at %.2f MB/s: %.1fx fewer bytes/frame than the deleted float64 protocol's recorded %.1f (default config), hit rate %.3f -> %.3f",
 				rep.ConstrainedMBps, rep.BytesReduction, legacyBytesPerFrame, rep.HitLegacy, rep.HitCompact),
 		},

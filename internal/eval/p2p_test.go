@@ -1,6 +1,9 @@
 package eval
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestRunP2P(t *testing.T) {
 	rep, err := runP2P(Scale{Frames: 120, Seed: 7})
@@ -29,13 +32,31 @@ func TestRunP2P(t *testing.T) {
 	if pt.Compact.Batches == 0 {
 		t.Fatal("compact mode never batched gossip")
 	}
-	// A constrained link must not change how many messages are sent —
-	// only how long they take.
-	for _, pt := range rep.Points[1:] {
-		if pt.Compact.Messages != rep.Points[0].Compact.Messages {
-			t.Fatalf("message count varies with bandwidth: %d vs %d",
-				rep.Points[0].Compact.Messages, pt.Compact.Messages)
+}
+
+// TestE25TrafficIdenticalAcrossBandwidths: the links are lossless and
+// jitter-free, so a constrained link changes how long messages take,
+// never which messages or how many bytes go over it; and a second run in
+// the same process sends exactly what the first did.
+func TestE25TrafficIdenticalAcrossBandwidths(t *testing.T) {
+	first, err := runP2P(tinyScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := first.Points[0].Compact
+	for _, pt := range first.Points[1:] {
+		if got := pt.Compact; got.Messages != base.Messages || got.SentBytes != base.SentBytes || got.RecvBytes != base.RecvBytes {
+			t.Errorf("@ %.2f MB/s: %d msgs, %d B sent, %d B received; @ %.2f MB/s: %d, %d, %d",
+				pt.BandwidthMBps, got.Messages, got.SentBytes, got.RecvBytes,
+				first.Points[0].BandwidthMBps, base.Messages, base.SentBytes, base.RecvBytes)
 		}
+	}
+	again, err := runP2P(tinyScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(first, again) {
+		t.Fatalf("a second run differs:\n%+v\n%+v", first, again)
 	}
 }
 

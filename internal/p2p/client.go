@@ -110,7 +110,6 @@ type Client struct {
 	rng               *rand.Rand // breaker jitter, drawn in trip order
 	trips, recoveries int
 	degraded          int
-	skipped           int
 	flights           map[string]*flight
 	answers           map[string]answerEntry
 	answerQ           []string
@@ -194,14 +193,6 @@ func (c *Client) peerLocked(name string) *peer {
 	return p
 }
 
-// succeedLocked books a success on p's circuit, counting a recovery
-// when it closed an open or half-open one.
-func (c *Client) succeedLocked(p *peer) {
-	if !c.cfg.DisableBreaker && p.circuit.onSuccess() {
-		c.recoveries++
-	}
-}
-
 // stateLocked is p's circuit state at now.
 func (c *Client) stateLocked(p *peer, now time.Time) BreakerState {
 	if c.cfg.DisableBreaker {
@@ -229,27 +220,20 @@ func (c *Client) record(name string, rtt time.Duration, err error) {
 			c.trips++
 		}
 	default:
-		c.succeedLocked(p)
+		if p.circuit.onSuccess() { // closed an open or half-open circuit
+			c.recoveries++
+		}
 	}
 }
 
 // admitLocked appends to dst every configured peer whose circuit admits
 // a call at now, claiming half-open probes: the caller must contact
-// every peer it returns. With vec non-nil, a peer whose digest rules
-// vec out is skipped instead, and a probe it was admitted as resolves
-// as a success without an exchange.
-func (c *Client) admitLocked(dst []string, now time.Time, vec feature.Vector) []string {
+// every peer it returns, since only an exchange resolves a probe.
+func (c *Client) admitLocked(dst []string, now time.Time) []string {
 	for _, name := range c.order {
-		p := c.table[name]
-		if !c.cfg.DisableBreaker && !p.circuit.allow(now) {
-			continue
+		if c.cfg.DisableBreaker || c.table[name].circuit.allow(now) {
+			dst = append(dst, name)
 		}
-		if vec != nil && !p.digestAllows(vec) {
-			c.skipped++
-			c.succeedLocked(p)
-			continue
-		}
-		dst = append(dst, name)
 	}
 	return dst
 }
@@ -268,67 +252,9 @@ func (c *Client) degradedLocked(now time.Time) bool {
 	return len(c.order) > 0
 }
 
-// FetchDigest asks peer for its coverage digest and caches it, so
-// subsequent Queries can skip the peer when it cannot possibly help.
-// Call it periodically (the digest staleness trade-off is the usual
-// one: a stale digest only costs missed hits or wasted queries).
-// The exchange is an epoch delta: the first fetch (or one the peer can
-// no longer serve a delta for) returns the full digest, later ones only
-// the centroids added or removed since, applied to the local mirror.
-func (c *Client) FetchDigest(name string) (Digest, time.Duration, error) {
-	c.mu.Lock()
-	since := c.peerLocked(name).mirror.epoch
-	c.mu.Unlock()
-	bufp := getEncBuf()
-	req, err := AppendEncode(*bufp, DigestDeltaReq{Since: since})
-	if err != nil {
-		putEncBuf(bufp)
-		return Digest{}, 0, fmt.Errorf("encode digest delta req: %w", err)
-	}
-	c.wire.Sent(KindDigestDeltaReq.String(), len(req))
-	respB, rtt, err := c.transport.Call(name, req)
-	*bufp = req[:0]
-	putEncBuf(bufp)
-	var msg Message
-	if err == nil {
-		msg, err = Decode(respB)
-	}
-	if err != nil {
-		c.record(name, rtt, err)
-		return Digest{}, rtt, err
-	}
-	c.wire.Recv(msg.MsgKind().String(), len(respB))
-	resp, ok := msg.(DigestDeltaResp)
-	if !ok {
-		err := fmt.Errorf("%w: %v reply to digest delta req", ErrUnknownKind, msg.MsgKind())
-		c.record(name, rtt, err)
-		return Digest{}, rtt, err
-	}
-	c.record(name, rtt, nil)
-	c.mu.Lock()
-	p := c.table[name]
-	d, err := p.mirror.apply(resp)
-	if err == nil {
-		p.digest = d
-	}
-	c.mu.Unlock()
-	if err != nil {
-		return Digest{}, rtt, err
-	}
-	return d, rtt, nil
-}
-
-// SkippedQueries returns how many per-peer queries digests avoided.
-func (c *Client) SkippedQueries() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.skipped
-}
-
 // SetPeers replaces the peer set (Probe calls it with the peers that
 // answered). A departed peer is no longer asked but keeps its record —
-// health, circuit, last pong, cached digest — until DropDigest drops
-// the digest.
+// health, circuit, last pong.
 func (c *Client) SetPeers(peers []string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -432,7 +358,7 @@ func (c *Client) QueryFrame(vec feature.Vector, budget time.Duration) (QueryOutc
 	fl := &flight{done: make(chan struct{})}
 	c.flights[key] = fl
 	var buf [8]string
-	targets := c.admitLocked(buf[:0], now, vec)
+	targets := c.admitLocked(buf[:0], now)
 	c.mu.Unlock()
 
 	fl.out = c.ask(req, budget, targets)

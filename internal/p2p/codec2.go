@@ -40,44 +40,6 @@ var ErrWireVersion = errors.New("p2p: unsupported wire version")
 // MaxGossipBatch bounds the items in one GossipBatch message.
 const MaxGossipBatch = 64
 
-// DigestDeltaReq asks a peer for the digest changes since the epoch the
-// requester last saw (0 = never synced, always answered with a full
-// digest).
-type DigestDeltaReq struct {
-	// Since is the requester's last-applied digest epoch.
-	Since uint64
-}
-
-// MsgKind implements Message.
-func (DigestDeltaReq) MsgKind() Kind { return KindDigestDeltaReq }
-
-// DigestCentroid is one identified digest centroid. IDs are stable per
-// service: a centroid keeps its ID for as long as its value survives,
-// so deltas can name removals without shipping vectors.
-type DigestCentroid struct {
-	ID  uint64
-	Vec feature.Vector
-}
-
-// DigestDeltaResp carries digest changes since a requested epoch, or a
-// full snapshot when the service cannot serve a delta (unknown or
-// too-old epoch).
-type DigestDeltaResp struct {
-	// Epoch is the service's current digest epoch; the requester
-	// stores it and sends it back next time.
-	Epoch uint64
-	// Full marks a snapshot response: Added holds every centroid and
-	// Removed is empty; the requester replaces its state wholesale.
-	Full bool
-	// Added are centroids present now but not at the requested epoch.
-	Added []DigestCentroid
-	// Removed are IDs of centroids gone since the requested epoch.
-	Removed []uint64
-}
-
-// MsgKind implements Message.
-func (DigestDeltaResp) MsgKind() Kind { return KindDigestDeltaResp }
-
 // GossipBatch carries several coalesced gossip items in one frame, so a
 // burst of fresh inserts pays one message overhead per peer instead of
 // one per item.
@@ -265,32 +227,10 @@ func AppendEncode(b []byte, m Message) ([]byte, error) {
 			return nil, err
 		}
 		return binary.AppendUvarint(b, uint64(v.Entries)), nil
-	case DigestDeltaReq:
-		return binary.AppendUvarint(b, v.Since), nil
-	case DigestDeltaResp:
-		b = binary.AppendUvarint(b, v.Epoch)
-		b = append(b, boolByte(v.Full))
-		b = binary.AppendUvarint(b, uint64(len(v.Removed)))
-		for _, id := range v.Removed {
-			b = binary.AppendUvarint(b, id)
-		}
-		b = binary.AppendUvarint(b, uint64(len(v.Added)))
-		for _, c := range v.Added {
-			b = binary.AppendUvarint(b, c.ID)
-			if b, err = appendQuantVec(b, c.Vec); err != nil {
-				return nil, err
-			}
-		}
-		return b, nil
 	default:
 		return nil, fmt.Errorf("p2p: cannot encode %T", m)
 	}
 }
-
-// maxDeltaEntries bounds decoded delta lists: every centroid can change
-// at most once per epoch, so honest responses never exceed the digest
-// width; the slack tolerates one full turnover.
-const maxDeltaEntries = 2 * MaxDigestCentroids
 
 // Decode parses a frame produced by AppendEncode.
 func Decode(b []byte) (Message, error) {
@@ -399,64 +339,6 @@ func Decode(b []byte) (Message, error) {
 			return nil, err
 		}
 		return Pong{From: from, Entries: uint32(entries)}, nil
-	case KindDigestDeltaReq:
-		since, rest, err := readUvarint(rest)
-		if err != nil {
-			return nil, err
-		}
-		if err := expectEmpty(rest); err != nil {
-			return nil, err
-		}
-		return DigestDeltaReq{Since: since}, nil
-	case KindDigestDeltaResp:
-		epoch, rest, err := readUvarint(rest)
-		if err != nil {
-			return nil, err
-		}
-		if len(rest) < 1 {
-			return nil, ErrTruncated
-		}
-		full := rest[0] != 0
-		nRem, rest, err := readUvarint(rest[1:])
-		if err != nil {
-			return nil, err
-		}
-		if nRem > maxDeltaEntries {
-			return nil, fmt.Errorf("p2p: delta declares %d removals, max %d", nRem, maxDeltaEntries)
-		}
-		var removed []uint64
-		for i := uint64(0); i < nRem; i++ {
-			var id uint64
-			id, rest, err = readUvarint(rest)
-			if err != nil {
-				return nil, err
-			}
-			removed = append(removed, id)
-		}
-		nAdd, rest, err := readUvarint(rest)
-		if err != nil {
-			return nil, err
-		}
-		if nAdd > maxDeltaEntries {
-			return nil, fmt.Errorf("p2p: delta declares %d additions, max %d", nAdd, maxDeltaEntries)
-		}
-		var added []DigestCentroid
-		for i := uint64(0); i < nAdd; i++ {
-			var c DigestCentroid
-			c.ID, rest, err = readUvarint(rest)
-			if err != nil {
-				return nil, err
-			}
-			c.Vec, rest, err = readQuantVec(rest)
-			if err != nil {
-				return nil, err
-			}
-			added = append(added, c)
-		}
-		if err := expectEmpty(rest); err != nil {
-			return nil, err
-		}
-		return DigestDeltaResp{Epoch: epoch, Full: full, Added: added, Removed: removed}, nil
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrUnknownKind, uint8(kind))
 	}

@@ -3,6 +3,7 @@ package p2p
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -44,14 +45,6 @@ func allKinds() []Message {
 		Ack{},
 		Ping{From: "node-a"},
 		Pong{From: "node-b", Entries: 12345},
-		DigestDeltaReq{Since: 1<<40 | 7},
-		DigestDeltaResp{
-			Epoch:   1<<40 | 9,
-			Removed: []uint64{3, 17},
-			Added:   []DigestCentroid{{ID: 21, Vec: feature.Vector{0.5, -0.5}}},
-		},
-		DigestDeltaResp{Epoch: 2 << 32, Full: true,
-			Added: []DigestCentroid{{ID: 1, Vec: feature.Vector{2, 2}}}},
 		GossipBatch{Items: []Gossip{
 			{Vec: feature.Vector{1, 2}, Label: "a", Confidence: 0.5, SavedCost: time.Second},
 			{Vec: feature.Vector{3, 4}, Label: "b", Confidence: 0.75},
@@ -97,27 +90,6 @@ func TestV2RoundTripAllKinds(t *testing.T) {
 		case Pong:
 			if got.(Pong) != want {
 				t.Fatalf("Pong %+v != %+v", got, want)
-			}
-		case DigestDeltaReq:
-			if got.(DigestDeltaReq) != want {
-				t.Fatalf("DigestDeltaReq %+v != %+v", got, want)
-			}
-		case DigestDeltaResp:
-			g := got.(DigestDeltaResp)
-			if g.Epoch != want.Epoch || g.Full != want.Full ||
-				len(g.Removed) != len(want.Removed) || len(g.Added) != len(want.Added) {
-				t.Fatalf("DigestDeltaResp %+v != %+v", g, want)
-			}
-			for i := range want.Removed {
-				if g.Removed[i] != want.Removed[i] {
-					t.Fatalf("Removed[%d] = %d", i, g.Removed[i])
-				}
-			}
-			for i := range want.Added {
-				if g.Added[i].ID != want.Added[i].ID {
-					t.Fatalf("Added[%d].ID = %d", i, g.Added[i].ID)
-				}
-				vecsClose(t, g.Added[i].Vec, want.Added[i].Vec, quantTol(-2, 2))
 			}
 		case GossipBatch:
 			g := got.(GossipBatch)
@@ -186,14 +158,38 @@ func TestV2CorruptFrames(t *testing.T) {
 	}
 }
 
-func TestV2DeltaEntriesBounded(t *testing.T) {
-	// A delta response claiming an absurd entry count must fail fast.
-	b := []byte{wireMarker, byte(KindDigestDeltaResp)}
-	b = append(b, 1)                                  // epoch
-	b = append(b, 0)                                  // full=false
-	b = append(b, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F) // removed count
-	if _, err := Decode(b); err == nil {
-		t.Fatal("unbounded delta accepted")
+// retiredKindFrames are frames of the retired kinds 7 to 10 as the
+// deleted coverage-digest codec wrote them: full request and response,
+// delta request, a delta response, and one claiming an absurd removal
+// count.
+var retiredKindFrames = [][]byte{
+	{wireMarker, 0x07},
+	{wireMarker, 0x08, 0x02, 0x02, 0x3b, 0x81, 0x02, 0x04, 0x3f, 0x00, 0x00, 0x00, 0x7f, 0x81,
+		0x02, 0x3b, 0x81, 0x02, 0x04, 0x3f, 0x00, 0x00, 0x00, 0x81, 0x7f},
+	{wireMarker, 0x09, 0x87, 0x80, 0x80, 0x80, 0x80, 0x20},
+	{wireMarker, 0x0a, 0x89, 0x80, 0x80, 0x80, 0x80, 0x20, 0x00, 0x02, 0x03, 0x11, 0x01, 0x15,
+		0x02, 0x3b, 0x81, 0x02, 0x04, 0x00, 0x00, 0x00, 0x00, 0x7f, 0x81},
+	{wireMarker, 0x0a, 0x01, 0x00, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f},
+}
+
+// TestRetiredKindsUnknown: kinds 7 to 10 are unknown to Decode and to a
+// service, and the kind after them keeps its wire byte.
+func TestRetiredKindsUnknown(t *testing.T) {
+	svc := newService(t)
+	for _, frame := range retiredKindFrames {
+		if m, err := Decode(frame); !errors.Is(err, ErrUnknownKind) {
+			t.Errorf("Decode(% x) = %v, %v; want ErrUnknownKind", frame, m, err)
+		}
+		if resp, err := svc.HandleRaw("peer", frame); !errors.Is(err, ErrUnknownKind) || resp != nil {
+			t.Errorf("HandleRaw(% x) = % x, %v; want ErrUnknownKind", frame, resp, err)
+		}
+		if s := Kind(frame[1]).String(); s != fmt.Sprintf("Kind(%d)", frame[1]) {
+			t.Errorf("retired kind %d is named %q", frame[1], s)
+		}
+	}
+	b, err := Encode(GossipBatch{Items: []Gossip{{Vec: feature.Vector{1}, Label: "a", Confidence: 1}}})
+	if err != nil || KindGossipBatch != 11 || b[1] != 11 {
+		t.Fatalf("gossip batch kind %d encodes as % x, %v; want kind byte 11", KindGossipBatch, b, err)
 	}
 }
 
@@ -280,13 +276,6 @@ func TestGoldenFrames(t *testing.T) {
 				0x3f, 0xe0, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, 0x94, 0xeb, 0xdc, 0x03,
 				0x02, 0x3b, 0x81, 0x02, 0x04, 0x40, 0x60, 0x00, 0x00, 0x81, 0x7f, 0x01, 0x62,
 				0x3f, 0xe8, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00}},
-		{DigestDeltaResp{
-			Epoch:   1<<40 | 9,
-			Removed: []uint64{3, 17},
-			Added:   []DigestCentroid{{ID: 21, Vec: feature.Vector{0.5, -0.5}}},
-		},
-			[]byte{0xf2, 0x0a, 0x89, 0x80, 0x80, 0x80, 0x80, 0x20, 0x00, 0x02, 0x03, 0x11, 0x01, 0x15,
-				0x02, 0x3b, 0x81, 0x02, 0x04, 0x00, 0x00, 0x00, 0x00, 0x7f, 0x81}},
 	}
 	for _, tc := range cases {
 		got, err := Encode(tc.msg)

@@ -107,7 +107,7 @@ func (c *Client) deliverGossip(items []Gossip) (time.Duration, error) {
 	now := c.clock.Now()
 	c.mu.Lock()
 	var buf [8]string
-	admitted := c.admitLocked(buf[:0], now, nil)
+	admitted := c.admitLocked(buf[:0], now)
 	c.mu.Unlock()
 	var maxCost time.Duration
 	for _, name := range admitted {

@@ -30,13 +30,13 @@ const (
 	KindAck
 	KindPing
 	KindPong
-	// 7 and 8 stay retired (they were a full-digest request/response
-	// pair; DigestDeltaReq{Since: 0} is that request) so the kinds below
-	// keep their wire bytes.
+	// 7 to 10 stay retired (they were coverage-digest requests and
+	// responses, full and then delta; no node fetched a digest) so
+	// KindGossipBatch keeps its wire byte. They decode as ErrUnknownKind.
 	_
 	_
-	KindDigestDeltaReq
-	KindDigestDeltaResp
+	_
+	_
 	KindGossipBatch
 )
 
@@ -55,10 +55,6 @@ func (k Kind) String() string {
 		return "ping"
 	case KindPong:
 		return "pong"
-	case KindDigestDeltaReq:
-		return "digest-delta-req"
-	case KindDigestDeltaResp:
-		return "digest-delta-resp"
 	case KindGossipBatch:
 		return "gossip-batch"
 	default:

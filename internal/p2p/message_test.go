@@ -25,18 +25,15 @@ func roundTrip(t *testing.T, m Message) Message {
 }
 
 func TestKindString(t *testing.T) {
+	// WireStats.Kinds is keyed by these spellings.
 	names := map[Kind]string{
-		KindQuery:     "query",
-		KindQueryResp: "query-resp",
-		KindGossip:    "gossip",
-		KindAck:       "ack",
-		KindPing:      "ping",
-		KindPong:      "pong",
-		// eval's digest-bytes switch and the benchmark harness sum
-		// WireStats.Kinds by these spellings.
-		KindDigestDeltaReq:  "digest-delta-req",
-		KindDigestDeltaResp: "digest-delta-resp",
-		KindGossipBatch:     "gossip-batch",
+		KindQuery:       "query",
+		KindQueryResp:   "query-resp",
+		KindGossip:      "gossip",
+		KindAck:         "ack",
+		KindPing:        "ping",
+		KindPong:        "pong",
+		KindGossipBatch: "gossip-batch",
 	}
 	for k, want := range names {
 		if k.String() != want {

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"time"
-
-	"approxcache/internal/feature"
 )
 
 // The client's fixed peer policy.
@@ -13,8 +11,7 @@ const (
 	// queryK is the neighbor count asked of each peer.
 	queryK = 4
 	// maxDistance filters peer answers: hits farther than this are
-	// ignored (the requester applies its own reuse radius). It is also
-	// the digest prefilter's radius and slack.
+	// ignored (the requester applies its own reuse radius).
 	maxDistance = 0.25
 	// gossipAttempts bounds delivery attempts per peer and gossip, the
 	// first one included.
@@ -81,8 +78,8 @@ type PeerHealth struct {
 }
 
 // peer is everything a client knows about one peer, guarded by the
-// client's mutex: how its exchanges went, its circuit, what its last
-// pong advertised, and the mirror of its coverage digest.
+// client's mutex: how its exchanges went, its circuit and what its last
+// pong advertised.
 type peer struct {
 	health  health
 	circuit circuit
@@ -92,17 +89,6 @@ type peer struct {
 	// pingRTT that ping's round-trip time; Probe ranks peers by them.
 	entries uint32
 	pingRTT time.Duration
-	// mirror is the delta-synced digest state; digest is its flattened
-	// form, meaningful once mirror.centroids is non-nil.
-	mirror peerDigestState
-	digest Digest
-}
-
-// digestAllows reports whether vec is worth asking this peer about:
-// true without a digest, else when some centroid lies within the reuse
-// radius plus one radius of cluster spread.
-func (p *peer) digestAllows(vec feature.Vector) bool {
-	return p.mirror.centroids == nil || p.digest.MayCover(vec, maxDistance, maxDistance)
 }
 
 // health is one peer's exchange outcomes and EWMAs.

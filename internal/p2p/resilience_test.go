@@ -259,41 +259,6 @@ func TestClientObserverEvents(t *testing.T) {
 	}
 }
 
-// TestClientDigestSkipResolvesHalfOpenProbe: a half-open probe claimed
-// for a peer whose digest then rules the vector out resolves as a
-// success without an exchange. That closes the circuit and counts one
-// recovery, no more.
-func TestClientDigestSkipResolvesHalfOpenProbe(t *testing.T) {
-	cl, services, net, clock := newResilientCluster(t, 1)
-	if _, err := services[0].store.Insert(feature.Vector{1, 0}, "cat", 0.9, "dnn", time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := cl.FetchDigest("peer-a"); err != nil {
-		t.Fatal(err)
-	}
-	net.Crash("peer-a")
-	for i := 0; i < failureThreshold; i++ {
-		cl.QueryFrame(feature.Vector{1, 0}, 0)
-	}
-	if got := peerHealth(t, cl, "peer-a").State; got != StateOpen {
-		t.Fatalf("state = %v, want open", got)
-	}
-	clock.Advance(301 * time.Millisecond)
-	for i := 0; i < 2; i++ {
-		out, err := cl.QueryFrame(feature.Vector{0, 1}, 0)
-		if err != nil || out.Queried != 0 || out.Degraded {
-			t.Fatalf("query %d = %+v, %v; want the peer skipped by its digest", i, out, err)
-		}
-	}
-	snap := cl.Health()
-	if snap.Trips != 1 || snap.Recoveries != 1 || snap.Peers[0].State != StateClosed {
-		t.Fatalf("health = %+v, want 1 trip, 1 recovery, circuit closed", snap)
-	}
-	if got := cl.SkippedQueries(); got != 2 {
-		t.Fatalf("skipped = %d, want 2", got)
-	}
-}
-
 // TestClientHealthIncludesUnobservedPeers: every configured or
 // contacted peer appears once, sorted by name, whether or not it was
 // ever asked anything and whatever order it was configured in.
@@ -469,8 +434,8 @@ func TestClientFollowerClaimsNoProbe(t *testing.T) {
 }
 
 // TestClientPeerTableConcurrent drives one client from 8 goroutines —
-// queries, gossip, digest fetches, pings, peer-set changes, peer
-// crashes and restarts, clock advances — over a lossy network, and
+// queries, gossip, pings, peer-set changes, peer crashes and restarts,
+// clock advances — over a lossy network, and
 // checks every health snapshot: peers sorted and unique, a contacted
 // peer never vanishing, per-peer exchange counts never shrinking, never
 // more recoveries than trips. Run it under -race.
@@ -511,21 +476,19 @@ func TestClientPeerTableConcurrent(t *testing.T) {
 			for i := 0; i < ops; i++ {
 				name := names[rng.Intn(len(names))]
 				vec := feature.Vector{float64(rng.Intn(4)), float64(rng.Intn(4))}
-				switch rng.Intn(8) {
+				switch rng.Intn(7) {
 				case 0:
 					cl.Gossip(vec, "cat", 0.9, time.Millisecond)
 				case 1:
-					cl.FetchDigest(name)
-				case 2:
 					cl.Ping("self", name)
-				case 3:
+				case 2:
 					perm := rng.Perm(len(names))[:1+rng.Intn(len(names))]
 					peers := make([]string, len(perm))
 					for j, k := range perm {
 						peers[j] = names[k]
 					}
 					cl.SetPeers(peers)
-				case 4:
+				case 3:
 					if rng.Intn(2) == 0 {
 						net.Crash(simnet.NodeID(name))
 					} else {

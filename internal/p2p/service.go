@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"approxcache/internal/cachestore"
-	"approxcache/internal/feature"
 	"approxcache/internal/lsh"
 )
 
@@ -39,9 +38,8 @@ const minGossipConfidence = 0.5
 // Service answers peer protocol messages against a local cache store.
 // Service is safe for concurrent use.
 type Service struct {
-	cfg    ServiceConfig
-	store  cachestore.Interface
-	digest *digestEpochs
+	cfg   ServiceConfig
+	store cachestore.Interface
 }
 
 // NewService builds a service over store.
@@ -52,7 +50,7 @@ func NewService(cfg ServiceConfig, store cachestore.Interface) (*Service, error)
 	if store == nil {
 		return nil, fmt.Errorf("p2p: nil store")
 	}
-	return &Service{cfg: cfg, store: store, digest: newDigestEpochs()}, nil
+	return &Service{cfg: cfg, store: store}, nil
 }
 
 // Name returns the node name.
@@ -127,39 +125,6 @@ func (s *Service) HandlePing(Ping) Pong {
 	return Pong{From: s.cfg.Name, Entries: uint32(s.store.Len())}
 }
 
-// buildDigest clusters the store's entries into the current coverage
-// digest. The clustering radius is the vote's reuse radius: any query a
-// centroid covers at that scale could plausibly be answered. Quarantined
-// entries are withheld — advertising coverage this node itself refuses
-// to serve would send peers here for answers they cannot get.
-func (s *Service) buildDigest() (Digest, error) {
-	entries := s.store.Snapshot()
-	vecs := make([]feature.Vector, 0, len(entries))
-	for _, e := range entries {
-		if !e.Quarantined {
-			vecs = append(vecs, e.Vec)
-		}
-	}
-	d, err := BuildDigest(vecs, serviceVote.MaxDistance, MaxDigestCentroids)
-	if err != nil {
-		return Digest{}, fmt.Errorf("build digest: %w", err)
-	}
-	return d, nil
-}
-
-// HandleDigestDelta answers an epoch-versioned digest request: the
-// current centroid set is rebuilt, the digest epoch advanced if it
-// changed, and the requester receives only the additions and removals
-// since the epoch it named — or a full snapshot when that epoch is
-// unknown (first contact, evicted history, or a service restart).
-func (s *Service) HandleDigestDelta(req DigestDeltaReq) (DigestDeltaResp, error) {
-	d, err := s.buildDigest()
-	if err != nil {
-		return DigestDeltaResp{}, err
-	}
-	return s.digest.serve(d.Centroids, req.Since), nil
-}
-
 // HandleGossipBatch admits each item of a coalesced gossip batch. Item
 // failures are independent — a batch is only an error when every item
 // fails, mirroring gossip's fire-and-forget semantics.
@@ -219,12 +184,6 @@ func (s *Service) HandleRawAppend(from string, payload []byte, buf []byte) ([]by
 		resp = Ack{}
 	case Ping:
 		resp = s.HandlePing(m)
-	case DigestDeltaReq:
-		r, err := s.HandleDigestDelta(m)
-		if err != nil {
-			return nil, err
-		}
-		resp = r
 	default:
 		return nil, fmt.Errorf("p2p: unexpected request kind %v", msg.MsgKind())
 	}

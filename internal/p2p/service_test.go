@@ -293,7 +293,7 @@ func TestServiceRadiusLookupDifferential(t *testing.T) {
 	if found == 0 || dropped == 0 {
 		t.Fatalf("workload too tame: %d answers found, %d gossips dropped", found, dropped)
 	}
-	a, b := direct.store.Snapshot(), hiddenStore.Snapshot()
+	a, b := direct.store.(*cachestore.Store).Snapshot(), hiddenStore.Snapshot()
 	sort.Slice(a, func(i, j int) bool { return a[i].ID < a[j].ID })
 	sort.Slice(b, func(i, j int) bool { return b[i].ID < b[j].ID })
 	if !reflect.DeepEqual(a, b) {

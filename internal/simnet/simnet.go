@@ -92,8 +92,6 @@ type Network struct {
 	linkFault map[[2]NodeID]faultOverlay
 	nodeFault map[NodeID]faultOverlay
 	deadCost  time.Duration
-	delivers  int
-	losses    int
 }
 
 // faultOverlay is injected link degradation stacked on a link profile.
@@ -183,13 +181,6 @@ func (n *Network) SetDeadCost(d time.Duration) {
 	n.deadCost = d
 }
 
-// Stats returns (delivered, lost) message counts.
-func (n *Network) Stats() (delivered, lost int) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.delivers, n.losses
-}
-
 // linkFor returns the profile of a→b with any injected fault overlays
 // (per-link, plus per-node on either endpoint) applied.
 func (n *Network) linkFor(a, b NodeID) LinkProfile {
@@ -220,7 +211,6 @@ func (n *Network) linkFor(a, b NodeID) LinkProfile {
 // Caller holds n.mu.
 func (n *Network) oneWayCost(p LinkProfile, size int) (time.Duration, error) {
 	if n.rng.Float64() < p.LossProb {
-		n.losses++
 		return 0, ErrLost
 	}
 	d := p.Latency
@@ -234,7 +224,6 @@ func (n *Network) oneWayCost(p LinkProfile, size int) (time.Duration, error) {
 	if p.BandwidthBps > 0 {
 		d += time.Duration(float64(size) / float64(p.BandwidthBps) * float64(time.Second))
 	}
-	n.delivers++
 	return d, nil
 }
 

@@ -73,10 +73,6 @@ func TestCallRoundTrip(t *testing.T) {
 	if rtt < 10*time.Millisecond {
 		t.Fatalf("rtt %v below 2× propagation", rtt)
 	}
-	delivered, lost := n.Stats()
-	if delivered != 2 || lost != 0 {
-		t.Fatalf("stats = %d/%d", delivered, lost)
-	}
 }
 
 func TestCallUnknownNode(t *testing.T) {
@@ -126,10 +122,6 @@ func TestLossyLinkEventuallyLoses(t *testing.T) {
 	}
 	if losses < 40 || losses > 95 {
 		t.Fatalf("losses = %d/100, want ~75 (loss both directions)", losses)
-	}
-	_, lost := n.Stats()
-	if lost != losses {
-		t.Fatalf("loss accounting mismatch: %d vs %d", lost, losses)
 	}
 }
 

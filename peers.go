@@ -57,7 +57,7 @@ func (c *Cache) JoinSimNetwork(net *SimNetwork, name string) (*PeerClient, error
 // joining or dropping a node (PeerClient.Peers shows each client's
 // current list). ConnectAll is idempotent and cheap: each call
 // just replaces peer lists (sorted, so mesh formation is
-// deterministic), and re-running it never disturbs the digests or
+// deterministic), and re-running it never disturbs the health or
 // breaker state of peers that stayed. It errors
 // on an empty or single-entry map — a mesh of one cannot share
 // anything, and silently accepting it has historically hidden
