@@ -226,8 +226,9 @@ type Options struct {
 	// hit is shadow-audited against the classifier, an entry whose
 	// audits leave it with 2 more refutes than confirms is quarantined
 	// (and evicted after 2 failed paroles), and the reuse gates
-	// recalibrate to hold 90% live accuracy under drift. Audits run
-	// asynchronously; call DrainAudits before reading final statistics.
+	// recalibrate to hold 90% live accuracy under drift. An audit runs
+	// inside the Process call whose hit it samples, so statistics are
+	// final as soon as Process returns.
 	Quality bool
 }
 
@@ -331,11 +332,6 @@ func (c *Cache) QualitySnapshot() (QualitySnapshot, bool) {
 
 // QuarantineStats returns the store's quarantine lifecycle counters.
 func (c *Cache) QuarantineStats() QuarantineStats { return c.store.QuarantineStats() }
-
-// DrainAudits blocks until every in-flight shadow audit has completed.
-// Call before reading final statistics when Options.Quality runs
-// asynchronous audits.
-func (c *Cache) DrainAudits() { c.engine.DrainAudits() }
 
 // Len returns the number of live cache entries.
 func (c *Cache) Len() int { return c.store.Len() }

@@ -13,7 +13,7 @@
 //
 // Independent simulation experiments and sweep points run concurrently
 // under -parallel; tables are printed in suite order and are identical
-// to a serial run. The wall-clock experiments (E7, E20, E21, E22) run
+// to a serial run. The wall-clock experiments (E20, E21, E22) run
 // alone after that batch, so their timings are never taken beside
 // another experiment. -cpuprofile/-memprofile write pprof profiles so
 // hot-path work can be driven by data, and -mutexprofile/-blockprofile

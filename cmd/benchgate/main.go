@@ -81,9 +81,9 @@ var rows = []row{
 	{file: "BENCH_p2p.json", path: "points[*].compact.bytes_per_frame", cmp: ">", want: 0,
 		why: "the compact protocol put bytes on the wire at every bandwidth"},
 	{file: "BENCH_p2p.json", path: "bytes_reduction", cmp: ">=", want: 4.0,
-		why: "quantized codec + coalescing + gossip batching must keep wire bytes per frame this factor below the deleted float64 protocol's recorded 1163.58 at the most constrained link"},
+		why: "quantized codec + coalescing + gossip batching must keep wire bytes per frame this factor below the same workload replayed with compaction off at float64 width, at the most constrained link"},
 	{file: "BENCH_p2p.json", path: "hit_compact", cmp: ">=", wantPath: "hit_legacy",
-		why: "compression must not cost hits: peer hit rate at or above the float64 protocol's recorded one"},
+		why: "compression must not cost hits: peer hit rate at or above the compaction-off float64 pass's"},
 }
 
 // hotpathFile is the record of the hot-path benchmarks; it is gated by

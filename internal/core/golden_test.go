@@ -80,7 +80,7 @@ func goldenRows() []goldenRow {
 		{name: "keyframes-1", cfg: func(c *Config) { c.KeyframeCapacity = 1 }},
 		{name: "streak-1", cfg: func(c *Config) { c.MaxReuseStreak = 1 }},
 		{name: "quality-drift", cfg: func(c *Config) {
-			c.Quality = QualityConfig{Enabled: true, Synchronous: true, AuditSampleEvery: 4}
+			c.Quality = QualityConfig{Enabled: true, AuditSampleEvery: 4}
 		}, plan: func(n int) dnn.FaultPlan {
 			return dnn.FaultPlan{{From: 25, To: 1 << 30, Kind: dnn.FaultDrift, Relabel: dnn.ShiftRelabel(1, n)}}
 		}},
@@ -238,7 +238,6 @@ func goldenRun(t *testing.T, row goldenRow, streams []diffStream, process proces
 			}
 		}
 		for d, dev := range devs {
-			dev.engine.DrainAudits()
 			writeGoldenState(h, d, dev)
 			counts := dev.engine.Stats().Counts()
 			for ev, n := range counts {

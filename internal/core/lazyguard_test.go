@@ -123,7 +123,7 @@ func TestIMUServedFramesAreNeverRead(t *testing.T) {
 	}
 	frames := traceFrames(w)
 	cfg := DefaultConfig()
-	cfg.Quality = QualityConfig{Enabled: true, Synchronous: true, AuditSampleEvery: 4}
+	cfg.Quality = QualityConfig{Enabled: true, AuditSampleEvery: 4}
 	run := func(poison map[int]bool) ([]Result, *metrics.SessionStats) {
 		clock := simclock.NewVirtual(time.Unix(0, 0))
 		clf, err := dnn.NewClassifier(perfectProfile(), w.Classes, 1)

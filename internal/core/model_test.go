@@ -104,11 +104,11 @@ func (c modelCell) config() Config {
 		cfg.DisableSensorGuards = true
 	}
 	if c.scale != 0 {
-		cfg.Quality = QualityConfig{Enabled: true, Synchronous: true, AuditSampleEvery: 1 << 30}
+		cfg.Quality = QualityConfig{Enabled: true, AuditSampleEvery: 1 << 30}
 	}
 	switch c.extra {
 	case "audits":
-		cfg.Quality = QualityConfig{Enabled: true, Synchronous: true, AuditSampleEvery: 2}
+		cfg.Quality = QualityConfig{Enabled: true, AuditSampleEvery: 2}
 	case "admission", "brownout":
 		cfg.Admission = true
 	}
@@ -519,7 +519,6 @@ func (m *engineMachine) process(in diffFrame) (Result, FrameRecord, error) {
 	}
 	m.seen.reset()
 	res, err := m.eng.ProcessRecord(in.img, in.win, in.truth, &rec)
-	m.eng.DrainAudits()
 	return res, rec, err
 }
 

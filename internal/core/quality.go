@@ -17,8 +17,8 @@ import (
 
 // QualityConfig switches on the self-healing cache-quality layer: a
 // shadow auditor that re-runs a sampled fraction of cache hits through
-// the DNN off the latency path, per-entry confirm/refute bookkeeping
-// feeding the store's quarantine machinery, and a drift-adaptive
+// the DNN without charging the frame for it, per-entry confirm/refute
+// bookkeeping feeding the store's quarantine machinery, and a drift-adaptive
 // controller that tightens or loosens every reuse gate to hold a live
 // hit-accuracy target. Everything but the sampling period is the fixed
 // policy below.
@@ -31,10 +31,6 @@ type QualityConfig struct {
 	// frame's request deadline is nearly spent — quality sampling
 	// must never compete with overload survival.
 	AuditSampleEvery int
-	// Synchronous runs audits inline on the serving goroutine instead
-	// of asynchronously. Audit latency is still never charged to the
-	// frame; experiments on a virtual clock use this for determinism.
-	Synchronous bool
 }
 
 // The quality controller's one policy.
@@ -79,9 +75,6 @@ const (
 	// controller sweeps the neighborhood densely while suspicion is hot
 	// instead of waiting out the sampling period per poisoned scene.
 	alarmAudits = 24
-	// maxPending bounds in-flight asynchronous audits; sampling skips
-	// while the bound is reached.
-	maxPending = 4
 )
 
 // Validate reports whether the configuration is usable.
@@ -131,9 +124,7 @@ type qualityController struct {
 	sinceMove  int
 	refusal    int
 	// alarm counts down the post-refute dense-audit burst.
-	alarm   int
-	pending int
-	wg      sync.WaitGroup
+	alarm int
 }
 
 func newQualityController(cfg QualityConfig, clf Classifier, store cachestore.Interface, stats *metrics.SessionStats, ctrl *admission.Controller) *qualityController {
@@ -185,17 +176,16 @@ func (qc *qualityController) consumeRefusal() bool {
 	return true
 }
 
-// drain blocks until all in-flight asynchronous audits complete.
-func (qc *qualityController) drain() { qc.wg.Wait() }
-
 // maybeAudit samples a reuse-served frame into a shadow audit. ids are
 // the cache entries that backed the serve (empty for IMU/video hits,
 // which have no entry to praise or blame). The audit is admission-aware
 // (skipped while the node is browning out), deadline-budgeted (skipped
 // when the frame's remaining deadline is thinner than one inference —
-// the accelerator has no slack to spend on quality sampling), and
-// bounded in flight. guarded is false for a frame no stage has read yet
-// (an inertial-gate serve): the audit that falls due on it guards it.
+// the accelerator has no slack to spend on quality sampling), and runs
+// inline on the serving goroutine: the frame's booked latency never
+// includes it, but a caller on a real clock waits for it. guarded is
+// false for a frame no stage has read yet (an inertial-gate serve): the
+// audit that falls due on it guards it.
 func (qc *qualityController) maybeAudit(e *Engine, im *vision.Image, guarded bool, served string, ids []lsh.ID, deadline time.Time) {
 	if qc == nil {
 		return // the quality layer is off
@@ -219,33 +209,11 @@ func (qc *qualityController) maybeAudit(e *Engine, im *vision.Image, guarded boo
 		due = true
 		qc.alarm--
 	}
-	if due && !qc.cfg.Synchronous {
-		if qc.pending >= maxPending {
-			due = false
-		} else {
-			qc.pending++
-		}
-	}
 	qc.mu.Unlock()
 	if !due {
 		return
 	}
-	// Copy the supporting IDs: the caller's slice is backed by frame
-	// scratch that the next frame will overwrite.
-	var own [maxAuditIDs]lsh.ID
-	n := copy(own[:], ids)
-	if qc.cfg.Synchronous {
-		qc.runAudit(e, im, guarded, served, own[:n], sampled)
-		return
-	}
-	qc.wg.Add(1)
-	go func() {
-		defer qc.wg.Done()
-		qc.runAudit(e, im, guarded, served, own[:n], sampled)
-		qc.mu.Lock()
-		qc.pending--
-		qc.mu.Unlock()
-	}()
+	qc.runAudit(e, im, guarded, served, ids, sampled)
 }
 
 // maxAuditIDs bounds how many supporting entries one audit can judge —
@@ -394,15 +362,6 @@ func (e *Engine) healAfterRefute(im *vision.Image, vec feature.Vector, label str
 		e.streak = e.cfg.MaxReuseStreak
 	}
 	e.mu.Unlock()
-}
-
-// DrainAudits blocks until all in-flight asynchronous shadow audits
-// complete. Tests and orderly shutdowns call it; pools share one
-// controller, so draining any session drains them all.
-func (e *Engine) DrainAudits() {
-	if e.quality != nil {
-		e.quality.drain()
-	}
 }
 
 // QualitySnapshot returns the quality layer's state; ok is false when

@@ -76,7 +76,7 @@ func TestQualityConfigValidate(t *testing.T) {
 // or quarantined, and the live-accuracy estimate stays at 1.
 func TestShadowAuditConfirmsHealthyReuse(t *testing.T) {
 	fx := newQualityFixture(t, QualityConfig{
-		Enabled: true, Synchronous: true, AuditSampleEvery: 1,
+		Enabled: true, AuditSampleEvery: 1,
 	})
 	im, err := fx.classes.Prototype(0)
 	if err != nil {
@@ -106,7 +106,7 @@ func TestShadowAuditConfirmsHealthyReuse(t *testing.T) {
 // drifted label again.
 func TestShadowAuditDetectsDriftAndHeals(t *testing.T) {
 	fx := newQualityFixture(t, QualityConfig{
-		Enabled: true, Synchronous: true, AuditSampleEvery: 1,
+		Enabled: true, AuditSampleEvery: 1,
 	})
 	im, err := fx.classes.Prototype(0)
 	if err != nil {
@@ -184,11 +184,11 @@ func TestRecalibrationWaitsForMinSamples(t *testing.T) {
 	}
 }
 
-// TestAuditsRaceInsertsEvictions drives concurrent sessions over a
-// tiny store (constant eviction churn) with asynchronous audits and a
-// classifier that drifts mid-run, under -race: audits, heals, paroles,
-// inserts, and evictions all interleave. The auditor must neither race
-// nor leak its goroutines.
+// TestAuditsRaceInsertsEvictions drives four concurrent sessions of one
+// engine over a tiny store (constant eviction churn) with every reuse
+// audited and a classifier that drifts mid-run, under -race: one
+// session's audits, heals and paroles interleave with the others'
+// inserts and evictions. The auditor must neither race nor leak.
 func TestAuditsRaceInsertsEvictions(t *testing.T) {
 	checkLeak := testutil.LeakGuard(t, 2)
 	fx := newQualityFixture(t, QualityConfig{
@@ -225,7 +225,6 @@ func TestAuditsRaceInsertsEvictions(t *testing.T) {
 		t.Fatal(err)
 	}
 	wg.Wait()
-	fx.engine.DrainAudits()
 	if audits, _ := fx.engine.Stats().Audits(); audits == 0 {
 		t.Fatal("no audits ran during the stress")
 	}

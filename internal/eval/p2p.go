@@ -18,20 +18,10 @@ import (
 // codec's int8 quantized vectors, query coalescing, gossip batching) is
 // measured on simulated links from a
 // fraction of the default 3 MB/s down, on deterministic links (no loss,
-// no jitter). cmd/benchgate gates bytes/frame against what the deleted
-// float64 protocol paid for the same workload, at no hit-rate loss.
-
-// The float64 protocol (fixed-width fields, 8 B per vector dimension,
-// a full peer-coverage refetch every 50 frames, no coalescing or
-// batching) as last measured at
-// commit 8eee810 on the default E25 config: 1 244 664 B sent + 151 630 B
-// received over 1 200 session-frames, every query a peer hit, identical
-// at all three bandwidths. PR 22 deleted that protocol; these figures
-// are its record, so a run at another config still divides by them.
-const (
-	legacyBytesPerFrame = (1244664 + 151630) / 1200.0 // 1163.58
-	legacyHitRate       = 1.0
-)
+// no jitter). Each bandwidth also replays the same workload with the
+// client's compaction off and prices that pass as a float64 protocol
+// would; cmd/benchgate gates bytes/frame against it, at no hit-rate
+// loss.
 
 // The E25 workload's shape.
 const (
@@ -50,6 +40,11 @@ const (
 	// p2pGossipEvery inserts (and gossips) one fresh result every N
 	// frames.
 	p2pGossipEvery = 4
+	// p2pFloat64Surcharge is what a float64 protocol adds per vector on
+	// the wire: 8 B per component in place of the codec's 1-byte int8
+	// code per component and its 9-byte header (uvarint dim, float32
+	// scale, float32 offset).
+	p2pFloat64Surcharge = 8*p2pDim - (p2pDim + 9)
 )
 
 // p2pBandwidths is the link-bandwidth sweep in MB/s, most constrained
@@ -80,7 +75,12 @@ type P2PResult struct {
 type P2PPoint struct {
 	BandwidthMBps float64   `json:"bandwidth_mbps"`
 	Compact       P2PResult `json:"compact"`
-	// BytesReduction is legacyBytesPerFrame over Compact.BytesPerFrame.
+	// Legacy is the same workload with the client's compaction off (no
+	// answer cache, every gossip sent alone), its sent bytes priced at
+	// float64 width: p2pFloat64Surcharge more per vector than the
+	// codec's.
+	Legacy P2PResult `json:"legacy"`
+	// BytesReduction is Legacy.BytesPerFrame over Compact.BytesPerFrame.
 	BytesReduction float64 `json:"bytes_reduction"`
 }
 
@@ -91,8 +91,7 @@ type P2PReport struct {
 	Frames   int        `json:"frames"`
 	Dim      int        `json:"dim"`
 	Points   []P2PPoint `json:"points"`
-	// Gate fields, measured at the most constrained bandwidth;
-	// HitLegacy is the legacyHitRate constant.
+	// Gate fields, measured at the most constrained bandwidth.
 	ConstrainedMBps float64 `json:"constrained_mbps"`
 	BytesReduction  float64 `json:"bytes_reduction"`
 	HitLegacy       float64 `json:"hit_legacy"`
@@ -156,9 +155,11 @@ func buildP2PWorkload(frames int, centers []feature.Vector, rng *rand.Rand) p2pW
 	return w
 }
 
-// runP2PAt replays the workload on a fresh deterministic network at
-// one bandwidth.
-func runP2PAt(seed int64, bwMBps float64, centers []feature.Vector, w p2pWorkload) (P2PResult, error) {
+// runP2PAt replays the workload on a fresh deterministic network at one
+// bandwidth. Without compaction the client keeps no answer cache and
+// sends every gossip alone, and each vector it sends is priced at
+// float64 width.
+func runP2PAt(seed int64, bwMBps float64, centers []feature.Vector, w p2pWorkload, compaction bool) (P2PResult, error) {
 	var res P2PResult
 	link := simnet.LinkProfile{
 		Latency:      6 * time.Millisecond,
@@ -176,9 +177,11 @@ func runP2PAt(seed int64, bwMBps float64, centers []feature.Vector, w p2pWorkloa
 	}
 	ccfg := p2p.DefaultClientConfig()
 	ccfg.Clock = clock
-	ccfg.CoalesceTTL = 150 * time.Millisecond
-	ccfg.GossipBatch = 8
-	ccfg.GossipFlush = 500 * time.Millisecond
+	if compaction {
+		ccfg.CoalesceTTL = 150 * time.Millisecond
+		ccfg.GossipBatch = 8
+		ccfg.GossipFlush = 500 * time.Millisecond
+	}
 	client, err := dial("main", net, ccfg)
 	if err != nil {
 		return res, err
@@ -221,9 +224,13 @@ func runP2PAt(seed int64, bwMBps float64, centers []feature.Vector, w p2pWorkloa
 
 	ws := client.WireStats()
 	res.SentBytes = ws.SentBytes
+	if !compaction {
+		vectors := ws.Kinds[p2p.KindQuery.String()].SentMsgs + ws.Kinds[p2p.KindGossip.String()].SentMsgs
+		res.SentBytes += vectors * p2pFloat64Surcharge
+	}
 	res.RecvBytes = ws.RecvBytes
 	res.Messages = ws.SentMsgs
-	res.BytesPerFrame = float64(ws.SentBytes+ws.RecvBytes) / float64(sessionFrames)
+	res.BytesPerFrame = float64(res.SentBytes+res.RecvBytes) / float64(sessionFrames)
 	res.PeerHitRate = float64(hits) / float64(sessionFrames)
 	res.CoalescedInFlight = ws.CoalescedInFlight
 	res.CoalescedCached = ws.CoalescedCached
@@ -255,20 +262,24 @@ func runP2P(s Scale) (P2PReport, error) {
 		Dim:      p2pDim,
 	}
 	for _, bw := range p2pBandwidths {
-		compact, err := runP2PAt(s.Seed, bw, centers, w)
+		compact, err := runP2PAt(s.Seed, bw, centers, w, true)
+		var legacy P2PResult
+		if err == nil {
+			legacy, err = runP2PAt(s.Seed, bw, centers, w, false)
+		}
 		if err != nil {
 			return P2PReport{}, fmt.Errorf("@ %.2f MB/s: %w", bw, err)
 		}
-		pt := P2PPoint{BandwidthMBps: bw, Compact: compact}
+		pt := P2PPoint{BandwidthMBps: bw, Compact: compact, Legacy: legacy}
 		if compact.BytesPerFrame > 0 {
-			pt.BytesReduction = legacyBytesPerFrame / compact.BytesPerFrame
+			pt.BytesReduction = legacy.BytesPerFrame / compact.BytesPerFrame
 		}
 		report.Points = append(report.Points, pt)
 	}
 	gate := report.Points[0] // most constrained bandwidth
 	report.ConstrainedMBps = gate.BandwidthMBps
 	report.BytesReduction = gate.BytesReduction
-	report.HitLegacy = legacyHitRate
+	report.HitLegacy = gate.Legacy.PeerHitRate
 	report.HitCompact = gate.Compact.PeerHitRate
 	return report, nil
 }
@@ -283,11 +294,11 @@ func E25P2PWire(s Scale) (Report, error) {
 		ID: "E25",
 		Title: fmt.Sprintf("Compact P2P wire protocol (%d peers, %d sessions, %d frames, dim %d)",
 			rep.Nodes, rep.Sessions, rep.Frames, rep.Dim),
-		Headers: []string{"bandwidth", "bytes/frame", "hit-rate", "mean-ms", "p95-ms", "coalesced", "batches"},
+		Headers: []string{"bandwidth", "bytes/frame", "hit-rate", "mean-ms", "p95-ms", "coalesced", "batches", "float64-bytes/frame", "float64-hit-rate"},
 		Notes: []string{
-			"quantized codec + query coalescing + gossip batching",
-			fmt.Sprintf("at %.2f MB/s: %.1fx fewer bytes/frame than the deleted float64 protocol's recorded %.1f (default config), hit rate %.3f -> %.3f",
-				rep.ConstrainedMBps, rep.BytesReduction, legacyBytesPerFrame, rep.HitLegacy, rep.HitCompact),
+			"quantized codec + query coalescing + gossip batching; the float64 columns replay the same workload with compaction off, vectors priced at 8 B per component",
+			fmt.Sprintf("at %.2f MB/s: %.1fx fewer bytes/frame than the float64 pass, hit rate %.3f -> %.3f",
+				rep.ConstrainedMBps, rep.BytesReduction, rep.HitLegacy, rep.HitCompact),
 		},
 		Data: rep,
 	}
@@ -301,6 +312,8 @@ func E25P2PWire(s Scale) (Report, error) {
 			fmt.Sprintf("%.2f", m.P95LatencyMS),
 			fmt.Sprintf("%d", m.CoalescedInFlight+m.CoalescedCached),
 			fmt.Sprintf("%d", m.Batches),
+			fmt.Sprintf("%.1f", pt.Legacy.BytesPerFrame),
+			fmt.Sprintf("%.3f", pt.Legacy.PeerHitRate),
 		})
 	}
 	return report, nil

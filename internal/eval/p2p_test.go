@@ -32,6 +32,16 @@ func TestRunP2P(t *testing.T) {
 	if pt.Compact.Batches == 0 {
 		t.Fatal("compact mode never batched gossip")
 	}
+	// The gated ratio divides by this run's own compaction-off pass.
+	legacy := pt.Legacy
+	if legacy.CoalescedCached+legacy.CoalescedInFlight != 0 || legacy.Batches != 0 {
+		t.Fatalf("compaction-off pass coalesced or batched: %+v", legacy)
+	}
+	want := float64(legacy.SentBytes+legacy.RecvBytes) / float64(rep.Frames*rep.Sessions)
+	if legacy.BytesPerFrame != want || rep.BytesReduction != want/pt.Compact.BytesPerFrame {
+		t.Fatalf("baseline %.2f B/frame, reduction %.2fx; the compaction-off pass moved %.2f B/frame",
+			legacy.BytesPerFrame, rep.BytesReduction, want)
+	}
 }
 
 // TestE25TrafficIdenticalAcrossBandwidths: the links are lossless and

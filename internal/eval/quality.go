@@ -123,7 +123,7 @@ func runQualityNode(frames int, seed int64, drift, protect bool) (QualityRun, er
 	ecfg := core.DefaultConfig()
 	scfg := cachestore.Config{Capacity: qualityCapacity}
 	if protect {
-		ecfg.Quality = core.QualityConfig{Enabled: true, Synchronous: true, AuditSampleEvery: qualityAuditEvery}
+		ecfg.Quality = core.QualityConfig{Enabled: true, AuditSampleEvery: qualityAuditEvery}
 		scfg.QuarantineThreshold = qualityQuarantine
 	}
 	var faulty *dnn.FaultyClassifier
@@ -185,7 +185,6 @@ func runQualityNode(frames int, seed int64, drift, protect bool) (QualityRun, er
 	if err != nil {
 		return QualityRun{}, err
 	}
-	dev.engine.DrainAudits()
 
 	run := QualityRun{Name: qualityBaseline, Frames: frames}
 	switch {

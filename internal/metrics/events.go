@@ -56,7 +56,7 @@ const (
 	EventLate
 
 	// EventAudit / EventAuditRefuted: a completed shadow audit (a cache
-	// hit re-run through the DNN off the latency path), and one where
+	// hit re-run through the DNN, never charged to the frame), and one where
 	// the DNN disagreed with the served label.
 	EventAudit
 	EventAuditRefuted

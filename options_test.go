@@ -71,5 +71,4 @@ func TestControllerSwitches(t *testing.T) {
 		t.Fatalf("quality snapshot = %+v, %v; want scale 1 at accuracy 1", snap, ok)
 	}
 	replay(t, on, w)
-	on.DrainAudits()
 }
