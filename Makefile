@@ -12,7 +12,7 @@ REPORTS = throughput:E20 overload:E21 lookup:E22 quality:E23 p2p:E25
 # How long `make fuzz` runs each fuzz target.
 FUZZTIME ?= 3s
 
-.PHONY: check build test race vet fmt bench gate bench-e2e-test fault-matrix fuzz census
+.PHONY: check build test race vet fmt bench gate bench-e2e-test fault-matrix fuzz census pairs
 
 # Every step `make check` runs, in order.
 CHECKS = vet fmt test race bench-e2e-test gate fault-matrix fuzz census
@@ -38,8 +38,11 @@ test:
 race:
 	$(GO) test -race ./...
 
+# vet also checks the arm64 build, which has no assembly, so the Go
+# kernels keep compiling wherever the AVX2 ones do not apply.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -111,3 +114,14 @@ fuzz:
 # gives the reason it stays. Works in a directory of its own (mktemp -d).
 census:
 	@GO=$(GO) bash scripts/census.sh
+
+# Paired end-to-end runs of this checkout against REV (a commit, usually
+# the parent): seeds 1…N of each workload, alternating which side goes
+# first, summarised by cmd/pairstat (medians, IQRs, wins, and the
+# simulated metrics' rules). Takes about 2·N·SECONDS per workload.
+N ?= 10
+SECONDS ?= 10
+WORKLOADS ?= device-video photo-lookup photo-churn peer-mesh pool-serve
+pairs:
+	@if [ -z "$(REV)" ]; then echo "usage: make pairs REV=<commit> [N=10] [WORKLOADS=...] [SECONDS=10]"; exit 2; fi
+	@bash scripts/pairs.sh "$(REV)" "$(N)" "$(WORKLOADS)" "$(SECONDS)"

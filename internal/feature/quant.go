@@ -80,7 +80,7 @@ func MustSqEuclidean(a, b Vector) float64 {
 	var sum float64
 	for i := range a {
 		d := a[i] - b[i]
-		sum += d * d
+		sum += float64(d * d)
 	}
 	return sum
 }

@@ -59,7 +59,7 @@ func Euclidean(a, b Vector) (float64, error) {
 	var sum float64
 	for i := range a {
 		d := a[i] - b[i]
-		sum += d * d
+		sum += float64(d * d)
 	}
 	return math.Sqrt(sum), nil
 }
@@ -74,7 +74,7 @@ func MustEuclidean(a, b Vector) float64 {
 	var sum float64
 	for i := range a {
 		d := a[i] - b[i]
-		sum += d * d
+		sum += float64(d * d)
 	}
 	return math.Sqrt(sum)
 }

@@ -54,7 +54,7 @@ func (x *refIndex) signature(t int, v feature.Vector) uint64 {
 	for b, plane := range x.planes[t] {
 		var dot float64
 		for d := range plane {
-			dot += plane[d] * v[d]
+			dot += float64(plane[d] * v[d])
 		}
 		if dot >= 0 {
 			sig |= 1 << uint(b)
@@ -235,9 +235,9 @@ func sameIDSet(a, b []ID) bool {
 	return true
 }
 
-// TestDifferentialSignatureChains pins the interleaved signature
-// computation to the one-row-at-a-time reference across bit widths that
-// exercise both the 4-wide chains and the remainder loop.
+// TestDifferentialSignatureChains pins the blocked signature kernels to
+// the one-row-at-a-time reference across bit widths whose plane count
+// fills whole blocks of 16, part of one, or spills into the next.
 func TestDifferentialSignatureChains(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, bits := range []int{1, 2, 3, 4, 5, 7, 8, 11, 12, 17, 64} {
@@ -248,11 +248,13 @@ func TestDifferentialSignatureChains(t *testing.T) {
 				t.Fatal(err)
 			}
 			ref := newRefIndex(dim, bits, 2, 7)
+			got := make([]uint64, 2)
 			for i := 0; i < 50; i++ {
 				v := randVec(rng, dim)
-				for tb := 0; tb < 2; tb++ {
-					if got, want := arena.fam.signature(tb, v), ref.signature(tb, v); got != want {
-						t.Fatalf("table %d vec %d: signature %x, want %x", tb, i, got, want)
+				arena.fam.project(v, got)
+				for tb := range got {
+					if want := ref.signature(tb, v); got[tb] != want {
+						t.Fatalf("table %d vec %d: signature %x, want %x", tb, i, got[tb], want)
 					}
 				}
 			}

@@ -16,9 +16,13 @@ import (
 type hashFamily struct {
 	dim, bits, tables int
 
-	// planes is the flattened hyperplane matrix: hyperplane b of table
-	// t occupies planes[(t*bits+b)*dim : (t*bits+b+1)*dim], so a
-	// signature is one strided sweep over contiguous memory.
+	// planes is the hyperplane matrix, the family's only copy of it,
+	// stored dim-major in blocks of planeBlock hyperplanes: component d
+	// of plane p = t*bits + b (hyperplane b of table t) sits at
+	// planes[(p/planeBlock*dim+d)*planeBlock + p%planeBlock], and the
+	// last block is padded with zero planes. A block is dim runs of
+	// planeBlock floats, so the signature kernel sweeps it once with
+	// one vector lane per hyperplane.
 	planes []float64
 
 	// memo remembers the table signatures of the last few vectors
@@ -51,24 +55,87 @@ type memoSlot struct {
 // newHashFamily draws the family for (dim, bits, tables, seed).
 // Arguments are validated by the caller.
 func newHashFamily(dim, bits, tables int, seed int64) *hashFamily {
+	nplanes := tables * bits
+	blocks := (nplanes + planeBlock - 1) / planeBlock
 	f := &hashFamily{
 		dim: dim, bits: bits, tables: tables,
-		planes: make([]float64, tables*bits*dim),
+		planes: make([]float64, blocks*planeBlock*dim),
 	}
 	// Draw order (table, bit, dim) is part of the index's identity:
 	// the same seed must yield the same hyperplanes across versions.
 	rng := rand.New(rand.NewSource(seed))
-	for i := range f.planes {
-		f.planes[i] = rng.NormFloat64()
+	for p := 0; p < nplanes; p++ {
+		for d := 0; d < dim; d++ {
+			f.planes[(p/planeBlock*dim+d)*planeBlock+p%planeBlock] = rng.NormFloat64()
+		}
 	}
 	return f
 }
 
-// planeRow returns hyperplane b of table t as a slice into the flat
-// matrix.
-func (f *hashFamily) planeRow(t, b int) []float64 {
-	off := (t*f.bits + b) * f.dim
-	return f.planes[off : off+f.dim : off+f.dim]
+// planeBlock is how many hyperplanes the signature kernel projects onto
+// in one sweep: four vector registers of four float64 lanes.
+const planeBlock = 16
+
+// project writes v's signature in every table into sigs[0:tables],
+// without the memo. Bit b of table t's signature is set when v's dot
+// product with that hyperplane, summed in ascending dimension order, is
+// ≥ 0 (so a NaN product clears it). Caller must have validated
+// dimensions.
+func (f *hashFamily) project(v feature.Vector, sigs []uint64) {
+	var buf [4]uint64 // the sign bits of up to 256 planes
+	words := buf[:]
+	if n := (len(f.planes)/(f.dim*planeBlock) + 3) / 4; n > len(buf) {
+		words = make([]uint64, n)
+	}
+	if hasAVX2 {
+		signBlocksAVX2(v, f.planes, words)
+	} else {
+		signBlocksGo(v, f.planes, words)
+	}
+	mask := ^uint64(0) >> (64 - f.bits)
+	for t := range sigs[:f.tables] {
+		lo := t * f.bits
+		w, sh := lo/64, uint(lo%64)
+		sig := words[w] >> sh
+		if int(sh)+f.bits > 64 {
+			sig |= words[w+1] << (64 - sh)
+		}
+		sigs[t] = sig & mask
+	}
+}
+
+// signBlocksGo is the signature kernel in Go, the reference the
+// assembly is tested against: plane j of block k sets bit 16k+j of the
+// little-endian bit string words when its dot product with v is ≥ 0.
+// Each dot product adds the rounded products in ascending dimension
+// order (the float64 conversion keeps any build from fusing them into
+// an FMA), four planes' chains interleaved.
+func signBlocksGo(v, planes []float64, words []uint64) {
+	dim := len(v)
+	size := dim * planeBlock
+	for k := 0; k*size < len(planes); k++ {
+		blk := planes[k*size : (k+1)*size]
+		var m uint64
+		for j := 0; j < planeBlock; j += 4 {
+			var d0, d1, d2, d3 float64
+			for d, x := range v {
+				p := blk[d*planeBlock+j : d*planeBlock+j+4 : d*planeBlock+j+4]
+				d0 += float64(p[0] * x)
+				d1 += float64(p[1] * x)
+				d2 += float64(p[2] * x)
+				d3 += float64(p[3] * x)
+			}
+			for i, dot := range [4]float64{d0, d1, d2, d3} {
+				if dot >= 0 {
+					m |= 1 << uint(j+i)
+				}
+			}
+		}
+		if k%4 == 0 {
+			words[k/4] = 0
+		}
+		words[k/4] |= m << (uint(k%4) * planeBlock)
+	}
 }
 
 // signatures writes v's signature in every table into sigs[0:tables]:
@@ -80,9 +147,7 @@ func (f *hashFamily) signatures(v feature.Vector, sigs []uint64) {
 	if f.memoLoad(v, sigs) {
 		return
 	}
-	for t := range sigs {
-		sigs[t] = f.signature(t, v)
-	}
+	f.project(v, sigs)
 	f.memoStore(v, sigs)
 }
 

@@ -11,7 +11,7 @@ import (
 )
 
 // TestMemoisedSignaturesMatchDirect: whatever the memo holds, signatures
-// equals signature(t, v) in every table, and a slot answers only for a
+// equals project(v) in every table, and a slot answers only for a
 // vector equal to the remembered one bit for bit.
 func TestMemoisedSignaturesMatchDirect(t *testing.T) {
 	const dim, bits, tables = 24, 16, 5
@@ -19,9 +19,7 @@ func TestMemoisedSignaturesMatchDirect(t *testing.T) {
 	f := newHashFamily(dim, bits, tables, 3)
 	direct := func(v feature.Vector) []uint64 {
 		out := make([]uint64, tables)
-		for tb := range out {
-			out[tb] = f.signature(tb, v)
-		}
+		f.project(v, out)
 		return out
 	}
 	check := func(v feature.Vector, wantHit bool, why string) {
@@ -163,6 +161,63 @@ func TestSharedFamilyConcurrentStress(t *testing.T) {
 		}
 		if !sameIDSet(got, want) {
 			t.Fatalf("candidates %v, single-goroutine twin %v", got, want)
+		}
+	}
+}
+
+// TestSignatureKernelsMatchPlanes: the blocked signature kernels agree
+// bit for bit with a per-plane scalar dot product (refIndex, which
+// draws each plane in the family's (table, bit, dim) order) on every
+// table: the Go kernel always, the AVX2 kernel where the host has it.
+// Shapes cover plane counts in whole, partial and several blocks (past
+// the 256 that project keeps on its stack), and dimensions off the
+// vector width; vectors include ±0, NaN, ±Inf, subnormal and huge
+// components, whose NaN or signed-zero dot products decide a bit as
+// plainly as any other.
+func TestSignatureKernelsMatchPlanes(t *testing.T) {
+	if !hasAVX2 {
+		t.Log("host has no AVX2: checking the Go kernel alone")
+	}
+	specials := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, math.MaxFloat64, -math.MaxFloat64}
+	rng := rand.New(rand.NewSource(17))
+	for _, shape := range [][3]int{{80, 12, 4}, {1, 1, 1}, {3, 7, 3}, {33, 16, 1}, {17, 13, 5}, {80, 64, 3}, {9, 64, 5}, {288, 20, 2}} {
+		dim, bits, tables := shape[0], shape[1], shape[2]
+		f := newHashFamily(dim, bits, tables, 9)
+		ref := newRefIndex(dim, bits, tables, 9)
+		nwords := (len(f.planes)/(dim*planeBlock) + 3) / 4
+		for i := 0; i < 300; i++ {
+			v := randVec(rng, dim)
+			switch i % 4 {
+			case 1: // a few special components
+				for j := 0; j < 1+rng.Intn(3); j++ {
+					v[rng.Intn(dim)] = specials[rng.Intn(len(specials))]
+				}
+			case 2: // only zeros and subnormals: dot products at ±0
+				for d := range v {
+					v[d] = specials[rng.Intn(2)+5*rng.Intn(2)]
+				}
+			case 3: // tiny magnitudes, so rounding decides signs
+				for d := range v {
+					v[d] = math.Ldexp(v[d], -1060)
+				}
+			}
+			goWords := make([]uint64, nwords)
+			signBlocksGo(v, f.planes, goWords)
+			if hasAVX2 {
+				asmWords := make([]uint64, nwords)
+				signBlocksAVX2(v, f.planes, asmWords)
+				if !slices.Equal(asmWords, goWords) {
+					t.Fatalf("shape %v vec %d: AVX2 kernel bits %x, Go kernel %x", shape, i, asmWords, goWords)
+				}
+			}
+			got := make([]uint64, tables)
+			f.project(v, got)
+			for tb, sig := range got {
+				if want := ref.signature(tb, v); sig != want {
+					t.Fatalf("shape %v vec %d table %d: signature %x, per-plane %x", shape, i, tb, sig, want)
+				}
+			}
 		}
 	}
 }

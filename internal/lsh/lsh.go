@@ -7,9 +7,10 @@
 // The lookup path is the per-frame reuse check the whole system exists
 // to make cheap, so both indexes are built for zero steady-state
 // allocation: vectors live in a flat arena addressed by slot (no map
-// chase inside distance loops), hyperplanes are one contiguous matrix
-// swept by a strided dot product, per-query candidate dedup is an
-// epoch-stamped visited array drawn from a pool, and ranking is bounded
+// chase inside distance loops), hyperplanes are one dim-major matrix
+// swept with one vector lane per hyperplane (family.go), per-query
+// candidate dedup is an epoch-stamped visited array drawn from a pool,
+// and ranking is bounded
 // top-k selection instead of a full sort, fed by one exact scan kernel
 // that stops scoring a candidate once the caller's radius or the running
 // k-th best rules it out (scan.go).
@@ -186,59 +187,6 @@ func (x *HyperplaneIndex) Len() int {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
 	return len(x.idSlot)
-}
-
-// signature hashes v in table t. Caller must have validated dimensions.
-//
-// Bits are computed four at a time: the four dot products are
-// independent chains, so interleaving them hides floating-point add
-// latency. Each chain still sums dimensions in ascending order, so
-// every bit is identical to the one-row-at-a-time computation.
-func (f *hashFamily) signature(t int, v feature.Vector) uint64 {
-	var sig uint64
-	n := f.dim
-	b := 0
-	for ; b+4 <= f.bits; b += 4 {
-		off := (t*f.bits + b) * n
-		r0 := f.planes[off : off+n : off+n]
-		// Re-slicing everything to len(r0) lets the compiler drop the
-		// per-dimension bounds checks inside the loop.
-		r1 := f.planes[off+n : off+2*n : off+2*n][:len(r0)]
-		r2 := f.planes[off+2*n : off+3*n : off+3*n][:len(r0)]
-		r3 := f.planes[off+3*n : off+4*n : off+4*n][:len(r0)]
-		vs := v[:len(r0)]
-		var d0, d1, d2, d3 float64
-		for d, p0 := range r0 {
-			vv := vs[d]
-			d0 += p0 * vv
-			d1 += r1[d] * vv
-			d2 += r2[d] * vv
-			d3 += r3[d] * vv
-		}
-		if d0 >= 0 {
-			sig |= 1 << uint(b)
-		}
-		if d1 >= 0 {
-			sig |= 1 << uint(b+1)
-		}
-		if d2 >= 0 {
-			sig |= 1 << uint(b+2)
-		}
-		if d3 >= 0 {
-			sig |= 1 << uint(b+3)
-		}
-	}
-	for ; b < f.bits; b++ {
-		row := f.planeRow(t, b)
-		var dot float64
-		for d, p := range row {
-			dot += p * v[d]
-		}
-		if dot >= 0 {
-			sig |= 1 << uint(b)
-		}
-	}
-	return sig
 }
 
 // slotVec returns slot s's vector as a view into the arena.

@@ -7,8 +7,8 @@ import (
 )
 
 // The exact scan every index scores candidates with. A lookup first
-// gathers its candidate slots, then scanSlots scores them four at a time
-// with feature.SqDist4 and feeds a bounded top-k selector, abandoning
+// gathers its candidate slots, then scanSlots scores them eight at a time
+// with feature.SqDist4x2 and feeds a bounded top-k selector, abandoning
 // candidates that provably cannot be selected or be within the caller's
 // radius. A candidate whose partial sum exceeds the k-th best distance
 // so far would be refused by the selector, and one whose partial sum
@@ -47,8 +47,12 @@ func sqBound(radius float64) float64 {
 // candidate is slot cands[i], or slot i when cands is nil (a dense
 // arena scanned end to end). Candidates whose squared distance exceeds
 // limit2 are never offered; neither are those already worse than the
-// selector's current k-th best. Whole groups of four go through
-// feature.SqDist4, the up to three left over through feature.SqDist.
+// selector's current k-th best. Candidates go eight at a time through
+// feature.SqDist4x2, then a group of four through feature.SqDist4, the
+// up to three left over through feature.SqDist. Both groups of eight
+// share the bound taken before either is offered: a candidate the later
+// group keeps that a fresher bound would have dropped is worse than the
+// k-th best already held, so the selector refuses it.
 func scanSlots(q feature.Vector, arena []float64, dim int, slotID []ID, cands []int32, n int, sel *kSelector, limit2 float64) {
 	slot := func(i int) int32 {
 		if cands != nil {
@@ -66,18 +70,36 @@ func scanSlots(q feature.Vector, arena []float64, dim int, slotID []ID, cands []
 		}
 		sel.add(Neighbor{ID: slotID[s], Distance: d})
 	}
+	var (
+		group [8]int32
+		rows  [8][]float64
+		sums  [8]float64
+	)
 	i := 0
-	for ; i+4 <= n; i += 4 {
-		c0, c1, c2, c3 := slot(i), slot(i+1), slot(i+2), slot(i+3)
-		bound := math.Min(limit2, sel.bound())
-		d0, d1, d2, d3, ok := feature.SqDist4(q, row(c0), row(c1), row(c2), row(c3), bound)
-		if !ok {
-			continue
+	for ; i+8 <= n; i += 8 {
+		for j := range group {
+			group[j] = slot(i + j)
+			rows[j] = row(group[j])
 		}
-		offer(c0, d0)
-		offer(c1, d1)
-		offer(c2, d2)
-		offer(c3, d3)
+		ok0, ok1 := feature.SqDist4x2(q, &rows, math.Min(limit2, sel.bound()), &sums)
+		for j, ok := range [2]bool{ok0, ok1} {
+			if ok {
+				for l := 4 * j; l < 4*j+4; l++ {
+					offer(group[l], sums[l])
+				}
+			}
+		}
+	}
+	if i+4 <= n {
+		c0, c1, c2, c3 := slot(i), slot(i+1), slot(i+2), slot(i+3)
+		d0, d1, d2, d3, ok := feature.SqDist4(q, row(c0), row(c1), row(c2), row(c3), math.Min(limit2, sel.bound()))
+		if ok {
+			offer(c0, d0)
+			offer(c1, d1)
+			offer(c2, d2)
+			offer(c3, d3)
+		}
+		i += 4
 	}
 	for ; i < n; i++ {
 		c := slot(i)

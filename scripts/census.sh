@@ -3,7 +3,7 @@
 #
 #   bash scripts/census.sh          (or: make census)
 #
-# Builds every program — the four commands, the five examples and the
+# Builds every program — the commands, the five examples and the
 # end-to-end benchmark harness — with coverage over approxcache/..., runs
 # each through the fixed script below, and lists every function outside
 # cmd/, examples/ and benchmarks/ that no run entered, as "file func"
