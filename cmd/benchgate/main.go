@@ -81,9 +81,9 @@ var rows = []row{
 	{file: "BENCH_p2p.json", path: "points[*].compact.bytes_per_frame", cmp: ">", want: 0,
 		why: "the compact protocol put bytes on the wire at every bandwidth"},
 	{file: "BENCH_p2p.json", path: "bytes_reduction", cmp: ">=", want: 4.0,
-		why: "quantized codec + coalescing + gossip batching must keep wire bytes per frame this factor below the same workload replayed with compaction off at float64 width, at the most constrained link"},
+		why: "the quantized codec must keep wire bytes per frame this factor below the same exchanges priced with float64 vectors, at the most constrained link"},
 	{file: "BENCH_p2p.json", path: "hit_compact", cmp: ">=", wantPath: "hit_legacy",
-		why: "compression must not cost hits: peer hit rate at or above the compaction-off float64 pass's"},
+		why: "compression must not cost hits: peer hit rate at or above the float64 side's (priced from the same run, so equal by construction)"},
 }
 
 // hotpathFile is the record of the hot-path benchmarks; it is gated by
@@ -112,9 +112,8 @@ type budget struct {
 // cache serves it; a miss allocates only the 6 of the watchdog's call
 // deadline (goroutine, channel, timer), and the simulated classifier's
 // decision allocates nothing at any vocabulary size. One peer query
-// over three
-// in-process peers (client and services both) may allocate no more than
-// the 30 it did before the peer table was one record per peer.
+// over three in-process peers (client and services both) may allocate
+// no more than the 23 it measures.
 var hotpathBudgets = []budget{
 	{"HotPathNearest", 0},
 	{"HotPathNearestDescriptors", 0},
@@ -140,7 +139,7 @@ var hotpathBudgets = []budget{
 	{"HotPathEngineFrame/local", 0},
 	{"HotPathEngineFrame/dnn", 6},
 	{"HotPathClassifierDecide", 0},
-	{"HotPathQueryFrame", 30},
+	{"HotPathQueryFrame", 23},
 }
 
 // Result is one parsed benchmark line.

@@ -298,10 +298,6 @@ func printStats(cache *approxcache.Cache, client *approxcache.PeerClient) {
 		if ws := client.WireStats(); ws.SentMsgs > 0 || ws.RecvMsgs > 0 {
 			fmt.Printf("wire: sent %d msgs / %d B, recv %d msgs / %d B\n",
 				ws.SentMsgs, ws.SentBytes, ws.RecvMsgs, ws.RecvBytes)
-			if ws.CoalescedInFlight+ws.CoalescedCached > 0 || ws.Batches > 0 {
-				fmt.Printf("wire: coalesced %d in-flight + %d cached, %d gossip batches (avg %.1f items)\n",
-					ws.CoalescedInFlight, ws.CoalescedCached, ws.Batches, ws.AvgBatch())
-			}
 		}
 	}
 	ss := cache.StoreStats()

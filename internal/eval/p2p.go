@@ -14,22 +14,18 @@ import (
 	"approxcache/internal/simnet"
 )
 
-// E25 — bandwidth-constrained peer sharing. The comms stack (the wire
-// codec's int8 quantized vectors, query coalescing, gossip batching) is
-// measured on simulated links from a
-// fraction of the default 3 MB/s down, on deterministic links (no loss,
-// no jitter). Each bandwidth also replays the same workload with the
-// client's compaction off and prices that pass as a float64 protocol
-// would; cmd/benchgate gates bytes/frame against it, at no hit-rate
-// loss.
+// E25 — bandwidth-constrained peer sharing. The wire codec's int8
+// quantized vectors are measured on simulated links from a fraction of
+// the default 3 MB/s down, on deterministic links (no loss, no jitter).
+// Each bandwidth's exchanges are also priced as a float64 protocol would
+// send them; cmd/benchgate gates bytes/frame against that price.
 
 // The E25 workload's shape.
 const (
 	// p2pNodes is how many peer services populate the mesh.
 	p2pNodes = 4
 	// p2pSessions is how many pool sessions observe each scene frame:
-	// they issue the identical query vector, which is exactly the
-	// duplicate traffic coalescing exists to absorb.
+	// each asks the peers for the same query vector itself.
 	p2pSessions = 3
 	// p2pFrames is the scene-frame count per run (Scale.Frames when
 	// that is smaller).
@@ -59,28 +55,26 @@ type P2PResult struct {
 	SentBytes     int64   `json:"sent_bytes"`
 	RecvBytes     int64   `json:"recv_bytes"`
 	Messages      int64   `json:"messages"`
+	// Vectors is how many sent messages carried a feature vector:
+	// every query and gossip frame, retries included.
+	Vectors int64 `json:"vectors"`
 	// PeerHitRate is accepted peer answers over session-frames.
 	PeerHitRate float64 `json:"peer_hit_rate"`
 	// MeanLatencyMS / P95LatencyMS summarize per-session-frame peer
-	// query cost (coalesced replays cost zero — that is the point).
-	MeanLatencyMS     float64 `json:"mean_latency_ms"`
-	P95LatencyMS      float64 `json:"p95_latency_ms"`
-	CoalescedInFlight int64   `json:"coalesced_in_flight"`
-	CoalescedCached   int64   `json:"coalesced_cached"`
-	Batches           int64   `json:"batches"`
-	AvgBatchItems     float64 `json:"avg_batch_items"`
+	// query cost.
+	MeanLatencyMS float64 `json:"mean_latency_ms"`
+	P95LatencyMS  float64 `json:"p95_latency_ms"`
 }
 
 // P2PPoint is one bandwidth of the sweep.
 type P2PPoint struct {
 	BandwidthMBps float64   `json:"bandwidth_mbps"`
 	Compact       P2PResult `json:"compact"`
-	// Legacy is the same workload with the client's compaction off (no
-	// answer cache, every gossip sent alone), its sent bytes priced at
-	// float64 width: p2pFloat64Surcharge more per vector than the
-	// codec's.
-	Legacy P2PResult `json:"legacy"`
-	// BytesReduction is Legacy.BytesPerFrame over Compact.BytesPerFrame.
+	// Float64BytesPerFrame prices Compact's exchanges as a float64
+	// protocol would send them: the same messages, each vector
+	// p2pFloat64Surcharge bytes larger.
+	Float64BytesPerFrame float64 `json:"float64_bytes_per_frame"`
+	// BytesReduction is Float64BytesPerFrame over Compact.BytesPerFrame.
 	BytesReduction float64 `json:"bytes_reduction"`
 }
 
@@ -91,7 +85,10 @@ type P2PReport struct {
 	Frames   int        `json:"frames"`
 	Dim      int        `json:"dim"`
 	Points   []P2PPoint `json:"points"`
-	// Gate fields, measured at the most constrained bandwidth.
+	// Gate fields, measured at the most constrained bandwidth. The
+	// float64 side is priced from the same run, so HitLegacy is
+	// HitCompact; the codec's effect on hits is checked by the p2p
+	// package's quantized-vote differential test.
 	ConstrainedMBps float64 `json:"constrained_mbps"`
 	BytesReduction  float64 `json:"bytes_reduction"`
 	HitLegacy       float64 `json:"hit_legacy"`
@@ -156,10 +153,8 @@ func buildP2PWorkload(frames int, centers []feature.Vector, rng *rand.Rand) p2pW
 }
 
 // runP2PAt replays the workload on a fresh deterministic network at one
-// bandwidth. Without compaction the client keeps no answer cache and
-// sends every gossip alone, and each vector it sends is priced at
-// float64 width.
-func runP2PAt(seed int64, bwMBps float64, centers []feature.Vector, w p2pWorkload, compaction bool) (P2PResult, error) {
+// bandwidth.
+func runP2PAt(seed int64, bwMBps float64, centers []feature.Vector, w p2pWorkload) (P2PResult, error) {
 	var res P2PResult
 	link := simnet.LinkProfile{
 		Latency:      6 * time.Millisecond,
@@ -177,11 +172,6 @@ func runP2PAt(seed int64, bwMBps float64, centers []feature.Vector, w p2pWorkloa
 	}
 	ccfg := p2p.DefaultClientConfig()
 	ccfg.Clock = clock
-	if compaction {
-		ccfg.CoalesceTTL = 150 * time.Millisecond
-		ccfg.GossipBatch = 8
-		ccfg.GossipFlush = 500 * time.Millisecond
-	}
 	client, err := dial("main", net, ccfg)
 	if err != nil {
 		return res, err
@@ -218,24 +208,14 @@ func runP2PAt(seed int64, bwMBps float64, centers []feature.Vector, w p2pWorkloa
 			gossipIdx++
 		}
 	}
-	if _, err := client.FlushGossip(); err != nil {
-		return res, err
-	}
 
 	ws := client.WireStats()
 	res.SentBytes = ws.SentBytes
-	if !compaction {
-		vectors := ws.Kinds[p2p.KindQuery.String()].SentMsgs + ws.Kinds[p2p.KindGossip.String()].SentMsgs
-		res.SentBytes += vectors * p2pFloat64Surcharge
-	}
 	res.RecvBytes = ws.RecvBytes
 	res.Messages = ws.SentMsgs
+	res.Vectors = ws.Kinds[p2p.KindQuery.String()].SentMsgs + ws.Kinds[p2p.KindGossip.String()].SentMsgs
 	res.BytesPerFrame = float64(res.SentBytes+res.RecvBytes) / float64(sessionFrames)
 	res.PeerHitRate = float64(hits) / float64(sessionFrames)
-	res.CoalescedInFlight = ws.CoalescedInFlight
-	res.CoalescedCached = ws.CoalescedCached
-	res.Batches = ws.Batches
-	res.AvgBatchItems = ws.AvgBatch()
 	var total time.Duration
 	for _, c := range costs {
 		total += c
@@ -246,7 +226,8 @@ func runP2PAt(seed int64, bwMBps float64, centers []feature.Vector, w p2pWorkloa
 	return res, nil
 }
 
-// runP2P sweeps link bandwidth, replaying the same workload at each.
+// runP2P sweeps link bandwidth, replaying the same workload at each and
+// pricing each run's exchanges at float64 width.
 func runP2P(s Scale) (P2PReport, error) {
 	rng := rand.New(rand.NewSource(s.Seed))
 	centers := make([]feature.Vector, p2pNodes)
@@ -261,25 +242,26 @@ func runP2P(s Scale) (P2PReport, error) {
 		Frames:   len(w.queries),
 		Dim:      p2pDim,
 	}
+	sessionFrames := float64(len(w.queries) * p2pSessions)
 	for _, bw := range p2pBandwidths {
-		compact, err := runP2PAt(s.Seed, bw, centers, w, true)
-		var legacy P2PResult
-		if err == nil {
-			legacy, err = runP2PAt(s.Seed, bw, centers, w, false)
-		}
+		compact, err := runP2PAt(s.Seed, bw, centers, w)
 		if err != nil {
 			return P2PReport{}, fmt.Errorf("@ %.2f MB/s: %w", bw, err)
 		}
-		pt := P2PPoint{BandwidthMBps: bw, Compact: compact, Legacy: legacy}
+		pt := P2PPoint{
+			BandwidthMBps:        bw,
+			Compact:              compact,
+			Float64BytesPerFrame: float64(compact.SentBytes+compact.Vectors*p2pFloat64Surcharge+compact.RecvBytes) / sessionFrames,
+		}
 		if compact.BytesPerFrame > 0 {
-			pt.BytesReduction = legacy.BytesPerFrame / compact.BytesPerFrame
+			pt.BytesReduction = pt.Float64BytesPerFrame / compact.BytesPerFrame
 		}
 		report.Points = append(report.Points, pt)
 	}
 	gate := report.Points[0] // most constrained bandwidth
 	report.ConstrainedMBps = gate.BandwidthMBps
 	report.BytesReduction = gate.BytesReduction
-	report.HitLegacy = gate.Legacy.PeerHitRate
+	report.HitLegacy = gate.Compact.PeerHitRate
 	report.HitCompact = gate.Compact.PeerHitRate
 	return report, nil
 }
@@ -294,11 +276,11 @@ func E25P2PWire(s Scale) (Report, error) {
 		ID: "E25",
 		Title: fmt.Sprintf("Compact P2P wire protocol (%d peers, %d sessions, %d frames, dim %d)",
 			rep.Nodes, rep.Sessions, rep.Frames, rep.Dim),
-		Headers: []string{"bandwidth", "bytes/frame", "hit-rate", "mean-ms", "p95-ms", "coalesced", "batches", "float64-bytes/frame", "float64-hit-rate"},
+		Headers: []string{"bandwidth", "bytes/frame", "hit-rate", "mean-ms", "p95-ms", "float64-bytes/frame"},
 		Notes: []string{
-			"quantized codec + query coalescing + gossip batching; the float64 columns replay the same workload with compaction off, vectors priced at 8 B per component",
-			fmt.Sprintf("at %.2f MB/s: %.1fx fewer bytes/frame than the float64 pass, hit rate %.3f -> %.3f",
-				rep.ConstrainedMBps, rep.BytesReduction, rep.HitLegacy, rep.HitCompact),
+			"quantized codec; float64-bytes/frame prices the same exchanges with each vector at 8 B per component",
+			fmt.Sprintf("at %.2f MB/s: %.2fx fewer bytes/frame than float64 vectors, hit rate %.3f",
+				rep.ConstrainedMBps, rep.BytesReduction, rep.HitCompact),
 		},
 		Data: rep,
 	}
@@ -310,10 +292,7 @@ func E25P2PWire(s Scale) (Report, error) {
 			fmt.Sprintf("%.3f", m.PeerHitRate),
 			fmt.Sprintf("%.2f", m.MeanLatencyMS),
 			fmt.Sprintf("%.2f", m.P95LatencyMS),
-			fmt.Sprintf("%d", m.CoalescedInFlight+m.CoalescedCached),
-			fmt.Sprintf("%d", m.Batches),
-			fmt.Sprintf("%.1f", pt.Legacy.BytesPerFrame),
-			fmt.Sprintf("%.3f", pt.Legacy.PeerHitRate),
+			fmt.Sprintf("%.1f", pt.Float64BytesPerFrame),
 		})
 	}
 	return report, nil

@@ -19,28 +19,27 @@ func TestRunP2P(t *testing.T) {
 	if rep.BytesReduction < 4 {
 		t.Fatalf("bytes reduction = %.2fx, want >= 4x", rep.BytesReduction)
 	}
-	if rep.HitCompact < rep.HitLegacy {
-		t.Fatalf("compact hit rate %.3f dropped below legacy %.3f", rep.HitCompact, rep.HitLegacy)
+	if rep.HitCompact != rep.HitLegacy {
+		t.Fatalf("hit rates %.3f and %.3f; the float64 side is priced from the same run", rep.HitCompact, rep.HitLegacy)
 	}
 	if rep.HitCompact == 0 {
 		t.Fatal("peer hit rate is zero; workload is broken")
 	}
+	// Every session-frame's query and every gossip reaches every peer
+	// once on these lossless links, each carrying one vector; the other
+	// messages are the warm-up pings.
+	sessionFrames := rep.Frames * rep.Sessions
+	gossips := rep.Frames / p2pGossipEvery
 	pt := rep.Points[0]
-	if pt.Compact.CoalescedCached == 0 && pt.Compact.CoalescedInFlight == 0 {
-		t.Fatal("compact mode never coalesced despite duplicate sessions")
+	c := pt.Compact
+	if want := int64((sessionFrames + gossips) * rep.Nodes); c.Vectors != want || c.Messages != want+int64(rep.Nodes) {
+		t.Fatalf("%d vectors in %d messages, want %d vectors and %d pings", c.Vectors, c.Messages, want, rep.Nodes)
 	}
-	if pt.Compact.Batches == 0 {
-		t.Fatal("compact mode never batched gossip")
-	}
-	// The gated ratio divides by this run's own compaction-off pass.
-	legacy := pt.Legacy
-	if legacy.CoalescedCached+legacy.CoalescedInFlight != 0 || legacy.Batches != 0 {
-		t.Fatalf("compaction-off pass coalesced or batched: %+v", legacy)
-	}
-	want := float64(legacy.SentBytes+legacy.RecvBytes) / float64(rep.Frames*rep.Sessions)
-	if legacy.BytesPerFrame != want || rep.BytesReduction != want/pt.Compact.BytesPerFrame {
-		t.Fatalf("baseline %.2f B/frame, reduction %.2fx; the compaction-off pass moved %.2f B/frame",
-			legacy.BytesPerFrame, rep.BytesReduction, want)
+	// The float64 side is this run's bytes plus the surcharge per vector.
+	want := float64(c.SentBytes+c.RecvBytes+c.Vectors*p2pFloat64Surcharge) / float64(sessionFrames)
+	if pt.Float64BytesPerFrame != want || rep.BytesReduction != want/c.BytesPerFrame {
+		t.Fatalf("float64 side %.2f B/frame, reduction %.2fx; this run's bytes price at %.2f B/frame",
+			pt.Float64BytesPerFrame, rep.BytesReduction, want)
 	}
 }
 

@@ -18,36 +18,23 @@ type WireStats struct {
 	// Totals across all kinds.
 	SentMsgs, SentBytes int64
 	RecvMsgs, RecvBytes int64
-	// CoalescedInFlight counts queries answered by joining an
-	// identical in-flight exchange; CoalescedCached counts queries
-	// answered from the TTL'd peer-answer cache. Either way no bytes
-	// hit the wire.
+	// Deprecated: CoalescedInFlight, CoalescedCached, Batches and
+	// BatchedItems are always zero. They counted the peer client's
+	// in-flight query coalescing, its answer cache and its gossip
+	// batches, which are gone; the fields stay because the benchmark
+	// harness under benchmarks/ still reads them.
 	CoalescedInFlight, CoalescedCached int64
-	// Batches counts gossip flushes that went out as a batch message;
-	// BatchedItems is the total gossip items they carried.
-	Batches, BatchedItems int64
+	Batches, BatchedItems              int64
 }
 
-// AvgBatch returns the mean items per gossip batch (0 when none).
-func (s WireStats) AvgBatch() float64 {
-	if s.Batches == 0 {
-		return 0
-	}
-	return float64(s.BatchedItems) / float64(s.Batches)
-}
-
-// WireTally accumulates per-kind wire traffic and comms-optimization
-// counters for one protocol endpoint. Unlike the package-level Counter
-// vars, a tally is per-client/per-service state: multi-node experiments
-// run many endpoints in one process and must not mix their byte counts.
+// WireTally accumulates per-kind wire traffic for one protocol
+// endpoint. A tally is per-endpoint state: multi-node experiments run
+// many endpoints in one process and must not mix their byte counts.
 // The zero value is ready to use; all methods are safe for concurrent
 // use.
 type WireTally struct {
 	mu    sync.Mutex
 	kinds map[string]*WireKindStats
-
-	coalFlight, coalCached int64
-	batches, batchedItems  int64
 }
 
 func (t *WireTally) kind(name string) *WireKindStats {
@@ -80,39 +67,11 @@ func (t *WireTally) Recv(kind string, n int) {
 	t.mu.Unlock()
 }
 
-// CoalesceInFlight books a query answered by an in-flight duplicate.
-func (t *WireTally) CoalesceInFlight() {
-	t.mu.Lock()
-	t.coalFlight++
-	t.mu.Unlock()
-}
-
-// CoalesceCached books a query answered from the TTL answer cache.
-func (t *WireTally) CoalesceCached() {
-	t.mu.Lock()
-	t.coalCached++
-	t.mu.Unlock()
-}
-
-// ObserveBatch books one gossip batch flush of items entries.
-func (t *WireTally) ObserveBatch(items int) {
-	t.mu.Lock()
-	t.batches++
-	t.batchedItems += int64(items)
-	t.mu.Unlock()
-}
-
 // Snapshot returns a copy of the current totals.
 func (t *WireTally) Snapshot() WireStats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	s := WireStats{
-		Kinds:             make(map[string]WireKindStats, len(t.kinds)),
-		CoalescedInFlight: t.coalFlight,
-		CoalescedCached:   t.coalCached,
-		Batches:           t.batches,
-		BatchedItems:      t.batchedItems,
-	}
+	s := WireStats{Kinds: make(map[string]WireKindStats, len(t.kinds))}
 	for name, k := range t.kinds {
 		s.Kinds[name] = *k
 		s.SentMsgs += k.SentMsgs

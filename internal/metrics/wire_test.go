@@ -11,11 +11,6 @@ func TestWireTallyCounts(t *testing.T) {
 	w.Sent("query", 50)
 	w.Sent("gossip", 25)
 	w.Recv("query-resp", 10)
-	w.CoalesceInFlight()
-	w.CoalesceCached()
-	w.CoalesceCached()
-	w.ObserveBatch(4)
-	w.ObserveBatch(2)
 
 	s := w.Snapshot()
 	if s.SentMsgs != 3 || s.SentBytes != 175 {
@@ -26,15 +21,6 @@ func TestWireTallyCounts(t *testing.T) {
 	}
 	if q := s.Kinds["query"]; q.SentMsgs != 2 || q.SentBytes != 150 {
 		t.Fatalf("query kind = %+v", q)
-	}
-	if s.CoalescedInFlight != 1 || s.CoalescedCached != 2 {
-		t.Fatalf("coalesce = %d/%d", s.CoalescedInFlight, s.CoalescedCached)
-	}
-	if s.Batches != 2 || s.BatchedItems != 6 {
-		t.Fatalf("batches = %d items = %d", s.Batches, s.BatchedItems)
-	}
-	if got := s.AvgBatch(); got != 3 {
-		t.Fatalf("avg batch = %v", got)
 	}
 	// Snapshot is a copy: mutating the tally afterwards must not
 	// change it.
@@ -50,9 +36,6 @@ func TestWireTallyZeroValue(t *testing.T) {
 	if s.SentMsgs != 0 || s.RecvMsgs != 0 || len(s.Kinds) != 0 {
 		t.Fatalf("zero tally snapshot = %+v", s)
 	}
-	if got := s.AvgBatch(); got != 0 {
-		t.Fatalf("avg batch of no batches = %v", got)
-	}
 }
 
 func TestWireTallyConcurrent(t *testing.T) {
@@ -65,14 +48,12 @@ func TestWireTallyConcurrent(t *testing.T) {
 			for j := 0; j < 100; j++ {
 				w.Sent("query", 10)
 				w.Recv("query-resp", 5)
-				w.CoalesceCached()
-				w.ObserveBatch(2)
 			}
 		}()
 	}
 	wg.Wait()
 	s := w.Snapshot()
-	if s.SentMsgs != 800 || s.SentBytes != 8000 || s.CoalescedCached != 800 || s.BatchedItems != 1600 {
+	if s.SentMsgs != 800 || s.SentBytes != 8000 || s.RecvMsgs != 800 || s.RecvBytes != 4000 {
 		t.Fatalf("concurrent tally lost updates: %+v", s)
 	}
 }

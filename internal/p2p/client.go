@@ -43,48 +43,18 @@ type RemoteHit struct {
 // — k, the answer radius, gossip attempts, health smoothing and the
 // breaker's threshold, backoffs and jitter — is fixed (peertable.go).
 type ClientConfig struct {
-	// Clock drives breaker backoff, coalesce-cache expiry, and gossip
-	// flush timing. Nil selects the wall clock; experiments inject
-	// their virtual clock so these heal/expire in simulated time.
+	// Clock drives breaker backoff. Nil selects the wall clock;
+	// experiments inject their virtual clock so circuits heal in
+	// simulated time.
 	Clock simclock.Clock
-	// CoalesceTTL enables the peer-answer cache: a completed query
-	// outcome — positive or negative — is replayed at zero wire cost
-	// for identical vectors (same quantized code) arriving within the
-	// TTL, so pool sessions observing the same scene share one RTT.
-	// Zero disables the cache. In-flight coalescing (concurrent
-	// identical queries joining one exchange) is always on.
-	CoalesceTTL time.Duration
-	// GossipBatch coalesces outgoing gossip into batches of up to
-	// this many items per flush; <=1 sends each gossip immediately. A
-	// flush reaches each peer as one GossipBatch message.
-	GossipBatch int
-	// GossipFlush bounds how long a queued gossip item waits for its
-	// batch to fill (default 100ms when batching is enabled). Flushes
-	// are lazy — checked on enqueue and on each QueryFrame — or
-	// explicit via FlushGossip (E25 calls it after its last frame).
-	GossipFlush time.Duration
 	// DisableBreaker turns the circuit breaker off: every peer is
 	// always admitted and reads closed. The chaos and churn
 	// experiments' unguarded baselines set it.
 	DisableBreaker bool
 }
 
-// Validate reports whether the configuration is usable.
-func (c ClientConfig) Validate() error {
-	if c.CoalesceTTL < 0 {
-		return fmt.Errorf("p2p: CoalesceTTL must be non-negative, got %v", c.CoalesceTTL)
-	}
-	if c.GossipBatch < 0 || c.GossipBatch > MaxGossipBatch {
-		return fmt.Errorf("p2p: GossipBatch must be in [0,%d], got %d", MaxGossipBatch, c.GossipBatch)
-	}
-	if c.GossipFlush < 0 {
-		return fmt.Errorf("p2p: GossipFlush must be non-negative, got %v", c.GossipFlush)
-	}
-	return nil
-}
-
 // DefaultClientConfig returns the standard querying policy: wall clock,
-// no answer cache, unbatched gossip, breaker on.
+// breaker on.
 func DefaultClientConfig() ClientConfig { return ClientConfig{} }
 
 // Client queries and gossips to a set of peers over a Transport.
@@ -110,35 +80,10 @@ type Client struct {
 	rng               *rand.Rand // breaker jitter, drawn in trip order
 	trips, recoveries int
 	degraded          int
-	flights           map[string]*flight
-	answers           map[string]answerEntry
-	answerQ           []string
-	pending           []Gossip
-	due               time.Time
 }
-
-// flight is one in-progress peer-set query that concurrent identical
-// queries join instead of duplicating. out is written before done is
-// closed, so followers read it race-free.
-type flight struct {
-	done chan struct{}
-	out  QueryOutcome
-}
-
-// answerEntry is one TTL'd cached peer answer.
-type answerEntry struct {
-	out QueryOutcome
-	exp time.Time
-}
-
-// maxAnswerCache bounds the TTL answer cache.
-const maxAnswerCache = 512
 
 // NewClient builds a client over transport.
 func NewClient(cfg ClientConfig, transport Transport) (*Client, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	if transport == nil {
 		return nil, fmt.Errorf("p2p: nil transport")
 	}
@@ -152,8 +97,6 @@ func NewClient(cfg ClientConfig, transport Transport) (*Client, error) {
 		clock:     clock,
 		table:     make(map[string]*peer),
 		rng:       rand.New(rand.NewSource(1)),
-		flights:   make(map[string]*flight),
-		answers:   make(map[string]answerEntry),
 	}, nil
 }
 
@@ -167,8 +110,7 @@ func (c *Client) Close() error {
 	return nil
 }
 
-// WireStats returns this client's per-kind wire traffic and
-// coalescing/batching counters.
+// WireStats returns this client's per-kind wire traffic.
 func (c *Client) WireStats() metrics.WireStats { return c.wire.Snapshot() }
 
 // encBufPool recycles encode buffers for the peer hot path.
@@ -309,17 +251,7 @@ func (c *Client) Query(vec feature.Vector) (hit RemoteHit, cost time.Duration, f
 // timeout — the caller keeps the best answer that arrived in time
 // (fail partial, not fail total). When every peer is excluded the
 // query returns immediately with Degraded set.
-//
-// Identical queries coalesce: concurrent callers with the same
-// quantized vector code join one in-flight exchange, and (with
-// CoalesceTTL set) a completed outcome is replayed at zero cost for
-// the TTL — replays report Cost 0 and Queried 0, since nothing hit
-// the wire. Only the caller that leads the exchange claims half-open
-// probes, so a replay or a follower never strands one.
 func (c *Client) QueryFrame(vec feature.Vector, budget time.Duration) (QueryOutcome, error) {
-	c.flushDueGossip()
-	// The encoded request is also the coalescing key: two vectors share
-	// it exactly when they are indistinguishable on the wire.
 	bufp := getEncBuf()
 	defer putEncBuf(bufp)
 	req, encErr := AppendEncode(*bufp, Query{Vec: vec, K: queryK})
@@ -340,58 +272,10 @@ func (c *Client) QueryFrame(vec feature.Vector, budget time.Duration) (QueryOutc
 		c.mu.Unlock()
 		return QueryOutcome{}, fmt.Errorf("encode query: %w", encErr)
 	}
-	if e, ok := c.answers[string(req)]; ok { // only ever filled with CoalesceTTL on
-		if !now.After(e.exp) {
-			c.mu.Unlock()
-			c.wire.CoalesceCached()
-			return e.out, nil
-		}
-		delete(c.answers, string(req))
-	}
-	if fl, ok := c.flights[string(req)]; ok {
-		c.mu.Unlock()
-		<-fl.done
-		c.wire.CoalesceInFlight()
-		return fl.out, nil
-	}
-	key := string(req)
-	fl := &flight{done: make(chan struct{})}
-	c.flights[key] = fl
 	var buf [8]string
 	targets := c.admitLocked(buf[:0], now)
 	c.mu.Unlock()
-
-	fl.out = c.ask(req, budget, targets)
-	var exp time.Time
-	if c.cfg.CoalesceTTL > 0 {
-		exp = c.clock.Now().Add(c.cfg.CoalesceTTL)
-	}
-	// Publish the answer and retire the flight in one section: a caller
-	// arriving in between would find neither and ask the peers again.
-	c.mu.Lock()
-	if c.cfg.CoalesceTTL > 0 {
-		c.storeAnswerLocked(key, fl.out, exp)
-	}
-	delete(c.flights, key)
-	c.mu.Unlock()
-	close(fl.done)
-	return fl.out, nil
-}
-
-func (c *Client) storeAnswerLocked(key string, out QueryOutcome, exp time.Time) {
-	// Replays are free: nothing hits the wire, so the cached outcome
-	// carries no cost and counts no queried peers.
-	out.Cost = 0
-	out.Queried = 0
-	if _, exists := c.answers[key]; !exists {
-		if len(c.answerQ) >= maxAnswerCache {
-			oldest := c.answerQ[0]
-			c.answerQ = c.answerQ[1:]
-			delete(c.answers, oldest)
-		}
-		c.answerQ = append(c.answerQ, key)
-	}
-	c.answers[key] = answerEntry{out: out, exp: exp}
+	return c.ask(req, budget, targets), nil
 }
 
 // ask sends the encoded query req to each target in turn and keeps the

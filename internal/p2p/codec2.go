@@ -37,19 +37,6 @@ const wireMarker byte = 0xF2
 // wire marker: whatever the sender speaks, it is not this protocol.
 var ErrWireVersion = errors.New("p2p: unsupported wire version")
 
-// MaxGossipBatch bounds the items in one GossipBatch message.
-const MaxGossipBatch = 64
-
-// GossipBatch carries several coalesced gossip items in one frame, so a
-// burst of fresh inserts pays one message overhead per peer instead of
-// one per item.
-type GossipBatch struct {
-	Items []Gossip
-}
-
-// MsgKind implements Message.
-func (GossipBatch) MsgKind() Kind { return KindGossipBatch }
-
 // qcodePool recycles int8 scratch for encode-side quantization.
 var qcodePool = sync.Pool{
 	New: func() any { s := make([]int8, 0, 512); return &s },
@@ -149,8 +136,7 @@ func readString(b []byte) (string, []byte, error) {
 	return string(b[:n]), b[n:], nil
 }
 
-// appendGossipBody appends one gossip item's payload (shared by Gossip
-// and GossipBatch).
+// appendGossipBody appends one gossip item's payload.
 func appendGossipBody(b []byte, g Gossip) ([]byte, error) {
 	b, err := appendQuantVec(b, g.Vec)
 	if err != nil {
@@ -207,17 +193,6 @@ func AppendEncode(b []byte, m Message) ([]byte, error) {
 		return b, nil
 	case Gossip:
 		return appendGossipBody(b, v)
-	case GossipBatch:
-		if len(v.Items) > MaxGossipBatch {
-			return nil, fmt.Errorf("p2p: gossip batch of %d exceeds %d", len(v.Items), MaxGossipBatch)
-		}
-		b = binary.AppendUvarint(b, uint64(len(v.Items)))
-		for _, g := range v.Items {
-			if b, err = appendGossipBody(b, g); err != nil {
-				return nil, err
-			}
-		}
-		return b, nil
 	case Ack:
 		return b, nil
 	case Ping:
@@ -288,27 +263,6 @@ func Decode(b []byte) (Message, error) {
 			return nil, err
 		}
 		return g, nil
-	case KindGossipBatch:
-		n, rest, err := readUvarint(rest)
-		if err != nil {
-			return nil, err
-		}
-		if n > MaxGossipBatch {
-			return nil, fmt.Errorf("p2p: gossip batch declares %d items, max %d", n, MaxGossipBatch)
-		}
-		batch := GossipBatch{Items: make([]Gossip, 0, n)}
-		for i := uint64(0); i < n; i++ {
-			var g Gossip
-			g, rest, err = readGossipBody(rest)
-			if err != nil {
-				return nil, err
-			}
-			batch.Items = append(batch.Items, g)
-		}
-		if err := expectEmpty(rest); err != nil {
-			return nil, err
-		}
-		return batch, nil
 	case KindAck:
 		if err := expectEmpty(rest); err != nil {
 			return nil, err

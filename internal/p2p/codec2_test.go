@@ -45,10 +45,6 @@ func allKinds() []Message {
 		Ack{},
 		Ping{From: "node-a"},
 		Pong{From: "node-b", Entries: 12345},
-		GossipBatch{Items: []Gossip{
-			{Vec: feature.Vector{1, 2}, Label: "a", Confidence: 0.5, SavedCost: time.Second},
-			{Vec: feature.Vector{3, 4}, Label: "b", Confidence: 0.75},
-		}},
 	}
 }
 
@@ -90,16 +86,6 @@ func TestV2RoundTripAllKinds(t *testing.T) {
 		case Pong:
 			if got.(Pong) != want {
 				t.Fatalf("Pong %+v != %+v", got, want)
-			}
-		case GossipBatch:
-			g := got.(GossipBatch)
-			if len(g.Items) != len(want.Items) {
-				t.Fatalf("batch %d items", len(g.Items))
-			}
-			for i := range want.Items {
-				if g.Items[i].Label != want.Items[i].Label {
-					t.Fatalf("item %d label %q", i, g.Items[i].Label)
-				}
 			}
 		}
 	}
@@ -158,10 +144,10 @@ func TestV2CorruptFrames(t *testing.T) {
 	}
 }
 
-// retiredKindFrames are frames of the retired kinds 7 to 10 as the
-// deleted coverage-digest codec wrote them: full request and response,
-// delta request, a delta response, and one claiming an absurd removal
-// count.
+// retiredKindFrames are frames of the retired kinds 7 to 11 as the
+// deleted codecs wrote them: the coverage digest's full request and
+// response, delta request, a delta response and one claiming an absurd
+// removal count, then a two-item gossip batch.
 var retiredKindFrames = [][]byte{
 	{wireMarker, 0x07},
 	{wireMarker, 0x08, 0x02, 0x02, 0x3b, 0x81, 0x02, 0x04, 0x3f, 0x00, 0x00, 0x00, 0x7f, 0x81,
@@ -170,10 +156,15 @@ var retiredKindFrames = [][]byte{
 	{wireMarker, 0x0a, 0x89, 0x80, 0x80, 0x80, 0x80, 0x20, 0x00, 0x02, 0x03, 0x11, 0x01, 0x15,
 		0x02, 0x3b, 0x81, 0x02, 0x04, 0x00, 0x00, 0x00, 0x00, 0x7f, 0x81},
 	{wireMarker, 0x0a, 0x01, 0x00, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f},
+	{wireMarker, 0x0b, 0x02,
+		0x02, 0x3b, 0x81, 0x02, 0x04, 0x3f, 0xc0, 0x00, 0x00, 0x81, 0x7f, 0x01, 0x61,
+		0x3f, 0xe0, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, 0x94, 0xeb, 0xdc, 0x03,
+		0x02, 0x3b, 0x81, 0x02, 0x04, 0x40, 0x60, 0x00, 0x00, 0x81, 0x7f, 0x01, 0x62,
+		0x3f, 0xe8, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00},
 }
 
-// TestRetiredKindsUnknown: kinds 7 to 10 are unknown to Decode and to a
-// service, and the kind after them keeps its wire byte.
+// TestRetiredKindsUnknown: kinds 7 to 11 are unknown to Decode and to a
+// service, and have no name.
 func TestRetiredKindsUnknown(t *testing.T) {
 	svc := newService(t)
 	for _, frame := range retiredKindFrames {
@@ -186,10 +177,6 @@ func TestRetiredKindsUnknown(t *testing.T) {
 		if s := Kind(frame[1]).String(); s != fmt.Sprintf("Kind(%d)", frame[1]) {
 			t.Errorf("retired kind %d is named %q", frame[1], s)
 		}
-	}
-	b, err := Encode(GossipBatch{Items: []Gossip{{Vec: feature.Vector{1}, Label: "a", Confidence: 1}}})
-	if err != nil || KindGossipBatch != 11 || b[1] != 11 {
-		t.Fatalf("gossip batch kind %d encodes as % x, %v; want kind byte 11", KindGossipBatch, b, err)
 	}
 }
 
@@ -267,15 +254,6 @@ func TestGoldenFrames(t *testing.T) {
 		{Gossip{Vec: feature.Vector{-1, 1}, Label: "g", Confidence: 1, SavedCost: 33 * time.Millisecond},
 			[]byte{0xf2, 0x03, 0x02, 0x3c, 0x01, 0x02, 0x04, 0x00, 0x00, 0x00, 0x00, 0x81, 0x7f, 0x01, 0x67,
 				0x3f, 0xf0, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xc0, 0x94, 0xde, 0x0f}},
-		{GossipBatch{Items: []Gossip{
-			{Vec: feature.Vector{1, 2}, Label: "a", Confidence: 0.5, SavedCost: time.Second},
-			{Vec: feature.Vector{3, 4}, Label: "b", Confidence: 0.75},
-		}},
-			[]byte{0xf2, 0x0b, 0x02,
-				0x02, 0x3b, 0x81, 0x02, 0x04, 0x3f, 0xc0, 0x00, 0x00, 0x81, 0x7f, 0x01, 0x61,
-				0x3f, 0xe0, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, 0x94, 0xeb, 0xdc, 0x03,
-				0x02, 0x3b, 0x81, 0x02, 0x04, 0x40, 0x60, 0x00, 0x00, 0x81, 0x7f, 0x01, 0x62,
-				0x3f, 0xe8, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00}},
 	}
 	for _, tc := range cases {
 		got, err := Encode(tc.msg)

@@ -7,7 +7,7 @@ import (
 
 // FuzzDecode exercises the wire decoder with arbitrary bytes: it must
 // never panic, anything it accepts must re-encode and re-decode to the
-// same kind (round-trip stability), a retired kind (7 to 10) is always
+// same kind (round-trip stability), a retired kind (7 to 11) is always
 // ErrUnknownKind, and anything that does not open with the wire marker
 // must be rejected as ErrWireVersion by Decode and by a service alike,
 // unbooked.
@@ -24,7 +24,7 @@ func FuzzDecode(f *testing.F) {
 	for _, ff := range foreignFrames {
 		f.Add(ff.frame)
 	}
-	// The retired kinds 7 to 10 in marker framing.
+	// The retired kinds 7 to 11 in marker framing.
 	for _, frame := range retiredKindFrames {
 		f.Add(frame)
 	}
@@ -45,7 +45,7 @@ func FuzzDecode(f *testing.F) {
 			}
 			return
 		}
-		if len(data) > 1 && data[1] >= 7 && data[1] <= 10 && !errors.Is(err, ErrUnknownKind) {
+		if len(data) > 1 && data[1] >= 7 && data[1] <= 11 && !errors.Is(err, ErrUnknownKind) {
 			t.Fatalf("retired kind %d: Decode = %v, %v", data[1], msg, err)
 		}
 		if err != nil {

@@ -30,14 +30,10 @@ const (
 	KindAck
 	KindPing
 	KindPong
-	// 7 to 10 stay retired (they were coverage-digest requests and
-	// responses, full and then delta; no node fetched a digest) so
-	// KindGossipBatch keeps its wire byte. They decode as ErrUnknownKind.
-	_
-	_
-	_
-	_
-	KindGossipBatch
+	// 7 to 11 are retired: 7 to 10 were coverage-digest requests and
+	// responses, full and then delta (no node fetched a digest), 11 a
+	// batch of gossip items (no client queued gossip). Frames of those
+	// kinds decode as ErrUnknownKind.
 )
 
 // String returns the kind name.
@@ -55,8 +51,6 @@ func (k Kind) String() string {
 		return "ping"
 	case KindPong:
 		return "pong"
-	case KindGossipBatch:
-		return "gossip-batch"
 	default:
 		return fmt.Sprintf("Kind(%d)", uint8(k))
 	}

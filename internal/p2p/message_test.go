@@ -27,13 +27,12 @@ func roundTrip(t *testing.T, m Message) Message {
 func TestKindString(t *testing.T) {
 	// WireStats.Kinds is keyed by these spellings.
 	names := map[Kind]string{
-		KindQuery:       "query",
-		KindQueryResp:   "query-resp",
-		KindGossip:      "gossip",
-		KindAck:         "ack",
-		KindPing:        "ping",
-		KindPong:        "pong",
-		KindGossipBatch: "gossip-batch",
+		KindQuery:     "query",
+		KindQueryResp: "query-resp",
+		KindGossip:    "gossip",
+		KindAck:       "ack",
+		KindPing:      "ping",
+		KindPong:      "pong",
 	}
 	for k, want := range names {
 		if k.String() != want {

@@ -368,42 +368,11 @@ func TestClientGossipRetryBound(t *testing.T) {
 	}
 }
 
-// TestClientCachedReplayClaimsNoProbe: a query answered from the TTL
-// cache sends nothing, so it must not claim a half-open probe — a
-// claimed probe that is never sent is never resolved, and every later
-// query would find the peer refused and degrade for good.
-func TestClientCachedReplayClaimsNoProbe(t *testing.T) {
-	cl, _, net, clock := newResilientCluster(t, 1, func(c *ClientConfig) { c.CoalesceTTL = time.Hour })
-	cached := feature.Vector{0, 1}
-	if out, err := cl.QueryFrame(cached, 0); err != nil || out.Queried != 1 {
-		t.Fatalf("first query: %+v, %v", out, err)
-	}
-	net.Crash("peer-a")
-	for i := 0; i < failureThreshold; i++ {
-		cl.QueryFrame(feature.Vector{1, float64(i)}, 0)
-	}
-	if got := peerHealth(t, cl, "peer-a").State; got != StateOpen {
-		t.Fatalf("peer-a state = %v, want open", got)
-	}
-	net.Restart("peer-a")
-	clock.Advance(301 * time.Millisecond)
-	if out, err := cl.QueryFrame(cached, 0); err != nil || out.Queried != 0 || out.Degraded {
-		t.Fatalf("replay = %+v, %v; want served from the cache", out, err)
-	}
-	out, err := cl.QueryFrame(feature.Vector{1, 5}, 0)
-	if err != nil || out.Queried != 1 || out.Degraded {
-		t.Fatalf("fresh vector after the replay: %+v, %v; want the peer asked", out, err)
-	}
-	if got := peerHealth(t, cl, "peer-a").State; got != StateClosed {
-		t.Fatalf("peer-a state = %v, want closed after the probe", got)
-	}
-}
-
-// TestClientFollowerClaimsNoProbe: of two concurrent identical queries
-// only the one that leads the exchange may claim a half-open probe. A
-// follower that claimed one would join the leader's flight and never
-// send it. Each trial races the pair while peer-b is due a probe, then
-// checks that a fresh vector reaches both peers.
+// TestClientFollowerClaimsNoProbe: two concurrent identical queries
+// must not strand a half-open probe — a query that claims one must send
+// it, or the peer stays refused for good. Each trial races the pair
+// while peer-b is due a probe, then checks that a fresh vector reaches
+// both peers.
 func TestClientFollowerClaimsNoProbe(t *testing.T) {
 	cl, _, net, clock := newResilientCluster(t, 2)
 	for trial := 0; trial < 500; trial++ {
@@ -459,7 +428,7 @@ func TestClientPeerTableConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	clock := simclock.NewVirtual(t0)
-	cl, err := NewClient(ClientConfig{Clock: clock, CoalesceTTL: 50 * time.Millisecond, GossipBatch: 4}, tr)
+	cl, err := NewClient(ClientConfig{Clock: clock}, tr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -125,29 +125,6 @@ func (s *Service) HandlePing(Ping) Pong {
 	return Pong{From: s.cfg.Name, Entries: uint32(s.store.Len())}
 }
 
-// HandleGossipBatch admits each item of a coalesced gossip batch. Item
-// failures are independent — a batch is only an error when every item
-// fails, mirroring gossip's fire-and-forget semantics.
-func (s *Service) HandleGossipBatch(b GossipBatch) error {
-	if len(b.Items) == 0 {
-		return nil
-	}
-	var firstErr error
-	failed := 0
-	for _, g := range b.Items {
-		if err := s.HandleGossip(g); err != nil {
-			failed++
-			if firstErr == nil {
-				firstErr = err
-			}
-		}
-	}
-	if failed == len(b.Items) {
-		return fmt.Errorf("gossip batch: all %d items failed: %w", failed, firstErr)
-	}
-	return nil
-}
-
 // HandleRaw decodes payload, dispatches to the matching handler, and
 // encodes the response. It is the single entry point transports call;
 // its signature (modulo the from argument's type) matches
@@ -174,11 +151,6 @@ func (s *Service) HandleRawAppend(from string, payload []byte, buf []byte) ([]by
 		resp = r
 	case Gossip:
 		if err := s.HandleGossip(m); err != nil {
-			return nil, err
-		}
-		resp = Ack{}
-	case GossipBatch:
-		if err := s.HandleGossipBatch(m); err != nil {
 			return nil, err
 		}
 		resp = Ack{}
