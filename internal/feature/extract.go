@@ -157,9 +157,9 @@ func (h HistogramExtractor) Extract(im *vision.Image) (Vector, error) {
 	return h.ExtractInto(im, nil)
 }
 
-// ExtractInto computes the histogram into dst: the 256 levels are
-// counted, then level k folds into bin ⌊k·bins/255⌋, white into the last
-// (for 16 and 32 bins, k>>4 and k>>3).
+// ExtractInto computes the histogram into dst: level k counts into bin
+// ⌊k·bins/255⌋, white into the last (countBins), and each count is
+// divided by the number of pixels.
 func (h HistogramExtractor) ExtractInto(im *vision.Image, dst Vector) (Vector, error) {
 	if h.Bins <= 0 {
 		return nil, fmt.Errorf("feature: bins must be positive, got %d", h.Bins)
@@ -167,23 +167,8 @@ func (h HistogramExtractor) ExtractInto(im *vision.Image, dst Vector) (Vector, e
 	if len(im.Pix) == 0 {
 		return nil, fmt.Errorf("feature: empty image")
 	}
-	// Neighbouring pixels tend to share a level, and an increment waits
-	// for the previous store to the same counter: alternate pixels count
-	// into separate arrays.
-	var even, odd [vision.MaxLevel + 1]int32
-	pix, i := im.Pix, 0
-	for ; i+1 < len(pix); i += 2 {
-		even[pix[i]]++
-		odd[pix[i+1]]++
-	}
-	if i < len(pix) {
-		even[pix[i]]++
-	}
 	out := sizedBuf(dst, h.Bins)
-	clear(out)
-	for k := range even {
-		out[min(k*h.Bins/vision.MaxLevel, h.Bins-1)] += float64(even[k] + odd[k])
-	}
+	countBins(out, im.Pix)
 	n := float64(len(im.Pix))
 	for i := range out {
 		out[i] /= n

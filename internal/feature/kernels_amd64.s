@@ -217,20 +217,139 @@ oneDrop:
 	VZEROUPPER
 	RET
 
-// func cpuid(eax, ecx uint32) (a, b, c, d uint32)
-TEXT ·cpuid(SB), NOSPLIT, $0-24
-	MOVL eax+0(FP), AX
-	MOVL ecx+4(FP), CX
-	CPUID
-	MOVL AX, a+8(FP)
-	MOVL BX, b+12(FP)
-	MOVL CX, c+16(FP)
-	MOVL DX, d+20(FP)
-	RET
+// The histogram kernel. A pixel's bin is its byte shifted right
+// (VPSRLW on 16-bit words, then VPAND with 0xff>>shift to drop the bits
+// the high byte shifts into the low one). A pass counts 8 bins, base to
+// base+7, into Y0–Y7: Y8 is a vector of 32 bins less base, VPCMPEQB
+// against binBytes<> row j sets a byte to −1 where it equals j, and
+// VPSUBB subtracts that from Yj, one byte lane per pixel position. A
+// lane gains at most one per vector, so after at most 255 vectors it
+// has not wrapped; then VPSADBW against zero sums each 8 lanes into a
+// 64-bit one, the four are added into counts[base+j], and the lanes
+// start again from zero.
 
-// func xgetbv0() uint32
-TEXT ·xgetbv0(SB), NOSPLIT, $0-4
-	XORL CX, CX
-	XGETBV
-	MOVL AX, ret+0(FP)
+// binBytes<> row j (32 bytes at 32·j) is j in every byte.
+DATA binBytes<>+0x00(SB)/8, $0x0000000000000000
+DATA binBytes<>+0x08(SB)/8, $0x0000000000000000
+DATA binBytes<>+0x10(SB)/8, $0x0000000000000000
+DATA binBytes<>+0x18(SB)/8, $0x0000000000000000
+DATA binBytes<>+0x20(SB)/8, $0x0101010101010101
+DATA binBytes<>+0x28(SB)/8, $0x0101010101010101
+DATA binBytes<>+0x30(SB)/8, $0x0101010101010101
+DATA binBytes<>+0x38(SB)/8, $0x0101010101010101
+DATA binBytes<>+0x40(SB)/8, $0x0202020202020202
+DATA binBytes<>+0x48(SB)/8, $0x0202020202020202
+DATA binBytes<>+0x50(SB)/8, $0x0202020202020202
+DATA binBytes<>+0x58(SB)/8, $0x0202020202020202
+DATA binBytes<>+0x60(SB)/8, $0x0303030303030303
+DATA binBytes<>+0x68(SB)/8, $0x0303030303030303
+DATA binBytes<>+0x70(SB)/8, $0x0303030303030303
+DATA binBytes<>+0x78(SB)/8, $0x0303030303030303
+DATA binBytes<>+0x80(SB)/8, $0x0404040404040404
+DATA binBytes<>+0x88(SB)/8, $0x0404040404040404
+DATA binBytes<>+0x90(SB)/8, $0x0404040404040404
+DATA binBytes<>+0x98(SB)/8, $0x0404040404040404
+DATA binBytes<>+0xa0(SB)/8, $0x0505050505050505
+DATA binBytes<>+0xa8(SB)/8, $0x0505050505050505
+DATA binBytes<>+0xb0(SB)/8, $0x0505050505050505
+DATA binBytes<>+0xb8(SB)/8, $0x0505050505050505
+DATA binBytes<>+0xc0(SB)/8, $0x0606060606060606
+DATA binBytes<>+0xc8(SB)/8, $0x0606060606060606
+DATA binBytes<>+0xd0(SB)/8, $0x0606060606060606
+DATA binBytes<>+0xd8(SB)/8, $0x0606060606060606
+DATA binBytes<>+0xe0(SB)/8, $0x0707070707070707
+DATA binBytes<>+0xe8(SB)/8, $0x0707070707070707
+DATA binBytes<>+0xf0(SB)/8, $0x0707070707070707
+DATA binBytes<>+0xf8(SB)/8, $0x0707070707070707
+GLOBL binBytes<>(SB), RODATA|NOPTR, $256
+
+// COUNT(off, acc) adds one to the lanes of acc where Y8 equals the bin
+// of binBytes<> row off/32. Clobbers Y9.
+#define COUNT(off, acc) \
+	VPCMPEQB binBytes<>+off(SB), Y8, Y9; \
+	VPSUBB Y9, acc, acc
+
+// FLUSH(acc, accx, off) adds the 32 byte lanes of acc to the count at
+// byte offset off of this pass's counts (DI+R9), and zeroes acc.
+// Clobbers Y9, Y15 and BX.
+#define FLUSH(acc, accx, off) \
+	VPSADBW Y13, acc, acc; \
+	VEXTRACTI128 $1, acc, X9; \
+	VPADDQ X9, accx, X9; \
+	VPSHUFD $0x4e, X9, X15; \
+	VPADDQ X15, X9, X9; \
+	VMOVQ X9, BX; \
+	ADDQ BX, off(DI)(R9*1); \
+	VPXOR acc, acc, acc
+
+// func histBinsAVX2(pix []uint8, shift uint64, counts []uint64)
+TEXT ·histBinsAVX2(SB), NOSPLIT, $0-56
+	MOVQ pix_base+0(FP), SI
+	MOVQ pix_len+8(FP), DX
+	MOVQ shift+24(FP), CX
+	MOVQ counts_base+32(FP), DI
+	MOVQ counts_len+40(FP), R8
+	SHLQ $3, R8 // R8 = bytes of counts
+	VMOVQ CX, X12 // the shift count
+	MOVL $0xff, BX
+	SHRL CX, BX
+	VMOVQ BX, X10
+	VPBROADCASTB X10, Y10 // Y10 = 0xff>>shift in every byte
+	MOVL $8, BX
+	VMOVQ BX, X14
+	VPBROADCASTB X14, Y14 // Y14 = 8 in every byte
+	VPXOR Y13, Y13, Y13
+	VPXOR Y11, Y11, Y11 // Y11 = this pass's base bin in every byte
+	XORQ R9, R9 // R9 = byte offset of this pass's counts
+	VPXOR Y0, Y0, Y0
+	VPXOR Y1, Y1, Y1
+	VPXOR Y2, Y2, Y2
+	VPXOR Y3, Y3, Y3
+	VPXOR Y4, Y4, Y4
+	VPXOR Y5, Y5, Y5
+	VPXOR Y6, Y6, Y6
+	VPXOR Y7, Y7, Y7
+
+pass:
+	XORQ AX, AX
+
+// A chunk is at most 255 vectors: R10 is where it ends.
+chunk:
+	LEAQ 8160(AX), R10
+	CMPQ R10, DX
+	CMOVQGT DX, R10
+
+vec:
+	VMOVDQU (SI)(AX*1), Y8
+	VPSRLW X12, Y8, Y8
+	VPAND Y10, Y8, Y8
+	VPSUBB Y11, Y8, Y8
+	COUNT(0x00, Y0)
+	COUNT(0x20, Y1)
+	COUNT(0x40, Y2)
+	COUNT(0x60, Y3)
+	COUNT(0x80, Y4)
+	COUNT(0xa0, Y5)
+	COUNT(0xc0, Y6)
+	COUNT(0xe0, Y7)
+	ADDQ $32, AX
+	CMPQ AX, R10
+	JNE vec
+
+	FLUSH(Y0, X0, 0)
+	FLUSH(Y1, X1, 8)
+	FLUSH(Y2, X2, 16)
+	FLUSH(Y3, X3, 24)
+	FLUSH(Y4, X4, 32)
+	FLUSH(Y5, X5, 40)
+	FLUSH(Y6, X6, 48)
+	FLUSH(Y7, X7, 56)
+	CMPQ AX, DX
+	JNE chunk
+
+	VPADDB Y14, Y11, Y11
+	ADDQ $64, R9
+	CMPQ R9, R8
+	JNE pass
+	VZEROUPPER
 	RET

@@ -1,10 +1,14 @@
 package feature
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
+
+	"approxcache/internal/cpu"
+	"approxcache/internal/vision"
 )
 
 // distInput decodes a fuzz input into a query, eight rows of the same
@@ -82,7 +86,7 @@ func sameFloatBits(a, b float64) bool {
 // on both must return the sums, the ok flags and, where a group gave
 // up, the partial sums of sqDist4From run from dimension 0.
 func FuzzDistKernels(f *testing.F) {
-	if !hasAVX2 {
+	if !cpu.HasAVX2 {
 		f.Skip("host has no AVX2: SqDist4 and SqDist4x2 run the Go chains alone, nothing to compare")
 	}
 	rng := rand.New(rand.NewSource(1))
@@ -129,4 +133,43 @@ func FuzzDistKernels(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestLevelFold: for every bin count from 1 to 256, and a few beyond,
+// the Go kernel puts level k in bin min(⌊k·bins/255⌋, bins−1), and so
+// does countBins on 33 pixels of one level, whose first 32 go through
+// the AVX2 kernel on a host that has it, for the bin counts it takes
+// (where levelShift's shift stands in for the division).
+func TestLevelFold(t *testing.T) {
+	if !cpu.HasAVX2 {
+		t.Log("host has no AVX2: checking the Go kernel alone")
+	}
+	kernels := []struct {
+		name  string
+		count func([]float64, []uint8)
+	}{{"countLevels", countLevels}, {"countBins", countBins}}
+	sizes := []int{257, 384, 512}
+	for bins := 1; bins <= vision.MaxLevel+1; bins++ {
+		sizes = append(sizes, bins)
+	}
+	for _, bins := range sizes {
+		out := make([]float64, bins)
+		for k := 0; k <= vision.MaxLevel; k++ {
+			want := min(k*bins/vision.MaxLevel, bins-1)
+			for _, pix := range [][]uint8{{uint8(k)}, bytes.Repeat([]byte{uint8(k)}, 33)} {
+				for _, kn := range kernels {
+					kn.count(out, pix)
+					for b, c := range out {
+						w := 0.0
+						if b == want {
+							w = float64(len(pix))
+						}
+						if c != w {
+							t.Fatalf("%d bins, %d pixels of level %d: %s puts %v in bin %d, want %v", bins, len(pix), k, kn.name, c, b, w)
+						}
+					}
+				}
+			}
+		}
+	}
 }

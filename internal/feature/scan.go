@@ -1,5 +1,7 @@
 package feature
 
+import "approxcache/internal/cpu"
+
 // The exact distance kernels every nearest-neighbour scan in the tree
 // scores with: the LSH indexes' candidate scan and the simulated DNN's
 // prototype search. Both sum squared differences in ascending dimension
@@ -26,7 +28,7 @@ const ScanBlock = 16
 // which score the final partial block and every block elsewhere.
 func SqDist4(q, a0, a1, a2, a3 []float64, bound float64) (s0, s1, s2, s3 float64, ok bool) {
 	n := 0
-	if hasAVX2 {
+	if cpu.HasAVX2 {
 		n = len(q) &^ (ScanBlock - 1)
 	}
 	if n > 0 {
@@ -47,7 +49,7 @@ func SqDist4(q, a0, a1, a2, a3 []float64, bound float64) (s0, s1, s2, s3 float64
 // is bound by.
 func SqDist4x2(q []float64, rows *[8][]float64, bound float64, s *[8]float64) (ok0, ok1 bool) {
 	n := 0
-	if hasAVX2 {
+	if cpu.HasAVX2 {
 		n = len(q) &^ (ScanBlock - 1)
 	}
 	if n > 0 {
@@ -102,11 +104,6 @@ func sqDist4From(q, a0, a1, a2, a3 []float64, base int, s0, s1, s2, s3, bound fl
 	}
 	return s0, s1, s2, s3, true
 }
-
-// HasAVX2 reports whether this process runs the AVX2 kernels, chosen
-// once at start-up from CPUID: this package's distance kernels and the
-// LSH signature kernel (internal/lsh).
-func HasAVX2() bool { return hasAVX2 }
 
 // SqDist is SqDist4 for a single vector: the same ascending-order sum,
 // the same abandon test after every ScanBlock dimensions, without

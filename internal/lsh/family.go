@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"approxcache/internal/cpu"
 	"approxcache/internal/feature"
 )
 
@@ -87,7 +88,7 @@ func (f *hashFamily) project(v feature.Vector, sigs []uint64) {
 	if n := (len(f.planes)/(f.dim*planeBlock) + 3) / 4; n > len(buf) {
 		words = make([]uint64, n)
 	}
-	if hasAVX2 {
+	if cpu.HasAVX2 {
 		signBlocksAVX2(v, f.planes, words)
 	} else {
 		signBlocksGo(v, f.planes, words)

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"approxcache/internal/cpu"
 	"approxcache/internal/feature"
 )
 
@@ -175,7 +176,7 @@ func TestSharedFamilyConcurrentStress(t *testing.T) {
 // components, whose NaN or signed-zero dot products decide a bit as
 // plainly as any other.
 func TestSignatureKernelsMatchPlanes(t *testing.T) {
-	if !hasAVX2 {
+	if !cpu.HasAVX2 {
 		t.Log("host has no AVX2: checking the Go kernel alone")
 	}
 	specials := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
@@ -204,7 +205,7 @@ func TestSignatureKernelsMatchPlanes(t *testing.T) {
 			}
 			goWords := make([]uint64, nwords)
 			signBlocksGo(v, f.planes, goWords)
-			if hasAVX2 {
+			if cpu.HasAVX2 {
 				asmWords := make([]uint64, nwords)
 				signBlocksAVX2(v, f.planes, asmWords)
 				if !slices.Equal(asmWords, goWords) {

@@ -18,6 +18,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"approxcache/internal/cpu"
 )
 
 // MaxLevel is the brightest 8-bit luma value: a pixel p has intensity
@@ -126,12 +128,19 @@ const (
 )
 
 // absDiffSum returns Σ|a[i]−b[i]| over at most diffBlock pixels; b is
-// at least as long as a. Sixteen pixels go through two 64-bit words at a
-// time (SWAR): each word's even and odd bytes spread into 16-bit lanes,
+// at least as long as a. On an AVX2 host the whole 32-pixel chunks run
+// in assembly (absDiffSumAVX2, one VPSADBW each). The pixels after
+// them, and on other hosts all of them, go sixteen at a time through
+// two 64-bit words (SWAR): each word's even and odd bytes spread into 16-bit lanes,
 // where 256+a−b forms without a borrow between lanes, and absLanes
 // turns it into |a−b|.
 func absDiffSum(a, b []uint8) int {
 	b = b[:len(a)]
+	var sum int
+	if n := len(a) &^ 31; n > 0 && cpu.HasAVX2 {
+		sum = absDiffSumAVX2(a[:n], b[:n])
+		a, b = a[n:], b[n:]
+	}
 	var lanes uint64
 	for len(a) >= 16 {
 		a0, b0 := binary.LittleEndian.Uint64(a), binary.LittleEndian.Uint64(b)
@@ -143,7 +152,7 @@ func absDiffSum(a, b []uint8) int {
 		a, b = a[16:], b[16:]
 	}
 	// Multiplying by laneOne adds the four lanes into the top one.
-	sum := int(lanes * laneOne >> 48)
+	sum += int(lanes * laneOne >> 48)
 	for i, p := range a {
 		sum += max(int(p)-int(b[i]), int(b[i])-int(p))
 	}
