@@ -1,7 +1,7 @@
 // Chaos harness: replays one device's workload against a peer set that
-// crashes mid-session and heals later, per a scheduled FaultPlan, and
-// windows the per-frame results into pre-crash / crash / post-heal
-// phases. E18 and the acceptance chaos test both run on it.
+// crashes mid-session and restarts later, and windows the per-frame
+// results into pre-crash / crash / post-heal phases. E18 and the
+// acceptance chaos test both run on it.
 package eval
 
 import (
@@ -17,14 +17,13 @@ import (
 	"approxcache/internal/trace"
 )
 
-// Chaos phase windows, delimited by the fault plan's crash and heal
-// offsets.
+// Chaos phase windows, delimited by the crash and heal offsets.
 const (
 	// phasePre is before every peer crashes.
 	phasePre = iota
 	// phaseCrash is while every peer is down.
 	phaseCrash
-	// phaseHeal is after the scheduled heal.
+	// phaseHeal is after every peer restarts.
 	phaseHeal
 	chaosPhases
 )
@@ -68,7 +67,8 @@ type chaosResult struct {
 	// Baseline is the same device and workload with no peers at all —
 	// the latency the pipeline owes regardless of the network.
 	Baseline [chaosPhases]chaosPhase
-	// Run is the device under test: peers attached, fault plan active.
+	// Run is the device under test: peers attached, crashed and
+	// restarted.
 	Run [chaosPhases]chaosPhase
 	// Health is the client's final health snapshot: per-peer state,
 	// breaker trips and recoveries, degraded queries.
@@ -76,11 +76,11 @@ type chaosResult struct {
 }
 
 // runChaos warms chaosPeers peer caches on the main device's exact
-// workload, then replays the main device while a FaultScheduler crashes
-// every peer ~40% in and restarts them ~70% in (offsets on the
-// workload's arrival timeline). A no-peers baseline run of the same
-// workload provides the reference latency per phase. guarded selects
-// the default breaker and chaosBudget; unguarded disables both.
+// workload, then replays the main device, crashing every peer ~40% in
+// and restarting them ~70% in (offsets on the workload's arrival
+// timeline). A no-peers baseline run of the same workload provides the
+// reference latency per phase. guarded selects the default breaker and
+// chaosBudget; unguarded disables both.
 func runChaos(s Scale, guarded bool) (chaosResult, error) {
 	if s.Frames < chaosMinFrames {
 		return chaosResult{}, fmt.Errorf("eval: chaos needs ≥ %d frames, got %d", chaosMinFrames, s.Frames)
@@ -111,20 +111,20 @@ func runChaos(s Scale, guarded bool) (chaosResult, error) {
 	crashAt := baseDev.work.Frames[s.Frames*2/5].Offset
 	healAt := baseDev.work.Frames[s.Frames*7/10].Offset
 
-	// window replays dev's whole workload on its arrival timeline,
-	// ticking sched (if any) before each frame, and windows the results
-	// by the clock a frame starts at: its arrival, or later when the
-	// previous frame ran past it.
-	window := func(dev *device, sched *simnet.FaultScheduler) ([chaosPhases]chaosPhase, error) {
+	// window replays dev's whole workload on its arrival timeline and
+	// windows the results by the clock a frame starts at: its arrival,
+	// or later when the previous frame ran past it. Before the first
+	// frame at or past phaseCrash every peer crashes, and before the
+	// first at phaseHeal every peer restarts; a frame that jumps from
+	// pre straight to heal does both, leaving them up.
+	window := func(dev *device, net *simnet.Network, peers []string) ([chaosPhases]chaosPhase, error) {
 		var sums [chaosPhases]time.Duration
 		var phases [chaosPhases]chaosPhase
 		start, phase := dev.clock.Now(), phasePre
+		crashed, restarted := false, false
 		err := dev.replay(hooks{
 			pin: true,
 			before: func(int, *frameInput) error {
-				if sched != nil {
-					sched.Tick()
-				}
 				switch elapsed := dev.clock.Now().Sub(start); {
 				case elapsed < crashAt:
 					phase = phasePre
@@ -132,6 +132,18 @@ func runChaos(s Scale, guarded bool) (chaosResult, error) {
 					phase = phaseCrash
 				default:
 					phase = phaseHeal
+				}
+				if phase >= phaseCrash && !crashed {
+					crashed = true
+					for _, p := range peers {
+						net.Crash(simnet.NodeID(p))
+					}
+				}
+				if phase == phaseHeal && !restarted {
+					restarted = true
+					for _, p := range peers {
+						net.Restart(simnet.NodeID(p))
+					}
 				}
 				return nil
 			},
@@ -154,13 +166,13 @@ func runChaos(s Scale, guarded bool) (chaosResult, error) {
 		}
 		return phases, err
 	}
-	if out.Baseline, err = window(baseDev, nil); err != nil {
+	if out.Baseline, err = window(baseDev, nil, nil); err != nil {
 		return chaosResult{}, err
 	}
 
 	// Faulted run: warm peers first (identical workload, so their
 	// caches cover exactly what the main device will ask), then replay
-	// the main device under the fault plan.
+	// the main device while they crash and restart.
 	clock := simclock.NewVirtual(time.Unix(0, 0))
 	net, err := simnet.New(simnet.LinkProfile{
 		Latency: 5 * time.Millisecond, BandwidthBps: 1 << 20,
@@ -169,7 +181,6 @@ func runChaos(s Scale, guarded bool) (chaosResult, error) {
 		return chaosResult{}, err
 	}
 	net.SetDeadCost(chaosDeadCost)
-	var plan simnet.FaultPlan
 	peerNames := make([]string, chaosPeers)
 	for i := range peerNames {
 		peerNames[i] = fmt.Sprintf("peer-%d", i)
@@ -182,10 +193,6 @@ func runChaos(s Scale, guarded bool) (chaosResult, error) {
 		if err := peer.replay(hooks{}); err != nil {
 			return chaosResult{}, err
 		}
-		plan = append(plan,
-			simnet.FaultEvent{At: crashAt, Kind: simnet.FaultCrash, Node: simnet.NodeID(peerNames[i])},
-			simnet.FaultEvent{At: healAt, Kind: simnet.FaultRestart, Node: simnet.NodeID(peerNames[i])},
-		)
 	}
 	ccfg := p2p.DefaultClientConfig()
 	ccfg.DisableBreaker = !guarded
@@ -202,11 +209,7 @@ func runChaos(s Scale, guarded bool) (chaosResult, error) {
 		return chaosResult{}, err
 	}
 	dev.client.SetPeers(peerNames)
-	sched, err := simnet.NewFaultScheduler(net, clock, plan)
-	if err != nil {
-		return chaosResult{}, err
-	}
-	if out.Run, err = window(dev, sched); err != nil {
+	if out.Run, err = window(dev, net, peerNames); err != nil {
 		return chaosResult{}, err
 	}
 	out.Health = dev.client.Health()

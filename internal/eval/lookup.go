@@ -197,10 +197,10 @@ func timeLookupPair(queries []feature.Vector, radius float64, reps int, a, b rad
 }
 
 // runLookup measures the flat scan and the shipped index at every
-// population size: 256 queries and 30 timed passes, or 128 queries and
+// population size: 256 queries and 150 timed passes, or 128 queries and
 // 8 passes at a small scale.
 func runLookup(s Scale) (LookupReport, error) {
-	queries, reps := 256, 30
+	queries, reps := 256, 150
 	if s.small() {
 		queries, reps = 128, 8
 	}

@@ -192,7 +192,6 @@ func TestClassify(t *testing.T) {
 	}{
 		{nil, ErrClassNone},
 		{simnet.ErrLost, ErrClassLost},
-		{fmt.Errorf("wrap: %w", simnet.ErrPartitioned), ErrClassUnreachable},
 		{fmt.Errorf("wrap: %w", simnet.ErrCrashed), ErrClassUnreachable},
 		{fmt.Errorf("wrap: %w", simnet.ErrUnknownNode), ErrClassUnreachable},
 		{fmt.Errorf("budget: %w", ErrBudgetExceeded), ErrClassTimeout},

@@ -48,7 +48,7 @@ func (c *Client) sendGossipPayload(name string, payload []byte) (time.Duration, 
 			return cost, true
 		}
 		// Only transient loss is worth a retry; a crashed or
-		// partitioned peer fails the same way immediately.
+		// unreachable peer fails the same way immediately.
 		if !errors.Is(err, simnet.ErrLost) {
 			break
 		}

@@ -24,8 +24,8 @@ const (
 	// ErrClassTimeout marks an exchange that exceeded its deadline or
 	// the per-frame peer budget.
 	ErrClassTimeout
-	// ErrClassUnreachable marks a peer that is crashed, partitioned, or
-	// unknown to the network.
+	// ErrClassUnreachable marks a peer that is crashed, unknown to the
+	// network, or refuses the connection.
 	ErrClassUnreachable
 	// ErrClassBadResponse marks a response that failed to decode or
 	// carried an unexpected message kind.
@@ -71,9 +71,7 @@ func Classify(err error) ErrClass {
 		return ErrClassTimeout
 	case errors.Is(err, simnet.ErrLost):
 		return ErrClassLost
-	case errors.Is(err, simnet.ErrPartitioned),
-		errors.Is(err, simnet.ErrCrashed),
-		errors.Is(err, simnet.ErrUnknownNode):
+	case errors.Is(err, simnet.ErrCrashed), errors.Is(err, simnet.ErrUnknownNode):
 		return ErrClassUnreachable
 	case errors.Is(err, ErrTruncated), errors.Is(err, ErrUnknownKind),
 		errors.Is(err, ErrFrameTooLarge), errors.Is(err, ErrWireVersion),

@@ -43,13 +43,33 @@ func TestRosterRefreshMarksAlive(t *testing.T) {
 	}
 }
 
+// fartherTransport adds extra to the round trip of every call to peer.
+type fartherTransport struct {
+	Transport
+	peer  string
+	extra time.Duration
+}
+
+func (f fartherTransport) Call(peer string, req []byte) ([]byte, time.Duration, error) {
+	resp, rtt, err := f.Transport.Call(peer, req)
+	if peer == f.peer {
+		rtt += f.extra
+	}
+	return resp, rtt, err
+}
+
 func TestRosterBestPrefersWarmPeers(t *testing.T) {
-	cl, services, net := newSimCluster(t, 5)
+	_, services, net := newSimCluster(t, 5)
 	warm(t, services[3], 3) // peer-d: warmest
 	warm(t, services[1], 1) // peer-b and peer-c tie on entries...
 	warm(t, services[2], 1)
 	// ...and peer-c is farther, so peer-b's lower RTT ranks it first.
-	if err := net.SetLinkFault("self", "peer-c", 2*time.Millisecond, 0); err != nil {
+	tr, err := NewSimnetTransport("self", net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := NewClient(DefaultClientConfig(), fartherTransport{tr, "peer-c", 2 * time.Millisecond})
+	if err != nil {
 		t.Fatal(err)
 	}
 	// peer-a and peer-e tie on entries and RTT: name decides. Empty

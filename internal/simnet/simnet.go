@@ -27,14 +27,12 @@ var (
 	ErrUnknownNode = errors.New("simnet: unknown node")
 	// ErrLost is returned when a message is dropped by link loss.
 	ErrLost = errors.New("simnet: message lost")
-	// ErrPartitioned is returned when the two nodes are disconnected.
-	ErrPartitioned = errors.New("simnet: nodes partitioned")
-	// ErrCrashed is returned when the destination node is crashed by
-	// fault injection (registered, but down).
+	// ErrCrashed is returned when the destination node is crashed
+	// (registered, but down).
 	ErrCrashed = errors.New("simnet: node crashed")
 )
 
-// LinkProfile describes one directed link's cost model.
+// LinkProfile describes the cost model every link shares.
 type LinkProfile struct {
 	// Latency is the one-way propagation delay.
 	Latency time.Duration
@@ -80,42 +78,26 @@ type Handler func(from NodeID, req []byte) (resp []byte, err error)
 // Network is a registry of nodes joined by lossy, delayed links.
 // Network is safe for concurrent use.
 type Network struct {
-	defaultLink LinkProfile
+	link LinkProfile
 
-	mu        sync.Mutex
-	rng       *rand.Rand
-	nodes     map[NodeID]Handler
-	links     map[[2]NodeID]LinkProfile
-	cut       map[[2]NodeID]bool
-	crashed   map[NodeID]bool
-	corrupt   map[NodeID]bool
-	linkFault map[[2]NodeID]faultOverlay
-	nodeFault map[NodeID]faultOverlay
-	deadCost  time.Duration
+	mu       sync.Mutex
+	rng      *rand.Rand
+	nodes    map[NodeID]Handler
+	crashed  map[NodeID]bool
+	deadCost time.Duration
 }
 
-// faultOverlay is injected link degradation stacked on a link profile.
-type faultOverlay struct {
-	extraLatency time.Duration
-	extraLoss    float64
-}
-
-// New builds a network whose unconfigured links use def, seeding all
-// stochastic behaviour (jitter, loss) from seed.
+// New builds a network whose links all use def, seeding all stochastic
+// behaviour (jitter, loss) from seed.
 func New(def LinkProfile, seed int64) (*Network, error) {
 	if err := def.Validate(); err != nil {
 		return nil, err
 	}
 	return &Network{
-		defaultLink: def,
-		rng:         rand.New(rand.NewSource(seed)),
-		nodes:       make(map[NodeID]Handler),
-		links:       make(map[[2]NodeID]LinkProfile),
-		cut:         make(map[[2]NodeID]bool),
-		crashed:     make(map[NodeID]bool),
-		corrupt:     make(map[NodeID]bool),
-		linkFault:   make(map[[2]NodeID]faultOverlay),
-		nodeFault:   make(map[NodeID]faultOverlay),
+		link:    def,
+		rng:     rand.New(rand.NewSource(seed)),
+		nodes:   make(map[NodeID]Handler),
+		crashed: make(map[NodeID]bool),
 	}, nil
 }
 
@@ -141,35 +123,8 @@ func (n *Network) Unregister(id NodeID) {
 	delete(n.nodes, id)
 }
 
-// SetLink overrides the profile of the directed link a→b.
-func (n *Network) SetLink(a, b NodeID, p LinkProfile) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.links[[2]NodeID{a, b}] = p
-	return nil
-}
-
-// Partition cuts both directions between a and b.
-func (n *Network) Partition(a, b NodeID) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.cut[[2]NodeID{a, b}] = true
-	n.cut[[2]NodeID{b, a}] = true
-}
-
-// Heal restores both directions between a and b.
-func (n *Network) Heal(a, b NodeID) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	delete(n.cut, [2]NodeID{a, b})
-	delete(n.cut, [2]NodeID{b, a})
-}
-
 // SetDeadCost sets the simulated time a caller wastes before giving up
-// on an unreachable (unregistered or partitioned) node — the timeout a
+// on an unreachable (unregistered or crashed) node — the timeout a
 // real radio pays for a stale peer list. Zero (the default) makes dead
 // calls fail instantly.
 func (n *Network) SetDeadCost(d time.Duration) {
@@ -181,35 +136,39 @@ func (n *Network) SetDeadCost(d time.Duration) {
 	n.deadCost = d
 }
 
-// linkFor returns the profile of a→b with any injected fault overlays
-// (per-link, plus per-node on either endpoint) applied.
-func (n *Network) linkFor(a, b NodeID) LinkProfile {
-	p, ok := n.links[[2]NodeID{a, b}]
-	if !ok {
-		p = n.defaultLink
-	}
-	apply := func(o faultOverlay) {
-		p.Latency += o.extraLatency
-		p.LossProb += o.extraLoss
-	}
-	if o, ok := n.linkFault[[2]NodeID{a, b}]; ok {
-		apply(o)
-	}
-	if o, ok := n.nodeFault[a]; ok {
-		apply(o)
-	}
-	if o, ok := n.nodeFault[b]; ok && b != a {
-		apply(o)
-	}
-	if p.LossProb > maxInjectedLoss {
-		p.LossProb = maxInjectedLoss
-	}
-	return p
+// Crash takes node id down: calls and sends to it fail with ErrCrashed
+// (after the configured dead cost), as if the process died. The
+// handler registration is retained so Restart brings it back.
+func (n *Network) Crash(id NodeID) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.crashed[id] = true
 }
 
-// oneWayCost draws the simulated delay for size bytes over p, or ErrLost.
-// Caller holds n.mu.
-func (n *Network) oneWayCost(p LinkProfile, size int) (time.Duration, error) {
+// Restart brings a crashed node back up.
+func (n *Network) Restart(id NodeID) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	delete(n.crashed, id)
+}
+
+// reach returns to's handler, or the dead cost and error an exchange
+// with an unregistered or crashed node ends in. Caller holds n.mu.
+func (n *Network) reach(to NodeID) (Handler, time.Duration, error) {
+	h, ok := n.nodes[to]
+	if !ok {
+		return nil, n.deadCost, fmt.Errorf("%w: %q", ErrUnknownNode, to)
+	}
+	if n.crashed[to] {
+		return nil, n.deadCost, fmt.Errorf("%w: %q", ErrCrashed, to)
+	}
+	return h, 0, nil
+}
+
+// oneWayCost draws the simulated delay for size bytes over the link, or
+// ErrLost. Caller holds n.mu.
+func (n *Network) oneWayCost(size int) (time.Duration, error) {
+	p := n.link
 	if n.rng.Float64() < p.LossProb {
 		return 0, ErrLost
 	}
@@ -234,24 +193,12 @@ func (n *Network) oneWayCost(p LinkProfile, size int) (time.Duration, error) {
 // (one-way cost so far).
 func (n *Network) Call(from, to NodeID, req []byte) (resp []byte, rtt time.Duration, err error) {
 	n.mu.Lock()
-	h, ok := n.nodes[to]
-	if !ok {
-		dead := n.deadCost
+	h, dead, err := n.reach(to)
+	if err != nil {
 		n.mu.Unlock()
-		return nil, dead, fmt.Errorf("%w: %q", ErrUnknownNode, to)
+		return nil, dead, err
 	}
-	if n.crashed[to] {
-		dead := n.deadCost
-		n.mu.Unlock()
-		return nil, dead, fmt.Errorf("%w: %q", ErrCrashed, to)
-	}
-	if n.cut[[2]NodeID{from, to}] {
-		dead := n.deadCost
-		n.mu.Unlock()
-		return nil, dead, fmt.Errorf("%w: %q↔%q", ErrPartitioned, from, to)
-	}
-	fwd := n.linkFor(from, to)
-	fwdCost, fwdErr := n.oneWayCost(fwd, len(req))
+	fwdCost, fwdErr := n.oneWayCost(len(req))
 	n.mu.Unlock()
 	if fwdErr != nil {
 		return nil, fwdCost, fwdErr
@@ -263,11 +210,7 @@ func (n *Network) Call(from, to NodeID, req []byte) (resp []byte, rtt time.Durat
 	}
 
 	n.mu.Lock()
-	if n.corrupt[to] {
-		resp = corruptPayload(resp)
-	}
-	rev := n.linkFor(to, from)
-	revCost, revErr := n.oneWayCost(rev, len(resp))
+	revCost, revErr := n.oneWayCost(len(resp))
 	n.mu.Unlock()
 	if revErr != nil {
 		return nil, fwdCost + revCost, revErr
@@ -279,24 +222,12 @@ func (n *Network) Call(from, to NodeID, req []byte) (resp []byte, rtt time.Durat
 // simulated delay. The handler's response payload is discarded.
 func (n *Network) Send(from, to NodeID, payload []byte) (time.Duration, error) {
 	n.mu.Lock()
-	h, ok := n.nodes[to]
-	if !ok {
-		dead := n.deadCost
+	h, dead, err := n.reach(to)
+	if err != nil {
 		n.mu.Unlock()
-		return dead, fmt.Errorf("%w: %q", ErrUnknownNode, to)
+		return dead, err
 	}
-	if n.crashed[to] {
-		dead := n.deadCost
-		n.mu.Unlock()
-		return dead, fmt.Errorf("%w: %q", ErrCrashed, to)
-	}
-	if n.cut[[2]NodeID{from, to}] {
-		dead := n.deadCost
-		n.mu.Unlock()
-		return dead, fmt.Errorf("%w: %q↔%q", ErrPartitioned, from, to)
-	}
-	p := n.linkFor(from, to)
-	cost, err := n.oneWayCost(p, len(payload))
+	cost, err := n.oneWayCost(len(payload))
 	n.mu.Unlock()
 	if err != nil {
 		return cost, err

@@ -125,57 +125,6 @@ func TestLossyLinkEventuallyLoses(t *testing.T) {
 	}
 }
 
-func TestPartitionAndHeal(t *testing.T) {
-	n, err := New(lossless(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Register("b", echoHandler("")); err != nil {
-		t.Fatal(err)
-	}
-	n.Partition("a", "b")
-	if _, _, err := n.Call("a", "b", nil); !errors.Is(err, ErrPartitioned) {
-		t.Fatalf("err = %v", err)
-	}
-	if _, err := n.Send("b", "a", nil); !errors.Is(err, ErrPartitioned) {
-		// Send to "a" fails on unknown node first; register it.
-		if !errors.Is(err, ErrUnknownNode) {
-			t.Fatalf("err = %v", err)
-		}
-	}
-	n.Heal("a", "b")
-	if _, _, err := n.Call("a", "b", nil); err != nil {
-		t.Fatalf("after heal: %v", err)
-	}
-}
-
-func TestSetLinkOverridesLatency(t *testing.T) {
-	n, err := New(lossless(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Register("b", echoHandler("")); err != nil {
-		t.Fatal(err)
-	}
-	slow := LinkProfile{Latency: 100 * time.Millisecond}
-	if err := n.SetLink("a", "b", slow); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.SetLink("b", "a", slow); err != nil {
-		t.Fatal(err)
-	}
-	_, rtt, err := n.Call("a", "b", []byte("x"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rtt < 200*time.Millisecond {
-		t.Fatalf("rtt = %v, want >= 200ms", rtt)
-	}
-	if err := n.SetLink("a", "b", LinkProfile{LossProb: -1}); err == nil {
-		t.Fatal("invalid link accepted")
-	}
-}
-
 func TestTransmissionTimeScalesWithSize(t *testing.T) {
 	p := LinkProfile{BandwidthBps: 1000} // 1 KB/s: 1000 bytes = 1 s
 	n, err := New(p, 1)
@@ -260,17 +209,56 @@ func TestDeadCost(t *testing.T) {
 	if !errors.Is(err, ErrUnknownNode) || rtt != 100*time.Millisecond {
 		t.Fatalf("dead call: rtt=%v err=%v", rtt, err)
 	}
-	n.Partition("a", "b")
-	_, rtt, err = n.Call("a", "b", nil)
-	if !errors.Is(err, ErrPartitioned) || rtt != 100*time.Millisecond {
-		t.Fatalf("partitioned call: rtt=%v err=%v", rtt, err)
+	if cost, err := n.Send("a", "ghost", nil); !errors.Is(err, ErrUnknownNode) || cost != 100*time.Millisecond {
+		t.Fatalf("dead send: cost=%v err=%v", cost, err)
 	}
-	if cost, err := n.Send("a", "b", nil); !errors.Is(err, ErrPartitioned) || cost != 100*time.Millisecond {
-		t.Fatalf("partitioned send: cost=%v err=%v", cost, err)
+	n.Crash("b")
+	_, rtt, err = n.Call("a", "b", nil)
+	if !errors.Is(err, ErrCrashed) || rtt != 100*time.Millisecond {
+		t.Fatalf("crashed call: rtt=%v err=%v", rtt, err)
+	}
+	if cost, err := n.Send("a", "b", nil); !errors.Is(err, ErrCrashed) || cost != 100*time.Millisecond {
+		t.Fatalf("crashed send: cost=%v err=%v", cost, err)
 	}
 	n.SetDeadCost(-time.Second) // clamps to 0
 	if _, rtt, _ := n.Call("a", "ghost", nil); rtt != 0 {
 		t.Fatalf("negative dead cost not clamped: %v", rtt)
+	}
+}
+
+func TestCrashAndRestart(t *testing.T) {
+	n, err := New(lossless(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Register("b", echoHandler("echo:")); err != nil {
+		t.Fatal(err)
+	}
+	n.SetDeadCost(80 * time.Millisecond)
+	n.Crash("b")
+	if !n.crashed["b"] {
+		t.Fatal("Crashed not reported")
+	}
+	if _, rtt, err := n.Call("a", "b", []byte("hi")); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("call err = %v", err)
+	} else if rtt != 80*time.Millisecond {
+		t.Fatalf("crashed call cost %v, want dead cost", rtt)
+	}
+	if cost, err := n.Send("a", "b", []byte("hi")); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("send err = %v", err)
+	} else if cost != 80*time.Millisecond {
+		t.Fatalf("crashed send cost %v, want dead cost", cost)
+	}
+	n.Restart("b")
+	if n.crashed["b"] {
+		t.Fatal("restart did not clear crash")
+	}
+	resp, _, err := n.Call("a", "b", []byte("hi"))
+	if err != nil || string(resp) != "echo:hi" {
+		t.Fatalf("post-restart call: %q, %v", resp, err)
+	}
+	if _, err := n.Send("a", "b", []byte("hi")); err != nil {
+		t.Fatalf("post-restart send: %v", err)
 	}
 }
 
