@@ -12,7 +12,7 @@ REPORTS = throughput:E20 overload:E21 lookup:E22 quality:E23 p2p:E25
 # How long `make fuzz` runs each fuzz target.
 FUZZTIME ?= 3s
 
-.PHONY: check build test race vet fmt bench gate bench-e2e-test fault-matrix fuzz census pairs
+.PHONY: check build test race vet fmt bench gate bench-e2e-test fault-matrix fuzz census census-blocks pairs
 
 # Every step `make check` runs, in order.
 CHECKS = vet fmt test race bench-e2e-test gate fault-matrix fuzz census
@@ -107,13 +107,21 @@ fuzz:
 	done; \
 	echo "fuzz: $$n targets passed"
 
-# Function census: build every program (commands, examples, the
-# benchmark harness) with coverage, run each through a fixed script and
-# fail on any function outside cmd/, examples/ and benchmarks/ that no
-# run entered unless testdata/knobs/unreached.txt (or test-only-funcs.txt)
-# gives the reason it stays. Works in a directory of its own (mktemp -d).
+# Census: build every program (commands, examples, the benchmark
+# harness) with coverage, run each through a fixed script and fail on
+# any function outside cmd/, examples/ and benchmarks/ that no run
+# entered unless testdata/knobs/unreached.txt (or test-only-funcs.txt)
+# gives the reason it stays, and on any block no run executed inside a
+# function that ran, in the packages scripts/census.sh gates, unless
+# testdata/knobs/unreached-blocks.txt does. Works in a directory of its
+# own (mktemp -d).
 census:
 	@GO=$(GO) bash scripts/census.sh
+
+# The same run, printing first the statements no program runs, per
+# package, and every unexecuted block inside a function that ran.
+census-blocks:
+	@GO=$(GO) bash scripts/census.sh -blocks
 
 # Paired end-to-end runs of this checkout against REV (a commit, usually
 # the parent): seeds 1…N of each workload, alternating which side goes

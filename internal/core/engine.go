@@ -46,10 +46,12 @@ const (
 	ModeExactCache
 	// ModeApprox is the full approximate-caching pipeline.
 	ModeApprox
-	// ModeNaiveSkip reuses the last result unconditionally and runs
-	// the DNN only every naiveSkipEvery-th frame. It matches the approx
-	// pipeline's inference budget without any sensing, so it isolates
-	// what the gates buy: reuse that *stops* at scene changes.
+	// ModeNaiveSkip reuses the last result unconditionally for
+	// MaxReuseStreak frames and then runs the DNN, the point at which
+	// the approx pipeline's streak forces a revalidation. It matches
+	// the approx pipeline's best-case inference budget without any
+	// sensing, so it isolates what the gates buy: reuse that *stops* at
+	// scene changes.
 	ModeNaiveSkip
 )
 
@@ -80,10 +82,6 @@ const (
 	lookupEnergyMJ  = 0.3
 )
 
-// naiveSkipEvery is ModeNaiveSkip's period: it infers on every 20th
-// frame and reuses the last result on the others.
-const naiveSkipEvery = 20
-
 // Config parameterizes an Engine.
 type Config struct {
 	// Mode selects the strategy (default ModeApprox).
@@ -109,9 +107,10 @@ type Config struct {
 	// reuse-served frames the pipeline forces a fresh inference (a
 	// quality-control revalidation), so one wrong inference cannot
 	// poison an unbounded run of reused results. Zero disables the
-	// bound. The default (20) keeps the DNN running on ~5% of frames
+	// bound. The default (20) keeps the DNN running on one frame in 21
 	// in the best case — the source of the "up to ~94%" latency
-	// reduction ceiling.
+	// reduction ceiling. ModeNaiveSkip reuses for exactly this many
+	// frames between inferences.
 	MaxReuseStreak int
 	// PeerBudget caps the time a frame may spend waiting on the P2P
 	// gate. Peer answers arriving later are discarded (the peer is
@@ -468,6 +467,13 @@ func (e *Engine) ProcessRecord(im *vision.Image, imuWindow []imu.Sample, truth s
 	res.Latency, res.EnergyMJ = f.rec.Totals()
 	e.finish(res, truth != "" && res.Label == truth)
 	return res, nil
+}
+
+// streakSpent reports whether MaxReuseStreak frames in a row have been
+// served by reuse, so that this frame must be inferred afresh. e.mu is
+// held.
+func (e *Engine) streakSpent() bool {
+	return e.cfg.MaxReuseStreak > 0 && e.streak >= e.cfg.MaxReuseStreak
 }
 
 // finish books a served frame and makes it the last result.

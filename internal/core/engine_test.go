@@ -210,7 +210,8 @@ func TestExactCacheHitsIdenticalFramesOnly(t *testing.T) {
 }
 
 func TestNaiveSkipMode(t *testing.T) {
-	f := newFixture(t, Config{Mode: ModeNaiveSkip}, nil)
+	const streak = 20
+	f := newFixture(t, Config{Mode: ModeNaiveSkip, MaxReuseStreak: streak}, nil)
 	p0, err := f.classes.Prototype(0)
 	if err != nil {
 		t.Fatal(err)
@@ -219,10 +220,10 @@ func TestNaiveSkipMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every naiveSkipEvery-th frame infers, the rest reuse, whatever the
-	// scene: p0 once, then p1.
+	// One frame in streak+1 infers, the rest reuse, whatever the scene:
+	// p0 once, then p1.
 	var sources, want []metrics.Source
-	for i := 0; i <= 2*naiveSkipEvery; i++ {
+	for i := 0; i <= 2*(streak+1); i++ {
 		im := p1
 		if i == 0 {
 			im = p0
@@ -232,7 +233,7 @@ func TestNaiveSkipMode(t *testing.T) {
 			t.Fatal(err)
 		}
 		sources = append(sources, res.Source)
-		if i%naiveSkipEvery == 0 {
+		if i%(streak+1) == 0 {
 			want = append(want, metrics.SourceDNN)
 		} else {
 			want = append(want, metrics.SourceVideo)
@@ -247,7 +248,7 @@ func TestNaiveSkipMode(t *testing.T) {
 }
 
 func TestNaiveSkipBlindReuseIsWrongAcrossScenes(t *testing.T) {
-	f := newFixture(t, Config{Mode: ModeNaiveSkip}, nil)
+	f := newFixture(t, Config{Mode: ModeNaiveSkip, MaxReuseStreak: 20}, nil)
 	p0, err := f.classes.Prototype(0)
 	if err != nil {
 		t.Fatal(err)

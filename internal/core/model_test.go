@@ -320,6 +320,14 @@ type refExtractor struct{}
 func (refExtractor) Dim() int     { return 80 }
 func (refExtractor) Name() string { return "ref-grid8x8+hist16" }
 
+func (r refExtractor) ExtractInto(im *vision.Image, dst feature.Vector) (feature.Vector, error) {
+	v, err := r.Extract(im)
+	if err != nil {
+		return nil, err
+	}
+	return append(dst[:0], v...), nil
+}
+
 func (refExtractor) Extract(im *vision.Image) (feature.Vector, error) {
 	if !im.WellFormed() || im.W < 8 || im.H < 8 {
 		return nil, fmt.Errorf("ref extractor: unusable frame")

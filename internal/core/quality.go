@@ -263,7 +263,7 @@ func (qc *qualityController) runAudit(e *Engine, im *vision.Image, guarded bool,
 		needVec = qc.store.QuarantineStats().Active > 0
 	}
 	if needVec {
-		if vec, verr := feature.ExtractInto(e.cfg.Extractor, im, nil); verr == nil {
+		if vec, verr := e.cfg.Extractor.ExtractInto(im, nil); verr == nil {
 			if !agree {
 				e.healAfterRefute(im, vec, inf.Label, inf.Confidence, inf.Latency)
 			}

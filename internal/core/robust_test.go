@@ -396,7 +396,8 @@ func TestWatchdogRetriesTransientError(t *testing.T) {
 // The naive-skip baseline has no cache: a due inference during an
 // outage repeats the last answer at reduced confidence.
 func TestNaiveSkipDegradesToLastResult(t *testing.T) {
-	f, faulty := newFaultyFixture(t, Config{Mode: ModeNaiveSkip}, nil)
+	const streak = 20
+	f, faulty := newFaultyFixture(t, Config{Mode: ModeNaiveSkip, MaxReuseStreak: streak}, nil)
 	proto, err := f.classes.Prototype(0)
 	if err != nil {
 		t.Fatal(err)
@@ -407,7 +408,7 @@ func TestNaiveSkipDegradesToLastResult(t *testing.T) {
 	}
 	faulty.SetDown(true)
 	sawFallback := false
-	for i := 0; i < naiveSkipEvery; i++ {
+	for i := 0; i <= streak; i++ {
 		res, err := f.engine.Process(proto, nil)
 		if err != nil {
 			t.Fatalf("outage frame %d: %v", i, err)

@@ -272,7 +272,7 @@ func (e *Engine) tryIMU(f *frame, gate bool) (bool, error) {
 	if f.imuOK {
 		e.detector.ObserveAll(f.win)
 	}
-	f.revalidate = forced || (e.cfg.MaxReuseStreak > 0 && e.streak >= e.cfg.MaxReuseStreak)
+	f.revalidate = forced || e.streakSpent()
 	f.rec.Revalidate, f.rec.Brownout = f.revalidate, f.brownout
 	outcome, last := OutcomeSkipped, e.last
 	if gate && f.imuOK && !f.revalidate && e.hasLast {
@@ -309,12 +309,12 @@ func (e *Engine) tryFrame(f *frame) (bool, error) {
 	return f.mark(StageFrame, OutcomePassed)
 }
 
-// trySkip reuses the last result blindly but on every naiveSkipEvery-th
-// frame, as SourceVideo (a crude temporal-locality heuristic).
+// trySkip reuses the last result blindly, as SourceVideo (a crude
+// temporal-locality heuristic), until the reuse streak is spent.
 func (e *Engine) trySkip(f *frame) (bool, error) {
 	e.mu.Lock()
 	f.last, f.hasLast = e.last, e.hasLast
-	skip := f.hasLast && (e.streak+1)%naiveSkipEvery != 0
+	skip := f.hasLast && !e.streakSpent()
 	e.mu.Unlock()
 	if !skip {
 		return f.mark(StageSkip, OutcomePassed)

@@ -135,7 +135,7 @@ type Inference struct {
 type Classifier struct {
 	profile Profile
 	classes *vision.ClassSet
-	ex      *feature.CombinedExtractor
+	ex      feature.Extractor
 	// protos holds class i's prototype descriptor in row i; labels is
 	// parallel to it.
 	protos *protoTable
@@ -167,12 +167,7 @@ func NewClassifier(profile Profile, classes *vision.ClassSet, seed int64) (*Clas
 	if classes == nil {
 		return nil, fmt.Errorf("dnn: nil class set")
 	}
-	grid := feature.GridExtractor{Cols: 16, Rows: 16}
-	hist := feature.HistogramExtractor{Bins: 32}
-	ex, err := feature.NewCombinedExtractor(true, grid, hist)
-	if err != nil {
-		return nil, fmt.Errorf("build extractor: %w", err)
-	}
+	ex := feature.GridHistogram{Cols: 16, Rows: 16, Bins: 32}
 	c := &Classifier{
 		profile: profile,
 		classes: classes,
@@ -191,6 +186,7 @@ func NewClassifier(profile Profile, classes *vision.ClassSet, seed int64) (*Clas
 		}
 		c.labels[i] = LabelOf(i)
 	}
+	var err error
 	if c.protos, err = newProtoTable(protos, ex.Dim()); err != nil {
 		return nil, err
 	}

@@ -87,8 +87,7 @@ func TestInferNilImage(t *testing.T) {
 }
 
 // poisoned is the classifier's own extractor, except that a frame whose
-// first pixel is marked gets x as its first descriptor dimension. It
-// has no ExtractInto, so its Extract is what runs.
+// first pixel is marked gets x as its first descriptor dimension.
 type poisoned struct {
 	feature.Extractor
 	x float64
@@ -96,8 +95,8 @@ type poisoned struct {
 
 const poisonMark = 0xab
 
-func (p poisoned) Extract(im *vision.Image) (feature.Vector, error) {
-	v, err := p.Extractor.Extract(im)
+func (p poisoned) ExtractInto(im *vision.Image, dst feature.Vector) (feature.Vector, error) {
+	v, err := p.Extractor.ExtractInto(im, dst)
 	if err == nil && im.Pix[0] == poisonMark {
 		v[0] = p.x
 	}
@@ -125,9 +124,7 @@ func TestInferRefusesNonFiniteDescriptor(t *testing.T) {
 	bad.Pix[0] = poisonMark
 	own := c.ex
 	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if c.ex, err = feature.NewCombinedExtractor(false, poisoned{own, x}); err != nil {
-			t.Fatal(err)
-		}
+		c.ex = poisoned{own, x}
 		if _, err := c.Infer(bad); err == nil || !strings.Contains(err.Error(), "non-finite") {
 			t.Fatalf("descriptor %v: Infer err = %v", x, err)
 		}

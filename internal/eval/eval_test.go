@@ -228,11 +228,11 @@ func TestE1HeadlineShape(t *testing.T) {
 	}
 	// Naive skipping matches the latency but must not beat the gated
 	// pipeline's accuracy: blind reuse crosses scene changes.
-	naive := parseMs(t, byName["naive-skip (1/20)"][1])
+	naive := parseMs(t, byName["naive-skip (streak 20)"][1])
 	if naive > noCache/3 {
 		t.Fatalf("naive-skip %vms not fast (budget mismatch?)", naive)
 	}
-	naiveAcc := parsePct(t, byName["naive-skip (1/20)"][5])
+	naiveAcc := parsePct(t, byName["naive-skip (streak 20)"][5])
 	if naiveAcc > localAcc+0.02 {
 		t.Fatalf("naive-skip accuracy %v beats gated pipeline %v", naiveAcc, localAcc)
 	}

@@ -67,16 +67,20 @@ type faultRow struct {
 	Timeouts, Retries, Trips, Recoveries, FastFails int
 }
 
-// faultScenarios is the matrix E19 runs: a clean baseline, each sensor
-// fault class under the guards, the worst of them unguarded, and a
-// mid-session DNN outage with and without the watchdog.
+// faultScenarios is the matrix E19 runs: a clean baseline, every sensor
+// fault class trace injects under the guards, two of them unguarded, and
+// a mid-session DNN outage with and without the watchdog.
 var faultScenarios = []faultScenario{
 	{Name: "clean"},
 	{Name: "imu-dropout (guarded)", IMU: trace.IMUDropout},
 	{Name: "imu-stuck (guarded)", IMU: trace.IMUStuck},
 	{Name: "imu-stuck (unguarded)", IMU: trace.IMUStuck, NoGuards: true},
 	{Name: "imu-saturate (guarded)", IMU: trace.IMUSaturate},
+	{Name: "imu-non-monotonic (guarded)", IMU: trace.IMUNonMonotonic},
+	{Name: "imu-clock-skew (guarded)", IMU: trace.IMUClockSkew},
+	{Name: "imu-non-finite (guarded)", IMU: trace.IMUNonFinite},
 	{Name: "frame-black (guarded)", Frame: trace.FrameBlack},
+	{Name: "frame-flat (guarded)", Frame: trace.FrameFlat},
 	{Name: "frame-black (unguarded)", Frame: trace.FrameBlack, NoGuards: true},
 	{Name: "dnn-outage (watchdog)", Outage: true},
 	{Name: "dnn-outage (no watchdog)", Outage: true, NoWatchdog: true},
@@ -192,6 +196,7 @@ func E19DeviceFaults(s Scale) (Report, error) {
 			"sensor-faults", "degraded", "watchdog t/r/tr/rec/ff"},
 		Notes: []string{
 			"guarded sensor faults are routed past the reuse gates: accuracy holds at the clean baseline, latency pays for the lost reuse",
+			"a non-finite IMU reading is corrupt data: the guard refuses the frame with a typed error (the rejected column)",
 			"unguarded faults let corrupt inputs reach the detector and the cache — the damage the guards exist to stop",
 			"dnn-outage crashes the classifier 40% in and heals it at 70%: the watchdog trips, serves cache-only fallbacks, and recovers on heal",
 		},

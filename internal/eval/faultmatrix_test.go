@@ -36,7 +36,8 @@ func TestFaultMatrixAcceptance(t *testing.T) {
 
 	// Guarded IMU faults: detected, routed past the reuse gates, and
 	// harmless to accuracy.
-	for _, name := range []string{"imu-dropout (guarded)", "imu-stuck (guarded)", "imu-saturate (guarded)"} {
+	for _, name := range []string{"imu-dropout (guarded)", "imu-stuck (guarded)", "imu-saturate (guarded)",
+		"imu-non-monotonic (guarded)", "imu-clock-skew (guarded)"} {
 		r := byName[name]
 		if r.SensorFaults == 0 {
 			t.Errorf("%s: guards detected nothing", name)
@@ -45,11 +46,20 @@ func TestFaultMatrixAcceptance(t *testing.T) {
 			t.Errorf("%s: accuracy %.3f fell below clean %.3f", name, r.Accuracy, clean.Accuracy)
 		}
 	}
+	// A non-finite reading is corrupt data: every flagged window is
+	// refused with a typed error, and the frames served stay accurate.
+	if r := byName["imu-non-finite (guarded)"]; r.Rejected == 0 || r.Rejected != r.SensorFaults {
+		t.Errorf("imu-non-finite (guarded): %d rejected of %d flagged, want every flagged window refused", r.Rejected, r.SensorFaults)
+	} else if r.Accuracy < clean.Accuracy-0.02 {
+		t.Errorf("imu-non-finite (guarded): accuracy %.3f fell below clean %.3f", r.Accuracy, clean.Accuracy)
+	}
 	// Degenerate frames: flagged and kept out of the cache; the DNN
 	// still answers them (accuracy on unanswerable frames is not the
 	// guard's to fix, pollution is).
-	if r := byName["frame-black (guarded)"]; r.SensorFaults == 0 {
-		t.Error("frame-black (guarded): guards detected nothing")
+	for _, name := range []string{"frame-black (guarded)", "frame-flat (guarded)"} {
+		if r := byName[name]; r.SensorFaults == 0 {
+			t.Errorf("%s: guards detected nothing", name)
+		}
 	}
 	// Unguarded rows must show the guards actually off.
 	for _, name := range []string{"imu-stuck (unguarded)", "frame-black (unguarded)"} {

@@ -18,27 +18,24 @@ func testClassSet(t *testing.T) *vision.ClassSet {
 
 func TestGridExtractorValidation(t *testing.T) {
 	im := vision.NewImage(16, 16)
-	if _, err := (GridExtractor{Cols: 0, Rows: 8}).Extract(im); err == nil {
+	if _, err := (GridHistogram{Cols: 0, Rows: 8, Bins: 16}).Extract(im); err == nil {
 		t.Fatal("zero cols should error")
 	}
-	if _, err := (GridExtractor{Cols: 8, Rows: -1}).Extract(im); err == nil {
+	if _, err := (GridHistogram{Cols: 8, Rows: -1, Bins: 16}).Extract(im); err == nil {
 		t.Fatal("negative rows should error")
 	}
-	g := GridExtractor{Cols: 8, Rows: 8}
-	if _, err := g.Extract(im); err != nil {
+	d := GridHistogram{Cols: 8, Rows: 8, Bins: 16}
+	if _, err := d.Extract(im); err != nil {
 		t.Fatal(err)
 	}
-	if g.Dim() != 64 {
-		t.Fatalf("Dim = %d, want 64", g.Dim())
-	}
-	if g.Name() != "grid8x8" {
-		t.Fatalf("Name = %q", g.Name())
+	if d.Dim() != 80 {
+		t.Fatalf("Dim = %d, want 80", d.Dim())
 	}
 }
 
 func TestGridExtractorTooSmallImage(t *testing.T) {
-	g := GridExtractor{Cols: 8, Rows: 8}
-	if _, err := g.Extract(vision.NewImage(4, 4)); err == nil {
+	d := GridHistogram{Cols: 8, Rows: 8, Bins: 16}
+	if _, err := d.Extract(vision.NewImage(4, 4)); err == nil {
 		t.Fatal("image smaller than grid should error")
 	}
 }
@@ -48,14 +45,8 @@ func TestGridExtractorUniformImage(t *testing.T) {
 	for i := range im.Pix {
 		im.Pix[i] = 51
 	}
-	g := GridExtractor{Cols: 4, Rows: 4}
-	v, err := g.Extract(im)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(v) != 16 {
-		t.Fatalf("len = %d, want 16", len(v))
-	}
+	v := make(Vector, 16)
+	gridCells(v, im, 4, 4)
 	for i, x := range v {
 		if x != 0.2 {
 			t.Fatalf("cell %d = %v, want 0.2", i, x)
@@ -70,11 +61,8 @@ func TestGridExtractorNonDivisibleSize(t *testing.T) {
 	for i := range im.Pix {
 		im.Pix[i] = vision.MaxLevel
 	}
-	g := GridExtractor{Cols: 3, Rows: 3}
-	v, err := g.Extract(im)
-	if err != nil {
-		t.Fatal(err)
-	}
+	v := make(Vector, 9)
+	gridCells(v, im, 3, 3)
 	for i, x := range v {
 		if x != 1 {
 			t.Fatalf("cell %d = %v, want 1", i, x)
@@ -84,15 +72,11 @@ func TestGridExtractorNonDivisibleSize(t *testing.T) {
 
 func TestHistogramExtractor(t *testing.T) {
 	im := vision.NewImage(2, 2)
-	if _, err := (HistogramExtractor{}).Extract(im); err == nil {
+	if _, err := (GridHistogram{Cols: 1, Rows: 1}).Extract(im); err == nil {
 		t.Fatal("zero bins should error")
 	}
-	h := HistogramExtractor{Bins: 4}
-	im.Pix = []uint8{26, 77, 153, 255} // bins 0,1,2,3 (white joins the last)
-	v, err := h.Extract(im)
-	if err != nil {
-		t.Fatal(err)
-	}
+	v := make(Vector, 4)
+	histogram(v, []uint8{26, 77, 153, 255}) // bins 0,1,2,3 (white joins the last)
 	want := Vector{0.25, 0.25, 0.25, 0.25}
 	for i := range want {
 		if !almostEqual(v[i], want[i], 1e-12) {
@@ -102,8 +86,8 @@ func TestHistogramExtractor(t *testing.T) {
 }
 
 func TestHistogramExtractorEmptyImage(t *testing.T) {
-	h := HistogramExtractor{Bins: 4}
-	if _, err := h.Extract(&vision.Image{}); err == nil {
+	d := GridHistogram{Cols: 1, Rows: 1, Bins: 4}
+	if _, err := d.Extract(&vision.Image{}); err == nil {
 		t.Fatal("empty image should error")
 	}
 }
@@ -115,11 +99,8 @@ func TestHistogramSumsToOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := HistogramExtractor{Bins: 16}
-	v, err := h.Extract(im)
-	if err != nil {
-		t.Fatal(err)
-	}
+	v := make(Vector, 16)
+	histogram(v, im.Pix)
 	var sum float64
 	for _, x := range v {
 		sum += x
@@ -130,15 +111,9 @@ func TestHistogramSumsToOne(t *testing.T) {
 }
 
 func TestCombinedExtractor(t *testing.T) {
-	if _, err := NewCombinedExtractor(true); err == nil {
-		t.Fatal("no parts should error")
-	}
-	c, err := NewCombinedExtractor(true, GridExtractor{Cols: 4, Rows: 4}, HistogramExtractor{Bins: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Dim() != 24 {
-		t.Fatalf("Dim = %d, want 24", c.Dim())
+	d := GridHistogram{Cols: 4, Rows: 4, Bins: 8}
+	if d.Dim() != 24 {
+		t.Fatalf("Dim = %d, want 24", d.Dim())
 	}
 	cs := testClassSet(t)
 	rng := rand.New(rand.NewSource(3))
@@ -146,7 +121,7 @@ func TestCombinedExtractor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := c.Extract(im)
+	v, err := d.Extract(im)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,13 +133,16 @@ func TestCombinedExtractor(t *testing.T) {
 	}
 }
 
+// TestCombinedExtractorPropagatesPartError: a frame the grid refuses is
+// refused by the whole descriptor, with or without a thumbnail.
 func TestCombinedExtractorPropagatesPartError(t *testing.T) {
-	c, err := NewCombinedExtractor(false, GridExtractor{Cols: 8, Rows: 8})
-	if err != nil {
-		t.Fatal(err)
+	d := GridHistogram{Cols: 8, Rows: 8, Bins: 16}
+	im := vision.NewImage(2, 2)
+	if _, err := d.Extract(im); err == nil {
+		t.Fatal("grid error should propagate")
 	}
-	if _, err := c.Extract(vision.NewImage(2, 2)); err == nil {
-		t.Fatal("part error should propagate")
+	if _, err := d.ExtractThumbInto(im, thumbOf(im), nil); err == nil {
+		t.Fatal("grid error should propagate past a thumbnail")
 	}
 }
 

@@ -23,7 +23,7 @@ func benchImage(b *testing.B, w, h int) *vision.Image {
 // from the pixels alone into a reused buffer: thumbnail pass, grid half
 // off the thumbnail, histogram pass. Budget: 0 allocs/op.
 func BenchmarkHotPathFusedExtract(b *testing.B) {
-	e := DefaultExtractor().(IntoExtractor)
+	e := DefaultExtractor()
 	im := benchImage(b, 48, 48)
 	dst := make(Vector, 0, e.Dim())
 	b.ReportAllocs()
@@ -57,36 +57,26 @@ func BenchmarkHotPathExtractFromThumb(b *testing.B) {
 	}
 }
 
-// BenchmarkHotPathGrid is the standalone per-cell grid pass. Budget: 0
-// allocs/op.
+// BenchmarkHotPathGrid is the per-cell grid pass, the descriptor's
+// grid half when no thumbnail covers the frame. Budget: 0 allocs/op.
 func BenchmarkHotPathGrid(b *testing.B) {
-	g := GridExtractor{Cols: 8, Rows: 8}
 	im := benchImage(b, 48, 48)
-	dst := make(Vector, 0, g.Dim())
+	out := make(Vector, 64)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v, err := g.ExtractInto(im, dst)
-		if err != nil {
-			b.Fatal(err)
-		}
-		dst = v[:0]
+		gridCells(out, im, 8, 8)
 	}
 }
 
-// BenchmarkHotPathHistogram is the standalone histogram pass. Budget: 0
-// allocs/op.
+// BenchmarkHotPathHistogram is the histogram pass, the descriptor's
+// second half. Budget: 0 allocs/op.
 func BenchmarkHotPathHistogram(b *testing.B) {
-	h := HistogramExtractor{Bins: 16}
 	im := benchImage(b, 48, 48)
-	dst := make(Vector, 0, h.Dim())
+	out := make(Vector, 16)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v, err := h.ExtractInto(im, dst)
-		if err != nil {
-			b.Fatal(err)
-		}
-		dst = v[:0]
+		histogram(out, im.Pix)
 	}
 }

@@ -24,16 +24,13 @@ func thumbOf(im *vision.Image) *vision.Thumb {
 // integer sums, so not a bit differs — including sizes the grid does not
 // divide.
 func TestThumbBlockSumsAreGridCellSums(t *testing.T) {
-	g := GridExtractor{Cols: 8, Rows: 8}
 	for _, sz := range [][2]int{{48, 48}, {37, 29}, {9, 13}, {8, 8}} {
 		w, h := sz[0], sz[1]
 		im := noisyImage(w, h, int64(w*131+h))
 		im.Pix[0], im.Pix[len(im.Pix)-1] = 0, vision.MaxLevel
 		sums := thumbOf(im).BlockSums()
-		means, err := g.ExtractInto(im, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		means := make(Vector, 64)
+		gridCells(means, im, 8, 8)
 		for gy := 0; gy < 8; gy++ {
 			y0, y1 := gy*h/8, (gy+1)*h/8
 			for gx := 0; gx < 8; gx++ {
@@ -105,34 +102,28 @@ func sameBits(a, b Vector) bool {
 }
 
 func TestExtractThumbIntoMatchesExtractInto(t *testing.T) {
-	g := GridExtractor{Cols: 8, Rows: 8}
+	d := GridHistogram{Cols: 8, Rows: 8, Bins: 16}
 	for _, sz := range [][2]int{{48, 48}, {37, 29}, {9, 13}, {8, 8}, {64, 40}} {
-		for _, normalize := range []bool{true, false} {
-			comb, err := NewCombinedExtractor(normalize, g, HistogramExtractor{Bins: 16})
+		for i, im := range thumbFrames(t, sz[0], sz[1], int64(sz[0]+sz[1])) {
+			name := fmt.Sprintf("%dx%d frame %d", sz[0], sz[1], i)
+			want := refCombined(im, 8, 8, 16)
+			plain, err := d.ExtractInto(im, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i, im := range thumbFrames(t, sz[0], sz[1], int64(sz[0]+sz[1])) {
-				name := fmt.Sprintf("%dx%d frame %d normalize=%v", sz[0], sz[1], i, normalize)
-				want := refCombined(t, im, g, 16, normalize)
-				plain, err := comb.ExtractInto(im, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !sameBits(plain, want) {
-					t.Fatalf("%s: ExtractInto differs from the part-by-part reference", name)
-				}
-				dst := make(Vector, 0, comb.Dim())
-				got, err := ExtractThumbInto(comb, im, thumbOf(im), dst)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !sameBits(got, want) {
-					t.Fatalf("%s: thumbnail path differs from ExtractInto", name)
-				}
-				if &got[0] != &dst[:1][0] {
-					t.Fatalf("%s: thumbnail path did not reuse dst", name)
-				}
+			if !sameBits(plain, want) {
+				t.Fatalf("%s: ExtractInto differs from the part-by-part reference", name)
+			}
+			dst := make(Vector, 0, d.Dim())
+			got, err := ExtractThumbInto(d, im, thumbOf(im), dst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameBits(got, want) {
+				t.Fatalf("%s: thumbnail path differs from ExtractInto", name)
+			}
+			if &got[0] != &dst[:1][0] {
+				t.Fatalf("%s: thumbnail path did not reuse dst", name)
 			}
 		}
 	}
@@ -145,10 +136,8 @@ func TestHistogramIntegerCountsMatchFloat(t *testing.T) {
 	for _, bins := range []int{1, 10, 16, 32, 255, 256, 257, 1000} {
 		for _, sz := range [][2]int{{48, 48}, {7, 9}, {1, 1}} {
 			for i, im := range thumbFrames(t, sz[0], sz[1], int64(bins)) {
-				got, err := HistogramExtractor{Bins: bins}.ExtractInto(im, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
+				got := make(Vector, bins)
+				histogram(got, im.Pix)
 				if !sameBits(got, refHistogram(im, bins)) {
 					t.Fatalf("bins %d, %dx%d frame %d: integer counts differ", bins, sz[0], sz[1], i)
 				}
@@ -159,20 +148,12 @@ func TestHistogramIntegerCountsMatchFloat(t *testing.T) {
 
 // Whatever cannot use the thumbnail must come out as ExtractInto would
 // have produced it: a thumbnail that is empty or of another frame size,
-// a grid that is not the thumbnail's, a histogram too wide for the
-// {grid, hist} shape, an extractor without the optional method.
+// a grid that is not the thumbnail's, a histogram wider than the AVX2
+// kernel takes, an extractor without the optional method.
 func TestExtractThumbIntoFallsBack(t *testing.T) {
 	im := noisyImage(48, 48, 7)
 	own := thumbOf(im)
-	g8, h16 := GridExtractor{Cols: 8, Rows: 8}, HistogramExtractor{Bins: 16}
-	mustCombine := func(parts ...Extractor) *CombinedExtractor {
-		c, err := NewCombinedExtractor(true, parts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	def := mustCombine(g8, h16)
+	def := GridHistogram{Cols: 8, Rows: 8, Bins: 16}
 	cases := []struct {
 		name string
 		e    Extractor
@@ -181,17 +162,13 @@ func TestExtractThumbIntoFallsBack(t *testing.T) {
 		{"empty thumbnail", def, &vision.Thumb{}},
 		{"thumbnail of a 32x32 frame", def, thumbOf(noisyImage(32, 32, 8))},
 		{"thumbnail of a 24x96 frame", def, thumbOf(noisyImage(24, 96, 9))},
-		{"grid 4x4", mustCombine(GridExtractor{Cols: 4, Rows: 4}, h16), own},
-		{"grid 16x16", mustCombine(GridExtractor{Cols: 16, Rows: 16}, h16), own},
-		{"wide histogram", mustCombine(g8, HistogramExtractor{Bins: 257}), own},
-		{"grid alone", mustCombine(g8), own},
-		{"three parts", mustCombine(g8, h16, h16), own},
-		{"foreign part", mustCombine(wrapExtractor{g8}, h16), own},
+		{"grid 4x4", GridHistogram{Cols: 4, Rows: 4, Bins: 16}, own},
+		{"grid 16x16", GridHistogram{Cols: 16, Rows: 16, Bins: 16}, own},
+		{"wide histogram", GridHistogram{Cols: 8, Rows: 8, Bins: 257}, own},
 		{"foreign extractor", wrapExtractor{def}, own},
-		{"grid extractor", g8, own},
 	}
 	for _, c := range cases {
-		want, err := ExtractInto(c.e, im, nil)
+		want, err := c.e.ExtractInto(im, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -201,7 +178,7 @@ func TestExtractThumbIntoFallsBack(t *testing.T) {
 		}
 		assertSameVector(t, got, want)
 	}
-	if !def.thumbShaped() || mustCombine(GridExtractor{Cols: 4, Rows: 4}, h16).thumbShaped() {
+	if !def.thumbShaped() || (GridHistogram{Cols: 4, Rows: 4, Bins: 16}).thumbShaped() {
 		t.Fatal("thumbnail shape misdetected")
 	}
 	// Frames the grid refuses are refused on either path, thumbnail or not.
@@ -228,20 +205,16 @@ func FuzzExtractThumbInto(f *testing.F) {
 	f.Add(uint8(8), uint8(8), []byte{})
 	f.Add(uint8(9), uint8(13), []byte{0, 0, 0, 0, 0, 0, 0xf0, 0x7f, 1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add(uint8(37), uint8(29), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xef, 0x3f})
-	g := GridExtractor{Cols: 8, Rows: 8}
+	d := GridHistogram{Cols: 8, Rows: 8, Bins: 16}
 	f.Fuzz(func(t *testing.T, w8, h8 uint8, raw []byte) {
 		w, h := 8+int(w8)%57, 8+int(h8)%57
 		im := noisyImage(w, h, int64(w)<<8|int64(h))
 		copy(im.Pix, raw)
-		comb, err := NewCombinedExtractor(len(raw)%2 == 0, g, HistogramExtractor{Bins: 16})
+		got, err := d.ExtractThumbInto(im, thumbOf(im), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := comb.ExtractThumbInto(im, thumbOf(im), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := refCombined(t, im, g, 16, len(raw)%2 == 0); !sameBits(got, want) {
+		if want := refCombined(im, 8, 8, 16); !sameBits(got, want) {
 			t.Fatalf("%dx%d: thumbnail path differs from the reference", w, h)
 		}
 	})

@@ -182,16 +182,23 @@ func TestCountBySourceOnlyObserved(t *testing.T) {
 	}
 	s.ObserveFrame(SourceVideo, time.Millisecond, 0, false)
 	s.ObserveFrame(SourceShed, time.Millisecond, 0, false)
-	s.ObserveFrame(SourceShed, time.Millisecond, 0, false)
-	s.ObserveFrame(Source("custom"), time.Millisecond, 0, true)
+	s.ObserveFrame(SourceShed, time.Millisecond, 0, true)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("a source outside Sources() was counted")
+			}
+		}()
+		s.ObserveFrame(Source("custom"), time.Millisecond, 0, true)
+	}()
 	got := s.CountBySource()
-	if len(got) != 3 || got[SourceVideo] != 1 || got[SourceShed] != 2 || got["custom"] != 1 {
+	if len(got) != 2 || got[SourceVideo] != 1 || got[SourceShed] != 2 {
 		t.Fatalf("counts = %v", got)
 	}
 	if _, ok := got[SourceDNN]; ok {
 		t.Fatal("unobserved source present")
 	}
-	if s.Frames() != 4 || s.HitRate() != 1 || s.Accuracy() != 0.25 {
+	if s.Frames() != 3 || s.HitRate() != 1 || s.Accuracy() != 1.0/3 {
 		t.Fatalf("frames %d hit-rate %v accuracy %v", s.Frames(), s.HitRate(), s.Accuracy())
 	}
 	for i, src := range Sources() {

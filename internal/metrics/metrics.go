@@ -46,15 +46,15 @@ func Sources() []Source {
 	return append([]Source(nil), sourceOrder[:]...)
 }
 
-// ordinal returns src's position in sourceOrder, or -1 for a source
-// this package does not define.
+// ordinal returns src's position in sourceOrder. A source this package
+// does not define panics: no frame path produces one.
 func (src Source) ordinal() int {
 	for i, known := range sourceOrder {
 		if src == known {
 			return i
 		}
 	}
-	return -1
+	panic("metrics: unknown source " + string(src))
 }
 
 // SessionStats aggregates one device run: per-source hit counts,
@@ -64,13 +64,10 @@ func (src Source) ordinal() int {
 // frame is recorded in one critical section and Frames, CountBySource
 // and Latency().Count() never disagree.
 type SessionStats struct {
-	lat      LatencyRecorder // lat.mu guards the fields below too
-	counts   [NumEvents]int64
-	bySource [len(sourceOrder)]int64
-	energyMJ float64
-	// otherSources counts frames from sources outside sourceOrder; nil
-	// until one is observed (the engine never produces one).
-	otherSources map[Source]int
+	lat          LatencyRecorder // lat.mu guards the fields below too
+	counts       [NumEvents]int64
+	bySource     [len(sourceOrder)]int64
+	energyMJ     float64
 	sensorFaults map[string]int
 }
 
@@ -79,19 +76,14 @@ func NewSessionStats() *SessionStats {
 	return &SessionStats{sensorFaults: make(map[string]int)}
 }
 
-// ObserveFrame records the outcome of one frame.
+// ObserveFrame records the outcome of one frame. src must be one of
+// Sources().
 func (s *SessionStats) ObserveFrame(src Source, latency time.Duration, energyMJ float64, correct bool) {
+	i := src.ordinal()
 	s.lat.mu.Lock()
 	defer s.lat.mu.Unlock()
 	s.lat.recordLocked(latency)
-	if i := src.ordinal(); i >= 0 {
-		s.bySource[i]++
-	} else {
-		if s.otherSources == nil {
-			s.otherSources = make(map[Source]int)
-		}
-		s.otherSources[src]++
-	}
+	s.bySource[i]++
 	if correct {
 		s.counts[EventCorrect]++
 	}
@@ -213,9 +205,6 @@ func (s *SessionStats) CountBySource() map[Source]int {
 		if n > 0 {
 			out[sourceOrder[i]] = int(n)
 		}
-	}
-	for src, n := range s.otherSources {
-		out[src] = n
 	}
 	return out
 }

@@ -153,19 +153,26 @@ func checkFrameKernels(t *testing.T, path string, a, b *vision.Image) {
 			}
 		}
 		// The histogram: level k in bin floor(k·bins/255), white in
-		// the last.
+		// the last. A descriptor with a 1×1 grid is the frame's mean
+		// followed by the histogram, scaled to unit norm; the reference
+		// builds the same vector and scales it the same way.
 		for _, bins := range []int{1, 2, 4, 8, 16, 32, 10} {
-			got, err := feature.HistogramExtractor{Bins: bins}.Extract(im)
+			got, err := feature.GridHistogram{Cols: 1, Rows: 1, Bins: bins}.Extract(im)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := make([]float64, bins)
+			want := make(feature.Vector, 1+bins)
+			want[0] = float64(all) / float64(vision.MaxLevel*n)
 			for _, p := range im.Pix {
-				want[min(int(p)*bins/vision.MaxLevel, bins-1)]++
+				want[1+min(int(p)*bins/vision.MaxLevel, bins-1)]++
 			}
+			for i := 1; i < len(want); i++ {
+				want[i] /= float64(n)
+			}
+			want.Normalize()
 			for i := range want {
-				if want[i] /= float64(n); got[i] != want[i] {
-					t.Fatalf("%s kernels, %dx%d, %d bins: bin %d holds %v, want %v", path, w, h, bins, i, got[i], want[i])
+				if got[i] != want[i] {
+					t.Fatalf("%s kernels, %dx%d, %d bins: dimension %d holds %v, want %v", path, w, h, bins, i, got[i], want[i])
 				}
 			}
 		}

@@ -38,7 +38,7 @@ func (th *Thumb) Covers(im *Image) bool {
 // BlockSums returns the block sums, row-major; the caller must not
 // modify them. Block (cx, cy) holds the pixels with
 // cx*W/ThumbGrid ≤ x < (cx+1)*W/ThumbGrid (integer division, likewise in
-// y) — the partition of feature.GridExtractor{8, 8}'s cells, so the sums
+// y) — the partition of the 8×8 descriptor grid's cells, so the sums
 // are that grid's cell sums.
 func (th *Thumb) BlockSums() *[ThumbGrid * ThumbGrid]int { return &th.cells }
 

@@ -1,15 +1,17 @@
 #!/usr/bin/env bash
-# Function census: which functions of the module does no program run?
+# Census: which functions, and which blocks inside the functions that
+# run, does no program run?
 #
-#   bash scripts/census.sh          (or: make census)
+#   bash scripts/census.sh           (or: make census)
+#   bash scripts/census.sh -blocks   (or: make census-blocks)
 #
 # Builds every program — the commands, the five examples and the
 # end-to-end benchmark harness — with coverage over approxcache/..., runs
-# each through the fixed script below, and lists every function outside
-# cmd/, examples/ and benchmarks/ that no run entered, as "file func"
-# (no line numbers, so edits elsewhere do not churn it). A package no
-# program links at all is one "dir *" line.
+# each through the fixed script below, and reads the coverage twice.
 #
+# Functions: every function outside cmd/, examples/ and benchmarks/ that
+# no run entered, as "file func" (no line numbers, so edits elsewhere do
+# not churn it). A package no program links at all is one "dir *" line.
 # The list must match the reviewed reasons: testdata/knobs/unreached.txt
 # ("file func reason" per line) plus testdata/knobs/test-only-funcs.txt,
 # whose "pkg.Name" lines stand for themselves and are not repeated. The
@@ -19,8 +21,23 @@
 # names a function that runs on some hosts and not on others (a Go
 # fallback of an assembly kernel, the Go side of an AVX2 kernel, an
 # architecture's stub): it passes reached or not, so the census gives
-# the same verdict on every host. Scope is whole functions only: a
-# function that ran once, on any path, counts as reached.
+# the same verdict on every host.
+#
+# Blocks: a function that ran once, on any path, counts as reached, so
+# the function list cannot see a branch no program takes inside it. The
+# block census keys every coverage block by file, enclosing function and
+# first statement, "file func `statement`" (a statement that occurs
+# again in the same function gets " #2", " #3", … in source order), and
+# lists the blocks no run executed inside functions that did run;
+# functions that never ran are the function list's. In the packages of
+# $gated the list must match testdata/knobs/unreached-blocks.txt, one
+# "file func `statement` reason" per block, on the same rules: a block
+# with no line, a line for a block that now runs or no longer exists, or
+# a line without a reason fails. A reason that begins "CPU path:" (a
+# branch taken on some hosts only) or "Run-dependent:" (a branch that
+# goroutine timing takes on some runs only) passes executed or not, as
+# long as its block exists. -blocks also prints the report: statements
+# and unexecuted statements per package, then every listed block.
 set -euo pipefail
 
 GO=${GO:-go}
@@ -28,6 +45,11 @@ root=$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)
 cd "$root"
 reasons=$root/testdata/knobs/unreached.txt
 testonly=$root/testdata/knobs/test-only-funcs.txt
+blockreasons=$root/testdata/knobs/unreached-blocks.txt
+# The packages whose unexecuted blocks must each have a reason line.
+gated="internal/feature internal/metrics internal/trace"
+report=
+if [ "${1-}" = -blocks ]; then report=1; fi
 
 work=$(mktemp -d)
 server=
@@ -97,14 +119,15 @@ for ex in crowd livepeers quickstart videostream warmstart; do
 	step "$ex"
 done
 
-# Every function of the module's packages, as "file func count%" with the
-# module prefix and the pointer star of a receiver stripped.
+# Every function of the module's packages, as "file line func count%"
+# with the module prefix and the pointer star of a receiver stripped.
 $GO tool covdata func -i="$GOCOVERDIR" |
 	awk '$1 ~ /^approxcache\// {
-		file = $1; sub(/^approxcache\//, "", file); sub(/:[0-9]+:$/, "", file)
+		split($1, at, ":"); file = at[1]; sub(/^approxcache\//, "", file)
 		fn = $2; sub(/^\*/, "", fn)
-		print file, fn, $NF
-	}' >funcs.txt
+		print file, at[2], fn, $NF
+	}' | sort -k1,1 -k2,2n >funcs-at.txt
+awk '{ print $1, $3, $4 }' funcs-at.txt >funcs.txt
 {
 	# Functions no run entered.
 	awk '$3 == "0.0%" && $1 !~ /^(cmd|examples|benchmarks)\// { print $1, $2 }' funcs.txt
@@ -164,6 +187,103 @@ awk -v reasons="${reasons#"$root/"}" '
 ' "$testonly" "$reasons" unreached.txt || {
 	echo "census: the unreached functions, as this run found them:"
 	sed 's/^/  /' unreached.txt
-	exit 1
+	failed=1
 }
-echo "census: $(wc -l <unreached.txt) unreached functions, each with a reason"
+
+# Every coverage block outside cmd/, examples/ and benchmarks/, one
+# tab-separated line each: package, statements, executed (0 or 1),
+# whether its enclosing function ran, and its key. The enclosing
+# function is the last one declared at or before the block; the first
+# statement is the block's first source line that is not blank or a
+# comment, with a trailing comment, spacing and any opening brace
+# trimmed.
+$GO tool covdata textfmt -i="$GOCOVERDIR" -o profile.txt
+tail -n +2 profile.txt | sed 's/^approxcache\///; s/:\([0-9]*\)\.\([0-9]*\),[0-9.]* / \1 \2 /' |
+	awk '$1 !~ /^(cmd|examples|benchmarks)\//' | sort -k1,1 -k2,2n -k3,3n >profile.sorted
+awk -v root="$root" -v q="'" '
+	FILENAME == ARGV[1] { n = ++nf[$1]; fline[$1, n] = $2 + 0; fname[$1, n] = $3; fran[$1, n] = ($4 != "0.0%"); next }
+	{
+		file = $1; line = $2 + 0; col = $3 + 0
+		if (!(file in loaded)) {
+			loaded[file] = 1; k = 0
+			while ((getline src < (root "/" file)) > 0) text[file, ++k] = src
+			close(root "/" file)
+		}
+		for (i = 1; i < nf[file] && fline[file, i + 1] <= line; i++) {}
+		stmt = ""
+		for (l = line; stmt == "" && (file, l) in text; l++) {
+			t = text[file, l]
+			if (l == line) t = substr(t, col)
+			sub(/^[ \t{]+/, "", t); sub(/[ \t]+\/\/.*$/, "", t); sub(/[ \t]+$/, "", t)
+			if (t !~ /^\/\//) stmt = t
+		}
+		gsub(/[ \t]+/, " ", stmt); gsub(/`/, q, stmt)
+		key = file " " fname[file, i] " `" stmt "`"
+		if (++seen[key] > 1) key = key " #" seen[key]
+		pkg = file; if (!sub(/\/[^\/]*$/, "", pkg)) pkg = "."
+		print pkg "\t" $4 "\t" ($5 > 0) "\t" fran[file, i] "\t" key
+	}
+' funcs-at.txt profile.sorted >blocks.txt
+
+if [ -n "$report" ]; then
+	echo "census-blocks: statements by package, and those no program runs (outside cmd/, examples/, benchmarks/)"
+	printf '  %-22s %10s %10s %22s\n' package statements unexecuted "in reached functions"
+	awk -F '\t' -v gated=" $gated " '
+		{ total[$1] += $2 }
+		!$3 { un[$1] += $2 }
+		!$3 && $4 { inr[$1] += $2; blk[$1]++ }
+		END {
+			for (p in total) printf "  %-22s %10d %10d %12d (%d blocks)%s\n", p, total[p], un[p], inr[p], blk[p],
+				index(gated, " " p " ") ? "  gated" : ""
+		}
+	' blocks.txt | sort
+	awk -F '\t' '
+		{ t += $2 }
+		!$3 { u += $2; ub++ }
+		!$3 && $4 { ir += $2; ib++ }
+		END {
+			printf "  %-22s %10d %10d %12d (%d blocks)\n", "module", t, u, ir, ib
+			printf "  %.1f %% of statements unexecuted, in %d blocks\n", 100 * u / t, ub
+		}
+	' blocks.txt
+	echo "census-blocks: unexecuted blocks inside functions that ran"
+	awk -F '\t' '!$3 && $4 { print "  " $5 }' blocks.txt
+fi
+
+# Compare the gated packages' unexecuted blocks with their reasons. The
+# awk reads the reason lines, then the blocks; every disagreement is one
+# printed line.
+awk -F '\t' -v gated=" $gated " -v reasons="${blockreasons#"$root/"}" '
+	FILENAME == ARGV[1] {
+		if (!NF) next
+		end = index($0, "` "); if (!end) end = length($0)
+		key = substr($0, 1, end); rest = substr($0, end + 1)
+		if (match(rest, /^ #[0-9]+/)) { key = key substr(rest, 1, RLENGTH); rest = substr(rest, RLENGTH + 1) }
+		sub(/^[ \t]+/, "", rest)
+		if (rest == "") bad = bad "\n  " key
+		if (key in listed) bad = bad "\n  " key " (listed twice)"
+		listed[key] = 1
+		if (rest ~ /^(CPU path|Run-dependent):/) either[key] = 1
+		next
+	}
+	!index(gated, " " $1 " ") { next }
+	{ exists[$5] = 1 }
+	!$3 && $4 {
+		found[$5] = 1; count++
+		if (!($5 in listed)) missing = missing "\n  " $5
+	}
+	END {
+		for (key in listed) {
+			if (key in either ? !(key in exists) : !(key in found)) stale = stale "\n  " key
+		}
+		fail = 0
+		if (missing != "") { print "census: unexecuted blocks, with no reason in " reasons ":" missing; fail = 1 }
+		if (stale != "") { print "census: listed in " reasons ", but executed or gone:" stale; fail = 1 }
+		if (bad != "") { print "census: lines in " reasons " without a reason:" bad; fail = 1 }
+		print count + 0 >"blockcount"
+		exit fail
+	}
+' "$blockreasons" blocks.txt || failed=1
+
+if [ -n "${failed-}" ]; then exit 1; fi
+echo "census: $(wc -l <unreached.txt) unreached functions, each with a reason; $(cat blockcount) unexecuted blocks in $gated, each with a reason"
