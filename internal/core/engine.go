@@ -465,7 +465,7 @@ func (e *Engine) ProcessRecord(im *vision.Image, imuWindow []imu.Sample, truth s
 	}
 	res := f.res
 	res.Latency, res.EnergyMJ = f.rec.Totals()
-	e.finish(res, truth != "" && res.Label == truth)
+	e.finish(res, truth != "" && res.Label == truth, f.frameOK)
 	return res, nil
 }
 
@@ -476,12 +476,20 @@ func (e *Engine) streakSpent() bool {
 	return e.cfg.MaxReuseStreak > 0 && e.streak >= e.cfg.MaxReuseStreak
 }
 
-// finish books a served frame and makes it the last result.
-func (e *Engine) finish(res Result, correct bool) {
+// finish books a served frame and, unless the frame guard refused it
+// (frameOK false), makes it the last result. The streak rule: a frame
+// the DNN answered ends the reuse streak, any other answered frame
+// extends it, and a refused frame does neither. A low-entropy frame says
+// nothing about the scene, so its answer must not become what the
+// inertial gate repeats, nor count as a revalidation of the scene.
+func (e *Engine) finish(res Result, correct, frameOK bool) {
 	e.deps.Clock.Sleep(res.Latency)
 	e.stats.ObserveFrame(res.Source, res.Latency, res.EnergyMJ, correct)
 	if res.Degradation != DegradeNone {
 		e.stats.Add(metrics.EventDegradedServe, 1)
+	}
+	if !frameOK {
+		return
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -94,6 +94,50 @@ func TestLazyGuardMalformedFrames(t *testing.T) {
 	}
 }
 
+// TestRefusedFrameLeavesLastResult: a frame the guard refuses is
+// answered and booked, but its answer does not become the last result
+// and it neither ends nor extends the reuse streak. A flat frame that
+// meets a forced revalidation therefore leaves the revalidation owed,
+// and the still frame after it is inferred afresh rather than served
+// the flat frame's answer by the inertial gate.
+func TestRefusedFrameLeavesLastResult(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.MaxReuseStreak = 2
+	f := newFixture(t, cfg, nil)
+	proto, err := f.classes.Prototype(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := time.Duration(0)
+	still := func(im *vision.Image) Result {
+		t.Helper()
+		at += 100 * time.Millisecond
+		res, err := f.engine.Process(im, stationaryWindow(at))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	first, prev := still(proto), Result{}
+	for i := 0; i < 2; i++ {
+		if prev = still(proto); prev.Source != metrics.SourceIMU {
+			t.Fatalf("still frame %d: %+v, want the inertial gate", i, prev)
+		}
+	}
+	if res := still(flatFrame(proto)); res.Source != metrics.SourceDNN {
+		t.Fatalf("flat frame on a forced revalidation: %+v, want the DNN", res)
+	}
+	if last, _ := f.engine.lastResult(); last != prev {
+		t.Fatalf("last result %+v after a refused frame, want the one before it, %+v", last, prev)
+	}
+	if res := still(proto); res.Source != metrics.SourceDNN || res.Label != first.Label {
+		t.Fatalf("still frame after the flat one: %+v, want a fresh inference of %q", res, first.Label)
+	}
+	if got, want := f.engine.Stats().Frames(), 5; got != want {
+		t.Fatalf("frames observed = %d, want %d (a refused frame is still booked)", got, want)
+	}
+}
+
 // guardedClassifier fails the test when it is handed a low-entropy
 // frame: in TestIMUServedFramesAreNeverRead such frames reach the engine
 // only where the inertial gate serves them, so whatever reaches the

@@ -687,6 +687,9 @@ func (r *refEngine) process(in diffFrame) (res Result, rec FrameRecord, err erro
 		if d != DegradeNone {
 			r.events[metrics.EventDegradedServe]++
 		}
+		if rec.Stages[StageFrame].Outcome == OutcomeRefused {
+			return res, rec, nil // a refused frame leaves the last result and the streak
+		}
 		r.last, r.hasLast = res, true
 		if src == metrics.SourceDNN {
 			r.streak = 0
@@ -1160,8 +1163,11 @@ func (h *modelHarness) invariants(i int, o modelOp, res Result, rec FrameRecord,
 	}
 	h.lat = append(h.lat, res.Latency)
 	// A reuse run is bounded by MaxReuseStreak: ladder answers extend the
-	// streak, and only an inference ends it.
+	// streak, and only an inference ends it. A frame the guard refused
+	// neither ends nor extends it, and does not become the last result.
+	refused := rec.Stages[StageFrame].Outcome == OutcomeRefused
 	switch {
+	case refused:
 	case res.Source == metrics.SourceDNN:
 		h.reuseRun = 0
 	case isReuse(res.Source):
@@ -1189,7 +1195,9 @@ func (h *modelHarness) invariants(i int, o modelOp, res Result, rec FrameRecord,
 	if res.Source == metrics.SourceLocal && !seen.labels[res.Label] {
 		h.fatalf(i, o, "local answer %q resolved from no live entry", res.Label)
 	}
-	h.last, h.hasLast = res, true
+	if !refused {
+		h.last, h.hasLast = res, true
+	}
 	// Work done: the frame's lookup, the ladder's, and a repair's own
 	// rescan exactly when the frame's lookup cannot stand in for it — it
 	// did not run, took fewer than K neighbours or a radius under half

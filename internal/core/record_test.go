@@ -95,6 +95,16 @@ func TestFrameRecordInvariants(t *testing.T) {
 	}
 }
 
+// runs reports whether s is in the engine's pipeline.
+func (e *Engine) runs(s Stage) bool {
+	for _, st := range e.stages {
+		if st.id == s {
+			return true
+		}
+	}
+	return false
+}
+
 // TestPipelineMembership: the Disable* switches decide which stages an
 // engine has, and only those.
 func TestPipelineMembership(t *testing.T) {

@@ -153,16 +153,6 @@ func stageList(cfg Config, admit bool) []stage {
 	return list
 }
 
-// runs reports whether s is in the engine's pipeline.
-func (e *Engine) runs(s Stage) bool {
-	for _, st := range e.stages {
-		if st.id == s {
-			return true
-		}
-	}
-	return false
-}
-
 // frame is one frame's context, shared by its stages and pooled: a
 // steady-state frame allocates nothing. Every consumer of the recycled
 // descriptor and neighbour buffers (store, peer encodings) copies them.
@@ -292,7 +282,7 @@ func (e *Engine) tryIMU(f *frame, gate bool) (bool, error) {
 		return false, nil
 	}
 	if e.quality != nil { // an audit would be the frame's first reader
-		e.quality.maybeAudit(e, f.im, !e.runs(StageFrame), last.Label, nil, f.deadline)
+		e.quality.maybeAudit(e, f.im, e.cfg.DisableSensorGuards, last.Label, nil, f.deadline)
 	}
 	return f.serve(StageIMU, last.Label, last.Confidence, metrics.SourceIMU, DegradeNone)
 }
@@ -416,15 +406,11 @@ func (e *Engine) tryLookup(f *frame) (bool, error) {
 		e.deps.Store.Touch(ns[0].ID)
 	}
 	e.refreshScene(f.im, f.thumbnail(), verdict.Label, verdict.Confidence)
-	if e.quality != nil {
+	if e.quality != nil { // ns holds the in-range neighbours only
 		var aud [maxAuditIDs]lsh.ID
-		an := 0
-		for _, n := range ns {
-			if an == len(aud) || n.Distance > vote.MaxDistance {
-				break
-			}
-			aud[an] = n.ID
-			an++
+		an := min(len(ns), len(aud))
+		for i := range aud[:an] {
+			aud[i] = ns[i].ID
 		}
 		e.quality.maybeAudit(e, f.im, true, verdict.Label, aud[:an], f.deadline)
 	}

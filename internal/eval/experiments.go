@@ -543,25 +543,19 @@ func exactTruth(dim int, vecs, queries []feature.Vector, k int) ([][]lsh.ID, err
 	return truth, nil
 }
 
-// candIndex is an index that exposes its candidate sets.
-type candIndex interface {
-	lsh.Index
-	Candidates(feature.Vector) ([]lsh.ID, error)
-}
-
 // probe loads vecs into idx (IDs are positions), then asks it every
 // query: it returns recall@1 against truth and the mean candidate-set
 // size.
-func probe(idx candIndex, vecs, queries []feature.Vector, truth [][]lsh.ID) (recall, cands float64, err error) {
+func probe(idx *lsh.HyperplaneIndex, vecs, queries []feature.Vector, truth [][]lsh.ID) (recall, cands float64, err error) {
 	for i, v := range vecs {
 		if err := idx.Insert(lsh.ID(i), v); err != nil {
 			return 0, 0, err
 		}
 	}
 	hits, total := 0, 0
+	var cs []lsh.ID
 	for i, q := range queries {
-		cs, err := idx.Candidates(q)
-		if err != nil {
+		if cs, err = idx.CandidatesInto(q, cs); err != nil {
 			return 0, 0, err
 		}
 		total += len(cs)

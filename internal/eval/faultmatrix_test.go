@@ -55,10 +55,17 @@ func TestFaultMatrixAcceptance(t *testing.T) {
 	}
 	// Degenerate frames: flagged and kept out of the cache; the DNN
 	// still answers them (accuracy on unanswerable frames is not the
-	// guard's to fix, pollution is).
+	// guard's to fix, pollution is). A refused frame's answer must not
+	// spread to the frames after it either: while it became the last
+	// result, the inertial gate repeated it and these rows read 0.37
+	// (flat) at this scale.
 	for _, name := range []string{"frame-black (guarded)", "frame-flat (guarded)"} {
-		if r := byName[name]; r.SensorFaults == 0 {
+		r := byName[name]
+		if r.SensorFaults == 0 {
 			t.Errorf("%s: guards detected nothing", name)
+		}
+		if r.Accuracy < clean.Accuracy-0.2 {
+			t.Errorf("%s: accuracy %.3f, more than 0.2 below clean %.3f", name, r.Accuracy, clean.Accuracy)
 		}
 	}
 	// Unguarded rows must show the guards actually off.

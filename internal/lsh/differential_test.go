@@ -190,7 +190,7 @@ func TestDifferentialVsReference(t *testing.T) {
 			q := randVec(rng, dim)
 			k := 1 + rng.Intn(8)
 			if rng.Float64() < 0.1 {
-				k = 40 + rng.Intn(30) // exercise the heap selector too
+				k = 40 + rng.Intn(30) // a large k too
 			}
 			got, err := arena.Nearest(q, k)
 			if err != nil {
@@ -205,7 +205,7 @@ func TestDifferentialVsReference(t *testing.T) {
 					t.Fatalf("op %d neighbor %d: got %+v, want %+v", op, i, got[i], want[i])
 				}
 			}
-			gotC, err := arena.Candidates(q)
+			gotC, err := arena.CandidatesInto(q, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

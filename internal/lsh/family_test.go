@@ -11,89 +11,13 @@ import (
 	"approxcache/internal/feature"
 )
 
-// TestMemoisedSignaturesMatchDirect: whatever the memo holds, signatures
-// equals project(v) in every table, and a slot answers only for a
-// vector equal to the remembered one bit for bit.
-func TestMemoisedSignaturesMatchDirect(t *testing.T) {
-	const dim, bits, tables = 24, 16, 5
-	rng := rand.New(rand.NewSource(11))
-	f := newHashFamily(dim, bits, tables, 3)
-	direct := func(v feature.Vector) []uint64 {
-		out := make([]uint64, tables)
-		f.project(v, out)
-		return out
-	}
-	check := func(v feature.Vector, wantHit bool, why string) {
-		t.Helper()
-		probe := make([]uint64, tables)
-		if hit := f.memoLoad(v, probe); hit != wantHit {
-			t.Fatalf("%s: memo hit = %v, want %v", why, hit, wantHit)
-		}
-		got := make([]uint64, tables)
-		f.signatures(v, got)
-		if want := direct(v); !slices.Equal(got, want) {
-			t.Fatalf("%s: signatures %x, direct %x", why, got, want)
-		}
-	}
-
-	// Random traffic with repeats: a small pool of vectors, so most
-	// calls find their vector in one of the four slots and some find it
-	// evicted.
-	pool := make([]feature.Vector, 6)
-	for i := range pool {
-		pool[i] = randVec(rng, dim)
-	}
-	for i := 0; i < 5000; i++ {
-		v := pool[rng.Intn(len(pool))]
-		if rng.Intn(4) == 0 {
-			v = randVec(rng, dim)
-		}
-		got := make([]uint64, tables)
-		f.signatures(v, got)
-		if want := direct(v); !slices.Equal(got, want) {
-			t.Fatalf("call %d: signatures %x, direct %x", i, got, want)
-		}
-	}
-
-	// Adversarial neighbours of a remembered vector.
-	base := randVec(rng, dim)
-	check(base, false, "fresh vector")
-	check(base, true, "same vector again")
-	check(base.Clone(), true, "equal copy in other memory")
-
-	last := base.Clone()
-	last[dim-1] = math.Nextafter(last[dim-1], math.Inf(1))
-	check(last, false, "equal prefix, last component one ulp off")
-
-	zero := base.Clone()
-	zero[3] = 0
-	check(zero, false, "+0 variant, first seen")
-	negZero := zero.Clone()
-	negZero[3] = math.Copysign(0, -1)
-	if zero[3] != negZero[3] || math.Float64bits(zero[3]) == math.Float64bits(negZero[3]) {
-		t.Fatal("test setup: want +0 == -0 with different bits")
-	}
-	check(negZero, false, "-0 where +0 is remembered")
-	check(zero, true, "+0 variant again")
-
-	nan := base.Clone()
-	nan[dim/2] = math.NaN()
-	check(nan, false, "NaN vector, first seen")
-	check(nan, false, "the very same NaN vector again")
-	check(nan, false, "and again")
-	nan[0] = math.NaN()
-	check(nan, false, "NaN in the first component")
-	check(nan, false, "NaN in the first component, again")
-}
-
 // TestSharedFamilyConcurrentStress runs lookups and inserts on one
 // index from several goroutines at once, the way a pool's sessions do on
 // their node's one store: every goroutine walks the same short list of
-// descriptors, looking each up and then inserting it, so a memo slot one
-// goroutine's lookup fills is read or overwritten by another's lookup or
-// insert at the same time. Run under -race. Afterwards the index must
-// hold exactly the buckets a twin fed the same inserts from one
-// goroutine holds.
+// descriptors, looking each up and then inserting it, so one
+// goroutine's lookup of a vector races another's insert of the same
+// vector. Run under -race. Afterwards the index must hold exactly the
+// buckets a twin fed the same inserts from one goroutine holds.
 func TestSharedFamilyConcurrentStress(t *testing.T) {
 	const (
 		dim, bits, tables, seed = 16, 8, 3, 5
@@ -151,13 +75,12 @@ func TestSharedFamilyConcurrentStress(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	var got, want []ID
 	for _, q := range vecs {
-		got, err := x.Candidates(q)
-		if err != nil {
+		if got, err = x.CandidatesInto(q, got); err != nil {
 			t.Fatal(err)
 		}
-		want, err := twin.Candidates(q)
-		if err != nil {
+		if want, err = twin.CandidatesInto(q, want); err != nil {
 			t.Fatal(err)
 		}
 		if !sameIDSet(got, want) {

@@ -7,6 +7,7 @@ package lsh
 // tables, ~512 warm entries, k=4.
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -45,7 +46,7 @@ func warmIndex(b *testing.B, vecs []feature.Vector) *HyperplaneIndex {
 }
 
 // BenchmarkHotPathSignature measures a vector's signature in every
-// table, past the memo: one sweep of the blocked hyperplane matrix (48
+// table: one sweep of the blocked hyperplane matrix (48
 // planes of 80 dimensions for the shipped 12 × 4 index). Budget: 0
 // allocs/op.
 func BenchmarkHotPathSignature(b *testing.B) {
@@ -81,8 +82,7 @@ func BenchmarkHotPathCandidates(b *testing.B) {
 }
 
 // BenchmarkHotPathTopK measures bounded top-k selection over a fixed
-// candidate stream, for both the insertion (small k) and heap (large k)
-// strategies.
+// candidate stream, at the programs' k and at a large one.
 func BenchmarkHotPathTopK(b *testing.B) {
 	r := rand.New(rand.NewSource(7))
 	cands := make([]Neighbor, 512)
@@ -90,11 +90,7 @@ func BenchmarkHotPathTopK(b *testing.B) {
 		cands[i] = Neighbor{ID: ID(i), Distance: r.Float64()}
 	}
 	for _, k := range []int{4, 64} {
-		name := "k=4"
-		if k > insertionSelectK {
-			name = "k=64(heap)"
-		}
-		b.Run(name, func(b *testing.B) {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			buf := make([]Neighbor, 0, k)
 			b.ReportAllocs()
 			b.ResetTimer()

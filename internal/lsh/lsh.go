@@ -85,8 +85,7 @@ type HyperplaneIndex struct {
 	bits   int
 	tables int
 
-	// fam is the hash function: hyperplanes and signature memo.
-	// Immutable but for the memo, which locks its own slots.
+	// fam is the hash function: the hyperplanes. Immutable.
 	fam *hashFamily
 
 	// mu guards everything below: lookups hold it for reading across
@@ -109,7 +108,6 @@ type HyperplaneIndex struct {
 	idSlot map[ID]int32
 
 	scratch sync.Pool // *queryScratch
-	idBuf   sync.Pool // *[]ID, gather buffer for Candidates
 }
 
 var (
@@ -225,7 +223,7 @@ func (x *HyperplaneIndex) Insert(id ID, v feature.Vector) error {
 	copy(x.arena[int(slot)*x.dim:], v)
 	x.slotID[slot] = id
 	sigs := x.slotSig[int(slot)*x.tables : (int(slot)+1)*x.tables]
-	x.fam.signatures(x.slotVec(slot), sigs)
+	x.fam.project(x.slotVec(slot), sigs)
 	for t, sig := range sigs {
 		x.buckets[t][sig] = append(x.buckets[t][sig], slot)
 	}
@@ -297,32 +295,12 @@ func (x *HyperplaneIndex) getScratch() *queryScratch {
 	return new(queryScratch)
 }
 
-// Candidates returns the deduplicated union of bucket contents that q
-// collides with across all tables, in first-collision order. The gather
-// runs through CandidatesInto on a pooled buffer, so the only per-call
-// allocation is the exact-size result slice handed to the caller.
-func (x *HyperplaneIndex) Candidates(q feature.Vector) ([]ID, error) {
-	bufp, _ := x.idBuf.Get().(*[]ID)
-	if bufp == nil {
-		bufp = new([]ID)
-	}
-	ids, err := x.CandidatesInto(q, (*bufp)[:0])
-	if err != nil {
-		x.idBuf.Put(bufp)
-		return nil, err
-	}
-	out := make([]ID, len(ids))
-	copy(out, ids)
-	*bufp = ids[:0] // keep any growth for the next caller
-	x.idBuf.Put(bufp)
-	return out, nil
-}
-
-// CandidatesInto is Candidates appending into dst's backing array (which
-// may be nil). With a caller-reused dst of sufficient capacity the whole
-// gather performs no allocation: the dedup state is pooled and the IDs
-// land in caller-owned memory. The returned set is exactly the
-// population NearestInto scores.
+// CandidatesInto appends to dst's backing array (which may be nil) the
+// deduplicated union of the bucket contents q collides with across all
+// tables, in first-collision order. With a caller-reused dst of
+// sufficient capacity the whole gather performs no allocation: the
+// dedup state is pooled and the IDs land in caller-owned memory. The
+// returned set is exactly the population NearestInto scores.
 func (x *HyperplaneIndex) CandidatesInto(q feature.Vector, dst []ID) ([]ID, error) {
 	if len(q) != x.dim {
 		return nil, fmt.Errorf("lsh: query dim %d, index dim %d: %w",
@@ -349,7 +327,7 @@ func (x *HyperplaneIndex) gather(q feature.Vector, sc *queryScratch) {
 		sc.sigs = make([]uint64, x.tables)
 	}
 	sigs := sc.sigs[:x.tables]
-	x.fam.signatures(q, sigs)
+	x.fam.project(q, sigs)
 	cands := sc.cands[:0]
 	for t, sig := range sigs {
 		for _, slot := range x.buckets[t][sig] {

@@ -45,7 +45,7 @@ func TestInsertDimMismatch(t *testing.T) {
 	if err := x.Insert(1, feature.Vector{1, 2}); !errors.Is(err, feature.ErrDimensionMismatch) {
 		t.Fatalf("err = %v, want dimension mismatch", err)
 	}
-	if _, err := x.Candidates(feature.Vector{1}); !errors.Is(err, feature.ErrDimensionMismatch) {
+	if _, err := x.CandidatesInto(feature.Vector{1}, nil); !errors.Is(err, feature.ErrDimensionMismatch) {
 		t.Fatalf("candidates err = %v", err)
 	}
 	if _, err := x.Nearest(feature.Vector{1}, 3); !errors.Is(err, feature.ErrDimensionMismatch) {
@@ -77,7 +77,7 @@ func TestInsertRemoveLen(t *testing.T) {
 		t.Fatalf("Len after double remove = %d", x.Len())
 	}
 	// Removed items never appear as candidates.
-	cands, err := x.Candidates(v)
+	cands, err := x.CandidatesInto(v, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,7 +485,7 @@ func TestCandidatesProperty(t *testing.T) {
 		removed := ID(r.Intn(n))
 		x.Remove(removed)
 		for i, v := range vs {
-			cands, err := x.Candidates(v)
+			cands, err := x.CandidatesInto(v, nil)
 			if err != nil {
 				return false
 			}

@@ -231,7 +231,7 @@ func withinWorkload(t testing.TB, name string, x withinIndex, dim int, seed int6
 		if rng.Intn(2) == 0 {
 			q = perturb(rng, q, 0.01)
 		}
-		for _, k := range []int{1, 4, insertionSelectK + 8} {
+		for _, k := range []int{1, 4, 40} {
 			checkWithin(t, name, x, q, k)
 		}
 	}

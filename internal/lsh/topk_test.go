@@ -62,9 +62,9 @@ func genNeighbors(rng *rand.Rand, n int, quantize bool) []Neighbor {
 
 func TestSelectorMatchesSortAcrossRegimes(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	// k values straddling insertionSelectK exercise both the insertion
-	// buffer and the heap; n straddling k exercises partial fills.
-	for _, k := range []int{1, 2, insertionSelectK - 1, insertionSelectK, insertionSelectK + 1, 100} {
+	// k from the programs' 4 up to 100, well past any k a program
+	// uses; n straddling k exercises partial fills.
+	for _, k := range []int{1, 2, 4, 33, 100} {
 		for _, n := range []int{0, 1, k - 1, k, k + 1, 3 * k, 500} {
 			if n < 0 {
 				continue

@@ -52,9 +52,10 @@ type Verdict struct {
 	Votes int
 }
 
-// Vote runs the homogenized-kNN acceptance decision over neighbors.
-// labelOf resolves a neighbor's cached label; neighbors whose labels
-// cannot be resolved (e.g. concurrently evicted) are skipped.
+// Vote runs the homogenized-kNN acceptance decision over neighbors,
+// which must be in increasing distance order, as every index returns
+// them. labelOf resolves a neighbor's cached label; neighbors whose
+// labels cannot be resolved (e.g. concurrently evicted) are skipped.
 //
 // The decision mirrors FoggyCache's homogenization: neighbors vote with
 // weight 1/(distance+ε); the top label must dominate the runner-up by
@@ -99,14 +100,11 @@ func Vote(neighbors []Neighbor, labelOf func(ID) (string, bool), cfg VoteConfig)
 				break
 			}
 		}
-		if tl == nil {
+		if tl == nil { // a label's first supporter is its nearest
 			tallies = append(tallies, tally{label: label, best: n.Distance})
 			tl = &tallies[len(tallies)-1]
 		}
 		tl.weight += w
-		if n.Distance < tl.best {
-			tl.best = n.Distance
-		}
 		totalWeight += w
 	}
 	if considered < cfg.MinVotes || len(tallies) == 0 {

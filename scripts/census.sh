@@ -47,7 +47,7 @@ reasons=$root/testdata/knobs/unreached.txt
 testonly=$root/testdata/knobs/test-only-funcs.txt
 blockreasons=$root/testdata/knobs/unreached-blocks.txt
 # The packages whose unexecuted blocks must each have a reason line.
-gated="internal/feature internal/metrics internal/trace"
+gated="internal/feature internal/metrics internal/trace internal/lsh internal/core"
 report=
 if [ "${1-}" = -blocks ]; then report=1; fi
 
@@ -95,7 +95,9 @@ step tracegen -workload handheld-mix -frames 60 -render frames
 
 # Two nodes on loopback: the first listens on a port of its own choosing,
 # the second peers with the address the first prints, then the first is
-# interrupted (it writes its coverage on the way out).
+# interrupted (it writes its coverage on the way out). The second runs
+# under a request deadline shorter than its peer budget (a quarter of
+# the model's 120 ms), so the deadline is what bounds its peer queries.
 "$bin/cachenode" -serve -addr 127.0.0.1:0 -name a >a.log 2>&1 &
 server=$!
 addr=
@@ -110,7 +112,7 @@ if [ -z "$addr" ] || ! grep -q '^serving peers' a.log; then
 	cat a.log >&2
 	exit 1
 fi
-step cachenode -name b -peers "$addr" -seed 2
+step cachenode -name b -peers "$addr" -seed 2 -deadline 20ms
 kill -INT "$server"
 wait "$server"
 server=
