@@ -193,7 +193,7 @@ type Options struct {
 	// Shards is ignored: a cache, and a whole pool, is one store.
 	//
 	// Deprecated: kept only so existing callers compile; it goes with
-	// the benchmark harness's last use (ROADMAP 1(B)).
+	// the benchmark harness's last use (ROADMAP 1(A+B)).
 	Shards int
 	// BatchSize enables micro-batched DNN inference in NewPool: up to
 	// BatchSize concurrent cache-miss classifications coalesce into one

@@ -28,7 +28,7 @@ import (
 // Were the radius search in Interface, it would be promoted past that
 // override: the capture would stay empty and every traced run would
 // report shadow mismatches. It joins Interface once the harness reads
-// the engine's frame record instead (ROADMAP 1(B)).
+// the engine's frame record instead (ROADMAP 1(A+B)).
 type Interface interface {
 	// Insert stores a recognition result and returns its ID.
 	Insert(vec feature.Vector, label string, confidence float64, source string, savedCost time.Duration) (lsh.ID, error)

@@ -7,7 +7,7 @@ import (
 
 // ShardedConfig, ShardedStore, ShardStat and NewSharded are a deprecated
 // shim: the harness under benchmarks/ still calls them, and they go when
-// it stops (ROADMAP 1(B)). A node is one Store over one index.
+// it stops (ROADMAP 1(A+B)). A node is one Store over one index.
 //
 // Only Config is read; its Capacity is the whole store's.
 type ShardedConfig struct {

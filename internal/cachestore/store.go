@@ -249,11 +249,7 @@ func (s *Store) Insert(vec feature.Vector, label string, confidence float64, sou
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for len(s.recs) >= s.cfg.Capacity {
-		victim, ok := s.victimLocked()
-		if !ok {
-			break
-		}
-		s.removeLocked(victim)
+		s.removeLocked(s.victimLocked())
 		s.evictions.Add(1)
 	}
 	id := s.nextID
@@ -363,9 +359,9 @@ func (s *Store) Nearest(q feature.Vector, k int) ([]lsh.Neighbor, error) {
 	return s.NearestInto(q, k, nil)
 }
 
-// NearestInto is Nearest writing into dst's backing array. Over an
-// IntoIndex — the standard pipeline shape — a lookup takes no store
-// lock, only the index's read lock, and performs no allocation.
+// NearestInto is Nearest writing into dst's backing array. A lookup
+// takes no store lock, only the index's read lock, and performs no
+// allocation.
 func (s *Store) NearestInto(q feature.Vector, k int, dst []lsh.Neighbor) ([]lsh.Neighbor, error) {
 	return s.NearestWithinInto(q, k, math.Inf(1), dst)
 }
@@ -385,16 +381,10 @@ type withinIndex interface {
 // It is not part of Interface (see there for why): callers holding an
 // Interface reach it through the package function NearestWithinInto.
 func (s *Store) NearestWithinInto(q feature.Vector, k int, radius float64, dst []lsh.Neighbor) ([]lsh.Neighbor, error) {
-	var ns []lsh.Neighbor
-	var err error
-	switch ix := s.index.(type) {
-	case withinIndex:
+	if ix, ok := s.index.(withinIndex); ok {
 		return ix.NearestWithinInto(q, k, radius, dst)
-	case lsh.IntoIndex:
-		ns, err = ix.NearestInto(q, k, dst)
-	default:
-		ns, err = s.index.Nearest(q, k)
 	}
+	ns, err := s.index.NearestInto(q, k, dst)
 	return cutWithin(ns, radius), err
 }
 
@@ -639,18 +629,17 @@ func (s *Store) dropLocked(i int32) {
 
 // victimLocked picks the entry to evict under the configured policy:
 // one pass over the table. The (value, lastAccess, id) order is total,
-// so the victim does not depend on the order rows are visited in.
-func (s *Store) victimLocked() (lsh.ID, bool) {
-	if len(s.recs) == 0 {
-		return 0, false
-	}
+// so the victim does not depend on the order rows are visited in. The
+// table is not empty: Insert evicts only while it holds Capacity ≥ 1
+// rows.
+func (s *Store) victimLocked() lsh.ID {
 	best := &s.recs[0]
 	for i := 1; i < len(s.recs); i++ {
 		if r := &s.recs[i]; s.worse(r, best) {
 			best = r
 		}
 	}
-	return best.id, true
+	return best.id
 }
 
 // worse reports whether cand should be evicted before incumbent.

@@ -285,8 +285,8 @@ func checkStoreWithin(t *testing.T, what string, s *Store, q feature.Vector, k i
 	}
 }
 
-// plainIndex hides every optional method of an index, NearestInto and
-// the radius search included, leaving lsh.Index alone.
+// plainIndex hides every optional method of an index, VectorSource and
+// the radius search, leaving lsh.Index alone.
 type plainIndex struct{ lsh.Index }
 
 const modelDim = 8
@@ -451,7 +451,6 @@ func runModel(t *testing.T, cell modelCell, ops []modelOp) map[string]int {
 		return s
 	}
 	s, m := newStore(), newRefStore(cfg)
-	_, into := s.index.(lsh.IntoIndex)
 	reached := map[string]int{}
 	bank := func() { reached["evict"] += m.evictions }
 	labels := []string{"cat", "dog", "bus"}
@@ -575,9 +574,9 @@ func runModel(t *testing.T, cell modelCell, ops []modelOp) map[string]int {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if into && len(ns) > 0 && &ns[0] != &dst[:1][0] {
+			if len(ns) > 0 && &ns[0] != &dst[:1][0] {
 				t.Fatalf("op %d: NearestInto did not reuse dst", i)
-			} else if into && len(ns) > 0 {
+			} else if len(ns) > 0 {
 				reached["lookup:dst-reused"]++
 			}
 			if plain, err := s.Nearest(q, k); err != nil || !slices.Equal(plain, ns) {
@@ -634,11 +633,12 @@ func runModel(t *testing.T, cell modelCell, ops []modelOp) map[string]int {
 		// Every step: the table's invariants, the victim, the counters.
 		s.mu.Lock()
 		checkTable(t, s)
-		victim, vok := s.victimLocked()
-		s.mu.Unlock()
-		if vok != (len(m.entries) > 0) || (vok && victim != m.victim()) {
-			t.Fatalf("op %d: victim %d (%v), model picks %d of %d", i, victim, vok, m.victim(), len(m.entries))
+		if len(m.entries) > 0 {
+			if victim := s.victimLocked(); victim != m.victim() {
+				t.Fatalf("op %d: victim %d, model picks %d of %d", i, victim, m.victim(), len(m.entries))
+			}
 		}
+		s.mu.Unlock()
 		if s.Len() != len(m.entries) || s.Evictions() != m.evictions {
 			t.Fatalf("op %d: len/evictions %d/%d, model %d/%d", i,
 				s.Len(), s.Evictions(), len(m.entries), m.evictions)

@@ -153,7 +153,7 @@ type Config struct {
 	// exact-bucket LSH index.
 	//
 	// Deprecated: kept only so existing callers compile; it goes with
-	// the benchmark harness's last use (ROADMAP 1(B)).
+	// the benchmark harness's last use (ROADMAP 1(A+B)).
 	IndexTuning lsh.Tuning
 	// Quality configures the self-healing quality layer: shadow audits
 	// of cache hits, entry quarantine, and drift-adaptive gate

@@ -416,7 +416,7 @@ func (p *modelParts) newStore(t *testing.T) *cachestore.Store {
 		t.Fatal(err)
 	}
 	if p.hide {
-		idx = hiddenIndex{idx.(lsh.IntoIndex)}
+		idx = hiddenIndex{idx}
 	}
 	s, err := cachestore.New(p.ccfg, idx, p.clock)
 	if err != nil {
@@ -432,7 +432,7 @@ type hideWithin struct{ cachestore.Interface }
 
 // hiddenIndex is hideWithin for an index: a store over it takes its own
 // fallbacks, a truncated NearestInto and vector copies of its own.
-type hiddenIndex struct{ lsh.IntoIndex }
+type hiddenIndex struct{ lsh.Index }
 
 // seenStore is the engine's view of its store. It counts lookups, and
 // holds every entry the engine resolves to being live and trusted —

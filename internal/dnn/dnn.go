@@ -208,46 +208,59 @@ func (c *Classifier) Profile() Profile { return c.profile }
 // Infer classifies im, simulating latency, energy, and top-1 error.
 // It performs real feature computation (so wall-clock benchmarks remain
 // meaningful) but reports the profile's simulated cost, which callers
-// charge to a virtual clock.
+// charge to a virtual clock. It is an invocation of one frame, whose
+// BatchLatency is the profile's MeanLatency, so it equals
+// InferBatch([]*vision.Image{im})[0] on a classifier in the same state.
 func (c *Classifier) Infer(im *vision.Image) (Inference, error) {
 	if im == nil {
 		return Inference{}, fmt.Errorf("dnn: nil image")
 	}
-	best, conf, err := c.decide(im)
-	if err != nil {
+	var out [1]Inference
+	var best [1]int
+	if _, err := c.invoke([]*vision.Image{im}, out[:], best[:]); err != nil {
 		return Inference{}, err
 	}
+	return out[0], nil
+}
 
-	c.mu.Lock()
-	latency := c.profile.MeanLatency +
-		time.Duration(c.rng.NormFloat64()*float64(c.profile.LatencyJitter))
-	misclassify := c.rng.Float64() > c.profile.Top1Accuracy
-	var wrong int
-	if misclassify && len(c.labels) > 1 {
-		wrong = c.rng.Intn(len(c.labels) - 1)
-	}
-	c.mu.Unlock()
-
-	if latency < c.profile.MeanLatency/2 {
-		latency = c.profile.MeanLatency / 2
-	}
-	label := c.labels[best]
-	correct := true
-	if misclassify && len(c.labels) > 1 {
-		if wrong >= best {
-			wrong++
+// invoke classifies ims (none nil) in one simulated model invocation,
+// writing frame i's result to out[i]; best is scratch of the same
+// length. Every frame's feature-space decision comes first: a frame
+// that cannot be decided stops the invocation before it draws any
+// noise, and invoke returns its index. Then, under one lock, it draws
+// the invocation's latency jitter and each frame's misclassification in
+// frame order. The invocation's latency, floored at half its
+// BatchLatency, and its energy are shared evenly by the frames; a
+// misclassified frame gets a uniformly drawn other label at 0.8 of the
+// confidence.
+func (c *Classifier) invoke(ims []*vision.Image, out []Inference, best []int) (int, error) {
+	for i, im := range ims {
+		var err error
+		if best[i], out[i].Confidence, err = c.decide(im); err != nil {
+			return i, err
 		}
-		label = c.labels[wrong]
-		correct = false
-		conf *= 0.8
 	}
-	return Inference{
-		Label:      label,
-		Confidence: conf,
-		Latency:    latency,
-		EnergyMJ:   c.profile.EnergyPerInference,
-		Correct:    correct,
-	}, nil
+	n := len(ims)
+	mean := BatchLatency(c.profile, n)
+	energy := c.profile.EnergyPerInference * batchCost(n) / float64(n)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	latency := max(mean+time.Duration(c.rng.NormFloat64()*float64(c.profile.LatencyJitter)), mean/2)
+	for i := range out {
+		label, correct := best[i], true
+		if c.rng.Float64() > c.profile.Top1Accuracy && len(c.labels) > 1 {
+			if label = c.rng.Intn(len(c.labels) - 1); label >= best[i] {
+				label++
+			}
+			correct = false
+			out[i].Confidence *= 0.8
+		}
+		out[i].Label = c.labels[label]
+		out[i].Latency = latency / time.Duration(n)
+		out[i].EnergyMJ = energy
+		out[i].Correct = correct
+	}
+	return 0, nil
 }
 
 // decide is the model's feature-space decision for im: the class whose

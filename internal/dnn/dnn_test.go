@@ -342,36 +342,6 @@ func TestInferConfidenceRange(t *testing.T) {
 	}
 }
 
-func TestInferDeterministicWithSeed(t *testing.T) {
-	cs := testClasses(t)
-	run := func() []string {
-		c, err := NewClassifier(MobileNetV2, cs, 99)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(10))
-		var out []string
-		for i := 0; i < 30; i++ {
-			im, err := cs.Render(i%cs.NumClasses(), vision.DefaultPerturbation(), rng)
-			if err != nil {
-				t.Fatal(err)
-			}
-			inf, err := c.Infer(im)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, inf.Label)
-		}
-		return out
-	}
-	a, b := run(), run()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("run diverged at %d: %q vs %q", i, a[i], b[i])
-		}
-	}
-}
-
 func TestSingleClassNeverMisclassifies(t *testing.T) {
 	cs, err := vision.NewClassSet(1, 32, 32, 1)
 	if err != nil {

@@ -36,9 +36,6 @@ const (
 	// values in tests; the watchdog's per-call deadline is what bounds
 	// the stall in the pipeline.
 	FaultHang
-	// FaultSlow lets Infer succeed but inflates the reported latency by
-	// the window's Extra duration — a thermally throttled model.
-	FaultSlow
 	// FaultDrift lets Infer succeed but rewrites the returned label
 	// through the window's Relabel function — model drift: the world
 	// (or a model update) changed what the classifier says about the
@@ -55,8 +52,6 @@ func (k FaultKind) String() string {
 		return "error"
 	case FaultHang:
 		return "hang"
-	case FaultSlow:
-		return "slow"
 	case FaultDrift:
 		return "drift"
 	default:
@@ -71,8 +66,8 @@ func (k FaultKind) String() string {
 type FaultWindow struct {
 	From, To int
 	Kind     FaultKind
-	// Extra is the hang duration (FaultHang) or added latency
-	// (FaultSlow). Ignored for FaultError and FaultDrift.
+	// Extra is the hang duration (FaultHang). Ignored for FaultError
+	// and FaultDrift.
 	Extra time.Duration
 	// Relabel maps the wrapped model's label to the drifted one
 	// (FaultDrift only). It must be pure and deterministic so replays
@@ -90,7 +85,7 @@ func (p FaultPlan) Validate() error {
 			return fmt.Errorf("dnn: fault window %d has bad range [%d,%d)", i, w.From, w.To)
 		}
 		switch w.Kind {
-		case FaultError, FaultHang, FaultSlow, FaultDrift:
+		case FaultError, FaultHang, FaultDrift:
 		default:
 			return fmt.Errorf("dnn: fault window %d has unknown kind %d", i, int(w.Kind))
 		}
@@ -205,19 +200,12 @@ func (f *FaultyClassifier) Infer(im *vision.Image) (Inference, error) {
 			<-release
 		}
 		return Inference{}, fmt.Errorf("%w: call %d (hang)", ErrInjectedFault, call)
-	case FaultDrift:
+	default: // FaultDrift
 		inf, err := f.inner.Infer(im)
 		if err != nil {
 			return inf, err
 		}
 		inf.Label = active.Relabel(inf.Label)
-		return inf, nil
-	default: // FaultSlow
-		inf, err := f.inner.Infer(im)
-		if err != nil {
-			return inf, err
-		}
-		inf.Latency += active.Extra
 		return inf, nil
 	}
 }

@@ -21,7 +21,7 @@ func newStub() *stubModel {
 }
 
 func TestFaultPlanValidate(t *testing.T) {
-	good := FaultPlan{{From: 0, To: 3, Kind: FaultError}, {From: 5, To: 5, Kind: FaultSlow, Extra: time.Second}}
+	good := FaultPlan{{From: 0, To: 3, Kind: FaultError}, {From: 5, To: 5, Kind: FaultHang, Extra: time.Second}}
 	if err := good.Validate(); err != nil {
 		t.Fatalf("good plan rejected: %v", err)
 	}
@@ -29,7 +29,7 @@ func TestFaultPlanValidate(t *testing.T) {
 		{{From: -1, To: 2, Kind: FaultError}},
 		{{From: 4, To: 2, Kind: FaultError}},
 		{{From: 0, To: 1, Kind: FaultKind(9)}},
-		{{From: 0, To: 1, Kind: FaultSlow, Extra: -time.Second}},
+		{{From: 0, To: 1, Kind: FaultHang, Extra: -time.Second}},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
@@ -132,28 +132,9 @@ func TestFaultHangRelease(t *testing.T) {
 	}
 }
 
-func TestFaultSlowInflatesLatency(t *testing.T) {
-	fc, err := NewFaultyClassifier(newStub(), FaultPlan{{From: 0, To: 1, Kind: FaultSlow, Extra: 90 * time.Millisecond}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inf, err := fc.Infer(vision.NewImage(4, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inf.Latency != 100*time.Millisecond {
-		t.Fatalf("Latency = %v, want 100ms", inf.Latency)
-	}
-	// Outside the window, latency reverts.
-	inf, err = fc.Infer(vision.NewImage(4, 4))
-	if err != nil || inf.Latency != 10*time.Millisecond {
-		t.Fatalf("post-window = %v %v", inf, err)
-	}
-}
-
 func TestFaultKindStrings(t *testing.T) {
 	for k, want := range map[FaultKind]string{
-		FaultError: "error", FaultHang: "hang", FaultSlow: "slow",
+		FaultError: "error", FaultHang: "hang", FaultDrift: "drift",
 	} {
 		if got := k.String(); got != want {
 			t.Fatalf("String(%d) = %q", int(k), got)

@@ -330,10 +330,7 @@ func (d *Detector) State() State {
 	}
 	n := float64(d.count)
 	mean := sum / n
-	st.AccelVariance = sumSq/n - mean*mean
-	if st.AccelVariance < 0 {
-		st.AccelVariance = 0
-	}
+	st.AccelVariance = max(sumSq/n-mean*mean, 0)
 	st.GyroMean = gyro / n
 	st.Stationary = st.AccelVariance <= d.cfg.AccelVarThreshold &&
 		st.GyroMean <= d.cfg.GyroMeanThreshold

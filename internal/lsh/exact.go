@@ -25,7 +25,7 @@ type ExactIndex struct {
 }
 
 var (
-	_ IntoIndex    = (*ExactIndex)(nil)
+	_ Index        = (*ExactIndex)(nil)
 	_ VectorSource = (*ExactIndex)(nil)
 )
 

@@ -49,20 +49,17 @@ type Index interface {
 	// Nearest returns up to k neighbors of q ordered by increasing
 	// distance.
 	Nearest(q feature.Vector, k int) ([]Neighbor, error)
+	// NearestInto is Nearest appending into dst's backing array
+	// (which may be nil), so steady-state queries allocate nothing.
+	// The returned slice aliases dst when its capacity suffices.
+	NearestInto(q feature.Vector, k int, dst []Neighbor) ([]Neighbor, error)
 	// Len returns the number of indexed vectors.
 	Len() int
 }
 
-// IntoIndex is implemented by indexes whose lookup can write results
-// into a caller-provided buffer, so steady-state queries allocate
-// nothing.
-type IntoIndex interface {
-	Index
-	// NearestInto is Nearest appending into dst's backing array
-	// (which may be nil). The returned slice aliases dst when its
-	// capacity suffices.
-	NearestInto(q feature.Vector, k int, dst []Neighbor) ([]Neighbor, error)
-}
+// IntoIndex is Index under the name it had while NearestInto was
+// optional; the benchmark harness's traced index still uses it.
+type IntoIndex = Index
 
 // VectorSource is implemented by indexes that can hand back the vector
 // they hold under an id (every in-tree one can). A caller that inserted
@@ -111,7 +108,7 @@ type HyperplaneIndex struct {
 }
 
 var (
-	_ IntoIndex    = (*HyperplaneIndex)(nil)
+	_ Index        = (*HyperplaneIndex)(nil)
 	_ VectorSource = (*HyperplaneIndex)(nil)
 )
 

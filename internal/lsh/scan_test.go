@@ -144,7 +144,7 @@ func sameNeighbors(a, b []Neighbor) bool {
 
 // withinIndex is what the radius-search tests drive.
 type withinIndex interface {
-	IntoIndex
+	Index
 	NearestWithinInto(q feature.Vector, k int, radius float64, dst []Neighbor) ([]Neighbor, error)
 }
 

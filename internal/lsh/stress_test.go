@@ -44,14 +44,13 @@ func stressIndex(t *testing.T, idx Index, dim int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(100 + r)))
 			dst := make([]Neighbor, 0, 8)
-			ii, hasInto := idx.(IntoIndex)
 			for i := 0; i < ops; i++ {
 				q := randVec(rng, dim)
 				k := 1 + rng.Intn(8)
 				var ns []Neighbor
 				var err error
-				if hasInto && i%2 == 0 {
-					ns, err = ii.NearestInto(q, k, dst)
+				if i%2 == 0 {
+					ns, err = idx.NearestInto(q, k, dst)
 					if err == nil {
 						dst = ns[:0]
 					}

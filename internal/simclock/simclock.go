@@ -46,12 +46,9 @@ func (v *Virtual) Now() time.Time {
 // Sleep advances the virtual clock by d without blocking. Negative
 // durations are ignored so that callers never move time backwards.
 func (v *Virtual) Sleep(d time.Duration) {
-	if d <= 0 {
-		return
-	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	v.now = v.now.Add(d)
+	v.now = v.now.Add(max(d, 0))
 }
 
 // Advance is an alias for Sleep that reads better at call sites that

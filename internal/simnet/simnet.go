@@ -128,12 +128,9 @@ func (n *Network) Unregister(id NodeID) {
 // real radio pays for a stale peer list. Zero (the default) makes dead
 // calls fail instantly.
 func (n *Network) SetDeadCost(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.deadCost = d
+	n.deadCost = max(d, 0)
 }
 
 // Crash takes node id down: calls and sends to it fail with ErrCrashed

@@ -147,8 +147,6 @@ func Generate(cfg StreamConfig, classes *vision.ClassSet) ([]Frame, error) {
 		// possible so scene changes are visible.
 		if classes.NumClasses() > 1 {
 			class = pickClass(rng, cfg.ClassWeights, classes.NumClasses(), class)
-		} else {
-			class = 0
 		}
 	}
 	newScene()
@@ -185,13 +183,6 @@ func Generate(cfg StreamConfig, classes *vision.ClassSet) ([]Frame, error) {
 // With weights it samples the renormalized weighted distribution;
 // without, it samples uniformly.
 func pickClass(rng *rand.Rand, weights []float64, numClasses, exclude int) int {
-	if len(weights) == 0 {
-		next := rng.Intn(numClasses - 1)
-		if next >= exclude {
-			next++
-		}
-		return next
-	}
 	var sum float64
 	for c, w := range weights {
 		if c != exclude {
@@ -199,8 +190,8 @@ func pickClass(rng *rand.Rand, weights []float64, numClasses, exclude int) int {
 		}
 	}
 	if sum <= 0 {
-		// All remaining mass sits on the excluded class; fall back to
-		// uniform over the rest.
+		// No weights, or all remaining mass sits on the excluded
+		// class: uniform over the rest.
 		next := rng.Intn(numClasses - 1)
 		if next >= exclude {
 			next++
@@ -208,20 +199,18 @@ func pickClass(rng *rand.Rand, weights []float64, numClasses, exclude int) int {
 		return next
 	}
 	r := rng.Float64() * sum
+	last := exclude
 	for c, w := range weights {
 		if c == exclude {
 			continue
 		}
-		r -= w
-		if r <= 0 {
+		if r -= w; r <= 0 {
 			return c
 		}
+		last = c
 	}
-	// Rounding fell off the end: return the last non-excluded class.
-	if exclude == numClasses-1 {
-		return numClasses - 2
-	}
-	return numClasses - 1
+	// Rounding fell off the end: the last non-excluded class.
+	return last
 }
 
 // ZipfWeights returns numClasses weights with weight(rank k) ∝ 1/k^s.
