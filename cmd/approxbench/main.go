@@ -1,5 +1,5 @@
 // Command approxbench runs the evaluation suite (experiments E1–E25 from
-// DESIGN.md; E9, E13, E16 and E24 are retired) and prints the tables
+// DESIGN.md; E6, E9, E13, E16 and E24 are retired) and prints the tables
 // recorded in EXPERIMENTS.md.
 //
 // Usage:
@@ -7,7 +7,7 @@
 //	approxbench                 # run every experiment at full scale
 //	approxbench -exp E1         # run one experiment
 //	approxbench -frames 500     # smaller/faster runs
-//	approxbench -parallel 8     # fan experiments/sweeps across workers
+//	approxbench -parallel 8     # fan experiments/sweeps across workers (-1: one per CPU)
 //	approxbench -list           # list the suite
 //	approxbench -exp E20 -json BENCH_throughput.json   # record a gated report
 //
@@ -50,10 +50,9 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("approxbench", flag.ContinueOnError)
 	var (
-		exp      = fs.String("exp", "all", "experiment id (E1..E25; E9, E13, E16 and E24 are retired), name, or \"all\"")
+		exp      = fs.String("exp", "all", "experiment id (E1..E25; E6, E9, E13, E16 and E24 are retired), name, or \"all\"")
 		frames   = fs.Int("frames", eval.DefaultScale().Frames, "per-device workload length in frames")
 		seed     = fs.Int64("seed", eval.DefaultScale().Seed, "root random seed")
-		format   = fs.String("format", "table", "output format: table | csv | markdown")
 		list     = fs.Bool("list", false, "list experiments and exit")
 		parallel = fs.Int("parallel", 1, "worker count for experiments and sweep points (1 = serial, -1 = NumCPU)")
 		cpuprof  = fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -98,7 +97,11 @@ func run(args []string) error {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	scale := eval.Scale{Frames: *frames, Seed: *seed, Workers: *parallel}
+	workers := *parallel
+	if workers < 0 {
+		workers = runtime.NumCPU()
+	}
+	scale := eval.Scale{Frames: *frames, Seed: *seed, Workers: workers}
 	experiments := eval.All()
 	if *exp != "all" {
 		e, err := eval.ByID(*exp)
@@ -106,9 +109,6 @@ func run(args []string) error {
 			return err
 		}
 		experiments = []eval.Experiment{e}
-	}
-	if *format != "table" && *format != "csv" && *format != "markdown" {
-		return fmt.Errorf("unknown format %q", *format)
 	}
 	if *jsonPath != "" && *exp == "all" {
 		return fmt.Errorf("-json records one experiment's report: name it with -exp")
@@ -119,20 +119,11 @@ func run(args []string) error {
 		return err
 	}
 	for _, report := range reports {
-		switch *format {
-		case "csv":
-			fmt.Printf("# %s — %s\n%s\n", report.ID, report.Title, report.CSV())
-		case "markdown":
-			fmt.Println(report.Markdown())
-		default:
-			fmt.Println(report)
-			fmt.Println()
-		}
+		fmt.Println(report)
+		fmt.Println()
 	}
-	if *format == "table" {
-		fmt.Printf("(%d experiment(s) completed in %v, parallel=%d)\n",
-			len(reports), time.Since(start).Round(time.Millisecond), *parallel)
-	}
+	fmt.Printf("(%d experiment(s) completed in %v, parallel=%d)\n",
+		len(reports), time.Since(start).Round(time.Millisecond), workers)
 	if *jsonPath != "" {
 		if reports[0].Data == nil {
 			return fmt.Errorf("-json: experiment %s has no typed report to record", reports[0].ID)

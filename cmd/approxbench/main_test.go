@@ -2,6 +2,8 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -22,6 +24,8 @@ func TestRunList(t *testing.T) {
 func TestRunUnknownExperiment(t *testing.T) {
 	for _, args := range [][]string{
 		{"-exp", "E99"},
+		{"-exp", "E6"},
+		{"-exp", "energy"},
 		{"-exp", "E13"},
 		{"-exp", "battery"},
 		{"-exp", "E16"},
@@ -30,12 +34,6 @@ func TestRunUnknownExperiment(t *testing.T) {
 		if err := run(args); err == nil {
 			t.Fatalf("%v accepted", args)
 		}
-	}
-}
-
-func TestRunBadFormat(t *testing.T) {
-	if err := run([]string{"-format", "xml", "-exp", "E3", "-frames", "60"}); err == nil {
-		t.Fatal("bad format accepted")
 	}
 }
 
@@ -60,14 +58,34 @@ func TestRunSingleExperimentTable(t *testing.T) {
 	}
 }
 
-func TestRunSingleExperimentCSV(t *testing.T) {
-	if err := run([]string{"-exp", "E6", "-frames", "80", "-format", "csv"}); err != nil {
+// TestRunParallelAllCPUs: -parallel -1 runs one worker per CPU, which
+// the closing line reports.
+func TestRunParallelAllCPUs(t *testing.T) {
+	r, w, err := os.Pipe()
+	if err != nil {
 		t.Fatal(err)
+	}
+	out := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- string(b)
+	}()
+	stdout := os.Stdout
+	os.Stdout = w
+	err = run([]string{"-exp", "E3", "-frames", "60", "-parallel", "-1"})
+	os.Stdout = stdout
+	w.Close()
+	printed := <-out
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf(", parallel=%d)", runtime.NumCPU()); !strings.Contains(printed, want) {
+		t.Fatalf("output lacks %q:\n%s", want, printed)
 	}
 }
 
 func TestRunByName(t *testing.T) {
-	if err := run([]string{"-exp", "energy", "-frames", "80"}); err != nil {
+	if err := run([]string{"-exp", "threshold-sweep", "-frames", "80"}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -233,7 +233,7 @@ func joinPeers(cache *approxcache.Cache, name string, addrs []string) (*approxca
 func printServingStats(pool *approxcache.Pool) {
 	if bs, ok := pool.BatcherStats(); ok {
 		fmt.Printf("batcher: %d frames in %d batches (avg %.1f), %d full, %d deadline flushes",
-			bs.Frames, bs.Batches, bs.AvgSize(), bs.FullFlushes, bs.DeadlineFlushes)
+			bs.SizeSum, bs.Batches, bs.AvgSize(), bs.FullFlushes, bs.DeadlineFlushes)
 		if bs.ExpiredDrops > 0 || bs.Overflows > 0 {
 			fmt.Printf(", %d expired in queue, %d queue overflows", bs.ExpiredDrops, bs.Overflows)
 		}

@@ -128,7 +128,6 @@ type Batcher struct {
 	closed   bool
 
 	batches         atomic.Int64
-	frames          atomic.Int64
 	sizeSum         atomic.Int64
 	fullFlushes     atomic.Int64
 	deadlineFlushes atomic.Int64
@@ -256,7 +255,6 @@ func (b *Batcher) dispatch(batch []*batchCall) {
 		return
 	}
 	b.batches.Add(1)
-	b.frames.Add(int64(len(live)))
 	b.sizeSum.Add(int64(len(live)))
 	ims := make([]*vision.Image, len(live))
 	for i, c := range live {
@@ -292,7 +290,6 @@ func (b *Batcher) Close() {
 func (b *Batcher) Stats() metrics.BatcherStats {
 	return metrics.BatcherStats{
 		Batches:         b.batches.Load(),
-		Frames:          b.frames.Load(),
 		SizeSum:         b.sizeSum.Load(),
 		FullFlushes:     b.fullFlushes.Load(),
 		DeadlineFlushes: b.deadlineFlushes.Load(),

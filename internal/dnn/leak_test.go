@@ -50,7 +50,7 @@ func TestBatcherCloseLeaksNothing(t *testing.T) {
 	if timer != nil {
 		t.Fatal("Close left the MaxWait timer armed")
 	}
-	if got := b.Stats().Frames; got != int64(len(ims)) {
+	if got := b.Stats().SizeSum; got != int64(len(ims)) {
 		t.Fatalf("Close dispatched %d frames, want %d", got, len(ims))
 	}
 	check()

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -60,7 +61,7 @@ func TestExperimentsDocMatchesApproxbench(t *testing.T) {
 		}
 	}
 	s := DefaultScale()
-	s.Workers = -1
+	s.Workers = runtime.NumCPU()
 	reports, err := RunExperiments(sims, s)
 	if err != nil {
 		t.Fatal(err)

@@ -22,9 +22,9 @@ type Scale struct {
 	// Seed anchors all randomness.
 	Seed int64
 	// Workers is how many experiments/sweep points may run
-	// concurrently. 0 or 1 is serial; negative means one per CPU.
-	// Results are identical at any worker count — each work item is an
-	// independent simulation on its own virtual clock.
+	// concurrently; below 2 is serial. Results are identical at any
+	// worker count — each work item is an independent simulation on its
+	// own virtual clock.
 	Workers int
 }
 
@@ -65,7 +65,7 @@ func All() []Experiment {
 		{ID: "E3", Name: "hit-breakdown", Run: E3HitBreakdown},
 		{ID: "E4", Name: "peer-sweep", Run: E4PeerSweep},
 		{ID: "E5", Name: "capacity-sweep", Run: E5CapacitySweep},
-		{ID: "E6", Name: "energy", Run: E6Energy},
+		// E6 (energy) is retired into E1's energy column; IDs are not renumbered.
 		{ID: "E7", Name: "lsh-ablation", Run: E7LSHAblation},
 		{ID: "E8", Name: "motion-gate", Run: E8MotionGate},
 		// E9 (adaptive-lsh) is retired; IDs are not renumbered.
@@ -142,7 +142,9 @@ func runStationary(s Scale, systems []system) ([]*device, error) {
 
 // E1Headline reproduces the poster's headline claim: average latency of
 // standard mobile image recognition reduced by up to 94% with minimal
-// accuracy loss, on the reuse-friendly stationary-heavy workload.
+// accuracy loss, on the reuse-friendly stationary-heavy workload. The
+// same runs give each system's energy per frame, including the radio
+// tax of P2P collaboration.
 func E1Headline(s Scale) (Report, error) {
 	systems := []system{
 		{name: "no-cache", cfg: baseline(core.ModeNoCache)},
@@ -158,11 +160,12 @@ func E1Headline(s Scale) (Report, error) {
 	report := Report{
 		ID:      "E1",
 		Title:   "Average recognition latency by system (stationary-heavy workload)",
-		Headers: []string{"system", "mean", "p50", "p99", "hit-rate", "accuracy", "latency-reduction"},
+		Headers: []string{"system", "mean", "p50", "p99", "hit-rate", "accuracy", "latency-reduction", "energy/frame (mJ)"},
 		Notes: []string{
 			"poster claim: up to 94% lower average latency with minimal accuracy loss",
 			"exact-cache ≈ no-cache: bit-identical frames almost never recur (why approximation is needed)",
 			"naive-skip reuses for the default streak (20 frames), then infers: approx's budget when the streak forces every inference, but blind through scene changes (accuracy cost)",
+			"energy tracks latency: avoided inferences dominate; P2P adds a small radio tax on misses",
 		},
 	}
 	baseMean := devs[0].lat.summary().Mean
@@ -181,6 +184,7 @@ func E1Headline(s Scale) (Report, error) {
 			fmtPct(stats.HitRate()),
 			fmtPct(stats.Accuracy()),
 			reduction,
+			fmtF(stats.EnergyMJ() / float64(stats.Frames())),
 		})
 	}
 	return report, nil
@@ -200,7 +204,7 @@ func E2ThresholdSweep(s Scale) (Report, error) {
 	}
 	thresholds := []float64{0.05, 0.10, 0.15, 0.25, 0.35, 0.50, 0.70}
 	rows := make([][]string, len(thresholds))
-	err := parallelEach(len(thresholds), s.workers(), func(i int) error {
+	err := parallelEach(len(thresholds), s.Workers, func(i int) error {
 		th := thresholds[i]
 		cfg := core.DefaultConfig()
 		cfg.Vote.MaxDistance = th
@@ -328,7 +332,7 @@ func E5CapacitySweep(s Scale) (Report, error) {
 		}
 	}
 	rows := make([][]string, len(points))
-	err := parallelEach(len(points), s.workers(), func(i int) error {
+	err := parallelEach(len(points), s.Workers, func(i int) error {
 		p := points[i]
 		dev, err := runSingle(deviceConfig{Name: "main", Spec: spec, Engine: core.DefaultConfig(), Store: p, Seed: s.Seed})
 		if err != nil {
@@ -348,39 +352,6 @@ func E5CapacitySweep(s Scale) (Report, error) {
 		return Report{}, err
 	}
 	report.Rows = append(report.Rows, rows...)
-	return report, nil
-}
-
-// E6Energy compares per-frame energy across systems, including the
-// radio tax of P2P collaboration.
-func E6Energy(s Scale) (Report, error) {
-	systems := []system{
-		{name: "no-cache", cfg: baseline(core.ModeNoCache)},
-		{name: "exact-cache", cfg: baseline(core.ModeExactCache)},
-		{name: "approx (local)", cfg: core.DefaultConfig()},
-		{name: "approx (full, 2 peers)", cfg: core.DefaultConfig(), peers: true},
-	}
-	devs, err := runStationary(s, systems)
-	if err != nil {
-		return Report{}, err
-	}
-	report := Report{
-		ID:      "E6",
-		Title:   "Energy per frame by system (stationary-heavy)",
-		Headers: []string{"system", "energy/frame (mJ)", "total (J)", "hit-rate"},
-		Notes: []string{
-			"energy tracks latency: avoided inferences dominate; P2P adds a small radio tax on misses",
-		},
-	}
-	for i, dev := range devs {
-		stats := dev.engine.Stats()
-		report.Rows = append(report.Rows, []string{
-			systems[i].name,
-			fmtF(stats.EnergyMJ() / float64(stats.Frames())),
-			fmtF(stats.EnergyMJ() / 1000),
-			fmtPct(stats.HitRate()),
-		})
-	}
 	return report, nil
 }
 
@@ -419,7 +390,7 @@ func E7LSHAblation(s Scale) (Report, error) {
 	}
 	bitsGrid, tablesGrid := []int{8, 12, 16, 20}, []int{1, 2, 4, 8}
 	rows := make([][]string, len(bitsGrid)*len(tablesGrid))
-	err = parallelEach(len(rows), s.workers(), func(i int) error {
+	err = parallelEach(len(rows), s.Workers, func(i int) error {
 		bits, tables := bitsGrid[i/len(tablesGrid)], tablesGrid[i%len(tablesGrid)]
 		idx, err := lsh.NewHyperplane(dim, bits, tables, s.Seed)
 		if err != nil {
@@ -458,7 +429,7 @@ func E8MotionGate(s Scale) (Report, error) {
 	spec := trace.HandheldMix(s.Frames, s.Seed)
 	scales := []float64{0.25, 0.5, 1, 2, 4, 8}
 	rows := make([][]string, len(scales))
-	err := parallelEach(len(scales), s.workers(), func(i int) error {
+	err := parallelEach(len(scales), s.Workers, func(i int) error {
 		scale := scales[i]
 		cfg := core.DefaultConfig()
 		base := imu.DefaultDetectorConfig()

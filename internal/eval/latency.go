@@ -46,12 +46,10 @@ func nearestRank(sorted []time.Duration, p float64) time.Duration {
 	if n == 0 {
 		return 0
 	}
+	// p ≤ 100 keeps the rank at most n-1.
 	rank := int(p/100*float64(n)+0.5) - 1
 	if rank < 0 {
 		rank = 0
-	}
-	if rank >= n {
-		rank = n - 1
 	}
 	return sorted[rank]
 }

@@ -2,32 +2,21 @@ package eval
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 )
 
-// parallelEach runs fn(0..n-1) across at most workers goroutines and
-// waits for all of them. Work items must be independent — every sweep
-// point and experiment in this package builds its own virtual clock,
-// RNGs, and network, so running them concurrently cannot change their
-// results, only the wall time. The first error (by lowest index) wins.
+// parallelEach runs fn(0..n-1) across workers goroutines (one when
+// workers < 1) and waits for all of them. Work items must be
+// independent — every sweep point and experiment in this package builds
+// its own virtual clock, RNGs, and network, so running them concurrently
+// cannot change their results, only the wall time. The first error (by
+// lowest index) wins.
 func parallelEach(n, workers int, fn func(i int) error) error {
-	if workers <= 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if workers > n {
-		workers = n
-	}
 	errs := make([]error, n)
 	next := make(chan int)
 	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	for w := 0; w < max(workers, 1); w++ {
+		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range next {
@@ -75,7 +64,7 @@ func RunExperiments(exps []Experiment, s Scale) ([]Report, error) {
 			sims = append(sims, i)
 		}
 	}
-	if err := parallelEach(len(sims), s.workers(), func(k int) error { return run(sims[k]) }); err != nil {
+	if err := parallelEach(len(sims), s.Workers, func(k int) error { return run(sims[k]) }); err != nil {
 		return nil, err
 	}
 	for _, i := range timed {
@@ -84,16 +73,4 @@ func RunExperiments(exps []Experiment, s Scale) ([]Report, error) {
 		}
 	}
 	return reports, nil
-}
-
-// workers resolves the Scale's worker count: 0 or 1 is serial, negative
-// means one worker per CPU.
-func (s Scale) workers() int {
-	if s.Workers < 0 {
-		return runtime.NumCPU()
-	}
-	if s.Workers == 0 {
-		return 1
-	}
-	return s.Workers
 }

@@ -56,18 +56,6 @@ func TestParallelEachZeroItems(t *testing.T) {
 	}
 }
 
-func TestScaleWorkers(t *testing.T) {
-	if got := (Scale{}).workers(); got != 1 {
-		t.Fatalf("zero value workers = %d, want 1", got)
-	}
-	if got := (Scale{Workers: 6}).workers(); got != 6 {
-		t.Fatalf("explicit workers = %d, want 6", got)
-	}
-	if got := (Scale{Workers: -1}).workers(); got < 1 {
-		t.Fatalf("NumCPU workers = %d, want >= 1", got)
-	}
-}
-
 // TestRunExperimentsParallelMatchesSerial is the determinism guarantee
 // behind `approxbench -parallel`: every experiment owns its virtual
 // clock and RNGs, so worker count must not change a single table cell.

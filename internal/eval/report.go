@@ -1,13 +1,12 @@
 // Package eval is the experiment harness: it builds the workloads,
-// nodes, and device groups for experiments E1–E25 (E24 is retired; see
-// DESIGN.md), runs them on virtual clocks (real ones for the serving
-// and lookup benchmarks), and renders the tables and series the
-// evaluation reports. Every experiment takes a Scale and nothing else.
-// cmd/approxbench is its one front end.
+// nodes, and device groups for experiments E1–E25 (E6, E9, E13, E16
+// and E24 are retired; see DESIGN.md), runs them on virtual clocks
+// (real ones for the serving and lookup benchmarks), and renders the
+// tables and series the evaluation reports. Every experiment takes a
+// Scale and nothing else. cmd/approxbench is its one front end.
 package eval
 
 import (
-	"encoding/csv"
 	"fmt"
 	"strings"
 	"time"
@@ -35,9 +34,6 @@ type Report struct {
 func (r Report) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s — %s\n", r.ID, r.Title)
-	if len(r.Headers) == 0 {
-		return b.String()
-	}
 	widths := make([]int, len(r.Headers))
 	for i, h := range r.Headers {
 		widths[i] = len(h)
@@ -76,49 +72,6 @@ func (r Report) String() string {
 	}
 	for _, n := range r.Notes {
 		fmt.Fprintf(&b, "note: %s\n", n)
-	}
-	return b.String()
-}
-
-// CSV renders the report as RFC 4180 CSV (header row first). Notes are
-// omitted.
-func (r Report) CSV() string {
-	var b strings.Builder
-	w := csv.NewWriter(&b)
-	// A strings.Builder never fails a write.
-	_ = w.Write(r.Headers)
-	_ = w.WriteAll(r.Rows)
-	return b.String()
-}
-
-// Markdown renders the report as a GitHub-flavored markdown table with
-// the title as a heading and notes as a trailing list.
-func (r Report) Markdown() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "## %s — %s\n\n", r.ID, r.Title)
-	if len(r.Headers) == 0 {
-		return b.String()
-	}
-	writeRow := func(cells []string) {
-		b.WriteString("|")
-		for _, cell := range cells {
-			b.WriteString(" ")
-			b.WriteString(strings.ReplaceAll(cell, "|", "\\|"))
-			b.WriteString(" |")
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(r.Headers)
-	rule := make([]string, len(r.Headers))
-	for i := range rule {
-		rule[i] = "---"
-	}
-	writeRow(rule)
-	for _, row := range r.Rows {
-		writeRow(row)
-	}
-	for _, n := range r.Notes {
-		fmt.Fprintf(&b, "\n> %s\n", n)
 	}
 	return b.String()
 }

@@ -240,8 +240,9 @@ func runSingle(cfg deviceConfig) (*device, error) {
 // interleaving frames in timestamp order so gossip and queries happen
 // causally, and returns the finished devices in cfgs order.
 //
-// Every spec should share a ClassSeed so the devices recognize the same
-// object vocabulary; otherwise peers can never help each other.
+// Every device must run in approx mode, which gives it a store and a peer
+// client. Every spec should share a ClassSeed so the devices recognize
+// the same object vocabulary; otherwise peers can never help each other.
 func runGroup(cfgs []deviceConfig, netSeed int64, link simnet.LinkProfile) ([]*device, error) {
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("eval: empty device group")
@@ -261,12 +262,9 @@ func runGroup(cfgs []deviceConfig, netSeed int64, link simnet.LinkProfile) ([]*d
 	}
 	// Full mesh: every device peers with all the others.
 	for i, dev := range devices {
-		if dev.client == nil {
-			continue
-		}
 		var others []string
 		for j, other := range devices {
-			if j != i && other.store != nil {
+			if j != i {
 				others = append(others, other.name)
 			}
 		}

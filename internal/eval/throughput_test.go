@@ -79,7 +79,7 @@ func TestThroughputModesRun(t *testing.T) {
 		if res.DNNFrames == 0 {
 			t.Fatalf("mode %s never ran the DNN", mode)
 		}
-		if batched := res.Batcher != nil && res.Batcher.Frames > 0; batched != (mode == modePoolBatched) {
+		if batched := res.Batcher != nil && res.Batcher.SizeSum > 0; batched != (mode == modePoolBatched) {
 			t.Fatalf("mode %s batcher stats = %+v", mode, res.Batcher)
 		}
 	}

@@ -9,9 +9,8 @@ package metrics
 type BatcherStats struct {
 	// Batches is the number of batches dispatched.
 	Batches int64
-	// Frames is the total frames classified through the batcher.
-	Frames int64
-	// SizeSum sums dispatched batch sizes (AvgSize = SizeSum/Batches).
+	// SizeSum sums dispatched batch sizes: the frames classified
+	// through the batcher (AvgSize = SizeSum/Batches).
 	SizeSum int64
 	// FullFlushes counts batches dispatched because they reached
 	// MaxBatch; DeadlineFlushes counts batches dispatched by the

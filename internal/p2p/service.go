@@ -167,7 +167,7 @@ func (s *Service) HandleRawAppend(from string, payload []byte, buf []byte) ([]by
 }
 
 // RadioEnergyModel estimates the radio energy cost of protocol traffic,
-// for the energy experiment (E6). Defaults approximate short-range
+// for E1's energy-per-frame column. Defaults approximate short-range
 // Wi-Fi: a fixed wake-up cost per message plus a per-byte cost.
 type RadioEnergyModel struct {
 	// PerMessageMJ is the fixed cost of sending or receiving one

@@ -84,7 +84,7 @@ func TestPoolConcurrentSessions(t *testing.T) {
 		t.Fatal("shared store is empty")
 	}
 	bs, ok := p.BatcherStats()
-	if !ok || bs.Frames == 0 {
+	if !ok || bs.SizeSum == 0 {
 		t.Fatalf("batcher stats = %+v ok=%v", bs, ok)
 	}
 	// Every session's stats handle is the shared scoreboard.

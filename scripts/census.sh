@@ -49,7 +49,7 @@ testonly=$root/testdata/knobs/test-only-funcs.txt
 blockreasons=$root/testdata/knobs/unreached-blocks.txt
 # The packages whose unexecuted blocks need no reason line; every other
 # package's must each have one.
-ungated="internal/eval internal/p2p"
+ungated="internal/p2p"
 report=
 if [ "${1-}" = -blocks ]; then report=1; fi
 
@@ -79,9 +79,7 @@ step() {
 }
 
 cd "$work"
-step approxbench -frames 300
-step approxbench -frames 300 -exp E1 -format csv
-step approxbench -frames 300 -exp E1 -format markdown
+step approxbench -frames 300 -parallel 2
 step approxbench -exp E23 -json BENCH_quality.json
 step benchgate BENCH_quality.json
 for w in device-video photo-lookup photo-churn peer-mesh pool-serve; do
