@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -207,15 +208,36 @@ func TestE1HeadlineShape(t *testing.T) {
 	if naiveAcc > localAcc+0.02 {
 		t.Fatalf("naive-skip accuracy %v beats gated pipeline %v", naiveAcc, localAcc)
 	}
-	// Energy tracks latency: avoided inferences dominate.
-	energy := func(name string) float64 {
-		v, err := strconv.ParseFloat(byName[name][7], 64)
+}
+
+// TestE6EnergyShape checks E1's energy/frame column, which carries what
+// the retired E6 experiment reported: avoided inferences dominate energy.
+func TestE6EnergyShape(t *testing.T) {
+	r, err := E1Headline(tinyScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := slices.Index(r.Headers, "energy/frame (mJ)")
+	if col < 0 {
+		t.Fatalf("no energy column in %v", r.Headers)
+	}
+	var base, local float64
+	for _, row := range r.Rows {
+		v, err := strconv.ParseFloat(row[col], 64)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return v
+		switch row[0] {
+		case "no-cache":
+			base = v
+		case "approx (local)":
+			local = v
+		}
 	}
-	if base, local := energy("no-cache"), energy("approx (local)"); local > base/3 {
+	if base == 0 {
+		t.Fatal("no no-cache energy row")
+	}
+	if local > base/3 {
 		t.Fatalf("approx energy %v not ≪ no-cache %v", local, base)
 	}
 }
