@@ -12,7 +12,7 @@ REPORTS = throughput:E20 overload:E21 lookup:E22 quality:E23 p2p:E25
 # How long `make fuzz` runs each fuzz target.
 FUZZTIME ?= 3s
 
-.PHONY: check build test race vet fmt bench gate bench-e2e-test fault-matrix fuzz census census-blocks pairs
+.PHONY: check build test race vet fmt bench gate bench-e2e-test fault-matrix fuzz census census-blocks pairs pairs-hot
 
 # Every step `make check` runs, in order.
 CHECKS = vet fmt test race bench-e2e-test gate fault-matrix fuzz census
@@ -133,3 +133,13 @@ WORKLOADS ?= device-video photo-lookup photo-churn peer-mesh pool-serve
 pairs:
 	@if [ -z "$(REV)" ]; then echo "usage: make pairs REV=<commit> [N=10] [WORKLOADS=...] [SECONDS=10]"; exit 2; fi
 	@bash scripts/pairs.sh "$(REV)" "$(N)" "$(WORKLOADS)" "$(SECONDS)"
+
+# Paired hot-path benchmark runs of this checkout against REV: each
+# side's test binary built once per HOTPATH_PKGS package, N rounds of
+# the benchmarks matching BENCH on both sides, flipping which goes first,
+# summarised by cmd/pairstat (per row: ns/op medians, IQRs, wins; a rise
+# in allocs/op fails).
+BENCH ?= HotPath
+pairs-hot:
+	@if [ -z "$(REV)" ]; then echo "usage: make pairs-hot REV=<commit> [BENCH=<regex>] [N=10]"; exit 2; fi
+	@bash scripts/pairs-hot.sh "$(REV)" "$(N)" "$(BENCH)" $(HOTPATH_PKGS)

@@ -1,11 +1,13 @@
-// Command pairstat summarises paired end-to-end benchmark runs, the
-// record scripts/pairs.sh writes: one JSON object per run,
-//
-//	{"side":"parent"|"change","workload":W,"seed":N,"result":<bench.sh's last line>}
-//
-// Usage:
+// Command pairstat summarises paired benchmark runs of a change against
+// its parent. Usage:
 //
 //	pairstat BENCHMARK.json RUNS.jsonl
+//	pairstat RUNS.txt
+//
+// With two arguments it reads the end-to-end record scripts/pairs.sh
+// writes: one JSON object per run,
+//
+//	{"side":"parent"|"change","workload":W,"seed":N,"result":<bench.sh's last line>}
 //
 // It prints the host block (internal/benchfile), then, per workload and
 // per end-to-end metric of BENCHMARK.json, both sides' medians and
@@ -14,6 +16,12 @@
 // "loss" when one side wins at least 9 pairs in 10 and the medians
 // differ by more than the parent's IQR: the bar a claimed gain must
 // clear.
+//
+// With one argument it reads Go benchmark output, the record
+// scripts/pairs-hot.sh writes (each run after a `side: parent` or
+// `side: change` line), and prints per benchmark row the same columns
+// for ns/op under the same rule; a row whose median allocs/op rose
+// fails.
 //
 // The simulated metrics (simMetrics) are a function of the seed on
 // every workload whose frames run one after another, so there they must
@@ -64,31 +72,45 @@ type run struct {
 }
 
 func main() {
-	if len(os.Args) != 3 {
-		fmt.Fprintln(os.Stderr, "usage: pairstat BENCHMARK.json RUNS.jsonl")
+	if len(os.Args) != 2 && len(os.Args) != 3 {
+		fmt.Fprintln(os.Stderr, "usage: pairstat BENCHMARK.json RUNS.jsonl | pairstat RUNS.txt")
 		os.Exit(2)
 	}
-	metrics, err := readMetrics(os.Args[1])
+	f, err := os.Open(os.Args[len(os.Args)-1])
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "pairstat:", err)
-		os.Exit(2)
-	}
-	f, err := os.Open(os.Args[2])
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pairstat:", err)
-		os.Exit(2)
+		fail(err)
 	}
 	defer f.Close()
-	runs, err := readRuns(f)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pairstat:", err)
-		os.Exit(2)
-	}
 	host, _ := json.Marshal(benchfile.CurrentHost()) // a struct of strings and ints
-	fmt.Printf("host: %s\n", host)
-	if !summarise(os.Stdout, metrics, runs) {
+	var ok bool
+	if len(os.Args) == 2 {
+		rows, err := readBench(f)
+		if err != nil {
+			fail(err)
+		}
+		fmt.Printf("host: %s\n", host)
+		ok = summariseBench(os.Stdout, rows)
+	} else {
+		metrics, err := readMetrics(os.Args[1])
+		if err != nil {
+			fail(err)
+		}
+		runs, err := readRuns(f)
+		if err != nil {
+			fail(err)
+		}
+		fmt.Printf("host: %s\n", host)
+		ok = summarise(os.Stdout, metrics, runs)
+	}
+	if !ok {
 		os.Exit(1)
 	}
+}
+
+// fail reports an input pairstat cannot read.
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "pairstat:", err)
+	os.Exit(2)
 }
 
 func readMetrics(path string) ([]metric, error) {
@@ -155,36 +177,59 @@ func summarise(w io.Writer, metrics []metric, runs []run) bool {
 		fmt.Fprintf(w, "  %-22s %14s %12s %14s %12s %6s %8s\n", "metric", "parent median", "IQR", "change median", "IQR", "wins", "change")
 		for _, m := range metrics {
 			var pv, cv []float64
-			wins, losses := 0, 0
 			for _, p := range pairs {
-				a, b := p[0].Result.Metrics[m.Name].Value, p[1].Result.Metrics[m.Name].Value
-				pv, cv = append(pv, a), append(cv, b)
-				switch {
-				case better(m, b, a):
-					wins++
-				case better(m, a, b):
-					losses++
-				}
+				pv = append(pv, p[0].Result.Metrics[m.Name].Value)
+				cv = append(cv, p[1].Result.Metrics[m.Name].Value)
 			}
-			pm, cm, piqr := quantile(pv, 0.5), quantile(cv, 0.5), quantile(pv, 0.75)-quantile(pv, 0.25)
-			verdict := ""
-			need := int(math.Ceil(0.9 * float64(len(pairs))))
-			switch {
-			case len(pairs) < minPairs:
-			case wins >= need && math.Abs(cm-pm) > piqr && better(m, cm, pm):
-				verdict = "gain"
-			case losses >= need && math.Abs(cm-pm) > piqr && better(m, pm, cm):
-				verdict = "loss"
-			}
-			line := fmt.Sprintf("  %-22s %14.6g %12.4g %14.6g %12.4g %3d/%-2d %+7.1f%% %s",
-				m.Name, pm, piqr, cm, quantile(cv, 0.75)-quantile(cv, 0.25), wins, len(pairs), 100*(cm/pm-1), verdict)
-			fmt.Fprintln(w, strings.TrimRight(line, " "))
+			fmt.Fprintf(w, "  %-22s %s\n", m.Name, compare(m, pv, cv))
 		}
 		if !simRule(w, wl, pairs) {
 			ok = false
 		}
 	}
 	return ok
+}
+
+// pairStats are one metric's figures over paired runs: each side's
+// median and IQR, the change's wins, and the verdict.
+type pairStats struct {
+	pm, piqr, cm, ciqr float64
+	wins, n            int
+	verdict            string // "gain", "loss" or ""
+}
+
+// compare pairs pv[i] (the parent's) with cv[i] (the change's). Over at
+// least minPairs pairs, the verdict is "gain" or "loss" when one side
+// wins at least 9 pairs in 10 and the medians differ by more than the
+// parent's IQR.
+func compare(m metric, pv, cv []float64) pairStats {
+	wins, losses := 0, 0
+	for i := range pv {
+		switch {
+		case better(m, cv[i], pv[i]):
+			wins++
+		case better(m, pv[i], cv[i]):
+			losses++
+		}
+	}
+	s := pairStats{pm: quantile(pv, 0.5), piqr: iqr(pv), cm: quantile(cv, 0.5), ciqr: iqr(cv), wins: wins, n: len(pv)}
+	need := int(math.Ceil(0.9 * float64(s.n)))
+	apart := math.Abs(s.cm-s.pm) > s.piqr
+	switch {
+	case s.n < minPairs:
+	case wins >= need && apart && better(m, s.cm, s.pm):
+		s.verdict = "gain"
+	case losses >= need && apart && better(m, s.pm, s.cm):
+		s.verdict = "loss"
+	}
+	return s
+}
+
+// String is the figures as one table row's columns.
+func (s pairStats) String() string {
+	line := fmt.Sprintf("%14.6g %12.4g %14.6g %12.4g %3d/%-2d %+7.1f%% %s",
+		s.pm, s.piqr, s.cm, s.ciqr, s.wins, s.n, 100*(s.cm/s.pm-1), s.verdict)
+	return strings.TrimRight(line, " ")
 }
 
 // simRule checks the simulated metrics of one workload's pairs and
@@ -244,6 +289,9 @@ func better(m metric, a, b float64) bool {
 	}
 	return a > b
 }
+
+// iqr is the interquartile range of xs.
+func iqr(xs []float64) float64 { return quantile(xs, 0.75) - quantile(xs, 0.25) }
 
 // quantile is the p-quantile of xs, interpolated between order
 // statistics (NaN for no values).

@@ -58,3 +58,57 @@ func TestSummariseRules(t *testing.T) {
 		}
 	}
 }
+
+// benchRuns is pairs-hot's record of n rounds of two rows: the parent's
+// HotPathA takes 100+round ns/op and the change's a(round); HotPathB
+// allocates 2 per op on the parent's side and allocs on the change's.
+func benchRuns(n int, a func(round int) float64, allocs int) string {
+	var b strings.Builder
+	for round := 1; round <= n; round++ {
+		for _, s := range []struct {
+			side   string
+			ns     float64
+			allocs int
+		}{{"parent", float64(100 + round), 2}, {"change", a(round), allocs}} {
+			fmt.Fprintf(&b, "side: %s\ngoos: linux\npkg: approxcache/internal/x\n", s.side)
+			fmt.Fprintf(&b, "BenchmarkHotPathA/48x48-2 \t 1000\t %v ns/op\t 0 B/op\t 0 allocs/op\n", s.ns)
+			fmt.Fprintf(&b, "BenchmarkHotPathB-2 \t 1000\t 50.5 ns/op\t 16 B/op\t %d allocs/op\nPASS\n", s.allocs)
+		}
+	}
+	return b.String()
+}
+
+// TestSummariseBenchRules: Go benchmark lines pair by round under the
+// workload rule — a row faster in every round by more than the
+// parent's IQR reads "gain", one inside the parent's spread reads
+// nothing — and a row whose allocs/op rise fails.
+func TestSummariseBenchRules(t *testing.T) {
+	cases := []struct {
+		name   string
+		a      func(int) float64
+		allocs int
+		ok     bool
+		want   string
+	}{
+		{"gain", func(r int) float64 { return float64(60 + r) }, 2, true, "10/10   -37.9% gain"},
+		{"no label", func(r int) float64 { return float64(100 + 11 - r) }, 2, true, "5/10"},
+		{"loss", func(r int) float64 { return float64(130 + r) }, 2, true, "0/10   +28.4% loss"},
+		{"allocs rose", func(r int) float64 { return float64(100 + r) }, 3, false, "ALLOCS ROSE: HotPathB-2 allocs/op median 2 → 3"},
+	}
+	for _, c := range cases {
+		rows, err := readBench(strings.NewReader(benchRuns(10, c.a, c.allocs)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out strings.Builder
+		if ok := summariseBench(&out, rows); ok != c.ok || !strings.Contains(out.String(), c.want) {
+			t.Errorf("%s: ok %v (want %v), output lacks %q:\n%s", c.name, ok, c.ok, c.want, out.String())
+		}
+		if c.name == "no label" && (strings.Contains(out.String(), "gain") || strings.Contains(out.String(), "loss")) {
+			t.Errorf("no label: reads as a gain or loss:\n%s", out.String())
+		}
+	}
+	if _, err := readBench(strings.NewReader("BenchmarkX-2 \t 10\t 5 ns/op\n")); err == nil {
+		t.Error("a row before any side line was accepted")
+	}
+}

@@ -338,3 +338,53 @@ func TestBrownoutServesFirstCandidate(t *testing.T) {
 		t.Fatalf("brownout serve = %s/%q, want local/first-cand", res.Source, res.Label)
 	}
 }
+
+// scriptedClassifier fails each inference with the next of errs.
+type scriptedClassifier struct {
+	inner *dnn.Classifier
+	errs  []error
+}
+
+func (c *scriptedClassifier) Profile() dnn.Profile { return c.inner.Profile() }
+
+func (c *scriptedClassifier) Infer(*vision.Image) (dnn.Inference, error) {
+	err := c.errs[0]
+	c.errs = c.errs[1:]
+	return dnn.Inference{}, err
+}
+
+// A shed is the frame's own: after a frame the full queue shed, the
+// next frame's outage goes down the ladder as a fallback, not as a
+// shed. The engine pools its frames, so the second frame reuses the
+// first's.
+func TestShedEndsWithItsFrame(t *testing.T) {
+	cfg := overloadConfig()
+	cfg.DisableWatchdog = true
+	classes, err := vision.NewClassSet(6, 48, 48, 77)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner, err := dnn.NewClassifier(perfectProfile(), classes, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cls := &scriptedClassifier{inner: inner, errs: []error{dnn.ErrQueueFull, errors.New("accelerator down")}}
+	f := newOverloadFixture(t, cfg, cls)
+	proto, err := classes.Prototype(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedLastResult(f.engine, "seeded")
+	for i, want := range []struct {
+		src metrics.Source
+		deg DegradationLevel
+	}{{metrics.SourceShed, DegradeOverload}, {metrics.SourceFallback, DegradeLastResult}} {
+		res, err := f.engine.Process(proto, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Source != want.src || res.Degradation != want.deg {
+			t.Fatalf("frame %d: %s/%s, want %s/%s", i, res.Source, res.Degradation, want.src, want.deg)
+		}
+	}
+}

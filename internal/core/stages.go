@@ -157,14 +157,10 @@ func stageList(cfg Config, admit bool) []stage {
 // steady-state frame allocates nothing. Every consumer of the recycled
 // descriptor and neighbour buffers (store, peer encodings) copies them.
 type frame struct {
-	frameState
 	thumb vision.Thumb   // valid while thumbed
 	vec   feature.Vector // the descriptor, in a recycled buffer
 	ns    []lsh.Neighbor // recycled neighbour buffer: the last search's result
-}
 
-// frameState is the part of a frame that starts from zero.
-type frameState struct {
 	rec      FrameRecord
 	im       *vision.Image
 	win      []imu.Sample
@@ -185,13 +181,36 @@ type frameState struct {
 	res                        Result
 }
 
-// newFrame takes a frame from the pool, reset for im.
+// newFrame takes a frame from the pool, reset for im. It resets only
+// the fields some stage reads before it writes them, one by one: a
+// whole-struct assignment would copy the frame's state on every frame.
+// Each engine pools its own frames, and the fields left are written
+// before every read of them on that engine:
+//   - deadline, by ProcessRecord on every frame of an engine with a
+//     request deadline (an engine without one never sets it);
+//   - brownout, by tryIMU on every frame of an engine with an
+//     admission controller (likewise);
+//   - revalidate, by tryIMU, which in ModeApprox precedes every reader
+//     (the baselines never read it);
+//   - peers, by tryExtract on every frame the guard passed: tryPeer
+//     reads it only on such a frame, tryGossip only after its inference;
+//   - inf, by tryDNN's inference, the one path on to repair, insert and
+//     gossip;
+//   - last and hasLast, by trySkip, which in ModeNaiveSkip precedes
+//     every read (no other mode sets them);
+//   - exactKey, by tryExact, which precedes tryBaselineDNN wherever the
+//     exact table that reads it exists.
 func (e *Engine) newFrame(im *vision.Image, win []imu.Sample) *frame {
 	f, _ := e.frames.Get().(*frame)
 	if f == nil {
 		f = new(frame)
 	}
-	f.frameState = frameState{im: im, win: win, imuOK: true, frameOK: true, scale: 1}
+	f.rec = FrameRecord{}
+	f.im, f.win = im, win
+	f.imuOK, f.frameOK, f.scale = true, true, 1
+	f.thumbed, f.haveLooked = false, false
+	f.cause, f.shed = nil, DegradeNone
+	f.res = Result{}
 	return f
 }
 

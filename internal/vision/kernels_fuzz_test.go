@@ -11,15 +11,18 @@ import (
 )
 
 // kernelShapes are the frames FuzzFrameKernels draws: the analysis
-// resolution (the straight-line block kernel), a width no segment
-// divides, a frame smaller than the 8×8 grid, and two longer than 255
-// vectors of 32 pixels (where the AVX2 histogram flushes its byte
-// lanes), one of them a single level, which puts every pixel of a
-// vector in the same bin's lanes.
+// resolution (sumBlocks6, the block-sum lane kernel on AVX2), a width
+// no segment divides, a frame smaller than the 8×8 grid, two longer
+// than 255 vectors of 32 pixels (where the AVX2 histogram flushes its
+// byte lanes), one of them a single level, which puts every pixel of a
+// vector in the same bin's lanes, and two more 48 pixels wide: one
+// whose block rows are 5 and 6 rows tall, and one shorter than the
+// grid, three of whose block rows hold no rows. New shapes go at the
+// end, so that every seed keeps its shape.
 var kernelShapes = []struct {
 	w, h int
 	flat bool
-}{{48, 48, false}, {37, 29, false}, {5, 3, false}, {91, 91, false}, {97, 90, true}}
+}{{48, 48, false}, {37, 29, false}, {5, 3, false}, {91, 91, false}, {97, 90, true}, {48, 45, false}, {48, 5, false}}
 
 // forEachKernel runs check with the AVX2 kernels (on a host that has
 // them) and then with the Go kernels, for every package at once —
@@ -60,6 +63,8 @@ func FuzzFrameKernels(f *testing.F) {
 	f.Add(uint8(0), uint8(17), uint8(200), []byte{128})
 	f.Add(uint8(3), uint8(5), uint8(9), []byte{})
 	f.Add(uint8(4), uint8(63), uint8(1), []byte{200})
+	f.Add(uint8(5), uint8(2), uint8(128), []byte{255, 255, 255, 255, 255, 255})
+	f.Add(uint8(6), uint8(0), uint8(77), []byte{1, 2, 3})
 	f.Fuzz(func(t *testing.T, shape, step, delta uint8, raw []byte) {
 		sz := kernelShapes[int(shape)%len(kernelShapes)]
 		w, h := sz.w, sz.h

@@ -1,5 +1,7 @@
 package vision
 
+import "approxcache/internal/cpu"
+
 // ThumbGrid is the side of the block-sum thumbnail: a frame is cut into
 // ThumbGrid×ThumbGrid blocks whatever its size.
 const ThumbGrid = 8
@@ -45,7 +47,7 @@ func (th *Thumb) BlockSums() *[ThumbGrid * ThumbGrid]int { return &th.cells }
 // fill is the one pass over a well-formed frame that every per-frame
 // consumer shares: it writes the block sums and returns the pixel sum.
 // A frame whose eight segments are six pixels wide — the 48-px analysis
-// resolution — takes the straight-line kernel.
+// resolution — takes sumBlocks6, the lane kernel on an AVX2 host.
 func (th *Thumb) fill(im *Image) (sum int) {
 	th.w, th.h = im.W, im.H
 	if im.W == 6*ThumbGrid {
@@ -92,13 +94,21 @@ func sumBlocks(cells *[ThumbGrid * ThumbGrid]int, im *Image) {
 }
 
 // sumBlocks6 is sumBlocks for a frame exactly 48 pixels wide, so that
-// every segment is six pixels. sumBlocks spends most of such a frame on
-// loop control: 384 six-iteration loops per frame. Here a block row's
-// eight sums stay in locals and a row is straight-line code with
-// constant indices, about three times as fast.
+// every segment is six pixels. On a host with AVX2 each block row's
+// rows go to the assembly kernel (sumRows6AVX2: two VPSADBW per row).
+// Elsewhere — an arm64 phone among them — and as the kernel's
+// reference, a block row's eight sums stay in locals and a row is
+// straight-line code with constant indices: sumBlocks would spend most
+// of such a frame on loop control, 384 six-iteration loops.
 func sumBlocks6(cells *[ThumbGrid * ThumbGrid]int, im *Image) {
 	const w = 6 * ThumbGrid
 	yb := blockEdges(im.H)
+	if cpu.HasAVX2 {
+		for cy := 0; cy < ThumbGrid; cy++ {
+			sumRows6AVX2(im.Pix[yb[cy]*w:yb[cy+1]*w], (*[ThumbGrid]int)(cells[cy*ThumbGrid:]))
+		}
+		return
+	}
 	for cy := 0; cy < ThumbGrid; cy++ {
 		var c0, c1, c2, c3, c4, c5, c6, c7 int
 		for y := yb[cy]; y < yb[cy+1]; y++ {

@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"approxcache/internal/cpu"
 )
 
 // refMeanAbsDiff is the frame difference by definition: every pixel's
@@ -410,16 +412,27 @@ func refFill(im *Image) (th Thumb, sum, sumSq int) {
 	return th, sum, sumSq
 }
 
-// checkThumbKernels fills im with the straight-line kernel (48-wide
-// frames only), the loop and whichever of the two fill picks, and
-// requires the reference's thumbnail and pixel sum from each; the sum of
-// squares must be exact, and the thumbnail's bound on it must hold.
+// checkThumbKernels fills im with the loop, with sumBlocks6's Go body
+// and lane kernel (48-wide frames only; the lanes on an AVX2 host) and
+// with whichever fill picks, and requires the reference's thumbnail and
+// pixel sum from each; the sum of squares must be exact, and the
+// thumbnail's bound on it must hold.
 func checkThumbKernels(t *testing.T, name string, im *Image) {
 	t.Helper()
 	want, wantSum, wantSq := refFill(im)
 	kernels := map[string]func(*[ThumbGrid * ThumbGrid]int, *Image){"loop": sumBlocks}
 	if im.W == 6*ThumbGrid {
-		kernels["straight-line"] = sumBlocks6
+		// Clearing cpu.HasAVX2 is safe here: no test in this package
+		// runs in parallel.
+		kernels["straight-line"] = func(cells *[ThumbGrid * ThumbGrid]int, im *Image) {
+			host := cpu.HasAVX2
+			defer func() { cpu.HasAVX2 = host }()
+			cpu.HasAVX2 = false
+			sumBlocks6(cells, im)
+		}
+		if cpu.HasAVX2 {
+			kernels["lanes"] = sumBlocks6
+		}
 	}
 	for kname, kernel := range kernels {
 		th := Thumb{w: im.W, h: im.H}
@@ -441,8 +454,8 @@ func checkThumbKernels(t *testing.T, name string, im *Image) {
 	}
 }
 
-// Both kernels must reproduce the reference thumbnail on every shape —
-// the straight-line one on every 48-wide frame, including heights not
+// Every kernel must reproduce the reference thumbnail on every shape —
+// sumBlocks6's two on every 48-wide frame, including heights not
 // divisible by the grid and shorter than it, and widths just off 48 —
 // and on random, full-scale and checkerboard pixels.
 func TestThumbFillMatchesReference(t *testing.T) {
@@ -464,7 +477,7 @@ func TestThumbFillMatchesReference(t *testing.T) {
 	}
 }
 
-// FuzzThumbFill runs arbitrary pixel bytes through both kernels and the
+// FuzzThumbFill runs arbitrary pixel bytes through every kernel and the
 // reference; its seed corpus runs under `go test`.
 func FuzzThumbFill(f *testing.F) {
 	// 48×48; 48×7 with white then black; 49×48 all white; 37×29.
