@@ -104,10 +104,10 @@ type budget struct {
 // allocation-free, and so do the frame guard's pass (straight-line
 // kernel and loop), the kNN vote, the video gate (a keyframe
 // scan allocates nothing and a push into a full library recycles the
-// evicted buffer) and the inertial gate (a sample into a full window
-// takes a ring slot). The store's label read copies nothing; an insert
-// into a full store may allocate only what the index's bucket growth
-// does (the store itself: nothing). One frame through the whole engine
+// evicted buffer), the inertial gate (a sample into a full window
+// takes a ring slot) and its window guard. The store's label read
+// copies nothing; an insert into a full store may allocate only what
+// the index's bucket growth does (the store itself: nothing). One frame through the whole engine
 // allocates nothing when the inertial gate, the video gate or the local
 // cache serves it; a miss allocates only the 6 of the watchdog's call
 // deadline (goroutine, channel, timer), and the simulated classifier's
@@ -131,6 +131,7 @@ var hotpathBudgets = []budget{
 	{"HotPathKeyframeMatch", 0},
 	{"HotPathKeyframePush", 0},
 	{"HotPathIMUObserve", 0},
+	{"HotPathCheckWindow", 0},
 	{"HotPathStoreLabel", 0},
 	{"HotPathStoreInsertEvict", 4},
 	{"HotPathObserveFrame", 0},

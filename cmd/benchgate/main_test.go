@@ -78,8 +78,8 @@ func TestCheckBudgetsUnmeasured(t *testing.T) {
 // TestCheckBudgetsBadSpec: the budgets and rows are Go literals now, so
 // a bad spec is a bad table — check the ones that ship.
 func TestCheckBudgetsBadSpec(t *testing.T) {
-	if len(hotpathBudgets) != 25 {
-		t.Fatalf("%d hot-path budgets, want the 18 carried over from the Makefile, four engine frames, the frame guard, the peer query and the classifier decision", len(hotpathBudgets))
+	if len(hotpathBudgets) != 26 {
+		t.Fatalf("%d hot-path budgets, want the 18 carried over from the Makefile, four engine frames, the frame guard, the IMU window guard, the peer query and the classifier decision", len(hotpathBudgets))
 	}
 	seen := map[string]bool{}
 	for _, b := range hotpathBudgets {

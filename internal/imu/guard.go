@@ -112,88 +112,84 @@ func (c GuardConfig) Validate() error {
 	return nil
 }
 
-// CheckWindow inspects one frame's IMU window and returns the first
-// fault found (most severe classes are checked first), or WindowOK. An
-// empty window is WindowOK: "no samples arrived" is a legitimate state
-// the detector already treats conservatively.
+// CheckWindow inspects one frame's IMU window and returns the most
+// severe fault class found anywhere in it, or WindowOK. An empty window
+// is WindowOK: "no samples arrived" is a legitimate state the detector
+// already treats conservatively.
+//
+// It is one pass that records what each class needs to know of the
+// whole window — each sensor's largest magnitude (which also tells a
+// non-finite reading), whether a timestamp goes back, the longest step,
+// the longest run of equal readings on any axis — and then names the
+// first class, in severity order, that the record shows. Which classes
+// occur does not depend on the order they are looked for in, so this is
+// exactly checking each class over the whole window in turn.
 func CheckWindow(win []Sample, cfg GuardConfig) WindowFault {
 	if len(win) == 0 {
 		return WindowOK
 	}
-	for i := range win {
-		for ax := 0; ax < 3; ax++ {
-			if !isFinite(win[i].Accel[ax]) || !isFinite(win[i].Gyro[ax]) {
-				return WindowNonFinite
-			}
-		}
-	}
+	var (
+		// The largest |reading| of each sensor, as its bit pattern: the
+		// patterns of non-negative floats order as their values do, and
+		// every NaN's lies above +Inf's.
+		peakAccel = peak(0, &win[0].Accel)
+		peakGyro  = peak(0, &win[0].Gyro)
+		back      bool
+		maxStep   = time.Duration(math.MinInt64)
+		// The run of equal readings ending at the sample on each axis,
+		// and the longest run of two or more any axis has had: 0 while
+		// no two consecutive readings are equal. The axes are spelled
+		// out rather than looped over, which keeps the runs in registers.
+		ra0, ra1, ra2, rg0, rg1, rg2 = 1, 1, 1, 1, 1, 1
+		longest                      int
+	)
 	for i := 1; i < len(win); i++ {
-		if win[i].Offset < win[i-1].Offset {
-			return WindowNonMonotonic
+		s, p := &win[i], &win[i-1]
+		peakAccel = peak(peakAccel, &s.Accel)
+		peakGyro = peak(peakGyro, &s.Gyro)
+		if s.Offset < p.Offset {
+			back = true
 		}
+		maxStep = max(maxStep, s.Offset-p.Offset)
+		ra0, longest = repeat(ra0, longest, s.Accel[0] == p.Accel[0])
+		ra1, longest = repeat(ra1, longest, s.Accel[1] == p.Accel[1])
+		ra2, longest = repeat(ra2, longest, s.Accel[2] == p.Accel[2])
+		rg0, longest = repeat(rg0, longest, s.Gyro[0] == p.Gyro[0])
+		rg1, longest = repeat(rg1, longest, s.Gyro[1] == p.Gyro[1])
+		rg2, longest = repeat(rg2, longest, s.Gyro[2] == p.Gyro[2])
 	}
-	if cfg.MaxGap > 0 {
-		for i := 1; i < len(win); i++ {
-			if win[i].Offset-win[i-1].Offset > cfg.MaxGap {
-				return WindowDropout
-			}
-		}
-	}
-	if stuckAxis(win, cfg.StuckRun) {
+	switch {
+	case max(peakAccel, peakGyro) >= math.Float64bits(math.Inf(1)):
+		return WindowNonFinite
+	case back:
+		return WindowNonMonotonic
+	case cfg.MaxGap > 0 && maxStep > cfg.MaxGap:
+		return WindowDropout
+	// A frozen sensor repeats a reading bit for bit; real ones carry
+	// noise in the low-order bits.
+	case cfg.StuckRun > 0 && longest >= cfg.StuckRun:
 		return WindowStuck
-	}
-	if cfg.MaxAccel > 0 || cfg.MaxGyro > 0 {
-		for i := range win {
-			for ax := 0; ax < 3; ax++ {
-				if cfg.MaxAccel > 0 && math.Abs(win[i].Accel[ax]) >= cfg.MaxAccel {
-					return WindowSaturated
-				}
-				if cfg.MaxGyro > 0 && math.Abs(win[i].Gyro[ax]) >= cfg.MaxGyro {
-					return WindowSaturated
-				}
-			}
-		}
-	}
-	if cfg.MaxSpan > 0 {
-		if win[0].Offset < 0 || win[len(win)-1].Offset-win[0].Offset > cfg.MaxSpan {
-			return WindowClockSkew
-		}
+	case cfg.MaxAccel > 0 && math.Float64frombits(peakAccel) >= cfg.MaxAccel,
+		cfg.MaxGyro > 0 && math.Float64frombits(peakGyro) >= cfg.MaxGyro:
+		return WindowSaturated
+	case cfg.MaxSpan > 0 && (win[0].Offset < 0 || win[len(win)-1].Offset-win[0].Offset > cfg.MaxSpan):
+		return WindowClockSkew
 	}
 	return WindowOK
 }
 
-// stuckAxis reports whether any single axis repeats the exact same
-// reading for run or more consecutive samples. Real sensors carry noise
-// in the low-order bits; bit-identical runs mean the driver stopped
-// updating.
-func stuckAxis(win []Sample, run int) bool {
-	if run <= 0 || len(win) < run {
-		return false
-	}
-	for ax := 0; ax < 3; ax++ {
-		if runLength(win, run, func(s Sample) float64 { return s.Accel[ax] }) ||
-			runLength(win, run, func(s Sample) float64 { return s.Gyro[ax] }) {
-			return true
-		}
-	}
-	return false
+// peak returns p raised to the bit pattern of the largest of |v[0]|,
+// |v[1]| and |v[2]|.
+func peak(p uint64, v *[3]float64) uint64 {
+	return max(p, math.Float64bits(math.Abs(v[0])), math.Float64bits(math.Abs(v[1])), math.Float64bits(math.Abs(v[2])))
 }
 
-func runLength(win []Sample, run int, get func(Sample) float64) bool {
-	streak := 1
-	for i := 1; i < len(win); i++ {
-		if get(win[i]) == get(win[i-1]) {
-			streak++
-			if streak >= run {
-				return true
-			}
-		} else {
-			streak = 1
-		}
+// repeat extends an axis's run of equal readings by one sample, raising
+// longest to it, if the reading repeats, and restarts it at 1 if not.
+func repeat(run, longest int, same bool) (int, int) {
+	if same {
+		run++
+		return run, max(longest, run)
 	}
-	return false
-}
-
-func isFinite(v float64) bool {
-	return !math.IsNaN(v) && !math.IsInf(v, 0)
+	return 1, longest
 }

@@ -216,6 +216,14 @@ type State struct {
 	Samples int
 }
 
+// reading is what the window keeps of a sample: its offset and the two
+// magnitudes State sums, each taken once, when the sample arrives,
+// rather than once per State call for every sample still in the window.
+type reading struct {
+	off         time.Duration
+	accel, gyro float64
+}
+
 // Detector maintains sliding-window motion statistics over a sample
 // stream. Detector is not safe for concurrent use; each device pipeline
 // owns one.
@@ -224,11 +232,11 @@ type Detector struct {
 	// base keeps the configured thresholds so SetStrictness scales from
 	// the original values, not compounding on itself.
 	base DetectorConfig
-	// ring holds the window's samples, oldest at head, count of them in
+	// ring holds the window's readings, oldest at head, count of them in
 	// use, wrapping around. Its length is a power of two (index masking)
 	// and grows until it holds the busiest window seen; from then on a
 	// sample costs one slot write, however many it pushes out.
-	ring        []Sample
+	ring        []reading
 	head, count int
 	rotation    float64
 	lastOff     time.Duration
@@ -263,9 +271,10 @@ func (d *Detector) Observe(s Sample) {
 	if d.started && s.Offset < d.lastOff {
 		return
 	}
+	r := reading{off: s.Offset, accel: s.AccelMagnitude(), gyro: s.GyroMagnitude()}
 	if d.started {
 		dt := (s.Offset - d.lastOff).Seconds()
-		d.rotation += s.GyroMagnitude() * dt
+		d.rotation += r.gyro * dt
 	}
 	d.started = true
 	d.lastOff = s.Offset
@@ -273,24 +282,24 @@ func (d *Detector) Observe(s Sample) {
 		d.grow()
 	}
 	mask := len(d.ring) - 1
-	d.ring[(d.head+d.count)&mask] = s
+	d.ring[(d.head+d.count)&mask] = r
 	d.count++
-	for cutoff := s.Offset - d.cfg.Window; d.count > 0 && d.ring[d.head].Offset < cutoff; d.count-- {
+	for cutoff := s.Offset - d.cfg.Window; d.count > 0 && d.ring[d.head].off < cutoff; d.count-- {
 		d.head = (d.head + 1) & mask
 	}
 }
 
 // grow doubles the ring, unwrapping the window to its start.
 func (d *Detector) grow() {
-	ring := make([]Sample, max(16, 2*len(d.ring)))
+	ring := make([]reading, max(16, 2*len(d.ring)))
 	older, newer := d.segments()
 	copy(ring[copy(ring, older):], newer)
 	d.ring, d.head = ring, 0
 }
 
 // segments returns the window as at most two runs of the ring, oldest
-// sample first.
-func (d *Detector) segments() (older, newer []Sample) {
+// reading first.
+func (d *Detector) segments() (older, newer []reading) {
 	if end := d.head + d.count; end > len(d.ring) {
 		return d.ring[d.head:], d.ring[:end-len(d.ring)]
 	}
@@ -317,15 +326,17 @@ func (d *Detector) State() State {
 		return st
 	}
 	// Oldest to newest, whatever the ring's phase: the sums must not
-	// depend on where the window happens to wrap.
+	// depend on where the window happens to wrap. The magnitudes are the
+	// ones Observe took, so each sum adds the same values in the same
+	// order as taking them here would.
 	var sum, sumSq, gyro float64
 	older, newer := d.segments()
-	for _, run := range [2][]Sample{older, newer} {
+	for _, run := range [2][]reading{older, newer} {
 		for i := range run {
-			m := run[i].AccelMagnitude()
+			m := run[i].accel
 			sum += m
 			sumSq += m * m
-			gyro += run[i].GyroMagnitude()
+			gyro += run[i].gyro
 		}
 	}
 	n := float64(d.count)

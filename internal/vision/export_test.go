@@ -16,4 +16,12 @@ var (
 	FillThumb   = (*Thumb).fill
 	SquareBound = (*Thumb).squareBound
 	SumSquares  = sumSquares
+	LowerBound  = (*Thumb).lowerBound
 )
+
+// ThumbOfCells returns a w×h frame's thumbnail holding cells, which no
+// frame need have summed to: the thumbnail bound's kernels must agree on
+// any cells, extreme ones included.
+func ThumbOfCells(w, h int, cells [ThumbGrid * ThumbGrid]int) Thumb {
+	return Thumb{w: w, h: h, cells: cells}
+}

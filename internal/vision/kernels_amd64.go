@@ -14,3 +14,9 @@ func absDiffSumAVX2(a, b []uint8) int
 //
 //go:noescape
 func sumRows6AVX2(rows []uint8, row8 *[ThumbGrid]int)
+
+// lowerBoundAVX2 is Σ|a[i]−b[i]| over two thumbnails' cells, in
+// assembly (kernels_amd64.s): four cells per VPSUBQ.
+//
+//go:noescape
+func lowerBoundAVX2(a, b *[ThumbGrid * ThumbGrid]int) int

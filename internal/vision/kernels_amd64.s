@@ -90,3 +90,55 @@ store:
 	VMOVDQU Y1, 32(DI)
 	VZEROUPPER
 	RET
+
+// CELLS adds |a−b| over the four cells at byte offset off of a (SI)
+// and b (DI) into acc's four 64-bit lanes: VPSUBQ takes the four
+// differences, VPCMPGTQ against zero (Y15) their sign masks, and
+// d XOR m − m is d where m is 0 and −d where m is all ones.
+#define CELLS(off, acc) \
+	VMOVDQU off(SI), Y2 \
+	VPSUBQ off(DI), Y2, Y2 \
+	VPCMPGTQ Y2, Y15, Y3 \
+	VPXOR Y3, Y2, Y2 \
+	VPSUBQ Y3, Y2, Y2 \
+	VPADDQ Y2, acc, acc
+
+// func lowerBoundAVX2(a, b *[64]int) int
+//
+// Σ|a[i]−b[i]| over the 64 cells, sixteen groups of four lanes into two
+// accumulators, whose eight lanes are added at the end. Every step is
+// the Go body's in two's complement — the difference and the sum wrap
+// as Go's do, and d XOR m − m is max(d, −d) for every d, the most
+// negative included — and integer sums in any order are the same sum,
+// so the result is the Go body's bit for bit.
+TEXT ·lowerBoundAVX2(SB), NOSPLIT, $0-24
+	MOVQ a+0(FP), SI
+	MOVQ b+8(FP), DI
+	VPXOR Y15, Y15, Y15
+	VPXOR Y0, Y0, Y0
+	VPXOR Y1, Y1, Y1
+	CELLS(0, Y0)
+	CELLS(32, Y1)
+	CELLS(64, Y0)
+	CELLS(96, Y1)
+	CELLS(128, Y0)
+	CELLS(160, Y1)
+	CELLS(192, Y0)
+	CELLS(224, Y1)
+	CELLS(256, Y0)
+	CELLS(288, Y1)
+	CELLS(320, Y0)
+	CELLS(352, Y1)
+	CELLS(384, Y0)
+	CELLS(416, Y1)
+	CELLS(448, Y0)
+	CELLS(480, Y1)
+	VPADDQ Y1, Y0, Y0
+	VEXTRACTI128 $1, Y0, X1
+	VPADDQ X1, X0, X0
+	VPSHUFD $0x4e, X0, X1
+	VPADDQ X1, X0, X0
+	VMOVQ X0, AX
+	MOVQ AX, ret+16(FP)
+	VZEROUPPER
+	RET

@@ -114,6 +114,22 @@ func checkFrameKernels(t *testing.T, path string, a, b *vision.Image) {
 		}
 	}
 
+	// The thumbnail bound against a per-cell sum, on the two frames'
+	// cells and on cells drawn from them towards the ends of int, where
+	// differences and the sum wrap (as Go's and the lanes' both do).
+	ca, cb := *ta.BlockSums(), *tb.BlockSums()
+	for _, cells := range [][2][vision.ThumbGrid * vision.ThumbGrid]int{{ca, cb}, extremeCells(ca, cb)} {
+		x, y := vision.ThumbOfCells(w, h, cells[0]), vision.ThumbOfCells(w, h, cells[1])
+		want := 0
+		for i := range cells[0] {
+			d := cells[0][i] - cells[1][i]
+			want += max(d, -d)
+		}
+		if got := vision.LowerBound(&x, &y); got != want {
+			t.Fatalf("%s kernels, %dx%d: thumbnail bound %d, want %d over cells %v and %v", path, w, h, got, want, cells[0], cells[1])
+		}
+	}
+
 	for _, im := range []*vision.Image{a, b} {
 		// Block sums over the floor(k·W/8) partition.
 		var th vision.Thumb
@@ -182,4 +198,36 @@ func checkFrameKernels(t *testing.T, path string, a, b *vision.Image) {
 			}
 		}
 	}
+}
+
+// extremeCells maps two thumbnails' cells, each on its own, onto values
+// at and near the ends of int and zero, or scales it up to 2⁵⁵ times
+// its sum, so that a cell pair's difference may overflow, be the most
+// negative int, or be an exact large value.
+func extremeCells(a, b [vision.ThumbGrid * vision.ThumbGrid]int) [2][vision.ThumbGrid * vision.ThumbGrid]int {
+	pick := func(c, i int) int {
+		switch (c + i) % 8 {
+		case 0:
+			return math.MinInt
+		case 1:
+			return math.MaxInt
+		case 2:
+			return math.MinInt + 1
+		case 3:
+			return 0
+		case 4:
+			return -1
+		case 5:
+			return c << 47
+		case 6:
+			return -c << 55
+		default:
+			return c
+		}
+	}
+	var out [2][vision.ThumbGrid * vision.ThumbGrid]int
+	for i := range a {
+		out[0][i], out[1][i] = pick(a[i], i), pick(b[i], 3*i)
+	}
+	return out
 }

@@ -9,3 +9,7 @@ func absDiffSumAVX2(a, b []uint8) int {
 func sumRows6AVX2(rows []uint8, row8 *[ThumbGrid]int) {
 	panic("vision: no AVX2 kernel on this architecture")
 }
+
+func lowerBoundAVX2(a, b *[ThumbGrid * ThumbGrid]int) int {
+	panic("vision: no AVX2 kernel on this architecture")
+}

@@ -55,7 +55,7 @@ func (th *Thumb) fill(im *Image) (sum int) {
 	} else {
 		sumBlocks(&th.cells, im)
 	}
-	for _, c := range th.cells {
+	for _, c := range &th.cells {
 		sum += c
 	}
 	return sum
@@ -138,14 +138,14 @@ func (th *Thumb) squareBound() int {
 	}
 	var s int
 	if th.w%ThumbGrid == 0 && th.h%ThumbGrid == 0 {
-		for _, c := range th.cells {
+		for _, c := range &th.cells {
 			s += c * c
 		}
 		return s / (qw * qh)
 	}
 	xb, yb := blockEdges(th.w), blockEdges(th.h)
 	var byShape [2][2]int
-	for i, c := range th.cells {
+	for i, c := range &th.cells {
 		cx, cy := i%ThumbGrid, i/ThumbGrid
 		byShape[xb[cx+1]-xb[cx]-qw][yb[cy+1]-yb[cy]-qh] += c * c
 	}
@@ -162,10 +162,16 @@ func (th *Thumb) squareBound() int {
 // lowerBound returns Σ_blocks |S_t − S_o|, which never exceeds the sum
 // of |a−b| over the two summarised frames' pixels: within a block,
 // |Σ(a−b)| ≤ Σ|a−b| (triangle inequality), and the blocks partition the
-// pixels.
+// pixels. On a host with AVX2 the cells go to the assembly kernel
+// (lowerBoundAVX2: four cells per register), whose sum is this loop's
+// bit for bit; elsewhere, an arm64 phone among them, and as its
+// reference, the loop runs.
 func (th *Thumb) lowerBound(o *Thumb) int {
+	if cpu.HasAVX2 {
+		return lowerBoundAVX2(&th.cells, &o.cells)
+	}
 	var s int
-	for i, c := range th.cells {
+	for i, c := range &th.cells {
 		s += max(c-o.cells[i], o.cells[i]-c)
 	}
 	return s
