@@ -138,8 +138,9 @@ pairs:
 # side's test binary built once per HOTPATH_PKGS package, N rounds of
 # the benchmarks matching BENCH on both sides, flipping which goes first,
 # summarised by cmd/pairstat (per row: ns/op medians, IQRs, wins; a rise
-# in allocs/op fails).
+# in allocs/op fails). BENCH reaches the script as typed ($(value ...)),
+# so an anchored regex such as 'HotPathNearest$|EngineFrame' keeps its $.
 BENCH ?= HotPath
 pairs-hot:
 	@if [ -z "$(REV)" ]; then echo "usage: make pairs-hot REV=<commit> [BENCH=<regex>] [N=10]"; exit 2; fi
-	@bash scripts/pairs-hot.sh "$(REV)" "$(N)" "$(BENCH)" $(HOTPATH_PKGS)
+	@bash scripts/pairs-hot.sh "$(REV)" "$(N)" '$(value BENCH)' $(HOTPATH_PKGS)

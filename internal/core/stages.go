@@ -103,7 +103,8 @@ type FrameRecord struct {
 // Totals is the frame's simulated latency and energy, summed in stage
 // order: no stage charges twice, so these are a running total's terms.
 func (r *FrameRecord) Totals() (latency time.Duration, energyMJ float64) {
-	for _, s := range r.Stages {
+	for i := range &r.Stages {
+		s := &r.Stages[i]
 		latency += s.Latency
 		energyMJ += s.EnergyMJ
 	}

@@ -2,6 +2,9 @@ package lsh
 
 import (
 	"math/rand"
+	"runtime"
+	"sync"
+	"weak"
 
 	"approxcache/internal/cpu"
 	"approxcache/internal/feature"
@@ -9,7 +12,8 @@ import (
 
 // hashFamily is the hash function of a HyperplaneIndex: the table
 // hyperplanes. It is immutable once built, and it is a deterministic
-// function of (dim, bits, tables, seed). Each index owns its family.
+// function of (dim, bits, tables, seed), so every index built with one
+// key shares one family (sharedFamily).
 type hashFamily struct {
 	dim, bits, tables int
 
@@ -21,6 +25,56 @@ type hashFamily struct {
 	// planeBlock floats, so the signature kernel sweeps it once with
 	// one vector lane per hyperplane.
 	planes []float64
+}
+
+// familyKey is what a family is a function of.
+type familyKey struct {
+	dim, bits, tables int
+	seed              int64
+}
+
+// families interns hash families weakly: while an index holds a
+// family, every index built with its key gets the same one; once none
+// does, the collector frees it, and a cleanup drops its entry unless a
+// newer family has taken the key.
+var families struct {
+	sync.Mutex
+	m map[familyKey]weak.Pointer[hashFamily]
+}
+
+// familyEntry is what a family's cleanup needs to drop its own entry.
+type familyEntry struct {
+	key familyKey
+	ref weak.Pointer[hashFamily]
+}
+
+// sharedFamily returns the live family for (dim, bits, tables, seed),
+// drawing it if no index holds one. Arguments are validated by the
+// caller.
+func sharedFamily(dim, bits, tables int, seed int64) *hashFamily {
+	key := familyKey{dim, bits, tables, seed}
+	families.Lock()
+	defer families.Unlock()
+	if f := families.m[key].Value(); f != nil {
+		return f
+	}
+	f := newHashFamily(dim, bits, tables, seed)
+	e := familyEntry{key, weak.Make(f)}
+	if families.m == nil {
+		families.m = make(map[familyKey]weak.Pointer[hashFamily])
+	}
+	families.m[key] = e.ref
+	runtime.AddCleanup(f, dropFamily, e)
+	return f
+}
+
+// dropFamily removes a collected family's entry.
+func dropFamily(e familyEntry) {
+	families.Lock()
+	defer families.Unlock()
+	if families.m[e.key] == e.ref {
+		delete(families.m, e.key)
+	}
 }
 
 // newHashFamily draws the family for (dim, bits, tables, seed).

@@ -3,9 +3,12 @@ package lsh
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
+	"time"
+	"weak"
 
 	"approxcache/internal/cpu"
 	"approxcache/internal/feature"
@@ -143,5 +146,53 @@ func TestSignatureKernelsMatchPlanes(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestFamilyInterned: indexes built with one (dim, bits, tables, seed)
+// share one family while any of them lives, and any other key draws its
+// own. Once none lives, the family is collected, its entry goes, and
+// the next index with that key draws the very same planes again.
+func TestFamilyInterned(t *testing.T) {
+	const dim, bits, tables, seed = 24, 9, 3, 77
+	build := func(dim, bits, tables int, seed int64) *HyperplaneIndex {
+		x, err := NewHyperplane(dim, bits, tables, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return x
+	}
+	a, b := build(dim, bits, tables, seed), build(dim, bits, tables, seed)
+	if a.fam != b.fam {
+		t.Fatal("two indexes with one key drew two families")
+	}
+	for _, other := range []*HyperplaneIndex{build(dim, bits, tables, seed+1), build(dim, bits, tables+1, seed), build(dim+1, bits, tables, seed)} {
+		if other.fam == a.fam {
+			t.Fatalf("index %dx%dx%d shares the %dx%dx%d family", other.dim, other.bits, other.tables, dim, bits, tables)
+		}
+	}
+	planes := slices.Clone(a.fam.planes)
+	dead := weak.Make(a.fam)
+	runtime.KeepAlive(a)
+	runtime.KeepAlive(b)
+	runtime.GC()
+	if dead.Value() != nil {
+		t.Fatal("a family outlived every index holding it")
+	}
+	key := familyKey{dim, bits, tables, seed}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		families.Lock()
+		_, ok := families.m[key]
+		families.Unlock()
+		if !ok {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("a collected family's entry stayed in the table")
+		}
+	}
+	c := build(dim, bits, tables, seed)
+	if !slices.Equal(c.fam.planes, planes) {
+		t.Fatal("the family drawn after a collection has other planes")
 	}
 }

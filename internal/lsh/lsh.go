@@ -24,6 +24,7 @@ import (
 	"math"
 	"sync"
 
+	"approxcache/internal/cpu"
 	"approxcache/internal/feature"
 )
 
@@ -82,7 +83,8 @@ type HyperplaneIndex struct {
 	bits   int
 	tables int
 
-	// fam is the hash function: the hyperplanes. Immutable.
+	// fam is the hash function: the hyperplanes. Immutable, and shared
+	// with every live index of the same shape and seed.
 	fam *hashFamily
 
 	// mu guards everything below: lookups hold it for reading across
@@ -100,6 +102,12 @@ type HyperplaneIndex struct {
 	slotID  []ID
 	slotSig []uint64
 	free    []int32
+	// codes holds slot s's code at codes[s*codeDims:(s+1)*codeDims]
+	// (code.go); uncoded holds the live slots whose code does not bound
+	// their vector. While it is not empty, lookups scan every gathered
+	// candidate.
+	codes   []uint8
+	uncoded map[int32]struct{}
 	// idSlot maps an ID to its slot. Only Insert/Remove/VectorInto touch
 	// it; the query path never chases it.
 	idSlot map[ID]int32
@@ -124,6 +132,8 @@ type queryScratch struct {
 	cands []int32
 	// sigs is the query's signature in every table.
 	sigs []uint64
+	// code is the query's code.
+	code [codeDims]uint8
 }
 
 // begin readies the scratch for one query over nslots slots.
@@ -165,7 +175,7 @@ func NewHyperplane(dim, bits, tables int, seed int64) (*HyperplaneIndex, error) 
 		dim:     dim,
 		bits:    bits,
 		tables:  tables,
-		fam:     newHashFamily(dim, bits, tables, seed),
+		fam:     sharedFamily(dim, bits, tables, seed),
 		buckets: make([]map[uint64][]int32, tables),
 		idSlot:  make(map[ID]int32),
 	}
@@ -202,6 +212,7 @@ func (x *HyperplaneIndex) allocSlotLocked() int32 {
 	x.arena = append(x.arena, make([]float64, x.dim)...)
 	x.slotID = append(x.slotID, 0)
 	x.slotSig = append(x.slotSig, make([]uint64, x.tables)...)
+	x.codes = append(x.codes, make([]uint8, codeDims)...)
 	return s
 }
 
@@ -219,6 +230,12 @@ func (x *HyperplaneIndex) Insert(id ID, v feature.Vector) error {
 	slot := x.allocSlotLocked()
 	copy(x.arena[int(slot)*x.dim:], v)
 	x.slotID[slot] = id
+	if !encode(v, (*[codeDims]uint8)(x.codes[int(slot)*codeDims:])) {
+		if x.uncoded == nil {
+			x.uncoded = make(map[int32]struct{})
+		}
+		x.uncoded[slot] = struct{}{}
+	}
 	sigs := x.slotSig[int(slot)*x.tables : (int(slot)+1)*x.tables]
 	x.fam.project(x.slotVec(slot), sigs)
 	for t, sig := range sigs {
@@ -256,6 +273,9 @@ const bucketShrinkMin = 16
 // free list. Caller holds mu for writing.
 func (x *HyperplaneIndex) removeLocked(id ID, slot int32) {
 	delete(x.idSlot, id)
+	if len(x.uncoded) > 0 {
+		delete(x.uncoded, slot)
+	}
 	for t := 0; t < x.tables; t++ {
 		sig := x.slotSig[int(slot)*x.tables+t]
 		bucket := x.buckets[t][sig]
@@ -355,9 +375,11 @@ func (x *HyperplaneIndex) NearestInto(q feature.Vector, k int, dst []Neighbor) (
 // NearestWithinInto is NearestInto restricted to a search radius: it
 // returns exactly the neighbors of NearestInto(q, k) whose Distance is
 // at most radius (an infinite or NaN radius restricts nothing). Telling
-// the scan the radius lets it stop scoring a candidate as soon as its
-// partial distance is out of range (see scan.go), which is most of the
-// arithmetic when buckets are crowded with far vectors.
+// the index the radius lets it drop, before scoring, every gathered
+// candidate whose 64-byte code proves it out of range (code.go), and
+// lets the scan stop scoring a candidate as soon as its partial
+// distance is out of range (scan.go): most of the arithmetic when
+// buckets are crowded with far vectors.
 func (x *HyperplaneIndex) NearestWithinInto(q feature.Vector, k int, radius float64, dst []Neighbor) ([]Neighbor, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("lsh: k must be positive, got %d", k)
@@ -370,9 +392,15 @@ func (x *HyperplaneIndex) NearestWithinInto(q feature.Vector, k int, radius floa
 	defer x.scratch.Put(sc)
 	var sel kSelector
 	sel.reset(k, dst[:0])
+	limit, filter := codeLimit(radius)
+	filter = filter && cpu.HasAVX2 && encode(q, &sc.code)
 	x.mu.RLock()
 	x.gather(q, sc)
-	scanSlots(q, x.arena, x.dim, x.slotID, sc.cands, len(sc.cands), &sel, sqBound(radius))
+	cands := sc.cands
+	if filter && len(x.uncoded) == 0 {
+		cands = cands[:filterCodes(&sc.code, x.codes, cands, limit)]
+	}
+	scanSlots(q, x.arena, x.dim, x.slotID, cands, len(cands), &sel, sqBound(radius))
 	x.mu.RUnlock()
 	return finishWithin(&sel, radius), nil
 }

@@ -4,6 +4,10 @@
 #   make pairs-hot REV=<parent> [BENCH=<regex>] [N=10]
 #   bash scripts/pairs-hot.sh REV N BENCH PKG...
 #
+# make hands BENCH over unexpanded, so a regex with $ arrives as typed:
+# with BENCH='HotPathNearest$|EngineFrame' the Nearest rows run are
+# HotPathNearest alone, not every row whose name begins with it.
+#
 # Extracts REV's committed tree (git archive) into a mktemp -d directory,
 # removed on exit, and builds each tree's test binary once per package
 # (go test -c). Then it runs N rounds of every binary with -test.bench
