@@ -11,19 +11,6 @@ import (
 	"approxcache/internal/feature"
 )
 
-// withAVX2 runs f with cpu.HasAVX2 as the host has it, then cleared.
-func withAVX2(t *testing.T, f func(t *testing.T)) {
-	host := cpu.HasAVX2
-	defer func() { cpu.HasAVX2 = host }()
-	for _, on := range []bool{host, false} {
-		cpu.HasAVX2 = on
-		t.Run(fmt.Sprintf("avx2=%v", on), f)
-		if !host {
-			return
-		}
-	}
-}
-
 // codeCase decodes a fuzz input into a query code, a code arena of
 // nslots slots and a candidate list over it: the bytes are read
 // cyclically, a mode byte pins codes to 0 or 255 (the widest
@@ -183,7 +170,8 @@ func TestCodeBoundsVector(t *testing.T) {
 // unfiltered is NearestWithinInto without the code filter: gather, then
 // the scan over every gathered candidate.
 func unfiltered(x *HyperplaneIndex, q feature.Vector, k int, radius float64) []Neighbor {
-	sc := new(queryScratch)
+	sc := x.getScratch()
+	defer x.scratch.Put(sc)
 	var sel kSelector
 	sel.reset(k, nil)
 	x.mu.RLock()
@@ -236,16 +224,22 @@ func boundaryPair(rng *rand.Rand, dim, j int) (q, x feature.Vector) {
 // include boundary pairs (code distance 0.98·√n past 255·r), rows
 // within one code step of the radius on both sides, rows and queries
 // with negative, > 1 and NaN components, and dimensions below 64. It
-// runs with AVX2 as the host has it and with cpu.HasAVX2 cleared, and
-// checks that the in-range phase drops most gathered candidates.
+// runs with AVX2 as the host has it at every dimension, and with
+// cpu.HasAVX2 cleared (no filter) at 80, and checks that the in-range
+// phase drops most gathered candidates.
 func TestCodeFilterKeepsScan(t *testing.T) {
-	withAVX2(t, func(t *testing.T) {
-		for _, dim := range []int{5, 63, 64, 80} {
-			t.Run(fmt.Sprintf("dim%d", dim), func(t *testing.T) {
-				codeFilterWorkload(t, dim)
-			})
-		}
-	})
+	for _, dim := range []int{5, 63, 64, 80} {
+		t.Run(fmt.Sprintf("dim%d", dim), func(t *testing.T) {
+			codeFilterWorkload(t, dim)
+		})
+	}
+	if cpu.HasAVX2 {
+		defer func() { cpu.HasAVX2 = true }()
+		cpu.HasAVX2 = false
+		t.Run("dim80/noavx2", func(t *testing.T) {
+			codeFilterWorkload(t, 80)
+		})
+	}
 }
 
 func codeFilterWorkload(t *testing.T, dim int) {
@@ -272,7 +266,7 @@ func codeFilterWorkload(t *testing.T, dim int) {
 			v[d] = min(max(v[d], 0), 1)
 		}
 		insert(v)
-		if len(queries) < 24 {
+		if len(queries) < 12 {
 			queries = append(queries, v)
 		}
 	}
@@ -301,9 +295,10 @@ func codeFilterWorkload(t *testing.T, dim int) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			radii := []float64{0, 1e-300, r, 2 * r, r / 2, math.Inf(1), math.NaN(), -1}
+			// 8.5 is past 7.97, where the bound covers every two codes.
+			radii := []float64{0, 1e-300, r, 2 * r, r / 2, 8.5, math.Inf(1), math.NaN(), -1}
 			for _, n := range full {
-				radii = append(radii, n.Distance, math.Nextafter(n.Distance, 0), math.Nextafter(n.Distance, math.Inf(1)))
+				radii = append(radii, n.Distance, math.Nextafter(n.Distance, 0))
 			}
 			for k := 1; k <= 8; k++ {
 				fullK, err := x.NearestInto(q, k, nil)

@@ -8,12 +8,16 @@
 // to make cheap, so both indexes are built for zero steady-state
 // allocation: vectors live in a flat arena addressed by slot (no map
 // chase inside distance loops), hyperplanes are one dim-major matrix
-// swept with one vector lane per hyperplane (family.go), per-query
-// candidate dedup is an epoch-stamped visited array drawn from a pool,
-// and ranking is bounded
-// top-k selection instead of a full sort, fed by one exact scan kernel
-// that stops scoring a candidate once the caller's radius or the running
-// k-th best rules it out (scan.go).
+// swept with one vector lane per hyperplane and shared by every live
+// index of one shape and seed (family.go), per-query candidate dedup is
+// an epoch-stamped visited array drawn from a pool, and ranking is
+// bounded top-k selection instead of a full sort, fed by one exact scan
+// kernel that stops scoring a candidate once the caller's radius or the
+// running k-th best rules it out (scan.go). In front of that scan, a
+// radius lookup drops every gathered candidate whose 64-byte code
+// proves it out of range (code.go): most of them, since descriptors
+// crowd the positive orthant where the hyperplanes barely separate
+// them. The result is bit-identical to the scan of every candidate.
 //
 // Each index guards its state with one sync.RWMutex: a lookup holds the
 // read lock across gather + scan, a mutation holds the write lock.
