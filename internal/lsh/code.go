@@ -80,37 +80,26 @@ func codeLimit(radius float64) (int32, bool) {
 
 // filterCodes keeps, in place and in order, the candidate slots of cands
 // whose code (codes[s*codeDims:]) has a squared distance of at most
-// limit from q, and returns how many it kept. Whole groups of four run
-// in the AVX2 kernel, the up to three left over in filterCodesGo. The
-// lookup calls it on an AVX2 host only: in Go, a code distance costs
-// about what the float scan it would spare costs.
+// limit from q, and returns how many it kept. It runs the AVX2 kernel,
+// and the lookup calls it on an AVX2 host only: in Go, a code distance
+// costs about what the float scan it would spare costs.
 func filterCodes(q *[codeDims]uint8, codes []uint8, cands []int32, limit int32) int {
 	i := len(cands) &^ 3
 	n := filterCodesAVX2(q, codes, cands[:i], limit)
-	return n + filterCodesGo(q, codes, cands[n:], cands[i:], limit)
-}
-
-// filterCodesGo is the filter in Go, the reference the kernel is tested
-// against: it writes to dst the slots of cands whose code is within
-// limit of q and returns how many it wrote. dst may be cands itself or
-// start before it.
-func filterCodesGo(q *[codeDims]uint8, codes []uint8, dst, cands []int32, limit int32) int {
-	n := 0
-	for _, s := range cands {
-		if codeDistGo(q, (*[codeDims]uint8)(codes[int(s)*codeDims:])) <= limit {
-			dst[n] = s
-			n++
-		}
+	rest := cands[i:]
+	if len(rest) == 0 {
+		return n
 	}
-	return n
-}
-
-// codeDistGo returns the squared distance between codes a and b.
-func codeDistGo(a, b *[codeDims]uint8) int32 {
-	var s int32
-	for i := range a {
-		d := int32(a[i]) - int32(b[i])
-		s += d * d
+	// The up to three left over make one more group, padded with copies
+	// of the first. A slot's verdict is the same wherever it stands, so
+	// the compacted group starts with the first exactly when the first is
+	// kept, and then its copies are kept too, last.
+	first := rest[0]
+	g := [4]int32{first, first, first, first}
+	copy(g[:], rest)
+	k := filterCodesAVX2(q, codes, g[:], limit)
+	if k > 0 && g[0] == first {
+		k -= len(g) - len(rest)
 	}
-	return s
+	return n + copy(cands[n:], g[:k])
 }
