@@ -14,8 +14,8 @@ import (
 // codeCase decodes a fuzz input into a query code, a code arena of
 // nslots slots and a candidate list over it: the bytes are read
 // cyclically, a mode byte pins codes to 0 or 255 (the widest
-// differences), and candidates name slots out of order, some twice
-// apart.
+// differences), and candidates name slots out of order, some more than
+// once.
 func codeCase(data []byte, ncands uint8) (q [codeDims]uint8, codes []uint8, cands []int32) {
 	next := func(i int) uint8 {
 		if len(data) == 0 {

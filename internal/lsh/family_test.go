@@ -196,3 +196,49 @@ func TestFamilyInterned(t *testing.T) {
 		t.Fatal("the family drawn after a collection has other planes")
 	}
 }
+
+// TestFamilyInternedConcurrent builds indexes of three keys from eight
+// goroutines at once, collecting in between, the way a pool's sessions
+// and eval's parallel workers build theirs. Run under -race: every index
+// must hash with its key's planes, and two indexes built with one key
+// while both live must share a family.
+func TestFamilyInternedConcurrent(t *testing.T) {
+	keys := []familyKey{{16, 8, 2, 41}, {16, 8, 2, 42}, {24, 6, 3, 41}}
+	want := make([][]float64, len(keys))
+	for i, k := range keys {
+		want[i] = newHashFamily(k.dim, k.bits, k.tables, k.seed).planes
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 30; i++ {
+				ki := (g + i) % len(keys)
+				k := keys[ki]
+				a, err := NewHyperplane(k.dim, k.bits, k.tables, k.seed)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				b, err := NewHyperplane(k.dim, k.bits, k.tables, k.seed)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if a.fam != b.fam {
+					t.Error("two live indexes with one key hold two families")
+					return
+				}
+				if !slices.Equal(a.fam.planes, want[ki]) {
+					t.Errorf("key %v: planes differ from a fresh draw", k)
+					return
+				}
+				if i%10 == 0 {
+					runtime.GC()
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
