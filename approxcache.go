@@ -255,8 +255,8 @@ func New(classifier Classifier, opts Options) (*Cache, error) {
 // prepare is what New and NewPool share: it translates Options into the
 // pipeline configuration, refusing a negative value in a field that
 // documents no meaning for one, and builds the engine's dependencies —
-// the clock (the wall clock by default) and one cost-aware store over a
-// 12-bit × 4-table single-probe LSH index.
+// the clock (the wall clock by default) and one cost-aware store over
+// the shipped single-probe LSH index (lsh.NewShipped, seed 1).
 func prepare(classifier Classifier, opts Options) (core.Config, core.Deps, error) {
 	switch {
 	case classifier == nil:
@@ -285,7 +285,7 @@ func prepare(classifier Classifier, opts Options) (core.Config, core.Deps, error
 	if capacity == 0 {
 		capacity = 256
 	}
-	idx, err := lsh.NewHyperplane(cfg.Extractor.Dim(), 12, 4, 1)
+	idx, err := lsh.NewShipped(cfg.Extractor.Dim(), 1)
 	if err != nil {
 		return core.Config{}, core.Deps{}, fmt.Errorf("approxcache: lsh index: %w", err)
 	}

@@ -39,12 +39,16 @@ func TestRunUnknownExperiment(t *testing.T) {
 
 // TestRunBadFrames: a non-positive -frames is refused for every
 // experiment, the gated benchmarks (which pick their size from the
-// scale) included.
+// scale) included, and so is a run shorter than E18's or E19's minimum,
+// alone or in the whole suite: an error, not a panic.
 func TestRunBadFrames(t *testing.T) {
 	for _, args := range [][]string{
 		{"-exp", "E3", "-frames", "0"},
 		{"-exp", "E23", "-frames", "0"},
 		{"-exp", "E22", "-frames", "-1"},
+		{"-exp", "E18", "-frames", "10"},
+		{"-exp", "E19", "-frames", "29"},
+		{"-frames", "10"},
 	} {
 		if err := run(args); err == nil {
 			t.Fatalf("%v accepted", args)

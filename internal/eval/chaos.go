@@ -31,7 +31,7 @@ const (
 // The chaos run's shape.
 const (
 	// chaosMinFrames is the shortest workload whose phases are all
-	// populated.
+	// populated; RunExperiments refuses E18 below it.
 	chaosMinFrames = 30
 	// chaosPeers is how many warm peers surround the main device.
 	chaosPeers = 2
@@ -80,12 +80,9 @@ type chaosResult struct {
 // and restarting them ~70% in (offsets on the workload's arrival
 // timeline). A no-peers baseline run of the same workload provides the
 // reference latency per phase. guarded selects the default breaker and
-// chaosBudget; unguarded disables both.
-func runChaos(s Scale, guarded bool) (chaosResult, error) {
-	if s.Frames < chaosMinFrames {
-		return chaosResult{}, fmt.Errorf("eval: chaos needs ≥ %d frames, got %d", chaosMinFrames, s.Frames)
-	}
-
+// chaosBudget; unguarded disables both. s.Frames is at least
+// chaosMinFrames.
+func runChaos(s Scale, guarded bool) chaosResult {
 	// An all-panning route over a vocabulary much larger than the main
 	// device's cache: constant scene changes defeat the IMU/video
 	// gates and evictions defeat the local gate, so frames reach the
@@ -99,12 +96,9 @@ func runChaos(s Scale, guarded bool) (chaosResult, error) {
 	mainStore := cachestore.Config{Capacity: chaosCapacity, Policy: cachestore.CostAware}
 
 	var out chaosResult
-	baseDev, err := buildDevice(deviceConfig{
+	baseDev := buildDevice(deviceConfig{
 		Name: "main", Spec: spec, Engine: core.DefaultConfig(), Store: mainStore, Seed: s.Seed,
 	}, simclock.NewVirtual(time.Unix(0, 0)), nil)
-	if err != nil {
-		return chaosResult{}, err
-	}
 	// Fault offsets on the arrival timeline (the replay pins the clock
 	// to each frame's arrival, so these fire mid-session for any
 	// pipeline speed).
@@ -117,14 +111,14 @@ func runChaos(s Scale, guarded bool) (chaosResult, error) {
 	// frame at or past phaseCrash every peer crashes, and before the
 	// first at phaseHeal every peer restarts; a frame that jumps from
 	// pre straight to heal does both, leaving them up.
-	window := func(dev *device, net *simnet.Network, peers []string) ([chaosPhases]chaosPhase, error) {
+	window := func(dev *device, net *simnet.Network, peers []string) [chaosPhases]chaosPhase {
 		var sums [chaosPhases]time.Duration
 		var phases [chaosPhases]chaosPhase
 		start, phase := dev.clock.Now(), phasePre
 		crashed, restarted := false, false
-		err := dev.replay(hooks{
+		dev.replay(hooks{
 			pin: true,
-			before: func(int, *frameInput) error {
+			before: func(int, *frameInput) {
 				switch elapsed := dev.clock.Now().Sub(start); {
 				case elapsed < crashAt:
 					phase = phasePre
@@ -145,18 +139,14 @@ func runChaos(s Scale, guarded bool) (chaosResult, error) {
 						net.Restart(simnet.NodeID(p))
 					}
 				}
-				return nil
 			},
-			after: func(_ int, _ *frameInput, res core.Result, err error) error {
-				if err != nil {
-					return err
-				}
+			after: func(_ int, _ *frameInput, res core.Result, err error) {
+				check(err)
 				phases[phase].Frames++
 				sums[phase] += res.Latency
 				if res.Source == metrics.SourcePeer {
 					phases[phase].PeerHits++
 				}
-				return nil
 			},
 		})
 		for i := range phases {
@@ -164,35 +154,24 @@ func runChaos(s Scale, guarded bool) (chaosResult, error) {
 				phases[i].Mean = sums[i] / time.Duration(phases[i].Frames)
 			}
 		}
-		return phases, err
+		return phases
 	}
-	if out.Baseline, err = window(baseDev, nil, nil); err != nil {
-		return chaosResult{}, err
-	}
+	out.Baseline = window(baseDev, nil, nil)
 
 	// Faulted run: warm peers first (identical workload, so their
 	// caches cover exactly what the main device will ask), then replay
 	// the main device while they crash and restart.
 	clock := simclock.NewVirtual(time.Unix(0, 0))
-	net, err := simnet.New(simnet.LinkProfile{
+	net := must(simnet.New(simnet.LinkProfile{
 		Latency: 5 * time.Millisecond, BandwidthBps: 1 << 20,
-	}, s.Seed)
-	if err != nil {
-		return chaosResult{}, err
-	}
+	}, s.Seed))
 	net.SetDeadCost(chaosDeadCost)
 	peerNames := make([]string, chaosPeers)
 	for i := range peerNames {
 		peerNames[i] = fmt.Sprintf("peer-%d", i)
-		peer, err := buildDevice(deviceConfig{
+		buildDevice(deviceConfig{
 			Name: peerNames[i], Spec: spec, Engine: core.DefaultConfig(), Seed: s.Seed,
-		}, clock, net)
-		if err != nil {
-			return chaosResult{}, err
-		}
-		if err := peer.replay(hooks{}); err != nil {
-			return chaosResult{}, err
-		}
+		}, clock, net).replay(hooks{})
 	}
 	ccfg := p2p.DefaultClientConfig()
 	ccfg.DisableBreaker = !guarded
@@ -202,16 +181,11 @@ func runChaos(s Scale, guarded bool) (chaosResult, error) {
 	} else {
 		ecfg.PeerBudget = -1 // unbounded
 	}
-	dev, err := buildDevice(deviceConfig{
+	dev := buildDevice(deviceConfig{
 		Name: "main", Spec: spec, Engine: ecfg, Store: mainStore, Seed: s.Seed, Client: &ccfg,
 	}, clock, net)
-	if err != nil {
-		return chaosResult{}, err
-	}
 	dev.client.SetPeers(peerNames)
-	if out.Run, err = window(dev, net, peerNames); err != nil {
-		return chaosResult{}, err
-	}
+	out.Run = window(dev, net, peerNames)
 	out.Health = dev.client.Health()
-	return out, nil
+	return out
 }

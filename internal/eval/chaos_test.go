@@ -12,10 +12,7 @@ import (
 // scheduled heal the circuits must close and peer hits must resume,
 // with the breaker activity visible in the client's health snapshot.
 func TestChaosResilienceAcceptance(t *testing.T) {
-	res, err := runChaos(Scale{Frames: 400, Seed: 42}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runChaos(Scale{Frames: 400, Seed: 42}, true)
 	for p, name := range []string{"pre", "crash", "heal"} {
 		if res.Baseline[p].Frames == 0 || res.Run[p].Frames == 0 {
 			t.Fatalf("empty %s phase: baseline %d frames, run %d frames",
@@ -67,10 +64,7 @@ func TestChaosResilienceAcceptance(t *testing.T) {
 // frame and blows well past the baseline-plus-10% bound the guarded
 // run meets.
 func TestChaosUnguardedPaysDeadCost(t *testing.T) {
-	res, err := runChaos(Scale{Frames: 240, Seed: 42}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runChaos(Scale{Frames: 240, Seed: 42}, false)
 	if res.Run[phaseCrash].Frames == 0 {
 		t.Fatal("empty crash phase")
 	}
@@ -86,10 +80,7 @@ func TestChaosUnguardedPaysDeadCost(t *testing.T) {
 
 // TestChaosPhasesSumToWorkload sanity-checks the windowing.
 func TestChaosPhasesSumToWorkload(t *testing.T) {
-	res, err := runChaos(Scale{Frames: 60, Seed: 7}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runChaos(Scale{Frames: 60, Seed: 7}, true)
 	for _, phases := range [][chaosPhases]chaosPhase{res.Baseline, res.Run} {
 		total := 0
 		for _, p := range phases {

@@ -99,10 +99,7 @@ func TestExperimentsDocMatchesApproxbench(t *testing.T) {
 // the commit before a change that means to move it.
 func TestE18SmallScaleMatchesParentGolden(t *testing.T) {
 	const want = "8bd9e49dc6a373f486423143ed91cb1e364e692d0dfb23fa8af8b5dcb07ef9eb"
-	r, err := E18ChaosResilience(smallScale())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := E18ChaosResilience(smallScale())
 	if sum := sha256.Sum256([]byte(r.String())); hex.EncodeToString(sum[:]) != want {
 		t.Errorf("E18 at smallScale: table digest %x, want %s\n%s", sum, want, r)
 	}

@@ -1,6 +1,8 @@
 package eval
 
 import (
+	"errors"
+	"fmt"
 	"slices"
 	"strconv"
 	"strings"
@@ -45,6 +47,72 @@ func TestScaleValidate(t *testing.T) {
 	}
 	if err := smallScale().validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunExperimentsRefusesShortRuns: RunExperiments is where a Scale
+// is checked, before any experiment starts. It refuses a non-positive
+// frame count for every experiment, and a run shorter than E18's chaos
+// phases or E19's fault windows need, whichever experiments beside them
+// are selected; at each minimum it runs.
+func TestRunExperimentsRefusesShortRuns(t *testing.T) {
+	chaosShort := fmt.Sprintf("eval: chaos needs ≥ %d frames, got %d", chaosMinFrames, chaosMinFrames-1)
+	for _, c := range []struct {
+		ids    []string
+		frames int
+		want   string // the refusal; empty when the run is accepted
+	}{
+		{[]string{"E3"}, 0, "eval: frames must be positive, got 0"},
+		{[]string{"E22"}, -1, "eval: frames must be positive, got -1"},
+		{[]string{"E3"}, 1, ""},
+		{[]string{"E18"}, chaosMinFrames - 1, chaosShort},
+		{[]string{"E3", "E18"}, chaosMinFrames - 1, chaosShort},
+		{[]string{"E18"}, chaosMinFrames, ""},
+		{[]string{"E19"}, 29, "eval: fault matrix needs ≥ 30 frames, got 29"},
+		{[]string{"E19"}, 30, ""},
+	} {
+		t.Run(fmt.Sprintf("%s/%d", strings.Join(c.ids, "+"), c.frames), func(t *testing.T) {
+			var exps []Experiment
+			for _, id := range c.ids {
+				e, err := ByID(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				exps = append(exps, e)
+			}
+			reports, err := RunExperiments(exps, Scale{Frames: c.frames, Seed: 42})
+			switch {
+			case c.want != "" && (err == nil || err.Error() != c.want):
+				t.Fatalf("err = %v, want %q", err, c.want)
+			case c.want == "" && err != nil:
+				t.Fatalf("refused: %v", err)
+			case c.want == "" && (len(reports) != len(c.ids) || reports[0].ID != c.ids[0] || len(reports[0].Rows) == 0):
+				t.Fatalf("reports = %v", reports)
+			}
+		})
+	}
+}
+
+// TestMustPanicsWithTheCallsError: must and check pass a successful
+// call through, and panic with the failed call's own error.
+func TestMustPanicsWithTheCallsError(t *testing.T) {
+	if got := must(7, nil); got != 7 {
+		t.Fatalf("must(7, nil) = %d", got)
+	}
+	check(nil)
+	errCall := errors.New("call failed")
+	for name, call := range map[string]func(){
+		"must":  func() { must(7, errCall) },
+		"check": func() { check(errCall) },
+	} {
+		func() {
+			defer func() {
+				if err, ok := recover().(error); !ok || !errors.Is(err, errCall) {
+					t.Errorf("%s: recovered %v, want a panic with %v", name, err, errCall)
+				}
+			}()
+			call()
+		}()
 	}
 }
 
@@ -100,14 +168,11 @@ func TestReportString(t *testing.T) {
 }
 
 func TestRunSingleSmoke(t *testing.T) {
-	dev, err := runSingle(deviceConfig{
+	dev := runSingle(deviceConfig{
 		Name:   "dev",
 		Spec:   trace.StationaryHeavy(100, 1),
 		Engine: core.DefaultConfig(),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if n := dev.engine.Stats().Frames(); n != 100 {
 		t.Fatalf("frames = %d", n)
 	}
@@ -117,25 +182,16 @@ func TestRunSingleSmoke(t *testing.T) {
 }
 
 func TestRunSingleBaselineHasNoStore(t *testing.T) {
-	dev, err := runSingle(deviceConfig{
+	dev := runSingle(deviceConfig{
 		Name:   "dev",
 		Spec:   trace.StationaryHeavy(50, 1),
 		Engine: baseline(core.ModeNoCache),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if dev.store != nil {
 		t.Fatal("baseline returned a store")
 	}
 	if dev.engine.Stats().HitRate() != 0 {
 		t.Fatal("baseline produced hits")
-	}
-}
-
-func TestRunGroupValidation(t *testing.T) {
-	if _, err := runGroup(nil, 1, simnet.DefaultLinkProfile()); err == nil {
-		t.Fatal("empty group accepted")
 	}
 }
 
@@ -145,13 +201,10 @@ func TestRunGroupPeersHelp(t *testing.T) {
 	specA.ClassSeed = shared
 	specB := trace.WalkingTour(150, 55)
 	specB.ClassSeed = shared
-	group, err := runGroup([]deviceConfig{
+	group := runGroup([]deviceConfig{
 		{Name: "a", Spec: specA, Engine: core.DefaultConfig(), Seed: 1},
 		{Name: "b", Spec: specB, Engine: core.DefaultConfig(), Seed: 2},
 	}, 3, simnet.DefaultLinkProfile())
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(group) != 2 {
 		t.Fatalf("group = %v", group)
 	}
@@ -166,10 +219,7 @@ func TestRunGroupPeersHelp(t *testing.T) {
 }
 
 func TestE1HeadlineShape(t *testing.T) {
-	r, err := E1Headline(tinyScale())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := E1Headline(tinyScale())
 	if len(r.Rows) != 5 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -213,10 +263,7 @@ func TestE1HeadlineShape(t *testing.T) {
 // TestE6EnergyShape checks E1's energy/frame column, which carries what
 // the retired E6 experiment reported: avoided inferences dominate energy.
 func TestE6EnergyShape(t *testing.T) {
-	r, err := E1Headline(tinyScale())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := E1Headline(tinyScale())
 	col := slices.Index(r.Headers, "energy/frame (mJ)")
 	if col < 0 {
 		t.Fatalf("no energy column in %v", r.Headers)
@@ -243,10 +290,7 @@ func TestE6EnergyShape(t *testing.T) {
 }
 
 func TestE2ThresholdSweepShape(t *testing.T) {
-	r, err := E2ThresholdSweep(tinyScale())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := E2ThresholdSweep(tinyScale())
 	if len(r.Rows) != 7 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -260,10 +304,7 @@ func TestE2ThresholdSweepShape(t *testing.T) {
 }
 
 func TestE3HitBreakdownShape(t *testing.T) {
-	r, err := E3HitBreakdown(tinyScale())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := E3HitBreakdown(tinyScale())
 	if len(r.Rows) != 4 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -287,10 +328,7 @@ func TestE3HitBreakdownShape(t *testing.T) {
 }
 
 func TestE5CapacitySweepShape(t *testing.T) {
-	r, err := E5CapacitySweep(tinyScale())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := E5CapacitySweep(tinyScale())
 	if len(r.Rows) != 15 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -304,10 +342,7 @@ func TestE5CapacitySweepShape(t *testing.T) {
 }
 
 func TestE7LSHAblationShape(t *testing.T) {
-	r, err := E7LSHAblation(tinyScale())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := E7LSHAblation(tinyScale())
 	if len(r.Rows) != 16 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -320,10 +355,7 @@ func TestE7LSHAblationShape(t *testing.T) {
 }
 
 func TestE8MotionGateShape(t *testing.T) {
-	r, err := E8MotionGate(tinyScale())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := E8MotionGate(tinyScale())
 	if len(r.Rows) != 6 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -342,10 +374,7 @@ func TestE8MotionGateShape(t *testing.T) {
 }
 
 func TestE10ModelSweepShape(t *testing.T) {
-	r, err := E10ModelSweep(tinyScale())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := E10ModelSweep(tinyScale())
 	if len(r.Rows) != 4 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -357,10 +386,7 @@ func TestE10ModelSweepShape(t *testing.T) {
 }
 
 func TestE11RobustnessShape(t *testing.T) {
-	r, err := E11Robustness(tinyScale())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := E11Robustness(tinyScale())
 	if len(r.Rows) != 4 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -379,10 +405,7 @@ func TestE12LossyNetworkShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-device sweep")
 	}
-	r, err := E12LossyNetwork(Scale{Frames: 120, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := E12LossyNetwork(Scale{Frames: 120, Seed: 42})
 	if len(r.Rows) != 5 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -395,10 +418,7 @@ func TestE12LossyNetworkShape(t *testing.T) {
 }
 
 func TestE17PeerChurnShape(t *testing.T) {
-	r, err := E17PeerChurn(tinyScale())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := E17PeerChurn(tinyScale())
 	if len(r.Rows) != 2 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -414,10 +434,7 @@ func TestE17PeerChurnShape(t *testing.T) {
 }
 
 func TestE14GateGridShape(t *testing.T) {
-	r, err := E14GateGrid(tinyScale())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := E14GateGrid(tinyScale())
 	if len(r.Rows) != 5 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -441,10 +458,7 @@ func TestE14GateGridShape(t *testing.T) {
 }
 
 func TestE15LatencyCDFShape(t *testing.T) {
-	r, err := E15LatencyCDF(tinyScale())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := E15LatencyCDF(tinyScale())
 	if len(r.Rows) != 8 || len(r.Headers) != 4 {
 		t.Fatalf("shape = %dx%d", len(r.Rows), len(r.Headers))
 	}
@@ -475,10 +489,7 @@ func TestE4PeerSweepShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-device sweep")
 	}
-	r, err := E4PeerSweep(Scale{Frames: 120, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := E4PeerSweep(Scale{Frames: 120, Seed: 42})
 	if len(r.Rows) != 5 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}

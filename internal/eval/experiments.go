@@ -12,6 +12,7 @@ import (
 	"approxcache/internal/metrics"
 	"approxcache/internal/simnet"
 	"approxcache/internal/trace"
+	"approxcache/internal/vision"
 )
 
 // Scale controls experiment size so the same code serves the CLI at
@@ -50,11 +51,16 @@ type Experiment struct {
 	Name string
 	// Run executes the experiment at the given scale, which
 	// RunExperiments has validated.
-	Run func(Scale) (Report, error)
+	Run func(Scale) Report
 	// WallClock marks an experiment that reports real elapsed time.
 	// RunExperiments runs these one at a time, with nothing else in
 	// flight, so another worker's load cannot move their numbers.
 	WallClock bool
+	// minFrames, when set, is the shortest run the experiment measures:
+	// RunExperiments refuses a smaller Scale.Frames, saying that what
+	// needs them.
+	minFrames int
+	what      string
 }
 
 // All returns the full experiment suite in order.
@@ -77,8 +83,8 @@ func All() []Experiment {
 		{ID: "E15", Name: "latency-cdf", Run: E15LatencyCDF},
 		// E16 (peer-coverage filter) is retired; IDs are not renumbered.
 		{ID: "E17", Name: "peer-churn", Run: E17PeerChurn},
-		{ID: "E18", Name: "chaos-resilience", Run: E18ChaosResilience},
-		{ID: "E19", Name: "device-faults", Run: E19DeviceFaults},
+		{ID: "E18", Name: "chaos-resilience", Run: E18ChaosResilience, minFrames: chaosMinFrames, what: "chaos"},
+		{ID: "E19", Name: "device-faults", Run: E19DeviceFaults, minFrames: faultMinFrames, what: "fault matrix"},
 		{ID: "E20", Name: "serving-throughput", Run: E20Throughput, WallClock: true},
 		{ID: "E21", Name: "overload-resilience", Run: E21Overload, WallClock: true},
 		{ID: "E22", Name: "lookup-pipeline", Run: E22Lookup, WallClock: true},
@@ -117,27 +123,19 @@ type system struct {
 
 // runStationary replays each system's main device on the
 // stationary-heavy workload and returns the finished devices in order.
-func runStationary(s Scale, systems []system) ([]*device, error) {
+func runStationary(s Scale, systems []system) []*device {
 	spec := trace.StationaryHeavy(s.Frames, s.Seed)
 	devs := make([]*device, len(systems))
 	for i, sys := range systems {
-		var err error
 		if sys.peers {
-			var group []*device
-			group, err = runGroup(crowd(spec, spec.Seed, 2, "helper", func(i int) trace.Spec {
+			devs[i] = runGroup(crowd(spec, spec.Seed, 2, "helper", func(i int) trace.Spec {
 				return trace.StationaryHeavy(spec.TotalFrames(), s.Seed+int64(i+1)*17)
-			}, sys.cfg, s, 2), s.Seed, simnet.DefaultLinkProfile())
-			if err == nil {
-				devs[i] = group[0]
-			}
+			}, sys.cfg, s, 2), s.Seed, simnet.DefaultLinkProfile())[0]
 		} else {
-			devs[i], err = runSingle(deviceConfig{Name: "main", Spec: spec, Engine: sys.cfg, Seed: s.Seed})
-		}
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", sys.name, err)
+			devs[i] = runSingle(deviceConfig{Name: "main", Spec: spec, Engine: sys.cfg, Seed: s.Seed})
 		}
 	}
-	return devs, nil
+	return devs
 }
 
 // E1Headline reproduces the poster's headline claim: average latency of
@@ -145,7 +143,7 @@ func runStationary(s Scale, systems []system) ([]*device, error) {
 // accuracy loss, on the reuse-friendly stationary-heavy workload. The
 // same runs give each system's energy per frame, including the radio
 // tax of P2P collaboration.
-func E1Headline(s Scale) (Report, error) {
+func E1Headline(s Scale) Report {
 	systems := []system{
 		{name: "no-cache", cfg: baseline(core.ModeNoCache)},
 		{name: "exact-cache", cfg: baseline(core.ModeExactCache)},
@@ -153,10 +151,7 @@ func E1Headline(s Scale) (Report, error) {
 		{name: "approx (local)", cfg: core.DefaultConfig()},
 		{name: "approx (full, 2 peers)", cfg: core.DefaultConfig(), peers: true},
 	}
-	devs, err := runStationary(s, systems)
-	if err != nil {
-		return Report{}, err
-	}
+	devs := runStationary(s, systems)
 	report := Report{
 		ID:      "E1",
 		Title:   "Average recognition latency by system (stationary-heavy workload)",
@@ -187,12 +182,12 @@ func E1Headline(s Scale) (Report, error) {
 			fmtF(stats.EnergyMJ() / float64(stats.Frames())),
 		})
 	}
-	return report, nil
+	return report
 }
 
 // E2ThresholdSweep traces the accuracy/latency trade-off as the reuse
 // radius (the vote's MaxDistance) grows.
-func E2ThresholdSweep(s Scale) (Report, error) {
+func E2ThresholdSweep(s Scale) Report {
 	spec := trace.HandheldMix(s.Frames, s.Seed)
 	report := Report{
 		ID:      "E2",
@@ -204,18 +199,14 @@ func E2ThresholdSweep(s Scale) (Report, error) {
 	}
 	thresholds := []float64{0.05, 0.10, 0.15, 0.25, 0.35, 0.50, 0.70}
 	rows := make([][]string, len(thresholds))
-	err := parallelEach(len(thresholds), s.Workers, func(i int) error {
+	parallelEach(len(thresholds), s.Workers, func(i int) {
 		th := thresholds[i]
 		cfg := core.DefaultConfig()
 		cfg.Vote.MaxDistance = th
 		// Isolate the feature-space decision: cheap gates off.
 		cfg.DisableIMUGate = true
 		cfg.DisableVideoGate = true
-		dev, err := runSingle(deviceConfig{Name: "main", Spec: spec, Engine: cfg, Seed: s.Seed})
-		if err != nil {
-			return fmt.Errorf("threshold %v: %w", th, err)
-		}
-		stats := dev.engine.Stats()
+		stats := runSingle(deviceConfig{Name: "main", Spec: spec, Engine: cfg, Seed: s.Seed}).engine.Stats()
 		rows[i] = []string{
 			fmtF(th),
 			fmtPct(stats.HitRate()),
@@ -223,18 +214,14 @@ func E2ThresholdSweep(s Scale) (Report, error) {
 			fmtPct(stats.Accuracy()),
 			fmtDur(stats.Latency().Mean()),
 		}
-		return nil
 	})
-	if err != nil {
-		return Report{}, err
-	}
 	report.Rows = append(report.Rows, rows...)
-	return report, nil
+	return report
 }
 
 // E3HitBreakdown shows which reuse mechanism serves frames under each
 // motion profile.
-func E3HitBreakdown(s Scale) (Report, error) {
+func E3HitBreakdown(s Scale) Report {
 	// Source columns are derived from metrics.Sources() so the headers
 	// can never drift from the per-source cells appended below.
 	headers := []string{"workload"}
@@ -251,11 +238,7 @@ func E3HitBreakdown(s Scale) (Report, error) {
 		},
 	}
 	for _, spec := range trace.StandardSpecs(s.Frames, s.Seed) {
-		dev, err := runSingle(deviceConfig{Name: "main", Spec: spec, Engine: core.DefaultConfig(), Seed: s.Seed})
-		if err != nil {
-			return Report{}, fmt.Errorf("%s: %w", spec.Name, err)
-		}
-		stats := dev.engine.Stats()
+		stats := runSingle(deviceConfig{Name: "main", Spec: spec, Engine: core.DefaultConfig(), Seed: s.Seed}).engine.Stats()
 		frames := float64(stats.Frames())
 		counts := stats.CountBySource()
 		row := []string{spec.Name}
@@ -265,12 +248,12 @@ func E3HitBreakdown(s Scale) (Report, error) {
 		row = append(row, fmtPct(stats.HitRate()), fmtPct(stats.Accuracy()))
 		report.Rows = append(report.Rows, row)
 	}
-	return report, nil
+	return report
 }
 
 // E4PeerSweep measures the benefit of nearby devices: hit rate and
 // latency as the peer count grows.
-func E4PeerSweep(s Scale) (Report, error) {
+func E4PeerSweep(s Scale) Report {
 	report := Report{
 		ID:      "E4",
 		Title:   "Benefit of nearby peers (walking-tour, shared vocabulary)",
@@ -286,18 +269,10 @@ func E4PeerSweep(s Scale) (Report, error) {
 			return trace.WalkingTour(s.Frames, s.Seed+int64(i+1)*31)
 		}, core.DefaultConfig(), s, 5)
 		var main *device
-		var err error
 		if peers == 0 {
-			main, err = runSingle(cfgs[0])
+			main = runSingle(cfgs[0])
 		} else {
-			var group []*device
-			group, err = runGroup(cfgs, s.Seed, simnet.DefaultLinkProfile())
-			if err == nil {
-				main = group[0]
-			}
-		}
-		if err != nil {
-			return Report{}, err
+			main = runGroup(cfgs, s.Seed, simnet.DefaultLinkProfile())[0]
 		}
 		stats := main.engine.Stats()
 		queries, hits := stats.PeerQueries()
@@ -310,12 +285,12 @@ func E4PeerSweep(s Scale) (Report, error) {
 			fmtPct(stats.Accuracy()),
 		})
 	}
-	return report, nil
+	return report
 }
 
 // E5CapacitySweep compares eviction policies across cache sizes on the
 // highest-pressure workload.
-func E5CapacitySweep(s Scale) (Report, error) {
+func E5CapacitySweep(s Scale) Report {
 	spec := trace.PanningSweep(s.Frames, s.Seed)
 	report := Report{
 		ID:      "E5",
@@ -332,12 +307,9 @@ func E5CapacitySweep(s Scale) (Report, error) {
 		}
 	}
 	rows := make([][]string, len(points))
-	err := parallelEach(len(points), s.Workers, func(i int) error {
+	parallelEach(len(points), s.Workers, func(i int) {
 		p := points[i]
-		dev, err := runSingle(deviceConfig{Name: "main", Spec: spec, Engine: core.DefaultConfig(), Store: p, Seed: s.Seed})
-		if err != nil {
-			return fmt.Errorf("cap %d %v: %w", p.Capacity, p.Policy, err)
-		}
+		dev := runSingle(deviceConfig{Name: "main", Spec: spec, Engine: core.DefaultConfig(), Store: p, Seed: s.Seed})
 		stats := dev.engine.Stats()
 		rows[i] = []string{
 			fmt.Sprintf("%d", p.Capacity),
@@ -346,78 +318,50 @@ func E5CapacitySweep(s Scale) (Report, error) {
 			fmtDur(stats.Latency().Mean()),
 			fmt.Sprintf("%d", dev.store.Evictions()),
 		}
-		return nil
 	})
-	if err != nil {
-		return Report{}, err
-	}
 	report.Rows = append(report.Rows, rows...)
-	return report, nil
+	return report
 }
 
 // E7LSHAblation grades the LSH index design: recall against exact
-// search and candidate-set size.
-func E7LSHAblation(s Scale) (Report, error) {
-	const dim, queries = 80, 200
-	items := min(s.Frames, 5000) // index size scales with the experiment
+// search and candidate-set size, on what every cache indexes —
+// descriptors of rendered frames (E22's population), which crowd the
+// positive orthant.
+func E7LSHAblation(s Scale) Report {
+	const queries = 200
+	cs := must(vision.NewClassSet(lookupClasses, 48, 48, s.Seed))
+	ex := feature.DefaultExtractor()
 	rng := rand.New(rand.NewSource(s.Seed))
-	// Clustered vectors: same structure the cache indexes.
-	centers := make([]feature.Vector, 16)
-	for i := range centers {
-		centers[i] = randUnitVec(rng, dim)
-	}
-	clustered := func(n int) []feature.Vector {
-		vs := make([]feature.Vector, n)
-		for i := range vs {
-			vs[i] = perturb(centers[rng.Intn(len(centers))], rng, 0.05)
-		}
-		return vs
-	}
-	vecs := clustered(items)
-	qs := clustered(queries)
-	truth, err := exactTruth(dim, vecs, qs, 1)
-	if err != nil {
-		return Report{}, err
-	}
+	vecs := renderDescriptors(cs, ex, min(s.Frames, 5000), rng) // index size scales with the experiment
+	qs := renderDescriptors(cs, ex, queries, rng)
+	truth := exactTruth(ex.Dim(), vecs, qs, 1)
 
 	report := Report{
 		ID:      "E7",
-		Title:   "LSH design ablation (recall@1 vs exact search, clustered 80-d vectors)",
+		Title:   fmt.Sprintf("LSH design ablation (recall@1 vs exact search, rendered-frame descriptors, %d classes)", lookupClasses),
 		Headers: []string{"bits", "tables", "recall@1", "mean-candidates"},
 		Notes: []string{
 			"more tables recover recall lost to narrower buckets; lookup cost tracks candidate volume (E22 and HotPathNearest time it)",
 		},
 	}
 	bitsGrid, tablesGrid := []int{8, 12, 16, 20}, []int{1, 2, 4, 8}
-	rows := make([][]string, len(bitsGrid)*len(tablesGrid))
-	err = parallelEach(len(rows), s.Workers, func(i int) error {
+	report.Rows = make([][]string, len(bitsGrid)*len(tablesGrid))
+	parallelEach(len(report.Rows), s.Workers, func(i int) {
 		bits, tables := bitsGrid[i/len(tablesGrid)], tablesGrid[i%len(tablesGrid)]
-		idx, err := lsh.NewHyperplane(dim, bits, tables, s.Seed)
-		if err != nil {
-			return err
-		}
-		recall, cands, err := probe(idx, vecs, qs, truth)
-		if err != nil {
-			return err
-		}
-		rows[i] = []string{
+		recall, cands := probe(must(lsh.NewHyperplane(ex.Dim(), bits, tables, s.Seed)), vecs, qs, truth)
+		report.Rows[i] = []string{
 			fmt.Sprintf("%d", bits),
 			fmt.Sprintf("%d", tables),
 			fmtPct(recall),
 			fmtF(cands),
 		}
-		return nil
 	})
-	if err != nil {
-		return Report{}, err
-	}
-	report.Rows = rows
-	return report, nil
+	return report
 }
 
 // E8MotionGate sweeps the inertial gate thresholds, trading reuse rate
 // against false reuse (IMU-served frames whose label was wrong).
-func E8MotionGate(s Scale) (Report, error) {
+func E8MotionGate(s Scale) Report {
 	report := Report{
 		ID:      "E8",
 		Title:   "Inertial gate threshold sweep (handheld-mix)",
@@ -429,7 +373,7 @@ func E8MotionGate(s Scale) (Report, error) {
 	spec := trace.HandheldMix(s.Frames, s.Seed)
 	scales := []float64{0.25, 0.5, 1, 2, 4, 8}
 	rows := make([][]string, len(scales))
-	err := parallelEach(len(scales), s.Workers, func(i int) error {
+	parallelEach(len(scales), s.Workers, func(i int) {
 		scale := scales[i]
 		cfg := core.DefaultConfig()
 		base := imu.DefaultDetectorConfig()
@@ -439,11 +383,7 @@ func E8MotionGate(s Scale) (Report, error) {
 			GyroMeanThreshold: base.GyroMeanThreshold * scale,
 			MaxRotation:       base.MaxRotation * scale,
 		}
-		dev, err := runSingle(deviceConfig{Name: "main", Spec: spec, Engine: cfg, Seed: s.Seed})
-		if err != nil {
-			return fmt.Errorf("scale %v: %w", scale, err)
-		}
-		stats := dev.engine.Stats()
+		stats := runSingle(deviceConfig{Name: "main", Spec: spec, Engine: cfg, Seed: s.Seed}).engine.Stats()
 		imuHits := stats.CountBySource()[metrics.SourceIMU]
 		rows[i] = []string{
 			fmtF(scale),
@@ -453,13 +393,9 @@ func E8MotionGate(s Scale) (Report, error) {
 			fmtPct(stats.Accuracy()),
 			fmtDur(stats.Latency().Mean()),
 		}
-		return nil
 	})
-	if err != nil {
-		return Report{}, err
-	}
 	report.Rows = append(report.Rows, rows...)
-	return report, nil
+	return report
 }
 
 // randUnitVec draws a direction uniformly at random.
@@ -472,72 +408,49 @@ func randUnitVec(r *rand.Rand, dim int) feature.Vector {
 	return v
 }
 
-// jitter returns center plus independent N(0, sigma²) noise on every
-// dimension.
-func jitter(center feature.Vector, rng *rand.Rand, sigma float64) feature.Vector {
+// perturb returns center plus independent N(0, sigma²) noise on every
+// dimension, scaled back to unit length.
+func perturb(center feature.Vector, rng *rand.Rand, sigma float64) feature.Vector {
 	v := center.Clone()
 	for d := range v {
 		v[d] += rng.NormFloat64() * sigma
 	}
-	return v
-}
-
-// perturb is jitter scaled back to unit length.
-func perturb(center feature.Vector, rng *rand.Rand, sigma float64) feature.Vector {
-	v := jitter(center, rng, sigma)
 	v.Normalize()
 	return v
 }
 
 // exactTruth returns each query's k exact nearest neighbours among vecs,
 // whose IDs are their positions.
-func exactTruth(dim int, vecs, queries []feature.Vector, k int) ([][]lsh.ID, error) {
-	exact, err := lsh.NewExact(dim)
-	if err != nil {
-		return nil, err
-	}
+func exactTruth(dim int, vecs, queries []feature.Vector, k int) [][]lsh.ID {
+	exact := must(lsh.NewExact(dim))
 	for i, v := range vecs {
-		if err := exact.Insert(lsh.ID(i), v); err != nil {
-			return nil, err
-		}
+		check(exact.Insert(lsh.ID(i), v))
 	}
 	truth := make([][]lsh.ID, len(queries))
 	for i, q := range queries {
-		nn, err := exact.Nearest(q, k)
-		if err != nil {
-			return nil, err
-		}
-		for _, n := range nn {
+		for _, n := range must(exact.Nearest(q, k)) {
 			truth[i] = append(truth[i], n.ID)
 		}
 	}
-	return truth, nil
+	return truth
 }
 
 // probe loads vecs into idx (IDs are positions), then asks it every
 // query: it returns recall@1 against truth and the mean candidate-set
 // size.
-func probe(idx *lsh.HyperplaneIndex, vecs, queries []feature.Vector, truth [][]lsh.ID) (recall, cands float64, err error) {
+func probe(idx *lsh.HyperplaneIndex, vecs, queries []feature.Vector, truth [][]lsh.ID) (recall, cands float64) {
 	for i, v := range vecs {
-		if err := idx.Insert(lsh.ID(i), v); err != nil {
-			return 0, 0, err
-		}
+		check(idx.Insert(lsh.ID(i), v))
 	}
 	hits, total := 0, 0
 	var cs []lsh.ID
 	for i, q := range queries {
-		if cs, err = idx.CandidatesInto(q, cs); err != nil {
-			return 0, 0, err
-		}
+		cs = must(idx.CandidatesInto(q, cs))
 		total += len(cs)
-		ns, err := idx.Nearest(q, 1)
-		if err != nil {
-			return 0, 0, err
-		}
-		if len(ns) > 0 && ns[0].ID == truth[i][0] {
+		if ns := must(idx.Nearest(q, 1)); len(ns) > 0 && ns[0].ID == truth[i][0] {
 			hits++
 		}
 	}
 	n := float64(len(queries))
-	return float64(hits) / n, float64(total) / n, nil
+	return float64(hits) / n, float64(total) / n
 }

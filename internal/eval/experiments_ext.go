@@ -18,7 +18,7 @@ import (
 // E10ModelSweep measures the benefit across the model zoo: heavier
 // models leave more latency and energy on the table for the cache to
 // save.
-func E10ModelSweep(s Scale) (Report, error) {
+func E10ModelSweep(s Scale) Report {
 	spec := trace.StationaryHeavy(s.Frames, s.Seed)
 	report := Report{
 		ID:      "E10",
@@ -29,19 +29,12 @@ func E10ModelSweep(s Scale) (Report, error) {
 		},
 	}
 	for _, profile := range dnn.Profiles() {
-		baseDev, err := runSingle(deviceConfig{
+		base := runSingle(deviceConfig{
 			Name: "main", Spec: spec, Engine: baseline(core.ModeNoCache), Profile: profile, Seed: s.Seed,
-		})
-		if err != nil {
-			return Report{}, fmt.Errorf("%s base: %w", profile.Name, err)
-		}
-		apxDev, err := runSingle(deviceConfig{
+		}).engine.Stats()
+		apx := runSingle(deviceConfig{
 			Name: "main", Spec: spec, Engine: core.DefaultConfig(), Profile: profile, Seed: s.Seed,
-		})
-		if err != nil {
-			return Report{}, fmt.Errorf("%s approx: %w", profile.Name, err)
-		}
-		base, apx := baseDev.engine.Stats(), apxDev.engine.Stats()
+		}).engine.Stats()
 		bm, am := base.Latency().Mean(), apx.Latency().Mean()
 		report.Rows = append(report.Rows, []string{
 			profile.Name,
@@ -52,12 +45,12 @@ func E10ModelSweep(s Scale) (Report, error) {
 			fmtPct(apx.EnergyMJ() / base.EnergyMJ()),
 		})
 	}
-	return report, nil
+	return report
 }
 
 // E11Robustness stresses approximate matching with the aggressive
 // perturbation profile (more noise, bigger shifts, frequent occlusion).
-func E11Robustness(s Scale) (Report, error) {
+func E11Robustness(s Scale) Report {
 	report := Report{
 		ID:    "E11",
 		Title: "Robustness to frame degradation (default vs hard perturbation)",
@@ -74,14 +67,8 @@ func E11Robustness(s Scale) (Report, error) {
 		for _, hard := range []bool{false, true} {
 			spec := base
 			spec.Hard = hard
-			dev, err := runSingle(deviceConfig{Name: "main", Spec: spec, Engine: core.DefaultConfig(), Seed: s.Seed})
-			if err != nil {
-				return Report{}, fmt.Errorf("%s hard=%v: %w", spec.Name, hard, err)
-			}
-			baseDev, err := runSingle(deviceConfig{Name: "main", Spec: spec, Engine: baseline(core.ModeNoCache), Seed: s.Seed})
-			if err != nil {
-				return Report{}, fmt.Errorf("%s hard=%v base: %w", spec.Name, hard, err)
-			}
+			dev := runSingle(deviceConfig{Name: "main", Spec: spec, Engine: core.DefaultConfig(), Seed: s.Seed})
+			baseDev := runSingle(deviceConfig{Name: "main", Spec: spec, Engine: baseline(core.ModeNoCache), Seed: s.Seed})
 			label := "default"
 			if hard {
 				label = "hard"
@@ -97,13 +84,13 @@ func E11Robustness(s Scale) (Report, error) {
 			})
 		}
 	}
-	return report, nil
+	return report
 }
 
 // E12LossyNetwork degrades the device-to-device links and measures how
 // gracefully the peer gate fails: collaboration should fade, never
 // hurt correctness.
-func E12LossyNetwork(s Scale) (Report, error) {
+func E12LossyNetwork(s Scale) Report {
 	report := Report{
 		ID:      "E12",
 		Title:   "Peer reuse under degraded wireless links (walking-tour, 2 helpers)",
@@ -117,13 +104,9 @@ func E12LossyNetwork(s Scale) (Report, error) {
 		link.LossProb = loss
 		spec := trace.WalkingTour(s.Frames, s.Seed)
 		spec.ClassSkew = 0.8
-		group, err := runGroup(crowd(spec, s.Seed+555, 2, "helper", func(i int) trace.Spec {
+		stats := runGroup(crowd(spec, s.Seed+555, 2, "helper", func(i int) trace.Spec {
 			return trace.WalkingTour(s.Frames, s.Seed+int64(i+1)*13)
-		}, core.DefaultConfig(), s, 7), s.Seed, link)
-		if err != nil {
-			return Report{}, fmt.Errorf("loss %v: %w", loss, err)
-		}
-		stats := group[0].engine.Stats()
+		}, core.DefaultConfig(), s, 7), s.Seed, link)[0].engine.Stats()
 		queries, hits := stats.PeerQueries()
 		report.Rows = append(report.Rows, []string{
 			fmtPct(loss),
@@ -134,23 +117,20 @@ func E12LossyNetwork(s Scale) (Report, error) {
 			fmtDur(stats.Latency().Mean()),
 		})
 	}
-	return report, nil
+	return report
 }
 
 // E15LatencyCDF renders the latency distribution (figure-style series):
 // one row per percentile, one column per system. The distribution is
 // the cache's signature: a mass of sub-millisecond gate hits with an
 // inference-cost tail whose height is the miss rate.
-func E15LatencyCDF(s Scale) (Report, error) {
+func E15LatencyCDF(s Scale) Report {
 	systems := []system{
 		{name: "no-cache", cfg: baseline(core.ModeNoCache)},
 		{name: "naive-skip", cfg: baseline(core.ModeNaiveSkip)},
 		{name: "approx", cfg: core.DefaultConfig()},
 	}
-	devs, err := runStationary(s, systems)
-	if err != nil {
-		return Report{}, err
-	}
+	devs := runStationary(s, systems)
 	report := Report{
 		ID:      "E15",
 		Title:   "Frame latency distribution (stationary-heavy)",
@@ -169,12 +149,12 @@ func E15LatencyCDF(s Scale) (Report, error) {
 		}
 		report.Rows = append(report.Rows, row)
 	}
-	return report, nil
+	return report
 }
 
 // E14GateGrid completes the ablation story: every combination of the
 // cheap gates on/off, plus the keyframe-library size, on one workload.
-func E14GateGrid(s Scale) (Report, error) {
+func E14GateGrid(s Scale) Report {
 	spec := trace.HandheldMix(s.Frames, s.Seed)
 	report := Report{
 		ID:    "E14",
@@ -203,11 +183,7 @@ func E14GateGrid(s Scale) (Report, error) {
 		cfg.DisableIMUGate = v.noIMU
 		cfg.DisableVideoGate = v.noVideo
 		cfg.KeyframeCapacity = v.keyframes
-		dev, err := runSingle(deviceConfig{Name: "main", Spec: spec, Engine: cfg, Seed: s.Seed})
-		if err != nil {
-			return Report{}, fmt.Errorf("%s: %w", v.name, err)
-		}
-		stats := dev.engine.Stats()
+		stats := runSingle(deviceConfig{Name: "main", Spec: spec, Engine: cfg, Seed: s.Seed}).engine.Stats()
 		row := []string{v.name}
 		counts := stats.CountBySource()
 		for _, src := range []metrics.Source{metrics.SourceIMU, metrics.SourceVideo, metrics.SourceLocal, metrics.SourceDNN} {
@@ -219,7 +195,7 @@ func E14GateGrid(s Scale) (Report, error) {
 			fmtDur(stats.Latency().Mean()),
 		))
 	}
-	return report, nil
+	return report
 }
 
 // E17PeerChurn measures why re-probing the peer set matters: peers
@@ -227,7 +203,7 @@ func E14GateGrid(s Scale) (Report, error) {
 // stale peer list keeps paying radio timeouts on dead peers. The
 // maintained client re-probes between rounds (Client.Probe) and sheds
 // them.
-func E17PeerChurn(s Scale) (Report, error) {
+func E17PeerChurn(s Scale) Report {
 	const (
 		dim     = 16
 		peerCnt = 6
@@ -242,27 +218,18 @@ func E17PeerChurn(s Scale) (Report, error) {
 		queries[i] = perturb(center, rng, 0.03)
 	}
 
-	run := func(maintained bool) (meanCost time.Duration, hits int, err error) {
-		net, err := simnet.New(simnet.LinkProfile{Latency: 5 * time.Millisecond}, s.Seed)
-		if err != nil {
-			return 0, 0, err
-		}
+	run := func(maintained bool) (meanCost time.Duration, hits int) {
+		net := must(simnet.New(simnet.LinkProfile{Latency: 5 * time.Millisecond}, s.Seed))
 		net.SetDeadCost(80 * time.Millisecond) // radio timeout on dead peers
 		clock := simclock.NewVirtual(time.Unix(0, 0))
-		names, services, err := peerFleet(net, clock, peerCnt, 64, 16, 0.03, rng,
+		names, services := peerFleet(net, clock, peerCnt, 64, 16, 0.03, rng,
 			func(int) (feature.Vector, string) { return center, "class-0" })
-		if err != nil {
-			return 0, 0, err
-		}
 		// The breaker is disabled here so the experiment isolates what
 		// re-probing alone buys; the resilience layer's own effect is
 		// measured by E18.
 		ccfg := p2p.DefaultClientConfig()
 		ccfg.DisableBreaker = true
-		client, err := dial("main", net, ccfg)
-		if err != nil {
-			return 0, 0, err
-		}
+		client := must(p2p.JoinSimnet(net, "main", nil, ccfg))
 		client.SetPeers(names)
 
 		var total time.Duration
@@ -271,9 +238,7 @@ func E17PeerChurn(s Scale) (Report, error) {
 		for round := 0; round < rounds; round++ {
 			// Churn: the previous casualty returns, a new one leaves.
 			if down >= 0 {
-				if err := p2p.RegisterService(net, services[down]); err != nil {
-					return 0, 0, err
-				}
+				check(p2p.RegisterService(net, services[down]))
 			}
 			down = round % peerCnt
 			net.Unregister(simnet.NodeID(names[down]))
@@ -282,9 +247,7 @@ func E17PeerChurn(s Scale) (Report, error) {
 			}
 			for _, q := range queries {
 				_, cost, found, err := client.Query(q)
-				if err != nil {
-					return 0, 0, err
-				}
+				check(err)
 				if found {
 					hits++
 				}
@@ -292,7 +255,7 @@ func E17PeerChurn(s Scale) (Report, error) {
 				n++
 			}
 		}
-		return total / time.Duration(n), hits, nil
+		return total / time.Duration(n), hits
 	}
 
 	report := Report{
@@ -304,10 +267,7 @@ func E17PeerChurn(s Scale) (Report, error) {
 		},
 	}
 	for _, maintained := range []bool{false, true} {
-		mean, hits, err := run(maintained)
-		if err != nil {
-			return Report{}, err
-		}
+		mean, hits := run(maintained)
 		mode := "static"
 		if maintained {
 			mode = "maintained roster"
@@ -318,7 +278,7 @@ func E17PeerChurn(s Scale) (Report, error) {
 			fmt.Sprintf("%d", hits),
 		})
 	}
-	return report, nil
+	return report
 }
 
 // E18ChaosResilience crashes every peer mid-session and heals them
@@ -326,8 +286,7 @@ func E17PeerChurn(s Scale) (Report, error) {
 // against a fully unguarded one on the crash-window latency. The
 // bound the resilience layer must meet: crash-window mean within 10%
 // of the no-peers baseline.
-func E18ChaosResilience(s Scale) (Report, error) {
-	s.Frames = max(s.Frames, chaosMinFrames)
+func E18ChaosResilience(s Scale) Report {
 	report := Report{
 		ID: "E18",
 		Title: fmt.Sprintf(
@@ -345,10 +304,7 @@ func E18ChaosResilience(s Scale) (Report, error) {
 		if !guarded {
 			name = "unguarded"
 		}
-		res, err := runChaos(s, guarded)
-		if err != nil {
-			return Report{}, err
-		}
+		res := runChaos(s, guarded)
 		base := res.Baseline[phaseCrash].Mean
 		over := "n/a"
 		if base > 0 {
@@ -366,5 +322,5 @@ func E18ChaosResilience(s Scale) (Report, error) {
 			fmt.Sprintf("%d", res.Health.DegradedQueries),
 		})
 	}
-	return report, nil
+	return report
 }

@@ -23,6 +23,9 @@ import (
 const (
 	faultWarmupFrames = 8
 	faultInjectEvery  = 3
+	// faultMinFrames is the shortest workload the fault windows fit;
+	// RunExperiments refuses E19 below it.
+	faultMinFrames = 30
 )
 
 // faultScenario names one row of the matrix.
@@ -90,11 +93,8 @@ var faultScenarios = []faultScenario{
 // frames under one scenario and measures the outcome. Typed sensor
 // errors (ErrBadFrame, ErrBadIMUWindow) are counted as rejections, not
 // run failures: refusing a structurally unusable input is the guard
-// doing its job.
-func runFaultScenario(sc faultScenario, s Scale) (faultRow, error) {
-	if s.Frames < 30 {
-		return faultRow{}, fmt.Errorf("eval: fault matrix needs ≥ 30 frames, got %d", s.Frames)
-	}
+// doing its job. s.Frames is at least faultMinFrames.
+func runFaultScenario(sc faultScenario, s Scale) faultRow {
 	ecfg := core.DefaultConfig()
 	ecfg.DisableSensorGuards = sc.NoGuards
 	ecfg.DisableWatchdog = sc.NoWatchdog
@@ -107,29 +107,25 @@ func runFaultScenario(sc faultScenario, s Scale) (faultRow, error) {
 	dcfg := deviceConfig{Name: "main", Spec: trace.StationaryHeavy(s.Frames, s.Seed), Engine: ecfg, Seed: s.Seed}
 	var faulty *dnn.FaultyClassifier
 	if sc.Outage {
-		dcfg.WrapClassifier = func(c *dnn.Classifier) (core.Classifier, error) {
-			var err error
-			faulty, err = dnn.NewFaultyClassifier(c, nil)
-			return faulty, err
+		dcfg.WrapClassifier = func(c *dnn.Classifier) core.Classifier {
+			faulty = must(dnn.NewFaultyClassifier(c, nil))
+			return faulty
 		}
 	}
-	dev, err := buildDevice(dcfg, simclock.NewVirtual(time.Unix(0, 0)), nil)
-	if err != nil {
-		return faultRow{}, err
-	}
+	dev := buildDevice(dcfg, simclock.NewVirtual(time.Unix(0, 0)), nil)
 
 	rng := rand.New(rand.NewSource(s.Seed))
 	downAt, healAt := s.Frames*2/5, s.Frames*7/10
 	row := faultRow{Name: sc.Name}
 	var sum time.Duration
-	err = dev.replay(hooks{
+	dev.replay(hooks{
 		pin: true,
-		before: func(i int, in *frameInput) error {
+		before: func(i int, in *frameInput) {
 			if faulty != nil && (i == downAt || i == healAt) {
 				faulty.SetDown(i == downAt)
 			}
 			if i < faultWarmupFrames || i%faultInjectEvery != 0 {
-				return nil
+				return
 			}
 			if sc.IMU != 0 {
 				in.win = trace.CorruptIMUWindow(in.win, sc.IMU, rng)
@@ -137,24 +133,17 @@ func runFaultScenario(sc faultScenario, s Scale) (faultRow, error) {
 			if sc.Frame != 0 {
 				in.im = trace.CorruptFrame(in.im, sc.Frame)
 			}
-			return nil
 		},
-		after: func(_ int, _ *frameInput, res core.Result, err error) error {
-			switch {
-			case errors.Is(err, core.ErrBadFrame) || errors.Is(err, core.ErrBadIMUWindow):
+		after: func(_ int, _ *frameInput, res core.Result, err error) {
+			if errors.Is(err, core.ErrBadFrame) || errors.Is(err, core.ErrBadIMUWindow) {
 				row.Rejected++
-			case err != nil:
-				return err
-			default:
-				row.Frames++
-				sum += res.Latency
+				return
 			}
-			return nil
+			check(err)
+			row.Frames++
+			sum += res.Latency
 		},
 	})
-	if err != nil {
-		return faultRow{}, err
-	}
 	if row.Frames > 0 {
 		row.Mean = sum / time.Duration(row.Frames)
 	}
@@ -163,20 +152,16 @@ func runFaultScenario(sc faultScenario, s Scale) (faultRow, error) {
 	row.SensorFaults = stats.SensorFaultTotal()
 	row.DegradedServes = stats.DegradedServeTotal()
 	row.Timeouts, row.Retries, row.Trips, row.Recoveries, row.FastFails = stats.WatchdogEvents()
-	return row, nil
+	return row
 }
 
 // runFaultMatrix runs every scenario at scale s.
-func runFaultMatrix(s Scale) ([]faultRow, error) {
-	rows := make([]faultRow, 0, len(faultScenarios))
-	for _, sc := range faultScenarios {
-		row, err := runFaultScenario(sc, s)
-		if err != nil {
-			return nil, fmt.Errorf("eval: fault scenario %q: %w", sc.Name, err)
-		}
-		rows = append(rows, row)
+func runFaultMatrix(s Scale) []faultRow {
+	rows := make([]faultRow, len(faultScenarios))
+	for i, sc := range faultScenarios {
+		rows[i] = runFaultScenario(sc, s)
 	}
-	return rows, nil
+	return rows
 }
 
 // E19DeviceFaults measures the device-side fault-tolerance layer: each
@@ -185,8 +170,7 @@ func runFaultMatrix(s Scale) ([]faultRow, error) {
 // the layer must produce: guarded rows keep accuracy at the clean
 // baseline, the outage row keeps serving (degraded, bounded latency,
 // zero run failures) and recovers after the heal.
-func E19DeviceFaults(s Scale) (Report, error) {
-	s.Frames = max(s.Frames, 30)
+func E19DeviceFaults(s Scale) Report {
 	report := Report{
 		ID: "E19",
 		Title: fmt.Sprintf(
@@ -201,11 +185,7 @@ func E19DeviceFaults(s Scale) (Report, error) {
 			"dnn-outage crashes the classifier 40% in and heals it at 70%: the watchdog trips, serves cache-only fallbacks, and recovers on heal",
 		},
 	}
-	rows, err := runFaultMatrix(s)
-	if err != nil {
-		return Report{}, err
-	}
-	for _, r := range rows {
+	for _, r := range runFaultMatrix(s) {
 		report.Rows = append(report.Rows, []string{
 			r.Name,
 			fmt.Sprintf("%d", r.Frames),
@@ -217,5 +197,5 @@ func E19DeviceFaults(s Scale) (Report, error) {
 			fmt.Sprintf("%d/%d/%d/%d/%d", r.Timeouts, r.Retries, r.Trips, r.Recoveries, r.FastFails),
 		})
 	}
-	return report, nil
+	return report
 }

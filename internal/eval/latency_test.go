@@ -81,12 +81,9 @@ func TestExactRecorderAgainstReference(t *testing.T) {
 // A replayed device's exact recorder and its engine's histogram saw the
 // same frames: exact fields agree, percentiles within one sub-bucket.
 func TestDeviceRecorderMatchesEngineHistogram(t *testing.T) {
-	dev, err := runSingle(deviceConfig{
+	dev := runSingle(deviceConfig{
 		Name: "main", Spec: trace.StationaryHeavy(300, 7), Engine: core.DefaultConfig(), Seed: 7,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	exact, hist := dev.lat.summary(), dev.engine.Stats().Latency().Summary()
 	if exact.Count != 300 || hist.Count != exact.Count || hist.Mean != exact.Mean || hist.Max != exact.Max {
 		t.Fatalf("exact %+v vs histogram %+v", exact, hist)

@@ -22,7 +22,7 @@ import (
 //     vocabulary, at the default cache capacity (256) and at 1 024;
 //   - queries: fresh renders, k = 4 within the vote radius — the
 //     lookup the engine makes on every frame past the cheap gates;
-//   - shipped: the index every node builds, 12 bits × 4 tables, seed 1.
+//   - shipped: the index every node builds (lsh.NewShipped), seed 1.
 //
 // It measures ns/op, recall against the flat scan's exact answer,
 // candidates scored and warm-path allocations. The report is written
@@ -36,12 +36,9 @@ const (
 	lookupClasses = 128
 	// lookupK is the kNN width, the homogenized-vote width.
 	lookupK = 4
-	// lookupBits, lookupTables and lookupSeed are the shipped index:
-	// every node draws the same hyperplanes, whatever the experiment's
-	// seed (which draws the population and queries).
-	lookupBits   = 12
-	lookupTables = 4
-	lookupSeed   = 1
+	// lookupSeed draws the shipped index's hyperplanes, whatever the
+	// experiment's seed (which draws the population and queries).
+	lookupSeed = 1
 	// lookupGatedEntries is the population the speedup is gated at.
 	lookupGatedEntries = 1024
 )
@@ -92,25 +89,19 @@ type radiusIndex interface {
 
 // renderDescriptors renders n frames, cycling through the classes of
 // cs, and returns their descriptors.
-func renderDescriptors(cs *vision.ClassSet, ex feature.Extractor, n int, rng *rand.Rand) ([]feature.Vector, error) {
+func renderDescriptors(cs *vision.ClassSet, ex feature.Extractor, n int, rng *rand.Rand) []feature.Vector {
 	vs := make([]feature.Vector, n)
 	for i := range vs {
-		im, err := cs.Render(i%cs.NumClasses(), vision.DefaultPerturbation(), rng)
-		if err != nil {
-			return nil, err
-		}
-		if vs[i], err = ex.Extract(im); err != nil {
-			return nil, err
-		}
+		vs[i] = must(ex.Extract(must(cs.Render(i%cs.NumClasses(), vision.DefaultPerturbation(), rng))))
 	}
-	return vs, nil
+	return vs
 }
 
 // measureLookup measures idx, loaded with entries vectors, for recall
 // against truth (the flat scan's answers), warm allocations and mean
 // candidates. Timing happens separately in timeLookupPair so both
 // indexes sample the same machine conditions.
-func measureLookup(idx radiusIndex, entries int, queries []feature.Vector, truth [][]lsh.Neighbor, radius float64) (LookupResult, error) {
+func measureLookup(idx radiusIndex, entries int, queries []feature.Vector, truth [][]lsh.Neighbor, radius float64) LookupResult {
 	cands, _ := idx.(interface {
 		CandidatesInto(feature.Vector, []lsh.ID) ([]lsh.ID, error)
 	})
@@ -118,10 +109,7 @@ func measureLookup(idx radiusIndex, entries int, queries []feature.Vector, truth
 	idBuf := make([]lsh.ID, 0, entries)
 	var hits, want, scored int
 	for i, q := range queries {
-		nn, err := idx.NearestWithinInto(q, lookupK, radius, buf)
-		if err != nil {
-			return LookupResult{}, err
-		}
+		nn := must(idx.NearestWithinInto(q, lookupK, radius, buf))
 		for _, t := range truth[i] {
 			want++
 			for _, n := range nn {
@@ -135,29 +123,23 @@ func measureLookup(idx radiusIndex, entries int, queries []feature.Vector, truth
 			scored += entries
 			continue
 		}
-		ids, err := cands.CandidatesInto(q, idBuf)
-		if err != nil {
-			return LookupResult{}, err
-		}
-		scored += len(ids)
+		scored += len(must(cands.CandidatesInto(q, idBuf)))
 	}
 	if want == 0 {
-		return LookupResult{}, fmt.Errorf("no query has a neighbor within radius %v", radius)
+		panic(fmt.Sprintf("eval: no query has a neighbor within radius %v", radius))
 	}
 	// Warm-path allocations: the pass above warmed every pool; a
 	// steady-state lookup must not allocate.
 	q0 := queries[0]
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := idx.NearestWithinInto(q0, lookupK, radius, buf); err != nil {
-			panic(err)
-		}
+		must(idx.NearestWithinInto(q0, lookupK, radius, buf))
 	})
 	return LookupResult{
 		Entries:     entries,
 		Recall:      float64(hits) / float64(want),
 		Candidates:  float64(scored) / float64(len(queries)),
 		AllocsPerOp: allocs,
-	}, nil
+	}
 }
 
 // timeLookupPair runs reps timed passes for both indexes in strict
@@ -168,99 +150,61 @@ func measureLookup(idx radiusIndex, entries int, queries []feature.Vector, truth
 // throughput drifts on a seconds scale, and alternation guarantees both
 // indexes sample the same windows, so the RATIO — the number the gate
 // enforces — stays stable even when absolute timings wander.
-func timeLookupPair(queries []feature.Vector, radius float64, reps int, a, b radiusIndex) (nsA, nsB float64, err error) {
+func timeLookupPair(queries []feature.Vector, radius float64, reps int, a, b radiusIndex) (nsA, nsB float64) {
 	buf := make([]lsh.Neighbor, 0, lookupK)
-	pass := func(idx radiusIndex) (time.Duration, error) {
+	pass := func(idx radiusIndex) time.Duration {
 		start := time.Now()
 		for _, q := range queries {
-			if _, err := idx.NearestWithinInto(q, lookupK, radius, buf); err != nil {
-				return 0, err
-			}
+			must(idx.NearestWithinInto(q, lookupK, radius, buf))
 		}
-		return time.Since(start), nil
+		return time.Since(start)
 	}
 	const maxDur = time.Duration(1<<63 - 1)
 	bestA, bestB := maxDur, maxDur
 	for rep := 0; rep < reps; rep++ {
-		da, err := pass(a)
-		if err != nil {
-			return 0, 0, err
-		}
-		db, err := pass(b)
-		if err != nil {
-			return 0, 0, err
-		}
+		da := pass(a)
+		db := pass(b)
 		bestA, bestB = min(bestA, da), min(bestB, db)
 	}
 	n := float64(len(queries))
-	return float64(bestA.Nanoseconds()) / n, float64(bestB.Nanoseconds()) / n, nil
+	return float64(bestA.Nanoseconds()) / n, float64(bestB.Nanoseconds()) / n
 }
 
 // runLookup measures the flat scan and the shipped index at every
 // population size: 256 queries and 150 timed passes, or 128 queries and
 // 8 passes at a small scale.
-func runLookup(s Scale) (LookupReport, error) {
+func runLookup(s Scale) LookupReport {
 	queries, reps := 256, 150
 	if s.small() {
 		queries, reps = 128, 8
 	}
-	cs, err := vision.NewClassSet(lookupClasses, 48, 48, s.Seed)
-	if err != nil {
-		return LookupReport{}, err
-	}
+	cs := must(vision.NewClassSet(lookupClasses, 48, 48, s.Seed))
 	ex := feature.DefaultExtractor()
 	rng := rand.New(rand.NewSource(s.Seed))
 	// One rendered population; each size takes a prefix of it.
-	vecs, err := renderDescriptors(cs, ex, lookupGatedEntries, rng)
-	if err != nil {
-		return LookupReport{}, err
-	}
-	qs, err := renderDescriptors(cs, ex, queries, rng)
-	if err != nil {
-		return LookupReport{}, err
-	}
+	vecs := renderDescriptors(cs, ex, lookupGatedEntries, rng)
+	qs := renderDescriptors(cs, ex, queries, rng)
 	radius := lsh.DefaultVoteConfig().MaxDistance
 	rep := LookupReport{
 		Dim: ex.Dim(), Classes: lookupClasses, Queries: queries, K: lookupK,
-		Radius: radius, Bits: lookupBits, Tables: lookupTables,
+		Radius: radius, Bits: lsh.ShippedBits, Tables: lsh.ShippedTables,
 	}
 	for _, n := range lookupSizes {
-		flat, err := lsh.NewExact(ex.Dim())
-		if err != nil {
-			return LookupReport{}, err
-		}
-		shipped, err := lsh.NewHyperplane(ex.Dim(), lookupBits, lookupTables, lookupSeed)
-		if err != nil {
-			return LookupReport{}, err
-		}
+		flat := must(lsh.NewExact(ex.Dim()))
+		shipped := must(lsh.NewShipped(ex.Dim(), lookupSeed))
 		for i, v := range vecs[:n] {
-			if err := flat.Insert(lsh.ID(i), v); err != nil {
-				return LookupReport{}, err
-			}
-			if err := shipped.Insert(lsh.ID(i), v); err != nil {
-				return LookupReport{}, err
-			}
+			check(flat.Insert(lsh.ID(i), v))
+			check(shipped.Insert(lsh.ID(i), v))
 		}
 		truth := make([][]lsh.Neighbor, len(qs))
 		for i, q := range qs {
-			if truth[i], err = flat.NearestWithinInto(q, lookupK, radius, nil); err != nil {
-				return LookupReport{}, err
-			}
+			truth[i] = must(flat.NearestWithinInto(q, lookupK, radius, nil))
 		}
-		flatRes, err := measureLookup(flat, n, qs, truth, radius)
-		if err != nil {
-			return LookupReport{}, fmt.Errorf("flat %d: %w", n, err)
-		}
+		flatRes := measureLookup(flat, n, qs, truth, radius)
 		flatRes.Name = "flat-scan"
-		shipRes, err := measureLookup(shipped, n, qs, truth, radius)
-		if err != nil {
-			return LookupReport{}, fmt.Errorf("shipped %d: %w", n, err)
-		}
-		shipRes.Name = "lsh-12x4"
-		flatRes.NsPerOp, shipRes.NsPerOp, err = timeLookupPair(qs, radius, reps, flat, shipped)
-		if err != nil {
-			return LookupReport{}, err
-		}
+		shipRes := measureLookup(shipped, n, qs, truth, radius)
+		shipRes.Name = fmt.Sprintf("lsh-%dx%d", lsh.ShippedBits, lsh.ShippedTables)
+		flatRes.NsPerOp, shipRes.NsPerOp = timeLookupPair(qs, radius, reps, flat, shipped)
 		rep.Results = append(rep.Results, flatRes, shipRes)
 		if shipRes.NsPerOp == 0 {
 			continue
@@ -271,19 +215,16 @@ func runLookup(s Scale) (LookupReport, error) {
 			rep.Speedup256 = speedup
 		}
 	}
-	return rep, nil
+	return rep
 }
 
 // E22Lookup is the lookup-bound experiment: the flat exact scan against
 // the shipped LSH index at the shape nodes run.
-func E22Lookup(s Scale) (Report, error) {
-	rep, err := runLookup(s)
-	if err != nil {
-		return Report{}, err
-	}
+func E22Lookup(s Scale) Report {
+	rep := runLookup(s)
 	out := Report{
 		ID:      "E22",
-		Title:   "Lookup-bound: flat exact scan vs the shipped 12-bit × 4-table LSH index",
+		Title:   fmt.Sprintf("Lookup-bound: flat exact scan vs the shipped %d-bit × %d-table LSH index", rep.Bits, rep.Tables),
 		Headers: []string{"entries", "index", "ns/op", "recall@4", "candidates", "allocs/op"},
 		Data:    rep,
 	}
@@ -299,5 +240,5 @@ func E22Lookup(s Scale) (Report, error) {
 		fmt.Sprintf("speedup shipped vs flat: %.2fx at 1024 entries (gated), %.2fx at 256",
 			rep.Speedup, rep.Speedup256),
 	)
-	return out, nil
+	return out
 }

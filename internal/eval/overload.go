@@ -132,27 +132,20 @@ type overloadSweep struct {
 	window, calibration, drain time.Duration
 }
 
-func newOverloadSweep(s Scale) (*overloadSweep, error) {
+func newOverloadSweep(s Scale) *overloadSweep {
 	sw := &overloadSweep{seed: s.Seed, sessions: 8,
 		window: 700 * time.Millisecond, calibration: 250 * time.Millisecond, drain: 2 * time.Second}
 	if s.small() {
 		sw.sessions, sw.window, sw.calibration, sw.drain = 4, 250*time.Millisecond, 150*time.Millisecond, time.Second
 	}
-	var err error
-	if sw.classes, err = vision.NewClassSet(servingClasses, 48, 48, s.Seed); err != nil {
-		return nil, err
-	}
+	sw.classes = must(vision.NewClassSet(servingClasses, 48, 48, s.Seed))
 	rng := rand.New(rand.NewSource(s.Seed))
 	for i := 0; i < 3*servingClasses; i++ {
 		c := i % servingClasses
-		im, err := sw.classes.Render(c, vision.DefaultPerturbation(), rng)
-		if err != nil {
-			return nil, fmt.Errorf("render image %d: %w", i, err)
-		}
-		sw.images = append(sw.images, im)
+		sw.images = append(sw.images, must(sw.classes.Render(c, vision.DefaultPerturbation(), rng)))
 		sw.klass = append(sw.klass, c)
 	}
-	return sw, nil
+	return sw
 }
 
 // node builds a fresh micro-batched serving node (every load point gets
@@ -161,46 +154,30 @@ func newOverloadSweep(s Scale) (*overloadSweep, error) {
 // cold cache would make every load point start with a miss flood that
 // measures warm-up, not overload behavior. The entries carry the true
 // labels — exactly what a prior serving epoch would have cached. The
-// resilient mode adds request deadlines, admission control, and the
-// batcher's pending bound; the unprotected mode strips all three.
-func (sw *overloadSweep) node(mode string) (*device, *dnn.Batcher, error) {
+// resilient node adds request deadlines, admission control, and the
+// batcher's pending bound; the unprotected node strips all three.
+func (sw *overloadSweep) node(resilient bool) (*device, *dnn.Batcher) {
 	ecfg := servingEngineConfig()
 	bcfg := overloadBatcher
-	switch mode {
-	case overloadResilient:
+	if resilient {
 		ecfg.RequestDeadline = overloadDeadline
 		ecfg.Admission = true
-	case overloadUnprotected:
+	} else {
 		bcfg.MaxPending = -1
-	default:
-		return nil, nil, fmt.Errorf("eval: unknown overload mode %q", mode)
 	}
-	node, batcher, err := servingNode(sw.classes, sw.sessions, ecfg, overloadSlowdown, bcfg, sw.seed)
-	if err != nil {
-		return nil, nil, err
-	}
+	node, batcher := servingNode(sw.classes, sw.sessions, ecfg, overloadSlowdown, bcfg, sw.seed)
 	for i, im := range sw.images {
-		vec, err := ecfg.Extractor.Extract(im)
-		if err == nil {
-			_, err = node.store.Insert(vec, dnn.LabelOf(sw.klass[i]), 0.9, "dnn", dnn.MobileNetV2.MeanLatency)
-		}
-		if err != nil {
-			batcher.Close()
-			return nil, nil, err
-		}
+		must(node.store.Insert(must(ecfg.Extractor.Extract(im)), dnn.LabelOf(sw.klass[i]), 0.9, "dnn", dnn.MobileNetV2.MeanLatency))
 	}
-	return node, batcher, nil
+	return node, batcher
 }
 
 // calibrate measures the node's sustainable service rate with a CLOSED
 // loop: every session drives frames back to back, so the node is busy
 // but never backlogged. The open-loop sweep offers multiples of this
 // rate.
-func (sw *overloadSweep) calibrate() (float64, error) {
-	node, batcher, err := sw.node(overloadUnprotected)
-	if err != nil {
-		return 0, err
-	}
+func (sw *overloadSweep) calibrate() float64 {
+	node, batcher := sw.node(false)
 	defer batcher.Close()
 	var wg sync.WaitGroup
 	var mu sync.Mutex
@@ -226,9 +203,9 @@ func (sw *overloadSweep) calibrate() (float64, error) {
 	wg.Wait()
 	elapsed := time.Since(start)
 	if done == 0 || elapsed <= 0 {
-		return 0, fmt.Errorf("eval: capacity calibration served nothing")
+		panic("eval: capacity calibration served nothing")
 	}
-	return float64(done) / elapsed.Seconds(), nil
+	return float64(done) / elapsed.Seconds()
 }
 
 // overloadOutcome is one request's fate as the harness saw it.
@@ -240,11 +217,8 @@ type overloadOutcome struct {
 
 // point offers load×capacity req/s to a fresh node for one window and
 // scores every completion against the deadline.
-func (sw *overloadSweep) point(mode string, load, capacity float64) (OverloadPoint, error) {
-	node, batcher, err := sw.node(mode)
-	if err != nil {
-		return OverloadPoint{}, err
-	}
+func (sw *overloadSweep) point(resilient bool, load, capacity float64) OverloadPoint {
+	node, batcher := sw.node(resilient)
 	interval := time.Duration(float64(time.Second) / (load * capacity))
 
 	var mu sync.Mutex
@@ -293,12 +267,15 @@ func (sw *overloadSweep) point(mode string, load, capacity float64) (OverloadPoi
 	mu.Unlock()
 
 	pt := OverloadPoint{
-		Mode:       mode,
+		Mode:       overloadUnprotected,
 		Load:       load,
 		OfferedRPS: float64(offered) / window.Seconds(),
 		Offered:    offered,
 		Completed:  len(snap),
 		Unfinished: offered - len(snap),
+	}
+	if resilient {
+		pt.Mode = overloadResilient
 	}
 	var lats []time.Duration
 	for _, o := range snap {
@@ -327,20 +304,14 @@ func (sw *overloadSweep) point(mode string, load, capacity float64) (OverloadPoi
 	bs := batcher.Stats()
 	pt.ExpiredDrops = bs.ExpiredDrops
 	pt.QueueOverflows = bs.Overflows
-	return pt, nil
+	return pt
 }
 
 // runOverload measures both node configurations across the load sweep
 // at scale s and computes the headline retention number.
-func runOverload(s Scale) (OverloadReport, error) {
-	sw, err := newOverloadSweep(s)
-	if err != nil {
-		return OverloadReport{}, err
-	}
-	capacity, err := sw.calibrate()
-	if err != nil {
-		return OverloadReport{}, err
-	}
+func runOverload(s Scale) OverloadReport {
+	sw := newOverloadSweep(s)
+	capacity := sw.calibrate()
 	rep := OverloadReport{
 		Sessions:    sw.sessions,
 		DeadlineMS:  float64(overloadDeadline) / float64(time.Millisecond),
@@ -348,14 +319,11 @@ func runOverload(s Scale) (OverloadReport, error) {
 		CapacityRPS: capacity,
 	}
 	maxLoad := overloadLoads[len(overloadLoads)-1]
-	for _, mode := range []string{overloadResilient, overloadUnprotected} {
+	for _, resilient := range []bool{true, false} {
 		for _, load := range overloadLoads {
-			pt, err := sw.point(mode, load, capacity)
-			if err != nil {
-				return OverloadReport{}, fmt.Errorf("%s ×%g: %w", mode, load, err)
-			}
+			pt := sw.point(resilient, load, capacity)
 			rep.Points = append(rep.Points, pt)
-			if mode == overloadResilient {
+			if resilient {
 				rep.PeakGoodput = max(rep.PeakGoodput, pt.GoodputRPS)
 				if load == maxLoad {
 					rep.GoodputAtMax = pt.GoodputRPS
@@ -369,17 +337,14 @@ func runOverload(s Scale) (OverloadReport, error) {
 	if rep.PeakGoodput > 0 {
 		rep.Retention = rep.GoodputAtMax / rep.PeakGoodput
 	}
-	return rep, nil
+	return rep
 }
 
 // E21Overload is the overload-resilience experiment: the open-loop
 // load sweep over both node configurations, at a test-friendly size
 // when scaled down.
-func E21Overload(s Scale) (Report, error) {
-	rep, err := runOverload(s)
-	if err != nil {
-		return Report{}, err
-	}
+func E21Overload(s Scale) Report {
+	rep := runOverload(s)
 	out := Report{
 		ID:    "E21",
 		Title: "Overload resilience: open-loop load sweep, admission on vs off",
@@ -406,5 +371,5 @@ func E21Overload(s Scale) (Report, error) {
 		fmt.Sprintf("p99 at max load: resilient %sms vs unprotected %sms",
 			fmtF(rep.ResilientP99MS), fmtF(rep.UnprotectedP99MS)),
 	)
-	return out, nil
+	return out
 }

@@ -100,33 +100,20 @@ type P2PReport struct {
 // perNode unit-length perturbations (σ sigma) of the vector scene(i)
 // returns under its label, behind a p2p service.
 func peerFleet(net *simnet.Network, clock simclock.Clock, n, capacity, perNode int, sigma float64, rng *rand.Rand,
-	scene func(i int) (feature.Vector, string)) ([]string, []*p2p.Service, error) {
+	scene func(i int) (feature.Vector, string)) ([]string, []*p2p.Service) {
 	names := make([]string, n)
 	services := make([]*p2p.Service, n)
 	for i := range names {
 		names[i] = fmt.Sprintf("peer-%d", i)
 		center, label := scene(i)
-		idx, err := lsh.NewExact(len(center))
-		if err != nil {
-			return nil, nil, err
-		}
-		st, err := cachestore.New(cachestore.Config{Capacity: capacity}, idx, clock)
-		if err != nil {
-			return nil, nil, err
-		}
+		st := must(cachestore.New(cachestore.Config{Capacity: capacity}, must(lsh.NewExact(len(center))), clock))
 		for j := 0; j < perNode; j++ {
-			if _, err := st.Insert(perturb(center, rng, sigma), label, 0.9, "dnn", time.Millisecond); err != nil {
-				return nil, nil, err
-			}
+			must(st.Insert(perturb(center, rng, sigma), label, 0.9, "dnn", time.Millisecond))
 		}
-		if services[i], err = p2p.NewService(p2p.DefaultServiceConfig(names[i]), st); err != nil {
-			return nil, nil, err
-		}
-		if err := p2p.RegisterService(net, services[i]); err != nil {
-			return nil, nil, err
-		}
+		services[i] = must(p2p.NewService(p2p.DefaultServiceConfig(names[i]), st))
+		check(p2p.RegisterService(net, services[i]))
 	}
-	return names, services, nil
+	return names, services
 }
 
 // p2pWorkload is the pre-generated deterministic workload every
@@ -154,34 +141,24 @@ func buildP2PWorkload(frames int, centers []feature.Vector, rng *rand.Rand) p2pW
 
 // runP2PAt replays the workload on a fresh deterministic network at one
 // bandwidth.
-func runP2PAt(seed int64, bwMBps float64, centers []feature.Vector, w p2pWorkload) (P2PResult, error) {
+func runP2PAt(seed int64, bwMBps float64, centers []feature.Vector, w p2pWorkload) P2PResult {
 	var res P2PResult
 	link := simnet.LinkProfile{
 		Latency:      6 * time.Millisecond,
 		BandwidthBps: int64(bwMBps * (1 << 20)),
 	}
-	net, err := simnet.New(link, seed)
-	if err != nil {
-		return res, err
-	}
+	net := must(simnet.New(link, seed))
 	clock := simclock.NewVirtual(time.Unix(0, 0))
-	names, _, err := peerFleet(net, clock, p2pNodes, 4*p2pPerNode, p2pPerNode, 0.02, rand.New(rand.NewSource(seed+1)),
+	names, _ := peerFleet(net, clock, p2pNodes, 4*p2pPerNode, p2pPerNode, 0.02, rand.New(rand.NewSource(seed+1)),
 		func(i int) (feature.Vector, string) { return centers[i], fmt.Sprintf("class-%d", i) })
-	if err != nil {
-		return res, err
-	}
 	ccfg := p2p.DefaultClientConfig()
 	ccfg.Clock = clock
-	client, err := dial("main", net, ccfg)
-	if err != nil {
-		return res, err
-	}
+	client := must(p2p.JoinSimnet(net, "main", nil, ccfg))
 	client.SetPeers(names)
 	// Warm-up: ping every peer.
 	for _, peer := range names {
-		if _, _, err := client.Ping("main", peer); err != nil {
-			return res, fmt.Errorf("ping %s: %w", peer, err)
-		}
+		_, _, err := client.Ping("main", peer)
+		check(err)
 	}
 
 	frames := len(w.queries)
@@ -192,19 +169,14 @@ func runP2PAt(seed int64, bwMBps float64, centers []feature.Vector, w p2pWorkloa
 	for f := 0; f < frames; f++ {
 		clock.Advance(33 * time.Millisecond)
 		for s := 0; s < p2pSessions; s++ {
-			out, err := client.QueryFrame(w.queries[f], 0)
-			if err != nil {
-				return res, err
-			}
+			out := must(client.QueryFrame(w.queries[f], 0))
 			if out.Found {
 				hits++
 			}
 			costs = append(costs, out.Cost)
 		}
 		if (f+1)%p2pGossipEvery == 0 && gossipIdx < len(w.gossipVecs) {
-			if _, err := client.Gossip(w.gossipVecs[gossipIdx], w.gossipLbls[gossipIdx], 0.9, 5*time.Millisecond); err != nil {
-				return res, err
-			}
+			must(client.Gossip(w.gossipVecs[gossipIdx], w.gossipLbls[gossipIdx], 0.9, 5*time.Millisecond))
 			gossipIdx++
 		}
 	}
@@ -223,12 +195,12 @@ func runP2PAt(seed int64, bwMBps float64, centers []feature.Vector, w p2pWorkloa
 	res.MeanLatencyMS = float64(total.Microseconds()) / float64(len(costs)) / 1e3
 	sort.Slice(costs, func(i, j int) bool { return costs[i] < costs[j] })
 	res.P95LatencyMS = float64(costs[(len(costs)*95)/100].Microseconds()) / 1e3
-	return res, nil
+	return res
 }
 
 // runP2P sweeps link bandwidth, replaying the same workload at each and
 // pricing each run's exchanges at float64 width.
-func runP2P(s Scale) (P2PReport, error) {
+func runP2P(s Scale) P2PReport {
 	rng := rand.New(rand.NewSource(s.Seed))
 	centers := make([]feature.Vector, p2pNodes)
 	for i := range centers {
@@ -244,10 +216,7 @@ func runP2P(s Scale) (P2PReport, error) {
 	}
 	sessionFrames := float64(len(w.queries) * p2pSessions)
 	for _, bw := range p2pBandwidths {
-		compact, err := runP2PAt(s.Seed, bw, centers, w)
-		if err != nil {
-			return P2PReport{}, fmt.Errorf("@ %.2f MB/s: %w", bw, err)
-		}
+		compact := runP2PAt(s.Seed, bw, centers, w)
 		pt := P2PPoint{
 			BandwidthMBps:        bw,
 			Compact:              compact,
@@ -263,15 +232,12 @@ func runP2P(s Scale) (P2PReport, error) {
 	report.BytesReduction = gate.BytesReduction
 	report.HitLegacy = gate.Compact.PeerHitRate
 	report.HitCompact = gate.Compact.PeerHitRate
-	return report, nil
+	return report
 }
 
 // E25P2PWire is the bandwidth-constrained peer-sharing experiment.
-func E25P2PWire(s Scale) (Report, error) {
-	rep, err := runP2P(s)
-	if err != nil {
-		return Report{}, err
-	}
+func E25P2PWire(s Scale) Report {
+	rep := runP2P(s)
 	report := Report{
 		ID: "E25",
 		Title: fmt.Sprintf("Compact P2P wire protocol (%d peers, %d sessions, %d frames, dim %d)",
@@ -295,5 +261,5 @@ func E25P2PWire(s Scale) (Report, error) {
 			fmt.Sprintf("%.1f", pt.Float64BytesPerFrame),
 		})
 	}
-	return report, nil
+	return report
 }

@@ -6,10 +6,7 @@ import (
 )
 
 func TestRunP2P(t *testing.T) {
-	rep, err := runP2P(Scale{Frames: 120, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runP2P(Scale{Frames: 120, Seed: 7})
 	if len(rep.Points) != len(p2pBandwidths) {
 		t.Fatalf("points = %d", len(rep.Points))
 	}
@@ -48,10 +45,7 @@ func TestRunP2P(t *testing.T) {
 // never which messages or how many bytes go over it; and a second run in
 // the same process sends exactly what the first did.
 func TestE25TrafficIdenticalAcrossBandwidths(t *testing.T) {
-	first, err := runP2P(tinyScale())
-	if err != nil {
-		t.Fatal(err)
-	}
+	first := runP2P(tinyScale())
 	base := first.Points[0].Compact
 	for _, pt := range first.Points[1:] {
 		if got := pt.Compact; got.Messages != base.Messages || got.SentBytes != base.SentBytes || got.RecvBytes != base.RecvBytes {
@@ -60,20 +54,14 @@ func TestE25TrafficIdenticalAcrossBandwidths(t *testing.T) {
 				first.Points[0].BandwidthMBps, base.Messages, base.SentBytes, base.RecvBytes)
 		}
 	}
-	again, err := runP2P(tinyScale())
-	if err != nil {
-		t.Fatal(err)
-	}
+	again := runP2P(tinyScale())
 	if !reflect.DeepEqual(first, again) {
 		t.Fatalf("a second run differs:\n%+v\n%+v", first, again)
 	}
 }
 
 func TestE25P2PWireShape(t *testing.T) {
-	r, err := E25P2PWire(tinyScale())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := E25P2PWire(tinyScale())
 	if r.ID != "E25" {
 		t.Fatalf("id = %q", r.ID)
 	}

@@ -9,10 +9,8 @@ import (
 // workers < 1) and waits for all of them. Work items must be
 // independent — every sweep point and experiment in this package builds
 // its own virtual clock, RNGs, and network, so running them concurrently
-// cannot change their results, only the wall time. The first error (by
-// lowest index) wins.
-func parallelEach(n, workers int, fn func(i int) error) error {
-	errs := make([]error, n)
+// cannot change their results, only the wall time.
+func parallelEach(n, workers int, fn func(i int)) {
 	next := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < max(workers, 1); w++ {
@@ -20,7 +18,7 @@ func parallelEach(n, workers int, fn func(i int) error) error {
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				errs[i] = fn(i)
+				fn(i)
 			}
 		}()
 	}
@@ -29,16 +27,12 @@ func parallelEach(n, workers int, fn func(i int) error) error {
 	}
 	close(next)
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // RunExperiments validates s, executes exps at that scale and returns
-// their reports in the input order. Simulation experiments fan out
+// their reports in the input order. It is where input is checked: it
+// refuses a non-positive frame count, and a frame count below what any
+// of exps needs, before one starts. Simulation experiments fan out
 // across s.Workers goroutines; their reports are identical to a serial
 // run, since parallelism never reorders rows or perturbs a simulation.
 // Wall-clock experiments run afterwards, one at a time, so the elapsed
@@ -47,15 +41,12 @@ func RunExperiments(exps []Experiment, s Scale) ([]Report, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	reports := make([]Report, len(exps))
-	run := func(i int) error {
-		r, err := exps[i].Run(s)
-		if err != nil {
-			return fmt.Errorf("%s: %w", exps[i].ID, err)
+	for _, e := range exps {
+		if s.Frames < e.minFrames {
+			return nil, fmt.Errorf("eval: %s needs ≥ %d frames, got %d", e.what, e.minFrames, s.Frames)
 		}
-		reports[i] = r
-		return nil
 	}
+	reports := make([]Report, len(exps))
 	var sims, timed []int
 	for i, e := range exps {
 		if e.WallClock {
@@ -64,13 +55,9 @@ func RunExperiments(exps []Experiment, s Scale) ([]Report, error) {
 			sims = append(sims, i)
 		}
 	}
-	if err := parallelEach(len(sims), s.Workers, func(k int) error { return run(sims[k]) }); err != nil {
-		return nil, err
-	}
+	parallelEach(len(sims), s.Workers, func(k int) { reports[sims[k]] = exps[sims[k]].Run(s) })
 	for _, i := range timed {
-		if err := run(i); err != nil {
-			return nil, err
-		}
+		reports[i] = exps[i].Run(s)
 	}
 	return reports, nil
 }

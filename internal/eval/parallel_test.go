@@ -1,7 +1,6 @@
 package eval
 
 import (
-	"errors"
 	"fmt"
 	"reflect"
 	"sync"
@@ -15,12 +14,7 @@ func TestParallelEachRunsEveryIndex(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			const n = 37
 			var hits [n]atomic.Int32
-			if err := parallelEach(n, workers, func(i int) error {
-				hits[i].Add(1)
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
+			parallelEach(n, workers, func(i int) { hits[i].Add(1) })
 			for i := range hits {
 				if got := hits[i].Load(); got != 1 {
 					t.Fatalf("index %d ran %d times", i, got)
@@ -30,30 +24,8 @@ func TestParallelEachRunsEveryIndex(t *testing.T) {
 	}
 }
 
-func TestParallelEachFirstErrorByIndexWins(t *testing.T) {
-	errA := errors.New("a")
-	errB := errors.New("b")
-	err := parallelEach(10, 4, func(i int) error {
-		switch i {
-		case 3:
-			return errA
-		case 7:
-			return errB
-		}
-		return nil
-	})
-	if !errors.Is(err, errA) {
-		t.Fatalf("err = %v, want the lowest-index error %v", err, errA)
-	}
-}
-
 func TestParallelEachZeroItems(t *testing.T) {
-	if err := parallelEach(0, 4, func(int) error {
-		t.Error("fn called for n=0")
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
+	parallelEach(0, 4, func(int) { t.Error("fn called for n=0") })
 }
 
 // TestRunExperimentsParallelMatchesSerial is the determinism guarantee
@@ -102,26 +74,26 @@ func TestWallClockExperimentsRunAlone(t *testing.T) {
 	var allSimsIn sync.WaitGroup
 	allSimsIn.Add(sims)
 	sim := func(id string) Experiment {
-		return Experiment{ID: id, Run: func(Scale) (Report, error) {
+		return Experiment{ID: id, Run: func(Scale) Report {
 			inflight.Add(1)
 			defer inflight.Add(-1)
 			// Hold until every simulation is in flight: the batch really
 			// runs sims-wide.
 			allSimsIn.Done()
 			allSimsIn.Wait()
-			return Report{ID: id}, nil
+			return Report{ID: id}
 		}}
 	}
 	wall := func(id string) Experiment {
-		return Experiment{ID: id, WallClock: true, Run: func(Scale) (Report, error) {
+		return Experiment{ID: id, WallClock: true, Run: func(Scale) Report {
 			atStart := inflight.Add(1)
 			defer inflight.Add(-1)
 			// No event marks "nobody joined"; give a neighbour time to.
 			time.Sleep(10 * time.Millisecond)
 			if atEnd := inflight.Load(); atStart != 1 || atEnd != 1 {
-				return Report{}, fmt.Errorf("ran beside other experiments (%d in flight at start, %d at end)", atStart, atEnd)
+				t.Errorf("%s ran beside other experiments (%d in flight at start, %d at end)", id, atStart, atEnd)
 			}
-			return Report{ID: id}, nil
+			return Report{ID: id}
 		}}
 	}
 	exps := []Experiment{wall("W1"), sim("S1"), sim("S2"), wall("W2"), sim("S3"), sim("S4")}

@@ -118,7 +118,7 @@ type QualityReport struct {
 // length against one freshly built node. drift injects the recurring
 // label rotation; protect turns the quality layer (and store
 // quarantine) on.
-func runQualityNode(frames int, seed int64, drift, protect bool) (QualityRun, error) {
+func runQualityNode(frames int, seed int64, drift, protect bool) QualityRun {
 	spec := trace.StationaryHeavy(frames, seed)
 	ecfg := core.DefaultConfig()
 	scfg := cachestore.Config{Capacity: qualityCapacity}
@@ -127,48 +127,39 @@ func runQualityNode(frames int, seed int64, drift, protect bool) (QualityRun, er
 		scfg.QuarantineThreshold = qualityQuarantine
 	}
 	var faulty *dnn.FaultyClassifier
-	dev, err := buildDevice(deviceConfig{
+	dev := buildDevice(deviceConfig{
 		Name: "main", Spec: spec, Engine: ecfg, Store: scfg, Seed: seed,
-		WrapClassifier: func(c *dnn.Classifier) (core.Classifier, error) {
-			var err error
-			faulty, err = dnn.NewFaultyClassifier(c, nil)
-			return faulty, err
+		WrapClassifier: func(c *dnn.Classifier) core.Classifier {
+			faulty = must(dnn.NewFaultyClassifier(c, nil))
+			return faulty
 		},
 	}, simclock.NewVirtual(time.Unix(0, 0)), nil)
-	if err != nil {
-		return QualityRun{}, err
-	}
 
 	driftAt, driftEvery, tailStart := frames/3, frames/8, frames-frames/3
 	tailCorrect, tailFrames, fullCorrect := 0, 0, 0
 	var tailLatency time.Duration
 	shift := 0
 	relabel := func(s string) string { return s }
-	err = dev.replay(hooks{
-		before: func(i int, in *frameInput) error {
+	dev.replay(hooks{
+		before: func(i int, in *frameInput) {
 			if drift && i >= driftAt && (i-driftAt)%driftEvery == 0 {
 				// Another drift episode: the rotation compounds. Install
 				// it at the classifier's CURRENT call number (retries and
 				// shadow audits included), open-ended until the next one.
 				shift += qualityShift
 				relabel = dnn.ShiftRelabel(shift, spec.NumClasses)
-				if err := faulty.SetFaultPlan(dnn.FaultPlan{{
+				check(faulty.SetFaultPlan(dnn.FaultPlan{{
 					From: faulty.Calls(), To: 1 << 30,
 					Kind: dnn.FaultDrift, Relabel: relabel,
-				}}); err != nil {
-					return err
-				}
+				}}))
 			}
 			// Model drift, not model error: truth follows the drifted
 			// model, so everything cached before each episode is wrong
 			// after it.
 			in.truth = relabel(in.truth)
-			return nil
 		},
-		after: func(i int, in *frameInput, res core.Result, err error) error {
-			if err != nil {
-				return err
-			}
+		after: func(i int, in *frameInput, res core.Result, err error) {
+			check(err)
 			if res.Label == in.truth {
 				fullCorrect++
 			}
@@ -179,12 +170,8 @@ func runQualityNode(frames int, seed int64, drift, protect bool) (QualityRun, er
 					tailCorrect++
 				}
 			}
-			return nil
 		},
 	})
-	if err != nil {
-		return QualityRun{}, err
-	}
 
 	run := QualityRun{Name: qualityBaseline, Frames: frames}
 	switch {
@@ -207,12 +194,12 @@ func runQualityNode(frames int, seed int64, drift, protect bool) (QualityRun, er
 	if snap, ok := dev.engine.QualitySnapshot(); ok {
 		run.LiveAccuracy = snap.LiveAccuracy
 	}
-	return run, nil
+	return run
 }
 
 // runQuality measures all three runs and computes the headline
 // recovery and retention numbers.
-func runQuality(s Scale) (QualityReport, error) {
+func runQuality(s Scale) QualityReport {
 	frames := qualityFrames
 	if s.small() {
 		frames = 600
@@ -222,10 +209,7 @@ func runQuality(s Scale) (QualityReport, error) {
 	for _, r := range []struct {
 		drift, protect bool
 	}{{false, false}, {true, false}, {true, true}} {
-		run, err := runQualityNode(frames, s.Seed, r.drift, r.protect)
-		if err != nil {
-			return QualityReport{}, fmt.Errorf("%v/%v: %w", r.drift, r.protect, err)
-		}
+		run := runQualityNode(frames, s.Seed, r.drift, r.protect)
 		rep.Runs = append(rep.Runs, run)
 		switch run.Name {
 		case qualityBaseline:
@@ -242,17 +226,14 @@ func runQuality(s Scale) (QualityReport, error) {
 	if base.LatencySavings > 0 {
 		rep.SavingsRetention = prot.LatencySavings / base.LatencySavings
 	}
-	return rep, nil
+	return rep
 }
 
 // E23Quality is the cache-quality experiment: injected label drift
 // with and without the self-healing layer, at a test-friendly size
 // when scaled down.
-func E23Quality(s Scale) (Report, error) {
-	rep, err := runQuality(s)
-	if err != nil {
-		return Report{}, err
-	}
+func E23Quality(s Scale) Report {
+	rep := runQuality(s)
 	out := Report{
 		ID:    "E23",
 		Title: "Cache quality under label drift: shadow audits + quarantine + recalibration",
@@ -276,5 +257,5 @@ func E23Quality(s Scale) (Report, error) {
 			rep.AccuracyRecovery, rep.SavingsRetention),
 		fmt.Sprintf("unprotected tail accuracy for contrast: %.2f", rep.UnprotectedAccuracy),
 	)
-	return out, nil
+	return out
 }

@@ -48,7 +48,7 @@ type deviceConfig struct {
 	// WrapClassifier, when non-nil, wraps the device's classifier
 	// before the engine sees it — the hook that interposes a
 	// dnn.FaultyClassifier, an accelerator model or a batcher.
-	WrapClassifier func(*dnn.Classifier) (core.Classifier, error)
+	WrapClassifier func(*dnn.Classifier) core.Classifier
 }
 
 // defaults fills zero fields.
@@ -83,84 +83,64 @@ type device struct {
 	lat exactRecorder
 }
 
+// must returns v, and panics with err if the call that produced them
+// failed. Every call eval makes that returns an error goes through must
+// (or check), because none of them can fail on the input eval gives
+// it: the shapes, configs and link profiles are constants or built from
+// DefaultConfig, the workloads are the standard specs at a frame count
+// RunExperiments has accepted, every frame is rendered 48 × 48, every
+// vector has its index's dimension, every node name is unique on its
+// network and every classifier is healthy unless a fault hook says
+// otherwise (and that hook sees the error). A panic here is a bug in
+// eval, never bad input: input is refused before any experiment starts.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
+// check is must for a call that returns only an error.
+func check(err error) { must(0, err) }
+
 // buildDevice instantiates cfg on clock, optionally attached to net. It
 // is the only place that builds an index, store, classifier and engine.
-func buildDevice(cfg deviceConfig, clock *simclock.Virtual, net *simnet.Network) (*device, error) {
+func buildDevice(cfg deviceConfig, clock *simclock.Virtual, net *simnet.Network) *device {
 	cfg.defaults()
 	dev := &device{name: cfg.Name, clock: clock}
 	classes := cfg.Classes
 	if classes == nil {
-		w, err := trace.Generate(cfg.Spec)
-		if err != nil {
-			return nil, fmt.Errorf("device %s workload: %w", cfg.Name, err)
-		}
-		dev.work, classes = w, w.Classes
+		dev.work = must(trace.Generate(cfg.Spec))
+		classes = dev.work.Classes
 	}
-	classifier, err := dnn.NewClassifier(cfg.Profile, classes, cfg.Seed)
-	if err != nil {
-		return nil, fmt.Errorf("device %s classifier: %w", cfg.Name, err)
-	}
+	classifier := must(dnn.NewClassifier(cfg.Profile, classes, cfg.Seed))
 	if cfg.Engine.Mode == core.ModeApprox {
-		idx, err := lsh.NewHyperplane(cfg.Engine.Extractor.Dim(), 12, 4, cfg.Seed)
-		if err != nil {
-			return nil, fmt.Errorf("device %s index: %w", cfg.Name, err)
-		}
-		if dev.store, err = cachestore.New(cfg.Store, idx, clock); err != nil {
-			return nil, fmt.Errorf("device %s store: %w", cfg.Name, err)
-		}
+		idx := must(lsh.NewShipped(cfg.Engine.Extractor.Dim(), cfg.Seed))
+		dev.store = must(cachestore.New(cfg.Store, idx, clock))
 		if net != nil {
-			if dev.client, err = joinNetwork(cfg, dev.store, clock, net); err != nil {
-				return nil, fmt.Errorf("device %s: %w", cfg.Name, err)
+			ccfg := p2p.DefaultClientConfig()
+			if cfg.Client != nil {
+				ccfg = *cfg.Client
 			}
+			// Breaker backoffs must elapse in the run's virtual time, or
+			// circuits would (nondeterministically) heal on the wall
+			// clock instead.
+			ccfg.Clock = clock
+			dev.client = must(p2p.JoinSimnet(net, cfg.Name, dev.store, ccfg))
 		}
 	}
 	var rec core.Classifier = classifier
 	if cfg.WrapClassifier != nil {
-		if rec, err = cfg.WrapClassifier(classifier); err != nil {
-			return nil, fmt.Errorf("device %s classifier: %w", cfg.Name, err)
-		}
+		rec = cfg.WrapClassifier(classifier)
 	}
-	dev.pool, err = core.NewPool(cfg.Sessions, cfg.Engine, core.Deps{
+	dev.pool = must(core.NewPool(cfg.Sessions, cfg.Engine, core.Deps{
 		Clock:      clock,
 		Classifier: rec,
 		Store:      dev.store,
 		Peers:      dev.client,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("device %s engine: %w", cfg.Name, err)
-	}
+	}))
 	dev.engine = dev.pool.Session(0)
-	return dev, nil
-}
-
-// joinNetwork serves store to net under the device's name and returns
-// the device's own peer client.
-func joinNetwork(cfg deviceConfig, store *cachestore.Store, clock simclock.Clock, net *simnet.Network) (*p2p.Client, error) {
-	svc, err := p2p.NewService(p2p.DefaultServiceConfig(cfg.Name), store)
-	if err != nil {
-		return nil, err
-	}
-	if err := p2p.RegisterService(net, svc); err != nil {
-		return nil, err
-	}
-	ccfg := p2p.DefaultClientConfig()
-	if cfg.Client != nil {
-		ccfg = *cfg.Client
-	}
-	// Breaker backoffs must elapse in the run's virtual time, or
-	// circuits would (nondeterministically) heal on the wall clock
-	// instead.
-	ccfg.Clock = clock
-	return dial(cfg.Name, net, ccfg)
-}
-
-// dial returns a peer client that reaches net as node name.
-func dial(name string, net *simnet.Network, ccfg p2p.ClientConfig) (*p2p.Client, error) {
-	tr, err := p2p.NewSimnetTransport(name, net)
-	if err != nil {
-		return nil, err
-	}
-	return p2p.NewClient(ccfg, tr)
+	return dev
 }
 
 // frameInput is one frame's engine inputs, which a before hook may
@@ -179,61 +159,53 @@ type hooks struct {
 	// frame timeline, not the compressed sum of latencies.
 	pin bool
 	// before runs ahead of frame i and may rewrite its inputs: corrupt
-	// the image or IMU window, relabel the truth, toggle a fault. An
-	// error it returns stops the replay.
-	before func(i int, in *frameInput) error
-	// after sees frame i's inputs and outcome. A frame error stops the
-	// replay unless after returns nil for it.
-	after func(i int, in *frameInput, res core.Result, err error) error
+	// the image or IMU window, relabel the truth, toggle a fault.
+	before func(i int, in *frameInput)
+	// after sees frame i's inputs and outcome, frame error included,
+	// which it must check unless the run expects it. Without an after
+	// hook, a frame error is a bug (see must).
+	after func(i int, in *frameInput, res core.Result, err error)
 }
 
 // step feeds the device's next frame to its engine. It is the only code
 // that does.
-func (d *device) step(h hooks) error {
+func (d *device) step(h hooks) {
 	i := d.next
 	fr := d.work.Frames[i]
 	in := frameInput{im: fr.Image, win: d.work.IMUWindow(d.prev, fr.Offset), truth: dnn.LabelOf(fr.Class)}
 	d.prev = fr.Offset
 	d.next++
 	if h.before != nil {
-		if err := h.before(i, &in); err != nil {
-			return err
-		}
+		h.before(i, &in)
 	}
 	res, err := d.engine.ProcessWithTruth(in.im, in.win, in.truth)
-	if err != nil {
-		err = fmt.Errorf("device %s frame %d: %w", d.name, fr.Index, err)
-	} else {
+	if err == nil {
 		d.lat.record(res.Latency)
 	}
 	if h.after != nil {
-		return h.after(i, &in, res, err)
+		h.after(i, &in, res, err)
+	} else {
+		check(err)
 	}
-	return err
 }
 
 // replay steps the device through the rest of its workload.
-func (d *device) replay(h hooks) error {
+func (d *device) replay(h hooks) {
 	start := d.clock.Now()
 	for d.next < len(d.work.Frames) {
 		if h.pin {
 			d.clock.Set(start.Add(d.work.Frames[d.next].Offset))
 		}
-		if err := d.step(h); err != nil {
-			return err
-		}
+		d.step(h)
 	}
-	return nil
 }
 
 // runSingle replays one device's workload to completion on a fresh
 // clock and returns the finished device.
-func runSingle(cfg deviceConfig) (*device, error) {
-	dev, err := buildDevice(cfg, simclock.NewVirtual(time.Unix(0, 0)), nil)
-	if err != nil {
-		return nil, err
-	}
-	return dev, dev.replay(hooks{})
+func runSingle(cfg deviceConfig) *device {
+	dev := buildDevice(cfg, simclock.NewVirtual(time.Unix(0, 0)), nil)
+	dev.replay(hooks{})
+	return dev
 }
 
 // runGroup replays several devices on one shared simulated network,
@@ -243,22 +215,12 @@ func runSingle(cfg deviceConfig) (*device, error) {
 // Every device must run in approx mode, which gives it a store and a peer
 // client. Every spec should share a ClassSeed so the devices recognize
 // the same object vocabulary; otherwise peers can never help each other.
-func runGroup(cfgs []deviceConfig, netSeed int64, link simnet.LinkProfile) ([]*device, error) {
-	if len(cfgs) == 0 {
-		return nil, fmt.Errorf("eval: empty device group")
-	}
+func runGroup(cfgs []deviceConfig, netSeed int64, link simnet.LinkProfile) []*device {
 	clock := simclock.NewVirtual(time.Unix(0, 0))
-	net, err := simnet.New(link, netSeed)
-	if err != nil {
-		return nil, err
-	}
-	devices := make([]*device, 0, len(cfgs))
-	for _, cfg := range cfgs {
-		dev, err := buildDevice(cfg, clock, net)
-		if err != nil {
-			return nil, err
-		}
-		devices = append(devices, dev)
+	net := must(simnet.New(link, netSeed))
+	devices := make([]*device, len(cfgs))
+	for i, cfg := range cfgs {
+		devices[i] = buildDevice(cfg, clock, net)
 	}
 	// Full mesh: every device peers with all the others.
 	for i, dev := range devices {
@@ -287,11 +249,9 @@ func runGroup(cfgs []deviceConfig, netSeed int64, link simnet.LinkProfile) ([]*d
 			}
 		}
 		if best == -1 {
-			return devices, nil
+			return devices
 		}
-		if err := devices[best].step(hooks{}); err != nil {
-			return nil, err
-		}
+		devices[best].step(hooks{})
 	}
 }
 

@@ -102,7 +102,7 @@ type streamWorkload struct {
 	truths []string
 }
 
-func renderStreams(seed int64, streams, frames int, classes *vision.ClassSet) ([]streamWorkload, error) {
+func renderStreams(seed int64, streams, frames int, classes *vision.ClassSet) []streamWorkload {
 	out := make([]streamWorkload, streams)
 	for s := range out {
 		rng := rand.New(rand.NewSource(seed + int64(s)*7919))
@@ -110,15 +110,11 @@ func renderStreams(seed int64, streams, frames int, classes *vision.ClassSet) ([
 		out[s].truths = make([]string, frames)
 		for i := 0; i < frames; i++ {
 			class := (s + i) % classes.NumClasses()
-			im, err := classes.Render(class, vision.DefaultPerturbation(), rng)
-			if err != nil {
-				return nil, fmt.Errorf("render stream %d frame %d: %w", s, i, err)
-			}
-			out[s].images[i] = im
+			out[s].images[i] = must(classes.Render(class, vision.DefaultPerturbation(), rng))
 			out[s].truths[i] = dnn.LabelOf(class)
 		}
 	}
-	return out, nil
+	return out
 }
 
 // occupiedModel models a serial accelerator: one invocation at a time,
@@ -136,10 +132,7 @@ func (m *occupiedModel) Profile() dnn.Profile { return m.inner.Profile() }
 func (m *occupiedModel) Infer(im *vision.Image) (dnn.Inference, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	inf, err := m.inner.Infer(im)
-	if err != nil {
-		return inf, err
-	}
+	inf := must(m.inner.Infer(im))
 	time.Sleep(inf.Latency / time.Duration(m.slowdown))
 	return inf, nil
 }
@@ -147,10 +140,7 @@ func (m *occupiedModel) Infer(im *vision.Image) (dnn.Inference, error) {
 func (m *occupiedModel) InferBatch(ims []*vision.Image) ([]dnn.Inference, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	infs, err := m.inner.InferBatch(ims)
-	if err != nil {
-		return nil, err
-	}
+	infs := must(m.inner.InferBatch(ims))
 	var occupancy time.Duration
 	for _, inf := range infs {
 		occupancy += inf.Latency // per-frame amortized shares sum to the batch cost
@@ -176,53 +166,34 @@ func servingEngineConfig() core.Config {
 // one classifier behind the accelerator occupancy model, micro-batched
 // by bcfg unless it is the zero value. The caller closes the returned
 // batcher.
-func servingNode(classes *vision.ClassSet, n int, ecfg core.Config, slowdown int, bcfg dnn.BatcherConfig, seed int64) (*device, *dnn.Batcher, error) {
+func servingNode(classes *vision.ClassSet, n int, ecfg core.Config, slowdown int, bcfg dnn.BatcherConfig, seed int64) (*device, *dnn.Batcher) {
 	var batcher *dnn.Batcher
-	node, err := buildDevice(deviceConfig{
+	node := buildDevice(deviceConfig{
 		Name: "node", Classes: classes, Sessions: n, Engine: ecfg,
 		Store: cachestore.Config{Capacity: servingCapacity}, Seed: seed,
-		WrapClassifier: func(c *dnn.Classifier) (core.Classifier, error) {
+		WrapClassifier: func(c *dnn.Classifier) core.Classifier {
 			model := &occupiedModel{inner: c, slowdown: slowdown}
 			if bcfg == (dnn.BatcherConfig{}) {
-				return model, nil
+				return model
 			}
-			var err error
-			batcher, err = dnn.NewBatcher(bcfg, model)
-			return batcher, err
+			batcher = must(dnn.NewBatcher(bcfg, model))
+			return batcher
 		},
 	}, simclock.NewVirtual(time.Unix(0, 0)), nil)
-	if err != nil {
-		if batcher != nil {
-			batcher.Close()
-		}
-		return nil, nil, err
-	}
-	return node, batcher, nil
+	return node, batcher
 }
 
-// runThroughputMode measures one variant at scale s.
-func runThroughputMode(s Scale, mode string) (ThroughputResult, error) {
-	var bcfg dnn.BatcherConfig
-	switch mode {
-	case modePool:
-	case modePoolBatched:
-		bcfg = throughputBatcher
-	default:
-		return ThroughputResult{}, fmt.Errorf("eval: unknown throughput mode %q", mode)
+// runThroughputMode measures one variant at scale s: the pool alone, or
+// micro-batched.
+func runThroughputMode(s Scale, batched bool) ThroughputResult {
+	mode, bcfg := modePool, dnn.BatcherConfig{}
+	if batched {
+		mode, bcfg = modePoolBatched, throughputBatcher
 	}
 	streams, frames := throughputShape(s)
-	classes, err := vision.NewClassSet(servingClasses, 48, 48, s.Seed)
-	if err != nil {
-		return ThroughputResult{}, err
-	}
-	work, err := renderStreams(s.Seed, streams, frames, classes)
-	if err != nil {
-		return ThroughputResult{}, err
-	}
-	node, batcher, err := servingNode(classes, streams, servingEngineConfig(), throughputSlowdown, bcfg, s.Seed)
-	if err != nil {
-		return ThroughputResult{}, err
-	}
+	classes := must(vision.NewClassSet(servingClasses, 48, 48, s.Seed))
+	work := renderStreams(s.Seed, streams, frames, classes)
+	node, batcher := servingNode(classes, streams, servingEngineConfig(), throughputSlowdown, bcfg, s.Seed)
 	if batcher != nil {
 		defer batcher.Close()
 	}
@@ -230,8 +201,6 @@ func runThroughputMode(s Scale, mode string) (ThroughputResult, error) {
 	// Drive all streams concurrently, recording per-frame wall time.
 	perStream := make([][]time.Duration, streams)
 	var wg sync.WaitGroup
-	var firstErr error
-	var errOnce sync.Once
 	start := time.Now()
 	for st := 0; st < streams; st++ {
 		wg.Add(1)
@@ -242,10 +211,7 @@ func runThroughputMode(s Scale, mode string) (ThroughputResult, error) {
 			w := work[st]
 			for i := 0; i < frames; i++ {
 				t0 := time.Now()
-				if _, err := eng.ProcessWithTruth(w.images[i], nil, w.truths[i]); err != nil {
-					errOnce.Do(func() { firstErr = fmt.Errorf("stream %d frame %d: %w", st, i, err) })
-					return
-				}
+				must(eng.ProcessWithTruth(w.images[i], nil, w.truths[i]))
 				lat = append(lat, time.Since(t0))
 			}
 			perStream[st] = lat
@@ -253,9 +219,6 @@ func runThroughputMode(s Scale, mode string) (ThroughputResult, error) {
 	}
 	wg.Wait()
 	wall := time.Since(start)
-	if firstErr != nil {
-		return ThroughputResult{}, firstErr
-	}
 
 	var all []time.Duration
 	for _, lat := range perStream {
@@ -278,25 +241,19 @@ func runThroughputMode(s Scale, mode string) (ThroughputResult, error) {
 		st := batcher.Stats()
 		res.Batcher = &st
 	}
-	return res, nil
+	return res
 }
 
 // runThroughput measures both variants at scale s and computes the
 // headline speedup (batched over unbatched).
-func runThroughput(s Scale) (ThroughputReport, error) {
+func runThroughput(s Scale) ThroughputReport {
 	rep := ThroughputReport{MaxBatch: throughputBatcher.MaxBatch}
 	rep.Streams, rep.Frames = throughputShape(s)
-	for _, mode := range []string{modePool, modePoolBatched} {
-		res, err := runThroughputMode(s, mode)
-		if err != nil {
-			return ThroughputReport{}, fmt.Errorf("mode %s: %w", mode, err)
-		}
-		rep.Results = append(rep.Results, res)
-	}
+	rep.Results = []ThroughputResult{runThroughputMode(s, false), runThroughputMode(s, true)}
 	if base := rep.Results[0].FPS; base > 0 {
 		rep.Speedup = rep.Results[1].FPS / base
 	}
-	return rep, nil
+	return rep
 }
 
 // durPctMS returns the p-th percentile of sorted latencies, in ms.
@@ -306,11 +263,8 @@ func durPctMS(sorted []time.Duration, p float64) float64 {
 
 // E20Throughput is the serving-scale experiment: one pool, unbatched
 // and micro-batched, at a test-friendly size when scaled down.
-func E20Throughput(s Scale) (Report, error) {
-	rep, err := runThroughput(s)
-	if err != nil {
-		return Report{}, err
-	}
+func E20Throughput(s Scale) Report {
+	rep := runThroughput(s)
 	out := Report{
 		ID:    "E20",
 		Title: "Serving throughput: one pool, unbatched vs micro-batched",
@@ -333,5 +287,5 @@ func E20Throughput(s Scale) (Report, error) {
 			rep.Streams, rep.Frames, throughputSlowdown),
 		fmt.Sprintf("speedup batched vs unbatched: %.2fx", rep.Speedup),
 	)
-	return out, nil
+	return out
 }

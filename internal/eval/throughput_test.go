@@ -9,13 +9,7 @@ import (
 // smallE20 runs E20 once at small scale for every test that reads it:
 // the run sleeps real accelerator occupancy, which makes it the slowest
 // in the package.
-var smallE20 = sync.OnceValues(func() (Report, error) { return E20Throughput(smallScale()) })
-
-func TestThroughputModeUnknown(t *testing.T) {
-	if _, err := runThroughputMode(smallScale(), "warp-drive"); err == nil {
-		t.Fatal("unknown mode accepted")
-	}
-}
+var smallE20 = sync.OnceValue(func() Report { return E20Throughput(smallScale()) })
 
 // smallE20Report is E20's typed report from the shared small-scale run.
 func smallE20Report(t *testing.T) ThroughputReport {
@@ -23,13 +17,10 @@ func smallE20Report(t *testing.T) ThroughputReport {
 	if testing.Short() {
 		t.Skip("E20 sleeps real accelerator occupancy")
 	}
-	r, err := smallE20()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, ok := r.Data.(ThroughputReport)
+	data := smallE20().Data
+	rep, ok := data.(ThroughputReport)
 	if !ok {
-		t.Fatalf("E20 data is %T, want ThroughputReport", r.Data)
+		t.Fatalf("E20 data is %T, want ThroughputReport", data)
 	}
 	return rep
 }
@@ -91,10 +82,7 @@ func TestE20Small(t *testing.T) {
 	if testing.Short() {
 		t.Skip("E20 sleeps real accelerator occupancy")
 	}
-	rep, err := smallE20()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := smallE20()
 	if len(rep.Rows) != 2 {
 		t.Fatalf("%d rows, want 2", len(rep.Rows))
 	}

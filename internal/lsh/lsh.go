@@ -189,6 +189,19 @@ func NewHyperplane(dim, bits, tables int, seed int64) (*HyperplaneIndex, error) 
 	return x, nil
 }
 
+// The shipped index shape: every cache a program builds hashes into
+// ShippedTables tables of ShippedBits hyperplanes each.
+const (
+	ShippedBits   = 12
+	ShippedTables = 4
+)
+
+// NewShipped builds the shipped-shape index over dim-dimensional
+// vectors, its hyperplanes drawn from seed.
+func NewShipped(dim int, seed int64) (*HyperplaneIndex, error) {
+	return NewHyperplane(dim, ShippedBits, ShippedTables, seed)
+}
+
 // Len returns the number of indexed vectors. Like ExactIndex.Len it
 // takes the read lock — uncontended that is two atomic operations and no
 // allocation — so it waits for a writer in progress.

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"approxcache/internal/cachestore"
 	"approxcache/internal/feature"
 	"approxcache/internal/metrics"
 	"approxcache/internal/simclock"
@@ -496,4 +497,24 @@ func RegisterService(net *simnet.Network, svc *Service) error {
 	return net.Register(simnet.NodeID(svc.Name()), func(from simnet.NodeID, req []byte) ([]byte, error) {
 		return svc.HandleRaw(string(from), req)
 	})
+}
+
+// JoinSimnet joins net as node name: it serves store there under the
+// default service config (a nil store serves nothing) and returns a
+// client, configured by cfg, that reaches the other nodes as name.
+func JoinSimnet(net *simnet.Network, name string, store cachestore.Interface, cfg ClientConfig) (*Client, error) {
+	if store != nil {
+		svc, err := NewService(DefaultServiceConfig(name), store)
+		if err != nil {
+			return nil, err
+		}
+		if err := RegisterService(net, svc); err != nil {
+			return nil, err
+		}
+	}
+	tr, err := NewSimnetTransport(name, net)
+	if err != nil {
+		return nil, err
+	}
+	return NewClient(cfg, tr)
 }

@@ -32,20 +32,9 @@ func (c *Cache) JoinSimNetwork(net *SimNetwork, name string) (*PeerClient, error
 	if net == nil {
 		return nil, fmt.Errorf("approxcache: nil network")
 	}
-	svc, err := p2p.NewService(p2p.DefaultServiceConfig(name), c.store)
+	client, err := p2p.JoinSimnet(net, name, c.store, c.clientConfig())
 	if err != nil {
-		return nil, fmt.Errorf("approxcache: peer service: %w", err)
-	}
-	if err := p2p.RegisterService(net, svc); err != nil {
-		return nil, fmt.Errorf("approxcache: register: %w", err)
-	}
-	tr, err := p2p.NewSimnetTransport(name, net)
-	if err != nil {
-		return nil, fmt.Errorf("approxcache: transport: %w", err)
-	}
-	client, err := p2p.NewClient(c.clientConfig(), tr)
-	if err != nil {
-		return nil, fmt.Errorf("approxcache: peer client: %w", err)
+		return nil, fmt.Errorf("approxcache: join %q: %w", name, err)
 	}
 	c.engine.SetPeers(client)
 	return client, nil
