@@ -60,10 +60,11 @@ type (
 	MotionRegime = imu.Regime
 	// Frame is a workload video frame with ground truth.
 	Frame = video.Frame
-	// WorkloadSpec is a serializable workload description.
+	// WorkloadSpec describes a workload; equal specs generate identical
+	// workloads.
 	WorkloadSpec = trace.Spec
 	// SegmentSpec is one motion segment of a workload.
-	SegmentSpec = trace.SegmentSpec
+	SegmentSpec = video.Segment
 	// Workload is a fully generated device input.
 	Workload = trace.Workload
 	// ModelProfile describes a classifier's cost and quality.

@@ -56,10 +56,10 @@ func run() error {
 			ImageW:     48,
 			ImageH:     48,
 			Segments: []approxcache.SegmentSpec{
-				{Regime: "walking", Frames: frames * 35 / 100},
-				{Regime: "stationary", Frames: frames * 30 / 100},
-				{Regime: "walking", Frames: frames * 20 / 100},
-				{Regime: "handheld", Frames: frames * 15 / 100},
+				{Regime: approxcache.RegimeWalking, Frames: frames * 35 / 100},
+				{Regime: approxcache.RegimeStationary, Frames: frames * 30 / 100},
+				{Regime: approxcache.RegimeWalking, Frames: frames * 20 / 100},
+				{Regime: approxcache.RegimeHandheld, Frames: frames * 15 / 100},
 			},
 			Seed:      int64(100 + i*37),
 			ClassSeed: sharedSeed,

@@ -30,10 +30,10 @@ func run() error {
 		ImageW:     48,
 		ImageH:     48,
 		Segments: []approxcache.SegmentSpec{
-			{Regime: "stationary", Frames: 150},
-			{Regime: "panning", Frames: 120},
-			{Regime: "walking", Frames: 120},
-			{Regime: "handheld", Frames: 150},
+			{Regime: approxcache.RegimeStationary, Frames: 150},
+			{Regime: approxcache.RegimePanning, Frames: 120},
+			{Regime: approxcache.RegimeWalking, Frames: 120},
+			{Regime: approxcache.RegimeHandheld, Frames: 150},
 		},
 		Seed: 7,
 	}

@@ -232,10 +232,10 @@ func churnStream(t *testing.T, n int) (*vision.ClassSet, []diffFrame) {
 // randomSpec is a random but valid trace: one to four segments of
 // random regimes, frame rate, IMU rate, vocabulary and class skew.
 func randomSpec(r *rand.Rand) trace.Spec {
-	regimes := []string{"stationary", "handheld", "walking", "panning"}
-	segs := make([]trace.SegmentSpec, 1+r.Intn(4))
+	regimes := []imu.Regime{imu.Stationary, imu.Handheld, imu.Walking, imu.Panning}
+	segs := make([]video.Segment, 1+r.Intn(4))
 	for i := range segs {
-		segs[i] = trace.SegmentSpec{Regime: regimes[r.Intn(len(regimes))], Frames: 10 + r.Intn(40)}
+		segs[i] = video.Segment{Regime: regimes[r.Intn(len(regimes))], Frames: 10 + r.Intn(40)}
 	}
 	return trace.Spec{Name: "random", FPS: 5 + r.Intn(25), IMURateHz: 50 + r.Intn(100), NumClasses: 2 + r.Intn(8),
 		ImageW: 48, ImageH: 48, Segments: segs, Seed: r.Int63n(1 << 30), ClassSkew: r.Float64()}

@@ -10,11 +10,13 @@ import (
 
 	"approxcache/internal/cachestore"
 	"approxcache/internal/core"
+	"approxcache/internal/imu"
 	"approxcache/internal/metrics"
 	"approxcache/internal/p2p"
 	"approxcache/internal/simclock"
 	"approxcache/internal/simnet"
 	"approxcache/internal/trace"
+	"approxcache/internal/video"
 )
 
 // Chaos phase windows, delimited by the crash and heal offsets.
@@ -92,7 +94,7 @@ func runChaos(s Scale, guarded bool) chaosResult {
 	// design — and post-heal peer reuse could never show up.
 	spec := trace.PanningSweep(s.Frames, s.Seed)
 	spec.NumClasses = 24
-	spec.Segments = []trace.SegmentSpec{{Regime: "panning", Frames: s.Frames}}
+	spec.Segments = []video.Segment{{Regime: imu.Panning, Frames: s.Frames}}
 	mainStore := cachestore.Config{Capacity: chaosCapacity, Policy: cachestore.CostAware}
 
 	var out chaosResult

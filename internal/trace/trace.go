@@ -1,12 +1,11 @@
 // Package trace composes the vision, video, and imu substrates into
 // complete device workloads: a frame stream plus the matching inertial
 // sensor stream, with full ground truth. Workloads are described by a
-// compact, JSON-serializable Spec so any experiment input can be saved,
-// inspected, and regenerated bit-exactly from its seed.
+// compact Spec so any experiment input can be regenerated bit-exactly
+// from its seed.
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"time"
@@ -16,54 +15,42 @@ import (
 	"approxcache/internal/vision"
 )
 
-// SegmentSpec is one motion-regime stretch of a workload.
-type SegmentSpec struct {
-	// Regime names the motion regime: "stationary", "handheld",
-	// "walking", or "panning".
-	Regime string `json:"regime"`
-	// Frames is the segment length in frames.
-	Frames int `json:"frames"`
-}
-
 // Spec fully describes a workload; equal specs generate identical
 // workloads.
 type Spec struct {
 	// Name identifies the workload in reports.
-	Name string `json:"name"`
+	Name string
 	// FPS is the camera frame rate.
-	FPS int `json:"fps"`
+	FPS int
 	// IMURateHz is the inertial sample rate.
-	IMURateHz int `json:"imuRateHz"`
+	IMURateHz int
 	// NumClasses is the size of the object vocabulary.
-	NumClasses int `json:"numClasses"`
+	NumClasses int
 	// ImageW and ImageH are the frame dimensions.
-	ImageW int `json:"imageW"`
-	ImageH int `json:"imageH"`
+	ImageW int
+	ImageH int
 	// Segments is the motion script.
-	Segments []SegmentSpec `json:"segments"`
+	Segments []video.Segment
 	// Hard selects the aggressive perturbation profile.
-	Hard bool `json:"hard,omitempty"`
+	Hard bool
 	// Seed drives all randomness.
-	Seed int64 `json:"seed"`
+	Seed int64
 	// ClassSeed, when non-zero, seeds the class prototypes separately
 	// from the frame stream. Devices that share a ClassSeed see the
 	// same object vocabulary (required for peer-to-peer reuse) while
 	// different Seeds give them independent frame orders.
-	ClassSeed int64 `json:"classSeed,omitempty"`
+	ClassSeed int64
 	// ClassSkew applies Zipf popularity to scene classes: weight of
 	// rank-k class ∝ 1/k^ClassSkew. 0 is uniform; ~1 is the heavy
 	// skew of real popularity distributions (everyone photographs the
 	// same exhibits), which is what peer reuse feeds on.
-	ClassSkew float64 `json:"classSkew,omitempty"`
+	ClassSkew float64
 }
 
 // Validate reports whether the spec is usable.
 func (s Spec) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("trace: spec needs a name")
-	}
-	if s.FPS <= 0 {
-		return fmt.Errorf("trace: fps must be positive, got %d", s.FPS)
 	}
 	if s.IMURateHz <= 0 {
 		return fmt.Errorf("trace: imu rate must be positive, got %d", s.IMURateHz)
@@ -74,16 +61,8 @@ func (s Spec) Validate() error {
 	if s.ImageW <= 0 || s.ImageH <= 0 {
 		return fmt.Errorf("trace: image size must be positive, got %dx%d", s.ImageW, s.ImageH)
 	}
-	if len(s.Segments) == 0 {
-		return fmt.Errorf("trace: spec needs at least one segment")
-	}
-	for i, seg := range s.Segments {
-		if seg.Frames <= 0 {
-			return fmt.Errorf("trace: segment %d has non-positive length", i)
-		}
-		if _, err := parseRegime(seg.Regime); err != nil {
-			return fmt.Errorf("trace: segment %d: %w", i, err)
-		}
+	if err := (video.StreamConfig{FPS: s.FPS, Segments: s.Segments}).Validate(); err != nil {
+		return fmt.Errorf("trace: %w", err)
 	}
 	if s.ClassSkew < 0 {
 		return fmt.Errorf("trace: class skew must be non-negative, got %v", s.ClassSkew)
@@ -98,30 +77,6 @@ func (s Spec) TotalFrames() int {
 		total += seg.Frames
 	}
 	return total
-}
-
-// Duration returns the workload length in time.
-func (s Spec) Duration() time.Duration {
-	if s.FPS <= 0 {
-		return 0
-	}
-	return time.Duration(s.TotalFrames()) * time.Second / time.Duration(s.FPS)
-}
-
-// parseRegime maps a wire regime name to its imu.Regime.
-func parseRegime(name string) (imu.Regime, error) {
-	switch name {
-	case "stationary":
-		return imu.Stationary, nil
-	case "handheld":
-		return imu.Handheld, nil
-	case "walking":
-		return imu.Walking, nil
-	case "panning":
-		return imu.Panning, nil
-	default:
-		return 0, fmt.Errorf("unknown regime %q", name)
-	}
 }
 
 // Workload is a fully generated device input.
@@ -165,14 +120,6 @@ func Generate(spec Spec) (*Workload, error) {
 		return nil, fmt.Errorf("class set: %w", err)
 	}
 
-	segs := make([]video.Segment, len(spec.Segments))
-	for i, s := range spec.Segments {
-		r, err := parseRegime(s.Regime)
-		if err != nil {
-			return nil, err
-		}
-		segs[i] = video.Segment{Regime: r, Frames: s.Frames}
-	}
 	perturb := vision.DefaultPerturbation()
 	if spec.Hard {
 		perturb = vision.HardPerturbation()
@@ -183,7 +130,7 @@ func Generate(spec Spec) (*Workload, error) {
 	}
 	frames, err := video.Generate(video.StreamConfig{
 		FPS:          spec.FPS,
-		Segments:     segs,
+		Segments:     spec.Segments,
 		Perturb:      perturb,
 		ClassWeights: weights,
 		Seed:         spec.Seed + 1,
@@ -199,7 +146,7 @@ func Generate(spec Spec) (*Workload, error) {
 	var samples []imu.Sample
 	frameDur := time.Second / time.Duration(spec.FPS)
 	offset := time.Duration(0)
-	for _, seg := range segs {
+	for _, seg := range spec.Segments {
 		segDur := time.Duration(seg.Frames) * frameDur
 		ss, err := gen.Generate(seg.Regime, offset, segDur)
 		if err != nil {
@@ -212,26 +159,6 @@ func Generate(spec Spec) (*Workload, error) {
 	return &Workload{Spec: spec, Classes: classes, Frames: frames, IMU: samples}, nil
 }
 
-// EncodeSpec serializes spec to JSON.
-func EncodeSpec(spec Spec) ([]byte, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	return json.MarshalIndent(spec, "", "  ")
-}
-
-// DecodeSpec parses and validates a JSON spec.
-func DecodeSpec(data []byte) (Spec, error) {
-	var spec Spec
-	if err := json.Unmarshal(data, &spec); err != nil {
-		return Spec{}, fmt.Errorf("trace: parse spec: %w", err)
-	}
-	if err := spec.Validate(); err != nil {
-		return Spec{}, err
-	}
-	return spec, nil
-}
-
 // Standard workload shapes used across the evaluation. All take the
 // total frame budget and a seed so experiments can scale them.
 
@@ -240,14 +167,14 @@ func DecodeSpec(data []byte) (Spec, error) {
 // brief repositioning walks.
 func StationaryHeavy(frames int, seed int64) Spec {
 	return standardSpec("stationary-heavy", frames, seed,
-		[]string{"stationary", "handheld", "walking", "stationary"},
+		[]imu.Regime{imu.Stationary, imu.Handheld, imu.Walking, imu.Stationary},
 		[]int{45, 25, 10, 20})
 }
 
 // HandheldMix models casual handheld use with occasional pans.
 func HandheldMix(frames int, seed int64) Spec {
 	return standardSpec("handheld-mix", frames, seed,
-		[]string{"handheld", "panning", "handheld", "walking"},
+		[]imu.Regime{imu.Handheld, imu.Panning, imu.Handheld, imu.Walking},
 		[]int{40, 15, 30, 15})
 }
 
@@ -255,7 +182,7 @@ func HandheldMix(frames int, seed int64) Spec {
 // points of interest.
 func WalkingTour(frames int, seed int64) Spec {
 	return standardSpec("walking-tour", frames, seed,
-		[]string{"walking", "stationary", "walking", "handheld"},
+		[]imu.Regime{imu.Walking, imu.Stationary, imu.Walking, imu.Handheld},
 		[]int{35, 15, 35, 15})
 }
 
@@ -263,7 +190,7 @@ func WalkingTour(frames int, seed int64) Spec {
 // case: scenes change every few frames).
 func PanningSweep(frames int, seed int64) Spec {
 	return standardSpec("panning-sweep", frames, seed,
-		[]string{"panning", "handheld"},
+		[]imu.Regime{imu.Panning, imu.Handheld},
 		[]int{70, 30})
 }
 
@@ -280,8 +207,8 @@ func StandardSpecs(frames int, seed int64) []Spec {
 
 // standardSpec splits frames across regimes by percentage; the last
 // segment absorbs rounding so the total is exact.
-func standardSpec(name string, frames int, seed int64, regimes []string, pcts []int) Spec {
-	segs := make([]SegmentSpec, len(regimes))
+func standardSpec(name string, frames int, seed int64, regimes []imu.Regime, pcts []int) Spec {
+	segs := make([]video.Segment, len(regimes))
 	used := 0
 	for i := range regimes {
 		n := frames * pcts[i] / 100
@@ -294,7 +221,7 @@ func standardSpec(name string, frames int, seed int64, regimes []string, pcts []
 				n = 1
 			}
 		}
-		segs[i] = SegmentSpec{Regime: regimes[i], Frames: n}
+		segs[i] = video.Segment{Regime: regimes[i], Frames: n}
 		used += n
 	}
 	return Spec{

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"approxcache/internal/imu"
+	"approxcache/internal/video"
 	"approxcache/internal/vision"
 )
 
@@ -18,9 +19,9 @@ func smallSpec() Spec {
 		NumClasses: 4,
 		ImageW:     32,
 		ImageH:     32,
-		Segments: []SegmentSpec{
-			{Regime: "stationary", Frames: 20},
-			{Regime: "panning", Frames: 10},
+		Segments: []video.Segment{
+			{Regime: imu.Stationary, Frames: 20},
+			{Regime: imu.Panning, Frames: 10},
 		},
 		Seed: 7,
 	}
@@ -39,11 +40,11 @@ func TestSpecValidate(t *testing.T) {
 		func(s *Spec) { s.ImageH = -1 },
 		func(s *Spec) { s.Segments = nil },
 		func(s *Spec) { s.Segments[0].Frames = 0 },
-		func(s *Spec) { s.Segments[0].Regime = "flying" },
+		func(s *Spec) { s.Segments[0].Regime = 0 },
 	}
 	for i, mut := range mutations {
 		s := smallSpec()
-		s.Segments = append([]SegmentSpec(nil), s.Segments...)
+		s.Segments = append([]video.Segment(nil), s.Segments...)
 		mut(&s)
 		if err := s.Validate(); err == nil {
 			t.Errorf("mutation %d accepted", i)
@@ -55,12 +56,6 @@ func TestSpecTotalsAndDuration(t *testing.T) {
 	s := smallSpec()
 	if s.TotalFrames() != 30 {
 		t.Fatalf("TotalFrames = %d", s.TotalFrames())
-	}
-	if s.Duration() != 3*time.Second {
-		t.Fatalf("Duration = %v", s.Duration())
-	}
-	if (Spec{}).Duration() != 0 {
-		t.Fatal("zero spec duration should be 0")
 	}
 }
 
@@ -189,50 +184,6 @@ func TestIMUWindowMatchesScan(t *testing.T) {
 	}
 }
 
-func TestSpecJSONRoundTrip(t *testing.T) {
-	s := smallSpec()
-	data, err := EncodeSpec(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := DecodeSpec(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Name != s.Name || out.Seed != s.Seed || len(out.Segments) != len(s.Segments) {
-		t.Fatalf("round trip = %+v", out)
-	}
-	// Workloads regenerated from the decoded spec are identical.
-	a, err := Generate(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Generate(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Frames {
-		if vision.MeanAbsDiff(a.Frames[i].Image, b.Frames[i].Image) != 0 {
-			t.Fatalf("regenerated workload differs at frame %d", i)
-		}
-	}
-}
-
-func TestEncodeSpecRejectsInvalid(t *testing.T) {
-	if _, err := EncodeSpec(Spec{}); err == nil {
-		t.Fatal("invalid spec encoded")
-	}
-}
-
-func TestDecodeSpecErrors(t *testing.T) {
-	if _, err := DecodeSpec([]byte("{")); err == nil {
-		t.Fatal("bad json accepted")
-	}
-	if _, err := DecodeSpec([]byte(`{"name":""}`)); err == nil {
-		t.Fatal("invalid decoded spec accepted")
-	}
-}
-
 func TestStandardSpecs(t *testing.T) {
 	specs := StandardSpecs(400, 9)
 	if len(specs) != 4 {
@@ -263,11 +214,7 @@ func TestStationaryHeavyIsMostlyStable(t *testing.T) {
 	s := StationaryHeavy(1000, 1)
 	stable := 0
 	for _, seg := range s.Segments {
-		r, err := parseRegime(seg.Regime)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.SceneStable() {
+		if seg.Regime.SceneStable() {
 			stable += seg.Frames
 		}
 	}
@@ -290,7 +237,7 @@ func TestClassSkew(t *testing.T) {
 			NumClasses: 6,
 			ImageW:     32,
 			ImageH:     32,
-			Segments:   []SegmentSpec{{Regime: "panning", Frames: 300}},
+			Segments:   []video.Segment{{Regime: imu.Panning, Frames: 300}},
 			Seed:       9,
 			ClassSkew:  skew,
 		}

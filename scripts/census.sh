@@ -89,9 +89,6 @@ for w in device-video photo-lookup photo-churn peer-mesh pool-serve; do
 done
 step cachenode -frames 300 -sessions 4 -batch 4 -admission -snapshot node.snap
 step cachenode -frames 300 -snapshot node.snap
-step tracegen -summary
-step tracegen -workload handheld-mix -out spec.json
-step tracegen -workload handheld-mix -frames 60 -render frames
 
 # Two nodes on loopback: the first listens on a port of its own choosing,
 # the second peers with the address the first prints, then the first is
