@@ -12,7 +12,7 @@ REPORTS = throughput:E20 overload:E21 lookup:E22 quality:E23 p2p:E25
 # How long `make fuzz` runs each fuzz target.
 FUZZTIME ?= 3s
 
-.PHONY: check build test race vet fmt bench gate bench-e2e-test fault-matrix fuzz census census-blocks pairs pairs-hot
+.PHONY: check build test race vet fmt docs bench gate bench-e2e-test fault-matrix fuzz census census-blocks pairs pairs-hot
 
 # Every step `make check` runs, in order.
 CHECKS = vet fmt test race bench-e2e-test gate fault-matrix fuzz census
@@ -37,6 +37,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The doc checks alone, for a doc-only edit: EXPERIMENTS.md's blocks and
+# prose, the cell markers and figures of DESIGN.md, README.md and the
+# verify skill, and every heading citation (internal/eval/doc_test.go).
+# `test` runs them too.
+docs:
+	$(GO) test ./internal/eval -run Doc -count=1
 
 # vet also checks the arm64 build, which has no assembly, so the Go
 # kernels keep compiling wherever the AVX2 ones do not apply.

@@ -51,8 +51,8 @@ type row struct {
 	why      string
 }
 
-// rows is every report gate `make check` enforces. DESIGN.md's "Gates"
-// table lists them beside the experiment that feeds each file.
+// rows is every report gate `make check` enforces, and the only copy of
+// each threshold (DESIGN.md's "Gates" points here).
 var rows = []row{
 	{file: "BENCH_throughput.json", path: "results[*].fps", cmp: ">", want: 0,
 		why: "both variants, unbatched and batched, ran"},
