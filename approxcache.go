@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"time"
 
-	"approxcache/internal/admission"
 	"approxcache/internal/cachestore"
 	"approxcache/internal/core"
 	"approxcache/internal/dnn"
@@ -77,8 +76,7 @@ type (
 	Source = metrics.Source
 	// Stats aggregates a session's hits, latency, energy, accuracy and
 	// the events its frames raised. A controller's own counts live in
-	// its snapshot instead: PeerClient.Health, AdmissionSnapshot,
-	// QuarantineStats.
+	// its snapshot instead: PeerClient.Health, QuarantineStats.
 	Stats = metrics.SessionStats
 	// LatencySummary summarizes recorded latencies.
 	LatencySummary = metrics.LatencySummary
@@ -95,13 +93,6 @@ type (
 	// DegradationLevel names how far down the degradation ladder a
 	// frame's answer came from (see Result.Degradation).
 	DegradationLevel = core.DegradationLevel
-	// AdmissionSnapshot is a point-in-time view of the overload
-	// limiter: current limit, in-flight count, shed/late counters, and
-	// the brownout level.
-	AdmissionSnapshot = admission.Snapshot
-	// AdmissionLevel is the brownout degradation level the limiter is
-	// operating at (full, no-peer, first-candidate).
-	AdmissionLevel = admission.Level
 	// QualitySnapshot is a point-in-time view of the quality layer:
 	// live hit-accuracy estimate, sample count, gate scale, and any
 	// pending reuse-refusal frames.
@@ -128,16 +119,13 @@ var (
 	// ErrDeadlineExceeded reports that a frame blew its RequestDeadline
 	// and no degraded answer (cached or last-result) was available.
 	ErrDeadlineExceeded = core.ErrDeadlineExceeded
-	// ErrOverloadShed reports that admission control refused the DNN
-	// fallback and no degraded answer was available.
-	ErrOverloadShed = core.ErrOverloadShed
 	// ErrBatcherClosed reports an inference submitted to a pool whose
 	// micro-batcher has been Closed; the degradation ladder normally
 	// absorbs it before it reaches the caller.
 	ErrBatcherClosed = dnn.ErrBatcherClosed
 )
 
-// Re-exported source, degradation, admission, and regime constants.
+// Re-exported source, degradation, and regime constants.
 const (
 	SourceIMU      = metrics.SourceIMU
 	SourceVideo    = metrics.SourceVideo
@@ -152,10 +140,6 @@ const (
 	DegradeLastResult = core.DegradeLastResult
 	DegradeOverload   = core.DegradeOverload
 	DegradeDeadline   = core.DegradeDeadline
-
-	AdmissionFull           = admission.LevelFull
-	AdmissionNoPeer         = admission.LevelNoPeer
-	AdmissionFirstCandidate = admission.LevelFirstCandidate
 
 	RegimeStationary = imu.Stationary
 	RegimeHandheld   = imu.Handheld
@@ -214,15 +198,6 @@ type Options struct {
 	// wall-clock even under a virtual Clock: queueing delay and
 	// accelerator occupancy are wall-clock phenomena.
 	RequestDeadline time.Duration
-	// Admission enables the AIMD overload limiter gating the DNN
-	// fallback: the concurrency limit starts at 8, grows by one per
-	// window of in-deadline completions up to 64, and halves on a
-	// deadline miss or queue overflow down to 1. Shed frames are
-	// answered from the degradation ladder, typed SourceShed /
-	// DegradeOverload. Under sustained pressure the limiter also browns
-	// out the expensive reuse machinery (peer queries first, then the
-	// kNN vote).
-	Admission bool
 	// Quality enables the self-healing quality layer: every 16th reuse
 	// hit is shadow-audited against the classifier, an entry whose
 	// audits leave it with 2 more refutes than confirms is quarantined
@@ -275,7 +250,6 @@ func prepare(classifier Classifier, opts Options) (core.Config, core.Deps, error
 	}
 	cfg.PeerBudget = opts.PeerBudget
 	cfg.RequestDeadline = opts.RequestDeadline
-	cfg.Admission = opts.Admission
 	cfg.Quality.Enabled = opts.Quality
 
 	clock := opts.Clock
@@ -318,12 +292,6 @@ func (c *Cache) ProcessWithTruth(im *Image, imuWindow []IMUSample, truth string)
 // Stats returns the session statistics (see the Stats type for what
 // they leave to the controllers' snapshots).
 func (c *Cache) Stats() *Stats { return c.engine.Stats() }
-
-// AdmissionSnapshot returns the overload limiter's state; ok is false
-// when Options.Admission is disabled.
-func (c *Cache) AdmissionSnapshot() (AdmissionSnapshot, bool) {
-	return c.engine.AdmissionSnapshot()
-}
 
 // QualitySnapshot returns the quality layer's live state; ok is false
 // when Options.Quality is disabled.

@@ -1,5 +1,5 @@
 // Command approxbench runs the evaluation suite (experiments E1–E25 from
-// DESIGN.md; E6, E9, E13, E16 and E24 are retired) and prints the tables
+// DESIGN.md; E6, E9, E13, E15, E16 and E24 are retired) and prints the tables
 // recorded in EXPERIMENTS.md.
 //
 // Usage:
@@ -50,7 +50,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("approxbench", flag.ContinueOnError)
 	var (
-		exp      = fs.String("exp", "all", "experiment id (E1..E25; E6, E9, E13, E16 and E24 are retired), name, or \"all\"")
+		exp      = fs.String("exp", "all", "experiment id (E1..E25; E6, E9, E13, E15, E16 and E24 are retired), name, or \"all\"")
 		frames   = fs.Int("frames", eval.DefaultScale().Frames, "per-device workload length in frames")
 		seed     = fs.Int64("seed", eval.DefaultScale().Seed, "root random seed")
 		list     = fs.Bool("list", false, "list experiments and exit")

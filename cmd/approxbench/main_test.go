@@ -28,6 +28,8 @@ func TestRunUnknownExperiment(t *testing.T) {
 		{"-exp", "energy"},
 		{"-exp", "E13"},
 		{"-exp", "battery"},
+		{"-exp", "E15"},
+		{"-exp", "latency-cdf"},
 		{"-exp", "E16"},
 		{"-exp", "digest-filter"},
 	} {

@@ -57,7 +57,6 @@ func run(args []string) error {
 		sessions  = fs.Int("sessions", 1, "concurrent client sessions sharing this node's cache")
 		batch     = fs.Int("batch", 0, "micro-batch size for DNN inference across sessions (0 = unbatched)")
 		deadline  = fs.Duration("deadline", 0, "per-request wall-clock budget; blown requests are answered from the degradation ladder (0 = off)")
-		admit     = fs.Bool("admission", false, "enable AIMD admission control on the DNN fallback (sheds excess load under overload)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -98,7 +97,6 @@ func run(args []string) error {
 		PeerBudget:      *budget,
 		BatchSize:       *batch,
 		RequestDeadline: *deadline,
-		Admission:       *admit,
 	})
 	if err != nil {
 		return err
@@ -228,8 +226,8 @@ func joinPeers(cache *approxcache.Cache, name string, addrs []string) (*approxca
 	return client, nil
 }
 
-// printServingStats reports the multi-session layers: the
-// micro-batcher's coalescing and the admission limiter.
+// printServingStats reports the multi-session layer: the
+// micro-batcher's coalescing.
 func printServingStats(pool *approxcache.Pool) {
 	if bs, ok := pool.BatcherStats(); ok {
 		fmt.Printf("batcher: %d frames in %d batches (avg %.1f), %d full, %d deadline flushes",
@@ -238,10 +236,6 @@ func printServingStats(pool *approxcache.Pool) {
 			fmt.Printf(", %d expired in queue, %d queue overflows", bs.ExpiredDrops, bs.Overflows)
 		}
 		fmt.Println()
-	}
-	if snap, ok := pool.AdmissionSnapshot(); ok {
-		fmt.Printf("admission: limit %d (inflight %d), %d admitted, %d shed, brownout %s (%d transitions)\n",
-			snap.Limit, snap.Inflight, snap.Admitted, snap.Shed, snap.Level, snap.Transitions)
 	}
 }
 
@@ -258,8 +252,6 @@ func printStats(cache *approxcache.Cache, client *approxcache.PeerClient) {
 		counts[approxcache.SourceDNN], counts[approxcache.SourceFallback],
 		counts[approxcache.SourceShed])
 	if sheds, drops := stats.Sheds(), stats.ExpiredDrops(); sheds > 0 || drops > 0 {
-		// The admission line below carries the brownout level and its
-		// transitions.
 		fmt.Printf("overload: %d shed, %d expired in queue\n", sheds, drops)
 	}
 	if inDeadline, late := stats.DeadlineCompletions(); inDeadline+late > 0 {

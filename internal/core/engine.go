@@ -19,7 +19,6 @@ import (
 	"sync"
 	"time"
 
-	"approxcache/internal/admission"
 	"approxcache/internal/cachestore"
 	"approxcache/internal/dnn"
 	"approxcache/internal/feature"
@@ -144,11 +143,6 @@ type Config struct {
 	// virtual experiment clock cannot see. Zero (the default) disables
 	// deadlines.
 	RequestDeadline time.Duration
-	// Admission turns on the AIMD overload limiter gating the DNN
-	// fallback path (see internal/admission). Frames shed by the
-	// limiter are answered from the degradation ladder, typed
-	// SourceShed / DegradeOverload.
-	Admission bool
 	// IndexTuning selects nothing: every store's index is the plain
 	// exact-bucket LSH index.
 	//
@@ -275,9 +269,8 @@ type Engine struct {
 	deps  Deps
 	stats *metrics.SessionStats
 	wd    *watchdog
-	// ctrl (admission/brownout) and quality (self-healing) are shared
-	// pool-wide like the watchdog; nil when disabled.
-	ctrl    *admission.Controller
+	// quality (self-healing) is shared pool-wide like the watchdog; nil
+	// when disabled.
 	quality *qualityController
 	// jitterSeed seeds this session's retry jitter (see jitterSeedFor).
 	jitterSeed uint64
@@ -307,15 +300,15 @@ type exactEntry struct {
 
 // New builds an engine from cfg and deps.
 func New(cfg Config, deps Deps) (*Engine, error) {
-	return newEngine(cfg, deps, nil, nil, nil, nil, 0)
+	return newEngine(cfg, deps, nil, nil, nil, 0)
 }
 
 // newEngine builds an engine, optionally sharing session stats, the
-// watchdog, the admission controller and the quality controller with
-// sibling engines (a pool shares all four: its streams share the
-// accelerator and cache those protect). Nil ones get private instances
+// watchdog and the quality controller with sibling engines (a pool
+// shares all three: its streams share the accelerator and cache those
+// protect). Nil ones get private instances
 // when cfg enables them. session, the pool index, seeds retry jitter.
-func newEngine(cfg Config, deps Deps, stats *metrics.SessionStats, wd *watchdog, ctrl *admission.Controller, qc *qualityController, session int) (*Engine, error) {
+func newEngine(cfg Config, deps Deps, stats *metrics.SessionStats, wd *watchdog, qc *qualityController, session int) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -328,16 +321,13 @@ func newEngine(cfg Config, deps Deps, stats *metrics.SessionStats, wd *watchdog,
 	if stats == nil {
 		stats = metrics.NewSessionStats()
 	}
-	if ctrl == nil && cfg.Admission {
-		ctrl = admission.New()
-	}
 	// Normalize typed-nil stores: a nil *Store in the interface would
 	// dodge the nil check below and crash on first use instead.
 	if s, ok := deps.Store.(*cachestore.Store); ok && s == nil {
 		deps.Store = nil
 	}
-	e := &Engine{cfg: cfg, deps: deps, stats: stats, ctrl: ctrl, jitterSeed: jitterSeedFor(session), appliedScale: 1,
-		stages: stageList(cfg, ctrl != nil || cfg.RequestDeadline > 0)}
+	e := &Engine{cfg: cfg, deps: deps, stats: stats, jitterSeed: jitterSeedFor(session), appliedScale: 1,
+		stages: stageList(cfg)}
 	if wd == nil {
 		wd = newWatchdog(cfg.DisableWatchdog, deps.Classifier, deps.Clock, stats)
 	}
@@ -360,7 +350,7 @@ func newEngine(cfg Config, deps Deps, stats *metrics.SessionStats, wd *watchdog,
 		e.detector = det
 		e.keyframes = lib
 		if qc == nil && cfg.Quality.Enabled {
-			qc = newQualityController(cfg.Quality, deps.Classifier, deps.Store, stats, ctrl)
+			qc = newQualityController(cfg.Quality, deps.Classifier, deps.Store, stats)
 		}
 		e.quality = qc
 	}
@@ -375,15 +365,6 @@ func jitterSeedFor(session int) uint64 {
 
 // Stats returns the engine's session statistics.
 func (e *Engine) Stats() *metrics.SessionStats { return e.stats }
-
-// AdmissionSnapshot returns the overload controller's state; ok is
-// false when admission control is disabled.
-func (e *Engine) AdmissionSnapshot() (admission.Snapshot, bool) {
-	if e.ctrl == nil {
-		return admission.Snapshot{}, false
-	}
-	return e.ctrl.Snapshot(), true
-}
 
 // SetPeers installs (or replaces) the peer client used by the P2P gate;
 // its resilience counts stay in its own Health snapshot. Passing nil

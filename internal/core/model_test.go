@@ -7,8 +7,7 @@ package core
 // configurations. After every op the two must agree on the Result, the
 // FrameRecord's decisions, the store's contents and every session
 // counter, and a fixed set of invariants must hold. Mechanisms the
-// reference does not model (quality audits, admission and brownout,
-// peers) run invariant-only: against a twin engine whose store hides
+// reference does not model (quality audits, peers) run invariant-only: against a twin engine whose store hides
 // its radius search where the twin is deterministic, alone where it is
 // not. FuzzEngineModel decodes the same op stream from bytes.
 
@@ -54,7 +53,7 @@ type modelCell struct {
 	// strictness op changes it; 0 leaves the layer off.
 	scale float64
 	// extra switches on a mechanism the reference does not model:
-	// "audits", "admission", "brownout", "peers".
+	// "audits", "peers".
 	extra    string
 	streak   int // MaxReuseStreak; 0 is modelStreak
 	capacity int // store capacity; 0 is modelCapacity
@@ -106,11 +105,8 @@ func (c modelCell) config() Config {
 	if c.scale != 0 {
 		cfg.Quality = QualityConfig{Enabled: true, AuditSampleEvery: 1 << 30}
 	}
-	switch c.extra {
-	case "audits":
+	if c.extra == "audits" {
 		cfg.Quality = QualityConfig{Enabled: true, AuditSampleEvery: 2}
-	case "admission", "brownout":
-		cfg.Admission = true
 	}
 	return cfg
 }
@@ -133,7 +129,7 @@ func modelGrid() []modelCell {
 		modelCell{policy: cachestore.LRU, exact: true, hidden: true, scale: 0.5})
 	// peers first: there TestEngineModel runs it on the churn stream,
 	// whose evictions send lookups on to the peers.
-	for _, extra := range []string{"peers", "audits", "admission", "brownout"} {
+	for _, extra := range []string{"peers", "audits"} {
 		cells = append(cells, modelCell{policy: cachestore.CostAware, extra: extra})
 	}
 	return cells
@@ -146,7 +142,7 @@ const (
 	opBadFrame          // next frame corrupted: black, flat, short buffer, nil
 	opBadIMU            // next frame with its window stuck, non-monotonic, dropped out or non-finite
 	opAdvance           // clock jump of 4 s or 1 s: breaker cooldowns and revalidation read the clock
-	opClassifier        // classifier down, up, transient error, hang; limiter held
+	opClassifier        // classifier down, up, transient error, hang, or left as it is
 	opVerdict           // Confirm, Refute, Parole ok, Parole fail on an entry
 	opPlant             // a wrong label cached at the next frame's descriptor
 	opRoundTrip         // Export → Import
@@ -511,9 +507,6 @@ func newEngineMachine(t *testing.T, cell modelCell, classes *vision.ClassSet) *e
 	}
 	if cell.scale != 0 {
 		m.eng.quality.setScale(cell.scale)
-	}
-	if cell.extra == "brownout" {
-		brownOut(t, m.eng.ctrl)
 	}
 	return m
 }
@@ -887,7 +880,6 @@ type modelHarness struct {
 	eng  *engineMachine
 	ref  machine // the reference, a twin engine, or nil
 	next int     // the stream's next frame
-	held int     // limiter slots the harness holds
 	// reached tallies what the run exercised.
 	reached map[string]int
 	// vocab is every label a frame may get: the stream's classes and
@@ -1003,8 +995,7 @@ func (h *modelHarness) step(i int, o modelOp) {
 	h.compareState(i, o)
 }
 
-// classifier scripts the classifier's next calls on both machines, or
-// holds the admission limiter's free slots.
+// classifier scripts the classifier's next calls on both machines.
 func (h *modelHarness) classifier(arg int) {
 	for _, m := range h.machines() {
 		clf := m.parts().clf
@@ -1017,32 +1008,6 @@ func (h *modelHarness) classifier(arg int) {
 			_ = clf.SetFaultPlan(dnn.FaultPlan{{From: clf.Calls(), To: clf.Calls() + 1, Kind: dnn.FaultError}})
 		case 6:
 			_ = clf.SetFaultPlan(dnn.FaultPlan{{From: clf.Calls(), To: clf.Calls() + 1, Kind: dnn.FaultHang, Extra: time.Millisecond}})
-		}
-	}
-	if arg%8 != 7 || h.eng.eng.ctrl == nil {
-		return
-	}
-	var engines []*Engine
-	for _, m := range h.machines() {
-		engines = append(engines, m.(*engineMachine).eng)
-	}
-	if h.held > 0 {
-		for _, e := range engines {
-			for j := 0; j < h.held; j++ {
-				e.ctrl.Release(true)
-			}
-		}
-		h.held = 0
-		return
-	}
-	for engines[0].ctrl.TryAcquire() {
-		h.held++
-	}
-	for _, e := range engines[1:] {
-		for j := 0; j < h.held; j++ {
-			if !e.ctrl.TryAcquire() {
-				h.t.Fatalf("twin limiter refused slot %d of %d", j, h.held)
-			}
 		}
 	}
 }
@@ -1318,7 +1283,7 @@ func TestEngineModel(t *testing.T) {
 		})
 	}
 	for _, k := range []string{"source:imu/none", "source:video/none", "source:local/none", "source:dnn/none",
-		"source:fallback/cache-only", "source:fallback/last-result", "source:peer/none", "source:shed/overload",
+		"source:fallback/cache-only", "source:fallback/last-result", "source:peer/none",
 		"error:bad-frame", "error:bad-imu-window", "error:refused",
 		"event:repair", "event:sensor-fault", "event:watchdog-retry", "event:watchdog-trip",
 		"event:watchdog-recovery", "event:watchdog-fast-fail", "event:audit", "event:audit-refuted",
@@ -1388,8 +1353,8 @@ var clean = []string{"error:bad-frame", "error:bad-imu-window", "error:refused",
 // store's radius search visible and hidden, through each condition
 // under which repair must rescan rather than reuse the frame's lookup —
 // revalidation (no lookup ran), a quality scale below one half (the
-// lookup's radius was smaller than repair's), brownout k=1 — beside the
-// default, shadow audits healing, and overload shedding to the ladder.
+// lookup's radius was smaller than repair's) — beside the default and
+// shadow audits healing.
 // Mechanisms the reference does not model run against a twin whose
 // radius search is hidden.
 func TestRadiusLookupDifferentialChurn(t *testing.T) {
@@ -1404,8 +1369,6 @@ func TestRadiusLookupDifferentialChurn(t *testing.T) {
 		{"quality-scale-below-half", scenario{cells: withHidden(modelCell{policy: cost, scale: 0.4}), want: []string{"repair:rescan"}}},
 		{"quality-scale-at-half", scenario{cells: withHidden(modelCell{policy: cost, scale: 0.5}), want: []string{"event:repair"}}},
 		{"quality-audits-heal", scenario{cells: []modelCell{{policy: cost, extra: "audits"}}, want: []string{"event:audit-refuted"}}},
-		{"brownout-first-candidate", scenario{cells: []modelCell{{policy: cost, extra: "brownout"}}, want: []string{"repair:rescan"}}},
-		{"dnn-outage-degraded-serving", scenario{cells: []modelCell{{policy: cost, extra: "admission"}}, want: []string{"source:shed/overload"}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.sc.streams, tc.sc.seeds = churn, modelSeeds

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"approxcache/internal/admission"
 	"approxcache/internal/metrics"
 )
 
@@ -27,9 +26,8 @@ type Pool struct {
 
 // NewPool builds n engines from cfg and deps. All engines share
 // deps.Store, deps.Classifier, one watchdog (so classifier failures
-// trip one breaker for the whole node, not per-stream), one admission
-// controller (they contend for one accelerator, so one limiter governs
-// them all), and one SessionStats. Each session gets its own retry
+// trip one breaker for the whole node, not per-stream), one quality
+// controller, and one SessionStats. Each session gets its own retry
 // jitter seed so a recovering classifier is not hit by synchronized
 // retry storms.
 func NewPool(n int, cfg Config, deps Deps) (*Pool, error) {
@@ -37,16 +35,16 @@ func NewPool(n int, cfg Config, deps Deps) (*Pool, error) {
 		return nil, fmt.Errorf("core: pool size must be positive, got %d", n)
 	}
 	// Build the first engine through the validating path; it creates
-	// the shared stats, watchdog, and admission controller the siblings
+	// the shared stats, watchdog, and quality controller the siblings
 	// attach to.
-	first, err := newEngine(cfg, deps, nil, nil, nil, nil, 0)
+	first, err := newEngine(cfg, deps, nil, nil, nil, 0)
 	if err != nil {
 		return nil, err
 	}
 	p := &Pool{engines: make([]*Engine, n), stats: first.stats}
 	p.engines[0] = first
 	for i := 1; i < n; i++ {
-		e, err := newEngine(cfg, deps, first.stats, first.wd, first.ctrl, first.quality, i)
+		e, err := newEngine(cfg, deps, first.stats, first.wd, first.quality, i)
 		if err != nil {
 			return nil, err
 		}
@@ -68,9 +66,3 @@ func (p *Pool) Sessions() []*Engine {
 // Stats returns the pool-wide session statistics (shared by every
 // engine).
 func (p *Pool) Stats() *metrics.SessionStats { return p.stats }
-
-// AdmissionSnapshot returns the shared overload controller's state; ok
-// is false when admission control is disabled.
-func (p *Pool) AdmissionSnapshot() (admission.Snapshot, bool) {
-	return p.engines[0].AdmissionSnapshot()
-}

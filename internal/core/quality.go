@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"approxcache/internal/admission"
 	"approxcache/internal/cachestore"
 	"approxcache/internal/feature"
 	"approxcache/internal/lsh"
@@ -110,7 +109,6 @@ type qualityController struct {
 	clf   Classifier
 	store cachestore.Interface
 	stats *metrics.SessionStats
-	ctrl  *admission.Controller
 
 	// scaleBits holds the gate-strictness scale as float bits, read
 	// atomically on the hot path (every gate-3 lookup multiplies the
@@ -127,7 +125,7 @@ type qualityController struct {
 	alarm int
 }
 
-func newQualityController(cfg QualityConfig, clf Classifier, store cachestore.Interface, stats *metrics.SessionStats, ctrl *admission.Controller) *qualityController {
+func newQualityController(cfg QualityConfig, clf Classifier, store cachestore.Interface, stats *metrics.SessionStats) *qualityController {
 	if cfg.AuditSampleEvery == 0 {
 		cfg.AuditSampleEvery = defaultAuditSampleEvery
 	}
@@ -136,7 +134,6 @@ func newQualityController(cfg QualityConfig, clf Classifier, store cachestore.In
 		clf:   clf,
 		store: store,
 		stats: stats,
-		ctrl:  ctrl,
 		ewma:  1, // innocent until audited
 	}
 	qc.setScale(1)
@@ -178,9 +175,9 @@ func (qc *qualityController) consumeRefusal() bool {
 
 // maybeAudit samples a reuse-served frame into a shadow audit. ids are
 // the cache entries that backed the serve (empty for IMU/video hits,
-// which have no entry to praise or blame). The audit is admission-aware
-// (skipped while the node is browning out), deadline-budgeted (skipped
-// when the frame's remaining deadline is thinner than one inference —
+// which have no entry to praise or blame). The audit is
+// deadline-budgeted (skipped when the frame's remaining deadline is
+// thinner than one inference —
 // the accelerator has no slack to spend on quality sampling), and runs
 // inline on the serving goroutine: the frame's booked latency never
 // includes it, but a caller on a real clock waits for it. guarded is
@@ -189,9 +186,6 @@ func (qc *qualityController) consumeRefusal() bool {
 func (qc *qualityController) maybeAudit(e *Engine, im *vision.Image, guarded bool, served string, ids []lsh.ID, deadline time.Time) {
 	if qc == nil {
 		return // the quality layer is off
-	}
-	if qc.ctrl != nil && qc.ctrl.Level() > admission.LevelFull {
-		return
 	}
 	if !deadline.IsZero() && time.Until(deadline) < qc.clf.Profile().MeanLatency {
 		return

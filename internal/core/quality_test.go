@@ -170,7 +170,7 @@ func TestShadowAuditDetectsDriftAndHeals(t *testing.T) {
 // the 4-audit cooldown before its first move (the 11th), a 0.7× tighten.
 func TestRecalibrationWaitsForMinSamples(t *testing.T) {
 	stats := metrics.NewSessionStats()
-	qc := newQualityController(QualityConfig{Enabled: true}, nil, nil, stats, nil)
+	qc := newQualityController(QualityConfig{Enabled: true}, nil, nil, stats)
 	for i := 1; i <= minSamples+cooldownAudits-1; i++ {
 		qc.observeVerdict(false, true)
 		tightens, _ := stats.RecalibrationEvents()

@@ -6,7 +6,6 @@ import (
 	"math"
 	"time"
 
-	"approxcache/internal/admission"
 	"approxcache/internal/cachestore"
 	"approxcache/internal/dnn"
 	"approxcache/internal/feature"
@@ -33,7 +32,7 @@ const (
 	StageExtract         // descriptor extraction
 	StageLookup          // local cache lookup and kNN vote
 	StagePeer            // peer query under the frame's budget
-	StageAdmission       // request deadline and admission limiter
+	StageAdmission       // request deadline
 	StageDNN             // inference under the watchdog, degradation ladder
 	StageRepair          // purge of cached entries the inference contradicts
 	StageInsert          // the inference joins the cache and the scene anchors
@@ -77,9 +76,8 @@ type FrameRecord struct {
 	Stages [numStages]StageRecord // indexed by Stage
 	Served Stage                  // StageNone when no stage answered
 	// Revalidate: a reuse streak or the quality layer forced the frame
-	// past every reuse stage. Brownout: the admission level it began at.
+	// past every reuse stage.
 	Revalidate bool
-	Brownout   admission.Level
 	// StageIMU: the detector's assessment (imu.State).
 	Stationary            bool
 	Rotation, MaxRotation float64
@@ -120,9 +118,8 @@ type stage struct {
 
 // stageList is the pipeline for cfg: the Disable* switches decide
 // membership here, once, and what a frame decides for itself is a
-// stage's own pass test. admit adds StageAdmission (a request deadline
-// or an admission controller needs it).
-func stageList(cfg Config, admit bool) []stage {
+// stage's own pass test. A request deadline adds StageAdmission.
+func stageList(cfg Config) []stage {
 	var list []stage
 	add := func(on bool, id Stage, try func(*Engine, *frame) (bool, error)) {
 		if on {
@@ -146,7 +143,7 @@ func stageList(cfg Config, admit bool) []stage {
 	add(true, StageExtract, (*Engine).tryExtract)
 	add(true, StageLookup, (*Engine).tryLookup)
 	add(true, StagePeer, (*Engine).tryPeer)
-	add(admit, StageAdmission, (*Engine).tryAdmission)
+	add(cfg.RequestDeadline > 0, StageAdmission, (*Engine).tryAdmission)
 	add(true, StageDNN, (*Engine).tryDNN)
 	add(true, StageRepair, (*Engine).tryRepair)
 	add(true, StageInsert, (*Engine).tryInsert)
@@ -168,7 +165,6 @@ type frame struct {
 	deadline time.Time // wall clock; zero without a request deadline
 
 	imuOK, frameOK, revalidate bool
-	brownout                   admission.Level
 	scale                      float64 // the quality layer's gate strictness
 	thumbed                    bool
 	haveLooked                 bool // ns is the frame's lookup, and repairNear may reuse it
@@ -189,8 +185,6 @@ type frame struct {
 // before every read of them on that engine:
 //   - deadline, by ProcessRecord on every frame of an engine with a
 //     request deadline (an engine without one never sets it);
-//   - brownout, by tryIMU on every frame of an engine with an
-//     admission controller (likewise);
 //   - revalidate, by tryIMU, which in ModeApprox precedes every reader
 //     (the baselines never read it);
 //   - peers, by tryExtract on every frame the guard passed: tryPeer
@@ -261,13 +255,10 @@ func (e *Engine) trySensors(f *frame) (bool, error) {
 	return f.mark(StageSensors, OutcomePassed)
 }
 
-// tryIMU is the frame's bookkeeping — brownout level, quality refusal
-// and scale, detector feed, forced revalidation — and, with gate, the
+// tryIMU is the frame's bookkeeping — quality refusal and scale,
+// detector feed, forced revalidation — and, with gate, the
 // inertial gate: a device unmoved since the last recognition repeats it.
 func (e *Engine) tryIMU(f *frame, gate bool) (bool, error) {
-	if e.ctrl != nil {
-		f.brownout = e.ctrl.Level()
-	}
 	forced := false
 	if e.quality != nil {
 		forced = e.quality.consumeRefusal()
@@ -283,7 +274,7 @@ func (e *Engine) tryIMU(f *frame, gate bool) (bool, error) {
 		e.detector.ObserveAll(f.win)
 	}
 	f.revalidate = forced || e.streakSpent()
-	f.rec.Revalidate, f.rec.Brownout = f.revalidate, f.brownout
+	f.rec.Revalidate = f.revalidate
 	outcome, last := OutcomeSkipped, e.last
 	if gate && f.imuOK && !f.revalidate && e.hasLast {
 		st := e.detector.State()
@@ -384,37 +375,25 @@ func (e *Engine) tryExtract(f *frame) (bool, error) {
 	return f.mark(StageExtract, OutcomePassed)
 }
 
-// tryLookup asks the local cache: the in-range neighbours vote, or under
-// deep brownout the nearest answers alone — cheaper than shedding.
+// tryLookup asks the local cache: the in-range neighbours vote.
 func (e *Engine) tryLookup(f *frame) (bool, error) {
 	if !f.frameOK || f.revalidate {
 		return f.mark(StageLookup, OutcomeSkipped)
 	}
 	vote := e.cfg.Vote // a copy: the quality scale shrinks the radius
 	vote.MaxDistance *= f.scale
-	first := f.brownout >= admission.LevelFirstCandidate
-	k := vote.K
-	if first {
-		k = 1
-	}
-	ns, err := cachestore.NearestWithinInto(e.deps.Store, f.vec, k, vote.MaxDistance, f.ns[:0])
+	ns, err := cachestore.NearestWithinInto(e.deps.Store, f.vec, vote.K, vote.MaxDistance, f.ns[:0])
 	if err != nil {
 		return false, fmt.Errorf("nearest: %w", err)
 	}
 	f.ns = ns
-	f.rec.K, f.rec.Radius, f.rec.Nearest = k, vote.MaxDistance, math.Inf(1)
+	f.rec.K, f.rec.Radius, f.rec.Nearest = vote.K, vote.MaxDistance, math.Inf(1)
 	if len(ns) > 0 {
 		f.rec.Nearest = ns[0].Distance
 	}
-	f.haveLooked = k == e.cfg.Vote.K && vote.MaxDistance >= e.cfg.Vote.MaxDistance/2
-	var verdict lsh.Verdict
-	if first {
-		if len(ns) > 0 && ns[0].Distance <= vote.MaxDistance {
-			if label, conf, ok := e.deps.Store.Answer(ns[0].ID); ok {
-				verdict = lsh.Verdict{Accepted: true, Label: label, Confidence: conf}
-			}
-		}
-	} else if verdict, err = lsh.Vote(ns, e.deps.Store.Label, vote); err != nil {
+	f.haveLooked = vote.MaxDistance >= e.cfg.Vote.MaxDistance/2
+	verdict, err := lsh.Vote(ns, e.deps.Store.Label, vote)
+	if err != nil {
 		return false, fmt.Errorf("vote: %w", err)
 	}
 	f.charge(StageLookup, lookupLatency, lookupEnergyMJ)
@@ -440,10 +419,9 @@ func (e *Engine) tryLookup(f *frame) (bool, error) {
 // radio prices peer traffic for the session's energy accounting.
 var radio = p2p.DefaultRadioEnergyModel()
 
-// tryPeer asks nearby devices within a per-frame budget. Brownout
-// drops it first: it is the dearest reuse, on a node short of time.
+// tryPeer asks nearby devices within a per-frame budget.
 func (e *Engine) tryPeer(f *frame) (bool, error) {
-	if !f.frameOK || f.revalidate || f.peers == nil || f.brownout >= admission.LevelNoPeer {
+	if !f.frameOK || f.revalidate || f.peers == nil {
 		return f.mark(StagePeer, OutcomeSkipped)
 	}
 	budget := e.peerBudget()
@@ -488,19 +466,14 @@ func (e *Engine) tryPeer(f *frame) (bool, error) {
 	return f.serve(StagePeer, hit.Label, hit.Confidence, metrics.SourcePeer, DegradeNone)
 }
 
-// tryAdmission sends a frame past its deadline, or one the limiter
-// refuses, down StageDNN's ladder without inferring.
+// tryAdmission sends a frame past its deadline down StageDNN's ladder
+// without inferring.
 func (e *Engine) tryAdmission(f *frame) (bool, error) {
-	switch {
-	case !f.deadline.IsZero() && !time.Now().Before(f.deadline):
-		e.stats.Add(metrics.EventExpiredDrop, 1)
-		f.shed, f.cause = DegradeDeadline, ErrDeadlineExceeded
-	case e.ctrl != nil && !e.ctrl.TryAcquire():
-		e.stats.Add(metrics.EventShed, 1)
-		f.shed, f.cause = DegradeOverload, ErrOverloadShed
-	default:
+	if time.Now().Before(f.deadline) {
 		return f.mark(StageAdmission, OutcomePassed)
 	}
+	e.stats.Add(metrics.EventExpiredDrop, 1)
+	f.shed, f.cause = DegradeDeadline, ErrDeadlineExceeded
 	f.rec.Admission = f.shed
 	return f.mark(StageAdmission, OutcomeRefused)
 }
@@ -510,15 +483,6 @@ func (e *Engine) tryAdmission(f *frame) (bool, error) {
 func (e *Engine) tryDNN(f *frame) (bool, error) {
 	if f.cause == nil {
 		inf, penalty, err := e.wd.infer(f.im, f.deadline, e.jitterSeed)
-		if e.ctrl != nil {
-			// Queue refusals back the limit off as overflow; the rest
-			// report whether the frame kept its budget (AIMD).
-			if dnn.IsOverloadError(err) {
-				e.ctrl.ReleaseOverflow()
-			} else {
-				e.ctrl.Release(f.deadline.IsZero() || time.Now().Before(f.deadline))
-			}
-		}
 		f.rec.Penalty = penalty
 		f.charge(StageDNN, penalty, 0)
 		switch {

@@ -32,9 +32,6 @@ var (
 	// ladder's last resort for deadline-carrying requests — typed, never
 	// a silent drop.
 	ErrDeadlineExceeded = errors.New("core: request deadline exceeded")
-	// ErrOverloadShed: admission control refused the frame's DNN
-	// fallback and no rung of the degradation ladder had an answer.
-	ErrOverloadShed = errors.New("core: shed by admission control")
 )
 
 // DegradationLevel records how far down the serving ladder a frame's
@@ -55,8 +52,8 @@ const (
 	// DegradeLastResult: the DNN and the cache both had nothing; the
 	// answer repeats the previous frame's result.
 	DegradeLastResult
-	// DegradeOverload: admission control (or a full inference queue)
-	// shed the frame before the DNN could run; the answer came from the
+	// DegradeOverload: a full inference queue shed the frame before
+	// the DNN could run; the answer came from the
 	// same cache-only/last-result ladder, typed metrics.SourceShed.
 	DegradeOverload
 	// DegradeDeadline: the request deadline expired before the DNN

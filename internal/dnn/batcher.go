@@ -11,8 +11,8 @@ import (
 	"approxcache/internal/vision"
 )
 
-// Typed overload errors. Callers (the engine's degradation ladder, the
-// admission controller) dispatch on these rather than string-matching.
+// Typed overload errors. Callers (the engine's degradation ladder and
+// watchdog) dispatch on these rather than string-matching.
 var (
 	// ErrBatcherClosed is returned by Infer/InferDeadline after Close.
 	// The behavior is deliberately explicit: a closed batcher refuses
@@ -32,8 +32,7 @@ var (
 // IsOverloadError reports whether err is a queue-pressure signal
 // (ErrQueueFull or ErrExpiredInQueue) — a request the accelerator never
 // processed, as opposed to a classifier failure. The watchdog passes
-// these through without charging its breaker, and the admission
-// controller treats them as backoff signals.
+// these through without charging its breaker.
 func IsOverloadError(err error) bool {
 	return errors.Is(err, ErrQueueFull) || errors.Is(err, ErrExpiredInQueue)
 }

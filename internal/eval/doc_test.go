@@ -372,6 +372,59 @@ func TestDocCitationsNameHeadings(t *testing.T) {
 	}
 }
 
+// A cited test is a Test or Fuzz name in running text; a test is a
+// top-level func of that name in a _test.go file of the repository,
+// the benchmark harness's included.
+var (
+	docTestName = regexp.MustCompile(`\b(?:Test|Fuzz)[A-Z0-9_]\w*`)
+	testFunc    = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w*)\(`)
+)
+
+// TestDocCitedTestsExist fails on a test name cited in the docs or in
+// testdata/knobs that no _test.go file defines: a deleted or renamed
+// test leaves its citations pointing at nothing.
+func TestDocCitedTestsExist(t *testing.T) {
+	defined := map[string]bool{}
+	err := filepath.WalkDir(repoRoot, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != repoRoot && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+			return filepath.SkipDir
+		}
+		if strings.HasSuffix(path, "_test.go") {
+			src, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			for _, m := range testFunc.FindAllStringSubmatch(string(src), -1) {
+				defined[m[1]] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	knobs, err := filepath.Glob(filepath.Join(repoRoot, "testdata", "knobs", "*.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := append([]string{"EXPERIMENTS.md"}, handDocs...)
+	for _, k := range knobs {
+		rel, _ := filepath.Rel(repoRoot, k)
+		files = append(files, rel)
+	}
+	for _, name := range files {
+		doc := readDoc(t, name)
+		for _, m := range docTestName.FindAllStringIndex(doc, -1) {
+			if cited := doc[m[0]:m[1]]; !defined[cited] {
+				t.Errorf("%s:%d: cites %s, which no _test.go file defines", name, lineOf(doc, m[0]), cited)
+			}
+		}
+	}
+}
+
 // TestE18SmallScaleMatchesParentGolden pins E18 at smallScale, where
 // some frames overrun the next one's arrival, so the phase a frame is
 // windowed into depends on the clock it starts at; the default scale

@@ -80,7 +80,7 @@ func All() []Experiment {
 		{ID: "E12", Name: "lossy-network", Run: E12LossyNetwork},
 		// E13 (battery) is retired; IDs are not renumbered.
 		{ID: "E14", Name: "gate-grid", Run: E14GateGrid},
-		{ID: "E15", Name: "latency-cdf", Run: E15LatencyCDF},
+		// E15 (latency-cdf) is retired into E1's p50 and p99 columns; IDs are not renumbered.
 		// E16 (peer-coverage filter) is retired; IDs are not renumbered.
 		{ID: "E17", Name: "peer-churn", Run: E17PeerChurn},
 		{ID: "E18", Name: "chaos-resilience", Run: E18ChaosResilience, minFrames: chaosMinFrames, what: "chaos"},

@@ -120,38 +120,6 @@ func E12LossyNetwork(s Scale) Report {
 	return report
 }
 
-// E15LatencyCDF renders the latency distribution (figure-style series):
-// one row per percentile, one column per system. The distribution is
-// the cache's signature: a mass of sub-millisecond gate hits with an
-// inference-cost tail whose height is the miss rate.
-func E15LatencyCDF(s Scale) Report {
-	systems := []system{
-		{name: "no-cache", cfg: baseline(core.ModeNoCache)},
-		{name: "naive-skip", cfg: baseline(core.ModeNaiveSkip)},
-		{name: "approx", cfg: core.DefaultConfig()},
-	}
-	devs := runStationary(s, systems)
-	report := Report{
-		ID:      "E15",
-		Title:   "Frame latency distribution (stationary-heavy)",
-		Headers: []string{"percentile"},
-		Notes: []string{
-			"the cached systems are bimodal: sub-ms reuse for ~95% of frames, full inference cost in the tail",
-		},
-	}
-	for _, sys := range systems {
-		report.Headers = append(report.Headers, sys.name)
-	}
-	for _, p := range []float64{10, 25, 50, 75, 90, 95, 99, 100} {
-		row := []string{fmt.Sprintf("p%g", p)}
-		for _, dev := range devs {
-			row = append(row, fmtDur(dev.lat.percentile(p)))
-		}
-		report.Rows = append(report.Rows, row)
-	}
-	return report
-}
-
 // E14GateGrid completes the ablation story: every combination of the
 // cheap gates on/off, plus the keyframe-library size, on one workload.
 func E14GateGrid(s Scale) Report {
@@ -246,12 +214,12 @@ func E17PeerChurn(s Scale) Report {
 				client.Probe("main", names)
 			}
 			for _, q := range queries {
-				_, cost, found, err := client.Query(q)
+				out, err := client.QueryFrame(q, 0)
 				check(err)
-				if found {
+				if out.Found {
 					hits++
 				}
-				total += cost
+				total += out.Cost
 				n++
 			}
 		}

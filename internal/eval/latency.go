@@ -10,7 +10,7 @@ import (
 // exactRecorder keeps every latency sample and answers exact
 // nearest-rank percentiles. The engine's metrics.LatencyRecorder is a
 // fixed-memory histogram accurate to 6.25 %; the experiment tables that
-// print percentiles (E1, E15) are fed from each frame's Result.Latency
+// print percentiles (E1) are fed from each frame's Result.Latency
 // instead, so they do not depend on the histogram's resolution. A
 // replay steps one device at a time, so there is no lock.
 type exactRecorder struct {

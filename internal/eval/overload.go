@@ -25,13 +25,13 @@ import (
 //
 // Two node configurations run the same sweep:
 //
-//   - resilient: request deadlines on, AIMD admission control gating
-//     the DNN fallback, bounded batcher queue. Excess load is shed
-//     through the degradation ladder in microseconds, so the
-//     accelerator keeps serving admitted work at capacity.
-//   - unprotected: no deadlines, no admission, unbounded batcher
-//     queue. Excess load piles up; every queued frame completes
-//     eventually but long after its answer stopped being useful.
+//   - resilient: request deadlines on, bounded batcher queue. A frame
+//     past its deadline or refused by the full queue is shed through
+//     the degradation ladder in microseconds, so the accelerator keeps
+//     serving in-deadline work at capacity.
+//   - unprotected: no deadlines, unbounded batcher queue. Excess load
+//     piles up; every queued frame completes eventually but long after
+//     its answer stopped being useful.
 //
 // The regression gate (cmd/benchgate) enforces that the resilient node
 // retains its goodput at the highest load multiplier: goodput@4× ≥
@@ -85,10 +85,6 @@ type OverloadPoint struct {
 	Unfinished int     `json:"unfinished"`
 	P50MS      float64 `json:"p50_ms"`
 	P99MS      float64 `json:"p99_ms"`
-	// Admission limiter state at the end of the point (resilient only).
-	AdmissionLimit int    `json:"admission_limit,omitempty"`
-	BrownoutLevel  string `json:"brownout_level,omitempty"`
-	BrownoutRaised int64  `json:"brownout_raised,omitempty"`
 	// Batcher overload counters.
 	ExpiredDrops   int64 `json:"expired_drops,omitempty"`
 	QueueOverflows int64 `json:"queue_overflows,omitempty"`
@@ -154,14 +150,13 @@ func newOverloadSweep(s Scale) *overloadSweep {
 // cold cache would make every load point start with a miss flood that
 // measures warm-up, not overload behavior. The entries carry the true
 // labels — exactly what a prior serving epoch would have cached. The
-// resilient node adds request deadlines, admission control, and the
-// batcher's pending bound; the unprotected node strips all three.
+// resilient node adds request deadlines and keeps the batcher's
+// pending bound; the unprotected node strips both.
 func (sw *overloadSweep) node(resilient bool) (*device, *dnn.Batcher) {
 	ecfg := servingEngineConfig()
 	bcfg := overloadBatcher
 	if resilient {
 		ecfg.RequestDeadline = overloadDeadline
-		ecfg.Admission = true
 	} else {
 		bcfg.MaxPending = -1
 	}
@@ -296,11 +291,6 @@ func (sw *overloadSweep) point(resilient bool, load, capacity float64) OverloadP
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 	pt.P50MS = durPctMS(lats, 50)
 	pt.P99MS = durPctMS(lats, 99)
-	if snap, ok := node.pool.AdmissionSnapshot(); ok {
-		pt.AdmissionLimit = snap.Limit
-		pt.BrownoutLevel = snap.Level.String()
-		pt.BrownoutRaised = snap.Transitions
-	}
 	bs := batcher.Stats()
 	pt.ExpiredDrops = bs.ExpiredDrops
 	pt.QueueOverflows = bs.Overflows
@@ -347,21 +337,16 @@ func E21Overload(s Scale) Report {
 	rep := runOverload(s)
 	out := Report{
 		ID:    "E21",
-		Title: "Overload resilience: open-loop load sweep, admission on vs off",
+		Title: "Overload resilience: open-loop load sweep, deadlines and a bounded queue on vs off",
 		Headers: []string{"node", "load", "offered/s", "goodput/s", "p50 ms",
-			"p99 ms", "shed", "errors", "unfinished", "adm-limit", "brownout"},
+			"p99 ms", "shed", "errors", "unfinished"},
 		Data: rep,
 	}
 	for _, p := range rep.Points {
-		limit, level := "-", "-"
-		if p.AdmissionLimit > 0 {
-			limit = fmt.Sprintf("%d", p.AdmissionLimit)
-			level = p.BrownoutLevel
-		}
 		out.Rows = append(out.Rows, []string{
 			p.Mode, fmt.Sprintf("%gx", p.Load), fmtF(p.OfferedRPS), fmtF(p.GoodputRPS),
 			fmtF(p.P50MS), fmtF(p.P99MS), fmt.Sprintf("%d", p.Shed),
-			fmt.Sprintf("%d", p.Errors), fmt.Sprintf("%d", p.Unfinished), limit, level,
+			fmt.Sprintf("%d", p.Errors), fmt.Sprintf("%d", p.Unfinished),
 		})
 	}
 	out.Notes = append(out.Notes,

@@ -1,6 +1,6 @@
 // Package eval is the experiment harness: it builds the workloads,
-// nodes, and device groups for experiments E1–E25 (E6, E9, E13, E16
-// and E24 are retired; see DESIGN.md), runs them on virtual clocks
+// nodes, and device groups for experiments E1–E25 (E6, E9, E13, E15,
+// E16 and E24 are retired; see DESIGN.md), runs them on virtual clocks
 // (real ones for the serving and lookup benchmarks), and renders the
 // tables and series the evaluation reports. Every experiment takes a
 // Scale and nothing else. cmd/approxbench is its one front end.

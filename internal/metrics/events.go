@@ -9,10 +9,8 @@ package metrics
 // the frame path: by the engine, its watchdog or its quality loop. A
 // controller that keeps its own lifetime counts is read from its own
 // snapshot and is not mirrored here: the peer client's timeouts, breaker
-// trips and recoveries and degraded queries (p2p.Client.Health), the
-// admission controller's brownout transitions (admission Snapshot) and
-// the store's quarantines, paroles and parole evictions
-// (QuarantineStats).
+// trips and recoveries and degraded queries (p2p.Client.Health) and the
+// store's quarantines, paroles and parole evictions (QuarantineStats).
 type Event uint8
 
 // Session events, grouped by the subsystem that raises them.
@@ -44,8 +42,8 @@ const (
 	EventWatchdogRecovery
 	EventWatchdogFastFail
 
-	// EventShed: a frame kept off the accelerator by admission control
-	// and answered from the degradation ladder.
+	// EventShed: a frame kept off the accelerator by the full inference
+	// queue and answered from the degradation ladder.
 	EventShed
 	// EventExpiredDrop: a frame whose deadline expired in the inference
 	// queue before the accelerator saw it.

@@ -5,7 +5,7 @@
 // accuracy tracking. Nothing here grows with the number of frames
 // observed; exact percentiles live in internal/eval. The event table
 // holds what the frame path raises; a controller's lifetime counts
-// (peer breaker, admission brownout, store quarantine) live only in
+// (peer breaker, store quarantine) live only in
 // that controller's snapshot.
 package metrics
 
@@ -31,9 +31,9 @@ const (
 	// was unavailable (best cache hit or last result, flagged
 	// low-confidence).
 	SourceFallback Source = "fallback"
-	// SourceShed: served by the degradation ladder because admission
-	// control or a blown request deadline kept the frame off the
-	// accelerator (overload, not failure).
+	// SourceShed: served by the degradation ladder because a full
+	// inference queue or a blown request deadline kept the frame off
+	// the accelerator (overload, not failure).
 	SourceShed Source = "shed"
 )
 
@@ -159,7 +159,7 @@ func (s *SessionStats) WatchdogEvents() (timeouts, retries, trips, recoveries, f
 		int(c[EventWatchdogRecovery]), int(c[EventWatchdogFastFail])
 }
 
-// Sheds returns how many frames admission control shed.
+// Sheds returns how many frames the full inference queue shed.
 func (s *SessionStats) Sheds() int { return s.Count(EventShed) }
 
 // ExpiredDrops returns how many frames expired in the queue.

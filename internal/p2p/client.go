@@ -235,15 +235,6 @@ type QueryOutcome struct {
 	Degraded bool
 }
 
-// Query asks every admitted peer for vec without a time budget and
-// returns the best in-range answer. found is false when no peer
-// produced an acceptable hit; cost still reflects the time spent
-// asking. See QueryFrame for the full outcome.
-func (c *Client) Query(vec feature.Vector) (hit RemoteHit, cost time.Duration, found bool, err error) {
-	out, err := c.QueryFrame(vec, 0)
-	return out.Hit, out.Cost, out.Found, err
-}
-
 // QueryFrame asks the peer set for vec under a time budget (zero =
 // unbounded). Peers whose circuit is open are excluded; peers are
 // queried concurrently in the real world, so the charged cost is the

@@ -72,9 +72,9 @@ func TestNewSimnetTransportValidation(t *testing.T) {
 func TestClientQueryNoPeers(t *testing.T) {
 	cl, _, _ := newSimCluster(t, 1)
 	cl.SetPeers(nil)
-	_, cost, found, err := cl.Query(feature.Vector{1, 0})
-	if err != nil || found || cost != 0 {
-		t.Fatalf("no-peer query: cost=%v found=%v err=%v", cost, found, err)
+	out, err := cl.QueryFrame(feature.Vector{1, 0}, 0)
+	if err != nil || out.Found || out.Cost != 0 {
+		t.Fatalf("no-peer query: cost=%v found=%v err=%v", out.Cost, out.Found, err)
 	}
 }
 
@@ -88,15 +88,15 @@ func TestClientQueryHitsBestPeer(t *testing.T) {
 	if _, err := services[1].store.Insert(feature.Vector{1, 0.01}, "cat", 0.9, "dnn", time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	hit, cost, found, err := cl.Query(feature.Vector{1, 0})
+	out, err := cl.QueryFrame(feature.Vector{1, 0}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !found || hit.Label != "cat" || hit.Peer != "peer-b" {
-		t.Fatalf("hit = %+v found=%v", hit, found)
+	if !out.Found || out.Hit.Label != "cat" || out.Hit.Peer != "peer-b" {
+		t.Fatalf("hit = %+v found=%v", out.Hit, out.Found)
 	}
-	if cost < 10*time.Millisecond {
-		t.Fatalf("cost %v below one RTT", cost)
+	if out.Cost < 10*time.Millisecond {
+		t.Fatalf("cost %v below one RTT", out.Cost)
 	}
 }
 
@@ -105,14 +105,14 @@ func TestClientQueryMissWhenAllFar(t *testing.T) {
 	if _, err := services[0].store.Insert(feature.Vector{-1, 0}, "dog", 0.9, "dnn", time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	_, cost, found, err := cl.Query(feature.Vector{1, 0})
+	out, err := cl.QueryFrame(feature.Vector{1, 0}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if found {
+	if out.Found {
 		t.Fatal("far entry produced a hit")
 	}
-	if cost == 0 {
+	if out.Cost == 0 {
 		t.Fatal("miss should still cost the query RTT")
 	}
 }
@@ -123,12 +123,12 @@ func TestClientQuerySurvivesDeadPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	net.Unregister("peer-a")
-	hit, _, found, err := cl.Query(feature.Vector{1, 0})
+	out, err := cl.QueryFrame(feature.Vector{1, 0}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !found || hit.Peer != "peer-b" {
-		t.Fatalf("query did not survive dead peer: %+v found=%v", hit, found)
+	if !out.Found || out.Hit.Peer != "peer-b" {
+		t.Fatalf("query did not survive dead peer: %+v found=%v", out.Hit, out.Found)
 	}
 }
 
@@ -147,12 +147,12 @@ func TestClientGossipReachesPeers(t *testing.T) {
 		}
 	}
 	// Gossiped entries are queryable by other peers afterwards.
-	hit, _, found, err := cl.Query(feature.Vector{1, 0.01})
+	out, err := cl.QueryFrame(feature.Vector{1, 0.01}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !found || hit.Label != "cat" {
-		t.Fatalf("gossiped entry not queryable: %+v", hit)
+	if !out.Found || out.Hit.Label != "cat" {
+		t.Fatalf("gossiped entry not queryable: %+v", out.Hit)
 	}
 }
 

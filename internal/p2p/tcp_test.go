@@ -89,15 +89,15 @@ func TestTCPQueryRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl.SetPeers([]string{srv.Addr()})
-	hit, rtt, found, err := cl.Query(feature.Vector{1, 0.01})
+	out, err := cl.QueryFrame(feature.Vector{1, 0.01}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !found || hit.Label != "cat" {
-		t.Fatalf("hit = %+v found=%v", hit, found)
+	if !out.Found || out.Hit.Label != "cat" {
+		t.Fatalf("hit = %+v found=%v", out.Hit, out.Found)
 	}
-	if rtt <= 0 {
-		t.Fatalf("rtt = %v", rtt)
+	if out.Cost <= 0 {
+		t.Fatalf("rtt = %v", out.Cost)
 	}
 }
 

@@ -51,22 +51,15 @@ func TestNegativeOptionsRejected(t *testing.T) {
 	p.Close()
 }
 
-// TestControllerSwitches: the admission limiter and the quality layer
-// are off unless their switch is set, and on they start from their
-// fixed policy — the limiter at 8, the quality layer at full trust.
+// TestControllerSwitches: the quality layer is off unless its switch is
+// set, and on it starts from its fixed policy, at full trust.
 func TestControllerSwitches(t *testing.T) {
 	w := testWorkload(t, 10)
 	off := newCache(t, w, approxcache.Options{})
-	if _, ok := off.AdmissionSnapshot(); ok {
-		t.Fatal("admission limiter on by default")
-	}
 	if _, ok := off.QualitySnapshot(); ok {
 		t.Fatal("quality layer on by default")
 	}
-	on := newCache(t, w, approxcache.Options{Admission: true, Quality: true})
-	if snap, ok := on.AdmissionSnapshot(); !ok || snap.Limit != 8 || snap.Level != approxcache.AdmissionFull {
-		t.Fatalf("admission snapshot = %+v, %v; want limit 8 at full", snap, ok)
-	}
+	on := newCache(t, w, approxcache.Options{Quality: true})
 	if snap, ok := on.QualitySnapshot(); !ok || snap.Scale != 1 || snap.LiveAccuracy != 1 {
 		t.Fatalf("quality snapshot = %+v, %v; want scale 1 at accuracy 1", snap, ok)
 	}

@@ -85,12 +85,6 @@ func (p *Pool) BatcherStats() (BatcherStats, bool) {
 	return p.batcher.Stats(), true
 }
 
-// AdmissionSnapshot returns the shared overload limiter's state; ok is
-// false when Options.Admission is disabled.
-func (p *Pool) AdmissionSnapshot() (AdmissionSnapshot, bool) {
-	return p.pool.AdmissionSnapshot()
-}
-
 // Close flushes and stops the micro-batching scheduler. Call it when
 // the pool's streams have drained. A Process racing Close may have its
 // inference refused with ErrBatcherClosed; the degradation ladder

@@ -87,7 +87,7 @@ for w in device-video photo-lookup photo-churn peer-mesh pool-serve; do
 		step e2e -workload "$w" -trace "$t" -seconds 1
 	done
 done
-step cachenode -frames 300 -sessions 4 -batch 4 -admission -snapshot node.snap
+step cachenode -frames 300 -sessions 4 -batch 4 -snapshot node.snap
 step cachenode -frames 300 -snapshot node.snap
 
 # Two nodes on loopback: the first listens on a port of its own choosing,
