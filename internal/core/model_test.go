@@ -7,9 +7,10 @@ package core
 // configurations. After every op the two must agree on the Result, the
 // FrameRecord's decisions, the store's contents and every session
 // counter, and a fixed set of invariants must hold. Mechanisms the
-// reference does not model (quality audits, peers) run invariant-only: against a twin engine whose store hides
-// its radius search where the twin is deterministic, alone where it is
-// not. FuzzEngineModel decodes the same op stream from bytes.
+// reference does not model (quality audits, peers) run invariant-only:
+// against a twin engine whose store hides its radius search where the
+// twin is deterministic, alone where it is not. FuzzEngineModel decodes
+// the same op stream from bytes.
 
 import (
 	"bytes"
