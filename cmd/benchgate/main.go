@@ -62,7 +62,7 @@ var rows = []row{
 	{file: "BENCH_overload.json", path: "points[*].offered_rps", cmp: ">", want: 0,
 		why: "every load point of both nodes, resilient and unprotected, was offered traffic"},
 	{file: "BENCH_overload.json", path: "retention", cmp: ">=", want: 0.85,
-		why: "with request deadlines and a bounded inference queue, the node must retain this fraction of its peak goodput at 4x its measured capacity"},
+		why: "with request deadlines and a bounded inference queue, the node must retain this fraction of its peak goodput (fresh answers in the deadline) at 4x its measured capacity"},
 
 	{file: "BENCH_lookup.json", path: "results[*].allocs_per_op", cmp: "==", want: 0,
 		why: "the warm lookup path allocates nothing, flat scan or LSH, at every size"},

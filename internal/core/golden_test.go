@@ -36,10 +36,10 @@ import (
 // last result's age at 150 ms; since the last result no longer ages, its
 // digest is the one the commit before produced with that bound at zero.
 // Every digest was last re-recorded when nine controller counts (peer
-// timeouts, breaker trips and recoveries, degraded frames, overload
-// ladder raises and lowers, quarantines, paroles, parole evictions)
-// left the event table: each is the one the commit before produced with those
-// nine slots dropped from its counts line. The dnn-faults and
+// timeouts, breaker trips and recoveries, degraded frames, the deleted
+// admission controller's level raises and lowers, quarantines, paroles,
+// parole evictions) left the event table: each is the one the commit
+// before produced with those nine slots dropped from its counts line. The dnn-faults and
 // sensor-faults rows, the two that plant low-entropy frames, were
 // re-recorded when a frame the guard refuses stopped becoming the last
 // result and stopped resetting the reuse streak: the frames after each

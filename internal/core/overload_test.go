@@ -179,7 +179,8 @@ func (c *scriptedClassifier) Infer(*vision.Image) (dnn.Inference, error) {
 // A shed is the frame's own: after a frame the full queue shed, the
 // next frame's outage goes down the ladder as a fallback, not as a
 // shed. The engine pools its frames, so the second frame reuses the
-// first's.
+// first's. A shed with nothing on the ladder fails typed, and every
+// shed is counted.
 func TestShedEndsWithItsFrame(t *testing.T) {
 	cfg := overloadConfig()
 	cfg.DisableWatchdog = true
@@ -191,11 +192,14 @@ func TestShedEndsWithItsFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cls := &scriptedClassifier{inner: inner, errs: []error{dnn.ErrQueueFull, errors.New("accelerator down")}}
+	cls := &scriptedClassifier{inner: inner, errs: []error{dnn.ErrQueueFull, dnn.ErrQueueFull, errors.New("accelerator down")}}
 	f := newOverloadFixture(t, cfg, cls)
 	proto, err := classes.Prototype(0)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if _, err := f.engine.Process(proto, nil); !errors.Is(err, dnn.ErrQueueFull) {
+		t.Fatalf("cold shed: err = %v, want ErrQueueFull", err)
 	}
 	seedLastResult(f.engine, "seeded")
 	for i, want := range []struct {
@@ -209,5 +213,8 @@ func TestShedEndsWithItsFrame(t *testing.T) {
 		if res.Source != want.src || res.Degradation != want.deg {
 			t.Fatalf("frame %d: %s/%s, want %s/%s", i, res.Source, res.Degradation, want.src, want.deg)
 		}
+	}
+	if sheds := f.engine.Stats().Sheds(); sheds != 2 {
+		t.Fatalf("sheds = %d, want 2 (the cold frame and the seeded one)", sheds)
 	}
 }

@@ -369,6 +369,39 @@ func TestWatchdogAbandonedCallExitsOnRelease(t *testing.T) {
 	check()
 }
 
+// A call the request deadline cuts short degrades its frame but is no
+// classifier failure: more of them in a row than tripThreshold leave
+// the breaker closed, and the next frame reaches the DNN.
+func TestDeadlineCutCallsDoNotTripBreaker(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.RequestDeadline = 30 * time.Millisecond
+	f, faulty := newFaultyFixture(t, cfg, dnn.FaultPlan{
+		{From: 1, To: 2 + tripThreshold, Kind: dnn.FaultHang, Extra: time.Minute},
+	})
+	defer faulty.Release()
+	for c := 0; c <= tripThreshold+2; c++ {
+		proto, err := f.classes.Prototype(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := f.engine.Process(proto, movingWindow(time.Duration(c)*100*time.Millisecond))
+		if err != nil {
+			t.Fatalf("frame %d: %v", c, err)
+		}
+		want := metrics.SourceFallback
+		if c == 0 || c == tripThreshold+2 {
+			want = metrics.SourceDNN
+		}
+		if res.Source != want {
+			t.Fatalf("frame %d: source %v, want %v", c, res.Source, want)
+		}
+	}
+	timeouts, _, trips, _, fastFails := f.engine.Stats().WatchdogEvents()
+	if timeouts != tripThreshold+1 || trips != 0 || fastFails != 0 {
+		t.Fatalf("timeouts=%d trips=%d fast-fails=%d, want %d/0/0", timeouts, trips, fastFails, tripThreshold+1)
+	}
+}
+
 // A transient error clears on the watchdog's immediate retry.
 func TestWatchdogRetriesTransientError(t *testing.T) {
 	f, _ := newFaultyFixture(t, Config{Mode: ModeNoCache}, dnn.FaultPlan{

@@ -78,8 +78,10 @@ func (d DegradationLevel) String() string {
 const (
 	// callTimeout bounds one classifier call on the wall clock (capped
 	// by the request deadline); a call exceeding it counts as failed and
-	// its frame is charged the timeout. Timeouts are not retried — a
-	// wedged delegate will not un-wedge in a frame budget.
+	// its frame is charged the timeout. A call the request deadline cut
+	// short is charged too but is no failure: a spent budget says
+	// nothing of the classifier. Timeouts are not retried — a wedged
+	// delegate will not un-wedge in a frame budget.
 	callTimeout = time.Second
 	// maxRetries is how many times a failed (not timed-out) call is
 	// retried before the frame gives up. Transient faults — an OOM-
@@ -160,6 +162,12 @@ func (w *watchdog) infer(im *vision.Image, deadline time.Time, jitterSeed uint64
 		if timedOut {
 			penalty += waited
 			w.stats.Add(metrics.EventWatchdogTimeout, 1)
+			if waited < callTimeout {
+				// The request deadline cut the call short: the frame ran
+				// out of budget, which says nothing of the classifier's
+				// health, so the breaker is not charged.
+				return dnn.Inference{}, penalty, fmt.Errorf("core: infer failed: %w", lastErr)
+			}
 			break // a wedged call will not un-wedge within a frame
 		}
 		if lastErr == nil {

@@ -57,9 +57,11 @@ type BatcherConfig struct {
 	// MaxPending bounds the frames admitted into the batcher and not
 	// yet completed (queued plus dispatched-in-flight). Above the bound
 	// Infer returns ErrQueueFull immediately instead of queueing
-	// without limit in front of a saturated accelerator. Zero means the
-	// default bound (8×MaxBatch); negative means unbounded, preserving
-	// the pre-overload-protection behavior.
+	// without limit in front of a saturated accelerator; so does
+	// InferDeadline for a frame whose deadline would pass before the
+	// batches ahead of it and its own finish, at the measured batch
+	// time. Zero means the default bound (8×MaxBatch); negative means
+	// unbounded, preserving the pre-overload-protection behavior.
 	MaxPending int
 }
 
@@ -112,16 +114,28 @@ type batchCall struct {
 // Dispatch runs on the caller's goroutine for full flushes and on the
 // timer goroutine for deadline flushes; the pending queue is swapped
 // out under the mutex either way, so a batch is dispatched exactly
-// once. Frames whose request deadline has passed by dispatch time are
-// stale-dropped: completed with ErrExpiredInQueue without touching the
-// model. After Close, Infer returns ErrBatcherClosed.
+// once. Batches reach the model one at a time, as they would one
+// accelerator. Frames whose request deadline has passed when their
+// batch gets the model are stale-dropped: completed with
+// ErrExpiredInQueue without touching it. After Close, Infer returns
+// ErrBatcherClosed.
 type Batcher struct {
 	cfg   BatcherConfig
 	inner BatchClassifier
 
+	// run holds the accelerator: one batch at a time, and a batch's
+	// stale-drop check runs once it holds it, so the wait behind the
+	// batches before it counts against its deadlines.
+	run sync.Mutex
+	// batchWall is a moving average of a dispatched batch's wall time
+	// in nanoseconds (written under run): what a frame waits for each
+	// batch ahead of it, and for its own.
+	batchWall atomic.Int64
+
 	mu       sync.Mutex
 	pending  []*batchCall
 	inflight int    // admitted and not yet completed (queued + dispatched)
+	taken    int    // batches taken from pending and not yet finished
 	gen      uint64 // incremented per flush; lets a stale timer no-op
 	timer    *time.Timer
 	closed   bool
@@ -156,8 +170,9 @@ func (b *Batcher) Infer(im *vision.Image) (Inference, error) {
 // InferDeadline submits im with a wall-clock deadline and blocks until
 // its batch completes or the frame is stale-dropped. A zero deadline
 // means no deadline. Frames already expired on arrival, and frames
-// whose deadline passes while they wait in the pending queue, complete
-// with ErrExpiredInQueue without occupying the accelerator.
+// whose deadline passes while they wait for the accelerator, complete
+// with ErrExpiredInQueue without occupying it; a bounded batcher
+// refuses with ErrQueueFull a frame that could not finish in time.
 func (b *Batcher) InferDeadline(im *vision.Image, deadline time.Time) (Inference, error) {
 	if !deadline.IsZero() && !time.Now().Before(deadline) {
 		b.expiredDrops.Add(1)
@@ -170,7 +185,7 @@ func (b *Batcher) InferDeadline(im *vision.Image, deadline time.Time) (Inference
 		b.mu.Unlock()
 		return Inference{}, ErrBatcherClosed
 	}
-	if bound := b.cfg.bound(); bound > 0 && b.inflight >= bound {
+	if bound := b.cfg.bound(); bound > 0 && (b.inflight >= bound || !b.fitsLocked(deadline)) {
 		b.mu.Unlock()
 		b.overflows.Add(1)
 		return Inference{}, ErrQueueFull
@@ -195,11 +210,27 @@ func (b *Batcher) InferDeadline(im *vision.Image, deadline time.Time) (Inference
 	return call.inf, call.err
 }
 
+// fitsLocked reports whether a frame due by deadline (zero: none) can
+// still be served in time: behind every batch taken and not finished,
+// then in its own. Without it the queue would admit frames whose
+// answers come after nobody waits for them, and the accelerator would
+// spend its time on them. b.mu is held.
+func (b *Batcher) fitsLocked(deadline time.Time) bool {
+	if deadline.IsZero() {
+		return true
+	}
+	wait := time.Duration(b.taken+1) * time.Duration(b.batchWall.Load())
+	return !time.Now().Add(wait).After(deadline)
+}
+
 // takeLocked swaps out the pending queue and advances the generation
 // so any armed deadline timer for it becomes a no-op.
 func (b *Batcher) takeLocked() []*batchCall {
 	batch := b.pending
 	b.pending = nil
+	if len(batch) > 0 {
+		b.taken++
+	}
 	b.gen++
 	if b.timer != nil {
 		b.timer.Stop()
@@ -231,15 +262,21 @@ func (b *Batcher) complete(c *batchCall, inf Inference, err error) {
 	b.mu.Unlock()
 }
 
-// dispatch runs one batch through the model and completes its calls.
-// Frames whose request deadline has already passed are stale-dropped
-// here — the whole point of checking at dispatch time rather than
-// enqueue time is that queueing delay is exactly what blows deadlines
-// under overload.
+// dispatch runs one batch through the model once the model is free and
+// completes its calls. Frames whose request deadline has passed by then
+// are stale-dropped — the wait for the model is exactly what blows
+// deadlines under overload, so the check comes after it.
 func (b *Batcher) dispatch(batch []*batchCall) {
 	if len(batch) == 0 {
 		return
 	}
+	b.run.Lock()
+	defer func() {
+		b.run.Unlock()
+		b.mu.Lock()
+		b.taken--
+		b.mu.Unlock()
+	}()
 	live := batch[:0]
 	now := time.Now()
 	for _, c := range batch {
@@ -259,7 +296,13 @@ func (b *Batcher) dispatch(batch []*batchCall) {
 	for i, c := range live {
 		ims[i] = c.im
 	}
+	start := time.Now()
 	infs, err := b.inner.InferBatch(ims)
+	avg := int64(time.Since(start))
+	if old := b.batchWall.Load(); old > 0 {
+		avg = old + (avg-old)/4
+	}
+	b.batchWall.Store(avg)
 	for i, c := range live {
 		if err != nil {
 			b.complete(c, Inference{}, err)

@@ -462,3 +462,116 @@ func TestBatcherConcurrentStress(t *testing.T) {
 		t.Fatalf("inconsistent stats %+v", st)
 	}
 }
+
+// TestBatcherDropsFramesThatExpireWaitingForTheModel: batches reach the
+// model one at a time, and a frame whose deadline passes while its batch
+// waits behind another is dropped then, never run.
+func TestBatcherDropsFramesThatExpireWaitingForTheModel(t *testing.T) {
+	cs := testClasses(t)
+	c, err := NewClassifier(MobileNetV2, cs, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := make(chan struct{})
+	slow := &gatedBatchClassifier{inner: c, release: release}
+	b, err := NewBatcher(BatcherConfig{MaxBatch: 1, MaxWait: time.Millisecond}, slow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	ims := batchImages(t, cs, 2)
+	held := make(chan error, 1)
+	go func() {
+		_, err := b.Infer(ims[0])
+		held <- err
+	}()
+	for slow.calls.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	late := make(chan error, 1)
+	go func() {
+		_, err := b.InferDeadline(ims[1], time.Now().Add(20*time.Millisecond))
+		late <- err
+	}()
+	time.Sleep(40 * time.Millisecond)
+	close(release)
+	if err := <-held; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-late; !errors.Is(err, ErrExpiredInQueue) {
+		t.Fatalf("frame that expired behind a batch: err = %v, want ErrExpiredInQueue", err)
+	}
+	if calls, st := slow.calls.Load(), b.Stats(); calls != 1 || st.ExpiredDrops != 1 || st.SizeSum != 1 {
+		t.Fatalf("model calls %d, stats %+v; want 1 call, 1 expired drop, 1 frame run", calls, st)
+	}
+}
+
+// TestBatcherRefusesFramesThatCannotFinishInTime: a bounded batcher
+// refuses with ErrQueueFull a frame whose deadline falls before the batch
+// ahead of it and its own could finish at the measured batch time. A
+// frame without a deadline, or with room, still queues.
+func TestBatcherRefusesFramesThatCannotFinishInTime(t *testing.T) {
+	cs := testClasses(t)
+	c, err := NewClassifier(MobileNetV2, cs, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := make(chan struct{})
+	slow := &gatedBatchClassifier{inner: c, release: release}
+	b, err := NewBatcher(BatcherConfig{MaxBatch: 1, MaxWait: time.Millisecond}, slow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	ims := batchImages(t, cs, 3)
+	// One batch held for 30 ms is the batcher's measure of the model.
+	go func() {
+		time.Sleep(30 * time.Millisecond)
+		release <- struct{}{}
+	}()
+	if _, err := b.Infer(ims[0]); err != nil {
+		t.Fatal(err)
+	}
+	errs := make(chan error, 2)
+	go func() {
+		_, err := b.Infer(ims[1])
+		errs <- err
+	}()
+	for slow.calls.Load() < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	// Behind the held batch, a frame needs about two batch times. A
+	// refusal is immediate; a frame queued instead would wait for the
+	// held batch.
+	refused := make(chan error, 1)
+	go func() {
+		_, err := b.InferDeadline(ims[2], time.Now().Add(30*time.Millisecond))
+		refused <- err
+	}()
+	select {
+	case err := <-refused:
+		if !errors.Is(err, ErrQueueFull) {
+			close(release)
+			t.Fatalf("frame with no room: err = %v, want ErrQueueFull", err)
+		}
+	case <-time.After(time.Second):
+		close(release)
+		t.Fatal("frame with no room was queued, not refused")
+	}
+	if got := b.Stats().Overflows; got != 1 {
+		t.Fatalf("Overflows = %d, want 1", got)
+	}
+	go func() {
+		_, err := b.InferDeadline(ims[2], time.Now().Add(10*time.Second))
+		errs <- err
+	}()
+	close(release)
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := b.Stats(); st.SizeSum != 3 {
+		t.Fatalf("SizeSum = %d, want 3 (the refused frame never ran)", st.SizeSum)
+	}
+}

@@ -20,15 +20,18 @@ import (
 // and the node never truly overloads. Real mobile clients do not wait
 // — frames arrive at camera rate regardless of how far behind the
 // node is. This harness therefore fires requests on a fixed schedule
-// and measures GOODPUT: completions that returned a fresh-quality
-// answer (not shed) within the request deadline, per second.
+// and measures GOODPUT: completions that returned a fresh answer (the
+// DNN's, or a cache or peer hit; never a shed or fallback answer from
+// the degradation ladder) within the request deadline, per second.
 //
 // Two node configurations run the same sweep:
 //
 //   - resilient: request deadlines on, bounded batcher queue. A frame
-//     past its deadline or refused by the full queue is shed through
-//     the degradation ladder in microseconds, so the accelerator keeps
-//     serving in-deadline work at capacity.
+//     past its deadline or refused by the queue (full, or too long for
+//     the frame's deadline) is shed through
+//     the degradation ladder in microseconds, and a call the deadline
+//     cuts short does not trip the watchdog's breaker, so the
+//     accelerator keeps taking in-deadline work.
 //   - unprotected: no deadlines, unbounded batcher queue. Excess load
 //     piles up; every queued frame completes eventually but long after
 //     its answer stopped being useful.
@@ -70,16 +73,18 @@ type OverloadPoint struct {
 	OfferedRPS float64 `json:"offered_rps"`
 	Offered    int     `json:"offered"`
 	Completed  int     `json:"completed"`
-	// Good counts completions that returned a fresh-quality (non-shed)
-	// answer within the deadline; GoodputRPS is Good over the offered
-	// window.
+	// Good counts completions that returned a fresh answer (neither
+	// shed nor fallback) within the deadline; GoodputRPS is Good over
+	// the offered window.
 	Good       int     `json:"good"`
 	GoodputRPS float64 `json:"goodput_rps"`
 	// Shed counts completions answered from the degradation ladder
-	// with a typed shed marker; Errors counts typed refusals where no
-	// degraded answer existed. Neither is silent loss.
-	Shed   int `json:"shed"`
-	Errors int `json:"errors"`
+	// with a typed shed marker, Fallback those the ladder answered
+	// after a failed or timed-out DNN call; Errors counts typed
+	// refusals where no degraded answer existed. None is silent loss.
+	Shed     int `json:"shed"`
+	Fallback int `json:"fallback"`
+	Errors   int `json:"errors"`
 	// Unfinished counts requests still in flight when the drain
 	// timeout expired — the unbounded-queue failure mode.
 	Unfinished int     `json:"unfinished"`
@@ -272,29 +277,36 @@ func (sw *overloadSweep) point(resilient bool, load, capacity float64) OverloadP
 	if resilient {
 		pt.Mode = overloadResilient
 	}
+	pt.tally(snap, window)
+	bs := batcher.Stats()
+	pt.ExpiredDrops = bs.ExpiredDrops
+	pt.QueueOverflows = bs.Overflows
+	return pt
+}
+
+// tally scores a point's completions: errors, sheds and fallbacks by
+// count, good answers by the deadline, and p50/p99 over every answer.
+func (pt *OverloadPoint) tally(outcomes []overloadOutcome, window time.Duration) {
 	var lats []time.Duration
-	for _, o := range snap {
-		switch {
-		case o.err != nil:
+	for _, o := range outcomes {
+		if o.err != nil {
 			pt.Errors++
+			continue
+		}
+		lats = append(lats, o.latency)
+		switch {
 		case o.source == metrics.SourceShed:
 			pt.Shed++
-			lats = append(lats, o.latency)
-		default:
-			lats = append(lats, o.latency)
-			if o.latency <= overloadDeadline {
-				pt.Good++
-			}
+		case o.source == metrics.SourceFallback:
+			pt.Fallback++
+		case o.latency <= overloadDeadline:
+			pt.Good++
 		}
 	}
 	pt.GoodputRPS = float64(pt.Good) / window.Seconds()
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 	pt.P50MS = durPctMS(lats, 50)
 	pt.P99MS = durPctMS(lats, 99)
-	bs := batcher.Stats()
-	pt.ExpiredDrops = bs.ExpiredDrops
-	pt.QueueOverflows = bs.Overflows
-	return pt
 }
 
 // runOverload measures both node configurations across the load sweep
@@ -339,13 +351,13 @@ func E21Overload(s Scale) Report {
 		ID:    "E21",
 		Title: "Overload resilience: open-loop load sweep, deadlines and a bounded queue on vs off",
 		Headers: []string{"node", "load", "offered/s", "goodput/s", "p50 ms",
-			"p99 ms", "shed", "errors", "unfinished"},
+			"p99 ms", "shed", "fallback", "errors", "unfinished"},
 		Data: rep,
 	}
 	for _, p := range rep.Points {
 		out.Rows = append(out.Rows, []string{
 			p.Mode, fmt.Sprintf("%gx", p.Load), fmtF(p.OfferedRPS), fmtF(p.GoodputRPS),
-			fmtF(p.P50MS), fmtF(p.P99MS), fmt.Sprintf("%d", p.Shed),
+			fmtF(p.P50MS), fmtF(p.P99MS), fmt.Sprintf("%d", p.Shed), fmt.Sprintf("%d", p.Fallback),
 			fmt.Sprintf("%d", p.Errors), fmt.Sprintf("%d", p.Unfinished),
 		})
 	}

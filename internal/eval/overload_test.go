@@ -1,9 +1,12 @@
 package eval
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
+
+	"approxcache/internal/metrics"
 )
 
 func TestDurPctMS(t *testing.T) {
@@ -16,6 +19,29 @@ func TestDurPctMS(t *testing.T) {
 	}
 	if got := durPctMS(sorted, 100); got != 10 {
 		t.Fatalf("p100 = %v", got)
+	}
+}
+
+// Goodput counts only fresh answers inside the deadline: a shed or
+// fallback answer from the ladder is degraded however fast it came.
+func TestOverloadTallyCountsFreshAnswersOnly(t *testing.T) {
+	in, late := overloadDeadline/2, 2*overloadDeadline
+	var pt OverloadPoint
+	pt.tally([]overloadOutcome{
+		{latency: in, source: metrics.SourceDNN},
+		{latency: in, source: metrics.SourceLocal},
+		{latency: late, source: metrics.SourceDNN},
+		{latency: in, source: metrics.SourceShed},
+		{latency: in, source: metrics.SourceFallback},
+		{latency: in, source: metrics.SourceFallback},
+		{latency: in, err: errors.New("refused")},
+	}, time.Second)
+	if pt.Good != 2 || pt.Shed != 1 || pt.Fallback != 2 || pt.Errors != 1 || pt.GoodputRPS != 2 {
+		t.Fatalf("good=%d shed=%d fallback=%d errors=%d goodput=%v, want 2/1/2/1/2",
+			pt.Good, pt.Shed, pt.Fallback, pt.Errors, pt.GoodputRPS)
+	}
+	if pt.P99MS != float64(late)/float64(time.Millisecond) {
+		t.Fatalf("p99 = %v ms, want the late answer's %v", pt.P99MS, late)
 	}
 }
 
